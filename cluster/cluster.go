@@ -3,7 +3,7 @@
 // per-node core designs with memory hierarchies, per-distance-class link
 // parameters, and the preset profiles standing in for the thesis' physical
 // clusters. A Profile plus a process count yields a Machine — the
-// ground-truth pairwise parameter matrices frozen for one placement — which
+// ground-truth pairwise parameters frozen for one placement — which
 // is what hbsp.New and the sim, bsp and mpi run-times execute against.
 package cluster
 

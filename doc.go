@@ -83,6 +83,16 @@
 //     sequentially, 5–10x faster at P ≥ 256, and scale to rank counts
 //     (P = 4096) the concurrent engine cannot reach.
 //
+// Both engines bill a message through one pricing call per ordered pair
+// (sim.PairPricer's Pair: latency, gap, inverse bandwidth, overhead, the
+// return latency of the ack leg and NIC sharing, classified and hashed
+// once), resolved once per run; the sender's gap term travels with the
+// message, so receive completions never consult the machine. A machine has
+// a single O(P) representation — per-class link columns plus the per-pair
+// heterogeneity hash, never P×P matrices — and the direct evaluator keeps
+// each stage's deliveries in one flat inbox indexed by a prefix sum over the
+// in-degrees.
+//
 // By default the two cooperate: runs execute concurrently, and every
 // schedule-expressible collective — a collective.Execute pattern execution,
 // the count exchange ending a bsp Sync, an mpi schedule flood (which backs

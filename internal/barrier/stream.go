@@ -9,8 +9,8 @@ import (
 // Streaming schedule generators: the circulant collectives in O(P)-memory
 // form. Where the Pattern generators materialize one P×P incidence matrix
 // (plus payload) per stage, these return sched.Circulant values that describe
-// a stage by its single (offset, size) pair — O(stages) state, O(P) only if
-// a per-rank evaluation materializes the reused adjacency row. They carry
+// a stage by its single (offset, size) pair — O(stages) state, immutable and
+// shareable by concurrent evaluations. They carry
 // the SymCirculant hint by construction, so on a homogeneous one-rank-per-
 // node machine the direct evaluator collapses them to a single equivalence
 // class and never touches a per-rank stage at all: the representation that
@@ -18,7 +18,7 @@ import (
 // corresponding Pattern generators (the equivalence tests pin this).
 //
 // The binomial broadcast/reduce trees are not circulant; StreamBroadcast and
-// StreamReduce stream them through reused O(P) adjacency buffers instead.
+// StreamReduce build each stage's O(P) adjacency on request instead.
 
 // streamOffsets returns the dissemination offsets 1, 2, 4, ... < p.
 func streamOffsets(p int) []int {
@@ -40,8 +40,7 @@ func circulant(p int, offsets, sizes []int) (*sched.Circulant, error) {
 
 // StreamTotalExchange returns the linear-shift total-exchange schedule
 // (identical stage structure and payload sizes to TotalExchange) in
-// streaming form. The returned schedule reuses internal buffers across
-// StageAt calls and must not be shared by concurrent evaluations.
+// streaming form.
 func StreamTotalExchange(p, blockBytes int) (sched.Schedule, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("%w: total exchange with p=%d", ErrInvalidPattern, p)
@@ -127,20 +126,14 @@ func StreamAllGatherRing(p, blockBytes int) (sched.Schedule, error) {
 
 // binomStream streams the binomial broadcast/reduce trees: stage s of the
 // broadcast has the ≤2^s edges (root+r) → (root+r+2^s) mod p for r < 2^s;
-// the reduce runs the transposed stages in reverse order. Adjacency rows are
-// rebuilt per stage into reused O(P) buffers (each rank has at most one edge
-// per side per stage), so no dense matrix is ever materialized.
+// the reduce runs the transposed stages in reverse order. StageAt builds a
+// fresh O(P) adjacency per call (each rank has at most one edge per side per
+// stage), so the value itself is immutable and no dense matrix is ever
+// materialized.
 type binomStream struct {
 	p, root, msgBytes int
 	reverse           bool // reduce: transposed stages in reverse order
 	nstages           int
-
-	stage   int // stage the buffers currently describe, -1 initially
-	out, in [][]int
-	bytes   [][]int
-	dst     []int // per sender: its single destination
-	src     []int // per receiver: its single source
-	sizeRow []int
 }
 
 func newBinomStream(p, root, msgBytes int, reverse bool) *binomStream {
@@ -151,46 +144,32 @@ func newBinomStream(p, root, msgBytes int, reverse bool) *binomStream {
 	if nstages == 0 {
 		nstages = 1 // single empty stage, mirroring binomialStages at p=1
 	}
-	return &binomStream{
-		p: p, root: root, msgBytes: msgBytes, reverse: reverse,
-		nstages: nstages,
-		stage:   -1,
-		out:     make([][]int, p),
-		in:      make([][]int, p),
-		bytes:   make([][]int, p),
-		dst:     make([]int, p),
-		src:     make([]int, p),
-		sizeRow: []int{msgBytes},
-	}
+	return &binomStream{p: p, root: root, msgBytes: msgBytes, reverse: reverse, nstages: nstages}
 }
 
 func (s *binomStream) NumProcs() int  { return s.p }
 func (s *binomStream) NumStages() int { return s.nstages }
 
 func (s *binomStream) StageAt(k int) sched.Stage {
-	if s.p > 1 && s.stage != k {
-		for i := 0; i < s.p; i++ {
-			s.out[i], s.in[i], s.bytes[i] = nil, nil, nil
-		}
-		bk := k
-		if s.reverse {
-			bk = s.nstages - 1 - k
-		}
-		dist := 1 << bk
-		for r := 0; r < dist && r+dist < s.p; r++ {
-			from := (s.root + r) % s.p
-			to := (s.root + r + dist) % s.p
-			if s.reverse {
-				from, to = to, from
-			}
-			s.dst[from], s.src[to] = to, from
-			s.out[from] = s.dst[from : from+1]
-			s.in[to] = s.src[to : to+1]
-			s.bytes[from] = s.sizeRow
-		}
-		s.stage = k
+	st := sched.Stage{Out: make([][]int, s.p), In: make([][]int, s.p), OutBytes: make([][]int, s.p)}
+	if s.reverse {
+		k = s.nstages - 1 - k
 	}
-	return sched.Stage{Out: s.out, In: s.in, OutBytes: s.bytes}
+	dist := 1 << k
+	peers := make([]int, 2*s.p) // per rank: its single destination, its single source
+	sizeRow := []int{s.msgBytes}
+	for r := 0; r < dist && r+dist < s.p; r++ {
+		from := (s.root + r) % s.p
+		to := (s.root + r + dist) % s.p
+		if s.reverse {
+			from, to = to, from
+		}
+		peers[2*from], peers[2*to+1] = to, from
+		st.Out[from] = peers[2*from : 2*from+1 : 2*from+1]
+		st.In[to] = peers[2*to+1 : 2*to+2 : 2*to+2]
+		st.OutBytes[from] = sizeRow
+	}
+	return st
 }
 
 // StreamBroadcast returns the binomial-tree broadcast (identical to

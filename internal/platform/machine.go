@@ -9,35 +9,27 @@ import (
 )
 
 // Machine is a fully instantiated platform for a given process count: the
-// profile's ground-truth pairwise parameters frozen for one placement, plus a
-// deterministic run-to-run noise source. It satisfies the simnet.Machine
-// interface structurally and is what the virtual-time simulator executes
-// against.
+// profile's link parameters frozen into one column per distance class, the
+// placement that classifies every rank pair, and a deterministic run-to-run
+// noise source. It satisfies the simnet.Machine interface structurally and is
+// what the virtual-time simulator executes against.
 //
-// Up to denseMatrixLimit ranks the pairwise parameters are materialized as
-// dense P×P matrices; above it the matrices stay nil and the accessors
-// compute the same profile formulas on demand (four P×P float64 matrices at
-// P=1M would be 32 TB). The values are bit-identical either way — the dense
-// path is a cache of the exact same expressions.
+// There is one representation at every rank count: a pairwise parameter is
+// column[class(i, j)] * pairFactor(i, j) — the same two operands in the same
+// single multiplication the profile formulas perform — computed on demand in
+// O(P) memory. Pair prices an ordered pair with one classification and one
+// hash; the engines call it once per message. The four single accessors
+// answer the same way for callers that want one parameter.
 type Machine struct {
 	profile   *Profile
 	placement *topology.Placement
 	runSeed   int64
 
-	latency  [][]float64
-	gap      [][]float64
-	beta     [][]float64
-	overhead [][]float64
+	// Per-distance-class link columns, indexed by topology.Distance. The self
+	// column carries the exact self-pair values (zero latency/gap/beta, the
+	// unscaled invocation overhead); PairTerm's factor is 1 there.
+	lat, gap, beta, ovh [topology.DistanceGroup + 1]float64
 }
-
-// denseMatrixLimit is the largest rank count whose pairwise parameters are
-// materialized eagerly. Above it the machines the evaluator sweeps (P=4096
-// up to P=1M) would pay hundreds of megabytes and double-digit seconds of
-// matrix fill per instantiation, dwarfing the evaluation itself; the lazy
-// accessors cost ~15 ns per pair instead. A variable, not a constant, so
-// tests can force the lazy path at small P and diff it against the dense
-// one.
-var denseMatrixLimit = 2048
 
 // Machine instantiates the profile for the given number of ranks using the
 // profile's default placement policy.
@@ -51,26 +43,11 @@ func (p *Profile) Machine(ranks int) (*Machine, error) {
 
 // MachineFor instantiates the profile for an explicit placement.
 func (p *Profile) MachineFor(pl *topology.Placement) *Machine {
-	n := pl.Ranks()
 	m := &Machine{profile: p, placement: pl, runSeed: p.Seed}
-	if n > denseMatrixLimit {
-		return m
-	}
-	alloc := func() [][]float64 {
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = make([]float64, n)
-		}
-		return rows
-	}
-	m.latency, m.gap, m.beta, m.overhead = alloc(), alloc(), alloc(), alloc()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.latency[i][j] = p.Latency(pl, i, j)
-			m.gap[i][j] = p.Gap(pl, i, j)
-			m.beta[i][j] = p.Beta(pl, i, j)
-			m.overhead[i][j] = p.Overhead(pl, i, j)
-		}
+	m.ovh[topology.DistanceSelf] = p.SelfOverhead
+	for d := topology.DistanceSocket; d <= topology.DistanceGroup; d++ {
+		l := p.Links[d]
+		m.lat[d], m.gap[d], m.beta[d], m.ovh[d] = l.Latency, l.Gap, l.Beta, l.Overhead
 	}
 	return m
 }
@@ -99,36 +76,39 @@ func (m *Machine) Placement() *topology.Placement { return m.placement }
 // Procs returns the number of ranks.
 func (m *Machine) Procs() int { return m.placement.Ranks() }
 
+// Pair prices the ordered pair (i, j) once: the four LogGP parameters of a
+// message from i to j, the return latency an acknowledged send bills
+// (Latency(j, i); classes and factors are symmetric, so it equals lat), and
+// whether the two ranks share a NIC (same node: every class below the
+// network).
+func (m *Machine) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
+	f, c := m.PairTerm(i, j)
+	lat = m.lat[c] * f
+	return lat, m.gap[c] * f, m.beta[c] * f, m.ovh[c] * f, lat, c < uint8(topology.DistanceNetwork)
+}
+
 // Latency returns the ground-truth latency from rank i to rank j.
 func (m *Machine) Latency(i, j int) float64 {
-	if m.latency == nil {
-		return m.profile.Latency(m.placement, i, j)
-	}
-	return m.latency[i][j]
+	f, c := m.PairTerm(i, j)
+	return m.lat[c] * f
 }
 
 // Gap returns the per-message NIC occupancy from rank i to rank j.
 func (m *Machine) Gap(i, j int) float64 {
-	if m.gap == nil {
-		return m.profile.Gap(m.placement, i, j)
-	}
-	return m.gap[i][j]
+	f, c := m.PairTerm(i, j)
+	return m.gap[c] * f
 }
 
 // Beta returns the inverse bandwidth from rank i to rank j.
 func (m *Machine) Beta(i, j int) float64 {
-	if m.beta == nil {
-		return m.profile.Beta(m.placement, i, j)
-	}
-	return m.beta[i][j]
+	f, c := m.PairTerm(i, j)
+	return m.beta[c] * f
 }
 
 // Overhead returns the per-request sender CPU overhead from rank i to rank j.
 func (m *Machine) Overhead(i, j int) float64 {
-	if m.overhead == nil {
-		return m.profile.Overhead(m.placement, i, j)
-	}
-	return m.overhead[i][j]
+	f, c := m.PairTerm(i, j)
+	return m.ovh[c] * f
 }
 
 // SelfOverhead returns the invocation overhead of rank i.
@@ -206,21 +186,10 @@ func (m *Machine) PairTerm(i, j int) (factor float64, class uint8) {
 
 // TermLinks returns the per-distance-class parameter columns of PairTerm's
 // decomposition, indexed by distance class. Multiplying a column entry by a
-// pair's PairTerm factor reproduces the pairwise accessors exactly — the
-// same two operands in the same single multiplication the profile formulas
-// (and the dense matrix fill) perform.
+// pair's PairTerm factor reproduces the pairwise accessors exactly. The
+// slices are the machine's own frozen columns: callers must not write them.
 func (m *Machine) TermLinks() (lat, gap, beta, ovh []float64) {
-	n := int(topology.DistanceGroup) + 1
-	lat = make([]float64, n)
-	gap = make([]float64, n)
-	beta = make([]float64, n)
-	ovh = make([]float64, n)
-	ovh[topology.DistanceSelf] = m.profile.SelfOverhead
-	for d := topology.DistanceSocket; d <= topology.DistanceGroup; d++ {
-		l := m.profile.Links[d]
-		lat[d], gap[d], beta[d], ovh[d] = l.Latency, l.Gap, l.Beta, l.Overhead
-	}
-	return lat, gap, beta, ovh
+	return m.lat[:], m.gap[:], m.beta[:], m.ovh[:]
 }
 
 // TermCompatible reports whether o shares this machine's PairTerm

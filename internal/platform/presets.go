@@ -136,8 +136,7 @@ func FlatCluster(nodes int) *Profile {
 }
 
 // FlatClusterMachine instantiates the flat cluster with one rank per node.
-// Above the dense-matrix limit the pairwise parameters are computed lazily,
-// so machines up to P=1M stay within memory budgets.
+// Machines are O(P) at every size, so P=1M stays within memory budgets.
 func FlatClusterMachine(procs int) (*Machine, error) {
 	nodes := procs
 	if nodes < 1 {

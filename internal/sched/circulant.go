@@ -21,21 +21,14 @@ type CirculantSchedule interface {
 // uniform edge i→(i+offsets[k]) mod P for every rank i, with the uniform
 // payload sizes[k]. It is the shape of the dissemination, linear-shift
 // total-exchange and ring collectives, and it carries the SymCirculant hint
-// by construction. StageAt materializes one reused O(P) adjacency for
-// per-rank evaluation (allocated lazily, so collapsed evaluations never pay
-// it); a Circulant must therefore not be shared by concurrent evaluations.
+// by construction. A Circulant is immutable after construction — O(stages)
+// state, shareable by any number of concurrent evaluations: the evaluator
+// derives each rank's peers from CirculantStage (stageView) and never
+// materializes an adjacency.
 type Circulant struct {
 	p       int
 	offsets []int // normalized to [0, p); 0 = empty stage
 	sizes   []int // nil = pure signals
-
-	// StageAt scratch, built on first use and rewritten per stage.
-	stage    int
-	out, in  [][]int
-	outBytes [][]int
-	outBack  []int
-	inBack   []int
-	sizeRow  []int
 }
 
 // NewCirculant returns the circulant schedule over p ranks with one stage
@@ -49,7 +42,7 @@ func NewCirculant(p int, offsets, sizes []int) (*Circulant, error) {
 	if sizes != nil && len(sizes) != len(offsets) {
 		return nil, errors.New("sched: circulant schedule needs one size per offset")
 	}
-	c := &Circulant{p: p, offsets: make([]int, len(offsets)), stage: -1}
+	c := &Circulant{p: p, offsets: make([]int, len(offsets))}
 	for k, off := range offsets {
 		c.offsets[k] = ((off % p) + p) % p
 	}
@@ -83,43 +76,98 @@ func (c *Circulant) CirculantStage(k int) (offset, sizeBytes int) {
 	return offset, sizeBytes
 }
 
-// StageAt materializes stage k into the reused adjacency buffers (the
-// per-rank fallback path; collapsed evaluation reads CirculantStage
-// instead).
+// StageAt materializes stage k as a fresh adjacency, for generic Schedule
+// consumers; the evaluator's walkers read CirculantStage through a stageView
+// instead.
 func (c *Circulant) StageAt(k int) Stage {
-	if c.out == nil {
-		c.out = make([][]int, c.p)
-		c.in = make([][]int, c.p)
-		c.outBack = make([]int, c.p)
-		c.inBack = make([]int, c.p)
-		c.sizeRow = make([]int, 1)
-		if c.sizes != nil {
-			c.outBytes = make([][]int, c.p)
-		}
-		c.stage = -1
+	off, size := c.CirculantStage(k)
+	st := Stage{Out: make([][]int, c.p), In: make([][]int, c.p)}
+	if off == 0 {
+		return st
 	}
-	if c.stage != k {
-		off, size := c.CirculantStage(k)
-		if off == 0 {
-			for i := 0; i < c.p; i++ {
-				c.out[i], c.in[i] = nil, nil
-				if c.outBytes != nil {
-					c.outBytes[i] = nil
-				}
-			}
-		} else {
-			c.sizeRow[0] = size
-			for i := 0; i < c.p; i++ {
-				c.outBack[i] = (i + off) % c.p
-				c.inBack[i] = (i - off + c.p) % c.p
-				c.out[i] = c.outBack[i : i+1]
-				c.in[i] = c.inBack[i : i+1]
-				if c.outBytes != nil {
-					c.outBytes[i] = c.sizeRow
-				}
-			}
-		}
-		c.stage = k
+	peers := make([]int, 2*c.p)
+	var sizeRow []int
+	if c.sizes != nil {
+		st.OutBytes = make([][]int, c.p)
+		sizeRow = []int{size}
 	}
-	return Stage{Out: c.out, In: c.in, OutBytes: c.outBytes}
+	for i := 0; i < c.p; i++ {
+		peers[2*i], peers[2*i+1] = (i+off)%c.p, (i-off+c.p)%c.p
+		st.Out[i], st.In[i] = peers[2*i:2*i+1:2*i+1], peers[2*i+1:2*i+2:2*i+2]
+		if sizeRow != nil {
+			st.OutBytes[i] = sizeRow
+		}
+	}
+	return st
+}
+
+// stageView reads one stage of a schedule for the stage walkers: generic
+// schedules through StageAt, circulant ones by deriving each rank's single
+// out- and in-peer (r±off) mod P on the fly, so the schedule value is only
+// ever read. The slices outs and ins return for a circulant stage alias the
+// view's one-element buffers and are valid until the next call of the same
+// method.
+type stageView struct {
+	s    Schedule
+	cs   CirculantSchedule // non-nil: stages are read through CirculantStage
+	p    int
+	st   Stage // generic stage
+	off  int   // circulant stage offset, 0 = empty
+	size int
+	dst  [1]int
+	src  [1]int
+}
+
+func viewOf(s Schedule) stageView {
+	cs, _ := s.(CirculantSchedule)
+	return stageView{s: s, cs: cs, p: s.NumProcs()}
+}
+
+// load points the view at stage sg.
+func (v *stageView) load(sg int) {
+	if v.cs != nil {
+		off, size := v.cs.CirculantStage(sg)
+		v.off, v.size = ((off%v.p)+v.p)%v.p, size
+		return
+	}
+	v.st = v.s.StageAt(sg)
+}
+
+// outs returns the ranks r signals, in edge order.
+func (v *stageView) outs(r int) []int {
+	if v.cs == nil {
+		return v.st.Out[r]
+	}
+	if v.off == 0 {
+		return nil
+	}
+	if v.dst[0] = r + v.off; v.dst[0] >= v.p {
+		v.dst[0] -= v.p
+	}
+	return v.dst[:]
+}
+
+// ins returns the ranks signalling r, in the order their sends are scanned.
+func (v *stageView) ins(r int) []int {
+	if v.cs == nil {
+		return v.st.In[r]
+	}
+	if v.off == 0 {
+		return nil
+	}
+	if v.src[0] = r - v.off; v.src[0] < 0 {
+		v.src[0] += v.p
+	}
+	return v.src[:]
+}
+
+// outSize returns the payload size of r's k-th out-edge.
+func (v *stageView) outSize(r, k int) int {
+	if v.cs != nil {
+		return v.size
+	}
+	if v.st.OutBytes == nil {
+		return 0
+	}
+	return v.st.OutBytes[r][k]
 }

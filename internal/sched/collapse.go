@@ -137,26 +137,29 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 		}
 	}
 	nc := part.NumClasses()
-	if cap(e.classArr) < nc {
-		e.classArr = make([][]float64, nc)
+	if cap(e.classIn) < nc {
+		e.classIn = make([][]inEdge, nc)
 	}
-	classArr := e.classArr[:nc]
+	classIn := e.classIn[:nc]
+	v := viewOf(s)
+	var pc pairCost
 	for sg := 0; sg < s.NumStages(); sg++ {
 		if chk != nil {
 			if err := chk.tick(); err != nil {
 				return err
 			}
 		}
-		st := s.StageAt(sg)
+		v.load(sg)
 		tag := tagBase + sg
+		done := e.sendDone[:0]
 
 		// Phase A over representatives: entry clocks and send injections,
-		// arrivals parked per class by out-edge position.
+		// in-edge records parked per class by out-edge position.
 		for c := 0; c < nc; c++ {
 			r := int(part.Reps[c])
 			rs := &e.states[r]
-			ins, outs := st.In[r], st.Out[r]
-			if len(ins) == 0 && len(outs) == 0 {
+			outs := v.outs(r)
+			if len(outs) == 0 && len(v.ins(r)) == 0 {
 				if computeEmpty {
 					rs.compute(e.m, e.ft, r, 0)
 				}
@@ -164,52 +167,49 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 			}
 			e.entry[r] = rs.now
 			if len(outs) > 0 {
-				ca := classArr[c][:0]
-				sc := e.sendComplete[r][:0]
+				ci := classIn[c][:0]
 				var repBytes int64
 				for k, dst := range outs {
-					size := 0
-					if st.OutBytes != nil {
-						size = st.OutBytes[r][k]
-					}
-					arrival, completeAt, _, _ := e.send(rs, r, dst, tag, size)
-					ca = append(ca, arrival)
-					sc = append(sc, completeAt)
+					size := v.outSize(r, k)
+					e.price(r, dst, &pc)
+					ci = append(ci, inEdge{})
+					done = append(done, e.send(rs, r, dst, tag, size, &pc, &ci[k]))
 					repBytes += int64(size)
 				}
-				classArr[c] = ca
-				e.sendComplete[r] = sc
+				classIn[c] = ci
 				if extra := part.Size[c] - 1; extra > 0 {
 					e.messages += extra * int64(len(outs))
 					e.bytes += extra * repBytes
 				}
 			}
 		}
+		e.sendDone = done
 
 		// Phase B over representatives: waits, receives first then sends, in
 		// edge order. An in-edge from src at out-position k carries the same
-		// arrival src's representative computed at position k (class
+		// record src's representative produced at position k (class
 		// equivalence covers pair class, position and size), so the class
-		// queue substitutes for the per-receiver one. Clock advances are
-		// inlined through setNow: lanes are nil under collapse, and the inline
-		// form carries no int32 payload casts (count-exchange payloads exceed
-		// int32 at P=1M); fail-stop crossings still apply — a class whose
-		// members all fail identically collapses like any other.
+		// queue substitutes for the per-receiver inbox. Clock advances go
+		// straight through setNow: lanes are nil under collapse, and this form
+		// never reads the record's int32 payload size (count-exchange payloads
+		// exceed int32 at P=1M); fail-stop crossings still apply — a class
+		// whose members all fail identically collapses like any other.
+		sent := 0
 		for c := 0; c < nc; c++ {
 			r := int(part.Reps[c])
 			rs := &e.states[r]
-			for _, src := range st.In[r] {
-				k := outPosition(st.Out[src], r)
-				arrival := classArr[part.ClassOf[src]][k]
-				completeAt, _ := e.recvComplete(rs, r, src, e.entry[r], arrival)
+			for _, src := range v.ins(r) {
+				k := outPosition(v.outs(src), r)
+				completeAt, _ := rs.recvComplete(e.entry[r], &classIn[part.ClassOf[src]][k])
 				if completeAt > rs.now {
 					rs.setNow(e.ft, r, completeAt)
 				}
 			}
-			for k := range st.Out[r] {
-				if completeAt := e.sendComplete[r][k]; completeAt > rs.now {
+			for range v.outs(r) {
+				if completeAt := done[sent]; completeAt > rs.now {
 					rs.setNow(e.ft, r, completeAt)
 				}
+				sent++
 			}
 		}
 	}
@@ -224,6 +224,8 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 func (e *Evaluator) execCollapsedCirculant(cs CirculantSchedule, tagBase int, computeEmpty bool, chk *stageChecker) error {
 	p := len(e.states)
 	rs := &e.states[0]
+	var pc pairCost
+	var in inEdge
 	for sg := 0; sg < cs.NumStages(); sg++ {
 		if chk != nil {
 			if err := chk.tick(); err != nil {
@@ -238,13 +240,13 @@ func (e *Evaluator) execCollapsedCirculant(cs CirculantSchedule, tagBase int, co
 			continue
 		}
 		tag := tagBase + sg
-		dst, src := off, p-off
 		entry := rs.now
-		arrival, sendDone, _, _ := e.send(rs, 0, dst, tag, size)
+		e.price(0, off, &pc)
+		sendDone := e.send(rs, 0, off, tag, size, &pc, &in)
 		e.messages += int64(p - 1)
 		e.bytes += int64(p-1) * int64(size)
-		// By symmetry the arrival from src equals rank 0's own send arrival.
-		recvDone, _ := e.recvComplete(rs, 0, src, entry, arrival)
+		// By symmetry the message arriving from p-off equals rank 0's own.
+		recvDone, _ := rs.recvComplete(entry, &in)
 		if recvDone > rs.now {
 			rs.setNow(e.ft, 0, recvDone)
 		}

@@ -1,0 +1,271 @@
+package sched_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"hbsp/internal/barrier"
+	"hbsp/internal/fault"
+	"hbsp/internal/sched"
+	"hbsp/internal/simnet"
+)
+
+// rowsMachine is a machine given by explicit pairwise rows — the shape of an
+// uploaded matrix profile — with deliberately asymmetric entries. It answers
+// the engines' Pair call from the rows; the return latency is the transposed
+// entry.
+type rowsMachine struct {
+	lat, gap, beta, ovh [][]float64
+	nic                 []int
+}
+
+func (m *rowsMachine) Procs() int                         { return len(m.lat) }
+func (m *rowsMachine) Latency(i, j int) float64           { return m.lat[i][j] }
+func (m *rowsMachine) Gap(i, j int) float64               { return m.gap[i][j] }
+func (m *rowsMachine) Beta(i, j int) float64              { return m.beta[i][j] }
+func (m *rowsMachine) Overhead(i, j int) float64          { return m.ovh[i][j] }
+func (m *rowsMachine) SelfOverhead(int) float64           { return 1e-7 }
+func (m *rowsMachine) NIC(i int) int                      { return m.nic[i] }
+func (m *rowsMachine) Noise(rank int, seq uint64) float64 { return 1 }
+func (m *rowsMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
+	return m.lat[i][j], m.gap[i][j], m.beta[i][j], m.ovh[i][j], m.lat[j][i], m.nic[i] == m.nic[j]
+}
+
+func randomRowsMachine(rng *rand.Rand, p int) *rowsMachine {
+	rows := func(lo, hi float64) [][]float64 {
+		out := make([][]float64, p)
+		for i := range out {
+			out[i] = make([]float64, p)
+			for j := range out[i] {
+				if i != j {
+					out[i][j] = lo + (hi-lo)*rng.Float64()
+				}
+			}
+		}
+		return out
+	}
+	m := &rowsMachine{lat: rows(5e-6, 60e-6), gap: rows(0, 8e-6), beta: rows(1e-9, 2e-8), ovh: rows(1e-7, 2e-6), nic: make([]int, p)}
+	for i := range m.nic {
+		m.nic[i] = i / (1 + rng.Intn(3)) // some ranks share a NIC
+		m.ovh[i][i] = 1e-7
+	}
+	return m
+}
+
+// accessorsOnly hides every optional capability of the wrapped machine —
+// Pair, PairTerm, PairClass — leaving exactly the simnet.Machine accessors,
+// so the engines reach it through simnet.PricerOf's adapter.
+type accessorsOnly struct{ simnet.Machine }
+
+// randomSchedule draws one of the three schedule shapes: a circulant with
+// random offsets and sizes (empty stages included), a binomial tree, or an
+// irregular stage graph (random fan-out, self-sends, empty ranks) whose
+// In rows follow the row-major scan order the Stage contract requires.
+func randomSchedule(t *testing.T, rng *rand.Rand, p int) (string, sched.Schedule) {
+	t.Helper()
+	stages := 1 + rng.Intn(5)
+	switch rng.Intn(3) {
+	case 0:
+		offs, sizes := make([]int, stages), make([]int, stages)
+		for k := range offs {
+			offs[k], sizes[k] = rng.Intn(2*p)-p/2, rng.Intn(4096)
+		}
+		s, err := sched.NewCirculant(p, offs, sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return "circulant", s
+	case 1:
+		mk := barrier.StreamBroadcast
+		if rng.Intn(2) == 0 {
+			mk = barrier.StreamReduce
+		}
+		s, err := mk(p, rng.Intn(p), rng.Intn(4096))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return "tree", s
+	}
+	st := make([]sched.Stage, stages)
+	for k := range st {
+		st[k] = sched.Stage{Out: make([][]int, p), In: make([][]int, p), OutBytes: make([][]int, p)}
+		for i := 0; i < p; i++ {
+			for _, j := range rng.Perm(p)[:rng.Intn(min(p, 4))] {
+				st[k].Out[i] = append(st[k].Out[i], j)
+				st[k].OutBytes[i] = append(st[k].OutBytes[i], rng.Intn(4096))
+				st[k].In[j] = append(st[k].In[j], i)
+			}
+		}
+	}
+	return "irregular", &sched.StaticStages{Procs: p, Stages: st}
+}
+
+// programOf lowers execs executions of a schedule to the op-stream the
+// concurrent stage walkers perform (barrier.Execute's convention, which
+// RunSchedule mirrors): per stage every rank posts its receives, injects its
+// sends, then waits receives first and sends second, in edge order; a rank
+// with no edges pays an empty Compute(0).
+func programOf(s sched.Schedule, execs int) *simnet.Program {
+	p := s.NumProcs()
+	pr := simnet.NewProgram(p)
+	for x := 0; x < execs; x++ {
+		for sg := 0; sg < s.NumStages(); sg++ {
+			st := s.StageAt(sg)
+			tag := sched.ScheduleTagBase + sg
+			for r := 0; r < p; r++ {
+				b := pr.Rank(r)
+				if len(st.In[r]) == 0 && len(st.Out[r]) == 0 {
+					b.Compute(0)
+					continue
+				}
+				var reqs []simnet.Req
+				for _, src := range st.In[r] {
+					reqs = append(reqs, b.Irecv(src, tag))
+				}
+				for k, dst := range st.Out[r] {
+					size := 0
+					if st.OutBytes != nil {
+						size = st.OutBytes[r][k]
+					}
+					reqs = append(reqs, b.Isend(dst, tag, size))
+				}
+				for _, rq := range reqs {
+					b.Wait(rq)
+				}
+			}
+		}
+	}
+	return pr
+}
+
+// crossPaths evaluates execs executions of the schedule on every path — the
+// concurrent engine, RunSchedule with collapse on and off, and a
+// SweepEvaluator building its tape, replaying it (the second execution of
+// the first point, and the cached second point) and pricing live with taping
+// disabled — and requires identical Times, MakeSpan, Messages and Bytes.
+func crossPaths(t *testing.T, tag string, m simnet.Machine, s sched.Schedule, execs int, ack bool, plan *fault.Plan) *simnet.Result {
+	t.Helper()
+	ctx := context.Background()
+	o := simnet.DefaultOptions()
+	o.AckSends = ack
+	o.Faults = plan
+	oC := o
+	oC.Engine = simnet.EngineConcurrent
+	want, err := simnet.RunProgram(ctx, m, programOf(s, execs), oC)
+	if err != nil {
+		t.Fatalf("%s concurrent: %v", tag, err)
+	}
+	check := func(path string, got *simnet.Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s %s: %v", tag, path, err)
+		}
+		diffResults(t, tag+" "+path, want, got)
+	}
+	res, err := sched.RunSchedule(ctx, m, s, execs, o)
+	check("RunSchedule", res, err)
+	oOff := o
+	oOff.SymmetryCollapse = simnet.CollapseOff
+	res, err = sched.RunSchedule(ctx, m, s, execs, oOff)
+	check("RunSchedule/collapse-off", res, err)
+
+	for _, budget := range []int64{0, -1} {
+		opt := sweepOptionsFor(oOff)
+		opt.MemoBudget = budget
+		sw, err := sched.NewSweepEvaluator(m, opt)
+		if err != nil {
+			t.Fatalf("%s sweep: %v", tag, err)
+		}
+		for point := 0; point < 2; point++ {
+			res, err = sw.Run(ctx, m, s, execs)
+			check(fmt.Sprintf("sweep/budget%d/point%d", budget, point), res, err)
+		}
+		sw.Release()
+	}
+	return want
+}
+
+// TestGeneratedCrossPathAgreement is the generated equivalence test of the
+// evaluation paths: random schedules × profile, matrix and accessor-only
+// machines × acks on and off × a fault plan with link rules and a straggler,
+// all priced through the one Pair call and walked by the one stage walker.
+func TestGeneratedCrossPathAgreement(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260928))
+	cases := 36
+	if testing.Short() {
+		cases = 9
+	}
+	for c := 0; c < cases; c++ {
+		p := 2 + rng.Intn(22)
+		var m simnet.Machine
+		var mname string
+		switch c % 4 {
+		case 0:
+			mname, m = "xeon-hetero", machines(t, p, int64(c), false)
+		case 1:
+			mname, m = "xeon-noisy", machines(t, p, int64(c), true)
+		case 2:
+			mname, m = "matrix", randomRowsMachine(rng, p)
+		default:
+			mname, m = "accessors-only", accessorsOnly{machines(t, p, int64(c), false)}
+		}
+		shape, s := randomSchedule(t, rng, p)
+		ack := rng.Intn(2) == 0
+		tag := fmt.Sprintf("case %d %s %s p=%d ack=%v", c, mname, shape, p, ack)
+		base := crossPaths(t, tag, m, s, 2, ack, nil)
+
+		plan := &fault.Plan{
+			Seed:      int64(c),
+			Slowdowns: []fault.Slowdown{{Rank: rng.Intn(p), Factor: 1.5 + rng.Float64()}},
+			Links: []fault.LinkRule{
+				{Src: -1, Dst: -1, Class: -1, LatencyFactor: 2, BetaFactor: 3, End: base.MakeSpan * 0.5},
+				{Src: rng.Intn(p), Dst: -1, Class: -1, LatencyFactor: 1.5, BetaFactor: 1},
+				{Src: -1, Dst: rng.Intn(p), Class: -1, LatencyFactor: 1, BetaFactor: 4, Start: base.MakeSpan * 0.25},
+			},
+		}
+		crossPaths(t, tag+" faults", m, s, 2, ack, plan)
+	}
+}
+
+// TestAccessorOnlyMachineMatches pins the adapter behind simnet.PricerOf: a
+// machine that implements nothing but the simnet.Machine accessors runs on
+// every path and produces the bits of the machine it wraps.
+func TestAccessorOnlyMachineMatches(t *testing.T) {
+	const p = 13
+	m := machines(t, p, 7, true)
+	s, err := barrier.StreamAllGatherRing(p, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ack := range []bool{true, false} {
+		want := crossPaths(t, fmt.Sprintf("full ack=%v", ack), m, s, 1, ack, nil)
+		got := crossPaths(t, fmt.Sprintf("accessors-only ack=%v", ack), accessorsOnly{m}, s, 1, ack, nil)
+		diffResults(t, fmt.Sprintf("accessors-only vs full ack=%v", ack), want, got)
+	}
+}
+
+// TestAckBillsReturnLatency pins the one rule for the ack's return leg: an
+// acknowledged send completes at arrival + Latency(dst, src), on every path,
+// also where Latency(dst, src) != Latency(src, dst).
+func TestAckBillsReturnLatency(t *testing.T) {
+	m := &rowsMachine{
+		lat:  [][]float64{{0, 10e-6}, {30e-6, 0}},
+		gap:  [][]float64{{0, 0}, {0, 0}},
+		beta: [][]float64{{0, 0}, {0, 0}},
+		ovh:  [][]float64{{0, 1e-6}, {1e-6, 0}},
+		nic:  []int{0, 1},
+	}
+	// One stage, one edge 0→1: rank 0 pays overhead, the message arrives one
+	// forward latency later, the ack one return latency after that.
+	s := &sched.StaticStages{Procs: 2, Stages: []sched.Stage{{Out: [][]int{{1}, nil}, In: [][]int{nil, {0}}}}}
+	res := crossPaths(t, "asymmetric ack", m, s, 1, true, nil)
+	arrival := m.ovh[0][1] + m.lat[0][1]
+	if want := arrival + m.lat[1][0]; res.Times[0] != want {
+		t.Errorf("sender completes at %v, want overhead + Latency(0,1) + Latency(1,0) = %v", res.Times[0], want)
+	}
+	if res.Times[1] != arrival {
+		t.Errorf("receiver completes at %v, want the arrival %v", res.Times[1], arrival)
+	}
+}

@@ -217,20 +217,18 @@ const checkEvery = 1 << 13
 // sweeps that evaluate one compiled program many times (experiments series,
 // benchmarks) allocate nothing in steady state.
 type runState struct {
-	pc       []int32
-	reqTime  [][]float64
-	arrivals []float64
-	sendEvs  []int32
-	sendEnds []float64
-	parked   []int32
-	heap     rankHeap
+	pc      []int32
+	reqTime [][]float64
+	slots   []inEdge // per global send slot: the injected message
+	parked  []int32
+	heap    rankHeap
 }
 
 var runPool sync.Pool
 
 // newRunState returns pooled state sized for the code; only parked and pc
-// need zeroing (arrivals, sendEvs and reqTime are written before read: slot
-// entries at injection, request entries at the producing send/recv).
+// need zeroing (slots and reqTime are written before read: slot entries at
+// injection, request entries at the producing send/recv).
 func newRunState(c *Code) *runState {
 	st, _ := runPool.Get().(*runState)
 	if st == nil {
@@ -257,15 +255,11 @@ func newRunState(c *Code) *runState {
 		}
 	}
 	nslots := len(c.slotRank)
-	if cap(st.arrivals) < nslots {
-		st.arrivals = make([]float64, nslots)
-		st.sendEvs = make([]int32, nslots)
-		st.sendEnds = make([]float64, nslots)
+	if cap(st.slots) < nslots {
+		st.slots = make([]inEdge, nslots)
 		st.parked = make([]int32, nslots)
 	} else {
-		st.arrivals = st.arrivals[:nslots]
-		st.sendEvs = st.sendEvs[:nslots]
-		st.sendEnds = st.sendEnds[:nslots]
+		st.slots = st.slots[:nslots]
 		st.parked = st.parked[:nslots]
 		for i := range st.parked {
 			st.parked[i] = 0
@@ -315,14 +309,13 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 	defer st.release()
 	pc := st.pc
 	reqTime := st.reqTime // per request slot: post time (recv) or completion (send)
-	arrivals := st.arrivals
-	sendEvs := st.sendEvs
-	sendEnds := st.sendEnds
+	slots := st.slots
 	parked := st.parked // rank+1 parked on this slot
 	heap := &st.heap
 	for r := p - 1; r >= 0; r-- {
 		heap.push(int32(r), 0)
 	}
+	var cost pairCost
 	finished := 0
 	steps := 0
 	start := time.Now()
@@ -352,10 +345,8 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 			case iComputeExact:
 				rs.computeExact(e.ft, int(r), in.sec)
 			case iSend, iPost:
-				arrival, completeAt, sendEv, sendEnd := e.send(rs, int(r), int(in.peer), int(in.tag), int(in.size))
-				arrivals[in.slot] = arrival
-				sendEvs[in.slot] = sendEv
-				sendEnds[in.slot] = sendEnd
+				e.price(int(r), int(in.peer), &cost)
+				completeAt := e.send(rs, int(r), int(in.peer), int(in.tag), int(in.size), &cost, &slots[in.slot])
 				if in.kind == iSend {
 					reqTime[r][in.req] = completeAt
 				}
@@ -377,9 +368,9 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 					parked[in.slot] = r + 1
 					break rankLoop
 				}
-				arrival := arrivals[in.slot]
-				completeAt, gated := e.recvComplete(rs, int(r), int(in.peer), reqTime[r][in.req], arrival)
-				rs.waitRecvAdvance(e.ft, int(r), completeAt, int(in.peer), int(in.tag), in.size, sendEvs[in.slot], gated, arrival, sendEnds[in.slot])
+				msg := &slots[in.slot]
+				completeAt, gated := rs.recvComplete(reqTime[r][in.req], msg)
+				rs.waitRecvAdvance(e.ft, int(r), completeAt, int(in.peer), int(in.tag), msg, gated)
 			case iSuperstep:
 				rs.superstepMark(in.mark)
 			case iStage:

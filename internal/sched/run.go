@@ -232,10 +232,12 @@ func ReachOf(s Schedule) *ReachSet {
 		r.bits[j*words+j/64] |= 1 << (uint(j) % 64)
 	}
 	prev := make([]uint64, len(r.bits))
+	v := viewOf(s)
 	for sg := 0; sg < s.NumStages(); sg++ {
-		st := s.StageAt(sg)
+		v.load(sg)
 		copy(prev, r.bits)
-		for i, dests := range st.Out {
+		for i := 0; i < p; i++ {
+			dests := v.outs(i)
 			if len(dests) == 0 {
 				continue
 			}

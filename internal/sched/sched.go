@@ -24,9 +24,16 @@
 //     route through the evaluator while arbitrary closures around them still
 //     run on the concurrent engine.
 //
-// The arithmetic in this file mirrors simnet.sendCore, simnet.resolveRecv,
-// simnet.Wait and simnet.Compute operation for operation; change them
-// together (the cross-engine diff tests pin the agreement).
+// Both engines bill a message from one pricing call per ordered pair
+// (simnet.PairPricer, resolved once per evaluator): send consumes the priced
+// pair and hands the receiver a packed in-edge record that already carries
+// the pair's gap term, so the receive side never goes back to the machine.
+// Per stage those records sit in one flat inbox laid out by a prefix sum over
+// the in-degrees. send, recvComplete and the wait/compute helpers below are
+// the package's only copy of the LogGP arithmetic — the per-rank, collapsed,
+// swept and program walkers all call them — and they perform the operations
+// of simnet.sendCore, resolveRecv, Wait and Compute in the same order (the
+// cross-engine diff tests pin the agreement).
 package sched
 
 import (
@@ -51,10 +58,9 @@ type Stage struct {
 	OutBytes [][]int
 }
 
-// Schedule is the stage-graph view the evaluator executes. Implementations
-// may build StageAt's result on the fly and reuse its storage across calls
-// (the evaluator walks stages strictly in order, one at a time), which is
-// what keeps P=4096 sweeps inside memory budgets.
+// Schedule is the stage-graph view the evaluator executes. A schedule may be
+// evaluated by several goroutines at once (sweep workers share one), so
+// StageAt must not write state another call can observe.
 type Schedule interface {
 	// NumProcs returns the number of participating ranks.
 	NumProcs() int
@@ -100,13 +106,31 @@ type rankState struct {
 	stage    int32
 }
 
+// pairCost is one ordered pair priced once (simnet.PairPricer.Pair).
+type pairCost struct {
+	lat, gap, beta, ovh, ret float64
+	sameNIC                  bool
+}
+
+// inEdge is one injected message as its receiver needs it: the arrival time,
+// the pair's gap term and NIC sharing (priced by the sender, so the receive
+// completion needs no machine call), and the trace linkage of the wait event
+// (payload size, the sender's event index and its injection end time).
+type inEdge struct {
+	arrival, gap, sendEnd float64
+	size, sendEv          int32
+	sameNIC               bool
+}
+
 // Evaluator evaluates schedules against a set of per-rank LogGP states. Its
-// instruction arrays and per-stage scratch are reused across executions, so
-// steady-state evaluation allocates nothing. An Evaluator is not safe for
-// concurrent use; inline callers park one in their run's Gate.Scratch.
+// per-stage scratch is reused across executions, so steady-state evaluation
+// allocates nothing. An Evaluator is not safe for concurrent use; inline
+// callers park one in their run's Gate.Scratch, whole-run entry points take
+// one from the pool per call.
 type Evaluator struct {
-	m   simnet.Machine
-	ack bool
+	m      simnet.Machine
+	pricer simnet.PairPricer // m's pricing call, resolved once per machine
+	ack    bool
 
 	// collapseOff disables symmetry-collapsed evaluation for this evaluator
 	// (the runtime wires it from Options.SymmetryCollapse).
@@ -123,23 +147,23 @@ type Evaluator struct {
 
 	states []rankState
 
-	// Per-stage scratch, reset between stages: entry clocks (the post time
-	// of a rank's receives), per-receiver arrival/size/send-event queues
-	// (filled in sender order, consumed positionally against Stage.In), and
-	// per-sender send-completion times.
-	entry        []float64
-	inArr        [][]float64
-	inSize       [][]int32
-	inEv         [][]int32
-	inEnd        [][]float64
-	sendComplete [][]float64
+	// Per-stage scratch of the stage walker: entry clocks (the post time of a
+	// rank's receives); the flat inbox, receiver r's in-edges at
+	// inbox[base(r):base(r)+len(In[r])] with base the prefix sum of the
+	// in-degrees, filled through the per-receiver cursors inNext in sender
+	// scan order (which is In[r]'s order by the Stage contract); and the
+	// send-completion times in sender scan order.
+	entry    []float64
+	inNext   []int32
+	inbox    []inEdge
+	sendDone []float64
 
-	// Collapsed-evaluation scratch: per class, the arrivals of the
+	// Collapsed-evaluation scratch: per class, the in-edge records of the
 	// representative's sends by out-edge position; and the cached
 	// rank-equivalence partitions of schedules evaluated inline (a nil
 	// partition = ineligible, cached with its reason so the refinement never
 	// reruns).
-	classArr  [][]float64
+	classIn   [][]inEdge
 	partCache map[Schedule]partEntry
 
 	messages int64
@@ -160,7 +184,8 @@ func NewEvaluator(m simnet.Machine, ack bool) *Evaluator {
 	if e == nil {
 		e = &Evaluator{}
 	}
-	e.m, e.ack = m, ack
+	e.setMachine(m)
+	e.ack = ack
 	e.collapseOff = false
 	e.ft = nil
 	e.lastCollapse = simnet.Collapse{}
@@ -169,24 +194,26 @@ func NewEvaluator(m simnet.Machine, ack bool) *Evaluator {
 	if cap(e.states) < p {
 		e.states = make([]rankState, p)
 		e.entry = make([]float64, p)
-		e.inArr = make([][]float64, p)
-		e.inSize = make([][]int32, p)
-		e.inEv = make([][]int32, p)
-		e.inEnd = make([][]float64, p)
-		e.sendComplete = make([][]float64, p)
+		e.inNext = make([]int32, p)
 	} else {
 		e.states = e.states[:p]
 		for i := range e.states {
 			e.states[i] = rankState{}
 		}
 		e.entry = e.entry[:p]
-		e.inArr = e.inArr[:p]
-		e.inSize = e.inSize[:p]
-		e.inEv = e.inEv[:p]
-		e.inEnd = e.inEnd[:p]
-		e.sendComplete = e.sendComplete[:p]
+		e.inNext = e.inNext[:p]
 	}
 	return e
+}
+
+// setMachine points the evaluator at a machine and resolves its pricing call.
+func (e *Evaluator) setMachine(m simnet.Machine) {
+	e.m, e.pricer = m, simnet.PricerOf(m)
+}
+
+// price prices the ordered pair (i, j) on the evaluator's machine.
+func (e *Evaluator) price(i, j int, pc *pairCost) {
+	pc.lat, pc.gap, pc.beta, pc.ovh, pc.ret, pc.sameNIC = e.pricer.Pair(i, j)
 }
 
 // Release returns the evaluator to the shared pool. The caller must not use
@@ -195,7 +222,7 @@ func (e *Evaluator) Release() {
 	for i := range e.states {
 		e.states[i] = rankState{}
 	}
-	e.m = nil
+	e.m, e.pricer = nil, nil
 	e.ft = nil
 	e.partCache = nil
 	evalPool.Put(e)
@@ -327,39 +354,36 @@ func (st *rankState) computeExact(ft *fault.Runtime, rank int, seconds float64) 
 	st.setNow(ft, rank, st.now+seconds)
 }
 
-// send mirrors Proc.sendCore: pay the sender-side costs of one eager send and
-// return the message's arrival time at dst and the virtual time the send
-// request completes. On traced runs it appends the KindSend event and returns
-// its lane index in sendEv (-1 untraced) plus the injection end time sendEnd
-// (the event's T1), which rides with the message to the receiver's wait event
-// exactly as the concurrent engine's message.sendEnd does.
-func (e *Evaluator) send(st *rankState, rank, dst, tag, size int) (arrival, completeAt float64, sendEv int32, sendEnd float64) {
+// send mirrors Proc.sendCore on a pair already priced: pay the sender-side
+// costs of one eager send, write the message as its receiver sees it into in
+// and return the virtual time the send request completes. On traced runs it
+// appends the KindSend event and records its lane index (sendEv, -1 untraced)
+// and injection end time (sendEnd, the event's T1) in the in-edge, which ride
+// to the receiver's wait event exactly as the concurrent engine's message
+// envelope carries them.
+func (e *Evaluator) send(st *rankState, rank, dst, tag, size int, pc *pairCost, in *inEdge) (completeAt float64) {
 	m := e.m
 	t0 := st.now
 	latMul, betaMul := 1.0, 1.0
 	if e.ft != nil && e.ft.HasLinks() {
 		latMul, betaMul = e.ft.Link(rank, dst, t0)
 	}
-	st.setNow(e.ft, rank, st.now+m.Overhead(rank, dst)*st.noise(m, e.ft, rank))
+	st.setNow(e.ft, rank, st.now+pc.ovh*st.noise(m, e.ft, rank))
 
-	sameNIC := m.NIC(rank) == m.NIC(dst)
-	transfer := float64(size) * m.Beta(rank, dst) * betaMul
-	var txStart float64
-	if sameNIC && rank != dst {
-		txStart = st.now
-	} else {
-		txStart = st.now
+	transfer := float64(size) * pc.beta * betaMul
+	txStart := st.now
+	if !pc.sameNIC || rank == dst {
 		if st.txFree > txStart {
 			txStart = st.txFree
 		}
-		st.txFree = txStart + m.Gap(rank, dst) + transfer
+		st.txFree = txStart + pc.gap + transfer
 	}
-	arrival = txStart + (m.Latency(rank, dst)*latMul+transfer)*st.noise(m, e.ft, rank)
+	arrival := txStart + (pc.lat*latMul+transfer)*st.noise(m, e.ft, rank)
 
-	sendEv = -1
+	*in = inEdge{arrival: arrival, gap: pc.gap, size: int32(size), sendEv: -1, sameNIC: pc.sameNIC}
 	if st.lane != nil {
-		sendEv = int32(st.lane.Len())
-		sendEnd = st.now
+		in.sendEv = int32(st.lane.Len())
+		in.sendEnd = st.now
 		st.lane.Append(trace.Event{Kind: trace.KindSend, Peer: int32(dst), Tag: int32(tag),
 			Size: int32(size), SendSeq: -1, Step: st.step, Stage: st.stage,
 			T0: t0, T1: st.now, Arrival: arrival})
@@ -368,44 +392,43 @@ func (e *Evaluator) send(st *rankState, rank, dst, tag, size int) (arrival, comp
 	e.bytes += int64(size)
 
 	completeAt = st.txFree
-	if rank == dst || sameNIC {
+	if rank == dst || pc.sameNIC {
 		completeAt = arrival
 	}
 	if e.ack && rank != dst {
-		completeAt = arrival + m.Latency(dst, rank)*latMul
+		completeAt = arrival + pc.ret*latMul
 	}
-	return arrival, completeAt, sendEv, sendEnd
+	return completeAt
 }
 
 // recvComplete mirrors Request.resolveRecv: given the receive's post time and
-// the matched message's arrival, compute the completion time, serializing the
-// extraction port.
-func (e *Evaluator) recvComplete(st *rankState, rank, src int, postTime, arrival float64) (completeAt float64, gated bool) {
-	m := e.m
+// the matched message, compute the completion time, serializing the
+// extraction port with the gap term the sender priced.
+func (st *rankState) recvComplete(postTime float64, in *inEdge) (completeAt float64, gated bool) {
 	start := postTime
-	if arrival > start {
-		start = arrival
+	if in.arrival > start {
+		start = in.arrival
 		gated = true
 	}
-	if m.NIC(rank) != m.NIC(src) {
+	if !in.sameNIC {
 		if st.rxFree > start {
 			start = st.rxFree
 			gated = false
 		}
-		st.rxFree = start + m.Gap(src, rank)
+		st.rxFree = start + in.gap
 	}
 	return start, gated
 }
 
 // waitRecvAdvance mirrors Proc.Wait for a resolved receive: advance the clock
 // to the completion time, recording the wait interval on traced runs.
-func (st *rankState) waitRecvAdvance(ft *fault.Runtime, rank int, completeAt float64, src, tag int, size, sendEv int32, gated bool, arrival, sendEnd float64) {
+func (st *rankState) waitRecvAdvance(ft *fault.Runtime, rank int, completeAt float64, src, tag int, in *inEdge, gated bool) {
 	if completeAt > st.now {
 		if st.lane != nil {
 			st.lane.Append(trace.Event{Kind: trace.KindRecvWait, Gated: gated,
-				Peer: int32(src), Tag: int32(tag), Size: size, SendSeq: sendEv,
+				Peer: int32(src), Tag: int32(tag), Size: in.size, SendSeq: in.sendEv,
 				Step: st.step, Stage: st.stage, T0: st.now, T1: completeAt,
-				Arrival: arrival, SendEnd: sendEnd})
+				Arrival: in.arrival, SendEnd: in.sendEnd})
 		}
 		st.setNow(ft, rank, completeAt)
 	}
@@ -457,68 +480,90 @@ func (e *Evaluator) ExecSchedule(s Schedule, tagBase int, computeEmpty bool) {
 // execSchedule is ExecSchedule with an optional per-stage cancellation
 // checker (see stageChecker).
 func (e *Evaluator) execSchedule(s Schedule, tagBase int, computeEmpty bool, chk *stageChecker) error {
+	return e.execStages(s, 0, tagBase, computeEmpty, chk, nil)
+}
+
+// execStages is the per-rank stage walker: it evaluates stages [from,
+// NumStages) of one execution. Pairs are priced by the machine, or — on the
+// sweep evaluator's term path — by the tape cursor tc, which also sees every
+// stage boundary (tape bookkeeping and checkpoints).
+func (e *Evaluator) execStages(s Schedule, from, tagBase int, computeEmpty bool, chk *stageChecker, tc *tapeCursor) error {
 	p := len(e.states)
-	for sg := 0; sg < s.NumStages(); sg++ {
+	v := viewOf(s)
+	var pc pairCost
+	numStages := s.NumStages()
+	for sg := from; sg < numStages; sg++ {
 		if chk != nil {
 			if err := chk.tick(); err != nil {
 				return err
 			}
 		}
-		st := s.StageAt(sg)
+		if tc != nil {
+			tc.beginStage(sg, e)
+		}
+		v.load(sg)
 		stage := int32(sg)
 		tag := tagBase + sg
+
+		// Inbox layout: receiver r's records start at the prefix sum of the
+		// in-degrees before it.
+		edges := 0
+		for r := 0; r < p; r++ {
+			e.inNext[r] = int32(edges)
+			edges += len(v.ins(r))
+		}
+		if cap(e.inbox) < edges {
+			e.inbox = make([]inEdge, edges)
+		}
+		inbox := e.inbox[:edges]
+		done := e.sendDone[:0]
 
 		// Phase A: stage marks, receive post times, send injections.
 		for r := 0; r < p; r++ {
 			rs := &e.states[r]
 			rs.stageMark(stage)
-			ins, outs := st.In[r], st.Out[r]
-			if len(ins) == 0 && len(outs) == 0 {
+			outs := v.outs(r)
+			if len(outs) == 0 && len(v.ins(r)) == 0 {
 				if computeEmpty {
 					rs.compute(e.m, e.ft, r, 0)
 				}
 				continue
 			}
 			e.entry[r] = rs.now
-			if len(outs) > 0 {
-				sc := e.sendComplete[r][:0]
-				for k, dst := range outs {
-					size := 0
-					if st.OutBytes != nil {
-						size = st.OutBytes[r][k]
-					}
-					arrival, completeAt, sendEv, sendEnd := e.send(rs, r, dst, tag, size)
-					sc = append(sc, completeAt)
-					e.inArr[dst] = append(e.inArr[dst], arrival)
-					e.inSize[dst] = append(e.inSize[dst], int32(size))
-					e.inEv[dst] = append(e.inEv[dst], sendEv)
-					e.inEnd[dst] = append(e.inEnd[dst], sendEnd)
+			for k, dst := range outs {
+				if tc != nil {
+					tc.price(r, dst, &pc)
+				} else {
+					e.price(r, dst, &pc)
 				}
-				e.sendComplete[r] = sc
+				done = append(done, e.send(rs, r, dst, tag, v.outSize(r, k), &pc, &inbox[e.inNext[dst]]))
+				e.inNext[dst]++
 			}
 		}
+		e.sendDone = done
 
 		// Phase B: waits, receives first, then sends, in edge order.
+		base, sent := 0, 0
 		for r := 0; r < p; r++ {
 			rs := &e.states[r]
-			ins, outs := st.In[r], st.Out[r]
+			ins := v.ins(r)
 			for q, src := range ins {
-				arrival := e.inArr[r][q]
-				completeAt, gated := e.recvComplete(rs, r, src, e.entry[r], arrival)
-				rs.waitRecvAdvance(e.ft, r, completeAt, src, tag, e.inSize[r][q], e.inEv[r][q], gated, arrival, e.inEnd[r][q])
+				in := &inbox[base+q]
+				completeAt, gated := rs.recvComplete(e.entry[r], in)
+				rs.waitRecvAdvance(e.ft, r, completeAt, src, tag, in, gated)
 			}
-			for k, dst := range outs {
-				size := 0
-				if st.OutBytes != nil {
-					size = st.OutBytes[r][k]
-				}
-				rs.waitSendAdvance(e.ft, r, e.sendComplete[r][k], dst, tag, size)
+			base += len(ins)
+			for k, dst := range v.outs(r) {
+				rs.waitSendAdvance(e.ft, r, done[sent], dst, tag, v.outSize(r, k))
+				sent++
 			}
-			e.inArr[r] = e.inArr[r][:0]
-			e.inSize[r] = e.inSize[r][:0]
-			e.inEv[r] = e.inEv[r][:0]
-			e.inEnd[r] = e.inEnd[r][:0]
 		}
+		if tc != nil {
+			tc.endStage()
+		}
+	}
+	if tc != nil {
+		tc.beginStage(numStages, e)
 	}
 	return nil
 }

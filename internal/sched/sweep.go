@@ -47,8 +47,10 @@ import (
 // tape requires: a multiplicative (factor, class) decomposition of the
 // pairwise parameters (platform.Machine implements it from its profile and
 // placement). The contract is exact: for every pair, column[class]*factor
-// must reproduce the pairwise accessors bit for bit, and both factor and
-// class must be invariants of every machine TermCompatible accepts.
+// must reproduce the machine's Pair call bit for bit, and both factor and
+// class must be invariants of every machine TermCompatible accepts and
+// symmetric in the pair — the return latency an acknowledged send bills is
+// then the forward latency, which is what a replayed term prices.
 type TermMachine interface {
 	simnet.Machine
 	// PairTerm returns the pair's heterogeneity factor and distance class.
@@ -100,9 +102,8 @@ type SweepOptions struct {
 	// default.
 	Deadline time.Duration
 	// MemoBudget bounds the memoized term tapes in bytes: 0 means
-	// DefaultSweepMemoBudget, negative disables taping entirely (terms are
-	// still fetched through PairTerm, skipping the link tables, but nothing
-	// is cached).
+	// DefaultSweepMemoBudget, negative disables taping entirely (every point
+	// is priced live by the machine's Pair call, nothing is cached).
 	MemoBudget int64
 }
 
@@ -138,7 +139,6 @@ type SweepStats struct {
 type sweepCkpt struct {
 	valid    bool
 	stage    int
-	cursor   int64
 	messages int64
 	bytes    int64
 	states   []rankState
@@ -169,12 +169,12 @@ type sweepTape struct {
 	lastValid  bool
 	lastSizes  []int32 // circulant: per-stage payload size
 	lastESizes []int32 // generic: per-edge payload size, tape order
-	lastCols  [4][]float64
-	lastSeed  int64
-	lastFree  bool
-	lastExecs int
-	lastRes   *simnet.Result
-	ckpts     []sweepCkpt
+	lastCols   [4][]float64
+	lastSeed   int64
+	lastFree   bool
+	lastExecs  int
+	lastRes    *simnet.Result
+	ckpts      []sweepCkpt
 
 	bytes   int64
 	lastUse int64
@@ -199,11 +199,6 @@ type SweepEvaluator struct {
 	curSeed             int64
 	curFree             bool
 	noiseKnown          bool
-
-	// Per-receiver gap-term queues, parallel to Evaluator.inArr: the swept
-	// executor pushes the sender-computed gap term so the receive completion
-	// never re-derives the pair.
-	inGap [][]float64
 
 	budget  int64
 	useTick int64
@@ -269,14 +264,12 @@ func (sw *SweepEvaluator) adopt(m simnet.Machine) {
 	sw.e = NewEvaluator(m, sw.opt.AckSends)
 	sw.e.collapseOff = sw.opt.SymmetryCollapse == simnet.CollapseOff
 	sw.e.ft = sw.ft
-	p := m.Procs()
-	sw.inGap = make([][]float64, p)
 	sw.tm = nil
 	sw.nic = nil
 	if tm, ok := m.(TermMachine); ok {
 		sw.tm = tm
-		sw.nic = make([]int32, p)
-		for i := 0; i < p; i++ {
+		sw.nic = make([]int32, m.Procs())
+		for i := range sw.nic {
 			sw.nic[i] = int32(m.NIC(i))
 		}
 	}
@@ -372,10 +365,7 @@ func (sw *SweepEvaluator) Run(ctx context.Context, m simnet.Machine, s Schedule,
 		e.states[i] = rankState{}
 	}
 	e.messages, e.bytes = 0, 0
-	e.m = m
-	if term {
-		sw.loadTerms(m)
-	}
+	e.setMachine(m)
 	traced := sw.opt.Recorder.Enabled()
 	beginRecording(sw.opt.Recorder, m, sw.opt.AckSends, e)
 
@@ -394,8 +384,11 @@ func (sw *SweepEvaluator) Run(ctx context.Context, m simnet.Machine, s Schedule,
 	e.lastCollapse = collapse
 
 	perStage := m.Procs()
+	var tape *sweepTape
 	if part != nil {
 		perStage = part.NumClasses()
+	} else if term {
+		tape = sw.lookupTape(s)
 	}
 	chk := newStageChecker(ctx, sw.opt.Deadline, perStage)
 
@@ -415,9 +408,12 @@ func (sw *SweepEvaluator) Run(ctx context.Context, m simnet.Machine, s Schedule,
 		if err == nil {
 			e.ReplicateClasses(part)
 		}
-	case term:
-		res, err = sw.runSwept(s, execs, chk, traced)
+	case tape != nil:
+		sw.loadTerms(m)
+		res, err = sw.runTaped(tape, s, execs, chk, traced)
 	default:
+		// Priced live by the machine's Pair call: machines without a term
+		// decomposition, and points whose tape the budget does not admit.
 		for x := 0; x < execs; x++ {
 			if err = chk.check(); err == nil {
 				err = e.execSchedule(s, sw.opt.TagBase, sw.opt.ComputeEmpty, chk)
@@ -557,30 +553,15 @@ func int32sEqual(a, b []int32) bool {
 	return true
 }
 
-// runSwept evaluates a per-rank point on the term path: through the memoized
-// tape when one fits the budget (building it on first sight), or with live
-// PairTerm pricing when taping is disabled. Returns a non-nil result only on
-// a pure replay (the caller otherwise assembles it from the evaluator).
-func (sw *SweepEvaluator) runSwept(s Schedule, execs int, chk *stageChecker, traced bool) (*simnet.Result, error) {
-	t := sw.lookupTape(s)
-	if t == nil {
-		for x := 0; x < execs; x++ {
-			if err := chk.check(); err != nil {
-				return nil, err
-			}
-			if _, err := sw.execSwept(s, 0, chk, nil, sweptLive, 0, nil); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	}
-
+// runTaped evaluates a per-rank point through its memoized tape, building it
+// on first sight. Returns a non-nil result only on a pure replay (the caller
+// otherwise assembles it from the evaluator).
+func (sw *SweepEvaluator) runTaped(t *sweepTape, s Schedule, execs int, chk *stageChecker, traced bool) (*simnet.Result, error) {
 	if err := chk.check(); err != nil {
 		return nil, err
 	}
 	cs, isCirc := s.(CirculantSchedule)
 	startStage := 0
-	var startCursor int64
 	if t.built {
 		sw.stats.TapesReused++
 		firstDirty := 0
@@ -607,7 +588,7 @@ func (sw *SweepEvaluator) runSwept(s Schedule, execs int, chk *stageChecker, tra
 				e := sw.e
 				copy(e.states, ck.states)
 				e.messages, e.bytes = ck.messages, ck.bytes
-				startStage, startCursor = ck.stage, ck.cursor
+				startStage = ck.stage
 				sw.stats.PrefixStagesSkipped += int64(ck.stage)
 				// Checkpoints past the resume point were taken for the
 				// previous point's suffix; they are refreshed below.
@@ -623,25 +604,22 @@ func (sw *SweepEvaluator) runSwept(s Schedule, execs int, chk *stageChecker, tra
 	}
 	t.lastValid = false // invalidated until this point completes cleanly
 
-	var ck *ckptTaker
+	tc := tapeCursor{sw: sw, t: t, build: !t.built}
 	if isCirc && !traced {
-		ck = newCkptTaker(t, startStage)
+		tc.ck = newCkptTaker(t, startStage)
 	}
-	mode := sweptReplay
-	if !t.built {
-		mode = sweptBuild
+	if tc.build {
 		// An earlier build attempt may have aborted mid-point; start clean.
 		t.factors, t.classes = t.factors[:0], t.classes[:0]
 		t.srcs, t.dsts = t.srcs[:0], t.dsts[:0]
 		t.stageOff, t.mask = t.stageOff[:0], t.mask[:0]
 		t.overflow = false
 	}
-	cur, err := sw.execSwept(s, startStage, chk, t, mode, startCursor, ck)
-	if err != nil {
+	e := sw.e
+	if err := e.execStages(s, startStage, sw.opt.TagBase, sw.opt.ComputeEmpty, chk, &tc); err != nil {
 		return nil, err
 	}
-	if mode == sweptBuild {
-		t.stageOff = append(t.stageOff, cur)
+	if tc.build {
 		t.built = true
 		t.accounted(sw)
 	}
@@ -649,7 +627,7 @@ func (sw *SweepEvaluator) runSwept(s Schedule, execs int, chk *stageChecker, tra
 		if err := chk.check(); err != nil {
 			return nil, err
 		}
-		if _, err := sw.execSwept(s, 0, chk, t, sweptReplay, 0, nil); err != nil {
+		if err := e.execStages(s, 0, sw.opt.TagBase, sw.opt.ComputeEmpty, chk, &tapeCursor{sw: sw, t: t}); err != nil {
 			return nil, err
 		}
 	}
@@ -895,6 +873,11 @@ func (sw *SweepEvaluator) admitTape(t *sweepTape, edges int64) bool {
 		}
 	}
 	t.bytes = est
+	// The edge count bounds the tape, so the build never regrows it.
+	t.factors, t.classes = make([]float64, 0, edges), make([]uint8, 0, edges)
+	if t.offs == nil {
+		t.srcs, t.dsts = make([]int32, 0, edges), make([]int32, 0, edges)
+	}
 	return true
 }
 
@@ -1001,7 +984,7 @@ func newCkptTaker(t *sweepTape, from int) *ckptTaker {
 
 // maybe snapshots the evaluator state before stage sg (state covers stages
 // [0, sg)) when sg is a slot boundary past the resume point.
-func (ck *ckptTaker) maybe(sg int, cursor int64, e *Evaluator) {
+func (ck *ckptTaker) maybe(sg int, e *Evaluator) {
 	if sg < ck.next || sg <= ck.from {
 		return
 	}
@@ -1016,190 +999,72 @@ func (ck *ckptTaker) maybe(sg int, cursor int64, e *Evaluator) {
 	c := &ck.t.ckpts[slot]
 	c.valid = true
 	c.stage = sg
-	c.cursor = cursor
 	c.messages, c.bytes = e.messages, e.bytes
 	c.states = append(c.states[:0], e.states...)
 }
 
-// Swept execution modes.
-const (
-	sweptLive = iota
-	sweptBuild
-	sweptReplay
-)
+// tapeCursor is the stage walker's term source on the sweep path
+// (Evaluator.execStages): build mode derives each edge's (factor, class) term
+// through PairTerm and records it, replay mode reads the tape, and either way
+// the term is priced against the point's columns as column[class]*factor.
+// Edges are visited in the walker's Phase-A scan order, which is the tape
+// order. At every stage boundary the cursor keeps the tape's per-stage
+// offsets and class masks and offers the evaluator state to the checkpoint
+// taker.
+type tapeCursor struct {
+	sw    *SweepEvaluator
+	t     *sweepTape
+	build bool
+	cur   int64
+	mask  uint8
+	ck    *ckptTaker
+}
 
-// execSwept evaluates stages [startStage, NumStages) of one execution on the
-// term path. It mirrors execSchedule/send/recvComplete operation for
-// operation — change them together (the sweep golden tests pin the
-// agreement) — with the pair parameters priced as column[class]*factor:
-// build mode derives each edge's term through PairTerm and records it,
-// replay mode reads the tape at cur, live mode derives without recording.
-// The receiver-side gap term rides the per-receiver queues (inGap), so the
-// receive completion never re-derives the pair — it is the same ordered pair
-// as the send, hence the same term.
-func (sw *SweepEvaluator) execSwept(s Schedule, startStage int, chk *stageChecker, t *sweepTape, mode int, cur int64, ck *ckptTaker) (int64, error) {
-	e := sw.e
-	m := e.m
-	ft := e.ft
-	tm := sw.tm
-	ack := e.ack
-	computeEmpty := sw.opt.ComputeEmpty
-	tagBase := sw.opt.TagBase
-	lat, gap, beta, ovh := sw.lat, sw.gap, sw.beta, sw.ovh
-	nic := sw.nic
-	p := len(e.states)
-	numStages := s.NumStages()
-	for sg := startStage; sg < numStages; sg++ {
-		if ck != nil {
-			ck.maybe(sg, cur, e)
-		}
-		if chk != nil {
-			if err := chk.tick(); err != nil {
-				return cur, err
-			}
-		}
-		st := s.StageAt(sg)
-		stage := int32(sg)
-		tag := tagBase + sg
-		if mode == sweptBuild {
-			t.stageOff = append(t.stageOff, cur)
-		} else if mode == sweptReplay {
-			cur = t.stageOff[sg]
-		}
-		var stageMask uint8
-
-		// Phase A: stage marks, receive post times, send injections.
-		for r := 0; r < p; r++ {
-			rs := &e.states[r]
-			rs.stageMark(stage)
-			ins, outs := st.In[r], st.Out[r]
-			if len(ins) == 0 && len(outs) == 0 {
-				if computeEmpty {
-					rs.compute(m, ft, r, 0)
-				}
-				continue
-			}
-			e.entry[r] = rs.now
-			if len(outs) > 0 {
-				sc := e.sendComplete[r][:0]
-				for k, dst := range outs {
-					size := 0
-					if st.OutBytes != nil {
-						size = st.OutBytes[r][k]
-					}
-					var f float64
-					var c uint8
-					if mode == sweptReplay {
-						f, c = t.factors[cur], t.classes[cur]
-					} else {
-						f, c = tm.PairTerm(r, dst)
-						if mode == sweptBuild {
-							t.factors = append(t.factors, f)
-							t.classes = append(t.classes, c)
-							if t.offs == nil {
-								t.srcs = append(t.srcs, int32(r))
-								t.dsts = append(t.dsts, int32(dst))
-							}
-							if c < sweepTapeClasses {
-								stageMask |= 1 << c
-							} else {
-								stageMask = 0xff
-								t.overflow = true
-							}
-						}
-					}
-					cur++
-					latV, gapV, betaV, ovhV := lat[c]*f, gap[c]*f, beta[c]*f, ovh[c]*f
-
-					// Inlined Evaluator.send with the priced terms.
-					t0 := rs.now
-					latMul, betaMul := 1.0, 1.0
-					if ft != nil && ft.HasLinks() {
-						latMul, betaMul = ft.Link(r, dst, t0)
-					}
-					rs.setNow(ft, r, rs.now+ovhV*rs.noise(m, ft, r))
-					sameNIC := nic[r] == nic[dst]
-					transfer := float64(size) * betaV * betaMul
-					txStart := rs.now
-					if !(sameNIC && r != dst) {
-						if rs.txFree > txStart {
-							txStart = rs.txFree
-						}
-						rs.txFree = txStart + gapV + transfer
-					}
-					arrival := txStart + (latV*latMul+transfer)*rs.noise(m, ft, r)
-					sendEv := int32(-1)
-					var sendEnd float64
-					if rs.lane != nil {
-						sendEv = int32(rs.lane.Len())
-						sendEnd = rs.now
-						rs.lane.Append(trace.Event{Kind: trace.KindSend, Peer: int32(dst), Tag: int32(tag),
-							Size: int32(size), SendSeq: -1, Step: rs.step, Stage: rs.stage,
-							T0: t0, T1: rs.now, Arrival: arrival})
-					}
-					e.messages++
-					e.bytes += int64(size)
-					completeAt := rs.txFree
-					if r == dst || sameNIC {
-						completeAt = arrival
-					}
-					if ack && r != dst {
-						completeAt = arrival + latV*latMul
-					}
-
-					sc = append(sc, completeAt)
-					e.inArr[dst] = append(e.inArr[dst], arrival)
-					e.inSize[dst] = append(e.inSize[dst], int32(size))
-					e.inEv[dst] = append(e.inEv[dst], sendEv)
-					e.inEnd[dst] = append(e.inEnd[dst], sendEnd)
-					sw.inGap[dst] = append(sw.inGap[dst], gapV)
-				}
-				e.sendComplete[r] = sc
-			}
-		}
-		if mode == sweptBuild {
-			t.mask = append(t.mask, stageMask)
-		}
-
-		// Phase B: waits, receives first, then sends, in edge order.
-		for r := 0; r < p; r++ {
-			rs := &e.states[r]
-			ins, outs := st.In[r], st.Out[r]
-			for q, src := range ins {
-				arrival := e.inArr[r][q]
-				// Inlined recvComplete: the gap term was pushed by the
-				// sender's scan of the same ordered pair.
-				start := e.entry[r]
-				gated := false
-				if arrival > start {
-					start = arrival
-					gated = true
-				}
-				if nic[r] != nic[src] {
-					if rs.rxFree > start {
-						start = rs.rxFree
-						gated = false
-					}
-					rs.rxFree = start + sw.inGap[r][q]
-				}
-				rs.waitRecvAdvance(ft, r, start, src, tag, e.inSize[r][q], e.inEv[r][q], gated, arrival, e.inEnd[r][q])
-			}
-			for k, dst := range outs {
-				size := 0
-				if st.OutBytes != nil {
-					size = st.OutBytes[r][k]
-				}
-				rs.waitSendAdvance(ft, r, e.sendComplete[r][k], dst, tag, size)
-			}
-			e.inArr[r] = e.inArr[r][:0]
-			e.inSize[r] = e.inSize[r][:0]
-			e.inEv[r] = e.inEv[r][:0]
-			e.inEnd[r] = e.inEnd[r][:0]
-			sw.inGap[r] = sw.inGap[r][:0]
-		}
+// beginStage is called before stage sg, and once more with sg = NumStages
+// after the last one (the tape's closing offset, the final checkpoint).
+func (tc *tapeCursor) beginStage(sg int, e *Evaluator) {
+	if tc.ck != nil {
+		tc.ck.maybe(sg, e)
 	}
-	if ck != nil {
-		ck.maybe(numStages, cur, e)
+	if tc.build {
+		tc.t.stageOff = append(tc.t.stageOff, tc.cur)
+		tc.mask = 0
+	} else {
+		tc.cur = tc.t.stageOff[sg]
 	}
-	return cur, nil
+}
+
+// endStage closes a stage: build mode records which classes it sampled.
+func (tc *tapeCursor) endStage() {
+	if tc.build {
+		tc.t.mask = append(tc.t.mask, tc.mask)
+	}
+}
+
+// price prices the next edge; (r, dst) is the edge the walker is at, which
+// build mode derives the term from and generic tapes verify against.
+func (tc *tapeCursor) price(r, dst int, pc *pairCost) {
+	sw, t := tc.sw, tc.t
+	var f float64
+	var c uint8
+	if tc.build {
+		f, c = sw.tm.PairTerm(r, dst)
+		t.factors = append(t.factors, f)
+		t.classes = append(t.classes, c)
+		if t.offs == nil {
+			t.srcs = append(t.srcs, int32(r))
+			t.dsts = append(t.dsts, int32(dst))
+		}
+		if c < sweepTapeClasses {
+			tc.mask |= 1 << c
+		} else {
+			tc.mask = 0xff
+			t.overflow = true
+		}
+	} else {
+		f, c = t.factors[tc.cur], t.classes[tc.cur]
+	}
+	tc.cur++
+	lat := sw.lat[c] * f
+	*pc = pairCost{lat, sw.gap[c] * f, sw.beta[c] * f, sw.ovh[c] * f, lat, sw.nic[r] == sw.nic[dst]}
 }

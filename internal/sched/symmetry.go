@@ -202,39 +202,32 @@ func refineClasses(sm SymmetricMachine, s Schedule, rt *fault.Runtime) *Partitio
 			return nil
 		}
 	}
+	v := viewOf(s)
 	for pass := 0; pass < maxRefinePasses; pass++ {
 		split := false
 		for sg := 0; sg < stages; sg++ {
-			st := s.StageAt(sg)
+			v.load(sg)
 			for k := range ids {
 				delete(ids, k)
 			}
 			assigned := int32(0)
 			for r := 0; r < p; r++ {
 				sig = binary.AppendUvarint(sig[:0], uint64(classOf[r]))
-				for k, dst := range st.Out[r] {
-					size := 0
-					if st.OutBytes != nil {
-						size = st.OutBytes[r][k]
-					}
+				for k, dst := range v.outs(r) {
 					sig = binary.AppendUvarint(sig, uint64(sm.PairClass(r, dst)))
 					sig = binary.AppendUvarint(sig, uint64(classOf[dst]))
-					sig = binary.AppendUvarint(sig, uint64(size))
+					sig = binary.AppendUvarint(sig, uint64(v.outSize(r, k)))
 					if edgeSigs {
 						sig = binary.AppendUvarint(sig, rt.EdgeSig(r, dst))
 					}
 				}
 				sig = append(sig, 0xff)
-				for _, src := range st.In[r] {
-					k := outPosition(st.Out[src], r)
-					size := 0
-					if st.OutBytes != nil {
-						size = st.OutBytes[src][k]
-					}
+				for _, src := range v.ins(r) {
+					k := outPosition(v.outs(src), r)
 					sig = binary.AppendUvarint(sig, uint64(classOf[src]))
 					sig = binary.AppendUvarint(sig, uint64(k))
 					sig = binary.AppendUvarint(sig, uint64(sm.PairClass(src, r)))
-					sig = binary.AppendUvarint(sig, uint64(size))
+					sig = binary.AppendUvarint(sig, uint64(v.outSize(src, k)))
 					if edgeSigs {
 						sig = binary.AppendUvarint(sig, rt.EdgeSig(src, r))
 					}

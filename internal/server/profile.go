@@ -16,9 +16,9 @@ import (
 // resolvedProfile is a ProfileSpec resolved for one sweep point: the machine
 // to run on (shared, read-only, safe for concurrent runs) and the
 // fingerprint feeding the cache key. Machines are cached per (fingerprint,
-// procs) so repeated requests against the same profile skip the pairwise
-// matrix fill — at P=2048 that fill is four 134 MB matrices, far more
-// expensive than the evaluation it feeds.
+// procs): a profile machine is O(P) to build (the placement; pairs are priced
+// on demand from per-class columns), and handing repeated requests the same
+// value lets a pooled sweep evaluator recognise its base machine.
 type resolvedProfile struct {
 	machine     sim.Machine
 	fingerprint string
@@ -234,8 +234,10 @@ func scaleProfile(p *cluster.Profile, s ScaleSpec) *cluster.Profile {
 	return p.Scaled(s.Latency, s.Gap, s.Beta, s.Overhead)
 }
 
-// matrixMachine implements sim.Machine over uploaded pairwise matrices. It
-// carries no noise model (Noise ≡ 1) and no kernel-rate model, and is
+// matrixMachine implements sim.Machine over uploaded pairwise matrices, and
+// the engines' single pricing call (Pair) from the same rows — the return
+// latency is the transposed entry, so asymmetric uploads keep their own ack
+// leg. It carries no noise model (Noise ≡ 1) and no kernel-rate model, and is
 // immutable after construction — safe for concurrent runs.
 type matrixMachine struct {
 	lat, gap, beta, ovh [][]float64
@@ -251,6 +253,10 @@ func (m *matrixMachine) Overhead(i, j int) float64  { return m.ovh[i][j] }
 func (m *matrixMachine) SelfOverhead(i int) float64 { return m.selfOverhead }
 func (m *matrixMachine) NIC(i int) int              { return m.nic[i] }
 func (m *matrixMachine) Noise(int, uint64) float64  { return 1 }
+
+func (m *matrixMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
+	return m.lat[i][j], m.gap[i][j], m.beta[i][j], m.ovh[i][j], m.lat[j][i], m.nic[i] == m.nic[j]
+}
 
 // resolveMatrices validates and caches an uploaded matrix machine.
 func (s *Server) resolveMatrices(spec *MatrixProfile, procs int) (*resolvedProfile, error) {

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
 
 	"hbsp/fault"
+	"hbsp/sched"
+	"hbsp/sim"
 )
 
 // TestSweepReuseMetrics asserts that the /metrics reuse counters move while an
@@ -168,5 +171,89 @@ func TestSweptMatchesSession(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAsymmetricMatrixAckLeg pins the ack's return leg on an uploaded
+// machine whose latency matrix is not symmetric: with acknowledged sends the
+// completion bills latency[dst][src], and the concurrent engine, the direct
+// engine (gate-inline through the API, and a whole-run RunSchedule) and a
+// sweep evaluator with taping on and off all report the same per-rank times.
+func TestAsymmetricMatrixAckLeg(t *testing.T) {
+	const p = 6
+	spec := &MatrixProfile{SelfOverhead: 1e-7, NIC: []int{0, 0, 1, 2, 3, 3}}
+	for i := 0; i < p; i++ {
+		lat, beta, gap, ovh := make([]float64, p), make([]float64, p), make([]float64, p), make([]float64, p)
+		for j := 0; j < p; j++ {
+			if i != j {
+				lat[j] = float64(5+3*i+11*j) * 1e-6 // lat[i][j] != lat[j][i]
+				beta[j] = float64(1+i+2*j) * 1e-9
+				gap[j] = float64(1+j) * 1e-6
+				ovh[j] = float64(2+i) * 1e-7
+			}
+		}
+		spec.Latency, spec.Beta = append(spec.Latency, lat), append(spec.Beta, beta)
+		spec.Gap, spec.Overhead = append(spec.Gap, gap), append(spec.Overhead, ovh)
+	}
+	s, ts := newTestServer(t, Config{})
+	ack := true
+	times := map[string][]float64{}
+	for _, engine := range []string{"auto", "concurrent"} {
+		body, err := json.Marshal(PredictRequest{
+			Profile:  ProfileSpec{Matrices: spec},
+			Workload: WorkloadSpec{Kind: "totalexchange", Bytes: 64},
+			Procs:    p,
+			Options:  OptionsSpec{Engine: engine, PerRank: true, AckSends: &ack},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := predict(t, ts, string(body))
+		var pt PredictPoint
+		if err := json.Unmarshal(data, &pt); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("engine %s: status %d, %v in %s", engine, resp.StatusCode, err, data)
+		}
+		times["api/"+engine] = pt.PerRank
+	}
+
+	rp, err := s.resolveMatrices(spec, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := s.collectivePattern("totalexchange", p, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	o := sim.DefaultOptions()
+	o.AckSends = true
+	res, err := sched.RunSchedule(ctx, rp.machine, pat.ScheduleView(), 1, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times["RunSchedule"] = res.Times
+	for name, budget := range map[string]int64{"sweep/taped": 0, "sweep/live": -1} {
+		sw, err := sched.NewSweepEvaluator(rp.machine, sched.SweepOptions{AckSends: true, MemoBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for point := 0; point < 2; point++ { // the second point is the replay
+			if res, err = sw.Run(ctx, nil, pat.ScheduleView(), 1); err != nil {
+				t.Fatal(err)
+			}
+			times[fmt.Sprintf("%s/point%d", name, point)] = res.Times
+		}
+		sw.Release()
+	}
+	want := times["api/concurrent"]
+	for path, got := range times {
+		if len(got) != p {
+			t.Fatalf("%s: %d per-rank times, want %d", path, len(got), p)
+		}
+		for r := range want {
+			if got[r] != want[r] {
+				t.Errorf("%s rank %d: %v, concurrent engine %v", path, r, got[r], want[r])
+			}
+		}
 	}
 }

@@ -59,6 +59,35 @@ type Machine interface {
 	Noise(rank int, seq uint64) float64
 }
 
+// PairPricer is the pricing call both engines bill every message through:
+// one call per ordered pair instead of one accessor call per parameter.
+// platform.Machine and the server's uploaded-matrix machine implement it;
+// PricerOf adapts any other Machine.
+type PairPricer interface {
+	// Pair prices a message from i to j once: its latency, gap, inverse
+	// bandwidth and sender overhead, the return latency Latency(j, i) an
+	// acknowledged send bills (so asymmetric machines keep their return
+	// leg), and whether i and j share a NIC.
+	Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool)
+}
+
+// PricerOf resolves the machine's pricing call once per run: the machine's
+// own Pair when it has one, otherwise the single accessors behind the same
+// signature.
+func PricerOf(m Machine) PairPricer {
+	if pp, ok := m.(PairPricer); ok {
+		return pp
+	}
+	return accessorPricer{m}
+}
+
+type accessorPricer struct{ m Machine }
+
+func (a accessorPricer) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
+	m := a.m
+	return m.Latency(i, j), m.Gap(i, j), m.Beta(i, j), m.Overhead(i, j), m.Latency(j, i), m.NIC(i) == m.NIC(j)
+}
+
 // Engine selects how schedule-expressible parts of a run are executed.
 type Engine int
 
@@ -195,6 +224,11 @@ type message struct {
 	size          int
 	payload       any
 	arrival       float64
+	// gap and sameNIC are the pair's receive-side terms, priced once by the
+	// sender: the extraction-port occupancy the receiver serializes on, and
+	// whether the message bypasses the ports altogether.
+	gap     float64
+	sameNIC bool
 	// sendEv is, under tracing, the index of the sender's KindSend event in
 	// its lane, so the receiver can link its wait to the gating send;
 	// sendEnd is that event's injection end time (T1), carried on the
@@ -494,6 +528,7 @@ func (mb *mailbox) cancelAll() {
 
 type world struct {
 	machine   Machine
+	pricer    PairPricer
 	opts      Options
 	mailboxes []*mailbox
 	procs     []*Proc
@@ -752,7 +787,7 @@ func (p *Proc) sendCore(dst, tag, size int, payload any) (completeAt float64) {
 	if dst < 0 || dst >= p.Size() {
 		panic(fmt.Sprintf("simnet: send to invalid rank %d", dst))
 	}
-	m := p.w.machine
+	lat, gap, beta, ovh, ret, sameNIC := p.w.pricer.Pair(p.rank, dst)
 	// Per-request software overhead on the sender's CPU. Link degradation is
 	// sampled once at the injection clock t0 and governs the whole exchange
 	// (transfer, latency, and the ack's return latency).
@@ -761,25 +796,22 @@ func (p *Proc) sendCore(dst, tag, size int, payload any) (completeAt float64) {
 	if p.ft != nil && p.ft.HasLinks() {
 		latMul, betaMul = p.ft.Link(p.rank, dst, t0)
 	}
-	p.setNow(p.now + m.Overhead(p.rank, dst)*p.noise())
+	p.setNow(p.now + ovh*p.noise())
 
-	var txStart, transfer float64
-	sameNIC := m.NIC(p.rank) == m.NIC(dst)
-	transfer = float64(size) * m.Beta(p.rank, dst) * betaMul
-	if sameNIC && p.rank != dst {
-		// Intra-node transfers bypass the injection port.
-		txStart = p.now
-	} else {
-		txStart = p.now
+	transfer := float64(size) * beta * betaMul
+	txStart := p.now
+	if !sameNIC || p.rank == dst {
+		// Intra-node transfers to another rank bypass the injection port;
+		// everything else serializes on it.
 		if p.txFree > txStart {
 			txStart = p.txFree
 		}
-		p.txFree = txStart + m.Gap(p.rank, dst) + transfer
+		p.txFree = txStart + gap + transfer
 	}
-	arrival := txStart + (m.Latency(p.rank, dst)*latMul+transfer)*p.noise()
+	arrival := txStart + (lat*latMul+transfer)*p.noise()
 
 	msg := msgPool.Get().(*message)
-	*msg = message{src: p.rank, dst: dst, tag: tag, size: size, payload: payload, arrival: arrival}
+	*msg = message{src: p.rank, dst: dst, tag: tag, size: size, payload: payload, arrival: arrival, gap: gap, sameNIC: sameNIC}
 	if p.tr != nil {
 		msg.sendEv = int32(p.tr.Len())
 		msg.sendEnd = p.now
@@ -796,7 +828,7 @@ func (p *Proc) sendCore(dst, tag, size int, payload any) (completeAt float64) {
 		completeAt = arrival
 	}
 	if p.w.opts.AckSends && p.rank != dst {
-		completeAt = arrival + m.Latency(dst, p.rank)*latMul
+		completeAt = arrival + ret*latMul
 	}
 	return completeAt
 }
@@ -844,7 +876,6 @@ func (r *Request) resolveRecv() {
 		return
 	}
 	p := r.proc
-	m := p.w.machine
 	msg := p.w.mailboxes[p.rank].take(r.peer, r.tag)
 	start := r.postTime
 	gated := false
@@ -852,13 +883,12 @@ func (r *Request) resolveRecv() {
 		start = msg.arrival
 		gated = true
 	}
-	sameNIC := m.NIC(p.rank) == m.NIC(r.peer)
-	if !sameNIC {
+	if !msg.sameNIC {
 		if p.rxFree > start {
 			start = p.rxFree
 			gated = false
 		}
-		p.rxFree = start + m.Gap(r.peer, p.rank)
+		p.rxFree = start + msg.gap
 	}
 	r.completeAt = start
 	r.payload = msg.payload
@@ -966,7 +996,7 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 	if o.Deadline <= 0 {
 		o.Deadline = DefaultOptions().Deadline
 	}
-	w := &world{machine: m, opts: o, mailboxes: make([]*mailbox, m.Procs())}
+	w := &world{machine: m, pricer: PricerOf(m), opts: o, mailboxes: make([]*mailbox, m.Procs())}
 	if o.Faults != nil {
 		var pc func(i, j int) uint8
 		if cm, ok := m.(interface{ PairClass(i, j int) uint8 }); ok {

@@ -32,6 +32,9 @@ func (f *fakeMachine) NIC(i int) int {
 	return i
 }
 func (f *fakeMachine) Noise(rank int, seq uint64) float64 { return 1 }
+func (f *fakeMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
+	return f.latency, f.gap, f.beta, f.overhead, f.latency, f.NIC(i) == f.NIC(j)
+}
 
 func defaultFake(p int) *fakeMachine {
 	return &fakeMachine{procs: p, latency: 10e-6, gap: 1e-6, beta: 1e-9, overhead: 1e-6, self: 0.1e-6}

@@ -100,6 +100,9 @@ func (f fakeMachine) Overhead(i, j int) float64       { return 1e-7 }
 func (f fakeMachine) SelfOverhead(i int) float64      { return 1e-7 }
 func (f fakeMachine) NIC(i int) int                   { return i }
 func (f fakeMachine) Noise(r int, seq uint64) float64 { return 1 }
+func (f fakeMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
+	return 1e-6, 1e-7, 1e-9, 1e-7, 1e-6, i == j
+}
 
 // TestNewValidation covers machine validation: nil machines, profile-backed
 // machines with broken profiles (built through the MachineFor bypass), and

@@ -20,6 +20,12 @@ import (
 // is implemented by cluster.Machine.
 type Machine = simnet.Machine
 
+// PairPricer is the optional Machine capability both engines price every
+// message through: one Pair call per ordered pair instead of one accessor
+// call per parameter. cluster.Machine implements it; machines that do not
+// are adapted from their accessors.
+type PairPricer = simnet.PairPricer
+
 // Options configure a simulation run.
 type Options = simnet.Options
 
