@@ -506,7 +506,7 @@ func sweepEvalOptions() sched.SweepOptions {
 }
 
 // sweepPoints is the point count of the sweep entries: the 64-point sweeps
-// the incremental evaluator targets, cut down in quick mode.
+// the sweep evaluator targets, cut down in quick mode.
 func sweepPoints(quick bool) int {
 	if quick {
 		return 8
@@ -526,11 +526,10 @@ func perPoint(e Entry, points int) Entry {
 
 // benchSweepBytesDE measures a bytes-axis sweep — sweepPoints distinct
 // total-exchange payloads at one rank count — through a single reused
-// sched.SweepEvaluator on the heterogeneous Xeon machine. After the first
-// point the evaluator re-prices the message terms of its memoized circulant
-// term tape instead of re-simulating every edge, so the per-point ns/op
-// against total_exchange_de (one independent evaluation per op) is the
-// incremental-reuse speedup the sweep paths ship.
+// sched.SweepEvaluator on the heterogeneous Xeon machine. Every point is
+// priced live like an independent run, on a kept arena and a compiled-once
+// fault plan, so the per-point ns/op against total_exchange_de (one
+// independent evaluation per op) is what keeping the evaluator saves.
 func benchSweepBytesDE(m *cluster.Machine, quick bool) Entry {
 	p := m.Procs()
 	points := sweepPoints(quick)
@@ -563,10 +562,9 @@ func benchSweepBytesDE(m *cluster.Machine, quick bool) Entry {
 
 // benchSweepScaleDE measures a LogGP-scale sweep: sweepPoints points cycling
 // through eight uniform link scalings of the Xeon profile, evaluated on one
-// reused SweepEvaluator at a fixed payload. Every point re-prices the full
-// term tape (a uniform scaling touches every stage), so this entry tracks the
-// dirty-stage re-pricing cost, where sweep_bytes_de tracks the cheaper
-// message-term path.
+// reused SweepEvaluator at a fixed payload. The machines are term-compatible
+// with the base, so the evaluator is never rebased; the entry tracks a point
+// whose machine changes where sweep_bytes_de tracks one whose schedule does.
 func benchSweepScaleDE(procs int, quick bool) Entry {
 	points := sweepPoints(quick)
 	factors := [...]float64{1, 1.25, 1.5, 2, 0.75, 0.5, 3, 1.1}
@@ -612,7 +610,7 @@ func benchSweepScaleDE(procs int, quick bool) Entry {
 
 // benchSweepBytesSym is the bytes-axis sweep on the flat homogeneous machine:
 // the symmetry collapse evaluates one representative rank per circulant stage
-// and the sweep evaluator replays its collapsed term tape across payloads, so
+// and the sweep evaluator reuses its memoized partition across payloads, so
 // the per-point cost at P=65536+ is dominated by the O(P) result replication.
 func benchSweepBytesSym(m *cluster.Machine, quick bool) Entry {
 	p := m.Procs()

@@ -124,13 +124,13 @@
 //
 // For parameter sweeps — many points varying payload size, LogGP link
 // scaling or seed over one schedule family — sched.NewSweepEvaluator keeps
-// the compiled schedule, the collapse partition and memoized per-stage term
-// tapes alive across points, re-pricing only what a changed axis touches
-// instead of re-evaluating from scratch; every point stays bit-identical to
-// an independent sched.RunSchedule call. The experiments sweep series
-// (experiments.BytesSweepSeries, experiments.ScaleSweepSeries) and the
-// server's NDJSON sweep path run on it; SweepEvaluator.Stats reports what
-// was reused.
+// the evaluator arena, the compiled fault plan and the memoized collapse
+// partitions alive across points. Each point runs the run body
+// sched.RunSchedule runs, every pair priced live by the machine, so it is
+// bit-identical to an independent sched.RunSchedule call. The experiments
+// sweep series (experiments.BytesSweepSeries, experiments.ScaleSweepSeries)
+// and the server's NDJSON sweep path run on it; SweepEvaluator.Stats reports
+// what was reused.
 //
 // # Fault injection
 //
@@ -179,8 +179,10 @@
 // collective points on the default engine run on pooled sched
 // sweep evaluators keyed by the profile's base fingerprint, so the points
 // of one sweep — and distinct single-point misses against the same profile
-// — share compiled schedules and memoized term tapes (reuse shows up as
-// the sweepPointsReused and partitionsReused counters of /metrics). See
+// — share an evaluator arena, a compiled fault plan and memoized collapse
+// partitions (reuse shows up as the sweepPointsReused and partitionsReused
+// counters of /metrics). A panic inside an evaluation costs that request a
+// 500 and the pooled evaluator it ran on, nothing else. See
 // the server package documentation for the wire format.
 //
 // The public packages layer as follows: cluster (platform profiles,

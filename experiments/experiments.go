@@ -112,27 +112,27 @@ func CollapseScalingTable(title string, points []CollapsePoint) *Table {
 	return iexp.CollapseScalingTable(title, points)
 }
 
-// SweepSeriesPoint is one point of an incremental parameter sweep.
+// SweepSeriesPoint is one point of a parameter sweep.
 type SweepSeriesPoint = iexp.SweepSeriesPoint
 
 // BytesSweepSeries sweeps the total-exchange block size at a fixed rank
-// count through per-worker sched.SweepEvaluators: after the first point each
-// worker only re-prices the message terms of its cached term tape instead of
-// re-simulating every edge. Results are bit-identical to (and ordered like)
-// the sequential loop of independent runs it replaces.
+// count through per-worker sched.SweepEvaluators: each worker keeps one
+// evaluator arena and its memoized collapse partitions across the points it
+// claims. Results are bit-identical to (and ordered like) the sequential loop
+// of independent runs it replaces.
 func BytesSweepSeries(prof *cluster.Profile, procs int, payloads []int) ([]SweepSeriesPoint, error) {
 	return iexp.BytesSweepSeries(prof, procs, payloads)
 }
 
 // ScaleSweepSeries sweeps a uniform LogGP scaling of the profile over the
-// total-exchange at a fixed rank count and payload, with the same
-// incremental reuse as BytesSweepSeries (scaled profiles stay
-// term-compatible, so term tapes persist across points).
+// total-exchange at a fixed rank count and payload, with the same reuse as
+// BytesSweepSeries (scaled profiles stay term-compatible, so a worker's
+// evaluator is never rebased between points).
 func ScaleSweepSeries(prof *cluster.Profile, procs, payload int, scales []float64) ([]SweepSeriesPoint, error) {
 	return iexp.ScaleSweepSeries(prof, procs, payload, scales)
 }
 
-// SweepSeriesTable renders incremental sweep points.
+// SweepSeriesTable renders sweep points.
 func SweepSeriesTable(title string, points []SweepSeriesPoint) *Table {
 	return iexp.SweepSeriesTable(title, points)
 }

@@ -9,7 +9,7 @@
 //
 // The programming primitives mirror Table 6.1: registration of remotely
 // accessible memory (PushReg/PopReg), buffered one-sided writes and reads
-// (Put/Get), bulk-synchronous message passing (Send/Qsize/Move), and
+// (Put/Get), bulk-synchronous message passing (Send/QueueLen/Move), and
 // Sync/Time/Pid/NProcs.
 package bsp
 
@@ -255,11 +255,6 @@ func (c *Ctx) Send(dst int, tag int, payload []float64) error {
 // Sync (bsp_qsize).
 func (c *Ctx) QueueLen() int { return len(c.queue) }
 
-// Qsize returns the number of BSMP messages delivered by the previous Sync.
-//
-// Deprecated: Use QueueLen; Qsize is the BSPlib spelling, kept as an alias.
-func (c *Ctx) Qsize() int { return c.QueueLen() }
-
 // PeekTag returns the tag of the first queued message, or an error when the
 // queue is empty (bsp_get_tag).
 func (c *Ctx) PeekTag() (int, error) {
@@ -268,11 +263,6 @@ func (c *Ctx) PeekTag() (int, error) {
 	}
 	return c.queue[0].Tag, nil
 }
-
-// GetTag returns the tag of the first queued message.
-//
-// Deprecated: Use PeekTag; GetTag is the BSPlib spelling, kept as an alias.
-func (c *Ctx) GetTag() (int, error) { return c.PeekTag() }
 
 // Move dequeues the first BSMP message and returns its payload (bsp_move).
 func (c *Ctx) Move() ([]float64, error) {

@@ -10,7 +10,7 @@ import (
 	"hbsp/internal/simnet"
 )
 
-// SweepSeriesPoint is one point of an incremental parameter sweep: the
+// SweepSeriesPoint is one point of a parameter sweep: the
 // total-exchange evaluation at one payload size (bytes axis) or one LogGP
 // scaling (scale axis), evaluated through a reused sched.SweepEvaluator.
 type SweepSeriesPoint struct {
@@ -25,7 +25,7 @@ type SweepSeriesPoint struct {
 	Bytes    int64
 }
 
-// sweepSeriesOptions is the fixed per-sweep configuration of the incremental
+// sweepSeriesOptions is the fixed per-sweep configuration of the sweep
 // series: RunSchedule's conventions (acks on, empty stages pay a compute
 // draw), so every point is bit-identical to an independent
 // sched.RunSchedule call under simnet.DefaultOptions().
@@ -41,9 +41,8 @@ func sweepSeriesOptions() sched.SweepOptions {
 
 // sweepSeries runs n sweep points on the parallel point engine, handing each
 // worker its own SweepEvaluator over the machine mk returns: consecutive
-// points claimed by the same worker share the evaluator's arena, memoized
-// partitions and term tapes, while results stay deterministic and
-// sweep-ordered (the evaluator's bit-identity contract makes the
+// points claimed by the same worker share the evaluator's arena and
+// memoized partitions, while results stay deterministic and sweep-ordered (the evaluator's bit-identity contract makes the
 // point-to-worker assignment unobservable).
 func sweepSeries(mk func() (*platform.Machine, error), n int,
 	fn func(sw *sched.SweepEvaluator, i int) (SweepSeriesPoint, error)) ([]SweepSeriesPoint, error) {
@@ -61,9 +60,9 @@ func sweepSeries(mk func() (*platform.Machine, error), n int,
 
 // BytesSweepSeries sweeps the total-exchange block size at a fixed rank
 // count — the bytes axis of an experiment figure. All points share the
-// machine and the schedule's stage structure, so after the first point each
-// worker's SweepEvaluator only re-prices the message terms of its cached
-// term tape instead of re-simulating every edge.
+// machine and the schedule's stage structure, so each worker's
+// SweepEvaluator evaluates them on one arena and derives the collapse
+// partition of the offset sequence once.
 func BytesSweepSeries(prof *platform.Profile, procs int, payloads []int) ([]SweepSeriesPoint, error) {
 	if procs < 2 {
 		return nil, fmt.Errorf("experiments: bytes sweep needs procs >= 2, got %d", procs)
@@ -97,8 +96,8 @@ func BytesSweepSeries(prof *platform.Profile, procs int, payloads []int) ([]Swee
 // gap, beta and overhead all multiplied by the factor — over the
 // total-exchange at a fixed rank count and payload. Scaled profiles stay
 // term-compatible with the base machine, so each worker's SweepEvaluator
-// keeps its term tape across points and only propagates the re-priced stage
-// timings.
+// stays on its base — arena and partitions kept — and prices every point
+// under that point's link columns.
 func ScaleSweepSeries(prof *platform.Profile, procs, payload int, scales []float64) ([]SweepSeriesPoint, error) {
 	if procs < 2 {
 		return nil, fmt.Errorf("experiments: scale sweep needs procs >= 2, got %d", procs)
@@ -133,7 +132,7 @@ func ScaleSweepSeries(prof *platform.Profile, procs, payload int, scales []float
 		})
 }
 
-// SweepSeriesTable renders incremental sweep points.
+// SweepSeriesTable renders sweep points.
 func SweepSeriesTable(title string, points []SweepSeriesPoint) *Table {
 	t := &Table{Title: title, Columns: []string{"P", "payload [B]", "scale", "makespan [s]", "messages", "bytes"}}
 	for _, p := range points {

@@ -102,12 +102,6 @@ func (c *Comm) Wait(r *simnet.Request) any { return c.proc.Wait(r) }
 // WaitAll waits for all requests in order.
 func (c *Comm) WaitAll(reqs []*simnet.Request) []any { return c.proc.WaitAll(reqs) }
 
-// Waitall waits for all requests in order.
-//
-// Deprecated: Use WaitAll, the idiomatically capitalized name. Waitall is
-// kept as an alias for existing callers of the MPI-flavoured spelling.
-func (c *Comm) Waitall(reqs []*simnet.Request) []any { return c.WaitAll(reqs) }
-
 // reqKind discriminates persistent request types.
 type reqKind int
 
@@ -174,13 +168,6 @@ func (c *Comm) WaitAllPersistent(reqs []*PersistentRequest) []any {
 		r.active = nil
 	}
 	return out
-}
-
-// WaitallPersistent waits for every active persistent request.
-//
-// Deprecated: Use WaitAllPersistent, the idiomatically capitalized name.
-func (c *Comm) WaitallPersistent(reqs []*PersistentRequest) []any {
-	return c.WaitAllPersistent(reqs)
 }
 
 // Tags used by the built-in collectives; user code should avoid the highest

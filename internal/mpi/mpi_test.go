@@ -85,7 +85,7 @@ func TestPersistentRequests(t *testing.T) {
 		}
 		for rep := 0; rep < reps; rep++ {
 			c.Startall(reqs)
-			got := c.WaitallPersistent(reqs)
+			got := c.WaitAllPersistent(reqs)
 			if got[0] != other {
 				t.Errorf("rep %d: received %v, want %d", rep, got[0], other)
 			}
@@ -94,7 +94,7 @@ func TestPersistentRequests(t *testing.T) {
 			}
 		}
 		// Waiting again without Startall is a no-op.
-		res := c.WaitallPersistent(reqs)
+		res := c.WaitAllPersistent(reqs)
 		if res[0] != nil {
 			t.Error("inactive request should yield nil")
 		}

@@ -168,14 +168,14 @@ func (m *Machine) UniformPairs() bool {
 }
 
 // PairTerm returns the multiplicative decomposition of the pair (i, j)'s
-// parameters: every pairwise parameter of the machine equals the class column
-// returned by TermLinks times the returned factor, bit for bit. For self
+// parameters: every pairwise parameter of the machine equals its distance
+// class's link column entry times the returned factor, bit for bit. For self
 // pairs the factor is 1 (the self column already carries the exact values:
 // zero latency/gap/beta and the unscaled invocation overhead, matching the
-// special-cased self paths of the profile formulas). This is the capability
-// the sweep evaluator's term tape is built from (sched.TermMachine): the
-// factor and class are invariants of (seed, spread, placement), so one tape
-// re-prices exactly under scaled link columns.
+// special-cased self paths of the profile formulas). Pair and the four single
+// accessors are built on it. The factor and class are invariants of (seed,
+// spread, placement): machines that TermCompatible accepts classify and
+// weight every pair identically.
 func (m *Machine) PairTerm(i, j int) (factor float64, class uint8) {
 	d := m.placement.Distance(i, j)
 	if d == topology.DistanceSelf {
@@ -184,20 +184,13 @@ func (m *Machine) PairTerm(i, j int) (factor float64, class uint8) {
 	return m.profile.pairFactor(i, j), uint8(d)
 }
 
-// TermLinks returns the per-distance-class parameter columns of PairTerm's
-// decomposition, indexed by distance class. Multiplying a column entry by a
-// pair's PairTerm factor reproduces the pairwise accessors exactly. The
-// slices are the machine's own frozen columns: callers must not write them.
-func (m *Machine) TermLinks() (lat, gap, beta, ovh []float64) {
-	return m.lat[:], m.gap[:], m.beta[:], m.ovh[:]
-}
-
 // TermCompatible reports whether o shares this machine's PairTerm
 // decomposition: same placement (and hence distance classes and NICs) and
 // same heterogeneity stream (seed, spread) and noise magnitude. Machines that
 // differ only in their link columns (scaled profiles) or run seed are
-// compatible — a tape of (factor, class) terms built against one re-prices
-// exactly against the other.
+// compatible — they have the same rank-equivalence classes, which is what
+// lets a sched.SweepEvaluator carry its memoized symmetry partitions across
+// the points of a scale or seed sweep.
 func (m *Machine) TermCompatible(o any) bool {
 	om, ok := o.(*Machine)
 	if !ok {
@@ -213,9 +206,6 @@ func (m *Machine) TermCompatible(o any) bool {
 	a, b := m.profile, om.profile
 	return a.Seed == b.Seed && a.HeteroSpread == b.HeteroSpread && a.NoiseRel == b.NoiseRel
 }
-
-// NoiseFree reports whether the noise stream is identically 1.
-func (m *Machine) NoiseFree() bool { return m.profile.NoiseRel <= 0 }
 
 // Noise returns a multiplicative jitter factor (>= 1) for the seq-th noisy
 // event observed by rank i. The stream is a deterministic function of the

@@ -225,8 +225,8 @@ func (p *Profile) pairMatrix(pl *topology.Placement, f func(*topology.Placement,
 // The copy has its own Links map, so the source profile — possibly a shared
 // preset — is never mutated. Seed, HeteroSpread and NoiseRel are unchanged,
 // which makes machines of a profile and its scalings term-compatible
-// (TermCompatible): a sweep over LogGP scalings re-prices one cached term
-// structure instead of re-deriving the pairwise matrices per point.
+// (TermCompatible): a sweep over LogGP scalings keeps one evaluator and its
+// memoized symmetry partitions instead of rebuilding them per point.
 func (p *Profile) Scaled(lat, gap, beta, ovh float64) *Profile {
 	c := *p
 	c.Links = make(map[topology.Distance]Link, len(p.Links))

@@ -141,10 +141,11 @@ func programOf(s sched.Schedule, execs int) *simnet.Program {
 }
 
 // crossPaths evaluates execs executions of the schedule on every path — the
-// concurrent engine, RunSchedule with collapse on and off, and a
-// SweepEvaluator building its tape, replaying it (the second execution of
-// the first point, and the cached second point) and pricing live with taping
-// disabled — and requires identical Times, MakeSpan, Messages and Bytes.
+// concurrent engine, RunSchedule with collapse on and off, and SweepEvaluators
+// (collapse on and off) that evaluate the point twice, one on a fresh arena
+// and one that first ran an unrelated point on a machine of a different rank
+// count and was rebased — and requires identical Times, MakeSpan, Messages
+// and Bytes.
 func crossPaths(t *testing.T, tag string, m simnet.Machine, s sched.Schedule, execs int, ack bool, plan *fault.Plan) *simnet.Result {
 	t.Helper()
 	ctx := context.Background()
@@ -171,18 +172,36 @@ func crossPaths(t *testing.T, tag string, m simnet.Machine, s sched.Schedule, ex
 	res, err = sched.RunSchedule(ctx, m, s, execs, oOff)
 	check("RunSchedule/collapse-off", res, err)
 
-	for _, budget := range []int64{0, -1} {
-		opt := sweepOptionsFor(oOff)
-		opt.MemoBudget = budget
-		sw, err := sched.NewSweepEvaluator(m, opt)
-		if err != nil {
-			t.Fatalf("%s sweep: %v", tag, err)
+	other := machines(t, m.Procs()+3, 11, false)
+	unrelated, err := barrier.StreamDissemination(other.Procs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, so := range []simnet.Options{o, oOff} {
+		for _, start := range []string{"fresh", "rebased"} {
+			path := fmt.Sprintf("sweep/collapse%d/%s", so.SymmetryCollapse, start)
+			base := m
+			if start == "rebased" {
+				base = other
+			}
+			sw, err := sched.NewSweepEvaluator(base, sweepOptionsFor(so))
+			if err != nil {
+				t.Fatalf("%s %s: %v", tag, path, err)
+			}
+			if start == "rebased" {
+				if _, err := sw.Run(ctx, nil, unrelated, 1); err != nil {
+					t.Fatalf("%s %s: unrelated point: %v", tag, path, err)
+				}
+			}
+			for point := 0; point < 2; point++ {
+				res, err = sw.Run(ctx, m, s, execs)
+				check(fmt.Sprintf("%s/point%d", path, point), res, err)
+			}
+			if st := sw.Stats(); start == "rebased" && st.Rebases != 1 {
+				t.Errorf("%s %s: %d rebases, want 1: %+v", tag, path, st.Rebases, st)
+			}
+			sw.Release()
 		}
-		for point := 0; point < 2; point++ {
-			res, err = sw.Run(ctx, m, s, execs)
-			check(fmt.Sprintf("sweep/budget%d/point%d", budget, point), res, err)
-		}
-		sw.Release()
 	}
 	return want
 }

@@ -89,34 +89,71 @@ func (e *Evaluator) result() *simnet.Result {
 // representative rank per equivalence class is evaluated and the class
 // states assembled at the end, bit-identical to the per-rank sweep. Set
 // o.SymmetryCollapse = simnet.CollapseOff to force per-rank evaluation.
+//
+// RunSchedule is a sweep of one point: the arena goes back to the pool
+// afterwards and the partition is derived rather than memoized; the run body
+// is the one SweepEvaluator.Run uses (runOn).
 func RunSchedule(ctx context.Context, m simnet.Machine, s Schedule, execs int, o simnet.Options) (*simnet.Result, error) {
-	if m == nil || m.Procs() < 1 {
-		return nil, errors.New("sched: machine with at least one rank required")
+	if err := checkRun(m, s, execs); err != nil {
+		return nil, err
 	}
-	if s == nil {
-		return nil, errors.New("sched: nil schedule")
-	}
-	if s.NumProcs() != m.Procs() {
-		return nil, fmt.Errorf("sched: schedule for %d ranks on a %d-rank machine", s.NumProcs(), m.Procs())
-	}
-	if execs < 1 {
-		return nil, fmt.Errorf("sched: %d executions requested", execs)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if o.Deadline <= 0 {
-		o.Deadline = simnet.DefaultOptions().Deadline
-	}
-	e := NewEvaluator(m, o.AckSends)
-	defer e.Release()
-	e.collapseOff = o.SymmetryCollapse == simnet.CollapseOff
-	ft, err := compileFaults(o.Faults, m)
+	opt := SweepOptions{AckSends: o.AckSends, SymmetryCollapse: o.SymmetryCollapse, ComputeEmpty: true,
+		Faults: o.Faults, Recorder: o.Recorder, Deadline: o.Deadline}
+	e, err := arenaFor(m, &opt)
 	if err != nil {
 		return nil, err
 	}
+	defer e.Release()
+	return e.runOn(ctx, s, execs, &opt, func() (*Partition, simnet.Collapse) { return CollapseClassesWith(m, s, e.ft) })
+}
+
+// arenaFor takes an evaluator from the pool and sets it up for runs on m
+// under opt: ack mode, collapse switch, and the fault plan compiled against m.
+func arenaFor(m simnet.Machine, opt *SweepOptions) (*Evaluator, error) {
+	ft, err := compileFaults(opt.Faults, m)
+	if err != nil {
+		return nil, err
+	}
+	e := NewEvaluator(m, opt.AckSends)
+	e.collapseOff = opt.SymmetryCollapse == simnet.CollapseOff
 	e.ft = ft
-	beginRecording(o.Recorder, m, o.AckSends, e)
+	return e, nil
+}
+
+// checkRun validates the arguments of one run.
+func checkRun(m simnet.Machine, s Schedule, execs int) error {
+	if m == nil || m.Procs() < 1 {
+		return errors.New("sched: machine with at least one rank required")
+	}
+	if s == nil {
+		return errors.New("sched: nil schedule")
+	}
+	if s.NumProcs() != m.Procs() {
+		return fmt.Errorf("sched: schedule for %d ranks on a %d-rank machine", s.NumProcs(), m.Procs())
+	}
+	if execs < 1 {
+		return fmt.Errorf("sched: %d executions requested", execs)
+	}
+	return nil
+}
+
+// runOn is the run body of RunSchedule and SweepEvaluator.Run: execs
+// executions of s from the zeroed states of an arena set up by arenaFor under
+// the same opt and pointed at the run's machine. partition supplies the
+// collapse decision when neither the collapse switch nor a recorder rules
+// collapse out — derived by RunSchedule, memoized by a SweepEvaluator.
+func (e *Evaluator) runOn(ctx context.Context, s Schedule, execs int, opt *SweepOptions, partition func() (*Partition, simnet.Collapse)) (*simnet.Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	deadline, tagBase := opt.Deadline, opt.TagBase
+	if deadline <= 0 {
+		deadline = simnet.DefaultOptions().Deadline
+	}
+	if tagBase == 0 {
+		tagBase = ScheduleTagBase
+	}
+	beginRecording(opt.Recorder, e.m, e.ack, e)
 
 	// Partition once per run: fresh states are class-aligned (all zero) and
 	// collapsed executions preserve alignment, so eligibility never changes
@@ -126,27 +163,27 @@ func RunSchedule(ctx context.Context, m simnet.Machine, s Schedule, execs int, o
 	switch {
 	case e.collapseOff:
 		collapse = simnet.Collapse{Reason: simnet.CollapseReasonOff}
-	case o.Recorder.Enabled():
+	case opt.Recorder.Enabled():
 		collapse = simnet.Collapse{Reason: simnet.CollapseReasonTrace}
 	default:
-		part, collapse = CollapseClassesWith(m, s, e.ft)
+		part, collapse = partition()
 	}
-	perStage := m.Procs()
+	perStage := len(e.states)
 	if part != nil {
 		perStage = part.NumClasses()
 	}
-	chk := newStageChecker(ctx, o.Deadline, perStage)
+	chk := newStageChecker(ctx, deadline, perStage)
 	for x := 0; x < execs; x++ {
 		err := chk.check()
 		if err == nil {
 			if part != nil {
-				err = e.execCollapsed(s, part, ScheduleTagBase, true, chk)
+				err = e.execCollapsed(s, part, tagBase, opt.ComputeEmpty, chk)
 			} else {
-				err = e.execSchedule(s, ScheduleTagBase, true, chk)
+				err = e.execStages(s, tagBase, opt.ComputeEmpty, chk)
 			}
 		}
 		if err != nil {
-			endRecording(o.Recorder, nil, e.messages, e.bytes, err)
+			endRecording(opt.Recorder, nil, e.messages, e.bytes, err)
 			return nil, err
 		}
 	}
@@ -156,7 +193,7 @@ func RunSchedule(ctx context.Context, m simnet.Machine, s Schedule, execs int, o
 	res := e.result()
 	res.Messages, res.Bytes = e.messages, e.bytes
 	res.Collapse = collapse
-	endRecording(o.Recorder, res, res.Messages, res.Bytes, nil)
+	endRecording(opt.Recorder, res, res.Messages, res.Bytes, nil)
 	return res, nil
 }
 

@@ -30,10 +30,11 @@
 // the pair's gap term, so the receive side never goes back to the machine.
 // Per stage those records sit in one flat inbox laid out by a prefix sum over
 // the in-degrees. send, recvComplete and the wait/compute helpers below are
-// the package's only copy of the LogGP arithmetic — the per-rank, collapsed,
-// swept and program walkers all call them — and they perform the operations
-// of simnet.sendCore, resolveRecv, Wait and Compute in the same order (the
-// cross-engine diff tests pin the agreement).
+// the package's only copy of the LogGP arithmetic — the per-rank, collapsed
+// and program walkers all call them (a sweep point runs the per-rank or the
+// collapsed walker, like any RunSchedule call) — and they perform the
+// operations of simnet.sendCore, resolveRecv, Wait and Compute in the same
+// order (the cross-engine diff tests pin the agreement).
 package sched
 
 import (
@@ -474,32 +475,21 @@ func (st *rankState) stageMark(stage int32) {
 // sends of a stage can be evaluated before all waits without changing any
 // virtual time the concurrent engine would produce.
 func (e *Evaluator) ExecSchedule(s Schedule, tagBase int, computeEmpty bool) {
-	e.execSchedule(s, tagBase, computeEmpty, nil)
+	e.execStages(s, tagBase, computeEmpty, nil)
 }
 
-// execSchedule is ExecSchedule with an optional per-stage cancellation
-// checker (see stageChecker).
-func (e *Evaluator) execSchedule(s Schedule, tagBase int, computeEmpty bool, chk *stageChecker) error {
-	return e.execStages(s, 0, tagBase, computeEmpty, chk, nil)
-}
-
-// execStages is the per-rank stage walker: it evaluates stages [from,
-// NumStages) of one execution. Pairs are priced by the machine, or — on the
-// sweep evaluator's term path — by the tape cursor tc, which also sees every
-// stage boundary (tape bookkeeping and checkpoints).
-func (e *Evaluator) execStages(s Schedule, from, tagBase int, computeEmpty bool, chk *stageChecker, tc *tapeCursor) error {
+// execStages is the per-rank stage walker behind ExecSchedule, with an
+// optional per-stage cancellation checker (see stageChecker). Every pair is
+// priced by the machine's Pair call.
+func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *stageChecker) error {
 	p := len(e.states)
 	v := viewOf(s)
 	var pc pairCost
-	numStages := s.NumStages()
-	for sg := from; sg < numStages; sg++ {
+	for sg := 0; sg < s.NumStages(); sg++ {
 		if chk != nil {
 			if err := chk.tick(); err != nil {
 				return err
 			}
-		}
-		if tc != nil {
-			tc.beginStage(sg, e)
 		}
 		v.load(sg)
 		stage := int32(sg)
@@ -531,11 +521,7 @@ func (e *Evaluator) execStages(s Schedule, from, tagBase int, computeEmpty bool,
 			}
 			e.entry[r] = rs.now
 			for k, dst := range outs {
-				if tc != nil {
-					tc.price(r, dst, &pc)
-				} else {
-					e.price(r, dst, &pc)
-				}
+				e.price(r, dst, &pc)
 				done = append(done, e.send(rs, r, dst, tag, v.outSize(r, k), &pc, &inbox[e.inNext[dst]]))
 				e.inNext[dst]++
 			}
@@ -558,12 +544,6 @@ func (e *Evaluator) execStages(s Schedule, from, tagBase int, computeEmpty bool,
 				sent++
 			}
 		}
-		if tc != nil {
-			tc.endStage()
-		}
-	}
-	if tc != nil {
-		tc.beginStage(numStages, e)
 	}
 	return nil
 }

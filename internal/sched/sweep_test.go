@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"hbsp/internal/barrier"
@@ -60,7 +61,7 @@ func diffSweepPoint(t *testing.T, tag string, sw *sched.SweepEvaluator, m *platf
 
 // sweepMachines returns the machine matrix of the golden diffs: the
 // heterogeneous Xeon cluster (HeteroSpread > 0, so collapse falls back and
-// the term-tape path carries the evaluation) and the pairwise-uniform flat
+// the per-rank walker carries the evaluation) and the pairwise-uniform flat
 // cluster (symmetry-collapsed path, memoized partitions).
 func sweepMachines(t *testing.T, p int) map[string]*platform.Machine {
 	t.Helper()
@@ -76,11 +77,11 @@ func sweepMachines(t *testing.T, p int) map[string]*platform.Machine {
 }
 
 // TestSweepGoldenBitIdentical is the correctness bar of the sweep evaluator:
-// across P from 16 to 4096, both the per-rank term-tape path (heterogeneous
-// machine) and the collapsed path (uniform machine), acks on and off, a
-// bytes-axis sweep over circulant and non-circulant schedules must reproduce
-// independent RunSchedule calls bit for bit at every point — including the
-// pure-replay repeats of an unchanged point.
+// across P from 16 to 4096, both the per-rank path (heterogeneous machine)
+// and the collapsed path (uniform machine), acks on and off, a bytes-axis
+// sweep over circulant and non-circulant schedules on one kept arena must
+// reproduce independent RunSchedule calls bit for bit at every point —
+// including the repeat of an unchanged point.
 func TestSweepGoldenBitIdentical(t *testing.T) {
 	for _, p := range []int{16, 256, 4096} {
 		if testing.Short() && p > 256 {
@@ -122,17 +123,11 @@ func TestSweepGoldenBitIdentical(t *testing.T) {
 						diffSweepPoint(t, mname+"/broadcast", sw, m, bc, 2, o)
 					}
 				}
-				// Unchanged points: the second evaluation is a pure replay on
-				// the term path and must still match exactly.
+				// An unchanged point evaluated twice in a row must match both
+				// times: nothing of the first evaluation may leak into the second.
 				diffSweepPoint(t, mname+"/diss", sw, m, diss, 2, o)
 				diffSweepPoint(t, mname+"/diss-repeat", sw, m, diss, 2, o)
 				st := sw.Stats()
-				if mname == "hetero" && st.TapesBuilt == 0 {
-					t.Errorf("p=%d %s ack=%v: no term tapes built (term path not exercised)", p, mname, ack)
-				}
-				if mname == "hetero" && st.PointsReused == 0 {
-					t.Errorf("p=%d %s ack=%v: repeated point was not a pure replay: %+v", p, mname, ack, st)
-				}
 				if mname == "flat" && st.PartitionsReused == 0 {
 					t.Errorf("p=%d %s ack=%v: no partition reuse on the collapsed path: %+v", p, mname, ack, st)
 				}
@@ -144,8 +139,9 @@ func TestSweepGoldenBitIdentical(t *testing.T) {
 
 // TestSweepGoldenScaleAxis sweeps LogGP scalings: machines instantiated from
 // scaled copies of the profile are term-compatible with the base, so the
-// evaluator re-prices its cached tape under each point's link columns —
-// and every point must match an independent evaluation bit for bit.
+// evaluator stays on its base (no rebase) and prices each point under that
+// point's link columns — and every point must match an independent
+// evaluation bit for bit.
 func TestSweepGoldenScaleAxis(t *testing.T) {
 	for _, p := range []int{16, 256} {
 		base := platform.XeonCluster((p + 7) / 8)
@@ -180,11 +176,7 @@ func TestSweepGoldenScaleAxis(t *testing.T) {
 			}
 			diffSweepPoint(t, "scale/"+sc.name, sw, pm, te, 2, o)
 		}
-		st := sw.Stats()
-		if st.TapesBuilt != 1 || st.TapesReused < int64(len(scales)-1) {
-			t.Errorf("p=%d: scale sweep should reuse one tape across scalings: %+v", p, st)
-		}
-		if st.Rebases != 0 {
+		if st := sw.Stats(); st.Rebases != 0 {
 			t.Errorf("p=%d: scaled machines must not rebase the evaluator: %+v", p, st)
 		}
 		sw.Release()
@@ -193,7 +185,7 @@ func TestSweepGoldenScaleAxis(t *testing.T) {
 
 // TestSweepGoldenFaults repeats the diff under fault plans — uniform link
 // degradation, a straggler, a fail-stop and deterministic jitter — which
-// force the per-rank fallback and live fault terms during replay.
+// force the per-rank fallback, with the plan compiled once per evaluator.
 func TestSweepGoldenFaults(t *testing.T) {
 	p := 64
 	plans := map[string]*fault.Plan{
@@ -227,9 +219,9 @@ func TestSweepGoldenFaults(t *testing.T) {
 	}
 }
 
-// TestSweepGoldenNoisy diffs a noisy machine across a run-seed axis: points
-// that share a seed are pure replays, points with new seeds redraw every
-// jitter factor live — both must match independent evaluation exactly.
+// TestSweepGoldenNoisy diffs a noisy machine across a run-seed axis,
+// returning to an earlier seed twice: every point draws its jitter from its
+// own machine and must match independent evaluation exactly.
 func TestSweepGoldenNoisy(t *testing.T) {
 	p := 64
 	base := platform.Xeon8x2x4() // NoiseRel > 0
@@ -251,11 +243,7 @@ func TestSweepGoldenNoisy(t *testing.T) {
 		pm := bm.WithRunSeed(seed)
 		diffSweepPoint(t, "noisy", sw, pm, te, 2, o)
 	}
-	// Same seed again: identical noise stream, identical columns → replay.
 	diffSweepPoint(t, "noisy-repeat", sw, bm.WithRunSeed(2), te, 2, o)
-	if st := sw.Stats(); st.PointsReused == 0 {
-		t.Errorf("repeated seed was not a pure replay: %+v", st)
-	}
 }
 
 // TestSweepGoldenTraced attaches a recorder to both paths: every point of a
@@ -323,105 +311,81 @@ func TestSweepCollapseOff(t *testing.T) {
 		}
 		diffSweepPoint(t, "collapse-off", sw, m, te, 2, o)
 	}
-	if st := sw.Stats(); st.TapesBuilt == 0 || st.TapesReused == 0 {
-		t.Errorf("CollapseOff term path built/reused no tapes: %+v", st)
-	}
 }
 
-// TestSweepMemoEviction pins the eviction path: a budget sized for roughly
-// one tape, alternating schedule structures, must evict tapes rather than
-// grow, and every point must stay bit-identical to independent evaluation.
-func TestSweepMemoEviction(t *testing.T) {
-	p := 64
-	m, err := platform.XeonClusterMachine(p)
+// TestSweepArenaReuse runs point sequences chosen to leave stale state behind
+// on a kept evaluator — whatever a point writes that the next one fails to
+// reset or overwrite (rank states, inbox and send-completion scratch, traffic
+// counters) or wrongly inherits (a memoized partition) shows up as a diff
+// against an independent RunSchedule call of that next point.
+func TestSweepArenaReuse(t *testing.T) {
+	const p = 64
+	hetero, err := platform.XeonClusterMachine(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := simnet.DefaultOptions()
-	opt := sweepOptionsFor(o)
-	opt.MemoBudget = 100 << 10 // ~one 64-rank total-exchange tape
-	sw, err := sched.NewSweepEvaluator(m, opt)
+	homog, err := platform.XeonClusterHomogeneousMachine(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sw.Release()
-	te, err := barrier.StreamTotalExchange(p, 64)
-	if err != nil {
-		t.Fatal(err)
+	mustSchedule := func(s sched.Schedule, err error) sched.Schedule {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	ring, err := barrier.StreamAllGatherRing(p, 64)
-	if err != nil {
-		t.Fatal(err)
+	circ := func(size int, offs ...int) sched.Schedule {
+		sizes := make([]int, len(offs))
+		for k := range sizes {
+			sizes[k] = size
+		}
+		return mustSchedule(sched.NewCirculant(p, offs, sizes))
 	}
-	for i := 0; i < 3; i++ {
-		diffSweepPoint(t, "evict/te", sw, m, te, 2, o)
-		diffSweepPoint(t, "evict/ring", sw, m, ring, 2, o)
-	}
-	st := sw.Stats()
-	if st.TapesEvicted == 0 {
-		t.Fatalf("alternating structures under a one-tape budget evicted nothing: %+v", st)
-	}
-	if st.MemoBytes > opt.MemoBudget {
-		t.Errorf("memo %d bytes exceeds budget %d", st.MemoBytes, opt.MemoBudget)
-	}
-
-	// A budget below any tape disables taping but must not change results.
-	optNone := sweepOptionsFor(o)
-	optNone.MemoBudget = -1
-	swNone, err := sched.NewSweepEvaluator(m, optNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer swNone.Release()
-	diffSweepPoint(t, "no-tape", swNone, m, te, 2, o)
-	if st := swNone.Stats(); st.TapesBuilt != 0 {
-		t.Errorf("disabled budget still built tapes: %+v", st)
-	}
-}
-
-// TestSweepPrefixSkip pins dirty-stage propagation: on a multi-stage
-// circulant schedule where only a late stage's payload changes, the
-// evaluator must resume from a checkpoint instead of re-evaluating from
-// stage zero — and still match independent evaluation exactly.
-func TestSweepPrefixSkip(t *testing.T) {
-	p := 64
-	m, err := platform.XeonClusterMachine(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := simnet.DefaultOptions()
-	sw, err := sched.NewSweepEvaluator(m, sweepOptionsFor(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sw.Release()
-
-	offs := make([]int, p-1)
-	sizes := make([]int, p-1)
+	offs, sizes := make([]int, p-1), make([]int, p-1)
 	for k := 1; k < p; k++ {
-		offs[k-1] = k
-		sizes[k-1] = 64
+		offs[k-1], sizes[k-1] = k, 64
 	}
-	s0, err := sched.NewCirculant(p, offs, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffSweepPoint(t, "prefix/base", sw, m, s0, 1, o)
+	tail := append([]int(nil), sizes...)
+	tail[len(tail)-1] = 4096
 
-	// Change only the last stage's payload: same offsets → same tape, and
-	// stages before the change replay from a checkpoint.
-	sizes2 := append([]int(nil), sizes...)
-	sizes2[len(sizes2)-1] = 4096
-	s1, err := sched.NewCirculant(p, offs, sizes2)
-	if err != nil {
-		t.Fatal(err)
+	te := mustSchedule(barrier.StreamTotalExchange(p, 64))
+	ring := mustSchedule(barrier.StreamAllGatherRing(p, 64))
+	type point struct {
+		s     sched.Schedule
+		execs int
 	}
-	diffSweepPoint(t, "prefix/tail-change", sw, m, s1, 1, o)
-	st := sw.Stats()
-	if st.PrefixStagesSkipped == 0 {
-		t.Errorf("tail-only change skipped no prefix stages: %+v", st)
-	}
-	if st.TapesBuilt != 1 {
-		t.Errorf("same offsets should share one tape: %+v", st)
+	for _, seq := range []struct {
+		name   string
+		m      *platform.Machine
+		points []point
+	}{
+		// Two structures with different stage counts and in-degrees, back and
+		// forth: each point inherits the other's scratch.
+		{"alternating-structures", hetero, []point{{te, 2}, {ring, 2}, {te, 2}, {ring, 2}, {te, 2}, {ring, 2}}},
+		// Same offsets (one memo key), only the last stage's payload differs:
+		// the second point must not answer with the first point's tail.
+		{"tail-change", hetero, []point{
+			{mustSchedule(sched.NewCirculant(p, offs, sizes)), 1},
+			{mustSchedule(sched.NewCirculant(p, offs, tail)), 1},
+		}},
+		// On the homogeneous multi-core machine the partition depends on the
+		// offsets (4, 1 and 32 classes here): a point must get the partition of
+		// its own offset sequence, shared only across payload sizes.
+		{"partition-per-offsets", homog, []point{
+			{circ(64, 8), 1}, {circ(64, 1), 1}, {circ(1024, 8), 1}, {circ(64, 1, 2, 4, 8, 16, 32), 2}, {circ(0, 8), 1},
+		}},
+	} {
+		t.Run(seq.name, func(t *testing.T) {
+			o := simnet.DefaultOptions()
+			sw, err := sched.NewSweepEvaluator(seq.m, sweepOptionsFor(o))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sw.Release()
+			for i, pt := range seq.points {
+				diffSweepPoint(t, fmt.Sprintf("%s/point%d", seq.name, i), sw, seq.m, pt.s, pt.execs, o)
+			}
+		})
 	}
 }

@@ -67,6 +67,16 @@ func (c *lruCache) Put(key string, value any) {
 	}
 }
 
+// Delete drops a key, if present.
+func (c *lruCache) Delete(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.order.Remove(el)
+		delete(c.entries, key)
+	}
+}
+
 // Len returns the number of cached entries.
 func (c *lruCache) Len() int {
 	c.mu.Lock()

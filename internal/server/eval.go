@@ -191,12 +191,21 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 // byte-identical to the miss that filled them; the two evaluation paths
 // produce bit-identical results, so which one filled an entry is
 // unobservable.
-func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) ([]byte, error) {
+//
+// A panic below this point is a bug in an evaluation path, not bad input, but
+// it must cost one request and nothing else: it is returned as an error the
+// handler classifies as internal (500), where net/http's own recover would
+// drop the connection (and a sweep worker goroutine has no recover at all).
+func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (body []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			body, err = nil, fmt.Errorf("server: evaluation panicked: %v", r)
+		}
+	}()
 	var (
 		res     *sim.Result
 		perIter float64
 		rec     *trace.Recorder
-		err     error
 	)
 	if s.sweptEligible(req, rp, w) {
 		res, err = s.evaluateSwept(ctx, req, rp, w, pt, seed, deadline)

@@ -27,7 +27,7 @@ type metrics struct {
 	inFlight    atomic.Int64 // currently admitted evaluations (gauge)
 	queued      atomic.Int64 // evaluations waiting for a slot (gauge)
 
-	sweepPointsReused atomic.Int64 // points whose evaluation reused a sweep evaluator's memoized term tape or cached result
+	sweepPointsReused atomic.Int64 // points evaluated on a sweep evaluator that was already in the pool (its arena and compiled fault plan reused)
 	partitionsReused  atomic.Int64 // points whose symmetry partition came from a sweep evaluator's memo instead of re-refinement
 
 	errInvalidRequest atomic.Int64

@@ -26,7 +26,7 @@ type resolvedProfile struct {
 	// LogGP scaling was applied (equal to fingerprint for unscaled points).
 	// Scaled machines stay term-compatible with their base, so the sweep
 	// evaluator pool keys on it: every scale point of one profile rides the
-	// same evaluator and its memoized term tapes.
+	// same evaluator and its memoized partitions.
 	baseFingerprint string
 	// cluster is non-nil for profile-backed machines (preset or custom);
 	// matrix uploads leave it nil, which is what gates the workloads that

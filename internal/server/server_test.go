@@ -161,6 +161,9 @@ func TestErrorShapes(t *testing.T) {
 		body   string
 		code   string
 		status int
+		// message, when set, is the exact error text: the sweep path must
+		// word a rejected plan as the session path (hbsp.WithFaults) does.
+		message string
 	}{
 		{
 			name:   "unknown preset",
@@ -183,10 +186,11 @@ func TestErrorShapes(t *testing.T) {
 			status: 400,
 		},
 		{
-			name:   "invalid fault plan",
-			body:   `{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"barrier"},"procs":8,"faults":{"Slowdowns":[{"Rank":64,"Factor":2}]}}`,
-			code:   "invalid_fault",
-			status: 400,
+			name:    "invalid fault plan",
+			body:    `{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"barrier"},"procs":8,"faults":{"Slowdowns":[{"Rank":64,"Factor":2}]}}`,
+			code:    "invalid_fault",
+			status:  400,
+			message: "hbsp: invalid fault plan: slowdown 0: rank 64 out of range [0,8)",
 		},
 		{
 			name:   "budget exceeded",
@@ -229,8 +233,8 @@ func TestErrorShapes(t *testing.T) {
 			if e.Err.Status != tc.status {
 				t.Fatalf("body status %d, want %d", e.Err.Status, tc.status)
 			}
-			if e.Err.Message == "" {
-				t.Fatal("error message is empty")
+			if e.Err.Message == "" || tc.message != "" && e.Err.Message != tc.message {
+				t.Fatalf("error message %q, want %q (or any non-empty text)", e.Err.Message, tc.message)
 			}
 		})
 	}

@@ -12,32 +12,32 @@ import (
 	"hbsp/sim"
 )
 
-// The incremental sweep path: schedule-expressible collective points under
-// the default engine skip the session machinery entirely and run on a pooled
-// sched.SweepEvaluator. Evaluators are keyed by the profile's *base*
-// fingerprint (before any LogGP scaling) plus everything an evaluator fixes
-// at construction — rank count, ack mode, collapse mode, fault plan — so all
-// points of one NDJSON sweep ride the same evaluator, and so do coalesced
-// single-point misses against the same profile arriving across requests.
-// Results are bit-identical to the session path (the sweep evaluator's
-// contract), so the rendered bytes an entry produces are indistinguishable
-// from the legacy evaluation they replace.
+// The sweep path: schedule-expressible collective points under the default
+// engine skip the session machinery entirely and run on a pooled
+// sched.SweepEvaluator — a kept evaluator arena, the fault plan compiled
+// once, memoized symmetry partitions. Evaluators are keyed by the profile's
+// *base* fingerprint (before any LogGP scaling) plus everything an evaluator
+// fixes at construction — rank count, ack mode, collapse mode, fault plan —
+// so all points of one NDJSON sweep ride the same evaluator, and so do
+// coalesced single-point misses against the same profile arriving across
+// requests. Results are bit-identical to the session path (the sweep
+// evaluator's contract), so the rendered bytes an entry produces are
+// indistinguishable from the legacy evaluation they replace.
 
 // sweepPoolEntries bounds the evaluator pool. Entries hold an evaluator
-// arena plus memoized term tapes (bounded by the evaluator's own memo
-// budget); evicted entries are left to the garbage collector — another
-// goroutine may still be evaluating on one, so they are never released
-// eagerly.
+// arena (O(P)) plus a bounded partition memo; evicted entries are left to the
+// garbage collector — another goroutine may still be evaluating on one, so
+// they are never released eagerly.
 const sweepPoolEntries = 64
 
 // sweepEntry is one pooled evaluator. The mutex serializes points — a
-// SweepEvaluator is single-threaded by design — and last holds the stats
-// snapshot of the previous point, so per-point deltas feed the /metrics
-// reuse counters.
+// SweepEvaluator is single-threaded by design — and parts holds the
+// evaluator's PartitionsReused after the previous point, so per-point deltas
+// feed the /metrics counter.
 type sweepEntry struct {
-	mu   sync.Mutex
-	sw   *sched.SweepEvaluator
-	last sched.SweepStats
+	mu    sync.Mutex
+	sw    *sched.SweepEvaluator
+	parts int64
 }
 
 // sweptEligible reports whether a point can run on the sweep-evaluator path:
@@ -59,8 +59,8 @@ func (s *Server) sweptEligible(req *PredictRequest, rp *resolvedProfile, w *Work
 }
 
 // sweepKey canonicalizes everything a pooled evaluator fixes at
-// construction. The run seed is absent deliberately: evaluators re-price
-// seed changes point by point.
+// construction. The run seed is absent deliberately: it arrives with each
+// point's machine.
 func sweepKey(rp *resolvedProfile, procs int, req *PredictRequest) string {
 	ack := true
 	if req.Options.AckSends != nil {
@@ -70,14 +70,15 @@ func sweepKey(rp *resolvedProfile, procs int, req *PredictRequest) string {
 		rp.baseFingerprint, procs, ack, req.Options.Collapse, req.Faults.Fingerprint())
 }
 
-// sweepEvaluator fetches (or builds) the pooled evaluator of a key. The
-// admission mutex makes get-or-create atomic, so concurrent misses on one
-// key share a single evaluator instead of building duplicates.
-func (s *Server) sweepEvaluator(key string, req *PredictRequest, rp *resolvedProfile, seed int64) (*sweepEntry, error) {
+// sweepEvaluator fetches (or builds) the pooled evaluator of a key; pooled
+// reports that it was already there. The admission mutex makes get-or-create
+// atomic, so concurrent misses on one key share a single evaluator instead of
+// building duplicates.
+func (s *Server) sweepEvaluator(key string, req *PredictRequest, rp *resolvedProfile, seed int64) (ent *sweepEntry, pooled bool, err error) {
 	s.sweepMu.Lock()
 	defer s.sweepMu.Unlock()
 	if cached, ok := s.sweeps.Get(key); ok {
-		return cached.(*sweepEntry), nil
+		return cached.(*sweepEntry), true, nil
 	}
 	opt := sched.SweepOptions{
 		// The gate-inline collective paths this replaces bill nothing on
@@ -97,11 +98,13 @@ func (s *Server) sweepEvaluator(key string, req *PredictRequest, rp *resolvedPro
 	}
 	sw, err := sched.NewSweepEvaluator(rp.cluster.WithRunSeed(seed), opt)
 	if err != nil {
-		return nil, err
+		// The only failure is a fault plan the machine rejects; word it as
+		// hbsp.WithFaults does on the session path.
+		return nil, false, fmt.Errorf("hbsp: %w", err)
 	}
-	ent := &sweepEntry{sw: sw}
+	ent = &sweepEntry{sw: sw}
 	s.sweeps.Put(key, ent)
-	return ent, nil
+	return ent, false, nil
 }
 
 // evaluateSwept runs one eligible point on its pooled evaluator and returns
@@ -120,12 +123,22 @@ func (s *Server) evaluateSwept(ctx context.Context, req *PredictRequest, rp *res
 		return nil, err
 	}
 
-	ent, err := s.sweepEvaluator(sweepKey(rp, pt.procs, req), req, rp, seed)
+	key := sweepKey(rp, pt.procs, req)
+	ent, pooled, err := s.sweepEvaluator(key, req, rp, seed)
 	if err != nil {
 		return nil, err
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
+	// A panic mid-point leaves the arena half-updated: take the entry out of
+	// the pool on the way up, so the next request builds a fresh evaluator
+	// (evaluate turns the re-raised panic into the request's error).
+	defer func() {
+		if r := recover(); r != nil {
+			s.sweeps.Delete(key)
+			panic(r)
+		}
+	}()
 
 	if deadline.IsZero() {
 		ent.sw.SetDeadline(0)
@@ -138,9 +151,11 @@ func (s *Server) evaluateSwept(ctx context.Context, req *PredictRequest, rp *res
 	}
 
 	res, err := ent.sw.Run(ctx, rp.cluster.WithRunSeed(seed), pat.ScheduleView(), 1)
-	st := ent.sw.Stats()
-	s.m.sweepPointsReused.Add((st.PointsReused + st.TapesReused) - (ent.last.PointsReused + ent.last.TapesReused))
-	s.m.partitionsReused.Add(st.PartitionsReused - ent.last.PartitionsReused)
-	ent.last = st
+	if pooled {
+		s.m.sweepPointsReused.Add(1)
+	}
+	parts := ent.sw.Stats().PartitionsReused
+	s.m.partitionsReused.Add(parts - ent.parts)
+	ent.parts = parts
 	return res, err
 }

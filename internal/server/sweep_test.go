@@ -15,9 +15,9 @@ import (
 )
 
 // TestSweepReuseMetrics asserts that the /metrics reuse counters move while an
-// NDJSON sweep streams: a scale sweep keeps the schedule structure fixed, so
-// every point after the first replays the pooled evaluator's memoized term
-// tape (sweepPointsReused) and its cached partition decision
+// NDJSON sweep streams: a scale sweep keeps the base profile and the schedule
+// fixed, so every point after the first finds its evaluator in the pool
+// (sweepPointsReused) and that evaluator's memoized partition decision
 // (partitionsReused).
 func TestSweepReuseMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
@@ -72,7 +72,8 @@ func TestSweepReuseMetrics(t *testing.T) {
 // sweep-evaluator path at the server layer: for every eligible point —
 // including fault plans, non-default seeds, per-rank vectors and scaled
 // profiles — the rendered NDJSON bytes of evaluateSwept equal those of the
-// session evaluation it replaced, on both a cold tape and a warm replay.
+// session evaluation it replaced, on both a freshly built evaluator and the
+// pooled one.
 func TestSweptMatchesSession(t *testing.T) {
 	s := New(Config{})
 	seed5 := int64(5)
@@ -154,8 +155,8 @@ func TestSweptMatchesSession(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// Cold (tape build) and warm (replay) swept evaluations must
-				// both render to the session bytes.
+				// The first swept evaluation builds the evaluator, the second
+				// finds it pooled; both must render to the session bytes.
 				for _, pass := range []string{"cold", "warm"} {
 					res, err := s.evaluateSwept(ctx, &req, rp, &w, pt, seed, time.Time{})
 					if err != nil {
@@ -178,7 +179,8 @@ func TestSweptMatchesSession(t *testing.T) {
 // machine whose latency matrix is not symmetric: with acknowledged sends the
 // completion bills latency[dst][src], and the concurrent engine, the direct
 // engine (gate-inline through the API, and a whole-run RunSchedule) and a
-// sweep evaluator with taping on and off all report the same per-rank times.
+// sweep evaluator — fresh, and rebased from an unrelated point on a machine
+// of a different rank count — all report the same per-rank times.
 func TestAsymmetricMatrixAckLeg(t *testing.T) {
 	const p = 6
 	spec := &MatrixProfile{SelfOverhead: 1e-7, NIC: []int{0, 0, 1, 2, 3, 3}}
@@ -232,16 +234,32 @@ func TestAsymmetricMatrixAckLeg(t *testing.T) {
 		t.Fatal(err)
 	}
 	times["RunSchedule"] = res.Times
-	for name, budget := range map[string]int64{"sweep/taped": 0, "sweep/live": -1} {
-		sw, err := sched.NewSweepEvaluator(rp.machine, sched.SweepOptions{AckSends: true, MemoBudget: budget})
+	other, err := s.resolveProfile(&ProfileSpec{Preset: "xeon-8x2x4"}, ScaleSpec{}, p+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unrelated, err := s.barrierPattern("dissemination", p+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, base := range map[string]sim.Machine{"sweep/fresh": rp.machine, "sweep/rebased": other.machine} {
+		sw, err := sched.NewSweepEvaluator(base, sched.SweepOptions{AckSends: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for point := 0; point < 2; point++ { // the second point is the replay
-			if res, err = sw.Run(ctx, nil, pat.ScheduleView(), 1); err != nil {
+		if base != rp.machine {
+			if _, err := sw.Run(ctx, nil, unrelated.ScheduleView(), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for point := 0; point < 2; point++ { // the second point reuses the arena
+			if res, err = sw.Run(ctx, rp.machine, pat.ScheduleView(), 1); err != nil {
 				t.Fatal(err)
 			}
 			times[fmt.Sprintf("%s/point%d", name, point)] = res.Times
+		}
+		if st := sw.Stats(); base != rp.machine && st.Rebases != 1 {
+			t.Errorf("%s: %d rebases, want 1", name, st.Rebases)
 		}
 		sw.Release()
 	}
@@ -255,5 +273,77 @@ func TestAsymmetricMatrixAckLeg(t *testing.T) {
 				t.Errorf("%s rank %d: %v, concurrent engine %v", path, r, got[r], want[r])
 			}
 		}
+	}
+}
+
+// panicMachine prices no pair: its Pair call panics, standing in for a bug
+// somewhere below the handler.
+type panicMachine struct{ sim.Machine }
+
+func (panicMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
+	panic("pair pricing bug")
+}
+
+// TestEvaluationPanicCostsOneRequest pins what a panic below the handler may
+// cost: that request answers 500 / internal in the documented error shape,
+// the pooled sweep evaluator it ran on leaves the pool, and the server keeps
+// serving — /healthz, and the identical request on a fresh evaluator.
+func TestEvaluationPanicCostsOneRequest(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	wantInternal := func(tag string, resp *http.Response, data []byte) {
+		t.Helper()
+		var e apiError
+		if err := json.Unmarshal(data, &e); err != nil || resp.StatusCode != 500 || e.Err.Code != "internal" || e.Err.Status != 500 {
+			t.Fatalf("%s: status %d, body %s (decode: %v); want 500 with code internal", tag, resp.StatusCode, data, err)
+		}
+	}
+
+	// A whole-run direct evaluation runs on the handler's goroutine: a
+	// program workload on a cached machine whose pricing call panics.
+	rp, err := s.resolveProfile(&ProfileSpec{Preset: "xeon-8x2x4"}, ScaleSpec{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.machines.Put(fmt.Sprintf("machine/%s/p%d", rp.fingerprint, 2), &resolvedProfile{
+		machine: panicMachine{rp.machine}, fingerprint: rp.fingerprint, baseFingerprint: rp.baseFingerprint,
+	})
+	resp, data := predict(t, ts, `{"profile":{"preset":"xeon-8x2x4"},"procs":2,"workload":{"kind":"program","ranks":[`+
+		`[{"op":"isend","to":1,"bytes":8},{"op":"wait","req":0}],[{"op":"irecv","from":0},{"op":"wait","req":0}]]}}`)
+	wantInternal("program on a panicking machine", resp, data)
+
+	// The sweep path: a pooled entry that panics as soon as it is used.
+	req := PredictRequest{Profile: ProfileSpec{Preset: "xeon-8x2x4"}, Workload: WorkloadSpec{Kind: "allreduce", Bytes: 64}, Procs: 8}
+	if err := normalizeOptions(&req.Options); err != nil {
+		t.Fatal(err)
+	}
+	if rp, err = s.resolveProfile(&req.Profile, ScaleSpec{}, req.Procs); err != nil {
+		t.Fatal(err)
+	}
+	key := sweepKey(rp, req.Procs, &req)
+	poisoned := &sweepEntry{}
+	s.sweeps.Put(key, poisoned)
+	body := `{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"allreduce","bytes":64},"procs":8}`
+	resp, data = predict(t, ts, body)
+	wantInternal("swept point on a poisoned evaluator", resp, data)
+	if ent, ok := s.sweeps.Get(key); ok {
+		t.Fatalf("the evaluator that panicked is still pooled: %+v", ent)
+	}
+	if resp, data = predict(t, ts, body); resp.StatusCode != 200 {
+		t.Fatalf("identical request after the panic: status %d: %s", resp.StatusCode, data)
+	}
+	if ent, ok := s.sweeps.Get(key); !ok || ent == poisoned || ent.(*sweepEntry).sw == nil {
+		t.Errorf("identical request after the panic did not pool a fresh evaluator")
+	}
+
+	if got := s.Metrics().Errors.Internal; got != 2 {
+		t.Errorf("errors.internal = %d, want 2", got)
+	}
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != 200 {
+		t.Errorf("/healthz status %d after the panics, want 200", hresp.StatusCode)
 	}
 }

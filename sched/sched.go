@@ -80,24 +80,20 @@ func RunSchedule(ctx context.Context, m sim.Machine, s Schedule, execs int, o si
 }
 
 // SweepEvaluator evaluates a family of schedule points — a parameter sweep
-// over bytes, LogGP scalings or run seeds — reusing everything the points
-// share: the evaluator arena, memoized symmetry partitions and per-edge term
-// tapes. Every point is bit-identical to an independent RunSchedule call
-// with the same options; an unchanged point is a pure replay of the cached
-// result. Not safe for concurrent use — parallel sweeps give each worker its
-// own evaluator.
+// over bytes, LogGP scalings or run seeds — on one kept evaluator arena, with
+// the fault plan compiled once and the symmetry-partition decisions
+// memoized. Every point runs the run body RunSchedule runs, every pair priced
+// live by the machine, so a point is bit-identical to an independent
+// RunSchedule call with the same options. Not safe for concurrent use —
+// parallel sweeps give each worker its own evaluator.
 type SweepEvaluator = sched.SweepEvaluator
 
 // SweepOptions configures a SweepEvaluator (its fixed per-sweep options:
-// acks, collapse mode, fault plan, recorder, memo budget).
+// acks, collapse mode, fault plan, recorder).
 type SweepOptions = sched.SweepOptions
 
 // SweepStats reports what a SweepEvaluator reused across its points.
 type SweepStats = sched.SweepStats
-
-// DefaultSweepMemoBudget is the default bound on a sweep evaluator's
-// memoized term tapes.
-const DefaultSweepMemoBudget = sched.DefaultSweepMemoBudget
 
 // NewSweepEvaluator returns a sweep evaluator over the machine. Release it
 // when the sweep is done.
