@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"sort"
 
 	"hbsp/internal/stats"
@@ -10,9 +11,9 @@ import (
 // extraction (the chain of compute intervals and gating messages that
 // determines the makespan), per-rank and per-superstep time breakdowns, and
 // h-relation statistics. Each pass is a streaming consumer of the Source
-// interface — it reads one lane's columns at a time and never materializes a
-// merged event slice — so the same code analyzes an in-RAM Trace and a
-// spill file of a P=65536 run. All passes are pure functions of the run, so
+// interface — it reads one lane at a time, a chunk at a time, names the
+// columns it reads and never materializes a merged event slice — so the same
+// code analyzes an in-RAM Trace and a spill file of a P=65536 run. All passes are pure functions of the run, so
 // on a deterministic trace they are deterministic themselves; they visit
 // lanes in rank-major order, which also pins the floating-point accumulation
 // order, so a streaming pass is bit-identical to the materialized pass it
@@ -180,6 +181,9 @@ func (t *Trace) Breakdown() *Breakdown {
 	return b
 }
 
+// colsBreakdown are the columns classifyCols and the breakdown read.
+const colsBreakdown = colFlags | colPeer | colStep | colSendSeq | colT0 | colT1 | colSendEnd
+
 // BreakdownOf computes the time attribution of any source, streaming one
 // lane at a time in rank order.
 func BreakdownOf(src Source) (*Breakdown, error) {
@@ -194,30 +198,31 @@ func BreakdownOf(src Source) (*Breakdown, error) {
 		b.PerStep[s].Straggler = -1
 	}
 	for rank := 0; rank < src.NumLanes(); rank++ {
-		c, err := src.LaneCols(rank)
-		if err != nil {
-			return nil, err
-		}
 		rb := &b.PerRank[rank]
 		rb.Rank = rank
 		if rank < len(sum.Times) {
 			rb.Finish = sum.Times[rank]
 		}
 		rb.ByCategory[CatSkew] = sum.MakeSpan - rb.Finish
-		for i, n := 0, c.Len(); i < n; i++ {
-			if c.Kind[i] == KindSuperstep {
-				sb := &b.PerStep[c.Step[i]]
-				if c.T1[i] > sb.Boundary || sb.Straggler < 0 {
-					sb.Boundary = c.T1[i]
-					sb.Straggler = rank
+		err := eachChunk(src, rank, colsBreakdown, func(c *Cols) {
+			for i, n := 0, c.Len(); i < n; i++ {
+				if c.Kind[i] == KindSuperstep {
+					sb := &b.PerStep[c.Step[i]]
+					if c.T1[i] > sb.Boundary || sb.Straggler < 0 {
+						sb.Boundary = c.T1[i]
+						sb.Straggler = rank
+					}
+					continue
 				}
-				continue
+				step := c.Step[i]
+				classifyCols(src, c, i, func(cat Category, d float64) {
+					rb.ByCategory[cat] += d
+					b.PerStep[step].ByCategory[cat] += d
+				})
 			}
-			step := c.Step[i]
-			classifyCols(src, c, i, func(cat Category, d float64) {
-				rb.ByCategory[cat] += d
-				b.PerStep[step].ByCategory[cat] += d
-			})
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return b, nil
@@ -272,10 +277,16 @@ func (t *Trace) CriticalPath() *CriticalPath {
 	return t.cp
 }
 
-// CriticalPathOf runs the backward walk over any source. The walk touches
-// one lane at a time (the SendEnd stamp makes receive waits self-contained,
-// and a hop switches lanes wholesale), so a spill-backed walk stays within
-// the reader's small decode cache.
+// colsCriticalPath are the columns the backward walk reads: everything but
+// Step, Stage and Arrival.
+const colsCriticalPath = colFlags | colPeer | colTag | colSize | colSendSeq | colT0 | colT1 | colSendEnd
+
+// CriticalPathOf runs the backward walk over any source. The walk reads one
+// window of one lane at a time — the chunk its current event sits in, the
+// whole lane for an in-RAM trace — stepping to the previous chunk when it
+// crosses the window's base and to the sender's chunk on a hop (the SendEnd
+// stamp makes receive waits self-contained), so a spill-backed walk decodes
+// the chunks it lands in and no others.
 func CriticalPathOf(src Source) (*CriticalPath, error) {
 	sum := src.RunSummary()
 	cp := &CriticalPath{Rank: -1, Slack: make([]float64, src.NumLanes())}
@@ -289,42 +300,53 @@ func CriticalPathOf(src Source) (*CriticalPath, error) {
 		return cp, nil
 	}
 
+	window := windowOf(src)
 	cur := cp.Rank
-	c, err := src.LaneCols(cur)
+	i := src.LaneLen(cur) - 1 // index in cur's lane; c holds it at i-base
+	c, base, err := window(cur, i, colsCriticalPath)
 	if err != nil {
 		return nil, err
 	}
-	i := c.Len() - 1
-	cp.End = c.T1[i]
+	cp.End = c.T1[i-base]
 	hop := PathHop{Rank: cur, To: cp.End, ViaPeer: -1, ViaTag: -1}
 	var rev []PathHop
-	for i >= 0 {
-		if c.T0[i] == c.T1[i] { // boundary marks carry no time
+	// Every step moves to an event that happened before the one it leaves,
+	// so a walk visits no event twice; one that outlives the event count is
+	// following links a damaged file made into a cycle.
+	for left := NumEventsOf(src); i >= 0; left-- {
+		if left < 0 {
+			return nil, fmt.Errorf("%w: send links form a cycle (critical-path walk at rank %d, event %d)", ErrCorruptSpill, cur, i)
+		}
+		if i < base {
+			if c, base, err = window(cur, i, colsCriticalPath); err != nil {
+				return nil, err
+			}
+		}
+		k := i - base
+		if c.T0[k] == c.T1[k] { // boundary marks carry no time
 			i--
 			continue
 		}
-		if c.Kind[i] == KindRecvWait && c.Flags[i]&flagGated != 0 && linkValid(src, c, i) {
+		if c.Kind[k] == KindRecvWait && c.Flags[k]&flagGated != 0 && linkValid(src, c, k) {
 			// The residency on cur starts where the gating wait ends its
 			// in-flight portion; the chain segment [sendEnd, T1] is the
 			// message in flight (latency, transfer, ports).
-			hop.From = c.T1[i]
-			hop.ViaPeer = int(c.Peer[i])
-			hop.ViaTag = int(c.Tag[i])
-			hop.ViaSize = int(c.Size[i])
-			hop.InFlight = c.T1[i] - c.SendEnd[i]
+			hop.From = c.T1[k]
+			hop.ViaPeer = int(c.Peer[k])
+			hop.ViaTag = int(c.Tag[k])
+			hop.ViaSize = int(c.Size[k])
+			hop.InFlight = c.T1[k] - c.SendEnd[k]
 			cp.InFlight += hop.InFlight
 			rev = append(rev, hop)
-			cur = int(c.Peer[i])
-			nexti := int(c.SendSeq[i])
-			if c, err = src.LaneCols(cur); err != nil {
+			cur, i = int(c.Peer[k]), int(c.SendSeq[k])
+			if c, base, err = window(cur, i, colsCriticalPath); err != nil {
 				return nil, err
 			}
-			i = nexti
-			hop = PathHop{Rank: cur, To: c.T1[i], ViaPeer: -1, ViaTag: -1}
+			hop = PathHop{Rank: cur, To: c.T1[i-base], ViaPeer: -1, ViaTag: -1}
 			continue
 		}
-		d := c.T1[i] - c.T0[i]
-		switch c.Kind[i] {
+		d := c.T1[k] - c.T0[k]
+		switch c.Kind[k] {
 		case KindCompute:
 			hop.Compute += d
 			cp.Compute += d
@@ -335,7 +357,7 @@ func CriticalPathOf(src Source) (*CriticalPath, error) {
 			hop.Wait += d
 			cp.Wait += d
 		}
-		hop.From = c.T0[i]
+		hop.From = c.T0[k]
 		i--
 	}
 	rev = append(rev, hop)
@@ -373,6 +395,10 @@ func (t *Trace) HRelations() []HRelation {
 	return hrs
 }
 
+// colsHRelations are the four columns the h-relation pass reads (Kind
+// included).
+const colsHRelations = colPeer | colSize | colStep
+
 // HRelationsOf computes the h-relation statistics of any source in one
 // streaming pass over the send events of each lane; only the O(steps ×
 // ranks) volume accumulators are held.
@@ -391,21 +417,22 @@ func HRelationsOf(src Source) ([]HRelation, error) {
 		inM[s] = make([]int, nl)
 	}
 	for rank := 0; rank < nl; rank++ {
-		c, err := src.LaneCols(rank)
+		err := eachChunk(src, rank, colsHRelations, func(c *Cols) {
+			for i, n := 0, c.Len(); i < n; i++ {
+				if c.Kind[i] != KindSend {
+					continue
+				}
+				s := int(c.Step[i])
+				outB[s][rank] += int64(c.Size[i])
+				outM[s][rank]++
+				if peer := c.Peer[i]; peer >= 0 && int(peer) < nl {
+					inB[s][peer] += int64(c.Size[i])
+					inM[s][peer]++
+				}
+			}
+		})
 		if err != nil {
 			return nil, err
-		}
-		for i, n := 0, c.Len(); i < n; i++ {
-			if c.Kind[i] != KindSend {
-				continue
-			}
-			s := int(c.Step[i])
-			outB[s][rank] += int64(c.Size[i])
-			outM[s][rank]++
-			if peer := c.Peer[i]; peer >= 0 && int(peer) < nl {
-				inB[s][peer] += int64(c.Size[i])
-				inM[s][peer]++
-			}
 		}
 	}
 	out := make([]HRelation, steps)

@@ -28,11 +28,9 @@ func WriteChrome(w io.Writer, src Source) error {
 		cw.threadName(rank, fmt.Sprintf("rank %d", rank))
 	}
 	for rank := 0; rank < nl; rank++ {
-		c, err := src.LaneCols(rank)
-		if err != nil {
+		if err := cw.lane(src, rank, nil); err != nil {
 			return err
 		}
-		cw.lane(src, rank, c, nil)
 	}
 	return cw.finish()
 }
@@ -141,11 +139,9 @@ func WriteChromeAuto(w io.Writer, src Source, opts ChromeOptions) (bool, error) 
 			formatSeconds(sb.ByCategory[CatStraggler]), formatSeconds(sb.ByCategory[CatLatency]))
 	}
 	for _, rank := range order {
-		c, err := src.LaneCols(rank)
-		if err != nil {
+		if err := cw.lane(src, rank, keep); err != nil {
 			return true, err
 		}
-		cw.lane(src, rank, c, keep)
 	}
 	return true, cw.finish()
 }
@@ -199,9 +195,17 @@ func (cw *chromeWriter) threadName(tid int, name string) {
 		tid, strconv.Quote(name))
 }
 
-// lane emits one rank's slices, marks and flow arrows. keep limits arrow
-// emission to sampled peers (nil keeps every arrow).
-func (cw *chromeWriter) lane(src Source, rank int, c *Cols, keep map[int]bool) {
+// colsChrome are the columns the Chrome export reads: everything but
+// Arrival.
+const colsChrome = colsAll &^ colArrival
+
+// lane streams one rank's chunks into slices, marks and flow arrows. keep
+// limits arrow emission to sampled peers (nil keeps every arrow).
+func (cw *chromeWriter) lane(src Source, rank int, keep map[int]bool) error {
+	return eachChunk(src, rank, colsChrome, func(c *Cols) { cw.chunk(src, rank, c, keep) })
+}
+
+func (cw *chromeWriter) chunk(src Source, rank int, c *Cols, keep map[int]bool) {
 	for i, n := 0, c.Len(); i < n; i++ {
 		kind := c.Kind[i]
 		switch kind {

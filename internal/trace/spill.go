@@ -2,11 +2,15 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 func f64bits(v float64) uint64     { return math.Float64bits(v) }
@@ -44,6 +48,22 @@ func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
 //	         count) triples, so any lane is readable without scanning
 //	footer   fixed 24 bytes: summary offset, index offset (both uint64
 //	         little-endian), magic "HBSPTRCE" — readers seek here first
+//
+// Reader side. OpenSpill loads the header, the summary and the index and
+// checks them against the file once: the lane count against the bytes that
+// could hold it, every chunk inside the chunk region with a positive size
+// and count, per-lane counts summing to the lane total, all chunks together
+// claiming no more bytes than the region has. After that the chunk is the
+// unit of every read: readChunk is the one function that fetches chunk bytes,
+// decodes them and checks what it decoded (header against the index, Kind,
+// Step and Stage ranges) before any analysis indexes by it. A consumer names
+// the columns it reads (colSet) and the decoder steps over the others — a raw
+// float block is a pointer bump, a varint column a scan for terminator bytes
+// — so a lane is never concatenated and resident memory is a chunk, not a
+// lane. Lane streams (laneChunks) decode into a slot of their own; the
+// critical-path walk reads through laneWindow, which keeps the last few
+// decoded chunks in a small cache keyed by (rank, chunk index). Whatever is
+// wrong with a file surfaces as an error wrapping ErrCorruptSpill.
 
 const (
 	spillMagic    = "HBSPTRC\x01"
@@ -105,42 +125,73 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendI32Col zigzag-varint delta-encodes an int32 column.
-func appendI32Col(b []byte, col []int32) []byte {
-	prev := int32(0)
-	for _, v := range col {
-		b = binary.AppendVarint(b, int64(v-prev))
-		prev = v
+// putUvarint writes the varint of v at b[n:] and returns the index past it;
+// the caller has sized b for it.
+func putUvarint(b []byte, n int, v uint64) int {
+	for v >= 0x80 {
+		b[n] = byte(v) | 0x80
+		v >>= 7
+		n++
 	}
-	return b
+	b[n] = byte(v)
+	return n + 1
 }
 
-// appendF64Col encodes a float64 column: it tries zigzag-varint deltas of
-// the uint64 bit patterns and falls back to raw little-endian bits when the
-// deltas are not smaller. Both modes reproduce every value bit-for-bit.
-func appendF64Col(b []byte, col []float64, tmp []byte) ([]byte, []byte) {
-	tmp = tmp[:0]
+// appendI32Col zigzag-varint delta-encodes an int32 column, in place into
+// space sized once for the five bytes a 32-bit delta can take.
+func appendI32Col(b []byte, col []int32) []byte {
+	n := len(b)
+	b = slices.Grow(b, 5*len(col))
+	b = b[:cap(b)]
+	prev := int32(0)
+	for _, v := range col {
+		d := v - prev
+		prev = v
+		// The zigzag of a 32-bit delta has the bits of the zigzag of its
+		// sign extension to 64, which is what the decoder undoes.
+		n = putUvarint(b, n, uint64(uint32(d<<1)^uint32(d>>31)))
+	}
+	return b[:n]
+}
+
+// appendF64Col encodes a float64 column as zigzag-varint deltas of the
+// uint64 bit patterns when that is smaller than the raw little-endian bits,
+// raw otherwise. The delta form is written in place and abandoned as soon as
+// it is no smaller than raw, which then overwrites it. Both modes reproduce
+// every value bit-for-bit.
+func appendF64Col(b []byte, col []float64) []byte {
+	raw := 8 * len(col)
+	start := len(b) + 1
+	// The delta form stops within one varint of raw's size.
+	b = slices.Grow(b, 1+raw+binary.MaxVarintLen64)
+	b = b[:cap(b)]
+	n := start
 	prev := uint64(0)
 	for _, v := range col {
-		bits := f64bits(v)
-		tmp = binary.AppendVarint(tmp, int64(bits-prev))
-		prev = bits
+		bv := f64bits(v)
+		d := int64(bv - prev)
+		prev = bv
+		if n = putUvarint(b, n, uint64(d<<1)^uint64(d>>63)); n-start >= raw {
+			break
+		}
 	}
-	if len(tmp) < 8*len(col) {
-		b = append(b, floatDelta)
-		return append(b, tmp...), tmp
+	if n-start < raw {
+		b[start-1] = floatDelta
+		return b[:n]
 	}
-	b = append(b, floatRaw)
-	for _, v := range col {
-		b = binary.LittleEndian.AppendUint64(b, f64bits(v))
+	b[start-1] = floatRaw
+	for i, v := range col {
+		binary.LittleEndian.PutUint64(b[start+8*i:], f64bits(v))
 	}
-	return b, tmp
+	return b[:start+raw]
 }
 
 // appendKindCol writes the kind column as raw bytes.
 func appendKindCol(b []byte, col []Kind) []byte {
-	for _, k := range col {
-		b = append(b, byte(k))
+	n := len(b)
+	b = slices.Grow(b, len(col))[:n+len(col)]
+	for i, k := range col {
+		b[n+i] = byte(k)
 	}
 	return b
 }
@@ -167,8 +218,8 @@ func appendMeta(b []byte, m Meta) []byte {
 	return b
 }
 
-// appendChunk encodes one 'C' record for count events of rank's columns.
-func appendChunk(b []byte, rank int32, c *Cols, tmp []byte) ([]byte, []byte) {
+// appendChunk encodes one 'C' record for rank's columns.
+func appendChunk(b []byte, rank int32, c *Cols) []byte {
 	b = append(b, recChunk)
 	b = appendUvarint(b, uint64(rank))
 	b = appendUvarint(b, uint64(c.Len()))
@@ -180,23 +231,21 @@ func appendChunk(b []byte, rank int32, c *Cols, tmp []byte) ([]byte, []byte) {
 	b = appendI32Col(b, c.Step)
 	b = appendI32Col(b, c.Stage)
 	b = appendI32Col(b, c.SendSeq)
-	b, tmp = appendF64Col(b, c.T0, tmp)
-	b, tmp = appendF64Col(b, c.T1, tmp)
-	b, tmp = appendF64Col(b, c.Arrival, tmp)
-	b, tmp = appendF64Col(b, c.SendEnd, tmp)
-	return b, tmp
+	b = appendF64Col(b, c.T0)
+	b = appendF64Col(b, c.T1)
+	b = appendF64Col(b, c.Arrival)
+	return appendF64Col(b, c.SendEnd)
 }
 
-func appendSummary(b []byte, sum Summary, tmp []byte) ([]byte, []byte) {
+func appendSummary(b []byte, sum Summary) []byte {
 	b = append(b, recSummary)
 	b = appendUvarint(b, uint64(len(sum.Times)))
-	b, tmp = appendF64Col(b, sum.Times, tmp)
+	b = appendF64Col(b, sum.Times)
 	b = binary.LittleEndian.AppendUint64(b, f64bits(sum.MakeSpan))
 	b = appendZigzag(b, sum.Messages)
 	b = appendZigzag(b, sum.Bytes)
 	b = appendUvarint(b, uint64(sum.Steps))
-	b = appendString(b, sum.ErrMsg)
-	return b, tmp
+	return appendString(b, sum.ErrMsg)
 }
 
 // spillChunkIdx locates one encoded chunk.
@@ -252,7 +301,6 @@ type spillSink struct {
 	nchunks int
 	nevents int64
 	buf     []byte
-	tmp     []byte
 }
 
 func newSpillSink(w io.Writer, meta Meta) (*spillSink, error) {
@@ -286,7 +334,7 @@ func (s *spillSink) writeChunk(rank int32, c *Cols) {
 		return
 	}
 	off := s.off
-	s.buf, s.tmp = appendChunk(s.buf[:0], rank, c, s.tmp)
+	s.buf = appendChunk(s.buf[:0], rank, c)
 	size := len(s.buf)
 	if s.emit() != nil {
 		return
@@ -325,7 +373,7 @@ func (s *spillSink) finish(sum Summary) error {
 		return s.err
 	}
 	sumOff := s.off
-	s.buf, s.tmp = appendSummary(s.buf[:0], sum, s.tmp)
+	s.buf = appendSummary(s.buf[:0], sum)
 	idxOff := sumOff + int64(len(s.buf))
 	s.buf = appendIndex(s.buf, s.lanes)
 	s.buf = appendFooter(s.buf, sumOff, idxOff)
@@ -344,23 +392,11 @@ func WriteSpill(w io.Writer, src Source) error {
 	}
 	var part Cols
 	for rank := 0; rank < src.NumLanes(); rank++ {
-		pull := chunkPullOf(src, rank)
 		part.truncate()
-		for {
-			c, err := pull()
-			if err != nil {
-				return err
-			}
-			if c == nil {
-				break
-			}
+		err := eachChunk(src, rank, colsAll, func(c *Cols) {
 			// Re-chunk to the canonical size regardless of source chunking.
-			i := 0
-			for i < c.Len() {
-				n := canonicalChunkEvents - part.Len()
-				if rest := c.Len() - i; rest < n {
-					n = rest
-				}
+			for i := 0; i < c.Len(); {
+				n := min(canonicalChunkEvents-part.Len(), c.Len()-i)
 				sub := c.slice(i, i+n)
 				if part.Len() == 0 && n == canonicalChunkEvents {
 					sink.writeChunk(int32(rank), &sub)
@@ -373,6 +409,9 @@ func WriteSpill(w io.Writer, src Source) error {
 				}
 				i += n
 			}
+		})
+		if err != nil {
+			return err
 		}
 		if part.Len() > 0 {
 			sink.writeChunk(int32(rank), &part)
@@ -384,16 +423,50 @@ func WriteSpill(w io.Writer, src Source) error {
 
 // --- reader ---------------------------------------------------------------
 
-// decoder walks one encoded buffer.
+// ErrCorruptSpill is wrapped by every error that reports a spill file whose
+// bytes do not parse or do not agree with each other: a truncated or damaged
+// file, an index that points outside the file, a chunk whose content
+// contradicts the index or the summary. Test for it with errors.Is.
+var ErrCorruptSpill = errors.New("trace: corrupt spill")
+
+// colSet names optional columns of a Cols, one bit each in field order.
+// Every consumer of a lane says which columns it reads; the chunk decoder
+// steps over the others and leaves them empty, so touching a column that was
+// not asked for fails loudly. Kind is always decoded: it carries the length.
+type colSet uint16
+
+const (
+	colFlags colSet = 1 << iota
+	colPeer
+	colTag
+	colSize
+	colStep
+	colStage
+	colSendSeq
+	colT0
+	colT1
+	colArrival
+	colSendEnd
+
+	colsAll = colSendEnd<<1 - 1
+)
+
+// decoder walks one encoded buffer that starts at file offset base.
 type decoder struct {
-	b   []byte
-	pos int
-	err error
+	b    []byte
+	pos  int
+	base int64
+	err  error
+}
+
+// corrupt builds the error for a defect found at file offset off.
+func corrupt(what string, off int64) error {
+	return fmt.Errorf("%w: %s at offset %d", ErrCorruptSpill, what, off)
 }
 
 func (d *decoder) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("trace: corrupt spill: %s at offset %d", what, d.pos)
+		d.err = corrupt(what, d.base+int64(d.pos))
 	}
 }
 
@@ -407,51 +480,71 @@ func (d *decoder) byte() byte {
 	return v
 }
 
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// uvarintTail finishes a varint whose first byte had the continuation bit
+// set; x holds that byte's low seven bits. It reports false on truncation and
+// on a value that overflows 64 bits, the two conditions binary.Uvarint
+// rejects.
+func uvarintTail(b []byte, pos int, x uint64) (uint64, int, bool) {
+	for shift := uint(7); shift < 70; shift += 7 {
+		if pos >= len(b) {
+			return 0, pos, false
+		}
+		c := b[pos]
+		pos++
+		if c < 0x80 {
+			if shift == 63 && c > 1 {
+				return 0, pos, false
+			}
+			return x | uint64(c)<<shift, pos, true
+		}
+		x |= uint64(c&0x7f) << shift
 	}
-	v, n := binary.Uvarint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.pos += n
-	return v
+	return 0, pos, false
 }
 
-func (d *decoder) zigzag() int64 {
-	if d.err != nil {
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil || d.pos >= len(d.b) {
+		d.fail("truncated varint")
 		return 0
 	}
-	v, n := binary.Varint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
+	x, pos, ok := uint64(d.b[d.pos]), d.pos+1, true
+	if x >= 0x80 {
+		if x, pos, ok = uvarintTail(d.b, pos, x&0x7f); !ok {
+			d.fail("bad varint")
+			return 0
+		}
 	}
-	d.pos += n
-	return v
+	d.pos = pos
+	return x
 }
+
+func unzigzag(x uint64) int64 { return int64(x>>1) ^ -int64(x&1) }
+
+func (d *decoder) zigzag() int64 { return unzigzag(d.uvarint()) }
+
+// count reads a uvarint that sizes something the file must then hold, and
+// fails when it exceeds max — before the caller allocates for it.
+func (d *decoder) count(max int, what string) int {
+	v := d.uvarint()
+	if d.err == nil && v > uint64(max) {
+		d.fail("implausible " + what)
+		return 0
+	}
+	return int(v)
+}
+
+// rest returns the bytes left in the buffer.
+func (d *decoder) rest() int { return len(d.b) - d.pos }
 
 func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if d.pos+int(n) > len(d.b) {
-		d.fail("truncated string")
-		return ""
-	}
-	s := string(d.b[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
+	return string(d.rawBytes(d.count(d.rest(), "string length")))
 }
 
 func (d *decoder) rawBytes(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.pos+n > len(d.b) {
+	if n > d.rest() {
 		d.fail("truncated block")
 		return nil
 	}
@@ -460,206 +553,373 @@ func (d *decoder) rawBytes(n int) []byte {
 	return b
 }
 
-func (d *decoder) i32Col(out []int32, n int) []int32 {
-	out = out[:0]
-	prev := int32(0)
-	for i := 0; i < n; i++ {
-		prev += int32(d.zigzag())
-		out = append(out, prev)
+// kindCol appends n raw kind bytes to out.
+func (d *decoder) kindCol(out []Kind, n int) []Kind {
+	raw := d.rawBytes(n)
+	base := len(out)
+	out = slices.Grow(out, len(raw))[:base+len(raw)]
+	for i, kb := range raw {
+		out[base+i] = Kind(kb)
 	}
 	return out
 }
 
-func (d *decoder) f64Col(out []float64, n int) []float64 {
-	out = out[:0]
-	switch d.byte() {
-	case floatRaw:
+// skipVarints steps over n varints by counting terminator bytes (high bit
+// clear), a word at a time while a whole word cannot overshoot.
+func (d *decoder) skipVarints(n int) {
+	if d.err != nil {
+		return
+	}
+	b, pos := d.b, d.pos
+	for n >= 8 && pos+8 <= len(b) {
+		w := binary.LittleEndian.Uint64(b[pos:])
+		n -= 8 - bits.OnesCount64(w&0x8080808080808080)
+		pos += 8
+	}
+	for n > 0 && pos < len(b) {
+		if b[pos] < 0x80 {
+			n--
+		}
+		pos++
+	}
+	d.pos = pos
+	if n > 0 {
+		d.fail("truncated varint column")
+	}
+}
+
+// i32Col appends n zigzag-varint delta-decoded values to out. Every value
+// takes at least a byte, which bounds n before anything is allocated.
+func (d *decoder) i32Col(out []int32, n int) []int32 {
+	if d.err != nil {
+		return out
+	}
+	if n > d.rest() {
+		d.fail("truncated int column")
+		return out
+	}
+	base := len(out)
+	out = slices.Grow(out, n)[:base+n]
+	b, pos, ok := d.b, d.pos, true
+	prev := int32(0)
+	for i := base; i < len(out); i++ {
+		if pos >= len(b) {
+			ok = false
+			break
+		}
+		x := uint64(b[pos])
+		pos++
+		if x >= 0x80 {
+			if x, pos, ok = uvarintTail(b, pos, x&0x7f); !ok {
+				break
+			}
+		}
+		prev += int32(unzigzag(x))
+		out[i] = prev
+	}
+	d.pos = pos
+	if !ok {
+		d.fail("bad varint in int column")
+		return out[:base]
+	}
+	return out
+}
+
+// f64Col reads one float column of n values, appending them to *out when
+// keep is set and stepping over them otherwise.
+func (d *decoder) f64Col(out *[]float64, n int, keep bool) {
+	switch mode := d.byte(); {
+	case d.err != nil:
+	case mode == floatRaw:
+		if n > d.rest()/8 {
+			d.fail("truncated float column")
+			return
+		}
 		raw := d.rawBytes(8 * n)
-		for i := 0; i < n; i++ {
-			out = append(out, f64frombits(binary.LittleEndian.Uint64(raw[8*i:])))
+		if !keep {
+			return
 		}
-	case floatDelta:
+		base := len(*out)
+		dst := slices.Grow(*out, n)[:base+n]
+		for i := 0; i < n; i++ {
+			dst[base+i] = f64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		*out = dst
+	case mode == floatDelta:
+		if !keep {
+			d.skipVarints(n)
+			return
+		}
+		if n > d.rest() {
+			d.fail("truncated float column")
+			return
+		}
+		base := len(*out)
+		dst := slices.Grow(*out, n)[:base+n]
+		b, pos, ok := d.b, d.pos, true
 		prev := uint64(0)
-		for i := 0; i < n; i++ {
-			prev += uint64(d.zigzag())
-			out = append(out, f64frombits(prev))
+		for i := base; i < len(dst); i++ {
+			if pos >= len(b) {
+				ok = false
+				break
+			}
+			x := uint64(b[pos])
+			pos++
+			if x >= 0x80 {
+				if x, pos, ok = uvarintTail(b, pos, x&0x7f); !ok {
+					break
+				}
+			}
+			prev += uint64(unzigzag(x))
+			dst[i] = f64frombits(prev)
 		}
+		d.pos = pos
+		if !ok {
+			d.fail("bad varint in float column")
+			return
+		}
+		*out = dst
 	default:
 		d.fail("unknown float column mode")
 	}
-	return out
 }
 
 func (d *decoder) meta() Meta {
 	var m Meta
-	m.Procs = int(d.uvarint())
+	// Procs is checked against the index's lane count, which the file's
+	// size bounds; here it only has to fit an int.
+	m.Procs = d.count(math.MaxInt32, "rank count")
 	m.SeedKnown = d.byte() == 1
 	m.Seed = d.zigzag()
 	m.AckSends = d.byte() == 1
 	m.Machine = d.string()
 	m.Label = d.string()
-	nf := int(d.uvarint())
+	nf := d.count(d.rest(), "fault line count")
 	for i := 0; i < nf && d.err == nil; i++ {
 		m.Faults = append(m.Faults, d.string())
 	}
 	return m
 }
 
-// decodeChunk parses one 'C' record into dst (replacing its content).
-func (d *decoder) decodeChunk(dst *Cols) (rank int32, err error) {
+// decodeChunk parses one 'C' record, appending its events to dst: Kind and
+// the columns in want; the others are stepped over, and decoding stops after
+// the last wanted column. It returns the record's rank and event count.
+func (d *decoder) decodeChunk(dst *Cols, want colSet) (rank uint64, n int) {
 	if d.byte() != recChunk {
 		d.fail("expected chunk record")
 	}
-	rank = int32(d.uvarint())
-	n := int(d.uvarint())
-	if d.err == nil && (n < 0 || n > len(d.b)) {
-		d.fail("implausible chunk count")
+	rank = d.uvarint()
+	n = d.count(d.rest(), "chunk event count")
+	dst.Kind = d.kindCol(dst.Kind, n)
+	if want&colFlags != 0 {
+		dst.Flags = append(dst.Flags, d.rawBytes(n)...)
+	} else {
+		d.rawBytes(n)
 	}
-	if d.err != nil {
-		return 0, d.err
+	i32 := [...]*[]int32{&dst.Peer, &dst.Tag, &dst.Size, &dst.Step, &dst.Stage, &dst.SendSeq}
+	for k, col := range i32 {
+		bit := colPeer << k
+		if want&^(bit-1) == 0 {
+			return rank, n
+		}
+		if want&bit != 0 {
+			*col = d.i32Col(*col, n)
+		} else {
+			d.skipVarints(n)
+		}
 	}
-	dst.Kind = dst.Kind[:0]
-	for _, kb := range d.rawBytes(n) {
-		dst.Kind = append(dst.Kind, Kind(kb))
+	f64 := [...]*[]float64{&dst.T0, &dst.T1, &dst.Arrival, &dst.SendEnd}
+	for k, col := range f64 {
+		bit := colT0 << k
+		if want&^(bit-1) == 0 {
+			return rank, n
+		}
+		d.f64Col(col, n, want&bit != 0)
 	}
-	dst.Flags = append(dst.Flags[:0], d.rawBytes(n)...)
-	dst.Peer = d.i32Col(dst.Peer, n)
-	dst.Tag = d.i32Col(dst.Tag, n)
-	dst.Size = d.i32Col(dst.Size, n)
-	dst.Step = d.i32Col(dst.Step, n)
-	dst.Stage = d.i32Col(dst.Stage, n)
-	dst.SendSeq = d.i32Col(dst.SendSeq, n)
-	dst.T0 = d.f64Col(dst.T0, n)
-	dst.T1 = d.f64Col(dst.T1, n)
-	dst.Arrival = d.f64Col(dst.Arrival, n)
-	dst.SendEnd = d.f64Col(dst.SendEnd, n)
-	return rank, d.err
+	return rank, n
+}
+
+// SpillReadStats counts the work of a Spill's chunk reader since the file
+// was opened.
+type SpillReadStats struct {
+	// ChunksDecoded is the number of chunk records fetched and decoded.
+	ChunksDecoded int64
+	// BytesRead is the encoded size of those records.
+	BytesRead int64
+	// CacheHits is the number of window reads (the critical-path walk)
+	// answered from the chunk cache without touching the file.
+	CacheHits int64
 }
 
 // Spill reads a spill file through the Source interface: metadata, summary
-// and the chunk index are loaded eagerly; lane columns are decoded on
-// demand through a small rotating cache, so analyses over a P=65536 run
-// keep only a handful of lanes in memory.
+// and the chunk index are loaded and checked eagerly; events are decoded a
+// chunk at a time, on demand, and only the columns the consumer reads. A
+// lane stream decodes into a slot of its own, so any number of streaming
+// passes may run at once; the window reads of CriticalPathOf share the
+// cache below, whose entries are reused as the walk moves on, so run one
+// critical-path walk per Spill at a time.
 type Spill struct {
-	r      io.ReaderAt
-	closer io.Closer
-	meta   Meta
-	sum    Summary
-	lanes  []spillLaneIdx
+	r       io.ReaderAt
+	closer  io.Closer
+	meta    Meta
+	sum     Summary
+	lanes   []spillLaneIdx
+	nevents int // over all lanes; bounds every Stage
+
+	chunksDecoded, bytesRead, cacheHits atomic.Int64
 
 	mu    sync.Mutex
-	cache []spillCacheEnt // tiny LRU, most recent first
+	cache []spillCacheChunk // window reads, most recent first
+	free  []*chunkSlot      // slots of finished lane streams
 }
 
-type spillCacheEnt struct {
-	rank int
-	cols *Cols
+// chunkSlot is the storage of one decoded chunk: the record's bytes and the
+// columns decoded from them, both reused from chunk to chunk.
+type chunkSlot struct {
+	raw  []byte
+	cols Cols
 }
 
-// spillCacheLanes bounds the decoded-lane cache. The analyses touch one
-// lane at a time (plus the occasional critical-path hop back and forth), so
-// a handful of slots gives hits without holding the run.
-const spillCacheLanes = 4
+// spillCacheChunk is one decoded chunk of the window cache.
+type spillCacheChunk struct {
+	rank, idx int
+	have      colSet
+	slot      *chunkSlot
+}
+
+// spillCacheChunks bounds the window cache and the slot free list. A
+// critical-path residency sits in one chunk and now and then its
+// predecessor; a further entry is hit only when the path comes back to a
+// rank within the same chunk, which the collectives measured so far almost
+// never do (2 hits in the 827 hops of a P=1024 total exchange), so the cache
+// is mostly the walk's pool of decode slots.
+const spillCacheChunks = 4
 
 // OpenSpill parses a spill image from a random-access reader of the given
-// size.
+// size and checks its header, summary and index against that size; a file
+// that fails a check is reported with an error wrapping ErrCorruptSpill.
 func OpenSpill(r io.ReaderAt, size int64) (*Spill, error) {
 	if size < int64(len(spillMagic))+24 {
-		return nil, fmt.Errorf("trace: spill too short (%d bytes)", size)
+		return nil, fmt.Errorf("%w: too short (%d bytes)", ErrCorruptSpill, size)
 	}
 	foot := make([]byte, 24)
 	if _, err := r.ReadAt(foot, size-24); err != nil {
 		return nil, fmt.Errorf("trace: reading spill footer: %w", err)
 	}
 	if string(foot[16:]) != spillEndMagic {
-		return nil, fmt.Errorf("trace: not a sealed spill file (bad footer magic; was the run torn down before EndRun?)")
+		return nil, fmt.Errorf("%w: not a sealed spill file (bad footer magic; was the run torn down before EndRun?)", ErrCorruptSpill)
 	}
 	sumOff := int64(binary.LittleEndian.Uint64(foot[0:8]))
 	idxOff := int64(binary.LittleEndian.Uint64(foot[8:16]))
-	if sumOff < 0 || idxOff < sumOff || idxOff > size-24 {
-		return nil, fmt.Errorf("trace: corrupt spill footer offsets")
+	if sumOff < int64(len(spillMagic)) || idxOff < sumOff || idxOff > size-24 {
+		return nil, fmt.Errorf("%w: footer offsets outside the file", ErrCorruptSpill)
 	}
 
-	head := make([]byte, 4096)
-	if int64(len(head)) > sumOff {
-		head = head[:sumOff]
-	}
-	if _, err := r.ReadAt(head, 0); err != nil {
-		return nil, fmt.Errorf("trace: reading spill header: %w", err)
-	}
-	if len(head) < len(spillMagic) || string(head[:len(spillMagic)]) != spillMagic {
-		return nil, fmt.Errorf("trace: not a spill file (bad magic)")
-	}
-	hd := &decoder{b: head, pos: len(spillMagic)}
-	if v := hd.uvarint(); hd.err == nil && v != spillVersion {
-		return nil, fmt.Errorf("trace: unsupported spill version %d (want %d)", v, spillVersion)
-	}
-	meta := hd.meta()
-	if hd.err != nil {
-		// Long metadata may overrun the fixed probe; retry with the full
-		// pre-summary region.
-		full := make([]byte, sumOff)
-		if _, err := r.ReadAt(full, 0); err != nil {
+	// The metadata usually fits a fixed probe; when decoding runs off its
+	// end, retry over everything before the summary.
+	var meta Meta
+	var hd *decoder
+	for probe := min(sumOff, 4096); ; probe = sumOff {
+		head := make([]byte, probe)
+		if _, err := r.ReadAt(head, 0); err != nil {
 			return nil, fmt.Errorf("trace: reading spill header: %w", err)
 		}
-		hd = &decoder{b: full, pos: len(spillMagic)}
-		hd.uvarint()
+		if string(head[:len(spillMagic)]) != spillMagic {
+			return nil, fmt.Errorf("%w: not a spill file (bad magic)", ErrCorruptSpill)
+		}
+		hd = &decoder{b: head, pos: len(spillMagic)}
+		if v := hd.uvarint(); hd.err == nil && v != spillVersion {
+			return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorruptSpill, v, spillVersion)
+		}
 		meta = hd.meta()
-		if hd.err != nil {
+		if hd.err == nil {
+			break
+		}
+		if probe == sumOff {
 			return nil, hd.err
 		}
 	}
+	chunkLo := int64(hd.pos) // the chunk region is [chunkLo, sumOff)
 
 	tail := make([]byte, size-24-sumOff)
 	if _, err := r.ReadAt(tail, sumOff); err != nil {
 		return nil, fmt.Errorf("trace: reading spill summary/index: %w", err)
 	}
-	td := &decoder{b: tail}
+	td := &decoder{b: tail, base: sumOff}
 	if td.byte() != recSummary {
 		td.fail("expected summary record")
 	}
 	var sum Summary
-	nt := int(td.uvarint())
-	if td.err == nil {
-		sum.Times = td.f64Col(nil, nt)
-	}
+	nt := td.count(td.rest(), "finish time count")
+	td.f64Col(&sum.Times, nt, true)
 	if raw := td.rawBytes(8); raw != nil {
 		sum.MakeSpan = f64frombits(binary.LittleEndian.Uint64(raw))
 	}
 	sum.Messages = td.zigzag()
 	sum.Bytes = td.zigzag()
-	sum.Steps = int(td.uvarint())
+	steps := td.uvarint()
 	sum.ErrMsg = td.string()
 
-	if int64(td.pos) != idxOff-sumOff {
+	if td.err == nil && int64(td.pos) != idxOff-sumOff {
 		td.fail("summary/index offset mismatch")
 	}
 	if td.byte() != recIndex {
 		td.fail("expected index record")
 	}
-	nl := int(td.uvarint())
-	if td.err == nil && (nl < 0 || nl != meta.Procs) {
-		td.fail("index lane count mismatch")
+	// A lane takes at least two index bytes and a chunk three, which bounds
+	// both counts by the bytes left before anything is sized by them.
+	nl := td.count(td.rest()/2, "lane count")
+	if td.err == nil && (nl != meta.Procs || len(sum.Times) > nl) {
+		td.fail("lane count disagrees with the header or the summary")
 	}
 	lanes := make([]spillLaneIdx, 0, nl)
+	nevents, claimed := 0, int64(0)
 	for i := 0; i < nl && td.err == nil; i++ {
 		var l spillLaneIdx
-		l.total = int(td.uvarint())
-		nc := int(td.uvarint())
-		prev := int64(0)
+		l.total = td.count(math.MaxInt32, "lane event total")
+		nc := td.count(td.rest()/3, "lane chunk count")
+		l.chunks = make([]spillChunkIdx, 0, nc)
+		prev, counted := int64(0), 0
 		for j := 0; j < nc && td.err == nil; j++ {
-			off := prev + int64(td.uvarint())
-			sz := int64(td.uvarint())
-			cnt := int64(td.uvarint())
+			delta := td.uvarint()
+			if delta > uint64(sumOff-prev) {
+				td.fail("chunk offset outside the chunk region")
+				break
+			}
+			off := prev + int64(delta)
+			sz := td.count(int(min(sumOff-off, math.MaxInt32)), "chunk size")
+			// An event takes at least a byte of the record.
+			cnt := td.count(sz, "chunk event count")
+			if td.err == nil && (off < chunkLo || sz == 0 || cnt == 0) {
+				td.fail("empty chunk or chunk offset outside the chunk region")
+			}
 			l.chunks = append(l.chunks, spillChunkIdx{off: off, size: int32(sz), count: int32(cnt)})
 			prev = off
+			counted += cnt
+			claimed += int64(sz)
 		}
+		if td.err == nil && counted != l.total {
+			td.fail("lane total disagrees with its chunk counts")
+		}
+		nevents += counted
 		lanes = append(lanes, l)
+	}
+	// Chunks that do not overlap cannot claim more than the region holds;
+	// the check keeps an index of overlapping chunks from describing more
+	// events than the file has bytes.
+	if td.err == nil && claimed > sumOff-chunkLo {
+		td.fail("chunks claim more bytes than the chunk region holds")
+	}
+	// A step index is stamped by a boundary mark, so a run has no more step
+	// buckets than events (plus the trailing one).
+	if td.err == nil && steps > uint64(nevents)+1 {
+		td.fail("implausible superstep count")
 	}
 	if td.err != nil {
 		return nil, td.err
 	}
-	return &Spill{r: r, meta: meta, sum: sum, lanes: lanes}, nil
+	sum.Steps = int(steps)
+	return &Spill{r: r, meta: meta, sum: sum, lanes: lanes, nevents: nevents}, nil
 }
 
 // OpenSpillFile opens a spill file from disk; Close releases it.
@@ -702,81 +962,147 @@ func (s *Spill) NumLanes() int { return len(s.lanes) }
 // LaneLen implements Source (index lookup; no decoding).
 func (s *Spill) LaneLen(rank int) int { return s.lanes[rank].total }
 
-// readChunk fetches and decodes one chunk into dst.
-func (s *Spill) readChunk(ch spillChunkIdx, buf []byte, dst *Cols) ([]byte, error) {
-	if cap(buf) < int(ch.size) {
-		buf = make([]byte, ch.size)
+// ReadStats reports what the chunk reader has done since the file was
+// opened.
+func (s *Spill) ReadStats() SpillReadStats {
+	return SpillReadStats{
+		ChunksDecoded: s.chunksDecoded.Load(),
+		BytesRead:     s.bytesRead.Load(),
+		CacheHits:     s.cacheHits.Load(),
 	}
-	buf = buf[:ch.size]
-	if _, err := s.r.ReadAt(buf, ch.off); err != nil {
-		return buf, fmt.Errorf("trace: reading spill chunk: %w", err)
-	}
-	d := &decoder{b: buf}
-	if _, err := d.decodeChunk(dst); err != nil {
-		return buf, err
-	}
-	if dst.Len() != int(ch.count) {
-		return buf, fmt.Errorf("trace: spill chunk decoded %d events, index says %d", dst.Len(), ch.count)
-	}
-	return buf, nil
 }
 
-// LaneCols implements Source: the lane's chunks are decoded and
-// concatenated, then cached in a small LRU. The returned columns are valid
-// until spillCacheLanes further LaneCols calls.
-func (s *Spill) LaneCols(rank int) (*Cols, error) {
+// readChunk is the chunk reader: it fetches chunk ch of rank's lane, appends
+// the columns in want to slot.cols and checks what it decoded against the
+// index and the summary, so no consumer indexes by a value the file made up.
+func (s *Spill) readChunk(rank int, ch spillChunkIdx, want colSet, slot *chunkSlot) error {
+	slot.raw = slices.Grow(slot.raw[:0], int(ch.size))[:ch.size]
+	if _, err := s.r.ReadAt(slot.raw, ch.off); err != nil {
+		return fmt.Errorf("trace: reading spill chunk: %w", err)
+	}
+	s.chunksDecoded.Add(1)
+	s.bytesRead.Add(int64(ch.size))
+	c := &slot.cols
+	base := c.Len()
+	d := &decoder{b: slot.raw, base: ch.off}
+	gotRank, n := d.decodeChunk(c, want)
+	switch {
+	case d.err != nil:
+		return d.err
+	case gotRank != uint64(rank) || n != int(ch.count):
+		return corrupt("chunk header disagrees with the index", ch.off)
+	case slices.Max(c.Kind[base:]) >= numKinds: // n > 0: the index has no empty chunk
+		return corrupt("unknown event kind in chunk", ch.off)
+	case want&colStep != 0 && !int32sWithin(c.Step[base:], 0, s.sum.Steps):
+		return corrupt("event step outside the summary's superstep count in chunk", ch.off)
+	case want&colStage != 0 && !int32sWithin(c.Stage[base:], -1, s.nevents):
+		return corrupt("event stage beyond the run's event count in chunk", ch.off)
+	}
+	return nil
+}
+
+// int32sWithin reports whether every value of a non-empty column lies in
+// [lo, hi).
+func int32sWithin(col []int32, lo, hi int) bool {
+	return int(slices.Min(col)) >= lo && int(slices.Max(col)) < hi
+}
+
+// slot hands out a decode slot for one lane stream; release returns it.
+func (s *Spill) slot() *chunkSlot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.cache {
-		if s.cache[i].rank == rank {
-			ent := s.cache[i]
-			copy(s.cache[1:i+1], s.cache[:i])
-			s.cache[0] = ent
-			return ent.cols, nil
-		}
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		return slot
 	}
-	var dst *Cols
-	if len(s.cache) == spillCacheLanes {
-		dst = s.cache[len(s.cache)-1].cols
-		s.cache = s.cache[:len(s.cache)-1]
-		dst.truncate()
-	} else {
-		dst = &Cols{}
-	}
-	var buf []byte
-	var part Cols
-	var err error
-	for _, ch := range s.lanes[rank].chunks {
-		if buf, err = s.readChunk(ch, buf, &part); err != nil {
-			return nil, err
-		}
-		dst.appendCols(&part)
-	}
-	s.cache = append(s.cache, spillCacheEnt{})
-	copy(s.cache[1:], s.cache[:len(s.cache)-1])
-	s.cache[0] = spillCacheEnt{rank: rank, cols: dst}
-	return dst, nil
+	return &chunkSlot{}
 }
 
-// laneChunks implements the iterator's chunked access: each cursor decodes
-// one chunk at a time into its own buffer, independent of the LaneCols
-// cache, so a k-way merge over all lanes holds one chunk per lane.
-func (s *Spill) laneChunks(rank int) chunkPull {
+func (s *Spill) release(slot *chunkSlot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// A merge over every lane finishes with one slot per lane; keep a few.
+	if slot != nil && len(s.free) < spillCacheChunks {
+		s.free = append(s.free, slot)
+	}
+}
+
+// laneChunks implements laneChunker: the stream decodes one chunk at a time
+// into a slot it holds until the lane is exhausted, so a k-way merge over
+// all lanes holds one chunk per lane and a pass over one lane after another
+// reuses a single slot.
+func (s *Spill) laneChunks(rank int, want colSet) chunkPull {
 	chunks := s.lanes[rank].chunks
 	i := 0
-	var buf []byte
-	var cols Cols
+	var slot *chunkSlot
 	return func() (*Cols, error) {
 		if i >= len(chunks) {
+			s.release(slot)
+			slot = nil
 			return nil, nil
 		}
-		var err error
-		if buf, err = s.readChunk(chunks[i], buf, &cols); err != nil {
+		if slot == nil {
+			slot = s.slot()
+		}
+		slot.cols.truncate()
+		if err := s.readChunk(rank, chunks[i], want, slot); err != nil {
 			return nil, err
 		}
 		i++
-		return &cols, nil
+		return &slot.cols, nil
 	}
+}
+
+// laneWindow implements laneWindower: the decoded chunk that holds event i
+// of rank's lane and the lane index of its first event, through the chunk
+// cache. The columns are valid until the next laneWindow call.
+func (s *Spill) laneWindow(rank, i int, want colSet) (*Cols, int, error) {
+	chunks := s.lanes[rank].chunks
+	idx, base := 0, 0
+	for ; base+int(chunks[idx].count) <= i; idx++ {
+		base += int(chunks[idx].count)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for j, e := range s.cache {
+		if e.rank == rank && e.idx == idx && e.have&want == want {
+			copy(s.cache[1:j+1], s.cache[:j])
+			s.cache[0] = e
+			s.cacheHits.Add(1)
+			return &e.slot.cols, base, nil
+		}
+	}
+	var slot *chunkSlot
+	if n := len(s.cache); n == spillCacheChunks {
+		slot = s.cache[n-1].slot
+		s.cache = s.cache[:n-1]
+		slot.cols.truncate()
+	} else {
+		slot = &chunkSlot{}
+	}
+	if err := s.readChunk(rank, chunks[idx], want, slot); err != nil {
+		return nil, 0, err
+	}
+	s.cache = append(s.cache, spillCacheChunk{})
+	copy(s.cache[1:], s.cache)
+	s.cache[0] = spillCacheChunk{rank: rank, idx: idx, have: want, slot: slot}
+	return &slot.cols, base, nil
+}
+
+// LaneCols implements Source: the lane's chunks decoded back to back into
+// fresh columns the caller owns. Nothing in this package reads a spill this
+// way but Trace — the analyses stream chunks and never hold a lane.
+func (s *Spill) LaneCols(rank int) (*Cols, error) {
+	var slot chunkSlot
+	slot.cols.grow(s.lanes[rank].total)
+	for _, ch := range s.lanes[rank].chunks {
+		if err := s.readChunk(rank, ch, colsAll, &slot); err != nil {
+			return nil, err
+		}
+	}
+	cols := slot.cols // not &slot.cols: that would keep the record bytes alive
+	return &cols, nil
 }
 
 // Trace materializes the whole spill as an in-RAM Trace (small runs and
@@ -793,16 +1119,12 @@ func (s *Spill) Trace() (*Trace, error) {
 	if s.sum.ErrMsg != "" {
 		t.Err = fmt.Errorf("%s", s.sum.ErrMsg)
 	}
-	var buf []byte
-	var part Cols
-	var err error
 	for rank := range s.lanes {
-		for _, ch := range s.lanes[rank].chunks {
-			if buf, err = s.readChunk(ch, buf, &part); err != nil {
-				return nil, err
-			}
-			t.lanes[rank].appendCols(&part)
+		c, err := s.LaneCols(rank)
+		if err != nil {
+			return nil, err
 		}
+		t.lanes[rank] = *c
 	}
 	return t, nil
 }

@@ -116,75 +116,75 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// analyses is everything the package computes or renders from one source.
+type analyses struct {
+	CP         *trace.CriticalPath
+	Breakdown  *trace.Breakdown
+	HRelations []trace.HRelation
+	Stragglers []trace.Straggler
+	Rollup     *trace.Rollup
+	Report     []byte
+	Stream     []trace.Event // the merged iterator, to exhaustion
+	// Events and Chrome are the two per-event renderings, which cost more
+	// than everything above together; nil unless asked for.
+	Events, Chrome []byte
+}
+
+func analysesOf(t testing.TB, src trace.Source, renderEvents bool) analyses {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var a analyses
+	var err error
+	a.CP, err = trace.CriticalPathOf(src)
+	must(err)
+	a.Breakdown, err = trace.BreakdownOf(src)
+	must(err)
+	a.HRelations, err = trace.HRelationsOf(src)
+	must(err)
+	a.Stragglers = trace.StragglersOf(src)
+	a.Rollup, err = trace.RollupOf(src, trace.RollupOptions{})
+	must(err)
+	var rp bytes.Buffer
+	must(trace.WriteReport(&rp, src, trace.ReportOptions{}))
+	a.Report = rp.Bytes()
+	it, err := trace.NewIter(src)
+	must(err)
+	a.Stream = make([]trace.Event, 0, trace.NumEventsOf(src))
+	for ev, ok := it.Next(); ok; ev, ok = it.Next() {
+		a.Stream = append(a.Stream, ev)
+	}
+	must(it.Err())
+	if renderEvents {
+		var ev, ch bytes.Buffer
+		must(trace.WriteEvents(&ev, src))
+		must(trace.WriteChrome(&ch, src))
+		a.Events, a.Chrome = ev.Bytes(), ch.Bytes()
+	}
+	return a
+}
+
+// assertAgree requires every analysis and rendering of got to equal want's,
+// deeply or byte for byte.
+func assertAgree(t testing.TB, want, got analyses) {
+	t.Helper()
+	w, g := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := 0; i < w.NumField(); i++ {
+		if !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
+			t.Fatalf("%s differs between sources", w.Type().Field(i).Name)
+		}
+	}
+}
+
 // assertSourcesAgree requires every analysis and renderer to produce
 // identical results over the two sources.
 func assertSourcesAgree(t *testing.T, a, b trace.Source) {
 	t.Helper()
-	cpA, errA := trace.CriticalPathOf(a)
-	cpB, errB := trace.CriticalPathOf(b)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	if !reflect.DeepEqual(cpA, cpB) {
-		t.Fatal("critical paths differ between sources")
-	}
-	bdA, errA := trace.BreakdownOf(a)
-	bdB, errB := trace.BreakdownOf(b)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	if !reflect.DeepEqual(bdA, bdB) {
-		t.Fatal("breakdowns differ between sources")
-	}
-	hrA, errA := trace.HRelationsOf(a)
-	hrB, errB := trace.HRelationsOf(b)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	if !reflect.DeepEqual(hrA, hrB) {
-		t.Fatal("h-relations differ between sources")
-	}
-	if !reflect.DeepEqual(trace.StragglersOf(a), trace.StragglersOf(b)) {
-		t.Fatal("stragglers differ between sources")
-	}
-	ruA, errA := trace.RollupOf(a, trace.RollupOptions{})
-	ruB, errB := trace.RollupOf(b, trace.RollupOptions{})
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	if !reflect.DeepEqual(ruA, ruB) {
-		t.Fatal("rollups differ between sources")
-	}
-	var evA, evB bytes.Buffer
-	if err := trace.WriteEvents(&evA, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteEvents(&evB, b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(evA.Bytes(), evB.Bytes()) {
-		t.Fatal("event renderings differ between sources")
-	}
-	var chA, chB bytes.Buffer
-	if err := trace.WriteChrome(&chA, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteChrome(&chB, b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(chA.Bytes(), chB.Bytes()) {
-		t.Fatal("chrome renderings differ between sources")
-	}
-	var rpA, rpB bytes.Buffer
-	if err := trace.WriteReport(&rpA, a, trace.ReportOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteReport(&rpB, b, trace.ReportOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rpA.Bytes(), rpB.Bytes()) {
-		t.Fatal("reports differ between sources")
-	}
+	assertAgree(t, analysesOf(t, a, true), analysesOf(t, b, true))
 }
 
 // TestSpilledRunStreamsDuringTheRun pins the spill sink mechanics on a small

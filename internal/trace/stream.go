@@ -21,38 +21,74 @@ import "container/heap"
 // until the next pull.
 type chunkPull func() (*Cols, error)
 
-// laneChunker is the optional Source extension the iterator prefers: a
-// spill reader streams chunks straight off the file instead of decoding
-// whole lanes. Sources without it are read through LaneCols once per lane.
+// laneChunker is the optional Source extension every lane consumer prefers:
+// a spill reader streams chunks straight off the file, decoding only the
+// columns in want, instead of decoding whole lanes. A source without it is
+// read through LaneCols, one call per lane stream.
 type laneChunker interface {
-	laneChunks(rank int) chunkPull
+	laneChunks(rank int, want colSet) chunkPull
+}
+
+// laneWindower is the optional Source extension of the critical-path walk,
+// the one consumer that reads lanes at random: the chunk that holds event i
+// of rank's lane, with at least the columns in want, and the lane index of
+// the chunk's first event. The columns are valid until the next call.
+type laneWindower interface {
+	laneWindow(rank, i int, want colSet) (c *Cols, base int, err error)
 }
 
 // laneChunks implements laneChunker for the in-RAM trace: the whole lane is
-// one chunk.
-func (t *Trace) laneChunks(rank int) chunkPull {
-	c := &t.lanes[rank]
+// one chunk, with every column.
+func (t *Trace) laneChunks(rank int, _ colSet) chunkPull {
+	return oneChunk(func() (*Cols, error) { return &t.lanes[rank], nil })
+}
+
+// laneWindow implements laneWindower for the in-RAM trace: the whole lane,
+// at base 0.
+func (t *Trace) laneWindow(rank, _ int, _ colSet) (*Cols, int, error) {
+	return &t.lanes[rank], 0, nil
+}
+
+// oneChunk is the stream of a lane held whole.
+func oneChunk(lane func() (*Cols, error)) chunkPull {
 	done := false
 	return func() (*Cols, error) {
 		if done {
 			return nil, nil
 		}
 		done = true
-		return c, nil
+		return lane()
 	}
 }
 
-func chunkPullOf(src Source, rank int) chunkPull {
+func chunkPullOf(src Source, rank int, want colSet) chunkPull {
 	if lc, ok := src.(laneChunker); ok {
-		return lc.laneChunks(rank)
+		return lc.laneChunks(rank, want)
 	}
-	done := false
-	return func() (*Cols, error) {
-		if done {
-			return nil, nil
+	return oneChunk(func() (*Cols, error) { return src.LaneCols(rank) })
+}
+
+// eachChunk streams rank's lane through fn, chunk by chunk.
+func eachChunk(src Source, rank int, want colSet, fn func(c *Cols)) error {
+	pull := chunkPullOf(src, rank, want)
+	for {
+		c, err := pull()
+		if c == nil || err != nil {
+			return err
 		}
-		done = true
-		return src.LaneCols(rank)
+		fn(c)
+	}
+}
+
+// windowOf returns src's window read: its own when it has one, the whole
+// lane through LaneCols otherwise.
+func windowOf(src Source) func(rank, i int, want colSet) (*Cols, int, error) {
+	if lw, ok := src.(laneWindower); ok {
+		return lw.laneWindow
+	}
+	return func(rank, _ int, _ colSet) (*Cols, int, error) {
+		c, err := src.LaneCols(rank)
+		return c, 0, err
 	}
 }
 
@@ -158,7 +194,7 @@ type Iter struct {
 func NewIter(src Source) (*Iter, error) {
 	it := &Iter{}
 	for rank := 0; rank < src.NumLanes(); rank++ {
-		lc := &laneCursor{rank: int32(rank), pull: chunkPullOf(src, rank)}
+		lc := &laneCursor{rank: int32(rank), pull: chunkPullOf(src, rank, colsAll)}
 		if err := lc.refill(); err != nil {
 			return nil, err
 		}

@@ -21,6 +21,13 @@
 // (see spill.go for the format), bounding resident recorder memory at
 // roughly Procs × ChunkEvents events; the analyses then run directly off the
 // spill file through the same Source interface the in-RAM Trace implements.
+// They read a spill the way it was written, by the chunk: each pass names the
+// columns it needs, the reader decodes those and steps over the rest, and the
+// critical-path walk decodes only the chunks it lands in, so analysing a
+// spilled run holds a chunk per open lane stream, never a lane. A spill file
+// is outside input: OpenSpill checks the header, summary and index against
+// the file, the chunk reader checks every chunk it decodes against them, and
+// a file that fails either is reported with ErrCorruptSpill, not a panic.
 //
 // A nil *Recorder (the exported Disabled) is valid and records nothing; the
 // simulator's per-event cost in that mode is a single pointer test against a
@@ -292,8 +299,8 @@ func (c *Cols) slice(i, j int) Cols {
 	}
 }
 
-// appendCols appends src's events onto c (the chunk-concatenation path of
-// the spill reader).
+// appendCols appends src's events onto c (WriteSpill's re-chunking to the
+// canonical size).
 func (c *Cols) appendCols(src *Cols) {
 	c.Kind = append(c.Kind, src.Kind...)
 	c.Flags = append(c.Flags, src.Flags...)
@@ -450,7 +457,8 @@ func (r *Recorder) SpillErr() error {
 }
 
 // SpillStats reports what the last spilled run wrote: encoded chunks, events
-// and payload bytes (0s when the run did not spill).
+// and the file's size in bytes — header, chunk records and, once EndRun has
+// sealed it, summary, index and footer (0s when the run did not spill).
 func (r *Recorder) SpillStats() (chunks int, events, bytes int64) {
 	if r == nil {
 		return 0, 0, 0
@@ -570,10 +578,8 @@ func (r *Recorder) EndRun(times []float64, makespan float64, messages, bytes int
 	if r.sink != nil {
 		// Flush the per-lane remainders in rank order (deterministic tail
 		// layout), then seal the file.
-		laneLens := make([]int, len(r.lanes))
 		for i := range r.lanes {
 			r.lanes[i].flush()
-			laneLens[i] = r.lanes[i].Len()
 		}
 		errMsg := ""
 		if runErr != nil {
@@ -639,10 +645,11 @@ type Source interface {
 	// LaneLen returns the number of events in rank's lane without decoding
 	// it.
 	LaneLen(rank int) int
-	// LaneCols returns rank's columns in lane (clock) order. The returned
-	// view is valid until the next LaneCols call on the same source —
-	// spill readers rotate a small decode cache — so consumers stream one
-	// lane at a time and must not retain it.
+	// LaneCols returns rank's whole lane, every column, in lane (clock)
+	// order; treat it as read-only. An in-RAM trace returns a view of its
+	// own storage; a spill decodes the lane's chunks into fresh columns on
+	// every call, so over a spill prefer the analyses, which stream chunks
+	// and never hold a lane.
 	LaneCols(rank int) (*Cols, error)
 }
 

@@ -144,7 +144,7 @@ var Categories = itrace.Categories
 // pointer test per event.
 var Disabled = itrace.Disabled
 
-// Errors of the recorder lifecycle.
+// Errors of the recorder lifecycle and of reading a spill back.
 var (
 	// ErrNoRun is returned by Recorder.Trace before a run was recorded.
 	ErrNoRun = itrace.ErrNoRun
@@ -156,6 +156,10 @@ var (
 	// events streamed to the SpillTo writer and are no longer in RAM —
 	// open the spill file (OpenSpillFile) instead.
 	ErrSpilled = itrace.ErrSpilled
+	// ErrCorruptSpill is wrapped by every error OpenSpill, OpenSpillFile and
+	// the analyses return for a spill file that is truncated, damaged or
+	// inconsistent with itself; such a file is an error, never a panic.
+	ErrCorruptSpill = itrace.ErrCorruptSpill
 )
 
 // Spill types: SpillTo streams a run's lanes to a writer in a compact,
@@ -168,6 +172,9 @@ type (
 	// analysis and exporter works on it directly, and its Trace method
 	// materializes an in-RAM Trace when the run is small enough.
 	Spill = itrace.Spill
+	// SpillReadStats is what Spill.ReadStats reports: chunks decoded, bytes
+	// read and chunk-cache hits since the file was opened.
+	SpillReadStats = itrace.SpillReadStats
 )
 
 // NewRecorder returns an empty recorder.
