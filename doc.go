@@ -98,8 +98,12 @@
 // the count exchange ending a bsp Sync, an mpi schedule flood (which backs
 // the bsp.Ctx and mpi.Comm collectives) — brings all ranks to a rendezvous
 // where the last arriver evaluates the whole collective at once and resumes
-// everyone. Arbitrary closures around the collectives still run
-// concurrently, so the fast path is invisible except in wall-clock time.
+// everyone. The pairwise benchmark (bench.MeasurePairwise, behind
+// bench.ModelParams) is evaluated there too: a strict ping-pong gives
+// goroutines nothing to overlap, so the last arriver steps every pair's
+// messages through the evaluator one at a time. Arbitrary closures around
+// the collectives still run concurrently, so the fast path is invisible
+// except in wall-clock time.
 // WithConcurrentEngine (or sim.EngineConcurrent) opts a session out, forcing
 // every message through the mailboxes — useful for engine diffing and for
 // programs that break the collective-call contract the rendezvous relies on.

@@ -20,9 +20,13 @@
 //     inside a concurrent run, all ranks rendezvous at the run's simnet.Gate,
 //     and the last arriver evaluates the collective sequentially against the
 //     live per-rank clocks and port states, then resumes everyone. This is
-//     how barrier.Execute, the BSP count exchange and the mpi schedule flood
-//     route through the evaluator while arbitrary closures around them still
-//     run on the concurrent engine.
+//     how barrier.Execute, the BSP count exchange, the mpi schedule flood and
+//     the pairwise benchmark (bench.MeasurePairwise) route through the
+//     evaluator while arbitrary closures around them still run on the
+//     concurrent engine. The first three are stage graphs (ExecSchedule); the
+//     pairwise benchmark is P(P−1) ping-pong episodes, which its leader walks
+//     message by message through the point-to-point stepper (Post / Recv /
+//     Now).
 //
 // Both engines bill a message from one pricing call per ordered pair
 // (simnet.PairPricer, resolved once per evaluator): send consumes the priced
@@ -31,10 +35,10 @@
 // Per stage those records sit in one flat inbox laid out by a prefix sum over
 // the in-degrees. send, recvComplete and the wait/compute helpers below are
 // the package's only copy of the LogGP arithmetic — the per-rank, collapsed
-// and program walkers all call them (a sweep point runs the per-rank or the
-// collapsed walker, like any RunSchedule call) — and they perform the
-// operations of simnet.sendCore, resolveRecv, Wait and Compute in the same
-// order (the cross-engine diff tests pin the agreement).
+// and program walkers and the stepper all call them (a sweep point runs the
+// per-rank or the collapsed walker, like any RunSchedule call) — and they
+// perform the operations of simnet.sendCore, resolveRecv, Wait and Compute in
+// the same order (the cross-engine diff tests pin the agreement).
 package sched
 
 import (
@@ -271,7 +275,7 @@ func (e *Evaluator) ImportProcs(procs []*simnet.Proc) {
 	for i, p := range procs {
 		st := &e.states[i]
 		st.now, st.txFree, st.rxFree, st.noiseSeq = p.EvalState()
-		st.lane, st.step = p.EvalTrace()
+		st.lane, st.step, st.stage = p.EvalTrace()
 	}
 }
 
@@ -459,6 +463,39 @@ func (st *rankState) stageMark(stage int32) {
 	}
 	st.stage = stage
 }
+
+// InEdge is one injected message held by a point-to-point caller between the
+// Post that wrote it and the Recv that consumes it.
+type InEdge = inEdge
+
+// The point-to-point stepper: Post, Recv and Now let a gate leader (or any
+// holder of the evaluator) walk a workload that is not a stage graph — a
+// ping-pong, a drained burst — one message at a time, in each rank's program
+// order, with the caller keeping the in-flight records. They add no
+// arithmetic: lanes, the fault plan, ack mode and the per-rank noise order are
+// honoured by send, recvComplete and waitRecvAdvance, as in the stage walker.
+// The caller must Post a message before it Recvs it; virtual time does not
+// depend on how the ranks' steps interleave beyond that.
+
+// Post mirrors Proc.Post: rank src injects one size-byte message to dst at its
+// current clock — a fire-and-forget eager send, the completion time dropped —
+// and the message as its receiver needs it is written into in.
+func (e *Evaluator) Post(src, dst, tag, size int, in *InEdge) {
+	var pc pairCost
+	e.price(src, dst, &pc)
+	e.send(&e.states[src], src, dst, tag, size, &pc, in)
+}
+
+// Recv mirrors Proc.Recv for a message already injected: rank dst posts the
+// receive at its current clock and waits for in, which src posted with tag.
+func (e *Evaluator) Recv(dst, src, tag int, in *InEdge) {
+	st := &e.states[dst]
+	completeAt, gated := st.recvComplete(st.now, in)
+	st.waitRecvAdvance(e.ft, dst, completeAt, src, tag, in, gated)
+}
+
+// Now returns rank's clock.
+func (e *Evaluator) Now(rank int) float64 { return e.states[rank].now }
 
 // ExecSchedule evaluates one execution of the schedule: per stage, every rank
 // posts its receives, injects its sends and then waits — receives first, then

@@ -689,8 +689,10 @@ func (p *Proc) SetEvalState(now, txFree, rxFree float64, noiseSeq uint64) {
 }
 
 // EvalTrace exports the rank's trace lane (nil on untraced runs) and the
-// superstep label events recorded now would carry.
-func (p *Proc) EvalTrace() (lane *trace.Lane, step int32) { return p.tr, p.curStep }
+// superstep and stage labels events recorded now would carry.
+func (p *Proc) EvalTrace() (lane *trace.Lane, step, stage int32) {
+	return p.tr, p.curStep, p.curStage
+}
 
 // MachineOf returns the machine the run executes on.
 func (p *Proc) MachineOf() Machine { return p.w.machine }
@@ -718,6 +720,17 @@ func (p *Proc) AddTraffic(messages, bytes int64) {
 // with EngineConcurrent — callers use it as the engine switch: a nil gate
 // means "walk the collective concurrently".
 func (p *Proc) SharedGate() *Gate { return p.w.gate }
+
+// CheckCancelled unwinds the calling rank through the run's cancellation path
+// (exactly as a receive entered after teardown began does) when the run has
+// been cancelled by its deadline or context. A gate leader polls it during a
+// long evaluation: teardown cannot wake a leader the way it wakes a parked or
+// receiving rank, because nothing the leader does blocks.
+func (p *Proc) CheckCancelled() {
+	if p.w.cancelled.Load() {
+		panic(cancelPanic{})
+	}
+}
 
 // RunProcs returns all ranks' process handles, indexed by rank. Only the
 // gate leader may touch peers' handles (see Gate).

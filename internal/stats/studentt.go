@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"sync"
 )
 
 // The thesis' kernel-rate benchmark filters outliers by requiring every
@@ -59,6 +60,10 @@ func TCDF(x, nu float64) float64 {
 // P(-t* <= T <= t*) = confidence. The inverse is found by bisection over the
 // trapezoid-integrated CDF, mirroring the thesis' linear-interpolation
 // refinement below the integration resolution.
+//
+// The search costs about 0.7 M density evaluations and the function is pure,
+// so each (nu, confidence) is computed once per process: the outlier filter
+// asks for the same pair every re-sampling round.
 func TCritical(nu, confidence float64) (float64, error) {
 	if nu <= 0 {
 		return 0, errors.New("stats: degrees of freedom must be positive")
@@ -66,6 +71,38 @@ func TCritical(nu, confidence float64) (float64, error) {
 	if confidence <= 0 || confidence >= 1 {
 		return 0, errors.New("stats: confidence must be in (0,1)")
 	}
+	key := [2]float64{nu, confidence}
+	tCritMemo.Lock()
+	t, ok := tCritMemo.m[key]
+	tCritMemo.Unlock()
+	if ok {
+		return t, nil
+	}
+	t, err := tCriticalSearch(nu, confidence)
+	if err != nil {
+		return 0, err
+	}
+	tCritMemo.Lock()
+	if len(tCritMemo.m) < tCritMemoMax {
+		tCritMemo.m[key] = t
+	}
+	tCritMemo.Unlock()
+	return t, nil
+}
+
+// tCritMemo holds the critical values computed so far. Callers ask for a
+// handful of sample counts at one or two confidence levels; the cap only keeps
+// a caller that sweeps either argument from growing the map without bound
+// (past it, values are recomputed as before).
+var tCritMemo = struct {
+	sync.Mutex
+	m map[[2]float64]float64
+}{m: map[[2]float64]float64{}}
+
+const tCritMemoMax = 1024
+
+// tCriticalSearch is the uncached bisection behind TCritical.
+func tCriticalSearch(nu, confidence float64) (float64, error) {
 	target := 0.5 + confidence/2
 	lo, hi := 0.0, 1.0
 	for TCDF(hi, nu) < target {

@@ -145,3 +145,25 @@ func TestOutlierFilterDefaultsApplied(t *testing.T) {
 		t.Fatalf("got %d values", len(res.Values))
 	}
 }
+
+// TestTCriticalMemoMatchesSearch checks the memoized entry point against the
+// bisection it caches, first call and repeat alike, by bits.
+func TestTCriticalMemoMatchesSearch(t *testing.T) {
+	for _, nu := range []float64{1, 4, 9, 29} {
+		for _, conf := range []float64{0.9, 0.95} {
+			want, err := tCriticalSearch(nu, conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for call := 0; call < 2; call++ {
+				got, err := TCritical(nu, conf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("TCritical(%g, %g) call %d = %.17g, search %.17g", nu, conf, call, got, want)
+				}
+			}
+		}
+	}
+}

@@ -93,7 +93,7 @@ func BSPProgram(procs int, cfg Config, overlapFraction float64, checksums []floa
 
 	return func(ctx *bsp.Ctx) error {
 		rank := ctx.Pid()
-		grid := newLocalGrid(d, rank)
+		grid := newLocalGrid(d, rank, cfg.Synthetic)
 		neigh := d.Neighbors(rank)
 
 		// Register one contiguous ghost landing buffer per direction.

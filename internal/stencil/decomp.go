@@ -166,7 +166,8 @@ func (c Config) Validate() error {
 
 // initialValue is the deterministic initial condition used by every
 // implementation so their results can be compared cell by cell: a smooth bump
-// plus a hot plate on part of the northern boundary.
+// plus a hot plate on part of the northern boundary. It is the cell-wise
+// reference; newLocalGrid fills a grid from the bump's two separable factors.
 func initialValue(n, row, col int) float64 {
 	if row == 0 && col >= n/4 && col < 3*n/4 {
 		return 100
@@ -183,17 +184,42 @@ type localGrid struct {
 	cur, next  []float64
 }
 
-func newLocalGrid(d Decomposition, rank int) *localGrid {
+// newLocalGrid returns rank's block of the initial condition. A synthetic
+// run never sweeps (Config.Synthetic), so its owned cells keep their initial
+// values in both buffers for the whole run; it gets one buffer under both
+// names instead of two equal ones.
+func newLocalGrid(d Decomposition, rank int, synthetic bool) *localGrid {
 	rows, cols := d.LocalSize(rank)
 	g := &localGrid{rows: rows, cols: cols}
 	g.cur = make([]float64, (rows+2)*(cols+2))
-	g.next = make([]float64, (rows+2)*(cols+2))
 	gr, gc := d.GlobalOrigin(rank)
+	// The bump is separable, 25·sin(πx) by column times sin(πy) by row: one
+	// sine per column and one per row instead of two per cell, multiplied in
+	// initialValue's order so every cell keeps its bits.
+	n := d.N
+	byCol := make([]float64, cols)
+	for c := range byCol {
+		byCol[c] = 25 * math.Sin(math.Pi*(float64(gc+c)/float64(n-1)))
+	}
 	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			g.cur[g.index(r, c)] = initialValue(d.N, gr+r, gc+c)
+		row := g.cur[g.index(r, 0):g.index(r, cols)]
+		sinY := math.Sin(math.Pi * (float64(gr+r) / float64(n-1)))
+		for c := range row {
+			row[c] = byCol[c] * sinY
+		}
+		if gr+r == 0 {
+			for c := range row {
+				if col := gc + c; col >= n/4 && col < 3*n/4 {
+					row[c] = 100
+				}
+			}
 		}
 	}
+	if synthetic {
+		g.next = g.cur
+		return g
+	}
+	g.next = make([]float64, len(g.cur))
 	copy(g.next, g.cur)
 	return g
 }

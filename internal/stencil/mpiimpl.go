@@ -39,7 +39,7 @@ func runMessagePassing(m *platform.Machine, cfg Config, restructured bool, compu
 
 	res, err := mpi.Run(m, func(c *mpi.Comm) error {
 		rank := c.Rank()
-		grid := newLocalGrid(d, rank)
+		grid := newLocalGrid(d, rank, cfg.Synthetic)
 		neigh := d.Neighbors(rank)
 
 		compute := func(k kernels.Kernel, cells int) {

@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -368,5 +369,76 @@ func TestDecompositionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLocalGridMatchesInitialValue pins newLocalGrid's separable fill to the
+// cell-wise reference bit for bit, hot plate included, with a zero ghost
+// frame and next a copy of cur.
+func TestLocalGridMatchesInitialValue(t *testing.T) {
+	for _, tc := range []struct{ n, p int }{{3, 1}, {17, 1}, {16, 4}, {33, 6}, {64, 16}, {50, 7}} {
+		d, err := Decompose(tc.n, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank := 0; rank < d.Procs(); rank++ {
+			g := newLocalGrid(d, rank, false)
+			gr, gc := d.GlobalOrigin(rank)
+			for r := -1; r <= g.rows; r++ {
+				for c := -1; c <= g.cols; c++ {
+					want := 0.0
+					if r >= 0 && r < g.rows && c >= 0 && c < g.cols {
+						want = initialValue(tc.n, gr+r, gc+c)
+					}
+					got := g.cur[g.index(r, c)]
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d p=%d rank %d cell (%d,%d): %.17g, want %.17g", tc.n, tc.p, rank, r, c, got, want)
+					}
+					if next := g.next[g.index(r, c)]; math.Float64bits(next) != math.Float64bits(got) {
+						t.Fatalf("n=%d p=%d rank %d cell (%d,%d): next %.17g, cur %.17g", tc.n, tc.p, rank, r, c, next, got)
+					}
+				}
+			}
+			if &g.next[0] == &g.cur[0] {
+				t.Fatalf("n=%d p=%d rank %d: a sweeping run's buffers alias", tc.n, tc.p, rank)
+			}
+			syn := newLocalGrid(d, rank, true)
+			if &syn.next[0] != &syn.cur[0] || !slices.Equal(syn.cur, g.cur) {
+				t.Fatalf("n=%d p=%d rank %d: synthetic grid is not the one initial buffer under both names", tc.n, tc.p, rank)
+			}
+		}
+	}
+}
+
+// TestSyntheticRunKeepsInitialChecksum runs the synthetic variants on their
+// single buffer: no cell is ever updated, so after any number of iterations
+// and buffer swaps the checksum is the initial condition's, rank by rank.
+func TestSyntheticRunKeepsInitialChecksum(t *testing.T) {
+	const n, p = 48, 6
+	m, err := platform.Xeon8x2x4().Machine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Decompose(n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for rank := 0; rank < p; rank++ {
+		want += newLocalGrid(d, rank, false).checksum()
+	}
+	cfg := Config{N: n, Iterations: 3, C: 0.2, Synthetic: true}
+	bspRes, err := RunBSP(m, cfg, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpiRes, err := RunMPI(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []*RunResult{bspRes, mpiRes} {
+		if math.Float64bits(res.Checksum) != math.Float64bits(want) {
+			t.Errorf("%s: checksum %.17g, initial condition %.17g", res.Implementation, res.Checksum, want)
+		}
 	}
 }
