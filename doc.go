@@ -83,11 +83,17 @@
 //     sequentially, 5–10x faster at P ≥ 256, and scale to rank counts
 //     (P = 4096) the concurrent engine cannot reach.
 //
-// Both engines bill a message through one pricing call per ordered pair
-// (sim.PairPricer's Pair: latency, gap, inverse bandwidth, overhead, the
-// return latency of the ack leg and NIC sharing, classified and hashed
-// once), resolved once per run; the sender's gap term travels with the
-// message, so receive completions never consult the machine. A machine has
+// The cost model itself exists once: one LogGP kernel holds what a compute
+// interval, a send, a receive completion and a wait do to a rank's clock,
+// ports and noise position, with the fault hooks and the trace events they
+// record, and both engines call it. The engines differ in who orders the
+// operations and how a receive finds its message — which is what the
+// cross-engine tests pin — never in what an operation costs. A message is
+// billed through one pricing call per ordered pair (sim.PairPricer's Pair:
+// latency, gap, inverse bandwidth, overhead, the return latency of the ack
+// leg and NIC sharing, classified and hashed once), resolved once per run;
+// the sender's gap term travels with the message, so receive completions
+// never consult the machine. A machine has
 // a single O(P) representation — per-class link columns plus the per-pair
 // heterogeneity hash, never P×P matrices — and the direct evaluator keeps
 // each stage's deliveries in one flat inbox indexed by a prefix sum over the

@@ -78,11 +78,10 @@ func Execute(c *mpi.Comm, pat *Pattern, generation int) {
 }
 
 // executeDirect evaluates one pattern execution at the run's gate: the last
-// rank to arrive imports every rank's LogGP state, replays the execution's
-// operations sequentially and exports the advanced clocks. A run whose ranks
-// arrive with different patterns has violated the collective contract; the
-// resulting error panics the ranks (the concurrent engine would deadlock or
-// cross-match instead).
+// rank to arrive performs the execution's operations sequentially on every
+// rank's LogGP state (sched.AtGate). A run whose ranks arrive with different
+// patterns has violated the collective contract; the resulting error panics
+// the ranks (the concurrent engine would deadlock or cross-match instead).
 func executeDirect(g *simnet.Gate, p *simnet.Proc, pat *Pattern) {
 	err := g.Arrive(p, pat, func(tickets []any) error {
 		for r, t := range tickets {
@@ -90,11 +89,7 @@ func executeDirect(g *simnet.Gate, p *simnet.Proc, pat *Pattern) {
 				return fmt.Errorf("barrier: rank %d executes a different pattern (Execute is collective)", r)
 			}
 		}
-		procs := p.RunProcs()
-		ev := sched.EvaluatorAt(g, p)
-		ev.ImportProcs(procs)
-		ev.ExecSchedule(pat.ScheduleView(), baseTag, true)
-		ev.ExportProcs(procs)
+		sched.AtGate(g, p, func(ev *sched.Evaluator) { ev.ExecSchedule(pat.ScheduleView(), baseTag, true) })
 		return nil
 	})
 	if err != nil {

@@ -175,18 +175,15 @@ func pairwiseAtGate(g *simnet.Gate, proc *simnet.Proc, opts PairwiseOptions, res
 				return fmt.Errorf("bench: rank %d runs a different pairwise benchmark (MeasurePairwise is collective)", r)
 			}
 		}
-		procs := proc.RunProcs()
-		ev := sched.EvaluatorAt(g, proc)
-		ev.ImportProcs(procs)
-		port := &evalPort{ev: ev}
-		for d := range port.inFlight {
-			port.inFlight[d].buf = make([]sched.InEdge, opts.Samples*opts.OverheadBatch)
-		}
-		if err := newPairRun(port, opts, res).walk(proc); err != nil {
-			return err
-		}
-		ev.ExportProcs(procs)
-		return nil
+		var err error
+		sched.AtGate(g, proc, func(ev *sched.Evaluator) {
+			port := &evalPort{ev: ev}
+			for d := range port.inFlight {
+				port.inFlight[d].buf = make([]sched.InEdge, opts.Samples*opts.OverheadBatch)
+			}
+			err = newPairRun(port, opts, res).walk(proc)
+		})
+		return err
 	})
 }
 

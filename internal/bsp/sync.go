@@ -143,11 +143,7 @@ func (c *Ctx) directExchange(g *simnet.Gate, dx directExchanger) ([][]int, error
 		if err != nil {
 			return err
 		}
-		procs := c.proc.RunProcs()
-		ev := sched.EvaluatorAt(g, c.proc)
-		ev.ImportProcs(procs)
-		ev.ExecScheduleAuto(sch, tagCountBase, false)
-		ev.ExportProcs(procs)
+		sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(sch, tagCountBase, false) })
 		for _, ti := range tickets {
 			*ti.(*syncTicket).out = rows
 		}

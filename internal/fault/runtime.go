@@ -6,8 +6,8 @@ import (
 	"math"
 )
 
-// Runtime is a plan compiled against a rank count, queried by both engines
-// from their hot paths. All queries are pure functions of (plan, rank, noise
+// Runtime is a plan compiled against a rank count, queried by the LogGP
+// kernel (internal/loggp) from both engines' hot paths. All queries are pure functions of (plan, rank, noise
 // sequence, virtual clock), never of wall-clock or goroutine order.
 type Runtime struct {
 	procs     int
@@ -145,8 +145,9 @@ func (rt *Runtime) linkMatches(r *LinkRule, src, dst int) bool {
 // old to next: if the advance crosses the rank's fail time, the crash
 // penalty (restart + recompute from the last checkpoint) is added and
 // returned. The invariant "penalty consumed ⇔ clock >= fail time" keeps the
-// fail-stop state fully derivable from the clock itself, so rank state
-// handed between the engines (Proc.EvalState) needs no extra fields.
+// fail-stop state fully derivable from the clock itself, so the rank state
+// copied between the engines at a gate rendezvous (loggp.State) needs no
+// extra fields.
 func (rt *Runtime) Cross(rank int, old, next float64) (adjusted, penalty float64) {
 	f := &rt.fail[rank]
 	if !f.has || old >= f.failAt || next < f.failAt {

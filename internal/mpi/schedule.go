@@ -162,11 +162,7 @@ func (c *Comm) floodDirect(g *simnet.Gate, s Schedule, view sched.Schedule, own 
 			}
 			owns[r] = ft.own
 		}
-		procs := c.proc.RunProcs()
-		ev := sched.EvaluatorAt(g, c.proc)
-		ev.ImportProcs(procs)
-		ev.ExecScheduleAuto(view, tagSchedule, false)
-		ev.ExportProcs(procs)
+		sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(view, tagSchedule, false) })
 		reach := reachOf(s, view)
 		for r, ti := range tickets {
 			ft := ti.(*floodTicket)

@@ -3,19 +3,20 @@ package sched
 import (
 	"reflect"
 
+	"hbsp/internal/loggp"
 	"hbsp/internal/simnet"
 )
 
-// Collapsed execution: ExecCollapsed evaluates one representative rankState
+// Collapsed execution: execCollapsed evaluates one representative rank state
 // per equivalence class per stage instead of all P ranks. Member states are
-// untouched until ReplicateClasses copies the representative's clock, port
+// untouched until replicateClasses copies the representative's clock, port
 // and noise-stream state across each class — so a run of consecutive
 // executions pays O(classes·stages) evaluation plus one O(P) assembly.
 //
-// The arithmetic is the same send/recvComplete code the per-rank sweep uses;
-// only the iteration domain shrinks. Collapse preconditions (checked by the
-// callers): the partition came from CollapseClasses on this machine and
-// schedule, no trace lanes are attached, and entry states are class-aligned.
+// The arithmetic is the kernel's, as in the per-rank sweep; only the
+// iteration domain shrinks. Collapse preconditions (checked by the callers):
+// the partition came from collapseClassesWith on this machine and schedule,
+// no trace lanes are attached, and entry states are class-aligned.
 
 // partEntry is one cached collapse decision: the partition (nil = collapse
 // does not apply) together with its diagnostic.
@@ -45,8 +46,8 @@ func (e *Evaluator) ExecScheduleAuto(s Schedule, tagBase int, computeEmpty bool)
 		e.ExecSchedule(s, tagBase, computeEmpty)
 		return
 	}
-	e.ExecCollapsed(s, part, tagBase, computeEmpty)
-	e.ReplicateClasses(part)
+	e.execCollapsed(s, part, tagBase, computeEmpty, nil)
+	e.replicateClasses(part)
 }
 
 // partitionFor returns the cached rank-equivalence partition of the schedule
@@ -60,11 +61,11 @@ func (e *Evaluator) partitionFor(s Schedule) (*Partition, simnet.Collapse) {
 		return nil, simnet.Collapse{Reason: simnet.CollapseReasonOff}
 	}
 	if !reflect.TypeOf(s).Comparable() {
-		return CollapseClassesWith(e.m, s, e.ft)
+		return collapseClassesWith(e.m, s, e.env.Faults)
 	}
 	ent, ok := e.partCache[s]
 	if !ok {
-		ent.part, ent.info = CollapseClassesWith(e.m, s, e.ft)
+		ent.part, ent.info = collapseClassesWith(e.m, s, e.env.Faults)
 		if e.partCache == nil {
 			e.partCache = make(map[Schedule]partEntry)
 		}
@@ -76,7 +77,7 @@ func (e *Evaluator) partitionFor(s Schedule) (*Partition, simnet.Collapse) {
 // tracing reports whether any rank currently has a trace lane attached.
 func (e *Evaluator) tracing() bool {
 	for r := range e.states {
-		if e.states[r].lane != nil {
+		if e.states[r].Lane != nil {
 			return true
 		}
 	}
@@ -91,7 +92,7 @@ func (e *Evaluator) tracing() bool {
 func (e *Evaluator) classesAligned(part *Partition) bool {
 	for r := range e.states {
 		rs := &e.states[r]
-		if rs.lane != nil {
+		if rs.Lane != nil {
 			return false
 		}
 		rep := part.Reps[part.ClassOf[r]]
@@ -99,50 +100,39 @@ func (e *Evaluator) classesAligned(part *Partition) bool {
 			continue
 		}
 		ps := &e.states[rep]
-		if rs.now != ps.now || rs.txFree != ps.txFree || rs.rxFree != ps.rxFree || rs.noiseSeq != ps.noiseSeq {
+		if rs.Now != ps.Now || rs.TxFree != ps.TxFree || rs.RxFree != ps.RxFree || rs.NoiseSeq != ps.NoiseSeq {
 			return false
 		}
 	}
 	return true
 }
 
-// ReplicateClasses copies each representative's state across its class —
+// replicateClasses copies each representative's state across its class —
 // the O(P) result-assembly step after any number of collapsed executions.
-func (e *Evaluator) ReplicateClasses(part *Partition) {
+func (e *Evaluator) replicateClasses(part *Partition) {
 	for r := range e.states {
-		rep := part.Reps[part.ClassOf[r]]
-		if int32(r) == rep {
-			continue
+		if rep := part.Reps[part.ClassOf[r]]; int32(r) != rep {
+			copyClock(&e.states[r], &e.states[rep])
 		}
-		rs, ps := &e.states[r], &e.states[rep]
-		rs.now, rs.txFree, rs.rxFree, rs.noiseSeq = ps.now, ps.txFree, ps.rxFree, ps.noiseSeq
 	}
 }
 
-// ExecCollapsed evaluates one execution of the schedule over class
-// representatives only (see the collapse preconditions above). Traffic
-// counters account for the whole class: every member performs the
-// representative's sends.
-func (e *Evaluator) ExecCollapsed(s Schedule, part *Partition, tagBase int, computeEmpty bool) {
-	e.execCollapsed(s, part, tagBase, computeEmpty, nil)
-}
-
-// execCollapsed is ExecCollapsed with an optional per-stage cancellation
-// checker (hot at P=1M, where one execution is minutes of wall time under
-// the per-rank sweep and still non-trivial collapsed).
+// execCollapsed evaluates one execution of the schedule over class
+// representatives only (see the collapse preconditions above), with an
+// optional per-stage cancellation checker (one P=1M execution is no longer
+// negligible wall time). Traffic counters account for the whole class: every
+// member performs the representative's sends. A one-class partition over a
+// circulant schedule — the shape that carries P=1M runs — costs O(1) per
+// stage here: the stage view derives the single peer pair on the fly and no
+// adjacency is materialized.
 func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, computeEmpty bool, chk *stageChecker) error {
-	if part.NumClasses() == 1 {
-		if cs, ok := s.(CirculantSchedule); ok {
-			return e.execCollapsedCirculant(cs, tagBase, computeEmpty, chk)
-		}
-	}
 	nc := part.NumClasses()
 	if cap(e.classIn) < nc {
-		e.classIn = make([][]inEdge, nc)
+		e.classIn = make([][]loggp.Edge, nc)
 	}
 	classIn := e.classIn[:nc]
 	v := viewOf(s)
-	var pc pairCost
+	env := &e.env
 	for sg := 0; sg < s.NumStages(); sg++ {
 		if chk != nil {
 			if err := chk.tick(); err != nil {
@@ -161,19 +151,18 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 			outs := v.outs(r)
 			if len(outs) == 0 && len(v.ins(r)) == 0 {
 				if computeEmpty {
-					rs.compute(e.m, e.ft, r, 0)
+					rs.Compute(env, r, 0)
 				}
 				continue
 			}
-			e.entry[r] = rs.now
+			e.entry[r] = rs.Now
 			if len(outs) > 0 {
 				ci := classIn[c][:0]
 				var repBytes int64
 				for k, dst := range outs {
 					size := v.outSize(r, k)
-					e.price(r, dst, &pc)
-					ci = append(ci, inEdge{})
-					done = append(done, e.send(rs, r, dst, tag, size, &pc, &ci[k]))
+					ci = append(ci, loggp.Edge{})
+					done = append(done, e.send(rs, r, dst, tag, size, &ci[k]))
 					repBytes += int64(size)
 				}
 				classIn[c] = ci
@@ -189,69 +178,23 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 		// edge order. An in-edge from src at out-position k carries the same
 		// record src's representative produced at position k (class
 		// equivalence covers pair class, position and size), so the class
-		// queue substitutes for the per-receiver inbox. Clock advances go
-		// straight through setNow: lanes are nil under collapse, and this form
-		// never reads the record's int32 payload size (count-exchange payloads
-		// exceed int32 at P=1M); fail-stop crossings still apply — a class
-		// whose members all fail identically collapses like any other.
+		// queue substitutes for the per-receiver inbox. Lanes are nil under
+		// collapse, so the waits are plain clock advances; fail-stop
+		// crossings still apply — a class whose members all fail identically
+		// collapses like any other.
 		sent := 0
 		for c := 0; c < nc; c++ {
 			r := int(part.Reps[c])
 			rs := &e.states[r]
 			for _, src := range v.ins(r) {
 				k := outPosition(v.outs(src), r)
-				completeAt, _ := rs.recvComplete(e.entry[r], &classIn[part.ClassOf[src]][k])
-				if completeAt > rs.now {
-					rs.setNow(e.ft, r, completeAt)
-				}
+				completeAt, _ := rs.RecvComplete(e.entry[r], &classIn[part.ClassOf[src]][k])
+				rs.AdvanceTo(env, r, completeAt)
 			}
 			for range v.outs(r) {
-				if completeAt := done[sent]; completeAt > rs.now {
-					rs.setNow(e.ft, r, completeAt)
-				}
+				rs.AdvanceTo(env, r, done[sent])
 				sent++
 			}
-		}
-	}
-	return nil
-}
-
-// execCollapsedCirculant is the O(1)-per-stage fast path for a single-class
-// partition over a circulant schedule: stage k is one uniform edge
-// i→(i+d) mod P, so evaluating rank 0's send and its receive from P−d
-// evaluates every rank. No stage adjacency is materialized — this is the
-// path that carries P=1M runs.
-func (e *Evaluator) execCollapsedCirculant(cs CirculantSchedule, tagBase int, computeEmpty bool, chk *stageChecker) error {
-	p := len(e.states)
-	rs := &e.states[0]
-	var pc pairCost
-	var in inEdge
-	for sg := 0; sg < cs.NumStages(); sg++ {
-		if chk != nil {
-			if err := chk.tick(); err != nil {
-				return err
-			}
-		}
-		off, size := cs.CirculantStage(sg)
-		if off == 0 {
-			if computeEmpty {
-				rs.compute(e.m, e.ft, 0, 0)
-			}
-			continue
-		}
-		tag := tagBase + sg
-		entry := rs.now
-		e.price(0, off, &pc)
-		sendDone := e.send(rs, 0, off, tag, size, &pc, &in)
-		e.messages += int64(p - 1)
-		e.bytes += int64(p-1) * int64(size)
-		// By symmetry the message arriving from p-off equals rank 0's own.
-		recvDone, _ := rs.recvComplete(entry, &in)
-		if recvDone > rs.now {
-			rs.setNow(e.ft, 0, recvDone)
-		}
-		if sendDone > rs.now {
-			rs.setNow(e.ft, 0, sendDone)
 		}
 	}
 	return nil

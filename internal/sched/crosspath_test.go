@@ -1,15 +1,19 @@
 package sched_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/fault"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
+	"hbsp/internal/trace"
 )
 
 // rowsMachine is a machine given by explicit pairwise rows — the shape of an
@@ -104,9 +108,9 @@ func randomSchedule(t *testing.T, rng *rand.Rand, p int) (string, sched.Schedule
 
 // programOf lowers execs executions of a schedule to the op-stream the
 // concurrent stage walkers perform (barrier.Execute's convention, which
-// RunSchedule mirrors): per stage every rank posts its receives, injects its
-// sends, then waits receives first and sends second, in edge order; a rank
-// with no edges pays an empty Compute(0).
+// RunSchedule follows): per stage every rank marks the stage, posts its
+// receives, injects its sends, then waits receives first and sends second, in
+// edge order; a rank with no edges pays an empty Compute(0).
 func programOf(s sched.Schedule, execs int) *simnet.Program {
 	p := s.NumProcs()
 	pr := simnet.NewProgram(p)
@@ -116,6 +120,7 @@ func programOf(s sched.Schedule, execs int) *simnet.Program {
 			tag := sched.ScheduleTagBase + sg
 			for r := 0; r < p; r++ {
 				b := pr.Rank(r)
+				b.Stage(sg)
 				if len(st.In[r]) == 0 && len(st.Out[r]) == 0 {
 					b.Compute(0)
 					continue
@@ -140,12 +145,34 @@ func programOf(s sched.Schedule, execs int) *simnet.Program {
 	return pr
 }
 
+// spillOf makes one traced run and returns its result with the recording as
+// spill bytes — run metadata, summary and every lane, event for event.
+func spillOf(t *testing.T, tag string, run func(rec *trace.Recorder) (*simnet.Result, error)) (*simnet.Result, []byte) {
+	t.Helper()
+	rec := trace.NewRecorder()
+	res, err := run(rec)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	tr, err := rec.Trace()
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteSpill(&buf, tr); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	return res, buf.Bytes()
+}
+
 // crossPaths evaluates execs executions of the schedule on every path — the
 // concurrent engine, RunSchedule with collapse on and off, and SweepEvaluators
 // (collapse on and off) that evaluate the point twice, one on a fresh arena
 // and one that first ran an unrelated point on a machine of a different rank
 // count and was rebased — and requires identical Times, MakeSpan, Messages
-// and Bytes.
+// and Bytes. A traced leg then runs the concurrent engine and RunSchedule
+// with a recorder each and requires the same result and byte-identical
+// recordings.
 func crossPaths(t *testing.T, tag string, m simnet.Machine, s sched.Schedule, execs int, ack bool, plan *fault.Plan) *simnet.Result {
 	t.Helper()
 	ctx := context.Background()
@@ -203,13 +230,31 @@ func crossPaths(t *testing.T, tag string, m simnet.Machine, s sched.Schedule, ex
 			sw.Release()
 		}
 	}
+
+	pr := programOf(s, execs)
+	res, spillC := spillOf(t, tag+" traced concurrent", func(rec *trace.Recorder) (*simnet.Result, error) {
+		oT := oC
+		oT.Recorder = rec
+		return simnet.RunProgram(ctx, m, pr, oT)
+	})
+	diffResults(t, tag+" traced concurrent", want, res)
+	res, spillD := spillOf(t, tag+" traced RunSchedule", func(rec *trace.Recorder) (*simnet.Result, error) {
+		oT := o
+		oT.Recorder = rec
+		return sched.RunSchedule(ctx, m, s, execs, oT)
+	})
+	diffResults(t, tag+" traced RunSchedule", want, res)
+	if !bytes.Equal(spillC, spillD) {
+		t.Errorf("%s: the concurrent engine and RunSchedule recorded different traces (%d and %d spill bytes)", tag, len(spillC), len(spillD))
+	}
 	return want
 }
 
 // TestGeneratedCrossPathAgreement is the generated equivalence test of the
 // evaluation paths: random schedules × profile, matrix and accessor-only
-// machines × acks on and off × a fault plan with link rules and a straggler,
-// all priced through the one Pair call and walked by the one stage walker.
+// machines × acks on and off × a fault plan with link rules, a straggler and
+// a fail-stop with restart, all priced through the one Pair call, billed by
+// the one kernel and — traced — recorded event for event alike.
 func TestGeneratedCrossPathAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260928))
 	cases := 36
@@ -243,6 +288,9 @@ func TestGeneratedCrossPathAgreement(t *testing.T) {
 				{Src: rng.Intn(p), Dst: -1, Class: -1, LatencyFactor: 1.5, BetaFactor: 1},
 				{Src: -1, Dst: rng.Intn(p), Class: -1, LatencyFactor: 1, BetaFactor: 4, Start: base.MakeSpan * 0.25},
 			},
+			// Derived from c, not drawn: the generated cases keep their inputs.
+			FailStops: []fault.FailStop{{Rank: c % p, FailAt: base.MakeSpan*0.4 + 1e-9,
+				Restart: base.MakeSpan * 0.1 * float64(1+c%3), Checkpoint: base.MakeSpan * 0.15 * float64(c%2)}},
 		}
 		crossPaths(t, tag+" faults", m, s, 2, ack, plan)
 	}
@@ -286,5 +334,64 @@ func TestAckBillsReturnLatency(t *testing.T) {
 	}
 	if res.Times[1] != arrival {
 		t.Errorf("receiver completes at %v, want the arrival %v", res.Times[1], arrival)
+	}
+}
+
+// TestHugeMessagesSaturateRecordedSize pins the 2 GiB boundary of recorded
+// sizes on both engines: a traced 4-rank circulant with 3 GiB edges counts the
+// exact bytes in the result and records the per-message size saturated at
+// MaxInt32 — equal per-stage rollups on every path, never a wrapped negative.
+func TestHugeMessagesSaturateRecordedSize(t *testing.T) {
+	const p, size = 4, 3 << 30
+	m := machines(t, p, 3, false)
+	s, err := sched.NewCirculant(p, []int{1, 2}, []int{size, size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pr := programOf(s, 1)
+	paths := []struct {
+		name string
+		run  func(o simnet.Options) (*simnet.Result, error)
+	}{
+		{"simnet.RunProgram", func(o simnet.Options) (*simnet.Result, error) {
+			o.Engine = simnet.EngineConcurrent
+			return simnet.RunProgram(ctx, m, pr, o)
+		}},
+		{"sched.RunSchedule", func(o simnet.Options) (*simnet.Result, error) { return sched.RunSchedule(ctx, m, s, 1, o) }},
+		{"sched.RunProgram", func(o simnet.Options) (*simnet.Result, error) { return sched.RunProgram(ctx, m, pr, o) }},
+	}
+	var first []trace.StageRollup
+	for _, path := range paths {
+		o := simnet.DefaultOptions()
+		o.Recorder = trace.NewRecorder()
+		res, err := path.run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		if res.Messages != 2*p || res.Bytes != 2*p*size {
+			t.Errorf("%s: %d messages, %d bytes, want %d and %d", path.name, res.Messages, res.Bytes, 2*p, 2*p*size)
+		}
+		tr, err := o.Recorder.Trace()
+		if err != nil {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		roll, err := trace.RollupOf(tr, trace.RollupOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		if len(roll.Stages) != 2 {
+			t.Fatalf("%s: %d stages in the rollup, want 2", path.name, len(roll.Stages))
+		}
+		for _, st := range roll.Stages {
+			if st.Messages != p || st.Bytes != p*math.MaxInt32 {
+				t.Errorf("%s stage %d: %d messages, %d bytes, want %d messages of MaxInt32 recorded bytes", path.name, st.Stage, st.Messages, st.Bytes, p)
+			}
+		}
+		if first == nil {
+			first = roll.Stages
+		} else if !slices.Equal(first, roll.Stages) {
+			t.Errorf("%s: per-stage rollup %v differs from %s's %v", path.name, roll.Stages, paths[0].name, first)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"hbsp/internal/loggp"
 	"hbsp/internal/simnet"
 )
 
@@ -31,10 +32,10 @@ const (
 
 // instr is one flat instruction of a compiled per-rank stream.
 type instr struct {
-	kind instrKind
+	sec  float64
+	size int // payload bytes of a send, and of the wait on its request
 	peer int32
 	tag  int32
-	size int32
 	req  int32
 	mark int32
 	// slot is the global send slot: for iSend/iPost the slot this
@@ -42,7 +43,7 @@ type instr struct {
 	// the program ever produces the message — that wait can never complete,
 	// the static form of a receive deadlock).
 	slot int32
-	sec  float64
+	kind instrKind
 }
 
 // Code is a compiled simnet.Program: flat per-rank instruction arrays with
@@ -58,7 +59,6 @@ type Code struct {
 	// counter has passed that index).
 	slotRank []int32
 	slotOp   []int32
-	slotSize []int32
 }
 
 type matchKey struct{ src, dst, tag int }
@@ -87,7 +87,6 @@ func Compile(pr *simnet.Program) (*Code, error) {
 				slot := int32(len(c.slotRank))
 				c.slotRank = append(c.slotRank, int32(r))
 				c.slotOp = append(c.slotOp, int32(i))
-				c.slotSize = append(c.slotSize, int32(op.Size))
 				key := matchKey{src: r, dst: op.Peer, tag: op.Tag}
 				sends[key] = append(sends[key], slot)
 			}
@@ -101,7 +100,7 @@ func Compile(pr *simnet.Program) (*Code, error) {
 		isSend bool
 		peer   int32
 		tag    int32
-		size   int32
+		size   int
 	}
 	nextSlot := int32(0)
 	for r := 0; r < p; r++ {
@@ -117,7 +116,7 @@ func Compile(pr *simnet.Program) (*Code, error) {
 				out = append(out, instr{kind: iComputeExact, sec: op.Seconds})
 			case simnet.OpSend, simnet.OpPost:
 				// Slots were assigned in this same traversal order in pass 1.
-				in := instr{peer: int32(op.Peer), tag: int32(op.Tag), size: int32(op.Size), slot: nextSlot}
+				in := instr{peer: int32(op.Peer), tag: int32(op.Tag), size: op.Size, slot: nextSlot}
 				nextSlot++
 				if op.Kind == simnet.OpSend {
 					in.kind = iSend
@@ -138,13 +137,11 @@ func Compile(pr *simnet.Program) (*Code, error) {
 				}
 				key := matchKey{src: int(ri.peer), dst: r, tag: int(ri.tag)}
 				slot := int32(-1)
-				var size int32
 				if fifo := sends[key]; taken[key] < len(fifo) {
 					slot = fifo[taken[key]]
 					taken[key]++
-					size = c.slotSize[slot]
 				}
-				out = append(out, instr{kind: iWaitRecv, peer: ri.peer, tag: ri.tag, size: size, req: int32(op.Req), slot: slot})
+				out = append(out, instr{kind: iWaitRecv, peer: ri.peer, tag: ri.tag, req: int32(op.Req), slot: slot})
 			case simnet.OpSuperstep:
 				out = append(out, instr{kind: iSuperstep, mark: int32(op.Mark)})
 			case simnet.OpStage:
@@ -219,7 +216,7 @@ const checkEvery = 1 << 13
 type runState struct {
 	pc      []int32
 	reqTime [][]float64
-	slots   []inEdge // per global send slot: the injected message
+	slots   []loggp.Edge // per global send slot: the injected message
 	parked  []int32
 	heap    rankHeap
 }
@@ -256,7 +253,7 @@ func newRunState(c *Code) *runState {
 	}
 	nslots := len(c.slotRank)
 	if cap(st.slots) < nslots {
-		st.slots = make([]inEdge, nslots)
+		st.slots = make([]loggp.Edge, nslots)
 		st.parked = make([]int32, nslots)
 	} else {
 		st.slots = st.slots[:nslots]
@@ -295,14 +292,13 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 	if o.Deadline <= 0 {
 		o.Deadline = simnet.DefaultOptions().Deadline
 	}
-	e := NewEvaluator(m, o.AckSends)
-	defer e.Release()
-	ft, err := compileFaults(o.Faults, m)
+	e, err := arenaFor(m, o.AckSends, o.SymmetryCollapse, o.Faults)
 	if err != nil {
 		return nil, err
 	}
-	e.ft = ft
-	beginRecording(o.Recorder, m, o.AckSends, e)
+	defer e.Release()
+	e.attachRecorder(o.Recorder)
+	env := &e.env
 
 	p := c.procs
 	st := newRunState(c)
@@ -315,7 +311,6 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 	for r := p - 1; r >= 0; r-- {
 		heap.push(int32(r), 0)
 	}
-	var cost pairCost
 	finished := 0
 	steps := 0
 	start := time.Now()
@@ -328,36 +323,32 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 		for pc[r] < int32(len(ops)) {
 			steps++
 			if steps%checkEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					err = fmt.Errorf("%w: %w", simnet.ErrAborted, context.Cause(ctx))
-					endRecording(o.Recorder, nil, e.messages, e.bytes, err)
-					return nil, err
+				if ctx.Err() != nil {
+					return e.finish(o.Recorder, nil, fmt.Errorf("%w: %w", simnet.ErrAborted, context.Cause(ctx)))
 				}
 				if time.Since(start) > o.Deadline {
-					endRecording(o.Recorder, nil, e.messages, e.bytes, simnet.ErrDeadline)
-					return nil, simnet.ErrDeadline
+					return e.finish(o.Recorder, nil, simnet.ErrDeadline)
 				}
 			}
 			in := &ops[pc[r]]
 			switch in.kind {
 			case iCompute:
-				rs.compute(e.m, e.ft, int(r), in.sec)
+				rs.Compute(env, int(r), in.sec)
 			case iComputeExact:
-				rs.computeExact(e.ft, int(r), in.sec)
+				rs.ComputeExact(env, int(r), in.sec)
 			case iSend, iPost:
-				e.price(int(r), int(in.peer), &cost)
-				completeAt := e.send(rs, int(r), int(in.peer), int(in.tag), int(in.size), &cost, &slots[in.slot])
+				completeAt := e.send(rs, int(r), int(in.peer), int(in.tag), in.size, &slots[in.slot])
 				if in.kind == iSend {
 					reqTime[r][in.req] = completeAt
 				}
 				if w := parked[in.slot]; w != 0 {
 					parked[in.slot] = 0
-					heap.push(w-1, e.states[w-1].now)
+					heap.push(w-1, e.states[w-1].Now)
 				}
 			case iRecv:
-				reqTime[r][in.req] = rs.now
+				reqTime[r][in.req] = rs.Now
 			case iWaitSend:
-				rs.waitSendAdvance(e.ft, int(r), reqTime[r][in.req], int(in.peer), int(in.tag), int(in.size))
+				rs.WaitSend(env, int(r), reqTime[r][in.req], int(in.peer), int(in.tag), in.size)
 			case iWaitRecv:
 				if in.slot < 0 {
 					// Statically unmatched: this rank can never proceed.
@@ -369,12 +360,12 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 					break rankLoop
 				}
 				msg := &slots[in.slot]
-				completeAt, gated := rs.recvComplete(reqTime[r][in.req], msg)
-				rs.waitRecvAdvance(e.ft, int(r), completeAt, int(in.peer), int(in.tag), msg, gated)
+				completeAt, gated := rs.RecvComplete(reqTime[r][in.req], msg)
+				rs.WaitRecv(env, int(r), completeAt, int(in.peer), int(in.tag), msg, gated)
 			case iSuperstep:
-				rs.superstepMark(in.mark)
+				rs.SuperstepMark(in.mark)
 			case iStage:
-				rs.stageMark(in.mark)
+				rs.StageMark(in.mark)
 			}
 			pc[r]++
 		}
@@ -385,13 +376,9 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 	}
 
 	if finished != p {
-		endRecording(o.Recorder, nil, e.messages, e.bytes, simnet.ErrDeadline)
-		return nil, simnet.ErrDeadline
+		return e.finish(o.Recorder, nil, simnet.ErrDeadline)
 	}
-	res := e.result()
-	res.Messages, res.Bytes = e.messages, e.bytes
-	endRecording(o.Recorder, res, res.Messages, res.Bytes, nil)
-	return res, nil
+	return e.finish(o.Recorder, e.result(), nil)
 }
 
 // RunProgram executes the program on the engine the options select: the

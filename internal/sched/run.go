@@ -12,50 +12,25 @@ import (
 	"hbsp/internal/trace"
 )
 
-// compileFaults compiles the run's fault plan against the machine, resolving
-// distance classes through the machine's PairClass when it has one. A nil or
-// empty plan compiles to a nil runtime (the fault-free hot path).
-func compileFaults(p *fault.Plan, m simnet.Machine) (*fault.Runtime, error) {
-	var pc func(i, j int) uint8
-	if sm, ok := m.(interface{ PairClass(i, j int) uint8 }); ok {
-		pc = sm.PairClass
-	}
-	return fault.Compile(p, m.Procs(), pc)
-}
-
-// beginRecording mirrors simnet.RunContext's recorder attachment: label the
-// run with the machine's identity, exact seed and fault scenario, and hand
-// out lanes.
-func beginRecording(rec *trace.Recorder, m simnet.Machine, ack bool, e *Evaluator) {
-	if !rec.Enabled() {
-		return
-	}
-	meta := trace.Meta{Procs: m.Procs(), AckSends: ack}
-	if rs, ok := m.(interface{ RunSeed() int64 }); ok {
-		meta.Seed, meta.SeedKnown = rs.RunSeed(), true
-	}
-	if st, ok := m.(fmt.Stringer); ok {
-		meta.Machine = st.String()
-	}
-	meta.Faults = e.ft.Describe()
-	rec.BeginRun(meta)
-	for r := 0; r < m.Procs(); r++ {
-		e.AttachLane(r, rec.LaneOf(r), 0)
+// attachRecorder opens the run on the recorder and points every rank's events
+// at its lane.
+func (e *Evaluator) attachRecorder(rec *trace.Recorder) {
+	simnet.BeginRecording(rec, e.m, e.env.Ack, e.env.Faults)
+	if rec.Enabled() {
+		for r := range e.states {
+			e.states[r].Attach(rec.LaneOf(r))
+		}
 	}
 }
 
-// endRecording mirrors simnet.RunContext's finish: seal the recording with
-// the outcome. Direct evaluations always tear down cleanly.
-func endRecording(rec *trace.Recorder, res *simnet.Result, messages, bytes int64, err error) {
-	if !rec.Enabled() {
-		return
-	}
-	var times []float64
-	var makespan float64
+// finish seals the run's recording with its outcome and passes the outcome
+// through; res carries the traffic counters on success.
+func (e *Evaluator) finish(rec *trace.Recorder, res *simnet.Result, err error) (*simnet.Result, error) {
 	if res != nil {
-		times, makespan = res.Times, res.MakeSpan
+		res.Messages, res.Bytes = e.messages, e.bytes
 	}
-	rec.EndRun(times, makespan, messages, bytes, err, true)
+	simnet.EndRecording(rec, res, e.messages, e.bytes, err, true)
+	return res, err
 }
 
 // result assembles a simnet.Result from the evaluator's state.
@@ -77,8 +52,8 @@ func (e *Evaluator) result() *simnet.Result {
 // this entry point IS the direct engine; use simnet/mpi runs for the
 // concurrent one).
 //
-// Cancellation mirrors the concurrent engine: a cancelled context returns an
-// error wrapping simnet.ErrAborted, exceeding o.Deadline returns
+// Cancellation behaves as in the concurrent engine: a cancelled context
+// returns an error wrapping simnet.ErrAborted, exceeding o.Deadline returns
 // simnet.ErrDeadline. Both are checked between executions and — because one
 // P=1M execution is no longer negligible wall time — every few stages inside
 // an execution (the stride shrinks as P grows, so the check stays off the
@@ -99,24 +74,24 @@ func RunSchedule(ctx context.Context, m simnet.Machine, s Schedule, execs int, o
 	}
 	opt := SweepOptions{AckSends: o.AckSends, SymmetryCollapse: o.SymmetryCollapse, ComputeEmpty: true,
 		Faults: o.Faults, Recorder: o.Recorder, Deadline: o.Deadline}
-	e, err := arenaFor(m, &opt)
+	e, err := arenaFor(m, o.AckSends, o.SymmetryCollapse, o.Faults)
 	if err != nil {
 		return nil, err
 	}
 	defer e.Release()
-	return e.runOn(ctx, s, execs, &opt, func() (*Partition, simnet.Collapse) { return CollapseClassesWith(m, s, e.ft) })
+	return e.runOn(ctx, s, execs, &opt, func() (*Partition, simnet.Collapse) { return collapseClassesWith(m, s, e.env.Faults) })
 }
 
-// arenaFor takes an evaluator from the pool and sets it up for runs on m
-// under opt: ack mode, collapse switch, and the fault plan compiled against m.
-func arenaFor(m simnet.Machine, opt *SweepOptions) (*Evaluator, error) {
-	ft, err := compileFaults(opt.Faults, m)
+// arenaFor takes an evaluator from the pool and sets it up for runs on m: ack
+// mode, collapse switch, and the fault plan compiled against m.
+func arenaFor(m simnet.Machine, ack bool, collapse simnet.CollapseMode, plan *fault.Plan) (*Evaluator, error) {
+	ft, err := simnet.CompileFaults(plan, m)
 	if err != nil {
 		return nil, err
 	}
-	e := NewEvaluator(m, opt.AckSends)
-	e.collapseOff = opt.SymmetryCollapse == simnet.CollapseOff
-	e.ft = ft
+	e := NewEvaluator(m, ack)
+	e.collapseOff = collapse == simnet.CollapseOff
+	e.env.Faults = ft
 	return e, nil
 }
 
@@ -153,7 +128,7 @@ func (e *Evaluator) runOn(ctx context.Context, s Schedule, execs int, opt *Sweep
 	if tagBase == 0 {
 		tagBase = ScheduleTagBase
 	}
-	beginRecording(opt.Recorder, e.m, e.ack, e)
+	e.attachRecorder(opt.Recorder)
 
 	// Partition once per run: fresh states are class-aligned (all zero) and
 	// collapsed executions preserve alignment, so eligibility never changes
@@ -183,18 +158,15 @@ func (e *Evaluator) runOn(ctx context.Context, s Schedule, execs int, opt *Sweep
 			}
 		}
 		if err != nil {
-			endRecording(opt.Recorder, nil, e.messages, e.bytes, err)
-			return nil, err
+			return e.finish(opt.Recorder, nil, err)
 		}
 	}
 	if part != nil {
-		e.ReplicateClasses(part)
+		e.replicateClasses(part)
 	}
 	res := e.result()
-	res.Messages, res.Bytes = e.messages, e.bytes
 	res.Collapse = collapse
-	endRecording(opt.Recorder, res, res.Messages, res.Bytes, nil)
-	return res, nil
+	return e.finish(opt.Recorder, res, nil)
 }
 
 // stageCheckBudget is the amount of per-rank (or per-class) stage work a

@@ -16,37 +16,37 @@
 //     entries measure and what unlocks P=4096, where the concurrent engine's
 //     per-message costs are prohibitive.
 //
-//   - Inline evaluation (Evaluator.ImportProcs / ExecSchedule / ExportProcs):
-//     inside a concurrent run, all ranks rendezvous at the run's simnet.Gate,
-//     and the last arriver evaluates the collective sequentially against the
-//     live per-rank clocks and port states, then resumes everyone. This is
-//     how barrier.Execute, the BSP count exchange, the mpi schedule flood and
-//     the pairwise benchmark (bench.MeasurePairwise) route through the
-//     evaluator while arbitrary closures around them still run on the
-//     concurrent engine. The first three are stage graphs (ExecSchedule); the
-//     pairwise benchmark is P(P−1) ping-pong episodes, which its leader walks
-//     message by message through the point-to-point stepper (Post / Recv /
-//     Now).
+//   - Inline evaluation (AtGate): inside a concurrent run, all ranks
+//     rendezvous at the run's simnet.Gate, and the last arriver evaluates the
+//     collective sequentially on copies of the live per-rank kernel states,
+//     stores the advanced clocks back and resumes everyone. This is how
+//     barrier.Execute, the BSP count exchange, the mpi schedule flood and the
+//     pairwise benchmark (bench.MeasurePairwise) route through the evaluator
+//     while arbitrary closures around them still run on the concurrent
+//     engine. The first three are stage graphs (ExecSchedule); the pairwise
+//     benchmark is P(P−1) ping-pong episodes, which its leader walks message
+//     by message through the point-to-point stepper (Post / Recv / Now).
 //
-// Both engines bill a message from one pricing call per ordered pair
-// (simnet.PairPricer, resolved once per evaluator): send consumes the priced
-// pair and hands the receiver a packed in-edge record that already carries
-// the pair's gap term, so the receive side never goes back to the machine.
-// Per stage those records sit in one flat inbox laid out by a prefix sum over
-// the in-degrees. send, recvComplete and the wait/compute helpers below are
-// the package's only copy of the LogGP arithmetic — the per-rank, collapsed
-// and program walkers and the stepper all call them (a sweep point runs the
-// per-rank or the collapsed walker, like any RunSchedule call) — and they
-// perform the operations of simnet.sendCore, resolveRecv, Wait and Compute in
-// the same order (the cross-engine diff tests pin the agreement).
+// The evaluator has no clock arithmetic of its own. It holds one loggp.State
+// per rank and calls the LogGP kernel (internal/loggp) for every operation —
+// the same Send, RecvComplete, WaitRecv, WaitSend and Compute the concurrent
+// engine's simnet.Proc calls — so what an operation costs exists once, and
+// what this package adds is the order of the operations and the matching of
+// a receive to its message: a flat per-stage inbox laid out by a prefix sum
+// over the in-degrees (per-rank walker), a per-class queue indexed by
+// out-edge position (collapsed walker), statically matched send slots
+// (program walker) or the caller's own FIFO (point-to-point stepper). Every
+// message is priced by one call per ordered pair (simnet.PairPricer, resolved
+// once per evaluator) and the kernel writes the in-edge record its receiver
+// needs in place, so the receive side never goes back to the machine. The
+// cross-engine tests pin that the two orderings and matchings agree.
 package sched
 
 import (
 	"sync"
 
-	"hbsp/internal/fault"
+	"hbsp/internal/loggp"
 	"hbsp/internal/simnet"
-	"hbsp/internal/trace"
 )
 
 // Stage is the sparse adjacency of one schedule stage: Out[i] lists the ranks
@@ -98,35 +98,6 @@ func (s *StaticStages) StageAt(i int) Stage { return s.Stages[i] }
 // Symmetry returns the declared rank symmetry.
 func (s *StaticStages) Symmetry() Symmetry { return s.Sym }
 
-// rankState is one rank's LogGP evolution state: its clock, the free times of
-// its injection and extraction ports, its position in the machine's noise
-// stream, and — on traced runs — its trace lane and superstep label.
-type rankState struct {
-	now      float64
-	txFree   float64
-	rxFree   float64
-	noiseSeq uint64
-	lane     *trace.Lane
-	step     int32
-	stage    int32
-}
-
-// pairCost is one ordered pair priced once (simnet.PairPricer.Pair).
-type pairCost struct {
-	lat, gap, beta, ovh, ret float64
-	sameNIC                  bool
-}
-
-// inEdge is one injected message as its receiver needs it: the arrival time,
-// the pair's gap term and NIC sharing (priced by the sender, so the receive
-// completion needs no machine call), and the trace linkage of the wait event
-// (payload size, the sender's event index and its injection end time).
-type inEdge struct {
-	arrival, gap, sendEnd float64
-	size, sendEv          int32
-	sameNIC               bool
-}
-
 // Evaluator evaluates schedules against a set of per-rank LogGP states. Its
 // per-stage scratch is reused across executions, so steady-state evaluation
 // allocates nothing. An Evaluator is not safe for concurrent use; inline
@@ -135,22 +106,21 @@ type inEdge struct {
 type Evaluator struct {
 	m      simnet.Machine
 	pricer simnet.PairPricer // m's pricing call, resolved once per machine
-	ack    bool
+
+	// env is the kernel's view of the run: m's noise stream, the ack mode and
+	// the compiled fault plan (nil when fault-free), wired from Options.Faults
+	// (whole-run evaluation) or Proc.Faults (gate rendezvous).
+	env loggp.Env
 
 	// collapseOff disables symmetry-collapsed evaluation for this evaluator
 	// (the runtime wires it from Options.SymmetryCollapse).
 	collapseOff bool
 
-	// ft is the compiled fault plan of the run, nil when fault-free — the
-	// mirror of Proc.ft, wired from Options.Faults (whole-run evaluation) or
-	// Proc.Faults (gate rendezvous).
-	ft *fault.Runtime
-
 	// lastCollapse is the diagnostic of the most recent collapse decision
 	// (ExecScheduleAuto); runs surface it as Result.Collapse.
 	lastCollapse simnet.Collapse
 
-	states []rankState
+	states []loggp.State
 
 	// Per-stage scratch of the stage walker: entry clocks (the post time of a
 	// rank's receives); the flat inbox, receiver r's in-edges at
@@ -160,7 +130,7 @@ type Evaluator struct {
 	// send-completion times in sender scan order.
 	entry    []float64
 	inNext   []int32
-	inbox    []inEdge
+	inbox    []loggp.Edge
 	sendDone []float64
 
 	// Collapsed-evaluation scratch: per class, the in-edge records of the
@@ -168,7 +138,7 @@ type Evaluator struct {
 	// rank-equivalence partitions of schedules evaluated inline (a nil
 	// partition = ineligible, cached with its reason so the refinement never
 	// reruns).
-	classIn   [][]inEdge
+	classIn   [][]loggp.Edge
 	partCache map[Schedule]partEntry
 
 	messages int64
@@ -190,21 +160,18 @@ func NewEvaluator(m simnet.Machine, ack bool) *Evaluator {
 		e = &Evaluator{}
 	}
 	e.setMachine(m)
-	e.ack = ack
+	e.env.Ack, e.env.Faults = ack, nil
 	e.collapseOff = false
-	e.ft = nil
 	e.lastCollapse = simnet.Collapse{}
 	e.messages, e.bytes = 0, 0
 	e.partCache = nil
 	if cap(e.states) < p {
-		e.states = make([]rankState, p)
+		e.states = make([]loggp.State, p)
 		e.entry = make([]float64, p)
 		e.inNext = make([]int32, p)
 	} else {
 		e.states = e.states[:p]
-		for i := range e.states {
-			e.states[i] = rankState{}
-		}
+		clear(e.states)
 		e.entry = e.entry[:p]
 		e.inNext = e.inNext[:p]
 	}
@@ -213,22 +180,26 @@ func NewEvaluator(m simnet.Machine, ack bool) *Evaluator {
 
 // setMachine points the evaluator at a machine and resolves its pricing call.
 func (e *Evaluator) setMachine(m simnet.Machine) {
-	e.m, e.pricer = m, simnet.PricerOf(m)
+	e.m, e.pricer, e.env.Noise = m, simnet.PricerOf(m), m
 }
 
-// price prices the ordered pair (i, j) on the evaluator's machine.
-func (e *Evaluator) price(i, j int, pc *pairCost) {
-	pc.lat, pc.gap, pc.beta, pc.ovh, pc.ret, pc.sameNIC = e.pricer.Pair(i, j)
+// send is the evaluator's half of a send: price the ordered pair on the
+// machine, count the message, and have the kernel bill it on the sender's
+// state and write the receiver's in-edge record into in.
+func (e *Evaluator) send(st *loggp.State, rank, dst, tag, size int, in *loggp.Edge) (completeAt float64) {
+	var pc loggp.Pair
+	pc.Lat, pc.Gap, pc.Beta, pc.Ovh, pc.Ret, pc.SameNIC = e.pricer.Pair(rank, dst)
+	e.messages++
+	e.bytes += int64(size)
+	return st.Send(&e.env, rank, dst, tag, size, &pc, in)
 }
 
 // Release returns the evaluator to the shared pool. The caller must not use
 // it afterwards; lane attachments and cached partitions are dropped.
 func (e *Evaluator) Release() {
-	for i := range e.states {
-		e.states[i] = rankState{}
-	}
+	clear(e.states)
 	e.m, e.pricer = nil, nil
-	e.ft = nil
+	e.env = loggp.Env{}
 	e.partCache = nil
 	evalPool.Put(e)
 }
@@ -238,17 +209,6 @@ func (e *Evaluator) Release() {
 // evaluator into Result.Collapse.
 func (e *Evaluator) CollapseInfo() simnet.Collapse { return e.lastCollapse }
 
-// Procs returns the evaluator's rank count.
-func (e *Evaluator) Procs() int { return len(e.states) }
-
-// Traffic returns and resets the delivered message and byte counts
-// accumulated since the last call.
-func (e *Evaluator) Traffic() (messages, bytes int64) {
-	messages, bytes = e.messages, e.bytes
-	e.messages, e.bytes = 0, 0
-	return messages, bytes
-}
-
 // Times copies the per-rank clocks into dst (allocating when nil) and
 // returns it.
 func (e *Evaluator) Times(dst []float64) []float64 {
@@ -256,246 +216,76 @@ func (e *Evaluator) Times(dst []float64) []float64 {
 		dst = make([]float64, len(e.states))
 	}
 	for i := range e.states {
-		dst[i] = e.states[i].now
+		dst[i] = e.states[i].Now
 	}
 	return dst
 }
 
-// AttachLane points rank's events at a trace lane (nil detaches) and labels
-// them with the given superstep.
-func (e *Evaluator) AttachLane(rank int, lane *trace.Lane, step int32) {
-	e.states[rank].lane = lane
-	e.states[rank].step = step
+// AtGate runs fn on the evaluator parked in the gate's scratch slot (created
+// on first use, returned to the pool when the run ends) with every rank's
+// live kernel state copied in — clock, ports, noise position, trace lane and
+// labels — and afterwards stores the advanced clock, ports and noise position
+// back into the live ranks and credits the traffic to the run's counters. The
+// stage label a walker leaves behind stays in the copy: the ranks' own stage
+// attribution is not the evaluator's to change. Only a gate leader may call
+// it (see simnet.Gate for the synchronization contract).
+func AtGate(g *simnet.Gate, p *simnet.Proc, fn func(ev *Evaluator)) {
+	ev, ok := g.Scratch.(*Evaluator)
+	if !ok {
+		ev = NewEvaluator(p.MachineOf(), p.AckSends())
+		ev.collapseOff = p.CollapseMode() == simnet.CollapseOff
+		ev.env.Faults = p.Faults()
+		g.Scratch = ev
+	}
+	procs := p.RunProcs()
+	for i, q := range procs {
+		ev.states[i] = *q.State()
+	}
+	fn(ev)
+	for i, q := range procs {
+		copyClock(q.State(), &ev.states[i])
+	}
+	p.AddTraffic(ev.messages, ev.bytes)
+	ev.messages, ev.bytes = 0, 0
 }
 
-// ImportProcs loads the live LogGP state (and trace lane position) of every
-// rank of a concurrent run. Only a gate leader may call it (see simnet.Gate
-// for the synchronization contract).
-func (e *Evaluator) ImportProcs(procs []*simnet.Proc) {
-	for i, p := range procs {
-		st := &e.states[i]
-		st.now, st.txFree, st.rxFree, st.noiseSeq = p.EvalState()
-		st.lane, st.step, st.stage = p.EvalTrace()
-	}
-}
-
-// ExportProcs stores the advanced LogGP states back into the live ranks and
-// credits the accumulated traffic to the run's counters.
-func (e *Evaluator) ExportProcs(procs []*simnet.Proc) {
-	for i, p := range procs {
-		st := &e.states[i]
-		p.SetEvalState(st.now, st.txFree, st.rxFree, st.noiseSeq)
-	}
-	msgs, bytes := e.Traffic()
-	if msgs != 0 || bytes != 0 {
-		procs[0].AddTraffic(msgs, bytes)
-	}
-}
-
-// EvaluatorAt returns the evaluator parked in the gate's scratch slot,
-// creating it on first use. Only the gate leader may call it.
-func EvaluatorAt(g *simnet.Gate, p *simnet.Proc) *Evaluator {
-	if ev, ok := g.Scratch.(*Evaluator); ok {
-		return ev
-	}
-	ev := NewEvaluator(p.MachineOf(), p.AckSends())
-	ev.collapseOff = p.CollapseMode() == simnet.CollapseOff
-	ev.ft = p.Faults()
-	g.Scratch = ev
-	return ev
-}
-
-// noise draws the next jitter factor for the rank, mirroring Proc.noise
-// (including the fault-plan slowdown multiplier).
-func (st *rankState) noise(m simnet.Machine, ft *fault.Runtime, rank int) float64 {
-	f := m.Noise(rank, st.noiseSeq)
-	if ft != nil {
-		f *= ft.Slow(rank, st.noiseSeq, st.now)
-	}
-	st.noiseSeq++
-	return f
-}
-
-// setNow mirrors Proc.setNow: move the clock to t, paying the fail-stop
-// crossing penalty (and recording the KindFault interval) when the advance
-// crosses the rank's fail time.
-func (st *rankState) setNow(ft *fault.Runtime, rank int, t float64) {
-	if ft != nil {
-		if adj, pen := ft.Cross(rank, st.now, t); pen > 0 {
-			if st.lane != nil {
-				st.lane.Append(trace.Event{Kind: trace.KindFault, Peer: -1, SendSeq: -1,
-					Step: st.step, Stage: st.stage, T0: t, T1: adj})
-			}
-			st.now = adj
-			return
-		}
-	}
-	st.now = t
-}
-
-// compute mirrors Proc.Compute: advance the clock by noisy work, recording a
-// compute interval on traced runs.
-func (st *rankState) compute(m simnet.Machine, ft *fault.Runtime, rank int, seconds float64) {
-	if seconds < 0 {
-		seconds = 0
-	}
-	d := seconds * st.noise(m, ft, rank)
-	if st.lane != nil && d > 0 {
-		st.lane.Append(trace.Event{Kind: trace.KindCompute, Peer: -1, SendSeq: -1,
-			Step: st.step, Stage: st.stage, T0: st.now, T1: st.now + d})
-	}
-	st.setNow(ft, rank, st.now+d)
-}
-
-// computeExact mirrors Proc.ComputeExact.
-func (st *rankState) computeExact(ft *fault.Runtime, rank int, seconds float64) {
-	if seconds < 0 {
-		seconds = 0
-	}
-	if st.lane != nil && seconds > 0 {
-		st.lane.Append(trace.Event{Kind: trace.KindCompute, Peer: -1, SendSeq: -1,
-			Step: st.step, Stage: st.stage, T0: st.now, T1: st.now + seconds})
-	}
-	st.setNow(ft, rank, st.now+seconds)
-}
-
-// send mirrors Proc.sendCore on a pair already priced: pay the sender-side
-// costs of one eager send, write the message as its receiver sees it into in
-// and return the virtual time the send request completes. On traced runs it
-// appends the KindSend event and records its lane index (sendEv, -1 untraced)
-// and injection end time (sendEnd, the event's T1) in the in-edge, which ride
-// to the receiver's wait event exactly as the concurrent engine's message
-// envelope carries them.
-func (e *Evaluator) send(st *rankState, rank, dst, tag, size int, pc *pairCost, in *inEdge) (completeAt float64) {
-	m := e.m
-	t0 := st.now
-	latMul, betaMul := 1.0, 1.0
-	if e.ft != nil && e.ft.HasLinks() {
-		latMul, betaMul = e.ft.Link(rank, dst, t0)
-	}
-	st.setNow(e.ft, rank, st.now+pc.ovh*st.noise(m, e.ft, rank))
-
-	transfer := float64(size) * pc.beta * betaMul
-	txStart := st.now
-	if !pc.sameNIC || rank == dst {
-		if st.txFree > txStart {
-			txStart = st.txFree
-		}
-		st.txFree = txStart + pc.gap + transfer
-	}
-	arrival := txStart + (pc.lat*latMul+transfer)*st.noise(m, e.ft, rank)
-
-	*in = inEdge{arrival: arrival, gap: pc.gap, size: int32(size), sendEv: -1, sameNIC: pc.sameNIC}
-	if st.lane != nil {
-		in.sendEv = int32(st.lane.Len())
-		in.sendEnd = st.now
-		st.lane.Append(trace.Event{Kind: trace.KindSend, Peer: int32(dst), Tag: int32(tag),
-			Size: int32(size), SendSeq: -1, Step: st.step, Stage: st.stage,
-			T0: t0, T1: st.now, Arrival: arrival})
-	}
-	e.messages++
-	e.bytes += int64(size)
-
-	completeAt = st.txFree
-	if rank == dst || pc.sameNIC {
-		completeAt = arrival
-	}
-	if e.ack && rank != dst {
-		completeAt = arrival + pc.ret*latMul
-	}
-	return completeAt
-}
-
-// recvComplete mirrors Request.resolveRecv: given the receive's post time and
-// the matched message, compute the completion time, serializing the
-// extraction port with the gap term the sender priced.
-func (st *rankState) recvComplete(postTime float64, in *inEdge) (completeAt float64, gated bool) {
-	start := postTime
-	if in.arrival > start {
-		start = in.arrival
-		gated = true
-	}
-	if !in.sameNIC {
-		if st.rxFree > start {
-			start = st.rxFree
-			gated = false
-		}
-		st.rxFree = start + in.gap
-	}
-	return start, gated
-}
-
-// waitRecvAdvance mirrors Proc.Wait for a resolved receive: advance the clock
-// to the completion time, recording the wait interval on traced runs.
-func (st *rankState) waitRecvAdvance(ft *fault.Runtime, rank int, completeAt float64, src, tag int, in *inEdge, gated bool) {
-	if completeAt > st.now {
-		if st.lane != nil {
-			st.lane.Append(trace.Event{Kind: trace.KindRecvWait, Gated: gated,
-				Peer: int32(src), Tag: int32(tag), Size: in.size, SendSeq: in.sendEv,
-				Step: st.step, Stage: st.stage, T0: st.now, T1: completeAt,
-				Arrival: in.arrival, SendEnd: in.sendEnd})
-		}
-		st.setNow(ft, rank, completeAt)
-	}
-}
-
-// waitSendAdvance mirrors Proc.Wait for a send request.
-func (st *rankState) waitSendAdvance(ft *fault.Runtime, rank int, completeAt float64, dst, tag, size int) {
-	if completeAt > st.now {
-		if st.lane != nil {
-			st.lane.Append(trace.Event{Kind: trace.KindSendWait,
-				Peer: int32(dst), Tag: int32(tag), Size: int32(size), SendSeq: -1,
-				Step: st.step, Stage: st.stage, T0: st.now, T1: completeAt})
-		}
-		st.setNow(ft, rank, completeAt)
-	}
-}
-
-// stageMark mirrors Proc.TraceStage: record the mark (for a non-negative
-// stage) and label subsequent events with it.
-func (st *rankState) stageMark(stage int32) {
-	if st.lane == nil {
-		return
-	}
-	if stage >= 0 {
-		st.lane.Append(trace.Event{Kind: trace.KindStage, Peer: -1, SendSeq: -1,
-			Step: st.step, Stage: stage, T0: st.now, T1: st.now})
-	}
-	st.stage = stage
+// copyClock copies what an evaluation advances — clock, port free times and
+// noise position — leaving dst's trace lane and labels alone.
+func copyClock(dst, src *loggp.State) {
+	dst.Now, dst.TxFree, dst.RxFree, dst.NoiseSeq = src.Now, src.TxFree, src.RxFree, src.NoiseSeq
 }
 
 // InEdge is one injected message held by a point-to-point caller between the
 // Post that wrote it and the Recv that consumes it.
-type InEdge = inEdge
+type InEdge = loggp.Edge
 
 // The point-to-point stepper: Post, Recv and Now let a gate leader (or any
 // holder of the evaluator) walk a workload that is not a stage graph — a
 // ping-pong, a drained burst — one message at a time, in each rank's program
-// order, with the caller keeping the in-flight records. They add no
-// arithmetic: lanes, the fault plan, ack mode and the per-rank noise order are
-// honoured by send, recvComplete and waitRecvAdvance, as in the stage walker.
-// The caller must Post a message before it Recvs it; virtual time does not
-// depend on how the ranks' steps interleave beyond that.
+// order, with the caller keeping the in-flight records. Lanes, the fault
+// plan, ack mode and the per-rank noise order are the kernel's business, as
+// in the stage walker. The caller must Post a message before it Recvs it;
+// virtual time does not depend on how the ranks' steps interleave beyond
+// that.
 
-// Post mirrors Proc.Post: rank src injects one size-byte message to dst at its
-// current clock — a fire-and-forget eager send, the completion time dropped —
-// and the message as its receiver needs it is written into in.
+// Post is simnet.Proc.Post on the evaluator: rank src injects one size-byte
+// message to dst at its current clock — a fire-and-forget eager send, the
+// completion time dropped — and the message as its receiver needs it is
+// written into in.
 func (e *Evaluator) Post(src, dst, tag, size int, in *InEdge) {
-	var pc pairCost
-	e.price(src, dst, &pc)
-	e.send(&e.states[src], src, dst, tag, size, &pc, in)
+	e.send(&e.states[src], src, dst, tag, size, in)
 }
 
-// Recv mirrors Proc.Recv for a message already injected: rank dst posts the
+// Recv is simnet.Proc.Recv for a message already injected: rank dst posts the
 // receive at its current clock and waits for in, which src posted with tag.
 func (e *Evaluator) Recv(dst, src, tag int, in *InEdge) {
 	st := &e.states[dst]
-	completeAt, gated := st.recvComplete(st.now, in)
-	st.waitRecvAdvance(e.ft, dst, completeAt, src, tag, in, gated)
+	completeAt, gated := st.RecvComplete(st.Now, in)
+	st.WaitRecv(&e.env, dst, completeAt, src, tag, in, gated)
 }
 
 // Now returns rank's clock.
-func (e *Evaluator) Now(rank int) float64 { return e.states[rank].now }
+func (e *Evaluator) Now(rank int) float64 { return e.states[rank].Now }
 
 // ExecSchedule evaluates one execution of the schedule: per stage, every rank
 // posts its receives, injects its sends and then waits — receives first, then
@@ -516,12 +306,18 @@ func (e *Evaluator) ExecSchedule(s Schedule, tagBase int, computeEmpty bool) {
 }
 
 // execStages is the per-rank stage walker behind ExecSchedule, with an
-// optional per-stage cancellation checker (see stageChecker). Every pair is
-// priced by the machine's Pair call.
+// optional per-stage cancellation checker (see stageChecker). It is one of
+// two stage loops — execCollapsed is the other — and they stay two because
+// they match a receive to its message differently: here every in-edge has its
+// own slot in a flat inbox that the senders fill in scan order, O(1) per
+// edge; the collapsed walker keeps one queue per class and finds a record by
+// searching the source's out-row for the receiver. Serving per-rank
+// evaluation from the class queue would pay that search per in-edge — O(P²)
+// per stage on a linear barrier, which is what the flat inbox removed.
 func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *stageChecker) error {
 	p := len(e.states)
 	v := viewOf(s)
-	var pc pairCost
+	env := &e.env
 	for sg := 0; sg < s.NumStages(); sg++ {
 		if chk != nil {
 			if err := chk.tick(); err != nil {
@@ -540,7 +336,7 @@ func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *
 			edges += len(v.ins(r))
 		}
 		if cap(e.inbox) < edges {
-			e.inbox = make([]inEdge, edges)
+			e.inbox = make([]loggp.Edge, edges)
 		}
 		inbox := e.inbox[:edges]
 		done := e.sendDone[:0]
@@ -548,18 +344,17 @@ func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *
 		// Phase A: stage marks, receive post times, send injections.
 		for r := 0; r < p; r++ {
 			rs := &e.states[r]
-			rs.stageMark(stage)
+			rs.StageMark(stage)
 			outs := v.outs(r)
 			if len(outs) == 0 && len(v.ins(r)) == 0 {
 				if computeEmpty {
-					rs.compute(e.m, e.ft, r, 0)
+					rs.Compute(env, r, 0)
 				}
 				continue
 			}
-			e.entry[r] = rs.now
+			e.entry[r] = rs.Now
 			for k, dst := range outs {
-				e.price(r, dst, &pc)
-				done = append(done, e.send(rs, r, dst, tag, v.outSize(r, k), &pc, &inbox[e.inNext[dst]]))
+				done = append(done, e.send(rs, r, dst, tag, v.outSize(r, k), &inbox[e.inNext[dst]]))
 				e.inNext[dst]++
 			}
 		}
@@ -572,26 +367,15 @@ func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *
 			ins := v.ins(r)
 			for q, src := range ins {
 				in := &inbox[base+q]
-				completeAt, gated := rs.recvComplete(e.entry[r], in)
-				rs.waitRecvAdvance(e.ft, r, completeAt, src, tag, in, gated)
+				completeAt, gated := rs.RecvComplete(e.entry[r], in)
+				rs.WaitRecv(env, r, completeAt, src, tag, in, gated)
 			}
 			base += len(ins)
 			for k, dst := range v.outs(r) {
-				rs.waitSendAdvance(e.ft, r, done[sent], dst, tag, v.outSize(r, k))
+				rs.WaitSend(env, r, done[sent], dst, tag, v.outSize(r, k))
 				sent++
 			}
 		}
 	}
 	return nil
-}
-
-// superstepMark mirrors Proc.TraceSuperstep: record the boundary of the
-// completed superstep and label subsequent events with the next one.
-func (st *rankState) superstepMark(step int32) {
-	if st.lane == nil {
-		return
-	}
-	st.lane.Append(trace.Event{Kind: trace.KindSuperstep, Peer: -1, SendSeq: -1,
-		Step: step, Stage: st.stage, T0: st.now, T1: st.now})
-	st.step = step + 1
 }

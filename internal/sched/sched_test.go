@@ -14,12 +14,15 @@ import (
 )
 
 // ringProgram is a mixed op-stream: eager posts, acknowledged sends,
-// receives waited out of post order, compute intervals and trace marks.
+// receives waited out of post order, compute intervals and trace marks. It
+// opens with an interval before any stage mark, which both engines must
+// record outside every stage.
 func ringProgram(p int) *simnet.Program {
 	pr := simnet.NewProgram(p)
 	for r := 0; r < p; r++ {
 		b := pr.Rank(r)
 		next, prev := (r+1)%p, (r+p-1)%p
+		b.ComputeExact(2e-7)
 		for k := 0; k < 4; k++ {
 			b.Stage(k)
 			rq := b.Irecv(prev, k)

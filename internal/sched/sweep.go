@@ -23,8 +23,8 @@ import (
 
 // SweepOptions configures a SweepEvaluator. The zero value matches
 // RunSchedule's defaults (no acks, collapse auto, computeEmpty false — set
-// ComputeEmpty to mirror RunSchedule's barrier.Execute convention; leave it
-// false to mirror the mpi flood and BSP count-exchange convention).
+// ComputeEmpty for RunSchedule's barrier.Execute convention; leave it false
+// for the mpi flood and BSP count-exchange convention).
 type SweepOptions struct {
 	// AckSends selects acknowledged sends (simnet.Options.AckSends).
 	AckSends bool
@@ -105,7 +105,7 @@ func NewSweepEvaluator(m simnet.Machine, opt SweepOptions) (*SweepEvaluator, err
 	if m == nil || m.Procs() < 1 {
 		return nil, errors.New("sched: machine with at least one rank required")
 	}
-	e, err := arenaFor(m, &opt)
+	e, err := arenaFor(m, opt.AckSends, opt.SymmetryCollapse, opt.Faults)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func (sw *SweepEvaluator) Run(ctx context.Context, m simnet.Machine, s Schedule,
 		// memoized decision kept. A plan that no longer compiles
 		// (rank-targeted rules out of range) fails the point rather than
 		// silently degrading to fault-free.
-		e, err := arenaFor(m, &sw.opt)
+		e, err := arenaFor(m, sw.opt.AckSends, sw.opt.SymmetryCollapse, sw.opt.Faults)
 		if err != nil {
 			return nil, err
 		}
@@ -168,9 +168,7 @@ func (sw *SweepEvaluator) Run(ctx context.Context, m simnet.Machine, s Schedule,
 
 	// Arena reset: zero states and counters in place, point at the machine.
 	e := sw.e
-	for i := range e.states {
-		e.states[i] = rankState{}
-	}
+	clear(e.states)
 	e.messages, e.bytes = 0, 0
 	e.setMachine(m)
 	return e.runOn(ctx, s, execs, &sw.opt, func() (*Partition, simnet.Collapse) { return sw.partitionFor(m, s) })
@@ -198,13 +196,13 @@ func (sw *SweepEvaluator) partitionFor(m simnet.Machine, s Schedule) (*Partition
 		key, offs = circStructure(cs, sw.offsScratch[:0])
 		sw.offsScratch = offs[:0]
 	} else if !reflect.TypeOf(s).Comparable() {
-		return CollapseClassesWith(m, s, sw.e.ft)
+		return collapseClassesWith(m, s, sw.e.env.Faults)
 	}
 	if pm, ok := sw.parts[key]; ok && slices.Equal(pm.offs, offs) {
 		sw.stats.PartitionsReused++
 		return pm.part, pm.info
 	}
-	part, info := CollapseClassesWith(m, s, sw.e.ft)
+	part, info := collapseClassesWith(m, s, sw.e.env.Faults)
 	if sw.parts == nil {
 		sw.parts = make(map[any]sweepPart)
 	}

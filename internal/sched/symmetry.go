@@ -14,7 +14,7 @@ import (
 // recurrence then computes the same numbers P times over. The collapse
 // detects rank-equivalence classes — from a generator-emitted Symmetry hint
 // or from a structural fingerprint of the stage graph — and evaluates one
-// representative rankState per class per stage, replicating clocks, noise
+// representative rank state per class per stage, replicating clocks, noise
 // positions and traffic across the class only at result-assembly time.
 // Virtual times, makespan and traffic counters are bit-identical to per-rank
 // evaluation (pinned by the cross-engine golden tests); where heterogeneity,
@@ -105,11 +105,11 @@ const (
 // within each class): the fingerprint guarantees equivalent ranks perform
 // equivalent operation sequences, so alignment is preserved inductively.
 func CollapseClasses(m simnet.Machine, s Schedule) *Partition {
-	part, _ := CollapseClassesWith(m, s, nil)
+	part, _ := collapseClassesWith(m, s, nil)
 	return part
 }
 
-// CollapseClassesWith is CollapseClasses under a compiled fault plan, and
+// collapseClassesWith is CollapseClasses under a compiled fault plan, and
 // additionally reports the decision as a simnet.Collapse diagnostic. A
 // rank-uniform plan (class- or wildcard-matched link degradations only)
 // preserves the hint tier; any rank-targeted treatment — stragglers,
@@ -118,7 +118,7 @@ func CollapseClasses(m simnet.Machine, s Schedule) *Partition {
 // edge signatures, so degraded ranks split into their own (often singleton)
 // classes and everything else still collapses. When refinement fails under a
 // rank-targeted plan the reported reason is CollapseReasonFault.
-func CollapseClassesWith(m simnet.Machine, s Schedule, rt *fault.Runtime) (*Partition, simnet.Collapse) {
+func collapseClassesWith(m simnet.Machine, s Schedule, rt *fault.Runtime) (*Partition, simnet.Collapse) {
 	if m == nil || s == nil {
 		return nil, simnet.Collapse{Reason: simnet.CollapseReasonAsymmetric}
 	}

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -513,6 +514,44 @@ func TestTraceRollupResponse(t *testing.T) {
 	}
 	if resp, _ := predict(t, ts, `{"profile":{"preset":"flat-cluster"},"workload":{"kind":"sync"},"procs":4,"options":{"traceView":"rollup"}}`); resp.StatusCode != 400 {
 		t.Fatalf("traceView without trace accepted (status %d)", resp.StatusCode)
+	}
+}
+
+// TestTraceRollupHugeMessages pins the 2 GiB boundary of recorded message
+// sizes at the API: an allgather of 64 MiB blocks at P=256 doubles its payload
+// per stage to 8 GiB per message, and the trace records the last three stages
+// saturated at MaxInt32 — their byte totals are lower bounds, never wrapped
+// negatives or zeros — beside the exact bytesMoved.
+func TestTraceRollupHugeMessages(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, data := predict(t, ts, `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"allgather","bytes":67108864},"procs":256,"options":{"trace":true,"traceView":"rollup"}}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var p PredictPoint
+	if err := json.Unmarshal(data, &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.BytesMoved != 4380866641920 {
+		t.Errorf("bytesMoved %d, want the exact 4380866641920", p.BytesMoved)
+	}
+	if p.Rollup == nil || len(p.Rollup.Stages) == 0 {
+		t.Fatalf("rollup stages missing: %s", data)
+	}
+	saturated := 0
+	for _, st := range p.Rollup.Stages {
+		if st.Messages != 256 {
+			t.Errorf("stage %d: %d messages, want 256", st.Stage, st.Messages)
+		}
+		if st.Bytes <= 0 || st.Bytes > 256*math.MaxInt32 {
+			t.Errorf("stage %d: %d recorded bytes for %d messages", st.Stage, st.Bytes, st.Messages)
+		}
+		if st.Bytes == 256*math.MaxInt32 {
+			saturated++
+		}
+	}
+	if saturated == 0 {
+		t.Errorf("no stage reached the 2 GiB per-message boundary; the request no longer exercises it: %s", data)
 	}
 }
 

@@ -4,19 +4,12 @@
 // from the pairwise latency/gap/bandwidth/overhead parameters supplied by a
 // Machine (normally a platform.Machine).
 //
-// The timing rules follow the LogGP decomposition the thesis builds on:
-//
-//   - initiating a request costs the sender the per-request software overhead
-//     o(i,j) on its own clock;
-//   - each rank's injection port serializes its outgoing messages, each
-//     occupying the port for gap(i,j) + size·β(i,j);
-//   - a message becomes available at the destination latency L(i,j) plus the
-//     serialized transfer time after it left the injection port;
-//   - the destination's extraction port serializes incoming messages by
-//     gap(i,j) as they are matched;
-//   - optionally (the default), a send request only completes once a
-//     zero-size acknowledgement has travelled back, which is the behaviour
-//     the thesis' factor-2 stage cost approximates.
+// The timing rules — the LogGP decomposition the thesis builds on: sender
+// overhead, injection- and extraction-port serialization, latency plus
+// transfer time, optional acknowledgement — are the kernel's (internal/loggp),
+// which the direct evaluator (internal/sched) calls too; this package adds the
+// goroutines that order a rank's operations and the mailboxes that match a
+// receive to its message.
 //
 // Because every delay is derived from per-rank counters and per-rank state,
 // simulations are deterministic regardless of goroutine scheduling, provided
@@ -33,6 +26,7 @@ import (
 	"time"
 
 	"hbsp/internal/fault"
+	"hbsp/internal/loggp"
 	"hbsp/internal/trace"
 )
 
@@ -219,23 +213,13 @@ var ErrDeadline = errors.New("simnet: simulation exceeded wall-clock deadline (d
 // and carries the context's cause.
 var ErrAborted = errors.New("simnet: run aborted by context cancellation")
 
+// message is a mailbox envelope: the matching key, the payload, and the
+// message as the receive completion needs it (loggp.Edge, written in place by
+// the sender's kernel call).
 type message struct {
-	src, dst, tag int
-	size          int
-	payload       any
-	arrival       float64
-	// gap and sameNIC are the pair's receive-side terms, priced once by the
-	// sender: the extraction-port occupancy the receiver serializes on, and
-	// whether the message bypasses the ports altogether.
-	gap     float64
-	sameNIC bool
-	// sendEv is, under tracing, the index of the sender's KindSend event in
-	// its lane, so the receiver can link its wait to the gating send;
-	// sendEnd is that event's injection end time (T1), carried on the
-	// message so the receiver's wait event is self-contained and trace
-	// analyses never dereference the sender's lane.
-	sendEv  int32
-	sendEnd float64
+	src, tag int
+	payload  any
+	edge     loggp.Edge
 }
 
 // msgPool recycles message envelopes across the whole process: a message is
@@ -529,39 +513,23 @@ func (mb *mailbox) cancelAll() {
 type world struct {
 	machine   Machine
 	pricer    PairPricer
+	env       loggp.Env // the machine's noise, the compiled fault plan, ack mode
 	opts      Options
 	mailboxes []*mailbox
 	procs     []*Proc
 	gate      *Gate
-	faults    *fault.Runtime
 	cancelled atomic.Bool
 	messages  atomic.Int64
 	bytes     atomic.Int64
 }
 
 // Proc is the handle a simulated rank uses to compute, communicate and read
-// its clock.
+// its clock. All of its clock arithmetic is the LogGP kernel's (loggp.State);
+// the Proc adds the mailboxes that match a receive to its message.
 type Proc struct {
 	w    *world
 	rank int
-
-	now      float64
-	txFree   float64
-	rxFree   float64
-	noiseSeq uint64
-
-	// ft is the run's compiled fault plan, nil on fault-free runs (one
-	// pointer test per hot-path event, like tr). Fail-stop state is derived
-	// from the clock itself (fault.Runtime.Cross), so the EvalState seam the
-	// direct evaluator uses needs no extra fields.
-	ft *fault.Runtime
-
-	// tr is the rank's trace lane, nil unless a recorder is attached; the
-	// hot paths test it once per event. curStep and curStage label recorded
-	// events with the run-time position (superstep, collective stage).
-	tr       *trace.Lane
-	curStep  int32
-	curStage int32
+	st   loggp.State
 
 	// reqFree recycles Request objects. A Proc is driven by a single
 	// goroutine, so the freelist needs no locking; Wait returns completed
@@ -569,12 +537,12 @@ type Proc struct {
 	reqFree []*Request
 }
 
-// newRequest takes a zeroed Request from the rank-local freelist.
+// newRequest takes a Request from the rank-local freelist; the caller
+// overwrites it whole.
 func (p *Proc) newRequest() *Request {
 	if n := len(p.reqFree); n > 0 {
 		r := p.reqFree[n-1]
 		p.reqFree = p.reqFree[:n-1]
-		*r = Request{}
 		return r
 	}
 	return new(Request)
@@ -582,7 +550,6 @@ func (p *Proc) newRequest() *Request {
 
 func (p *Proc) releaseRequest(r *Request) {
 	r.proc = nil
-	r.payload = nil
 	p.reqFree = append(p.reqFree, r)
 }
 
@@ -593,112 +560,39 @@ func (p *Proc) Rank() int { return p.rank }
 func (p *Proc) Size() int { return p.w.machine.Procs() }
 
 // Now returns the process' current virtual time in seconds.
-func (p *Proc) Now() float64 { return p.now }
-
-// noise draws the next jitter factor for this rank. An active fault-plan
-// slowdown multiplies into the draw — the injection point for straggler
-// scenarios, mirrored by sched.rankState.noise.
-func (p *Proc) noise() float64 {
-	f := p.w.machine.Noise(p.rank, p.noiseSeq)
-	if p.ft != nil {
-		f *= p.ft.Slow(p.rank, p.noiseSeq, p.now)
-	}
-	p.noiseSeq++
-	return f
-}
-
-// setNow moves the clock forward to t, applying the fail-stop crossing
-// transform: an advance across the rank's fail time pays the crash penalty
-// (restart + recompute from the last checkpoint) immediately, recorded as a
-// KindFault event on traced runs. Mirrored by sched.rankState.setNow.
-func (p *Proc) setNow(t float64) {
-	if p.ft != nil {
-		if adj, pen := p.ft.Cross(p.rank, p.now, t); pen > 0 {
-			if p.tr != nil {
-				p.tr.Append(trace.Event{Kind: trace.KindFault, Peer: -1, SendSeq: -1,
-					Step: p.curStep, Stage: p.curStage, T0: t, T1: adj})
-			}
-			p.now = adj
-			return
-		}
-	}
-	p.now = t
-}
+func (p *Proc) Now() float64 { return p.st.Now }
 
 // Compute advances the process' clock by the given number of seconds of work,
 // subject to run-to-run noise.
-func (p *Proc) Compute(seconds float64) {
-	if seconds < 0 {
-		seconds = 0
-	}
-	d := seconds * p.noise()
-	if p.tr != nil && d > 0 {
-		p.tr.Append(trace.Event{Kind: trace.KindCompute, Peer: -1, SendSeq: -1,
-			Step: p.curStep, Stage: p.curStage, T0: p.now, T1: p.now + d})
-	}
-	p.setNow(p.now + d)
-}
+func (p *Proc) Compute(seconds float64) { p.st.Compute(&p.w.env, p.rank, seconds) }
 
 // ComputeExact advances the clock without noise; benchmark inner loops use it
 // when the noise is applied at a coarser granularity.
-func (p *Proc) ComputeExact(seconds float64) {
-	if seconds < 0 {
-		seconds = 0
-	}
-	if p.tr != nil && seconds > 0 {
-		p.tr.Append(trace.Event{Kind: trace.KindCompute, Peer: -1, SendSeq: -1,
-			Step: p.curStep, Stage: p.curStage, T0: p.now, T1: p.now + seconds})
-	}
-	p.setNow(p.now + seconds)
-}
+func (p *Proc) ComputeExact(seconds float64) { p.st.ComputeExact(&p.w.env, p.rank, seconds) }
 
 // AdvanceTo moves the clock forward to at least t (no-op if already past).
-func (p *Proc) AdvanceTo(t float64) {
-	if t > p.now {
-		if p.tr != nil {
-			p.tr.Append(trace.Event{Kind: trace.KindAdvance, Peer: -1, SendSeq: -1,
-				Step: p.curStep, Stage: p.curStage, T0: p.now, T1: t})
-		}
-		p.setNow(t)
-	}
-}
+func (p *Proc) AdvanceTo(t float64) { p.st.AdvanceTo(&p.w.env, p.rank, t) }
 
 // Tracing reports whether a recorder is attached to this run; layered
 // run-times use it to skip per-stage instrumentation calls entirely on
 // untraced runs.
-func (p *Proc) Tracing() bool { return p.tr != nil }
+func (p *Proc) Tracing() bool { return p.st.Lane != nil }
 
 // The accessors below are the seam between the concurrent engine and the
 // goroutine-free discrete-event evaluator (internal/sched): at a Gate
-// rendezvous the evaluator imports every rank's LogGP evolution state,
-// replays the collective's operations sequentially with identical
-// arithmetic, and exports the advanced state back. They are not meant for
-// simulated programs.
+// rendezvous the evaluator copies every rank's kernel state, performs the
+// collective's operations sequentially on the copies, and stores the advanced
+// clocks back. They are not meant for simulated programs.
 
-// EvalState exports the rank's LogGP evolution state: its clock, the
-// injection/extraction port free times, and the position in the rank's noise
-// stream.
-func (p *Proc) EvalState() (now, txFree, rxFree float64, noiseSeq uint64) {
-	return p.now, p.txFree, p.rxFree, p.noiseSeq
-}
-
-// SetEvalState imports the rank's LogGP evolution state after a direct
-// evaluation advanced it.
-func (p *Proc) SetEvalState(now, txFree, rxFree float64, noiseSeq uint64) {
-	p.now, p.txFree, p.rxFree, p.noiseSeq = now, txFree, rxFree, noiseSeq
-}
-
-// EvalTrace exports the rank's trace lane (nil on untraced runs) and the
-// superstep and stage labels events recorded now would carry.
-func (p *Proc) EvalTrace() (lane *trace.Lane, step, stage int32) {
-	return p.tr, p.curStep, p.curStage
-}
+// State returns the rank's LogGP kernel state. Only the rank's own goroutine
+// and a gate leader may touch it (see Gate for the synchronization contract).
+func (p *Proc) State() *loggp.State { return &p.st }
 
 // MachineOf returns the machine the run executes on.
 func (p *Proc) MachineOf() Machine { return p.w.machine }
 
 // AckSends reports whether the run acknowledges sends (Options.AckSends).
-func (p *Proc) AckSends() bool { return p.w.opts.AckSends }
+func (p *Proc) AckSends() bool { return p.w.env.Ack }
 
 // CollapseMode returns the run's symmetry-collapse setting
 // (Options.SymmetryCollapse).
@@ -707,7 +601,7 @@ func (p *Proc) CollapseMode() CollapseMode { return p.w.opts.SymmetryCollapse }
 // Faults returns the run's compiled fault plan (nil on fault-free runs); the
 // direct evaluator imports it at the gate rendezvous so both engines inject
 // the identical scenario.
-func (p *Proc) Faults() *fault.Runtime { return p.ft }
+func (p *Proc) Faults() *fault.Runtime { return p.w.env.Faults }
 
 // AddTraffic adds to the run's delivered message and byte counters on behalf
 // of a direct evaluation.
@@ -740,51 +634,27 @@ func (p *Proc) RunProcs() []*Proc { return p.w.procs }
 // superstep just completed) and labels subsequent events with the next
 // superstep. The BSP run-time calls it from Sync, the MPI layer from
 // Barrier; it is a no-op on untraced runs.
-func (p *Proc) TraceSuperstep(step int) {
-	if p.tr == nil {
-		return
-	}
-	p.tr.Append(trace.Event{Kind: trace.KindSuperstep, Peer: -1, SendSeq: -1,
-		Step: int32(step), Stage: p.curStage, T0: p.now, T1: p.now})
-	p.curStep = int32(step) + 1
-}
+func (p *Proc) TraceSuperstep(step int) { p.st.SuperstepMark(int32(step)) }
 
 // TraceStage records a collective-schedule stage mark and labels subsequent
 // events with the stage; a negative stage ends stage attribution. The
 // pattern executor brackets every stage with it on traced runs.
-func (p *Proc) TraceStage(stage int) {
-	if p.tr == nil {
-		return
-	}
-	if stage >= 0 {
-		p.tr.Append(trace.Event{Kind: trace.KindStage, Peer: -1, SendSeq: -1,
-			Step: p.curStep, Stage: int32(stage), T0: p.now, T1: p.now})
-	}
-	p.curStage = int32(stage)
-}
+func (p *Proc) TraceStage(stage int) { p.st.StageMark(int32(stage)) }
 
 // Request represents an outstanding non-blocking operation. Requests are
 // recycled: Wait returns the request to its rank's freelist, so a Request must
 // not be touched after Wait on it has returned.
 type Request struct {
-	proc    *Proc
-	isSend  bool
-	peer    int
-	tag     int
-	size    int
-	payload any
+	proc   *Proc
+	isSend bool
+	peer   int
+	tag    int
+	size   int
 
+	// A receive is matched and completed at Wait time from the clock it was
+	// posted at; a send knows its completion time when it is posted.
 	postTime   float64
 	completeAt float64
-	resolved   bool
-
-	// Tracing state of a resolved receive: whether the message's arrival
-	// gated completion, the arrival itself, the sender's event index and
-	// that event's injection end time.
-	gated   bool
-	arrival float64
-	sendEv  int32
-	sendEnd float64
 }
 
 // IsSend reports whether the request is a send request.
@@ -793,56 +663,23 @@ func (r *Request) IsSend() bool { return r.isSend }
 // Peer returns the remote rank of the request.
 func (r *Request) Peer() int { return r.peer }
 
-// sendCore pays the sender-side costs of one eager send, delivers the message
-// and returns the virtual time at which the send request completes. It is the
-// shared body of Isend and Post; Post skips the Request allocation entirely.
+// sendCore is the shared body of Isend and Post (which skips the Request): it
+// prices the pair, has the kernel bill the send into a pooled envelope,
+// delivers the envelope and returns the virtual time the send request
+// completes.
 func (p *Proc) sendCore(dst, tag, size int, payload any) (completeAt float64) {
 	if dst < 0 || dst >= p.Size() {
 		panic(fmt.Sprintf("simnet: send to invalid rank %d", dst))
 	}
-	lat, gap, beta, ovh, ret, sameNIC := p.w.pricer.Pair(p.rank, dst)
-	// Per-request software overhead on the sender's CPU. Link degradation is
-	// sampled once at the injection clock t0 and governs the whole exchange
-	// (transfer, latency, and the ack's return latency).
-	t0 := p.now
-	latMul, betaMul := 1.0, 1.0
-	if p.ft != nil && p.ft.HasLinks() {
-		latMul, betaMul = p.ft.Link(p.rank, dst, t0)
-	}
-	p.setNow(p.now + ovh*p.noise())
-
-	transfer := float64(size) * beta * betaMul
-	txStart := p.now
-	if !sameNIC || p.rank == dst {
-		// Intra-node transfers to another rank bypass the injection port;
-		// everything else serializes on it.
-		if p.txFree > txStart {
-			txStart = p.txFree
-		}
-		p.txFree = txStart + gap + transfer
-	}
-	arrival := txStart + (lat*latMul+transfer)*p.noise()
-
+	w := p.w
+	var pc loggp.Pair
+	pc.Lat, pc.Gap, pc.Beta, pc.Ovh, pc.Ret, pc.SameNIC = w.pricer.Pair(p.rank, dst)
 	msg := msgPool.Get().(*message)
-	*msg = message{src: p.rank, dst: dst, tag: tag, size: size, payload: payload, arrival: arrival, gap: gap, sameNIC: sameNIC}
-	if p.tr != nil {
-		msg.sendEv = int32(p.tr.Len())
-		msg.sendEnd = p.now
-		p.tr.Append(trace.Event{Kind: trace.KindSend, Peer: int32(dst), Tag: int32(tag),
-			Size: int32(size), SendSeq: -1, Step: p.curStep, Stage: p.curStage,
-			T0: t0, T1: p.now, Arrival: arrival})
-	}
-	p.w.mailboxes[dst].deliver(msg)
-	p.w.messages.Add(1)
-	p.w.bytes.Add(int64(size))
-
-	completeAt = p.txFree
-	if p.rank == dst || sameNIC {
-		completeAt = arrival
-	}
-	if p.w.opts.AckSends && p.rank != dst {
-		completeAt = arrival + ret*latMul
-	}
+	msg.src, msg.tag, msg.payload = p.rank, tag, payload
+	completeAt = p.st.Send(&w.env, p.rank, dst, tag, size, &pc, &msg.edge)
+	w.mailboxes[dst].deliver(msg)
+	w.messages.Add(1)
+	w.bytes.Add(int64(size))
 	return completeAt
 }
 
@@ -854,10 +691,7 @@ func (p *Proc) sendCore(dst, tag, size int, payload any) (completeAt float64) {
 func (p *Proc) Isend(dst, tag, size int, payload any) *Request {
 	completeAt := p.sendCore(dst, tag, size, payload)
 	r := p.newRequest()
-	*r = Request{
-		proc: p, isSend: true, peer: dst, tag: tag, size: size, payload: payload,
-		postTime: p.now, completeAt: completeAt, resolved: true,
-	}
+	*r = Request{proc: p, isSend: true, peer: dst, tag: tag, size: size, completeAt: completeAt}
 	return r
 }
 
@@ -877,49 +711,15 @@ func (p *Proc) Irecv(src, tag int) *Request {
 		panic(fmt.Sprintf("simnet: receive from invalid rank %d", src))
 	}
 	r := p.newRequest()
-	*r = Request{proc: p, isSend: false, peer: src, tag: tag, postTime: p.now}
+	*r = Request{proc: p, peer: src, tag: tag, postTime: p.st.Now}
 	return r
 }
 
-// resolveRecv blocks until the matching message exists, computes the
-// completion time of the receive, extracts the payload into the request and
-// releases the message envelope back to the pool.
-func (r *Request) resolveRecv() {
-	if r.resolved {
-		return
-	}
-	p := r.proc
-	msg := p.w.mailboxes[p.rank].take(r.peer, r.tag)
-	start := r.postTime
-	gated := false
-	if msg.arrival > start {
-		start = msg.arrival
-		gated = true
-	}
-	if !msg.sameNIC {
-		if p.rxFree > start {
-			start = p.rxFree
-			gated = false
-		}
-		p.rxFree = start + msg.gap
-	}
-	r.completeAt = start
-	r.payload = msg.payload
-	r.resolved = true
-	if p.tr != nil {
-		r.size = msg.size
-		r.gated = gated
-		r.arrival = msg.arrival
-		r.sendEv = msg.sendEv
-		r.sendEnd = msg.sendEnd
-	}
-	releaseMessage(msg)
-}
-
 // Wait blocks until the request completes and advances the caller's clock to
-// the completion time. For receives it returns the message payload. Wait
-// recycles the request: using (or re-waiting) a Request after Wait has
-// returned is an error.
+// the completion time. A receive blocks until its message exists, completes
+// on the kernel, returns the message payload and releases the envelope back
+// to the pool. Wait recycles the request: using (or re-waiting) a Request
+// after Wait has returned is an error.
 func (p *Proc) Wait(r *Request) any {
 	if r.proc == nil {
 		panic("simnet: Wait on an already-completed request (requests are recycled by Wait)")
@@ -927,29 +727,15 @@ func (p *Proc) Wait(r *Request) any {
 	if r.proc != p {
 		panic("simnet: waiting on a request posted by a different rank")
 	}
-	if !r.isSend {
-		r.resolveRecv()
-	}
-	if r.completeAt > p.now {
-		if p.tr != nil {
-			ev := trace.Event{Peer: int32(r.peer), Tag: int32(r.tag), Size: int32(r.size),
-				SendSeq: -1, Step: p.curStep, Stage: p.curStage, T0: p.now, T1: r.completeAt}
-			if r.isSend {
-				ev.Kind = trace.KindSendWait
-			} else {
-				ev.Kind = trace.KindRecvWait
-				ev.Gated = r.gated
-				ev.SendSeq = r.sendEv
-				ev.Arrival = r.arrival
-				ev.SendEnd = r.sendEnd
-			}
-			p.tr.Append(ev)
-		}
-		p.setNow(r.completeAt)
-	}
 	var out any
-	if !r.isSend {
-		out = r.payload
+	if r.isSend {
+		p.st.WaitSend(&p.w.env, p.rank, r.completeAt, r.peer, r.tag, r.size)
+	} else {
+		msg := p.w.mailboxes[p.rank].take(r.peer, r.tag)
+		completeAt, gated := p.st.RecvComplete(r.postTime, &msg.edge)
+		p.st.WaitRecv(&p.w.env, p.rank, completeAt, r.peer, r.tag, &msg.edge, gated)
+		out = msg.payload
+		releaseMessage(msg)
 	}
 	p.releaseRequest(r)
 	return out
@@ -973,6 +759,52 @@ func (p *Proc) Send(dst, tag, size int, payload any) {
 // Recv is a blocking receive from a specific source; it returns the payload.
 func (p *Proc) Recv(src, tag int) any {
 	return p.Wait(p.Irecv(src, tag))
+}
+
+// CompileFaults compiles a run's fault plan against the machine, resolving
+// distance classes through the machine's PairClass when it has one. A nil or
+// empty plan compiles to a nil runtime (the fault-free hot path).
+func CompileFaults(p *fault.Plan, m Machine) (*fault.Runtime, error) {
+	var pc func(i, j int) uint8
+	if cm, ok := m.(interface{ PairClass(i, j int) uint8 }); ok {
+		pc = cm.PairClass
+	}
+	return fault.Compile(p, m.Procs(), pc)
+}
+
+// BeginRecording opens a run on the recorder (a no-op when it is disabled),
+// labelling it with the machine's identity, the fault scenario and —
+// crucially for reproducing a trace — the exact run seed the machine carries
+// (WithRunSeed copies expose theirs through RunSeed). The caller hands out
+// the lanes.
+func BeginRecording(rec *trace.Recorder, m Machine, ack bool, ft *fault.Runtime) {
+	if !rec.Enabled() {
+		return
+	}
+	meta := trace.Meta{Procs: m.Procs(), AckSends: ack}
+	if rs, ok := m.(interface{ RunSeed() int64 }); ok {
+		meta.Seed, meta.SeedKnown = rs.RunSeed(), true
+	}
+	if st, ok := m.(fmt.Stringer); ok {
+		meta.Machine = st.String()
+	}
+	meta.Faults = ft.Describe()
+	rec.BeginRun(meta)
+}
+
+// EndRecording seals the recording with the run's outcome (res is nil on a
+// failed run). clean=false means rank goroutines may still be running, so
+// their lanes are unreadable; direct evaluations always end clean.
+func EndRecording(rec *trace.Recorder, res *Result, messages, bytes int64, err error, clean bool) {
+	if !rec.Enabled() {
+		return
+	}
+	var times []float64
+	var makespan float64
+	if res != nil {
+		times, makespan = res.Times, res.MakeSpan
+	}
+	rec.EndRun(times, makespan, messages, bytes, err, clean)
 }
 
 // Run executes body once per rank of the machine, each in its own goroutine,
@@ -1009,18 +841,12 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 	if o.Deadline <= 0 {
 		o.Deadline = DefaultOptions().Deadline
 	}
-	w := &world{machine: m, pricer: PricerOf(m), opts: o, mailboxes: make([]*mailbox, m.Procs())}
-	if o.Faults != nil {
-		var pc func(i, j int) uint8
-		if cm, ok := m.(interface{ PairClass(i, j int) uint8 }); ok {
-			pc = cm.PairClass
-		}
-		rt, err := fault.Compile(o.Faults, m.Procs(), pc)
-		if err != nil {
-			return nil, err
-		}
-		w.faults = rt
+	ft, err := CompileFaults(o.Faults, m)
+	if err != nil {
+		return nil, err
 	}
+	w := &world{machine: m, pricer: PricerOf(m), env: loggp.Env{Noise: m, Faults: ft, Ack: o.AckSends},
+		opts: o, mailboxes: make([]*mailbox, m.Procs())}
 	for i := range w.mailboxes {
 		w.mailboxes[i] = newMailbox(m.Procs(), &w.cancelled)
 	}
@@ -1028,21 +854,8 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 		w.gate = newGate(m.Procs())
 	}
 
-	// Attach the recorder, labeling the run with the machine's identity and
-	// — crucially for reproducing a trace — the exact run seed the machine
-	// carries (WithRunSeed copies expose theirs through RunSeed).
 	rec := o.Recorder
-	if rec.Enabled() {
-		meta := trace.Meta{Procs: m.Procs(), AckSends: o.AckSends}
-		if rs, ok := m.(interface{ RunSeed() int64 }); ok {
-			meta.Seed, meta.SeedKnown = rs.RunSeed(), true
-		}
-		if st, ok := m.(fmt.Stringer); ok {
-			meta.Machine = st.String()
-		}
-		meta.Faults = w.faults.Describe()
-		rec.BeginRun(meta)
-	}
+	BeginRecording(rec, m, o.AckSends, ft)
 	// finish seals the recording with the outcome; clean=false means rank
 	// goroutines may still be running (their lanes are unreadable).
 	finish := func(res *Result, err error, clean bool) (*Result, error) {
@@ -1058,14 +871,7 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 				rel.Release()
 			}
 		}
-		if rec.Enabled() {
-			var times []float64
-			var makespan float64
-			if res != nil {
-				times, makespan = res.Times, res.MakeSpan
-			}
-			rec.EndRun(times, makespan, w.messages.Load(), w.bytes.Load(), err, clean)
-		}
+		EndRecording(rec, res, w.messages.Load(), w.bytes.Load(), err, clean)
 		return res, err
 	}
 
@@ -1074,9 +880,9 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 	errs := make([]error, m.Procs())
 	var wg sync.WaitGroup
 	for rank := 0; rank < m.Procs(); rank++ {
-		p := &Proc{w: w, rank: rank, curStage: -1, ft: w.faults}
+		p := &Proc{w: w, rank: rank}
 		if rec.Enabled() {
-			p.tr = rec.LaneOf(rank)
+			p.st.Attach(rec.LaneOf(rank))
 		}
 		procs[rank] = p
 		wg.Add(1)
@@ -1164,9 +970,9 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 
 	res := &Result{Times: make([]float64, m.Procs()), Messages: w.messages.Load(), Bytes: w.bytes.Load()}
 	for rank, p := range procs {
-		res.Times[rank] = p.now
-		if p.now > res.MakeSpan {
-			res.MakeSpan = p.now
+		res.Times[rank] = p.st.Now
+		if p.st.Now > res.MakeSpan {
+			res.MakeSpan = p.st.Now
 		}
 	}
 	return finish(res, nil, true)

@@ -118,7 +118,10 @@ type Event struct {
 	Peer int32
 	// Tag is the message tag of a communication event.
 	Tag int32
-	// Size is the payload size in bytes of a communication event.
+	// Size is the payload size in bytes of a communication event, saturated
+	// at 2 GiB − 1 (MaxInt32): for runs with larger messages the byte totals
+	// the analyses derive from it are lower bounds. The run's traffic
+	// counters (Summary.Bytes) count exact sizes.
 	Size int32
 	// Step is the superstep the event belongs to (0 before the first
 	// boundary; KindSuperstep marks carry the completed step).
