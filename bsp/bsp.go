@@ -34,8 +34,10 @@ type Ctx = ibsp.Ctx
 // ends a superstep.
 type Synchronizer = ibsp.Synchronizer
 
-// ScheduleSource supplies the verified schedules the Ctx collectives
-// execute.
+// ScheduleSource supplies the verified schedules (sched.Schedule values) the
+// Ctx collectives execute. A source may be shared by concurrent runs; it must
+// answer identical arguments with the identical schedule for the duration of a
+// run.
 type ScheduleSource = ibsp.ScheduleSource
 
 // SyncObserver is notified at the end of every Sync; hbsp.WithTrace installs
@@ -80,7 +82,8 @@ func NewAdaptedSynchronizer(params collective.Params, opts collective.CostOption
 }
 
 // NewScheduleCache returns the default generator-backed schedule source used
-// by the Ctx collectives.
+// by the Ctx collectives: streamed schedules, verified once per stage
+// structure.
 func NewScheduleCache() ScheduleSource { return ibsp.NewScheduleCache() }
 
 // ExchangeSchedule returns the default dissemination count-exchange schedule

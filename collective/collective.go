@@ -1,15 +1,19 @@
 // Package collective is the public surface of the collective-schedule
-// engine: schedules represented as sequences of P×P boolean stage matrices
-// (Pattern), generators for barriers and payload-carrying collectives, the
+// engine: schedules as the thesis' dense literal — sequences of P×P boolean
+// stage matrices (Pattern) — and in streamed O(stages) form (Stream*),
+// generators for barriers and payload-carrying collectives, the
 // knowledge-recursion verifier, the matrix cost model with its critical-path
 // search (Predict), the pattern simulator (Measure/Execute), and the
 // model-driven adaptation that selects hierarchical hybrid schedules from
 // benchmarked parameter matrices (Greedy/GreedySync).
 //
-// Verified patterns are directly executable with user data: they satisfy
-// mpi.Schedule, so mpi.Comm's schedule collectives (BcastSchedule,
-// AllreduceSchedule, ...) run them, and the bsp.Ctx collectives execute them
-// behind the scenes.
+// There is one schedule type: a *Pattern is a sched.Schedule, as the streamed
+// generators' values are, and mpi.Schedule is the same type. So any of them is
+// directly executable with user data — mpi.Comm's schedule collectives
+// (BcastSchedule, AllreduceSchedule, ...) run them, sched.RunSchedule
+// evaluates them, and the bsp.Ctx collectives execute the streamed ones
+// behind the scenes. Prefer the streamed form for anything large: a dense
+// total exchange is (P−1)·9·P² bytes.
 package collective
 
 import (
@@ -22,9 +26,11 @@ import (
 	"hbsp/sim"
 )
 
-// Pattern is a collective schedule: an ordered sequence of P×P boolean stage
-// matrices with optional per-edge payload sizes, a Semantics tag and, for
-// rooted collectives, a Root.
+// Pattern is a collective schedule as a dense literal: an ordered sequence of
+// P×P boolean stage matrices with optional per-edge payload sizes, a
+// Semantics tag and, for rooted collectives, a Root. A *Pattern is a
+// sched.Schedule; Predict, VerifyDense, the adaptation and
+// bsp.NewScheduleSynchronizer are what need the matrices themselves.
 type Pattern = barrier.Pattern
 
 // StageAdj is the sparse per-row adjacency of one stage.

@@ -185,7 +185,9 @@
 // X-Hbspd-Cache header). Identical concurrent misses coalesce into a
 // single evaluation; a global concurrency limiter sheds excess load with
 // 429; per-request budgets map to WithDeadline (408); client disconnects
-// tear the evaluation down via the request context (499). Cache-missed
+// tear the evaluation down via the request context (499). Both evaluation
+// paths read one cache of verified schedules, streamed O(stages) values for
+// every collective, so a total exchange at P=1024 is a 16 KB entry. Cache-missed
 // collective points on the default engine run on pooled sched
 // sweep evaluators keyed by the profile's base fingerprint, so the points
 // of one sweep — and distinct single-point misses against the same profile

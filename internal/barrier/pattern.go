@@ -2,13 +2,19 @@
 // synchronization and collective algorithms (Chapter 5) and everything built
 // on it: schedule generators for the linear, tree and dissemination barriers
 // and for the payload-carrying broadcast, reduce, allreduce, allgather and
-// total-exchange collectives, the knowledge recursion that checks a
-// schedule's correctness per collective semantics (generalizing Eqs. 5.1/5.2),
-// a general pattern simulator with MPI_Startall/MPI_Waitall semantics
-// (Fig. 5.5), and the latency-driven cost model with its critical-path search
-// and the payload extension of Chapter 6. Verify and Predict evaluate the
-// sparse per-row adjacency of the stages (see StageAdj); the literal dense
-// formulation survives as VerifyDense for reference and benchmarking.
+// total-exchange collectives — each as the thesis' dense literal (Pattern)
+// and, for the collectives, in streamed O(stages) form (Stream*) — the
+// knowledge recursion that checks any schedule's correctness per collective
+// semantics (VerifySchedule, generalizing Eqs. 5.1/5.2), a general pattern
+// simulator with MPI_Startall/MPI_Waitall semantics (Fig. 5.5), and the
+// latency-driven cost model with its critical-path search and the payload
+// extension of Chapter 6.
+//
+// One type crosses package boundaries to be verified, cached or executed:
+// sched.Schedule. A Pattern is one implementation — its stage matrices read
+// through their cached sparse adjacency (StageAdj) — the streamed generators
+// are others. The literal matrix products of the recursion survive as
+// VerifyDense, the reference the one recursion is tested against.
 package barrier
 
 import (
@@ -20,11 +26,18 @@ import (
 	"hbsp/internal/sched"
 )
 
-// Pattern is a barrier communication pattern: an ordered sequence of P×P
-// boolean stage matrices, where Stages[s].At(i, j) means "process i signals
-// process j during stage s". An optional payload matrix per stage gives the
-// message sizes in bytes (zero size = pure signal), which the Chapter 6
-// synchronization-with-data extension uses.
+// Pattern is the thesis' dense literal of a communication schedule: an ordered
+// sequence of P×P boolean stage matrices, where Stages[s].At(i, j) means
+// "process i signals process j during stage s". An optional payload matrix per
+// stage gives the message sizes in bytes (zero size = pure signal), which the
+// Chapter 6 synchronization-with-data extension uses.
+//
+// A *Pattern is a sched.Schedule (StageAt over the cached adjacency, plus the
+// Symmetry hint): it is verified, cached and executed wherever a schedule is
+// wanted, with no adapter in between. At stages·9·P² bytes it is the wrong
+// thing to hold for a large collective — the Stream* generators describe the
+// same stages in O(stages); what still needs the matrices themselves is
+// Predict, VerifyDense, internal/adapt and bsp.NewScheduleSynchronizer.
 type Pattern struct {
 	// Name identifies the algorithm ("linear", "dissemination", ...).
 	Name string
@@ -57,11 +70,6 @@ type Pattern struct {
 	// race-free.
 	adjOnce sync.Once
 	adj     []StageAdj
-
-	// reachSet caches the evaluator-facing knowledge reach sets built by
-	// FloodReach, under the same immutability assumption as adj.
-	reachOnce sync.Once
-	reachSet  *sched.ReachSet
 }
 
 // ErrInvalidPattern is returned for structurally broken patterns.
@@ -104,25 +112,19 @@ func (pat *Pattern) Validate() error {
 // NumStages returns the number of stages.
 func (pat *Pattern) NumStages() int { return len(pat.Stages) }
 
-// NumProcs returns the number of participating processes. Together with
-// NumStages and StageEdges it makes a Pattern satisfy the mpi.Schedule
-// interface, so verified schedules are directly executable by the
-// schedule-driven collectives of internal/mpi and internal/bsp.
+// NumProcs returns the number of participating processes.
 func (pat *Pattern) NumProcs() int { return pat.Procs }
 
-// StageEdges returns the sparse in/out adjacency of one rank in one stage:
-// the ranks signalling it, the ranks it signals, and the payload size in
-// bytes of each out-edge (nil when the pattern carries no payload). The
-// caller must not mutate the returned slices; they alias the cached
-// adjacency.
-func (pat *Pattern) StageEdges(stage, rank int) (ins, outs, outBytes []int) {
-	adj := pat.Adjacency()[stage]
-	ins, outs = adj.In[rank], adj.Out[rank]
-	if adj.OutBytes != nil {
-		outBytes = adj.OutBytes[rank]
-	}
-	return ins, outs, outBytes
-}
+// StageAt returns stage s of the cached sparse adjacency (not to be mutated);
+// with NumProcs and NumStages it makes a *Pattern a sched.Schedule.
+func (pat *Pattern) StageAt(s int) sched.Stage { return pat.Adjacency()[s] }
+
+// Symmetry returns the declared rank symmetry (sched.SymmetricSchedule).
+func (pat *Pattern) Symmetry() sched.Symmetry { return pat.Sym }
+
+// ScheduleView returns the pattern itself: a *Pattern is a sched.Schedule.
+// Kept for callers written when the two were different types.
+func (pat *Pattern) ScheduleView() sched.Schedule { return pat }
 
 // Signals returns the total number of signals across all stages.
 func (pat *Pattern) Signals() int {
@@ -142,24 +144,15 @@ func (pat *Pattern) PayloadAt(s, i, j int) float64 {
 	return pat.Payload[s].At(i, j)
 }
 
-// Verify runs the knowledge recursion of Eqs. 5.1/5.2, generalized to the
-// pattern's collective semantics, and reports whether the schedule provably
-// establishes its postcondition when the last stage completes:
-//
-//	K_0 = I + S_0
-//	K_i = K_{i−1} + K_{i−1}·S_i
-//
-// For a barrier (and the barrier-like allreduce/allgather/total-exchange
-// flooding semantics) the final K must contain no zero element; a broadcast
-// only requires the root's row to be full, a reduction only the root's
-// column. This is the thesis' debug aid for automatically generated patterns,
-// evaluated on the sparse stage adjacency in O(signals·P/64) per stage.
+// Verify checks the pattern's structure (Validate) and then its semantics by
+// the knowledge recursion (VerifySchedule): the thesis' debug aid for
+// automatically generated patterns, evaluated on the sparse stage adjacency in
+// O(signals·P/64) per stage.
 func (pat *Pattern) Verify() error {
 	if err := pat.Validate(); err != nil {
 		return err
 	}
-	r := pat.reach()
-	return pat.checkReach(r.has)
+	return VerifySchedule(pat, pat.Semantics, pat.Root)
 }
 
 // VerifyDense is Verify evaluated with the literal dense matrix products of
@@ -184,7 +177,7 @@ func (pat *Pattern) VerifyDense() error {
 			return err
 		}
 	}
-	return pat.checkReach(func(j, i int) bool { return k.At(i, j) != 0 })
+	return checkReach(p, pat.Semantics, pat.Root, func(j, i int) bool { return k.At(i, j) != 0 })
 }
 
 // Linear returns the 2-stage linear (central counter) barrier: every process

@@ -89,7 +89,7 @@ func executeDirect(g *simnet.Gate, p *simnet.Proc, pat *Pattern) {
 				return fmt.Errorf("barrier: rank %d executes a different pattern (Execute is collective)", r)
 			}
 		}
-		sched.AtGate(g, p, func(ev *sched.Evaluator) { ev.ExecSchedule(pat.ScheduleView(), baseTag, true) })
+		sched.AtGate(g, p, func(ev *sched.Evaluator) { ev.ExecSchedule(pat, baseTag, true) })
 		return nil
 	})
 	if err != nil {

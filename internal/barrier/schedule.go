@@ -291,22 +291,19 @@ func withAccumulatingPayload(pat *Pattern, perProcBytes float64) *Pattern {
 	// Walk the SOURCE pattern's adjacency: the structure is identical (stages
 	// are clones), and out's own adjacency must not be built yet — it caches
 	// per-edge payload sizes, which are only being filled in below.
-	r := newReachSets(p)
-	prev := make([]uint64, len(r.bits))
-	for s, st := range pat.Adjacency() {
+	pat.EachStageKnowing(func(s int, st StageAdj, known *sched.ReachSet) {
 		pm := matrix.NewDense(p, p)
 		for i, dests := range st.Out {
 			if len(dests) == 0 {
 				continue
 			}
-			size := float64(r.count(i)) * perProcBytes
+			size := float64(known.Count(i)) * perProcBytes
 			for _, j := range dests {
 				pm.Set(i, j, size)
 			}
 		}
 		out.Payload[s] = pm
-		r.step(st, prev)
-	}
+	})
 	return out
 }
 

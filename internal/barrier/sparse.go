@@ -2,7 +2,6 @@ package barrier
 
 import (
 	"fmt"
-	"math/bits"
 
 	"hbsp/internal/sched"
 )
@@ -14,8 +13,8 @@ import (
 // Execute evaluate, so all run in O(signals) per stage instead of the O(P³)
 // dense matrix products of the literal Eq. 5.1/5.2 formulation (kept as
 // VerifyDense for reference and ablation). It is an alias for the
-// discrete-event evaluator's stage type, so a pattern's cached adjacency is
-// directly executable by internal/sched without conversion.
+// discrete-event evaluator's stage type: a pattern's cached adjacency is what
+// its StageAt hands out.
 type StageAdj = sched.Stage
 
 // Adjacency returns the sparse adjacency of every stage, building and caching
@@ -51,141 +50,67 @@ func (pat *Pattern) Adjacency() []StageAdj {
 	return pat.adj
 }
 
-// reachSets is a P×P bit matrix: row j holds the set of processes whose
-// contribution (arrival proof, broadcast message, reduction operand, ...)
-// process j can account for. It is the sparse equivalent of the knowledge
-// matrix K of Eqs. 5.1/5.2, tracking reachability instead of signal counts.
-type reachSets struct {
-	p, words int
-	bits     []uint64
-}
-
-func newReachSets(p int) *reachSets {
-	words := (p + 63) / 64
-	r := &reachSets{p: p, words: words, bits: make([]uint64, p*words)}
-	for j := 0; j < p; j++ {
-		r.bits[j*words+j/64] |= 1 << (uint(j) % 64)
+// VerifySchedule runs the knowledge recursion over any schedule and reports
+// whether it provably establishes the semantics' postcondition when the last
+// stage completes:
+//
+//	K_0 = I + S_0
+//	K_i = K_{i−1} + K_{i−1}·S_i
+//
+// For a barrier (and the barrier-like allreduce/allgather/total-exchange
+// flooding semantics) the final K must contain no zero element; a broadcast
+// only requires the root's row to be full, a reduction only the root's
+// column. The recursion is sched.ReachSet's — the sets the direct flood hands
+// out as data — so a dense Pattern and a streamed schedule of the same stages
+// are checked by the same code. Non-rooted semantics ignore root.
+func VerifySchedule(s sched.Schedule, sem Semantics, root int) error {
+	p := s.NumProcs()
+	if p < 1 || s.NumStages() == 0 {
+		return fmt.Errorf("%w: %d processes, %d stages", ErrInvalidPattern, p, s.NumStages())
 	}
-	return r
-}
-
-func (r *reachSets) row(j int) []uint64 { return r.bits[j*r.words : (j+1)*r.words] }
-
-func (r *reachSets) has(j, i int) bool {
-	return r.bits[j*r.words+i/64]&(1<<(uint(i)%64)) != 0
-}
-
-func (r *reachSets) count(j int) int {
-	n := 0
-	for _, w := range r.row(j) {
-		n += bits.OnesCount64(w)
+	if (sem == SemBroadcast || sem == SemReduce) && (root < 0 || root >= p) {
+		return fmt.Errorf("%w: root %d out of range for %d processes", ErrInvalidPattern, root, p)
 	}
-	return n
+	return checkReach(p, sem, root, sched.ReachOf(s).Has)
 }
 
-// step applies one stage: every receiver absorbs the pre-stage set of each of
-// its senders (the K_{i-1}·S_i term evaluated edge by edge). prev is scratch
-// storage of the same size that receives the pre-stage snapshot.
-func (r *reachSets) step(st StageAdj, prev []uint64) {
-	copy(prev, r.bits)
-	for i, dests := range st.Out {
-		if len(dests) == 0 {
-			continue
-		}
-		src := prev[i*r.words : (i+1)*r.words]
-		for _, j := range dests {
-			dst := r.row(j)
-			for w := range dst {
-				dst[w] |= src[w]
-			}
-		}
-	}
-}
-
-// reach runs the knowledge recursion over all stages and returns the final
-// reachability sets.
-func (pat *Pattern) reach() *reachSets {
-	r := newReachSets(pat.Procs)
-	prev := make([]uint64, len(r.bits))
-	for _, st := range pat.Adjacency() {
-		r.step(st, prev)
-	}
-	return r
-}
-
-// KnownBeforeStage returns, per stage and per process, the number of
-// distinct contributions the process holds when the stage begins (its own
-// plus everything absorbed in earlier stages): KnownBeforeStage()[s][j] is
-// |K_j| entering stage s. The schedule-synchronizer fast path uses it to
-// price the count-exchange payload a rank snapshots at each stage without
-// moving any data.
-func (pat *Pattern) KnownBeforeStage() [][]int {
-	r := newReachSets(pat.Procs)
-	prev := make([]uint64, len(r.bits))
-	out := make([][]int, len(pat.Adjacency()))
+// EachStageKnowing steps the knowledge recursion through the pattern, calling
+// fn with every stage and the reach sets as they stand when it begins
+// (known.Count(j) = |K_j|): what a rank snapshots at each stage, which the
+// accumulating payload models and the schedule synchronizer price.
+func (pat *Pattern) EachStageKnowing(fn func(s int, st StageAdj, known *sched.ReachSet)) {
+	known := sched.NewReachSet(pat.Procs)
+	v := sched.ViewOf(pat)
 	for s, st := range pat.Adjacency() {
-		row := make([]int, pat.Procs)
-		for j := 0; j < pat.Procs; j++ {
-			row[j] = r.count(j)
-		}
-		out[s] = row
-		r.step(st, prev)
+		fn(s, st, known)
+		v.Load(s)
+		known.Step(&v)
 	}
-	return out
 }
 
-// patSchedule adapts a pattern's cached adjacency to the evaluator's
-// Schedule interface.
-type patSchedule struct{ pat *Pattern }
-
-func (s patSchedule) NumProcs() int             { return s.pat.Procs }
-func (s patSchedule) NumStages() int            { return len(s.pat.Adjacency()) }
-func (s patSchedule) StageAt(i int) sched.Stage { return s.pat.Adjacency()[i] }
-
-// Symmetry forwards the pattern's declared rank symmetry to the evaluator
-// (sched.SymmetricSchedule).
-func (s patSchedule) Symmetry() sched.Symmetry { return s.pat.Sym }
-
-// ScheduleView returns the pattern as an evaluator-executable schedule (the
-// cached sparse adjacency, stage by stage).
-func (pat *Pattern) ScheduleView() sched.Schedule { return patSchedule{pat: pat} }
-
-// FloodReach returns (building and caching on first use) the knowledge
-// reach sets of the pattern in the evaluator's representation: the origins
-// whose contribution a knowledge-flooding walk delivers to each rank. The
-// direct schedule flood consults it on every collective call, so it is
-// cached like the adjacency rather than recomputed per call.
-func (pat *Pattern) FloodReach() *sched.ReachSet {
-	pat.reachOnce.Do(func() {
-		pat.reachSet = sched.ReachOf(pat.ScheduleView())
-	})
-	return pat.reachSet
-}
-
-// checkReach verifies the semantics' postcondition against final reach sets:
+// checkReach verifies a semantics' postcondition against final reach sets:
 // every pair must be covered for the barrier-like collectives, only the
 // root's row for a broadcast, only the root's column for a reduction. Rooted
 // semantics restrict the scan accordingly, so the check never dominates the
 // O(signals) reach recursion at large P.
-func (pat *Pattern) checkReach(knows func(j, i int) bool) error {
-	p := pat.Procs
+func checkReach(p int, sem Semantics, root int, knows func(j, i int) bool) error {
 	iLo, iHi, jLo, jHi := 0, p, 0, p
-	switch pat.Semantics {
+	switch sem {
 	case SemBroadcast:
-		iLo, iHi = pat.Root, pat.Root+1
+		iLo, iHi = root, root+1
 	case SemReduce:
-		jLo, jHi = pat.Root, pat.Root+1
+		jLo, jHi = root, root+1
 	}
 	for i := iLo; i < iHi; i++ {
 		for j := jLo; j < jHi; j++ {
 			if knows(j, i) {
 				continue
 			}
-			if pat.Semantics == SemBarrier {
+			if sem == SemBarrier {
 				return fmt.Errorf("%w: process %d cannot prove the arrival of process %d", ErrInvalidPattern, j, i)
 			}
 			return fmt.Errorf("%w: %s schedule never delivers the contribution of process %d to process %d",
-				ErrInvalidPattern, pat.Semantics, i, j)
+				ErrInvalidPattern, sem, i, j)
 		}
 	}
 	return nil

@@ -1,10 +1,12 @@
 package barrier
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"hbsp/internal/matrix"
+	"hbsp/internal/sched"
 )
 
 func TestAdjacencyMatchesStageMatrices(t *testing.T) {
@@ -42,12 +44,172 @@ func TestAdjacencyMatchesStageMatrices(t *testing.T) {
 }
 
 func TestReachSetsBasics(t *testing.T) {
-	r := newReachSets(70) // spans two uint64 words
-	if !r.has(69, 69) || r.has(69, 0) {
+	r := sched.NewReachSet(70) // spans two uint64 words
+	if !r.Has(69, 69) || r.Has(69, 0) {
 		t.Fatal("reach sets not initialized to the identity")
 	}
-	if r.count(69) != 1 {
-		t.Fatalf("count = %d", r.count(69))
+	if r.Count(69) != 1 {
+		t.Fatalf("count = %d", r.Count(69))
+	}
+	// One stage 0→69: the receiver absorbs its sender's pre-stage set.
+	st := sched.Stage{Out: make([][]int, 70), In: make([][]int, 70)}
+	st.Out[0], st.In[69] = []int{69}, []int{0}
+	v := sched.ViewOf(&sched.StaticStages{Procs: 70, Stages: []sched.Stage{st}})
+	v.Load(0)
+	r.Step(&v)
+	if !r.Has(69, 0) || r.Has(0, 69) || r.Count(69) != 2 || r.Count(0) != 1 {
+		t.Fatalf("after 0→69: 69 knows 0 = %t, 0 knows 69 = %t, counts %d/%d",
+			r.Has(69, 0), r.Has(0, 69), r.Count(69), r.Count(0))
+	}
+	var origins []int
+	r.ForEach(69, func(o int) { origins = append(origins, o) })
+	if len(origins) != 2 || origins[0] != 0 || origins[1] != 69 {
+		t.Fatalf("ForEach(69) = %v, want [0 69]", origins)
+	}
+}
+
+// materialize copies a schedule into mutable StaticStages (deep enough that
+// rows can be edited without touching the source).
+func materialize(s sched.Schedule) *sched.StaticStages {
+	out := &sched.StaticStages{Procs: s.NumProcs()}
+	for k := 0; k < s.NumStages(); k++ {
+		st := s.StageAt(k)
+		cp := sched.Stage{Out: make([][]int, out.Procs), In: make([][]int, out.Procs)}
+		for i := range cp.Out {
+			cp.Out[i] = append([]int(nil), st.Out[i]...)
+			cp.In[i] = append([]int(nil), st.In[i]...)
+		}
+		out.Stages = append(out.Stages, cp)
+	}
+	return out
+}
+
+// removeEdge deletes the edge from→to from a materialized stage.
+func removeEdge(st *sched.Stage, from, to int) {
+	drop := func(row []int, x int) []int {
+		for k, v := range row {
+			if v == x {
+				return append(row[:k:k], row[k+1:]...)
+			}
+		}
+		return row
+	}
+	st.Out[from], st.In[to] = drop(st.Out[from], to), drop(st.In[to], from)
+}
+
+// TestVerifyScheduleAgreesWithVerifyDense checks the one recursion on the
+// streamed generators against the literal matrix products on the dense
+// generators of the same name — and that the two reject the same mutants: a
+// dropped stage, a stage with one edge removed, and a rooted schedule checked
+// under all-to-all semantics. (The linear-shift total exchange is the one
+// generator the first two do not break: under the flooding model its P−1
+// stages reach every pair along many paths. The verifiers must still agree on
+// it.)
+func TestVerifyScheduleAgreesWithVerifyDense(t *testing.T) {
+	type gen struct {
+		name   string
+		sem    Semantics
+		dense  func(p, root int) (*Pattern, error)
+		stream func(p, root int) (sched.Schedule, error)
+	}
+	gens := []gen{
+		{"dissemination", SemBarrier,
+			func(p, _ int) (*Pattern, error) { return Dissemination(p) },
+			func(p, _ int) (sched.Schedule, error) { return StreamDissemination(p) }},
+		{"broadcast", SemBroadcast,
+			func(p, root int) (*Pattern, error) { return Broadcast(p, root, 96) },
+			func(p, root int) (sched.Schedule, error) { return StreamBroadcast(p, root, 96) }},
+		{"reduce", SemReduce,
+			func(p, root int) (*Pattern, error) { return Reduce(p, root, 96) },
+			func(p, root int) (sched.Schedule, error) { return StreamReduce(p, root, 96) }},
+		{"allreduce", SemAllReduce,
+			func(p, _ int) (*Pattern, error) { return AllReduce(p, 96) },
+			func(p, _ int) (sched.Schedule, error) { return StreamAllReduce(p, 96) }},
+		{"allgather", SemAllGather,
+			func(p, _ int) (*Pattern, error) { return AllGather(p, 96) },
+			func(p, _ int) (sched.Schedule, error) { return StreamAllGather(p, 96) }},
+		{"allgather-ring", SemAllGather,
+			func(p, _ int) (*Pattern, error) { return AllGatherRing(p, 64) },
+			func(p, _ int) (sched.Schedule, error) { return StreamAllGatherRing(p, 64) }},
+		{"total-exchange", SemTotalExchange,
+			func(p, _ int) (*Pattern, error) { return TotalExchange(p, 64) },
+			func(p, _ int) (sched.Schedule, error) { return StreamTotalExchange(p, 64) }},
+	}
+	// agree runs both verifiers on one (dense, schedule) pair and fails unless
+	// they give the same verdict; it returns the verdict.
+	agree := func(t *testing.T, what string, dense *Pattern, s sched.Schedule, sem Semantics, root int) bool {
+		t.Helper()
+		dense.Semantics, dense.Root = sem, root
+		de, se := dense.VerifyDense(), VerifySchedule(s, sem, root)
+		if (de == nil) != (se == nil) {
+			t.Fatalf("%s: VerifyDense %v, VerifySchedule %v", what, de, se)
+		}
+		return se == nil
+	}
+	for p := 1; p <= 33; p++ {
+		for _, root := range []int{0, p - 1} {
+			for _, g := range gens {
+				what := fmt.Sprintf("%s p=%d root=%d", g.name, p, root)
+				dense, err := g.dense(p, root)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				stream, err := g.stream(p, root)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if !agree(t, what, dense, stream, g.sem, root) {
+					t.Fatalf("%s: generator schedule rejected", what)
+				}
+				if err := dense.Verify(); err != nil { // *Pattern through the same recursion
+					t.Fatalf("%s: Pattern.Verify: %v", what, err)
+				}
+				if p < 3 {
+					continue // the mutants below need something to break
+				}
+
+				// A dropped stage (the last one).
+				mut := materialize(stream)
+				mut.Stages = mut.Stages[:len(mut.Stages)-1]
+				dm, _ := g.dense(p, root)
+				dm.Stages, dm.Payload = dm.Stages[:len(dm.Stages)-1], nil
+				if agree(t, what+" minus last stage", dm, mut, g.sem, root) && g.sem != SemTotalExchange {
+					t.Errorf("%s: accepted with its last stage dropped", what)
+				}
+
+				// One edge removed from the first stage that has one.
+				mut = materialize(stream)
+				dm, _ = g.dense(p, root)
+				dm.Payload = nil
+				for k := range mut.Stages {
+					from := -1
+					for i, outs := range mut.Stages[k].Out {
+						if len(outs) > 0 {
+							from = i
+							break
+						}
+					}
+					if from < 0 {
+						continue
+					}
+					to := mut.Stages[k].Out[from][0]
+					removeEdge(&mut.Stages[k], from, to)
+					dm.Stages[k].Set(from, to, false)
+					break
+				}
+				if agree(t, what+" minus one edge", dm, mut, g.sem, root) && g.sem != SemTotalExchange {
+					t.Errorf("%s: accepted with one edge removed", what)
+				}
+
+				// A rooted schedule under all-to-all semantics.
+				if g.sem == SemBroadcast || g.sem == SemReduce {
+					dm, _ = g.dense(p, root)
+					if agree(t, what+" as allgather", dm, stream, SemAllGather, root) {
+						t.Errorf("%s: a rooted schedule passed as an allgather", what)
+					}
+				}
+			}
+		}
 	}
 }
 

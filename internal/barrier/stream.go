@@ -18,7 +18,8 @@ import (
 // corresponding Pattern generators (the equivalence tests pin this).
 //
 // The binomial broadcast/reduce trees are not circulant; StreamBroadcast and
-// StreamReduce build each stage's O(P) adjacency on request instead.
+// StreamReduce build each stage's O(P) adjacency on request instead, or answer
+// for one rank (sched.RankSchedule).
 
 // streamOffsets returns the dissemination offsets 1, 2, 4, ... < p.
 func streamOffsets(p int) []int {
@@ -29,8 +30,8 @@ func streamOffsets(p int) []int {
 	return offs
 }
 
-// circulant wraps sched.NewCirculant with the p==1 convention of the Pattern
-// generators: a single empty stage.
+// circulant wraps sched.NewCirculant (which takes negative sizes as 0, as the
+// Pattern generators do) with their p==1 convention: a single empty stage.
 func circulant(p int, offsets, sizes []int) (*sched.Circulant, error) {
 	if p == 1 {
 		return sched.NewCirculant(1, []int{0}, []int{0})
@@ -44,9 +45,6 @@ func circulant(p int, offsets, sizes []int) (*sched.Circulant, error) {
 func StreamTotalExchange(p, blockBytes int) (sched.Schedule, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("%w: total exchange with p=%d", ErrInvalidPattern, p)
-	}
-	if blockBytes < 0 {
-		blockBytes = 0
 	}
 	offs := make([]int, 0, p-1)
 	sizes := make([]int, 0, p-1)
@@ -72,9 +70,6 @@ func StreamAllReduce(p, msgBytes int) (sched.Schedule, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("%w: allreduce with p=%d", ErrInvalidPattern, p)
 	}
-	if msgBytes < 0 {
-		msgBytes = 0
-	}
 	offs := streamOffsets(p)
 	sizes := make([]int, len(offs))
 	for i := range sizes {
@@ -89,9 +84,6 @@ func StreamAllReduce(p, msgBytes int) (sched.Schedule, error) {
 func StreamAllGather(p, blockBytes int) (sched.Schedule, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("%w: allgather with p=%d", ErrInvalidPattern, p)
-	}
-	if blockBytes < 0 {
-		blockBytes = 0
 	}
 	offs := streamOffsets(p)
 	sizes := make([]int, len(offs))
@@ -112,9 +104,6 @@ func StreamAllGatherRing(p, blockBytes int) (sched.Schedule, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("%w: ring allgather with p=%d", ErrInvalidPattern, p)
 	}
-	if blockBytes < 0 {
-		blockBytes = 0
-	}
 	offs := make([]int, 0, p-1)
 	sizes := make([]int, 0, p-1)
 	for k := 1; k < p; k++ {
@@ -126,17 +115,20 @@ func StreamAllGatherRing(p, blockBytes int) (sched.Schedule, error) {
 
 // binomStream streams the binomial broadcast/reduce trees: stage s of the
 // broadcast has the ≤2^s edges (root+r) → (root+r+2^s) mod p for r < 2^s;
-// the reduce runs the transposed stages in reverse order. StageAt builds a
-// fresh O(P) adjacency per call (each rank has at most one edge per side per
-// stage), so the value itself is immutable and no dense matrix is ever
-// materialized.
+// the reduce runs the transposed stages in reverse order. The value is O(1)
+// and immutable: StageAt builds a fresh O(P) adjacency per call, a walker
+// following one rank asks for that rank's edges (sched.RankSchedule), and no
+// dense matrix is ever materialized.
 type binomStream struct {
 	p, root, msgBytes int
 	reverse           bool // reduce: transposed stages in reverse order
 	nstages           int
 }
 
-func newBinomStream(p, root, msgBytes int, reverse bool) *binomStream {
+func newBinomStream(name string, p, root, msgBytes int, reverse bool) (sched.Schedule, error) {
+	if p < 1 || root < 0 || root >= p {
+		return nil, fmt.Errorf("%w: %s with p=%d root=%d", ErrInvalidPattern, name, p, root)
+	}
 	nstages := 0
 	for dist := 1; dist < p; dist *= 2 {
 		nstages++
@@ -144,30 +136,44 @@ func newBinomStream(p, root, msgBytes int, reverse bool) *binomStream {
 	if nstages == 0 {
 		nstages = 1 // single empty stage, mirroring binomialStages at p=1
 	}
-	return &binomStream{p: p, root: root, msgBytes: msgBytes, reverse: reverse, nstages: nstages}
+	return &binomStream{p: p, root: root, msgBytes: max(msgBytes, 0), reverse: reverse, nstages: nstages}, nil
 }
 
 func (s *binomStream) NumProcs() int  { return s.p }
 func (s *binomStream) NumStages() int { return s.nstages }
 
-func (s *binomStream) StageAt(k int) sched.Stage {
-	st := sched.Stage{Out: make([][]int, s.p), In: make([][]int, s.p), OutBytes: make([][]int, s.p)}
+// RankEdges returns rank r's single out- and in-peer in stage k (−1 for none):
+// in the broadcast stage of distance 2^s the rank at relative position
+// rel < 2^s feeds rel+2^s and the ranks at 2^s ≤ rel < 2^(s+1) are fed.
+func (s *binomStream) RankEdges(k, r int) (dst, src, sizeBytes int) {
 	if s.reverse {
 		k = s.nstages - 1 - k
 	}
-	dist := 1 << k
+	dist, rel := 1<<k, (r-s.root+s.p)%s.p
+	child, parent := -1, -1
+	if rel < dist && rel+dist < s.p {
+		child = (r + dist) % s.p
+	}
+	if rel >= dist && rel < 2*dist {
+		parent = (r - dist + s.p) % s.p
+	}
+	if s.reverse {
+		return parent, child, s.msgBytes
+	}
+	return child, parent, s.msgBytes
+}
+
+func (s *binomStream) StageAt(k int) sched.Stage {
+	st := sched.Stage{Out: make([][]int, s.p), In: make([][]int, s.p), OutBytes: make([][]int, s.p)}
 	peers := make([]int, 2*s.p) // per rank: its single destination, its single source
 	sizeRow := []int{s.msgBytes}
-	for r := 0; r < dist && r+dist < s.p; r++ {
-		from := (s.root + r) % s.p
-		to := (s.root + r + dist) % s.p
-		if s.reverse {
-			from, to = to, from
+	for r := 0; r < s.p; r++ {
+		if peers[2*r], peers[2*r+1], _ = s.RankEdges(k, r); peers[2*r] >= 0 {
+			st.Out[r], st.OutBytes[r] = peers[2*r:2*r+1:2*r+1], sizeRow
 		}
-		peers[2*from], peers[2*to+1] = to, from
-		st.Out[from] = peers[2*from : 2*from+1 : 2*from+1]
-		st.In[to] = peers[2*to+1 : 2*to+2 : 2*to+2]
-		st.OutBytes[from] = sizeRow
+		if peers[2*r+1] >= 0 {
+			st.In[r] = peers[2*r+1 : 2*r+2 : 2*r+2]
+		}
 	}
 	return st
 }
@@ -176,23 +182,11 @@ func (s *binomStream) StageAt(k int) sched.Stage {
 // Broadcast: ⌈log2 P⌉ stages, every signal carrying msgBytes) in streaming
 // form.
 func StreamBroadcast(p, root, msgBytes int) (sched.Schedule, error) {
-	if p < 1 || root < 0 || root >= p {
-		return nil, fmt.Errorf("%w: broadcast with p=%d root=%d", ErrInvalidPattern, p, root)
-	}
-	if msgBytes < 0 {
-		msgBytes = 0
-	}
-	return newBinomStream(p, root, msgBytes, false), nil
+	return newBinomStream("broadcast", p, root, msgBytes, false)
 }
 
 // StreamReduce returns the binomial-tree reduction (identical to Reduce: the
 // transposed broadcast stages in reverse order) in streaming form.
 func StreamReduce(p, root, msgBytes int) (sched.Schedule, error) {
-	if p < 1 || root < 0 || root >= p {
-		return nil, fmt.Errorf("%w: reduce with p=%d root=%d", ErrInvalidPattern, p, root)
-	}
-	if msgBytes < 0 {
-		msgBytes = 0
-	}
-	return newBinomStream(p, root, msgBytes, true), nil
+	return newBinomStream("reduce", p, root, msgBytes, true)
 }

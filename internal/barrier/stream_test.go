@@ -17,7 +17,7 @@ func streamPairs(t *testing.T, p int) map[string][2]func() (sched.Schedule, erro
 		if err != nil {
 			return nil, err
 		}
-		return pat.ScheduleView(), nil
+		return pat, nil
 	}
 	return map[string][2]func() (sched.Schedule, error){
 		"dissemination": {

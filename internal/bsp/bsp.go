@@ -132,8 +132,6 @@ func newCtx(p *simnet.Proc, m Machine) *Ctx {
 	return &Ctx{
 		proc:      p,
 		machine:   m,
-		sync:      DefaultSynchronizer(),
-		schedules: defaultSchedules,
 		regs:      map[string][]float64{},
 		outCounts: make([]int, p.Size()),
 	}

@@ -6,34 +6,37 @@ import (
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/mpi"
+	"hbsp/internal/sched"
 )
 
 // ScheduleSource supplies the verified collective schedules the user-facing
-// Ctx collectives execute. The default source builds the generator schedules
-// of internal/barrier and caches them; alternative sources can substitute
+// Ctx collectives execute. The default source builds the streamed generator
+// schedules of internal/barrier; alternative sources can substitute
 // model-selected patterns (e.g. the adapted hybrid schedules of
-// internal/adapt) for the non-rooted collectives. Implementations must be
-// safe for concurrent use: every simulated process of a run queries the same
-// source.
+// internal/adapt — a *barrier.Pattern is a sched.Schedule) for the non-rooted
+// collectives.
+//
+// A source must be safe for concurrent use (every simulated process of a run,
+// and every run sharing it, queries it) and, for the duration of a run, must
+// answer identical arguments with the identical schedule — the same stages
+// and sizes. It need not be the same value each time: a run remembers what it
+// was handed (runSchedules), so the ranks of one collective call execute one
+// value whatever the source, or another run sharing it, does in between.
 type ScheduleSource interface {
-	// Schedule returns a verified pattern establishing the semantics for p
+	// Schedule returns a verified schedule establishing the semantics for p
 	// processes, the given root (ignored by non-rooted semantics) and
 	// per-contribution payload of msgBytes.
-	Schedule(sem barrier.Semantics, p, root, msgBytes int) (*barrier.Pattern, error)
+	Schedule(sem barrier.Semantics, p, root, msgBytes int) (sched.Schedule, error)
 }
 
-// scheduleCache is the default ScheduleSource: generator-built schedules,
-// verified once and cached by (semantics, procs, root, bytes) with their
-// sparse adjacency warmed, so repeated collective calls share one pattern.
-// The knowledge recursion only inspects stage structure, which is identical
-// across payload sizes, so verification is memoized per (semantics, procs,
-// root) and later sizes skip it. The pattern cache itself is bounded:
-// programs cycling through many distinct payload sizes reset it instead of
-// accumulating one P×P-scale pattern per size.
+// scheduleCache is the default ScheduleSource: the streamed generator
+// schedules, O(stages) values that cost next to nothing to build, so none is
+// kept. What is kept is their verification: the knowledge recursion only
+// inspects stage structure, which is identical across payload sizes, so it is
+// memoized per (semantics, procs, root).
 type scheduleCache struct {
 	mu       sync.Mutex
-	cache    map[scheduleKey]*barrier.Pattern
-	verified map[structKey]bool
+	verified map[scheduleKey]bool // keyed with bytes = 0
 }
 
 type scheduleKey struct {
@@ -41,73 +44,87 @@ type scheduleKey struct {
 	p, root, bytes int
 }
 
-type structKey struct {
-	sem     barrier.Semantics
-	p, root int
-}
-
-// maxCachedSchedules bounds the per-size pattern cache; beyond it the cache
-// is reset (the verification memo survives, so re-filling is cheap).
-const maxCachedSchedules = 64
-
 // NewScheduleCache returns the default generator-backed schedule source.
 func NewScheduleCache() ScheduleSource {
-	return &scheduleCache{
-		cache:    map[scheduleKey]*barrier.Pattern{},
-		verified: map[structKey]bool{},
-	}
+	return &scheduleCache{verified: map[scheduleKey]bool{}}
 }
 
 // defaultSchedules serves the Ctx collectives of runs started without an
-// explicit RunConfig; sharing it across runs is safe because cached patterns
-// are immutable once verified.
+// explicit source, so they share one verification memo.
 var defaultSchedules = NewScheduleCache()
 
-func (sc *scheduleCache) Schedule(sem barrier.Semantics, p, root, msgBytes int) (*barrier.Pattern, error) {
-	key := scheduleKey{sem: sem, p: p, root: root, bytes: msgBytes}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if pat, ok := sc.cache[key]; ok {
-		return pat, nil
-	}
+func (sc *scheduleCache) Schedule(sem barrier.Semantics, p, root, msgBytes int) (sched.Schedule, error) {
 	var (
-		pat *barrier.Pattern
+		s   sched.Schedule
 		err error
 	)
 	switch sem {
 	case barrier.SemBroadcast:
-		pat, err = barrier.Broadcast(p, root, msgBytes)
+		s, err = barrier.StreamBroadcast(p, root, msgBytes)
 	case barrier.SemReduce:
-		pat, err = barrier.Reduce(p, root, msgBytes)
+		s, err = barrier.StreamReduce(p, root, msgBytes)
 	case barrier.SemAllReduce:
-		pat, err = barrier.AllReduce(p, msgBytes)
+		s, err = barrier.StreamAllReduce(p, msgBytes)
 	case barrier.SemAllGather:
-		pat, err = barrier.AllGather(p, msgBytes)
+		s, err = barrier.StreamAllGather(p, msgBytes)
 	case barrier.SemTotalExchange:
-		pat, err = barrier.TotalExchange(p, msgBytes)
+		s, err = barrier.StreamTotalExchange(p, msgBytes)
 	default:
 		return nil, fmt.Errorf("bsp: no schedule generator for %s", sem)
 	}
 	if err != nil {
 		return nil, err
 	}
-	sk := structKey{sem: sem, p: p, root: root}
+	sk := scheduleKey{sem: sem, p: p, root: root}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	if !sc.verified[sk] {
-		if err := pat.Verify(); err != nil {
+		if err := barrier.VerifySchedule(s, sem, root); err != nil {
 			return nil, err
 		}
 		sc.verified[sk] = true
-	} else if err := pat.Validate(); err != nil {
-		return nil, err
 	}
-	// Warm the adjacency while the pattern is still owned by this call; the
-	// simulated processes read it concurrently.
-	pat.Adjacency()
-	if len(sc.cache) >= maxCachedSchedules {
-		sc.cache = map[scheduleKey]*barrier.Pattern{}
+	return s, nil
+}
+
+// runSchedules is one run's view of its schedule source: what the source
+// returned for a key, remembered so that every rank asking for the key is
+// handed that value — a flood's gate leader checks that the ranks agree on the
+// schedule by identity. The memo is bounded by dropping everything, which is
+// safe per run: every rank has looked up collective n before any rank is
+// released from it to ask for n+1. (Under the concurrent engine ranks do run
+// ahead, and there identity is not checked.)
+type runSchedules struct {
+	src  ScheduleSource
+	mu   sync.Mutex
+	memo map[scheduleKey]*runSchedule
+}
+
+// runSchedule is one memo entry: the first rank to want it asks the source,
+// outside the memo's lock, and the others wait for that answer.
+type runSchedule struct {
+	once sync.Once
+	s    sched.Schedule
+	err  error
+}
+
+// maxRunSchedules bounds a run's schedule memo.
+const maxRunSchedules = 64
+
+func (rs *runSchedules) Schedule(sem barrier.Semantics, p, root, msgBytes int) (sched.Schedule, error) {
+	key := scheduleKey{sem: sem, p: p, root: root, bytes: msgBytes}
+	rs.mu.Lock()
+	e := rs.memo[key]
+	if e == nil {
+		if rs.memo == nil || len(rs.memo) >= maxRunSchedules {
+			rs.memo = map[scheduleKey]*runSchedule{}
+		}
+		e = &runSchedule{}
+		rs.memo[key] = e
 	}
-	sc.cache[key] = pat
-	return pat, nil
+	rs.mu.Unlock()
+	e.once.Do(func() { e.s, e.err = rs.src.Schedule(sem, p, root, msgBytes) })
+	return e.s, e.err
 }
 
 // ReduceOp combines two reduction operands; it must be associative and
@@ -133,11 +150,11 @@ var (
 // flood executes the schedule with this context's process, converting the
 // per-rank contributions into the typed payloads of the collectives.
 func (c *Ctx) flood(sem barrier.Semantics, root, msgBytes int, own any) (map[int]any, error) {
-	pat, err := c.schedules.Schedule(sem, c.NProcs(), root, msgBytes)
+	s, err := c.schedules.Schedule(sem, c.NProcs(), root, msgBytes)
 	if err != nil {
 		return nil, err
 	}
-	return mpi.CommOn(c.proc).FloodSchedule(pat, own)
+	return mpi.CommOn(c.proc).FloodSchedule(s, own)
 }
 
 // Broadcast distributes the root's data to every process by executing a

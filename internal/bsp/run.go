@@ -21,8 +21,8 @@ type RunConfig struct {
 	// selects the default dissemination synchronizer.
 	Sync Synchronizer
 	// Schedules supplies the verified schedules the user-facing collectives
-	// execute; nil selects a fresh generator-backed cache shared by all ranks
-	// of the run.
+	// execute; nil selects the default generator-backed source. A source may be
+	// shared by concurrent runs (see ScheduleSource).
 	Schedules ScheduleSource
 	// Observer, when non-nil, is notified at the end of every Sync.
 	Observer SyncObserver
@@ -42,10 +42,11 @@ func RunContext(ctx context.Context, m Machine, cfg RunConfig, program Program) 
 	if sync == nil {
 		sync = DefaultSynchronizer()
 	}
-	schedules := cfg.Schedules
-	if schedules == nil {
-		schedules = NewScheduleCache()
+	src := cfg.Schedules
+	if src == nil {
+		src = defaultSchedules
 	}
+	schedules := &runSchedules{src: src}
 	o := simnet.DefaultOptions()
 	if cfg.Options != nil {
 		o = *cfg.Options

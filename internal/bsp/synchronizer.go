@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -37,28 +38,28 @@ type directExchanger interface {
 }
 
 // disseminationSync is the default synchronizer: the ⌈log2 P⌉-stage
-// dissemination exchange with doubling payloads of Section 6.5. The evaluator
-// schedule of each process count is cached on the synchronizer, so repeated
-// runs share one immutable stage structure.
+// dissemination exchange with doubling payloads of Section 6.5. The exchange
+// of each process count is one immutable streamed circulant — O(log P) state
+// at any P — cached so that every run and every superstep hands the evaluator
+// the same value (its partition cache is keyed by it).
 type disseminationSync struct {
 	mu  sync.Mutex
-	byP map[int]sched.Schedule
+	byP map[int]*sched.Circulant
 }
 
 func (*disseminationSync) Name() string                           { return "dissemination" }
 func (*disseminationSync) ExchangeCounts(c *Ctx) ([][]int, error) { return c.exchangeCounts() }
 
-// staticExchangeLimit bounds the rank counts whose exchange schedule is
-// materialized (and cached) as immutable StaticStages — shareable across
-// concurrent runs and stable under the evaluator's partition cache. Above it
-// the exchange is handed out as a fresh streaming Circulant per call: O(1)
-// state per stage, which is what keeps the P=1M count exchange in memory.
-const staticExchangeLimit = 1 << 12
-
-// exchangeOffsetsSizes returns the dissemination exchange's stage offsets
-// (2^s) and payload sizes (header plus the min(2^s, p) count rows the sender
-// holds entering the stage).
-func exchangeOffsetsSizes(p int) (offs, sizes []int) {
+// exchangeSchedule returns the dissemination exchange for p ranks: stage
+// offsets 2^s, payload sizes the header plus the min(2^s, p) count rows the
+// sender holds entering the stage.
+func (d *disseminationSync) exchangeSchedule(p int) (sched.Schedule, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if s, ok := d.byP[p]; ok {
+		return s, nil
+	}
+	var offs, sizes []int
 	known := 1 // rows held entering the stage: min(2^s, p)
 	for dist := 1; dist < p; dist *= 2 {
 		offs = append(offs, dist)
@@ -67,33 +68,12 @@ func exchangeOffsetsSizes(p int) (offs, sizes []int) {
 			known = p
 		}
 	}
-	return offs, sizes
-}
-
-func (d *disseminationSync) exchangeSchedule(p int) (sched.Schedule, error) {
-	if p > staticExchangeLimit {
-		offs, sizes := exchangeOffsetsSizes(p)
-		return sched.NewCirculant(p, offs, sizes)
+	s, err := sched.NewCirculant(p, offs, sizes)
+	if err != nil {
+		return nil, err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if s, ok := d.byP[p]; ok {
-		return s, nil
-	}
-	var stages []sched.Stage
-	offs, sizes := exchangeOffsetsSizes(p)
-	for k, dist := range offs {
-		st := sched.Stage{Out: make([][]int, p), In: make([][]int, p), OutBytes: make([][]int, p)}
-		for i := 0; i < p; i++ {
-			st.Out[i] = []int{(i + dist) % p}
-			st.In[i] = []int{(i - dist + p) % p}
-			st.OutBytes[i] = []int{sizes[k]}
-		}
-		stages = append(stages, st)
-	}
-	s := &sched.StaticStages{Procs: p, Stages: stages, Sym: sched.SymCirculant}
 	if d.byP == nil {
-		d.byP = map[int]sched.Schedule{}
+		d.byP = map[int]*sched.Circulant{}
 	}
 	d.byP[p] = s
 	return s, nil
@@ -131,8 +111,8 @@ type scheduleSync struct {
 
 	// once builds the evaluator schedule of the exchange: the pattern's
 	// adjacency with every out-edge sized at the count-row snapshot the
-	// sender holds entering the stage (the knowledge recursion's
-	// KnownBeforeStage counts).
+	// sender holds entering the stage (the knowledge recursion's counts,
+	// barrier.Pattern.EachStageKnowing).
 	once  sync.Once
 	sched sched.Schedule
 }
@@ -152,10 +132,6 @@ func NewScheduleSynchronizer(pat *barrier.Pattern) (Synchronizer, error) {
 	if err := pat.Verify(); err != nil {
 		return nil, fmt.Errorf("bsp: schedule rejected: %w", err)
 	}
-	// Warm the lazy adjacency cache now, while the pattern is still owned by
-	// a single goroutine: ExchangeCounts reads it concurrently from every
-	// simulated process.
-	pat.Adjacency()
 	return &scheduleSync{pat: pat}, nil
 }
 
@@ -166,24 +142,21 @@ func (s *scheduleSync) exchangeSchedule(p int) (sched.Schedule, error) {
 		return nil, fmt.Errorf("bsp: schedule for %d processes on a %d-process run", s.pat.Procs, p)
 	}
 	s.once.Do(func() {
-		adj := s.pat.Adjacency()
-		known := s.pat.KnownBeforeStage()
-		stages := make([]sched.Stage, len(adj))
-		for sg, st := range adj {
+		stages := make([]sched.Stage, s.pat.NumStages())
+		s.pat.EachStageKnowing(func(sg int, st barrier.StageAdj, known *sched.ReachSet) {
 			outBytes := make([][]int, p)
-			for i := 0; i < p; i++ {
-				if len(st.Out[i]) == 0 {
+			for i, outs := range st.Out {
+				if len(outs) == 0 {
 					continue
 				}
-				size := headerBytes + known[sg][i]*p*countEntryBytes
-				row := make([]int, len(st.Out[i]))
-				for k := range row {
-					row[k] = size
+				outBytes[i] = make([]int, len(outs))
+				size := headerBytes + known.Count(i)*p*countEntryBytes
+				for k := range outBytes[i] {
+					outBytes[i][k] = size
 				}
-				outBytes[i] = row
 			}
 			stages[sg] = sched.Stage{Out: st.Out, In: st.In, OutBytes: outBytes}
-		}
+		})
 		// A circulant pattern has rank-invariant knowledge counts, so the
 		// count-sized payloads stay uniform per stage and the pattern's
 		// symmetry hint carries over to the exchange schedule.
@@ -278,15 +251,9 @@ func NewAdaptedSynchronizer(params barrier.Params, opts barrier.CostOptions) (Sy
 // RunWith executes the SPMD program with a specific synchronizer ending every
 // superstep; Run is RunWith with the default dissemination synchronizer.
 func RunWith(m Machine, sync Synchronizer, program Program, opts ...simnet.Options) (*simnet.Result, error) {
-	if m == nil {
-		return nil, errors.New("bsp: nil machine")
+	cfg := RunConfig{Sync: sync}
+	if len(opts) > 0 {
+		cfg.Options = &opts[0]
 	}
-	if sync == nil {
-		sync = DefaultSynchronizer()
-	}
-	return simnet.Run(m, func(p *simnet.Proc) error {
-		ctx := newCtx(p, m)
-		ctx.sync = sync
-		return program(ctx)
-	}, opts...)
+	return RunContext(context.Background(), m, cfg, program)
 }

@@ -3,27 +3,17 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 )
 
-// Schedule is the minimal stage-graph view of a verified collective schedule
-// that the Comm collectives execute. It is satisfied by barrier.Pattern (and
-// therefore by every generator and by the model-selected hybrid schedules of
-// internal/adapt), without this package importing the schedule engine — the
-// engine's pattern simulator imports this package, so the dependency must
-// point this way.
-type Schedule interface {
-	// NumProcs returns the number of participating processes.
-	NumProcs() int
-	// NumStages returns the number of stages.
-	NumStages() int
-	// StageEdges returns the ranks signalling rank in the stage (ins), the
-	// ranks it signals (outs), and the payload size in bytes of each out-edge
-	// (outBytes, nil when the schedule carries no payload information).
-	StageEdges(stage, rank int) (ins, outs, outBytes []int)
-}
+// Schedule is what the Comm schedule collectives execute: the evaluator's
+// sched.Schedule, the one schedule type of the repository. A dense
+// barrier.Pattern (every generator, the model-selected hybrids of
+// internal/adapt) and the streamed generators satisfy it alike.
+type Schedule = sched.Schedule
 
 // tagSchedule is the base tag of the schedule-executing collectives. Stages
 // are distinguished by tag; repeated executions reuse the same tags, which is
@@ -33,14 +23,22 @@ type Schedule interface {
 // cross-match (the same argument that lets barrier.Execute reuse tags).
 const tagSchedule = 1 << 29
 
-// flood executes the schedule with knowledge-flooding data semantics: every
-// rank starts out knowing only its own contribution, and along every
+// FloodSchedule executes the schedule with knowledge-flooding data semantics:
+// every rank starts out knowing only its own contribution, and along every
 // prescribed edge the sender forwards a snapshot of everything it knows,
 // keyed by originating rank. The billed message sizes are the schedule's
 // per-edge payload sizes, i.e. the exact bytes the cost model prices. It
 // returns the contributions known to the calling rank after the last stage;
 // which entries must be present depends on the collective's semantics and is
-// checked by the callers.
+// checked by the callers — the typed schedule collectives below, and layered
+// run-times implementing their own payload types.
+//
+// Under the default engine the ranks rendezvous at the run's gate and the
+// leader evaluates the flood (floodDirect). Under the concurrent engine every
+// rank walks its own edges, read through its own sched.StageView
+// (RankEdges) — never through StageAt, which a streamed schedule answers by
+// materializing an O(P) adjacency (P ranks × P−1 stages of that would make a
+// total exchange O(P³)).
 //
 // The stage walk (Irecv the in-edges, snapshot everything known, Isend along
 // the out-edges, merge, then wait the sends) deliberately mirrors
@@ -51,23 +49,22 @@ const tagSchedule = 1 << 29
 // exchange is pinned bit-for-bit by golden tests — change the walk protocol
 // in all three places together.
 //
-// Contributions travel by reference between the rank goroutines: a rank may
-// return from the collective while slower ranks are still reading its
-// contribution. Callers passing mutable values (slices, maps, pointers) must
-// either hand over private copies or treat them as immutable for the rest of
-// the run; the typed BSP collectives copy on both sides for exactly this
-// reason.
-func (c *Comm) flood(s Schedule, own any) (map[int]any, error) {
+// Contributions travel by reference between the rank goroutines, not copied: a
+// rank may return from the collective while slower ranks are still reading
+// its contribution. Callers passing mutable values (slices, maps, pointers)
+// must either hand over private copies or treat them as immutable for the
+// rest of the run, and must not mutate received values; the typed BSP
+// collectives copy on both sides for exactly this reason.
+func (c *Comm) FloodSchedule(s Schedule, own any) (map[int]any, error) {
 	p := c.Size()
 	if s.NumProcs() != p {
 		return nil, fmt.Errorf("mpi: schedule for %d processes on a %d-process run", s.NumProcs(), p)
 	}
 	if g := c.proc.SharedGate(); g != nil {
-		if ds, ok := s.(directSchedule); ok {
-			return c.floodDirect(g, s, ds.ScheduleView(), own)
-		}
+		return c.floodDirect(g, s, own)
 	}
 	rank := c.Rank()
+	view := sched.ViewOf(s)
 	known := map[int]any{rank: own}
 	// On traced runs, bracket every stage for per-stage attribution (checked
 	// once so untraced executions pay nothing per stage).
@@ -79,7 +76,7 @@ func (c *Comm) flood(s Schedule, own any) (map[int]any, error) {
 		if traced {
 			c.proc.TraceStage(stage)
 		}
-		ins, outs, outBytes := s.StageEdges(stage, rank)
+		ins, outs, outBytes := view.RankEdges(stage, rank)
 		if len(ins) == 0 && len(outs) == 0 {
 			continue
 		}
@@ -123,15 +120,6 @@ func (c *Comm) flood(s Schedule, own any) (map[int]any, error) {
 	return known, nil
 }
 
-// directSchedule is the optional capability a Schedule implements to route
-// its flood through the goroutine-free discrete-event evaluator
-// (barrier.Pattern implements it via its cached sparse adjacency). Schedules
-// without it — and runs under the concurrent engine — keep the concurrent
-// stage walk.
-type directSchedule interface {
-	ScheduleView() sched.Schedule
-}
-
 // floodTicket is the rendezvous descriptor of one rank entering a schedule
 // flood: the schedule (the leader verifies agreement), the rank's own
 // contribution, and the slot the leader deposits its known-contributions map
@@ -142,6 +130,14 @@ type floodTicket struct {
 	out *map[int]any
 }
 
+// sameSchedule reports whether two ranks entered the flood with the same
+// schedule value — identity, not structure: the leader evaluates one value for
+// everyone. Values of a type Go cannot compare are taken on trust.
+func sameSchedule(a, b Schedule) bool {
+	t := reflect.TypeOf(a)
+	return t == reflect.TypeOf(b) && (!t.Comparable() || a == b)
+}
+
 // floodDirect evaluates the flood at the run's gate: the timing — every
 // prescribed edge billed at the schedule's per-edge payload size — is
 // evaluated sequentially against the live per-rank clocks, and the data
@@ -149,7 +145,7 @@ type floodTicket struct {
 // exactly the contributions of the origins whose flooding reaches j, by
 // reference, which is precisely what the concurrent walk's merge loop
 // produces message by message.
-func (c *Comm) floodDirect(g *simnet.Gate, s Schedule, view sched.Schedule, own any) (map[int]any, error) {
+func (c *Comm) floodDirect(g *simnet.Gate, s Schedule, own any) (map[int]any, error) {
 	var known map[int]any
 	t := &floodTicket{s: s, own: own, out: &known}
 	err := g.Arrive(c.proc, t, func(tickets []any) error {
@@ -157,13 +153,13 @@ func (c *Comm) floodDirect(g *simnet.Gate, s Schedule, view sched.Schedule, own 
 		owns := make([]any, p)
 		for r, ti := range tickets {
 			ft, ok := ti.(*floodTicket)
-			if !ok || ft.s != s {
+			if !ok || !sameSchedule(ft.s, s) {
 				return errors.New("mpi: ranks disagree on the flooded schedule (schedule collectives are collective)")
 			}
 			owns[r] = ft.own
 		}
-		sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(view, tagSchedule, false) })
-		reach := reachOf(s, view)
+		sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(s, tagSchedule, false) })
+		reach := sched.ReachOf(s)
 		for r, ti := range tickets {
 			ft := ti.(*floodTicket)
 			m := make(map[int]any, reach.Count(r))
@@ -178,30 +174,6 @@ func (c *Comm) floodDirect(g *simnet.Gate, s Schedule, view sched.Schedule, own 
 	return known, nil
 }
 
-// reachOf returns the schedule's knowledge reach sets, preferring the
-// cached sets a schedule exposes (barrier.Pattern caches them alongside its
-// adjacency) over recomputing the recursion per collective call.
-func reachOf(s Schedule, view sched.Schedule) *sched.ReachSet {
-	if fr, ok := s.(interface{ FloodReach() *sched.ReachSet }); ok {
-		return fr.FloodReach()
-	}
-	return sched.ReachOf(view)
-}
-
-// FloodSchedule executes the schedule with the raw knowledge-flooding data
-// semantics of flood and returns the contributions (keyed by originating
-// rank) known to the calling rank after the last stage. It is the building
-// block the typed schedule collectives share; layered run-times use it to
-// implement their own payload types.
-//
-// Contributions are exchanged by reference, not copied: pass a private copy
-// of any mutable value, and do not mutate received values — other ranks may
-// still be reading them (and, in the collectives built on this, may share
-// the same underlying storage).
-func (c *Comm) FloodSchedule(s Schedule, own any) (map[int]any, error) {
-	return c.flood(s, own)
-}
-
 // BcastSchedule distributes the root's value to every rank by executing the
 // schedule (typically a verified broadcast pattern) and returns it on every
 // rank.
@@ -213,7 +185,7 @@ func (c *Comm) BcastSchedule(s Schedule, root int, value any) (any, error) {
 	if c.Rank() == root {
 		own = value
 	}
-	known, err := c.flood(s, own)
+	known, err := c.FloodSchedule(s, own)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +204,7 @@ func (c *Comm) ReduceSchedule(s Schedule, root int, value float64, op Op) (float
 	if root < 0 || root >= c.Size() {
 		return 0, fmt.Errorf("%w: %d", ErrInvalidRoot, root)
 	}
-	known, err := c.flood(s, value)
+	known, err := c.FloodSchedule(s, value)
 	if err != nil {
 		return 0, err
 	}
@@ -247,7 +219,7 @@ func (c *Comm) ReduceSchedule(s Schedule, root int, value float64, op Op) (float
 // are combined in rank order, so the result is deterministic and correct for
 // non-idempotent operators on any verified schedule (no double counting).
 func (c *Comm) AllreduceSchedule(s Schedule, value float64, op Op) (float64, error) {
-	known, err := c.flood(s, value)
+	known, err := c.FloodSchedule(s, value)
 	if err != nil {
 		return 0, err
 	}
@@ -257,7 +229,7 @@ func (c *Comm) AllreduceSchedule(s Schedule, value float64, op Op) (float64, err
 // AllgatherSchedule collects one value per rank by executing the schedule and
 // returns the slice indexed by rank, identical on all ranks.
 func (c *Comm) AllgatherSchedule(s Schedule, value any) ([]any, error) {
-	known, err := c.flood(s, value)
+	known, err := c.FloodSchedule(s, value)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +254,7 @@ func (c *Comm) TotalExchangeSchedule(s Schedule, blocks []any) ([]any, error) {
 		return nil, fmt.Errorf("mpi: total exchange needs %d blocks, got %d", p, len(blocks))
 	}
 	own := append([]any(nil), blocks...)
-	known, err := c.flood(s, own)
+	known, err := c.FloodSchedule(s, own)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +274,7 @@ func (c *Comm) TotalExchangeSchedule(s Schedule, blocks []any) ([]any, error) {
 // a verified barrier pattern): it returns only once the calling rank can
 // account for the arrival of every rank.
 func (c *Comm) BarrierSchedule(s Schedule) error {
-	known, err := c.flood(s, struct{}{})
+	known, err := c.FloodSchedule(s, struct{}{})
 	if err != nil {
 		return err
 	}

@@ -5,12 +5,17 @@ package mpi_test
 // internal/mpi — an in-package test would be an import cycle.
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/mpi"
 	"hbsp/internal/platform"
 	"hbsp/internal/simnet"
+	"hbsp/internal/trace"
 )
 
 func scheduleMachine(t *testing.T, procs int) simnet.Machine {
@@ -142,5 +147,130 @@ func TestScheduleCollectiveValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// collectiveSchedules is one schedule per typed collective, in one form.
+type collectiveSchedules struct{ bc, rd, ar, ag, te, ba mpi.Schedule }
+
+func must[S mpi.Schedule](t *testing.T) func(S, error) mpi.Schedule {
+	return func(s S, err error) mpi.Schedule {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+}
+
+// TestStreamedAndDenseSchedulesAgreeOnBothEngines runs every typed schedule
+// collective four ways — on the dense *Pattern and on the streamed schedule of
+// the same name, each evaluated at the gate (EngineAuto) and walked rank by
+// rank through the stage view (EngineConcurrent) — on a noisy heterogeneous
+// machine, with and without acknowledged sends: per-rank times, traffic,
+// every returned value and, traced, the recording byte for byte must be the
+// same on all four.
+func TestStreamedAndDenseSchedulesAgreeOnBothEngines(t *testing.T) {
+	for _, p := range []int{1, 2, 5, 8, 13, 16} {
+		root := 2 % p
+		dense, stream := must[*barrier.Pattern](t), must[mpi.Schedule](t)
+		forms := map[string]collectiveSchedules{
+			"dense": {
+				bc: dense(barrier.Broadcast(p, root, 96)), rd: dense(barrier.Reduce(p, root, 8)),
+				ar: dense(barrier.AllReduce(p, 8)), ag: dense(barrier.AllGather(p, 24)),
+				te: dense(barrier.TotalExchange(p, 40)), ba: dense(barrier.Dissemination(p)),
+			},
+			"streamed": {
+				bc: stream(barrier.StreamBroadcast(p, root, 96)), rd: stream(barrier.StreamReduce(p, root, 8)),
+				ar: stream(barrier.StreamAllReduce(p, 8)), ag: stream(barrier.StreamAllGather(p, 24)),
+				te: stream(barrier.StreamTotalExchange(p, 40)), ba: stream(barrier.StreamDissemination(p)),
+			},
+		}
+		m, err := platform.Xeon8x2x4().Machine(p) // heterogeneity spread and run-to-run noise
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ack := range []bool{true, false} {
+			for _, traced := range []bool{false, true} {
+				type outcome struct {
+					leg    string
+					res    *simnet.Result
+					values []string
+					spill  []byte
+				}
+				var first *outcome
+				for _, form := range []string{"dense", "streamed"} {
+					for _, engine := range []simnet.Engine{simnet.EngineAuto, simnet.EngineConcurrent} {
+						cs := forms[form]
+						got := &outcome{leg: fmt.Sprintf("p=%d ack=%t traced=%t %s/engine%d", p, ack, traced, form, engine), values: make([]string, p)}
+						o := simnet.DefaultOptions()
+						o.AckSends, o.Engine = ack, engine
+						if traced {
+							o.Recorder = trace.NewRecorder()
+						}
+						got.res, err = mpi.RunContext(context.Background(), m.WithRunSeed(41), func(c *mpi.Comm) error {
+							me := float64(c.Rank())
+							b, err := c.BcastSchedule(cs.bc, root, "payload")
+							if err != nil {
+								return err
+							}
+							r, err := c.ReduceSchedule(cs.rd, root, me+0.5, mpi.OpSum)
+							if err != nil {
+								return err
+							}
+							a, err := c.AllreduceSchedule(cs.ar, me*1.25, mpi.OpSum)
+							if err != nil {
+								return err
+							}
+							g, err := c.AllgatherSchedule(cs.ag, c.Rank()*11)
+							if err != nil {
+								return err
+							}
+							blocks := make([]any, p)
+							for j := range blocks {
+								blocks[j] = 100*c.Rank() + j
+							}
+							x, err := c.TotalExchangeSchedule(cs.te, blocks)
+							if err != nil {
+								return err
+							}
+							got.values[c.Rank()] = fmt.Sprint(b, r, a, g, x)
+							return c.BarrierSchedule(cs.ba)
+						}, o)
+						if err != nil {
+							t.Fatalf("%s: %v", got.leg, err)
+						}
+						if traced {
+							tr, err := o.Recorder.Trace()
+							if err != nil {
+								t.Fatalf("%s: %v", got.leg, err)
+							}
+							var buf bytes.Buffer
+							if err := trace.WriteSpill(&buf, tr); err != nil {
+								t.Fatalf("%s: %v", got.leg, err)
+							}
+							got.spill = buf.Bytes()
+						}
+						if first == nil {
+							first = got
+							continue
+						}
+						if !slices.Equal(got.res.Times, first.res.Times) {
+							t.Errorf("%s: times %v, %s has %v", got.leg, got.res.Times, first.leg, first.res.Times)
+						}
+						if got.res.Messages != first.res.Messages || got.res.Bytes != first.res.Bytes {
+							t.Errorf("%s: %d messages / %d bytes, %s has %d / %d", got.leg,
+								got.res.Messages, got.res.Bytes, first.leg, first.res.Messages, first.res.Bytes)
+						}
+						if !slices.Equal(got.values, first.values) {
+							t.Errorf("%s: returned values %v, %s has %v", got.leg, got.values, first.leg, first.values)
+						}
+						if !bytes.Equal(got.spill, first.spill) {
+							t.Errorf("%s: recorded a different trace than %s (%d and %d spill bytes)", got.leg, first.leg, len(got.spill), len(first.spill))
+						}
+					}
+				}
+			}
+		}
 	}
 }

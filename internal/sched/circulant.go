@@ -23,7 +23,7 @@ type CirculantSchedule interface {
 // total-exchange and ring collectives, and it carries the SymCirculant hint
 // by construction. A Circulant is immutable after construction — O(stages)
 // state, shareable by any number of concurrent evaluations: the evaluator
-// derives each rank's peers from CirculantStage (stageView) and never
+// derives each rank's peers from CirculantStage (StageView) and never
 // materializes an adjacency.
 type Circulant struct {
 	p       int
@@ -77,7 +77,7 @@ func (c *Circulant) CirculantStage(k int) (offset, sizeBytes int) {
 }
 
 // StageAt materializes stage k as a fresh adjacency, for generic Schedule
-// consumers; the evaluator's walkers read CirculantStage through a stageView
+// consumers; the evaluator's walkers read CirculantStage through a StageView
 // instead.
 func (c *Circulant) StageAt(k int) Stage {
 	off, size := c.CirculantStage(k)
@@ -101,13 +101,27 @@ func (c *Circulant) StageAt(k int) Stage {
 	return st
 }
 
-// stageView reads one stage of a schedule for the stage walkers: generic
-// schedules through StageAt, circulant ones by deriving each rank's single
-// out- and in-peer (r±off) mod P on the fly, so the schedule value is only
-// ever read. The slices outs and ins return for a circulant stage alias the
-// view's one-element buffers and are valid until the next call of the same
-// method.
-type stageView struct {
+// RankSchedule is the optional O(1)-per-rank view of a streamed schedule in
+// which a rank has at most one edge per side per stage (the binomial trees of
+// internal/barrier), for StageView.RankEdges: without it every rank goroutine
+// of a concurrent-engine walk would build StageAt's O(P) adjacency for itself.
+type RankSchedule interface {
+	Schedule
+	// RankEdges returns the rank r signals in stage k and the rank signalling
+	// r (−1 for none), and the payload size of r's out-edge.
+	RankEdges(k, r int) (dst, src, sizeBytes int)
+}
+
+// StageView reads one stage of a schedule edge by edge, the schedule value
+// only ever being read: generic schedules through StageAt (once per Load),
+// circulant ones by deriving each rank's single out- and in-peer (r±off) mod P
+// on the fly. Every walker reads schedules through it: the evaluator's stage
+// loops, the partition refinement and the knowledge recursion (Load, then
+// Outs / Ins / OutSize rank after rank), and the concurrent engine's flood
+// (RankEdges; one view per rank goroutine, by value). One-element slices
+// returned for a streamed stage alias the view's buffers and are valid until
+// the next call of the same method.
+type StageView struct {
 	s    Schedule
 	cs   CirculantSchedule // non-nil: stages are read through CirculantStage
 	p    int
@@ -116,15 +130,17 @@ type stageView struct {
 	size int
 	dst  [1]int
 	src  [1]int
+	sz   [1]int
 }
 
-func viewOf(s Schedule) stageView {
+// ViewOf returns a view of the schedule, pointed at no stage yet.
+func ViewOf(s Schedule) StageView {
 	cs, _ := s.(CirculantSchedule)
-	return stageView{s: s, cs: cs, p: s.NumProcs()}
+	return StageView{s: s, cs: cs, p: s.NumProcs()}
 }
 
-// load points the view at stage sg.
-func (v *stageView) load(sg int) {
+// Load points the view at stage sg.
+func (v *StageView) Load(sg int) {
 	if v.cs != nil {
 		off, size := v.cs.CirculantStage(sg)
 		v.off, v.size = ((off%v.p)+v.p)%v.p, size
@@ -133,8 +149,8 @@ func (v *stageView) load(sg int) {
 	v.st = v.s.StageAt(sg)
 }
 
-// outs returns the ranks r signals, in edge order.
-func (v *stageView) outs(r int) []int {
+// Outs returns the ranks r signals, in edge order.
+func (v *StageView) Outs(r int) []int {
 	if v.cs == nil {
 		return v.st.Out[r]
 	}
@@ -147,8 +163,8 @@ func (v *stageView) outs(r int) []int {
 	return v.dst[:]
 }
 
-// ins returns the ranks signalling r, in the order their sends are scanned.
-func (v *stageView) ins(r int) []int {
+// Ins returns the ranks signalling r, in the order their sends are scanned.
+func (v *StageView) Ins(r int) []int {
 	if v.cs == nil {
 		return v.st.In[r]
 	}
@@ -161,8 +177,8 @@ func (v *stageView) ins(r int) []int {
 	return v.src[:]
 }
 
-// outSize returns the payload size of r's k-th out-edge.
-func (v *stageView) outSize(r, k int) int {
+// OutSize returns the payload size of r's k-th out-edge.
+func (v *StageView) OutSize(r, k int) int {
 	if v.cs != nil {
 		return v.size
 	}
@@ -170,4 +186,28 @@ func (v *stageView) outSize(r, k int) int {
 		return 0
 	}
 	return v.st.OutBytes[r][k]
+}
+
+// RankEdges reads one rank's edges in stage sg, for a walker that follows a
+// single rank: the ranks signalling r, the ranks it signals, and the payload
+// size of each out-edge (nil: pure signals). A RankSchedule is asked for them;
+// anything else loads the stage.
+func (v *StageView) RankEdges(sg, r int) (ins, outs, outBytes []int) {
+	if rs, ok := v.s.(RankSchedule); ok {
+		if v.dst[0], v.src[0], v.sz[0] = rs.RankEdges(sg, r); v.src[0] >= 0 {
+			ins = v.src[:]
+		}
+		if v.dst[0] >= 0 {
+			outs, outBytes = v.dst[:], v.sz[:]
+		}
+		return ins, outs, outBytes
+	}
+	v.Load(sg)
+	if v.sz[0] = v.size; v.cs != nil {
+		return v.Ins(r), v.Outs(r), v.sz[:]
+	}
+	if v.st.OutBytes != nil {
+		outBytes = v.st.OutBytes[r]
+	}
+	return v.st.In[r], v.st.Out[r], outBytes
 }

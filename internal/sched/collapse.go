@@ -131,7 +131,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 		e.classIn = make([][]loggp.Edge, nc)
 	}
 	classIn := e.classIn[:nc]
-	v := viewOf(s)
+	v := ViewOf(s)
 	env := &e.env
 	for sg := 0; sg < s.NumStages(); sg++ {
 		if chk != nil {
@@ -139,7 +139,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 				return err
 			}
 		}
-		v.load(sg)
+		v.Load(sg)
 		tag := tagBase + sg
 		done := e.sendDone[:0]
 
@@ -148,8 +148,8 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 		for c := 0; c < nc; c++ {
 			r := int(part.Reps[c])
 			rs := &e.states[r]
-			outs := v.outs(r)
-			if len(outs) == 0 && len(v.ins(r)) == 0 {
+			outs := v.Outs(r)
+			if len(outs) == 0 && len(v.Ins(r)) == 0 {
 				if computeEmpty {
 					rs.Compute(env, r, 0)
 				}
@@ -160,7 +160,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 				ci := classIn[c][:0]
 				var repBytes int64
 				for k, dst := range outs {
-					size := v.outSize(r, k)
+					size := v.OutSize(r, k)
 					ci = append(ci, loggp.Edge{})
 					done = append(done, e.send(rs, r, dst, tag, size, &ci[k]))
 					repBytes += int64(size)
@@ -186,12 +186,12 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 		for c := 0; c < nc; c++ {
 			r := int(part.Reps[c])
 			rs := &e.states[r]
-			for _, src := range v.ins(r) {
-				k := outPosition(v.outs(src), r)
+			for _, src := range v.Ins(r) {
+				k := outPosition(v.Outs(src), r)
 				completeAt, _ := rs.RecvComplete(e.entry[r], &classIn[part.ClassOf[src]][k])
 				rs.AdvanceTo(env, r, completeAt)
 			}
-			for range v.outs(r) {
+			for range v.Outs(r) {
 				rs.AdvanceTo(env, r, done[sent])
 				sent++
 			}

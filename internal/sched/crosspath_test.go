@@ -11,6 +11,7 @@ import (
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/fault"
+	"hbsp/internal/matrix"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 	"hbsp/internal/trace"
@@ -104,6 +105,31 @@ func randomSchedule(t *testing.T, rng *rand.Rand, p int) (string, sched.Schedule
 		}
 	}
 	return "irregular", &sched.StaticStages{Procs: p, Stages: st}
+}
+
+// densePattern is the thesis' literal of a schedule: one P×P stage matrix and
+// one payload matrix per stage. A *barrier.Pattern is a sched.Schedule, so it
+// goes down every path the streamed form does.
+func densePattern(s sched.Schedule) *barrier.Pattern {
+	p := s.NumProcs()
+	pat := &barrier.Pattern{Name: "literal", Procs: p}
+	if ss, ok := s.(sched.SymmetricSchedule); ok {
+		pat.Sym = ss.Symmetry()
+	}
+	for k := 0; k < s.NumStages(); k++ {
+		st := s.StageAt(k)
+		stage, payload := matrix.NewBool(p, p), matrix.NewDense(p, p)
+		for i, outs := range st.Out {
+			for q, j := range outs {
+				stage.Set(i, j, true)
+				if st.OutBytes != nil {
+					payload.Set(i, j, float64(st.OutBytes[i][q]))
+				}
+			}
+		}
+		pat.Stages, pat.Payload = append(pat.Stages, stage), append(pat.Payload, payload)
+	}
+	return pat
 }
 
 // programOf lowers execs executions of a schedule to the op-stream the
@@ -279,6 +305,10 @@ func TestGeneratedCrossPathAgreement(t *testing.T) {
 		ack := rng.Intn(2) == 0
 		tag := fmt.Sprintf("case %d %s %s p=%d ack=%v", c, mname, shape, p, ack)
 		base := crossPaths(t, tag, m, s, 2, ack, nil)
+		if shape == "circulant" {
+			// The same stages as a dense literal: one more input to every path.
+			diffResults(t, tag+" dense literal vs streamed", base, crossPaths(t, tag+" dense literal", m, densePattern(s), 2, ack, nil))
+		}
 
 		plan := &fault.Plan{
 			Seed:      int64(c),

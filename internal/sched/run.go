@@ -224,42 +224,62 @@ func (c *stageChecker) check() error {
 const ScheduleTagBase = 1 << 20
 
 // ReachSet holds, per rank, the bitset of origins whose contribution a
-// knowledge-flooding walk over a schedule delivers to that rank — the same
-// recursion the schedule verifier evaluates, exposed so the direct flood can
-// assemble each rank's known-contributions map without moving any payloads.
+// knowledge-flooding walk over a schedule delivers to that rank: the sparse
+// form of the knowledge matrix K of the thesis' Eqs. 5.1/5.2, reachability in
+// place of signal counts. It is the one body of the recursion: the verifier
+// checks its final state against a collective's postcondition, the payload
+// models read its counts stage by stage, and the direct flood assembles each
+// rank's known-contributions map from it without moving any payloads.
 type ReachSet struct {
-	p, words int
-	bits     []uint64
+	p, words   int
+	bits, prev []uint64 // prev: the pre-stage snapshot Step reads
 }
 
-// ReachOf runs the knowledge recursion over the schedule.
-func ReachOf(s Schedule) *ReachSet {
-	p := s.NumProcs()
+// NewReachSet returns the state before the first stage: every rank holds its
+// own contribution only (K = I).
+func NewReachSet(p int) *ReachSet {
 	words := (p + 63) / 64
-	r := &ReachSet{p: p, words: words, bits: make([]uint64, p*words)}
+	r := &ReachSet{p: p, words: words, bits: make([]uint64, p*words), prev: make([]uint64, p*words)}
 	for j := 0; j < p; j++ {
 		r.bits[j*words+j/64] |= 1 << (uint(j) % 64)
 	}
-	prev := make([]uint64, len(r.bits))
-	v := viewOf(s)
-	for sg := 0; sg < s.NumStages(); sg++ {
-		v.load(sg)
-		copy(prev, r.bits)
-		for i := 0; i < p; i++ {
-			dests := v.outs(i)
-			if len(dests) == 0 {
-				continue
-			}
-			src := prev[i*words : (i+1)*words]
-			for _, j := range dests {
-				dst := r.bits[j*words : (j+1)*words]
-				for w := range dst {
-					dst[w] |= src[w]
-				}
+	return r
+}
+
+// Step applies the stage the view is pointed at: every receiver absorbs the
+// pre-stage set of each of its senders (the K·S term of the recursion,
+// evaluated edge by edge).
+func (r *ReachSet) Step(v *StageView) {
+	copy(r.prev, r.bits)
+	for i := 0; i < r.p; i++ {
+		dests := v.Outs(i)
+		if len(dests) == 0 {
+			continue
+		}
+		src := r.prev[i*r.words : (i+1)*r.words]
+		for _, j := range dests {
+			dst := r.bits[j*r.words : (j+1)*r.words]
+			for w := range dst {
+				dst[w] |= src[w]
 			}
 		}
 	}
+}
+
+// ReachOf runs the knowledge recursion over all stages of the schedule.
+func ReachOf(s Schedule) *ReachSet {
+	r := NewReachSet(s.NumProcs())
+	v := ViewOf(s)
+	for sg := 0; sg < s.NumStages(); sg++ {
+		v.Load(sg)
+		r.Step(&v)
+	}
 	return r
+}
+
+// Has reports whether origin's contribution reaches rank.
+func (r *ReachSet) Has(rank, origin int) bool {
+	return r.bits[rank*r.words+origin/64]&(1<<(uint(origin)%64)) != 0
 }
 
 // Count returns the number of origins reaching rank.

@@ -316,7 +316,7 @@ func (e *Evaluator) ExecSchedule(s Schedule, tagBase int, computeEmpty bool) {
 // per stage on a linear barrier, which is what the flat inbox removed.
 func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *stageChecker) error {
 	p := len(e.states)
-	v := viewOf(s)
+	v := ViewOf(s)
 	env := &e.env
 	for sg := 0; sg < s.NumStages(); sg++ {
 		if chk != nil {
@@ -324,7 +324,7 @@ func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *
 				return err
 			}
 		}
-		v.load(sg)
+		v.Load(sg)
 		stage := int32(sg)
 		tag := tagBase + sg
 
@@ -333,7 +333,7 @@ func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *
 		edges := 0
 		for r := 0; r < p; r++ {
 			e.inNext[r] = int32(edges)
-			edges += len(v.ins(r))
+			edges += len(v.Ins(r))
 		}
 		if cap(e.inbox) < edges {
 			e.inbox = make([]loggp.Edge, edges)
@@ -345,8 +345,8 @@ func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *
 		for r := 0; r < p; r++ {
 			rs := &e.states[r]
 			rs.StageMark(stage)
-			outs := v.outs(r)
-			if len(outs) == 0 && len(v.ins(r)) == 0 {
+			outs := v.Outs(r)
+			if len(outs) == 0 && len(v.Ins(r)) == 0 {
 				if computeEmpty {
 					rs.Compute(env, r, 0)
 				}
@@ -354,7 +354,7 @@ func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *
 			}
 			e.entry[r] = rs.Now
 			for k, dst := range outs {
-				done = append(done, e.send(rs, r, dst, tag, v.outSize(r, k), &inbox[e.inNext[dst]]))
+				done = append(done, e.send(rs, r, dst, tag, v.OutSize(r, k), &inbox[e.inNext[dst]]))
 				e.inNext[dst]++
 			}
 		}
@@ -364,15 +364,15 @@ func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *
 		base, sent := 0, 0
 		for r := 0; r < p; r++ {
 			rs := &e.states[r]
-			ins := v.ins(r)
+			ins := v.Ins(r)
 			for q, src := range ins {
 				in := &inbox[base+q]
 				completeAt, gated := rs.RecvComplete(e.entry[r], in)
 				rs.WaitRecv(env, r, completeAt, src, tag, in, gated)
 			}
 			base += len(ins)
-			for k, dst := range v.outs(r) {
-				rs.WaitSend(env, r, done[sent], dst, tag, v.outSize(r, k))
+			for k, dst := range v.Outs(r) {
+				rs.WaitSend(env, r, done[sent], dst, tag, v.OutSize(r, k))
 				sent++
 			}
 		}

@@ -202,32 +202,32 @@ func refineClasses(sm SymmetricMachine, s Schedule, rt *fault.Runtime) *Partitio
 			return nil
 		}
 	}
-	v := viewOf(s)
+	v := ViewOf(s)
 	for pass := 0; pass < maxRefinePasses; pass++ {
 		split := false
 		for sg := 0; sg < stages; sg++ {
-			v.load(sg)
+			v.Load(sg)
 			for k := range ids {
 				delete(ids, k)
 			}
 			assigned := int32(0)
 			for r := 0; r < p; r++ {
 				sig = binary.AppendUvarint(sig[:0], uint64(classOf[r]))
-				for k, dst := range v.outs(r) {
+				for k, dst := range v.Outs(r) {
 					sig = binary.AppendUvarint(sig, uint64(sm.PairClass(r, dst)))
 					sig = binary.AppendUvarint(sig, uint64(classOf[dst]))
-					sig = binary.AppendUvarint(sig, uint64(v.outSize(r, k)))
+					sig = binary.AppendUvarint(sig, uint64(v.OutSize(r, k)))
 					if edgeSigs {
 						sig = binary.AppendUvarint(sig, rt.EdgeSig(r, dst))
 					}
 				}
 				sig = append(sig, 0xff)
-				for _, src := range v.ins(r) {
-					k := outPosition(v.outs(src), r)
+				for _, src := range v.Ins(r) {
+					k := outPosition(v.Outs(src), r)
 					sig = binary.AppendUvarint(sig, uint64(classOf[src]))
 					sig = binary.AppendUvarint(sig, uint64(k))
 					sig = binary.AppendUvarint(sig, uint64(sm.PairClass(src, r)))
-					sig = binary.AppendUvarint(sig, uint64(v.outSize(src, k)))
+					sig = binary.AppendUvarint(sig, uint64(v.OutSize(src, k)))
 					if edgeSigs {
 						sig = binary.AppendUvarint(sig, rt.EdgeSig(src, r))
 					}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hbsp"
+	"hbsp/collective"
 	"hbsp/fault"
 	"hbsp/sim"
 	"hbsp/trace"
@@ -251,11 +252,11 @@ func (s *Server) evaluateSession(ctx context.Context, req *PredictRequest, rp *r
 		opts = append(opts, hbsp.WithRecorder(rec))
 	}
 	if w.Kind == "sync" && w.Variant == "schedule" {
-		pat, err := s.barrierPattern("dissemination", pt.procs)
+		sch, err := s.schedule(w, pt.procs)
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		opts = append(opts, hbsp.WithScheduleSynchronizer(pat))
+		opts = append(opts, hbsp.WithScheduleSynchronizer(sch.(*collective.Pattern)))
 	}
 
 	sess, err := hbsp.New(rp.machine, opts...)

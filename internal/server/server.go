@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hbsp/bsp"
 	iexp "hbsp/internal/experiments"
 )
 
@@ -76,10 +75,9 @@ type Server struct {
 	m         *metrics
 	results   *lruCache // pointKey -> rendered response bytes
 	machines  *lruCache // (profile fingerprint, procs) -> *resolvedProfile
-	patterns  *lruCache // barrier variants by (variant, procs)
+	schedules *lruCache // (kind, variant, procs, root, bytes) -> verified sched.Schedule
 	sweeps    *lruCache // sweepKey -> *sweepEntry (pooled sweep evaluators)
 	sweepMu   sync.Mutex
-	schedules bsp.ScheduleSource
 	flights   *flightGroup
 	limit     *limiter
 	mux       *http.ServeMux
@@ -95,9 +93,8 @@ func New(cfg Config) *Server {
 		m:         m,
 		results:   newLRU(cfg.CacheEntries),
 		machines:  newLRU(cfg.MachineEntries),
-		patterns:  newLRU(256),
+		schedules: newLRU(256),
 		sweeps:    newLRU(sweepPoolEntries),
-		schedules: bsp.NewScheduleCache(),
 		flights:   newFlightGroup(),
 		limit:     newLimiter(cfg.MaxConcurrent, cfg.MaxQueue, m),
 	}
@@ -233,9 +230,15 @@ type gzipResponse struct {
 	gz *gzip.Writer
 }
 
+// gzipWriters recycles compressors across responses: a gzip.Writer is ≈0.8 MB
+// of tables, far more than everything else a compressed cache hit allocates.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 func newGzipResponse(w http.ResponseWriter) *gzipResponse {
 	w.Header().Set("Content-Encoding", "gzip")
-	return &gzipResponse{ResponseWriter: w, gz: gzip.NewWriter(w)}
+	gz := gzipWriters.Get().(*gzip.Writer)
+	gz.Reset(w)
+	return &gzipResponse{ResponseWriter: w, gz: gz}
 }
 
 func (g *gzipResponse) Write(b []byte) (int, error) { return g.gz.Write(b) }
@@ -247,7 +250,15 @@ func (g *gzipResponse) Flush() {
 	}
 }
 
-func (g *gzipResponse) Close() error { return g.gz.Close() }
+// Close ends the gzip stream and returns the compressor to the pool; one
+// whose Close failed is dropped instead.
+func (g *gzipResponse) Close() error {
+	err := g.gz.Close()
+	if err == nil {
+		gzipWriters.Put(g.gz)
+	}
+	return err
+}
 
 // servePoint answers a single-point request with one JSON object. Cache hits
 // bypass the limiter entirely — the hot path of repeated queries.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hbsp"
-	"hbsp/collective"
 	"hbsp/sched"
 	"hbsp/sim"
 )
@@ -110,15 +109,7 @@ func (s *Server) sweepEvaluator(key string, req *PredictRequest, rp *resolvedPro
 // evaluateSwept runs one eligible point on its pooled evaluator and returns
 // the run result, bit-identical to the session evaluation of the same point.
 func (s *Server) evaluateSwept(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, error) {
-	var (
-		pat *collective.Pattern
-		err error
-	)
-	if w.Kind == "barrier" {
-		pat, err = s.barrierPattern(w.Variant, pt.procs)
-	} else {
-		pat, err = s.collectivePattern(w.Kind, pt.procs, w.Root, w.Bytes)
-	}
+	sch, err := s.schedule(w, pt.procs)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +141,7 @@ func (s *Server) evaluateSwept(ctx context.Context, req *PredictRequest, rp *res
 		ent.sw.SetDeadline(left)
 	}
 
-	res, err := ent.sw.Run(ctx, rp.cluster.WithRunSeed(seed), pat.ScheduleView(), 1)
+	res, err := ent.sw.Run(ctx, rp.cluster.WithRunSeed(seed), sch, 1)
 	if pooled {
 		s.m.sweepPointsReused.Add(1)
 	}

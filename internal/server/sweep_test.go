@@ -222,14 +222,14 @@ func TestAsymmetricMatrixAckLeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat, err := s.collectivePattern("totalexchange", p, 0, 64)
+	pat, err := s.schedule(&WorkloadSpec{Kind: "totalexchange", Bytes: 64}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	o := sim.DefaultOptions()
 	o.AckSends = true
-	res, err := sched.RunSchedule(ctx, rp.machine, pat.ScheduleView(), 1, o)
+	res, err := sched.RunSchedule(ctx, rp.machine, pat, 1, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestAsymmetricMatrixAckLeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unrelated, err := s.barrierPattern("dissemination", p+3)
+	unrelated, err := s.schedule(&WorkloadSpec{Kind: "barrier", Variant: "dissemination"}, p+3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +248,12 @@ func TestAsymmetricMatrixAckLeg(t *testing.T) {
 			t.Fatal(err)
 		}
 		if base != rp.machine {
-			if _, err := sw.Run(ctx, nil, unrelated.ScheduleView(), 1); err != nil {
+			if _, err := sw.Run(ctx, nil, unrelated, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for point := 0; point < 2; point++ { // the second point reuses the arena
-			if res, err = sw.Run(ctx, rp.machine, pat.ScheduleView(), 1); err != nil {
+			if res, err = sw.Run(ctx, rp.machine, pat, 1); err != nil {
 				t.Fatal(err)
 			}
 			times[fmt.Sprintf("%s/point%d", name, point)] = res.Times

@@ -7,7 +7,9 @@ import (
 	"hbsp"
 	"hbsp/bsp"
 	"hbsp/collective"
+	"hbsp/internal/barrier"
 	"hbsp/mpi"
+	"hbsp/sched"
 	"hbsp/sim"
 	"hbsp/stencil"
 )
@@ -186,23 +188,15 @@ func buildProgram(ranks [][]OpSpec) *sim.Program {
 // run result (plus the per-iteration time for the stencil workload).
 func (s *Server) runWorkload(ctx context.Context, sess *hbsp.Session, w *WorkloadSpec, procs int) (*sim.Result, float64, error) {
 	switch w.Kind {
-	case "barrier":
-		pat, err := s.barrierPattern(w.Variant, procs)
-		if err != nil {
-			return nil, 0, err
-		}
-		res, err := sess.RunMPI(ctx, func(c *mpi.Comm) error {
-			return c.BarrierSchedule(pat)
-		})
-		return res, 0, err
-
-	case "broadcast", "reduce", "allreduce", "allgather", "totalexchange":
-		pat, err := s.collectivePattern(w.Kind, procs, w.Root, w.Bytes)
+	case "barrier", "broadcast", "reduce", "allreduce", "allgather", "totalexchange":
+		pat, err := s.schedule(w, procs)
 		if err != nil {
 			return nil, 0, err
 		}
 		res, err := sess.RunMPI(ctx, func(c *mpi.Comm) error {
 			switch w.Kind {
+			case "barrier":
+				return c.BarrierSchedule(pat)
 			case "broadcast":
 				_, err := c.BcastSchedule(pat, w.Root, float64(c.Rank()))
 				return err
@@ -280,60 +274,63 @@ func syncProgram(w *WorkloadSpec) bsp.Program {
 	}
 }
 
-// barrierPattern returns the (verified, cached) barrier schedule of a
-// variant. Patterns are immutable once verified, so sharing them across
-// concurrent runs is safe.
-func (s *Server) barrierPattern(variant string, procs int) (*collective.Pattern, error) {
-	key := fmt.Sprintf("pattern/barrier/%s/p%d", variant, procs)
-	if pat, ok := s.patterns.Get(key); ok {
-		return pat.(*collective.Pattern), nil
+// schedule returns a point's verified schedule from the server's one schedule
+// cache, which both evaluation paths read. The collectives and the
+// dissemination barrier are the streamed generator schedules: a total
+// exchange at P=1024 is 16 KB where its stage matrices would be 9.7 GB. Dense
+// literals remain where nothing streamed exists: the payload-free tree and
+// linear barriers, and the dissemination pattern bsp.NewScheduleSynchronizer
+// takes for the sync workload's "schedule" variant. Verification reads stage
+// structure only, so the cache also holds a marker per verified (kind,
+// variant, procs, root). Cached values are immutable and shared between runs.
+func (s *Server) schedule(w *WorkloadSpec, procs int) (sched.Schedule, error) {
+	structure := fmt.Sprintf("%s:%s/p%d/root%d", w.Kind, w.Variant, procs, w.Root)
+	key := fmt.Sprintf("schedule/%s/b%d", structure, w.Bytes)
+	if sch, ok := s.schedules.Get(key); ok {
+		return sch.(sched.Schedule), nil
 	}
 	var (
-		pat *collective.Pattern
+		sch sched.Schedule
 		err error
+		sem = collective.SemBarrier
 	)
-	switch variant {
-	case "dissemination":
-		pat, err = collective.Dissemination(procs)
-	case "tree":
-		pat, err = collective.Tree(procs)
-	default:
-		pat, err = collective.Linear(procs, 0)
-	}
-	if err != nil {
-		return nil, badRequestf("barrier:%s with P=%d: %v", variant, procs, err)
-	}
-	if err := pat.Verify(); err != nil {
-		return nil, fmt.Errorf("server: barrier:%s P=%d failed verification: %v", variant, procs, err)
-	}
-	pat.Adjacency()
-	s.patterns.Put(key, pat)
-	return pat, nil
-}
-
-// collectivePattern returns a verified data-collective schedule through the
-// shared generator cache (bsp.NewScheduleCache), the same verified-pattern
-// cache the BSP Ctx collectives use: verification is memoized per stage
-// structure, so sweeping payload sizes re-verifies nothing.
-func (s *Server) collectivePattern(kind string, procs, root, bytes int) (*collective.Pattern, error) {
-	var sem collective.Semantics
-	switch kind {
-	case "broadcast":
+	dense := func(pat *collective.Pattern, e error) { sch, err = pat, e }
+	switch w.Kind + ":" + w.Variant {
+	case "broadcast:":
 		sem = collective.SemBroadcast
-	case "reduce":
+		sch, err = collective.StreamBroadcast(procs, w.Root, w.Bytes)
+	case "reduce:":
 		sem = collective.SemReduce
-	case "allreduce":
+		sch, err = collective.StreamReduce(procs, w.Root, w.Bytes)
+	case "allreduce:":
 		sem = collective.SemAllReduce
-	case "allgather":
+		sch, err = collective.StreamAllReduce(procs, w.Bytes)
+	case "allgather:":
 		sem = collective.SemAllGather
-	case "totalexchange":
+		sch, err = collective.StreamAllGather(procs, w.Bytes)
+	case "totalexchange:":
 		sem = collective.SemTotalExchange
+		sch, err = collective.StreamTotalExchange(procs, w.Bytes)
+	case "barrier:dissemination":
+		sch, err = collective.StreamDissemination(procs)
+	case "barrier:tree":
+		dense(collective.Tree(procs))
+	case "barrier:linear":
+		dense(collective.Linear(procs, 0))
+	case "sync:schedule":
+		dense(collective.Dissemination(procs))
 	default:
-		return nil, fmt.Errorf("server: no schedule semantics for %q", kind)
+		return nil, fmt.Errorf("server: no schedule for workload %s:%s", w.Kind, w.Variant)
 	}
-	pat, err := s.schedules.Schedule(sem, procs, root, bytes)
 	if err != nil {
-		return nil, badRequestf("%s with P=%d: %v", kind, procs, err)
+		return nil, badRequestf("%s:%s with P=%d: %v", w.Kind, w.Variant, procs, err)
 	}
-	return pat, nil
+	if _, ok := s.schedules.Get("verified/" + structure); !ok {
+		if err := barrier.VerifySchedule(sch, sem, w.Root); err != nil {
+			return nil, fmt.Errorf("server: %s:%s P=%d failed verification: %v", w.Kind, w.Variant, procs, err)
+		}
+		s.schedules.Put("verified/"+structure, true)
+	}
+	s.schedules.Put(key, sch)
+	return sch, nil
 }

@@ -3,7 +3,7 @@
 // requests with Startall/WaitAll semantics, the built-in point-to-point
 // collectives (Barrier, Bcast, Allreduce, Allgather), and the
 // schedule-driven collectives (BcastSchedule, AllreduceSchedule, ...) that
-// execute verified collective.Pattern schedules with user data.
+// execute verified collective schedules (sched.Schedule) with user data.
 //
 // Programs are normally started through an hbsp.Session (hbsp.New +
 // Session.RunMPI), which adds functional options, machine validation and
@@ -28,8 +28,9 @@ type PersistentRequest = impi.PersistentRequest
 // Op is a reduction operator for Allreduce.
 type Op = impi.Op
 
-// Schedule is the stage-graph view of a verified collective schedule the
-// Comm schedule collectives execute; collective.Pattern satisfies it.
+// Schedule is what the Comm schedule collectives execute: sched.Schedule, the
+// one schedule type — a verified *collective.Pattern or a streamed
+// collective.Stream* schedule alike.
 type Schedule = impi.Schedule
 
 // Standard reduction operators.

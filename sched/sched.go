@@ -22,9 +22,11 @@ import (
 // Stage is the sparse adjacency of one schedule stage.
 type Stage = sched.Stage
 
-// Schedule is the stage-graph view the evaluator executes; implementations
-// may generate stages on the fly (see Stage for the ordering contract).
-// collective.Pattern values are Schedules via their ScheduleView method.
+// Schedule is the stage graph the evaluator executes — the one schedule type
+// of the module: a *collective.Pattern is one, the streamed generators
+// (collective.Stream*, Circulant) return others, and mpi.Schedule is this
+// type. Implementations may generate stages on the fly (see Stage for the
+// ordering contract).
 type Schedule = sched.Schedule
 
 // StaticStages wraps a materialized stage slice as a Schedule.

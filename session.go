@@ -71,7 +71,7 @@ type Session struct {
 	machine   sim.Machine
 	options   sim.Options
 	sync      bsp.Synchronizer
-	schedules bsp.ScheduleSource
+	schedules bsp.ScheduleSource // nil: the BSP run-time's default source
 	trace     TraceFunc
 	traceMu   sync.Mutex
 }
@@ -96,10 +96,9 @@ func New(m sim.Machine, opts ...Option) (*Session, error) {
 		}
 	}
 	s := &Session{
-		machine:   m,
-		options:   sim.DefaultOptions(),
-		sync:      bsp.DefaultSynchronizer(),
-		schedules: bsp.NewScheduleCache(),
+		machine: m,
+		options: sim.DefaultOptions(),
+		sync:    bsp.DefaultSynchronizer(),
 	}
 	for _, opt := range opts {
 		if opt == nil {

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -157,6 +158,45 @@ func TestRunBSPWithCollectives(t *testing.T) {
 	}
 	if res.MakeSpan <= 0 {
 		t.Fatalf("MakeSpan = %g, want > 0", res.MakeSpan)
+	}
+}
+
+// TestSharedScheduleSessionAcrossConcurrentRuns holds the Session to its
+// "safe for concurrent runs" for the schedule source it owns: four runs at
+// once, each asking for 200 allreduce schedules no other call asked for. The
+// ranks of one collective call must be handed one schedule value whatever the
+// other runs do to the shared source (on a source-side cache that reset under
+// them this failed with "ranks disagree on the flooded schedule").
+func TestSharedScheduleSessionAcrossConcurrentRuns(t *testing.T) {
+	const procs, runs, calls = 16, 4, 200
+	sess, err := hbsp.New(testMachine(t, procs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, runs)
+	for run := 0; run < runs; run++ {
+		go func() {
+			_, err := sess.RunBSP(context.Background(), func(c *bsp.Ctx) error {
+				for i := 0; i < calls; i++ {
+					v := make([]float64, 1+run+runs*i) // lengths pairwise distinct across runs and calls
+					v[0] = float64(c.Pid())
+					sum, err := c.AllReduce(v, bsp.OpSum)
+					if err != nil {
+						return err
+					}
+					if sum[0] != procs*(procs-1)/2 {
+						return fmt.Errorf("run %d call %d: AllReduce = %v", run, i, sum[0])
+					}
+				}
+				return nil
+			})
+			errs <- err
+		}()
+	}
+	for run := 0; run < runs; run++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 
