@@ -110,13 +110,22 @@ type LevelSpec struct {
 // and beta matrices (required), gap and overhead matrices (optional, zero
 // default), the invocation overhead and an optional rank→NIC map (default:
 // every rank its own NIC).
+//
+// Each Matrix is scanned once, by its own UnmarshalJSON (see Matrix), and
+// keeps the first defect it met in document order — a negative element, a
+// ragged row, a matrix that is not square — so a matrix with several defects
+// reports the one that comes first in its text. Across the profile the
+// report order is fixed, not textual: latency, the dimension against procs,
+// beta, gap, overhead, a zero latency off the diagonal, selfOverhead, nic.
+// As everywhere in encoding/json, keys match case-insensitively and the last
+// of a repeated key wins.
 type MatrixProfile struct {
-	Latency      [][]float64 `json:"latency"`
-	Gap          [][]float64 `json:"gap,omitempty"`
-	Beta         [][]float64 `json:"beta"`
-	Overhead     [][]float64 `json:"overhead,omitempty"`
-	SelfOverhead float64     `json:"selfOverhead"`
-	NIC          []int       `json:"nic,omitempty"`
+	Latency      Matrix  `json:"latency,omitzero"`
+	Gap          Matrix  `json:"gap,omitzero"`
+	Beta         Matrix  `json:"beta,omitzero"`
+	Overhead     Matrix  `json:"overhead,omitzero"`
+	SelfOverhead float64 `json:"selfOverhead"`
+	NIC          []int   `json:"nic,omitempty"`
 }
 
 // WorkloadSpec names the workload to predict.
@@ -182,8 +191,11 @@ type OptionsSpec struct {
 	// PerRank includes the full per-rank time vector in each point.
 	PerRank bool `json:"perRank,omitempty"`
 	// Trace attaches a recorder and includes the critical path and the
-	// per-category time breakdown in each point (forces per-rank
-	// evaluation, so collapse reports reason "trace").
+	// per-category time breakdown in each point. Tracing forces per-rank
+	// evaluation; collapse then reports reason "trace" where the machine and
+	// the run would otherwise have collapsed, and the machine's own reason
+	// ("hetero", "noise") where they would not have anyway — hbspd's
+	// collectives ask the machine before the recorder.
 	Trace bool `json:"trace,omitempty"`
 	// TraceView selects the trace payload under Trace: "path" (default)
 	// carries the critical path and category breakdown, "rollup" the

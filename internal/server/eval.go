@@ -22,13 +22,37 @@ type point struct {
 	scale ScaleSpec
 }
 
+// The request ceilings, checked before anything is sized from the numbers
+// they bound.
+const (
+	// maxProcs is the largest rank count a point may ask for: the largest the
+	// repository evaluates anywhere (the collapsed runs at P=2^20). A machine
+	// is O(P) to build, so an unbounded procs is an unbounded allocation.
+	maxProcs = 1 << 20
+	// maxSweepPoints bounds the cross product of a sweep's axes; every point
+	// gets a result slot and a line of the reply.
+	maxSweepPoints = 4096
+)
+
+// checkProcs validates one rank count; what names where it came from.
+func checkProcs(what string, procs int) error {
+	if procs < 1 {
+		return badRequestf("%s must be >= 1, got %d", what, procs)
+	}
+	if procs > maxProcs {
+		return badRequestf("%s must be <= %d, got %d", what, maxProcs, procs)
+	}
+	return nil
+}
+
 // expandPoints builds the row-major cross product of a request's sweep axes
 // (procs outermost, then bytes, then scale); a request without a sweep is a
-// single point.
+// single point. Rank counts beyond maxProcs and sweeps of more than
+// maxSweepPoints points are refused here, before the points exist.
 func expandPoints(req *PredictRequest) ([]point, error) {
 	if req.Sweep == nil {
-		if req.Procs < 1 {
-			return nil, badRequestf("procs must be >= 1, got %d", req.Procs)
+		if err := checkProcs("procs", req.Procs); err != nil {
+			return nil, err
 		}
 		return []point{{procs: req.Procs}}, nil
 	}
@@ -47,10 +71,18 @@ func expandPoints(req *PredictRequest) ([]point, error) {
 	if len(scaleAxis) == 0 {
 		scaleAxis = []ScaleSpec{{}}
 	}
-	var pts []point
+	// Axis by axis, so the product cannot overflow before it is compared.
+	n := 1
+	for _, axis := range []int{len(procsAxis), len(bytesAxis), len(scaleAxis)} {
+		if n *= axis; n > maxSweepPoints {
+			return nil, badRequestf("sweep has more than %d points (%d procs × %d bytes × %d scale entries)",
+				maxSweepPoints, len(procsAxis), len(bytesAxis), len(scaleAxis))
+		}
+	}
+	pts := make([]point, 0, n)
 	for _, p := range procsAxis {
-		if p < 1 {
-			return nil, badRequestf("sweep.procs entries must be >= 1, got %d", p)
+		if err := checkProcs("sweep.procs entries", p); err != nil {
+			return nil, err
 		}
 		for _, b := range bytesAxis {
 			if b < 0 {
@@ -208,7 +240,7 @@ func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolved
 		perIter float64
 		rec     *trace.Recorder
 	)
-	if s.sweptEligible(req, rp, w) {
+	if s.sweptEligible(req, w) {
 		res, err = s.evaluateSwept(ctx, req, rp, w, pt, seed, deadline)
 	} else {
 		res, perIter, rec, err = s.evaluateSession(ctx, req, rp, w, pt, seed, deadline)

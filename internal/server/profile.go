@@ -18,7 +18,8 @@ import (
 // fingerprint feeding the cache key. Machines are cached per (fingerprint,
 // procs): a profile machine is O(P) to build (the placement; pairs are priced
 // on demand from per-class columns), and handing repeated requests the same
-// value lets a pooled sweep evaluator recognise its base machine.
+// value lets a pooled sweep evaluator recognise its base machine. An uploaded
+// machine is its four P×P matrices, the only O(P²) entries of the cache.
 type resolvedProfile struct {
 	machine     sim.Machine
 	fingerprint string
@@ -30,8 +31,18 @@ type resolvedProfile struct {
 	baseFingerprint string
 	// cluster is non-nil for profile-backed machines (preset or custom);
 	// matrix uploads leave it nil, which is what gates the workloads that
-	// need a kernel-rate model.
+	// need a kernel-rate model and the run seed (an upload has no noise
+	// stream to seed).
 	cluster *cluster.Machine
+}
+
+// seeded returns the machine a run with the given seed evaluates on: the
+// profile machine carrying that run seed, or the uploaded machine as it is.
+func (rp *resolvedProfile) seeded(seed int64) sim.Machine {
+	if rp.cluster == nil {
+		return rp.machine
+	}
+	return rp.cluster.WithRunSeed(seed)
 }
 
 // resolveProfile builds (or fetches) the machine for one point. scale is the
@@ -234,90 +245,85 @@ func scaleProfile(p *cluster.Profile, s ScaleSpec) *cluster.Profile {
 	return p.Scaled(s.Latency, s.Gap, s.Beta, s.Overhead)
 }
 
-// matrixMachine implements sim.Machine over uploaded pairwise matrices, and
-// the engines' single pricing call (Pair) from the same rows — the return
-// latency is the transposed entry, so asymmetric uploads keep their own ack
-// leg. It carries no noise model (Noise ≡ 1) and no kernel-rate model, and is
-// immutable after construction — safe for concurrent runs.
+// matrixMachine implements sim.Machine over uploaded pairwise matrices — four
+// flat row-major p×p slices — and the engines' single pricing call (Pair)
+// from the same elements: the return latency is the transposed entry, so
+// asymmetric uploads keep their own ack leg. It carries no noise model
+// (Noise ≡ 1) and no kernel-rate model, and is immutable after construction —
+// safe for concurrent runs.
 type matrixMachine struct {
-	lat, gap, beta, ovh [][]float64
+	p                   int
+	lat, gap, beta, ovh []float64
 	selfOverhead        float64
 	nic                 []int
 }
 
-func (m *matrixMachine) Procs() int                 { return len(m.lat) }
-func (m *matrixMachine) Latency(i, j int) float64   { return m.lat[i][j] }
-func (m *matrixMachine) Gap(i, j int) float64       { return m.gap[i][j] }
-func (m *matrixMachine) Beta(i, j int) float64      { return m.beta[i][j] }
-func (m *matrixMachine) Overhead(i, j int) float64  { return m.ovh[i][j] }
+func (m *matrixMachine) Procs() int                 { return m.p }
+func (m *matrixMachine) Latency(i, j int) float64   { return m.lat[i*m.p+j] }
+func (m *matrixMachine) Gap(i, j int) float64       { return m.gap[i*m.p+j] }
+func (m *matrixMachine) Beta(i, j int) float64      { return m.beta[i*m.p+j] }
+func (m *matrixMachine) Overhead(i, j int) float64  { return m.ovh[i*m.p+j] }
 func (m *matrixMachine) SelfOverhead(i int) float64 { return m.selfOverhead }
 func (m *matrixMachine) NIC(i int) int              { return m.nic[i] }
 func (m *matrixMachine) Noise(int, uint64) float64  { return 1 }
 
 func (m *matrixMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
-	return m.lat[i][j], m.gap[i][j], m.beta[i][j], m.ovh[i][j], m.lat[j][i], m.nic[i] == m.nic[j]
+	k := i*m.p + j
+	return m.lat[k], m.gap[k], m.beta[k], m.ovh[k], m.lat[j*m.p+i], m.nic[i] == m.nic[j]
 }
 
-// resolveMatrices validates and caches an uploaded matrix machine.
+// resolveMatrices turns an uploaded MatrixProfile into a cached machine. The
+// elements were checked by the scan that read them (Matrix.UnmarshalJSON);
+// what is left needs the whole request: a defect a matrix recorded is
+// reported under the matrix's name, the dimensions are held against procs
+// and each other, and selfOverhead and the nic map are checked.
 func (s *Server) resolveMatrices(spec *MatrixProfile, procs int) (*resolvedProfile, error) {
-	p := len(spec.Latency)
+	invalid := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", hbsp.ErrInvalidMachine, fmt.Sprintf(format, args...))
+	}
+	lat := &spec.Latency
+	if lat.defect != "" {
+		return nil, invalid("latency%s", lat.defect)
+	}
+	p := lat.n
 	if p == 0 {
-		return nil, fmt.Errorf("%w: latency matrix is required", hbsp.ErrInvalidMachine)
+		return nil, invalid("latency matrix is required")
 	}
 	if procs != p {
-		return nil, fmt.Errorf("%w: %d×%d matrices cannot serve procs=%d", hbsp.ErrInvalidMachine, p, p, procs)
+		return nil, invalid("%d×%d matrices cannot serve procs=%d", p, p, procs)
 	}
-	square := func(name string, m [][]float64, required bool) ([][]float64, error) {
-		if m == nil {
-			if required {
-				return nil, fmt.Errorf("%w: %s matrix is required", hbsp.ErrInvalidMachine, name)
-			}
-			rows := make([][]float64, p)
-			for i := range rows {
-				rows[i] = make([]float64, p)
-			}
-			return rows, nil
+	// flat returns the elements of one of the other three matrices, all zero
+	// for an optional matrix that is absent.
+	flat := func(name string, m *Matrix, required bool) ([]float64, error) {
+		switch {
+		case m.defect != "":
+			return nil, invalid("%s%s", name, m.defect)
+		case m.v == nil && required:
+			return nil, invalid("%s matrix is required", name)
+		case m.v == nil:
+			return make([]float64, p*p), nil
+		case m.n != p:
+			return nil, invalid("%s matrix has %d rows, want %d", name, m.n, p)
 		}
-		if len(m) != p {
-			return nil, fmt.Errorf("%w: %s matrix has %d rows, want %d", hbsp.ErrInvalidMachine, name, len(m), p)
-		}
-		for i, row := range m {
-			if len(row) != p {
-				return nil, fmt.Errorf("%w: %s matrix row %d has %d entries, want %d", hbsp.ErrInvalidMachine, name, i, len(row), p)
-			}
-			for j, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-					return nil, fmt.Errorf("%w: %s[%d][%d] = %v must be finite and >= 0", hbsp.ErrInvalidMachine, name, i, j, v)
-				}
-			}
-		}
-		return m, nil
+		return m.v, nil
 	}
-	lat, err := square("latency", spec.Latency, true)
+	beta, err := flat("beta", &spec.Beta, true)
 	if err != nil {
 		return nil, err
 	}
-	beta, err := square("beta", spec.Beta, true)
+	gap, err := flat("gap", &spec.Gap, false)
 	if err != nil {
 		return nil, err
 	}
-	gap, err := square("gap", spec.Gap, false)
+	ovh, err := flat("overhead", &spec.Overhead, false)
 	if err != nil {
 		return nil, err
 	}
-	ovh, err := square("overhead", spec.Overhead, false)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i != j && lat[i][j] <= 0 {
-				return nil, fmt.Errorf("%w: latency[%d][%d] must be positive off the diagonal", hbsp.ErrInvalidMachine, i, j)
-			}
-		}
+	if lat.zero != 0 {
+		return nil, invalid("latency[%d][%d] must be positive off the diagonal", (lat.zero-1)/p, (lat.zero-1)%p)
 	}
 	if !(spec.SelfOverhead > 0) || math.IsInf(spec.SelfOverhead, 0) {
-		return nil, fmt.Errorf("%w: selfOverhead must be positive and finite", hbsp.ErrInvalidMachine)
+		return nil, invalid("selfOverhead must be positive and finite")
 	}
 	nic := spec.NIC
 	if nic == nil {
@@ -327,45 +333,48 @@ func (s *Server) resolveMatrices(spec *MatrixProfile, procs int) (*resolvedProfi
 		}
 	}
 	if len(nic) != p {
-		return nil, fmt.Errorf("%w: nic map has %d entries, want %d", hbsp.ErrInvalidMachine, len(nic), p)
+		return nil, invalid("nic map has %d entries, want %d", len(nic), p)
 	}
 
-	fp := matrixFingerprint(spec, lat, gap, beta, ovh, nic)
+	m := &matrixMachine{p: p, lat: lat.v, gap: gap, beta: beta, ovh: ovh, selfOverhead: spec.SelfOverhead, nic: nic}
+	fp := m.fingerprint()
 	key := fmt.Sprintf("machine/%s/p%d", fp, procs)
 	if cached, ok := s.machines.Get(key); ok {
 		return cached.(*resolvedProfile), nil
 	}
-	rp := &resolvedProfile{
-		machine:         &matrixMachine{lat: lat, gap: gap, beta: beta, ovh: ovh, selfOverhead: spec.SelfOverhead, nic: nic},
-		fingerprint:     fp,
-		baseFingerprint: fp,
-	}
+	rp := &resolvedProfile{machine: m, fingerprint: fp, baseFingerprint: fp}
 	s.machines.Put(key, rp)
 	return rp, nil
 }
 
-// matrixFingerprint hashes uploaded matrices the same way profile
-// fingerprints work: a SHA-256 over a canonical byte serialization.
-func matrixFingerprint(spec *MatrixProfile, lat, gap, beta, ovh [][]float64, nic []int) string {
+// fingerprint hashes an uploaded machine the same way profile fingerprints
+// work: a SHA-256 over a canonical byte serialization — a version tag, P, the
+// four matrices' float bits row by row, selfOverhead, the nic map, every
+// number as eight little-endian bytes. The bytes reach the hash in blocks,
+// not one Write per number.
+func (m *matrixMachine) fingerprint() string {
 	h := sha256.New()
-	var buf [8]byte
+	var blk [32 << 10]byte
+	n := 0
 	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		if n == len(blk) {
+			h.Write(blk[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(blk[n:], v)
+		n += 8
 	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
 	h.Write([]byte("hbsp/server.MatrixProfile/v1"))
-	u64(uint64(len(lat)))
-	for _, m := range [][][]float64{lat, gap, beta, ovh} {
-		for _, row := range m {
-			for _, v := range row {
-				f64(v)
-			}
+	u64(uint64(m.p))
+	for _, mat := range [][]float64{m.lat, m.gap, m.beta, m.ovh} {
+		for _, v := range mat {
+			u64(math.Float64bits(v))
 		}
 	}
-	f64(spec.SelfOverhead)
-	for _, n := range nic {
-		u64(uint64(int64(n)))
+	u64(math.Float64bits(m.selfOverhead))
+	for _, id := range m.nic {
+		u64(uint64(int64(id)))
 	}
+	h.Write(blk[:n])
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -86,5 +87,69 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 	}
 	if s.Metrics().Errors.Internal != 0 {
 		t.Fatalf("internal errors under concurrency: %+v", s.Metrics())
+	}
+}
+
+// TestUploadsDoNotAliasTheBody pins that a cached uploaded machine owns its
+// numbers. Request bodies are read into pooled buffers that the next request
+// overwrites, so a Matrix that kept a view into its body would change under
+// the machine cache: two different uploads back to back, then two at once,
+// through one Server — and the first machine, fetched from the cache, still
+// hashes to its fingerprint and still prices a pair as uploaded. Under -race
+// a handler writing a recycled buffer that a cached machine still read would
+// be reported as well.
+func TestUploadsDoNotAliasTheBody(t *testing.T) {
+	const p = 24
+	s, ts := newTestServer(t, Config{})
+	body := func(k int) string { // upload k: every element carries k
+		spec := asymmetricUpload(t, p)
+		spec.SelfOverhead = float64(k) * 1e-7
+		rows := make([][]float64, p)
+		for i := range rows {
+			rows[i] = make([]float64, p)
+			for j := range rows[i] {
+				if i != j {
+					rows[i][j] = float64(1000*k+i*p+j) * 1e-9
+				}
+			}
+		}
+		spec.Latency = matrixOf(t, rows)
+		data, err := json.Marshal(PredictRequest{Profile: ProfileSpec{Matrices: spec}, Workload: WorkloadSpec{Kind: "allreduce"}, Procs: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	post := func(k int) string {
+		resp, data := predict(t, ts, body(k))
+		var pt PredictPoint
+		if err := json.Unmarshal(data, &pt); err != nil || resp.StatusCode != 200 {
+			t.Errorf("upload %d: status %d, %v in %s", k, resp.StatusCode, err, data)
+		}
+		return pt.ProfileFingerprint
+	}
+
+	first := post(1)
+	post(2)
+	var wg sync.WaitGroup
+	for k := 3; k <= 4; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			post(k)
+		}(k)
+	}
+	wg.Wait()
+
+	cached, ok := s.machines.Get(fmt.Sprintf("machine/%s/p%d", first, p))
+	if !ok {
+		t.Fatalf("the first upload's machine is not cached")
+	}
+	m := cached.(*resolvedProfile).machine.(*matrixMachine)
+	if got := m.fingerprint(); got != first {
+		t.Errorf("the cached machine now hashes to %s, was uploaded as %s", got, first)
+	}
+	if lat, _, _, _, ret, _ := m.Pair(2, 5); lat != float64(1000+2*p+5)*1e-9 || ret != float64(1000+5*p+2)*1e-9 {
+		t.Errorf("cached machine: Pair(2,5) latency %v, return %v — not what upload 1 carried", lat, ret)
 	}
 }

@@ -16,6 +16,7 @@
 package server
 
 import (
+	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -41,8 +42,9 @@ type Config struct {
 	// CacheEntries bounds the result cache (default 4096; negative disables).
 	CacheEntries int
 	// MachineEntries bounds the machine cache (default 32; negative
-	// disables). Machines dominate memory — each holds four P×P matrices —
-	// so this knob is much smaller than CacheEntries.
+	// disables). A preset or custom machine is O(P) — its placement; pairs
+	// are priced on demand — but an uploaded one holds its four P×P matrices
+	// (0.5 MB at P=128), so this knob is much smaller than CacheEntries.
 	MachineEntries int
 	// RetryAfter is the Retry-After value sent with shed responses, in
 	// seconds (default 1).
@@ -146,9 +148,37 @@ func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
 	}{Presets: presetNames()})
 }
 
-// maxBodyBytes bounds request bodies (uploaded matrices are the big case:
-// 64 MB holds ~1000×1000 matrices with slack).
+// maxBodyBytes bounds request bodies. Uploaded matrices are the big case: at
+// 13 bytes a number ("2.800000e-05,") 64 MB holds four matrices of P ≈ 1100.
+// It is also what bounds an upload's dimension: the matrix scanner allocates
+// no more than four times the bytes it is handed.
 const maxBodyBytes = 64 << 20
+
+// bodies recycles request-body buffers. A buffer that grew beyond
+// maxPooledBody is dropped instead of returned, so one large upload does not
+// stay resident behind a pool of small requests.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// readBody reads the request body, refusing more than maxBodyBytes, into a
+// pooled buffer sized from Content-Length when the client sent one. The
+// caller hands the buffer to releaseBody when it is done with the bytes.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return buf, err
+}
+
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodies.Put(buf)
+	}
+}
 
 // handlePredict serves POST /v1/predict.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -163,10 +193,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Nothing decoded points into the body (a Matrix owns its storage,
+	// encoding/json copies strings), so the buffer goes back before evaluation.
 	var req PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r)
+	if err == nil {
+		err = decodeRequest(body, &req)
+	}
+	releaseBody(body)
+	if err != nil {
 		s.fail(w, badRequestf("decoding body: %v", err))
 		return
 	}

@@ -156,7 +156,7 @@ func TestEnginesAgree(t *testing.T) {
 // returns the {"error":{code,status,message}} shape with the right code and
 // HTTP status.
 func TestErrorShapes(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name   string
 		body   string
@@ -212,6 +212,28 @@ func TestErrorShapes(t *testing.T) {
 			status: 400,
 		},
 		{
+			name:    "procs beyond the ceiling",
+			body:    `{"profile":{"preset":"flat-cluster"},"workload":{"kind":"barrier"},"procs":3000000000}`,
+			code:    "invalid_request",
+			status:  400,
+			message: "server: invalid request: procs must be <= 1048576, got 3000000000",
+		},
+		{
+			name:    "sweep procs beyond the ceiling",
+			body:    `{"profile":{"preset":"flat-cluster"},"workload":{"kind":"barrier"},"sweep":{"procs":[8,1048577]}}`,
+			code:    "invalid_request",
+			status:  400,
+			message: "server: invalid request: sweep.procs entries must be <= 1048576, got 1048577",
+		},
+		{
+			name: "sweep beyond the point ceiling",
+			body: `{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"allreduce"},"procs":8,"sweep":{"bytes":[` +
+				strings.Repeat("8,", 64) + `8],"scale":[` + strings.Repeat("{},", 63) + `{}]}}`,
+			code:    "invalid_request",
+			status:  400,
+			message: "server: invalid request: sweep has more than 4096 points (1 procs × 65 bytes × 64 scale entries)",
+		},
+		{
 			name:   "seed on matrix machine",
 			body:   `{"profile":{"matrices":{"latency":[[0,1e-6],[1e-6,0]],"beta":[[0,1e-9],[1e-9,0]],"selfOverhead":1e-7}},"workload":{"kind":"barrier"},"procs":2,"seed":3}`,
 			code:   "invalid_request",
@@ -238,6 +260,16 @@ func TestErrorShapes(t *testing.T) {
 				t.Fatalf("error message %q, want %q (or any non-empty text)", e.Err.Message, tc.message)
 			}
 		})
+	}
+	// Every refusal is counted under its code — the ceilings under
+	// errors.invalidRequest with the other malformed requests.
+	want := map[string]int64{}
+	for _, tc := range cases {
+		want[tc.code]++
+	}
+	if got := s.Metrics().Errors; got.InvalidRequest != want["invalid_request"] || got.InvalidMachine != want["invalid_machine"] ||
+		got.InvalidFault != want["invalid_fault"] || got.Deadline != want["deadline"] || got.Internal != 0 {
+		t.Errorf("/metrics errors %+v, want one per case: %v", got, want)
 	}
 }
 

@@ -19,9 +19,13 @@ import (
 // fixes at construction — rank count, ack mode, collapse mode, fault plan —
 // so all points of one NDJSON sweep ride the same evaluator, and so do
 // coalesced single-point misses against the same profile arriving across
-// requests. Results are bit-identical to the session path (the sweep
-// evaluator's contract), so the rendered bytes an entry produces are
-// indistinguishable from the legacy evaluation they replace.
+// requests. Uploaded machines share one evaluator per construction tuple
+// whatever their fingerprint: an upload has no family of scaled or reseeded
+// siblings to keep partitions for, the evaluator rebases onto each machine it
+// is handed, and keying by fingerprint would pin one P×P machine per upload
+// for the life of the pool entry. Results are bit-identical to the session
+// path (the sweep evaluator's contract), so the rendered bytes an entry
+// produces are indistinguishable from the legacy evaluation they replace.
 
 // sweepPoolEntries bounds the evaluator pool. Entries hold an evaluator
 // arena (O(P)) plus a bounded partition memo; evicted entries are left to the
@@ -40,14 +44,11 @@ type sweepEntry struct {
 }
 
 // sweptEligible reports whether a point can run on the sweep-evaluator path:
-// a schedule-expressible collective on a profile-backed machine under the
-// default engine, untraced (tracing forces per-rank lanes and the session's
-// recorder plumbing).
-func (s *Server) sweptEligible(req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec) bool {
+// a schedule-expressible collective on any machine, profile-backed or
+// uploaded, under the default engine, untraced (tracing forces per-rank lanes
+// and the session's recorder plumbing).
+func (s *Server) sweptEligible(req *PredictRequest, w *WorkloadSpec) bool {
 	if req.Options.Engine != "auto" || req.Options.Trace {
-		return false
-	}
-	if rp.cluster == nil {
 		return false
 	}
 	switch w.Kind {
@@ -65,8 +66,12 @@ func sweepKey(rp *resolvedProfile, procs int, req *PredictRequest) string {
 	if req.Options.AckSends != nil {
 		ack = *req.Options.AckSends
 	}
+	family := rp.baseFingerprint
+	if rp.cluster == nil {
+		family = "upload"
+	}
 	return fmt.Sprintf("sweep/%s/p%d/ack%t/%s/%s",
-		rp.baseFingerprint, procs, ack, req.Options.Collapse, req.Faults.Fingerprint())
+		family, procs, ack, req.Options.Collapse, req.Faults.Fingerprint())
 }
 
 // sweepEvaluator fetches (or builds) the pooled evaluator of a key; pooled
@@ -95,7 +100,7 @@ func (s *Server) sweepEvaluator(key string, req *PredictRequest, rp *resolvedPro
 	if req.Faults != nil && !req.Faults.Empty() {
 		opt.Faults = req.Faults
 	}
-	sw, err := sched.NewSweepEvaluator(rp.cluster.WithRunSeed(seed), opt)
+	sw, err := sched.NewSweepEvaluator(rp.seeded(seed), opt)
 	if err != nil {
 		// The only failure is a fault plan the machine rejects; word it as
 		// hbsp.WithFaults does on the session path.
@@ -141,7 +146,7 @@ func (s *Server) evaluateSwept(ctx context.Context, req *PredictRequest, rp *res
 		ent.sw.SetDeadline(left)
 	}
 
-	res, err := ent.sw.Run(ctx, rp.cluster.WithRunSeed(seed), sch, 1)
+	res, err := ent.sw.Run(ctx, rp.seeded(seed), sch, 1)
 	if pooled {
 		s.m.sweepPointsReused.Add(1)
 	}

@@ -142,7 +142,7 @@ func TestSweptMatchesSession(t *testing.T) {
 				if req.Seed != nil {
 					seed = *req.Seed
 				}
-				if !s.sweptEligible(&req, rp, &w) {
+				if !s.sweptEligible(&req, &w) {
 					t.Fatalf("point unexpectedly ineligible for the sweep path")
 				}
 
@@ -175,28 +175,113 @@ func TestSweptMatchesSession(t *testing.T) {
 	}
 }
 
+// TestUploadSweptMatchesSession is TestSweptMatchesSession for an uploaded
+// machine — asymmetric, ranks sharing NICs — now that uploads ride the pooled
+// evaluator too: every collective kind × acks on and off × with and without
+// a fault plan renders, through evaluateSwept (evaluator built, then pooled,
+// then rebased from a different upload), the bytes the session renders. Over
+// HTTP the route changes nothing a client or /metrics can see: a miss, then
+// a hit, one evaluation, byte-identical bodies.
+func TestUploadSweptMatchesSession(t *testing.T) {
+	const p = 9
+	s, ts := newTestServer(t, Config{})
+	spec := asymmetricUpload(t, p)
+	other := asymmetricUpload(t, p)
+	other.SelfOverhead = 2e-7 // another fingerprint, the same pooled evaluator
+	plan := &fault.Plan{Slowdowns: []fault.Slowdown{{Rank: 3, Factor: 2}}}
+	ctx := context.Background()
+	for _, w := range []WorkloadSpec{
+		{Kind: "barrier"}, {Kind: "barrier", Variant: "tree"}, {Kind: "barrier", Variant: "linear"},
+		{Kind: "broadcast", Root: 2, Bytes: 64}, {Kind: "reduce", Root: 5, Bytes: 64},
+		{Kind: "allreduce", Bytes: 256}, {Kind: "allgather", Bytes: 32}, {Kind: "totalexchange", Bytes: 64},
+	} {
+		for _, ack := range []bool{true, false} {
+			for _, faults := range []*fault.Plan{nil, plan} {
+				ack := ack
+				req := PredictRequest{Profile: ProfileSpec{Matrices: spec}, Workload: w, Procs: p, Faults: faults,
+					Options: OptionsSpec{AckSends: &ack, PerRank: true}}
+				name := fmt.Sprintf("%s%s/ack=%t/faults=%t", w.Kind, w.Variant, ack, faults != nil)
+				body, err := json.Marshal(&req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := normalizeOptions(&req.Options); err != nil {
+					t.Fatal(err)
+				}
+				w := w
+				if err := normalizeWorkload(&w, p); err != nil {
+					t.Fatal(err)
+				}
+				if !s.sweptEligible(&req, &w) {
+					t.Fatalf("%s: ineligible for the sweep path", name)
+				}
+				rp, err := s.resolveProfile(&req.Profile, ScaleSpec{}, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pt := point{procs: p}
+				sres, perIter, rec, err := s.evaluateSession(ctx, &req, rp, &w, pt, 1, time.Time{})
+				if err != nil {
+					t.Fatalf("%s: session evaluation: %v", name, err)
+				}
+				want, err := s.renderPoint(&req, rp, &w, pt, 1, sres, perIter, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pass := range []string{"cold", "warm", "rebased"} {
+					if pass == "rebased" {
+						orp, err := s.resolveMatrices(other, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := s.evaluateSwept(ctx, &req, orp, &w, pt, 1, time.Time{}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					res, err := s.evaluateSwept(ctx, &req, rp, &w, pt, 1, time.Time{})
+					if err != nil {
+						t.Fatalf("%s: %s swept evaluation: %v", name, pass, err)
+					}
+					got, err := s.renderPoint(&req, rp, &w, pt, 1, res, 0, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: %s swept point diverged from the session evaluation\nswept:   %s\nsession: %s", name, pass, got, want)
+					}
+				}
+
+				// The same point over HTTP, against what the session rendered.
+				before := s.Metrics()
+				for _, how := range []string{"miss", "hit"} {
+					resp, data := predict(t, ts, string(body))
+					if resp.StatusCode != 200 || resp.Header.Get("X-Hbspd-Cache") != how || !bytes.Equal(data, want) {
+						t.Fatalf("%s: status %d, X-Hbspd-Cache %q (want %s)\n got %s\nwant %s",
+							name, resp.StatusCode, resp.Header.Get("X-Hbspd-Cache"), how, data, want)
+					}
+				}
+				after := s.Metrics()
+				if d := [...]int64{after.Requests - before.Requests, after.Points - before.Points, after.CacheMisses - before.CacheMisses,
+					after.CacheHits - before.CacheHits, after.Eval.Count - before.Eval.Count}; d != [...]int64{2, 2, 1, 1, 1} {
+					t.Fatalf("%s: requests, points, misses, hits, evaluations moved by %v, want [2 2 1 1 1]", name, d)
+				}
+			}
+		}
+	}
+	if got := s.Metrics().Errors; got != (MetricsSnapshot{}).Errors {
+		t.Fatalf("errors counted: %+v", got)
+	}
+}
+
 // TestAsymmetricMatrixAckLeg pins the ack's return leg on an uploaded
 // machine whose latency matrix is not symmetric: with acknowledged sends the
 // completion bills latency[dst][src], and the concurrent engine, the direct
-// engine (gate-inline through the API, and a whole-run RunSchedule) and a
-// sweep evaluator — fresh, and rebased from an unrelated point on a machine
+// engine (the pooled evaluator behind the API, and a whole-run RunSchedule)
+// and a sweep evaluator — fresh, and rebased from an unrelated point on a machine
 // of a different rank count — all report the same per-rank times.
 func TestAsymmetricMatrixAckLeg(t *testing.T) {
 	const p = 6
-	spec := &MatrixProfile{SelfOverhead: 1e-7, NIC: []int{0, 0, 1, 2, 3, 3}}
-	for i := 0; i < p; i++ {
-		lat, beta, gap, ovh := make([]float64, p), make([]float64, p), make([]float64, p), make([]float64, p)
-		for j := 0; j < p; j++ {
-			if i != j {
-				lat[j] = float64(5+3*i+11*j) * 1e-6 // lat[i][j] != lat[j][i]
-				beta[j] = float64(1+i+2*j) * 1e-9
-				gap[j] = float64(1+j) * 1e-6
-				ovh[j] = float64(2+i) * 1e-7
-			}
-		}
-		spec.Latency, spec.Beta = append(spec.Latency, lat), append(spec.Beta, beta)
-		spec.Gap, spec.Overhead = append(spec.Gap, gap), append(spec.Overhead, ovh)
-	}
+	spec := asymmetricUpload(t, p)
 	s, ts := newTestServer(t, Config{})
 	ack := true
 	times := map[string][]float64{}
@@ -274,6 +359,47 @@ func TestAsymmetricMatrixAckLeg(t *testing.T) {
 			}
 		}
 	}
+}
+
+// matrixOf builds a Matrix the only way there is: through its scanner.
+func matrixOf(t testing.TB, rows [][]float64) Matrix {
+	t.Helper()
+	data, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Matrix
+	if err := m.UnmarshalJSON(data); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// asymmetricUpload is a p-rank uploaded machine with no symmetry to lean on:
+// lat[i][j] != lat[j][i], every row of every matrix different, and ranks
+// sharing NICs at both ends.
+func asymmetricUpload(t testing.TB, p int) *MatrixProfile {
+	t.Helper()
+	spec := &MatrixProfile{SelfOverhead: 1e-7, NIC: make([]int, p)}
+	for i := range spec.NIC {
+		spec.NIC[i] = max(0, min(i-1, p-3)) // 0 0 1 2 … p-3 p-3
+	}
+	var lat, beta, gap, ovh [][]float64
+	for i := 0; i < p; i++ {
+		l, b, g, o := make([]float64, p), make([]float64, p), make([]float64, p), make([]float64, p)
+		for j := 0; j < p; j++ {
+			if i != j {
+				l[j] = float64(5+3*i+11*j) * 1e-6
+				b[j] = float64(1+i+2*j) * 1e-9
+				g[j] = float64(1+j) * 1e-6
+				o[j] = float64(2+i) * 1e-7
+			}
+		}
+		lat, beta, gap, ovh = append(lat, l), append(beta, b), append(gap, g), append(ovh, o)
+	}
+	spec.Latency, spec.Beta = matrixOf(t, lat), matrixOf(t, beta)
+	spec.Gap, spec.Overhead = matrixOf(t, gap), matrixOf(t, ovh)
+	return spec
 }
 
 // panicMachine prices no pair: its Pair call panics, standing in for a bug

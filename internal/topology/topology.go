@@ -207,7 +207,9 @@ func Place(t Topology, p int, policy PlacementPolicy) (*Placement, error) {
 	case RoundRobin:
 		// Ranks are dealt to nodes round-robin; the n-th rank landing on a
 		// node occupies core index n within that node (sorted-rank affinity).
-		perNodeCount := make([]int, t.Nodes)
+		// Only the first min(p, Nodes) nodes receive a rank, so the counters
+		// are sized by the ranks placed, not by the machine.
+		perNodeCount := make([]int, min(p, t.Nodes))
 		for rank := 0; rank < p; rank++ {
 			node := rank % t.Nodes
 			within := perNodeCount[node]

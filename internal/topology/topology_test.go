@@ -113,6 +113,25 @@ func TestPlacementRoundRobin(t *testing.T) {
 	}
 }
 
+// TestPlacementCostsRanksNotNodes: placing a few ranks on a machine of
+// billions of nodes (hbspd takes profile.nodes from the request) allocates
+// for the ranks; sized by the nodes, the counters would be 24 GB here.
+func TestPlacementCostsRanksNotNodes(t *testing.T) {
+	top, err := New(3_000_000_000, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []PlacementPolicy{Block, RoundRobin} {
+		pl, err := Place(top, 8, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.NodeOf(7) != 7 {
+			t.Fatalf("%v: rank 7 on node %d, want 7", policy, pl.NodeOf(7))
+		}
+	}
+}
+
 func TestPlacementErrors(t *testing.T) {
 	top, _ := New(2, 1, 2)
 	if _, err := Place(top, 5, Block); err == nil {

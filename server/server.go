@@ -61,6 +61,7 @@ type (
 	CoreSpec       = iserver.CoreSpec
 	LevelSpec      = iserver.LevelSpec
 	MatrixProfile  = iserver.MatrixProfile
+	Matrix         = iserver.Matrix
 	WorkloadSpec   = iserver.WorkloadSpec
 	OpSpec         = iserver.OpSpec
 	OptionsSpec    = iserver.OptionsSpec
