@@ -455,14 +455,15 @@ func BenchmarkAdaptGreedyConstruction(b *testing.B) {
 // --- Simulator hot path ------------------------------------------------------
 //
 // The three benchmarks below track the mailbox/pooling work of the simulator
-// itself (see README "Simulator performance" and BENCH_simnet.json): message
+// itself (see README "Simulator performance"; the system-level figures are the
+// per-layer metrics of benchmark/): message
 // matching under many pending (src, tag) pairs, the dissemination count
 // exchange that ends every BSP superstep, and the heaviest collective the
 // schedule engine generates. All run with ReportAllocs so the allocation
 // behaviour of the hot path stays visible in `go test -bench`.
 
 // simBenchMachine returns the shared noise-free benchmark machine
-// (platform.XeonClusterMachine — the same platform cmd/simbench measures).
+// (platform.XeonClusterMachine — the same platform benchmark/ measures).
 func simBenchMachine(b *testing.B, procs int) *platform.Machine {
 	b.Helper()
 	m, err := platform.XeonClusterMachine(procs)
@@ -515,7 +516,8 @@ func BenchmarkMailboxTake(b *testing.B) {
 func BenchmarkSyncDissemination(b *testing.B) {
 	// The dissemination count exchange plus drain at P=64: the innermost loop
 	// of every BSP superstep, on the shared fixed workload
-	// (experiments.SyncExchangeProgram, also measured by cmd/simbench).
+	// (experiments.SyncExchangeProgram, also measured by the benchmark's
+	// bsp.sync_gate_ms and bsp.sync_concurrent_ms).
 	m := simBenchMachine(b, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -528,8 +530,8 @@ func BenchmarkSyncDissemination(b *testing.B) {
 
 func BenchmarkTotalExchange(b *testing.B) {
 	// The heaviest collective the schedule engine produces: P² messages per
-	// execution. The P=256 point is the acceptance gauge of the mailbox
-	// refactor (see BENCH_simnet.json for the tracked baseline).
+	// execution, here through the direct evaluator; on the concurrent engine
+	// the P=256 point is the benchmark's simnet.te_concurrent_ms.p256.
 	for _, procs := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
 			m := simBenchMachine(b, procs)
@@ -570,11 +572,10 @@ func BenchmarkSimulatorBarrierThroughput(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead measures the cost of the trace subsystem on the
-// send_recv ring workload (the identical shared program cmd/simbench's
-// send_recv entry measures — experiments.SendRecvRingProgram): "off" runs
-// with trace.Disabled — the nil-recorder fast path, whose per-event cost
-// must stay a single pointer test so the untraced hot path is unchanged
-// from the tracked baseline — and "on" runs with a recorder attached,
+// send_recv ring workload (the identical shared program the benchmark's
+// simnet.send_recv_ms.p256 measures — experiments.SendRecvRingProgram): "off"
+// runs with trace.Disabled — the nil-recorder fast path, whose per-event cost
+// must stay a single pointer test — and "on" runs with a recorder attached,
 // paying one event append per send, receive-wait and compute.
 func BenchmarkTraceOverhead(b *testing.B) {
 	m := simBenchMachine(b, 16)

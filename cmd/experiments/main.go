@@ -1,6 +1,13 @@
-// Command experiments regenerates every table and figure of the evaluation in
-// one run. Use -full for the complete sweeps (minutes) or the default quick
-// mode for a fast sanity pass (tens of seconds).
+// Command experiments regenerates the evaluation: every table and figure, in
+// thesis order, or the named sections of it.
+//
+//	experiments [-full] [section ...]
+//
+// The sections are model (Chapter 3), rates (Chapter 4), barriers (Chapters 5
+// and 6), adapt (Chapter 7), collectives, scaling, faults and stencil
+// (Chapter 8); naming one that does not exist prints the list. Use -full for
+// the complete sweeps (minutes) or the default quick mode for a fast sanity
+// pass (seconds).
 package main
 
 import (
@@ -20,7 +27,7 @@ func main() {
 	if *full {
 		opts = experiments.Full()
 	}
-	if err := experiments.RunAll(os.Stdout, opts); err != nil {
+	if err := experiments.RunSections(os.Stdout, opts, flag.Args()...); err != nil {
 		log.Fatalf("experiments: %v", err)
 	}
 }

@@ -1,32 +1,15 @@
-// Command hbspd serves the prediction API as a standalone daemon, or — with
-// -loadgen — benchmarks it end to end over a real TCP socket.
-//
-// Serving:
+// Command hbspd serves the prediction API as a standalone daemon.
 //
 //	hbspd [-addr :8321] [-max-concurrent n] [-max-queue n]
-//	      [-cache-entries n] [-machine-entries n]
+//	      [-cache-entries n] [-machine-entries n] [-drain-timeout d]
 //
 // SIGINT/SIGTERM drain gracefully: /healthz flips to 503 so load balancers
 // stop routing here, new predictions are shed, in-flight requests finish
 // (bounded by -drain-timeout), then the listener closes.
-//
-// Load generation:
-//
-//	hbspd -loadgen [-clients n] [-duration d] [-out BENCH_hbspd.json]
-//
-// starts an in-process server on a loopback socket and drives it through
-// three phases: a warm-up that fills the result cache, a hot phase of
-// cache-hit queries measuring throughput and latency quantiles, and a
-// saturation burst of uncacheable work demonstrating load shedding. The
-// report (throughput, latency quantiles against the pinned p99 target,
-// cache hit rate, shed counters, the server's own metrics) is written as
-// JSON to -out.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -39,6 +22,15 @@ import (
 	"hbsp/server"
 )
 
+// readHeaderTimeout bounds the reading of a request's headers, counted from
+// the accept on a new connection and from the request's first bytes on a
+// kept-alive one. The limiter bounds evaluations; this bounds what is parked
+// in front of the handler, so a peer that connects or starts a request and
+// then stops is hung up on instead of holding a goroutine and a descriptor
+// for the life of the process. A connection idling between two requests is
+// not affected. One deployment, one value: a constant, not a flag.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", ":8321", "listen address")
@@ -47,10 +39,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 0, "result cache capacity (0 = default, negative disables)")
 	machineEntries := flag.Int("machine-entries", 0, "machine cache capacity (0 = default, negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful drain bound on SIGTERM")
-	loadgen := flag.Bool("loadgen", false, "run the load-generation harness instead of serving")
-	clients := flag.Int("clients", 8, "loadgen: concurrent clients")
-	duration := flag.Duration("duration", 2*time.Second, "loadgen: hot-phase duration")
-	out := flag.String("out", "BENCH_hbspd.json", "loadgen: report path")
 	flag.Parse()
 
 	cfg := server.Config{
@@ -59,21 +47,20 @@ func main() {
 		CacheEntries:   *cacheEntries,
 		MachineEntries: *machineEntries,
 	}
-	if *loadgen {
-		if err := runLoadgen(cfg, *clients, *duration, *out); err != nil {
-			log.Fatalf("hbspd: loadgen: %v", err)
-		}
-		return
-	}
 	if err := serve(cfg, *addr, *drainTimeout); err != nil {
 		log.Fatalf("hbspd: %v", err)
 	}
 }
 
+// newHTTPServer is the daemon's listener configuration around the handler.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // serve runs the daemon until SIGINT/SIGTERM, then drains.
 func serve(cfg server.Config, addr string, drainTimeout time.Duration) error {
 	srv := server.New(cfg)
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
+	httpSrv := newHTTPServer(addr, srv)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
@@ -96,188 +83,4 @@ func serve(cfg server.Config, addr string, drainTimeout time.Duration) error {
 	}
 	log.Printf("hbspd: drained")
 	return nil
-}
-
-// benchReport is the BENCH_hbspd.json shape.
-type benchReport struct {
-	Clients  int    `json:"clients"`
-	Duration string `json:"duration"`
-
-	// Hot phase: identical requests answered from the result cache.
-	HotRequests   int64   `json:"hotRequests"`
-	HotErrors     int64   `json:"hotErrors"`
-	HotReqPerSec  float64 `json:"hotReqPerSec"`
-	HotP50Ns      int64   `json:"hotP50Ns"`
-	HotP99Ns      int64   `json:"hotP99Ns"`
-	P99TargetNs   int64   `json:"p99TargetNs"`
-	P99UnderLimit bool    `json:"p99UnderTarget"`
-	// MinReqPerSec is the pinned throughput floor for cached hot queries.
-	MinReqPerSec  float64 `json:"minReqPerSec"`
-	RateOverFloor bool    `json:"rateOverFloor"`
-
-	CacheHitRate float64 `json:"cacheHitRate"`
-
-	// Burst phase: uncacheable work beyond capacity must shed.
-	BurstRequests int64 `json:"burstRequests"`
-	BurstShed     int64 `json:"burstShed"`
-
-	Metrics server.MetricsSnapshot `json:"metrics"`
-}
-
-// Pinned loadgen acceptance bounds: cached hot queries must sustain at least
-// minHotReqPerSec with p99 below hotP99Target.
-const (
-	minHotReqPerSec = 500.0
-	hotP99Target    = 100 * time.Millisecond
-)
-
-// runLoadgen drives an in-process server over loopback TCP.
-func runLoadgen(cfg server.Config, clients int, duration time.Duration, out string) error {
-	srv := server.New(cfg)
-	httpSrv := &http.Server{Handler: srv}
-	ln, err := listenLoopback()
-	if err != nil {
-		return err
-	}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-
-	hotBody := []byte(`{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"allreduce","bytes":64},"procs":64}`)
-
-	// Warm-up: one evaluation fills the cache entry every hot request hits.
-	if status, _, err := post(base, hotBody); err != nil || status != 200 {
-		return fmt.Errorf("warm-up failed: status %d, err %v", status, err)
-	}
-
-	// Hot phase.
-	type clientRes struct {
-		n, errs int64
-		lats    []int64
-	}
-	results := make(chan clientRes, clients)
-	stop := time.Now().Add(duration)
-	for c := 0; c < clients; c++ {
-		go func() {
-			var r clientRes
-			for time.Now().Before(stop) {
-				t0 := time.Now()
-				status, _, err := post(base, hotBody)
-				lat := time.Since(t0).Nanoseconds()
-				r.n++
-				r.lats = append(r.lats, lat)
-				if err != nil || status != 200 {
-					r.errs++
-				}
-			}
-			results <- r
-		}()
-	}
-	var hot clientRes
-	for c := 0; c < clients; c++ {
-		r := <-results
-		hot.n += r.n
-		hot.errs += r.errs
-		hot.lats = append(hot.lats, r.lats...)
-	}
-
-	// Saturation burst: every request is a distinct uncacheable evaluation
-	// (unique seed) fired without waiting, so the queue fills and the
-	// shedder must engage.
-	maxConc, maxQueue := cfg.MaxConcurrent, cfg.MaxQueue
-	if maxConc == 0 {
-		maxConc = 4
-	}
-	if maxQueue == 0 {
-		maxQueue = 2 * maxConc
-	}
-	burstN := 4 * (maxConc + maxQueue + 8)
-	burstRes := make(chan int, burstN)
-	for i := 0; i < burstN; i++ {
-		body := []byte(fmt.Sprintf(
-			`{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"sync","supersteps":4},"procs":128,"seed":%d}`, 1000+i))
-		go func(b []byte) {
-			status, _, err := post(base, b)
-			if err != nil {
-				status = -1
-			}
-			burstRes <- status
-		}(body)
-	}
-	var burstShed int64
-	for i := 0; i < burstN; i++ {
-		if <-burstRes == http.StatusTooManyRequests {
-			burstShed++
-		}
-	}
-
-	m := srv.Metrics()
-	rep := benchReport{
-		Clients:       clients,
-		Duration:      duration.String(),
-		HotRequests:   hot.n,
-		HotErrors:     hot.errs,
-		HotReqPerSec:  float64(hot.n) / duration.Seconds(),
-		HotP50Ns:      quantileNs(hot.lats, 0.50),
-		HotP99Ns:      quantileNs(hot.lats, 0.99),
-		P99TargetNs:   hotP99Target.Nanoseconds(),
-		MinReqPerSec:  minHotReqPerSec,
-		BurstRequests: int64(burstN),
-		BurstShed:     burstShed,
-		Metrics:       m,
-	}
-	rep.P99UnderLimit = rep.HotP99Ns < rep.P99TargetNs
-	rep.RateOverFloor = rep.HotReqPerSec >= rep.MinReqPerSec
-	if total := m.CacheHits + m.CacheMisses + m.Coalesced; total > 0 {
-		rep.CacheHitRate = float64(m.CacheHits) / float64(total)
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	log.Printf("hbspd: loadgen: %.0f req/s hot (floor %.0f), p99 %.2fms (target %v), hit rate %.3f, shed %d/%d — wrote %s",
-		rep.HotReqPerSec, rep.MinReqPerSec, float64(rep.HotP99Ns)/1e6, hotP99Target, rep.CacheHitRate, burstShed, burstN, out)
-	if !rep.RateOverFloor || !rep.P99UnderLimit {
-		return fmt.Errorf("hot phase outside pinned bounds: %.0f req/s (floor %.0f), p99 %v (target %v)",
-			rep.HotReqPerSec, rep.MinReqPerSec, time.Duration(rep.HotP99Ns), hotP99Target)
-	}
-	if burstShed == 0 {
-		return fmt.Errorf("saturation burst of %d requests shed nothing", burstN)
-	}
-	return nil
-}
-
-// post sends one prediction request and fully reads the response.
-func post(base string, body []byte) (int, []byte, error) {
-	resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, buf.Bytes(), nil
-}
-
-// quantileNs is the nearest-rank quantile of the latencies.
-func quantileNs(lats []int64, q float64) int64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), lats...)
-	sortInt64s(sorted)
-	i := int(float64(len(sorted))*q+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

@@ -1,8 +1,9 @@
 // Package experiments is the public surface of the evaluation driver: one
 // function per table and figure of the thesis' evaluation, each running its
-// simulation points on the parallel sweep engine, plus the RunAll report
-// that cmd/experiments prints. Sweep sizes are configured with Quick (CI,
-// seconds) or Full (complete sweeps, minutes).
+// simulation points on the parallel sweep engine, plus the report that
+// cmd/experiments prints (RunAll, or RunSections chapter by chapter). Sweep
+// sizes are configured with Quick (CI, seconds) or Full (complete sweeps,
+// minutes).
 package experiments
 
 import (
@@ -52,6 +53,14 @@ func Full() Options { return iexp.Full() }
 
 // RunAll regenerates every table and figure and writes the report to w.
 func RunAll(w io.Writer, opts Options) error { return iexp.RunAll(w, opts) }
+
+// RunSections writes the named sections of the report — its chapters, such
+// as "barriers" or "stencil" — in thesis order, whatever the order of names;
+// no name selects all of them, and a name that is not a section is an error
+// that lists the ones there are.
+func RunSections(w io.Writer, opts Options, names ...string) error {
+	return iexp.RunSections(w, opts, names...)
+}
 
 // Chapter 3: classic scalar BSP parameters and the inner-product comparison.
 func Table3_1(prof *cluster.Profile, opts Options) ([]BSPBenchRow, error) {

@@ -130,8 +130,8 @@ func Measure(m simnet.Machine, pat *Pattern, reps int) (*Measurement, error) {
 // MeasureWith is Measure under explicit simulator options — most usefully
 // the engine selection: the default options route every execution through
 // the direct discrete-event evaluator, simnet.EngineConcurrent forces the
-// per-message concurrent walk (the two agree bit for bit; cmd/simbench
-// tracks both).
+// per-message concurrent walk (the two agree bit for bit; the benchmark's
+// simnet.te_concurrent_ms.p256 is this call on the concurrent engine).
 func MeasureWith(m simnet.Machine, pat *Pattern, reps int, o simnet.Options) (*Measurement, error) {
 	if reps < 1 {
 		return nil, ErrNoReps

@@ -25,8 +25,9 @@ func engineTestOptions() PairwiseOptions {
 	return PairwiseOptions{Samples: 3, Sizes: []int{0, 1024, 8192}, OverheadBatch: 4}
 }
 
-// stragglerPlan is cmd/simbench's fault scenario: one persistent straggler
-// plus a windowed wildcard link degradation the run outlives.
+// stragglerPlan is the fault scenario of the benchmark's
+// fault.overhead_ratio: one persistent straggler plus a windowed wildcard link
+// degradation the run outlives.
 func stragglerPlan() *fault.Plan {
 	return &fault.Plan{
 		Slowdowns: []fault.Slowdown{{Rank: 0, Factor: 1.5}},

@@ -82,8 +82,8 @@ func (d *disseminationSync) exchangeSchedule(p int) (sched.Schedule, error) {
 // ExchangeSchedule returns the default dissemination count-exchange schedule
 // for p ranks — the exact op-stream Sync evaluates per superstep, with every
 // payload size resolved up front. Exported so direct RunSchedule sweeps (and
-// cmd/simbench's large-P symmetry entries) can evaluate the superstep count
-// exchange without spawning a concurrent run.
+// the benchmark's sched.collapsed_sync_ms at P=2^20) can evaluate the superstep
+// count exchange without spawning a concurrent run.
 func ExchangeSchedule(p int) (sched.Schedule, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("bsp: count exchange with p=%d", p)

@@ -104,10 +104,10 @@ type AdaptedSyncPoint struct {
 
 // SyncExchangeProgram is the fixed workload of the synchronizer comparison
 // and of the repository's synchronization benchmarks (BenchmarkSyncDissemination,
-// cmd/simbench's sync_dissemination entry): one registration superstep
-// followed by a superstep of ring puts, so the count exchange must deliver
-// non-trivial counts for the drain to be correct. Keeping a single definition
-// guarantees every harness measures the same workload.
+// the benchmark's bsp.sync_gate_ms and bsp.sync_concurrent_ms): one
+// registration superstep followed by a superstep of ring puts, so the count
+// exchange must deliver non-trivial counts for the drain to be correct. Keeping
+// a single definition guarantees every harness measures the same workload.
 func SyncExchangeProgram(ctx *bsp.Ctx) error {
 	p := ctx.NProcs()
 	area := make([]float64, p)
@@ -130,8 +130,8 @@ func SyncExchangeProgram(ctx *bsp.Ctx) error {
 }
 
 // SendRecvRingProgram is the fixed point-to-point workload of the send_recv
-// benchmarks (cmd/simbench's send_recv and send_recv_traced entries,
-// BenchmarkTraceOverhead): eight rounds of an eager-post/blocking-receive
+// benchmarks (the benchmark's simnet.send_recv_ms, BenchmarkTraceOverhead's
+// untraced and traced legs): eight rounds of an eager-post/blocking-receive
 // ring, the minimal program exercising injection ports, mailbox delivery and
 // matching. Keeping a single definition guarantees the traced and untraced
 // entries measure the same workload — the overhead comparison is only valid

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the thesis'
 // evaluation chapters on the simulated platforms. Each exported function
 // corresponds to one experiment of the thesis evaluation and
-// returns the rows/series the original figure or table reports; cmd/* and the
-// repository's benchmark harness are thin wrappers around these functions.
+// returns the rows/series the original figure or table reports; report.go
+// renders them as the sections cmd/experiments prints, and the repository's
+// benchmark harnesses time them one by one.
 package experiments
 
 import (
@@ -116,7 +117,7 @@ func procSweep(step, max int) []int {
 	return out
 }
 
-// Table renders a simple aligned text table; the cmd tools use it to print
+// Table renders a simple aligned text table; the report uses it to print
 // experiment results in the same row/series form the thesis reports.
 type Table struct {
 	Title   string

@@ -94,10 +94,10 @@ func Xeon8x2x4() *Profile {
 }
 
 // XeonCluster scales the Xeon8x2x4 node design to an arbitrary node count, so
-// simulator benchmarks (cmd/simbench, BenchmarkTotalExchange) can instantiate
-// machines beyond the 64 cores of the thesis configuration — 64 nodes give the
-// P=512 point of the tracked benchmark baseline. Link and core parameters are
-// identical to Xeon8x2x4.
+// simulator benchmarks (benchmark/'s scale_direct workload,
+// BenchmarkTotalExchange) can instantiate machines beyond the 64 cores of the
+// thesis configuration — 256 nodes give scale_direct's P=2048 points. Link and
+// core parameters are identical to Xeon8x2x4.
 func XeonCluster(nodes int) *Profile {
 	p := Xeon8x2x4()
 	p.Name = fmt.Sprintf("xeon-%dx2x4", nodes)
@@ -107,7 +107,7 @@ func XeonCluster(nodes int) *Profile {
 
 // XeonClusterMachine instantiates a noise-free machine with the requested
 // rank count on the scaled Xeon cluster. It is the shared platform of the
-// simulator benchmark harnesses (cmd/simbench and the repository-level
+// simulator benchmark harnesses (benchmark/ and the repository-level
 // bench_test.go), which must measure identical machines for their numbers to
 // be comparable.
 func XeonClusterMachine(procs int) (*Machine, error) {

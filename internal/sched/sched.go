@@ -12,9 +12,10 @@
 // Two evaluation modes exist:
 //
 //   - Whole-run evaluation (RunSchedule, RunProgram): the entire workload is
-//     evaluated on the calling goroutine. This is what cmd/simbench's *_de
-//     entries measure and what unlocks P=4096, where the concurrent engine's
-//     per-message costs are prohibitive.
+//     evaluated on the calling goroutine. This is what the benchmark's
+//     sched.perrank_* and sched.collapsed_* metrics measure and what unlocks
+//     P=4096 and beyond, where the concurrent engine's per-message costs are
+//     prohibitive.
 //
 //   - Inline evaluation (AtGate): inside a concurrent run, all ranks
 //     rendezvous at the run's simnet.Gate, and the last arriver evaluates the

@@ -8,8 +8,8 @@
 // route every schedule-expressible collective through the evaluator at an
 // all-ranks rendezvous. Call it directly to evaluate a whole workload with
 // zero goroutines — collective sweeps at rank counts the concurrent engine
-// cannot reach (cmd/simbench's P=4096 entries run this way), or a
-// sim.Program built by hand.
+// cannot reach (the benchmark's scale_direct workload runs this way, per-rank
+// at P=2048 and collapsed at P=2^20), or a sim.Program built by hand.
 package sched
 
 import (
