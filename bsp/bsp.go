@@ -30,8 +30,9 @@ type Program = ibsp.Program
 // Ctx is the per-process BSPlib context.
 type Ctx = ibsp.Ctx
 
-// Synchronizer drives the total exchange of per-pair message counts that
-// ends a superstep.
+// Synchronizer selects the schedule of the total exchange of per-pair message
+// counts that ends a superstep. It is a closed interface: obtain one from
+// DefaultSynchronizer, NewScheduleSynchronizer or NewAdaptedSynchronizer.
 type Synchronizer = ibsp.Synchronizer
 
 // ScheduleSource supplies the verified schedules (sched.Schedule values) the

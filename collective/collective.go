@@ -181,7 +181,7 @@ func MeasureAlgorithms(m sim.Machine, reps int) (map[string]*Measurement, error)
 
 // Execute runs one execution of the pattern on the calling rank (signals
 // only; use the Comm schedule collectives for data-carrying execution).
-func Execute(c *mpi.Comm, pat *Pattern, generation int) { barrier.Execute(c, pat, generation) }
+func Execute(c *mpi.Comm, pat *Pattern) { barrier.Execute(c, pat) }
 
 // Model-driven adaptation (Case Study I): latency clustering and the greedy
 // hybrid-schedule construction.

@@ -125,12 +125,11 @@
 // evaluation. Where the collapse does not apply the evaluator falls back to
 // per-rank evaluation and reports the decision in Result.Collapse: whether
 // it was applied, how many equivalence classes it used, and on fallback the
-// reason — one of the sim.CollapseReason* constants ("off", "hetero",
-// "noise", "trace", "asymmetric", "fault"). The collapse is what takes
-// direct sweeps from P = 4096 to P = 1M. It is on by default;
-// WithSymmetryCollapse(false) (or sim.CollapseOff) forces per-rank
-// evaluation everywhere — the escape hatch, and the control column when
-// diffing the two paths.
+// reason — one of the sim.CollapseReason* constants, in the precedence
+// sim.Collapse documents. The collapse is what takes direct sweeps from
+// P = 4096 to P = 1M. It is on by default; WithSymmetryCollapse(false) (or
+// sim.CollapseOff) forces per-rank evaluation everywhere — the escape hatch,
+// and the control column when diffing the two paths.
 //
 // For parameter sweeps — many points varying payload size, LogGP link
 // scaling or seed over one schedule family — sched.NewSweepEvaluator keeps

@@ -284,7 +284,7 @@ func TestGoldenEnginesMPI(t *testing.T) {
 	runEngines(t, "mpi-engines", 37, func(s *Session) (*sim.Result, error) {
 		return s.RunMPI(context.Background(), func(c *mpi.Comm) error {
 			c.Barrier()
-			collective.Execute(c, tree, 0)
+			collective.Execute(c, tree)
 			if _, err := c.BcastSchedule(bcast, 2, float64(c.Rank())); err != nil {
 				return err
 			}

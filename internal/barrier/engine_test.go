@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"hbsp/internal/mpi"
 	"hbsp/internal/platform"
@@ -57,9 +59,11 @@ func engineMachine(t *testing.T, p int, noisy bool) *platform.Machine {
 }
 
 // measureEngine runs warm-up plus two executions of the pattern under the
-// given engine, traced, returning the per-rank times and the merged event
-// stream.
-func measureEngine(t *testing.T, m simnet.Machine, pat *Pattern, engine simnet.Engine, ack bool) ([]float64, string) {
+// given engine, traced, returning the run's result and the merged event
+// stream. computeEmpty true is Execute; false is the same pure-signal walk
+// under the collectives' convention of skipping a stage the rank is idle in —
+// each engine's walker called directly, as Execute calls them.
+func measureEngine(t *testing.T, m simnet.Machine, pat *Pattern, engine simnet.Engine, ack, computeEmpty bool) (*simnet.Result, string) {
 	t.Helper()
 	rec := trace.NewRecorder()
 	o := simnet.DefaultOptions()
@@ -68,46 +72,93 @@ func measureEngine(t *testing.T, m simnet.Machine, pat *Pattern, engine simnet.E
 	o.Recorder = rec
 	res, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
 		for g := 0; g < 3; g++ {
-			Execute(c, pat, g)
+			switch gate := c.Proc().SharedGate(); {
+			case computeEmpty:
+				Execute(c, pat)
+			case gate == nil:
+				if err := mpi.WalkSchedule(c.Proc(), pat, baseTag, false, nil); err != nil {
+					return err
+				}
+			default:
+				if err := gate.Arrive(c.Proc(), pat, func([]any) error {
+					sched.AtGate(gate, c.Proc(), func(ev *sched.Evaluator) { ev.ExecSchedule(pat, baseTag, false) })
+					return nil
+				}); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := rec.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteEvents(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	return res.Times, buf.String()
+	return res, streamOf(t, rec)
 }
 
 // TestExecuteEnginesBitIdentical is the correctness bar of the direct
 // evaluator: for every collective pattern, odd and power-of-two process
 // counts, acks on and off, noisy and noiseless machines, the inline
 // evaluation at the run's gate must reproduce the concurrent engine's
-// virtual times bit for bit and its recorded event stream byte for byte.
+// virtual times and traffic counters bit for bit and its recorded event
+// stream byte for byte. P = 6 is the walker-level case: the tree and the
+// rooted collectives leave ranks idle in some stages there, and it is walked
+// under both idle-stage conventions.
 func TestExecuteEnginesBitIdentical(t *testing.T) {
-	for _, p := range []int{1, 2, 5, 8, 13, 16} {
+	for _, p := range []int{1, 2, 5, 6, 8, 13, 16} {
 		for _, ack := range []bool{true, false} {
 			for _, noisy := range []bool{true, false} {
 				m := engineMachine(t, p, noisy)
 				for name, pat := range enginePatterns(t, p) {
-					timesC, evC := measureEngine(t, m, pat, simnet.EngineConcurrent, ack)
-					timesD, evD := measureEngine(t, m, pat, simnet.EngineAuto, ack)
-					for r := range timesC {
-						if timesC[r] != timesD[r] {
-							t.Errorf("%s p=%d ack=%v noisy=%v rank %d: concurrent %v, direct %v",
-								name, p, ack, noisy, r, timesC[r], timesD[r])
+					for _, computeEmpty := range []bool{true, false} {
+						if !computeEmpty && p != 6 {
+							continue
+						}
+						leg := fmt.Sprintf("%s p=%d ack=%v noisy=%v computeEmpty=%v", name, p, ack, noisy, computeEmpty)
+						resC, evC := measureEngine(t, m, pat, simnet.EngineConcurrent, ack, computeEmpty)
+						resD, evD := measureEngine(t, m, pat, simnet.EngineAuto, ack, computeEmpty)
+						for r := range resC.Times {
+							if resC.Times[r] != resD.Times[r] {
+								t.Errorf("%s rank %d: concurrent %v, direct %v", leg, r, resC.Times[r], resD.Times[r])
+							}
+						}
+						if resC.Messages != resD.Messages || resC.Bytes != resD.Bytes {
+							t.Errorf("%s traffic: concurrent %d/%d, direct %d/%d", leg, resC.Messages, resC.Bytes, resD.Messages, resD.Bytes)
+						}
+						if evC != evD {
+							t.Errorf("%s: traced event streams differ", leg)
 						}
 					}
-					if evC != evD {
-						t.Errorf("%s p=%d ack=%v noisy=%v: traced event streams differ", name, p, ack, noisy)
-					}
+				}
+			}
+		}
+	}
+}
+
+// TestExecuteRefusesWrongSizedPattern: a pattern built for another rank count
+// used to reach the walk unchecked — index out of range when too small, and
+// when too large a concurrent run waiting until its deadline for ranks that
+// do not exist. Both engines now refuse it at entry, naming both sizes.
+func TestExecuteRefusesWrongSizedPattern(t *testing.T) {
+	const p = 8
+	m := engineMachine(t, p, false)
+	for _, patProcs := range []int{4, 16} {
+		pat, err := Dissemination(patProcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, engine := range []simnet.Engine{simnet.EngineAuto, simnet.EngineConcurrent} {
+			o := simnet.DefaultOptions()
+			o.Engine = engine
+			o.Deadline = 2 * time.Second
+			want := fmt.Sprintf("for %d processes on a %d-", patProcs, p)
+			for name, body := range map[string]func(c *mpi.Comm) error{
+				"Execute": func(c *mpi.Comm) error { Execute(c, pat); return nil },
+				"flood":   func(c *mpi.Comm) error { return c.BarrierSchedule(pat) },
+			} {
+				_, err := mpi.RunContext(context.Background(), m, body, o)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s of a %d-rank pattern on %d ranks, engine %d: error %v, want one containing %q", name, patProcs, p, engine, err, want)
 				}
 			}
 		}
@@ -153,10 +204,10 @@ func measureConcurrent(m simnet.Machine, pat *Pattern, reps int) (*Measurement, 
 	o := simnet.DefaultOptions()
 	o.Engine = simnet.EngineConcurrent
 	_, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
-		Execute(c, pat, 0)
+		Execute(c, pat)
 		for rep := 0; rep < reps; rep++ {
 			start := c.Wtime()
-			Execute(c, pat, rep+1)
+			Execute(c, pat)
 			durations[rep][c.Rank()] = c.Wtime() - start
 		}
 		return nil
@@ -198,7 +249,7 @@ func TestRunScheduleMatchesConcurrentRun(t *testing.T) {
 				oC.Recorder = recC
 				resC, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
 					for g := 0; g < 3; g++ {
-						Execute(c, pat, g)
+						Execute(c, pat)
 					}
 					return nil
 				}, oC)

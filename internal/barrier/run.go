@@ -11,79 +11,55 @@ import (
 	"hbsp/internal/stats"
 )
 
-// The tag space used by the pattern simulator. Stages are distinguished by
-// tag; repeated executions of the same pattern reuse the same tags, which is
-// safe because mailbox matching is FIFO per (source, tag): each rank both
-// sends and receives the stage-s messages of execution g before those of
-// execution g+1, so streams can never cross-match.
+// baseTag is the tag space of the pattern simulator: stage s carries
+// baseTag+s (see mpi.WalkSchedule on reusing it across executions).
 const baseTag = 1 << 20
 
 // Execute runs one execution of the barrier pattern on the calling rank,
 // mirroring the general simulation function of Fig. 5.5: for every stage, the
 // receives and sends prescribed by the stage matrix are started together and
-// waited for together (MPI_Startall / MPI_Waitall semantics). It walks the
-// sparse stage adjacency, so one execution costs O(signals) instead of the
-// O(P²) per rank of scanning dense stage matrices. The generation counter is
-// kept for callers that label repetitions; it no longer affects the tag space.
+// waited for together (MPI_Startall / MPI_Waitall semantics); a process with
+// no signals in a stage still pays the invocation overhead of the empty pair.
 //
 // Execute is a collective call: every rank of the run must execute the same
 // pattern. On runs with the direct engine enabled (the default), the ranks
 // rendezvous at the run's gate and the whole execution is evaluated
 // sequentially by the goroutine-free discrete-event evaluator, with
 // bit-identical virtual times and trace events; WithConcurrentEngine (or
-// simnet.EngineConcurrent) restores the concurrent per-message walk.
-func Execute(c *mpi.Comm, pat *Pattern, generation int) {
-	_ = generation
+// simnet.EngineConcurrent) restores the concurrent per-message walk
+// (mpi.WalkSchedule, pure signals). A pattern built for another rank count,
+// or — on the direct engine — ranks arriving with different patterns, has
+// violated the collective contract; Execute has no error to return, so it
+// panics.
+func Execute(c *mpi.Comm, pat *Pattern) {
+	var err error
 	if g := c.Proc().SharedGate(); g != nil {
-		executeDirect(g, c.Proc(), pat)
-		return
+		err = executeDirect(g, c.Proc(), pat)
+	} else {
+		err = mpi.WalkSchedule(c.Proc(), pat, baseTag, true, nil)
 	}
-	rank := c.Rank()
-	adj := pat.Adjacency()
-	// On traced runs, bracket every stage so analysis can attribute time
-	// per stage and per edge; proc.TraceStage is checked once here so
-	// untraced executions pay nothing per stage.
-	traced := c.Proc().Tracing()
-	if traced {
-		defer c.Proc().TraceStage(-1)
+	if err != nil {
+		panic(err)
 	}
-	var reqs []*simnet.Request // scratch, reused across stages
-	for s := range pat.Stages {
-		if traced {
-			c.Proc().TraceStage(s)
-		}
-		ins, outs := adj[s].In[rank], adj[s].Out[rank]
-		if len(ins) == 0 && len(outs) == 0 {
-			// A process with no signals in this stage still pays the
-			// invocation overhead of the empty Startall/Waitall pair.
-			c.Compute(0)
-			continue
-		}
-		tag := baseTag + s
-		reqs = reqs[:0]
-		for _, src := range ins {
-			reqs = append(reqs, c.Irecv(src, tag))
-		}
-		for k, dst := range outs {
-			size := 0
-			if adj[s].OutBytes != nil {
-				size = adj[s].OutBytes[rank][k]
-			}
-			reqs = append(reqs, c.Isend(dst, tag, size, nil))
-		}
-		for _, r := range reqs {
-			c.Wait(r)
-		}
+}
+
+// checkProcs refuses a pattern built for another rank count.
+func checkProcs(pat *Pattern, procs int) error {
+	if pat.Procs != procs {
+		return fmt.Errorf("barrier: pattern for %d processes on a %d-rank machine", pat.Procs, procs)
 	}
+	return nil
 }
 
 // executeDirect evaluates one pattern execution at the run's gate: the last
 // rank to arrive performs the execution's operations sequentially on every
-// rank's LogGP state (sched.AtGate). A run whose ranks arrive with different
-// patterns has violated the collective contract; the resulting error panics
-// the ranks (the concurrent engine would deadlock or cross-match instead).
-func executeDirect(g *simnet.Gate, p *simnet.Proc, pat *Pattern) {
-	err := g.Arrive(p, pat, func(tickets []any) error {
+// rank's LogGP state (sched.AtGate). Ranks arriving with different patterns
+// are an error (the concurrent engine would deadlock or cross-match instead).
+func executeDirect(g *simnet.Gate, p *simnet.Proc, pat *Pattern) error {
+	if err := checkProcs(pat, p.Size()); err != nil {
+		return err
+	}
+	return g.Arrive(p, pat, func(tickets []any) error {
 		for r, t := range tickets {
 			if t != (any)(pat) {
 				return fmt.Errorf("barrier: rank %d executes a different pattern (Execute is collective)", r)
@@ -92,9 +68,6 @@ func executeDirect(g *simnet.Gate, p *simnet.Proc, pat *Pattern) {
 		sched.AtGate(g, p, func(ev *sched.Evaluator) { ev.ExecSchedule(pat, baseTag, true) })
 		return nil
 	})
-	if err != nil {
-		panic(err)
-	}
 }
 
 // Measurement holds the result of measuring a barrier pattern on a simulated
@@ -139,8 +112,8 @@ func MeasureWith(m simnet.Machine, pat *Pattern, reps int, o simnet.Options) (*M
 	if err := pat.Validate(); err != nil {
 		return nil, err
 	}
-	if pat.Procs != m.Procs() {
-		return nil, fmt.Errorf("barrier: pattern for %d processes on a %d-rank machine", pat.Procs, m.Procs())
+	if err := checkProcs(pat, m.Procs()); err != nil {
+		return nil, err
 	}
 
 	durations := make([][]float64, reps)
@@ -150,10 +123,10 @@ func MeasureWith(m simnet.Machine, pat *Pattern, reps int, o simnet.Options) (*M
 
 	_, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
 		// Warm-up execution to bring all ranks to a common point.
-		Execute(c, pat, 0)
+		Execute(c, pat)
 		for rep := 0; rep < reps; rep++ {
 			start := c.Wtime()
-			Execute(c, pat, rep+1)
+			Execute(c, pat)
 			durations[rep][c.Rank()] = c.Wtime() - start
 		}
 		return nil

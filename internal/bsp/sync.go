@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hbsp/internal/mpi"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 )
@@ -99,17 +100,33 @@ func (c *Ctx) Sync() error {
 }
 
 // runExchange performs the count total exchange on the engine the run
-// selected: synchronizers exposing a direct exchange schedule (both built-in
-// synchronizers do) are evaluated at the run's gate by the goroutine-free
-// discrete-event evaluator, with bit-identical virtual times; custom
-// synchronizers and WithConcurrentEngine runs keep the concurrent walk.
+// selected and returns the full P×P one-sided message-count map, indexed
+// [source][destination]. By default the synchronizer's exchange schedule is
+// evaluated at the run's gate by the goroutine-free discrete-event evaluator;
+// under WithConcurrentEngine every rank floods its count row over the same
+// schedule (mpi.WalkSchedule), with bit-identical virtual times.
 func (c *Ctx) runExchange() ([][]int, error) {
 	if g := c.proc.SharedGate(); g != nil {
-		if dx, ok := c.sync.(directExchanger); ok {
-			return c.directExchange(g, dx)
-		}
+		return c.directExchange(g)
 	}
-	return c.sync.ExchangeCounts(c)
+	p := c.NProcs()
+	sch, err := c.sync.exchangeSchedule(p)
+	if err != nil {
+		return nil, err
+	}
+	known := map[int]any{c.Pid(): append([]int(nil), c.outCounts...)}
+	if err := mpi.WalkSchedule(c.proc, sch, tagCountBase, false, known); err != nil {
+		return nil, err
+	}
+	counts := make([][]int, p)
+	for r := range counts {
+		row, ok := known[r].([]int)
+		if !ok || len(row) != p {
+			return nil, fmt.Errorf("bsp: process %d is missing the count row of process %d after synchronization", c.Pid(), r)
+		}
+		counts[r] = row
+	}
+	return counts, nil
 }
 
 // syncTicket is the rendezvous descriptor of one rank entering Sync: its
@@ -126,7 +143,7 @@ type syncTicket struct {
 // makes before its first stage — evaluates the exchange's op-stream against
 // the live per-rank clocks, and hands the complete P×P matrix to every rank;
 // no count row ever travels through a mailbox.
-func (c *Ctx) directExchange(g *simnet.Gate, dx directExchanger) ([][]int, error) {
+func (c *Ctx) directExchange(g *simnet.Gate) ([][]int, error) {
 	var counts [][]int
 	t := &syncTicket{sync: c.sync, row: c.outCounts, out: &counts}
 	err := g.Arrive(c.proc, t, func(tickets []any) error {
@@ -139,7 +156,7 @@ func (c *Ctx) directExchange(g *simnet.Gate, dx directExchanger) ([][]int, error
 			}
 			rows[r] = append([]int(nil), st.row...)
 		}
-		sch, err := dx.exchangeSchedule(p)
+		sch, err := c.sync.exchangeSchedule(p)
 		if err != nil {
 			return err
 		}
@@ -183,63 +200,4 @@ func (c *Ctx) applyPut(put *putMsg) error {
 	}
 	copy(buf[put.Offset:], put.Data)
 	return nil
-}
-
-// exchangeCounts performs the dissemination total exchange of the per-pair
-// one-sided message counts: after ⌈log2 P⌉ stages with doubling payloads,
-// every process holds the full P×P count map (Section 6.5). It returns the
-// map indexed [source][destination]. The wire protocol (tagCountBase+stage
-// tags, map[int][]int payloads, headerBytes+rows*P*4 sizing) is shared with
-// scheduleSync.ExchangeCounts in synchronizer.go — change them together;
-// TestScheduleSynchronizerMatchesDefaultBitForBit guards the agreement.
-func (c *Ctx) exchangeCounts() ([][]int, error) {
-	p := c.NProcs()
-	rank := c.Pid()
-	known := map[int][]int{rank: append([]int(nil), c.outCounts...)}
-	traced := c.proc.Tracing()
-	if traced {
-		defer c.proc.TraceStage(-1)
-	}
-	stage := 0
-	for dist := 1; dist < p; dist *= 2 {
-		if traced {
-			c.proc.TraceStage(stage)
-		}
-		dst := (rank + dist) % p
-		src := (rank - dist + p) % p
-		tag := tagCountBase + stage
-
-		// Snapshot of everything known so far travels to the next neighbour.
-		payload := make(map[int][]int, len(known))
-		for r, row := range known {
-			payload[r] = row
-		}
-		size := headerBytes + len(payload)*p*countEntryBytes
-
-		rreq := c.proc.Irecv(src, tag)
-		sreq := c.proc.Isend(dst, tag, size, payload)
-		in := c.proc.Wait(rreq)
-		c.proc.Wait(sreq)
-
-		got, ok := in.(map[int][]int)
-		if !ok {
-			return nil, fmt.Errorf("bsp: process %d received a malformed count map from %d", rank, src)
-		}
-		for r, row := range got {
-			if _, seen := known[r]; !seen {
-				known[r] = row
-			}
-		}
-		stage++
-	}
-
-	counts := make([][]int, p)
-	for r := 0; r < p; r++ {
-		row, ok := known[r]
-		if !ok || len(row) != p {
-			return nil, fmt.Errorf("bsp: process %d is missing the count row of process %d after synchronization", rank, r)
-		}
-		counts[r] = row
-	}
-	return counts, nil
 }

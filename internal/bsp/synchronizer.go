@@ -12,28 +12,21 @@ import (
 	"hbsp/internal/simnet"
 )
 
-// Synchronizer drives the total exchange of per-pair message counts that ends
-// a superstep (Section 6.4). The default is the hand-rolled dissemination
-// exchange; NewScheduleSynchronizer executes any verified collective schedule
-// instead, which is how model-selected hybrid patterns from internal/adapt
-// reach the runtime.
+// Synchronizer selects the total exchange of per-pair message counts that
+// ends a superstep (Section 6.4) by naming the schedule the count rows are
+// flooded over: the dissemination exchange by default, or any verified
+// collective schedule (NewScheduleSynchronizer), which is how model-selected
+// hybrid patterns from internal/adapt reach the runtime. The interface is
+// closed — only this package implements it: the exchange itself
+// (Ctx.runExchange) is the runtime's, a synchronizer only says over which
+// edges and at which sizes.
 type Synchronizer interface {
 	// Name identifies the synchronizer for reporting.
 	Name() string
-	// ExchangeCounts returns the full P×P one-sided message-count map,
-	// indexed [source][destination], as established on the calling process.
-	ExchangeCounts(c *Ctx) ([][]int, error)
-}
-
-// directExchanger is the optional capability a synchronizer implements to
-// route its count exchange through the goroutine-free discrete-event
-// evaluator: the returned schedule is the exchange's exact op-stream — the
-// same stage walk the synchronizer's ExchangeCounts performs concurrently,
-// with every payload size resolved up front (the count-row snapshot a rank
-// sends at stage s is knowledge-determined, never data-determined). Sync
-// evaluates it at the run's gate; synchronizers without the capability (or
-// runs under WithConcurrentEngine) keep the concurrent walk.
-type directExchanger interface {
+	// exchangeSchedule returns the exchange's exact op-stream for p ranks,
+	// every payload size resolved up front (the count rows a rank forwards at
+	// a stage are knowledge-determined, never data-determined) — the same
+	// value for every superstep of a run, which keys the partition cache.
 	exchangeSchedule(p int) (sched.Schedule, error)
 }
 
@@ -41,14 +34,18 @@ type directExchanger interface {
 // dissemination exchange with doubling payloads of Section 6.5. The exchange
 // of each process count is one immutable streamed circulant — O(log P) state
 // at any P — cached so that every run and every superstep hands the evaluator
-// the same value (its partition cache is keyed by it).
+// the same value (its partition cache is keyed by it). The cache is bounded
+// by dropping everything: a run in flight that loses its entry derives an
+// equal circulant again, which costs it one partition-cache miss.
 type disseminationSync struct {
 	mu  sync.Mutex
 	byP map[int]*sched.Circulant
 }
 
-func (*disseminationSync) Name() string                           { return "dissemination" }
-func (*disseminationSync) ExchangeCounts(c *Ctx) ([][]int, error) { return c.exchangeCounts() }
+// maxExchangeSchedules bounds the default synchronizer's schedule cache.
+const maxExchangeSchedules = 64
+
+func (*disseminationSync) Name() string { return "dissemination" }
 
 // exchangeSchedule returns the dissemination exchange for p ranks: stage
 // offsets 2^s, payload sizes the header plus the min(2^s, p) count rows the
@@ -72,7 +69,7 @@ func (d *disseminationSync) exchangeSchedule(p int) (sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.byP == nil {
+	if d.byP == nil || len(d.byP) >= maxExchangeSchedules {
 		d.byP = map[int]*sched.Circulant{}
 	}
 	d.byP[p] = s
@@ -99,13 +96,9 @@ var defaultSync = &disseminationSync{}
 // when none is configured.
 func DefaultSynchronizer() Synchronizer { return defaultSync }
 
-// scheduleSync executes an arbitrary verified schedule: at every stage each
-// process receives from its in-edges and forwards everything it knows along
-// its out-edges, so after the last stage the count map is complete on every
-// process whenever the schedule passes the all-pairs knowledge recursion.
-// It speaks the same wire protocol as Ctx.exchangeCounts in sync.go
-// (tagCountBase+stage tags, map[int][]int payloads, headerBytes+rows*P*4
-// sizing) — change them together.
+// scheduleSync exchanges the counts over an arbitrary verified schedule: the
+// count map is complete on every process after the last stage whenever the
+// schedule passes the all-pairs knowledge recursion.
 type scheduleSync struct {
 	pat *barrier.Pattern
 
@@ -163,72 +156,6 @@ func (s *scheduleSync) exchangeSchedule(p int) (sched.Schedule, error) {
 		s.sched = &sched.StaticStages{Procs: p, Stages: stages, Sym: s.pat.Sym}
 	})
 	return s.sched, nil
-}
-
-func (s *scheduleSync) ExchangeCounts(c *Ctx) ([][]int, error) {
-	p := c.NProcs()
-	rank := c.Pid()
-	if s.pat.Procs != p {
-		return nil, fmt.Errorf("bsp: schedule for %d processes on a %d-process run", s.pat.Procs, p)
-	}
-	known := map[int][]int{rank: append([]int(nil), c.outCounts...)}
-	traced := c.proc.Tracing()
-	if traced {
-		defer c.proc.TraceStage(-1)
-	}
-	for stage, st := range s.pat.Adjacency() {
-		if traced {
-			c.proc.TraceStage(stage)
-		}
-		ins := st.In[rank]
-		outs := st.Out[rank]
-		if len(ins) == 0 && len(outs) == 0 {
-			continue
-		}
-		tag := tagCountBase + stage
-
-		recvs := make([]*simnet.Request, len(ins))
-		for k, src := range ins {
-			recvs[k] = c.proc.Irecv(src, tag)
-		}
-		// Snapshot of everything known so far travels along every out-edge.
-		var sends []*simnet.Request
-		if len(outs) > 0 {
-			payload := make(map[int][]int, len(known))
-			for r, row := range known {
-				payload[r] = row
-			}
-			size := headerBytes + len(payload)*p*countEntryBytes
-			for _, dst := range outs {
-				sends = append(sends, c.proc.Isend(dst, tag, size, payload))
-			}
-		}
-		for k, rreq := range recvs {
-			in := c.proc.Wait(rreq)
-			got, ok := in.(map[int][]int)
-			if !ok {
-				return nil, fmt.Errorf("bsp: process %d received a malformed count map from %d", rank, ins[k])
-			}
-			for r, row := range got {
-				if _, seen := known[r]; !seen {
-					known[r] = row
-				}
-			}
-		}
-		for _, sreq := range sends {
-			c.proc.Wait(sreq)
-		}
-	}
-
-	counts := make([][]int, p)
-	for r := 0; r < p; r++ {
-		row, ok := known[r]
-		if !ok || len(row) != p {
-			return nil, fmt.Errorf("bsp: process %d is missing the count row of process %d after synchronization", rank, r)
-		}
-		counts[r] = row
-	}
-	return counts, nil
 }
 
 // NewAdaptedSynchronizer runs the model-driven construction of Chapter 7 on

@@ -1,14 +1,18 @@
 package bsp
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"hbsp/internal/adapt"
 	"hbsp/internal/barrier"
 	"hbsp/internal/matrix"
 	"hbsp/internal/platform"
+	"hbsp/internal/simnet"
 )
 
 // groundTruthParams builds cost-model parameters directly from the profile's
@@ -216,17 +220,24 @@ func TestScheduleSynchronizerProcsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diss, err := barrier.Dissemination(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sync, err := NewScheduleSynchronizer(diss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunWith(m, sync, func(ctx *Ctx) error { return ctx.Sync() }); err == nil ||
-		!strings.Contains(err.Error(), "schedule for 8 processes") {
-		t.Fatalf("expected a process-count mismatch error, got %v", err)
+	for _, procs := range []int{8, 2} {
+		diss, err := barrier.Dissemination(procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sync, err := NewScheduleSynchronizer(diss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, engine := range []simnet.Engine{simnet.EngineAuto, simnet.EngineConcurrent} {
+			o := simnet.DefaultOptions()
+			o.Engine = engine
+			o.Deadline = 2 * time.Second // a walk of the 8-rank schedule would wait this long for ranks 4..7
+			if _, err := RunWith(m, sync, func(ctx *Ctx) error { return ctx.Sync() }, o); err == nil ||
+				!strings.Contains(err.Error(), fmt.Sprintf("schedule for %d processes", procs)) {
+				t.Fatalf("%d-rank schedule, engine %d: expected a process-count mismatch error, got %v", procs, engine, err)
+			}
+		}
 	}
 }
 
@@ -245,5 +256,57 @@ func TestRunWithNilSynchronizerUsesDefault(t *testing.T) {
 	}
 	if DefaultSynchronizer().Name() != "dissemination" {
 		t.Fatalf("default synchronizer name = %q", DefaultSynchronizer().Name())
+	}
+}
+
+// TestDefaultExchangeScheduleCacheIsBounded: the default synchronizer's
+// per-P schedule cache used to keep one entry per distinct rank count for the
+// life of the process (every hbspd sync request reaches it). A thousand
+// distinct P must leave it at or under its bound, and runs in flight while
+// the cache turns over — they may lose their entry between two supersteps and
+// derive an equal schedule again — must still produce the quiet run's times
+// on both engines.
+func TestDefaultExchangeScheduleCacheIsBounded(t *testing.T) {
+	m := testMachine(t, 16).WithRunSeed(5)
+	want, err := Run(m, exchangeProgram(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	churned := make(chan error, 1)
+	go func() {
+		for p := 1; p <= 1000; p++ {
+			if _, err := ExchangeSchedule(p); err != nil {
+				churned <- err
+				return
+			}
+		}
+		churned <- nil
+	}()
+	for done := false; !done; {
+		select {
+		case err := <-churned:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+		}
+		for _, engine := range []simnet.Engine{simnet.EngineAuto, simnet.EngineConcurrent} {
+			o := simnet.DefaultOptions()
+			o.Engine = engine
+			got, err := Run(m, exchangeProgram(t), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Times, want.Times) {
+				t.Fatalf("engine %d under cache churn: times %v, quiet run %v", engine, got.Times, want.Times)
+			}
+		}
+	}
+	defaultSync.mu.Lock()
+	n := len(defaultSync.byP)
+	defaultSync.mu.Unlock()
+	if n > maxExchangeSchedules {
+		t.Errorf("default exchange-schedule cache holds %d entries after 1000 distinct P, bound is %d", n, maxExchangeSchedules)
 	}
 }

@@ -60,7 +60,7 @@ func TraceBreakdownSeries(prof *platform.Profile, procsList []int, opts Options)
 		o := simnet.DefaultOptions()
 		o.Recorder = rec
 		res, err := mpi.Run(seeded, func(c *mpi.Comm) error {
-			barrier.Execute(c, pat, 0)
+			barrier.Execute(c, pat)
 			return nil
 		}, o)
 		if err != nil {

@@ -15,39 +15,23 @@ import (
 // internal/adapt) and the streamed generators satisfy it alike.
 type Schedule = sched.Schedule
 
-// tagSchedule is the base tag of the schedule-executing collectives. Stages
-// are distinguished by tag; repeated executions reuse the same tags, which is
-// safe because mailbox matching is FIFO per (source, tag): every rank
-// completes all stage-s receives of one collective call before posting those
-// of the next, and senders inject in program order, so streams cannot
-// cross-match (the same argument that lets barrier.Execute reuse tags).
+// tagSchedule is the base tag of the schedule-executing collectives (stage s
+// carries tagSchedule+s; see WalkSchedule on reusing it across calls).
 const tagSchedule = 1 << 29
 
 // FloodSchedule executes the schedule with knowledge-flooding data semantics:
 // every rank starts out knowing only its own contribution, and along every
-// prescribed edge the sender forwards a snapshot of everything it knows,
-// keyed by originating rank. The billed message sizes are the schedule's
-// per-edge payload sizes, i.e. the exact bytes the cost model prices. It
-// returns the contributions known to the calling rank after the last stage;
-// which entries must be present depends on the collective's semantics and is
-// checked by the callers — the typed schedule collectives below, and layered
-// run-times implementing their own payload types.
+// prescribed edge the sender forwards everything it knows, keyed by
+// originating rank. The billed message sizes are the schedule's per-edge
+// payload sizes, i.e. the exact bytes the cost model prices. It returns the
+// contributions known to the calling rank after the last stage; which entries
+// must be present depends on the collective's semantics and is checked by the
+// callers — the typed schedule collectives below, and layered run-times
+// implementing their own payload types.
 //
 // Under the default engine the ranks rendezvous at the run's gate and the
 // leader evaluates the flood (floodDirect). Under the concurrent engine every
-// rank walks its own edges, read through its own sched.StageView
-// (RankEdges) — never through StageAt, which a streamed schedule answers by
-// materializing an O(P) adjacency (P ranks × P−1 stages of that would make a
-// total exchange O(P³)).
-//
-// The stage walk (Irecv the in-edges, snapshot everything known, Isend along
-// the out-edges, merge, then wait the sends) deliberately mirrors
-// scheduleSync.ExchangeCounts in internal/bsp/synchronizer.go and the
-// signal-only walk of barrier.Execute; they cannot share code because their
-// billed sizes differ (the count exchange prices the rows actually known,
-// this walk prices the schedule's per-edge payload model) and the count
-// exchange is pinned bit-for-bit by golden tests — change the walk protocol
-// in all three places together.
+// rank walks its own edges (WalkSchedule).
 //
 // Contributions travel by reference between the rank goroutines, not copied: a
 // rank may return from the collective while slower ranks are still reading
@@ -56,68 +40,121 @@ const tagSchedule = 1 << 29
 // rest of the run, and must not mutate received values; the typed BSP
 // collectives copy on both sides for exactly this reason.
 func (c *Comm) FloodSchedule(s Schedule, own any) (map[int]any, error) {
-	p := c.Size()
-	if s.NumProcs() != p {
-		return nil, fmt.Errorf("mpi: schedule for %d processes on a %d-process run", s.NumProcs(), p)
-	}
 	if g := c.proc.SharedGate(); g != nil {
 		return c.floodDirect(g, s, own)
 	}
-	rank := c.Rank()
-	view := sched.ViewOf(s)
-	known := map[int]any{rank: own}
-	// On traced runs, bracket every stage for per-stage attribution (checked
-	// once so untraced executions pay nothing per stage).
-	traced := c.proc.Tracing()
-	if traced {
-		defer c.proc.TraceStage(-1)
+	known := map[int]any{c.Rank(): own}
+	if err := WalkSchedule(c.proc, s, tagSchedule, false, known); err != nil {
+		return nil, err
 	}
+	return known, nil
+}
+
+// scheduleFits refuses a schedule built for another rank count: too small
+// indexes past its stage rows, too large waits for ranks that do not exist.
+func scheduleFits(s Schedule, p *simnet.Proc) error {
+	if s.NumProcs() != p.Size() {
+		return fmt.Errorf("mpi: schedule for %d processes on a %d-process run", s.NumProcs(), p.Size())
+	}
+	return nil
+}
+
+// flooded is one contribution in flight, with the rank it originated on.
+type flooded struct {
+	origin int
+	value  any
+}
+
+// WalkSchedule is the concurrent engine's schedule walker, the per-rank twin
+// of sched.Evaluator.ExecSchedule and the general simulation function of
+// Fig. 5.5: the calling rank executes its own part of the schedule, per stage
+// starting the prescribed receives and sends together and waiting for them
+// together (MPI_Startall / MPI_Waitall) — receives first, then sends, in edge
+// order. Stage sg's messages carry tag tagBase+sg and are billed at the
+// schedule's per-edge payload sizes. On a stage where the rank has no edges,
+// computeEmpty pays the empty Startall/Waitall pair (Compute(0), one noise
+// draw) — barrier.Execute's convention; the collectives skip the stage.
+// Edges are read through the rank's own sched.StageView (RankEdges), never
+// through StageAt, which a streamed schedule answers by materializing an O(P)
+// adjacency (P ranks × P−1 stages of that would make a total exchange O(P³)).
+//
+// known is the payload. A nil map walks pure signals. Otherwise it holds the
+// contributions the rank knows on entry, keyed by originating rank, and the
+// walk floods them: along every out-edge travels everything the rank knew
+// when the stage began, and what arrives is merged in, the first arrival of
+// an origin winning; on return known holds every contribution that reached
+// the rank. Values travel by reference (see FloodSchedule).
+//
+// It is a collective call: every rank walks the same schedule with the same
+// tagBase. Walks may reuse a tag base because mailbox matching is FIFO per
+// (source, tag): a rank completes all stage-sg receives of one walk before
+// posting those of the next, and senders inject in program order, so streams
+// cannot cross-match.
+func WalkSchedule(p *simnet.Proc, s Schedule, tagBase int, computeEmpty bool, known map[int]any) error {
+	if err := scheduleFits(s, p); err != nil {
+		return err
+	}
+	rank := p.Rank()
+	view := sched.ViewOf(s)
+	// What the rank knows, in arrival order. It only ever grows at the end,
+	// so the prefix that exists when a stage begins is that stage's snapshot:
+	// receivers read it in place while the owner keeps appending behind it.
+	var flood []flooded
+	for origin, v := range known {
+		flood = append(flood, flooded{origin, v})
+	}
+	// On traced runs, bracket every stage for per-stage attribution (checked
+	// once so untraced walks pay nothing per stage).
+	traced := p.Tracing()
+	if traced {
+		defer p.TraceStage(-1)
+	}
+	var reqs []*simnet.Request // scratch, reused across stages
 	for stage := 0; stage < s.NumStages(); stage++ {
 		if traced {
-			c.proc.TraceStage(stage)
+			p.TraceStage(stage)
 		}
 		ins, outs, outBytes := view.RankEdges(stage, rank)
 		if len(ins) == 0 && len(outs) == 0 {
+			if computeEmpty {
+				p.Compute(0)
+			}
 			continue
 		}
-		tag := tagSchedule + stage
-		recvs := make([]*simnet.Request, 0, len(ins))
+		tag := tagBase + stage
+		reqs = reqs[:0]
 		for _, src := range ins {
-			recvs = append(recvs, c.proc.Irecv(src, tag))
+			reqs = append(reqs, p.Irecv(src, tag))
 		}
-		var sends []*simnet.Request
-		if len(outs) > 0 {
-			// Snapshot of everything known so far travels along every
-			// out-edge; the snapshot is shared (receivers only read it).
-			payload := make(map[int]any, len(known))
-			for r, v := range known {
-				payload[r] = v
-			}
-			for k, dst := range outs {
-				size := 0
-				if outBytes != nil {
-					size = outBytes[k]
-				}
-				sends = append(sends, c.proc.Isend(dst, tag, size, payload))
-			}
+		var snapshot any
+		if known != nil && len(outs) > 0 {
+			snapshot = flood[:len(flood):len(flood)]
 		}
-		for k, req := range recvs {
-			in := c.proc.Wait(req)
-			got, ok := in.(map[int]any)
+		for k, dst := range outs {
+			size := 0
+			if outBytes != nil {
+				size = outBytes[k]
+			}
+			reqs = append(reqs, p.Isend(dst, tag, size, snapshot))
+		}
+		for k, req := range reqs {
+			in := p.Wait(req)
+			if known == nil || k >= len(ins) {
+				continue
+			}
+			got, ok := in.([]flooded)
 			if !ok {
-				return nil, fmt.Errorf("mpi: process %d received a malformed flood payload from %d", rank, ins[k])
+				return fmt.Errorf("mpi: process %d received a malformed flood payload from %d", rank, ins[k])
 			}
-			for r, v := range got {
-				if _, seen := known[r]; !seen {
-					known[r] = v
+			for _, f := range got {
+				if _, seen := known[f.origin]; !seen {
+					known[f.origin] = f.value
+					flood = append(flood, f)
 				}
 			}
-		}
-		for _, req := range sends {
-			c.proc.Wait(req)
 		}
 	}
-	return known, nil
+	return nil
 }
 
 // floodTicket is the rendezvous descriptor of one rank entering a schedule
@@ -146,6 +183,9 @@ func sameSchedule(a, b Schedule) bool {
 // reference, which is precisely what the concurrent walk's merge loop
 // produces message by message.
 func (c *Comm) floodDirect(g *simnet.Gate, s Schedule, own any) (map[int]any, error) {
+	if err := scheduleFits(s, c.proc); err != nil {
+		return nil, err
+	}
 	var known map[int]any
 	t := &floodTicket{s: s, own: own, out: &known}
 	err := g.Arrive(c.proc, t, func(tickets []any) error {

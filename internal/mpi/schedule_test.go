@@ -151,7 +151,7 @@ func TestScheduleCollectiveValidation(t *testing.T) {
 }
 
 // collectiveSchedules is one schedule per typed collective, in one form.
-type collectiveSchedules struct{ bc, rd, ar, ag, te, ba mpi.Schedule }
+type collectiveSchedules struct{ bc, rd, ar, ag, te, ba, tr mpi.Schedule }
 
 func must[S mpi.Schedule](t *testing.T) func(S, error) mpi.Schedule {
 	return func(s S, err error) mpi.Schedule {
@@ -169,9 +169,12 @@ func must[S mpi.Schedule](t *testing.T) func(S, error) mpi.Schedule {
 // rank through the stage view (EngineConcurrent) — on a noisy heterogeneous
 // machine, with and without acknowledged sends: per-rank times, traffic,
 // every returned value and, traced, the recording byte for byte must be the
-// same on all four.
+// same on all four. The run ends with a barrier flooded over the binomial
+// tree (dense in both forms; it has no streamed generator), whose ranks sit
+// idle in some stages at every P here but the powers of two — P = 6 is in the
+// list for it.
 func TestStreamedAndDenseSchedulesAgreeOnBothEngines(t *testing.T) {
-	for _, p := range []int{1, 2, 5, 8, 13, 16} {
+	for _, p := range []int{1, 2, 5, 6, 8, 13, 16} {
 		root := 2 % p
 		dense, stream := must[*barrier.Pattern](t), must[mpi.Schedule](t)
 		forms := map[string]collectiveSchedules{
@@ -179,11 +182,13 @@ func TestStreamedAndDenseSchedulesAgreeOnBothEngines(t *testing.T) {
 				bc: dense(barrier.Broadcast(p, root, 96)), rd: dense(barrier.Reduce(p, root, 8)),
 				ar: dense(barrier.AllReduce(p, 8)), ag: dense(barrier.AllGather(p, 24)),
 				te: dense(barrier.TotalExchange(p, 40)), ba: dense(barrier.Dissemination(p)),
+				tr: dense(barrier.Tree(p)),
 			},
 			"streamed": {
 				bc: stream(barrier.StreamBroadcast(p, root, 96)), rd: stream(barrier.StreamReduce(p, root, 8)),
 				ar: stream(barrier.StreamAllReduce(p, 8)), ag: stream(barrier.StreamAllGather(p, 24)),
 				te: stream(barrier.StreamTotalExchange(p, 40)), ba: stream(barrier.StreamDissemination(p)),
+				tr: dense(barrier.Tree(p)),
 			},
 		}
 		m, err := platform.Xeon8x2x4().Machine(p) // heterogeneity spread and run-to-run noise
@@ -235,7 +240,10 @@ func TestStreamedAndDenseSchedulesAgreeOnBothEngines(t *testing.T) {
 								return err
 							}
 							got.values[c.Rank()] = fmt.Sprint(b, r, a, g, x)
-							return c.BarrierSchedule(cs.ba)
+							if err := c.BarrierSchedule(cs.ba); err != nil {
+								return err
+							}
+							return c.BarrierSchedule(cs.tr)
 						}, o)
 						if err != nil {
 							t.Fatalf("%s: %v", got.leg, err)

@@ -117,7 +117,7 @@ type RankSchedule interface {
 // circulant ones by deriving each rank's single out- and in-peer (r±off) mod P
 // on the fly. Every walker reads schedules through it: the evaluator's stage
 // loops, the partition refinement and the knowledge recursion (Load, then
-// Outs / Ins / OutSize rank after rank), and the concurrent engine's flood
+// Outs / Ins / OutSize rank after rank), and the concurrent engine's walker
 // (RankEdges; one view per rank goroutine, by value). One-element slices
 // returned for a streamed stage alias the view's buffers and are valid until
 // the next call of the same method.

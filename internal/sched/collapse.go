@@ -25,22 +25,39 @@ type partEntry struct {
 	info simnet.Collapse
 }
 
-// ExecScheduleAuto evaluates one execution of the schedule, collapsing
-// symmetric stages onto class representatives when the machine, schedule and
-// current entry states allow it, and falling back to the per-rank
-// ExecSchedule sweep otherwise. Results — clocks, port states, noise
-// positions, traffic counters — are bit-identical either way; the inline
-// gate paths (the BSP count exchange, the mpi schedule flood) call this. The
-// decision (and, on fallback, its reason) is retained for CollapseInfo.
-func (e *Evaluator) ExecScheduleAuto(s Schedule, tagBase int, computeEmpty bool) {
-	part, info := e.partitionFor(s)
-	if part != nil && !e.classesAligned(part) {
-		part = nil
-		info = simnet.Collapse{Reason: simnet.CollapseReasonAsymmetric}
-		if e.tracing() {
-			info.Reason = simnet.CollapseReasonTrace
-		}
+// decideCollapse is the collapse decision, written once for both entries — a
+// whole run (runOn) and one inline evaluation at a gate (ExecScheduleAuto).
+// The first condition that holds, in the order simnet.Collapse documents,
+// keeps evaluation per-rank and names why; when none holds the partition
+// applies. The machine and schedule / fault-plan rows are
+// collapseClassesWith's, reached through partition — derived by RunSchedule,
+// memoized by a SweepEvaluator or by the evaluator itself. traced and aligned
+// are only asked when the rows above them pass.
+func (e *Evaluator) decideCollapse(partition func() (*Partition, simnet.Collapse), traced func() bool, aligned func(*Partition) bool) (*Partition, simnet.Collapse) {
+	if e.collapseOff {
+		return nil, simnet.Collapse{Reason: simnet.CollapseReasonOff}
 	}
+	part, info := partition()
+	switch {
+	case part == nil:
+		return nil, info
+	case traced():
+		return nil, simnet.Collapse{Reason: simnet.CollapseReasonTrace}
+	case !aligned(part):
+		return nil, simnet.Collapse{Reason: simnet.CollapseReasonAsymmetric}
+	}
+	return part, info
+}
+
+// ExecScheduleAuto evaluates one execution of the schedule, collapsing
+// symmetric stages onto class representatives when decideCollapse allows it
+// for the current entry states, and falling back to the per-rank ExecSchedule
+// sweep otherwise. Results — clocks, port states, noise positions, traffic
+// counters — are bit-identical either way; the inline gate paths (the BSP
+// count exchange, the mpi schedule flood) call this. The decision (and, on
+// fallback, its reason) is retained for CollapseInfo.
+func (e *Evaluator) ExecScheduleAuto(s Schedule, tagBase int, computeEmpty bool) {
+	part, info := e.decideCollapse(func() (*Partition, simnet.Collapse) { return e.partitionFor(s) }, e.tracing, e.classesAligned)
 	e.lastCollapse = info
 	if part == nil {
 		e.ExecSchedule(s, tagBase, computeEmpty)
@@ -57,9 +74,6 @@ func (e *Evaluator) ExecScheduleAuto(s Schedule, tagBase int, computeEmpty bool)
 // the evaluator's current run: it is dropped on Release, and the fault plan
 // the decision depends on is fixed per run.
 func (e *Evaluator) partitionFor(s Schedule) (*Partition, simnet.Collapse) {
-	if e.collapseOff {
-		return nil, simnet.Collapse{Reason: simnet.CollapseReasonOff}
-	}
 	if !reflect.TypeOf(s).Comparable() {
 		return collapseClassesWith(e.m, s, e.env.Faults)
 	}
@@ -85,16 +99,12 @@ func (e *Evaluator) tracing() bool {
 }
 
 // classesAligned reports whether the current entry states permit collapsed
-// evaluation: no rank is traced, and within every class each member's
-// (clock, ports, noise position) equals its representative's. Equivalent
-// ranks that start aligned stay aligned, so one check per inline evaluation
-// suffices.
+// evaluation: within every class each member's (clock, ports, noise
+// position) equals its representative's. Equivalent ranks that start aligned
+// stay aligned, so one check per inline evaluation suffices.
 func (e *Evaluator) classesAligned(part *Partition) bool {
 	for r := range e.states {
 		rs := &e.states[r]
-		if rs.Lane != nil {
-			return false
-		}
 		rep := part.Reps[part.ClassOf[r]]
 		if int32(r) == rep {
 			continue

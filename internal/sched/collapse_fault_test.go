@@ -7,6 +7,7 @@ import (
 	"hbsp/internal/barrier"
 	"hbsp/internal/bsp"
 	"hbsp/internal/fault"
+	"hbsp/internal/mpi"
 	"hbsp/internal/platform"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
@@ -123,8 +124,13 @@ func TestCollapseUnderFaults(t *testing.T) {
 	}
 }
 
-// TestCollapseReasons pins every Result.Collapse.Reason string on the direct
-// schedule path.
+// TestCollapseReasons pins every Result.Collapse.Reason string and, where
+// several conditions rule collapse out at once, which one is named: the
+// precedence simnet.Collapse documents — off, then the machine, then the
+// schedule or the fault plan, then the recorder. Every row is asserted through
+// both entries of the decision, a whole run (sched.RunSchedule) and an inline
+// evaluation at a run's gate (an mpi flood of the same schedule), which must
+// agree.
 func TestCollapseReasons(t *testing.T) {
 	const p = 16
 	flat, err := platform.FlatClusterMachine(p)
@@ -145,34 +151,6 @@ func TestCollapseReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(m *platform.Machine, s sched.Schedule, mod func(*simnet.Options)) simnet.Collapse {
-		t.Helper()
-		o := simnet.DefaultOptions()
-		if mod != nil {
-			mod(&o)
-		}
-		res, err := sched.RunSchedule(context.Background(), m, s, 1, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Collapse
-	}
-
-	if c := run(flat, diss, nil); !c.Applied || c.Classes != 1 || c.Reason != "" {
-		t.Errorf("applied: %+v", c)
-	}
-	if c := run(flat, diss, func(o *simnet.Options) { o.SymmetryCollapse = simnet.CollapseOff }); c.Applied || c.Reason != simnet.CollapseReasonOff {
-		t.Errorf("off: %+v", c)
-	}
-	if c := run(hetero, diss, nil); c.Applied || c.Reason != simnet.CollapseReasonHetero {
-		t.Errorf("hetero: %+v", c)
-	}
-	if c := run(noisy, diss, nil); c.Applied || c.Reason != simnet.CollapseReasonNoise {
-		t.Errorf("noise: %+v", c)
-	}
-	if c := run(flat, diss, func(o *simnet.Options) { o.Recorder = trace.NewRecorder() }); c.Applied || c.Reason != simnet.CollapseReasonTrace {
-		t.Errorf("trace: %+v", c)
-	}
 	// An asymmetric schedule: rank 0 sends to everyone, nobody replies.
 	asym := &sched.StaticStages{Procs: p, Stages: []sched.Stage{func() sched.Stage {
 		st := sched.Stage{Out: make([][]int, p), In: make([][]int, p)}
@@ -182,13 +160,60 @@ func TestCollapseReasons(t *testing.T) {
 		}
 		return st
 	}()}}
-	if c := run(flat, asym, nil); c.Applied || c.Reason != simnet.CollapseReasonAsymmetric {
-		t.Errorf("asymmetric: %+v", c)
-	}
-	if c := run(flat, diss, func(o *simnet.Options) {
+	off := func(o *simnet.Options) { o.SymmetryCollapse = simnet.CollapseOff }
+	traced := func(o *simnet.Options) { o.Recorder = trace.NewRecorder() }
+	failstop := func(o *simnet.Options) {
 		o.Faults = &fault.Plan{FailStops: []fault.FailStop{{Rank: 0, FailAt: 1e-5, Restart: 1e-4}}}
-	}); c.Applied || c.Reason != simnet.CollapseReasonFault {
-		t.Errorf("fault: %+v", c)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *platform.Machine
+		s    sched.Schedule
+		mods []func(*simnet.Options)
+		want string // the reason; "" = applied with one class
+	}{
+		{"applied", flat, diss, nil, ""},
+		{"off", flat, diss, []func(*simnet.Options){off}, simnet.CollapseReasonOff},
+		{"hetero", hetero, diss, nil, simnet.CollapseReasonHetero},
+		{"noise", noisy, diss, nil, simnet.CollapseReasonNoise},
+		{"trace", flat, diss, []func(*simnet.Options){traced}, simnet.CollapseReasonTrace},
+		{"asymmetric", flat, asym, nil, simnet.CollapseReasonAsymmetric},
+		{"fault", flat, diss, []func(*simnet.Options){failstop}, simnet.CollapseReasonFault},
+
+		{"off x hetero", hetero, diss, []func(*simnet.Options){off}, simnet.CollapseReasonOff},
+		{"off x noise", noisy, diss, []func(*simnet.Options){off}, simnet.CollapseReasonOff},
+		{"off x asymmetric", flat, asym, []func(*simnet.Options){off}, simnet.CollapseReasonOff},
+		{"off x fault", flat, diss, []func(*simnet.Options){off, failstop}, simnet.CollapseReasonOff},
+		{"off x trace", flat, diss, []func(*simnet.Options){off, traced}, simnet.CollapseReasonOff},
+
+		{"trace x hetero", hetero, diss, []func(*simnet.Options){traced}, simnet.CollapseReasonHetero},
+		{"trace x noise", noisy, diss, []func(*simnet.Options){traced}, simnet.CollapseReasonNoise},
+		{"trace x asymmetric", flat, asym, []func(*simnet.Options){traced}, simnet.CollapseReasonAsymmetric},
+		{"trace x fault", flat, diss, []func(*simnet.Options){traced, failstop}, simnet.CollapseReasonFault},
+	} {
+		options := func() simnet.Options { // per entry: a recorder serves one run
+			o := simnet.DefaultOptions()
+			for _, mod := range tc.mods {
+				mod(&o)
+			}
+			return o
+		}
+		whole, err := sched.RunSchedule(context.Background(), tc.m, tc.s, 1, options())
+		if err != nil {
+			t.Fatalf("%s: RunSchedule: %v", tc.name, err)
+		}
+		atGate, err := mpi.RunContext(context.Background(), tc.m, func(c *mpi.Comm) error {
+			_, err := c.FloodSchedule(tc.s, nil)
+			return err
+		}, options())
+		if err != nil {
+			t.Fatalf("%s: gate run: %v", tc.name, err)
+		}
+		for entry, c := range map[string]simnet.Collapse{"RunSchedule": whole.Collapse, "gate": atGate.Collapse} {
+			if applied := tc.want == ""; c.Applied != applied || c.Reason != tc.want || (applied && c.Classes != 1) {
+				t.Errorf("%s through %s: %+v, want reason %q", tc.name, entry, c, tc.want)
+			}
+		}
 	}
 }
 

@@ -115,8 +115,8 @@ func checkRun(m simnet.Machine, s Schedule, execs int) error {
 // runOn is the run body of RunSchedule and SweepEvaluator.Run: execs
 // executions of s from the zeroed states of an arena set up by arenaFor under
 // the same opt and pointed at the run's machine. partition supplies the
-// collapse decision when neither the collapse switch nor a recorder rules
-// collapse out — derived by RunSchedule, memoized by a SweepEvaluator.
+// machine and schedule rows of the collapse decision (decideCollapse) —
+// derived by RunSchedule, memoized by a SweepEvaluator.
 func (e *Evaluator) runOn(ctx context.Context, s Schedule, execs int, opt *SweepOptions, partition func() (*Partition, simnet.Collapse)) (*simnet.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -130,19 +130,10 @@ func (e *Evaluator) runOn(ctx context.Context, s Schedule, execs int, opt *Sweep
 	}
 	e.attachRecorder(opt.Recorder)
 
-	// Partition once per run: fresh states are class-aligned (all zero) and
+	// Decide once per run: fresh states are class-aligned (all zero) and
 	// collapsed executions preserve alignment, so eligibility never changes
-	// mid-run. Recording forces the per-rank path (per-rank trace lanes).
-	var part *Partition
-	var collapse simnet.Collapse
-	switch {
-	case e.collapseOff:
-		collapse = simnet.Collapse{Reason: simnet.CollapseReasonOff}
-	case opt.Recorder.Enabled():
-		collapse = simnet.Collapse{Reason: simnet.CollapseReasonTrace}
-	default:
-		part, collapse = partition()
-	}
+	// mid-run.
+	part, collapse := e.decideCollapse(partition, opt.Recorder.Enabled, func(*Partition) bool { return true })
 	perStage := len(e.states)
 	if part != nil {
 		perStage = part.NumClasses()

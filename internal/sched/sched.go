@@ -5,7 +5,7 @@
 // LogGP recurrence directly, with no goroutines, mailboxes or channel
 // wake-ups. Virtual times, traffic counters and recorded trace events are
 // bit-identical to the concurrent engine's: the evaluator replays exactly the
-// operations the concurrent walkers perform, in each rank's program order,
+// operations the concurrent walker performs, in each rank's program order,
 // consuming the per-rank Noise(rank, seq) stream in exactly the order the
 // concurrent engine consumes it.
 //
@@ -290,12 +290,12 @@ func (e *Evaluator) Now(rank int) float64 { return e.states[rank].Now }
 
 // ExecSchedule evaluates one execution of the schedule: per stage, every rank
 // posts its receives, injects its sends and then waits — receives first, then
-// sends, in edge order — exactly as the concurrent stage walkers
-// (barrier.Execute, the mpi flood, both count exchanges) do. Stage s's
-// messages carry tag tagBase+s in recorded events. computeEmpty selects
-// barrier.Execute's convention of paying an empty Startall/Waitall
-// (Compute(0), one noise draw) on stages where a rank has no edges; the flood
-// and count-exchange walkers skip such stages outright.
+// sends, in edge order — exactly as the concurrent engine's walker
+// (mpi.WalkSchedule, which takes the same three arguments) does rank by rank.
+// Stage s's messages carry tag tagBase+s in recorded events. computeEmpty
+// selects barrier.Execute's convention of paying an empty Startall/Waitall
+// (Compute(0), one noise draw) on stages where a rank has no edges; the
+// collectives skip such stages outright.
 //
 // The two-phase sweep per stage is the conservative-PDES evaluation order:
 // within a stage every arrival depends only on pre-stage sender state, and

@@ -192,10 +192,8 @@ type OptionsSpec struct {
 	PerRank bool `json:"perRank,omitempty"`
 	// Trace attaches a recorder and includes the critical path and the
 	// per-category time breakdown in each point. Tracing forces per-rank
-	// evaluation; collapse then reports reason "trace" where the machine and
-	// the run would otherwise have collapsed, and the machine's own reason
-	// ("hetero", "noise") where they would not have anyway — hbspd's
-	// collectives ask the machine before the recorder.
+	// evaluation; which reason collapse then reports follows the precedence
+	// documented on sim.Collapse.
 	Trace bool `json:"trace,omitempty"`
 	// TraceView selects the trace payload under Trace: "path" (default)
 	// carries the critical path and category breakdown, "rollup" the

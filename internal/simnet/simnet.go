@@ -167,6 +167,14 @@ type Result struct {
 // Collapse diagnoses the symmetry-collapse decision of a run's direct
 // evaluations (sched.RunSchedule, or the collectives routed through the
 // gate rendezvous under EngineAuto).
+//
+// Precedence: when several conditions rule collapse out at once, Reason names
+// the first that holds in this order, on every evaluation path — the run's
+// switch ("off"); the machine ("hetero", "noise"); the schedule or the fault
+// plan ("asymmetric", "fault"); an attached recorder ("trace"); the ranks'
+// entry states at a rendezvous ("asymmetric"). So a traced run says "trace"
+// only where it would otherwise have collapsed, and the machine's or the
+// schedule's own reason where it would not have anyway.
 type Collapse struct {
 	// Applied is true when collapsed evaluation was used.
 	Applied bool

@@ -167,7 +167,7 @@ func TestCriticalPathOnMPIBarrier(t *testing.T) {
 	o := simnet.DefaultOptions()
 	o.Recorder = rec
 	res, err := mpi.Run(m, func(c *mpi.Comm) error {
-		barrier.Execute(c, pat, 0)
+		barrier.Execute(c, pat)
 		return nil
 	}, o)
 	if err != nil {

@@ -218,8 +218,9 @@ func WithFaults(plan *fault.Plan) Option {
 }
 
 // WithSynchronizer installs the synchronizer that performs the count total
-// exchange ending every BSP superstep (bsp.DefaultSynchronizer, a
-// bsp.NewScheduleSynchronizer schedule, or any custom implementation).
+// exchange ending every BSP superstep: bsp.DefaultSynchronizer, or a verified
+// schedule wrapped by bsp.NewScheduleSynchronizer / NewAdaptedSynchronizer
+// (the interface is closed; those constructors are the implementations).
 func WithSynchronizer(sync bsp.Synchronizer) Option {
 	return func(s *Session) error {
 		if sync == nil {

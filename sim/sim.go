@@ -72,6 +72,10 @@ const (
 // Collapse diagnoses the symmetry-collapse decision of a run's direct
 // evaluations: whether collapsed evaluation was applied, over how many
 // classes, and — on fallback — why (one of the CollapseReason constants).
+// When several conditions rule collapse out at once, Reason names the first
+// of: the run's switch ("off"), the machine ("hetero", "noise"), the schedule
+// or the fault plan ("asymmetric", "fault"), an attached recorder ("trace"),
+// the ranks' entry states at a rendezvous ("asymmetric") — on every path.
 type Collapse = simnet.Collapse
 
 // The fallback reasons Result.Collapse.Reason reports.
