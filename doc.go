@@ -183,16 +183,19 @@
 // bodies are answered byte-identically (cache status travels in the
 // X-Hbspd-Cache header). Identical concurrent misses coalesce into a
 // single evaluation; a global concurrency limiter sheds excess load with
-// 429; per-request budgets map to WithDeadline (408); client disconnects
-// tear the evaluation down via the request context (499). Both evaluation
-// paths read one cache of verified schedules, streamed O(stages) values for
-// every collective, so a total exchange at P=1024 is a 16 KB entry. Cache-missed
-// collective points on the default engine run on pooled sched
+// 429; per-request budgets are the evaluation's deadline (408); client
+// disconnects tear the evaluation down via the request context (499). Every
+// evaluation route reads one cache of verified schedules, streamed O(stages)
+// values for every collective, so a total exchange at P=1024 is a 16 KB
+// entry. What the direct evaluator can price from a schedule alone never
+// spawns a rank goroutine, traced or not: the sync workload is walked
+// superstep by superstep around its count exchange, and cache-missed
+// collective points run on pooled sched
 // sweep evaluators keyed by the profile's base fingerprint, so the points
 // of one sweep — and distinct single-point misses against the same profile
 // — share an evaluator arena, a compiled fault plan and memoized collapse
 // partitions (reuse shows up as the sweepPointsReused and partitionsReused
-// counters of /metrics). A panic inside an evaluation costs that request a
+// counters of /metrics, next to the evaluations per route). A panic inside an evaluation costs that request a
 // 500 and the pooled evaluator it ran on, nothing else. See
 // the server package documentation for the wire format.
 //

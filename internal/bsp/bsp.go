@@ -50,6 +50,10 @@ const headerBytes = 6 * 4
 // model prices payloads the runtime never sends.
 const countEntryBytes = 4
 
+// putBytes is the wire size of a put of n elements: the control header and
+// the values.
+func putBytes(n int) int { return headerBytes + 8*n }
+
 // Run executes the SPMD program on every rank of the machine and returns the
 // simulation result (per-rank virtual completion times).
 func Run(m Machine, program Program, opts ...simnet.Options) (*simnet.Result, error) {
@@ -196,8 +200,7 @@ func (c *Ctx) Put(dst int, name string, offset int, values []float64) error {
 	}
 	data := append([]float64(nil), values...)
 	msg := &oneSided{Put: &putMsg{Name: name, Offset: offset, Data: data}}
-	size := headerBytes + 8*len(data)
-	c.proc.Post(dst, tagOneSided, size, msg)
+	c.proc.Post(dst, tagOneSided, putBytes(len(data)), msg)
 	c.outCounts[dst]++
 	return nil
 }

@@ -17,6 +17,10 @@ import (
 // achieved in the background), get requests are served against the pre-put
 // state of the registered areas, buffered puts are applied, pending
 // registrations take effect, and the BSMP queue is swapped.
+//
+// sched.RunSupersteps (behind RunStatic) walks this same order for programs
+// of puts alone with no process running; a change to what Sync bills, or in
+// which order, belongs in both.
 func (c *Ctx) Sync() error {
 	counts, err := c.runExchange()
 	if err != nil {

@@ -15,9 +15,9 @@ import (
 // internal/adapt) and the streamed generators satisfy it alike.
 type Schedule = sched.Schedule
 
-// tagSchedule is the base tag of the schedule-executing collectives (stage s
-// carries tagSchedule+s; see WalkSchedule on reusing it across calls).
-const tagSchedule = 1 << 29
+// FloodTagBase is the base tag of the schedule-executing collectives (stage s
+// carries FloodTagBase+s; see WalkSchedule on reusing it across calls).
+const FloodTagBase = 1 << 29
 
 // FloodSchedule executes the schedule with knowledge-flooding data semantics:
 // every rank starts out knowing only its own contribution, and along every
@@ -44,7 +44,7 @@ func (c *Comm) FloodSchedule(s Schedule, own any) (map[int]any, error) {
 		return c.floodDirect(g, s, own)
 	}
 	known := map[int]any{c.Rank(): own}
-	if err := WalkSchedule(c.proc, s, tagSchedule, false, known); err != nil {
+	if err := WalkSchedule(c.proc, s, FloodTagBase, false, known); err != nil {
 		return nil, err
 	}
 	return known, nil
@@ -198,7 +198,7 @@ func (c *Comm) floodDirect(g *simnet.Gate, s Schedule, own any) (map[int]any, er
 			}
 			owns[r] = ft.own
 		}
-		sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(s, tagSchedule, false) })
+		sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(s, FloodTagBase, false) })
 		reach := sched.ReachOf(s)
 		for r, ti := range tickets {
 			ft := ti.(*floodTicket)

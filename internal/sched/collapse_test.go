@@ -11,6 +11,7 @@ import (
 	"hbsp/internal/platform"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
+	"hbsp/internal/trace"
 )
 
 // collapseSchedules builds the diff matrix of schedule shapes at one process
@@ -327,6 +328,14 @@ func TestRunScheduleSteadyStateAllocs(t *testing.T) {
 	prof := platform.XeonCluster(sweepP / 8)
 	prof.NoiseRel = 0
 	scaled := []simnet.Machine{machine(prof.Machine(sweepP)), machine(prof.Scaled(2, 2, 2, 2).Machine(sweepP))}
+	// One traced point first: the recorder is a point's, not the evaluator's,
+	// and the untraced points measured below must cost what they cost on an
+	// evaluator that never saw one.
+	sw.SetRecorder(trace.NewRecorder())
+	if _, err := sw.Run(ctx, nil, payloads[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	sw.SetRecorder(nil)
 	point := 0
 	sweepRun := func(machineOf func(int) simnet.Machine, scheduleOf func(int) sched.Schedule) func() {
 		return func() {

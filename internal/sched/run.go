@@ -24,12 +24,19 @@ func (e *Evaluator) attachRecorder(rec *trace.Recorder) {
 }
 
 // finish seals the run's recording with its outcome and passes the outcome
-// through; res carries the traffic counters on success.
+// through; res carries the traffic counters on success. The lanes are let go
+// of here: a kept arena (SweepEvaluator) outlives the run, and must neither
+// pin the finished run's recorder nor look traced to the next point.
 func (e *Evaluator) finish(rec *trace.Recorder, res *simnet.Result, err error) (*simnet.Result, error) {
 	if res != nil {
 		res.Messages, res.Bytes = e.messages, e.bytes
 	}
 	simnet.EndRecording(rec, res, e.messages, e.bytes, err, true)
+	if rec.Enabled() {
+		for r := range e.states {
+			e.states[r].Lane = nil
+		}
+	}
 	return res, err
 }
 

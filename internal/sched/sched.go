@@ -11,8 +11,10 @@
 //
 // Two evaluation modes exist:
 //
-//   - Whole-run evaluation (RunSchedule, RunProgram): the entire workload is
-//     evaluated on the calling goroutine. This is what the benchmark's
+//   - Whole-run evaluation (RunSchedule, RunProgram, RunSupersteps): the
+//     entire workload — executions of one schedule, an op-stream, or BSP
+//     supersteps around their count exchange — is evaluated on the calling
+//     goroutine. This is what the benchmark's
 //     sched.perrank_* and sched.collapsed_* metrics measure and what unlocks
 //     P=4096 and beyond, where the concurrent engine's per-message costs are
 //     prohibitive.

@@ -1,0 +1,120 @@
+package sched_test
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"hbsp/internal/bsp"
+	"hbsp/internal/sched"
+	"hbsp/internal/simnet"
+	"hbsp/internal/trace"
+)
+
+// ringSupersteps is steps supersteps of skewed compute and one post around a
+// ring over the default count exchange; onStep, when set, observes every Step
+// call.
+func ringSupersteps(t *testing.T, p, steps int, onStep func(step int)) *sched.Supersteps {
+	t.Helper()
+	exchange, err := bsp.ExchangeSchedule(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sched.Supersteps{
+		Steps: steps,
+		Step: func(step, rank int, dsts []int) (float64, []int) {
+			if onStep != nil {
+				onStep(step)
+			}
+			return 1e-6 * float64(1+rank%4), append(dsts, (rank+1)%p)
+		},
+		PutBytes: 32, PutTag: 7, Exchange: exchange, ExchangeTag: 1 << 24,
+	}
+}
+
+// TestRunSuperstepsBudgetAndCancellation pins that the superstep walk polls —
+// a request's budget and a client's hang-up reach it between supersteps, not
+// only before the first — and that whichever way a traced run ends, its
+// recorder is sealed with the outcome: Trace() answers, and carries the error.
+func TestRunSuperstepsBudgetAndCancellation(t *testing.T) {
+	const p, steps = 64, 200
+	m := machines(t, p, 3, true)
+	sealedWith := func(rec *trace.Recorder, want error) {
+		t.Helper()
+		tr, err := rec.Trace()
+		if err != nil {
+			t.Fatalf("recorder not sealed: %v", err)
+		}
+		if !errors.Is(tr.Err, want) {
+			t.Fatalf("recording sealed with %v, want %v", tr.Err, want)
+		}
+	}
+
+	t.Run("pre-cancelled context", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		o := simnet.DefaultOptions()
+		o.Recorder = trace.NewRecorder()
+		called := false
+		_, err := sched.RunSupersteps(ctx, m, ringSupersteps(t, p, steps, func(int) { called = true }), o)
+		if !errors.Is(err, simnet.ErrAborted) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("want ErrAborted wrapping context.Canceled, got %v", err)
+		}
+		if called {
+			t.Error("a superstep was walked under a cancelled context")
+		}
+		sealedWith(o.Recorder, simnet.ErrAborted)
+	})
+
+	t.Run("cancelled mid-run", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		last := 0
+		sp := ringSupersteps(t, p, steps, func(step int) {
+			if last = step; step == 3 {
+				cancel()
+			}
+		})
+		_, err := sched.RunSupersteps(ctx, m, sp, simnet.DefaultOptions())
+		if !errors.Is(err, simnet.ErrAborted) {
+			t.Fatalf("want ErrAborted, got %v", err)
+		}
+		if last != 3 {
+			t.Errorf("walked on to superstep %d after the cancellation in superstep 3", last)
+		}
+	})
+
+	t.Run("exhausted deadline", func(t *testing.T) {
+		o := simnet.DefaultOptions()
+		o.Deadline = 1 // nanosecond
+		o.Recorder = trace.NewRecorder()
+		last := 0
+		_, err := sched.RunSupersteps(context.Background(), m, ringSupersteps(t, p, steps, func(step int) { last = step }), o)
+		if !errors.Is(err, simnet.ErrDeadline) {
+			t.Fatalf("want ErrDeadline, got %v", err)
+		}
+		if last > 1 {
+			t.Errorf("walked %d supersteps on a one-nanosecond budget", last+1)
+		}
+		sealedWith(o.Recorder, simnet.ErrDeadline)
+	})
+}
+
+// TestRunSuperstepsRejectsBadPrograms covers the entry's argument checks: a
+// caller's mistake is an error, never an index out of range.
+func TestRunSuperstepsRejectsBadPrograms(t *testing.T) {
+	const p = 8
+	m := machines(t, p, 1, false)
+	ctx, o := context.Background(), simnet.DefaultOptions()
+	if _, err := sched.RunSupersteps(ctx, m, &sched.Supersteps{Steps: 1}, o); err == nil {
+		t.Error("program without step function or exchange accepted")
+	}
+	if _, err := sched.RunSupersteps(ctx, m, ringSupersteps(t, p+1, 1, nil), o); err == nil {
+		t.Error("exchange for another rank count accepted")
+	}
+	sp := ringSupersteps(t, p, 1, nil)
+	sp.Step = func(_, _ int, dsts []int) (float64, []int) { return 0, append(dsts, p) }
+	if _, err := sched.RunSupersteps(ctx, m, sp, o); err == nil {
+		t.Error("post to a rank outside the machine accepted")
+	}
+}

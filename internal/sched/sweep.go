@@ -39,8 +39,10 @@ type SweepOptions struct {
 	TagBase int
 	// Faults is the sweep's fault plan, compiled once at construction.
 	Faults *fault.Plan
-	// Recorder, when enabled, records every point as one trace run. Recording
-	// forces per-rank evaluation (per-rank lanes).
+	// Recorder, when enabled, records the next point as one trace run (a
+	// recorder holds one run, so a later point overwrites an earlier one);
+	// SetRecorder changes it between points. Recording forces per-rank
+	// evaluation (per-rank lanes).
 	Recorder *trace.Recorder
 	// Deadline bounds each point's wall-clock evaluation; 0 means the simnet
 	// default.
@@ -127,6 +129,13 @@ func (sw *SweepEvaluator) Release() {
 // affects a point's result — so callers serving per-request budgets may
 // adjust it between points.
 func (sw *SweepEvaluator) SetDeadline(d time.Duration) { sw.opt.Deadline = d }
+
+// SetRecorder changes the recorder of subsequent points (nil or
+// trace.Disabled: untraced), so one kept evaluator serves a request that wants
+// its point traced between requests that do not. Like the deadline it never
+// affects a point's virtual times. The evaluator holds the recorder only
+// until it is replaced; the arena lets go of its lanes when the point ends.
+func (sw *SweepEvaluator) SetRecorder(rec *trace.Recorder) { sw.opt.Recorder = rec }
 
 // Stats returns the reuse counters accumulated so far.
 func (sw *SweepEvaluator) Stats() SweepStats { return sw.stats }

@@ -3,13 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"time"
 
 	"hbsp"
-	"hbsp/collective"
 	"hbsp/fault"
+	"hbsp/internal/bsp"
 	"hbsp/sim"
 	"hbsp/trace"
 )
@@ -218,12 +219,44 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 	return body, how, nil
 }
 
-// evaluate runs one cache-missed point — on a pooled sweep evaluator when
-// the point is eligible, through a full session otherwise — and renders the
-// PredictPoint. The rendered bytes are what the cache stores, so hits are
-// byte-identical to the miss that filled them; the two evaluation paths
-// produce bit-identical results, so which one filled an entry is
-// unobservable.
+// route names the body a cache-missed point is evaluated on; /metrics counts
+// completed evaluations under it.
+type route int
+
+const (
+	routeSwept     route = iota // a pooled sched.SweepEvaluator, no goroutines
+	routeDirectBSP              // bsp.RunStatic, no goroutines
+	routeSession                // an hbsp.Session
+	numRoutes
+)
+
+// routeOf is the route decision, in precedence order. What the direct
+// evaluator can price from a schedule alone it prices — the collectives as one
+// execution of their schedule, the sync workload as supersteps around its
+// count exchange — traced or not, with or without faults. The session keeps
+// what needs the ranks' own code to run: engine "concurrent" by definition
+// (the message-by-message walk is what it asks for), and the stencil, whose
+// halo sizes and kernel times come out of its SPMD body. It also keeps the
+// program workload, which it already hands to sched.RunProgram without
+// spawning a rank, and the sync workload on an uploaded machine, which it
+// refuses (no kernel-rate model) in words this function need not repeat.
+func routeOf(o *OptionsSpec, w *WorkloadSpec, rp *resolvedProfile) route {
+	switch {
+	case o.Engine != "auto":
+		return routeSession
+	case scheduleKind(w.Kind):
+		return routeSwept
+	case w.Kind == "sync" && rp.cluster != nil:
+		return routeDirectBSP
+	}
+	return routeSession
+}
+
+// evaluate runs one cache-missed point on the route routeOf picks and renders
+// the PredictPoint. The rendered bytes are what the cache stores, so hits are
+// byte-identical to the miss that filled them; the routes produce
+// bit-identical results and recorded events, so which one filled an entry
+// shows in /metrics and nowhere in the reply.
 //
 // A panic below this point is a bug in an evaluation path, not bad input, but
 // it must cost one request and nothing else: it is returned as an error the
@@ -240,19 +273,53 @@ func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolved
 		perIter float64
 		rec     *trace.Recorder
 	)
-	if s.sweptEligible(req, w) {
-		res, err = s.evaluateSwept(ctx, req, rp, w, pt, seed, deadline)
-	} else {
+	r := routeOf(&req.Options, w, rp)
+	switch r {
+	case routeSwept:
+		res, rec, err = s.evaluateSwept(ctx, req, rp, w, pt, seed, deadline)
+	case routeDirectBSP:
+		res, rec, err = s.evaluateSync(ctx, req, rp, w, pt, seed, deadline)
+	default:
 		res, perIter, rec, err = s.evaluateSession(ctx, req, rp, w, pt, seed, deadline)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return s.renderPoint(req, rp, w, pt, seed, res, perIter, rec)
+	if body, err = s.renderPoint(req, rp, w, pt, seed, res, perIter, rec); err != nil {
+		return nil, err
+	}
+	s.m.routes[r].Add(1)
+	return body, nil
+}
+
+// budgetLeft converts a request deadline into the wall-clock bound of the
+// evaluation about to start: 0 (the evaluator's default) without a deadline,
+// hbsp.ErrDeadline once it has passed.
+func budgetLeft(deadline time.Time) (time.Duration, error) {
+	if deadline.IsZero() {
+		return 0, nil
+	}
+	left := time.Until(deadline)
+	if left <= 0 {
+		return 0, fmt.Errorf("%w: request budget exhausted before evaluation", hbsp.ErrDeadline)
+	}
+	return left, nil
+}
+
+// newRecorder returns the labelled recorder of a traced point, nil (the
+// disabled recorder) for any other.
+func newRecorder(req *PredictRequest, w *WorkloadSpec, pt point) *trace.Recorder {
+	if !req.Options.Trace {
+		return nil
+	}
+	rec := trace.NewRecorder()
+	rec.SetLabel(fmt.Sprintf("%s, P=%d", w.Kind, pt.procs))
+	return rec
 }
 
 // evaluateSession runs one point through the full session machinery — the
-// path every workload kind supports.
+// path every workload kind supports, and the reference the direct routes are
+// held to.
 func (s *Server) evaluateSession(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, float64, *trace.Recorder, error) {
 	opts := []hbsp.Option{}
 	if rp.cluster != nil {
@@ -270,25 +337,23 @@ func (s *Server) evaluateSession(ctx context.Context, req *PredictRequest, rp *r
 	if req.Faults != nil && !req.Faults.Empty() {
 		opts = append(opts, hbsp.WithFaults(req.Faults))
 	}
-	if !deadline.IsZero() {
-		left := time.Until(deadline)
-		if left <= 0 {
-			return nil, 0, nil, fmt.Errorf("%w: request budget exhausted before evaluation", hbsp.ErrDeadline)
-		}
+	left, err := budgetLeft(deadline)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if left > 0 {
 		opts = append(opts, hbsp.WithDeadline(left))
 	}
-	var rec *trace.Recorder
-	if req.Options.Trace {
-		rec = trace.NewRecorder()
-		rec.SetLabel(fmt.Sprintf("%s, P=%d", w.Kind, pt.procs))
+	rec := newRecorder(req, w, pt)
+	if rec != nil {
 		opts = append(opts, hbsp.WithRecorder(rec))
 	}
-	if w.Kind == "sync" && w.Variant == "schedule" {
-		sch, err := s.schedule(w, pt.procs)
+	if w.Kind == "sync" {
+		sync, err := s.synchronizer(w, pt.procs)
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		opts = append(opts, hbsp.WithScheduleSynchronizer(sch.(*collective.Pattern)))
+		opts = append(opts, hbsp.WithSynchronizer(sync))
 	}
 
 	sess, err := hbsp.New(rp.machine, opts...)
@@ -302,8 +367,48 @@ func (s *Server) evaluateSession(ctx context.Context, req *PredictRequest, rp *r
 	return res, perIter, rec, nil
 }
 
+// runOptions translates the request options a direct route honours — acks,
+// collapse mode, fault plan — into simulator options; the deadline and the
+// recorder belong to one evaluation and are set by it.
+func runOptions(req *PredictRequest) sim.Options {
+	o := sim.DefaultOptions()
+	if req.Options.AckSends != nil {
+		o.AckSends = *req.Options.AckSends
+	}
+	if req.Options.Collapse == "off" {
+		o.SymmetryCollapse = sim.CollapseOff
+	}
+	if req.Faults != nil && !req.Faults.Empty() {
+		o.Faults = req.Faults
+	}
+	return o
+}
+
+// evaluateSync prices one sync point from its static description on the
+// direct engine: no session, no rank goroutines, memory linear in procs.
+func (s *Server) evaluateSync(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, *trace.Recorder, error) {
+	o := runOptions(req)
+	left, err := budgetLeft(deadline)
+	if err != nil {
+		return nil, nil, err
+	}
+	o.Deadline = left // 0: the evaluator's default
+	rec := newRecorder(req, w, pt)
+	o.Recorder = rec
+	sync, err := s.synchronizer(w, pt.procs)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := bsp.RunStatic(ctx, rp.seeded(seed), sync, syncWorkload(w), o)
+	if errors.Is(err, hbsp.ErrInvalidFault) {
+		// A plan the machine rejects, worded as hbsp.WithFaults words it.
+		err = fmt.Errorf("hbsp: %w", err)
+	}
+	return res, rec, err
+}
+
 // renderPoint renders an evaluated point to its NDJSON line (JSON object
-// plus trailing newline), the shared tail of both evaluation paths.
+// plus trailing newline), the shared tail of every route.
 func (s *Server) renderPoint(req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, res *sim.Result, perIter float64, rec *trace.Recorder) ([]byte, error) {
 	p := &PredictPoint{
 		Workload:           w.Kind,

@@ -30,6 +30,8 @@ type metrics struct {
 	sweepPointsReused atomic.Int64 // points evaluated on a sweep evaluator that was already in the pool (its arena and compiled fault plan reused)
 	partitionsReused  atomic.Int64 // points whose symmetry partition came from a sweep evaluator's memo instead of re-refinement
 
+	routes [numRoutes]atomic.Int64 // completed evaluations by the route that ran them
+
 	errInvalidRequest atomic.Int64
 	errInvalidMachine atomic.Int64
 	errInvalidFault   atomic.Int64
@@ -70,6 +72,15 @@ type MetricsSnapshot struct {
 	SweepPointsReused int64 `json:"sweepPointsReused"`
 	PartitionsReused  int64 `json:"partitionsReused"`
 
+	// Routes counts completed evaluations by the body that ran them (routeOf):
+	// the pooled sweep evaluator, the direct BSP walk, or a session. They sum
+	// to evalNs.count.
+	Routes struct {
+		Swept     int64 `json:"swept"`
+		DirectBSP int64 `json:"directBsp"`
+		Session   int64 `json:"session"`
+	} `json:"routes"`
+
 	Errors struct {
 		InvalidRequest int64 `json:"invalidRequest"`
 		InvalidMachine int64 `json:"invalidMachine"`
@@ -102,6 +113,9 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Queued = m.queued.Load()
 	s.SweepPointsReused = m.sweepPointsReused.Load()
 	s.PartitionsReused = m.partitionsReused.Load()
+	s.Routes.Swept = m.routes[routeSwept].Load()
+	s.Routes.DirectBSP = m.routes[routeDirectBSP].Load()
+	s.Routes.Session = m.routes[routeSession].Load()
 	s.Errors.InvalidRequest = m.errInvalidRequest.Load()
 	s.Errors.InvalidMachine = m.errInvalidMachine.Load()
 	s.Errors.InvalidFault = m.errInvalidFault.Load()

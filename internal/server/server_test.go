@@ -286,7 +286,7 @@ func TestShedding(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"sync","supersteps":6},"procs":128,"seed":%d}`, 100+i)
+			body := fmt.Sprintf(`{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"sync","supersteps":400},"procs":128,"seed":%d}`, 100+i)
 			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
 			if err != nil {
 				return
@@ -316,11 +316,14 @@ func TestShedding(t *testing.T) {
 }
 
 // TestClientDisconnectMidStream cancels a sweep client-side and requires the
-// server to tear the evaluation down as aborted.
+// server to tear the evaluation down as aborted. The sweep is a second of
+// direct superstep walking (it was sized for the session's rank goroutines
+// before the sync workload left them), so the hang-up lands inside a point and
+// it is the walk's per-superstep poll that ends it.
 func TestClientDisconnectMidStream(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
-	body := `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"sync","supersteps":8},"seed":5,"sweep":{"procs":[64,128,192,256,320,384,448,512]}}`
+	body := `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"sync","supersteps":1000},"seed":5,"sweep":{"procs":[64,128,192,256,320,384,448,512]}}`
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/predict", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

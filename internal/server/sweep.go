@@ -6,20 +6,23 @@ import (
 	"sync"
 	"time"
 
-	"hbsp"
+	"hbsp/internal/mpi"
 	"hbsp/sched"
 	"hbsp/sim"
+	"hbsp/trace"
 )
 
 // The sweep path: schedule-expressible collective points under the default
-// engine skip the session machinery entirely and run on a pooled
-// sched.SweepEvaluator — a kept evaluator arena, the fault plan compiled
+// engine, traced or not, skip the session machinery entirely and run on a
+// pooled sched.SweepEvaluator — a kept evaluator arena, the fault plan compiled
 // once, memoized symmetry partitions. Evaluators are keyed by the profile's
 // *base* fingerprint (before any LogGP scaling) plus everything an evaluator
 // fixes at construction — rank count, ack mode, collapse mode, fault plan —
 // so all points of one NDJSON sweep ride the same evaluator, and so do
 // coalesced single-point misses against the same profile arriving across
-// requests. Uploaded machines share one evaluator per construction tuple
+// requests. What belongs to one point — its deadline, its recorder — is set
+// under the entry's mutex before the point runs. Uploaded machines share one
+// evaluator per construction tuple
 // whatever their fingerprint: an upload has no family of scaled or reseeded
 // siblings to keep partitions for, the evaluator rebases onto each machine it
 // is handed, and keying by fingerprint would pin one P×P machine per upload
@@ -43,15 +46,10 @@ type sweepEntry struct {
 	parts int64
 }
 
-// sweptEligible reports whether a point can run on the sweep-evaluator path:
-// a schedule-expressible collective on any machine, profile-backed or
-// uploaded, under the default engine, untraced (tracing forces per-rank lanes
-// and the session's recorder plumbing).
-func (s *Server) sweptEligible(req *PredictRequest, w *WorkloadSpec) bool {
-	if req.Options.Engine != "auto" || req.Options.Trace {
-		return false
-	}
-	switch w.Kind {
+// scheduleKind reports whether a workload kind is one execution of a
+// collective schedule (Server.schedule builds it).
+func scheduleKind(kind string) bool {
+	switch kind {
 	case "barrier", "broadcast", "reduce", "allreduce", "allgather", "totalexchange":
 		return true
 	}
@@ -84,21 +82,16 @@ func (s *Server) sweepEvaluator(key string, req *PredictRequest, rp *resolvedPro
 	if cached, ok := s.sweeps.Get(key); ok {
 		return cached.(*sweepEntry), true, nil
 	}
+	o := runOptions(req)
 	opt := sched.SweepOptions{
+		AckSends:         o.AckSends,
+		SymmetryCollapse: o.SymmetryCollapse,
+		Faults:           o.Faults,
 		// The gate-inline collective paths this replaces bill nothing on
-		// stages where a rank has no edges.
+		// stages where a rank has no edges, and tag stage s as the flood does,
+		// so a traced point records the events the session's would.
 		ComputeEmpty: false,
-	}
-	if req.Options.AckSends != nil {
-		opt.AckSends = *req.Options.AckSends
-	} else {
-		opt.AckSends = true
-	}
-	if req.Options.Collapse == "off" {
-		opt.SymmetryCollapse = sim.CollapseOff
-	}
-	if req.Faults != nil && !req.Faults.Empty() {
-		opt.Faults = req.Faults
+		TagBase:      mpi.FloodTagBase,
 	}
 	sw, err := sched.NewSweepEvaluator(rp.seeded(seed), opt)
 	if err != nil {
@@ -111,18 +104,19 @@ func (s *Server) sweepEvaluator(key string, req *PredictRequest, rp *resolvedPro
 	return ent, false, nil
 }
 
-// evaluateSwept runs one eligible point on its pooled evaluator and returns
-// the run result, bit-identical to the session evaluation of the same point.
-func (s *Server) evaluateSwept(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, error) {
+// evaluateSwept runs one collective point on its pooled evaluator and returns
+// the run result and, for a traced point, the recorder holding its trace —
+// both bit-identical to the session evaluation of the same point.
+func (s *Server) evaluateSwept(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, *trace.Recorder, error) {
 	sch, err := s.schedule(w, pt.procs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	key := sweepKey(rp, pt.procs, req)
 	ent, pooled, err := s.sweepEvaluator(key, req, rp, seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
@@ -136,15 +130,17 @@ func (s *Server) evaluateSwept(ctx context.Context, req *PredictRequest, rp *res
 		}
 	}()
 
-	if deadline.IsZero() {
-		ent.sw.SetDeadline(0)
-	} else {
-		left := time.Until(deadline)
-		if left <= 0 {
-			return nil, fmt.Errorf("%w: request budget exhausted before evaluation", hbsp.ErrDeadline)
-		}
-		ent.sw.SetDeadline(left)
+	left, err := budgetLeft(deadline)
+	if err != nil {
+		return nil, nil, err
 	}
+	ent.sw.SetDeadline(left)
+	// The recorder is this point's alone: requests that share the entry are
+	// serialized by its mutex, and the entry must not keep a finished
+	// request's trace alive.
+	rec := newRecorder(req, w, pt)
+	ent.sw.SetRecorder(rec)
+	defer ent.sw.SetRecorder(nil)
 
 	res, err := ent.sw.Run(ctx, rp.seeded(seed), sch, 1)
 	if pooled {
@@ -153,5 +149,5 @@ func (s *Server) evaluateSwept(ctx context.Context, req *PredictRequest, rp *res
 	parts := ent.sw.Stats().PartitionsReused
 	s.m.partitionsReused.Add(parts - ent.parts)
 	ent.parts = parts
-	return res, err
+	return res, rec, err
 }

@@ -142,8 +142,8 @@ func TestSweptMatchesSession(t *testing.T) {
 				if req.Seed != nil {
 					seed = *req.Seed
 				}
-				if !s.sweptEligible(&req, &w) {
-					t.Fatalf("point unexpectedly ineligible for the sweep path")
+				if routeOf(&req.Options, &w, rp) != routeSwept {
+					t.Fatalf("point unexpectedly not routed to the sweep path")
 				}
 
 				sres, perIter, rec, err := s.evaluateSession(ctx, &req, rp, &w, pt, seed, time.Time{})
@@ -158,7 +158,7 @@ func TestSweptMatchesSession(t *testing.T) {
 				// The first swept evaluation builds the evaluator, the second
 				// finds it pooled; both must render to the session bytes.
 				for _, pass := range []string{"cold", "warm"} {
-					res, err := s.evaluateSwept(ctx, &req, rp, &w, pt, seed, time.Time{})
+					res, _, err := s.evaluateSwept(ctx, &req, rp, &w, pt, seed, time.Time{})
 					if err != nil {
 						t.Fatalf("%s swept evaluation: %v", pass, err)
 					}
@@ -212,12 +212,12 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 				if err := normalizeWorkload(&w, p); err != nil {
 					t.Fatal(err)
 				}
-				if !s.sweptEligible(&req, &w) {
-					t.Fatalf("%s: ineligible for the sweep path", name)
-				}
 				rp, err := s.resolveProfile(&req.Profile, ScaleSpec{}, p)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if routeOf(&req.Options, &w, rp) != routeSwept {
+					t.Fatalf("%s: not routed to the sweep path", name)
 				}
 				pt := point{procs: p}
 				sres, perIter, rec, err := s.evaluateSession(ctx, &req, rp, &w, pt, 1, time.Time{})
@@ -234,11 +234,11 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, err := s.evaluateSwept(ctx, &req, orp, &w, pt, 1, time.Time{}); err != nil {
+						if _, _, err := s.evaluateSwept(ctx, &req, orp, &w, pt, 1, time.Time{}); err != nil {
 							t.Fatal(err)
 						}
 					}
-					res, err := s.evaluateSwept(ctx, &req, rp, &w, pt, 1, time.Time{})
+					res, _, err := s.evaluateSwept(ctx, &req, rp, &w, pt, 1, time.Time{})
 					if err != nil {
 						t.Fatalf("%s: %s swept evaluation: %v", name, pass, err)
 					}

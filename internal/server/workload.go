@@ -5,10 +5,10 @@ import (
 	"fmt"
 
 	"hbsp"
-	"hbsp/bsp"
 	"hbsp/collective"
 	"hbsp/internal/barrier"
-	"hbsp/mpi"
+	"hbsp/internal/bsp"
+	"hbsp/internal/mpi"
 	"hbsp/sched"
 	"hbsp/sim"
 	"hbsp/stencil"
@@ -185,7 +185,10 @@ func buildProgram(ranks [][]OpSpec) *sim.Program {
 }
 
 // runWorkload executes one normalized workload on a session and returns the
-// run result (plus the per-iteration time for the stencil workload).
+// run result (plus the per-iteration time for the stencil workload). In
+// production the collective case is reached only under engine "concurrent"
+// and the sync case under it or on a machine the session refuses (routeOf);
+// the cross-route test reaches both for every point.
 func (s *Server) runWorkload(ctx context.Context, sess *hbsp.Session, w *WorkloadSpec, procs int) (*sim.Result, float64, error) {
 	switch w.Kind {
 	case "barrier", "broadcast", "reduce", "allreduce", "allgather", "totalexchange":
@@ -221,7 +224,7 @@ func (s *Server) runWorkload(ctx context.Context, sess *hbsp.Session, w *Workloa
 		return res, 0, err
 
 	case "sync":
-		res, err := sess.RunBSP(ctx, syncProgram(w))
+		res, err := sess.RunBSP(ctx, syncWorkload(w).Program())
 		return res, 0, err
 
 	case "stencil":
@@ -247,35 +250,40 @@ func (s *Server) runWorkload(ctx context.Context, sess *hbsp.Session, w *Workloa
 	return nil, 0, fmt.Errorf("server: unreachable workload kind %q", w.Kind)
 }
 
-// syncProgram is the reference BSP workload parameterized by the spec: a
-// registration superstep, then Supersteps supersteps of placement-skewed
-// compute (four classes) and ring puts, each ended by the session's count
-// exchange.
-func syncProgram(w *WorkloadSpec) bsp.Program {
-	steps, base := w.Supersteps, w.ComputeSeconds
-	return func(c *bsp.Ctx) error {
-		p := c.NProcs()
-		area := make([]float64, p)
-		c.PushReg("x", area)
-		if err := c.Sync(); err != nil {
-			return err
-		}
-		for step := 0; step < steps; step++ {
-			c.Compute(base * float64(1+(c.Pid()+step)%4))
-			right := (c.Pid() + 1 + step) % p
-			if err := c.Put(right, "x", c.Pid(), []float64{float64(step)}); err != nil {
-				return err
-			}
-			if err := c.Sync(); err != nil {
-				return err
-			}
-		}
-		return nil
+// syncWorkload is the reference BSP workload as the one description both ways
+// of running it read — the session replays it, evaluateSync prices it: per
+// superstep, placement-skewed compute (four classes) and one put around a
+// ring whose stride grows by one each superstep.
+func syncWorkload(w *WorkloadSpec) *bsp.Static {
+	base := w.ComputeSeconds
+	return &bsp.Static{
+		Supersteps: w.Supersteps,
+		Step: func(step, pid, p int, dsts []int) (float64, []int) {
+			return base * float64(1+(pid+step)%4), append(dsts, (pid+1+step)%p)
+		},
 	}
 }
 
+// synchronizer returns the synchronizer ending the sync workload's
+// supersteps: the default dissemination exchange, or for the "schedule"
+// variant the cached dissemination pattern wrapped as one.
+func (s *Server) synchronizer(w *WorkloadSpec, procs int) (bsp.Synchronizer, error) {
+	if w.Variant != "schedule" {
+		return bsp.DefaultSynchronizer(), nil
+	}
+	sch, err := s.schedule(w, procs)
+	if err != nil {
+		return nil, err
+	}
+	sync, err := bsp.NewScheduleSynchronizer(sch.(*collective.Pattern))
+	if err != nil {
+		return nil, fmt.Errorf("server: %s:%s P=%d: %v", w.Kind, w.Variant, procs, err)
+	}
+	return sync, nil
+}
+
 // schedule returns a point's verified schedule from the server's one schedule
-// cache, which both evaluation paths read. The collectives and the
+// cache, which every route reads. The collectives and the
 // dissemination barrier are the streamed generator schedules: a total
 // exchange at P=1024 is 16 KB where its stage matrices would be 9.7 GB. Dense
 // literals remain where nothing streamed exists: the payload-free tree and

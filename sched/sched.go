@@ -90,8 +90,9 @@ func RunSchedule(ctx context.Context, m sim.Machine, s Schedule, execs int, o si
 // parallel sweeps give each worker its own evaluator.
 type SweepEvaluator = sched.SweepEvaluator
 
-// SweepOptions configures a SweepEvaluator (its fixed per-sweep options:
-// acks, collapse mode, fault plan, recorder).
+// SweepOptions configures a SweepEvaluator: what it fixes per sweep (acks,
+// collapse mode, fault plan) and what SetDeadline / SetRecorder may change
+// between points.
 type SweepOptions = sched.SweepOptions
 
 // SweepStats reports what a SweepEvaluator reused across its points.

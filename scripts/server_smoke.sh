@@ -44,6 +44,7 @@ import json, sys
 m = json.load(sys.stdin)
 stable = {k: m[k] for k in ("requests", "points", "cacheHits", "cacheMisses", "shed")}
 stable["errors"] = m["errors"]
+stable["routes"] = m["routes"]   # which evaluation body ran each miss
 stable["evalObserved"] = m["evalNs"]["count"] > 0   # timing itself is host-dependent
 print(json.dumps(stable, indent=2, sort_keys=True))
 '
