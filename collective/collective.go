@@ -3,9 +3,9 @@
 // stage matrices (Pattern) — and in streamed O(stages) form (Stream*),
 // generators for barriers and payload-carrying collectives, the
 // knowledge-recursion verifier, the matrix cost model with its critical-path
-// search (Predict), the pattern simulator (Measure/Execute), and the
-// model-driven adaptation that selects hierarchical hybrid schedules from
-// benchmarked parameter matrices (Greedy/GreedySync).
+// search (Predict), the pattern simulator (Measure/Execute) — all three over
+// either form — and the model-driven adaptation that selects hierarchical
+// hybrid schedules from benchmarked parameter matrices (Greedy/GreedySync).
 //
 // There is one schedule type: a *Pattern is a sched.Schedule, as the streamed
 // generators' values are, and mpi.Schedule is the same type. So any of them is
@@ -29,8 +29,9 @@ import (
 // Pattern is a collective schedule as a dense literal: an ordered sequence of
 // P×P boolean stage matrices with optional per-edge payload sizes, a
 // Semantics tag and, for rooted collectives, a Root. A *Pattern is a
-// sched.Schedule; Predict, VerifyDense, the adaptation and
-// bsp.NewScheduleSynchronizer are what need the matrices themselves.
+// sched.Schedule, and the cost model, the simulator and the schedule
+// synchronizer take either form; what still needs the matrices themselves is
+// VerifyDense and the adaptation's stage editing.
 type Pattern = barrier.Pattern
 
 // StageAdj is the sparse per-row adjacency of one stage.
@@ -56,10 +57,10 @@ type Params = barrier.Params
 // CostOptions tune the cost model.
 type CostOptions = barrier.CostOptions
 
-// Prediction is the result of evaluating the cost model on a pattern.
+// Prediction is the result of evaluating the cost model on a schedule.
 type Prediction = barrier.Prediction
 
-// Measurement holds the result of measuring a pattern on a simulated
+// Measurement holds the result of measuring a schedule on a simulated
 // machine.
 type Measurement = barrier.Measurement
 
@@ -136,15 +137,14 @@ func Collectives(p, blockBytes int) (map[string]*Pattern, error) {
 	return barrier.Collectives(p, blockBytes)
 }
 
-// WithSyncPayload attaches the BSP count-exchange payload to a pattern.
-func WithSyncPayload(pat *Pattern, bytesPerEntry int) *Pattern {
-	return barrier.WithSyncPayload(pat, bytesPerEntry)
-}
-
-// WithCountPayload attaches the BSP count-exchange payload to an arbitrary
-// schedule a synchronizer may execute.
-func WithCountPayload(pat *Pattern, bytesPerEntry int) *Pattern {
-	return barrier.WithCountPayload(pat, bytesPerEntry)
+// KnowledgeSized returns the schedule with every out-edge sized by what its
+// sender holds entering the stage: headerBytes plus bytesPerOrigin for each
+// contribution the knowledge recursion has delivered to it. With a P-entry
+// count row per origin (bytesPerOrigin = P·4) it is the BSP count exchange
+// over that schedule, which is what a schedule synchronizer executes and
+// GreedySync scores.
+func KnowledgeSized(s sched.Schedule, headerBytes, bytesPerOrigin int) sched.Schedule {
+	return barrier.KnowledgeSized(s, headerBytes, bytesPerOrigin)
 }
 
 // DefaultCostOptions returns the thesis' cost model: acknowledgement factor
@@ -154,24 +154,24 @@ func DefaultCostOptions() CostOptions { return barrier.DefaultCostOptions() }
 // CostOptionsFor returns the cost options matching a collective's data flow.
 func CostOptionsFor(sem Semantics) CostOptions { return barrier.CostOptionsFor(sem) }
 
-// Predict evaluates the cost model on a pattern: per-stage, per-process
-// costs combined by a critical-path search.
-func Predict(pat *Pattern, params Params, opts CostOptions) (*Prediction, error) {
-	return barrier.Predict(pat, params, opts)
+// Predict evaluates the cost model on a schedule, dense or streamed:
+// per-stage, per-process costs combined by a critical-path search.
+func Predict(s sched.Schedule, params Params, opts CostOptions) (*Prediction, error) {
+	return barrier.Predict(s, params, opts)
 }
 
-// Measure executes the pattern reps times on the machine and reports the
+// Measure executes the schedule reps times on the machine and reports the
 // worst-case duration statistics.
-func Measure(m sim.Machine, pat *Pattern, reps int) (*Measurement, error) {
-	return barrier.Measure(m, pat, reps)
+func Measure(m sim.Machine, s sched.Schedule, reps int) (*Measurement, error) {
+	return barrier.Measure(m, s, reps)
 }
 
 // MeasureWith is Measure under explicit simulator options — most usefully
 // the engine selection (sim.EngineConcurrent forces the per-message
 // concurrent walk; the default routes executions through the direct
 // discrete-event evaluator, bit-identically).
-func MeasureWith(m sim.Machine, pat *Pattern, reps int, o sim.Options) (*Measurement, error) {
-	return barrier.MeasureWith(m, pat, reps, o)
+func MeasureWith(m sim.Machine, s sched.Schedule, reps int, o sim.Options) (*Measurement, error) {
+	return barrier.MeasureWith(m, s, reps, o)
 }
 
 // MeasureAlgorithms measures the three reference barriers on the machine.
@@ -179,9 +179,9 @@ func MeasureAlgorithms(m sim.Machine, reps int) (map[string]*Measurement, error)
 	return barrier.MeasureAlgorithms(m, reps)
 }
 
-// Execute runs one execution of the pattern on the calling rank (signals
+// Execute runs one execution of the schedule on the calling rank (signals
 // only; use the Comm schedule collectives for data-carrying execution).
-func Execute(c *mpi.Comm, pat *Pattern) { barrier.Execute(c, pat) }
+func Execute(c *mpi.Comm, s sched.Schedule) { barrier.Execute(c, s) }
 
 // Model-driven adaptation (Case Study I): latency clustering and the greedy
 // hybrid-schedule construction.

@@ -204,8 +204,10 @@
 // (the BSPlib run-time with user collectives and the pluggable superstep
 // synchronizer) and mpi (point-to-point, persistent requests,
 // schedule-driven collectives) are built; collective holds the
-// schedule engine (patterns, verification, cost model, model-driven
-// adaptation), bench the measurement procedures, kernels and matrix the
+// schedule engine (dense patterns and streamed generators — one schedule
+// type, which verification, the cost model, the pattern simulator and the
+// schedule synchronizer all take — and the model-driven adaptation), bench
+// the measurement procedures, kernels and matrix the
 // modeling vocabulary, stencil Case Study II, trace the recording and
 // analysis subsystem, fault the deterministic fault/straggler injection
 // plans, server the prediction service, and experiments the evaluation

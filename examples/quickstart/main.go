@@ -51,11 +51,11 @@ func main() {
 	// 3. Predict the synchronization cost of a superstep: the dissemination
 	// schedule carrying the count-exchange payload, priced by the cost model
 	// on the benchmarked matrices.
-	diss, err := collective.Dissemination(procs)
+	diss, err := collective.StreamDissemination(procs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	syncPred, err := collective.Predict(collective.WithSyncPayload(diss, 4),
+	syncPred, err := collective.Predict(collective.KnowledgeSized(diss, 0, 4*procs),
 		pair.Params(), collective.DefaultCostOptions())
 	if err != nil {
 		log.Fatal(err)

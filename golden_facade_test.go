@@ -250,7 +250,6 @@ func TestGoldenEnginesBSPScheduleSynchronizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat := collective.WithSyncPayload(diss, 4)
 	program := func(c *bsp.Ctx) error {
 		if err := c.Sync(); err != nil {
 			return err
@@ -263,7 +262,7 @@ func TestGoldenEnginesBSPScheduleSynchronizer(t *testing.T) {
 	}
 	runEngines(t, "bsp-schedule-sync", 31, func(s *Session) (*sim.Result, error) {
 		return s.RunBSP(context.Background(), program)
-	}, WithScheduleSynchronizer(pat))
+	}, WithScheduleSynchronizer(diss))
 }
 
 func mustPattern(t *testing.T, build func() (*collective.Pattern, error)) *collective.Pattern {

@@ -279,12 +279,17 @@ func TestGreedySyncCostsCandidatesWithCountPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	signalsOnly := map[string]float64{}
+	for _, c := range plain.Candidates {
+		signalsOnly[c.Name] = c.Predicted
+	}
 	for _, c := range res.Candidates {
-		if !strings.HasSuffix(c.Name, "+counts") {
+		twin, ok := signalsOnly[strings.TrimSuffix(c.Name, "+counts")]
+		if !ok || !strings.HasSuffix(c.Name, "+counts") {
 			t.Errorf("candidate %q not costed with the count payload", c.Name)
 		}
-		if c.Pattern.Payload == nil {
-			t.Errorf("candidate %q carries no payload matrices", c.Name)
+		if c.Predicted < twin {
+			t.Errorf("candidate %q predicted at %g, cheaper than its signals alone (%g)", c.Name, c.Predicted, twin)
 		}
 		if c.Pattern.Verify() != nil {
 			t.Errorf("candidate %q does not verify", c.Name)

@@ -3,10 +3,10 @@ package adapt
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/matrix"
+	"hbsp/internal/sched"
 )
 
 // SubPattern names the building blocks the hybrid barrier construction can
@@ -213,9 +213,10 @@ func BuildHybrid(cl *Clustering, intra, inter SubPattern) (*barrier.Pattern, err
 type Candidate struct {
 	// Name is the pattern name.
 	Name string
-	// Pattern is the constructed pattern.
+	// Pattern is the constructed pattern, as pure signals.
 	Pattern *barrier.Pattern
-	// Predicted is the cost-model prediction for the pattern.
+	// Predicted is the cost-model prediction for the pattern, sized as the
+	// construction scored it.
 	Predicted float64
 }
 
@@ -235,32 +236,34 @@ type Result struct {
 // tree, dissemination}, adds the flat reference algorithms, predicts each
 // candidate's cost with the Chapter 5 model, and returns them ranked.
 func Greedy(params barrier.Params, opts barrier.CostOptions) (*Result, error) {
-	return greedyAuto(params, opts, nil)
+	return greedyAuto(params, opts, 0)
 }
 
 // GreedyWithClustering is Greedy with an externally supplied clustering.
 func GreedyWithClustering(params barrier.Params, opts barrier.CostOptions, cl *Clustering) (*Result, error) {
-	return greedyWithClustering(params, opts, cl, nil)
+	return greedyWithClustering(params, opts, cl, 0)
 }
 
 // GreedySync performs the same model-driven construction for the BSP
 // count-exchange schedule: every candidate is costed carrying the message
-// counts it would transport at run time (barrier.WithCountPayload with
-// bytesPerEntry-sized counters), so the winner is the schedule a
-// bsp.Synchronizer should actually execute. bytesPerEntry must match the
-// wire width of the runtime that will execute the winner — the internal/bsp
-// count exchange sends 4-byte counters (bsp.NewAdaptedSynchronizer passes
-// its own wire constant); pricing a different width can rank candidates by
-// payloads the runtime never sends.
+// counts it would transport at run time (barrier.KnowledgeSized, one row of
+// P bytesPerEntry-sized counters per origin; ranked as name+"+counts"), so
+// the winner is the schedule a bsp.Synchronizer should actually execute.
+// bytesPerEntry must match the wire width of the runtime that will execute
+// the winner — the internal/bsp count exchange sends 4-byte counters
+// (bsp.NewAdaptedSynchronizer passes its own wire constant; a width below 1
+// is taken as 4); pricing a different width can rank candidates by payloads
+// the runtime never sends.
 func GreedySync(params barrier.Params, opts barrier.CostOptions, bytesPerEntry int) (*Result, error) {
-	return greedyAuto(params, opts, func(pat *barrier.Pattern) *barrier.Pattern {
-		return barrier.WithCountPayload(pat, bytesPerEntry)
-	})
+	if bytesPerEntry <= 0 {
+		bytesPerEntry = 4
+	}
+	return greedyAuto(params, opts, bytesPerEntry)
 }
 
 // greedyAuto derives the clustering from the latency matrix and runs the
-// greedy construction, optionally transforming every candidate first.
-func greedyAuto(params barrier.Params, opts barrier.CostOptions, transform func(*barrier.Pattern) *barrier.Pattern) (*Result, error) {
+// greedy construction.
+func greedyAuto(params barrier.Params, opts barrier.CostOptions, countBytes int) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -268,12 +271,12 @@ func greedyAuto(params barrier.Params, opts barrier.CostOptions, transform func(
 	if err != nil {
 		return nil, err
 	}
-	return greedyWithClustering(params, opts, cl, transform)
+	return greedyWithClustering(params, opts, cl, countBytes)
 }
 
-// greedyWithClustering evaluates every candidate, optionally transformed
-// (e.g. payload-attached) before prediction.
-func greedyWithClustering(params barrier.Params, opts barrier.CostOptions, cl *Clustering, transform func(*barrier.Pattern) *barrier.Pattern) (*Result, error) {
+// greedyWithClustering evaluates every candidate: as the pure signals it is
+// built from, or with countBytes > 0 as the count exchange over it.
+func greedyWithClustering(params barrier.Params, opts barrier.CostOptions, cl *Clustering, countBytes int) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -290,20 +293,12 @@ func greedyWithClustering(params barrier.Params, opts barrier.CostOptions, cl *C
 
 	var candidates []Candidate
 	add := func(name string, pat *barrier.Pattern) error {
-		if transform != nil {
-			// Keep the caller-supplied candidate name (e.g. the "flat-"
-			// prefix) and carry over any suffix the transform appended to
-			// the pattern's own name, so rankings stay comparable with the
-			// untransformed Greedy path.
-			base := pat.Name
-			pat = transform(pat)
-			if suffix, ok := strings.CutPrefix(pat.Name, base); ok {
-				name += suffix
-			} else {
-				name = pat.Name
-			}
+		var scored sched.Schedule = pat
+		if countBytes > 0 {
+			name += "+counts"
+			scored = barrier.KnowledgeSized(pat, 0, p*countBytes)
 		}
-		pred, err := barrier.Predict(pat, params, opts)
+		pred, err := barrier.Predict(scored, params, opts)
 		if err != nil {
 			return err
 		}

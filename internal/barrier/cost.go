@@ -3,8 +3,10 @@ package barrier
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hbsp/internal/matrix"
+	"hbsp/internal/sched"
 )
 
 // Params are the architectural performance matrices the barrier cost model
@@ -90,130 +92,101 @@ type Prediction struct {
 	StageCosts [][]float64
 }
 
-// Predict evaluates the barrier cost model: per-stage, per-process costs from
-// Eq. 5.4 combined by a critical-path search over the layered dependency
-// graph (the recursive search of Fig. 6.2, implemented as a longest-path
-// dynamic program over the stages). All stage traversals run on the sparse
-// per-row adjacency, so the evaluation is O(signals) per stage.
-func Predict(pat *Pattern, params Params, opts CostOptions) (*Prediction, error) {
-	if err := pat.Validate(); err != nil {
+// Predict evaluates the barrier cost model on any schedule — a dense Pattern
+// and its streamed twin run through the same statements: per-stage,
+// per-process costs from Eq. 5.4,
+//
+//	cost(s, i) = AckFactor · Σ_j (L_ij + size_ij·β_ij) · S_s(i,j) + max_j O'_ij·S_s(i,j)
+//
+// combined by a critical-path search over the layered dependency graph (the
+// recursive search of Fig. 6.2, implemented as a longest-path dynamic program
+// over the stages). size_ij is the schedule's own per-edge size, the one an
+// execution sends. O'_ij is O_jj instead of O_ij when j is known to have
+// posted its receive — its most recent send was a signal to i and it has been
+// idle for at least one full stage since (Section 5.6.5) — and the max term
+// starts at the invocation overhead O_ii. Stages are read edge by edge through
+// a sched.StageView, so the evaluation is O(signals) per stage and holds O(P)
+// state beside the parameter matrices.
+func Predict(s sched.Schedule, params Params, opts CostOptions) (*Prediction, error) {
+	if err := checkSchedule(s); err != nil {
 		return nil, err
 	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if params.Procs() != pat.Procs {
-		return nil, fmt.Errorf("barrier: params describe %d processes, pattern has %d", params.Procs(), pat.Procs)
+	p, nStages := s.NumProcs(), s.NumStages()
+	if params.Procs() != p {
+		return nil, fmt.Errorf("barrier: params describe %d processes, pattern has %d", params.Procs(), p)
 	}
 	if opts.AckFactor <= 0 {
 		opts.AckFactor = 1
-	}
-	p := pat.Procs
-	nStages := pat.NumStages()
-	adj := pat.Adjacency()
-
-	stageCosts := make([][]float64, nStages)
-	for s := 0; s < nStages; s++ {
-		stageCosts[s] = make([]float64, p)
-		for i := 0; i < p; i++ {
-			stageCosts[s][i] = stageCost(pat, adj, params, opts, s, i)
-		}
 	}
 
 	// Longest path through the layered dependency graph. A path visits one
 	// process per stage; an edge i→j in stage s makes j's stage s+1 depend
 	// on i's completion of stage s (the thesis' path sum Σ_k cost(k, p_k)).
-	// completion[j] therefore carries j's cost through stage s, and the
-	// predecessors considered for stage s are the senders of stage s−1.
-	completion := make([]float64, p)
-	next := make([]float64, p)
-	for s := 0; s < nStages; s++ {
-		for j := 0; j < p; j++ {
-			best := completion[j]
-			if s > 0 {
-				for _, i := range adj[s-1].In[j] {
-					if completion[i] > best {
-						best = completion[i]
-					}
+	// ready[j] is the longest path into j's next stage, completion[j] the one
+	// through it. idleSince and lastDests carry the posted-receive question
+	// forward: the stage after each rank's last send (0: it never sent), and
+	// whom that send went to.
+	ready, completion := make([]float64, p), make([]float64, p)
+	idleSince, lastDests := make([]int, p), make([][]int, p)
+	stageCosts := make([][]float64, nStages)
+	v := sched.ViewOf(s)
+	for sg := 0; ; sg++ {
+		v.Load(sg)
+		costs := make([]float64, p)
+		for i := range costs {
+			sum, maxOverhead := 0.0, 0.0
+			if opts.MinInvocation {
+				maxOverhead = params.Overhead.At(i, i)
+			}
+			for k, j := range v.Outs(i) {
+				term := params.Latency.At(i, j)
+				if size := v.OutSize(i, k); size > 0 && params.Beta != nil {
+					term += float64(size) * params.Beta.At(i, j)
+				}
+				sum += term
+
+				o := params.Overhead.At(i, j)
+				if opts.PostedReceive && 0 < idleSince[j] && idleSince[j] < sg && slices.Contains(lastDests[j], i) {
+					o = params.Overhead.At(j, j)
+				}
+				if o > maxOverhead {
+					maxOverhead = o
 				}
 			}
-			next[j] = best + stageCosts[s][j]
+			costs[i] = opts.AckFactor*sum + maxOverhead
+			completion[i] = ready[i] + costs[i]
 		}
-		copy(completion, next)
-	}
-	// The receivers of the final stage inherit the longest path into them;
-	// this does not change the maximum but gives meaningful per-process
-	// values for hierarchical (tree-like) patterns.
-	for j := 0; j < p; j++ {
-		for _, i := range adj[nStages-1].In[j] {
-			if completion[i] > completion[j] {
-				completion[j] = completion[i]
+		stageCosts[sg] = costs
+		if sg == nStages-1 {
+			break
+		}
+		for j := range ready {
+			if outs := v.Outs(j); len(outs) > 0 {
+				idleSince[j], lastDests[j] = sg+1, append(lastDests[j][:0], outs...)
+			}
+			ready[j] = completion[j]
+			for _, i := range v.Ins(j) {
+				ready[j] = max(ready[j], completion[i])
 			}
 		}
 	}
-
-	pred := &Prediction{PerProcess: append([]float64(nil), completion...), StageCosts: stageCosts}
-	for _, t := range completion {
-		if t > pred.Total {
-			pred.Total = t
+	// The receivers of the final stage inherit the longest path into them,
+	// rank after rank in place; this does not change the maximum but gives
+	// meaningful per-process values for hierarchical (tree-like) patterns.
+	for j := range completion {
+		for _, i := range v.Ins(j) {
+			completion[j] = max(completion[j], completion[i])
 		}
+	}
+
+	pred := &Prediction{PerProcess: completion, StageCosts: stageCosts}
+	for _, t := range completion {
+		pred.Total = max(pred.Total, t)
 	}
 	return pred, nil
-}
-
-// stageCost evaluates Eq. 5.4 for process i in stage s:
-//
-//	cost(s, i) = AckFactor · Σ_j (L_ij + payload_ij·β_ij) · S_s(i,j) + max_j O'_ij·S_s(i,j)
-//
-// where O'_ij is O_jj instead of O_ij when j is known to have posted its
-// receive (it signalled i earlier and has been idle for at least one stage),
-// and the max term is initialised to the invocation overhead O_ii.
-func stageCost(pat *Pattern, adj []StageAdj, params Params, opts CostOptions, s, i int) float64 {
-	sum := 0.0
-	maxOverhead := 0.0
-	if opts.MinInvocation {
-		maxOverhead = params.Overhead.At(i, i)
-	}
-	for _, j := range adj[s].Out[i] {
-		term := params.Latency.At(i, j)
-		if payload := pat.PayloadAt(s, i, j); payload > 0 && params.Beta != nil {
-			term += payload * params.Beta.At(i, j)
-		}
-		sum += term
-
-		o := params.Overhead.At(i, j)
-		if opts.PostedReceive && receiverPosted(adj, s, i, j) {
-			o = params.Overhead.At(j, j)
-		}
-		if o > maxOverhead {
-			maxOverhead = o
-		}
-	}
-	return opts.AckFactor*sum + maxOverhead
-}
-
-// receiverPosted reports whether, for the signal i→j in stage s, process j is
-// known to already be waiting: j's most recent send activity was a signal to
-// i, and j has been idle for at least one full stage since (Section 5.6.5).
-func receiverPosted(adj []StageAdj, s, i, j int) bool {
-	for prev := s - 1; prev >= 0; prev-- {
-		dests := adj[prev].Out[j]
-		if len(dests) == 0 {
-			continue // idle stage
-		}
-		// j's last activity was in stage prev; it must have targeted i and
-		// have been followed by at least one idle stage.
-		if prev >= s-1 {
-			return false
-		}
-		for _, d := range dests {
-			if d == i {
-				return true
-			}
-		}
-		return false
-	}
-	return false
 }
 
 // PredictAlgorithms is a convenience that evaluates the cost model for the

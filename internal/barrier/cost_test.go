@@ -2,6 +2,7 @@ package barrier
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hbsp/internal/matrix"
@@ -177,7 +178,7 @@ func TestPayloadIncreasesPrediction(t *testing.T) {
 	prof := platform.Xeon8x2x4()
 	params := platformParams(t, prof, p)
 	plain, _ := Dissemination(p)
-	withPayload := WithSyncPayload(plain, 4)
+	withPayload := KnowledgeSized(plain, 0, p*4)
 	predPlain, err := Predict(plain, params, DefaultCostOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -252,6 +253,41 @@ func TestStageCostsShape(t *testing.T) {
 		for i, c := range row {
 			if c < 0 {
 				t.Fatalf("negative stage cost at (%d,%d)", s, i)
+			}
+		}
+	}
+}
+
+// TestPredictStreamedEqualsDense: the cost model reads a schedule through its
+// stage view, so a streamed generator and the dense literal of the same
+// stages — circulant or binomial tree, signals or payload — must come out
+// bit-equal in every figure under both acknowledgement factors.
+func TestPredictStreamedEqualsDense(t *testing.T) {
+	prof := platform.Xeon8x2x4()
+	for p := 1; p <= 33; p++ {
+		params := platformParams(t, prof, p)
+		for name, pair := range streamPairs(t, p) {
+			dense, err := pair[0]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, err := pair[1]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sem := range []Semantics{SemBarrier, SemReduce} {
+				want, err := Predict(dense, params, CostOptionsFor(sem))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Predict(stream, params, CostOptionsFor(sem))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Total != want.Total || !slices.Equal(got.PerProcess, want.PerProcess) ||
+					!slices.EqualFunc(got.StageCosts, want.StageCosts, slices.Equal[[]float64]) {
+					t.Fatalf("%s p=%d %s options: streamed %+v, dense %+v", name, p, sem, got, want)
+				}
 			}
 		}
 	}

@@ -215,7 +215,7 @@ func measureConcurrent(m simnet.Machine, pat *Pattern, reps int) (*Measurement, 
 	if err != nil {
 		return nil, err
 	}
-	meas := &Measurement{Pattern: pat.Name, Procs: pat.Procs, Reps: reps}
+	meas := &Measurement{Procs: pat.Procs, Reps: reps}
 	meas.WorstPerRep = make([]float64, reps)
 	for rep := 0; rep < reps; rep++ {
 		worst := 0.0

@@ -10,11 +10,13 @@
 // latency-driven cost model with its critical-path search and the payload
 // extension of Chapter 6.
 //
-// One type crosses package boundaries to be verified, cached or executed:
-// sched.Schedule. A Pattern is one implementation — its stage matrices read
-// through their cached sparse adjacency (StageAdj) — the streamed generators
-// are others. The literal matrix products of the recursion survive as
-// VerifyDense, the reference the one recursion is tested against.
+// One type crosses package boundaries to be verified, priced, sized, cached
+// or executed: sched.Schedule. A Pattern is one implementation — its stage
+// matrices read through their cached sparse adjacency (StageAdj) — the
+// streamed generators are others, and VerifySchedule, Predict, KnowledgeSized
+// and Measure / Execute take any of them. The literal matrix products of the
+// recursion survive as VerifyDense, the reference the one recursion is tested
+// against.
 package barrier
 
 import (
@@ -36,8 +38,9 @@ import (
 // Symmetry hint): it is verified, cached and executed wherever a schedule is
 // wanted, with no adapter in between. At stages·9·P² bytes it is the wrong
 // thing to hold for a large collective — the Stream* generators describe the
-// same stages in O(stages); what still needs the matrices themselves is
-// Predict, VerifyDense, internal/adapt and bsp.NewScheduleSynchronizer.
+// same stages in O(stages), and the cost model, the pattern simulator and the
+// schedule synchronizer take either; what still needs the matrices themselves
+// is VerifyDense and internal/adapt's stage editing.
 type Pattern struct {
 	// Name identifies the algorithm ("linear", "dissemination", ...).
 	Name string
@@ -145,13 +148,10 @@ func (pat *Pattern) PayloadAt(s, i, j int) float64 {
 }
 
 // Verify checks the pattern's structure (Validate) and then its semantics by
-// the knowledge recursion (VerifySchedule): the thesis' debug aid for
-// automatically generated patterns, evaluated on the sparse stage adjacency in
-// O(signals·P/64) per stage.
+// the knowledge recursion, both inside VerifySchedule: the thesis' debug aid
+// for automatically generated patterns, evaluated on the sparse stage
+// adjacency in O(signals·P/64) per stage.
 func (pat *Pattern) Verify() error {
-	if err := pat.Validate(); err != nil {
-		return err
-	}
 	return VerifySchedule(pat, pat.Semantics, pat.Root)
 }
 
@@ -290,19 +290,4 @@ func Ring(p int) (*Pattern, error) {
 		stages = []*matrix.Bool{matrix.NewBool(p, p)}
 	}
 	return &Pattern{Name: "ring", Procs: p, Stages: stages}, nil
-}
-
-// WithSyncPayload returns a deep copy of a pattern carrying the message-count
-// payload of the thesis' BSP synchronization (Section 6.5): every signal
-// transports the P-entry count rows its sender has accumulated so far, so on
-// the dissemination pattern the payload doubles each stage until every
-// process holds the full P×P message-count map. The copy shares no stage or
-// payload storage with the input.
-func WithSyncPayload(pat *Pattern, bytesPerEntry int) *Pattern {
-	if bytesPerEntry <= 0 {
-		bytesPerEntry = 4
-	}
-	out := withAccumulatingPayload(pat, float64(pat.Procs*bytesPerEntry))
-	out.Name = pat.Name + "+payload"
-	return out
 }

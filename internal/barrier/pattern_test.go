@@ -198,24 +198,25 @@ func TestSignalsCount(t *testing.T) {
 
 func TestWithSyncPayload(t *testing.T) {
 	diss, _ := Dissemination(8)
-	withPayload := WithSyncPayload(diss, 4)
-	if err := withPayload.Validate(); err != nil {
-		t.Fatal(err)
+	withPayload := KnowledgeSized(diss, 0, 8*4)
+	if withPayload.NumProcs() != 8 || withPayload.NumStages() != diss.NumStages() {
+		t.Fatalf("sized schedule is %d ranks x %d stages", withPayload.NumProcs(), withPayload.NumStages())
 	}
-	if withPayload.Payload == nil || len(withPayload.Payload) != diss.NumStages() {
-		t.Fatal("payload matrices missing")
-	}
+	sizes := edgeSizes(withPayload)
 	// Stage 0 carries one row of 8 counters; stage 2 carries four rows.
-	if got := withPayload.PayloadAt(0, 0, 1); got != 8*4 {
-		t.Fatalf("stage 0 payload = %g", got)
+	if got := sizes[edge{0, 0, 1}]; got != 8*4 {
+		t.Fatalf("stage 0 payload = %d", got)
 	}
-	if got := withPayload.PayloadAt(2, 0, 4); got != 4*8*4 {
-		t.Fatalf("stage 2 payload = %g", got)
+	if got := sizes[edge{2, 0, 4}]; got != 4*8*4 {
+		t.Fatalf("stage 2 payload = %d", got)
 	}
 	// Payload never exceeds the full P×P map.
-	for s := 0; s < withPayload.NumStages(); s++ {
-		if withPayload.Payload[s].Max() > float64(8*8*4) {
-			t.Fatalf("stage %d payload exceeds the full map", s)
+	if len(sizes) != diss.Signals() {
+		t.Fatalf("%d sized edges for %d signals", len(sizes), diss.Signals())
+	}
+	for e, size := range sizes {
+		if size > 8*8*4 {
+			t.Fatalf("stage %d payload exceeds the full map", e.stage)
 		}
 	}
 	// The plain pattern reports zero payloads.

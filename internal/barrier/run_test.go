@@ -147,7 +147,7 @@ func TestLinearBarrierOverpredictedButBounded(t *testing.T) {
 func TestExecuteWithPayloadRuns(t *testing.T) {
 	m := xeonMachine(t, 12, 0.02)
 	plain, _ := Dissemination(12)
-	pat := WithSyncPayload(plain, 4)
+	pat := KnowledgeSized(plain, 0, 12*4)
 	measPlain, err := Measure(m, plain, 3)
 	if err != nil {
 		t.Fatal(err)

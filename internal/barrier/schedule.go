@@ -67,18 +67,23 @@ func binomialStages(p, root int) []*matrix.Bool {
 	return stages
 }
 
+// stagePayload sizes every edge of one stage at bytes.
+func stagePayload(st *matrix.Bool, p, bytes int) *matrix.Dense {
+	pm := matrix.NewDense(p, p)
+	for i := 0; i < p; i++ {
+		for _, j := range st.RowTrue(i) {
+			pm.Set(i, j, float64(bytes))
+		}
+	}
+	return pm
+}
+
 // uniformPayload attaches the same per-signal payload size to every edge of
 // every stage.
 func uniformPayload(stages []*matrix.Bool, p int, bytes int) []*matrix.Dense {
 	out := make([]*matrix.Dense, len(stages))
 	for s, st := range stages {
-		pm := matrix.NewDense(p, p)
-		for i := 0; i < p; i++ {
-			for _, j := range st.RowTrue(i) {
-				pm.Set(i, j, float64(bytes))
-			}
-		}
-		out[s] = pm
+		out[s] = stagePayload(st, p, bytes)
 	}
 	return out
 }
@@ -171,10 +176,20 @@ func AllGather(p, blockBytes int) (*Pattern, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := withAccumulatingPayload(diss, float64(blockBytes))
-	out.Name = "allgather"
-	out.Semantics = SemAllGather
-	return out, nil
+	// Entering the stage with offset 2^s every rank holds 2^s blocks:
+	// StreamAllGather's closed form, and what KnowledgeSized computes.
+	payload := make([]*matrix.Dense, len(diss.Stages))
+	for s, st := range diss.Stages {
+		payload[s] = stagePayload(st, p, blockBytes<<s)
+	}
+	return &Pattern{
+		Name:      "allgather",
+		Procs:     p,
+		Stages:    diss.Stages,
+		Payload:   payload,
+		Semantics: SemAllGather,
+		Sym:       diss.Sym,
+	}, nil
 }
 
 // TotalExchange returns the linear-shift total exchange (all-to-all
@@ -263,61 +278,4 @@ func Collectives(p, blockBytes int) (map[string]*Pattern, error) {
 		out[pat.Name] = pat
 	}
 	return out, nil
-}
-
-// withAccumulatingPayload returns a deep copy of the pattern in which every
-// signal carries perProcBytes for each process contribution its sender has
-// accumulated before the stage (computed by the knowledge recursion). This is
-// the exact message-size model of a flooding schedule: for the dissemination
-// pattern the per-signal payload is min(2^s, P)·perProcBytes.
-func withAccumulatingPayload(pat *Pattern, perProcBytes float64) *Pattern {
-	p := pat.Procs
-	stages := make([]*matrix.Bool, len(pat.Stages))
-	for s, st := range pat.Stages {
-		stages[s] = st.Clone()
-	}
-	out := &Pattern{
-		Name:      pat.Name,
-		Procs:     p,
-		Stages:    stages,
-		Payload:   make([]*matrix.Dense, len(stages)),
-		Semantics: pat.Semantics,
-		Root:      pat.Root,
-		// A circulant pattern's reach counts are rank-invariant, so the
-		// accumulating payload stays uniform per stage and the symmetry hint
-		// remains valid on the copy.
-		Sym: pat.Sym,
-	}
-	// Walk the SOURCE pattern's adjacency: the structure is identical (stages
-	// are clones), and out's own adjacency must not be built yet — it caches
-	// per-edge payload sizes, which are only being filled in below.
-	pat.EachStageKnowing(func(s int, st StageAdj, known *sched.ReachSet) {
-		pm := matrix.NewDense(p, p)
-		for i, dests := range st.Out {
-			if len(dests) == 0 {
-				continue
-			}
-			size := float64(known.Count(i)) * perProcBytes
-			for _, j := range dests {
-				pm.Set(i, j, size)
-			}
-		}
-		out.Payload[s] = pm
-	})
-	return out
-}
-
-// WithCountPayload attaches the BSP count-exchange payload to an arbitrary
-// schedule: every signal carries one P-entry row of bytesPerEntry-sized
-// counters per count row its sender holds. It generalizes WithSyncPayload
-// from the dissemination pattern to any schedule a Synchronizer may execute,
-// so model-selected hybrid patterns are costed with the messages they will
-// actually send.
-func WithCountPayload(pat *Pattern, bytesPerEntry int) *Pattern {
-	if bytesPerEntry <= 0 {
-		bytesPerEntry = 4
-	}
-	out := withAccumulatingPayload(pat, float64(pat.Procs*bytesPerEntry))
-	out.Name = pat.Name + "+counts"
-	return out
 }

@@ -1,11 +1,16 @@
 package barrier
 
 import (
+	"context"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"hbsp/internal/matrix"
+	"hbsp/internal/platform"
+	"hbsp/internal/sched"
+	"hbsp/internal/simnet"
 )
 
 func TestCollectivesVerifyAcrossSizes(t *testing.T) {
@@ -184,34 +189,46 @@ func TestSemanticsString(t *testing.T) {
 	}
 }
 
+// The count payload has one text: sizing the dense dissemination literal
+// (per-rank knowledge counts, materialized stages) and its streamed twin (one
+// count per stage, a circulant) must give the same edges at the same sizes.
 func TestWithCountPayloadMatchesSyncPayloadOnDissemination(t *testing.T) {
-	for _, p := range []int{2, 5, 8, 16, 31} {
+	for _, p := range []int{1, 2, 5, 8, 16, 31} {
 		diss, err := Dissemination(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy := WithSyncPayload(diss, 4)
-		generic := WithCountPayload(diss, 4)
-		for s := range diss.Stages {
-			if !legacy.Payload[s].Equal(generic.Payload[s], 0) {
-				t.Fatalf("p=%d stage %d: count payload differs from sync payload\n%v\n%v",
-					p, s, legacy.Payload[s], generic.Payload[s])
-			}
+		stream, err := StreamDissemination(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, streamed := KnowledgeSized(diss, 16, p*4), KnowledgeSized(stream, 16, p*4)
+		if _, ok := streamed.(sched.CirculantSchedule); !ok {
+			t.Fatalf("p=%d: a sized circulant came back as %T", p, streamed)
+		}
+		if ss, ok := dense.(sched.SymmetricSchedule); !ok || ss.Symmetry() != sched.SymCirculant {
+			t.Fatalf("p=%d: the sized literal lost its symmetry hint", p)
+		}
+		if d, s := edgeSizes(dense), edgeSizes(streamed); !maps.Equal(d, s) {
+			t.Fatalf("p=%d: sized literal %v, sized stream %v", p, d, s)
 		}
 	}
 }
 
+// Sizing reads its input: the pattern's stages, its (absent) payload and the
+// sizes its cached adjacency hands out stay what they were.
 func TestWithSyncPayloadDoesNotAliasStages(t *testing.T) {
-	diss, err := Dissemination(8)
+	diss, err := AllReduce(8, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := diss.Stages[0].Clone()
-	out := WithSyncPayload(diss, 4)
-	// Mutating the copy must not write through to the input pattern.
-	out.Stages[0].Set(0, 5, !out.Stages[0].At(0, 5))
-	if !diss.Stages[0].Equal(before) {
-		t.Fatal("WithSyncPayload copy aliases the input's stage matrices")
+	stages, payload, sizes := diss.Stages[0].Clone(), diss.Payload[0].Clone(), edgeSizes(diss)
+	sized := KnowledgeSized(diss, 0, 8*4)
+	if got := edgeSizes(sized)[edge{1, 0, 2}]; got != 2*8*4 {
+		t.Fatalf("stage 1 of the sized schedule carries %d bytes, want two count rows", got)
+	}
+	if !diss.Stages[0].Equal(stages) || !diss.Payload[0].Equal(payload, 0) || !maps.Equal(edgeSizes(diss), sizes) {
+		t.Fatal("KnowledgeSized changed the pattern it was given")
 	}
 }
 
@@ -287,6 +304,32 @@ func TestCollectivePredictionsTrackSimulation(t *testing.T) {
 			t.Errorf("%s: prediction out of control: measured %g, predicted %g (rel %g)",
 				name, meas.MeanWorst, pred.Total, rel)
 		}
+	}
+
+	// One row above the dense limit, where only the streamed schedule exists:
+	// the literal of a total exchange at P = 1024 would be 9.7 GB.
+	big, err := platform.XeonCluster(128).Machine(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	te, err := StreamTotalExchange(1024, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := sched.RunSchedule(context.Background(), big, te, 1, simnet.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := Predict(te, Params{
+		Latency:  big.Profile().LatencyMatrix(big.Placement()),
+		Overhead: overheadWithInvocation(big),
+		Beta:     big.Profile().BetaMatrix(big.Placement()),
+	}, CostOptionsFor(SemTotalExchange))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := (pred.Total - run.MakeSpan) / run.MakeSpan; run.MakeSpan <= 0 || rel > 3 || rel < -0.95 {
+		t.Errorf("total exchange at P=1024: simulated %g, predicted %g (rel %g)", run.MakeSpan, pred.Total, rel)
 	}
 }
 

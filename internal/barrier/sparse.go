@@ -2,6 +2,7 @@ package barrier
 
 import (
 	"fmt"
+	"slices"
 
 	"hbsp/internal/sched"
 )
@@ -9,8 +10,8 @@ import (
 // StageAdj is the sparse per-row adjacency of one stage: Out[i] lists the
 // destinations process i signals, In[j] lists the sources signalling j, and
 // OutBytes[i][k] is the payload size of the edge i→Out[i][k] (nil when the
-// pattern carries no payload). It is the representation Verify, Predict and
-// Execute evaluate, so all run in O(signals) per stage instead of the O(P³)
+// pattern carries no payload). It is what Verify, Predict and Execute read a
+// pattern through, so all run in O(signals) per stage instead of the O(P³)
 // dense matrix products of the literal Eq. 5.1/5.2 formulation (kept as
 // VerifyDense for reference and ablation). It is an alias for the
 // discrete-event evaluator's stage type: a pattern's cached adjacency is what
@@ -50,6 +51,23 @@ func (pat *Pattern) Adjacency() []StageAdj {
 	return pat.adj
 }
 
+// checkSchedule refuses what no consumer can walk: a missing schedule (a nil
+// *Pattern handed over as one included), one without ranks or stages, and a
+// dense literal whose matrices are inconsistent (Validate).
+func checkSchedule(s sched.Schedule) error {
+	pat, dense := s.(*Pattern)
+	if s == nil || dense && pat == nil {
+		return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
+	}
+	if dense {
+		return pat.Validate()
+	}
+	if s.NumProcs() < 1 || s.NumStages() == 0 {
+		return fmt.Errorf("%w: %d processes, %d stages", ErrInvalidPattern, s.NumProcs(), s.NumStages())
+	}
+	return nil
+}
+
 // VerifySchedule runs the knowledge recursion over any schedule and reports
 // whether it provably establishes the semantics' postcondition when the last
 // stage completes:
@@ -64,28 +82,66 @@ func (pat *Pattern) Adjacency() []StageAdj {
 // out as data — so a dense Pattern and a streamed schedule of the same stages
 // are checked by the same code. Non-rooted semantics ignore root.
 func VerifySchedule(s sched.Schedule, sem Semantics, root int) error {
-	p := s.NumProcs()
-	if p < 1 || s.NumStages() == 0 {
-		return fmt.Errorf("%w: %d processes, %d stages", ErrInvalidPattern, p, s.NumStages())
+	if err := checkSchedule(s); err != nil {
+		return err
 	}
+	p := s.NumProcs()
 	if (sem == SemBroadcast || sem == SemReduce) && (root < 0 || root >= p) {
 		return fmt.Errorf("%w: root %d out of range for %d processes", ErrInvalidPattern, root, p)
 	}
-	return checkReach(p, sem, root, sched.ReachOf(s).Has)
+	reach := sched.ReachOf(s)
+	// Every rank of a circulant schedule knows what rank 0 knows, moved by its
+	// own index: a full set there is a full set everywhere, and a gap there
+	// is a gap in every row and every column, which checkReach then names.
+	if _, ok := s.(sched.CirculantSchedule); ok && reach.Count(0) == p {
+		return nil
+	}
+	return checkReach(p, sem, root, reach.Has)
 }
 
-// EachStageKnowing steps the knowledge recursion through the pattern, calling
-// fn with every stage and the reach sets as they stand when it begins
-// (known.Count(j) = |K_j|): what a rank snapshots at each stage, which the
-// accumulating payload models and the schedule synchronizer price.
-func (pat *Pattern) EachStageKnowing(fn func(s int, st StageAdj, known *sched.ReachSet)) {
-	known := sched.NewReachSet(pat.Procs)
-	v := sched.ViewOf(pat)
-	for s, st := range pat.Adjacency() {
-		fn(s, st, known)
-		v.Load(s)
+// KnowledgeSized returns the schedule's stages with every out-edge of rank i
+// sized at headerBytes + |K_i|·bytesPerOrigin, K_i being what the knowledge
+// recursion says i holds when the stage begins: the message-size model of a
+// schedule that floods — each signal forwards everything its sender has
+// accumulated — which is the BSP count exchange of Section 6.5 (one P-entry
+// count row per origin) and the dissemination allgather (one block per
+// origin). The input is only read. A circulant schedule's counts are the same
+// on every rank, so it comes back a circulant; anything else comes back as
+// materialized stages sharing the input's edge lists, with its symmetry hint.
+func KnowledgeSized(s sched.Schedule, headerBytes, bytesPerOrigin int) sched.Schedule {
+	p, n := s.NumProcs(), s.NumStages()
+	known, v := sched.NewReachSet(s), sched.ViewOf(s)
+	if cs, ok := s.(sched.CirculantSchedule); ok {
+		offsets, sizes := make([]int, n), make([]int, n)
+		for k := range offsets {
+			offsets[k], _ = cs.CirculantStage(k)
+			sizes[k] = headerBytes + known.Count(0)*bytesPerOrigin
+			v.Load(k)
+			known.Step(&v)
+		}
+		c, err := sched.NewCirculant(p, offsets, sizes)
+		if err != nil {
+			panic(err) // one size per offset over the ranks of a schedule: cannot be refused
+		}
+		return c
+	}
+	out := &sched.StaticStages{Procs: p, Stages: make([]sched.Stage, n)}
+	if ss, ok := s.(sched.SymmetricSchedule); ok {
+		out.Sym = ss.Symmetry()
+	}
+	for k := range out.Stages {
+		st := s.StageAt(k)
+		outBytes := make([][]int, p)
+		for i, outs := range st.Out {
+			if len(outs) > 0 {
+				outBytes[i] = slices.Repeat([]int{headerBytes + known.Count(i)*bytesPerOrigin}, len(outs))
+			}
+		}
+		out.Stages[k] = sched.Stage{Out: st.Out, In: st.In, OutBytes: outBytes}
+		v.Load(k)
 		known.Step(&v)
 	}
+	return out
 }
 
 // checkReach verifies a semantics' postcondition against final reach sets:

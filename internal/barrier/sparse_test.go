@@ -2,6 +2,7 @@ package barrier
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,17 +45,19 @@ func TestAdjacencyMatchesStageMatrices(t *testing.T) {
 }
 
 func TestReachSetsBasics(t *testing.T) {
-	r := sched.NewReachSet(70) // spans two uint64 words
+	// One stage 0→69 over 70 ranks (two uint64 words per set).
+	st := sched.Stage{Out: make([][]int, 70), In: make([][]int, 70)}
+	st.Out[0], st.In[69] = []int{69}, []int{0}
+	one := &sched.StaticStages{Procs: 70, Stages: []sched.Stage{st}}
+	r := sched.NewReachSet(one)
 	if !r.Has(69, 69) || r.Has(69, 0) {
 		t.Fatal("reach sets not initialized to the identity")
 	}
 	if r.Count(69) != 1 {
 		t.Fatalf("count = %d", r.Count(69))
 	}
-	// One stage 0→69: the receiver absorbs its sender's pre-stage set.
-	st := sched.Stage{Out: make([][]int, 70), In: make([][]int, 70)}
-	st.Out[0], st.In[69] = []int{69}, []int{0}
-	v := sched.ViewOf(&sched.StaticStages{Procs: 70, Stages: []sched.Stage{st}})
+	// The receiver absorbs its sender's pre-stage set.
+	v := sched.ViewOf(one)
 	v.Load(0)
 	r.Step(&v)
 	if !r.Has(69, 0) || r.Has(0, 69) || r.Count(69) != 2 || r.Count(0) != 1 {
@@ -65,6 +68,43 @@ func TestReachSetsBasics(t *testing.T) {
 	r.ForEach(69, func(o int) { origins = append(origins, o) })
 	if len(origins) != 2 || origins[0] != 0 || origins[1] != 69 {
 		t.Fatalf("ForEach(69) = %v, want [0 69]", origins)
+	}
+
+	// A circulant schedule steps one row for all ranks. After every stage it
+	// must answer Has, Count and ForEach (ascending) for every rank as the
+	// P-row recursion over the same stages, materialized, does.
+	for _, p := range []int{1, 2, 3, 7, 63, 64, 65, 128, 130} {
+		for name, gen := range map[string]func(int, int) (sched.Schedule, error){
+			"allreduce": StreamAllReduce, "ring": StreamAllGatherRing, "total-exchange": StreamTotalExchange,
+		} {
+			stream, err := gen(p, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := materialize(stream)
+			row, full := sched.NewReachSet(stream), sched.NewReachSet(rows)
+			vs, vr := sched.ViewOf(stream), sched.ViewOf(rows)
+			for k := 0; k < min(stream.NumStages(), 9); k++ {
+				vs.Load(k)
+				row.Step(&vs)
+				vr.Load(k)
+				full.Step(&vr)
+				for rank := 0; rank < p; rank++ {
+					var got, want []int
+					row.ForEach(rank, func(o int) { got = append(got, o) })
+					full.ForEach(rank, func(o int) { want = append(want, o) })
+					if !slices.Equal(got, want) || row.Count(rank) != len(want) {
+						t.Fatalf("%s p=%d stage %d rank %d: one row says %v (count %d), P rows say %v",
+							name, p, k, rank, got, row.Count(rank), want)
+					}
+					for o := 0; o < p; o++ {
+						if row.Has(rank, o) != full.Has(rank, o) {
+							t.Fatalf("%s p=%d stage %d: Has(%d, %d) = %t on one row", name, p, k, rank, o, row.Has(rank, o))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -201,6 +241,19 @@ func TestVerifyScheduleAgreesWithVerifyDense(t *testing.T) {
 					t.Errorf("%s: accepted with one edge removed", what)
 				}
 
+				// Mutants that stay circulant, which the one-row recursion has
+				// to reject by itself: a dropped stage, a changed offset.
+				if cs, ok := stream.(sched.CirculantSchedule); ok {
+					offs := make([]int, cs.NumStages())
+					for k := range offs {
+						offs[k], _ = cs.CirculantStage(k)
+					}
+					for _, mutant := range [][]int{offs[:len(offs)-1], append([]int{2 * offs[0]}, offs[1:]...)} {
+						circ, lit := circulantPair(t, p, mutant)
+						agree(t, fmt.Sprintf("%s with offsets %v", what, mutant), lit, circ, g.sem, root)
+					}
+				}
+
 				// A rooted schedule under all-to-all semantics.
 				if g.sem == SemBroadcast || g.sem == SemReduce {
 					dm, _ = g.dense(p, root)
@@ -211,6 +264,30 @@ func TestVerifyScheduleAgreesWithVerifyDense(t *testing.T) {
 			}
 		}
 	}
+	// Even offsets only ever reach even distances.
+	circ, lit := circulantPair(t, 16, []int{2, 4, 8})
+	if agree(t, "offsets 2 4 8 at p=16", lit, circ, SemAllReduce, 0) {
+		t.Error("a circulant that reaches only even distances was accepted")
+	}
+}
+
+// circulantPair returns the circulant schedule with the given stage offsets
+// and its dense literal.
+func circulantPair(t *testing.T, p int, offsets []int) (sched.Schedule, *Pattern) {
+	t.Helper()
+	circ, err := sched.NewCirculant(p, offsets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := &Pattern{Name: "circulant", Procs: p}
+	for _, off := range offsets {
+		st := matrix.NewBool(p, p)
+		for i := 0; i < p && off%p != 0; i++ {
+			st.Set(i, (i+off)%p, true)
+		}
+		lit.Stages = append(lit.Stages, st)
+	}
+	return circ, lit
 }
 
 func TestVerifyDenseMatchesVerifyOnGenerators(t *testing.T) {

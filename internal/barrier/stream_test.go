@@ -55,6 +55,24 @@ func streamPairs(t *testing.T, p int) map[string][2]func() (sched.Schedule, erro
 	}
 }
 
+// edge names one signal of a schedule; edgeSizes reads every signal's size
+// through a StageView, as every walker does.
+type edge struct{ stage, from, to int }
+
+func edgeSizes(s sched.Schedule) map[edge]int {
+	sizes := map[edge]int{}
+	v := sched.ViewOf(s)
+	for k := 0; k < s.NumStages(); k++ {
+		v.Load(k)
+		for i := 0; i < s.NumProcs(); i++ {
+			for e, j := range v.Outs(i) {
+				sizes[edge{k, i, j}] = v.OutSize(i, e)
+			}
+		}
+	}
+	return sizes
+}
+
 // TestStreamGeneratorsMatchPatterns pins every streaming generator against
 // its dense pattern: identical stage structure (edges and payload sizes) and,
 // through the evaluator, bit-identical virtual times — across odd,

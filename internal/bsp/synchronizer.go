@@ -2,7 +2,6 @@ package bsp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -21,8 +20,6 @@ import (
 // (Ctx.runExchange) is the runtime's, a synchronizer only says over which
 // edges and at which sizes.
 type Synchronizer interface {
-	// Name identifies the synchronizer for reporting.
-	Name() string
 	// exchangeSchedule returns the exchange's exact op-stream for p ranks,
 	// every payload size resolved up front (the count rows a rank forwards at
 	// a stage are knowledge-determined, never data-determined) — the same
@@ -44,8 +41,6 @@ type disseminationSync struct {
 
 // maxExchangeSchedules bounds the default synchronizer's schedule cache.
 const maxExchangeSchedules = 64
-
-func (*disseminationSync) Name() string { return "dissemination" }
 
 // exchangeSchedule returns the dissemination exchange for p ranks: stage
 // offsets 2^s, payload sizes the header plus the min(2^s, p) count rows the
@@ -96,71 +91,37 @@ var defaultSync = &disseminationSync{}
 // when none is configured.
 func DefaultSynchronizer() Synchronizer { return defaultSync }
 
-// scheduleSync exchanges the counts over an arbitrary verified schedule: the
-// count map is complete on every process after the last stage whenever the
-// schedule passes the all-pairs knowledge recursion.
+// scheduleSync exchanges the counts over an arbitrary schedule that passes
+// the all-pairs knowledge recursion, so the count map is complete on every
+// process after the last stage. sized is that schedule with every out-edge at
+// the header plus the count rows its sender holds entering the stage
+// (barrier.KnowledgeSized): one immutable value every rank of every run reads.
 type scheduleSync struct {
-	pat *barrier.Pattern
-
-	// once builds the evaluator schedule of the exchange: the pattern's
-	// adjacency with every out-edge sized at the count-row snapshot the
-	// sender holds entering the stage (the knowledge recursion's counts,
-	// barrier.Pattern.EachStageKnowing).
-	once  sync.Once
-	sched sched.Schedule
+	sized sched.Schedule
 }
 
-// NewScheduleSynchronizer wraps a collective schedule as a count-exchange
-// synchronizer. The pattern must pass the all-pairs knowledge recursion
-// (barrier/allgather-style semantics): rooted broadcast or reduce schedules
-// cannot deliver the full count map and are rejected.
-func NewScheduleSynchronizer(pat *barrier.Pattern) (Synchronizer, error) {
-	if pat == nil {
-		return nil, errors.New("bsp: nil schedule")
+// NewScheduleSynchronizer wraps a collective schedule — a dense pattern or a
+// streamed one — as a count-exchange synchronizer. The schedule must pass the
+// all-pairs knowledge recursion (barrier/allgather-style semantics): rooted
+// broadcast or reduce schedules cannot deliver the full count map and are
+// rejected, as is a missing schedule.
+func NewScheduleSynchronizer(s sched.Schedule) (Synchronizer, error) {
+	if err := barrier.VerifySchedule(s, barrier.SemBarrier, 0); err != nil {
+		return nil, fmt.Errorf("bsp: schedule cannot implement the count total exchange: %w", err)
 	}
-	switch pat.Semantics {
-	case barrier.SemBroadcast, barrier.SemReduce:
-		return nil, fmt.Errorf("bsp: %s schedule cannot implement the count total exchange", pat.Semantics)
-	}
-	if err := pat.Verify(); err != nil {
-		return nil, fmt.Errorf("bsp: schedule rejected: %w", err)
-	}
-	return &scheduleSync{pat: pat}, nil
+	return &scheduleSync{sized: barrier.KnowledgeSized(s, headerBytes, s.NumProcs()*countEntryBytes)}, nil
 }
-
-func (s *scheduleSync) Name() string { return s.pat.Name }
 
 func (s *scheduleSync) exchangeSchedule(p int) (sched.Schedule, error) {
-	if s.pat.Procs != p {
-		return nil, fmt.Errorf("bsp: schedule for %d processes on a %d-process run", s.pat.Procs, p)
+	if s.sized.NumProcs() != p {
+		return nil, fmt.Errorf("bsp: schedule for %d processes on a %d-process run", s.sized.NumProcs(), p)
 	}
-	s.once.Do(func() {
-		stages := make([]sched.Stage, s.pat.NumStages())
-		s.pat.EachStageKnowing(func(sg int, st barrier.StageAdj, known *sched.ReachSet) {
-			outBytes := make([][]int, p)
-			for i, outs := range st.Out {
-				if len(outs) == 0 {
-					continue
-				}
-				outBytes[i] = make([]int, len(outs))
-				size := headerBytes + known.Count(i)*p*countEntryBytes
-				for k := range outBytes[i] {
-					outBytes[i][k] = size
-				}
-			}
-			stages[sg] = sched.Stage{Out: st.Out, In: st.In, OutBytes: outBytes}
-		})
-		// A circulant pattern has rank-invariant knowledge counts, so the
-		// count-sized payloads stay uniform per stage and the pattern's
-		// symmetry hint carries over to the exchange schedule.
-		s.sched = &sched.StaticStages{Procs: p, Stages: stages, Sym: s.pat.Sym}
-	})
-	return s.sched, nil
+	return s.sized, nil
 }
 
 // NewAdaptedSynchronizer runs the model-driven construction of Chapter 7 on
 // the supplied parameter matrices, costs every candidate with the count
-// payload it would carry (WithCountPayload), and wraps the winner as a
+// payload it would carry (adapt.GreedySync), and wraps the winner as a
 // runtime synchronizer. It returns the adaptation result so callers can
 // report the ranking.
 func NewAdaptedSynchronizer(params barrier.Params, opts barrier.CostOptions) (Synchronizer, *adapt.Result, error) {

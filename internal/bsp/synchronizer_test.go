@@ -12,6 +12,7 @@ import (
 	"hbsp/internal/barrier"
 	"hbsp/internal/matrix"
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 )
 
@@ -147,9 +148,6 @@ func TestHybridScheduleSynchronizerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(sync.Name(), "hybrid(") {
-		t.Fatalf("synchronizer name = %q", sync.Name())
-	}
 	if _, err := RunWith(m, sync, exchangeProgram(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +185,9 @@ func TestAdaptedSynchronizerEndToEnd(t *testing.T) {
 func TestScheduleSynchronizerRejectsUnsuitableSchedules(t *testing.T) {
 	if _, err := NewScheduleSynchronizer(nil); err == nil {
 		t.Error("nil schedule should be rejected")
+	}
+	if _, err := NewScheduleSynchronizer((*barrier.Pattern)(nil)); err == nil {
+		t.Error("a nil pattern handed over as a schedule should be rejected")
 	}
 	bc, err := barrier.Broadcast(8, 0, 4)
 	if err != nil {
@@ -254,9 +255,6 @@ func TestRunWithNilSynchronizerUsesDefault(t *testing.T) {
 	if base.MakeSpan != viaNil.MakeSpan {
 		t.Fatalf("nil synchronizer (%g) differs from default (%g)", viaNil.MakeSpan, base.MakeSpan)
 	}
-	if DefaultSynchronizer().Name() != "dissemination" {
-		t.Fatalf("default synchronizer name = %q", DefaultSynchronizer().Name())
-	}
 }
 
 // TestDefaultExchangeScheduleCacheIsBounded: the default synchronizer's
@@ -308,5 +306,82 @@ func TestDefaultExchangeScheduleCacheIsBounded(t *testing.T) {
 	defaultSync.mu.Unlock()
 	if n > maxExchangeSchedules {
 		t.Errorf("default exchange-schedule cache holds %d entries after 1000 distinct P, bound is %d", n, maxExchangeSchedules)
+	}
+}
+
+// sizedEdges lists a schedule's signals as (stage, from, to, bytes), read the
+// way the walkers read them.
+func sizedEdges(s sched.Schedule) [][4]int {
+	var edges [][4]int
+	v := sched.ViewOf(s)
+	for k := 0; k < s.NumStages(); k++ {
+		v.Load(k)
+		for i := 0; i < s.NumProcs(); i++ {
+			for e, j := range v.Outs(i) {
+				edges = append(edges, [4]int{k, i, j, v.OutSize(i, e)})
+			}
+		}
+	}
+	return edges
+}
+
+// TestKnowledgeSizedMatchesClosedForms holds the one sizing text to the two
+// closed forms written without it — the default synchronizer's doubling count
+// exchange and the dissemination allgather — and to what the schedule
+// synchronizer's own sizing loop produced for a hybrid before this text
+// replaced it.
+func TestKnowledgeSizedMatchesClosedForms(t *testing.T) {
+	for p := 1; p <= 130; p++ {
+		diss, err := barrier.StreamDissemination(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exchange, err := ExchangeSchedule(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sizedEdges(barrier.KnowledgeSized(diss, headerBytes, p*countEntryBytes)), sizedEdges(exchange); !slices.Equal(got, want) {
+			t.Fatalf("p=%d: sized dissemination %v, count exchange %v", p, got, want)
+		}
+		gather, err := barrier.StreamAllGather(p, 96)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sizedEdges(barrier.KnowledgeSized(diss, 0, 96)), sizedEdges(gather); !slices.Equal(got, want) {
+			t.Fatalf("p=%d: sized dissemination %v, allgather %v", p, got, want)
+		}
+	}
+
+	hybrid, err := adapt.BuildHybrid(&adapt.Clustering{Groups: [][]int{{0, 1, 2}, {3, 4}, {5, 6, 7}}}, adapt.SubTree, adapt.SubDissemination)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync, err := NewScheduleSynchronizer(hybrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized, err := sync.exchangeSchedule(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bytes on every out-edge of each rank, stage by stage (0: the rank is
+	// silent): the header's 24 plus 32 per count row held.
+	want := [][]int{
+		{0, 56, 0, 0, 0, 0, 56, 0},
+		{0, 0, 56, 0, 56, 0, 0, 56},
+		{120, 0, 0, 88, 0, 120, 0, 0},
+		{216, 0, 0, 184, 0, 184, 0, 0},
+		{280, 0, 0, 280, 0, 280, 0, 0},
+		{280, 0, 0, 0, 0, 280, 0, 0},
+	}
+	got := make([][]int, sized.NumStages())
+	for k := range got {
+		got[k] = make([]int, 8)
+	}
+	for _, e := range sizedEdges(sized) {
+		got[e[0]][e[1]] = e[3]
+	}
+	if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+		t.Fatalf("hybrid count exchange sized\n%v, want\n%v", got, want)
 	}
 }

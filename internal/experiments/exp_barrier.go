@@ -143,11 +143,11 @@ func Fig6_3Series(prof *platform.Profile, maxProcs int, opts Options) ([]SyncPoi
 		if err != nil {
 			return nil, err
 		}
-		diss, err := barrier.Dissemination(p)
+		diss, err := barrier.StreamDissemination(p)
 		if err != nil {
 			return nil, err
 		}
-		pat := barrier.WithSyncPayload(diss, 4)
+		pat := barrier.KnowledgeSized(diss, 0, 4*p)
 		meas, err := barrier.Measure(m.WithRunSeed(int64(200+p)), pat, opts.Reps)
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"hbsp/internal/barrier"
 	"hbsp/internal/bsp"
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 )
 
@@ -44,29 +45,41 @@ func CollectiveSeries(prof *platform.Profile, maxProcs int, opts Options) ([]Col
 		if err != nil {
 			return nil, err
 		}
-		pats, err := barrier.Collectives(p, CollectiveBlockBytes)
-		if err != nil {
-			return nil, err
-		}
+		// The streamed generators: their dense literals price and run the
+		// same, bit for bit, and need not be built.
+		const b = CollectiveBlockBytes
 		var out []CollectivePoint
-		for _, name := range []string{"broadcast", "reduce", "allreduce", "allgather", "total-exchange"} {
-			pat, ok := pats[name]
-			if !ok {
-				return nil, fmt.Errorf("experiments: missing collective %q", name)
-			}
-			meas, err := barrier.Measure(m.WithRunSeed(int64(400+p)), pat, opts.Reps)
+		for _, c := range []struct {
+			name string
+			sem  barrier.Semantics
+			gen  func() (sched.Schedule, error)
+		}{
+			{"broadcast", barrier.SemBroadcast, func() (sched.Schedule, error) { return barrier.StreamBroadcast(p, 0, b) }},
+			{"reduce", barrier.SemReduce, func() (sched.Schedule, error) { return barrier.StreamReduce(p, 0, b) }},
+			{"allreduce", barrier.SemAllReduce, func() (sched.Schedule, error) { return barrier.StreamAllReduce(p, b) }},
+			{"allgather", barrier.SemAllGather, func() (sched.Schedule, error) { return barrier.StreamAllGather(p, b) }},
+			{"total-exchange", barrier.SemTotalExchange, func() (sched.Schedule, error) { return barrier.StreamTotalExchange(p, b) }},
+		} {
+			s, err := c.gen()
 			if err != nil {
 				return nil, err
 			}
-			pred, err := barrier.Predict(pat, params, barrier.CostOptionsFor(pat.Semantics))
+			if err := barrier.VerifySchedule(s, c.sem, 0); err != nil {
+				return nil, err
+			}
+			meas, err := barrier.Measure(m.WithRunSeed(int64(400+p)), s, opts.Reps)
+			if err != nil {
+				return nil, err
+			}
+			pred, err := barrier.Predict(s, params, barrier.CostOptionsFor(c.sem))
 			if err != nil {
 				return nil, err
 			}
 			pt := CollectivePoint{
 				Platform:   prof.Name,
-				Collective: name,
+				Collective: c.name,
 				Procs:      p,
-				Stages:     pat.NumStages(),
+				Stages:     s.NumStages(),
 				Measured:   meas.MeanWorst,
 				Predicted:  pred.Total,
 			}

@@ -167,10 +167,10 @@ type floodTicket struct {
 	out *map[int]any
 }
 
-// sameSchedule reports whether two ranks entered the flood with the same
+// SameSchedule reports whether two ranks entered a collective with the same
 // schedule value — identity, not structure: the leader evaluates one value for
 // everyone. Values of a type Go cannot compare are taken on trust.
-func sameSchedule(a, b Schedule) bool {
+func SameSchedule(a, b Schedule) bool {
 	t := reflect.TypeOf(a)
 	return t == reflect.TypeOf(b) && (!t.Comparable() || a == b)
 }
@@ -193,7 +193,7 @@ func (c *Comm) floodDirect(g *simnet.Gate, s Schedule, own any) (map[int]any, er
 		owns := make([]any, p)
 		for r, ti := range tickets {
 			ft, ok := ti.(*floodTicket)
-			if !ok || !sameSchedule(ft.s, s) {
+			if !ok || !SameSchedule(ft.s, s) {
 				return errors.New("mpi: ranks disagree on the flooded schedule (schedule collectives are collective)")
 			}
 			owns[r] = ft.own

@@ -226,19 +226,30 @@ const ScheduleTagBase = 1 << 20
 // form of the knowledge matrix K of the thesis' Eqs. 5.1/5.2, reachability in
 // place of signal counts. It is the one body of the recursion: the verifier
 // checks its final state against a collective's postcondition, the payload
-// models read its counts stage by stage, and the direct flood assembles each
-// rank's known-contributions map from it without moving any payloads.
+// model (barrier.KnowledgeSized) reads its counts stage by stage, and the
+// direct flood assembles each rank's known-contributions map from it without
+// moving any payloads.
+//
+// A CirculantSchedule gets one P-bit row instead of P: every stage moves every
+// rank's knowledge by the same offset, so rank r's set is rank 0's with each
+// origin moved up by r, and one row proves all P.
 type ReachSet struct {
 	p, words   int
+	rotated    bool     // bits is rank 0's row alone
 	bits, prev []uint64 // prev: the pre-stage snapshot Step reads
 }
 
-// NewReachSet returns the state before the first stage: every rank holds its
-// own contribution only (K = I).
-func NewReachSet(p int) *ReachSet {
-	words := (p + 63) / 64
-	r := &ReachSet{p: p, words: words, bits: make([]uint64, p*words), prev: make([]uint64, p*words)}
-	for j := 0; j < p; j++ {
+// NewReachSet returns the state before the schedule's first stage: every rank
+// holds its own contribution only (K = I).
+func NewReachSet(s Schedule) *ReachSet {
+	p := s.NumProcs()
+	_, rotated := s.(CirculantSchedule)
+	rows, words := p, (p+63)/64
+	if rotated {
+		rows = 1
+	}
+	r := &ReachSet{p: p, words: words, rotated: rotated, bits: make([]uint64, rows*words), prev: make([]uint64, rows*words)}
+	for j := 0; j < rows; j++ {
 		r.bits[j*words+j/64] |= 1 << (uint(j) % 64)
 	}
 	return r
@@ -246,9 +257,18 @@ func NewReachSet(p int) *ReachSet {
 
 // Step applies the stage the view is pointed at: every receiver absorbs the
 // pre-stage set of each of its senders (the K·S term of the recursion,
-// evaluated edge by edge).
+// evaluated edge by edge). On the single row, rank 0 absorbs the set of rank
+// P−off, which is its own moved down by off around the ring of P bits.
 func (r *ReachSet) Step(v *StageView) {
 	copy(r.prev, r.bits)
+	if r.rotated {
+		if v.off != 0 {
+			orShifted(r.bits, r.prev, -v.off)
+			orShifted(r.bits, r.prev, r.p-v.off)
+			r.bits[r.words-1] &= ^uint64(0) >> (uint(-r.p) % 64) // what moved up past bit P−1 came down instead
+		}
+		return
+	}
 	for i := 0; i < r.p; i++ {
 		dests := v.Outs(i)
 		if len(dests) == 0 {
@@ -264,9 +284,24 @@ func (r *ReachSet) Step(v *StageView) {
 	}
 }
 
+// orShifted ORs src, moved up by n bit positions (down when n is negative),
+// into dst; bits moved past either end are dropped.
+func orShifted(dst, src []uint64, n int) {
+	word := func(k int) uint64 {
+		if k < 0 || k >= len(src) {
+			return 0
+		}
+		return src[k]
+	}
+	w, b := n>>6, uint(n&63) // n = 64w + b with 0 ≤ b < 64, also below zero
+	for i := range dst {
+		dst[i] |= word(i-w)<<b | word(i-w-1)>>(64-b)
+	}
+}
+
 // ReachOf runs the knowledge recursion over all stages of the schedule.
 func ReachOf(s Schedule) *ReachSet {
-	r := NewReachSet(s.NumProcs())
+	r := NewReachSet(s)
 	v := ViewOf(s)
 	for sg := 0; sg < s.NumStages(); sg++ {
 		v.Load(sg)
@@ -275,27 +310,48 @@ func ReachOf(s Schedule) *ReachSet {
 	return r
 }
 
+// row returns the words of rank's set and how far each bit in them is moved
+// up, around the ring of P, to name an origin.
+func (r *ReachSet) row(rank int) ([]uint64, int) {
+	if r.rotated {
+		return r.bits, rank
+	}
+	return r.bits[rank*r.words : (rank+1)*r.words], 0
+}
+
 // Has reports whether origin's contribution reaches rank.
 func (r *ReachSet) Has(rank, origin int) bool {
-	return r.bits[rank*r.words+origin/64]&(1<<(uint(origin)%64)) != 0
+	row, up := r.row(rank)
+	b := origin - up
+	if b < 0 {
+		b += r.p
+	}
+	return row[b/64]&(1<<(uint(b)%64)) != 0
 }
 
 // Count returns the number of origins reaching rank.
 func (r *ReachSet) Count(rank int) int {
+	row, _ := r.row(rank)
 	n := 0
-	for _, w := range r.bits[rank*r.words : (rank+1)*r.words] {
+	for _, w := range row {
 		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// ForEach calls fn for every origin reaching rank, in ascending order.
+// ForEach calls fn for every origin reaching rank, in ascending order: the
+// bits from P−up on name the lowest origins, so they go first.
 func (r *ReachSet) ForEach(rank int, fn func(origin int)) {
-	row := r.bits[rank*r.words : (rank+1)*r.words]
-	for w, word := range row {
-		for word != 0 {
-			fn(w*64 + bits.TrailingZeros64(word))
-			word &= word - 1
+	row, up := r.row(rank)
+	for _, span := range [2][3]int{{r.p - up, r.p, up - r.p}, {0, r.p - up, up}} { // from bit, before bit, bit → origin
+		for w := span[0] / 64; w*64 < span[1]; w++ {
+			word := row[w]
+			if w == span[0]/64 {
+				word &= ^uint64(0) << (uint(span[0]) % 64)
+			}
+			for ; word != 0 && w*64+bits.TrailingZeros64(word) < span[1]; word &= word - 1 {
+				fn(w*64 + bits.TrailingZeros64(word) + span[2])
+			}
 		}
 	}
 }

@@ -231,16 +231,19 @@ func TestCrossRouteEquivalence(t *testing.T) {
 	}
 }
 
-// TestRoutedRequestsScaleLinearly holds the two rows of the ROADMAP's
-// "one small request kills the daemon" table that the routes answer: on the
-// session a sync point held P goroutines, P count rows of P entries per
-// superstep and P registration areas of P elements (1.26 GB at P=4,096, more
-// than 4 GB at 16,384), a traced collective P known-maps beside the lanes.
-// Everything a direct route allocates for one is bounded here — lanes and
-// rendering included — so a quadratic term cannot come back unnoticed.
+// TestRoutedRequestsScaleLinearly holds the rows of the ROADMAP's "one small
+// request kills the daemon" table that the routes answer: on the session a
+// sync point held P goroutines, P count rows of P entries per superstep and P
+// registration areas of P elements (1.26 GB at P=4,096, more than 4 GB at
+// 16,384), a traced collective P known-maps beside the lanes; sync:schedule
+// held a dense dissemination literal (220 MB at P=4,096); and verifying an
+// allreduce at the ceiling asked for two P×P bitsets (256 GB) where a
+// circulant needs one P-bit row. Everything a direct route allocates for one
+// is bounded here — lanes and rendering included — so a quadratic term cannot
+// come back unnoticed.
 func TestRoutedRequestsScaleLinearly(t *testing.T) {
 	if testing.Short() {
-		t.Skip("P=16384 and a traced P=4096")
+		t.Skip("P=16384, a traced P=4096 and P=2^20")
 	}
 	for _, c := range []struct {
 		name, body string
@@ -249,6 +252,8 @@ func TestRoutedRequestsScaleLinearly(t *testing.T) {
 	}{
 		{"sync P=16384", `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"sync"},"procs":16384}`, routeDirectBSP, 64 << 20},
 		{"traced allreduce P=4096", `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"allreduce"},"procs":4096,"options":{"trace":true}}`, routeSwept, 128 << 20},
+		{"sync:schedule P=16384", `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"sync","variant":"schedule"},"procs":16384}`, routeDirectBSP, 64 << 20},
+		{"allreduce P=2^20", `{"profile":{"preset":"flat-cluster"},"workload":{"kind":"allreduce"},"procs":1048576}`, routeSwept, 256 << 20},
 	} {
 		s := New(Config{})
 		var rec *httptest.ResponseRecorder

@@ -266,7 +266,7 @@ func syncWorkload(w *WorkloadSpec) *bsp.Static {
 
 // synchronizer returns the synchronizer ending the sync workload's
 // supersteps: the default dissemination exchange, or for the "schedule"
-// variant the cached dissemination pattern wrapped as one.
+// variant the cached dissemination schedule wrapped as one.
 func (s *Server) synchronizer(w *WorkloadSpec, procs int) (bsp.Synchronizer, error) {
 	if w.Variant != "schedule" {
 		return bsp.DefaultSynchronizer(), nil
@@ -275,7 +275,7 @@ func (s *Server) synchronizer(w *WorkloadSpec, procs int) (bsp.Synchronizer, err
 	if err != nil {
 		return nil, err
 	}
-	sync, err := bsp.NewScheduleSynchronizer(sch.(*collective.Pattern))
+	sync, err := bsp.NewScheduleSynchronizer(sch)
 	if err != nil {
 		return nil, fmt.Errorf("server: %s:%s P=%d: %v", w.Kind, w.Variant, procs, err)
 	}
@@ -283,14 +283,13 @@ func (s *Server) synchronizer(w *WorkloadSpec, procs int) (bsp.Synchronizer, err
 }
 
 // schedule returns a point's verified schedule from the server's one schedule
-// cache, which every route reads. The collectives and the
-// dissemination barrier are the streamed generator schedules: a total
-// exchange at P=1024 is 16 KB where its stage matrices would be 9.7 GB. Dense
-// literals remain where nothing streamed exists: the payload-free tree and
-// linear barriers, and the dissemination pattern bsp.NewScheduleSynchronizer
-// takes for the sync workload's "schedule" variant. Verification reads stage
-// structure only, so the cache also holds a marker per verified (kind,
-// variant, procs, root). Cached values are immutable and shared between runs.
+// cache, which every route reads: streamed generator schedules — a total
+// exchange at P=1024 is 16 KB where its stage matrices would be 9.7 GB — but
+// for the two payload-free barriers that have no streamed form yet, tree and
+// linear (ROADMAP item 4: linear's fan-in and fan-out need more than one edge
+// per rank and side). Verification reads stage structure only, so the cache
+// also holds a marker per verified (kind, variant, procs, root). Cached values
+// are immutable and shared between runs.
 func (s *Server) schedule(w *WorkloadSpec, procs int) (sched.Schedule, error) {
 	structure := fmt.Sprintf("%s:%s/p%d/root%d", w.Kind, w.Variant, procs, w.Root)
 	key := fmt.Sprintf("schedule/%s/b%d", structure, w.Bytes)
@@ -319,14 +318,12 @@ func (s *Server) schedule(w *WorkloadSpec, procs int) (sched.Schedule, error) {
 	case "totalexchange:":
 		sem = collective.SemTotalExchange
 		sch, err = collective.StreamTotalExchange(procs, w.Bytes)
-	case "barrier:dissemination":
+	case "barrier:dissemination", "sync:schedule":
 		sch, err = collective.StreamDissemination(procs)
 	case "barrier:tree":
 		dense(collective.Tree(procs))
 	case "barrier:linear":
 		dense(collective.Linear(procs, 0))
-	case "sync:schedule":
-		dense(collective.Dissemination(procs))
 	default:
 		return nil, fmt.Errorf("server: no schedule for workload %s:%s", w.Kind, w.Variant)
 	}

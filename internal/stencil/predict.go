@@ -97,11 +97,11 @@ func BuildModel(prof *platform.Profile, params barrier.Params, procs int, cfg Co
 
 	// Synchronization cost: the dissemination count exchange with its
 	// doubling payload (Section 6.5).
-	diss, err := barrier.Dissemination(procs)
+	diss, err := barrier.StreamDissemination(procs)
 	if err != nil {
 		return nil, err
 	}
-	syncPred, err := barrier.Predict(barrier.WithSyncPayload(diss, 4), params, barrier.DefaultCostOptions())
+	syncPred, err := barrier.Predict(barrier.KnowledgeSized(diss, 0, 4*procs), params, barrier.DefaultCostOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -231,11 +231,12 @@ func WithSynchronizer(sync bsp.Synchronizer) Option {
 	}
 }
 
-// WithScheduleSynchronizer wraps a verified collective schedule as the
+// WithScheduleSynchronizer wraps a collective schedule — a dense pattern or a
+// streamed one; it must deliver every rank's counts to every rank — as the
 // superstep synchronizer.
-func WithScheduleSynchronizer(pat *collective.Pattern) Option {
+func WithScheduleSynchronizer(sch sched.Schedule) Option {
 	return func(s *Session) error {
-		sync, err := bsp.NewScheduleSynchronizer(pat)
+		sync, err := bsp.NewScheduleSynchronizer(sch)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrOption, err)
 		}
