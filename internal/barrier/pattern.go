@@ -138,15 +138,6 @@ func (pat *Pattern) Signals() int {
 	return n
 }
 
-// PayloadAt returns the payload size in bytes of the signal i→j in stage s
-// (zero when the pattern carries no payload information).
-func (pat *Pattern) PayloadAt(s, i, j int) float64 {
-	if pat.Payload == nil {
-		return 0
-	}
-	return pat.Payload[s].At(i, j)
-}
-
 // Verify checks the pattern's structure (Validate) and then its semantics by
 // the knowledge recursion, both inside VerifySchedule: the thesis' debug aid
 // for automatically generated patterns, evaluated on the sparse stage

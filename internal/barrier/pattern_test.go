@@ -220,8 +220,8 @@ func TestWithSyncPayload(t *testing.T) {
 		}
 	}
 	// The plain pattern reports zero payloads.
-	if diss.PayloadAt(0, 0, 1) != 0 {
-		t.Fatal("plain pattern should have zero payload")
+	if got, ok := edgeSizes(diss)[edge{0, 0, 1}]; !ok || got != 0 {
+		t.Fatalf("plain pattern's edge 0→1 of stage 0: present %v carrying %d bytes, want a pure signal", ok, got)
 	}
 }
 

@@ -238,10 +238,10 @@ func TestAllGatherPayloadAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stage s of the dissemination allgather forwards min(2^s, p) blocks.
-	want := []float64{100, 200, 400}
-	for s, w := range want {
-		if got := pat.PayloadAt(s, 0, (0+1<<s)%8); got != w {
-			t.Fatalf("stage %d payload = %g, want %g", s, got, w)
+	sizes := edgeSizes(pat)
+	for s, w := range []int{100, 200, 400} {
+		if got := sizes[edge{s, 0, (0 + 1<<s) % 8}]; got != w {
+			t.Fatalf("stage %d payload = %d, want %d", s, got, w)
 		}
 	}
 }

@@ -72,17 +72,25 @@ func barrierParams(m *platform.Machine, reps int) (barrier.Params, error) {
 	return params, nil
 }
 
+// newDraws makes the noise-draw memo a series hands to the machines it
+// instantiates from one profile at several P (Machine.WithDraws: a rank's
+// stream at every P is a prefix of one stream) and drops with its result. It
+// is a variable so that a test can see the memo, or withhold it.
+var newDraws = platform.NewDraws
+
 // Fig5_6Series reproduces Figs. 5.6–5.9 (on the Xeon profile) or 5.10–5.13
 // (on the Opteron profile): measured and predicted execution times of the
 // dissemination (D), tree (T) and linear (L) barriers over a sweep of process
 // counts, with absolute and relative prediction errors.
 func Fig5_6Series(prof *platform.Profile, maxProcs int, opts Options) ([]BarrierPoint, error) {
 	opts = opts.normalize()
+	draws := newDraws(prof.Seed, maxProcs)
 	return ParallelSeries(procSweep(opts.ProcStep, maxProcs), func(p int) ([]BarrierPoint, error) {
 		m, err := prof.Machine(p)
 		if err != nil {
 			return nil, err
 		}
+		m = m.WithDraws(draws)
 		params, err := barrierParams(m, opts.Reps)
 		if err != nil {
 			return nil, err
@@ -134,11 +142,13 @@ type SyncPoint struct {
 // Fig6_3Series reproduces Figs. 6.3/6.4 for the given platform.
 func Fig6_3Series(prof *platform.Profile, maxProcs int, opts Options) ([]SyncPoint, error) {
 	opts = opts.normalize()
+	draws := newDraws(prof.Seed, maxProcs)
 	return ParallelSeries(procSweep(opts.ProcStep, maxProcs), func(p int) ([]SyncPoint, error) {
 		m, err := prof.Machine(p)
 		if err != nil {
 			return nil, err
 		}
+		m = m.WithDraws(draws)
 		params, err := barrierParams(m, opts.Reps)
 		if err != nil {
 			return nil, err
@@ -211,6 +221,7 @@ type HybridPoint struct {
 // and measured against the flat reference algorithms.
 func Fig7_4Series(prof *platform.Profile, maxProcs int, opts Options) ([]HybridPoint, error) {
 	opts = opts.normalize()
+	draws := newDraws(prof.Seed, maxProcs)
 	return ParallelSeries(procSweep(opts.ProcStep, maxProcs), func(p int) ([]HybridPoint, error) {
 		if p < 4 {
 			return nil, nil
@@ -219,6 +230,7 @@ func Fig7_4Series(prof *platform.Profile, maxProcs int, opts Options) ([]HybridP
 		if err != nil {
 			return nil, err
 		}
+		m = m.WithDraws(draws)
 		params, err := barrierParams(m, opts.Reps)
 		if err != nil {
 			return nil, err

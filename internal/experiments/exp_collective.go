@@ -36,11 +36,13 @@ type CollectivePoint struct {
 // collectives, and the same simulator provides the measurement.
 func CollectiveSeries(prof *platform.Profile, maxProcs int, opts Options) ([]CollectivePoint, error) {
 	opts = opts.normalize()
+	draws := newDraws(prof.Seed, maxProcs)
 	return ParallelSeries(procSweep(opts.ProcStep, maxProcs), func(p int) ([]CollectivePoint, error) {
 		m, err := prof.Machine(p)
 		if err != nil {
 			return nil, err
 		}
+		m = m.WithDraws(draws)
 		params, err := barrierParams(m, opts.Reps)
 		if err != nil {
 			return nil, err
@@ -168,6 +170,7 @@ func SendRecvRingProgram(p *simnet.Proc) error {
 // synchronizer and with the selected schedule executing the count exchange.
 func AdaptedSyncSeries(prof *platform.Profile, maxProcs int, opts Options) ([]AdaptedSyncPoint, error) {
 	opts = opts.normalize()
+	draws := newDraws(prof.Seed, maxProcs)
 	return ParallelSeries(procSweep(opts.ProcStep, maxProcs), func(p int) ([]AdaptedSyncPoint, error) {
 		if p < 4 {
 			return nil, nil
@@ -176,6 +179,7 @@ func AdaptedSyncSeries(prof *platform.Profile, maxProcs int, opts Options) ([]Ad
 		if err != nil {
 			return nil, err
 		}
+		m = m.WithDraws(draws)
 		params, err := barrierParams(m, opts.Reps)
 		if err != nil {
 			return nil, err

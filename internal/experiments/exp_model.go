@@ -26,11 +26,13 @@ func Table3_1(prof *platform.Profile, opts Options) ([]BSPBenchRow, error) {
 	for p := 8; p <= opts.MaxProcsXeon; p += 8 {
 		sweep = append(sweep, p)
 	}
+	draws := newDraws(prof.Seed, opts.MaxProcsXeon)
 	return ParallelSeries(sweep, func(p int) ([]BSPBenchRow, error) {
 		m, err := prof.Machine(p)
 		if err != nil {
 			return nil, err
 		}
+		m = m.WithDraws(draws)
 		cfg := bench.DefaultBSPBenchConfig()
 		cfg.MaxH = 128
 		cfg.HStep = 32

@@ -24,6 +24,7 @@ type Machine struct {
 	profile   *Profile
 	placement *topology.Placement
 	runSeed   int64
+	draws     *Draws // memo of runSeed's noise draws; only WithDraws sets it
 
 	// Per-distance-class link columns, indexed by topology.Distance. The self
 	// column carries the exact self-pair values (zero latency/gap/beta, the
@@ -54,10 +55,27 @@ func (p *Profile) MachineFor(pl *topology.Placement) *Machine {
 
 // WithRunSeed returns a copy of the machine whose noise stream is derived
 // from the given seed, so that repeated "runs" of the same experiment observe
-// different jitter while remaining reproducible.
+// different jitter while remaining reproducible. The copy drops m's memo
+// (WithDraws): a re-seeded machine is a one-off stream by intent.
 func (m *Machine) WithRunSeed(seed int64) *Machine {
 	c := *m
-	c.runSeed = seed
+	c.runSeed, c.draws = seed, nil
+	return &c
+}
+
+// WithDraws returns a copy of the machine that reads its noise draws through
+// d, so that machines of one profile and seed at several rank counts compute
+// each draw once between them. The memo is the caller's: a series sweeping P
+// makes one for the profile's seed, hands it to every machine of the sweep —
+// they may run concurrently — and drops it with the sweep's result; nothing
+// here keeps one. A nil d, a d of another seed than the machine's, or a
+// noise-free machine gives a copy that computes every draw.
+func (m *Machine) WithDraws(d *Draws) *Machine {
+	c := *m
+	c.draws = nil
+	if d != nil && d.seed == m.runSeed && m.profile.NoiseRel > 0 {
+		c.draws = d
+	}
 	return &c
 }
 
@@ -212,19 +230,27 @@ func (m *Machine) TermCompatible(o any) bool {
 // machine's run seed, the rank and the sequence number, so simulations are
 // reproducible regardless of goroutine scheduling. The factor follows a
 // half-normal-like shape: most events see almost no jitter, a few see spikes
-// of a few NoiseRel.
+// of a few NoiseRel. A machine handed a memo (WithDraws) looks the same value up.
 func (m *Machine) Noise(i int, seq uint64) float64 {
 	rel := m.profile.NoiseRel
 	if rel <= 0 {
 		return 1
 	}
-	h := hash64(uint64(m.runSeed)*0x9e3779b97f4a7c15 ^ (uint64(i)+1)*0xff51afd7ed558ccd ^ (seq+1)*0xc4ceb9fe1a85ec53)
+	if m.draws != nil {
+		return 1 + rel*m.draws.z(i, seq)
+	}
+	return 1 + rel*drawZ(m.runSeed, i, seq)
+}
+
+// drawZ is the one text of a noise draw: the half-normal excess z >= 0 of a
+// rank's seq-th noisy event under a run seed, before Noise scales it by NoiseRel.
+func drawZ(seed int64, rank int, seq uint64) float64 {
+	h := hash64(uint64(seed)*0x9e3779b97f4a7c15 ^ (uint64(rank)+1)*0xff51afd7ed558ccd ^ (seq+1)*0xc4ceb9fe1a85ec53)
 	u1 := (float64(h>>11) + 0.5) / float64(1<<53)
 	h2 := hash64(h ^ 0x2545f4914f6cdd1d)
 	u2 := (float64(h2>>11) + 0.5) / float64(1<<53)
 	// Box-Muller; take the absolute value for a half-normal excess.
-	z := math.Abs(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
-	return 1 + rel*z
+	return math.Abs(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
 }
 
 // KernelTime returns the ground-truth time for rank r to apply the kernel
