@@ -20,7 +20,8 @@
 // canonical byte layout: identical content yields identical bytes), and
 // -from-spill analyzes a previously written spill file instead of recording
 // a run — every output mode works directly off the file without
-// materializing the trace in RAM.
+// materializing the trace in RAM, and what the chunk reader did (chunks
+// decoded, bytes read, window cache hits) is printed on stderr afterwards.
 //
 // Workloads:
 //
@@ -134,6 +135,11 @@ func main() {
 		if err := writeReport(os.Stdout, src, *hops, *steps); err != nil {
 			log.Fatalf("hbsptrace: %v", err)
 		}
+	}
+	if sp, ok := src.(*trace.Spill); ok {
+		st := sp.ReadStats()
+		fmt.Fprintf(os.Stderr, "spill reads: %d chunks decoded, %d bytes read, %d window cache hits\n",
+			st.ChunksDecoded, st.BytesRead, st.CacheHits)
 	}
 }
 

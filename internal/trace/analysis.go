@@ -197,33 +197,34 @@ func BreakdownOf(src Source) (*Breakdown, error) {
 		b.PerStep[s].Step = s
 		b.PerStep[s].Straggler = -1
 	}
-	for rank := 0; rank < src.NumLanes(); rank++ {
+	for rank := range b.PerRank {
 		rb := &b.PerRank[rank]
 		rb.Rank = rank
 		if rank < len(sum.Times) {
 			rb.Finish = sum.Times[rank]
 		}
 		rb.ByCategory[CatSkew] = sum.MakeSpan - rb.Finish
-		err := eachChunk(src, rank, colsBreakdown, func(c *Cols) {
-			for i, n := 0, c.Len(); i < n; i++ {
-				if c.Kind[i] == KindSuperstep {
-					sb := &b.PerStep[c.Step[i]]
-					if c.T1[i] > sb.Boundary || sb.Straggler < 0 {
-						sb.Boundary = c.T1[i]
-						sb.Straggler = rank
-					}
-					continue
+	}
+	err := eachLane(src, colsBreakdown, func(rank int, c *Cols) {
+		rb := &b.PerRank[rank]
+		for i, n := 0, c.Len(); i < n; i++ {
+			if c.Kind[i] == KindSuperstep {
+				sb := &b.PerStep[c.Step[i]]
+				if c.T1[i] > sb.Boundary || sb.Straggler < 0 {
+					sb.Boundary = c.T1[i]
+					sb.Straggler = rank
 				}
-				step := c.Step[i]
-				classifyCols(src, c, i, func(cat Category, d float64) {
-					rb.ByCategory[cat] += d
-					b.PerStep[step].ByCategory[cat] += d
-				})
+				continue
 			}
-		})
-		if err != nil {
-			return nil, err
+			step := c.Step[i]
+			classifyCols(src, c, i, func(cat Category, d float64) {
+				rb.ByCategory[cat] += d
+				b.PerStep[step].ByCategory[cat] += d
+			})
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -416,24 +417,22 @@ func HRelationsOf(src Source) ([]HRelation, error) {
 		outM[s] = make([]int, nl)
 		inM[s] = make([]int, nl)
 	}
-	for rank := 0; rank < nl; rank++ {
-		err := eachChunk(src, rank, colsHRelations, func(c *Cols) {
-			for i, n := 0, c.Len(); i < n; i++ {
-				if c.Kind[i] != KindSend {
-					continue
-				}
-				s := int(c.Step[i])
-				outB[s][rank] += int64(c.Size[i])
-				outM[s][rank]++
-				if peer := c.Peer[i]; peer >= 0 && int(peer) < nl {
-					inB[s][peer] += int64(c.Size[i])
-					inM[s][peer]++
-				}
+	err := eachLane(src, colsHRelations, func(rank int, c *Cols) {
+		for i, n := 0, c.Len(); i < n; i++ {
+			if c.Kind[i] != KindSend {
+				continue
 			}
-		})
-		if err != nil {
-			return nil, err
+			s := int(c.Step[i])
+			outB[s][rank] += int64(c.Size[i])
+			outM[s][rank]++
+			if peer := c.Peer[i]; peer >= 0 && int(peer) < nl {
+				inB[s][peer] += int64(c.Size[i])
+				inM[s][peer]++
+			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]HRelation, steps)
 	sample := make([]float64, nl)

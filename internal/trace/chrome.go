@@ -27,10 +27,8 @@ func WriteChrome(w io.Writer, src Source) error {
 	for rank := 0; rank < nl; rank++ {
 		cw.threadName(rank, fmt.Sprintf("rank %d", rank))
 	}
-	for rank := 0; rank < nl; rank++ {
-		if err := cw.lane(src, rank, nil); err != nil {
-			return err
-		}
+	if err := eachLane(src, colsChrome, func(rank int, c *Cols) { cw.chunk(src, rank, c, nil) }); err != nil {
+		return err
 	}
 	return cw.finish()
 }

@@ -11,12 +11,20 @@ var Projections = map[string]colSet{
 	"critical_path": colsCriticalPath,
 }
 
+// StageDepth is the staging block depth of a recorder of procs lanes.
+var StageDepth = stageDepth
+
 // NumChunks returns the number of chunk records of rank's lane.
 func (s *Spill) NumChunks(rank int) int { return len(s.lanes[rank].chunks) }
 
 // EachChunk streams rank's lane chunk by chunk, decoded under want.
 func (s *Spill) EachChunk(rank int, want colSet, fn func(*Cols)) error {
 	return eachChunk(s, rank, want, fn)
+}
+
+// EachLane streams every lane in rank-then-chunk order, decoded under want.
+func (s *Spill) EachLane(want colSet, fn func(rank int, c *Cols)) error {
+	return eachLane(s, want, fn)
 }
 
 // Clone copies the columns out of a decode slot.

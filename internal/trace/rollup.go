@@ -93,49 +93,47 @@ func RollupOf(src Source, opts RollupOptions) (*Rollup, error) {
 		}
 		return &r.Stages[stage]
 	}
-	for rank := 0; rank < src.NumLanes(); rank++ {
-		err := eachChunk(src, rank, colsRollup, func(c *Cols) {
-			for i, n := 0, c.Len(); i < n; i++ {
-				if c.Kind[i] == KindSuperstep {
-					sb := &r.Steps[c.Step[i]]
-					if c.T1[i] > sb.Boundary || sb.Straggler < 0 {
-						sb.Boundary = c.T1[i]
-						sb.Straggler = rank
-					}
-					continue
+	err := eachLane(src, colsRollup, func(rank int, c *Cols) {
+		for i, n := 0, c.Len(); i < n; i++ {
+			if c.Kind[i] == KindSuperstep {
+				sb := &r.Steps[c.Step[i]]
+				if c.T1[i] > sb.Boundary || sb.Straggler < 0 {
+					sb.Boundary = c.T1[i]
+					sb.Straggler = rank
 				}
-				var stage *StageRollup
-				if c.Stage[i] >= 0 {
-					stage = stageAt(c.Stage[i])
-				}
-				if c.Kind[i] == KindStage { // the mark only opens its stage's row
-					continue
-				}
-				r.Events++
-				step := &r.Steps[c.Step[i]]
-				if stage != nil {
-					stage.Events++
-				}
-				if c.Kind[i] == KindSend {
-					step.Messages++
-					step.Bytes += int64(c.Size[i])
-					if stage != nil {
-						stage.Messages++
-						stage.Bytes += int64(c.Size[i])
-					}
-				}
-				classifyCols(src, c, i, func(cat Category, d float64) {
-					r.ByCategory[cat] += d
-					step.ByCategory[cat] += d
-					if stage != nil {
-						stage.ByCategory[cat] += d
-					}
-				})
+				continue
 			}
-		})
-		if err != nil {
-			return nil, err
+			var stage *StageRollup
+			if c.Stage[i] >= 0 {
+				stage = stageAt(c.Stage[i])
+			}
+			if c.Kind[i] == KindStage { // the mark only opens its stage's row
+				continue
+			}
+			r.Events++
+			step := &r.Steps[c.Step[i]]
+			if stage != nil {
+				stage.Events++
+			}
+			if c.Kind[i] == KindSend {
+				step.Messages++
+				step.Bytes += int64(c.Size[i])
+				if stage != nil {
+					stage.Messages++
+					stage.Bytes += int64(c.Size[i])
+				}
+			}
+			classifyCols(src, c, i, func(cat Category, d float64) {
+				r.ByCategory[cat] += d
+				step.ByCategory[cat] += d
+				if stage != nil {
+					stage.ByCategory[cat] += d
+				}
+			})
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	r.TopSlack = TopSlack(src, opts.TopK)
 	return r, nil

@@ -38,8 +38,9 @@ func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
 //	         when it encodes smaller, so virtual clocks that advance in
 //	         near-regular increments cost a few bytes per event instead of 8
 //	per lane, chunks appear in lane order; across lanes they interleave in
-//	flush order (deterministic under the single-goroutine evaluator and for
-//	WriteSpill, scheduler-dependent under the concurrent engine — the
+//	hand-off order, the order of the Appends that filled them (deterministic
+//	under the single-goroutine evaluator and for WriteSpill,
+//	scheduler-dependent under the concurrent engine — the
 //	decoded content is identical either way)
 //	summary  one 'S' record: times float column, raw makespan bits, zigzag
 //	         messages and bytes, uvarint steps, error text
@@ -60,7 +61,8 @@ func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
 // the columns it reads (colSet) and the decoder steps over the others — a raw
 // float block is a pointer bump, a varint column a scan for terminator bytes
 // — so a lane is never concatenated and resident memory is a chunk, not a
-// lane. Lane streams (laneChunks) decode into a slot of their own; the
+// lane. Lane streams (laneChunks) decode into a slot of their own, readAhead
+// a few chunks ahead of the whole-run passes on a second goroutine; the
 // critical-path walk reads through laneWindow, which keeps the last few
 // decoded chunks in a small cache keyed by (rank, chunk index). Whatever is
 // wrong with a file surfaces as an error wrapping ErrCorruptSpill.
@@ -287,10 +289,10 @@ func appendFooter(b []byte, sumOff, idxOff int64) []byte {
 
 // --- streaming sink ------------------------------------------------------
 
-// spillSink is the shared chunk writer of a spilling run: lanes hand it
-// their full columns under its lock, it encodes and appends them to the
-// output, tracking the index. All state is behind mu; the underlying writer
-// sees exactly one Write per record.
+// spillSink is the shared chunk writer of a spilling run: it encodes chunks
+// and appends them to the output, tracking the index — those a recording
+// run's lanes hand its encoder goroutine, or WriteSpill's. The writer state
+// is behind mu; the underlying writer sees exactly one Write per record.
 type spillSink struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -301,6 +303,13 @@ type spillSink struct {
 	nchunks int
 	nevents int64
 	buf     []byte
+
+	// A recording run's encoder (startEncoder): lanes send on queue until
+	// stop closes quit; done closes when the encoder has exited.
+	queue chan spillQueued
+	spare chan Cols // written columns, emptied, for lanes to fill again
+	quit  chan struct{}
+	done  chan struct{}
 }
 
 func newSpillSink(w io.Writer, meta Meta) (*spillSink, error) {
@@ -326,7 +335,7 @@ func (s *spillSink) emit() error {
 	return s.err
 }
 
-// writeChunk encodes and appends one lane chunk.
+// writeChunk encodes and appends one lane chunk, none after an error.
 func (s *spillSink) writeChunk(rank int32, c *Cols) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -349,6 +358,85 @@ func (s *spillSink) writeChunk(rank int32, c *Cols) {
 			s.maxStep = st
 		}
 	}
+}
+
+// spillQueueEvents bounds the events queued for the encoder: chunkFor's
+// 64 MB target again. Lanes in step fill their chunks in one stage sweep, so
+// the queue holds a chunk per lane and takes the burst without waiting.
+const spillQueueEvents = 1 << 20
+
+// startEncoder starts the goroutine that writes, in hand-off order, the
+// chunks of procs lanes of chunk events each, and after stop what is still
+// queued. A spare slot per queued chunk and one for the chunk being written
+// lets it hand back every column set it has written.
+func (s *spillSink) startEncoder(procs, chunk int) {
+	depth := max(1, min(procs, spillQueueEvents/chunk))
+	s.queue, s.spare = make(chan spillQueued, depth), make(chan Cols, depth+1)
+	s.quit, s.done = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(s.done)
+		for {
+			select {
+			case q := <-s.queue:
+				s.writeChunk(q.rank, &q.c)
+				q.c.truncate()
+				select {
+				case s.spare <- q.c:
+				default:
+				}
+			case <-s.quit:
+				if len(s.queue) == 0 {
+					return
+				}
+			}
+		}
+	}()
+}
+
+// spillQueued is one lane chunk waiting for the encoder.
+type spillQueued struct {
+	rank int32
+	c    Cols
+}
+
+// handOff queues a lane's columns for the encoder and returns empty ones for
+// the lane to fill next: written ones if the encoder has some, else fresh
+// ones of c's length if refill is set. Once stop has begun it refuses c,
+// without blocking, and returns it emptied.
+func (s *spillSink) handOff(rank int32, c Cols, refill bool) Cols {
+	select {
+	case <-s.quit: // refuse outright, so that a stopped encoder drains a bounded queue
+		c.truncate()
+		return c
+	default:
+	}
+	select {
+	case s.queue <- spillQueued{rank, c}:
+	case <-s.quit:
+		c.truncate()
+		return c
+	}
+	var next Cols
+	select {
+	case next = <-s.spare:
+	default:
+		if refill {
+			next.grow(c.Len())
+		}
+	}
+	return next
+}
+
+// stop refuses later hand-offs and waits for the encoder to write what is
+// queued, or to drop it once fail is the sink's error. EndRun calls it once.
+func (s *spillSink) stop(fail error) {
+	if fail != nil {
+		s.mu.Lock()
+		s.err = fail
+		s.mu.Unlock()
+	}
+	close(s.quit)
+	<-s.done
 }
 
 // steps returns the superstep bucket count of everything flushed so far.
@@ -385,39 +473,38 @@ func (s *spillSink) finish(sum Summary) error {
 // run's content, so golden tests diff them directly and a streamed spill
 // re-serialized through WriteSpill matches the same run recorded in RAM.
 func WriteSpill(w io.Writer, src Source) error {
-	meta := src.RunMeta()
-	sink, err := newSpillSink(w, meta)
+	sink, err := newSpillSink(w, src.RunMeta())
 	if err != nil {
 		return err
 	}
 	var part Cols
-	for rank := 0; rank < src.NumLanes(); rank++ {
-		part.truncate()
-		err := eachChunk(src, rank, colsAll, func(c *Cols) {
-			// Re-chunk to the canonical size regardless of source chunking.
-			for i := 0; i < c.Len(); {
-				n := min(canonicalChunkEvents-part.Len(), c.Len()-i)
-				sub := c.slice(i, i+n)
-				if part.Len() == 0 && n == canonicalChunkEvents {
-					sink.writeChunk(int32(rank), &sub)
-				} else {
-					part.appendCols(&sub)
-					if part.Len() == canonicalChunkEvents {
-						sink.writeChunk(int32(rank), &part)
-						part.truncate()
-					}
-				}
-				i += n
-			}
-		})
-		if err != nil {
-			return err
-		}
+	cur := int32(0)
+	flush := func() {
 		if part.Len() > 0 {
-			sink.writeChunk(int32(rank), &part)
+			sink.writeChunk(cur, &part)
 			part.truncate()
 		}
 	}
+	err = eachLane(src, colsAll, func(rank int, c *Cols) {
+		if int32(rank) != cur {
+			flush()
+			cur = int32(rank)
+		}
+		// Re-chunk to the canonical size regardless of source chunking.
+		for i := 0; i < c.Len(); {
+			n := min(canonicalChunkEvents-part.Len(), c.Len()-i)
+			sub := c.slice(i, i+n)
+			part.appendCols(&sub)
+			if part.Len() == canonicalChunkEvents {
+				flush()
+			}
+			i += n
+		}
+	})
+	if err != nil {
+		return err
+	}
+	flush()
 	return sink.finish(src.RunSummary())
 }
 
@@ -770,7 +857,6 @@ type Spill struct {
 
 	mu    sync.Mutex
 	cache []spillCacheChunk // window reads, most recent first
-	free  []*chunkSlot      // slots of finished lane streams
 }
 
 // chunkSlot is the storage of one decoded chunk: the record's bytes and the
@@ -787,14 +873,14 @@ type spillCacheChunk struct {
 	slot      *chunkSlot
 }
 
-// spillCacheChunks bounds the window cache and the slot free list. A
-// critical-path residency sits in one chunk and now and then its
-// predecessor; a further entry is hit only when the path comes back to a
-// rank within the same chunk, which the collectives measured so far almost
-// never do, so the cache is mostly the walk's pool of decode slots. Measured
-// on the 827 hops of a P=1024 total exchange (BenchmarkCriticalPathSpill): 5
-// hits, none of them on the most recent entry — with one slot CacheHits reads
-// 0 and the walk decodes 830 chunks instead of 825 in the same 29 ms.
+// spillCacheChunks bounds the window cache. A critical-path residency sits
+// in one chunk and now and then its predecessor; a further entry is hit only
+// when the path comes back to a rank within the same chunk, which the
+// collectives measured so far almost never do, so the cache is mostly the
+// walk's pool of decode slots. Measured on the 827 hops of a P=1024 total
+// exchange (BenchmarkCriticalPathSpill): 5 hits, none of them on the most
+// recent entry — with one slot CacheHits reads 0 and the walk decodes 830
+// chunks instead of 825 in the same 29 ms.
 const spillCacheChunks = 4
 
 // OpenSpill parses a spill image from a random-access reader of the given
@@ -1009,46 +1095,19 @@ func int32sWithin(col []int32, lo, hi int) bool {
 	return int(slices.Min(col)) >= lo && int(slices.Max(col)) < hi
 }
 
-// slot hands out a decode slot for one lane stream; release returns it.
-func (s *Spill) slot() *chunkSlot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.free); n > 0 {
-		slot := s.free[n-1]
-		s.free = s.free[:n-1]
-		return slot
-	}
-	return &chunkSlot{}
-}
-
-func (s *Spill) release(slot *chunkSlot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// A merge over every lane finishes with one slot per lane; keep a few.
-	if slot != nil && len(s.free) < spillCacheChunks {
-		s.free = append(s.free, slot)
-	}
-}
-
-// laneChunks implements laneChunker: the stream decodes one chunk at a time
-// into a slot it holds until the lane is exhausted, so a k-way merge over
-// all lanes holds one chunk per lane and a pass over one lane after another
-// reuses a single slot.
+// laneChunks streams rank's lane (chunkPullOf), decoding one chunk at a
+// time into a slot of its own, so a k-way merge over all lanes holds one
+// chunk per lane.
 func (s *Spill) laneChunks(rank int, want colSet) chunkPull {
 	chunks := s.lanes[rank].chunks
 	i := 0
-	var slot *chunkSlot
+	var slot chunkSlot
 	return func() (*Cols, error) {
 		if i >= len(chunks) {
-			s.release(slot)
-			slot = nil
 			return nil, nil
 		}
-		if slot == nil {
-			slot = s.slot()
-		}
 		slot.cols.truncate()
-		if err := s.readChunk(rank, chunks[i], want, slot); err != nil {
+		if err := s.readChunk(rank, chunks[i], want, &slot); err != nil {
 			return nil, err
 		}
 		i++
@@ -1056,7 +1115,60 @@ func (s *Spill) laneChunks(rank int, want colSet) chunkPull {
 	}
 }
 
-// laneWindow implements laneWindower: the decoded chunk that holds event i
+// readAheadChunks is the number of decode slots of readAhead (handing them
+// over in batches of 8 measured no faster on BenchmarkRollupSpill).
+const readAheadChunks = 8
+
+// readAhead implements eachLane for a spill: one goroutine decodes every
+// chunk in rank-then-chunk order into slots of its own while fn consumes
+// them in the same order. It stops at the first read error, and is joined
+// before readAhead returns, whether fn saw every chunk or not.
+func (s *Spill) readAhead(want colSet, fn func(rank int, c *Cols)) error {
+	type decoded struct {
+		rank int
+		slot *chunkSlot
+		err  error
+	}
+	full, free := make(chan decoded, readAheadChunks), make(chan *chunkSlot, readAheadChunks)
+	for range readAheadChunks {
+		free <- &chunkSlot{}
+	}
+	quit := make(chan struct{})
+	go func() {
+		defer close(full)
+		for rank := range s.lanes {
+			for _, ch := range s.lanes[rank].chunks {
+				var slot *chunkSlot
+				select {
+				case slot = <-free:
+				case <-quit:
+					return
+				}
+				slot.cols.truncate()
+				err := s.readChunk(rank, ch, want, slot)
+				full <- decoded{rank, slot, err} // a slot's place: never blocks
+				if err != nil {
+					return
+				}
+			}
+		}
+	}()
+	defer func() {
+		close(quit)
+		for range full { // until the decoder has exited
+		}
+	}()
+	for d := range full {
+		if d.err != nil {
+			return d.err
+		}
+		fn(d.rank, &d.slot.cols)
+		free <- d.slot
+	}
+	return nil
+}
+
+// laneWindow is windowOf for a spill: the decoded chunk that holds event i
 // of rank's lane and the lane index of its first event, through the chunk
 // cache. The columns are valid until the next laneWindow call.
 func (s *Spill) laneWindow(rank, i int, want colSet) (*Cols, int, error) {

@@ -6,9 +6,16 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
+	"io"
+	"os"
 	"sync"
 	"testing"
 
+	"hbsp/internal/barrier"
+	"hbsp/internal/platform"
+	"hbsp/internal/sched"
+	"hbsp/internal/simnet"
 	"hbsp/internal/trace"
 )
 
@@ -45,6 +52,58 @@ func openBenchSpill(b *testing.B) (*trace.Spill, int64) {
 // events events in each iteration.
 func reportEvents(b *testing.B, events int64) {
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkSpillRecord records a run into a temp file at the default
+// chunking, the span trace.spill_write_ms.p1024 times end to end: the
+// P=1024 total exchange above, where every lane stages 16-event blocks, and a
+// P=65536 dissemination barrier, where the staging depth is 1.
+func BenchmarkSpillRecord(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		procs int
+		build func(procs int) (sched.Schedule, error)
+	}{
+		{"p1024", 1024, func(p int) (sched.Schedule, error) { return barrier.StreamTotalExchange(p, 64) }},
+		{"p65536", 65536, barrier.StreamDissemination},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := bc.build(bc.procs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := platform.XeonClusterMachine(bc.procs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f, err := os.CreateTemp(b.TempDir(), "record-*.hbsptrc")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			o := simnet.DefaultOptions()
+			var events int64
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if err := f.Truncate(0); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := f.Seek(0, io.SeekStart); err != nil {
+					b.Fatal(err)
+				}
+				o.Recorder = trace.NewRecorder()
+				o.Recorder.SpillTo(f, trace.SpillOptions{})
+				if _, err := sched.RunSchedule(context.Background(), m.WithRunSeed(5), s, 1, o); err != nil {
+					b.Fatal(err)
+				}
+				if err := o.Recorder.SpillErr(); err != nil {
+					b.Fatal(err)
+				}
+				_, events, _ = o.Recorder.SpillStats()
+			}
+			reportEvents(b, events)
+		})
+	}
 }
 
 // BenchmarkSpillDecode decodes every chunk of the file under each of the

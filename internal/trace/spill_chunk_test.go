@@ -12,6 +12,7 @@ import (
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/fault"
+	"hbsp/internal/mpi"
 	"hbsp/internal/platform"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
@@ -87,9 +88,40 @@ func runTotalExchange(t testing.TB, procs int, failStop bool, rec *trace.Recorde
 	return run(o)
 }
 
+// runDisseminationConcurrent is runDissemination on the concurrent engine:
+// one goroutine per rank, so lanes fill, and chunks reach the sink, in the
+// order the scheduler runs the ranks.
+func runDisseminationConcurrent(t testing.TB, procs int, seed int64, execs int, rec *trace.Recorder) *simnet.Result {
+	t.Helper()
+	s, err := barrier.StreamDissemination(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := platform.XeonClusterMachine(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := simnet.DefaultOptions()
+	o.Engine = simnet.EngineConcurrent
+	o.Recorder = rec
+	res, err := mpi.RunContext(context.Background(), m.WithRunSeed(seed), func(c *mpi.Comm) error {
+		for range execs {
+			barrier.Execute(c, s)
+		}
+		return nil
+	}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 var chunkWorkloads = []chunkWorkload{
 	{name: "dissemination", run: func(t testing.TB, procs int, rec *trace.Recorder) *simnet.Result {
 		return runDissemination(t, procs, 11, 2, rec)
+	}},
+	{name: "dissemination-concurrent", run: func(t testing.TB, procs int, rec *trace.Recorder) *simnet.Result {
+		return runDisseminationConcurrent(t, procs, 11, 2, rec)
 	}},
 	{name: "totalexchange-failstop", reordered: true, run: func(t testing.TB, procs int, rec *trace.Recorder) *simnet.Result {
 		return runTotalExchange(t, procs, true, rec)
@@ -116,12 +148,20 @@ func spillOf(t testing.TB, w chunkWorkload, procs, chunkEvents int) (*trace.Spil
 
 // TestChunkingsMatchInRAM is the equivalence over chunkings: whatever the
 // chunk size — one event per chunk puts a boundary under every backward step
-// of the critical-path walk and between the two slots of the reorder window —
-// the analyses, the report and the merged event stream off the spill equal
-// the in-RAM trace of the same run.
+// of the critical-path walk and between the two slots of the reorder window;
+// 15, 16 and 17 put it just before, on and just after a 16-event staging
+// block's — the analyses, the report and the merged event stream off the
+// spill equal the in-RAM trace of the same run, on either engine. At
+// P = 16,384 the staging depth is 1: no block, each event drains alone.
 func TestChunkingsMatchInRAM(t *testing.T) {
 	for _, w := range chunkWorkloads {
-		for _, procs := range []int{16, 256} {
+		for _, procs := range []int{16, 256, 16384} {
+			switch {
+			case procs == 16384 && (w.name != "dissemination" || testing.Short()):
+				continue // P² messages, or P goroutines: the direct dissemination covers depth 1
+			case procs == 256 && w.reordered && testing.Short():
+				continue // P = 16 has the reordered neighbours too
+			}
 			t.Run(fmt.Sprintf("%s/p%d", w.name, procs), func(t *testing.T) {
 				rec := trace.NewRecorder()
 				res := w.run(t, procs, rec)
@@ -136,10 +176,17 @@ func TestChunkingsMatchInRAM(t *testing.T) {
 				if want.CP.End != res.MakeSpan {
 					t.Fatalf("critical path ends at %v, makespan is %v", want.CP.End, res.MakeSpan)
 				}
-				for _, chunkEvents := range []int{1, 2, 7, 64, 0} {
-					if procs == 256 && chunkEvents == 2 && testing.Short() {
-						continue // 1 and 7 cover the small odd and even sizes
+				chunkings := []int{1, 2, 7, 15, 16, 17, 64, 0}
+				switch {
+				case procs == 16384:
+					if d := trace.StageDepth(procs); d != 1 {
+						t.Fatalf("staging depth %d at P=%d, want 1: pick a larger P", d, procs)
 					}
+					chunkings = []int{0}
+				case procs == 256 && testing.Short():
+					chunkings = []int{7, 16, 17, 0} // odd, around a block, the default
+				}
+				for _, chunkEvents := range chunkings {
 					sp, _ := spillOf(t, w, procs, chunkEvents)
 					if chunkEvents > 0 && sp.NumChunks(0) != (sp.LaneLen(0)+chunkEvents-1)/chunkEvents {
 						t.Fatalf("ChunkEvents %d: lane 0 has %d events in %d chunks", chunkEvents, sp.LaneLen(0), sp.NumChunks(0))

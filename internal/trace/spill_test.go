@@ -6,10 +6,15 @@ package trace_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/platform"
@@ -299,6 +304,149 @@ func TestSpillBackedP65536(t *testing.T) {
 	if ru.Events <= 0 || int64(ru.Events) >= events || len(ru.TopSlack) != 8 {
 		t.Fatalf("rollup covers %d of %d events with %d slack ranks", ru.Events, events, len(ru.TopSlack))
 	}
+}
+
+// TestStreamedSpillBytesPinned pins the bytes of spills streamed during a
+// direct-engine run of a P=256 total exchange, at the default chunking and
+// at 17 events, a chunk that ends inside a staging block: the hashes were
+// taken before lanes staged their events, so a chunk written at another
+// Append than the one that filled it, and so out of the file's order, fails
+// here.
+func TestStreamedSpillBytesPinned(t *testing.T) {
+	for chunkEvents, want := range map[int]string{
+		0:  "2922f3557671ca11decb431935530ff53f8fcc4d9a4dca69baaa73ad2faec16e",
+		17: "d98eae4eaa619d742e9e6c59148d035219d4f6aeb28b0e99f1664e992696dc63",
+	} {
+		h := sha256.New()
+		rec := trace.NewRecorder()
+		rec.SpillTo(h, trace.SpillOptions{ChunkEvents: chunkEvents})
+		runTotalExchange(t, 256, false, rec)
+		if err := rec.SpillErr(); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("ChunkEvents %d: streamed spill hashes to %s, want %s", chunkEvents, got, want)
+		}
+	}
+}
+
+// assertGoroutines waits briefly for the goroutine count to fall back to
+// base: no goroutine outlives the call that started it.
+func assertGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines, %d before", n, base)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write with err.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, w.err
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestSpillErrWrapsWriteFailure records into a writer that fails partway
+// through the run: the run ends, SpillErr wraps the writer's error, and the
+// recorder records the next run.
+func TestSpillErrWrapsWriteFailure(t *testing.T) {
+	base := runtime.NumGoroutine()
+	full := errors.New("disk full")
+	rec := trace.NewRecorder()
+	rec.SpillTo(&failAfter{n: 4096, err: full}, trace.SpillOptions{ChunkEvents: 16})
+	runDissemination(t, 64, 9, 2, rec)
+	if err := rec.SpillErr(); !errors.Is(err, full) {
+		t.Fatalf("SpillErr = %v, want it to wrap %v", err, full)
+	}
+	runDissemination(t, 8, 1, 1, rec)
+	if _, err := rec.Trace(); err != nil {
+		t.Fatalf("recorder did not recover after a failed spill: %v", err)
+	}
+	assertGoroutines(t, base)
+}
+
+// TestAppendAfterUncleanEndRun keeps recording on a lane after the run was
+// sealed unclean, as a rank the teardown could not stop would: the appends
+// neither panic nor block, and the file gets no byte after EndRun.
+func TestAppendAfterUncleanEndRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var raw bytes.Buffer
+	rec := trace.NewRecorder()
+	rec.SpillTo(&raw, trace.SpillOptions{ChunkEvents: 4})
+	rec.BeginRun(trace.Meta{Procs: 2})
+	lane := rec.LaneOf(1)
+	ev := trace.Event{Kind: trace.KindCompute, Peer: -1, SendSeq: -1, Stage: -1, T1: 1}
+	for range 6 {
+		lane.Append(ev)
+	}
+	rec.EndRun(nil, 0, 0, 0, nil, false)
+	sealed := raw.Len()
+	for range 100 {
+		lane.Append(ev)
+	}
+	if raw.Len() != sealed {
+		t.Fatalf("%d bytes written after the unclean EndRun", raw.Len()-sealed)
+	}
+	if err := rec.SpillErr(); !errors.Is(err, trace.ErrUnclean) {
+		t.Fatalf("SpillErr = %v, want ErrUnclean", err)
+	}
+	assertGoroutines(t, base)
+}
+
+// TestEachLaneStopsAtCorruptChunk damages one chunk in the middle of the
+// probe file: the whole-run passes, which read ahead on a goroutine, return
+// ErrCorruptSpill, and so does a consumer that panics leave no goroutine
+// behind.
+func TestEachLaneStopsAtCorruptChunk(t *testing.T) {
+	base := runtime.NumGoroutine()
+	raw := smallSpill(t)
+	data := append([]byte(nil), raw.Bytes()...)
+	const lane = 9
+	damaged := false
+	for _, at := range raw.starts {
+		// A chunk record: 'C', uvarint rank, uvarint count, then the raw
+		// Kind column; rank and count fit a byte each here.
+		if data[at] == 'C' && data[at+1] == lane {
+			data[at+3] = 0xff // an unknown kind
+			damaged = true
+			break
+		}
+	}
+	if !damaged {
+		t.Fatalf("no chunk of lane %d in the probe file", lane)
+	}
+	sp, err := trace.OpenSpill(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.RollupOf(sp, trace.RollupOptions{}); !errors.Is(err, trace.ErrCorruptSpill) {
+		t.Fatalf("RollupOf = %v, want ErrCorruptSpill", err)
+	}
+	if _, err := trace.BreakdownOf(sp); !errors.Is(err, trace.ErrCorruptSpill) {
+		t.Fatalf("BreakdownOf = %v, want ErrCorruptSpill", err)
+	}
+	var lanes []int
+	err = sp.EachLane(trace.Projections["all"], func(rank int, _ *trace.Cols) { lanes = append(lanes, rank) })
+	if !errors.Is(err, trace.ErrCorruptSpill) || len(lanes) == 0 || lanes[len(lanes)-1] >= lane {
+		t.Fatalf("EachLane = %v after lanes %v, want ErrCorruptSpill before lane %d", err, lanes, lane)
+	}
+	func() {
+		defer func() { recover() }()
+		sp.EachLane(trace.Projections["all"], func(int, *trace.Cols) { panic("consumer gave up") })
+	}()
+	assertGoroutines(t, base)
 }
 
 func tName(p int) string {

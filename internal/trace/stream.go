@@ -21,34 +21,6 @@ import "container/heap"
 // until the next pull.
 type chunkPull func() (*Cols, error)
 
-// laneChunker is the optional Source extension every lane consumer prefers:
-// a spill reader streams chunks straight off the file, decoding only the
-// columns in want, instead of decoding whole lanes. A source without it is
-// read through LaneCols, one call per lane stream.
-type laneChunker interface {
-	laneChunks(rank int, want colSet) chunkPull
-}
-
-// laneWindower is the optional Source extension of the critical-path walk,
-// the one consumer that reads lanes at random: the chunk that holds event i
-// of rank's lane, with at least the columns in want, and the lane index of
-// the chunk's first event. The columns are valid until the next call.
-type laneWindower interface {
-	laneWindow(rank, i int, want colSet) (c *Cols, base int, err error)
-}
-
-// laneChunks implements laneChunker for the in-RAM trace: the whole lane is
-// one chunk, with every column.
-func (t *Trace) laneChunks(rank int, _ colSet) chunkPull {
-	return oneChunk(func() (*Cols, error) { return &t.lanes[rank], nil })
-}
-
-// laneWindow implements laneWindower for the in-RAM trace: the whole lane,
-// at base 0.
-func (t *Trace) laneWindow(rank, _ int, _ colSet) (*Cols, int, error) {
-	return &t.lanes[rank], 0, nil
-}
-
 // oneChunk is the stream of a lane held whole.
 func oneChunk(lane func() (*Cols, error)) chunkPull {
 	done := false
@@ -61,9 +33,11 @@ func oneChunk(lane func() (*Cols, error)) chunkPull {
 	}
 }
 
+// chunkPullOf streams rank's lane: a spill's chunk by chunk, decoding the
+// columns in want; any other source's through LaneCols, as one chunk.
 func chunkPullOf(src Source, rank int, want colSet) chunkPull {
-	if lc, ok := src.(laneChunker); ok {
-		return lc.laneChunks(rank, want)
+	if sp, ok := src.(*Spill); ok {
+		return sp.laneChunks(rank, want)
 	}
 	return oneChunk(func() (*Cols, error) { return src.LaneCols(rank) })
 }
@@ -80,11 +54,28 @@ func eachChunk(src Source, rank int, want colSet, fn func(c *Cols)) error {
 	}
 }
 
-// windowOf returns src's window read: its own when it has one, the whole
-// lane through LaneCols otherwise.
+// eachLane streams every lane of src through fn in rank-then-chunk order,
+// the whole-run passes' accumulation order, and returns the first read error
+// in that order; a spill decodes ahead of fn on a goroutine (readAhead).
+func eachLane(src Source, want colSet, fn func(rank int, c *Cols)) error {
+	if sp, ok := src.(*Spill); ok {
+		return sp.readAhead(want, fn)
+	}
+	for rank := 0; rank < src.NumLanes(); rank++ {
+		if err := eachChunk(src, rank, want, func(c *Cols) { fn(rank, c) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// windowOf returns the random read of the critical-path walk: the chunk
+// holding event i of rank's lane, with at least the columns in want, and the
+// lane index of its first event — through a spill's chunk cache, or the
+// whole lane through LaneCols.
 func windowOf(src Source) func(rank, i int, want colSet) (*Cols, int, error) {
-	if lw, ok := src.(laneWindower); ok {
-		return lw.laneWindow
+	if sp, ok := src.(*Spill); ok {
+		return sp.laneWindow
 	}
 	return func(rank, _ int, _ colSet) (*Cols, int, error) {
 		c, err := src.LaneCols(rank)
