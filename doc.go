@@ -134,9 +134,10 @@
 // For parameter sweeps — many points varying payload size, LogGP link
 // scaling or seed over one schedule family — sched.NewSweepEvaluator keeps
 // the evaluator arena, the compiled fault plan and the memoized collapse
-// partitions alive across points. Each point runs the run body
-// sched.RunSchedule runs, every pair priced live by the machine, so it is
-// bit-identical to an independent sched.RunSchedule call. The experiments
+// partitions alive across points. Each point runs through the direct
+// engine's one run frame with the body sched.RunSchedule hands it, every pair
+// priced live by the machine, so it is bit-identical to an independent
+// sched.RunSchedule call. The experiments
 // sweep series (experiments.BytesSweepSeries, experiments.ScaleSweepSeries)
 // and the server's NDJSON sweep path run on it; SweepEvaluator.Stats reports
 // what was reused.

@@ -25,8 +25,9 @@ type partEntry struct {
 	info simnet.Collapse
 }
 
-// decideCollapse is the collapse decision, written once for both entries — a
-// whole run (runOn) and one inline evaluation at a gate (ExecScheduleAuto).
+// decideCollapse is the collapse decision, written once for both entries — the
+// schedule body of the run frame (execRuns) and one inline evaluation at a
+// gate (ExecScheduleAuto).
 // The first condition that holds, in the order simnet.Collapse documents,
 // keeps evaluation per-rank and names why; when none holds the partition
 // applies. The machine and schedule / fault-plan rows are

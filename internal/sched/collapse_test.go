@@ -279,12 +279,12 @@ func TestRunScheduleMidExecutionCancel(t *testing.T) {
 }
 
 // TestRunScheduleSteadyStateAllocs pins the arena reuse of the deterministic
-// direct paths as equalities: once the evaluator pool (or a sweep's kept
-// arena) is warm, a run allocates its result, the stage checker and the
-// partition it derives — O(1), never O(P) fresh rank states — and a change
-// that adds one allocation to a steady-state run fails here. (The concurrent
-// engine's counts depend on sync.Pool refills after a GC and are pinned
-// nowhere.)
+// direct paths — every body of the run frame — as equalities: once the
+// evaluator pool (or a sweep's kept arena) is warm, a run allocates its result
+// and the partition it derives — O(1), never O(P) fresh rank states; the
+// poller is the arena's — and a change that adds one allocation to a
+// steady-state run fails here. (The concurrent engine's counts depend on
+// sync.Pool refills after a GC and are pinned nowhere.)
 func TestRunScheduleSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under -race, so evaluator reuse is not deterministic there")
@@ -346,21 +346,47 @@ func TestRunScheduleSteadyStateAllocs(t *testing.T) {
 		}
 	}
 
+	// The superstep and program bodies at the sweep's P: four supersteps of one
+	// ring post over the count exchange, and a compute, ring post and receive.
+	steps, stepMachine := ringSupersteps(t, sweepP, 4, nil), xeon(sweepP)
+	ring := simnet.NewProgram(sweepP)
+	for r := 0; r < sweepP; r++ {
+		b := ring.Rank(r)
+		b.Compute(1e-6)
+		rq := b.Irecv((r+sweepP-1)%sweepP, 0)
+		b.Post((r+1)%sweepP, 0, 64)
+		b.Wait(rq)
+	}
+	code, err := sched.Compile(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	const big = 1 << 16
 	cases := []struct {
 		name string
 		want float64
 		run  func()
 	}{
-		{"per-rank total exchange P=16, two executions", 4, runSchedule(xeon(16), must(barrier.StreamTotalExchange(16, 64)), 2)},
-		{"per-rank total exchange P=64, two executions", 4, runSchedule(xeon(64), must(barrier.StreamTotalExchange(64, 64)), 2)},
-		{"sweep point, bytes axis P=64", 4, sweepRun(
+		{"per-rank total exchange P=16, two executions", 3, runSchedule(xeon(16), must(barrier.StreamTotalExchange(16, 64)), 2)},
+		{"per-rank total exchange P=64, two executions", 3, runSchedule(xeon(64), must(barrier.StreamTotalExchange(64, 64)), 2)},
+		{"sweep point, bytes axis P=64", 3, sweepRun(
 			func(int) simnet.Machine { return nil }, func(i int) sched.Schedule { return payloads[i%2] })},
-		{"sweep point, scale axis P=64", 4, sweepRun(
+		{"sweep point, scale axis P=64", 3, sweepRun(
 			func(i int) simnet.Machine { return scaled[i%2] }, func(int) sched.Schedule { return payloads[0] })},
-		{"collapsed dissemination P=1024", 8, runSchedule(flat(1024), must(barrier.StreamDissemination(1024)), 1)},
-		{"collapsed count exchange P=65536", 8, runSchedule(flat(big), must(bsp.ExchangeSchedule(big)), 1)},
-		{"collapsed total exchange P=65536", 8, runSchedule(flat(big), must(barrier.StreamTotalExchange(big, 64)), 1)},
+		{"collapsed dissemination P=1024", 7, runSchedule(flat(1024), must(barrier.StreamDissemination(1024)), 1)},
+		{"collapsed count exchange P=65536", 7, runSchedule(flat(big), must(bsp.ExchangeSchedule(big)), 1)},
+		{"collapsed total exchange P=65536", 7, runSchedule(flat(big), must(barrier.StreamTotalExchange(big, 64)), 1)},
+		{"supersteps P=64, four ring posts", 14, func() {
+			if _, err := sched.RunSupersteps(ctx, stepMachine, steps, o); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"program P=64, compute + ring post + receive", 3, func() {
+			if _, err := code.Run(ctx, stepMachine, o); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, c := range cases {
 		c.run() // warm the pool, the arena and the partition memo

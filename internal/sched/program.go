@@ -3,9 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
-	"time"
 
 	"hbsp/internal/loggp"
 	"hbsp/internal/simnet"
@@ -206,10 +204,6 @@ func (h *rankHeap) pop() int32 {
 	return top
 }
 
-// checkEvery bounds how many instructions the evaluator executes between
-// wall-clock deadline and context-cancellation checks.
-const checkEvery = 1 << 13
-
 // runState is Code.Run's per-evaluation state, recycled through a pool so
 // sweeps that evaluate one compiled program many times (experiments series,
 // benchmarks) allocate nothing in steady state.
@@ -277,29 +271,18 @@ func (st *runState) release() { runPool.Put(st) }
 // A blocked configuration with an empty heap is a communication deadlock; the
 // concurrent engine would burn its wall-clock deadline before reporting it,
 // the evaluator returns simnet.ErrDeadline immediately. Context cancellation
-// and the wall-clock deadline are checked every few thousand instructions and
-// return the same errors the concurrent engine produces.
+// and the wall-clock deadline are checked before the first instruction and
+// every 8,192 instructions after it, and return the same errors the
+// concurrent engine produces.
 func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*simnet.Result, error) {
-	if m == nil || m.Procs() < 1 {
-		return nil, errors.New("sched: machine with at least one rank required")
-	}
-	if m.Procs() != c.procs {
-		return nil, fmt.Errorf("sched: program for %d ranks on a %d-rank machine", c.procs, m.Procs())
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if o.Deadline <= 0 {
-		o.Deadline = simnet.DefaultOptions().Deadline
-	}
-	e, err := arenaFor(m, o.AckSends, o.SymmetryCollapse, o.Faults)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Release()
-	e.attachRecorder(o.Recorder)
-	env := &e.env
+	return run(ctx, m, c.procs, &o, nil, c.walk)
+}
 
+// walk is Code.Run's body. It ticks the poller once per instruction, paced as
+// stages 16 ranks wide: one poll every stageCheckBudget/16 = 8,192
+// instructions.
+func (c *Code) walk(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
+	env := &e.env
 	p := c.procs
 	st := newRunState(c)
 	defer st.release()
@@ -312,8 +295,7 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 		heap.push(int32(r), 0)
 	}
 	finished := 0
-	steps := 0
-	start := time.Now()
+	chk.pace(16)
 
 	for len(heap.ranks) > 0 {
 		r := heap.pop()
@@ -321,14 +303,8 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 		ops := c.ops[r]
 	rankLoop:
 		for pc[r] < int32(len(ops)) {
-			steps++
-			if steps%checkEvery == 0 {
-				if ctx.Err() != nil {
-					return e.finish(o.Recorder, nil, fmt.Errorf("%w: %w", simnet.ErrAborted, context.Cause(ctx)))
-				}
-				if time.Since(start) > o.Deadline {
-					return e.finish(o.Recorder, nil, simnet.ErrDeadline)
-				}
+			if err := chk.tick(); err != nil {
+				return simnet.Collapse{}, err
 			}
 			in := &ops[pc[r]]
 			switch in.kind {
@@ -376,9 +352,9 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 	}
 
 	if finished != p {
-		return e.finish(o.Recorder, nil, simnet.ErrDeadline)
+		return simnet.Collapse{}, simnet.ErrDeadline
 	}
-	return e.finish(o.Recorder, e.result(), nil)
+	return simnet.Collapse{}, nil
 }
 
 // RunProgram executes the program on the engine the options select: the

@@ -7,31 +7,70 @@ import (
 	"math/bits"
 	"time"
 
-	"hbsp/internal/fault"
 	"hbsp/internal/simnet"
 	"hbsp/internal/trace"
 )
 
-// attachRecorder opens the run on the recorder and points every rank's events
-// at its lane.
-func (e *Evaluator) attachRecorder(rec *trace.Recorder) {
-	simnet.BeginRecording(rec, e.m, e.env.Ack, e.env.Faults)
+// run is the run frame of the direct engine: the one preamble and close of
+// its four whole-run entries — RunSchedule, SweepEvaluator.Run, RunSupersteps
+// and Code.Run — which differ only in body, the walk over the arena's rank
+// states. The frame refuses a machine without ranks or of other than procs
+// ranks; takes the arena (sw's kept one, or one from the pool for the run);
+// attaches the recorder's lanes; polls the context and o.Deadline once before
+// body runs and hands body the arena's poller for the rest; and, once body
+// returns, assembles the result — per-rank times, makespan, traffic counters
+// and body's collapse diagnostic — and seals the recording with the outcome.
+func run(ctx context.Context, m simnet.Machine, procs int, o *simnet.Options, sw *SweepEvaluator, body func(e *Evaluator, chk *stageChecker) (simnet.Collapse, error)) (*simnet.Result, error) {
+	if err := checkMachine(m); err != nil {
+		return nil, err
+	}
+	if procs != m.Procs() {
+		return nil, fmt.Errorf("sched: input for %d ranks on a %d-rank machine", procs, m.Procs())
+	}
+	var e *Evaluator
+	var err error
+	if sw != nil {
+		e, err = sw.arena(m)
+	} else if e, err = arenaFor(m, o); err == nil {
+		defer e.Release()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	deadline := o.Deadline
+	if deadline <= 0 {
+		deadline = simnet.DefaultOptions().Deadline
+	}
+	rec := o.Recorder
+	simnet.BeginRecording(rec, m, e.env.Ack, e.env.Faults)
 	if rec.Enabled() {
 		for r := range e.states {
 			e.states[r].Attach(rec.LaneOf(r))
 		}
 	}
-}
 
-// finish seals the run's recording with its outcome and passes the outcome
-// through; res carries the traffic counters on success. The lanes are let go
-// of here: a kept arena (SweepEvaluator) outlives the run, and must neither
-// pin the finished run's recorder nor look traced to the next point.
-func (e *Evaluator) finish(rec *trace.Recorder, res *simnet.Result, err error) (*simnet.Result, error) {
-	if res != nil {
-		res.Messages, res.Bytes = e.messages, e.bytes
+	e.chk = stageChecker{ctx: ctx, start: time.Now(), deadline: deadline}
+	var collapse simnet.Collapse
+	if err = e.chk.check(); err == nil {
+		collapse, err = body(e, &e.chk)
+	}
+
+	var res *simnet.Result
+	if err == nil {
+		res = &simnet.Result{Times: e.Times(nil), Messages: e.messages, Bytes: e.bytes, Collapse: collapse}
+		for _, t := range res.Times {
+			if t > res.MakeSpan {
+				res.MakeSpan = t
+			}
+		}
 	}
 	simnet.EndRecording(rec, res, e.messages, e.bytes, err, true)
+	// A kept arena outlives the run: it must neither pin the finished run's
+	// context and recorder nor look traced to the next point.
+	e.chk = stageChecker{}
 	if rec.Enabled() {
 		for r := range e.states {
 			e.states[r].Lane = nil
@@ -40,15 +79,12 @@ func (e *Evaluator) finish(rec *trace.Recorder, res *simnet.Result, err error) (
 	return res, err
 }
 
-// result assembles a simnet.Result from the evaluator's state.
-func (e *Evaluator) result() *simnet.Result {
-	res := &simnet.Result{Times: e.Times(nil)}
-	for _, t := range res.Times {
-		if t > res.MakeSpan {
-			res.MakeSpan = t
-		}
+// checkMachine refuses a machine without ranks.
+func checkMachine(m simnet.Machine) error {
+	if m == nil || m.Procs() < 1 {
+		return errors.New("sched: machine with at least one rank required")
 	}
-	return res
+	return nil
 }
 
 // RunSchedule evaluates execs consecutive executions of the schedule on the
@@ -61,10 +97,10 @@ func (e *Evaluator) result() *simnet.Result {
 //
 // Cancellation behaves as in the concurrent engine: a cancelled context
 // returns an error wrapping simnet.ErrAborted, exceeding o.Deadline returns
-// simnet.ErrDeadline. Both are checked between executions and — because one
-// P=1M execution is no longer negligible wall time — every few stages inside
-// an execution (the stride shrinks as P grows, so the check stays off the
-// hot path at small P and responsive at large P).
+// simnet.ErrDeadline. Both are checked before the first execution and then
+// every few stages — inside an execution too, because one P=1M execution is
+// no longer negligible wall time (the stride shrinks as P grows, so the check
+// stays off the hot path at small P and responsive at large P).
 //
 // When the machine and schedule admit it (see CollapseClasses) and no
 // recorder is attached, executions are symmetry-collapsed: one
@@ -73,45 +109,34 @@ func (e *Evaluator) result() *simnet.Result {
 // o.SymmetryCollapse = simnet.CollapseOff to force per-rank evaluation.
 //
 // RunSchedule is a sweep of one point: the arena goes back to the pool
-// afterwards and the partition is derived rather than memoized; the run body
-// is the one SweepEvaluator.Run uses (runOn).
+// afterwards and the partition is derived rather than memoized; the body is
+// the one SweepEvaluator.Run hands the run frame (execRuns).
 func RunSchedule(ctx context.Context, m simnet.Machine, s Schedule, execs int, o simnet.Options) (*simnet.Result, error) {
-	if err := checkRun(m, s, execs); err != nil {
+	if err := checkSchedule(s, execs); err != nil {
 		return nil, err
 	}
-	opt := SweepOptions{AckSends: o.AckSends, SymmetryCollapse: o.SymmetryCollapse, ComputeEmpty: true,
-		Faults: o.Faults, Recorder: o.Recorder, Deadline: o.Deadline}
-	e, err := arenaFor(m, o.AckSends, o.SymmetryCollapse, o.Faults)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Release()
-	return e.runOn(ctx, s, execs, &opt, func() (*Partition, simnet.Collapse) { return collapseClassesWith(m, s, e.env.Faults) })
+	return run(ctx, m, s.NumProcs(), &o, nil, func(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
+		return e.execRuns(s, execs, ScheduleTagBase, true, o.Recorder, chk, func() (*Partition, simnet.Collapse) { return collapseClassesWith(m, s, e.env.Faults) })
+	})
 }
 
 // arenaFor takes an evaluator from the pool and sets it up for runs on m: ack
 // mode, collapse switch, and the fault plan compiled against m.
-func arenaFor(m simnet.Machine, ack bool, collapse simnet.CollapseMode, plan *fault.Plan) (*Evaluator, error) {
-	ft, err := simnet.CompileFaults(plan, m)
+func arenaFor(m simnet.Machine, o *simnet.Options) (*Evaluator, error) {
+	ft, err := simnet.CompileFaults(o.Faults, m)
 	if err != nil {
 		return nil, err
 	}
-	e := NewEvaluator(m, ack)
-	e.collapseOff = collapse == simnet.CollapseOff
+	e := NewEvaluator(m, o.AckSends)
+	e.collapseOff = o.SymmetryCollapse == simnet.CollapseOff
 	e.env.Faults = ft
 	return e, nil
 }
 
-// checkRun validates the arguments of one run.
-func checkRun(m simnet.Machine, s Schedule, execs int) error {
-	if m == nil || m.Procs() < 1 {
-		return errors.New("sched: machine with at least one rank required")
-	}
+// checkSchedule refuses a nil schedule or fewer than one execution.
+func checkSchedule(s Schedule, execs int) error {
 	if s == nil {
 		return errors.New("sched: nil schedule")
-	}
-	if s.NumProcs() != m.Procs() {
-		return fmt.Errorf("sched: schedule for %d ranks on a %d-rank machine", s.NumProcs(), m.Procs())
 	}
 	if execs < 1 {
 		return fmt.Errorf("sched: %d executions requested", execs)
@@ -119,52 +144,37 @@ func checkRun(m simnet.Machine, s Schedule, execs int) error {
 	return nil
 }
 
-// runOn is the run body of RunSchedule and SweepEvaluator.Run: execs
-// executions of s from the zeroed states of an arena set up by arenaFor under
-// the same opt and pointed at the run's machine. partition supplies the
-// machine and schedule rows of the collapse decision (decideCollapse) —
-// derived by RunSchedule, memoized by a SweepEvaluator.
-func (e *Evaluator) runOn(ctx context.Context, s Schedule, execs int, opt *SweepOptions, partition func() (*Partition, simnet.Collapse)) (*simnet.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	deadline, tagBase := opt.Deadline, opt.TagBase
-	if deadline <= 0 {
-		deadline = simnet.DefaultOptions().Deadline
-	}
-	if tagBase == 0 {
-		tagBase = ScheduleTagBase
-	}
-	e.attachRecorder(opt.Recorder)
-
+// execRuns is the body RunSchedule and SweepEvaluator.Run hand the run frame:
+// execs executions of s from the arena's zeroed states, stage s's messages
+// tagged tagBase+s, and empty stages paying a Compute(0) when computeEmpty
+// (barrier.Execute's convention). partition supplies the machine and schedule
+// rows of the collapse decision (decideCollapse) — derived by RunSchedule,
+// memoized by a SweepEvaluator; rec is the run's recorder.
+func (e *Evaluator) execRuns(s Schedule, execs, tagBase int, computeEmpty bool, rec *trace.Recorder, chk *stageChecker, partition func() (*Partition, simnet.Collapse)) (simnet.Collapse, error) {
 	// Decide once per run: fresh states are class-aligned (all zero) and
 	// collapsed executions preserve alignment, so eligibility never changes
 	// mid-run.
-	part, collapse := e.decideCollapse(partition, opt.Recorder.Enabled, func(*Partition) bool { return true })
-	perStage := len(e.states)
+	part, collapse := e.decideCollapse(partition, rec.Enabled, func(*Partition) bool { return true })
 	if part != nil {
-		perStage = part.NumClasses()
+		chk.pace(part.NumClasses())
+	} else {
+		chk.pace(len(e.states))
 	}
-	chk := newStageChecker(ctx, deadline, perStage)
 	for x := 0; x < execs; x++ {
-		err := chk.check()
-		if err == nil {
-			if part != nil {
-				err = e.execCollapsed(s, part, tagBase, opt.ComputeEmpty, chk)
-			} else {
-				err = e.execStages(s, tagBase, opt.ComputeEmpty, chk)
-			}
+		var err error
+		if part != nil {
+			err = e.execCollapsed(s, part, tagBase, computeEmpty, chk)
+		} else {
+			err = e.execStages(s, tagBase, computeEmpty, chk)
 		}
 		if err != nil {
-			return e.finish(opt.Recorder, nil, err)
+			return collapse, err
 		}
 	}
 	if part != nil {
 		e.replicateClasses(part)
 	}
-	res := e.result()
-	res.Collapse = collapse
-	return e.finish(opt.Recorder, res, nil)
+	return collapse, nil
 }
 
 // stageCheckBudget is the amount of per-rank (or per-class) stage work a
@@ -173,8 +183,11 @@ func (e *Evaluator) runOn(ctx context.Context, s Schedule, execs int, opt *Sweep
 // every stage while a P=16 sweep checks every few thousand.
 const stageCheckBudget = 1 << 17
 
-// stageChecker polls cancellation and the wall-clock deadline every stride
-// stages, amortizing the check cost against the evaluation work it guards.
+// stageChecker is the run frame's poller: it checks cancellation and the
+// wall-clock deadline at once (check) or every stride ticks (tick),
+// amortizing the check cost against the evaluation work it guards. The
+// frame arms the arena's one checker per run; a body that ticks sets the
+// stride with pace.
 type stageChecker struct {
 	ctx      context.Context
 	start    time.Time
@@ -183,17 +196,11 @@ type stageChecker struct {
 	left     int
 }
 
-// newStageChecker sizes a checker for stages of the given width (ranks or
-// classes evaluated per stage).
-func newStageChecker(ctx context.Context, deadline time.Duration, width int) *stageChecker {
-	if width < 1 {
-		width = 1
-	}
-	stride := stageCheckBudget / width
-	if stride < 1 {
-		stride = 1
-	}
-	return &stageChecker{ctx: ctx, start: time.Now(), deadline: deadline, stride: stride, left: stride}
+// pace sets the stride for ticks of the given width (ranks or classes
+// evaluated per stage).
+func (c *stageChecker) pace(width int) {
+	c.stride = max(stageCheckBudget/max(width, 1), 1)
+	c.left = c.stride
 }
 
 // tick counts one stage and polls every stride stages.

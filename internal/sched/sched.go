@@ -104,8 +104,8 @@ func (s *StaticStages) Symmetry() Symmetry { return s.Sym }
 // Evaluator evaluates schedules against a set of per-rank LogGP states. Its
 // per-stage scratch is reused across executions, so steady-state evaluation
 // allocates nothing. An Evaluator is not safe for concurrent use; inline
-// callers park one in their run's Gate.Scratch, whole-run entry points take
-// one from the pool per call.
+// callers park one in their run's Gate.Scratch, the run frame takes one from
+// the pool per whole run (a SweepEvaluator keeps its own).
 type Evaluator struct {
 	m      simnet.Machine
 	pricer simnet.PairPricer // m's pricing call, resolved once per machine
@@ -143,6 +143,9 @@ type Evaluator struct {
 	// reruns).
 	classIn   [][]loggp.Edge
 	partCache map[Schedule]partEntry
+
+	// chk is the run frame's poller, armed per whole run (see run).
+	chk stageChecker
 
 	messages int64
 	bytes    int64

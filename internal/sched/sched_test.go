@@ -160,30 +160,64 @@ func TestProgramDeadlockReturnsErrDeadline(t *testing.T) {
 	}
 }
 
+// hangUpCtx reports itself live to its first live Err calls and cancelled
+// after: a client that hangs up once a run has started.
+type hangUpCtx struct {
+	context.Context
+	live int
+}
+
+func (c *hangUpCtx) Err() error {
+	if c.live > 0 {
+		c.live--
+		return nil
+	}
+	return context.Canceled
+}
+
 // TestProgramContextCancellation pins that a cancelled context aborts the
 // evaluation with the concurrent engine's error shape (wrapping ErrAborted
-// and the cancellation cause).
+// and the cancellation cause): before the first instruction — a program too
+// short to reach a periodic poll included — and at a periodic poll.
 func TestProgramContextCancellation(t *testing.T) {
 	m := machines(t, 2, 1, false)
-	// A very long program so the periodic check fires.
-	pr := simnet.NewProgram(2)
+	// rank 0 posts, rank 1 receives: over long before any periodic poll.
+	short := simnet.NewProgram(2)
+	short.Rank(0).Post(1, 0, 8)
+	b := short.Rank(1)
+	b.Wait(b.Irecv(0, 0))
+	// Long enough that the periodic poll fires.
+	long := simnet.NewProgram(2)
 	for r := 0; r < 2; r++ {
-		b := pr.Rank(r)
-		for k := 0; k < 200000; k++ {
+		b := long.Rank(r)
+		for k := 0; k < 1<<13; k++ {
 			b.ComputeExact(1e-9)
 		}
 	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sched.RunProgram(ctx, m, pr, simnet.DefaultOptions())
-	if !errors.Is(err, simnet.ErrAborted) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("want ErrAborted wrapping context.Canceled, got %v", err)
+	for name, pr := range map[string]*simnet.Program{"short": short, "long": long} {
+		_, err := sched.RunProgram(ctx, m, pr, simnet.DefaultOptions())
+		if !errors.Is(err, simnet.ErrAborted) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s program: want ErrAborted wrapping context.Canceled, got %v", name, err)
+		}
 	}
 
-	// Wall-clock deadline mid-evaluation.
+	// Cancelled after the entry poll: only a periodic poll can end the run.
+	code, err := sched.Compile(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hangUp := &hangUpCtx{Context: context.Background(), live: 1}
+	if _, err := code.Run(hangUp, m, simnet.DefaultOptions()); !errors.Is(err, simnet.ErrAborted) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-run: want ErrAborted wrapping context.Canceled, got %v", err)
+	}
+
+	// An exhausted wall-clock deadline.
 	o := simnet.DefaultOptions()
 	o.Deadline = time.Nanosecond
-	if _, err := sched.RunProgram(context.Background(), m, pr, o); !errors.Is(err, simnet.ErrDeadline) {
+	if _, err := sched.RunProgram(context.Background(), m, long, o); !errors.Is(err, simnet.ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
 	}
 }

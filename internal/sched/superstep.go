@@ -40,8 +40,8 @@ type posted struct {
 	src, dst int32
 }
 
-// RunSupersteps evaluates the program on the calling goroutine — the third
-// whole-run entry beside RunSchedule and RunProgram, and the goroutine-free
+// RunSupersteps evaluates the program on the calling goroutine — a body of
+// the run frame beside RunSchedule's and Code.Run's, and the goroutine-free
 // counterpart of replaying the same supersteps on a bsp.Ctx per rank. Virtual
 // times, traffic counters, the collapse diagnostic (the last exchange's
 // decision) and recorded events are bit-identical to that run's under either
@@ -49,40 +49,25 @@ type posted struct {
 // return the errors the concurrent engine produces; o.Engine is ignored, as
 // by RunSchedule.
 //
-// Keep the superstep walk in step with bsp.Ctx.Sync, whose order of
-// operations it reproduces: every rank's compute and posts, the exchange as
-// the run's gate evaluates it (ExecScheduleAuto on the ranks' live states),
-// the drain in source order (per source in issue order), the superstep mark.
-// Posts and drains of different ranks commute — a post touches only the
-// sender, a drain only the receiver and a message already priced — so
-// walking them rank by rank is the concurrent order as far as any clock can
-// tell.
+// The walk reproduces bsp.Ctx.Sync's order of operations: every rank's
+// compute and posts, the exchange as the run's gate evaluates it
+// (ExecScheduleAuto on the ranks' live states), the drain in source order (per
+// source in issue order), the superstep mark. Posts and drains of different
+// ranks commute — a post touches only the sender, a drain only the receiver
+// and a message already priced — so walking them rank by rank is the
+// concurrent order as far as any clock can tell. TestRunStaticMatchesReplay
+// and TestCrossRouteEquivalence hold the two walks together.
 func RunSupersteps(ctx context.Context, m simnet.Machine, sp *Supersteps, o simnet.Options) (*simnet.Result, error) {
-	if m == nil || m.Procs() < 1 {
-		return nil, errors.New("sched: machine with at least one rank required")
-	}
 	if sp == nil || sp.Step == nil || sp.Exchange == nil {
 		return nil, errors.New("sched: superstep program needs a step function and an exchange schedule")
 	}
-	p := m.Procs()
-	if sp.Exchange.NumProcs() != p {
-		return nil, fmt.Errorf("sched: exchange schedule for %d ranks on a %d-rank machine", sp.Exchange.NumProcs(), p)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if o.Deadline <= 0 {
-		o.Deadline = simnet.DefaultOptions().Deadline
-	}
-	e, err := arenaFor(m, o.AckSends, o.SymmetryCollapse, o.Faults)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Release()
-	e.attachRecorder(o.Recorder)
-	env := &e.env
-	chk := newStageChecker(ctx, o.Deadline, p)
+	return run(ctx, m, sp.Exchange.NumProcs(), &o, nil, sp.walk)
+}
 
+// walk is RunSupersteps' body.
+func (sp *Supersteps) walk(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
+	p := len(e.states)
+	env := &e.env
 	var (
 		msgs  []posted // this superstep's messages, in sender scan order
 		order []int32  // indices into msgs, grouped by receiver
@@ -90,7 +75,7 @@ func RunSupersteps(ctx context.Context, m simnet.Machine, sp *Supersteps, o simn
 	)
 	for step := 0; step < sp.Steps; step++ {
 		if err := chk.check(); err != nil {
-			return e.finish(o.Recorder, nil, err)
+			return simnet.Collapse{}, err
 		}
 		msgs = msgs[:0]
 		for r := 0; r < p; r++ {
@@ -101,7 +86,7 @@ func RunSupersteps(ctx context.Context, m simnet.Machine, sp *Supersteps, o simn
 			}
 			for _, dst := range dsts {
 				if dst < 0 || dst >= p {
-					return e.finish(o.Recorder, nil, fmt.Errorf("sched: superstep %d: rank %d posts to invalid rank %d", step, r, dst))
+					return simnet.Collapse{}, fmt.Errorf("sched: superstep %d: rank %d posts to invalid rank %d", step, r, dst)
 				}
 				msgs = append(msgs, posted{src: int32(r), dst: int32(dst)})
 				e.Post(r, dst, sp.PutTag, sp.PutBytes, &msgs[len(msgs)-1].in)
@@ -144,7 +129,5 @@ func RunSupersteps(ctx context.Context, m simnet.Machine, sp *Supersteps, o simn
 			rs.SuperstepMark(int32(step))
 		}
 	}
-	res := e.result()
-	res.Collapse = e.lastCollapse
-	return e.finish(o.Recorder, res, nil)
+	return e.lastCollapse, nil
 }

@@ -34,8 +34,10 @@ func ringSupersteps(t *testing.T, p, steps int, onStep func(step int)) *sched.Su
 
 // TestRunSuperstepsBudgetAndCancellation pins that the superstep walk polls —
 // a request's budget and a client's hang-up reach it between supersteps, not
-// only before the first — and that whichever way a traced run ends, its
-// recorder is sealed with the outcome: Trace() answers, and carries the error.
+// only before the first — and that a traced run cut short by its budget seals
+// its recorder with the outcome: Trace() answers, and carries the error. The
+// run frame's refusals, a pre-cancelled context among them, are
+// TestRunFrameRejects'.
 func TestRunSuperstepsBudgetAndCancellation(t *testing.T) {
 	const p, steps = 64, 200
 	m := machines(t, p, 3, true)
@@ -49,22 +51,6 @@ func TestRunSuperstepsBudgetAndCancellation(t *testing.T) {
 			t.Fatalf("recording sealed with %v, want %v", tr.Err, want)
 		}
 	}
-
-	t.Run("pre-cancelled context", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		o := simnet.DefaultOptions()
-		o.Recorder = trace.NewRecorder()
-		called := false
-		_, err := sched.RunSupersteps(ctx, m, ringSupersteps(t, p, steps, func(int) { called = true }), o)
-		if !errors.Is(err, simnet.ErrAborted) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("want ErrAborted wrapping context.Canceled, got %v", err)
-		}
-		if called {
-			t.Error("a superstep was walked under a cancelled context")
-		}
-		sealedWith(o.Recorder, simnet.ErrAborted)
-	})
 
 	t.Run("cancelled mid-run", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -100,17 +86,15 @@ func TestRunSuperstepsBudgetAndCancellation(t *testing.T) {
 	})
 }
 
-// TestRunSuperstepsRejectsBadPrograms covers the entry's argument checks: a
-// caller's mistake is an error, never an index out of range.
+// TestRunSuperstepsRejectsBadPrograms covers the entry's own argument checks
+// (the run frame's are TestRunFrameRejects'): a caller's mistake is an
+// error, never an index out of range.
 func TestRunSuperstepsRejectsBadPrograms(t *testing.T) {
 	const p = 8
 	m := machines(t, p, 1, false)
 	ctx, o := context.Background(), simnet.DefaultOptions()
 	if _, err := sched.RunSupersteps(ctx, m, &sched.Supersteps{Steps: 1}, o); err == nil {
 		t.Error("program without step function or exchange accepted")
-	}
-	if _, err := sched.RunSupersteps(ctx, m, ringSupersteps(t, p+1, 1, nil), o); err == nil {
-		t.Error("exchange for another rank count accepted")
 	}
 	sp := ringSupersteps(t, p, 1, nil)
 	sp.Step = func(_, _ int, dsts []int) (float64, []int) { return 0, append(dsts, p) }

@@ -16,15 +16,17 @@ import (
 // evaluates the same schedule structure point after point on machines of one
 // family. A SweepEvaluator keeps what the points share — the evaluator arena,
 // the fault plan compiled once, and the symmetry-partition decisions — and
-// evaluates every point through the run body RunSchedule uses (runOn), so a
-// point is bit-identical to an independent RunSchedule call by construction:
-// every pair is priced live by the machine's Pair call, every noise draw and
-// payload size is read from the point's machine and schedule.
+// hands every point's run frame that kept arena and the body RunSchedule hands
+// it (execRuns), so a point is bit-identical to an independent RunSchedule
+// call by construction: every pair is priced live by the machine's Pair call,
+// every noise draw and payload size is read from the point's machine and
+// schedule.
 
-// SweepOptions configures a SweepEvaluator. The zero value matches
-// RunSchedule's defaults (no acks, collapse auto, computeEmpty false — set
-// ComputeEmpty for RunSchedule's barrier.Execute convention; leave it false
-// for the mpi flood and BSP count-exchange convention).
+// SweepOptions configures a SweepEvaluator, which reads it once: ComputeEmpty
+// and TagBase become arguments of the schedule body, the other fields the
+// simnet.Options every point runs under. The zero value is not RunSchedule's
+// convention: RunSchedule pays empty stages (set ComputeEmpty to match it),
+// and callers matching simnet.DefaultOptions turn AckSends on.
 type SweepOptions struct {
 	// AckSends selects acknowledged sends (simnet.Options.AckSends).
 	AckSends bool
@@ -77,8 +79,12 @@ type SweepStats struct {
 // give each worker its own.
 type SweepEvaluator struct {
 	base simnet.Machine
-	opt  SweepOptions
-	e    *Evaluator // the kept arena; carries the compiled fault plan
+	opt  simnet.Options // what every point runs under; SetDeadline and SetRecorder change it
+	e    *Evaluator     // the kept arena; carries the compiled fault plan
+
+	// The schedule body's arguments (SweepOptions.ComputeEmpty and TagBase).
+	computeEmpty bool
+	tagBase      int
 
 	// parts memoizes collapse decisions per schedule structure: circulant
 	// schedules under the hash of their offset sequence (uint64 keys),
@@ -104,14 +110,19 @@ const sweepMaxParts = 64
 // NewSweepEvaluator returns a sweep evaluator over the machine, compiling
 // the options' fault plan once. Release returns the arena when done.
 func NewSweepEvaluator(m simnet.Machine, opt SweepOptions) (*SweepEvaluator, error) {
-	if m == nil || m.Procs() < 1 {
-		return nil, errors.New("sched: machine with at least one rank required")
-	}
-	e, err := arenaFor(m, opt.AckSends, opt.SymmetryCollapse, opt.Faults)
-	if err != nil {
+	if err := checkMachine(m); err != nil {
 		return nil, err
 	}
-	return &SweepEvaluator{base: m, opt: opt, e: e}, nil
+	sw := &SweepEvaluator{base: m, computeEmpty: opt.ComputeEmpty, tagBase: opt.TagBase,
+		opt: simnet.Options{AckSends: opt.AckSends, SymmetryCollapse: opt.SymmetryCollapse, Faults: opt.Faults, Recorder: opt.Recorder, Deadline: opt.Deadline}}
+	if sw.tagBase == 0 {
+		sw.tagBase = ScheduleTagBase
+	}
+	var err error
+	if sw.e, err = arenaFor(m, &sw.opt); err != nil {
+		return nil, err
+	}
+	return sw, nil
 }
 
 // Release returns the evaluator arena to the shared pool and drops all
@@ -156,17 +167,25 @@ func (sw *SweepEvaluator) Run(ctx context.Context, m simnet.Machine, s Schedule,
 	if m == nil {
 		m = sw.base
 	}
-	if err := checkRun(m, s, execs); err != nil {
+	if err := checkSchedule(s, execs); err != nil {
 		return nil, err
 	}
+	return run(ctx, m, s.NumProcs(), &sw.opt, sw, func(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
+		return e.execRuns(s, execs, sw.tagBase, sw.computeEmpty, sw.opt.Recorder, chk, func() (*Partition, simnet.Collapse) { return sw.partitionFor(m, s) })
+	})
+}
+
+// arena is the run frame's arena for a point on m: the kept one with its
+// states and counters zeroed in place and pointed at m. A machine outside the
+// base's family — a different profile family, placement or rank count — first
+// rebases the evaluator onto a fresh arena with the fault plan recompiled
+// against m, and no memoized decision kept. A plan that no longer compiles
+// (rank-targeted rules out of range) fails the point rather than silently
+// degrading to fault-free.
+func (sw *SweepEvaluator) arena(m simnet.Machine) (*Evaluator, error) {
 	sw.stats.Points++
 	if !sw.sameFamily(m) {
-		// A different profile family, placement or rank count: a fresh arena
-		// with the fault plan recompiled against the new machine, and no
-		// memoized decision kept. A plan that no longer compiles
-		// (rank-targeted rules out of range) fails the point rather than
-		// silently degrading to fault-free.
-		e, err := arenaFor(m, sw.opt.AckSends, sw.opt.SymmetryCollapse, sw.opt.Faults)
+		e, err := arenaFor(m, &sw.opt)
 		if err != nil {
 			return nil, err
 		}
@@ -174,13 +193,11 @@ func (sw *SweepEvaluator) Run(ctx context.Context, m simnet.Machine, s Schedule,
 		sw.e.Release()
 		sw.base, sw.e, sw.parts = m, e, nil
 	}
-
-	// Arena reset: zero states and counters in place, point at the machine.
 	e := sw.e
 	clear(e.states)
 	e.messages, e.bytes = 0, 0
 	e.setMachine(m)
-	return e.runOn(ctx, s, execs, &sw.opt, func() (*Partition, simnet.Collapse) { return sw.partitionFor(m, s) })
+	return e, nil
 }
 
 // sameFamily reports whether m may share the base's memoized partitions: a

@@ -84,9 +84,9 @@ func RunSchedule(ctx context.Context, m sim.Machine, s Schedule, execs int, o si
 // SweepEvaluator evaluates a family of schedule points — a parameter sweep
 // over bytes, LogGP scalings or run seeds — on one kept evaluator arena, with
 // the fault plan compiled once and the symmetry-partition decisions
-// memoized. Every point runs the run body RunSchedule runs, every pair priced
-// live by the machine, so a point is bit-identical to an independent
-// RunSchedule call with the same options. Not safe for concurrent use —
+// memoized. Every point runs through the run frame with the body RunSchedule
+// hands it, every pair priced live by the machine, so a point is
+// bit-identical to an independent RunSchedule call with the same options. Not safe for concurrent use —
 // parallel sweeps give each worker its own evaluator.
 type SweepEvaluator = sched.SweepEvaluator
 
