@@ -67,11 +67,11 @@ var ErrNotRegistered = ibsp.ErrNotRegistered
 // uses when none is configured.
 func DefaultSynchronizer() Synchronizer { return ibsp.DefaultSynchronizer() }
 
-// NewScheduleSynchronizer wraps a collective schedule, dense or streamed, as
-// a count-exchange synchronizer: every edge carries the count rows its sender
-// holds (collective.KnowledgeSized). The schedule must pass the all-pairs
-// knowledge recursion; rooted broadcast or reduce schedules cannot deliver
-// the full count map and are rejected.
+// NewScheduleSynchronizer wraps a collective schedule, materialized or
+// streamed, as a count-exchange synchronizer: every edge carries the count
+// rows its sender holds (collective.KnowledgeSized). The schedule must pass
+// the all-pairs knowledge recursion; rooted broadcast or reduce schedules
+// cannot deliver the full count map and are rejected.
 func NewScheduleSynchronizer(s sched.Schedule) (Synchronizer, error) {
 	return ibsp.NewScheduleSynchronizer(s)
 }

@@ -1,19 +1,22 @@
 // Package collective is the public surface of the collective-schedule
-// engine: schedules as the thesis' dense literal — sequences of P×P boolean
-// stage matrices (Pattern) — and in streamed O(stages) form (Stream*),
-// generators for barriers and payload-carrying collectives, the
-// knowledge-recursion verifier, the matrix cost model with its critical-path
-// search (Predict), the pattern simulator (Measure/Execute) — all three over
-// either form — and the model-driven adaptation that selects hierarchical
-// hybrid schedules from benchmarked parameter matrices (Greedy/GreedySync).
+// engine: schedules as named, semantics-tagged stage edge lists (Pattern) and
+// in streamed O(stages) form (Stream*), generators for barriers and
+// payload-carrying collectives, the knowledge-recursion verifier, the matrix
+// cost model with its critical-path search (Predict), the pattern simulator
+// (Measure/Execute) — all three over either form — and the model-driven
+// adaptation that selects hierarchical hybrid schedules from benchmarked
+// parameter matrices (Greedy/GreedySync).
 //
 // There is one schedule type: a *Pattern is a sched.Schedule, as the streamed
 // generators' values are, and mpi.Schedule is the same type. So any of them is
 // directly executable with user data — mpi.Comm's schedule collectives
 // (BcastSchedule, AllreduceSchedule, ...) run them, sched.RunSchedule
 // evaluates them, and the bsp.Ctx collectives execute the streamed ones
-// behind the scenes. Prefer the streamed form for anything large: a dense
-// total exchange is (P−1)·9·P² bytes.
+// behind the scenes. Each collective has one construction, its Stream*
+// generator; the Pattern generator of the same name is that stream
+// materialized as edge lists, O(P) per stage. Prefer the streamed form for
+// anything large: a total exchange's edge lists are P−1 stages of P edges,
+// its circulant stream one offset per stage.
 package collective
 
 import (
@@ -26,15 +29,15 @@ import (
 	"hbsp/sim"
 )
 
-// Pattern is a collective schedule as a dense literal: an ordered sequence of
-// P×P boolean stage matrices with optional per-edge payload sizes, a
-// Semantics tag and, for rooted collectives, a Root. A *Pattern is a
-// sched.Schedule, and the cost model, the simulator and the schedule
-// synchronizer take either form; what still needs the matrices themselves is
-// VerifyDense and the adaptation's stage editing.
+// Pattern is a named collective schedule: its stages as edge lists (Procs,
+// Sym and Stages promoted from sched.StaticStages; Stages[s].Out[i] lists the
+// ranks i signals in stage s, OutBytes their payload sizes), a Semantics tag
+// and, for rooted collectives, a Root. A *Pattern is a sched.Schedule, and
+// the cost model, the simulator and the schedule synchronizer take it and the
+// streamed form alike. The thesis' P×P stage matrices are not held anywhere.
 type Pattern = barrier.Pattern
 
-// StageAdj is the sparse per-row adjacency of one stage.
+// StageAdj is the edge-list form of one stage.
 type StageAdj = barrier.StageAdj
 
 // Semantics names the collective postcondition a schedule must establish.
@@ -100,20 +103,18 @@ func AllGatherRing(p, blockBytes int) (*Pattern, error) {
 }
 
 // StreamTotalExchange returns the linear-shift total-exchange schedule in
-// streaming form — identical stage structure and payload sizes to
-// TotalExchange, but generated stage by stage into O(P) reused buffers
-// instead of dense P×P matrices. Evaluate it with sched.RunSchedule; it is
-// the representation that makes P=4096 collective sweeps feasible.
+// streaming form — the stages TotalExchange materializes, described by one
+// offset and size per stage. Evaluate it with sched.RunSchedule; it is the
+// representation that makes P=4096 collective sweeps feasible.
 func StreamTotalExchange(p, blockBytes int) (sched.Schedule, error) {
 	return barrier.StreamTotalExchange(p, blockBytes)
 }
 
-// The remaining streaming generators mirror their dense counterparts the same
-// way: identical stage structure and payload sizes, O(P) (circulants: O(1))
-// state per stage. All of them declare their rank symmetry, so on homogeneous
-// machines sched.RunSchedule evaluates one representative rank per
-// equivalence class — the combination that takes dissemination sweeps to
-// P=1M.
+// The remaining streaming generators are likewise what their Pattern
+// counterparts materialize: O(P) (circulants: O(1)) state per stage. All of
+// them declare their rank symmetry, so on homogeneous machines
+// sched.RunSchedule evaluates one representative rank per equivalence class —
+// the combination that takes dissemination sweeps to P=1M.
 func StreamDissemination(p int) (sched.Schedule, error) { return barrier.StreamDissemination(p) }
 func StreamAllReduce(p, msgBytes int) (sched.Schedule, error) {
 	return barrier.StreamAllReduce(p, msgBytes)
@@ -154,7 +155,7 @@ func DefaultCostOptions() CostOptions { return barrier.DefaultCostOptions() }
 // CostOptionsFor returns the cost options matching a collective's data flow.
 func CostOptionsFor(sem Semantics) CostOptions { return barrier.CostOptionsFor(sem) }
 
-// Predict evaluates the cost model on a schedule, dense or streamed:
+// Predict evaluates the cost model on a schedule, materialized or streamed:
 // per-stage, per-process costs combined by a critical-path search.
 func Predict(s sched.Schedule, params Params, opts CostOptions) (*Prediction, error) {
 	return barrier.Predict(s, params, opts)

@@ -205,7 +205,7 @@
 // (the BSPlib run-time with user collectives and the pluggable superstep
 // synchronizer) and mpi (point-to-point, persistent requests,
 // schedule-driven collectives) are built; collective holds the
-// schedule engine (dense patterns and streamed generators — one schedule
+// schedule engine (edge-list patterns and streamed generators — one schedule
 // type, which verification, the cost model, the pattern simulator and the
 // schedule synchronizer all take — and the model-driven adaptation), bench
 // the measurement procedures, kernels and matrix the

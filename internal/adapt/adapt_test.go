@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -300,5 +301,39 @@ func TestGreedySyncCostsCandidatesWithCountPayload(t *testing.T) {
 	if res.Best.Predicted < plain.Best.Predicted {
 		t.Fatalf("payload-carrying best (%g) cheaper than signal-only best (%g)",
 			res.Best.Predicted, plain.Best.Predicted)
+	}
+}
+
+// TestBuildHybridAllocatesPerStage bounds the hierarchical construction at
+// P = 4,096 over 256 clusters of 16: every stage is O(P) edge lists, so each
+// of the six intra/inter combinations allocates within a constant × P ×
+// stages bytes, verification included. Built from P×P stage matrices, the
+// first combination allocated 8.7 GB.
+func TestBuildHybridAllocatesPerStage(t *testing.T) {
+	const clusters, size = 256, 16
+	cl := &Clustering{}
+	for c := 0; c < clusters; c++ {
+		g := make([]int, size)
+		for i := range g {
+			g[i] = c + i*clusters // round-robin placement: members interleave
+		}
+		cl.Groups = append(cl.Groups, g)
+	}
+	for _, intra := range []SubPattern{SubLinear, SubTree} {
+		for _, inter := range []SubPattern{SubLinear, SubTree, SubDissemination} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pat, err := BuildHybrid(cl, intra, inter)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("BuildHybrid(%v, %v): %v", intra, inter, err)
+			}
+			alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(512*pat.Procs*pat.NumStages())
+			t.Logf("%s: %d stages, %d KiB allocated (bound %d KiB)", pat.Name, pat.NumStages(), alloc>>10, bound>>10)
+			if alloc > bound {
+				t.Errorf("%s allocated %d KiB over %d stages, want at most 512 B per rank and stage (%d KiB)",
+					pat.Name, alloc>>10, pat.NumStages(), bound>>10)
+			}
+		}
 	}
 }

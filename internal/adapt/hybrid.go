@@ -2,10 +2,10 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hbsp/internal/barrier"
-	"hbsp/internal/matrix"
 	"hbsp/internal/sched"
 )
 
@@ -39,114 +39,65 @@ func (sp SubPattern) String() string {
 	}
 }
 
-// gatherStages returns the arrival-phase stage matrices of the chosen
-// sub-pattern for a cluster, expressed over the global rank space. The
-// cluster's representative is its first member.
-func gatherStages(kind SubPattern, members []int, procs int) ([]*matrix.Bool, error) {
-	k := len(members)
-	if k <= 1 {
-		return nil, nil
-	}
+// flat returns the flat barrier of the sub-pattern over k ranks.
+func flat(kind SubPattern, k int) (*barrier.Pattern, error) {
 	switch kind {
 	case SubLinear:
-		st := matrix.NewBool(procs, procs)
-		for _, m := range members[1:] {
-			st.Set(m, members[0], true)
-		}
-		return []*matrix.Bool{st}, nil
+		return barrier.Linear(k, 0)
 	case SubTree:
-		var stages []*matrix.Bool
-		for dist := 1; dist < k; dist *= 2 {
-			st := matrix.NewBool(procs, procs)
-			used := false
-			for i := dist; i < k; i += 2 * dist {
-				st.Set(members[i], members[i-dist], true)
-				used = true
-			}
-			if used {
-				stages = append(stages, st)
-			}
-		}
-		return stages, nil
+		return barrier.Tree(k)
 	default:
-		return nil, fmt.Errorf("adapt: %v cannot be used as an intra-cluster gather pattern", kind)
+		return barrier.Dissemination(k)
 	}
 }
 
-// topLevelStages returns the stage matrices of the inter-representative
-// barrier, expressed over the global rank space.
-func topLevelStages(kind SubPattern, reps []int, procs int) ([]*matrix.Bool, error) {
-	k := len(reps)
-	if k <= 1 {
-		return nil, nil
+// overlay places local stage lists side by side in global stages over procs
+// ranks: local rank i of list c is global rank ranks[c][i]. Each ranks[c] is
+// ascending and the lists touch disjoint ranks, so every global row comes
+// from one local row, relabeled in order, and the sched.Stage ordering
+// contract carries over without sorting. Shorter lists are right-aligned when
+// rightAlign (every cluster finishes its gather in the phase's last stage)
+// and left-aligned otherwise (every cluster starts its release in the first).
+func overlay(local [][]sched.Stage, ranks [][]int, procs int, rightAlign bool) []sched.Stage {
+	n := 0
+	for _, stages := range local {
+		n = max(n, len(stages))
 	}
-	var local *barrier.Pattern
-	var err error
-	switch kind {
-	case SubLinear:
-		local, err = barrier.Linear(k, 0)
-	case SubTree:
-		local, err = barrier.Tree(k)
-	case SubDissemination:
-		local, err = barrier.Dissemination(k)
-	default:
-		return nil, fmt.Errorf("adapt: unknown top-level pattern %v", kind)
+	out := make([]sched.Stage, n)
+	for s := range out {
+		out[s] = sched.Stage{Out: make([][]int, procs), In: make([][]int, procs)}
 	}
-	if err != nil {
-		return nil, err
-	}
-	var out []*matrix.Bool
-	for _, st := range local.Stages {
-		g := matrix.NewBool(procs, procs)
-		for i := 0; i < k; i++ {
-			for _, j := range st.RowTrue(i) {
-				g.Set(reps[i], reps[j], true)
-			}
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
-
-// mergeAligned overlays per-cluster stage lists into global stages. Clusters
-// with fewer stages are right-aligned so that every cluster finishes its
-// gather phase in the final merged stage (and, mirrored, starts its release
-// phase in the first).
-func mergeAligned(perCluster [][]*matrix.Bool, procs int, rightAlign bool) []*matrix.Bool {
-	max := 0
-	for _, stages := range perCluster {
-		if len(stages) > max {
-			max = len(stages)
-		}
-	}
-	if max == 0 {
-		return nil
-	}
-	merged := make([]*matrix.Bool, max)
-	for s := range merged {
-		merged[s] = matrix.NewBool(procs, procs)
-	}
-	for _, stages := range perCluster {
-		offset := 0
+	for c, stages := range local {
+		off := 0
 		if rightAlign {
-			offset = max - len(stages)
+			off = n - len(stages)
 		}
 		for s, st := range stages {
-			dst := merged[offset+s]
-			for i := 0; i < procs; i++ {
-				for _, j := range st.RowTrue(i) {
-					dst.Set(i, j, true)
-				}
+			for i, g := range ranks[c] {
+				out[off+s].Out[g], out[off+s].In[g] = relabel(st.Out[i], ranks[c]), relabel(st.In[i], ranks[c])
 			}
 		}
 	}
-	return merged
+	return out
+}
+
+// relabel returns the global ranks of a local edge row.
+func relabel(row, ranks []int) []int {
+	if len(row) == 0 {
+		return nil
+	}
+	global := make([]int, len(row))
+	for k, r := range row {
+		global[k] = ranks[r]
+	}
+	return global
 }
 
 // BuildHybrid constructs a hierarchical hybrid barrier (Fig. 7.2): each
-// cluster gathers onto its representative with the intra pattern, the
-// representatives synchronize with the inter pattern, and the gather phase is
-// mirrored to release the clusters.
+// cluster gathers onto its representative (its lowest rank) with the arrival
+// half of the flat intra barrier over its members, the representatives
+// synchronize with the flat inter barrier, and the release half of the intra
+// barrier releases the clusters.
 func BuildHybrid(cl *Clustering, intra, inter SubPattern) (*barrier.Pattern, error) {
 	if cl == nil {
 		return nil, fmt.Errorf("%w: nil clustering", ErrBadInput)
@@ -161,47 +112,38 @@ func BuildHybrid(cl *Clustering, intra, inter SubPattern) (*barrier.Pattern, err
 		return nil, fmt.Errorf("adapt: unknown top-level pattern %v", inter)
 	}
 	procs := cl.Procs()
-	reps := cl.Representatives()
-	sort.Ints(reps)
-
-	var gathers [][]*matrix.Bool
-	for _, g := range cl.Groups {
-		stages, err := gatherStages(intra, g, procs)
+	members, reps := make([][]int, len(cl.Groups)), make([]int, len(cl.Groups))
+	gathers, releases := make([][]sched.Stage, len(cl.Groups)), make([][]sched.Stage, len(cl.Groups))
+	for c, g := range cl.Groups {
+		members[c] = slices.Sorted(slices.Values(g))
+		reps[c] = members[c][0]
+		if len(g) == 1 {
+			continue
+		}
+		local, err := flat(intra, len(g))
 		if err != nil {
 			return nil, err
 		}
-		gathers = append(gathers, stages)
+		half := len(local.Stages) / 2
+		gathers[c], releases[c] = local.Stages[:half], local.Stages[half:]
 	}
-	gatherPhase := mergeAligned(gathers, procs, true)
+	slices.Sort(reps)
 
-	topPhase, err := topLevelStages(inter, reps, procs)
-	if err != nil {
-		return nil, err
-	}
-
-	// Release phase: the gather stages transposed, in reverse order,
-	// left-aligned so every cluster starts releasing immediately.
-	var releases [][]*matrix.Bool
-	for _, stages := range gathers {
-		var rel []*matrix.Bool
-		for s := len(stages) - 1; s >= 0; s-- {
-			rel = append(rel, stages[s].Transpose())
+	stages := overlay(gathers, members, procs, true)
+	if len(reps) > 1 {
+		top, err := flat(inter, len(reps))
+		if err != nil {
+			return nil, err
 		}
-		releases = append(releases, rel)
+		stages = append(stages, overlay([][]sched.Stage{top.Stages}, [][]int{reps}, procs, false)...)
 	}
-	releasePhase := mergeAligned(releases, procs, false)
-
-	var stages []*matrix.Bool
-	stages = append(stages, gatherPhase...)
-	stages = append(stages, topPhase...)
-	stages = append(stages, releasePhase...)
+	stages = append(stages, overlay(releases, members, procs, false)...)
 	if len(stages) == 0 {
-		stages = []*matrix.Bool{matrix.NewBool(procs, procs)}
+		stages = []sched.Stage{{Out: make([][]int, procs), In: make([][]int, procs)}}
 	}
 	pat := &barrier.Pattern{
-		Name:   fmt.Sprintf("hybrid(%s/%s)", intra, inter),
-		Procs:  procs,
-		Stages: stages,
+		Name:         fmt.Sprintf("hybrid(%s/%s)", intra, inter),
+		StaticStages: sched.StaticStages{Procs: procs, Stages: stages},
 	}
 	if err := pat.Verify(); err != nil {
 		return nil, fmt.Errorf("adapt: constructed hybrid barrier is incorrect: %w", err)

@@ -92,8 +92,8 @@ type Prediction struct {
 	StageCosts [][]float64
 }
 
-// Predict evaluates the barrier cost model on any schedule — a dense Pattern
-// and its streamed twin run through the same statements: per-stage,
+// Predict evaluates the barrier cost model on any schedule — a Pattern and
+// its streamed twin run through the same statements: per-stage,
 // per-process costs from Eq. 5.4,
 //
 //	cost(s, i) = AckFactor · Σ_j (L_ij + size_ij·β_ij) · S_s(i,j) + max_j O'_ij·S_s(i,j)

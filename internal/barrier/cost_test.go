@@ -225,7 +225,7 @@ func TestPredictValidationErrors(t *testing.T) {
 	if _, err := Predict(pat, uniformParams(5, 1, 1, 1), DefaultCostOptions()); err == nil {
 		t.Error("size mismatch should fail")
 	}
-	if _, err := Predict(&Pattern{Name: "bad", Procs: 0}, uniformParams(4, 1, 1, 1), DefaultCostOptions()); err == nil {
+	if _, err := Predict(&Pattern{Name: "bad"}, uniformParams(4, 1, 1, 1), DefaultCostOptions()); err == nil {
 		t.Error("invalid pattern should fail")
 	}
 	if _, err := Predict(pat, Params{}, DefaultCostOptions()); err == nil {
@@ -259,24 +259,24 @@ func TestStageCostsShape(t *testing.T) {
 }
 
 // TestPredictStreamedEqualsDense: the cost model reads a schedule through its
-// stage view, so a streamed generator and the dense literal of the same
-// stages — circulant or binomial tree, signals or payload — must come out
+// stage view, so a streamed generator and the materialized edge lists of the
+// same stages — circulant or binomial tree, signals or payload — must come out
 // bit-equal in every figure under both acknowledgement factors.
 func TestPredictStreamedEqualsDense(t *testing.T) {
 	prof := platform.Xeon8x2x4()
 	for p := 1; p <= 33; p++ {
 		params := platformParams(t, prof, p)
-		for name, pair := range streamPairs(t, p) {
-			dense, err := pair[0]()
+		for name, g := range generators(p, p/2) {
+			pat, err := g.pattern()
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, err := pair[1]()
+			stream, err := g.stream()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, sem := range []Semantics{SemBarrier, SemReduce} {
-				want, err := Predict(dense, params, CostOptionsFor(sem))
+				want, err := Predict(pat, params, CostOptionsFor(sem))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -286,7 +286,7 @@ func TestPredictStreamedEqualsDense(t *testing.T) {
 				}
 				if got.Total != want.Total || !slices.Equal(got.PerProcess, want.PerProcess) ||
 					!slices.EqualFunc(got.StageCosts, want.StageCosts, slices.Equal[[]float64]) {
-					t.Fatalf("%s p=%d %s options: streamed %+v, dense %+v", name, p, sem, got, want)
+					t.Fatalf("%s p=%d %s options: streamed %+v, materialized %+v", name, p, sem, got, want)
 				}
 			}
 		}

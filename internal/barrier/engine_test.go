@@ -296,7 +296,7 @@ func streamOf(t *testing.T, rec *trace.Recorder) string {
 }
 
 // TestStreamTotalExchangeMatchesPattern pins the streaming total-exchange
-// generator against the dense pattern: identical stage structure and,
+// generator against the materialized pattern: identical stage structure and,
 // through the evaluator, identical virtual times.
 func TestStreamTotalExchangeMatchesPattern(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8, 13} {

@@ -1,12 +1,15 @@
 package barrier
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"hbsp/internal/platform"
 )
 
+// TestKAryTreeMatchesBinaryTree holds the arity-2 tree, and Tree with it, to
+// Fig. 5.4's edge rule.
 func TestKAryTreeMatchesBinaryTree(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7, 16, 33} {
 		binary, err := Tree(p)
@@ -17,13 +20,11 @@ func TestKAryTreeMatchesBinaryTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kary.NumStages() != binary.NumStages() {
-			t.Fatalf("P=%d: 2-ary tree has %d stages, binary tree %d", p, kary.NumStages(), binary.NumStages())
-		}
-		for s := range kary.Stages {
-			if !kary.Stages[s].Equal(binary.Stages[s]) {
-				t.Fatalf("P=%d stage %d differs between KAryTree(2) and Tree", p, s)
-			}
+		ref := ruleSchedule(p, treeRule)
+		sameEdges(t, fmt.Sprintf("KAryTree(%d, 2)", p), ref, kary)
+		sameEdges(t, fmt.Sprintf("Tree(%d)", p), ref, binary)
+		if binary.Name != "tree" {
+			t.Fatalf("Tree(%d) is named %q", p, binary.Name)
 		}
 	}
 }
@@ -111,8 +112,8 @@ func TestKAryTreeProperty(t *testing.T) {
 		// In every stage, each process receives from at most k-1 others
 		// (its group's children or its parent group).
 		for _, st := range pat.Stages {
-			for j := 0; j < p; j++ {
-				if len(st.ColTrue(j)) > k-1 {
+			for _, ins := range st.In {
+				if len(ins) > k-1 {
 					return false
 				}
 			}

@@ -1,10 +1,13 @@
 package barrier
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"hbsp/internal/matrix"
+	"hbsp/internal/sched"
 )
 
 func TestLinearMatchesFigure5_2(t *testing.T) {
@@ -27,9 +30,7 @@ func TestLinearMatchesFigure5_2(t *testing.T) {
 		{0, 0, 0, 0},
 		{0, 0, 0, 0},
 	})
-	if !pat.Stages[0].Equal(wantS0) || !pat.Stages[1].Equal(wantS1) {
-		t.Fatalf("linear pattern does not match Fig. 5.2:\n%v\n%v", pat.Stages[0], pat.Stages[1])
-	}
+	sameMatrices(t, pat, wantS0, wantS1)
 }
 
 func TestDisseminationMatchesFigure5_3(t *testing.T) {
@@ -52,9 +53,7 @@ func TestDisseminationMatchesFigure5_3(t *testing.T) {
 		{1, 0, 0, 0},
 		{0, 1, 0, 0},
 	})
-	if !pat.Stages[0].Equal(wantS0) || !pat.Stages[1].Equal(wantS1) {
-		t.Fatalf("dissemination pattern does not match Fig. 5.3:\n%v\n%v", pat.Stages[0], pat.Stages[1])
-	}
+	sameMatrices(t, pat, wantS0, wantS1)
 }
 
 func TestTreeMatchesFigure5_4(t *testing.T) {
@@ -77,12 +76,8 @@ func TestTreeMatchesFigure5_4(t *testing.T) {
 		{1, 0, 0, 0},
 		{0, 0, 0, 0},
 	})
-	if !pat.Stages[0].Equal(wantS0) || !pat.Stages[1].Equal(wantS1) {
-		t.Fatalf("tree arrival stages do not match Fig. 5.4:\n%v\n%v", pat.Stages[0], pat.Stages[1])
-	}
-	if !pat.Stages[2].Equal(wantS1.Transpose()) || !pat.Stages[3].Equal(wantS0.Transpose()) {
-		t.Fatal("tree release stages are not the transposed arrival stages in reverse order")
-	}
+	// The release stages are the transposed arrival stages in reverse order.
+	sameMatrices(t, pat, wantS0, wantS1, wantS1.Transpose(), wantS0.Transpose())
 }
 
 func TestGeneratorsVerifyAcrossSizes(t *testing.T) {
@@ -149,39 +144,98 @@ func TestGeneratorErrors(t *testing.T) {
 func TestVerifyRejectsIncompletePattern(t *testing.T) {
 	// A single stage in which only process 1 signals process 0 cannot be a
 	// correct 3-process barrier.
-	st := matrix.NewBool(3, 3)
-	st.Set(1, 0, true)
-	pat := &Pattern{Name: "broken", Procs: 3, Stages: []*matrix.Bool{st}}
+	st := emptyStage(3)
+	st.Out[1], st.In[0] = []int{0}, []int{1}
+	pat := &Pattern{Name: "broken", StaticStages: sched.StaticStages{Procs: 3, Stages: []sched.Stage{st}}}
 	if err := pat.Verify(); err == nil {
 		t.Fatal("incomplete pattern passed verification")
 	}
 }
 
+// edgeList is a one-stage literal over p ranks: the given out rows, and the
+// In rows their row-major scan produces.
+func edgeList(p int, out [][]int) sched.Stage {
+	st := emptyStage(p)
+	for i, outs := range out {
+		st.Out[i] = outs
+		for _, j := range outs {
+			st.In[j] = append(st.In[j], i)
+		}
+	}
+	return st
+}
+
 func TestValidateRejectsBadShapes(t *testing.T) {
-	if err := (&Pattern{Name: "x", Procs: 0}).Validate(); err == nil {
+	literal := func(p int, stages ...sched.Stage) *Pattern {
+		return &Pattern{Name: "x", StaticStages: sched.StaticStages{Procs: p, Stages: stages}}
+	}
+	if err := literal(0).Validate(); err == nil {
 		t.Error("zero procs should fail")
 	}
-	if err := (&Pattern{Name: "x", Procs: 2}).Validate(); err == nil {
+	if err := literal(2).Validate(); err == nil {
 		t.Error("no stages should fail")
 	}
-	wrong := &Pattern{Name: "x", Procs: 3, Stages: []*matrix.Bool{matrix.NewBool(2, 2)}}
-	if err := wrong.Validate(); err == nil {
+	if err := literal(3, emptyStage(2)).Validate(); err == nil {
 		t.Error("wrong shape should fail")
 	}
-	self := matrix.NewBool(2, 2)
-	self.Set(0, 0, true)
-	if err := (&Pattern{Name: "x", Procs: 2, Stages: []*matrix.Bool{self}}).Validate(); err == nil {
+	if err := literal(2, edgeList(2, [][]int{{0}, nil})).Validate(); err == nil {
 		t.Error("self signal should fail")
 	}
-	okStage := matrix.NewBool(2, 2)
-	okStage.Set(0, 1, true)
-	padMismatch := &Pattern{
-		Name: "x", Procs: 2,
-		Stages:  []*matrix.Bool{okStage},
-		Payload: []*matrix.Dense{matrix.NewDense(2, 2), matrix.NewDense(2, 2)},
-	}
-	if err := padMismatch.Validate(); err == nil {
+	sized := edgeList(2, [][]int{{1}, nil})
+	sized.OutBytes = [][]int{{8, 8}, nil}
+	if err := literal(2, sized).Validate(); err == nil {
 		t.Error("payload length mismatch should fail")
+	}
+}
+
+// TestMalformedEdgeListsRefused: an edge-list literal that breaks the
+// sched.Stage contract is refused with ErrInvalidPattern by every entry that
+// takes a schedule — as a *sched.StaticStages and inside a *Pattern — and
+// none of them panics. An edge to a rank ≥ P used to index past the knowledge
+// rows, and a stage whose In omits an edge of Out used to be priced.
+func TestMalformedEdgeListsRefused(t *testing.T) {
+	const p = 4
+	sized := func(st sched.Stage, rows ...[]int) sched.Stage { st.OutBytes = rows; return st }
+	skewed := edgeList(p, [][]int{{1}, {2}, {3}, {0}})
+	skewed.In = skewed.In[:p-1]
+	cases := map[string]sched.Stage{
+		"rank past P":           {Out: [][]int{{6}, nil, nil, nil}, In: make([][]int, p)},
+		"negative rank":         {Out: [][]int{{-1}, nil, nil, nil}, In: make([][]int, p)},
+		"self-signal":           edgeList(p, [][]int{{0}, nil, nil, nil}),
+		"In omits an edge":      {Out: [][]int{{1}, {2}, nil, nil}, In: [][]int{nil, {0}, nil, nil}},
+		"In names a non-edge":   {Out: [][]int{{1}, nil, nil, nil}, In: [][]int{nil, {0}, {3}, nil}},
+		"In out of scan order":  {Out: [][]int{{2}, {2}, nil, nil}, In: [][]int{nil, nil, {1, 0}, nil}},
+		"too few In rows":       skewed,
+		"too few Out rows":      {Out: [][]int{{1}}, In: [][]int{nil, {0}, nil, nil}},
+		"sizes short of edges":  sized(edgeList(p, [][]int{{1, 2}, nil, nil, nil}), []int{8}, nil, nil, nil),
+		"too few size rows":     sized(edgeList(p, [][]int{{1}, nil, nil, nil}), []int{8}),
+		"empty stage, no ranks": {},
+	}
+	m := xeonMachine(t, p, 0)
+	params := Params{Latency: matrix.NewDense(p, p), Overhead: matrix.NewDense(p, p)}
+	for name, st := range cases {
+		for _, s := range []sched.Schedule{
+			&sched.StaticStages{Procs: p, Stages: []sched.Stage{edgeList(p, nil), st}},
+			&Pattern{Name: name, StaticStages: sched.StaticStages{Procs: p, Stages: []sched.Stage{st}}},
+		} {
+			what := fmt.Sprintf("%s as %T", name, s)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: panic %v", what, r)
+					}
+				}()
+				if err := VerifySchedule(s, SemBarrier, 0); !errors.Is(err, ErrInvalidPattern) {
+					t.Errorf("%s: VerifySchedule error %v, want ErrInvalidPattern", what, err)
+				}
+				if _, err := Predict(s, params, DefaultCostOptions()); !errors.Is(err, ErrInvalidPattern) {
+					t.Errorf("%s: Predict error %v, want ErrInvalidPattern", what, err)
+				}
+				if _, err := Measure(m, s, 1); !errors.Is(err, ErrInvalidPattern) {
+					t.Errorf("%s: Measure error %v, want ErrInvalidPattern", what, err)
+				}
+			}()
+		}
 	}
 }
 
@@ -242,7 +296,7 @@ func TestDisseminationShapeProperty(t *testing.T) {
 			return false
 		}
 		for _, st := range pat.Stages {
-			if st.CountTrue() != p {
+			if stageMatrix(st, p).CountTrue() != p {
 				return false
 			}
 		}

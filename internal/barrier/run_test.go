@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
 )
 
 func xeonMachine(t *testing.T, ranks int, noise float64) *platform.Machine {
@@ -47,7 +48,7 @@ func TestMeasureValidation(t *testing.T) {
 	if _, err := Measure(m, ok, 0); err != ErrNoReps {
 		t.Fatal("zero reps should fail")
 	}
-	if _, err := Measure(m, &Pattern{Name: "bad", Procs: 8}, 1); err == nil {
+	if _, err := Measure(m, &Pattern{Name: "bad", StaticStages: sched.StaticStages{Procs: 8}}, 1); err == nil {
 		t.Fatal("invalid pattern should fail")
 	}
 }

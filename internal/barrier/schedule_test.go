@@ -2,8 +2,10 @@ package barrier
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -86,16 +88,13 @@ func TestBroadcastReachabilityProperty(t *testing.T) {
 		if pat.Verify() != nil {
 			return false
 		}
-		// Dense and sparse paths must agree.
-		if pat.VerifyDense() != nil {
+		// The dense oracle must agree.
+		if verifyDense(pat, pat.Semantics, pat.Root) != nil {
 			return false
 		}
 		// Truncating the last stage must leave some rank without the message.
-		truncated := &Pattern{
-			Name: "truncated", Procs: p,
-			Stages:    pat.Stages[:len(pat.Stages)-1],
-			Semantics: SemBroadcast, Root: root,
-		}
+		truncated := &Pattern{Name: "truncated", Semantics: SemBroadcast, Root: root,
+			StaticStages: sched.StaticStages{Procs: p, Stages: pat.Stages[:len(pat.Stages)-1]}}
 		return truncated.Verify() != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -103,8 +102,8 @@ func TestBroadcastReachabilityProperty(t *testing.T) {
 	}
 }
 
-// Property: every collective generator produces schedules whose sparse and
-// dense verification paths agree, for random sizes and roots.
+// Property: every collective generator produces schedules on which
+// verification and the dense oracle agree, for random sizes and roots.
 func TestCollectiveSparseDenseAgreementProperty(t *testing.T) {
 	f := func(rawP, rawRoot uint8) bool {
 		p := int(rawP%30) + 1
@@ -124,7 +123,7 @@ func TestCollectiveSparseDenseAgreementProperty(t *testing.T) {
 			pats = append(pats, pat)
 		}
 		for _, pat := range pats {
-			if (pat.Verify() == nil) != (pat.VerifyDense() == nil) {
+			if (pat.Verify() == nil) != (verifyDense(pat, pat.Semantics, pat.Root) == nil) {
 				return false
 			}
 		}
@@ -142,11 +141,11 @@ func TestSemanticsDistinguishSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asBarrier := &Pattern{Name: "bcast-as-barrier", Procs: 8, Stages: bc.Stages}
+	asBarrier := &Pattern{Name: "bcast-as-barrier", StaticStages: bc.StaticStages}
 	if err := asBarrier.Verify(); err == nil {
 		t.Error("broadcast stages should not verify as a barrier")
 	}
-	if err := asBarrier.VerifyDense(); err == nil {
+	if err := verifyDense(asBarrier, SemBarrier, 0); err == nil {
 		t.Error("broadcast stages should not dense-verify as a barrier")
 	}
 	// A reduce tree delivers everything to the root but nothing back.
@@ -154,20 +153,21 @@ func TestSemanticsDistinguishSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asBcast := &Pattern{Name: "reduce-as-broadcast", Procs: 8, Stages: rd.Stages, Semantics: SemBroadcast, Root: 3}
+	asBcast := &Pattern{Name: "reduce-as-broadcast", Semantics: SemBroadcast, Root: 3, StaticStages: rd.StaticStages}
 	if err := asBcast.Verify(); err == nil {
 		t.Error("reduce stages should not verify as a broadcast")
 	}
 	// A barrier pattern satisfies every flooding semantics.
 	diss, _ := Dissemination(8)
 	for _, sem := range []Semantics{SemAllReduce, SemAllGather, SemTotalExchange} {
-		pat := &Pattern{Name: "diss", Procs: 8, Stages: diss.Stages, Semantics: sem}
+		pat := &Pattern{Name: "diss", Semantics: sem, StaticStages: diss.StaticStages}
 		if err := pat.Verify(); err != nil {
 			t.Errorf("dissemination should verify as %s: %v", sem, err)
 		}
 	}
 	// Rooted semantics demand a valid root.
-	bad := &Pattern{Name: "bad-root", Procs: 4, Stages: diss.Stages[:1], Semantics: SemReduce, Root: 9}
+	bad := &Pattern{Name: "bad-root", Semantics: SemReduce, Root: 9,
+		StaticStages: sched.StaticStages{Procs: 8, Stages: diss.Stages[:1]}}
 	if err := bad.Validate(); err == nil {
 		t.Error("out-of-range root should fail validation")
 	}
@@ -189,9 +189,10 @@ func TestSemanticsString(t *testing.T) {
 	}
 }
 
-// The count payload has one text: sizing the dense dissemination literal
-// (per-rank knowledge counts, materialized stages) and its streamed twin (one
-// count per stage, a circulant) must give the same edges at the same sizes.
+// The count payload has one text: sizing the dissemination pattern's edge
+// lists (per-rank knowledge counts, materialized stages) and its streamed twin
+// (one count per stage, a circulant) must give the same edges at the same
+// sizes.
 func TestWithCountPayloadMatchesSyncPayloadOnDissemination(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8, 16, 31} {
 		diss, err := Dissemination(p)
@@ -215,19 +216,19 @@ func TestWithCountPayloadMatchesSyncPayloadOnDissemination(t *testing.T) {
 	}
 }
 
-// Sizing reads its input: the pattern's stages, its (absent) payload and the
-// sizes its cached adjacency hands out stay what they were.
+// Sizing reads its input: the pattern's edge lists and the sizes they carry
+// stay what they were, though the sized schedule shares the edge lists.
 func TestWithSyncPayloadDoesNotAliasStages(t *testing.T) {
 	diss, err := AllReduce(8, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages, payload, sizes := diss.Stages[0].Clone(), diss.Payload[0].Clone(), edgeSizes(diss)
+	stages, sizes := fmt.Sprint(diss.Stages), edgeSizes(diss)
 	sized := KnowledgeSized(diss, 0, 8*4)
 	if got := edgeSizes(sized)[edge{1, 0, 2}]; got != 2*8*4 {
 		t.Fatalf("stage 1 of the sized schedule carries %d bytes, want two count rows", got)
 	}
-	if !diss.Stages[0].Equal(stages) || !diss.Payload[0].Equal(payload, 0) || !maps.Equal(edgeSizes(diss), sizes) {
+	if fmt.Sprint(diss.Stages) != stages || !maps.Equal(edgeSizes(diss), sizes) {
 		t.Fatal("KnowledgeSized changed the pattern it was given")
 	}
 }
@@ -256,19 +257,19 @@ func TestTotalExchangeIsDirect(t *testing.T) {
 		t.Fatalf("stages = %d, want %d", pat.NumStages(), p-1)
 	}
 	// Across all stages every ordered pair communicates exactly once.
-	seen := matrix.NewBool(p, p)
+	seen := map[[2]int]bool{}
 	for _, st := range pat.Stages {
-		for i := 0; i < p; i++ {
-			for _, j := range st.RowTrue(i) {
-				if seen.At(i, j) {
+		for i, outs := range st.Out {
+			for _, j := range outs {
+				if seen[[2]int{i, j}] {
 					t.Fatalf("pair (%d,%d) communicates twice", i, j)
 				}
-				seen.Set(i, j, true)
+				seen[[2]int{i, j}] = true
 			}
 		}
 	}
-	if seen.CountTrue() != p*(p-1) {
-		t.Fatalf("covered %d pairs, want %d", seen.CountTrue(), p*(p-1))
+	if len(seen) != p*(p-1) {
+		t.Fatalf("covered %d pairs, want %d", len(seen), p*(p-1))
 	}
 }
 
@@ -355,24 +356,22 @@ func overheadWithInvocation(m interface {
 }
 
 // randomFloodPattern builds a random multi-stage pattern; about half of them
-// flood completely and verify, the rest do not — either way the sparse and
-// dense paths must agree.
+// flood completely and verify, the rest do not — either way verification and
+// the dense oracle must agree.
 func randomFloodPattern(rng *rand.Rand, p int) *Pattern {
-	nStages := rng.Intn(5) + 1
-	stages := make([]*matrix.Bool, nStages)
+	stages := make([]sched.Stage, rng.Intn(5)+1)
 	for s := range stages {
-		st := matrix.NewBool(p, p)
-		for i := 0; i < p; i++ {
+		out := make([][]int, p)
+		for i := range out {
 			for k := 0; k < rng.Intn(3); k++ {
-				j := rng.Intn(p)
-				if j != i {
-					st.Set(i, j, true)
+				if j := rng.Intn(p); j != i && !slices.Contains(out[i], j) {
+					out[i] = append(out[i], j)
 				}
 			}
 		}
-		stages[s] = st
+		stages[s] = edgeList(p, out)
 	}
-	return &Pattern{Name: "random", Procs: p, Stages: stages}
+	return &Pattern{Name: "random", StaticStages: sched.StaticStages{Procs: p, Stages: stages}}
 }
 
 func TestSparseDenseAgreeOnRandomPatterns(t *testing.T) {
@@ -381,7 +380,7 @@ func TestSparseDenseAgreeOnRandomPatterns(t *testing.T) {
 		p := rng.Intn(12) + 1
 		pat := randomFloodPattern(rng, p)
 		sparse := pat.Verify()
-		dense := pat.VerifyDense()
+		dense := verifyDense(pat, SemBarrier, 0)
 		if (sparse == nil) != (dense == nil) {
 			t.Fatalf("trial %d: sparse %v, dense %v for pattern\n%v", trial, sparse, dense, pat.Stages)
 		}

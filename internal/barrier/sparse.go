@@ -7,60 +7,37 @@ import (
 	"hbsp/internal/sched"
 )
 
-// StageAdj is the sparse per-row adjacency of one stage: Out[i] lists the
-// destinations process i signals, In[j] lists the sources signalling j, and
-// OutBytes[i][k] is the payload size of the edge i→Out[i][k] (nil when the
-// pattern carries no payload). It is what Verify, Predict and Execute read a
-// pattern through, so all run in O(signals) per stage instead of the O(P³)
-// dense matrix products of the literal Eq. 5.1/5.2 formulation (kept as
-// VerifyDense for reference and ablation). It is an alias for the
-// discrete-event evaluator's stage type: a pattern's cached adjacency is what
-// its StageAt hands out.
+// StageAdj is the edge-list form of one stage: Out[i] lists the destinations
+// process i signals, In[j] the sources signalling j, and OutBytes[i][k] the
+// payload size of the edge i→Out[i][k] (nil for pure signals). It is what
+// Verify, Predict and Execute read a schedule through, so all run in
+// O(signals) per stage instead of the O(P³) dense matrix products of the
+// literal Eq. 5.1/5.2 formulation. It is an alias for the discrete-event
+// evaluator's stage type.
 type StageAdj = sched.Stage
 
-// Adjacency returns the sparse adjacency of every stage, building and caching
-// it on first use. The build is guarded by a sync.Once, so concurrent callers
-// (e.g. simulated processes sharing one verified schedule) are race-free. The
-// cache assumes the Stages and Payload slices are not mutated after the first
-// call; pattern constructors in this package and in internal/adapt finish all
-// stage and payload edits before the pattern escapes.
-func (pat *Pattern) Adjacency() []StageAdj {
-	pat.adjOnce.Do(func() {
-		p := pat.Procs
-		adj := make([]StageAdj, len(pat.Stages))
-		for s, st := range pat.Stages {
-			out := make([][]int, p)
-			in := make([][]int, p)
-			var outBytes [][]int
-			if pat.Payload != nil && pat.Payload[s] != nil {
-				outBytes = make([][]int, p)
-			}
-			for i := 0; i < p; i++ {
-				for _, j := range st.RowTrue(i) {
-					out[i] = append(out[i], j)
-					in[j] = append(in[j], i)
-					if outBytes != nil {
-						outBytes[i] = append(outBytes[i], int(pat.Payload[s].At(i, j)))
-					}
-				}
-			}
-			adj[s] = StageAdj{Out: out, In: in, OutBytes: outBytes}
-		}
-		pat.adj = adj
-	})
-	return pat.adj
-}
-
 // checkSchedule refuses what no consumer can walk: a missing schedule (a nil
-// *Pattern handed over as one included), one without ranks or stages, and a
-// dense literal whose matrices are inconsistent (Validate).
+// pointer handed over as one included), one without ranks or stages, and an
+// edge-list literal that breaks the sched.Stage contract (Validate) — a rank
+// out of range, a self-signal, a size row that does not match its edges, or
+// In rows that are not the row-major scan of Out.
 func checkSchedule(s sched.Schedule) error {
-	pat, dense := s.(*Pattern)
-	if s == nil || dense && pat == nil {
+	switch v := s.(type) {
+	case nil:
 		return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
-	}
-	if dense {
-		return pat.Validate()
+	case *Pattern:
+		if v == nil {
+			return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
+		}
+		return v.Validate()
+	case *sched.StaticStages:
+		if v == nil {
+			return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
+		}
+		if err := v.Validate(); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidPattern, err)
+		}
+		return nil
 	}
 	if s.NumProcs() < 1 || s.NumStages() == 0 {
 		return fmt.Errorf("%w: %d processes, %d stages", ErrInvalidPattern, s.NumProcs(), s.NumStages())
@@ -79,8 +56,8 @@ func checkSchedule(s sched.Schedule) error {
 // flooding semantics) the final K must contain no zero element; a broadcast
 // only requires the root's row to be full, a reduction only the root's
 // column. The recursion is sched.ReachSet's — the sets the direct flood hands
-// out as data — so a dense Pattern and a streamed schedule of the same stages
-// are checked by the same code. Non-rooted semantics ignore root.
+// out as data — so a Pattern and a streamed schedule of the same stages are
+// checked by the same code. Non-rooted semantics ignore root.
 func VerifySchedule(s sched.Schedule, sem Semantics, root int) error {
 	if err := checkSchedule(s); err != nil {
 		return err

@@ -4,44 +4,23 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"hbsp/internal/matrix"
 	"hbsp/internal/sched"
 )
 
+// TestAdjacencyMatchesStageMatrices: Adjacency hands out the pattern's own
+// edge lists, and they are Fig. 5.4's stage matrices read off row by row.
 func TestAdjacencyMatchesStageMatrices(t *testing.T) {
 	pat, err := Tree(13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adj := pat.Adjacency()
-	if len(adj) != pat.NumStages() {
-		t.Fatalf("adjacency has %d stages, pattern %d", len(adj), pat.NumStages())
+	if len(adj) != pat.NumStages() || &adj[0] != &pat.Stages[0] {
+		t.Fatalf("adjacency is not the pattern's %d stages", pat.NumStages())
 	}
-	for s, st := range pat.Stages {
-		for i := 0; i < pat.Procs; i++ {
-			want := st.RowTrue(i)
-			got := adj[s].Out[i]
-			if len(want) != len(got) {
-				t.Fatalf("stage %d row %d: out %v, want %v", s, i, got, want)
-			}
-			for k := range want {
-				if want[k] != got[k] {
-					t.Fatalf("stage %d row %d: out %v, want %v", s, i, got, want)
-				}
-			}
-			wantIn := st.ColTrue(i)
-			gotIn := adj[s].In[i]
-			if len(wantIn) != len(gotIn) {
-				t.Fatalf("stage %d col %d: in %v, want %v", s, i, gotIn, wantIn)
-			}
-		}
-	}
-	// The cache is reused on the second call.
-	if &pat.Adjacency()[0] != &adj[0] {
-		t.Fatal("adjacency not cached")
-	}
+	sameEdges(t, "Tree(13)", ruleSchedule(13, treeRule), &sched.StaticStages{Procs: 13, Stages: adj})
 }
 
 func TestReachSetsBasics(t *testing.T) {
@@ -137,71 +116,41 @@ func removeEdge(st *sched.Stage, from, to int) {
 	st.Out[from], st.In[to] = drop(st.Out[from], to), drop(st.In[to], from)
 }
 
-// TestVerifyScheduleAgreesWithVerifyDense checks the one recursion on the
-// streamed generators against the literal matrix products on the dense
-// generators of the same name — and that the two reject the same mutants: a
-// dropped stage, a stage with one edge removed, and a rooted schedule checked
-// under all-to-all semantics. (The linear-shift total exchange is the one
-// generator the first two do not break: under the flooding model its P−1
-// stages reach every pair along many paths. The verifiers must still agree on
-// it.)
+// TestVerifyScheduleAgreesWithVerifyDense checks the one recursion against
+// the literal matrix products on every collective, streamed and materialized
+// — and that the two reject the same mutants: a dropped stage, a stage with
+// one edge removed, circulants with a stage dropped or an offset changed, and
+// a rooted schedule checked under all-to-all semantics. (The linear-shift
+// total exchange is the one generator the first two do not break: under the
+// flooding model its P−1 stages reach every pair along many paths. The
+// verifiers must still agree on it.)
 func TestVerifyScheduleAgreesWithVerifyDense(t *testing.T) {
-	type gen struct {
-		name   string
-		sem    Semantics
-		dense  func(p, root int) (*Pattern, error)
-		stream func(p, root int) (sched.Schedule, error)
-	}
-	gens := []gen{
-		{"dissemination", SemBarrier,
-			func(p, _ int) (*Pattern, error) { return Dissemination(p) },
-			func(p, _ int) (sched.Schedule, error) { return StreamDissemination(p) }},
-		{"broadcast", SemBroadcast,
-			func(p, root int) (*Pattern, error) { return Broadcast(p, root, 96) },
-			func(p, root int) (sched.Schedule, error) { return StreamBroadcast(p, root, 96) }},
-		{"reduce", SemReduce,
-			func(p, root int) (*Pattern, error) { return Reduce(p, root, 96) },
-			func(p, root int) (sched.Schedule, error) { return StreamReduce(p, root, 96) }},
-		{"allreduce", SemAllReduce,
-			func(p, _ int) (*Pattern, error) { return AllReduce(p, 96) },
-			func(p, _ int) (sched.Schedule, error) { return StreamAllReduce(p, 96) }},
-		{"allgather", SemAllGather,
-			func(p, _ int) (*Pattern, error) { return AllGather(p, 96) },
-			func(p, _ int) (sched.Schedule, error) { return StreamAllGather(p, 96) }},
-		{"allgather-ring", SemAllGather,
-			func(p, _ int) (*Pattern, error) { return AllGatherRing(p, 64) },
-			func(p, _ int) (sched.Schedule, error) { return StreamAllGatherRing(p, 64) }},
-		{"total-exchange", SemTotalExchange,
-			func(p, _ int) (*Pattern, error) { return TotalExchange(p, 64) },
-			func(p, _ int) (sched.Schedule, error) { return StreamTotalExchange(p, 64) }},
-	}
-	// agree runs both verifiers on one (dense, schedule) pair and fails unless
-	// they give the same verdict; it returns the verdict.
-	agree := func(t *testing.T, what string, dense *Pattern, s sched.Schedule, sem Semantics, root int) bool {
+	// agree runs both verifiers on one schedule and fails unless they give the
+	// same verdict; it returns the verdict.
+	agree := func(t *testing.T, what string, s sched.Schedule, sem Semantics, root int) bool {
 		t.Helper()
-		dense.Semantics, dense.Root = sem, root
-		de, se := dense.VerifyDense(), VerifySchedule(s, sem, root)
+		de, se := verifyDense(s, sem, root), VerifySchedule(s, sem, root)
 		if (de == nil) != (se == nil) {
-			t.Fatalf("%s: VerifyDense %v, VerifySchedule %v", what, de, se)
+			t.Fatalf("%s: verifyDense %v, VerifySchedule %v", what, de, se)
 		}
 		return se == nil
 	}
 	for p := 1; p <= 33; p++ {
 		for _, root := range []int{0, p - 1} {
-			for _, g := range gens {
-				what := fmt.Sprintf("%s p=%d root=%d", g.name, p, root)
-				dense, err := g.dense(p, root)
+			for name, g := range generators(p, root) {
+				what, sem := fmt.Sprintf("%s p=%d root=%d", name, p, root), g.sem
+				pat, err := g.pattern()
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				stream, err := g.stream(p, root)
+				stream, err := g.stream()
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				if !agree(t, what, dense, stream, g.sem, root) {
+				if !agree(t, what, stream, sem, root) || !agree(t, what+" materialized", pat, sem, root) {
 					t.Fatalf("%s: generator schedule rejected", what)
 				}
-				if err := dense.Verify(); err != nil { // *Pattern through the same recursion
+				if err := pat.Verify(); err != nil { // its own semantics and root
 					t.Fatalf("%s: Pattern.Verify: %v", what, err)
 				}
 				if p < 3 {
@@ -211,33 +160,20 @@ func TestVerifyScheduleAgreesWithVerifyDense(t *testing.T) {
 				// A dropped stage (the last one).
 				mut := materialize(stream)
 				mut.Stages = mut.Stages[:len(mut.Stages)-1]
-				dm, _ := g.dense(p, root)
-				dm.Stages, dm.Payload = dm.Stages[:len(dm.Stages)-1], nil
-				if agree(t, what+" minus last stage", dm, mut, g.sem, root) && g.sem != SemTotalExchange {
+				if agree(t, what+" minus last stage", mut, sem, root) && sem != SemTotalExchange {
 					t.Errorf("%s: accepted with its last stage dropped", what)
 				}
 
 				// One edge removed from the first stage that has one.
 				mut = materialize(stream)
-				dm, _ = g.dense(p, root)
-				dm.Payload = nil
 				for k := range mut.Stages {
-					from := -1
-					for i, outs := range mut.Stages[k].Out {
-						if len(outs) > 0 {
-							from = i
-							break
-						}
+					from := slices.IndexFunc(mut.Stages[k].Out, func(outs []int) bool { return len(outs) > 0 })
+					if from >= 0 {
+						removeEdge(&mut.Stages[k], from, mut.Stages[k].Out[from][0])
+						break
 					}
-					if from < 0 {
-						continue
-					}
-					to := mut.Stages[k].Out[from][0]
-					removeEdge(&mut.Stages[k], from, to)
-					dm.Stages[k].Set(from, to, false)
-					break
 				}
-				if agree(t, what+" minus one edge", dm, mut, g.sem, root) && g.sem != SemTotalExchange {
+				if agree(t, what+" minus one edge", mut, sem, root) && sem != SemTotalExchange {
 					t.Errorf("%s: accepted with one edge removed", what)
 				}
 
@@ -249,45 +185,32 @@ func TestVerifyScheduleAgreesWithVerifyDense(t *testing.T) {
 						offs[k], _ = cs.CirculantStage(k)
 					}
 					for _, mutant := range [][]int{offs[:len(offs)-1], append([]int{2 * offs[0]}, offs[1:]...)} {
-						circ, lit := circulantPair(t, p, mutant)
-						agree(t, fmt.Sprintf("%s with offsets %v", what, mutant), lit, circ, g.sem, root)
+						agree(t, fmt.Sprintf("%s with offsets %v", what, mutant), circulantOf(t, p, mutant), sem, root)
 					}
 				}
 
 				// A rooted schedule under all-to-all semantics.
-				if g.sem == SemBroadcast || g.sem == SemReduce {
-					dm, _ = g.dense(p, root)
-					if agree(t, what+" as allgather", dm, stream, SemAllGather, root) {
-						t.Errorf("%s: a rooted schedule passed as an allgather", what)
-					}
+				if (sem == SemBroadcast || sem == SemReduce) && agree(t, what+" as allgather", stream, SemAllGather, root) {
+					t.Errorf("%s: a rooted schedule passed as an allgather", what)
 				}
 			}
 		}
 	}
 	// Even offsets only ever reach even distances.
-	circ, lit := circulantPair(t, 16, []int{2, 4, 8})
-	if agree(t, "offsets 2 4 8 at p=16", lit, circ, SemAllReduce, 0) {
+	if agree(t, "offsets 2 4 8 at p=16", circulantOf(t, 16, []int{2, 4, 8}), SemAllReduce, 0) {
 		t.Error("a circulant that reaches only even distances was accepted")
 	}
 }
 
-// circulantPair returns the circulant schedule with the given stage offsets
-// and its dense literal.
-func circulantPair(t *testing.T, p int, offsets []int) (sched.Schedule, *Pattern) {
+// circulantOf returns the pure-signal circulant schedule with the given stage
+// offsets.
+func circulantOf(t *testing.T, p int, offsets []int) sched.Schedule {
 	t.Helper()
 	circ, err := sched.NewCirculant(p, offsets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lit := &Pattern{Name: "circulant", Procs: p}
-	for _, off := range offsets {
-		st := matrix.NewBool(p, p)
-		for i := 0; i < p && off%p != 0; i++ {
-			st.Set(i, (i+off)%p, true)
-		}
-		lit.Stages = append(lit.Stages, st)
-	}
-	return circ, lit
+	return circ
 }
 
 func TestVerifyDenseMatchesVerifyOnGenerators(t *testing.T) {
@@ -303,40 +226,10 @@ func TestVerifyDenseMatchesVerifyOnGenerators(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s, d := pat.Verify(), pat.VerifyDense(); (s == nil) != (d == nil) {
+			if s, d := pat.Verify(), verifyDense(pat, pat.Semantics, pat.Root); (s == nil) != (d == nil) {
 				t.Fatalf("%s(%d): sparse %v, dense %v", pat.Name, p, s, d)
 			}
 		}
-	}
-}
-
-// The acceptance check for the sparse representation: at P = 1024 the sparse
-// knowledge recursion must beat the dense O(P³) matrix products by a wide
-// margin. A single run of each suffices — the gap is three orders of
-// magnitude, so the comparison is robust against timer noise.
-func TestSparseVerifyFasterThanDenseAtP1024(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dense verification at P=1024 takes seconds")
-	}
-	pat, err := Dissemination(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := pat.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	sparse := time.Since(start)
-
-	start = time.Now()
-	if err := pat.VerifyDense(); err != nil {
-		t.Fatal(err)
-	}
-	dense := time.Since(start)
-
-	t.Logf("P=1024 dissemination: sparse Verify %v, dense Verify %v", sparse, dense)
-	if sparse >= dense {
-		t.Fatalf("sparse Verify (%v) not faster than dense (%v) at P=1024", sparse, dense)
 	}
 }
 
@@ -351,7 +244,6 @@ func benchPattern(b *testing.B, p int) *Pattern {
 
 func BenchmarkVerifySparseP1024(b *testing.B) {
 	pat := benchPattern(b, 1024)
-	pat.Adjacency() // build the cache outside the timed loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := pat.Verify(); err != nil {
@@ -364,7 +256,7 @@ func BenchmarkVerifyDenseP1024(b *testing.B) {
 	pat := benchPattern(b, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pat.VerifyDense(); err != nil {
+		if err := verifyDense(pat, SemBarrier, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,7 +270,6 @@ func BenchmarkPredictSparseP1024(b *testing.B) {
 	lat.Fill(28e-6)
 	ovh.Fill(1.2e-6)
 	params := Params{Latency: lat, Overhead: ovh}
-	pat.Adjacency()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Predict(pat, params, DefaultCostOptions()); err != nil {

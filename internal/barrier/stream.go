@@ -6,20 +6,19 @@ import (
 	"hbsp/internal/sched"
 )
 
-// Streaming schedule generators: the circulant collectives in O(P)-memory
-// form. Where the Pattern generators materialize one P×P incidence matrix
-// (plus payload) per stage, these return sched.Circulant values that describe
-// a stage by its single (offset, size) pair — O(stages) state, immutable and
-// shareable by concurrent evaluations. They carry
-// the SymCirculant hint by construction, so on a homogeneous one-rank-per-
-// node machine the direct evaluator collapses them to a single equivalence
-// class and never touches a per-rank stage at all: the representation that
-// carries P=1M runs. Stage structure and payload sizes are identical to the
-// corresponding Pattern generators (the equivalence tests pin this).
+// Streaming schedule generators: the one construction of every collective.
+// The circulant ones return sched.Circulant values that describe a stage by
+// its single (offset, size) pair — O(stages) state, immutable and shareable
+// by concurrent evaluations. They carry the SymCirculant hint by
+// construction, so on a homogeneous one-rank-per-node machine the direct
+// evaluator collapses them to a single equivalence class and never touches a
+// per-rank stage at all: the representation that carries P=1M runs. The
+// Pattern generator of the same collective is this stream materialized once
+// through StageAt (named), so the two cannot disagree.
 //
 // The binomial broadcast/reduce trees are not circulant; StreamBroadcast and
-// StreamReduce build each stage's O(P) adjacency on request instead, or answer
-// for one rank (sched.RankSchedule).
+// StreamReduce build each stage's O(P) edge lists on request instead, or
+// answer for one rank (sched.RankSchedule).
 
 // streamOffsets returns the dissemination offsets 1, 2, 4, ... < p.
 func streamOffsets(p int) []int {
@@ -30,8 +29,8 @@ func streamOffsets(p int) []int {
 	return offs
 }
 
-// circulant wraps sched.NewCirculant (which takes negative sizes as 0, as the
-// Pattern generators do) with their p==1 convention: a single empty stage.
+// circulant wraps sched.NewCirculant (which takes negative sizes as 0) with
+// every generator's p==1 convention: a single empty stage.
 func circulant(p int, offsets, sizes []int) (*sched.Circulant, error) {
 	if p == 1 {
 		return sched.NewCirculant(1, []int{0}, []int{0})
@@ -116,9 +115,8 @@ func StreamAllGatherRing(p, blockBytes int) (sched.Schedule, error) {
 // binomStream streams the binomial broadcast/reduce trees: stage s of the
 // broadcast has the ≤2^s edges (root+r) → (root+r+2^s) mod p for r < 2^s;
 // the reduce runs the transposed stages in reverse order. The value is O(1)
-// and immutable: StageAt builds a fresh O(P) adjacency per call, a walker
-// following one rank asks for that rank's edges (sched.RankSchedule), and no
-// dense matrix is ever materialized.
+// and immutable: StageAt builds fresh O(P) edge lists per call, and a walker
+// following one rank asks for that rank's edges (sched.RankSchedule).
 type binomStream struct {
 	p, root, msgBytes int
 	reverse           bool // reduce: transposed stages in reverse order
@@ -134,7 +132,7 @@ func newBinomStream(name string, p, root, msgBytes int, reverse bool) (sched.Sch
 		nstages++
 	}
 	if nstages == 0 {
-		nstages = 1 // single empty stage, mirroring binomialStages at p=1
+		nstages = 1 // every generator's p==1 convention: a single empty stage
 	}
 	return &binomStream{p: p, root: root, msgBytes: max(msgBytes, 0), reverse: reverse, nstages: nstages}, nil
 }

@@ -3,55 +3,49 @@ package barrier
 import (
 	"context"
 	"fmt"
+	"maps"
 	"testing"
 
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 )
 
-// streamPairs enumerates every streaming generator next to the dense pattern
-// it must match stage for stage and byte for byte.
-func streamPairs(t *testing.T, p int) map[string][2]func() (sched.Schedule, error) {
-	t.Helper()
-	asSched := func(pat *Pattern, err error) (sched.Schedule, error) {
-		if err != nil {
-			return nil, err
-		}
-		return pat, nil
-	}
-	return map[string][2]func() (sched.Schedule, error){
-		"dissemination": {
-			func() (sched.Schedule, error) { return asSched(Dissemination(p)) },
-			func() (sched.Schedule, error) { return StreamDissemination(p) },
-		},
-		"allreduce": {
-			func() (sched.Schedule, error) { return asSched(AllReduce(p, 96)) },
-			func() (sched.Schedule, error) { return StreamAllReduce(p, 96) },
-		},
-		"allgather": {
-			func() (sched.Schedule, error) { return asSched(AllGather(p, 96)) },
-			func() (sched.Schedule, error) { return StreamAllGather(p, 96) },
-		},
-		"allgather-ring": {
-			func() (sched.Schedule, error) { return asSched(AllGatherRing(p, 64)) },
-			func() (sched.Schedule, error) { return StreamAllGatherRing(p, 64) },
-		},
-		"broadcast": {
-			func() (sched.Schedule, error) { return asSched(Broadcast(p, 0, 96)) },
-			func() (sched.Schedule, error) { return StreamBroadcast(p, 0, 96) },
-		},
-		"broadcast-root2": {
-			func() (sched.Schedule, error) { return asSched(Broadcast(p, 2%p, 96)) },
-			func() (sched.Schedule, error) { return StreamBroadcast(p, 2%p, 96) },
-		},
-		"reduce": {
-			func() (sched.Schedule, error) { return asSched(Reduce(p, 0, 96)) },
-			func() (sched.Schedule, error) { return StreamReduce(p, 0, 96) },
-		},
-		"total-exchange": {
-			func() (sched.Schedule, error) { return asSched(TotalExchange(p, 64)) },
-			func() (sched.Schedule, error) { return StreamTotalExchange(p, 64) },
-		},
+// generator is one collective: its semantics, its edge rule, its Pattern
+// generator and its streamed twin.
+type generator struct {
+	sem     Semantics
+	rule    edgeRule
+	pattern func() (*Pattern, error)
+	stream  func() (sched.Schedule, error)
+}
+
+// generators enumerates every streamed collective at one process count, the
+// rooted ones at root.
+func generators(p, root int) map[string]generator {
+	size := func(n int) func(int) int { return func(int) int { return n } }
+	doubling := func(s int) int { return 1 << s }
+	return map[string]generator{
+		"dissemination": {SemBarrier, circulantRule(doublings, doubling, size(0)),
+			func() (*Pattern, error) { return Dissemination(p) },
+			func() (sched.Schedule, error) { return StreamDissemination(p) }},
+		"allreduce": {SemAllReduce, circulantRule(doublings, doubling, size(96)),
+			func() (*Pattern, error) { return AllReduce(p, 96) },
+			func() (sched.Schedule, error) { return StreamAllReduce(p, 96) }},
+		"allgather": {SemAllGather, circulantRule(doublings, doubling, func(s int) int { return 96 << s }),
+			func() (*Pattern, error) { return AllGather(p, 96) },
+			func() (sched.Schedule, error) { return StreamAllGather(p, 96) }},
+		"allgather-ring": {SemAllGather, circulantRule(func(p int) int { return p - 1 }, size(1), size(64)),
+			func() (*Pattern, error) { return AllGatherRing(p, 64) },
+			func() (sched.Schedule, error) { return StreamAllGatherRing(p, 64) }},
+		"broadcast": {SemBroadcast, binomialRule(root, 96, false),
+			func() (*Pattern, error) { return Broadcast(p, root, 96) },
+			func() (sched.Schedule, error) { return StreamBroadcast(p, root, 96) }},
+		"reduce": {SemReduce, binomialRule(root, 96, true),
+			func() (*Pattern, error) { return Reduce(p, root, 96) },
+			func() (sched.Schedule, error) { return StreamReduce(p, root, 96) }},
+		"total-exchange": {SemTotalExchange, circulantRule(func(p int) int { return p - 1 }, func(s int) int { return s + 1 }, size(64)),
+			func() (*Pattern, error) { return TotalExchange(p, 64) },
+			func() (sched.Schedule, error) { return StreamTotalExchange(p, 64) }},
 	}
 }
 
@@ -73,61 +67,62 @@ func edgeSizes(s sched.Schedule) map[edge]int {
 	return sizes
 }
 
-// TestStreamGeneratorsMatchPatterns pins every streaming generator against
-// its dense pattern: identical stage structure (edges and payload sizes) and,
-// through the evaluator, bit-identical virtual times — across odd,
-// power-of-two and non-power-of-two process counts.
+// sameEdges fails unless the schedule has the reference's stages: the same
+// Out and In rows in the same order, and the same size on every edge.
+func sameEdges(t *testing.T, what string, ref, s sched.Schedule) {
+	t.Helper()
+	if s.NumProcs() != ref.NumProcs() || s.NumStages() != ref.NumStages() {
+		t.Fatalf("%s: %d ranks x %d stages, want %d x %d", what, s.NumProcs(), s.NumStages(), ref.NumProcs(), ref.NumStages())
+	}
+	for k := 0; k < ref.NumStages(); k++ {
+		got, want := s.StageAt(k), ref.StageAt(k)
+		for i := 0; i < ref.NumProcs(); i++ {
+			if fmt.Sprint(got.Out[i], got.In[i]) != fmt.Sprint(want.Out[i], want.In[i]) {
+				t.Fatalf("%s stage %d rank %d: out/in %v/%v, want %v/%v", what, k, i, got.Out[i], got.In[i], want.Out[i], want.In[i])
+			}
+		}
+	}
+	if got, want := edgeSizes(s), edgeSizes(ref); !maps.Equal(got, want) {
+		t.Fatalf("%s: edge sizes %v, want %v", what, got, want)
+	}
+}
+
+// TestStreamGeneratorsMatchPatterns holds every collective's Pattern and its
+// streamed twin to the collective's edge rule — stage structure, edge order
+// and payload sizes — and, through the evaluator, to bit-identical virtual
+// times, across odd, power-of-two and non-power-of-two process counts.
 func TestStreamGeneratorsMatchPatterns(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8, 12, 13, 16} {
 		m := engineMachine(t, p, true)
-		for name, pair := range streamPairs(t, p) {
-			dense, err := pair[0]()
+		for name, g := range generators(p, p/2) {
+			pat, err := g.pattern()
 			if err != nil {
-				t.Fatalf("p=%d %s dense: %v", p, name, err)
+				t.Fatalf("p=%d %s pattern: %v", p, name, err)
 			}
-			stream, err := pair[1]()
+			stream, err := g.stream()
 			if err != nil {
 				t.Fatalf("p=%d %s stream: %v", p, name, err)
 			}
-			if stream.NumProcs() != dense.NumProcs() || stream.NumStages() != dense.NumStages() {
-				t.Fatalf("p=%d %s: stream %dx%d stages, dense %dx%d",
-					p, name, stream.NumProcs(), stream.NumStages(), dense.NumProcs(), dense.NumStages())
-			}
-			for s := 0; s < dense.NumStages(); s++ {
-				ds, ss := dense.StageAt(s), stream.StageAt(s)
-				for i := 0; i < p; i++ {
-					if fmt.Sprint(ss.Out[i]) != fmt.Sprint(ds.Out[i]) || fmt.Sprint(ss.In[i]) != fmt.Sprint(ds.In[i]) {
-						t.Fatalf("p=%d %s stage %d rank %d: stream %v/%v, dense %v/%v",
-							p, name, s, i, ss.Out[i], ss.In[i], ds.Out[i], ds.In[i])
-					}
-					var db, sb []int
-					if ds.OutBytes != nil {
-						db = ds.OutBytes[i]
-					}
-					if ss.OutBytes != nil {
-						sb = ss.OutBytes[i]
-					}
-					if fmt.Sprint(sb) != fmt.Sprint(db) && !(len(sb) == 0 && len(db) == 0) {
-						t.Fatalf("p=%d %s stage %d rank %d: stream bytes %v, dense bytes %v", p, name, s, i, sb, db)
-					}
-				}
-			}
-			resDense, err := sched.RunSchedule(context.Background(), m, dense, 2, simnet.DefaultOptions())
+			ref := ruleSchedule(p, g.rule)
+			sameEdges(t, fmt.Sprintf("p=%d %s pattern", p, name), ref, pat)
+			sameEdges(t, fmt.Sprintf("p=%d %s stream", p, name), ref, stream)
+
+			resPat, err := sched.RunSchedule(context.Background(), m, pat, 2, simnet.DefaultOptions())
 			if err != nil {
-				t.Fatalf("p=%d %s dense run: %v", p, name, err)
+				t.Fatalf("p=%d %s pattern run: %v", p, name, err)
 			}
 			resStream, err := sched.RunSchedule(context.Background(), m, stream, 2, simnet.DefaultOptions())
 			if err != nil {
 				t.Fatalf("p=%d %s stream run: %v", p, name, err)
 			}
-			for r := range resDense.Times {
-				if resDense.Times[r] != resStream.Times[r] {
-					t.Errorf("p=%d %s rank %d: dense %v, stream %v", p, name, r, resDense.Times[r], resStream.Times[r])
+			for r := range resPat.Times {
+				if resPat.Times[r] != resStream.Times[r] {
+					t.Errorf("p=%d %s rank %d: pattern %v, stream %v", p, name, r, resPat.Times[r], resStream.Times[r])
 				}
 			}
-			if resDense.Messages != resStream.Messages || resDense.Bytes != resStream.Bytes {
-				t.Errorf("p=%d %s traffic: dense %d/%d, stream %d/%d",
-					p, name, resDense.Messages, resDense.Bytes, resStream.Messages, resStream.Bytes)
+			if resPat.Messages != resStream.Messages || resPat.Bytes != resStream.Bytes {
+				t.Errorf("p=%d %s traffic: pattern %d/%d, stream %d/%d",
+					p, name, resPat.Messages, resPat.Bytes, resStream.Messages, resStream.Bytes)
 			}
 		}
 	}

@@ -100,11 +100,11 @@ type scheduleSync struct {
 	sized sched.Schedule
 }
 
-// NewScheduleSynchronizer wraps a collective schedule — a dense pattern or a
-// streamed one — as a count-exchange synchronizer. The schedule must pass the
-// all-pairs knowledge recursion (barrier/allgather-style semantics): rooted
-// broadcast or reduce schedules cannot deliver the full count map and are
-// rejected, as is a missing schedule.
+// NewScheduleSynchronizer wraps a collective schedule — a pattern's edge lists
+// or a streamed one — as a count-exchange synchronizer. The schedule must pass
+// the all-pairs knowledge recursion (barrier/allgather-style semantics):
+// rooted broadcast or reduce schedules cannot deliver the full count map and
+// are rejected, as is a missing schedule.
 func NewScheduleSynchronizer(s sched.Schedule) (Synchronizer, error) {
 	if err := barrier.VerifySchedule(s, barrier.SemBarrier, 0); err != nil {
 		return nil, fmt.Errorf("bsp: schedule cannot implement the count total exchange: %w", err)

@@ -203,13 +203,13 @@ func TestScheduleSynchronizerRejectsUnsuitableSchedules(t *testing.T) {
 	if _, err := NewScheduleSynchronizer(rd); err == nil {
 		t.Error("reduce schedule should be rejected")
 	}
-	// An incomplete flooding schedule fails verification.
-	broken, err := barrier.Linear(8, 0)
+	// An incomplete flooding schedule fails verification: the linear
+	// barrier's arrival stage alone.
+	linear, err := barrier.Linear(8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken.Stages = broken.Stages[:1]
-	if _, err := NewScheduleSynchronizer(&barrier.Pattern{Name: "half", Procs: 8, Stages: broken.Stages}); err == nil {
+	if _, err := NewScheduleSynchronizer(&sched.StaticStages{Procs: 8, Stages: linear.Stages[:1]}); err == nil {
 		t.Error("truncated schedule should fail verification")
 	}
 }

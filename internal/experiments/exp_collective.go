@@ -47,8 +47,8 @@ func CollectiveSeries(prof *platform.Profile, maxProcs int, opts Options) ([]Col
 		if err != nil {
 			return nil, err
 		}
-		// The streamed generators: their dense literals price and run the
-		// same, bit for bit, and need not be built.
+		// The streamed generators: the patterns they materialize price and
+		// run the same, bit for bit, and need not be built.
 		const b = CollectiveBlockBytes
 		var out []CollectivePoint
 		for _, c := range []struct {

@@ -10,7 +10,7 @@ import (
 )
 
 // Schedule is what the Comm schedule collectives execute: the evaluator's
-// sched.Schedule, the one schedule type of the repository. A dense
+// sched.Schedule, the one schedule type of the repository. A
 // barrier.Pattern (every generator, the model-selected hybrids of
 // internal/adapt) and the streamed generators satisfy it alike.
 type Schedule = sched.Schedule

@@ -164,15 +164,15 @@ func must[S mpi.Schedule](t *testing.T) func(S, error) mpi.Schedule {
 }
 
 // TestStreamedAndDenseSchedulesAgreeOnBothEngines runs every typed schedule
-// collective four ways — on the dense *Pattern and on the streamed schedule of
-// the same name, each evaluated at the gate (EngineAuto) and walked rank by
-// rank through the stage view (EngineConcurrent) — on a noisy heterogeneous
-// machine, with and without acknowledged sends: per-rank times, traffic,
-// every returned value and, traced, the recording byte for byte must be the
-// same on all four. The run ends with a barrier flooded over the binomial
-// tree (dense in both forms; it has no streamed generator), whose ranks sit
-// idle in some stages at every P here but the powers of two — P = 6 is in the
-// list for it.
+// collective four ways — on the materialized *Pattern and on the streamed
+// schedule of the same name, each evaluated at the gate (EngineAuto) and
+// walked rank by rank through the stage view (EngineConcurrent) — on a noisy
+// heterogeneous machine, with and without acknowledged sends: per-rank times,
+// traffic, every returned value and, traced, the recording byte for byte must
+// be the same on all four. The run ends with a barrier flooded over the
+// binomial tree (edge lists in both forms; it has no streamed generator),
+// whose ranks sit idle in some stages at every P here but the powers of two —
+// P = 6 is in the list for it.
 func TestStreamedAndDenseSchedulesAgreeOnBothEngines(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 6, 8, 13, 16} {
 		root := 2 % p

@@ -11,7 +11,6 @@ import (
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/fault"
-	"hbsp/internal/matrix"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 	"hbsp/internal/trace"
@@ -107,27 +106,16 @@ func randomSchedule(t *testing.T, rng *rand.Rand, p int) (string, sched.Schedule
 	return "irregular", &sched.StaticStages{Procs: p, Stages: st}
 }
 
-// densePattern is the thesis' literal of a schedule: one P×P stage matrix and
-// one payload matrix per stage. A *barrier.Pattern is a sched.Schedule, so it
-// goes down every path the streamed form does.
-func densePattern(s sched.Schedule) *barrier.Pattern {
-	p := s.NumProcs()
-	pat := &barrier.Pattern{Name: "literal", Procs: p}
+// edgeListPattern is the schedule's stages read once into a barrier.Pattern's
+// edge lists, with its symmetry hint: the form every materialized generator
+// has, one more input to every path.
+func edgeListPattern(s sched.Schedule) *barrier.Pattern {
+	pat := &barrier.Pattern{Name: "literal", StaticStages: sched.StaticStages{Procs: s.NumProcs()}}
 	if ss, ok := s.(sched.SymmetricSchedule); ok {
 		pat.Sym = ss.Symmetry()
 	}
 	for k := 0; k < s.NumStages(); k++ {
-		st := s.StageAt(k)
-		stage, payload := matrix.NewBool(p, p), matrix.NewDense(p, p)
-		for i, outs := range st.Out {
-			for q, j := range outs {
-				stage.Set(i, j, true)
-				if st.OutBytes != nil {
-					payload.Set(i, j, float64(st.OutBytes[i][q]))
-				}
-			}
-		}
-		pat.Stages, pat.Payload = append(pat.Stages, stage), append(pat.Payload, payload)
+		pat.Stages = append(pat.Stages, s.StageAt(k))
 	}
 	return pat
 }
@@ -306,8 +294,8 @@ func TestGeneratedCrossPathAgreement(t *testing.T) {
 		tag := fmt.Sprintf("case %d %s %s p=%d ack=%v", c, mname, shape, p, ack)
 		base := crossPaths(t, tag, m, s, 2, ack, nil)
 		if shape == "circulant" {
-			// The same stages as a dense literal: one more input to every path.
-			diffResults(t, tag+" dense literal vs streamed", base, crossPaths(t, tag+" dense literal", m, densePattern(s), 2, ack, nil))
+			// The same stages as edge lists: one more input to every path.
+			diffResults(t, tag+" edge lists vs streamed", base, crossPaths(t, tag+" edge lists", m, edgeListPattern(s), 2, ack, nil))
 		}
 
 		plan := &fault.Plan{

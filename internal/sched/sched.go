@@ -46,6 +46,7 @@
 package sched
 
 import (
+	"fmt"
 	"sync"
 
 	"hbsp/internal/loggp"
@@ -58,8 +59,9 @@ import (
 //
 // Ordering contract: In[j] must enumerate sources in the order the edges are
 // produced by scanning Out row-major (i ascending, then position in Out[i]).
-// Adjacency built by scanning a stage matrix row by row — as
-// barrier.Pattern.Adjacency does — satisfies this by construction.
+// Edge lists read off a stage matrix row by row satisfy this by construction,
+// and so do the relabelings of internal/adapt, whose rank maps are monotone;
+// StaticStages.Validate checks it.
 type Stage struct {
 	Out      [][]int
 	In       [][]int
@@ -100,6 +102,48 @@ func (s *StaticStages) StageAt(i int) Stage { return s.Stages[i] }
 
 // Symmetry returns the declared rank symmetry.
 func (s *StaticStages) Symmetry() Symmetry { return s.Sym }
+
+// Validate checks the stages against the Stage contract: at least one rank
+// and one stage, P rows per side, every rank named in range, no self-signals,
+// one size per edge where sizes are given, and In[j] listing exactly j's
+// senders in the row-major scan order of Out. It takes O(P + edges) per stage.
+// The walkers trust their input; a literal is checked once, where it enters.
+func (s *StaticStages) Validate() error {
+	p := s.Procs
+	if p < 1 || len(s.Stages) == 0 {
+		return fmt.Errorf("sched: %d ranks, %d stages", p, len(s.Stages))
+	}
+	next := make([]int, p) // per receiver: how many of its In entries the scan has matched
+	for k, st := range s.Stages {
+		if len(st.Out) != p || len(st.In) != p || st.OutBytes != nil && len(st.OutBytes) != p {
+			return fmt.Errorf("sched: stage %d has %d out rows, %d in rows and %d size rows for %d ranks",
+				k, len(st.Out), len(st.In), len(st.OutBytes), p)
+		}
+		clear(next)
+		for i, outs := range st.Out {
+			if st.OutBytes != nil && len(st.OutBytes[i]) != len(outs) {
+				return fmt.Errorf("sched: stage %d: rank %d has %d edges and %d sizes", k, i, len(outs), len(st.OutBytes[i]))
+			}
+			for _, j := range outs {
+				switch {
+				case j < 0 || j >= p:
+					return fmt.Errorf("sched: stage %d: rank %d signals rank %d of %d", k, i, j, p)
+				case j == i:
+					return fmt.Errorf("sched: stage %d: rank %d signals itself", k, i)
+				case next[j] == len(st.In[j]) || st.In[j][next[j]] != i:
+					return fmt.Errorf("sched: stage %d: In[%d] does not list the edge %d→%d in row-major order", k, j, i, j)
+				}
+				next[j]++
+			}
+		}
+		for j, ins := range st.In {
+			if next[j] != len(ins) {
+				return fmt.Errorf("sched: stage %d: In[%d] lists %d senders, Out has %d edges to it", k, j, len(ins), next[j])
+			}
+		}
+	}
+	return nil
+}
 
 // Evaluator evaluates schedules against a set of per-rank LogGP states. Its
 // per-stage scratch is reused across executions, so steady-state evaluation

@@ -240,3 +240,24 @@ func TestServedCollectivesRetainNoDenseSchedule(t *testing.T) {
 	}
 	runtime.KeepAlive(s)
 }
+
+// TestTreeAndLinearBarriersAtP8192 serves the two barriers whose schedules
+// were built as stage matrices: at P=8192 the tree's 26 of them came to about
+// 1.7 GB, the P² growth of the 412 MB one request took at 4,096. As edge lists
+// both are O(P·stages), and each request, schedule build and verification
+// included, must answer 200 inside 64 MB.
+func TestTreeAndLinearBarriersAtP8192(t *testing.T) {
+	for _, variant := range []string{"tree", "linear"} {
+		s := New(Config{})
+		body := fmt.Sprintf(`{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"barrier","variant":%q},"procs":8192}`, variant)
+		var rec *httptest.ResponseRecorder
+		alloc := totalAlloc(func() { rec = serveInProcess(s, body, false) })
+		if rec.Code != 200 {
+			t.Fatalf("barrier:%s: status %d: %s", variant, rec.Code, rec.Body.Bytes())
+		}
+		t.Logf("barrier:%s at P=8192: %d KiB allocated", variant, alloc>>10)
+		if alloc >= 64<<20 {
+			t.Errorf("barrier:%s at P=8192 allocated %d MiB, want < 64", variant, alloc>>20)
+		}
+	}
+}

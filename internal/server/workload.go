@@ -284,12 +284,11 @@ func (s *Server) synchronizer(w *WorkloadSpec, procs int) (bsp.Synchronizer, err
 
 // schedule returns a point's verified schedule from the server's one schedule
 // cache, which every route reads: streamed generator schedules — a total
-// exchange at P=1024 is 16 KB where its stage matrices would be 9.7 GB — but
-// for the two payload-free barriers that have no streamed form yet, tree and
-// linear (ROADMAP item 4: linear's fan-in and fan-out need more than one edge
-// per rank and side). Verification reads stage structure only, so the cache
-// also holds a marker per verified (kind, variant, procs, root). Cached values
-// are immutable and shared between runs.
+// exchange at P=1024 is 16 KB where its stage matrices would be 9.7 GB — and,
+// for the tree and linear barriers, their O(P·stages) edge lists.
+// Verification reads stage structure only, so the cache also holds a marker
+// per verified (kind, variant, procs, root). Cached values are immutable and
+// shared between runs.
 func (s *Server) schedule(w *WorkloadSpec, procs int) (sched.Schedule, error) {
 	structure := fmt.Sprintf("%s:%s/p%d/root%d", w.Kind, w.Variant, procs, w.Root)
 	key := fmt.Sprintf("schedule/%s/b%d", structure, w.Bytes)
@@ -301,7 +300,6 @@ func (s *Server) schedule(w *WorkloadSpec, procs int) (sched.Schedule, error) {
 		err error
 		sem = collective.SemBarrier
 	)
-	dense := func(pat *collective.Pattern, e error) { sch, err = pat, e }
 	switch w.Kind + ":" + w.Variant {
 	case "broadcast:":
 		sem = collective.SemBroadcast
@@ -321,9 +319,9 @@ func (s *Server) schedule(w *WorkloadSpec, procs int) (sched.Schedule, error) {
 	case "barrier:dissemination", "sync:schedule":
 		sch, err = collective.StreamDissemination(procs)
 	case "barrier:tree":
-		dense(collective.Tree(procs))
+		sch, err = collective.Tree(procs)
 	case "barrier:linear":
-		dense(collective.Linear(procs, 0))
+		sch, err = collective.Linear(procs, 0)
 	default:
 		return nil, fmt.Errorf("server: no schedule for workload %s:%s", w.Kind, w.Variant)
 	}

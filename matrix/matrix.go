@@ -1,7 +1,8 @@
 // Package matrix is the public surface of the dense float64 and boolean
 // matrix toolkit the framework's models are phrased in: parameter matrices
-// (collective.Params), collective stage matrices (collective.Pattern.Stages)
-// and the cost-model outputs all use these types.
+// (collective.Params) and the cost-model outputs use these types, and a Bool
+// writes a collective stage as the thesis does — for reading and checking a
+// schedule; collective.Pattern holds its stages as edge lists.
 package matrix
 
 import "hbsp/internal/matrix"
@@ -9,7 +10,7 @@ import "hbsp/internal/matrix"
 // Dense is a dense row-major float64 matrix.
 type Dense = matrix.Dense
 
-// Bool is a dense boolean matrix, the representation of collective stage
+// Bool is a dense boolean matrix, the thesis' notation for collective stage
 // incidence.
 type Bool = matrix.Bool
 

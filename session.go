@@ -231,9 +231,9 @@ func WithSynchronizer(sync bsp.Synchronizer) Option {
 	}
 }
 
-// WithScheduleSynchronizer wraps a collective schedule — a dense pattern or a
-// streamed one; it must deliver every rank's counts to every rank — as the
-// superstep synchronizer.
+// WithScheduleSynchronizer wraps a collective schedule — a pattern's edge
+// lists or a streamed one; it must deliver every rank's counts to every rank —
+// as the superstep synchronizer.
 func WithScheduleSynchronizer(sch sched.Schedule) Option {
 	return func(s *Session) error {
 		sync, err := bsp.NewScheduleSynchronizer(sch)
