@@ -76,12 +76,14 @@
 //     tests pin.
 //
 //   - The direct discrete-event evaluator (package sched) computes virtual
-//     times from the LogGP recurrence with no goroutines, mailboxes or
-//     channel wake-ups. Workloads whose communication structure is fixed
-//     before they run — verified collective schedules, the superstep count
-//     exchange, straight-line sim.Program op-streams — are evaluated
-//     sequentially, 5–10x faster at P ≥ 256, and scale to rank counts
-//     (P = 4096) the concurrent engine cannot reach.
+//     times from the LogGP recurrence with no goroutine per rank, no
+//     mailboxes and no channel wake-ups. Workloads whose communication
+//     structure is fixed before they run — verified collective schedules, the
+//     superstep count exchange, straight-line sim.Program op-streams — are
+//     evaluated stage by stage, 5–10x faster at P ≥ 256, and scale to rank
+//     counts (P = 4096) the concurrent engine cannot reach. Above a threshold
+//     width an unrecorded stage walk is split across up to GOMAXPROCS workers
+//     in contiguous rank blocks; recorded runs are walked by one.
 //
 // The cost model itself exists once: one LogGP kernel holds what a compute
 // interval, a send, a receive completion and a wait do to a rank's clock,
@@ -113,7 +115,7 @@
 // WithConcurrentEngine (or sim.EngineConcurrent) opts a session out, forcing
 // every message through the mailboxes — useful for engine diffing and for
 // programs that break the collective-call contract the rendezvous relies on.
-// Whole workloads can also be evaluated with zero goroutines via
+// Whole workloads can also be evaluated without a goroutine per rank via
 // sched.RunSchedule and sched.RunProgram.
 //
 // On top of the direct evaluator, symmetry collapse detects rank-equivalence

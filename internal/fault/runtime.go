@@ -7,8 +7,11 @@ import (
 )
 
 // Runtime is a plan compiled against a rank count, queried by the LogGP
-// kernel (internal/loggp) from both engines' hot paths. All queries are pure functions of (plan, rank, noise
-// sequence, virtual clock), never of wall-clock or goroutine order.
+// kernel (internal/loggp) from both engines' hot paths. It is immutable after
+// Compile, and every query is a pure function of (plan, rank, noise
+// sequence, virtual clock), never of wall-clock or goroutine order, so any
+// number of goroutines — the ranks of a concurrent run, the workers of a split
+// per-rank walk — may query one Runtime at once.
 type Runtime struct {
 	procs     int
 	seed      int64

@@ -36,7 +36,9 @@ import (
 )
 
 // NoiseSource supplies the multiplicative jitter factor (>= 1) of a rank's
-// seq-th noisy event; simnet.Machine implements it.
+// seq-th noisy event; simnet.Machine implements it. Noise must be safe for
+// concurrent calls and a pure function of (rank, seq): the ranks of one run
+// draw from it on several goroutines at once, each in its own order.
 type NoiseSource interface {
 	Noise(rank int, seq uint64) float64
 }

@@ -145,10 +145,8 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 	v := ViewOf(s)
 	env := &e.env
 	for sg := 0; sg < s.NumStages(); sg++ {
-		if chk != nil {
-			if err := chk.tick(); err != nil {
-				return err
-			}
+		if err := chk.tick(); err != nil {
+			return err
 		}
 		v.Load(sg)
 		tag := tagBase + sg
@@ -173,7 +171,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 				for k, dst := range outs {
 					size := v.OutSize(r, k)
 					ci = append(ci, loggp.Edge{})
-					done = append(done, e.send(rs, r, dst, tag, size, &ci[k]))
+					done = append(done, e.send(&e.traffic, rs, r, dst, tag, size, &ci[k]))
 					repBytes += int64(size)
 				}
 				classIn[c] = ci

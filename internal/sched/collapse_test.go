@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hbsp/internal/barrier"
@@ -397,5 +398,40 @@ func TestRunScheduleSteadyStateAllocs(t *testing.T) {
 	}
 	if st := sw.Stats(); st.Rebases != 0 {
 		t.Errorf("the sweep points rebased the evaluator %d times; they must share one arena", st.Rebases)
+	}
+
+	// The split walk, which AllocsPerRun (GOMAXPROCS 1) never takes: at
+	// P=1,024 on two cores a point also starts its two workers, once per
+	// execution whatever the stage count — 10 stages or 40.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	wide, err := sched.NewSweepEvaluator(xeon(1024), sched.SweepOptions{AckSends: o.AckSends, ComputeEmpty: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Release()
+	offsets := make([]int, 40)
+	for i := range offsets {
+		offsets[i] = 3*i + 1
+	}
+	for _, s := range []sched.Schedule{must(barrier.StreamDissemination(1024)), must(sched.NewCirculant(1024, offsets, nil))} {
+		run := func() {
+			if _, err := wide.Run(ctx, nil, s, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			run() // warm the arena and the runtime's free goroutines
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		const runs = 50
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&ms)
+		if got := (ms.Mallocs - before) / runs; got != 5 {
+			t.Errorf("split sweep point P=1024, %d stages: %d allocations per steady-state run, want exactly 5", s.NumStages(), got)
+		}
 	}
 }

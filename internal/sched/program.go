@@ -313,7 +313,7 @@ func (c *Code) walk(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
 			case iComputeExact:
 				rs.ComputeExact(env, int(r), in.sec)
 			case iSend, iPost:
-				completeAt := e.send(rs, int(r), int(in.peer), int(in.tag), in.size, &slots[in.slot])
+				completeAt := e.send(&e.traffic, rs, int(r), int(in.peer), int(in.tag), in.size, &slots[in.slot])
 				if in.kind == iSend {
 					reqTime[r][in.req] = completeAt
 				}

@@ -87,10 +87,11 @@ func checkMachine(m simnet.Machine) error {
 	return nil
 }
 
-// RunSchedule evaluates execs consecutive executions of the schedule on the
-// calling goroutine — the goroutine-free counterpart of running
-// barrier.Execute execs times under mpi.Run — and returns the per-rank
-// virtual finishing times. Virtual times, traffic counters and recorded
+// RunSchedule evaluates execs consecutive executions of the schedule for the
+// calling goroutine — the counterpart, with no goroutine per rank, of running
+// barrier.Execute execs times under mpi.Run; a wide stage is split over up to
+// GOMAXPROCS workers (see execStages) — and returns the per-rank virtual
+// finishing times. Virtual times, traffic counters and recorded
 // events are bit-identical to the concurrent engine's (o.Engine is ignored:
 // this entry point IS the direct engine; use simnet/mpi runs for the
 // concurrent one).
@@ -203,8 +204,11 @@ func (c *stageChecker) pace(width int) {
 	c.left = c.stride
 }
 
-// tick counts one stage and polls every stride stages.
+// tick counts one stage and polls every stride stages; nil never polls.
 func (c *stageChecker) tick() error {
+	if c == nil {
+		return nil
+	}
 	if c.left--; c.left > 0 {
 		return nil
 	}

@@ -1,23 +1,23 @@
-// Package sched is the goroutine-free discrete-event evaluator of the
-// simulator: it computes the virtual times of schedule-expressible workloads
-// — verified collective patterns, superstep count exchanges, and arbitrary
-// straight-line per-rank op-streams (simnet.Program) — by evaluating the
-// LogGP recurrence directly, with no goroutines, mailboxes or channel
-// wake-ups. Virtual times, traffic counters and recorded trace events are
-// bit-identical to the concurrent engine's: the evaluator replays exactly the
-// operations the concurrent walker performs, in each rank's program order,
-// consuming the per-rank Noise(rank, seq) stream in exactly the order the
-// concurrent engine consumes it.
+// Package sched is the discrete-event evaluator of the simulator: it computes
+// the virtual times of schedule-expressible workloads — verified collective
+// patterns, superstep count exchanges, and arbitrary straight-line per-rank
+// op-streams (simnet.Program) — by evaluating the LogGP recurrence directly,
+// with no goroutine per rank, no mailboxes and no channel wake-ups. Virtual
+// times, traffic counters and recorded trace events are bit-identical to the
+// concurrent engine's: the evaluator replays exactly the operations the
+// concurrent walker performs, in each rank's program order, consuming the
+// per-rank Noise(rank, seq) stream in exactly the order the concurrent engine
+// consumes it.
 //
 // Two evaluation modes exist:
 //
 //   - Whole-run evaluation (RunSchedule, RunProgram, RunSupersteps): the
 //     entire workload — executions of one schedule, an op-stream, or BSP
-//     supersteps around their count exchange — is evaluated on the calling
-//     goroutine. This is what the benchmark's
-//     sched.perrank_* and sched.collapsed_* metrics measure and what unlocks
-//     P=4096 and beyond, where the concurrent engine's per-message costs are
-//     prohibitive.
+//     supersteps around their count exchange — is evaluated while the calling
+//     goroutine waits (see execStages for the workers). This is what the
+//     benchmark's sched.perrank_* and sched.collapsed_* metrics measure and
+//     what unlocks P=4096 and beyond, where the concurrent engine's
+//     per-message costs are prohibitive.
 //
 //   - Inline evaluation (AtGate): inside a concurrent run, all ranks
 //     rendezvous at the run's simnet.Gate, and the last arriver evaluates the
@@ -35,8 +35,8 @@
 // the same Send, RecvComplete, WaitRecv, WaitSend and Compute the concurrent
 // engine's simnet.Proc calls — so what an operation costs exists once, and
 // what this package adds is the order of the operations and the matching of
-// a receive to its message: a flat per-stage inbox laid out by a prefix sum
-// over the in-degrees (per-rank walker), a per-class queue indexed by
+// a receive to its message: a flat per-stage inbox laid out by prefix sums
+// over the degrees (per-rank walker), a per-class queue indexed by
 // out-edge position (collapsed walker), statically matched send slots
 // (program walker) or the caller's own FIFO (point-to-point stepper). Every
 // message is priced by one call per ordered pair (simnet.PairPricer, resolved
@@ -47,7 +47,10 @@ package sched
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hbsp/internal/loggp"
 	"hbsp/internal/simnet"
@@ -170,15 +173,16 @@ type Evaluator struct {
 	states []loggp.State
 
 	// Per-stage scratch of the stage walker: entry clocks (the post time of a
-	// rank's receives); the flat inbox, receiver r's in-edges at
-	// inbox[base(r):base(r)+len(In[r])] with base the prefix sum of the
-	// in-degrees, filled through the per-receiver cursors inNext in sender
-	// scan order (which is In[r]'s order by the Stage contract); and the
-	// send-completion times in sender scan order.
+	// rank's receives); the inbox and send-completion times of r's k-th
+	// out-edge at outBase(r)+k, outBase the prefix sum of the out-degrees; on a
+	// generic stage the inbox slot of r's q-th in-edge at slot[inBase(r)+q],
+	// handed out by the cursors inNext in sender scan order (In[r]'s order).
 	entry    []float64
 	inNext   []int32
 	inbox    []loggp.Edge
 	sendDone []float64
+	slot     []int32
+	walk     stageWalk // what the workers of the running execStages call share
 
 	// Collapsed-evaluation scratch: per class, the in-edge records of the
 	// representative's sends by out-edge position; and the cached
@@ -191,9 +195,12 @@ type Evaluator struct {
 	// chk is the run frame's poller, armed per whole run (see run).
 	chk stageChecker
 
-	messages int64
-	bytes    int64
+	traffic
 }
+
+// traffic counts messages and bytes sent. A walk worker keeps its own, added
+// atomically as it leaves: one shared counter cost more than the core gained.
+type traffic struct{ messages, bytes int64 }
 
 // evalPool recycles evaluators (and with them every per-rank state and
 // scratch slice) across runs and sweep points: steady-state RunSchedule and
@@ -234,13 +241,13 @@ func (e *Evaluator) setMachine(m simnet.Machine) {
 }
 
 // send is the evaluator's half of a send: price the ordered pair on the
-// machine, count the message, and have the kernel bill it on the sender's
-// state and write the receiver's in-edge record into in.
-func (e *Evaluator) send(st *loggp.State, rank, dst, tag, size int, in *loggp.Edge) (completeAt float64) {
+// machine, count the message in t, and have the kernel bill it on the
+// sender's state and write the receiver's in-edge record into in.
+func (e *Evaluator) send(t *traffic, st *loggp.State, rank, dst, tag, size int, in *loggp.Edge) (completeAt float64) {
 	var pc loggp.Pair
 	pc.Lat, pc.Gap, pc.Beta, pc.Ovh, pc.Ret, pc.SameNIC = e.pricer.Pair(rank, dst)
-	e.messages++
-	e.bytes += int64(size)
+	t.messages++
+	t.bytes += int64(size)
 	return st.Send(&e.env, rank, dst, tag, size, &pc, in)
 }
 
@@ -323,7 +330,7 @@ type InEdge = loggp.Edge
 // completion time dropped — and the message as its receiver needs it is
 // written into in.
 func (e *Evaluator) Post(src, dst, tag, size int, in *InEdge) {
-	e.send(&e.states[src], src, dst, tag, size, in)
+	e.send(&e.traffic, &e.states[src], src, dst, tag, size, in)
 }
 
 // Recv is simnet.Proc.Recv for a message already injected: rank dst posts the
@@ -355,77 +362,218 @@ func (e *Evaluator) ExecSchedule(s Schedule, tagBase int, computeEmpty bool) {
 	e.execStages(s, tagBase, computeEmpty, nil)
 }
 
+// walkBlockEdges is the fewest edges a worker of a split stage gets: at ≈0.5 µs
+// a barrier round and ≈60 ns an edge (two cores of an x86 VM), 512 edges pay
+// two rounds in ≈3%. The daemon's benchmarked walks (P ≤ 512) stay on one.
+const walkBlockEdges = 512
+
+// walkCores counts the cores the walks of 2·walkBlockEdges ranks or more hold;
+// a walk splits over what the others leave free (two callers splitting over
+// both of two cores were slower than both walking alone).
+var walkCores atomic.Int32
+
 // execStages is the per-rank stage walker behind ExecSchedule, with an
 // optional per-stage cancellation checker (see stageChecker). It is one of
 // two stage loops — execCollapsed is the other — and they stay two because
 // they match a receive to its message differently: here every in-edge has its
-// own slot in a flat inbox that the senders fill in scan order, O(1) per
-// edge; the collapsed walker keeps one queue per class and finds a record by
-// searching the source's out-row for the receiver. Serving per-rank
-// evaluation from the class queue would pay that search per in-edge — O(P²)
-// per stage on a linear barrier, which is what the flat inbox removed.
+// own slot in a flat inbox, O(1) per edge; the collapsed walker keeps one
+// queue per class and finds a record by searching the source's out-row for
+// the receiver. Serving per-rank evaluation from the class queue would pay
+// that search per in-edge — O(P²) per stage on a linear barrier, which is
+// what the flat inbox removed.
+//
+// It is one block walker: per stage the last worker at the barrier lays the
+// stage out (next), then each engaged worker runs phase A (sends) over its
+// block of ranks, meets the others, and runs phase B (waits) over the block.
+// A send writes its sender's state and an inbox slot of its own (the
+// receiver's slot cost ≈9%, in cache lines claimed from the other core). An
+// unrecorded walk of 2·walkBlockEdges ranks or more gets up to
+// min(GOMAXPROCS, P/walkBlockEdges) goroutines, a stage engaging as many as
+// its edges fill blocks of walkBlockEdges; the caller waits and re-raises a
+// worker's panic (in the barrier on a thread locked by LockOSThread it ran at
+// half speed). Any other walk is the caller alone, through the same code; a
+// recorded one so that lanes — and a spill's chunks — fill in file order.
 func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *stageChecker) error {
-	p := len(e.states)
-	v := ViewOf(s)
-	env := &e.env
-	for sg := 0; sg < s.NumStages(); sg++ {
-		if chk != nil {
-			if err := chk.tick(); err != nil {
-				return err
-			}
+	n := int32(1)
+	if p := len(e.states); p >= 2*walkBlockEdges {
+		if !e.tracing() {
+			n = max(1, min(int32(p/walkBlockEdges), int32(runtime.GOMAXPROCS(0))-walkCores.Load()))
 		}
-		v.Load(sg)
-		stage := int32(sg)
-		tag := tagBase + sg
+		walkCores.Add(n)
+		defer walkCores.Add(-n)
+	}
+	w := &e.walk
+	*w = stageWalk{e: e, s: s, chk: chk, tagBase: tagBase, computeEmpty: computeEmpty,
+		workers: n, sg: -1, v: ViewOf(s), blocks: slices.Grow(w.blocks[:0], int(n))[:n]}
+	defer func() { w.s, w.v, w.panicked = nil, StageView{}, nil }() // the arena outlives the walk
+	if n == 1 {
+		w.work(0)
+		return w.err
+	}
+	w.wg.Add(int(n))
+	for id := range int(n) {
+		go func() {
+			defer func() {
+				if r := recover(); r != nil && w.failed.CompareAndSwap(false, true) {
+					w.panicked = r // for the caller to re-raise
+				}
+				w.wg.Done()
+			}()
+			w.work(id)
+		}()
+	}
+	w.wg.Wait()
+	if w.panicked != nil {
+		panic(w.panicked)
+	}
+	return w.err
+}
 
-		// Inbox layout: receiver r's records start at the prefix sum of the
-		// in-degrees before it.
-		edges := 0
+// stageWalk is what the workers of one execStages call share; next writes the
+// stage fields while every worker waits at the barrier.
+type stageWalk struct {
+	e            *Evaluator
+	s            Schedule
+	chk          *stageChecker
+	tagBase      int
+	computeEmpty bool
+	workers      int32
+	sg           int       // the stage being walked
+	v            StageView // stage sg; each worker walks a copy
+	active       int       // workers the stage engages
+	blocks       []walkBlock
+	err          error // the checker's: the walk ends
+	arrived      atomic.Int32
+	gen          atomic.Uint32 // barrier rounds completed
+	failed       atomic.Bool   // a worker panicked: the others leave the barrier
+	panicked     any
+	wg           sync.WaitGroup
+}
+
+// walkBlock is a worker's ranks [lo, hi) and where their edges start.
+type walkBlock struct{ lo, hi, inBase, outBase int }
+
+// work walks the stages as worker id: phase A over its block, the barrier,
+// phase B, the barrier at which the next stage is laid out.
+func (w *stageWalk) work(id int) {
+	var t traffic
+	for w.meet(true) {
+		v := w.v // a circulant view's Outs and Ins write buffers of the view
+		if id < w.active {
+			w.sends(&v, w.blocks[id], &t)
+		}
+		if w.meet(false) && id < w.active {
+			w.waits(&v, w.blocks[id])
+		}
+	}
+	atomic.AddInt64(&w.e.messages, t.messages)
+	atomic.AddInt64(&w.e.bytes, t.bytes)
+}
+
+// meet is the workers' barrier, the last to arrive first running next when
+// asked; it reports whether the walk goes on (not once a worker panicked).
+func (w *stageWalk) meet(next bool) bool {
+	g := w.gen.Load()
+	if w.arrived.Add(1) == w.workers {
+		if next {
+			w.next()
+		}
+		w.arrived.Store(0)
+		w.gen.Add(1)
+	}
+	for spin := 0; w.gen.Load() == g && !w.failed.Load(); spin++ {
+		if spin >= 64 { // polled briefly: yield the thread between polls
+			runtime.Gosched()
+		}
+	}
+	return !w.failed.Load() && w.sg < w.s.NumStages() && w.err == nil
+}
+
+// next moves to the following stage, or ends the walk, and lays the stage out:
+// the workers its edges engage, their blocks, and every in-edge's inbox slot.
+func (w *stageWalk) next() {
+	if w.sg++; w.sg == w.s.NumStages() {
+		return
+	}
+	if w.err = w.chk.tick(); w.err != nil {
+		return
+	}
+	e, v, p := w.e, &w.v, len(w.e.states)
+	v.Load(w.sg)
+	edges := 0
+	if v.cs == nil {
 		for r := 0; r < p; r++ {
 			e.inNext[r] = int32(edges)
 			edges += len(v.Ins(r))
 		}
-		if cap(e.inbox) < edges {
-			e.inbox = make([]loggp.Edge, edges)
+	} else if v.off != 0 {
+		edges = p // a circulant rank's in- and out-base are the rank
+	}
+	w.active = max(1, min(int(w.workers), edges/walkBlockEdges))
+	for i := range w.active { // inBase is read on generic stages only, outBase set below for them
+		lo := i * p / w.active
+		w.blocks[i] = walkBlock{lo, (i + 1) * p / w.active, int(e.inNext[lo]), lo}
+	}
+	e.inbox, e.sendDone = slices.Grow(e.inbox[:0], edges)[:edges], slices.Grow(e.sendDone[:0], edges)[:edges]
+	if v.cs != nil {
+		return
+	}
+	e.slot = slices.Grow(e.slot[:0], edges)[:edges]
+	for r, out, b := 0, 0, 0; r < p; r++ {
+		if b < w.active && w.blocks[b].lo == r {
+			w.blocks[b].outBase = out
+			b++
 		}
-		inbox := e.inbox[:edges]
-		done := e.sendDone[:0]
-
-		// Phase A: stage marks, receive post times, send injections.
-		for r := 0; r < p; r++ {
-			rs := &e.states[r]
-			rs.StageMark(stage)
-			outs := v.Outs(r)
-			if len(outs) == 0 && len(v.Ins(r)) == 0 {
-				if computeEmpty {
-					rs.Compute(env, r, 0)
-				}
-				continue
-			}
-			e.entry[r] = rs.Now
-			for k, dst := range outs {
-				done = append(done, e.send(rs, r, dst, tag, v.OutSize(r, k), &inbox[e.inNext[dst]]))
-				e.inNext[dst]++
-			}
-		}
-		e.sendDone = done
-
-		// Phase B: waits, receives first, then sends, in edge order.
-		base, sent := 0, 0
-		for r := 0; r < p; r++ {
-			rs := &e.states[r]
-			ins := v.Ins(r)
-			for q, src := range ins {
-				in := &inbox[base+q]
-				completeAt, gated := rs.RecvComplete(e.entry[r], in)
-				rs.WaitRecv(env, r, completeAt, src, tag, in, gated)
-			}
-			base += len(ins)
-			for k, dst := range v.Outs(r) {
-				rs.WaitSend(env, r, done[sent], dst, tag, v.OutSize(r, k))
-				sent++
-			}
+		for _, dst := range v.Outs(r) {
+			e.slot[e.inNext[dst]] = int32(out)
+			e.inNext[dst]++
+			out++
 		}
 	}
-	return nil
+}
+
+// sends is phase A over a block: stage marks, receive post times, and send
+// injections, each sender's in-edge records into its own inbox slots.
+func (w *stageWalk) sends(v *StageView, b walkBlock, t *traffic) {
+	e, env := w.e, &w.e.env
+	stage, tag, out := int32(w.sg), w.tagBase+w.sg, b.outBase
+	for r := b.lo; r < b.hi; r++ {
+		rs := &e.states[r]
+		rs.StageMark(stage)
+		outs := v.Outs(r)
+		if len(outs) == 0 && len(v.Ins(r)) == 0 {
+			if w.computeEmpty {
+				rs.Compute(env, r, 0)
+			}
+			continue
+		}
+		e.entry[r] = rs.Now
+		for k, dst := range outs {
+			e.sendDone[out] = e.send(t, rs, r, dst, tag, v.OutSize(r, k), &e.inbox[out])
+			out++
+		}
+	}
+}
+
+// waits is phase B over a block: receives first, then sends, in edge order.
+func (w *stageWalk) waits(v *StageView, b walkBlock) {
+	e, env := w.e, &w.e.env
+	tag, in, out := w.tagBase+w.sg, b.inBase, b.outBase
+	for r := b.lo; r < b.hi; r++ {
+		rs := &e.states[r]
+		ins := v.Ins(r)
+		for q, src := range ins {
+			at := src // a circulant sender's only slot is its rank
+			if v.cs == nil {
+				at = int(e.slot[in+q])
+			}
+			completeAt, gated := rs.RecvComplete(e.entry[r], &e.inbox[at])
+			rs.WaitRecv(env, r, completeAt, src, tag, &e.inbox[at], gated)
+		}
+		in += len(ins)
+		for k, dst := range v.Outs(r) {
+			rs.WaitSend(env, r, e.sendDone[out], dst, tag, v.OutSize(r, k))
+			out++
+		}
+	}
 }

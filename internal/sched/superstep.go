@@ -40,14 +40,14 @@ type posted struct {
 	src, dst int32
 }
 
-// RunSupersteps evaluates the program on the calling goroutine — a body of
-// the run frame beside RunSchedule's and Code.Run's, and the goroutine-free
-// counterpart of replaying the same supersteps on a bsp.Ctx per rank. Virtual
-// times, traffic counters, the collapse diagnostic (the last exchange's
-// decision) and recorded events are bit-identical to that run's under either
-// engine. Cancellation and o.Deadline are polled once per superstep and
-// return the errors the concurrent engine produces; o.Engine is ignored, as
-// by RunSchedule.
+// RunSupersteps evaluates the program for the calling goroutine — a body of
+// the run frame beside RunSchedule's and Code.Run's, and the counterpart, with
+// no goroutine per rank, of replaying the same supersteps on a bsp.Ctx each.
+// Virtual times, traffic counters, the collapse diagnostic (the last
+// exchange's decision) and recorded events are bit-identical to that run's
+// under either engine. Cancellation and o.Deadline are polled once per
+// superstep and return the errors the concurrent engine produces; o.Engine is
+// ignored, as by RunSchedule.
 //
 // The walk reproduces bsp.Ctx.Sync's order of operations: every rank's
 // compute and posts, the exchange as the run's gate evaluates it

@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"hbsp/internal/platform"
+	"hbsp/sim"
 )
 
 // TestConcurrentMixedWorkloads hammers one server with many goroutines
@@ -151,5 +154,69 @@ func TestUploadsDoNotAliasTheBody(t *testing.T) {
 	}
 	if lat, _, _, _, ret, _ := m.Pair(2, 5); lat != float64(1000+2*p+5)*1e-9 || ret != float64(1000+5*p+2)*1e-9 {
 		t.Errorf("cached machine: Pair(2,5) latency %v, return %v — not what upload 1 carried", lat, ret)
+	}
+}
+
+// TestSharedMachinePricing holds the machines to the concurrency contract of
+// simnet.Machine and simnet.PairPricer that a split per-rank walk relies on:
+// Pair and Noise may be called from several goroutines at once and answer as
+// pure functions of their arguments. Four goroutines price every ordered pair
+// and draw noise, each in an order of its own, on a noisy platform machine,
+// on its copy reading draws through a platform.Draws memo that they fill
+// between them, and on an uploaded-matrix machine; every answer must be the
+// one a single goroutine gets from the machine without a memo. Run it under
+// -race.
+func TestSharedMachinePricing(t *testing.T) {
+	const p, seqs, workers = 48, 64, 4
+	noisy, err := platform.Xeon8x2x4().Machine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload, err := New(Config{}).resolveMatrices(asymmetricUpload(t, p), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pricer interface {
+		sim.Machine
+		Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool)
+	}
+	type answer struct {
+		lat, gap, beta, ovh, ret, noise float64
+		sameNIC                         bool
+	}
+	// answerOf is pair k's price and the draw seqs index: rank k/p, seq k%seqs.
+	answerOf := func(m pricer, k int) answer {
+		var a answer
+		a.lat, a.gap, a.beta, a.ovh, a.ret, a.sameNIC = m.Pair(k/p, k%p)
+		a.noise = m.Noise(k/p, uint64(k%seqs))
+		return a
+	}
+	for name, m := range map[string]pricer{
+		"platform":           noisy,
+		"platform via Draws": noisy.WithDraws(platform.NewDraws(noisy.RunSeed(), p)),
+		"uploaded matrices":  upload.machine.(*matrixMachine),
+	} {
+		reference := m
+		if name == "platform via Draws" {
+			reference = noisy
+		}
+		want := make([]answer, p*p)
+		for k := range want {
+			want[k] = answerOf(reference, k)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(stride int) {
+				defer wg.Done()
+				for i := range want { // stride is odd and prime to 3, so this visits every pair of p·p = 2^8·9
+					if k := i * stride % len(want); answerOf(m, k) != want[k] {
+						t.Errorf("%s: pair %d→%d, draw %d answers %+v concurrently, %+v alone", name, k/p, k%p, k%seqs, answerOf(m, k), want[k])
+						return
+					}
+				}
+			}([]int{1, 5, 7, 11}[g])
+		}
+		wg.Wait()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -471,5 +472,34 @@ func TestEvaluationPanicCostsOneRequest(t *testing.T) {
 	hresp.Body.Close()
 	if hresp.StatusCode != 200 {
 		t.Errorf("/healthz status %d after the panics, want 200", hresp.StatusCode)
+	}
+}
+
+// TestSplitWalkPanicCostsOneRequest holds a panic in a worker of the split
+// per-rank walk to the same bar: at procs 2,048 on two cores a swept point's
+// stages are walked on worker goroutines, and a panic there must still reach
+// evaluate's recover — one 500 / internal reply, not a dead daemon — and the
+// next request answers 200.
+func TestSplitWalkPanicCostsOneRequest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const p = 2048
+	s, ts := newTestServer(t, Config{})
+	rp, err := s.resolveProfile(&ProfileSpec{Preset: "xeon-cluster"}, ScaleSpec{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := fmt.Sprintf("machine/%s/p%d", rp.fingerprint, p)
+	s.machines.Put(key, &resolvedProfile{
+		machine: panicMachine{rp.machine}, fingerprint: rp.fingerprint, baseFingerprint: rp.baseFingerprint,
+	})
+	body := `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"allreduce","bytes":64},"procs":2048}`
+	resp, data := predict(t, ts, body)
+	var e apiError
+	if err := json.Unmarshal(data, &e); err != nil || resp.StatusCode != 500 || e.Err.Code != "internal" {
+		t.Fatalf("a panicking worker: status %d, body %s (decode: %v); want 500 with code internal", resp.StatusCode, data, err)
+	}
+	s.machines.Put(key, rp)
+	if resp, data = predict(t, ts, body); resp.StatusCode != 200 {
+		t.Fatalf("the request after the panic: status %d: %s", resp.StatusCode, data)
 	}
 }

@@ -32,6 +32,11 @@ import (
 
 // Machine supplies the platform parameters the simulator needs. It is
 // implemented by platform.Machine.
+//
+// Every method must be safe for concurrent calls and answer as a pure
+// function of its arguments: the concurrent engine's rank goroutines call
+// them at once, and so do the workers of a split per-rank walk
+// (sched.RunSchedule and the other direct entries above a threshold width).
 type Machine interface {
 	// Procs returns the number of ranks.
 	Procs() int
@@ -56,7 +61,9 @@ type Machine interface {
 // PairPricer is the pricing call both engines bill every message through:
 // one call per ordered pair instead of one accessor call per parameter.
 // platform.Machine and the server's uploaded-matrix machine implement it;
-// PricerOf adapts any other Machine.
+// PricerOf adapts any other Machine. Like the Machine methods, Pair must be
+// safe for concurrent calls: several goroutines of one run price pairs at
+// once.
 type PairPricer interface {
 	// Pair prices a message from i to j once: its latency, gap, inverse
 	// bandwidth and sender overhead, the return latency Latency(j, i) an

@@ -1,13 +1,15 @@
-// Package sched is the public surface of the goroutine-free discrete-event
-// evaluator: the schedule and op-stream entry points that compute virtual
-// times directly from the LogGP recurrence, with no goroutines, mailboxes or
-// channel wake-ups, bit-identical to the concurrent engine.
+// Package sched is the public surface of the discrete-event evaluator: the
+// schedule and op-stream entry points that compute virtual times directly from
+// the LogGP recurrence, with no goroutine per rank, no mailboxes and no channel
+// wake-ups, bit-identical to the concurrent engine. Above a threshold width an
+// unrecorded run's stage walk is split across up to GOMAXPROCS workers while
+// the caller waits; recorded runs are walked on the caller alone.
 //
 // Most programs never call this package: with the default engine, runs
 // started through hbsp.Session (or the bsp/mpi/collective layers) already
 // route every schedule-expressible collective through the evaluator at an
-// all-ranks rendezvous. Call it directly to evaluate a whole workload with
-// zero goroutines — collective sweeps at rank counts the concurrent engine
+// all-ranks rendezvous. Call it directly to evaluate a whole workload without
+// a goroutine per rank — collective sweeps at rank counts the concurrent engine
 // cannot reach (the benchmark's scale_direct workload runs this way, per-rank
 // at P=2048 and collapsed at P=2^20), or a sim.Program built by hand.
 package sched
@@ -72,8 +74,8 @@ func RunProgram(ctx context.Context, m sim.Machine, pr *sim.Program, o sim.Optio
 	return sched.RunProgram(ctx, m, pr, o)
 }
 
-// RunSchedule evaluates execs consecutive executions of the schedule with
-// zero goroutines — the direct counterpart of executing a verified pattern
+// RunSchedule evaluates execs consecutive executions of the schedule without
+// a goroutine per rank — the direct counterpart of executing a verified pattern
 // execs times under an MPI run — and returns the per-rank virtual finishing
 // times. Cancellation and deadlines behave like the concurrent engine's
 // (errors wrap sim.ErrAborted / sim.ErrDeadline).
