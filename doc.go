@@ -192,15 +192,14 @@
 // values for every collective, so a total exchange at P=1024 is a 16 KB
 // entry. What the direct evaluator can price from a schedule alone never
 // spawns a rank goroutine, traced or not: the sync workload is walked
-// superstep by superstep around its count exchange, and cache-missed
-// collective points run on pooled sched
-// sweep evaluators keyed by the profile's base fingerprint, so the points
-// of one sweep — and distinct single-point misses against the same profile
-// — share an evaluator arena, a compiled fault plan and memoized collapse
-// partitions (reuse shows up as the sweepPointsReused and partitionsReused
-// counters of /metrics, next to the evaluations per route). A panic inside an evaluation costs that request a
-// 500 and the pooled evaluator it ran on, nothing else. See
-// the server package documentation for the wire format.
+// superstep by superstep around its count exchange, and each cache-missed
+// collective point runs on a sched sweep evaluator of its own, built with the
+// request's options, recorder and budget and released when the point ends
+// (/metrics counts the evaluations per route). A sweep is admitted as one
+// unit of load and its points are evaluated in order on the request's
+// goroutine, the first failing point ending the stream. A panic inside an
+// evaluation costs that request a 500, nothing else. See the server package
+// documentation for the wire format.
 //
 // The public packages layer as follows: cluster (platform profiles,
 // topologies, machines) feeds sim (the virtual-time simulator), on which bsp

@@ -18,48 +18,10 @@ import (
 // lowest-indexed failing point is returned (a deterministic choice — the
 // sequential loop would have surfaced that one first); the remaining points
 // still run to completion so partial failures cannot leave goroutines behind.
+// It is RunPointsWith without worker state.
 func RunPoints[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	results := make([]T, n)
-	errs := make([]error, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			results[i], errs[i] = fn(i)
-		}
-	} else {
-		var next int
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					i := next
-					next++
-					mu.Unlock()
-					if i >= n {
-						return
-					}
-					results[i], errs[i] = fn(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return RunPointsWith(n, func() (struct{}, error) { return struct{}{}, nil }, nil,
+		func(_ struct{}, i int) (T, error) { return fn(i) })
 }
 
 // RunPointsWith is RunPoints with per-worker state: make builds one W per

@@ -8,11 +8,12 @@ import (
 	"hbsp/internal/trace"
 )
 
-// TestKeptArenaLetsGoOfARecorder pins what a pooled SweepEvaluator owes the
-// requests that share it: after a traced point no rank state of the kept
-// arena still points into the recorder — a pool entry must not keep a
-// finished request's trace alive — and the untraced point that follows
-// collapses as if the traced one had never run.
+// TestKeptArenaLetsGoOfARecorder pins what a traced point owes the arena it
+// ran on, which outlives it — kept by its SweepEvaluator for the next point,
+// then handed back to the evaluator pool for the next run: once the point
+// ends no rank state still points into the recorder, so an arena never keeps
+// a finished request's trace alive, and an untraced point on the evaluator
+// built after it collapses as if the traced one had never run.
 func TestKeptArenaLetsGoOfARecorder(t *testing.T) {
 	const p = 32
 	m, err := platform.FlatClusterMachine(p)
@@ -23,15 +24,13 @@ func TestKeptArenaLetsGoOfARecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := NewSweepEvaluator(m, SweepOptions{AckSends: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sw.Release()
 	ctx := context.Background()
 
 	rec := trace.NewRecorder()
-	sw.SetRecorder(rec)
+	sw, err := NewSweepEvaluator(m, SweepOptions{AckSends: true, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
 	traced, err := sw.Run(ctx, nil, s, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +46,13 @@ func TestKeptArenaLetsGoOfARecorder(t *testing.T) {
 			t.Fatalf("rank %d still holds a lane of the finished run", r)
 		}
 	}
+	sw.Release()
 
-	sw.SetRecorder(nil)
+	sw, err = NewSweepEvaluator(m, SweepOptions{AckSends: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Release()
 	plain, err := sw.Run(ctx, nil, s, 1)
 	if err != nil {
 		t.Fatal(err)

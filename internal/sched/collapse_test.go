@@ -320,23 +320,27 @@ func TestRunScheduleSteadyStateAllocs(t *testing.T) {
 	// payloads on one machine, the scale axis two link scalings of one
 	// profile under one schedule.
 	const sweepP = 64
+	payloads := []sched.Schedule{must(barrier.StreamTotalExchange(sweepP, 64)), must(barrier.StreamTotalExchange(sweepP, 4096))}
+	prof := platform.XeonCluster(sweepP / 8)
+	prof.NoiseRel = 0
+	scaled := []simnet.Machine{machine(prof.Machine(sweepP)), machine(prof.Scaled(2, 2, 2, 2).Machine(sweepP))}
+	// One traced point first, on an evaluator of its own that gives its arena
+	// back to the pool: the untraced points measured below, on the evaluator
+	// that takes it next, must cost what they cost on an arena that never
+	// hosted a recorder.
+	traced, err := sched.NewSweepEvaluator(xeon(sweepP), sched.SweepOptions{AckSends: o.AckSends, ComputeEmpty: true, Recorder: trace.NewRecorder()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := traced.Run(ctx, nil, payloads[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	traced.Release()
 	sw, err := sched.NewSweepEvaluator(xeon(sweepP), sched.SweepOptions{AckSends: o.AckSends, ComputeEmpty: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sw.Release()
-	payloads := []sched.Schedule{must(barrier.StreamTotalExchange(sweepP, 64)), must(barrier.StreamTotalExchange(sweepP, 4096))}
-	prof := platform.XeonCluster(sweepP / 8)
-	prof.NoiseRel = 0
-	scaled := []simnet.Machine{machine(prof.Machine(sweepP)), machine(prof.Scaled(2, 2, 2, 2).Machine(sweepP))}
-	// One traced point first: the recorder is a point's, not the evaluator's,
-	// and the untraced points measured below must cost what they cost on an
-	// evaluator that never saw one.
-	sw.SetRecorder(trace.NewRecorder())
-	if _, err := sw.Run(ctx, nil, payloads[0], 1); err != nil {
-		t.Fatal(err)
-	}
-	sw.SetRecorder(nil)
 	point := 0
 	sweepRun := func(machineOf func(int) simnet.Machine, scheduleOf func(int) sched.Schedule) func() {
 		return func() {

@@ -41,10 +41,10 @@ type SweepOptions struct {
 	TagBase int
 	// Faults is the sweep's fault plan, compiled once at construction.
 	Faults *fault.Plan
-	// Recorder, when enabled, records the next point as one trace run (a
-	// recorder holds one run, so a later point overwrites an earlier one);
-	// SetRecorder changes it between points. Recording forces per-rank
-	// evaluation (per-rank lanes).
+	// Recorder, when enabled, records every point as one trace run (a
+	// recorder holds one run, so a later point overwrites an earlier one).
+	// Recording forces per-rank evaluation (per-rank lanes). A caller tracing
+	// some points and not others builds an evaluator for each kind.
 	Recorder *trace.Recorder
 	// Deadline bounds each point's wall-clock evaluation; 0 means the simnet
 	// default.
@@ -79,7 +79,7 @@ type SweepStats struct {
 // give each worker its own.
 type SweepEvaluator struct {
 	base simnet.Machine
-	opt  simnet.Options // what every point runs under; SetDeadline and SetRecorder change it
+	opt  simnet.Options // what every point runs under
 	e    *Evaluator     // the kept arena; carries the compiled fault plan
 
 	// The schedule body's arguments (SweepOptions.ComputeEmpty and TagBase).
@@ -134,19 +134,6 @@ func (sw *SweepEvaluator) Release() {
 	}
 	sw.parts = nil
 }
-
-// SetDeadline changes the wall-clock bound of subsequent points (0 restores
-// the simnet default). The deadline only bounds evaluation time — it never
-// affects a point's result — so callers serving per-request budgets may
-// adjust it between points.
-func (sw *SweepEvaluator) SetDeadline(d time.Duration) { sw.opt.Deadline = d }
-
-// SetRecorder changes the recorder of subsequent points (nil or
-// trace.Disabled: untraced), so one kept evaluator serves a request that wants
-// its point traced between requests that do not. Like the deadline it never
-// affects a point's virtual times. The evaluator holds the recorder only
-// until it is replaced; the arena lets go of its lanes when the point ends.
-func (sw *SweepEvaluator) SetRecorder(rec *trace.Recorder) { sw.opt.Recorder = rec }
 
 // Stats returns the reuse counters accumulated so far.
 func (sw *SweepEvaluator) Stats() SweepStats { return sw.stats }

@@ -29,12 +29,13 @@ func TestSharedWalkWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := NewSweepEvaluator(m, SweepOptions{AckSends: true})
+		opt := SweepOptions{AckSends: true}
+		if c.traced {
+			opt.Recorder = trace.NewRecorder()
+		}
+		sw, err := NewSweepEvaluator(m, opt)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if c.traced {
-			sw.SetRecorder(trace.NewRecorder())
 		}
 		if _, err := sw.Run(context.Background(), nil, s, 1); err != nil {
 			t.Fatal(err)

@@ -157,9 +157,10 @@ func crossWorkloads(r *rand.Rand, p int) []WorkloadSpec {
 // the run seed and the workload operands drawn per case — and requires of
 // every point that the route production takes and the session render the same
 // status and the same bytes, and of every traced one the same recording, event
-// for event. The pooled evaluators are shared by all cases, so
-// traced and untraced points, and machines of one family, follow each other on
-// one arena. -short walks every sixth case.
+// for event. One server serves every case, and sched's evaluator pool hands
+// each point an arena an earlier one gave back, so traced and untraced points
+// and machines of every kind follow each other on recycled arenas. -short
+// walks every sixth case.
 func TestCrossRouteEquivalence(t *testing.T) {
 	s, ctx := New(Config{}), context.Background()
 	r := rand.New(rand.NewSource(22))
@@ -272,15 +273,15 @@ func TestRoutedRequestsScaleLinearly(t *testing.T) {
 	}
 }
 
-// TestPooledEvaluatorUnderConcurrentTracedRequests sends traced and untraced
-// points that share one pool entry — same machine family, rank count, ack and
-// collapse mode; the run seed and the trace options are not part of the key —
-// from several goroutines at once, and requires every reply to be the one
-// the session renders for that request alone. A recorder that outlived its
-// point on the shared evaluator, or reached it outside the entry's mutex,
-// shows as a foreign trace in somebody's reply (and as a race under -race).
-// Sync points ride along on their own route.
-func TestPooledEvaluatorUnderConcurrentTracedRequests(t *testing.T) {
+// TestSharedConcurrentTracedRequests sends traced and untraced points on one
+// machine family and rank count — differing only in run seed and trace
+// options — from several goroutines at once, and requires every reply to be
+// the one the session renders for that request alone. The points share the
+// server's machine, schedule and result caches, its singleflight group and
+// sched's evaluator pool: a recorder, arena or cache entry that leaked from
+// one point into another shows as a foreign trace or time in somebody's reply
+// (and as a race under -race). Sync points ride along on their own route.
+func TestSharedConcurrentTracedRequests(t *testing.T) {
 	s := New(Config{MaxConcurrent: 8, MaxQueue: 64})
 	type exchange struct {
 		body string

@@ -224,7 +224,7 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 type route int
 
 const (
-	routeSwept     route = iota // a pooled sched.SweepEvaluator, no goroutines
+	routeSwept     route = iota // a sched.SweepEvaluator per point, no rank goroutines
 	routeDirectBSP              // bsp.RunStatic, no goroutines
 	routeSession                // an hbsp.Session
 	numRoutes
@@ -261,7 +261,7 @@ func routeOf(o *OptionsSpec, w *WorkloadSpec, rp *resolvedProfile) route {
 // A panic below this point is a bug in an evaluation path, not bad input, but
 // it must cost one request and nothing else: it is returned as an error the
 // handler classifies as internal (500), where net/http's own recover would
-// drop the connection (and a sweep worker goroutine has no recover at all).
+// drop the connection (or, mid-sweep, the lines already streamed).
 func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (body []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {

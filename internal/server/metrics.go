@@ -27,9 +27,6 @@ type metrics struct {
 	inFlight    atomic.Int64 // currently admitted evaluations (gauge)
 	queued      atomic.Int64 // evaluations waiting for a slot (gauge)
 
-	sweepPointsReused atomic.Int64 // points evaluated on a sweep evaluator that was already in the pool (its arena and compiled fault plan reused)
-	partitionsReused  atomic.Int64 // points whose symmetry partition came from a sweep evaluator's memo instead of re-refinement
-
 	routes [numRoutes]atomic.Int64 // completed evaluations by the route that ran them
 
 	errInvalidRequest atomic.Int64
@@ -69,12 +66,17 @@ type MetricsSnapshot struct {
 	InFlight    int64 `json:"inFlight"`
 	Queued      int64 `json:"queued"`
 
+	// Deprecated: always zero — no evaluator outlives its point, so none is
+	// reused. Kept while benchmark/serve.go:223 reads it into
+	// server.sweep_points_reused.
 	SweepPointsReused int64 `json:"sweepPointsReused"`
-	PartitionsReused  int64 `json:"partitionsReused"`
+	// Deprecated: always zero — no partition is memoized across points. Kept
+	// while benchmark/serve.go:224 reads it into server.partitions_reused.
+	PartitionsReused int64 `json:"partitionsReused"`
 
 	// Routes counts completed evaluations by the body that ran them (routeOf):
-	// the pooled sweep evaluator, the direct BSP walk, or a session. They sum
-	// to evalNs.count.
+	// a sweep evaluator, the direct BSP walk, or a session. They sum to
+	// evalNs.count.
 	Routes struct {
 		Swept     int64 `json:"swept"`
 		DirectBSP int64 `json:"directBsp"`
@@ -111,8 +113,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Shed = m.shed.Load()
 	s.InFlight = m.inFlight.Load()
 	s.Queued = m.queued.Load()
-	s.SweepPointsReused = m.sweepPointsReused.Load()
-	s.PartitionsReused = m.partitionsReused.Load()
 	s.Routes.Swept = m.routes[routeSwept].Load()
 	s.Routes.DirectBSP = m.routes[routeDirectBSP].Load()
 	s.Routes.Session = m.routes[routeSession].Load()

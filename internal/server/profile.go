@@ -17,18 +17,12 @@ import (
 // to run on (shared, read-only, safe for concurrent runs) and the
 // fingerprint feeding the cache key. Machines are cached per (fingerprint,
 // procs): a profile machine is O(P) to build (the placement; pairs are priced
-// on demand from per-class columns), and handing repeated requests the same
-// value lets a pooled sweep evaluator recognise its base machine. An uploaded
-// machine is its four P×P matrices, the only O(P²) entries of the cache.
+// on demand from per-class columns), so repeated points skip the build. An
+// uploaded machine is its four P×P matrices, the only O(P²) entries of the
+// cache.
 type resolvedProfile struct {
 	machine     sim.Machine
 	fingerprint string
-	// baseFingerprint is the fingerprint of the profile before the point's
-	// LogGP scaling was applied (equal to fingerprint for unscaled points).
-	// Scaled machines stay term-compatible with their base, so the sweep
-	// evaluator pool keys on it: every scale point of one profile rides the
-	// same evaluator and its memoized partitions.
-	baseFingerprint string
 	// cluster is non-nil for profile-backed machines (preset or custom);
 	// matrix uploads leave it nil, which is what gates the workloads that
 	// need a kernel-rate model and the run seed (an upload has no noise
@@ -76,22 +70,19 @@ func (s *Server) resolveProfile(spec *ProfileSpec, scale ScaleSpec, procs int) (
 	if err != nil {
 		return nil, err
 	}
-	baseFP := prof.Fingerprint()
-	fp := baseFP
 	if !scale.identity() {
 		prof = scaleProfile(prof, scale.normalized())
-		fp = prof.Fingerprint()
 	}
+	fp := prof.Fingerprint()
 	key := fmt.Sprintf("machine/%s/p%d", fp, procs)
 	if cached, ok := s.machines.Get(key); ok {
-		rp := cached.(*resolvedProfile)
-		return rp, nil
+		return cached.(*resolvedProfile), nil
 	}
 	m, err := prof.Machine(procs)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", hbsp.ErrInvalidMachine, err)
 	}
-	rp := &resolvedProfile{machine: m, fingerprint: fp, baseFingerprint: baseFP, cluster: m}
+	rp := &resolvedProfile{machine: m, fingerprint: fp, cluster: m}
 	s.machines.Put(key, rp)
 	return rp, nil
 }
@@ -342,7 +333,7 @@ func (s *Server) resolveMatrices(spec *MatrixProfile, procs int) (*resolvedProfi
 	if cached, ok := s.machines.Get(key); ok {
 		return cached.(*resolvedProfile), nil
 	}
-	rp := &resolvedProfile{machine: m, fingerprint: fp, baseFingerprint: fp}
+	rp := &resolvedProfile{machine: m, fingerprint: fp}
 	s.machines.Put(key, rp)
 	return rp, nil
 }

@@ -11,6 +11,9 @@
 //   - singleflight coalescing of concurrent identical evaluations;
 //   - a global concurrency limiter with queue-depth load shedding (429 +
 //     Retry-After) and per-request evaluation budgets (408 on expiry);
+//   - a sweep is one unit of load: admitted once, its points evaluated in
+//     order on the request's goroutine, each line flushed as it is done and
+//     the stream ended by the first error line;
 //   - graceful drain: Shutdown stops admitting (/healthz turns 503) and
 //     lets in-flight evaluations finish.
 package server
@@ -28,8 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	iexp "hbsp/internal/experiments"
 )
 
 // Config tunes a Server. The zero value of each field selects its default.
@@ -78,8 +79,6 @@ type Server struct {
 	results   *lruCache // pointKey -> rendered response bytes
 	machines  *lruCache // (profile fingerprint, procs) -> *resolvedProfile
 	schedules *lruCache // (kind, variant, procs, root, bytes) -> verified sched.Schedule
-	sweeps    *lruCache // sweepKey -> *sweepEntry (pooled sweep evaluators)
-	sweepMu   sync.Mutex
 	flights   *flightGroup
 	limit     *limiter
 	mux       *http.ServeMux
@@ -96,7 +95,6 @@ func New(cfg Config) *Server {
 		results:   newLRU(cfg.CacheEntries),
 		machines:  newLRU(cfg.MachineEntries),
 		schedules: newLRU(256),
-		sweeps:    newLRU(sweepPoolEntries),
 		flights:   newFlightGroup(),
 		limit:     newLimiter(cfg.MaxConcurrent, cfg.MaxQueue, m),
 	}
@@ -320,35 +318,17 @@ func (s *Server) servePoint(w http.ResponseWriter, ctx context.Context, req *Pre
 }
 
 // serveSweep streams a sweep as NDJSON, one PredictPoint per line in
-// row-major axis order, each line flushed as soon as its point (and all
-// points before it) finished. The whole sweep is admitted as one unit of
-// load; its points then fan out over the experiments worker pool. A point
-// error ends the stream with a final error line carrying the documented
-// error shape.
+// row-major axis order. The whole sweep is admitted as one unit of load, and
+// its points are evaluated in that order on the request's goroutine, each
+// line flushed as soon as its point is done. A point error ends the stream
+// with a final error line carrying the documented error shape; no point after
+// it is evaluated.
 func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *PredictRequest, pts []point, deadline time.Time, zip bool) {
 	if err := s.limit.acquire(ctx); err != nil {
 		s.fail(w, err)
 		return
 	}
 	defer s.limit.release()
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type lineRes struct {
-		body []byte
-		err  error
-	}
-	lines := make([]chan lineRes, len(pts))
-	for i := range lines {
-		lines[i] = make(chan lineRes, 1)
-	}
-	noAdmit := func(context.Context) (func(), error) { return func() {}, nil }
-	go iexp.RunPoints(len(pts), func(i int) (struct{}, error) {
-		body, _, err := s.evalPoint(ctx, req, pts[i], deadline, noAdmit)
-		lines[i] <- lineRes{body: body, err: err}
-		return struct{}{}, nil
-	})
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Hbspd-Points", fmt.Sprint(len(pts)))
@@ -362,22 +342,19 @@ func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *Pre
 		defer gw.Close()
 		out, flush = gw, gw.Flush
 	}
-	for i := range lines {
-		res := <-lines[i]
-		if res.err != nil {
-			// Headers are long gone; the error rides as the final line.
-			code, status := classify(res.err)
+	admitted := func(context.Context) (func(), error) { return func() {}, nil }
+	for _, pt := range pts {
+		body, _, err := s.evalPoint(ctx, req, pt, deadline, admitted)
+		if err != nil {
+			// A stream answers 200 whatever its points do; the error rides
+			// as the final line.
+			line, _ := renderError(err)
+			code, _ := classify(err)
 			s.m.countError(code)
-			e := apiError{}
-			e.Err.Code = code
-			e.Err.Status = status
-			e.Err.Message = res.err.Error()
-			line, _ := json.Marshal(e)
 			out.Write(append(line, '\n'))
-			cancel() // stop evaluating the remaining points
 			return
 		}
-		out.Write(res.body)
+		out.Write(body)
 		flush()
 	}
 }

@@ -15,66 +15,39 @@ import (
 	"hbsp/sim"
 )
 
-// TestSweepReuseMetrics asserts that the /metrics reuse counters move while an
-// NDJSON sweep streams: a scale sweep keeps the base profile and the schedule
-// fixed, so every point after the first finds its evaluator in the pool
-// (sweepPointsReused) and that evaluator's memoized partition decision
-// (partitionsReused).
-func TestSweepReuseMetrics(t *testing.T) {
+// TestSweepStopsAtFirstFailingPoint holds a sweep to its error line: the
+// third point (P = 8) cannot host the slowdown on rank 12, so the stream is
+// two point lines and the invalid_fault line, and the P = 64 point after it is
+// neither evaluated nor cached — three points served, two of them misses.
+func TestSweepStopsAtFirstFailingPoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	before := s.Metrics()
-
-	body := `{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"totalexchange","bytes":64},"procs":8,` +
-		`"sweep":{"scale":[{},{"latency":2},{"latency":4},{"gap":2}]}}`
-	resp, data := predict(t, ts, body)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
+	resp, data := predict(t, ts, `{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"allreduce","bytes":64},`+
+		`"faults":{"Slowdowns":[{"Rank":12,"Factor":2}]},"sweep":{"procs":[16,32,8,64]}}`)
 	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
-	if len(lines) != 4 {
-		t.Fatalf("got %d lines, want 4:\n%s", len(lines), data)
+	if resp.StatusCode != 200 || len(lines) != 3 {
+		t.Fatalf("status %d, %d lines, want 200 and 3:\n%s", resp.StatusCode, len(lines), data)
 	}
-	for _, line := range lines {
+	for i, procs := range []int{16, 32} {
 		var p PredictPoint
-		if err := json.Unmarshal(line, &p); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		if p.MakeSpan <= 0 {
-			t.Fatalf("non-positive makespan in %q", line)
+		if err := json.Unmarshal(lines[i], &p); err != nil || p.Procs != procs || p.MakeSpan <= 0 {
+			t.Fatalf("line %d: %s (%v), want the P=%d point", i, lines[i], err, procs)
 		}
 	}
-
-	after := s.Metrics()
-	if after.SweepPointsReused <= before.SweepPointsReused {
-		t.Errorf("sweepPointsReused did not move: before %d, after %d",
-			before.SweepPointsReused, after.SweepPointsReused)
+	var e apiError
+	if err := json.Unmarshal(lines[2], &e); err != nil || e.Err.Code != "invalid_fault" {
+		t.Fatalf("last line %s (%v), want the invalid_fault error", lines[2], err)
 	}
-	if after.PartitionsReused <= before.PartitionsReused {
-		t.Errorf("partitionsReused did not move: before %d, after %d",
-			before.PartitionsReused, after.PartitionsReused)
-	}
-
-	// The counters are served over HTTP too; spot-check the JSON field names.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var snap MetricsSnapshot
-	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
-		t.Fatalf("/metrics decode: %v", err)
-	}
-	if snap.SweepPointsReused != after.SweepPointsReused {
-		t.Errorf("/metrics sweepPointsReused = %d, want %d", snap.SweepPointsReused, after.SweepPointsReused)
+	if m := s.Metrics(); m.Points != 3 || m.CacheMisses != 2 {
+		t.Errorf("points %d, cache misses %d; want 3 and 2 (nothing after the error line)", m.Points, m.CacheMisses)
 	}
 }
 
-// TestSweptMatchesSession pins the bit-identity contract of the pooled
-// sweep-evaluator path at the server layer: for every eligible point —
-// including fault plans, non-default seeds, per-rank vectors and scaled
-// profiles — the rendered NDJSON bytes of evaluateSwept equal those of the
-// session evaluation it replaced, on both a freshly built evaluator and the
-// pooled one.
+// TestSweptMatchesSession pins the bit-identity contract of the swept route
+// at the server layer: for every eligible point — including fault plans,
+// non-default seeds, per-rank vectors and scaled profiles — the rendered
+// NDJSON bytes of evaluateSwept equal those of the session evaluation it
+// replaced, twice over, so the second evaluator runs on an arena the first
+// gave back.
 func TestSweptMatchesSession(t *testing.T) {
 	s := New(Config{})
 	seed5 := int64(5)
@@ -156,9 +129,8 @@ func TestSweptMatchesSession(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// The first swept evaluation builds the evaluator, the second
-				// finds it pooled; both must render to the session bytes.
-				for _, pass := range []string{"cold", "warm"} {
+				// Both swept evaluations must render to the session bytes.
+				for _, pass := range []string{"first", "second"} {
 					res, _, err := s.evaluateSwept(ctx, &req, rp, &w, pt, seed, time.Time{})
 					if err != nil {
 						t.Fatalf("%s swept evaluation: %v", pass, err)
@@ -177,18 +149,17 @@ func TestSweptMatchesSession(t *testing.T) {
 }
 
 // TestUploadSweptMatchesSession is TestSweptMatchesSession for an uploaded
-// machine — asymmetric, ranks sharing NICs — now that uploads ride the pooled
-// evaluator too: every collective kind × acks on and off × with and without
-// a fault plan renders, through evaluateSwept (evaluator built, then pooled,
-// then rebased from a different upload), the bytes the session renders. Over
-// HTTP the route changes nothing a client or /metrics can see: a miss, then
-// a hit, one evaluation, byte-identical bodies.
+// machine — asymmetric, ranks sharing NICs: every collective kind × acks on
+// and off × with and without a fault plan renders, through evaluateSwept
+// (twice, then once more after a point on a different upload), the bytes the
+// session renders. Over HTTP the route changes nothing a client or /metrics
+// can see: a miss, then a hit, one evaluation, byte-identical bodies.
 func TestUploadSweptMatchesSession(t *testing.T) {
 	const p = 9
 	s, ts := newTestServer(t, Config{})
 	spec := asymmetricUpload(t, p)
 	other := asymmetricUpload(t, p)
-	other.SelfOverhead = 2e-7 // another fingerprint, the same pooled evaluator
+	other.SelfOverhead = 2e-7 // another fingerprint, the same shape
 	plan := &fault.Plan{Slowdowns: []fault.Slowdown{{Rank: 3, Factor: 2}}}
 	ctx := context.Background()
 	for _, w := range []WorkloadSpec{
@@ -229,8 +200,8 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, pass := range []string{"cold", "warm", "rebased"} {
-					if pass == "rebased" {
+				for _, pass := range []string{"first", "second", "after another upload"} {
+					if pass == "after another upload" {
 						orp, err := s.resolveMatrices(other, p)
 						if err != nil {
 							t.Fatal(err)
@@ -277,7 +248,7 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 // TestAsymmetricMatrixAckLeg pins the ack's return leg on an uploaded
 // machine whose latency matrix is not symmetric: with acknowledged sends the
 // completion bills latency[dst][src], and the concurrent engine, the direct
-// engine (the pooled evaluator behind the API, and a whole-run RunSchedule)
+// engine (the sweep evaluator behind the API, and a whole-run RunSchedule)
 // and a sweep evaluator — fresh, and rebased from an unrelated point on a machine
 // of a different rank count — all report the same per-rank times.
 func TestAsymmetricMatrixAckLeg(t *testing.T) {
@@ -413,8 +384,8 @@ func (panicMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bo
 
 // TestEvaluationPanicCostsOneRequest pins what a panic below the handler may
 // cost: that request answers 500 / internal in the documented error shape,
-// the pooled sweep evaluator it ran on leaves the pool, and the server keeps
-// serving — /healthz, and the identical request on a fresh evaluator.
+// and the server keeps serving — /healthz, and the identical request once
+// the machine prices again.
 func TestEvaluationPanicCostsOneRequest(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	wantInternal := func(tag string, resp *http.Response, data []byte) {
@@ -425,41 +396,29 @@ func TestEvaluationPanicCostsOneRequest(t *testing.T) {
 		}
 	}
 
-	// A whole-run direct evaluation runs on the handler's goroutine: a
-	// program workload on a cached machine whose pricing call panics.
-	rp, err := s.resolveProfile(&ProfileSpec{Preset: "xeon-8x2x4"}, ScaleSpec{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.machines.Put(fmt.Sprintf("machine/%s/p%d", rp.fingerprint, 2), &resolvedProfile{
-		machine: panicMachine{rp.machine}, fingerprint: rp.fingerprint, baseFingerprint: rp.baseFingerprint,
-	})
-	resp, data := predict(t, ts, `{"profile":{"preset":"xeon-8x2x4"},"procs":2,"workload":{"kind":"program","ranks":[`+
-		`[{"op":"isend","to":1,"bytes":8},{"op":"wait","req":0}],[{"op":"irecv","from":0},{"op":"wait","req":0}]]}}`)
-	wantInternal("program on a panicking machine", resp, data)
-
-	// The sweep path: a pooled entry that panics as soon as it is used.
-	req := PredictRequest{Profile: ProfileSpec{Preset: "xeon-8x2x4"}, Workload: WorkloadSpec{Kind: "allreduce", Bytes: 64}, Procs: 8}
-	if err := normalizeOptions(&req.Options); err != nil {
-		t.Fatal(err)
-	}
-	if rp, err = s.resolveProfile(&req.Profile, ScaleSpec{}, req.Procs); err != nil {
-		t.Fatal(err)
-	}
-	key := sweepKey(rp, req.Procs, &req)
-	poisoned := &sweepEntry{}
-	s.sweeps.Put(key, poisoned)
-	body := `{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"allreduce","bytes":64},"procs":8}`
-	resp, data = predict(t, ts, body)
-	wantInternal("swept point on a poisoned evaluator", resp, data)
-	if ent, ok := s.sweeps.Get(key); ok {
-		t.Fatalf("the evaluator that panicked is still pooled: %+v", ent)
-	}
-	if resp, data = predict(t, ts, body); resp.StatusCode != 200 {
-		t.Fatalf("identical request after the panic: status %d: %s", resp.StatusCode, data)
-	}
-	if ent, ok := s.sweeps.Get(key); !ok || ent == poisoned || ent.(*sweepEntry).sw == nil {
-		t.Errorf("identical request after the panic did not pool a fresh evaluator")
+	// Both halves run on the handler's goroutine, on a cached machine whose
+	// pricing call panics: a program workload, and a collective on the swept
+	// route.
+	for _, c := range []struct {
+		name, body string
+		procs      int
+	}{
+		{"program", `{"profile":{"preset":"xeon-8x2x4"},"procs":2,"workload":{"kind":"program","ranks":[` +
+			`[{"op":"isend","to":1,"bytes":8},{"op":"wait","req":0}],[{"op":"irecv","from":0},{"op":"wait","req":0}]]}}`, 2},
+		{"swept point", `{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"allreduce","bytes":64},"procs":8}`, 8},
+	} {
+		rp, err := s.resolveProfile(&ProfileSpec{Preset: "xeon-8x2x4"}, ScaleSpec{}, c.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := fmt.Sprintf("machine/%s/p%d", rp.fingerprint, c.procs)
+		s.machines.Put(key, &resolvedProfile{machine: panicMachine{rp.machine}, fingerprint: rp.fingerprint})
+		resp, data := predict(t, ts, c.body)
+		wantInternal(c.name+" on a panicking machine", resp, data)
+		s.machines.Put(key, rp)
+		if resp, data = predict(t, ts, c.body); resp.StatusCode != 200 {
+			t.Fatalf("%s after the panic: status %d: %s", c.name, resp.StatusCode, data)
+		}
 	}
 
 	if got := s.Metrics().Errors.Internal; got != 2 {
@@ -489,9 +448,7 @@ func TestSplitWalkPanicCostsOneRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := fmt.Sprintf("machine/%s/p%d", rp.fingerprint, p)
-	s.machines.Put(key, &resolvedProfile{
-		machine: panicMachine{rp.machine}, fingerprint: rp.fingerprint, baseFingerprint: rp.baseFingerprint,
-	})
+	s.machines.Put(key, &resolvedProfile{machine: panicMachine{rp.machine}, fingerprint: rp.fingerprint})
 	body := `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"allreduce","bytes":64},"procs":2048}`
 	resp, data := predict(t, ts, body)
 	var e apiError

@@ -413,7 +413,8 @@ func (s *Session) RunBSP(ctx context.Context, program bsp.Program) (*sim.Result,
 // virtual finishing times. Under the default engine the program is compiled
 // and evaluated by the goroutine-free discrete-event evaluator
 // (sched.RunProgram); WithConcurrentEngine replays it through goroutines and
-// mailboxes instead. Virtual times are bit-identical either way.
+// mailboxes instead (sched.RunProgram hands it to sim.RunProgram). Virtual
+// times are bit-identical either way.
 func (s *Session) RunProgram(ctx context.Context, pr *sim.Program) (*sim.Result, error) {
 	if pr == nil {
 		return nil, fmt.Errorf("%w: nil program", ErrOption)
@@ -423,15 +424,7 @@ func (s *Session) RunProgram(ctx context.Context, pr *sim.Program) (*sim.Result,
 	}
 	var runEnded atomic.Bool
 	s.emit(TraceEvent{Kind: "run.start", Rank: -1})
-	var (
-		res *sim.Result
-		err error
-	)
-	if s.options.Engine == sim.EngineConcurrent {
-		res, err = sim.RunProgram(ctx, s.machine, pr, s.options)
-	} else {
-		res, err = sched.RunProgram(ctx, s.machine, pr, s.options)
-	}
+	res, err := sched.RunProgram(ctx, s.machine, pr, s.options)
 	return s.endRun(&runEnded, res, err)
 }
 
