@@ -477,16 +477,15 @@ func BenchmarkMailboxTake(b *testing.B) {
 	// Rank 0 injects many messages with distinct tags; rank 1 drains them in
 	// reverse tag order, so every receive has to match against a full pending
 	// set — the worst case for a linear-scan mailbox, O(1) for an indexed one.
-	// The "flat" variant keeps the tags clustered, so matching runs on the
-	// direct-index table; "map" spreads them beyond the flat budget, forcing
-	// the hash-map fallback.
+	// Both variants run the one (src, tag) hash index: "clustered" keeps the
+	// tags consecutive, "spread" puts them 2^16 apart.
 	const msgs = 512
 	for _, bench := range []struct {
 		name   string
 		stride int
 	}{
-		{name: "flat", stride: 1},
-		{name: "map", stride: 1 << 16},
+		{name: "clustered", stride: 1},
+		{name: "spread", stride: 1 << 16},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			m := simBenchMachine(b, 2)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -335,5 +336,37 @@ func TestStreamTotalExchangeMatchesPattern(t *testing.T) {
 				t.Errorf("p=%d rank %d: pattern %v, stream %v", p, r, resPat.Times[r], resStream.Times[r])
 			}
 		}
+	}
+}
+
+// TestConcurrentAllReduceAllocScalesWithMessages holds the concurrent engine
+// to O(P + messages): a StreamAllReduce at 4× the ranks sends 5× the
+// messages and must allocate at most 6× as much. A mailbox index sized by P
+// on every rank reads about 10×.
+func TestConcurrentAllReduceAllocScalesWithMessages(t *testing.T) {
+	o := simnet.DefaultOptions()
+	o.Engine = simnet.EngineConcurrent
+	alloc := func(p int) uint64 {
+		m, err := platform.FlatClusterMachine(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := StreamAllReduce(p, 96)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error { Execute(c, s); return nil }, o); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(256), alloc(1024)
+	ratio := float64(large) / float64(small)
+	t.Logf("P=256 allocates %d B, P=1024 %d B: ratio %.1f", small, large, ratio)
+	if ratio > 6 {
+		t.Fatal("allocation grows faster than ranks plus messages")
 	}
 }

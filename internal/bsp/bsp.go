@@ -108,9 +108,9 @@ type Ctx struct {
 	pendingReg  []regOp
 	currentStep int
 
-	// Outgoing one-sided message counts per destination for the current
-	// superstep.
-	outCounts []int
+	// The destination of every one-sided message sent this superstep, in
+	// send order: this process' share of the count exchange.
+	sent []int32
 	// Get requests issued this superstep, in issue order; replies from a
 	// given source arrive in the same order the requests were sent.
 	pendingGets []pendingGet
@@ -134,10 +134,9 @@ type regOp struct {
 
 func newCtx(p *simnet.Proc, m Machine) *Ctx {
 	return &Ctx{
-		proc:      p,
-		machine:   m,
-		regs:      map[string][]float64{},
-		outCounts: make([]int, p.Size()),
+		proc:    p,
+		machine: m,
+		regs:    map[string][]float64{},
 	}
 }
 
@@ -201,7 +200,7 @@ func (c *Ctx) Put(dst int, name string, offset int, values []float64) error {
 	data := append([]float64(nil), values...)
 	msg := &oneSided{Put: &putMsg{Name: name, Offset: offset, Data: data}}
 	c.proc.Post(dst, tagOneSided, putBytes(len(data)), msg)
-	c.outCounts[dst]++
+	c.sent = append(c.sent, int32(dst))
 	return nil
 }
 
@@ -227,7 +226,7 @@ func (c *Ctx) Get(src int, name string, offset, n int, dest []float64) error {
 	}
 	msg := &oneSided{Get: &getReq{Name: name, Offset: offset, N: n, Requester: c.Pid()}}
 	c.proc.Post(src, tagOneSided, headerBytes, msg)
-	c.outCounts[src]++
+	c.sent = append(c.sent, int32(src))
 	c.pendingGets = append(c.pendingGets, pendingGet{src: src, dest: dest[:n]})
 	return nil
 }
@@ -248,7 +247,7 @@ func (c *Ctx) Send(dst int, tag int, payload []float64) error {
 	msg := &oneSided{Bsmp: &bsmpMsg{Tag: tag, Data: data}}
 	size := headerBytes + 8*len(data)
 	c.proc.Post(dst, tagOneSided, size, msg)
-	c.outCounts[dst]++
+	c.sent = append(c.sent, int32(dst))
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -76,5 +77,41 @@ func TestSyncGateSingleRank(t *testing.T) {
 	}
 	if len(res.Times) != 1 {
 		t.Fatalf("bad result: %+v", res)
+	}
+}
+
+// TestSyncAllocScalesWithMessages holds the gate-path superstep to O(P +
+// messages): a one-put ring with a 1-element area and two Syncs allocates
+// about 4× as much at 4× the ranks. A count exchange or mailbox index sized
+// by P on every rank reads about 15×.
+func TestSyncAllocScalesWithMessages(t *testing.T) {
+	ring := func(c *Ctx) error {
+		c.PushReg("x", make([]float64, 1))
+		if err := c.Sync(); err != nil {
+			return err
+		}
+		if err := c.Put((c.Pid()+1)%c.NProcs(), "x", 0, []float64{1}); err != nil {
+			return err
+		}
+		return c.Sync()
+	}
+	alloc := func(p int) uint64 {
+		m, err := platform.FlatClusterMachine(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(m, ring); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(512), alloc(2048)
+	ratio := float64(large) / float64(small)
+	t.Logf("P=512 allocates %d B, P=2048 %d B: ratio %.1f", small, large, ratio)
+	if ratio > 6 {
+		t.Fatal("allocation grows faster than ranks plus messages")
 	}
 }

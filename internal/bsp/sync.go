@@ -22,7 +22,7 @@ import (
 // of puts alone with no process running; a change to what Sync bills, or in
 // which order, belongs in both.
 func (c *Ctx) Sync() error {
-	counts, err := c.runExchange()
+	from, err := c.runExchange()
 	if err != nil {
 		return err
 	}
@@ -30,26 +30,23 @@ func (c *Ctx) Sync() error {
 	// Drain every one-sided message addressed to this process, in source
 	// order. Puts are deferred so that gets observe the pre-put state.
 	var puts []*putMsg
-	for src := 0; src < c.NProcs(); src++ {
-		expect := counts[src][c.Pid()]
-		for k := 0; k < expect; k++ {
-			payload := c.proc.Recv(src, tagOneSided)
-			msg, ok := payload.(*oneSided)
-			if !ok {
-				return fmt.Errorf("bsp: process %d received an unexpected message type from %d", c.Pid(), src)
+	for _, src := range from {
+		payload := c.proc.Recv(int(src), tagOneSided)
+		msg, ok := payload.(*oneSided)
+		if !ok {
+			return fmt.Errorf("bsp: process %d received an unexpected message type from %d", c.Pid(), src)
+		}
+		switch {
+		case msg.Put != nil:
+			puts = append(puts, msg.Put)
+		case msg.Get != nil:
+			if err := c.serveGet(msg.Get); err != nil {
+				return err
 			}
-			switch {
-			case msg.Put != nil:
-				puts = append(puts, msg.Put)
-			case msg.Get != nil:
-				if err := c.serveGet(msg.Get); err != nil {
-					return err
-				}
-			case msg.Bsmp != nil:
-				c.nextQueue = append(c.nextQueue, *msg.Bsmp)
-			default:
-				return fmt.Errorf("bsp: process %d received an empty one-sided message from %d", c.Pid(), src)
-			}
+		case msg.Bsmp != nil:
+			c.nextQueue = append(c.nextQueue, *msg.Bsmp)
+		default:
+			return fmt.Errorf("bsp: process %d received an empty one-sided message from %d", c.Pid(), src)
 		}
 	}
 
@@ -91,9 +88,7 @@ func (c *Ctx) Sync() error {
 	c.nextQueue = nil
 
 	// Reset per-superstep state.
-	for i := range c.outCounts {
-		c.outCounts[i] = 0
-	}
+	c.sent = c.sent[:0]
 	c.pendingGets = c.pendingGets[:0]
 	c.currentStep++
 	c.proc.TraceSuperstep(c.currentStep - 1)
@@ -104,12 +99,13 @@ func (c *Ctx) Sync() error {
 }
 
 // runExchange performs the count total exchange on the engine the run
-// selected and returns the full P×P one-sided message-count map, indexed
-// [source][destination]. By default the synchronizer's exchange schedule is
-// evaluated at the run's gate by the goroutine-free discrete-event evaluator;
-// under WithConcurrentEngine every rank floods its count row over the same
-// schedule (mpi.WalkSchedule), with bit-identical virtual times.
-func (c *Ctx) runExchange() ([][]int, error) {
+// selected and returns the sources of this process' incoming one-sided
+// messages, in source order and with multiplicity. By default the
+// synchronizer's exchange schedule is evaluated at the run's gate by the
+// goroutine-free discrete-event evaluator; under WithConcurrentEngine every
+// rank floods its dense count row over the same schedule (mpi.WalkSchedule),
+// with bit-identical virtual times.
+func (c *Ctx) runExchange() ([]int32, error) {
 	if g := c.proc.SharedGate(); g != nil {
 		return c.directExchange(g)
 	}
@@ -118,62 +114,67 @@ func (c *Ctx) runExchange() ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	known := map[int]any{c.Pid(): append([]int(nil), c.outCounts...)}
+	own := make([]int, p)
+	for _, dst := range c.sent {
+		own[dst]++
+	}
+	known := map[int]any{c.Pid(): own}
 	if err := mpi.WalkSchedule(c.proc, sch, tagCountBase, false, known); err != nil {
 		return nil, err
 	}
-	counts := make([][]int, p)
-	for r := range counts {
+	var from []int32
+	for r := 0; r < p; r++ {
 		row, ok := known[r].([]int)
 		if !ok || len(row) != p {
 			return nil, fmt.Errorf("bsp: process %d is missing the count row of process %d after synchronization", c.Pid(), r)
 		}
-		counts[r] = row
+		for k := row[c.Pid()]; k > 0; k-- {
+			from = append(from, int32(r))
+		}
 	}
-	return counts, nil
+	return from, nil
 }
 
 // syncTicket is the rendezvous descriptor of one rank entering Sync: its
-// synchronizer (the leader verifies agreement), its outgoing count row, and
-// the slot the leader deposits the exchanged count matrix in.
+// synchronizer (the leader verifies agreement), the destinations of its
+// one-sided messages, and the slot the leader deposits its in-list in.
 type syncTicket struct {
 	sync Synchronizer
-	row  []int
-	out  *[][]int
+	sent []int32
+	from *[]int32
 }
 
 // directExchange evaluates the count exchange at the run's gate. The leader
-// snapshots every rank's count row — the same copy the concurrent exchange
-// makes before its first stage — evaluates the exchange's op-stream against
-// the live per-rank clocks, and hands the complete P×P matrix to every rank;
-// no count row ever travels through a mailbox.
-func (c *Ctx) directExchange(g *simnet.Gate) ([][]int, error) {
-	var counts [][]int
-	t := &syncTicket{sync: c.sync, row: c.outCounts, out: &counts}
+// evaluates the exchange's op-stream against the live per-rank clocks, then
+// walks the ranks in order and appends each message's source to its
+// destination's in-list; no count row is ever built or travels through a
+// mailbox.
+func (c *Ctx) directExchange(g *simnet.Gate) ([]int32, error) {
+	var from []int32
+	t := &syncTicket{sync: c.sync, sent: c.sent, from: &from}
 	err := g.Arrive(c.proc, t, func(tickets []any) error {
-		p := c.NProcs()
-		rows := make([][]int, p)
-		for r, ti := range tickets {
-			st, ok := ti.(*syncTicket)
-			if !ok || st.sync != c.sync {
+		for _, ti := range tickets {
+			if st, ok := ti.(*syncTicket); !ok || st.sync != c.sync {
 				return errors.New("bsp: ranks disagree on the superstep synchronizer (Sync is collective)")
 			}
-			rows[r] = append([]int(nil), st.row...)
 		}
-		sch, err := c.sync.exchangeSchedule(p)
+		sch, err := c.sync.exchangeSchedule(c.NProcs())
 		if err != nil {
 			return err
 		}
 		sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(sch, tagCountBase, false) })
-		for _, ti := range tickets {
-			*ti.(*syncTicket).out = rows
+		for src, ti := range tickets {
+			for _, dst := range ti.(*syncTicket).sent {
+				in := tickets[dst].(*syncTicket).from
+				*in = append(*in, int32(src))
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return counts, nil
+	return from, nil
 }
 
 // serveGet reads the requested slice of a registered area and sends it back

@@ -10,16 +10,17 @@ import (
 	"time"
 )
 
-// TestMailboxFIFOPerSourceTag drives the indexed mailbox directly: several
-// producer goroutines deliver interleaved streams on distinct (src, tag)
-// pairs while a consumer takes them in an adversarial order, and every stream
-// must come out in FIFO order regardless of scheduling.
-func TestMailboxFIFOPerSourceTag(t *testing.T) {
+// TestSharedMailboxFIFOPerSourceTag drives the indexed mailbox directly:
+// several producer goroutines deliver interleaved streams on distinct (src,
+// tag) pairs — enough of them that the index doubles several times while
+// producers deliver — and a consumer takes them in an adversarial order.
+// Every stream must come out in FIFO order regardless of scheduling.
+func TestSharedMailboxFIFOPerSourceTag(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(8, &cancelled)
+	mb := newMailbox(&cancelled)
 	const (
-		sources  = 4
-		tags     = 3
+		sources  = 16
+		tags     = 8
 		perQueue = 50
 	)
 	var wg sync.WaitGroup
@@ -55,6 +56,9 @@ func TestMailboxFIFOPerSourceTag(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	if mb.used != sources*tags || len(mb.slots) != 2*sources*tags {
+		t.Fatalf("index holds %d pairs in %d slots, want %d in %d", mb.used, len(mb.slots), sources*tags, 2*sources*tags)
+	}
 }
 
 // TestPoolReuseAllToAll stresses the message and request pools: repeated
@@ -124,7 +128,7 @@ func TestRequestRecycledAfterWait(t *testing.T) {
 // the consumed prefix is compacted away, keeping the queue O(backlog).
 func TestQueueCompactsUnderStandingBacklog(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(8, &cancelled)
+	mb := newMailbox(&cancelled)
 	const messages = 100000
 	mb.deliver(&message{src: 0, tag: 0, payload: -1}) // standing backlog of 1
 	for seq := 0; seq < messages; seq++ {
@@ -171,7 +175,7 @@ func TestDeadlineTearsDownGoroutines(t *testing.T) {
 // take instead of blocking forever).
 func TestCancelAbortsLateReceivers(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(8, &cancelled)
+	mb := newMailbox(&cancelled)
 	cancelled.Store(true)
 	defer func() {
 		if _, ok := recover().(cancelPanic); !ok {
@@ -181,97 +185,80 @@ func TestCancelAbortsLateReceivers(t *testing.T) {
 	mb.take(0, 0)
 }
 
-// TestMailboxFlatToMapMigration drives the tag span across the flat-table
-// budget mid-stream: messages enqueued while the mailbox was flat must
-// survive the migration to the map index, FIFO order intact, and new tags
-// must keep matching afterwards.
-func TestMailboxFlatToMapMigration(t *testing.T) {
-	var cancelled atomic.Bool
-	mb := newMailbox(4, &cancelled)
-
-	// A clustered tag range first: stays on the flat table.
-	for seq := 0; seq < 10; seq++ {
-		mb.deliver(&message{src: 1, tag: 5, payload: seq})
-	}
-	mb.deliver(&message{src: 2, tag: 9, payload: "nine"})
-	if mb.queues != nil {
-		t.Fatal("clustered tags should stay on the flat table")
-	}
-
-	// A far-away tag blows the span budget and migrates everything.
-	mb.deliver(&message{src: 0, tag: 5 + maxFlatEntries, payload: "far"})
-	if mb.queues == nil {
-		t.Fatal("wide tag span should have migrated to the map index")
-	}
-	if mb.flat != nil {
-		t.Fatal("flat table should be released after migration")
-	}
-
-	for seq := 0; seq < 10; seq++ {
-		if got := mb.take(1, 5).payload; got != seq {
-			t.Fatalf("pre-migration FIFO broken: got %v, want %d", got, seq)
+// deliverStreams delivers n messages on each (src, tag) pair, interleaved
+// across the pairs; the payload is the message's sequence number.
+func deliverStreams(mb *mailbox, n int, pairs ...mbKey) {
+	for seq := 0; seq < n; seq++ {
+		for _, k := range pairs {
+			mb.deliver(&message{src: k.src, tag: k.tag, payload: seq})
 		}
 	}
-	if got := mb.take(2, 9).payload; got != "nine" {
-		t.Fatalf("pre-migration message lost: got %v", got)
-	}
-	if got := mb.take(0, 5+maxFlatEntries).payload; got != "far" {
-		t.Fatalf("post-migration message lost: got %v", got)
+}
+
+// takeStreams takes the pairs' streams back, in the given order, and fails
+// unless each comes out FIFO.
+func takeStreams(t *testing.T, mb *mailbox, n int, pairs ...mbKey) {
+	t.Helper()
+	for _, k := range pairs {
+		for seq := 0; seq < n; seq++ {
+			if got := mb.take(k.src, k.tag).payload; got != seq {
+				t.Fatalf("pair %+v: got %v, want %d (FIFO violated or stream aliased)", k, got, seq)
+			}
+		}
 	}
 }
 
-// TestMailboxFlatGrowsBothSides exercises span growth below and above the
-// first observed tag (the table re-bases on downward growth).
-func TestMailboxFlatGrowsBothSides(t *testing.T) {
+// TestMailboxWideTagSpan keeps a far tag beside a near one — the one-sided,
+// count-exchange and schedule tag ranges of one run are 2^24 apart — plus a
+// negative tag: every stream stays its own.
+func TestMailboxWideTagSpan(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(2, &cancelled)
-	mb.deliver(&message{src: 0, tag: 100, payload: "mid"})
-	mb.deliver(&message{src: 1, tag: 40, payload: "low"})
-	mb.deliver(&message{src: 0, tag: 160, payload: "high"})
-	if mb.queues != nil {
-		t.Fatal("small span should stay flat")
-	}
-	if got := mb.take(0, 100).payload; got != "mid" {
-		t.Fatalf("got %v", got)
-	}
-	if got := mb.take(1, 40).payload; got != "low" {
-		t.Fatalf("got %v", got)
-	}
-	if got := mb.take(0, 160).payload; got != "high" {
-		t.Fatalf("got %v", got)
-	}
+	mb := newMailbox(&cancelled)
+	pairs := []mbKey{{1, 5}, {2, 9}, {0, 5 + 16384}, {1, -5}}
+	deliverStreams(mb, 10, pairs...)
+	takeStreams(t, mb, 10, pairs[2], pairs[3], pairs[0], pairs[1])
 }
 
-// TestMailboxHugeRankCount pins the review finding that a rank count beyond
-// the whole flat budget must fall straight through to the map index instead
-// of indexing a nil flat table.
+// TestMailboxTagsBelowAndAbove delivers tags below and above the first one
+// seen, from two sources.
+func TestMailboxTagsBelowAndAbove(t *testing.T) {
+	var cancelled atomic.Bool
+	mb := newMailbox(&cancelled)
+	pairs := []mbKey{{0, 100}, {1, 40}, {0, 160}, {1, 100}}
+	deliverStreams(mb, 5, pairs...)
+	takeStreams(t, mb, 5, pairs[1], pairs[0], pairs[3], pairs[2])
+}
+
+// TestMailboxHugeRankCount matches the highest rank of a 16,385-rank world
+// beside rank 0 on the same tag.
 func TestMailboxHugeRankCount(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(maxFlatEntries+1, &cancelled)
-	mb.deliver(&message{src: 3, tag: 0, payload: "big"})
-	if mb.queues == nil {
-		t.Fatal("oversized rank count should use the map index")
-	}
-	if got := mb.take(3, 0).payload; got != "big" {
-		t.Fatalf("got %v", got)
-	}
+	mb := newMailbox(&cancelled)
+	pairs := []mbKey{{16384, 0}, {3, 0}, {0, 0}}
+	deliverStreams(mb, 4, pairs...)
+	takeStreams(t, mb, 4, pairs...)
 }
 
-// TestMailboxHugeTagSpanNoAliasing pins the overflow finding: a tag span so
-// wide that span*procs wraps int must migrate to the map, never alias a far
-// tag onto an existing flat row.
+// TestMailboxHugeTagSpanNoAliasing pins that a tag 2^62 away from another
+// never aliases onto it.
 func TestMailboxHugeTagSpanNoAliasing(t *testing.T) {
 	var cancelled atomic.Bool
-	mb := newMailbox(8, &cancelled)
-	mb.deliver(&message{src: 0, tag: 0, payload: "near"})
-	mb.deliver(&message{src: 0, tag: 1 << 62, payload: "far"})
-	if mb.queues == nil {
-		t.Fatal("huge tag span should have migrated to the map index")
+	mb := newMailbox(&cancelled)
+	pairs := []mbKey{{0, 0}, {0, 1 << 62}}
+	deliverStreams(mb, 3, pairs...)
+	takeStreams(t, mb, 3, pairs[1], pairs[0])
+}
+
+// TestMailboxTableFollowsPairs pins the index's size to the pairs a mailbox
+// has seen, not to the world it lives in: three pairs from the far ends of a
+// 2^20-rank world, on tags 2^24 apart, keep a table of at most 8 slots.
+func TestMailboxTableFollowsPairs(t *testing.T) {
+	var cancelled atomic.Bool
+	mb := newMailbox(&cancelled)
+	pairs := []mbKey{{1<<20 - 1, 1 << 24}, {0, 0}, {1 << 19, 1<<24 + 64}}
+	deliverStreams(mb, 2, pairs...)
+	if len(mb.slots) > 8 {
+		t.Fatalf("three pairs occupy a table of %d slots, want at most 8", len(mb.slots))
 	}
-	if got := mb.take(0, 1<<62).payload; got != "far" {
-		t.Fatalf("far tag aliased: got %v, want far", got)
-	}
-	if got := mb.take(0, 0).payload; got != "near" {
-		t.Fatalf("near tag lost: got %v", got)
-	}
+	takeStreams(t, mb, 2, pairs...)
 }

@@ -251,11 +251,12 @@ func releaseMessage(m *message) {
 // waiterPool recycles the one-shot wake-up channels of blocked receivers.
 var waiterPool = sync.Pool{New: func() any { return make(chan *message, 1) }}
 
-// msgQueue is the FIFO of one (src, tag) pair. msgs[head:] are the pending
-// messages; waiters are blocked receivers, each woken individually by exactly
-// one delivery (no thundering herd). A queue never holds both pending
-// messages and waiters.
+// msgQueue is the FIFO of one (src, tag) pair, which it carries as its key.
+// msgs[head:] are the pending messages; waiters are blocked receivers, each
+// woken individually by exactly one delivery (no thundering herd). A queue
+// never holds both pending messages and waiters.
 type msgQueue struct {
+	key     mbKey
 	msgs    []*message
 	head    int
 	waiters []chan *message
@@ -289,167 +290,100 @@ func (q *msgQueue) pop() *message {
 // scanning a flat pending list.
 type mbKey struct{ src, tag int }
 
+// slot hashes the key into a table of mask+1 slots. The full 64-bit
+// finalizer matters: tags that differ only in high bits (stage tags 2^16
+// apart) would otherwise share their low bits and pile into one probe run.
+func (k mbKey) slot(mask int) int {
+	h := uint64(k.src)*0x9e3779b97f4a7c15 + uint64(k.tag)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return int(h & uint64(mask))
+}
+
 // queueChunkSize is the arena block size for msgQueue allocation. Queues are
 // handed out as pointers into fixed-capacity chunks, so creating the P-1
 // queues of a large collective costs P/queueChunkSize allocations instead
 // of P.
 const queueChunkSize = 64
 
-// maxFlatEntries bounds the size of a mailbox's flat (src, tag) table: while
-// the observed tag span keeps procs·span at or below it, lookups index a flat
-// slice directly; the first tag outside that budget migrates the mailbox to
-// the map index for the rest of the run.
-const maxFlatEntries = 1 << 14
-
 // mailbox holds one rank's incoming traffic, indexed by (source, tag).
 //
-// Two index representations exist. While the observed tag span is small —
-// which the constant stage tags of the schedule walkers guarantee for
-// collective-heavy runs — queues live in a flat slice indexed by
-// (tag-flatLo)·procs + src, so the hot path is a bounds check and an array
-// load with no hashing at all. A run whose tags spread beyond maxFlatEntries
-// (e.g. mixing the one-sided, count-exchange and schedule tag ranges at high
-// P) is migrated once to the map index, the previous behaviour. On top of
-// both, the one-entry (lastKey, lastQ) cache short-circuits consecutive
+// The index is one open-addressing table of queue pointers (linear probing,
+// power-of-two length, doubled when half full), so its size follows the pairs
+// the mailbox has actually seen, whatever the rank count or the tag spread.
+// The one-entry lastQ cache in front of it short-circuits consecutive
 // operations on the same pair (superstep drains, stage-wise collectives).
 type mailbox struct {
-	mu    sync.Mutex
-	procs int
+	mu sync.Mutex
 
-	// Flat index: rows of procs queue pointers, one row per tag in
-	// [flatLo, flatLo + len(flat)/procs). flatHi tracks the highest tag
-	// actually observed; seen is false until the first lookup fixes flatLo.
-	flat   []*msgQueue
-	flatLo int
-	flatHi int
-	seen   bool
+	slots []*msgQueue
+	used  int
 
-	// Map index, non-nil once the mailbox has migrated.
-	queues map[mbKey]*msgQueue
-
-	lastKey   mbKey
 	lastQ     *msgQueue
 	chunk     []msgQueue
 	cancelled *atomic.Bool
 }
 
-func newMailbox(procs int, cancelled *atomic.Bool) *mailbox {
-	return &mailbox{procs: procs, cancelled: cancelled}
-}
-
-// newQueue allocates a queue from the arena chunk.
-func (mb *mailbox) newQueue() *msgQueue {
-	if len(mb.chunk) == cap(mb.chunk) {
-		mb.chunk = make([]msgQueue, 0, queueChunkSize)
-	}
-	mb.chunk = append(mb.chunk, msgQueue{})
-	return &mb.chunk[len(mb.chunk)-1]
+func newMailbox(cancelled *atomic.Bool) *mailbox {
+	return &mailbox{cancelled: cancelled}
 }
 
 // queue returns (creating if needed) the FIFO of the (src, tag) pair. The
 // caller must hold mb.mu.
 func (mb *mailbox) queue(src, tag int) *msgQueue {
 	key := mbKey{src: src, tag: tag}
-	if mb.lastQ != nil && mb.lastKey == key {
+	if mb.lastQ != nil && mb.lastQ.key == key {
 		return mb.lastQ
 	}
-	var q *msgQueue
-	if mb.queues != nil {
-		q = mb.queues[key]
-		if q == nil {
-			q = mb.newQueue()
-			mb.queues[key] = q
+	i, q := mb.find(key)
+	if q == nil {
+		if 2*(mb.used+1) > len(mb.slots) {
+			mb.grow()
+			i, _ = mb.find(key)
 		}
-	} else {
-		idx, ok := mb.flatIndex(tag)
-		if !ok {
-			return mb.migrate(src, tag)
+		if len(mb.chunk) == cap(mb.chunk) {
+			mb.chunk = make([]msgQueue, 0, queueChunkSize)
 		}
-		q = mb.flat[idx*mb.procs+src]
-		if q == nil {
-			q = mb.newQueue()
-			mb.flat[idx*mb.procs+src] = q
-		}
+		mb.chunk = append(mb.chunk, msgQueue{key: key})
+		q = &mb.chunk[len(mb.chunk)-1]
+		mb.slots[i] = q
+		mb.used++
 	}
-	mb.lastKey, mb.lastQ = key, q
+	mb.lastQ = q
 	return q
 }
 
-// flatIndex returns tag's row in the flat table, growing the table if the tag
-// extends the observed span. ok is false when the grown span would exceed the
-// flat budget and the mailbox must migrate to the map index.
-func (mb *mailbox) flatIndex(tag int) (row int, ok bool) {
-	if !mb.seen {
-		mb.seen = true
-		mb.flatLo, mb.flatHi = tag, tag
-		if mb.flat == nil {
-			rows := 8
-			if budget := maxFlatEntries / mb.procs; rows > budget {
-				rows = budget
-				if rows < 1 {
-					return 0, false
-				}
-			}
-			mb.flat = make([]*msgQueue, rows*mb.procs)
+// find returns the slot holding key's queue, or the empty slot it would take
+// (with a nil queue).
+func (mb *mailbox) find(key mbKey) (int, *msgQueue) {
+	if len(mb.slots) == 0 {
+		return 0, nil
+	}
+	mask := len(mb.slots) - 1
+	i := key.slot(mask)
+	for q := mb.slots[i]; q != nil; q = mb.slots[i] {
+		if q.key == key {
+			return i, q
 		}
-		return 0, true
+		i = (i + 1) & mask
 	}
-	if tag >= mb.flatLo && tag <= mb.flatHi {
-		return tag - mb.flatLo, true
-	}
-	lo, hi := mb.flatLo, mb.flatHi
-	if tag < lo {
-		lo = tag
-	} else {
-		hi = tag
-	}
-	span := hi - lo + 1
-	// Divide instead of multiplying: a huge tag span must not overflow the
-	// budget check into a false pass (and procs > maxFlatEntries must fall
-	// through to the map).
-	if span <= 0 || span > maxFlatEntries/mb.procs {
-		return 0, false
-	}
-	rows := len(mb.flat) / mb.procs
-	shift := mb.flatLo - lo
-	if shift == 0 && span <= rows {
-		// Growing on the high side within the allocated rows.
-		mb.flatHi = hi
-		return tag - mb.flatLo, true
-	}
-	newRows := span
-	if newRows < 2*rows {
-		newRows = 2 * rows
-	}
-	if newRows*mb.procs > maxFlatEntries {
-		newRows = maxFlatEntries / mb.procs
-	}
-	grown := make([]*msgQueue, newRows*mb.procs)
-	copy(grown[shift*mb.procs:], mb.flat[:(mb.flatHi-mb.flatLo+1)*mb.procs])
-	mb.flat = grown
-	mb.flatLo, mb.flatHi = lo, hi
-	return tag - mb.flatLo, true
+	return i, nil
 }
 
-// migrate moves the flat table into the map index (the tag span outgrew the
-// flat budget) and returns the queue of the pair that triggered it.
-func (mb *mailbox) migrate(src, tag int) *msgQueue {
-	mb.queues = make(map[mbKey]*msgQueue, 64)
-	if mb.seen && mb.flat != nil {
-		for row := 0; row <= mb.flatHi-mb.flatLo; row++ {
-			for s := 0; s < mb.procs; s++ {
-				if q := mb.flat[row*mb.procs+s]; q != nil {
-					mb.queues[mbKey{src: s, tag: mb.flatLo + row}] = q
-				}
-			}
+// grow doubles the table (the first one has 8 slots) and re-inserts every
+// queue.
+func (mb *mailbox) grow() {
+	old := mb.slots
+	mb.slots = make([]*msgQueue, max(8, 2*len(old)))
+	for _, q := range old {
+		if q != nil {
+			i, _ := mb.find(q.key)
+			mb.slots[i] = q
 		}
 	}
-	mb.flat = nil
-	key := mbKey{src: src, tag: tag}
-	q := mb.newQueue()
-	mb.queues[key] = q
-	mb.lastKey, mb.lastQ = key, q
-	return q
 }
 
 // deliver enqueues the message, or hands it directly to the longest-waiting
@@ -514,10 +448,7 @@ func (mb *mailbox) cancelAll() {
 		}
 		q.waiters = q.waiters[:0]
 	}
-	for _, q := range mb.queues {
-		wake(q)
-	}
-	for _, q := range mb.flat {
+	for _, q := range mb.slots {
 		if q != nil {
 			wake(q)
 		}
@@ -863,7 +794,7 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 	w := &world{machine: m, pricer: PricerOf(m), env: loggp.Env{Noise: m, Faults: ft, Ack: o.AckSends},
 		opts: o, mailboxes: make([]*mailbox, m.Procs())}
 	for i := range w.mailboxes {
-		w.mailboxes[i] = newMailbox(m.Procs(), &w.cancelled)
+		w.mailboxes[i] = newMailbox(&w.cancelled)
 	}
 	if o.Engine == EngineAuto {
 		w.gate = newGate(m.Procs())
