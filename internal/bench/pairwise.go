@@ -13,7 +13,7 @@
 // (simnet.Options.Engine), like every collective's. On the default engine the
 // ranks record their diagonal overhead and rendezvous at the run's gate, and
 // the last arriver evaluates all P(P−1) pair episodes on the discrete-event
-// evaluator's point-to-point stepper (sched.Evaluator.Post / Recv / Now): a
+// evaluator's point-to-point stepper (sched.Evaluator.PostPriced / Recv): a
 // strict ping-pong gives goroutines nothing to overlap, so on the concurrent
 // engine every one of its messages is a goroutine handoff through a mailbox —
 // some 370 of 470 ns of transport the virtual-time result never sees. Under
@@ -21,7 +21,9 @@
 // stays because it is the reference the gate evaluation is diffed against
 // (matrices, clocks, counters and trace lanes bit for bit, pairwise_engine_test.go).
 // Both are the same text, measurePair, written against a port that either acts
-// for one rank or for all of them.
+// for one rank or for all of them. The leader's port prices each direction of
+// an episode once; medians sort the holder's own sample scratch, so an
+// episode allocates nothing.
 package bench
 
 import (
@@ -31,6 +33,7 @@ import (
 	"slices"
 
 	"hbsp/internal/barrier"
+	"hbsp/internal/loggp"
 	"hbsp/internal/matrix"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
@@ -192,21 +195,23 @@ func (o PairwiseOptions) equal(b PairwiseOptions) bool {
 	return o.Samples == b.Samples && o.OverheadBatch == b.OverheadBatch && slices.Equal(o.Sizes, b.Sizes)
 }
 
-// pairPort is what the pair procedure needs of an engine: inject a message,
-// complete a blocking receive, read a clock, and whether the holder performs
-// rank r's operations at all.
+// pairPort is what the pair procedure needs of an engine: whether the holder
+// performs rank r's operations at all, the start of a pair's episode, inject
+// a message, complete a blocking receive, read a clock.
 type pairPort interface {
 	acts(r int) bool
+	episode(i, j int)
 	post(src, dst, tag, size int)
 	recv(dst, src, tag int)
 	now(r int) float64
 }
 
 // procPort is a rank's own port in a concurrent run: it acts for that rank
-// only, through the goroutine engine's mailboxes.
+// only, through the goroutine engine's mailboxes, which price every message.
 type procPort struct{ p *simnet.Proc }
 
 func (pp procPort) acts(r int) bool            { return r == pp.p.Rank() }
+func (procPort) episode(int, int)              {}
 func (pp procPort) post(_, dst, tag, size int) { pp.p.Post(dst, tag, size, nil) }
 func (pp procPort) recv(_, src, tag int)       { pp.p.Recv(src, tag) }
 func (pp procPort) now(int) float64            { return pp.p.Now() }
@@ -215,6 +220,7 @@ func (pp procPort) now(int) float64            { return pp.p.Now() }
 // evaluator and keeps the messages in flight between a pair itself, one FIFO
 // per direction (low→high rank, high→low). A pair's tags never interleave
 // within a direction, so arrival order is matching order, as in the mailbox.
+// A direction is priced once per episode, a pure function of the pair.
 type evalPort struct {
 	ev       *sched.Evaluator
 	inFlight [2]edgeFIFO
@@ -225,6 +231,7 @@ type evalPort struct {
 // when it empties; its depth never exceeds the overhead burst,
 // Samples·OverheadBatch (a deeper post would index past buf and panic).
 type edgeFIFO struct {
+	price      loggp.Pair // the direction's price in the current episode
 	buf        []sched.InEdge
 	head, tail int
 }
@@ -238,9 +245,14 @@ func (pt *evalPort) fifo(src, dst int) *edgeFIFO {
 
 func (pt *evalPort) acts(int) bool { return true }
 
+func (pt *evalPort) episode(i, j int) {
+	pt.fifo(i, j).price = pt.ev.Price(i, j)
+	pt.fifo(j, i).price = pt.ev.Price(j, i)
+}
+
 func (pt *evalPort) post(src, dst, tag, size int) {
 	q := pt.fifo(src, dst)
-	pt.ev.Post(src, dst, tag, size, &q.buf[q.tail])
+	pt.ev.PostPriced(src, dst, tag, size, q.price, &q.buf[q.tail])
 	q.tail++
 }
 
@@ -303,6 +315,7 @@ func (pr *pairRun) walk(proc *simnet.Proc) error {
 func (pr *pairRun) measurePair(i, j int) error {
 	pt, opts := pr.port, pr.opts
 	active, echo := pt.acts(i), pt.acts(j)
+	pt.episode(i, j)
 
 	// Untimed warm-up round trip. Its only purpose is clock alignment: the
 	// active rank cannot observe the echo before the echoing rank produced
@@ -332,7 +345,7 @@ func (pr *pairRun) measurePair(i, j int) error {
 			}
 			samples = append(samples, (pt.now(i)-start)/float64(opts.OverheadBatch))
 		}
-		med, err := stats.Median(samples)
+		med, err := stats.MedianInPlace(samples)
 		if err != nil {
 			return err
 		}
@@ -365,7 +378,7 @@ func (pr *pairRun) measurePair(i, j int) error {
 			}
 		}
 		if active {
-			med, err := stats.Median(samples)
+			med, err := stats.MedianInPlace(samples)
 			if err != nil {
 				return err
 			}

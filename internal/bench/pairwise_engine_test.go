@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,6 +134,35 @@ func TestMeasurePairwiseEnginesAgree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// countingMachine is a machine whose pricing call counts what it prices.
+type countingMachine struct {
+	*platform.Machine
+	pairs atomic.Int64
+}
+
+func (c *countingMachine) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
+	c.pairs.Add(1)
+	return c.Machine.Pair(i, j)
+}
+
+// TestPairwisePricesEachPairOnce holds the gate evaluation to one price per
+// direction of an episode: at most two Pair calls per ordered pair, where
+// pricing every message makes 32 at engineTestOptions.
+func TestPairwisePricesEachPairOnce(t *testing.T) {
+	const p = 12
+	pm, err := platform.Xeon8x2x4().Machine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &countingMachine{Machine: pm}
+	if _, _, err := measurePairwise(context.Background(), m, engineTestOptions(), simnet.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if got, most := m.pairs.Load(), int64(2*p*(p-1)); got > most {
+		t.Errorf("the benchmark priced %d pairs, want at most %d (two per ordered pair)", got, most)
 	}
 }
 

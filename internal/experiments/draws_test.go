@@ -24,7 +24,7 @@ var wiredSeries = []struct {
 	{"Table3_1", func(p *platform.Profile, o Options) (any, error) { return Table3_1(p, o) }, false},
 }
 
-// TestSeriesDrawsAreHandedIn runs every wired series with its memo and with
+// TestSharedSeriesDrawsAreHandedIn runs every wired series with its memo and with
 // the hand-in suppressed and requires the same points, then reads the memo's
 // counters: more lookups answered than draws computed (a series whose
 // machines were not handed the memo stores nothing and answers nothing), and
@@ -32,7 +32,7 @@ var wiredSeries = []struct {
 // more stored than the largest P stores alone. ProcStep is 4, as in the full
 // sweeps: Quick's three process counts share a fifth of their draws, the
 // full sweep 85 %.
-func TestSeriesDrawsAreHandedIn(t *testing.T) {
+func TestSharedSeriesDrawsAreHandedIn(t *testing.T) {
 	defer func() { newDraws = platform.NewDraws }()
 	prof := platform.Xeon8x2x4()
 	for _, s := range wiredSeries {
@@ -79,10 +79,10 @@ func TestSeriesDrawsAreHandedIn(t *testing.T) {
 	}
 }
 
-// TestSeriesDrawsAreDropped holds the ownership rule: the memo is the
+// TestSharedSeriesDrawsAreDropped holds the ownership rule: the memo is the
 // series', so once the series has returned and its points are dropped nothing
 // reaches the memo (no package-level store, no machine kept by a pool).
-func TestSeriesDrawsAreDropped(t *testing.T) {
+func TestSharedSeriesDrawsAreDropped(t *testing.T) {
 	defer func() { newDraws = platform.NewDraws }()
 	ResetParamsCache()
 	freed := make(chan struct{})

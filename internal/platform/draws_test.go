@@ -98,11 +98,11 @@ func TestDrawsMatchUncached(t *testing.T) {
 	}
 }
 
-// TestDrawsConcurrentFill has 8 goroutines walk overlapping rows of one memo
+// TestSharedDrawsFill has 8 goroutines walk overlapping rows of one memo
 // from the start, as the workers of a sweep do, and holds every value to the
 // computed one. Under -race it is the check that a block is published only
 // after it is filled.
-func TestDrawsConcurrentFill(t *testing.T) {
+func TestSharedDrawsFill(t *testing.T) {
 	const ranks, readers, perRow = 6, 8, 3*drawBlock + 17
 	m := noisyMachine(t, ranks)
 	d := NewDraws(m.RunSeed(), ranks)

@@ -17,9 +17,10 @@ import (
 // There is one representation at every rank count: a pairwise parameter is
 // column[class(i, j)] * pairFactor(i, j) — the same two operands in the same
 // single multiplication the profile formulas perform — computed on demand in
-// O(P) memory. Pair prices an ordered pair with one classification and one
-// hash; the engines call it once per message. The four single accessors
-// answer the same way for callers that want one parameter.
+// O(P) memory. Pair prices an ordered pair with one classification (a field
+// comparison of two placement records) and one hash; the engines call it once
+// per message, the pairwise benchmark's gate once per episode direction. The
+// four single accessors answer the same way for callers that want one parameter.
 type Machine struct {
 	profile   *Profile
 	placement *topology.Placement

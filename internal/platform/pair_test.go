@@ -1,8 +1,11 @@
 package platform
 
 import (
+	"maps"
 	"math"
 	"testing"
+
+	"hbsp/internal/topology"
 )
 
 // TestPairPricesProfileFormulasBitForBit pins the machine's single
@@ -48,6 +51,108 @@ func TestPairPricesProfileFormulasBitForBit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oracleDistance classifies a pair from the ranks' cores, the text a
+// placement answered before it kept one record per rank: the distance of the
+// two cores, promoted to DistanceGroup when their nodes sit in different
+// switch groups.
+func oracleDistance(pl *topology.Placement, a, b int) topology.Distance {
+	ca, cb := pl.Core(a), pl.Core(b)
+	switch {
+	case ca == cb:
+		return topology.DistanceSelf
+	case ca.Node != cb.Node:
+		if t := pl.Topology; t.GroupOf(ca.Node) != t.GroupOf(cb.Node) {
+			return topology.DistanceGroup
+		}
+		return topology.DistanceNetwork
+	case ca.Socket != cb.Socket:
+		return topology.DistanceNode
+	default:
+		return topology.DistanceSocket
+	}
+}
+
+// TestPairClassesAtScale holds every ordered pair's class and price to the
+// oracle at rank counts that span several nodes and — on the grouped
+// machines — three or more switch groups, under both placements: the Opteron
+// cluster full, the same cluster cut into three groups of four nodes, a fat
+// tree and a dragonfly.
+func TestPairClassesAtScale(t *testing.T) {
+	grouped := Opteron12x2x6()
+	grouped.Name += "/g4"
+	grouped.Topology.NodesPerGroup = 4
+	grouped.Links = maps.Clone(grouped.Links)
+	grouped.Links[topology.DistanceGroup] = FatTreeCluster(1, 1).Links[topology.DistanceGroup]
+	for _, c := range []struct {
+		prof   *Profile
+		p      int
+		groups int
+	}{{Opteron12x2x6(), 144, 1}, {grouped, 144, 3}, {FatTreeCluster(4, 8), 32, 4}, {DragonflyCluster(5, 6), 30, 5}} {
+		for _, policy := range []topology.PlacementPolicy{topology.RoundRobin, topology.Block} {
+			pl, err := c.prof.PlaceWith(c.p, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := c.prof.MachineFor(pl)
+			if n := pl.NodesUsed(); n < 2 {
+				t.Fatalf("%s %v: %d ranks on %d node", c.prof.Name, policy, c.p, n)
+			}
+			seen := map[int]bool{}
+			for a := 0; a < c.p; a++ {
+				seen[pl.Topology.GroupOf(pl.NodeOf(a))] = true
+			}
+			if len(seen) != c.groups {
+				t.Fatalf("%s %v: ranks span %d switch groups, want %d", c.prof.Name, policy, len(seen), c.groups)
+			}
+			for a := 0; a < c.p; a++ {
+				for b := 0; b < c.p; b++ {
+					want := oracleDistance(pl, a, b)
+					if got := pl.Distance(a, b); got != want {
+						t.Fatalf("%s %v: Distance(%d,%d) = %v, oracle %v", c.prof.Name, policy, a, b, got, want)
+					}
+					if got := m.PairClass(a, b); got != uint8(want) {
+						t.Fatalf("%s %v: PairClass(%d,%d) = %d, oracle %v", c.prof.Name, policy, a, b, got, want)
+					}
+					lat, _, beta, ovh, _, sameNIC := m.Pair(a, b)
+					l, f := Link{Overhead: c.prof.SelfOverhead}, 1.0
+					if want != topology.DistanceSelf {
+						l, f = c.prof.Links[want], c.prof.pairFactor(a, b)
+					}
+					if math.Float64bits(lat) != math.Float64bits(l.Latency*f) || math.Float64bits(beta) != math.Float64bits(l.Beta*f) ||
+						math.Float64bits(ovh) != math.Float64bits(l.Overhead*f) || sameNIC != (want < topology.DistanceNetwork) {
+						t.Fatalf("%s %v: Pair(%d,%d) = lat %v beta %v ovh %v sameNIC %v, oracle class %v prices %+v × %v",
+							c.prof.Name, policy, a, b, lat, beta, ovh, sameNIC, want, l, f)
+					}
+				}
+			}
+		}
+	}
+}
+
+// pairSink keeps BenchmarkMachinePair's calls live.
+var pairSink float64
+
+// BenchmarkMachinePair times Machine.Pair, classification and factor hash,
+// over a circulant sweep of the heterogeneous Xeon cluster at P = 1,024: every
+// offset, every rank to its peer (r + off) mod P, as a total exchange prices
+// them. It reports ns per priced pair.
+func BenchmarkMachinePair(b *testing.B) {
+	const p = 1024
+	m, err := XeonClusterMachine(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		for off := 1; off < p; off++ {
+			for r := 0; r < p; r++ {
+				lat, _, _, _, _, _ := m.Pair(r, (r+off)%p)
+				pairSink += lat
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p*(p-1)), "ns/pair")
 }
 
 // TestSymmetryPredicates pins the machine side of the collapse eligibility

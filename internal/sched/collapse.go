@@ -171,7 +171,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 				for k, dst := range outs {
 					size := v.OutSize(r, k)
 					ci = append(ci, loggp.Edge{})
-					done = append(done, e.send(&e.traffic, rs, r, dst, tag, size, &ci[k]))
+					done = append(done, e.send(&e.traffic, rs, r, dst, tag, size, e.Price(r, dst), &ci[k]))
 					repBytes += int64(size)
 				}
 				classIn[c] = ci

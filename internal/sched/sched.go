@@ -28,7 +28,7 @@
 //     while arbitrary closures around them still run on the concurrent
 //     engine. The first three are stage graphs (ExecSchedule); the pairwise
 //     benchmark is P(P−1) ping-pong episodes, which its leader walks message
-//     by message through the point-to-point stepper (Post / Recv / Now).
+//     by message through the point-to-point stepper (PostPriced / Recv / Now).
 //
 // The evaluator has no clock arithmetic of its own. It holds one loggp.State
 // per rank and calls the LogGP kernel (internal/loggp) for every operation —
@@ -39,10 +39,12 @@
 // over the degrees (per-rank walker), a per-class queue indexed by
 // out-edge position (collapsed walker), statically matched send slots
 // (program walker) or the caller's own FIFO (point-to-point stepper). Every
-// message is priced by one call per ordered pair (simnet.PairPricer, resolved
-// once per evaluator) and the kernel writes the in-edge record its receiver
-// needs in place, so the receive side never goes back to the machine. The
-// cross-engine tests pin that the two orderings and matchings agree.
+// message is priced by one call for its ordered pair (simnet.PairPricer,
+// resolved once per evaluator; a stepper caller may Price a pair once and
+// PostPriced many messages) and the kernel writes the in-edge record its
+// receiver needs in place, so the receive side never goes back to the
+// machine. The cross-engine tests pin that the two orderings and matchings
+// agree.
 package sched
 
 import (
@@ -240,15 +242,20 @@ func (e *Evaluator) setMachine(m simnet.Machine) {
 	e.m, e.pricer, e.env.Noise = m, simnet.PricerOf(m), m
 }
 
-// send is the evaluator's half of a send: price the ordered pair on the
-// machine, count the message in t, and have the kernel bill it on the
-// sender's state and write the receiver's in-edge record into in.
-func (e *Evaluator) send(t *traffic, st *loggp.State, rank, dst, tag, size int, in *loggp.Edge) (completeAt float64) {
-	var pc loggp.Pair
-	pc.Lat, pc.Gap, pc.Beta, pc.Ovh, pc.Ret, pc.SameNIC = e.pricer.Pair(rank, dst)
+// send is the evaluator's half of a send: count the message in t and have
+// the kernel bill it at the pair's price pc (Price) on the sender's state and
+// write the receiver's in-edge record into in.
+func (e *Evaluator) send(t *traffic, st *loggp.State, rank, dst, tag, size int, pc loggp.Pair, in *loggp.Edge) (completeAt float64) {
 	t.messages++
 	t.bytes += int64(size)
 	return st.Send(&e.env, rank, dst, tag, size, &pc, in)
+}
+
+// Price prices the ordered pair (src, dst) through the machine's resolved
+// pricing call: the price of every message from src to dst.
+func (e *Evaluator) Price(src, dst int) (pc loggp.Pair) {
+	pc.Lat, pc.Gap, pc.Beta, pc.Ovh, pc.Ret, pc.SameNIC = e.pricer.Pair(src, dst)
+	return pc
 }
 
 // Release returns the evaluator to the shared pool. The caller must not use
@@ -316,21 +323,26 @@ func copyClock(dst, src *loggp.State) {
 // Post that wrote it and the Recv that consumes it.
 type InEdge = loggp.Edge
 
-// The point-to-point stepper: Post, Recv and Now let a gate leader (or any
-// holder of the evaluator) walk a workload that is not a stage graph — a
-// ping-pong, a drained burst — one message at a time, in each rank's program
-// order, with the caller keeping the in-flight records. Lanes, the fault
-// plan, ack mode and the per-rank noise order are the kernel's business, as
-// in the stage walker. The caller must Post a message before it Recvs it;
-// virtual time does not depend on how the ranks' steps interleave beyond
-// that.
+// The point-to-point stepper: Post (or Price, then PostPriced), Recv and Now
+// let a gate leader (or any holder of the evaluator) walk a workload that is
+// not a stage graph — a ping-pong, a drained burst — one message at a time,
+// in each rank's program order, with the caller keeping the in-flight records
+// (and prices, if it likes). Lanes, the fault plan, ack mode and the per-rank
+// noise order are the kernel's business, as in the stage walker. The caller
+// must Post a message before it Recvs it; virtual time does not depend on how
+// the ranks' steps interleave beyond that.
 
 // Post is simnet.Proc.Post on the evaluator: rank src injects one size-byte
 // message to dst at its current clock — a fire-and-forget eager send, the
 // completion time dropped — and the message as its receiver needs it is
-// written into in.
+// written into in. It is Price, then PostPriced.
 func (e *Evaluator) Post(src, dst, tag, size int, in *InEdge) {
-	e.send(&e.traffic, &e.states[src], src, dst, tag, size, in)
+	e.PostPriced(src, dst, tag, size, e.Price(src, dst), in)
+}
+
+// PostPriced is Post with the pair's price given: pc must be Price(src, dst).
+func (e *Evaluator) PostPriced(src, dst, tag, size int, pc loggp.Pair, in *InEdge) {
+	e.send(&e.traffic, &e.states[src], src, dst, tag, size, pc, in)
 }
 
 // Recv is simnet.Proc.Recv for a message already injected: rank dst posts the
@@ -549,7 +561,7 @@ func (w *stageWalk) sends(v *StageView, b walkBlock, t *traffic) {
 		}
 		e.entry[r] = rs.Now
 		for k, dst := range outs {
-			e.sendDone[out] = e.send(t, rs, r, dst, tag, v.OutSize(r, k), &e.inbox[out])
+			e.sendDone[out] = e.send(t, rs, r, dst, tag, v.OutSize(r, k), e.Price(r, dst), &e.inbox[out])
 			out++
 		}
 	}

@@ -62,8 +62,9 @@ type Machine interface {
 // one call per ordered pair instead of one accessor call per parameter.
 // platform.Machine and the server's uploaded-matrix machine implement it;
 // PricerOf adapts any other Machine. Like the Machine methods, Pair must be
-// safe for concurrent calls: several goroutines of one run price pairs at
-// once.
+// safe for concurrent calls — several goroutines of one run price pairs at
+// once — and a pure function of (i, j), so a caller may bill many messages
+// one price (the pairwise benchmark's gate does, per episode direction).
 type PairPricer interface {
 	// Pair prices a message from i to j once: its latency, gap, inverse
 	// bandwidth and sender overhead, the return latency Latency(j, i) an

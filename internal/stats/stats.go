@@ -57,20 +57,24 @@ func StdDev(xs []float64) (float64, error) {
 // Median returns the median of xs without modifying the input slice. The
 // thesis reports barrier and kernel timings as medians to suppress noise.
 func Median(xs []float64) (float64, error) {
+	return MedianInPlace(append([]float64(nil), xs...))
+}
+
+// MedianInPlace returns the median of xs, sorting xs: for a caller whose
+// sample is scratch it allocates nothing.
+func MedianInPlace(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	n := len(tmp)
+	sort.Float64s(xs)
+	n := len(xs)
 	if n%2 == 1 {
-		return tmp[n/2], nil
+		return xs[n/2], nil
 	}
 	// Average the two central order statistics without overflowing when they
 	// lie near the float64 extremes, and clamp against rounding at the
 	// subnormal end so the median always lies between them.
-	lo, hi := tmp[n/2-1], tmp[n/2]
+	lo, hi := xs[n/2-1], xs[n/2]
 	mid := lo/2 + hi/2
 	if mid < lo {
 		mid = lo

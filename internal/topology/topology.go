@@ -10,6 +10,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Topology is a three-level cluster description: nodes × sockets × cores.
@@ -129,20 +130,6 @@ func (d Distance) String() string {
 	}
 }
 
-// DistanceBetween classifies the distance between two cores.
-func DistanceBetween(a, b CoreID) Distance {
-	switch {
-	case a == b:
-		return DistanceSelf
-	case a.Node != b.Node:
-		return DistanceNetwork
-	case a.Socket != b.Socket:
-		return DistanceNode
-	default:
-		return DistanceSocket
-	}
-}
-
 // PlacementPolicy selects how MPI-style ranks are mapped onto cores.
 type PlacementPolicy int
 
@@ -176,8 +163,13 @@ var ErrTooManyRanks = errors.New("topology: more ranks than cores")
 type Placement struct {
 	Topology Topology
 	Policy   PlacementPolicy
-	cores    []CoreID
+	seats    []seat
 }
+
+// seat is one rank's place as Place computes it once: node, the node's switch
+// group, socket and core. No index of a placed rank exceeds the rank, so int32
+// holds them in 16 bytes (CoreID takes 24).
+type seat struct{ node, group, socket, core int32 }
 
 // Place computes the placement of p ranks onto the topology under the given
 // policy. Placement is one-to-one (no oversubscription), matching the thesis'
@@ -189,20 +181,18 @@ func Place(t Topology, p int, policy PlacementPolicy) (*Placement, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("topology: need at least one rank, got %d", p)
 	}
-	if p > t.TotalCores() {
-		return nil, fmt.Errorf("%w: %d ranks on %d cores", ErrTooManyRanks, p, t.TotalCores())
+	if cores := min(t.TotalCores(), math.MaxInt32); p > cores { // a seat's int32 fields cap the usable cores
+		return nil, fmt.Errorf("%w: %d ranks on %d cores", ErrTooManyRanks, p, cores)
 	}
-	cores := make([]CoreID, p)
+	seats := make([]seat, p)
+	at := func(rank, node, within int) {
+		seats[rank] = seat{node: int32(node), group: int32(t.GroupOf(node)),
+			socket: int32(within / t.CoresPerSocket), core: int32(within % t.CoresPerSocket)}
+	}
 	switch policy {
 	case Block:
 		for rank := 0; rank < p; rank++ {
-			node := rank / t.CoresPerNode()
-			within := rank % t.CoresPerNode()
-			cores[rank] = CoreID{
-				Node:   node,
-				Socket: within / t.CoresPerSocket,
-				Core:   within % t.CoresPerSocket,
-			}
+			at(rank, rank/t.CoresPerNode(), rank%t.CoresPerNode())
 		}
 	case RoundRobin:
 		// Ranks are dealt to nodes round-robin; the n-th rank landing on a
@@ -217,56 +207,57 @@ func Place(t Topology, p int, policy PlacementPolicy) (*Placement, error) {
 			if within >= t.CoresPerNode() {
 				return nil, fmt.Errorf("%w: node %d oversubscribed", ErrTooManyRanks, node)
 			}
-			cores[rank] = CoreID{
-				Node:   node,
-				Socket: within / t.CoresPerSocket,
-				Core:   within % t.CoresPerSocket,
-			}
+			at(rank, node, within)
 		}
 	default:
 		return nil, fmt.Errorf("topology: unknown placement policy %v", policy)
 	}
-	return &Placement{Topology: t, Policy: policy, cores: cores}, nil
+	return &Placement{Topology: t, Policy: policy, seats: seats}, nil
 }
 
 // Ranks returns the number of placed ranks.
-func (pl *Placement) Ranks() int { return len(pl.cores) }
+func (pl *Placement) Ranks() int { return len(pl.seats) }
 
 // Core returns the core a rank is pinned to.
 func (pl *Placement) Core(rank int) CoreID {
-	if rank < 0 || rank >= len(pl.cores) {
-		panic(fmt.Sprintf("topology: rank %d out of range %d", rank, len(pl.cores)))
-	}
-	return pl.cores[rank]
+	s := &pl.seats[rank]
+	return CoreID{Node: int(s.node), Socket: int(s.socket), Core: int(s.core)}
 }
 
-// Distance returns the distance class between two ranks: the core-level
-// distance, promoted to DistanceGroup when the ranks' nodes sit in different
-// switch groups of a grouped topology.
+// Distance returns the distance class between two ranks: self, same socket,
+// same node, or different nodes — promoted to DistanceGroup when the nodes
+// sit in different switch groups of a grouped topology. Placement is
+// one-to-one, so only a == b shares a core.
 func (pl *Placement) Distance(a, b int) Distance {
-	d := DistanceBetween(pl.Core(a), pl.Core(b))
-	if d == DistanceNetwork {
-		t := pl.Topology
-		if t.GroupOf(pl.Core(a).Node) != t.GroupOf(pl.Core(b).Node) {
+	x, y := &pl.seats[a], &pl.seats[b]
+	switch {
+	case a == b:
+		return DistanceSelf
+	case x.node != y.node:
+		if x.group != y.group {
 			return DistanceGroup
 		}
+		return DistanceNetwork
+	case x.socket != y.socket:
+		return DistanceNode
+	default:
+		return DistanceSocket
 	}
-	return d
 }
 
 // SameNode reports whether two ranks share a node.
 func (pl *Placement) SameNode(a, b int) bool {
-	return pl.Core(a).Node == pl.Core(b).Node
+	return pl.seats[a].node == pl.seats[b].node
 }
 
 // NodeOf returns the node index hosting a rank.
-func (pl *Placement) NodeOf(rank int) int { return pl.Core(rank).Node }
+func (pl *Placement) NodeOf(rank int) int { return int(pl.seats[rank].node) }
 
 // RanksOnNode returns the ranks placed on the given node, in rank order.
 func (pl *Placement) RanksOnNode(node int) []int {
 	var out []int
-	for rank, c := range pl.cores {
-		if c.Node == node {
+	for rank, s := range pl.seats {
+		if int(s.node) == node {
 			out = append(out, rank)
 		}
 	}
@@ -275,9 +266,9 @@ func (pl *Placement) RanksOnNode(node int) []int {
 
 // NodesUsed returns the number of distinct nodes that host at least one rank.
 func (pl *Placement) NodesUsed() int {
-	seen := make(map[int]bool)
-	for _, c := range pl.cores {
-		seen[c.Node] = true
+	seen := make(map[int32]bool)
+	for _, s := range pl.seats {
+		seen[s.node] = true
 	}
 	return len(seen)
 }

@@ -27,6 +27,22 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
+// DistanceBetween classifies the distance between two cores: the core-level
+// rule Placement.Distance applies to its per-rank records, kept here as the
+// oracle its tests compare against.
+func DistanceBetween(a, b CoreID) Distance {
+	switch {
+	case a == b:
+		return DistanceSelf
+	case a.Node != b.Node:
+		return DistanceNetwork
+	case a.Socket != b.Socket:
+		return DistanceNode
+	default:
+		return DistanceSocket
+	}
+}
+
 func TestDistanceBetween(t *testing.T) {
 	a := CoreID{Node: 0, Socket: 0, Core: 0}
 	if DistanceBetween(a, a) != DistanceSelf {
@@ -217,7 +233,7 @@ func TestPlacementInjectiveProperty(t *testing.T) {
 		}
 		for a := 0; a < p; a++ {
 			for b := 0; b < p; b++ {
-				if pl.Distance(a, b) != pl.Distance(b, a) {
+				if pl.Distance(a, b) != pl.Distance(b, a) || pl.Distance(a, b) != DistanceBetween(pl.Core(a), pl.Core(b)) {
 					return false
 				}
 			}
