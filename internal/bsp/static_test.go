@@ -8,16 +8,21 @@ import (
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/fault"
+	"hbsp/internal/kernels"
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 	"hbsp/internal/trace"
 )
 
 // scatterStatic is a generated static program: per superstep a process
-// computes for a hash-drawn time (zero included: a Compute call that only
-// draws noise) and puts to zero to three hash-drawn processes, itself among
-// them — h-relations with idle senders, several messages per pair's FIFO and
-// receivers of many.
+// computes zero to two hash-drawn intervals — plain seconds (zero included: a
+// Compute call that only draws noise) or a kernel over zero to three cells
+// (zero: no call at all) — puts zero to three hash-drawn sizes to as many
+// hash-drawn processes, itself among them, and computes zero to two intervals
+// more; after the last superstep it computes its closing intervals. That is
+// h-relations with idle senders, several messages per pair's FIFO, receivers
+// of many and empty puts.
 func scatterStatic(steps int, salt uint64) *Static {
 	draw := func(step, pid, k int) uint64 {
 		x := salt + uint64(step)*0x9e3779b97f4a7c15 + uint64(pid)*0xbf58476d1ce4e5b9 + uint64(k)*0x94d049bb133111eb
@@ -25,13 +30,29 @@ func scatterStatic(steps int, salt uint64) *Static {
 		x *= 0xd6e8feb86659fd93
 		return x ^ x>>29
 	}
+	computes := func(step, pid, k int, ops sched.Ops) {
+		for i, n := 0, int(draw(step, pid, k)%3); i < n; i++ {
+			switch x := draw(step, pid, k+1+i); x % 3 {
+			case 0:
+				ops.Compute(sched.Work{Seconds: 1e-6 * float64(x%5)})
+			case 1:
+				ops.Compute(sched.Work{Kernel: &kernels.Copy, Cells: int(x % 4)})
+			default:
+				ops.Compute(sched.Work{Kernel: &kernels.Stencil5, Cells: int(x % 4 * 1000)})
+			}
+		}
+	}
 	return &Static{
 		Supersteps: steps,
-		Step: func(step, pid, p int, dsts []int) (float64, []int) {
-			for k, n := 0, int(draw(step, pid, 0)%4); k < n; k++ {
-				dsts = append(dsts, int(draw(step, pid, 1+k)%uint64(p)))
+		Step: func(step, pid, p int, ops sched.Ops) {
+			computes(step, pid, 10, ops)
+			if step == steps {
+				return
 			}
-			return 1e-6 * float64(draw(step, pid, 9)%5), dsts
+			for k, n := 0, int(draw(step, pid, 0)%4); k < n; k++ {
+				ops.Put(int(draw(step, pid, 1+k)%uint64(p)), int(draw(step, pid, 5+k)%4))
+			}
+			computes(step, pid, 20, ops)
 		},
 	}
 }

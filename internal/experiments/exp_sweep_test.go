@@ -10,10 +10,11 @@ import (
 	"hbsp/internal/simnet"
 )
 
-// TestBytesSweepSeriesMatchesIndependentRuns demands the incremental series
-// be bit-identical to the sequential loop of independent RunSchedule calls it
-// replaces — the sweep evaluator's reuse must be unobservable in the results.
-func TestBytesSweepSeriesMatchesIndependentRuns(t *testing.T) {
+// TestSharedBytesSweepSeriesMatchesIndependentRuns demands the incremental
+// series be bit-identical to the sequential loop of independent RunSchedule
+// calls it replaces — the sweep evaluator's reuse must be unobservable in the
+// results, whichever RunPointsWith worker evaluates a point.
+func TestSharedBytesSweepSeriesMatchesIndependentRuns(t *testing.T) {
 	const procs = 32
 	payloads := []int{0, 16, 64, 64, 256, 1024, 64}
 	prof := platform.Xeon8x2x4()
@@ -48,7 +49,7 @@ func TestBytesSweepSeriesMatchesIndependentRuns(t *testing.T) {
 	}
 }
 
-func TestScaleSweepSeriesMatchesIndependentRuns(t *testing.T) {
+func TestSharedScaleSweepSeriesMatchesIndependentRuns(t *testing.T) {
 	const procs, payload = 32, 64
 	scales := []float64{1, 0.5, 2, 1.25, 1}
 	prof := platform.Xeon8x2x4()

@@ -9,7 +9,7 @@ import (
 	"hbsp/internal/platform"
 )
 
-func TestRunPointsOrderAndCompleteness(t *testing.T) {
+func TestSharedRunPointsOrderAndCompleteness(t *testing.T) {
 	const n = 100
 	var calls atomic.Int64
 	out, err := RunPoints(n, func(i int) (int, error) {
@@ -29,7 +29,7 @@ func TestRunPointsOrderAndCompleteness(t *testing.T) {
 	}
 }
 
-func TestRunPointsReturnsLowestIndexedError(t *testing.T) {
+func TestSharedRunPointsReturnsLowestIndexedError(t *testing.T) {
 	errLow := errors.New("low")
 	_, err := RunPoints(16, func(i int) (int, error) {
 		if i == 3 {
@@ -52,7 +52,7 @@ func TestRunPointsEmpty(t *testing.T) {
 	}
 }
 
-func TestRunPointsWithWorkerLifecycle(t *testing.T) {
+func TestSharedRunPointsWithWorkerLifecycle(t *testing.T) {
 	const n = 64
 	var made, closed, calls atomic.Int64
 	out, err := RunPointsWith(n,
@@ -82,7 +82,7 @@ func TestRunPointsWithWorkerLifecycle(t *testing.T) {
 	}
 }
 
-func TestRunPointsWithMakeError(t *testing.T) {
+func TestSharedRunPointsWithMakeError(t *testing.T) {
 	errMake := errors.New("no evaluator")
 	_, err := RunPointsWith(8,
 		func() (int, error) { return 0, errMake },
@@ -93,7 +93,7 @@ func TestRunPointsWithMakeError(t *testing.T) {
 	}
 }
 
-func TestParallelSeriesFlattensInSweepOrder(t *testing.T) {
+func TestSharedParallelSeriesFlattensInSweepOrder(t *testing.T) {
 	points := []int{3, 1, 0, 2}
 	out, err := ParallelSeries(points, func(p int) ([]string, error) {
 		rows := make([]string, p)

@@ -35,13 +35,13 @@ func tracedStream(t *testing.T, procs int, seed int64) string {
 	return buf.String()
 }
 
-// TestTracedRunsDeterministicUnderParallelSweep is the determinism contract
-// of the recorder under the sweep engine: many traced runs executing
-// concurrently on the worker pool (each with its own recorder) must every
-// one reproduce the sequential reference stream for its seed, byte for byte.
-// Run under -race (CI does) this also proves the per-rank lanes are
+// TestSharedTracedRunsDeterministicUnderParallelSweep is the determinism
+// contract of the recorder under the sweep engine: many traced runs executing
+// concurrently on the worker pool (each with its own recorder) must every one
+// reproduce the sequential reference stream for its seed, byte for byte. Run
+// under -race (CI's ^TestShared step) this also proves the per-rank lanes are
 // race-free against the pool's concurrency.
-func TestTracedRunsDeterministicUnderParallelSweep(t *testing.T) {
+func TestSharedTracedRunsDeterministicUnderParallelSweep(t *testing.T) {
 	const procs = 16
 	seeds := []int64{1, 2, 3, 4, 1, 2, 3, 4} // repeats: same seed traced twice in parallel
 	want := map[int64]string{}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hbsp/internal/bsp"
+	"hbsp/internal/kernels"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 	"hbsp/internal/trace"
@@ -22,13 +23,17 @@ func ringSupersteps(t *testing.T, p, steps int, onStep func(step int)) *sched.Su
 	}
 	return &sched.Supersteps{
 		Steps: steps,
-		Step: func(step, rank int, dsts []int) (float64, []int) {
+		Step: func(step, rank int, ops sched.Ops) {
 			if onStep != nil {
 				onStep(step)
 			}
-			return 1e-6 * float64(1+rank%4), append(dsts, (rank+1)%p)
+			if step < steps {
+				ops.Compute(sched.Work{Seconds: 1e-6 * float64(1+rank%4)})
+				ops.Put((rank+1)%p, 1)
+			}
 		},
-		PutBytes: 32, PutTag: 7, Exchange: exchange, ExchangeTag: 1 << 24,
+		KernelTime: func(int, kernels.Kernel, int) float64 { return 1e-6 },
+		PutBytes:   func(int) int { return 32 }, PutTag: 7, Exchange: exchange, ExchangeTag: 1 << 24,
 	}
 }
 
@@ -94,11 +99,21 @@ func TestRunSuperstepsRejectsBadPrograms(t *testing.T) {
 	m := machines(t, p, 1, false)
 	ctx, o := context.Background(), simnet.DefaultOptions()
 	if _, err := sched.RunSupersteps(ctx, m, &sched.Supersteps{Steps: 1}, o); err == nil {
-		t.Error("program without step function or exchange accepted")
+		t.Error("program without step, kernel-time and put-size functions or exchange accepted")
 	}
 	sp := ringSupersteps(t, p, 1, nil)
-	sp.Step = func(_, _ int, dsts []int) (float64, []int) { return 0, append(dsts, p) }
-	if _, err := sched.RunSupersteps(ctx, m, sp, o); err == nil {
-		t.Error("post to a rank outside the machine accepted")
+	for name, step := range map[string]func(step, rank int, ops sched.Ops){
+		"post to a rank outside the machine": func(_, _ int, ops sched.Ops) { ops.Put(p, 1) },
+		"post of a negative size":            func(_, _ int, ops sched.Ops) { ops.Put(0, -1) },
+		"post after the last superstep": func(step, _ int, ops sched.Ops) {
+			if step == sp.Steps {
+				ops.Put(0, 1)
+			}
+		},
+	} {
+		sp.Step = step
+		if _, err := sched.RunSupersteps(ctx, m, sp, o); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -63,11 +63,11 @@ func (r reply) equal(o reply) bool { return r.status == o.status && bytes.Equal(
 // sessionReply renders the point through evaluateSession, whatever its route,
 // and returns the session's recording with it (nil untraced, or failed).
 func sessionReply(s *Server, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64) (reply, *trace.Recorder) {
-	res, perIter, rec, err := s.evaluateSession(context.Background(), req, rp, w, pt, seed, time.Time{})
+	res, rec, err := s.evaluateSession(context.Background(), req, rp, w, pt, seed, time.Time{})
 	if err != nil {
 		return replyOf(nil, err), nil
 	}
-	return replyOf(s.renderPoint(req, rp, w, pt, seed, res, perIter, rec)), rec
+	return replyOf(s.renderPoint(req, rp, w, pt, seed, res, rec)), rec
 }
 
 // spill is a recording as spill bytes: run metadata, summary and every lane,
@@ -137,7 +137,9 @@ func crossPlans(r *rand.Rand, p int, upload bool) []*fault.Plan {
 }
 
 // crossWorkloads are the routed workloads: every collective the server builds
-// a schedule for and both sync variants, operands drawn per case.
+// a schedule for, both sync variants and the stencil, operands drawn per case
+// — the stencil's grid from the smallest P=33 and 64 accept (blocks of one
+// row, no deep interior) to blocks with a deep interior at every P.
 func crossWorkloads(r *rand.Rand, p int) []WorkloadSpec {
 	bytesOf := func() int { return []int{0, 64, 1024}[r.Intn(3)] }
 	sync := func(variant string) WorkloadSpec {
@@ -148,11 +150,12 @@ func crossWorkloads(r *rand.Rand, p int) []WorkloadSpec {
 		{Kind: "broadcast", Root: r.Intn(p), Bytes: bytesOf()}, {Kind: "reduce", Root: r.Intn(p), Bytes: bytesOf()},
 		{Kind: "allreduce", Bytes: bytesOf()}, {Kind: "allgather", Bytes: bytesOf()}, {Kind: "totalexchange", Bytes: bytesOf()},
 		sync(""), sync("schedule"),
+		{Kind: "stencil", Grid: 11 + r.Intn(60), Iterations: 1 + r.Intn(3)},
 	}
 }
 
-// TestCrossRouteEquivalence generates a seeded grid — 8 collective schedules
-// and both sync variants × P ∈ {2, 3, 16, 33, 64} × four machines × untraced /
+// TestCrossRouteEquivalence generates a seeded grid — 8 collective schedules,
+// both sync variants and the stencil × P ∈ {2, 3, 16, 33, 64} × four machines × untraced /
 // critical path / rollup × four fault plans, with acks, collapse, perRank,
 // the run seed and the workload operands drawn per case — and requires of
 // every point that the route production takes and the session render the same
@@ -190,7 +193,7 @@ func TestCrossRouteEquivalence(t *testing.T) {
 							t.Fatalf("request %s: %v", sent, err)
 						}
 						rt := routeOf(&req.Options, &w, rp)
-						if wantSession := w.Kind == "sync" && upload; (rt == routeSession) != wantSession {
+						if wantSession := (w.Kind == "sync" || w.Kind == "stencil") && upload; (rt == routeSession) != wantSession {
 							t.Fatalf("request %s: route %d", sent, rt)
 						}
 						if rt != routeSession {
@@ -237,9 +240,10 @@ func TestCrossRouteEquivalence(t *testing.T) {
 // sync point held P goroutines, P count rows of P entries per superstep and P
 // registration areas of P elements (1.26 GB at P=4,096, more than 4 GB at
 // 16,384), a traced collective P known-maps beside the lanes; sync:schedule
-// held a dense dissemination literal (220 MB at P=4,096); and verifying an
+// held a dense dissemination literal (220 MB at P=4,096); verifying an
 // allreduce at the ceiling asked for two P×P bitsets (256 GB) where a
-// circulant needs one P-bit row. Everything a direct route allocates for one
+// circulant needs one P-bit row; and a stencil held two grids per rank even
+// in synthetic mode (≈160 GB at grid 100,000 over 4,096 ranks). Everything a direct route allocates for one
 // is bounded here — lanes and rendering included — so a quadratic term cannot
 // come back unnoticed.
 func TestRoutedRequestsScaleLinearly(t *testing.T) {
@@ -255,6 +259,8 @@ func TestRoutedRequestsScaleLinearly(t *testing.T) {
 		{"traced allreduce P=4096", `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"allreduce"},"procs":4096,"options":{"trace":true}}`, routeSwept, 128 << 20},
 		{"sync:schedule P=16384", `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"sync","variant":"schedule"},"procs":16384}`, routeDirectBSP, 64 << 20},
 		{"allreduce P=2^20", `{"profile":{"preset":"flat-cluster"},"workload":{"kind":"allreduce"},"procs":1048576}`, routeSwept, 256 << 20},
+		{"stencil grid=100000 P=4096", `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"stencil","grid":100000},"procs":4096}`, routeDirectBSP, 64 << 20},
+		{"stencil grid=2048 P=16384", `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"stencil","grid":2048},"procs":16384}`, routeDirectBSP, 64 << 20},
 	} {
 		s := New(Config{})
 		var rec *httptest.ResponseRecorder

@@ -192,6 +192,10 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 	}
 
 	body, shared, err := s.flights.Do(key, func() ([]byte, error) {
+		// A flight that ended since the miss above left its result behind.
+		if body, ok := s.results.Get(key); ok {
+			return body.([]byte), nil
+		}
 		release, err := admit(ctx)
 		if err != nil {
 			return nil, err
@@ -231,22 +235,20 @@ const (
 )
 
 // routeOf is the route decision, in precedence order. What the direct
-// evaluator can price from a schedule alone it prices — the collectives as one
-// execution of their schedule, the sync workload as supersteps around its
-// count exchange — traced or not, with or without faults. The session keeps
-// what needs the ranks' own code to run: engine "concurrent" by definition
-// (the message-by-message walk is what it asks for), and the stencil, whose
-// halo sizes and kernel times come out of its SPMD body. It also keeps the
-// program workload, which it already hands to sched.RunProgram without
-// spawning a rank, and the sync workload on an uploaded machine, which it
-// refuses (no kernel-rate model) in words this function need not repeat.
+// evaluator can price from a static description alone it prices — the
+// collectives as one execution of their schedule, the sync workload and the
+// stencil as supersteps around their count exchange (bsp.Static) — traced or
+// not, with or without faults. The session keeps engine "concurrent", which
+// asks for the message-by-message walk; the program workload, which it hands
+// to sched.RunProgram without spawning a rank; and sync and stencil on an
+// uploaded machine, which it refuses (no kernel-rate model).
 func routeOf(o *OptionsSpec, w *WorkloadSpec, rp *resolvedProfile) route {
 	switch {
 	case o.Engine != "auto":
 		return routeSession
 	case scheduleKind(w.Kind):
 		return routeSwept
-	case w.Kind == "sync" && rp.cluster != nil:
+	case (w.Kind == "sync" || w.Kind == "stencil") && rp.cluster != nil:
 		return routeDirectBSP
 	}
 	return routeSession
@@ -268,11 +270,8 @@ func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolved
 			body, err = nil, fmt.Errorf("server: evaluation panicked: %v", r)
 		}
 	}()
-	var (
-		res     *sim.Result
-		perIter float64
-		rec     *trace.Recorder
-	)
+	var res *sim.Result
+	var rec *trace.Recorder
 	r := routeOf(&req.Options, w, rp)
 	switch r {
 	case routeSwept:
@@ -280,12 +279,12 @@ func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolved
 	case routeDirectBSP:
 		res, rec, err = s.evaluateSync(ctx, req, rp, w, pt, seed, deadline)
 	default:
-		res, perIter, rec, err = s.evaluateSession(ctx, req, rp, w, pt, seed, deadline)
+		res, rec, err = s.evaluateSession(ctx, req, rp, w, pt, seed, deadline)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if body, err = s.renderPoint(req, rp, w, pt, seed, res, perIter, rec); err != nil {
+	if body, err = s.renderPoint(req, rp, w, pt, seed, res, rec); err != nil {
 		return nil, err
 	}
 	s.m.routes[r].Add(1)
@@ -320,7 +319,7 @@ func newRecorder(req *PredictRequest, w *WorkloadSpec, pt point) *trace.Recorder
 // evaluateSession runs one point through the full session machinery — the
 // path every workload kind supports, and the reference the direct routes are
 // held to.
-func (s *Server) evaluateSession(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, float64, *trace.Recorder, error) {
+func (s *Server) evaluateSession(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, *trace.Recorder, error) {
 	opts := []hbsp.Option{}
 	if rp.cluster != nil {
 		opts = append(opts, hbsp.WithSeed(seed))
@@ -339,7 +338,7 @@ func (s *Server) evaluateSession(ctx context.Context, req *PredictRequest, rp *r
 	}
 	left, err := budgetLeft(deadline)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	if left > 0 {
 		opts = append(opts, hbsp.WithDeadline(left))
@@ -348,23 +347,21 @@ func (s *Server) evaluateSession(ctx context.Context, req *PredictRequest, rp *r
 	if rec != nil {
 		opts = append(opts, hbsp.WithRecorder(rec))
 	}
-	if w.Kind == "sync" {
-		sync, err := s.synchronizer(w, pt.procs)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		opts = append(opts, hbsp.WithSynchronizer(sync))
+	sync, err := s.synchronizer(w, pt.procs)
+	if err != nil {
+		return nil, nil, err
 	}
+	opts = append(opts, hbsp.WithSynchronizer(sync))
 
 	sess, err := hbsp.New(rp.machine, opts...)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
-	res, perIter, err := s.runWorkload(ctx, sess, w, pt.procs)
+	res, err := s.runWorkload(ctx, sess, w, pt.procs)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
-	return res, perIter, rec, nil
+	return res, rec, nil
 }
 
 // runOptions translates the request options a direct route honours — acks,
@@ -384,8 +381,9 @@ func runOptions(req *PredictRequest) sim.Options {
 	return o
 }
 
-// evaluateSync prices one sync point from its static description on the
-// direct engine: no session, no rank goroutines, memory linear in procs.
+// evaluateSync prices one sync or stencil point from its static description
+// (staticWorkload) on the direct engine: no session, no rank goroutines, no
+// grid, memory linear in procs.
 func (s *Server) evaluateSync(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, *trace.Recorder, error) {
 	o := runOptions(req)
 	left, err := budgetLeft(deadline)
@@ -399,7 +397,11 @@ func (s *Server) evaluateSync(ctx context.Context, req *PredictRequest, rp *reso
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := bsp.RunStatic(ctx, rp.seeded(seed), sync, syncWorkload(w), o)
+	sp, err := staticWorkload(w, pt.procs)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := bsp.RunStatic(ctx, rp.cluster.WithRunSeed(seed), sync, sp, o)
 	if errors.Is(err, hbsp.ErrInvalidFault) {
 		// A plan the machine rejects, worded as hbsp.WithFaults words it.
 		err = fmt.Errorf("hbsp: %w", err)
@@ -409,7 +411,7 @@ func (s *Server) evaluateSync(ctx context.Context, req *PredictRequest, rp *reso
 
 // renderPoint renders an evaluated point to its NDJSON line (JSON object
 // plus trailing newline), the shared tail of every route.
-func (s *Server) renderPoint(req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, res *sim.Result, perIter float64, rec *trace.Recorder) ([]byte, error) {
+func (s *Server) renderPoint(req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, res *sim.Result, rec *trace.Recorder) ([]byte, error) {
 	p := &PredictPoint{
 		Workload:           w.Kind,
 		Variant:            w.Variant,
@@ -423,12 +425,14 @@ func (s *Server) renderPoint(req *PredictRequest, rp *resolvedProfile, w *Worklo
 		Times:              summarizeTimes(res.Times),
 		Messages:           res.Messages,
 		BytesMoved:         res.Bytes,
-		PerIteration:       perIter,
 		Collapse: CollapseInfo{
 			Applied: res.Collapse.Applied,
 			Classes: res.Collapse.Classes,
 			Reason:  res.Collapse.Reason,
 		},
+	}
+	if w.Kind == "stencil" {
+		p.PerIteration = res.MakeSpan / float64(w.Iterations)
 	}
 	if !pt.scale.identity() {
 		sc := pt.scale.normalized()

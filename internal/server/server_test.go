@@ -234,6 +234,29 @@ func TestErrorShapes(t *testing.T) {
 			message: "server: invalid request: sweep has more than 4096 points (1 procs × 65 bytes × 64 scale entries)",
 		},
 		{
+			// Refused before anything is sized from procs, in the same words
+			// on every route.
+			name:    "impossible stencil decomposition",
+			body:    `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"stencil","grid":3},"procs":64}`,
+			code:    "invalid_request",
+			status:  400,
+			message: "server: invalid request: stencil: cannot give every one of 64 processes at least one row of a 3-point axis",
+		},
+		{
+			name:    "impossible stencil decomposition, concurrent engine",
+			body:    `{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"stencil","grid":3},"procs":64,"options":{"engine":"concurrent"}}`,
+			code:    "invalid_request",
+			status:  400,
+			message: "server: invalid request: stencil: cannot give every one of 64 processes at least one row of a 3-point axis",
+		},
+		{
+			name:    "impossible stencil decomposition, uploaded machine",
+			body:    `{"profile":{"matrices":{"latency":[[0,1e-6],[1e-6,0]],"beta":[[0,1e-9],[1e-9,0]],"selfOverhead":1e-7}},"workload":{"kind":"stencil","grid":3},"procs":64}`,
+			code:    "invalid_request",
+			status:  400,
+			message: "server: invalid request: stencil: cannot give every one of 64 processes at least one row of a 3-point axis",
+		},
+		{
 			name:   "seed on matrix machine",
 			body:   `{"profile":{"matrices":{"latency":[[0,1e-6],[1e-6,0]],"beta":[[0,1e-9],[1e-9,0]],"selfOverhead":1e-7}},"workload":{"kind":"barrier"},"procs":2,"seed":3}`,
 			code:   "invalid_request",

@@ -120,11 +120,11 @@ func TestSweptMatchesSession(t *testing.T) {
 					t.Fatalf("point unexpectedly not routed to the sweep path")
 				}
 
-				sres, perIter, rec, err := s.evaluateSession(ctx, &req, rp, &w, pt, seed, time.Time{})
+				sres, rec, err := s.evaluateSession(ctx, &req, rp, &w, pt, seed, time.Time{})
 				if err != nil {
 					t.Fatalf("session evaluation: %v", err)
 				}
-				want, err := s.renderPoint(&req, rp, &w, pt, seed, sres, perIter, rec)
+				want, err := s.renderPoint(&req, rp, &w, pt, seed, sres, rec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +135,7 @@ func TestSweptMatchesSession(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s swept evaluation: %v", pass, err)
 					}
-					got, err := s.renderPoint(&req, rp, &w, pt, seed, res, 0, nil)
+					got, err := s.renderPoint(&req, rp, &w, pt, seed, res, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -192,11 +192,11 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 					t.Fatalf("%s: not routed to the sweep path", name)
 				}
 				pt := point{procs: p}
-				sres, perIter, rec, err := s.evaluateSession(ctx, &req, rp, &w, pt, 1, time.Time{})
+				sres, rec, err := s.evaluateSession(ctx, &req, rp, &w, pt, 1, time.Time{})
 				if err != nil {
 					t.Fatalf("%s: session evaluation: %v", name, err)
 				}
-				want, err := s.renderPoint(&req, rp, &w, pt, 1, sres, perIter, rec)
+				want, err := s.renderPoint(&req, rp, &w, pt, 1, sres, rec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,7 +214,7 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %s swept evaluation: %v", name, pass, err)
 					}
-					got, err := s.renderPoint(&req, rp, &w, pt, 1, res, 0, nil)
+					got, err := s.renderPoint(&req, rp, &w, pt, 1, res, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

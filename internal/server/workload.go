@@ -9,9 +9,9 @@ import (
 	"hbsp/internal/barrier"
 	"hbsp/internal/bsp"
 	"hbsp/internal/mpi"
-	"hbsp/sched"
+	"hbsp/internal/sched"
+	"hbsp/internal/stencil"
 	"hbsp/sim"
-	"hbsp/stencil"
 )
 
 // Workload defaults.
@@ -91,6 +91,9 @@ func normalizeWorkload(w *WorkloadSpec, procs int) error {
 		}
 		if w.Iterations < 1 {
 			return badRequestf("iterations must be >= 1, got %d", w.Iterations)
+		}
+		if _, err := stencil.Decompose(w.Grid, procs); err != nil {
+			return badRequestf("%v", err)
 		}
 	case "program":
 		if w.Variant != "" {
@@ -184,17 +187,16 @@ func buildProgram(ranks [][]OpSpec) *sim.Program {
 	return pr
 }
 
-// runWorkload executes one normalized workload on a session and returns the
-// run result (plus the per-iteration time for the stencil workload). In
-// production the collective case is reached only under engine "concurrent"
-// and the sync case under it or on a machine the session refuses (routeOf);
-// the cross-route test reaches both for every point.
-func (s *Server) runWorkload(ctx context.Context, sess *hbsp.Session, w *WorkloadSpec, procs int) (*sim.Result, float64, error) {
+// runWorkload executes one normalized workload on a session. In production
+// the collective, sync and stencil cases are reached only under engine
+// "concurrent" or, for sync and stencil, on a machine the session refuses
+// (routeOf); the cross-route test reaches them for every point.
+func (s *Server) runWorkload(ctx context.Context, sess *hbsp.Session, w *WorkloadSpec, procs int) (*sim.Result, error) {
 	switch w.Kind {
 	case "barrier", "broadcast", "reduce", "allreduce", "allgather", "totalexchange":
 		pat, err := s.schedule(w, procs)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		res, err := sess.RunMPI(ctx, func(c *mpi.Comm) error {
 			switch w.Kind {
@@ -221,51 +223,44 @@ func (s *Server) runWorkload(ctx context.Context, sess *hbsp.Session, w *Workloa
 				return err
 			}
 		})
-		return res, 0, err
+		return res, err
 
-	case "sync":
-		res, err := sess.RunBSP(ctx, syncWorkload(w).Program())
-		return res, 0, err
-
-	case "stencil":
-		body, err := stencil.BSPProgram(procs, stencil.Config{
-			N:          w.Grid,
-			Iterations: w.Iterations,
-			C:          0.25,
-			Synthetic:  true,
-		}, 1, nil)
+	case "sync", "stencil":
+		sp, err := staticWorkload(w, procs)
 		if err != nil {
-			return nil, 0, badRequestf("stencil: %v", err)
+			return nil, err
 		}
-		res, err := sess.RunBSP(ctx, body)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, res.MakeSpan / float64(w.Iterations), nil
+		return sess.RunBSP(ctx, sp.Program())
 
 	case "program":
-		res, err := sess.RunProgram(ctx, buildProgram(w.Ranks))
-		return res, 0, err
+		return sess.RunProgram(ctx, buildProgram(w.Ranks))
 	}
-	return nil, 0, fmt.Errorf("server: unreachable workload kind %q", w.Kind)
+	return nil, fmt.Errorf("server: unreachable workload kind %q", w.Kind)
 }
 
-// syncWorkload is the reference BSP workload as the one description both ways
-// of running it read — the session replays it, evaluateSync prices it: per
-// superstep, placement-skewed compute (four classes) and one put around a
-// ring whose stride grows by one each superstep.
-func syncWorkload(w *WorkloadSpec) *bsp.Static {
+// staticWorkload is a sync or stencil point as the one description both ways
+// of running it read: the session replays it, evaluateSync prices it.
+func staticWorkload(w *WorkloadSpec, procs int) (*bsp.Static, error) {
+	if w.Kind == "stencil" {
+		return stencil.Static(procs, stencil.Config{N: w.Grid, Iterations: w.Iterations, C: 0.25, Synthetic: true}, 1)
+	}
+	// The reference BSP workload: per superstep, placement-skewed compute
+	// (four classes) and one put around a ring whose stride grows by one each
+	// superstep.
 	base := w.ComputeSeconds
 	return &bsp.Static{
 		Supersteps: w.Supersteps,
-		Step: func(step, pid, p int, dsts []int) (float64, []int) {
-			return base * float64(1+(pid+step)%4), append(dsts, (pid+1+step)%p)
+		Step: func(step, pid, p int, ops sched.Ops) {
+			if step < w.Supersteps {
+				ops.Compute(sched.Work{Seconds: base * float64(1+(pid+step)%4)})
+				ops.Put((pid+1+step)%p, 1)
+			}
 		},
-	}
+	}, nil
 }
 
-// synchronizer returns the synchronizer ending the sync workload's
-// supersteps: the default dissemination exchange, or for the "schedule"
+// synchronizer returns the synchronizer ending a BSP workload's supersteps:
+// the default dissemination exchange, or for the sync workload's "schedule"
 // variant the cached dissemination schedule wrapped as one.
 func (s *Server) synchronizer(w *WorkloadSpec, procs int) (bsp.Synchronizer, error) {
 	if w.Variant != "schedule" {

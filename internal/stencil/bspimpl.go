@@ -1,12 +1,15 @@
 package stencil
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"hbsp/internal/bsp"
 	"hbsp/internal/kernels"
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
+	"hbsp/internal/simnet"
 	"hbsp/internal/stats"
 )
 
@@ -31,20 +34,9 @@ type RunResult struct {
 
 var ghostNames = [numDirs]string{North: "ghostN", South: "ghostS", West: "ghostW", East: "ghostE"}
 
-// opposite returns the direction opposite to dir.
-func opposite(dir int) int {
-	switch dir {
-	case North:
-		return South
-	case South:
-		return North
-	case West:
-		return East
-	case East:
-		return West
-	}
-	panic(fmt.Sprintf("stencil: invalid direction %d", dir))
-}
+// opposite returns the direction opposite to dir: North and South, West and
+// East are pairs of adjacent constants.
+func opposite(dir int) int { return dir ^ 1 }
 
 // RunBSP executes the BSP implementation: ghost edges are committed with
 // one-sided puts at the start of each iteration, a tunable fraction of the
@@ -52,28 +44,65 @@ func opposite(dir int) int {
 // overlap window), and the shadow regions are completed afterwards.
 // overlapFraction = 1 is the implementation of Section 8.3.1; smaller values
 // shrink the overlap window and are used by the Section 8.6 adaptation study.
+// A synthetic run prices Static on the direct engine, touching no cell.
 func RunBSP(m *platform.Machine, cfg Config, overlapFraction float64) (*RunResult, error) {
 	if m == nil {
 		return nil, errors.New("stencil: nil machine")
 	}
-	checksums := make([]float64, m.Procs())
-	body, err := BSPProgram(m.Procs(), cfg, overlapFraction, checksums)
+	p := m.Procs()
+	sp, err := Static(p, cfg, overlapFraction)
 	if err != nil {
 		return nil, err
 	}
-	res, err := bsp.Run(m, body)
+	checksums := make([]float64, p)
+	var res *simnet.Result
+	if cfg.Synthetic {
+		d, _ := Decompose(cfg.N, p) // Static accepted it
+		for rank := range checksums {
+			checksums[rank] = initialChecksum(d, rank)
+		}
+		res, err = bsp.RunStatic(context.Background(), m, nil, sp, simnet.DefaultOptions())
+	} else {
+		body, _ := BSPProgram(p, cfg, overlapFraction, checksums) // Static's checks
+		res, err = bsp.Run(m, body)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return summarize("bsp", m.Procs(), cfg, res.MakeSpan, checksums), nil
+	return summarize("bsp", p, cfg, res.MakeSpan, checksums), nil
 }
 
-// BSPProgram returns the BSP body of the Jacobi kernel as a standalone
-// bsp.Program, so callers that need run-level plumbing (contexts, seeds,
-// fault plans, trace recorders) can execute it through their own session
-// instead of the bare bsp.Run wrapper RunBSP uses. checksums, when non-nil,
-// must have procs entries and receives each rank's final grid checksum.
-func BSPProgram(procs int, cfg Config, overlapFraction float64, checksums []float64) (bsp.Program, error) {
+// halo is what one rank exchanges and computes per iteration, fixed by the
+// decomposition: its neighbours and its edge length toward each, the cells
+// it packs and unpacks, its deep interior (no cell of which reads a ghost),
+// the part of that in the overlap window, and its shadow regions.
+type halo struct {
+	neigh, edge                    [numDirs]int
+	exchanged, deep, early, shadow int
+}
+
+func haloOf(d Decomposition, rank int, overlapFraction float64) halo {
+	rows, cols := d.LocalSize(rank)
+	h := halo{neigh: d.Neighbors(rank), edge: [numDirs]int{North: cols, South: cols, West: rows, East: rows}}
+	for dir, nb := range h.neigh {
+		if nb >= 0 {
+			h.exchanged += h.edge[dir]
+		}
+	}
+	if rows > 2 && cols > 2 {
+		h.deep = (rows - 2) * (cols - 2)
+	}
+	h.early = int(float64(h.deep) * overlapFraction)
+	h.shadow = rows*cols - h.deep
+	return h
+}
+
+// Static describes the BSP implementation from its decomposition alone: per
+// iteration the edge puts N, S, W, E to the neighbours present, the packing
+// copy and the overlap window before the Sync; the unpacking copy and the late
+// and shadow sweeps after it, at the head of the next superstep or, after the
+// last, as the closing computes.
+func Static(procs int, cfg Config, overlapFraction float64) (*bsp.Static, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,78 +113,93 @@ func BSPProgram(procs int, cfg Config, overlapFraction float64, checksums []floa
 	if err != nil {
 		return nil, err
 	}
-	if err := d.Validate(); err != nil {
+	return &bsp.Static{
+		Supersteps: cfg.Iterations,
+		Step: func(it, rank, _ int, ops sched.Ops) {
+			h := haloOf(d, rank, overlapFraction)
+			if it > 0 {
+				ops.Compute(sched.Work{Kernel: &kernels.Copy, Cells: h.exchanged})
+				ops.Compute(sched.Work{Kernel: &kernels.Stencil5, Cells: h.deep - h.early})
+				ops.Compute(sched.Work{Kernel: &kernels.Stencil5, Cells: h.shadow})
+			}
+			if it == cfg.Iterations {
+				return
+			}
+			for dir, nb := range h.neigh {
+				if nb >= 0 {
+					ops.Put(nb, h.edge[dir])
+				}
+			}
+			ops.Compute(sched.Work{Kernel: &kernels.Copy, Cells: h.exchanged})
+			ops.Compute(sched.Work{Kernel: &kernels.Stencil5, Cells: h.early})
+		},
+	}, nil
+}
+
+// BSPProgram returns the BSP body of the Jacobi kernel as a standalone
+// bsp.Program, so callers that need run-level plumbing (contexts, seeds,
+// fault plans, trace recorders) can execute it through their own session
+// instead of the bare bsp.Run wrapper RunBSP uses. A synthetic body is
+// Static's replay and builds no grid. checksums, when non-nil, must have
+// procs entries and receives each rank's final grid checksum.
+func BSPProgram(procs int, cfg Config, overlapFraction float64, checksums []float64) (bsp.Program, error) {
+	sp, err := Static(procs, cfg, overlapFraction)
+	if err != nil {
 		return nil, err
 	}
 	if checksums != nil && len(checksums) != procs {
 		return nil, fmt.Errorf("stencil: checksum slice has %d entries, want %d", len(checksums), procs)
 	}
-
+	d, _ := Decompose(cfg.N, procs) // Static accepted it
+	replay := sp.Program()
 	return func(ctx *bsp.Ctx) error {
 		rank := ctx.Pid()
-		grid := newLocalGrid(d, rank, cfg.Synthetic)
-		neigh := d.Neighbors(rank)
-
-		// Register one contiguous ghost landing buffer per direction.
-		ghosts := make([][]float64, numDirs)
-		for dir := 0; dir < numDirs; dir++ {
-			size := grid.cols
-			if dir == West || dir == East {
-				size = grid.rows
+		if cfg.Synthetic {
+			if checksums != nil {
+				checksums[rank] = initialChecksum(d, rank)
 			}
-			ghosts[dir] = make([]float64, size)
+			return replay(ctx)
+		}
+		h := haloOf(d, rank, overlapFraction)
+		grid := newLocalGrid(d, rank, false)
+		ghosts := make([][]float64, numDirs) // one landing buffer per direction
+		for dir := range ghosts {
+			ghosts[dir] = make([]float64, h.edge[dir])
 			ctx.PushReg(ghostNames[dir], ghosts[dir])
 		}
 		if err := ctx.Sync(); err != nil {
 			return err
 		}
-
-		deep := grid.deepInteriorCells()
-		shadow := grid.interiorCells() - deep
-		early := int(float64(deep) * overlapFraction)
-		late := deep - early
-
 		for it := 0; it < cfg.Iterations; it++ {
 			// Commit the border exchange as early as possible: my edge in
 			// direction dir becomes the neighbour's ghost on the opposite
-			// side.
-			exchanged := 0
-			for dir := 0; dir < numDirs; dir++ {
-				nb := neigh[dir]
+			// side. Then pack, and compute the overlap window.
+			for dir, nb := range h.neigh {
 				if nb < 0 {
 					continue
 				}
-				edge := grid.edge(dir)
-				exchanged += len(edge)
-				if err := ctx.Put(nb, ghostNames[opposite(dir)], 0, edge); err != nil {
+				if err := ctx.Put(nb, ghostNames[opposite(dir)], 0, grid.edge(dir)); err != nil {
 					return err
 				}
 			}
-			ctx.ComputeKernel(kernels.Copy, exchanged, 1) // packing cost
-
-			// Overlap window: ghost-independent interior work.
-			if early > 0 {
-				grid.sweep(d, rank, cfg, 1, 1+earlyRows(grid, early), 1, grid.cols-1)
-				ctx.ComputeKernel(kernels.Stencil5, early, 1)
-			}
-
+			ctx.ComputeKernel(kernels.Copy, h.exchanged, 1)
+			ctx.ComputeKernel(kernels.Stencil5, h.early, 1)
 			if err := ctx.Sync(); err != nil {
 				return err
 			}
 
-			// Install the received ghosts and finish the sweep.
-			for dir := 0; dir < numDirs; dir++ {
-				if neigh[dir] >= 0 {
+			// Unpack, then the late and shadow sweeps. The cells are all swept
+			// here: the early ones read no ghost, so where they are swept
+			// changes no value.
+			ctx.ComputeKernel(kernels.Copy, h.exchanged, 1)
+			ctx.ComputeKernel(kernels.Stencil5, h.deep-h.early, 1)
+			ctx.ComputeKernel(kernels.Stencil5, h.shadow, 1)
+			for dir, nb := range h.neigh {
+				if nb >= 0 {
 					grid.setGhost(dir, ghosts[dir])
 				}
 			}
-			ctx.ComputeKernel(kernels.Copy, exchanged, 1) // unpacking cost
-			if late > 0 {
-				grid.sweep(d, rank, cfg, 1+earlyRows(grid, early), grid.rows-1, 1, grid.cols-1)
-				ctx.ComputeKernel(kernels.Stencil5, late, 1)
-			}
-			grid.sweepShadow(d, rank, cfg)
-			ctx.ComputeKernel(kernels.Stencil5, shadow, 1)
+			grid.sweepAll(d, rank, cfg)
 			grid.swap()
 		}
 		if checksums != nil {
@@ -163,19 +207,6 @@ func BSPProgram(procs int, cfg Config, overlapFraction float64, checksums []floa
 		}
 		return nil
 	}, nil
-}
-
-// earlyRows converts a cell budget into a number of complete deep-interior
-// rows (the sweep granularity of the overlap window).
-func earlyRows(g *localGrid, earlyCells int) int {
-	if g.cols <= 2 {
-		return 0
-	}
-	rows := earlyCells / (g.cols - 2)
-	if rows > g.rows-2 {
-		rows = g.rows - 2
-	}
-	return rows
 }
 
 func summarize(impl string, procs int, cfg Config, wall float64, checksums []float64) *RunResult {

@@ -79,13 +79,6 @@ func blockRange(n, parts, idx int) (int, int) {
 	return lo, lo + size
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // LocalSize returns the interior rows and columns owned by a rank.
 func (d Decomposition) LocalSize(rank int) (rows, cols int) {
 	x, y := d.Coords(rank)
@@ -167,7 +160,8 @@ func (c Config) Validate() error {
 // initialValue is the deterministic initial condition used by every
 // implementation so their results can be compared cell by cell: a smooth bump
 // plus a hot plate on part of the northern boundary. It is the cell-wise
-// reference; newLocalGrid fills a grid from the bump's two separable factors.
+// reference; initialRows computes a block from the bump's two separable
+// factors.
 func initialValue(n, row, col int) float64 {
 	if row == 0 && col >= n/4 && col < 3*n/4 {
 		return 100
@@ -192,29 +186,7 @@ func newLocalGrid(d Decomposition, rank int, synthetic bool) *localGrid {
 	rows, cols := d.LocalSize(rank)
 	g := &localGrid{rows: rows, cols: cols}
 	g.cur = make([]float64, (rows+2)*(cols+2))
-	gr, gc := d.GlobalOrigin(rank)
-	// The bump is separable, 25·sin(πx) by column times sin(πy) by row: one
-	// sine per column and one per row instead of two per cell, multiplied in
-	// initialValue's order so every cell keeps its bits.
-	n := d.N
-	byCol := make([]float64, cols)
-	for c := range byCol {
-		byCol[c] = 25 * math.Sin(math.Pi*(float64(gc+c)/float64(n-1)))
-	}
-	for r := 0; r < rows; r++ {
-		row := g.cur[g.index(r, 0):g.index(r, cols)]
-		sinY := math.Sin(math.Pi * (float64(gr+r) / float64(n-1)))
-		for c := range row {
-			row[c] = byCol[c] * sinY
-		}
-		if gr+r == 0 {
-			for c := range row {
-				if col := gc + c; col >= n/4 && col < 3*n/4 {
-					row[c] = 100
-				}
-			}
-		}
-	}
+	initialRows(d, rank, func(r int, row []float64) { copy(g.cur[g.index(r, 0):], row) })
 	if synthetic {
 		g.next = g.cur
 		return g
@@ -224,20 +196,52 @@ func newLocalGrid(d Decomposition, rank int, synthetic bool) *localGrid {
 	return g
 }
 
+// initialRows hands row rank's block of the initial condition one owned row
+// at a time, top to bottom, in a buffer it reuses. The bump is separable,
+// 25·sin(πx) by column times sin(πy) by row: one sine per column and one per
+// row instead of two per cell, multiplied in initialValue's order so every
+// cell keeps its bits.
+func initialRows(d Decomposition, rank int, row func(r int, values []float64)) {
+	rows, cols := d.LocalSize(rank)
+	gr, gc := d.GlobalOrigin(rank)
+	n := d.N
+	byCol := make([]float64, cols)
+	for c := range byCol {
+		byCol[c] = 25 * math.Sin(math.Pi*(float64(gc+c)/float64(n-1)))
+	}
+	values := make([]float64, cols)
+	for r := 0; r < rows; r++ {
+		sinY := math.Sin(math.Pi * (float64(gr+r) / float64(n-1)))
+		for c := range values {
+			values[c] = byCol[c] * sinY
+		}
+		if gr+r == 0 {
+			for c := range values {
+				if col := gc + c; col >= n/4 && col < 3*n/4 {
+					values[c] = 100
+				}
+			}
+		}
+		row(r, values)
+	}
+}
+
+// initialChecksum is the checksum of rank's block of the initial condition,
+// summed in localGrid.checksum's order — a synthetic run's, which no sweep
+// changes — without building the grid.
+func initialChecksum(d Decomposition, rank int) float64 {
+	sum := 0.0
+	initialRows(d, rank, func(_ int, values []float64) {
+		for _, v := range values {
+			sum += v
+		}
+	})
+	return sum
+}
+
 // index maps interior coordinates (0-based, excluding ghosts) to the backing
 // slice.
 func (g *localGrid) index(r, c int) int { return (r+1)*(g.cols+2) + (c + 1) }
-
-// interiorCells returns the number of cells owned by the rank.
-func (g *localGrid) interiorCells() int { return g.rows * g.cols }
-
-// borderCells returns the number of owned cells adjacent to a ghost edge.
-func (g *localGrid) borderCells() int {
-	if g.rows == 1 || g.cols == 1 {
-		return g.rows * g.cols
-	}
-	return 2*g.cols + 2*(g.rows-2)
-}
 
 // edge extracts the owned cells adjacent to the given side, in row/column
 // order, for sending to the neighbour in that direction.
@@ -323,38 +327,6 @@ func (g *localGrid) sweep(d Decomposition, rank int, cfg Config, r0, r1, c0, c1 
 // sweepAll updates every owned cell.
 func (g *localGrid) sweepAll(d Decomposition, rank int, cfg Config) {
 	g.sweep(d, rank, cfg, 0, g.rows, 0, g.cols)
-}
-
-// sweepDeepInterior updates the owned cells that do not touch the ghost
-// frame; these are the cells whose update never needs freshly received ghost
-// values and may therefore be computed while communication is in flight.
-func (g *localGrid) sweepDeepInterior(d Decomposition, rank int, cfg Config) {
-	if g.rows <= 2 || g.cols <= 2 {
-		return
-	}
-	g.sweep(d, rank, cfg, 1, g.rows-1, 1, g.cols-1)
-}
-
-// sweepShadow updates the owned cells adjacent to the ghost frame (the shadow
-// cell regions of Fig. 8.16), which require the neighbours' freshly received
-// border values.
-func (g *localGrid) sweepShadow(d Decomposition, rank int, cfg Config) {
-	if g.rows <= 2 || g.cols <= 2 {
-		g.sweepAll(d, rank, cfg)
-		return
-	}
-	g.sweep(d, rank, cfg, 0, 1, 0, g.cols)               // north row
-	g.sweep(d, rank, cfg, g.rows-1, g.rows, 0, g.cols)   // south row
-	g.sweep(d, rank, cfg, 1, g.rows-1, 0, 1)             // west column
-	g.sweep(d, rank, cfg, 1, g.rows-1, g.cols-1, g.cols) // east column
-}
-
-// deepInteriorCells returns the number of cells sweepDeepInterior updates.
-func (g *localGrid) deepInteriorCells() int {
-	if g.rows <= 2 || g.cols <= 2 {
-		return 0
-	}
-	return (g.rows - 2) * (g.cols - 2)
 }
 
 // swap exchanges the current and next buffers after a completed sweep.

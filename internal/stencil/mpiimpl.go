@@ -40,7 +40,7 @@ func runMessagePassing(m *platform.Machine, cfg Config, restructured bool, compu
 	res, err := mpi.Run(m, func(c *mpi.Comm) error {
 		rank := c.Rank()
 		grid := newLocalGrid(d, rank, cfg.Synthetic)
-		neigh := d.Neighbors(rank)
+		h := haloOf(d, rank, 0)
 
 		compute := func(k kernels.Kernel, cells int) {
 			if cells <= 0 {
@@ -49,40 +49,32 @@ func runMessagePassing(m *platform.Machine, cfg Config, restructured bool, compu
 			c.Compute(m.KernelTime(rank, k, cells) / computeSpeedup)
 		}
 
-		deep := grid.deepInteriorCells()
-		shadow := grid.interiorCells() - deep
-
 		for it := 0; it < cfg.Iterations; it++ {
 			// Post receives first, then sends (the two stages of Fig. 8.3).
 			var reqs []*simnet.Request
-			exchanged := 0
-			for dir := 0; dir < numDirs; dir++ {
-				if neigh[dir] >= 0 {
-					reqs = append(reqs, c.Irecv(neigh[dir], tagHalo+dir))
+			for dir, nb := range h.neigh {
+				if nb >= 0 {
+					reqs = append(reqs, c.Irecv(nb, tagHalo+dir))
 				}
 			}
-			for dir := 0; dir < numDirs; dir++ {
-				nb := neigh[dir]
+			for dir, nb := range h.neigh {
 				if nb < 0 {
 					continue
 				}
 				edge := grid.edge(dir)
-				exchanged += len(edge)
 				// The neighbour receives this edge as its ghost on the
 				// opposite side, so it is tagged with that direction.
 				reqs = append(reqs, c.Isend(nb, tagHalo+opposite(dir), 8*len(edge), edge))
 			}
-			compute(kernels.Copy, exchanged)
-
-			if restructured && deep > 0 {
-				grid.sweepDeepInterior(d, rank, cfg)
-				compute(kernels.Stencil5, deep)
+			compute(kernels.Copy, h.exchanged)
+			if restructured {
+				compute(kernels.Stencil5, h.deep) // the ghost-independent interior
 			}
 
 			payloads := c.WaitAll(reqs)
 			idx := 0
-			for dir := 0; dir < numDirs; dir++ {
-				if neigh[dir] < 0 {
+			for dir, nb := range h.neigh {
+				if nb < 0 {
 					continue
 				}
 				if values, ok := payloads[idx].([]float64); ok {
@@ -90,15 +82,15 @@ func runMessagePassing(m *platform.Machine, cfg Config, restructured bool, compu
 				}
 				idx++
 			}
-			compute(kernels.Copy, exchanged)
-
+			compute(kernels.Copy, h.exchanged)
 			if restructured {
-				grid.sweepShadow(d, rank, cfg)
-				compute(kernels.Stencil5, shadow)
+				compute(kernels.Stencil5, h.shadow)
 			} else {
-				grid.sweepAll(d, rank, cfg)
-				compute(kernels.Stencil5, grid.interiorCells())
+				compute(kernels.Stencil5, h.deep+h.shadow)
 			}
+			// The deep interior reads no ghost: sweeping it here with the rest
+			// changes no value.
+			grid.sweepAll(d, rank, cfg)
 			grid.swap()
 		}
 		checksums[rank] = grid.checksum()

@@ -62,37 +62,20 @@ func BuildModel(prof *platform.Profile, params barrier.Params, procs int, cfg Co
 
 	var totalDeepFraction float64
 	for rank := 0; rank < procs; rank++ {
-		rows, cols := d.LocalSize(rank)
-		cells := rows * cols
-		exchanged := 0
-		for dir, nb := range d.Neighbors(rank) {
-			if nb < 0 {
-				continue
+		h := haloOf(d, rank, overlapFraction)
+		cells := h.deep + h.shadow
+		for dir, nb := range h.neigh {
+			if nb >= 0 {
+				msgs.Add(rank, nb, 1)
+				data.Add(rank, nb, float64(8*h.edge[dir]))
 			}
-			edgeLen := cols
-			if dir == West || dir == East {
-				edgeLen = rows
-			}
-			exchanged += edgeLen
-			msgs.Add(rank, nb, 1)
-			data.Add(rank, nb, float64(8*edgeLen))
 		}
 		req.Set(rank, 0, float64(cells))
-		req.Set(rank, 1, float64(2*exchanged)) // pack + unpack
+		req.Set(rank, 1, float64(2*h.exchanged)) // pack + unpack
 		node := pl.NodeOf(rank)
 		cost.Set(rank, 0, prof.SecondsPerElement(node, kernels.Stencil5, cells))
-		cost.Set(rank, 1, prof.SecondsPerElement(node, kernels.Copy, max(exchanged, 1)))
-
-		deep := 0
-		if rows > 2 && cols > 2 {
-			deep = (rows - 2) * (cols - 2)
-		}
-		if cells > 0 {
-			frac := float64(deep) / float64(cells)
-			if frac > totalDeepFraction {
-				totalDeepFraction = frac
-			}
-		}
+		cost.Set(rank, 1, prof.SecondsPerElement(node, kernels.Copy, max(h.exchanged, 1)))
+		totalDeepFraction = max(totalDeepFraction, float64(h.deep)/float64(cells))
 	}
 
 	// Synchronization cost: the dissemination count exchange with its
