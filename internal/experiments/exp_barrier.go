@@ -78,6 +78,19 @@ func barrierParams(m *platform.Machine, reps int) (barrier.Params, error) {
 // is a variable so that a test can see the memo, or withhold it.
 var newDraws = platform.NewDraws
 
+// newTurnDraws makes the memo of the runs at one P that share a re-seeded
+// copy (reseeded), which run one after another on one worker. It is a
+// variable for the same reason as newDraws.
+var newTurnDraws = func(seed int64, ranks int) *platform.TurnDraws {
+	return platform.NewTurnDraws(seed, ranks, platform.MaxDraws)
+}
+
+// reseeded returns m re-seeded (WithRunSeed) for the runs at one P that share
+// the seed, reading through a memo of its own.
+func reseeded(m *platform.Machine, seed int64) *platform.Machine {
+	return m.WithRunSeed(seed).WithTurnDraws(newTurnDraws(seed, m.Procs()))
+}
+
 // Fig5_6Series reproduces Figs. 5.6–5.9 (on the Xeon profile) or 5.10–5.13
 // (on the Opteron profile): measured and predicted execution times of the
 // dissemination (D), tree (T) and linear (L) barriers over a sweep of process
@@ -239,11 +252,12 @@ func Fig7_4Series(prof *platform.Profile, maxProcs int, opts Options) ([]HybridP
 		if err != nil {
 			return nil, err
 		}
-		adaptedMeas, err := barrier.Measure(m.WithRunSeed(int64(300+p)), res.Best.Pattern, opts.Reps)
+		rm := reseeded(m, int64(300+p))
+		adaptedMeas, err := barrier.Measure(rm, res.Best.Pattern, opts.Reps)
 		if err != nil {
 			return nil, err
 		}
-		flat, err := barrier.MeasureAlgorithms(m.WithRunSeed(int64(300+p)), opts.Reps)
+		flat, err := barrier.MeasureAlgorithms(rm, opts.Reps)
 		if err != nil {
 			return nil, err
 		}

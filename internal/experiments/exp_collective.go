@@ -50,6 +50,11 @@ func CollectiveSeries(prof *platform.Profile, maxProcs int, opts Options) ([]Col
 		// The streamed generators: the patterns they materialize price and
 		// run the same, bit for bit, and need not be built.
 		const b = CollectiveBlockBytes
+		// The five run on one re-seeded copy, the first four reading and
+		// extending its memo. The total exchange runs last, and its stream is
+		// longer than the other four together: stored, it would cost more
+		// than its prefix saves, so it runs on the copy without the memo.
+		rm := reseeded(m, int64(400+p))
 		var out []CollectivePoint
 		for _, c := range []struct {
 			name string
@@ -69,7 +74,11 @@ func CollectiveSeries(prof *platform.Profile, maxProcs int, opts Options) ([]Col
 			if err := barrier.VerifySchedule(s, c.sem, 0); err != nil {
 				return nil, err
 			}
-			meas, err := barrier.Measure(m.WithRunSeed(int64(400+p)), s, opts.Reps)
+			run := rm
+			if c.sem == barrier.SemTotalExchange {
+				run = rm.WithTurnDraws(nil)
+			}
+			meas, err := barrier.Measure(run, s, opts.Reps)
 			if err != nil {
 				return nil, err
 			}
@@ -188,11 +197,12 @@ func AdaptedSyncSeries(prof *platform.Profile, maxProcs int, opts Options) ([]Ad
 		if err != nil {
 			return nil, err
 		}
-		base, err := bsp.Run(m.WithRunSeed(int64(500+p)), SyncExchangeProgram)
+		rm := reseeded(m, int64(500+p))
+		base, err := bsp.Run(rm, SyncExchangeProgram)
 		if err != nil {
 			return nil, err
 		}
-		adapted, err := bsp.RunWith(m.WithRunSeed(int64(500+p)), sync, SyncExchangeProgram)
+		adapted, err := bsp.RunWith(rm, sync, SyncExchangeProgram)
 		if err != nil {
 			return nil, err
 		}

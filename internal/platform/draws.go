@@ -5,12 +5,15 @@ import (
 	"sync/atomic"
 )
 
+// MaxDraws is the most draws a memo, a Draws or a TurnDraws, stores (32 MiB).
+const MaxDraws = 4 << 20
+
 // Bounds of a memo; past any a draw is computed and not stored. The paper's
 // longest stream is 18,876 draws (pairwise benchmark, P = 144), 2.6 Mi stored.
 const (
-	drawBlock     = 512                 // draws a miss computes and publishes at once (4 KiB)
-	drawRowBlocks = 64                  // blocks a rank: seq < 32 Ki
-	maxDrawBlocks = 4 << 20 / drawBlock // blocks a memo: 4 Mi draws, 32 MiB
+	drawBlock     = 512                  // draws a miss computes and publishes at once (4 KiB)
+	drawRowBlocks = 64                   // blocks a rank: seq < 32 Ki
+	maxDrawBlocks = MaxDraws / drawBlock // blocks a memo
 	// drawHitSample is the stride of hit counting: an atomic add per hit cost a
 	// third of what the memo saves (sweep workers write the same rows), so a
 	// hit counts only at a seq that is a multiple of it and Stats scales back;
@@ -20,11 +23,14 @@ const (
 
 // Draws memoizes the noise draws of one run seed: z(seed, rank, seq), the
 // half-normal excess Noise scales by NoiseRel — a pure function of the triple
-// and not of the rank count. Machine.WithDraws states who owns one. It is safe
-// for concurrent readers: a rank's row is append-only in fixed blocks, each
-// published through an atomic pointer once filled, so a hit takes no lock; a
-// miss fills a block under the row's TryLock, and a reader that loses that
-// race computes its one draw instead of waiting.
+// and not of the rank count — for runs that overlap: the workers of a series
+// sweeping P. Machine.WithDraws states who owns one; TurnDraws is the memo of
+// runs that take turns. It is safe for concurrent readers: a rank's row is
+// append-only in fixed blocks, each published through an atomic pointer once
+// filled, so a hit takes no lock; a miss fills a block under the row's
+// TryLock, and a reader that loses that race computes its one draw instead of
+// waiting. A block is filled ahead of the reader that misses it, so a memo
+// pays off for streams many runs read far past their first block.
 type Draws struct {
 	seed   int64
 	rows   []drawRow

@@ -25,7 +25,8 @@ type Machine struct {
 	profile   *Profile
 	placement *topology.Placement
 	runSeed   int64
-	draws     *Draws // memo of runSeed's noise draws; only WithDraws sets it
+	draws     *Draws     // memo of runSeed's noise draws; only WithDraws sets it
+	turn      *TurnDraws // the same for runs that take turns; only WithTurnDraws sets it
 
 	// Per-distance-class link columns, indexed by topology.Distance. The self
 	// column carries the exact self-pair values (zero latency/gap/beta, the
@@ -57,25 +58,46 @@ func (p *Profile) MachineFor(pl *topology.Placement) *Machine {
 // WithRunSeed returns a copy of the machine whose noise stream is derived
 // from the given seed, so that repeated "runs" of the same experiment observe
 // different jitter while remaining reproducible. The copy drops m's memo
-// (WithDraws): a re-seeded machine is a one-off stream by intent.
+// (WithDraws, WithTurnDraws), which serves m's seed; runs that share the new
+// seed share a memo of it by handing one to the copy.
 func (m *Machine) WithRunSeed(seed int64) *Machine {
 	c := *m
-	c.runSeed, c.draws = seed, nil
+	c.runSeed, c.draws, c.turn = seed, nil, nil
 	return &c
 }
 
 // WithDraws returns a copy of the machine that reads its noise draws through
-// d, so that machines of one profile and seed at several rank counts compute
-// each draw once between them. The memo is the caller's: a series sweeping P
-// makes one for the profile's seed, hands it to every machine of the sweep —
-// they may run concurrently — and drops it with the sweep's result; nothing
-// here keeps one. A nil d, a d of another seed than the machine's, or a
-// noise-free machine gives a copy that computes every draw.
+// d, so that runs under one seed compute each draw once between them — at
+// several rank counts too, a rank's stream being one stream whatever P. A
+// memo is its owner's, who makes it, hands it to the machines of the runs
+// that share its seed and drops it with their results; nothing here keeps
+// one. A Draws serves runs that overlap: a series sweeping P makes one for the
+// profile's seed and hands it to every machine of the sweep, which its
+// workers run at once. A nil d, a d of another seed than the machine's, or a
+// noise-free machine gives a copy that computes every draw. The copy drops a
+// TurnDraws m reads through.
 func (m *Machine) WithDraws(d *Draws) *Machine {
 	c := *m
-	c.draws = nil
+	c.draws, c.turn = nil, nil
 	if d != nil && d.seed == m.runSeed && m.profile.NoiseRel > 0 {
 		c.draws = d
+	}
+	return &c
+}
+
+// WithTurnDraws is WithDraws for a TurnDraws, the memo of runs that take
+// turns, each starting after the one before it has returned. Its owners:
+//   - a series re-seeding a machine (WithRunSeed) for the runs at one P that
+//     share the seed, which it runs one after another;
+//   - one multi-point sweep request of the prediction daemon, for the
+//     request's seed, across its points.
+//
+// The copy drops a Draws m reads through.
+func (m *Machine) WithTurnDraws(d *TurnDraws) *Machine {
+	c := *m
+	c.draws, c.turn = nil, nil
+	if d != nil && d.seed == m.runSeed && m.profile.NoiseRel > 0 {
+		c.turn = d
 	}
 	return &c
 }
@@ -231,11 +253,15 @@ func (m *Machine) TermCompatible(o any) bool {
 // machine's run seed, the rank and the sequence number, so simulations are
 // reproducible regardless of goroutine scheduling. The factor follows a
 // half-normal-like shape: most events see almost no jitter, a few see spikes
-// of a few NoiseRel. A machine handed a memo (WithDraws) looks the same value up.
+// of a few NoiseRel. A machine handed a memo (WithDraws, WithTurnDraws) looks
+// the same value up.
 func (m *Machine) Noise(i int, seq uint64) float64 {
 	rel := m.profile.NoiseRel
 	if rel <= 0 {
 		return 1
+	}
+	if m.turn != nil {
+		return 1 + rel*m.turn.z(i, seq)
 	}
 	if m.draws != nil {
 		return 1 + rel*m.draws.z(i, seq)

@@ -156,8 +156,9 @@ func pointKey(profileFP string, plan *fault.Plan, w *WorkloadSpec, pt point, see
 // trailing newline), going through the result cache and the singleflight
 // group. admit is invoked before an actual evaluation runs (the handler
 // passes the limiter for single-point requests and a no-op for sweeps, which
-// are admitted once as a whole).
-func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, deadline time.Time, admit func(context.Context) (func(), error)) ([]byte, string, error) {
+// are admitted once as a whole). draws is a sweep's noise-draw memo, nil for
+// a single point.
+func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, deadline time.Time, admit func(context.Context) (func(), error), draws *sweepDraws) ([]byte, string, error) {
 	w := req.Workload // copy: normalization and byte overrides are per-point
 	if pt.bytes != 0 {
 		switch w.Kind {
@@ -202,7 +203,7 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 		}
 		defer release()
 		start := time.Now()
-		body, err := s.evaluate(ctx, req, rp, &w, pt, seed, deadline)
+		body, err := s.evaluate(ctx, req, draws.of(&req.Options, &w, rp, seed), &w, pt, seed, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -401,7 +402,7 @@ func (s *Server) evaluateSync(ctx context.Context, req *PredictRequest, rp *reso
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := bsp.RunStatic(ctx, rp.cluster.WithRunSeed(seed), sync, sp, o)
+	res, err := bsp.RunStatic(ctx, rp.seededCluster(seed), sync, sp, o)
 	if errors.Is(err, hbsp.ErrInvalidFault) {
 		// A plan the machine rejects, worded as hbsp.WithFaults words it.
 		err = fmt.Errorf("hbsp: %w", err)

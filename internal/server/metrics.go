@@ -2,6 +2,8 @@ package server
 
 import (
 	"sync/atomic"
+
+	"hbsp/internal/platform"
 )
 
 // evalBuckets are the upper bounds, in nanoseconds, of the evaluation-latency
@@ -29,6 +31,9 @@ type metrics struct {
 
 	routes [numRoutes]atomic.Int64 // completed evaluations by the route that ran them
 
+	drawsComputed atomic.Int64 // noise draws sweep memos computed
+	drawsReused   atomic.Int64 // noise draws sweep memos answered from a stored draw
+
 	errInvalidRequest atomic.Int64
 	errInvalidMachine atomic.Int64
 	errInvalidFault   atomic.Int64
@@ -52,6 +57,12 @@ func (m *metrics) observeEval(ns int64) {
 		}
 	}
 	m.evalBucket[len(evalBuckets)].Add(1)
+}
+
+// observeDraws adds one sweep request's memo counts, once, when it ends.
+func (m *metrics) observeDraws(s platform.DrawStats) {
+	m.drawsComputed.Add(s.Stored + s.Direct)
+	m.drawsReused.Add(s.Hits)
 }
 
 // MetricsSnapshot is the JSON shape of /metrics. Field order (struct order)
@@ -82,6 +93,14 @@ type MetricsSnapshot struct {
 		DirectBSP int64 `json:"directBsp"`
 		Session   int64 `json:"session"`
 	} `json:"routes"`
+
+	// SweepDraws counts the noise draws of the memo a sweep of several points
+	// on a noisy profile-backed machine reads through: draws its rows
+	// computed, and lookups a stored draw answered.
+	SweepDraws struct {
+		Computed int64 `json:"computed"`
+		Reused   int64 `json:"reused"`
+	} `json:"sweepDraws"`
 
 	Errors struct {
 		InvalidRequest int64 `json:"invalidRequest"`
@@ -116,6 +135,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Routes.Swept = m.routes[routeSwept].Load()
 	s.Routes.DirectBSP = m.routes[routeDirectBSP].Load()
 	s.Routes.Session = m.routes[routeSession].Load()
+	s.SweepDraws.Computed = m.drawsComputed.Load()
+	s.SweepDraws.Reused = m.drawsReused.Load()
 	s.Errors.InvalidRequest = m.errInvalidRequest.Load()
 	s.Errors.InvalidMachine = m.errInvalidMachine.Load()
 	s.Errors.InvalidFault = m.errInvalidFault.Load()

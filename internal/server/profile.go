@@ -10,6 +10,7 @@ import (
 
 	"hbsp"
 	"hbsp/cluster"
+	"hbsp/internal/platform"
 	"hbsp/sim"
 )
 
@@ -28,15 +29,64 @@ type resolvedProfile struct {
 	// need a kernel-rate model and the run seed (an upload has no noise
 	// stream to seed).
 	cluster *cluster.Machine
+	// draws is a sweep request's noise-draw memo. Only the copy of a cached
+	// entry that one of the request's points evaluates on carries it
+	// (sweepDraws.of); the cached entry never does.
+	draws *platform.TurnDraws
 }
 
 // seeded returns the machine a run with the given seed evaluates on: the
-// profile machine carrying that run seed, or the uploaded machine as it is.
+// profile machine seededCluster returns, or the uploaded machine as it is.
 func (rp *resolvedProfile) seeded(seed int64) sim.Machine {
 	if rp.cluster == nil {
 		return rp.machine
 	}
-	return rp.cluster.WithRunSeed(seed)
+	return rp.seededCluster(seed)
+}
+
+// seededCluster returns the profile machine carrying the run seed and reading
+// its draws through the sweep's memo, if any. rp must be profile-backed.
+func (rp *resolvedProfile) seededCluster(seed int64) *cluster.Machine {
+	return rp.cluster.WithRunSeed(seed).WithTurnDraws(rp.draws)
+}
+
+// sweepDrawBound is the most draws one sweep request's memo stores: 8 MiB,
+// so the four sweeps the limiter admits at once by default hold 32 MiB.
+const sweepDrawBound = 1 << 20
+
+// newSweepDraws makes a sweep request's memo. It is a variable so that a
+// test can see the memo or bound it lower.
+var newSweepDraws = func(seed int64, ranks int) *platform.TurnDraws {
+	return platform.NewTurnDraws(seed, ranks, sweepDrawBound)
+}
+
+// sweepDraws is the noise-draw memo of one sweep request. Every point of a
+// sweep runs under the request's one seed, and a rank's stream does not
+// depend on P, link scaling or payload, so a 64-point sweep would otherwise
+// draw each (rank, seq) 64 times. The memo is made at the first point the
+// request evaluates on the direct routes on a noisy profile-backed machine —
+// a sweep answered from the cache, on a noise-free or uploaded machine, or on
+// the session, makes none — is read through by that point and every later
+// one, and is dropped with the request; its counts reach /metrics once, when
+// the request ends. The request's goroutine alone calls of, its points
+// running one at a time: they take turns (platform.TurnDraws).
+type sweepDraws struct {
+	ranks int // the sweep's largest procs
+	d     *platform.TurnDraws
+}
+
+// of returns rp as the point of workload w under options o and seed
+// evaluates on: rp itself, or a copy carrying the request's memo.
+func (sd *sweepDraws) of(o *OptionsSpec, w *WorkloadSpec, rp *resolvedProfile, seed int64) *resolvedProfile {
+	if sd == nil || rp.cluster == nil || rp.cluster.Profile().NoiseRel <= 0 || routeOf(o, w, rp) == routeSession {
+		return rp
+	}
+	if sd.d == nil {
+		sd.d = newSweepDraws(seed, sd.ranks)
+	}
+	c := *rp
+	c.draws = sd.d
+	return &c
 }
 
 // resolveProfile builds (or fetches) the machine for one point. scale is the

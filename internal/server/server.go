@@ -301,7 +301,7 @@ func (s *Server) servePoint(w http.ResponseWriter, ctx context.Context, req *Pre
 			return nil, err
 		}
 		return s.limit.release, nil
-	})
+	}, nil)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -320,7 +320,8 @@ func (s *Server) servePoint(w http.ResponseWriter, ctx context.Context, req *Pre
 // serveSweep streams a sweep as NDJSON, one PredictPoint per line in
 // row-major axis order. The whole sweep is admitted as one unit of load, and
 // its points are evaluated in that order on the request's goroutine, each
-// line flushed as soon as its point is done. A point error ends the stream
+// line flushed as soon as its point is done; a sweep of several points reads
+// its noise draws through one memo (sweepDraws). A point error ends the stream
 // with a final error line carrying the documented error shape; no point after
 // it is evaluated.
 func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *PredictRequest, pts []point, deadline time.Time, zip bool) {
@@ -343,8 +344,20 @@ func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *Pre
 		out, flush = gw, gw.Flush
 	}
 	admitted := func(context.Context) (func(), error) { return func() {}, nil }
+	var draws *sweepDraws
+	if len(pts) > 1 {
+		draws = &sweepDraws{}
+		for _, pt := range pts {
+			draws.ranks = max(draws.ranks, pt.procs)
+		}
+		defer func() {
+			if draws.d != nil {
+				s.m.observeDraws(draws.d.Stats())
+			}
+		}()
+	}
 	for _, pt := range pts {
-		body, _, err := s.evalPoint(ctx, req, pt, deadline, admitted)
+		body, _, err := s.evalPoint(ctx, req, pt, deadline, admitted, draws)
 		if err != nil {
 			// A stream answers 200 whatever its points do; the error rides
 			// as the final line.
