@@ -111,7 +111,10 @@
 // goroutines nothing to overlap, so the last arriver steps every pair's
 // messages through the evaluator one at a time. Arbitrary closures around
 // the collectives still run concurrently, so the fast path is invisible
-// except in wall-clock time.
+// except in wall-clock time. On either engine a collective's messages are
+// signals; its data is one board per call, which each rank writes its
+// contribution into and reads through the schedule's reach set, O(P +
+// edges) per call.
 // WithConcurrentEngine (or sim.EngineConcurrent) opts a session out, forcing
 // every message through the mailboxes — useful for engine diffing and for
 // programs that break the collective-call contract the rendezvous relies on.

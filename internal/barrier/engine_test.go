@@ -77,7 +77,7 @@ func measureEngine(t *testing.T, m simnet.Machine, pat *Pattern, engine simnet.E
 			case computeEmpty:
 				Execute(c, pat)
 			case gate == nil:
-				if err := mpi.WalkSchedule(c.Proc(), pat, baseTag, false, nil); err != nil {
+				if err := mpi.WalkSchedule(c.Proc(), pat, baseTag, false); err != nil {
 					return err
 				}
 			default:

@@ -36,7 +36,7 @@ func Execute(c *mpi.Comm, s sched.Schedule) {
 	if g := c.Proc().SharedGate(); g != nil {
 		err = executeDirect(g, c.Proc(), s)
 	} else {
-		err = mpi.WalkSchedule(c.Proc(), s, baseTag, true, nil)
+		err = mpi.WalkSchedule(c.Proc(), s, baseTag, true)
 	}
 	if err != nil {
 		panic(err)

@@ -147,12 +147,12 @@ var (
 // semantics by the knowledge recursion, billed at the schedule's per-edge
 // payload sizes, so the virtual times match what barrier.Predict prices.
 
-// flood executes the schedule with this context's process, converting the
-// per-rank contributions into the typed payloads of the collectives.
-func (c *Ctx) flood(sem barrier.Semantics, root, msgBytes int, own any) (map[int]any, error) {
+// flood executes the schedule with this context's process; the collectives
+// read the typed payloads they need through the returned view.
+func (c *Ctx) flood(sem barrier.Semantics, root, msgBytes int, own any) (mpi.Flood, error) {
 	s, err := c.schedules.Schedule(sem, c.NProcs(), root, msgBytes)
 	if err != nil {
-		return nil, err
+		return mpi.Flood{}, err
 	}
 	return mpi.CommOn(c.proc).FloodSchedule(s, own)
 }
@@ -172,14 +172,15 @@ func (c *Ctx) Broadcast(root int, data []float64) ([]float64, error) {
 		// collective returns while laggard ranks are still reading it.
 		own = append([]float64(nil), data...)
 	}
-	known, err := c.flood(barrier.SemBroadcast, root, 8*len(data), own)
+	f, err := c.flood(barrier.SemBroadcast, root, 8*len(data), own)
 	if err != nil {
 		return nil, err
 	}
 	if c.Pid() == root {
 		return data, nil
 	}
-	got, ok := known[root].([]float64)
+	v, _ := f.Get(root)
+	got, ok := v.([]float64)
 	if !ok {
 		return nil, fmt.Errorf("bsp: process %d never received the broadcast of process %d", c.Pid(), root)
 	}
@@ -197,14 +198,14 @@ func (c *Ctx) Reduce(root int, values []float64, op ReduceOp) ([]float64, error)
 	if root < 0 || root >= c.NProcs() {
 		return nil, fmt.Errorf("bsp: reduce to invalid root %d", root)
 	}
-	known, err := c.flood(barrier.SemReduce, root, 8*len(values), append([]float64(nil), values...))
+	f, err := c.flood(barrier.SemReduce, root, 8*len(values), append([]float64(nil), values...))
 	if err != nil {
 		return nil, err
 	}
 	if c.Pid() != root {
 		return nil, nil
 	}
-	return combineVectors(known, c.NProcs(), len(values), op)
+	return combineVectors(f, c.NProcs(), len(values), op)
 }
 
 // AllReduce combines one equally sized vector per process elementwise with op
@@ -212,11 +213,11 @@ func (c *Ctx) Reduce(root int, values []float64, op ReduceOp) ([]float64, error)
 // on every process. Contributions are applied in rank order, so the result
 // is bit-identical on all processes for any operator.
 func (c *Ctx) AllReduce(values []float64, op ReduceOp) ([]float64, error) {
-	known, err := c.flood(barrier.SemAllReduce, 0, 8*len(values), append([]float64(nil), values...))
+	f, err := c.flood(barrier.SemAllReduce, 0, 8*len(values), append([]float64(nil), values...))
 	if err != nil {
 		return nil, err
 	}
-	return combineVectors(known, c.NProcs(), len(values), op)
+	return combineVectors(f, c.NProcs(), len(values), op)
 }
 
 // AllGather collects one block per process by executing a verified allgather
@@ -224,13 +225,14 @@ func (c *Ctx) AllReduce(values []float64, op ReduceOp) ([]float64, error) {
 // process. Blocks should be equally sized for the billed message sizes to
 // match the schedule's accumulating payload model.
 func (c *Ctx) AllGather(block []float64) ([][]float64, error) {
-	known, err := c.flood(barrier.SemAllGather, 0, 8*len(block), append([]float64(nil), block...))
+	f, err := c.flood(barrier.SemAllGather, 0, 8*len(block), append([]float64(nil), block...))
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]float64, c.NProcs())
 	for r := range out {
-		got, ok := known[r].([]float64)
+		v, _ := f.Get(r)
+		got, ok := v.([]float64)
 		if !ok {
 			return nil, fmt.Errorf("bsp: process %d never received the block of process %d", c.Pid(), r)
 		}
@@ -256,13 +258,14 @@ func (c *Ctx) TotalExchange(blocks [][]float64) ([][]float64, error) {
 		}
 		own[j] = append([]float64(nil), b...)
 	}
-	known, err := c.flood(barrier.SemTotalExchange, 0, blockBytes, own)
+	f, err := c.flood(barrier.SemTotalExchange, 0, blockBytes, own)
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]float64, p)
 	for src := 0; src < p; src++ {
-		row, ok := known[src].([][]float64)
+		v, _ := f.Get(src)
+		row, ok := v.([][]float64)
 		if !ok {
 			return nil, fmt.Errorf("bsp: process %d never received the blocks of process %d", c.Pid(), src)
 		}
@@ -277,10 +280,10 @@ func (c *Ctx) TotalExchange(blocks [][]float64) ([][]float64, error) {
 // combineVectors reduces the P per-rank vectors elementwise in rank order.
 // The result is freshly allocated; flooded slices are shared across the
 // simulated processes and must not be written to.
-func combineVectors(known map[int]any, p, n int, op ReduceOp) ([]float64, error) {
+func combineVectors(f mpi.Flood, p, n int, op ReduceOp) ([]float64, error) {
 	out := make([]float64, n)
 	for r := 0; r < p; r++ {
-		v, ok := known[r]
+		v, ok := f.Get(r)
 		if !ok {
 			return nil, fmt.Errorf("bsp: schedule never delivered the operand of process %d", r)
 		}

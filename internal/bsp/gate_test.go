@@ -80,8 +80,8 @@ func TestSyncGateSingleRank(t *testing.T) {
 	}
 }
 
-// TestSyncAllocScalesWithMessages holds the gate-path superstep to O(P +
-// messages): a one-put ring with a 1-element area and two Syncs allocates
+// TestSyncAllocScalesWithMessages holds the superstep to O(P + messages) on
+// both engines: a one-put ring with a 1-element area and two Syncs allocates
 // about 4× as much at 4× the ranks. A count exchange or mailbox index sized
 // by P on every rank reads about 15×.
 func TestSyncAllocScalesWithMessages(t *testing.T) {
@@ -95,23 +95,27 @@ func TestSyncAllocScalesWithMessages(t *testing.T) {
 		}
 		return c.Sync()
 	}
-	alloc := func(p int) uint64 {
-		m, err := platform.FlatClusterMachine(p)
-		if err != nil {
-			t.Fatal(err)
+	for _, engine := range []simnet.Engine{simnet.EngineAuto, simnet.EngineConcurrent} {
+		o := simnet.DefaultOptions()
+		o.Engine = engine
+		alloc := func(p int) uint64 {
+			m, err := platform.FlatClusterMachine(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(m, ring, o); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := Run(m, ring); err != nil {
-			t.Fatal(err)
+		small, large := alloc(512), alloc(2048)
+		ratio := float64(large) / float64(small)
+		t.Logf("engine %d: P=512 allocates %d B, P=2048 %d B: ratio %.1f", engine, small, large, ratio)
+		if ratio > 6 {
+			t.Errorf("engine %d: allocation grows faster than ranks plus messages", engine)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	small, large := alloc(512), alloc(2048)
-	ratio := float64(large) / float64(small)
-	t.Logf("P=512 allocates %d B, P=2048 %d B: ratio %.1f", small, large, ratio)
-	if ratio > 6 {
-		t.Fatal("allocation grows faster than ranks plus messages")
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"hbsp/internal/mpi"
 	"hbsp/internal/sched"
-	"hbsp/internal/simnet"
 )
 
 // Sync ends the current superstep (bsp_sync). It implements the thesis'
@@ -100,81 +99,53 @@ func (c *Ctx) Sync() error {
 
 // runExchange performs the count total exchange on the engine the run
 // selected and returns the sources of this process' incoming one-sided
-// messages, in source order and with multiplicity. By default the
-// synchronizer's exchange schedule is evaluated at the run's gate by the
-// goroutine-free discrete-event evaluator; under WithConcurrentEngine every
-// rank floods its dense count row over the same schedule (mpi.WalkSchedule),
-// with bit-identical virtual times.
+// messages, in source order and with multiplicity. The timing is the
+// synchronizer's exchange schedule: by default evaluated at the run's gate by
+// the goroutine-free discrete-event evaluator, under WithConcurrentEngine
+// walked by every rank as signals (mpi.WalkSchedule), with bit-identical
+// virtual times. The data is the call's board, which every rank writes the
+// destinations of its one-sided messages into before the exchange. Every
+// synchronizer's schedule reaches every rank from every rank, so after it any
+// rank may read every slot: the first to get there builds all P in-lists,
+// O(P + messages), and each rank takes its own. The lists are read inside
+// Shared only, so a rank's own is free for reuse once Shared returns.
 func (c *Ctx) runExchange() ([]int32, error) {
-	if g := c.proc.SharedGate(); g != nil {
-		return c.directExchange(g)
-	}
 	p := c.NProcs()
-	sch, err := c.sync.exchangeSchedule(p)
-	if err != nil {
-		return nil, err
-	}
-	own := make([]int, p)
-	for _, dst := range c.sent {
-		own[dst]++
-	}
-	known := map[int]any{c.Pid(): own}
-	if err := mpi.WalkSchedule(c.proc, sch, tagCountBase, false, known); err != nil {
-		return nil, err
-	}
-	var from []int32
-	for r := 0; r < p; r++ {
-		row, ok := known[r].([]int)
-		if !ok || len(row) != p {
-			return nil, fmt.Errorf("bsp: process %d is missing the count row of process %d after synchronization", c.Pid(), r)
-		}
-		for k := row[c.Pid()]; k > 0; k-- {
-			from = append(from, int32(r))
-		}
-	}
-	return from, nil
-}
-
-// syncTicket is the rendezvous descriptor of one rank entering Sync: its
-// synchronizer (the leader verifies agreement), the destinations of its
-// one-sided messages, and the slot the leader deposits its in-list in.
-type syncTicket struct {
-	sync Synchronizer
-	sent []int32
-	from *[]int32
-}
-
-// directExchange evaluates the count exchange at the run's gate. The leader
-// evaluates the exchange's op-stream against the live per-rank clocks, then
-// walks the ranks in order and appends each message's source to its
-// destination's in-list; no count row is ever built or travels through a
-// mailbox.
-func (c *Ctx) directExchange(g *simnet.Gate) ([]int32, error) {
-	var from []int32
-	t := &syncTicket{sync: c.sync, sent: c.sent, from: &from}
-	err := g.Arrive(c.proc, t, func(tickets []any) error {
-		for _, ti := range tickets {
-			if st, ok := ti.(*syncTicket); !ok || st.sync != c.sync {
-				return errors.New("bsp: ranks disagree on the superstep synchronizer (Sync is collective)")
+	board := c.proc.Board()
+	board.Set(c.Pid(), c.sent)
+	var err error
+	if g := c.proc.SharedGate(); g != nil {
+		err = g.Arrive(c.proc, c.sync, func(tickets []any) error {
+			for _, t := range tickets {
+				if t != any(c.sync) {
+					return errors.New("bsp: ranks disagree on the superstep synchronizer (Sync is collective)")
+				}
 			}
-		}
-		sch, err := c.sync.exchangeSchedule(c.NProcs())
-		if err != nil {
+			sch, err := c.sync.exchangeSchedule(p)
+			if err == nil {
+				sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(sch, tagCountBase, false) })
+			}
 			return err
+		})
+	} else {
+		var sch sched.Schedule
+		if sch, err = c.sync.exchangeSchedule(p); err == nil {
+			err = mpi.WalkSchedule(c.proc, sch, tagCountBase, false)
 		}
-		sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(sch, tagCountBase, false) })
-		for src, ti := range tickets {
-			for _, dst := range ti.(*syncTicket).sent {
-				in := tickets[dst].(*syncTicket).from
-				*in = append(*in, int32(src))
-			}
-		}
-		return nil
-	})
+	}
 	if err != nil {
 		return nil, err
 	}
-	return from, nil
+	from := board.Shared(func() any {
+		from := make([][]int32, p)
+		for src := range p {
+			for _, dst := range board.Get(src).([]int32) {
+				from[dst] = append(from[dst], int32(src))
+			}
+		}
+		return from
+	}).([][]int32)
+	return from[c.Pid()], nil
 }
 
 // serveGet reads the requested slice of a registered area and sends it back

@@ -21,48 +21,95 @@ const FloodTagBase = 1 << 29
 
 // FloodSchedule executes the schedule with knowledge-flooding data semantics:
 // every rank starts out knowing only its own contribution, and along every
-// prescribed edge the sender forwards everything it knows, keyed by
-// originating rank. The billed message sizes are the schedule's per-edge
-// payload sizes, i.e. the exact bytes the cost model prices. It returns the
-// contributions known to the calling rank after the last stage; which entries
-// must be present depends on the collective's semantics and is checked by the
-// callers — the typed schedule collectives below, and layered run-times
-// implementing their own payload types.
+// prescribed edge the sender forwards everything it knows. The billed message
+// sizes are the schedule's per-edge payload sizes, i.e. the exact bytes the
+// cost model prices. It returns the contributions known to the calling rank
+// after the last stage; which ones must be present depends on the
+// collective's semantics and is checked by the callers — the typed schedule
+// collectives below, and layered run-times implementing their own payload
+// types.
 //
-// Under the default engine the ranks rendezvous at the run's gate and the
-// leader evaluates the flood (floodDirect). Under the concurrent engine every
-// rank walks its own edges (WalkSchedule).
+// No contribution travels in a message. The timing is a signal walk: under
+// the default engine the ranks rendezvous at the run's gate and the leader
+// evaluates it, under the concurrent engine every rank walks its own edges
+// (WalkSchedule). The data is one board per call (simnet.Board), which every
+// rank writes its contribution into before its first send, and the
+// schedule's reach set (sched.ReachOf), computed once per call: a rank holds
+// origin o's contribution when the reach set says o's flood reaches it, and
+// the walk that got it there is what orders its read after o's write.
 //
-// Contributions travel by reference between the rank goroutines, not copied: a
-// rank may return from the collective while slower ranks are still reading
-// its contribution. Callers passing mutable values (slices, maps, pointers)
-// must either hand over private copies or treat them as immutable for the
-// rest of the run, and must not mutate received values; the typed BSP
+// Contributions are shared by reference between the rank goroutines, not
+// copied: a rank may return from the collective while slower ranks are still
+// reading its contribution. Callers passing mutable values (slices, maps,
+// pointers) must either hand over private copies or treat them as immutable
+// for the rest of the run, and must not mutate received values; the typed BSP
 // collectives copy on both sides for exactly this reason.
-func (c *Comm) FloodSchedule(s Schedule, own any) (map[int]any, error) {
+func (c *Comm) FloodSchedule(s Schedule, own any) (Flood, error) {
+	if err := scheduleFits(s, c.proc); err != nil {
+		return Flood{}, err
+	}
+	board := c.proc.Board()
+	board.Set(c.Rank(), own)
+	var err error
 	if g := c.proc.SharedGate(); g != nil {
-		return c.floodDirect(g, s, own)
+		err = g.Arrive(c.proc, floodTicket{s}, func(tickets []any) error {
+			for _, t := range tickets {
+				if ft, ok := t.(floodTicket); !ok || !SameSchedule(ft.s, s) {
+					return errors.New("mpi: ranks disagree on the flooded schedule (schedule collectives are collective)")
+				}
+			}
+			sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(s, FloodTagBase, false) })
+			return nil
+		})
+	} else {
+		err = WalkSchedule(c.proc, s, FloodTagBase, false)
 	}
-	known := map[int]any{c.Rank(): own}
-	if err := WalkSchedule(c.proc, s, FloodTagBase, false, known); err != nil {
-		return nil, err
+	if err != nil {
+		return Flood{}, err
 	}
-	return known, nil
+	reach := board.Shared(func() any { return sched.ReachOf(s) }).(*sched.ReachSet)
+	return Flood{board: board, reach: reach, rank: c.Rank(), procs: c.Size()}, nil
 }
 
-// scheduleFits refuses a schedule built for another rank count: too small
-// indexes past its stage rows, too large waits for ranks that do not exist.
+// floodTicket is the gate ticket of a rank entering a schedule flood: the
+// schedule, which the leader checks the ranks agree on.
+type floodTicket struct{ s Schedule }
+
+// Flood is what a schedule flood delivered to one rank: a read-only view of
+// the call's board through the rank's row of the schedule's reach set.
+type Flood struct {
+	board       *simnet.Board
+	reach       *sched.ReachSet
+	rank, procs int
+}
+
+// Has reports whether origin's contribution reached the rank.
+func (f Flood) Has(origin int) bool {
+	return origin >= 0 && origin < f.procs && f.reach.Has(f.rank, origin)
+}
+
+// Get returns origin's contribution and whether it reached the rank.
+func (f Flood) Get(origin int) (any, bool) {
+	if !f.Has(origin) {
+		return nil, false
+	}
+	return f.board.Get(origin), true
+}
+
+// Len returns how many contributions reached the rank, its own included.
+func (f Flood) Len() int { return f.reach.Count(f.rank) }
+
+// scheduleFits refuses a missing schedule and one built for another rank
+// count: too small indexes past its stage rows, too large waits for ranks
+// that do not exist.
 func scheduleFits(s Schedule, p *simnet.Proc) error {
+	if s == nil {
+		return errors.New("mpi: nil schedule")
+	}
 	if s.NumProcs() != p.Size() {
 		return fmt.Errorf("mpi: schedule for %d processes on a %d-process run", s.NumProcs(), p.Size())
 	}
 	return nil
-}
-
-// flooded is one contribution in flight, with the rank it originated on.
-type flooded struct {
-	origin int
-	value  any
 }
 
 // WalkSchedule is the concurrent engine's schedule walker, the per-rank twin
@@ -70,39 +117,27 @@ type flooded struct {
 // Fig. 5.5: the calling rank executes its own part of the schedule, per stage
 // starting the prescribed receives and sends together and waiting for them
 // together (MPI_Startall / MPI_Waitall) — receives first, then sends, in edge
-// order. Stage sg's messages carry tag tagBase+sg and are billed at the
-// schedule's per-edge payload sizes. On a stage where the rank has no edges,
-// computeEmpty pays the empty Startall/Waitall pair (Compute(0), one noise
-// draw) — barrier.Execute's convention; the collectives skip the stage.
-// Edges are read through the rank's own sched.StageView (RankEdges), never
-// through StageAt, which a streamed schedule answers by materializing an O(P)
+// order. Stage sg's messages carry tag tagBase+sg, are billed at the
+// schedule's per-edge payload sizes and carry no payload: the walk is pure
+// signals, and collectives that move data read it from a board
+// (FloodSchedule). On a stage where the rank has no edges, computeEmpty pays
+// the empty Startall/Waitall pair (Compute(0), one noise draw) —
+// barrier.Execute's convention; the collectives skip the stage. Edges are
+// read through the rank's own sched.StageView (RankEdges), never through
+// StageAt, which a streamed schedule answers by materializing an O(P)
 // adjacency (P ranks × P−1 stages of that would make a total exchange O(P³)).
-//
-// known is the payload. A nil map walks pure signals. Otherwise it holds the
-// contributions the rank knows on entry, keyed by originating rank, and the
-// walk floods them: along every out-edge travels everything the rank knew
-// when the stage began, and what arrives is merged in, the first arrival of
-// an origin winning; on return known holds every contribution that reached
-// the rank. Values travel by reference (see FloodSchedule).
 //
 // It is a collective call: every rank walks the same schedule with the same
 // tagBase. Walks may reuse a tag base because mailbox matching is FIFO per
 // (source, tag): a rank completes all stage-sg receives of one walk before
 // posting those of the next, and senders inject in program order, so streams
 // cannot cross-match.
-func WalkSchedule(p *simnet.Proc, s Schedule, tagBase int, computeEmpty bool, known map[int]any) error {
+func WalkSchedule(p *simnet.Proc, s Schedule, tagBase int, computeEmpty bool) error {
 	if err := scheduleFits(s, p); err != nil {
 		return err
 	}
 	rank := p.Rank()
 	view := sched.ViewOf(s)
-	// What the rank knows, in arrival order. It only ever grows at the end,
-	// so the prefix that exists when a stage begins is that stage's snapshot:
-	// receivers read it in place while the owner keeps appending behind it.
-	var flood []flooded
-	for origin, v := range known {
-		flood = append(flood, flooded{origin, v})
-	}
 	// On traced runs, bracket every stage for per-stage attribution (checked
 	// once so untraced walks pay nothing per stage).
 	traced := p.Tracing()
@@ -126,45 +161,18 @@ func WalkSchedule(p *simnet.Proc, s Schedule, tagBase int, computeEmpty bool, kn
 		for _, src := range ins {
 			reqs = append(reqs, p.Irecv(src, tag))
 		}
-		var snapshot any
-		if known != nil && len(outs) > 0 {
-			snapshot = flood[:len(flood):len(flood)]
-		}
 		for k, dst := range outs {
 			size := 0
 			if outBytes != nil {
 				size = outBytes[k]
 			}
-			reqs = append(reqs, p.Isend(dst, tag, size, snapshot))
+			reqs = append(reqs, p.Isend(dst, tag, size, nil))
 		}
-		for k, req := range reqs {
-			in := p.Wait(req)
-			if known == nil || k >= len(ins) {
-				continue
-			}
-			got, ok := in.([]flooded)
-			if !ok {
-				return fmt.Errorf("mpi: process %d received a malformed flood payload from %d", rank, ins[k])
-			}
-			for _, f := range got {
-				if _, seen := known[f.origin]; !seen {
-					known[f.origin] = f.value
-					flood = append(flood, f)
-				}
-			}
+		for _, req := range reqs {
+			p.Wait(req)
 		}
 	}
 	return nil
-}
-
-// floodTicket is the rendezvous descriptor of one rank entering a schedule
-// flood: the schedule (the leader verifies agreement), the rank's own
-// contribution, and the slot the leader deposits its known-contributions map
-// in.
-type floodTicket struct {
-	s   Schedule
-	own any
-	out *map[int]any
 }
 
 // SameSchedule reports whether two ranks entered a collective with the same
@@ -173,45 +181,6 @@ type floodTicket struct {
 func SameSchedule(a, b Schedule) bool {
 	t := reflect.TypeOf(a)
 	return t == reflect.TypeOf(b) && (!t.Comparable() || a == b)
-}
-
-// floodDirect evaluates the flood at the run's gate: the timing — every
-// prescribed edge billed at the schedule's per-edge payload size — is
-// evaluated sequentially against the live per-rank clocks, and the data
-// plane collapses to the knowledge recursion: rank j's known map holds
-// exactly the contributions of the origins whose flooding reaches j, by
-// reference, which is precisely what the concurrent walk's merge loop
-// produces message by message.
-func (c *Comm) floodDirect(g *simnet.Gate, s Schedule, own any) (map[int]any, error) {
-	if err := scheduleFits(s, c.proc); err != nil {
-		return nil, err
-	}
-	var known map[int]any
-	t := &floodTicket{s: s, own: own, out: &known}
-	err := g.Arrive(c.proc, t, func(tickets []any) error {
-		p := c.Size()
-		owns := make([]any, p)
-		for r, ti := range tickets {
-			ft, ok := ti.(*floodTicket)
-			if !ok || !SameSchedule(ft.s, s) {
-				return errors.New("mpi: ranks disagree on the flooded schedule (schedule collectives are collective)")
-			}
-			owns[r] = ft.own
-		}
-		sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(s, FloodTagBase, false) })
-		reach := sched.ReachOf(s)
-		for r, ti := range tickets {
-			ft := ti.(*floodTicket)
-			m := make(map[int]any, reach.Count(r))
-			reach.ForEach(r, func(origin int) { m[origin] = owns[origin] })
-			*ft.out = m
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return known, nil
 }
 
 // BcastSchedule distributes the root's value to every rank by executing the
@@ -225,11 +194,11 @@ func (c *Comm) BcastSchedule(s Schedule, root int, value any) (any, error) {
 	if c.Rank() == root {
 		own = value
 	}
-	known, err := c.FloodSchedule(s, own)
+	f, err := c.FloodSchedule(s, own)
 	if err != nil {
 		return nil, err
 	}
-	out, ok := known[root]
+	out, ok := f.Get(root)
 	if !ok {
 		return nil, fmt.Errorf("mpi: schedule never delivered the root's message to process %d", c.Rank())
 	}
@@ -244,14 +213,14 @@ func (c *Comm) ReduceSchedule(s Schedule, root int, value float64, op Op) (float
 	if root < 0 || root >= c.Size() {
 		return 0, fmt.Errorf("%w: %d", ErrInvalidRoot, root)
 	}
-	known, err := c.FloodSchedule(s, value)
+	f, err := c.FloodSchedule(s, value)
 	if err != nil {
 		return 0, err
 	}
 	if c.Rank() != root {
 		return 0, nil
 	}
-	return combineAll(known, c.Size(), op)
+	return combineAll(f, op)
 }
 
 // AllreduceSchedule combines one float64 per rank with the given operator by
@@ -259,23 +228,23 @@ func (c *Comm) ReduceSchedule(s Schedule, root int, value float64, op Op) (float
 // are combined in rank order, so the result is deterministic and correct for
 // non-idempotent operators on any verified schedule (no double counting).
 func (c *Comm) AllreduceSchedule(s Schedule, value float64, op Op) (float64, error) {
-	known, err := c.FloodSchedule(s, value)
+	f, err := c.FloodSchedule(s, value)
 	if err != nil {
 		return 0, err
 	}
-	return combineAll(known, c.Size(), op)
+	return combineAll(f, op)
 }
 
 // AllgatherSchedule collects one value per rank by executing the schedule and
 // returns the slice indexed by rank, identical on all ranks.
 func (c *Comm) AllgatherSchedule(s Schedule, value any) ([]any, error) {
-	known, err := c.FloodSchedule(s, value)
+	f, err := c.FloodSchedule(s, value)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]any, c.Size())
 	for r := range out {
-		v, ok := known[r]
+		v, ok := f.Get(r)
 		if !ok {
 			return nil, fmt.Errorf("mpi: schedule never delivered the contribution of process %d to process %d", r, c.Rank())
 		}
@@ -294,14 +263,15 @@ func (c *Comm) TotalExchangeSchedule(s Schedule, blocks []any) ([]any, error) {
 		return nil, fmt.Errorf("mpi: total exchange needs %d blocks, got %d", p, len(blocks))
 	}
 	own := append([]any(nil), blocks...)
-	known, err := c.FloodSchedule(s, own)
+	f, err := c.FloodSchedule(s, own)
 	if err != nil {
 		return nil, err
 	}
 	rank := c.Rank()
 	out := make([]any, p)
 	for src := 0; src < p; src++ {
-		row, ok := known[src].([]any)
+		v, _ := f.Get(src)
+		row, ok := v.([]any)
 		if !ok {
 			return nil, fmt.Errorf("mpi: schedule never delivered the blocks of process %d to process %d", src, rank)
 		}
@@ -314,26 +284,24 @@ func (c *Comm) TotalExchangeSchedule(s Schedule, blocks []any) ([]any, error) {
 // a verified barrier pattern): it returns only once the calling rank can
 // account for the arrival of every rank.
 func (c *Comm) BarrierSchedule(s Schedule) error {
-	known, err := c.FloodSchedule(s, struct{}{})
+	f, err := c.FloodSchedule(s, struct{}{})
 	if err != nil {
 		return err
 	}
-	for r := 0; r < c.Size(); r++ {
-		if _, ok := known[r]; !ok {
-			return fmt.Errorf("mpi: schedule never proved the arrival of process %d to process %d", r, c.Rank())
-		}
+	if f.Len() != c.Size() {
+		return fmt.Errorf("mpi: schedule proved the arrival of %d of %d processes to process %d", f.Len(), c.Size(), c.Rank())
 	}
 	return nil
 }
 
 // combineAll reduces the P contributions in rank order.
-func combineAll(known map[int]any, p int, op Op) (float64, error) {
+func combineAll(f Flood, op Op) (float64, error) {
+	if n := f.Len(); n != f.procs {
+		return 0, fmt.Errorf("mpi: schedule delivered the operands of %d of %d processes to process %d", n, f.procs, f.rank)
+	}
 	var acc float64
-	for r := 0; r < p; r++ {
-		v, ok := known[r]
-		if !ok {
-			return 0, fmt.Errorf("mpi: schedule never delivered the operand of process %d", r)
-		}
+	for r := range f.procs {
+		v := f.board.Get(r)
 		fv, ok := v.(float64)
 		if !ok {
 			return 0, fmt.Errorf("mpi: operand of process %d is %T, want float64", r, v)

@@ -8,12 +8,16 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/mpi"
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 	"hbsp/internal/trace"
 )
@@ -119,7 +123,7 @@ func TestScheduleCollectivesComputeCorrectValues(t *testing.T) {
 }
 
 // TestScheduleCollectiveValidation exercises the error paths that do not
-// require a mismatched collective call pattern.
+// require a mismatched collective call pattern, on both engines.
 func TestScheduleCollectiveValidation(t *testing.T) {
 	pat, err := barrier.AllReduce(4, 8)
 	if err != nil {
@@ -130,23 +134,33 @@ func TestScheduleCollectiveValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := scheduleMachine(t, 4)
-	_, err = mpi.Run(m, func(c *mpi.Comm) error {
-		if _, err := c.BcastSchedule(pat, -1, 0); err == nil {
-			t.Error("BcastSchedule with invalid root should fail")
+	for _, tc := range []struct {
+		name   string
+		engine simnet.Engine
+	}{{"auto", simnet.EngineAuto}, {"concurrent", simnet.EngineConcurrent}} {
+		o := simnet.DefaultOptions()
+		o.Engine = tc.engine
+		_, err = mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
+			if _, err := c.BcastSchedule(pat, -1, 0); err == nil {
+				t.Errorf("%s: BcastSchedule with invalid root should fail", tc.name)
+			}
+			if _, err := c.ReduceSchedule(pat, 9, 0, mpi.OpSum); err == nil {
+				t.Errorf("%s: ReduceSchedule with invalid root should fail", tc.name)
+			}
+			if _, err := c.AllreduceSchedule(wrong, 0, mpi.OpSum); err == nil {
+				t.Errorf("%s: AllreduceSchedule with mismatched process count should fail", tc.name)
+			}
+			if _, err := c.AllreduceSchedule(nil, 0, mpi.OpSum); err == nil || err.Error() != "mpi: nil schedule" {
+				t.Errorf("%s: AllreduceSchedule with a nil schedule: %v, want a plain refusal", tc.name, err)
+			}
+			if _, err := c.TotalExchangeSchedule(pat, make([]any, 2)); err == nil {
+				t.Errorf("%s: TotalExchangeSchedule with wrong block count should fail", tc.name)
+			}
+			return nil
+		}, o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if _, err := c.ReduceSchedule(pat, 9, 0, mpi.OpSum); err == nil {
-			t.Error("ReduceSchedule with invalid root should fail")
-		}
-		if _, err := c.AllreduceSchedule(wrong, 0, mpi.OpSum); err == nil {
-			t.Error("AllreduceSchedule with mismatched process count should fail")
-		}
-		if _, err := c.TotalExchangeSchedule(pat, make([]any, 2)); err == nil {
-			t.Error("TotalExchangeSchedule with wrong block count should fail")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -279,6 +293,140 @@ func TestStreamedAndDenseSchedulesAgreeOnBothEngines(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFloodAllocScalesWithEdges holds a schedule collective's data plane to
+// O(P + edges) on both engines: an allreduce over StreamAllReduce at 4× the
+// ranks must allocate at most 6× as much. A map of every contribution per
+// rank reads about 16×.
+func TestFloodAllocScalesWithEdges(t *testing.T) {
+	for _, tc := range []struct {
+		engine       simnet.Engine
+		small, large int
+	}{{simnet.EngineAuto, 1024, 4096}, {simnet.EngineConcurrent, 512, 2048}} {
+		o := simnet.DefaultOptions()
+		o.Engine = tc.engine
+		alloc := func(p int) uint64 {
+			m, err := platform.FlatClusterMachine(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := barrier.StreamAllReduce(p, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
+				_, err := c.AllreduceSchedule(s, float64(c.Rank()), mpi.OpSum)
+				return err
+			}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		small, large := alloc(tc.small), alloc(tc.large)
+		ratio := float64(large) / float64(small)
+		t.Logf("engine %d: P=%d allocates %d B, P=%d %d B: ratio %.1f", tc.engine, tc.small, small, tc.large, large, ratio)
+		if ratio > 6 {
+			t.Errorf("engine %d: allocation grows faster than ranks plus edges", tc.engine)
+		}
+	}
+}
+
+// TestSharedFloodBoardRunsAhead runs schedule collectives on the concurrent
+// engine where their boards overlap: a broadcast root only sends, so it runs
+// calls ahead while dawdling readers are still reading earlier ones, and an
+// allreduce every few calls brings everyone back together. Two runs go at
+// once in one process. Every rank must read each call's own values.
+func TestSharedFloodBoardRunsAhead(t *testing.T) {
+	const p, calls = 13, 40
+	bc, err := barrier.StreamBroadcast(p, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := barrier.StreamAllReduce(p, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := scheduleMachine(t, p)
+	o := simnet.DefaultOptions()
+	o.Engine = simnet.EngineConcurrent
+	var wg sync.WaitGroup
+	for run := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
+				for k := range calls {
+					if k%10 == 9 {
+						sum, err := c.AllreduceSchedule(ar, float64(1000*run+k+c.Rank()), mpi.OpSum)
+						if want := float64(p*(1000*run+k) + p*(p-1)/2); err != nil || sum != want {
+							return fmt.Errorf("call %d: allreduce %g (%v), want %g", k, sum, err, want)
+						}
+						continue
+					}
+					if c.Rank() != 0 && k%3 == c.Rank()%3 {
+						time.Sleep(200 * time.Microsecond)
+					}
+					v, err := c.BcastSchedule(bc, 0, [2]int{run, k})
+					if want := [2]int{run, k}; err != nil || v != want {
+						return fmt.Errorf("rank %d call %d: broadcast %v (%v), want %v", c.Rank(), k, v, err, want)
+					}
+				}
+				return nil
+			}, o)
+			if err != nil {
+				t.Errorf("run %d: %v", run, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFloodViewFollowsReach floods over a reduce schedule, which delivers
+// everything to its root and a subset elsewhere, on both engines: each rank's
+// view must hold exactly the origins the schedule's reach set names, and a
+// collective that needs every contribution must refuse on the ranks that
+// lack some.
+func TestFloodViewFollowsReach(t *testing.T) {
+	const p = 13
+	s, err := barrier.StreamReduce(p, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reach := sched.ReachOf(s)
+	m := scheduleMachine(t, p)
+	for _, engine := range []simnet.Engine{simnet.EngineAuto, simnet.EngineConcurrent} {
+		o := simnet.DefaultOptions()
+		o.Engine = engine
+		_, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
+			rank := c.Rank()
+			f, err := c.FloodSchedule(s, rank*10)
+			if err != nil {
+				return err
+			}
+			if f.Len() != reach.Count(rank) || f.Has(-1) || f.Has(p) {
+				t.Errorf("engine %d rank %d: Len %d, want %d", engine, rank, f.Len(), reach.Count(rank))
+			}
+			for origin := range p {
+				v, ok := f.Get(origin)
+				if want := reach.Has(rank, origin); ok != want || f.Has(origin) != want || (ok && v != origin*10) {
+					t.Errorf("engine %d rank %d: Get(%d) = %v, %t; reached: %t", engine, rank, origin, v, ok, want)
+				}
+			}
+			_, err = c.AllgatherSchedule(s, rank)
+			if (err == nil) != (reach.Count(rank) == p) {
+				t.Errorf("engine %d rank %d: allgather over a reduce schedule: %v", engine, rank, err)
+			}
+			return nil
+		}, o)
+		if err != nil {
+			t.Fatalf("engine %d: %v", engine, err)
 		}
 	}
 }

@@ -238,8 +238,8 @@ const ScheduleTagBase = 1 << 20
 // place of signal counts. It is the one body of the recursion: the verifier
 // checks its final state against a collective's postcondition, the payload
 // model (barrier.KnowledgeSized) reads its counts stage by stage, and the
-// direct flood assembles each rank's known-contributions map from it without
-// moving any payloads.
+// schedule collectives of both engines (mpi.FloodSchedule) read a call's
+// board of contributions through it, no payload ever moving.
 //
 // A CirculantSchedule gets one P-bit row instead of P: every stage moves every
 // rank's knowledge by the same offset, so rank r's set is rank 0's with each

@@ -465,6 +465,8 @@ type world struct {
 	mailboxes []*mailbox
 	procs     []*Proc
 	gate      *Gate
+	boardMu   sync.Mutex
+	boards    map[uint64]*Board // by call number (Proc.Board)
 	cancelled atomic.Bool
 	messages  atomic.Int64
 	bytes     atomic.Int64
@@ -474,9 +476,10 @@ type world struct {
 // its clock. All of its clock arithmetic is the LogGP kernel's (loggp.State);
 // the Proc adds the mailboxes that match a receive to its message.
 type Proc struct {
-	w    *world
-	rank int
-	st   loggp.State
+	w     *world
+	rank  int
+	st    loggp.State
+	calls uint64 // collective calls that took a Board
 
 	// reqFree recycles Request objects. A Proc is driven by a single
 	// goroutine, so the freelist needs no locking; Wait returns completed
@@ -793,7 +796,7 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 		return nil, err
 	}
 	w := &world{machine: m, pricer: PricerOf(m), env: loggp.Env{Noise: m, Faults: ft, Ack: o.AckSends},
-		opts: o, mailboxes: make([]*mailbox, m.Procs())}
+		opts: o, mailboxes: make([]*mailbox, m.Procs()), boards: map[uint64]*Board{}}
 	for i := range w.mailboxes {
 		w.mailboxes[i] = newMailbox(&w.cancelled)
 	}

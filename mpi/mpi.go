@@ -3,7 +3,11 @@
 // requests with Startall/WaitAll semantics, the built-in point-to-point
 // collectives (Barrier, Bcast, Allreduce, Allgather), and the
 // schedule-driven collectives (BcastSchedule, AllreduceSchedule, ...) that
-// execute verified collective schedules (sched.Schedule) with user data.
+// execute verified collective schedules (sched.Schedule) with user data. A
+// schedule collective's messages are signals billed at the schedule's sizes;
+// its data is one board per call that each rank writes its contribution
+// into, read through the schedule's reach set (Comm.FloodSchedule returns
+// that view, a Flood).
 //
 // Programs are normally started through an hbsp.Session (hbsp.New +
 // Session.RunMPI), which adds functional options, machine validation and
@@ -32,6 +36,10 @@ type Op = impi.Op
 // one schedule type — a verified *collective.Pattern or a streamed
 // collective.Stream* schedule alike.
 type Schedule = impi.Schedule
+
+// Flood is what Comm.FloodSchedule delivered to one rank: a read-only view
+// (Has, Get, Len) of the contributions whose flood reached it.
+type Flood = impi.Flood
 
 // Standard reduction operators.
 var (
