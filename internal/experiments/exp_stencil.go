@@ -48,18 +48,25 @@ type WallTimeRow struct {
 	Speedup float64
 }
 
+// stencilProcs is the process counts of Table 8.2 and the B series: 4, 16
+// and MaxProcsXeon, ascending and once each, none past MaxProcsXeon or the
+// platform's cores.
+func stencilProcs(prof *platform.Profile, opts Options) []int {
+	var sweep []int
+	for _, p := range []int{4, 16, opts.MaxProcsXeon} {
+		if p <= opts.MaxProcsXeon && p <= prof.Topology.TotalCores() && (len(sweep) == 0 || p > sweep[len(sweep)-1]) {
+			sweep = append(sweep, p)
+		}
+	}
+	return sweep
+}
+
 // Table8_2 reproduces Table 8.2: wall times of the MPI and restructured MPI
 // implementations on the large problem.
 func Table8_2(prof *platform.Profile, opts Options) ([]WallTimeRow, error) {
 	opts = opts.normalize()
 	cfg := stencil.Config{N: opts.StencilLargeN, Iterations: opts.StencilIterations, C: 0.2, Synthetic: opts.Synthetic}
-	var sweep []int
-	for _, p := range []int{4, 16, opts.MaxProcsXeon} {
-		if p <= prof.Topology.TotalCores() {
-			sweep = append(sweep, p)
-		}
-	}
-	return ParallelSeries(sweep, func(p int) ([]WallTimeRow, error) {
+	return ParallelSeries(stencilProcs(prof, opts), func(p int) ([]WallTimeRow, error) {
 		m, err := prof.Machine(p)
 		if err != nil {
 			return nil, err
@@ -186,10 +193,7 @@ func Fig8_10Series(prof *platform.Profile, opts Options) ([]PredictionPoint, err
 		label string
 		n     int
 	}{{"large", opts.StencilLargeN}, {"small", opts.StencilSmallN}} {
-		for _, p := range []int{4, 16, opts.MaxProcsXeon} {
-			if p > prof.Topology.TotalCores() {
-				continue
-			}
+		for _, p := range stencilProcs(prof, opts) {
 			sweep = append(sweep, bPoint{label: prob.label, n: prob.n, p: p})
 		}
 	}

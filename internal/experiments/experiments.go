@@ -29,7 +29,9 @@ type Options struct {
 	StencilSmallN int
 	// StencilIterations is the number of Jacobi sweeps per measurement.
 	StencilIterations int
-	// Synthetic skips the stencil's floating-point work (model time only).
+	// Synthetic runs the stencil without its floating-point work (model
+	// time only): no implementation builds a grid, and a run's checksum is
+	// the initial condition's.
 	Synthetic bool
 	// CollapseProcs are the rank counts of the symmetry-collapse scaling
 	// study (CollapseScalingSeries); each point is a direct RunSchedule

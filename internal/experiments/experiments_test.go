@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -282,6 +283,45 @@ func TestTable8AndFig8Series(t *testing.T) {
 	// slower than with none.
 	if sweep[len(sweep)-1].Measured > sweep[0].Measured*1.1 {
 		t.Errorf("full overlap window (%g) slower than none (%g)", sweep[len(sweep)-1].Measured, sweep[0].Measured)
+	}
+}
+
+// TestStencilProcRows holds the process counts of Table 8.2 and of the B
+// series to 4, 16 and MaxProcsXeon, ascending, once each and none past the
+// maximum.
+func TestStencilProcRows(t *testing.T) {
+	prof := platform.Xeon8x2x4()
+	for _, tc := range []struct {
+		max  int
+		want []int
+	}{{8, []int{4, 8}}, {16, []int{4, 16}}, {32, []int{4, 16, 32}}, {64, []int{4, 16, 64}}} {
+		opts := tinyOptions()
+		opts.MaxProcsXeon, opts.Reps, opts.StencilIterations = tc.max, 1, 1
+		opts.StencilLargeN, opts.StencilSmallN = 96, 64
+		wall, err := Table8_2(prof, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, w := range wall {
+			got = append(got, w.Procs)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("MaxProcsXeon %d: Table 8.2 rows at P = %v, want %v", tc.max, got, tc.want)
+		}
+		preds, err := Fig8_10Series(prof, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = got[:0]
+		for _, p := range preds {
+			if p.Problem == "large" && p.Variant == "overlap" {
+				got = append(got, p.Procs)
+			}
+		}
+		if !slices.Equal(got, tc.want) || len(preds) != 2*3*len(tc.want) {
+			t.Errorf("MaxProcsXeon %d: B series at P = %v (%d points), want %v on each problem and variant", tc.max, got, len(preds), tc.want)
+		}
 	}
 }
 

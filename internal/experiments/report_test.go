@@ -91,6 +91,29 @@ func TestReportGolden(t *testing.T) {
 	}
 }
 
+// TestStencilFullGolden pins the Chapter 8 section at the Full settings
+// (`cmd/experiments -full stencil`): the N = 1536 rows and P up to 64, which
+// the small options of TestReportGolden never reach.
+func TestStencilFullGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := RunSections(&got, Full(), "stencil"); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "stencil_full.golden")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test ./internal/experiments -run %s -update`): %v", t.Name(), err)
+	}
+	if !bytes.Equal(want, got.Bytes()) {
+		t.Fatalf("full stencil section diverged from %s\n%s", path, firstDifference(string(want), got.String()))
+	}
+}
+
 // firstDifference renders the first line at which two reports differ.
 func firstDifference(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")

@@ -28,7 +28,9 @@ type RunResult struct {
 	PerIteration float64
 	// Checksum is the sum of all grid cells after the final sweep; identical
 	// configurations must produce identical checksums across
-	// implementations (up to floating-point summation order).
+	// implementations (up to floating-point summation order). A synthetic
+	// run sweeps nothing and reports the initial condition's sum, computed
+	// once per decomposition.
 	Checksum float64
 }
 
@@ -44,7 +46,8 @@ func opposite(dir int) int { return dir ^ 1 }
 // overlap window), and the shadow regions are completed afterwards.
 // overlapFraction = 1 is the implementation of Section 8.3.1; smaller values
 // shrink the overlap window and are used by the Section 8.6 adaptation study.
-// A synthetic run prices Static on the direct engine, touching no cell.
+// A synthetic run prices Static on the direct engine, touching no cell; its
+// checksums are the decomposition's initialChecksums.
 func RunBSP(m *platform.Machine, cfg Config, overlapFraction float64) (*RunResult, error) {
 	if m == nil {
 		return nil, errors.New("stencil: nil machine")
@@ -54,15 +57,16 @@ func RunBSP(m *platform.Machine, cfg Config, overlapFraction float64) (*RunResul
 	if err != nil {
 		return nil, err
 	}
-	checksums := make([]float64, p)
-	var res *simnet.Result
+	var (
+		checksums []float64
+		res       *simnet.Result
+	)
 	if cfg.Synthetic {
 		d, _ := Decompose(cfg.N, p) // Static accepted it
-		for rank := range checksums {
-			checksums[rank] = initialChecksum(d, rank)
-		}
+		checksums = initialChecksums(d)
 		res, err = bsp.RunStatic(context.Background(), m, nil, sp, simnet.DefaultOptions())
 	} else {
+		checksums = make([]float64, p)
 		body, _ := BSPProgram(p, cfg, overlapFraction, checksums) // Static's checks
 		res, err = bsp.Run(m, body)
 	}
@@ -141,7 +145,8 @@ func Static(procs int, cfg Config, overlapFraction float64) (*bsp.Static, error)
 // fault plans, trace recorders) can execute it through their own session
 // instead of the bare bsp.Run wrapper RunBSP uses. A synthetic body is
 // Static's replay and builds no grid. checksums, when non-nil, must have
-// procs entries and receives each rank's final grid checksum.
+// procs entries and receives each rank's final grid checksum; a synthetic
+// program looks the decomposition's initialChecksums up once, when built.
 func BSPProgram(procs int, cfg Config, overlapFraction float64, checksums []float64) (bsp.Program, error) {
 	sp, err := Static(procs, cfg, overlapFraction)
 	if err != nil {
@@ -151,17 +156,21 @@ func BSPProgram(procs int, cfg Config, overlapFraction float64, checksums []floa
 		return nil, fmt.Errorf("stencil: checksum slice has %d entries, want %d", len(checksums), procs)
 	}
 	d, _ := Decompose(cfg.N, procs) // Static accepted it
-	replay := sp.Program()
+	if cfg.Synthetic {
+		replay := sp.Program()
+		if checksums == nil {
+			return replay, nil
+		}
+		sums := initialChecksums(d)
+		return func(ctx *bsp.Ctx) error {
+			checksums[ctx.Pid()] = sums[ctx.Pid()]
+			return replay(ctx)
+		}, nil
+	}
 	return func(ctx *bsp.Ctx) error {
 		rank := ctx.Pid()
-		if cfg.Synthetic {
-			if checksums != nil {
-				checksums[rank] = initialChecksum(d, rank)
-			}
-			return replay(ctx)
-		}
 		h := haloOf(d, rank, overlapFraction)
-		grid := newLocalGrid(d, rank, false)
+		grid := newLocalGrid(d, rank)
 		ghosts := make([][]float64, numDirs) // one landing buffer per direction
 		for dir := range ghosts {
 			ghosts[dir] = make([]float64, h.edge[dir])
@@ -199,8 +208,7 @@ func BSPProgram(procs int, cfg Config, overlapFraction float64, checksums []floa
 					grid.setGhost(dir, ghosts[dir])
 				}
 			}
-			grid.sweepAll(d, rank, cfg)
-			grid.swap()
+			grid.sweep(d, rank, cfg.C)
 		}
 		if checksums != nil {
 			checksums[rank] = grid.checksum()

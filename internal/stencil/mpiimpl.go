@@ -20,7 +20,9 @@ const tagHalo = 1 << 12
 // Section 8.3.2) or the ghost-independent interior is computed between
 // posting and completing the exchange (restructured = true, the "MPI+R"
 // variant of Table 8.2). computeSpeedup scales the per-rank computation rate
-// and models ideal intra-node threading in the hybrid implementation.
+// and models ideal intra-node threading in the hybrid implementation. A
+// synthetic run builds no grid: its sends carry the edge sizes and no
+// payload, and its checksums are the decomposition's initialChecksums.
 func runMessagePassing(m *platform.Machine, cfg Config, restructured bool, computeSpeedup float64, name string) (*RunResult, error) {
 	if m == nil {
 		return nil, errors.New("stencil: nil machine")
@@ -35,12 +37,20 @@ func runMessagePassing(m *platform.Machine, cfg Config, restructured bool, compu
 	if err != nil {
 		return nil, err
 	}
-	checksums := make([]float64, m.Procs())
+	var checksums []float64
+	if cfg.Synthetic {
+		checksums = initialChecksums(d)
+	} else {
+		checksums = make([]float64, m.Procs())
+	}
 
 	res, err := mpi.Run(m, func(c *mpi.Comm) error {
 		rank := c.Rank()
-		grid := newLocalGrid(d, rank, cfg.Synthetic)
 		h := haloOf(d, rank, 0)
+		var grid *localGrid // a synthetic run has none: its edges are sizes
+		if !cfg.Synthetic {
+			grid = newLocalGrid(d, rank)
+		}
 
 		compute := func(k kernels.Kernel, cells int) {
 			if cells <= 0 {
@@ -61,10 +71,13 @@ func runMessagePassing(m *platform.Machine, cfg Config, restructured bool, compu
 				if nb < 0 {
 					continue
 				}
-				edge := grid.edge(dir)
+				var edge any
+				if grid != nil {
+					edge = grid.edge(dir)
+				}
 				// The neighbour receives this edge as its ghost on the
 				// opposite side, so it is tagged with that direction.
-				reqs = append(reqs, c.Isend(nb, tagHalo+opposite(dir), 8*len(edge), edge))
+				reqs = append(reqs, c.Isend(nb, tagHalo+opposite(dir), 8*h.edge[dir], edge))
 			}
 			compute(kernels.Copy, h.exchanged)
 			if restructured {
@@ -72,6 +85,15 @@ func runMessagePassing(m *platform.Machine, cfg Config, restructured bool, compu
 			}
 
 			payloads := c.WaitAll(reqs)
+			compute(kernels.Copy, h.exchanged)
+			if restructured {
+				compute(kernels.Stencil5, h.shadow)
+			} else {
+				compute(kernels.Stencil5, h.deep+h.shadow)
+			}
+			if grid == nil {
+				continue
+			}
 			idx := 0
 			for dir, nb := range h.neigh {
 				if nb < 0 {
@@ -82,18 +104,13 @@ func runMessagePassing(m *platform.Machine, cfg Config, restructured bool, compu
 				}
 				idx++
 			}
-			compute(kernels.Copy, h.exchanged)
-			if restructured {
-				compute(kernels.Stencil5, h.shadow)
-			} else {
-				compute(kernels.Stencil5, h.deep+h.shadow)
-			}
 			// The deep interior reads no ghost: sweeping it here with the rest
 			// changes no value.
-			grid.sweepAll(d, rank, cfg)
-			grid.swap()
+			grid.sweep(d, rank, cfg.C)
 		}
-		checksums[rank] = grid.checksum()
+		if grid != nil {
+			checksums[rank] = grid.checksum()
+		}
 		return nil
 	})
 	if err != nil {

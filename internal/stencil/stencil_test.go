@@ -2,7 +2,6 @@ package stencil
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -382,7 +381,7 @@ func TestLocalGridMatchesInitialValue(t *testing.T) {
 			t.Fatal(err)
 		}
 		for rank := 0; rank < d.Procs(); rank++ {
-			g := newLocalGrid(d, rank, false)
+			g := newLocalGrid(d, rank)
 			gr, gc := d.GlobalOrigin(rank)
 			for r := -1; r <= g.rows; r++ {
 				for c := -1; c <= g.cols; c++ {
@@ -402,17 +401,13 @@ func TestLocalGridMatchesInitialValue(t *testing.T) {
 			if &g.next[0] == &g.cur[0] {
 				t.Fatalf("n=%d p=%d rank %d: a sweeping run's buffers alias", tc.n, tc.p, rank)
 			}
-			syn := newLocalGrid(d, rank, true)
-			if &syn.next[0] != &syn.cur[0] || !slices.Equal(syn.cur, g.cur) {
-				t.Fatalf("n=%d p=%d rank %d: synthetic grid is not the one initial buffer under both names", tc.n, tc.p, rank)
-			}
 		}
 	}
 }
 
-// TestSyntheticRunKeepsInitialChecksum runs the synthetic variants on their
-// single buffer: no cell is ever updated, so after any number of iterations
-// and buffer swaps the checksum is the initial condition's, rank by rank.
+// TestSyntheticRunKeepsInitialChecksum runs the synthetic variants, which
+// update no cell: after any number of iterations the checksum is the initial
+// condition's, rank by rank.
 func TestSyntheticRunKeepsInitialChecksum(t *testing.T) {
 	const n, p = 48, 6
 	m, err := platform.Xeon8x2x4().Machine(p)
@@ -425,7 +420,7 @@ func TestSyntheticRunKeepsInitialChecksum(t *testing.T) {
 	}
 	want := 0.0
 	for rank := 0; rank < p; rank++ {
-		want += newLocalGrid(d, rank, false).checksum()
+		want += newLocalGrid(d, rank).checksum()
 	}
 	cfg := Config{N: n, Iterations: 3, C: 0.2, Synthetic: true}
 	bspRes, err := RunBSP(m, cfg, 0.5)
