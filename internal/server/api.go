@@ -49,14 +49,16 @@ type ProfileSpec struct {
 	Custom *CustomProfile `json:"custom,omitempty"`
 	// Matrices uploads raw pairwise parameter matrices; the rank count is
 	// fixed by the matrix dimension. Matrix machines carry no kernel-rate
-	// model, so the sync and stencil workloads reject them.
+	// model and no distance classes: a sync or stencil point on one is
+	// refused as invalid_machine, a class-matched fault rule as
+	// invalid_fault, on either engine, before evaluation.
 	Matrices *MatrixProfile `json:"matrices,omitempty"`
 }
 
 // CustomProfile is an uploaded platform description. It builds a
 // cluster.Profile — core design resolved from a named preset core or an
 // inline spec — and is validated through Profile.Validate, so structural
-// errors surface exactly like a broken preset would at hbsp.New.
+// errors surface as invalid_machine, exactly like a broken preset's.
 type CustomProfile struct {
 	Name     string       `json:"name"`
 	Topology TopologySpec `json:"topology"`
@@ -179,9 +181,13 @@ type OpSpec struct {
 
 // OptionsSpec tunes evaluation and response shape.
 type OptionsSpec struct {
-	// AckSends mirrors hbsp.WithAckSends (default true).
+	// AckSends completes a send only once its acknowledgement has returned
+	// from the destination (default true).
 	AckSends *bool `json:"ackSends,omitempty"`
-	// Engine is "auto" (default) or "concurrent".
+	// Engine is "auto" (default) or "concurrent". Under "auto" a point is
+	// priced without a goroutine per rank; "concurrent" runs every kind on
+	// rank goroutines (mpi.RunContext, bsp.RunContext, or sched.RunProgram
+	// handing the op-streams to them) — the same bytes, more time and memory.
 	Engine string `json:"engine,omitempty"`
 	// Collapse is "auto" (default) or "off".
 	Collapse string `json:"collapse,omitempty"`

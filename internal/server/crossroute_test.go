@@ -12,14 +12,19 @@ import (
 	"testing"
 	"time"
 
+	"hbsp"
+	"hbsp/collective"
 	"hbsp/fault"
+	"hbsp/mpi"
+	"hbsp/sim"
 	"hbsp/trace"
 )
 
-// The direct routes are licensed by equivalence, not by argument: every point
-// they serve must render to the bytes the session renders for it. The session
-// is reached here by calling evaluateSession from the test — there is no
-// production switch that sends a routed point back to it.
+// The routes call the library directly; they are licensed by equivalence, not
+// by argument: every point must render to the bytes the public hbsp.Session
+// renders for it (sessionRun), a reference that shares none of the server's
+// route code — only its cached schedules and the kinds' static descriptions,
+// which the library's own tests hold to the collectives and the real bodies.
 
 // prepare resolves a single-point request as evalPoint does, up to the cache.
 func prepare(s *Server, req *PredictRequest) (rp *resolvedProfile, w WorkloadSpec, pt point, seed int64, err error) {
@@ -60,10 +65,105 @@ func replyOf(body []byte, err error) reply {
 
 func (r reply) equal(o reply) bool { return r.status == o.status && bytes.Equal(r.body, o.body) }
 
-// sessionReply renders the point through evaluateSession, whatever its route,
-// and returns the session's recording with it (nil untraced, or failed).
+// code is the error code of a failed reply, "" for a successful one.
+func (r reply) code() string {
+	var e apiError
+	if r.status == http.StatusOK || json.Unmarshal(r.body, &e) != nil {
+		return ""
+	}
+	return e.Err.Code
+}
+
+// sessionRun evaluates a prepared point through the public facade: hbsp.New
+// with the request's options as With* options, then RunMPI, RunBSP or
+// RunProgram by kind. It returns the session's recording with the result (nil
+// untraced).
+func sessionRun(s *Server, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64) (*sim.Result, *trace.Recorder, error) {
+	var opts []hbsp.Option
+	if rp.cluster != nil {
+		opts = append(opts, hbsp.WithSeed(seed))
+	}
+	if req.Options.AckSends != nil {
+		opts = append(opts, hbsp.WithAckSends(*req.Options.AckSends))
+	}
+	if req.Options.Engine == "concurrent" {
+		opts = append(opts, hbsp.WithConcurrentEngine())
+	}
+	if req.Options.Collapse == "off" {
+		opts = append(opts, hbsp.WithSymmetryCollapse(false))
+	}
+	if !req.Faults.Empty() {
+		opts = append(opts, hbsp.WithFaults(req.Faults))
+	}
+	var rec *trace.Recorder
+	if req.Options.Trace {
+		rec = trace.NewRecorder()
+		rec.SetLabel(fmt.Sprintf("%s, P=%d", w.Kind, pt.procs))
+		opts = append(opts, hbsp.WithRecorder(rec))
+	}
+	if w.Kind == "sync" && w.Variant == "schedule" {
+		sch, err := collective.StreamDissemination(pt.procs)
+		if err != nil {
+			return nil, nil, err
+		}
+		opts = append(opts, hbsp.WithScheduleSynchronizer(sch))
+	}
+	sess, err := hbsp.New(rp.machine, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx := context.Background()
+	var res *sim.Result
+	switch w.Kind {
+	case "sync", "stencil":
+		sp, serr := kindOf(w.Kind).static(w, pt.procs)
+		if serr != nil {
+			return nil, nil, serr
+		}
+		res, err = sess.RunBSP(ctx, sp.Program())
+	case "program":
+		res, err = sess.RunProgram(ctx, buildProgram(w.Ranks))
+	default:
+		sch, serr := s.schedule(w, pt.procs)
+		if serr != nil {
+			return nil, nil, serr
+		}
+		p := pt.procs
+		res, err = sess.RunMPI(ctx, func(c *mpi.Comm) error {
+			var err error
+			switch w.Kind {
+			case "barrier":
+				err = c.BarrierSchedule(sch)
+			case "broadcast":
+				_, err = c.BcastSchedule(sch, w.Root, float64(c.Rank()))
+			case "reduce":
+				_, err = c.ReduceSchedule(sch, w.Root, float64(c.Rank()), mpi.OpSum)
+			case "allreduce":
+				_, err = c.AllreduceSchedule(sch, float64(c.Rank()), mpi.OpSum)
+			case "allgather":
+				_, err = c.AllgatherSchedule(sch, float64(c.Rank()))
+			case "totalexchange":
+				blocks := make([]any, p)
+				for i := range blocks {
+					blocks[i] = float64(c.Rank()*p + i)
+				}
+				_, err = c.TotalExchangeSchedule(sch, blocks)
+			default:
+				err = fmt.Errorf("no session body for %q", w.Kind)
+			}
+			return err
+		})
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, rec, nil
+}
+
+// sessionReply renders the point through sessionRun and returns the
+// session's recording with it (nil untraced, or failed).
 func sessionReply(s *Server, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64) (reply, *trace.Recorder) {
-	res, rec, err := s.evaluateSession(context.Background(), req, rp, w, pt, seed, time.Time{})
+	res, rec, err := sessionRun(s, req, rp, w, pt, seed)
 	if err != nil {
 		return replyOf(nil, err), nil
 	}
@@ -85,10 +185,9 @@ func spill(t *testing.T, rec *trace.Recorder) []byte {
 	return buf.Bytes()
 }
 
-// routedReply renders the point as production does.
-func routedReply(s *Server, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64) reply {
-	return replyOf(s.evaluate(context.Background(), req, rp, w, pt, seed, time.Time{}))
-}
+// admitted is evalPoint's admission for a point evaluated outside the
+// handler: no limiter.
+func admitted(context.Context) (func(), error) { return func() {}, nil }
 
 // literal prints a request so that it can be pasted into curl -d.
 func literal(req *PredictRequest) string {
@@ -122,28 +221,43 @@ func crossProfiles(t *testing.T, p int) []ProfileSpec {
 
 // crossPlans are the fault plans of the grid, one per rule kind; the class
 // rule goes to machines that have distance classes, the rank-pair rule to the
-// upload.
+// upload — and the class rule to the upload too, which refuses it.
 func crossPlans(r *rand.Rand, p int, upload bool) []*fault.Plan {
-	link := fault.LinkRule{Src: -1, Dst: -1, Class: 2, LatencyFactor: 3, BetaFactor: 2}
+	class := fault.LinkRule{Src: -1, Dst: -1, Class: 2, LatencyFactor: 3, BetaFactor: 2}
+	link := class
 	if upload {
 		link = fault.LinkRule{Src: r.Intn(p), Dst: -1, Class: -1, LatencyFactor: 3, BetaFactor: 2, End: 4e-4}
 	}
-	return []*fault.Plan{
+	plans := []*fault.Plan{
 		nil,
 		{Seed: r.Int63n(100), Slowdowns: []fault.Slowdown{{Rank: r.Intn(p), Factor: 1.5, Jitter: 0.25}}},
 		{Links: []fault.LinkRule{link}},
 		{FailStops: []fault.FailStop{{Rank: r.Intn(p), FailAt: 2e-5, Restart: 1e-4, Checkpoint: 1.5e-5}}},
 	}
+	if upload {
+		plans = append(plans, &fault.Plan{Links: []fault.LinkRule{class}})
+	}
+	return plans
 }
 
-// crossWorkloads are the routed workloads: every collective the server builds
-// a schedule for, both sync variants and the stencil, operands drawn per case
-// — the stencil's grid from the smallest P=33 and 64 accept (blocks of one
-// row, no deep interior) to blocks with a deep interior at every P.
+// crossWorkloads are the workloads of the grid: every collective the server
+// builds a schedule for, both sync variants, the stencil and a ring program,
+// operands drawn per case — the stencil's grid from the smallest P=33 and 64
+// accept (blocks of one row, no deep interior) to blocks with a deep interior
+// at every P.
 func crossWorkloads(r *rand.Rand, p int) []WorkloadSpec {
 	bytesOf := func() int { return []int{0, 64, 1024}[r.Intn(3)] }
 	sync := func(variant string) WorkloadSpec {
 		return WorkloadSpec{Kind: "sync", Variant: variant, Supersteps: 1 + r.Intn(5), ComputeSeconds: []float64{0, 2e-6}[r.Intn(2)]}
+	}
+	ring, seconds, size := make([][]OpSpec, p), []float64{0, 1e-6}[r.Intn(2)], bytesOf()
+	for i := range ring {
+		ring[i] = []OpSpec{
+			{Op: "compute", Seconds: seconds * float64(1+i%3)},
+			{Op: "irecv", From: (i + p - 1) % p, Tag: 7},
+			{Op: "isend", To: (i + 1) % p, Tag: 7, Bytes: size},
+			{Op: "wait", Req: 1}, {Op: "wait", Req: 0},
+		}
 	}
 	return []WorkloadSpec{
 		{Kind: "barrier"}, {Kind: "barrier", Variant: "tree"}, {Kind: "barrier", Variant: "linear"},
@@ -151,24 +265,30 @@ func crossWorkloads(r *rand.Rand, p int) []WorkloadSpec {
 		{Kind: "allreduce", Bytes: bytesOf()}, {Kind: "allgather", Bytes: bytesOf()}, {Kind: "totalexchange", Bytes: bytesOf()},
 		sync(""), sync("schedule"),
 		{Kind: "stencil", Grid: 11 + r.Intn(60), Iterations: 1 + r.Intn(3)},
+		{Kind: "program", Ranks: ring},
 	}
 }
 
 // TestCrossRouteEquivalence generates a seeded grid — 8 collective schedules,
-// both sync variants and the stencil × P ∈ {2, 3, 16, 33, 64} × four machines × untraced /
-// critical path / rollup × four fault plans, with acks, collapse, perRank,
-// the run seed and the workload operands drawn per case — and requires of
-// every point that the route production takes and the session render the same
-// status and the same bytes, and of every traced one the same recording, event
-// for event. One server serves every case, and sched's evaluator pool hands
-// each point an arena an earlier one gave back, so traced and untraced points
-// and machines of every kind follow each other on recycled arenas. -short
-// walks every sixth case.
+// both sync variants, the stencil and a ring program × P ∈ {2, 3, 16, 33, 64}
+// × four machines × untraced / critical path / rollup × four fault plans (five
+// on the upload), with the engine, acks, collapse, perRank, the run seed and
+// the workload operands drawn per case — and requires of every point that
+// evalPoint and the public session (sessionRun) reply with the same status
+// and the same bytes, of every traced one the same recording, event for
+// event, and of the two refusals before evaluation (sync and stencil on the
+// upload, a class-matched rule on the upload) the same error code: the
+// session words them in its own terms. Every evaluated case is counted under
+// the route its kind and engine name, and nothing else is. One server serves
+// every case, and sched's evaluator pool hands each point an arena an earlier
+// one gave back, so traced and untraced points and machines of every kind
+// follow each other on recycled arenas. -short walks every sixth case.
 func TestCrossRouteEquivalence(t *testing.T) {
 	s, ctx := New(Config{}), context.Background()
 	r := rand.New(rand.NewSource(22))
 	views := []OptionsSpec{{}, {Trace: true}, {Trace: true, TraceView: "rollup", TraceTopK: 3}}
-	cases, direct := 0, 0
+	cases, refused := 0, 0
+	var counted [numRoutes]int64 // evaluations by the route crossRoute names
 	for _, p := range []int{2, 3, 16, 33, 64} {
 		for pi, profile := range crossProfiles(t, p) {
 			upload := profile.Matrices != nil
@@ -181,6 +301,9 @@ func TestCrossRouteEquivalence(t *testing.T) {
 						if r.Intn(4) == 0 {
 							req.Options.Collapse = "off"
 						}
+						if r.Intn(6) == 0 {
+							req.Options.Engine = "concurrent"
+						}
 						if !upload {
 							req.Seed = &seed
 						}
@@ -192,30 +315,35 @@ func TestCrossRouteEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("request %s: %v", sent, err)
 						}
-						rt := routeOf(&req.Options, &w, rp)
-						if wantSession := (w.Kind == "sync" || w.Kind == "stencil") && upload; (rt == routeSession) != wantSession {
+						body, how, err := s.evalPoint(ctx, &req, pt, time.Time{}, admitted, nil)
+						got := replyOf(body, err)
+						want, sessionRec := sessionReply(s, &req, rp, &w, pt, seed)
+						if err != nil {
+							// Refused before evaluation, in the server's words.
+							if got.status != want.status || got.code() == "" || got.code() != want.code() {
+								t.Fatalf("evalPoint and the session disagree on\n%s\nserver  %d %s\nsession %d %s",
+									sent, got.status, got.body, want.status, want.body)
+							}
+							refused++
+							continue
+						}
+						if !got.equal(want) {
+							t.Fatalf("evalPoint and the session disagree on\n%s\nserver  %d %s\nsession %d %s",
+								sent, got.status, got.body, want.status, want.body)
+						}
+						rt := routeOf(&req.Options, kindOf(w.Kind))
+						if rt != crossRoute(&req.Options, w.Kind) {
 							t.Fatalf("request %s: route %d", sent, rt)
 						}
-						if rt != routeSession {
-							direct++
+						if how == "miss" {
+							counted[rt]++
 						}
-						got := routedReply(s, &req, rp, &w, pt, seed)
-						want, sessionRec := sessionReply(s, &req, rp, &w, pt, seed)
-						if !got.equal(want) {
-							t.Fatalf("route %d and the session disagree on\n%s\nroute   %d %s\nsession %d %s",
-								rt, sent, got.status, got.body, want.status, want.body)
+						if sessionRec == nil {
+							continue
 						}
 						// A traced point's recording, which evaluate keeps to
 						// itself: run the route's body once more for it.
-						var rec *trace.Recorder
-						switch {
-						case sessionRec == nil:
-							continue
-						case rt == routeSwept:
-							_, rec, err = s.evaluateSwept(ctx, &req, rp, &w, pt, seed, time.Time{})
-						case rt == routeDirectBSP:
-							_, rec, err = s.evaluateSync(ctx, &req, rp, &w, pt, seed, time.Time{})
-						}
+						_, rec, err := s.run(ctx, &req, rp, &w, pt, seed, time.Time{})
 						if err != nil {
 							t.Fatalf("request %s: %v", sent, err)
 						}
@@ -228,11 +356,30 @@ func TestCrossRouteEquivalence(t *testing.T) {
 		}
 	}
 	m := s.Metrics().Routes
-	t.Logf("%d cases, %d on a direct route; completed by route %+v", cases, direct, m)
-	if m.Swept == 0 || m.DirectBSP == 0 || m.Swept+m.DirectBSP != int64(direct) || m.Session != 0 {
-		t.Errorf("route counters %+v, want every one of the %d direct cases under swept or directBsp and none under session "+
-			"(the reference evaluations bypass evaluate)", m, direct)
+	t.Logf("%d cases, %d refused; completed by route %+v", cases, refused, m)
+	got := [numRoutes]int64{routeSwept: m.Swept, routeDirectBSP: m.DirectBSP, routeProgram: m.Program, routeConcurrent: m.Concurrent}
+	if got != counted || refused == 0 {
+		t.Errorf("route counters %+v, want %v by route (swept, directBsp, program, concurrent), and some refusals (%d)", m, counted, refused)
 	}
+	for r, n := range counted {
+		if n == 0 {
+			t.Errorf("no case took route %d", r)
+		}
+	}
+}
+
+// crossRoute is the route a point of the kind takes under the options, as the
+// README's route table lists it.
+func crossRoute(o *OptionsSpec, kind string) route {
+	switch {
+	case o.Engine == "concurrent":
+		return routeConcurrent
+	case kind == "sync" || kind == "stencil":
+		return routeDirectBSP
+	case kind == "program":
+		return routeProgram
+	}
+	return routeSwept
 }
 
 // TestRoutedRequestsScaleLinearly holds the rows of the ROADMAP's "one small
@@ -337,7 +484,7 @@ func TestSharedConcurrentTracedRequests(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if m := s.Metrics(); m.Routes.Swept+m.Routes.DirectBSP != int64(len(all)) || m.Routes.Session != 0 {
+	if m := s.Metrics(); m.Routes.Swept+m.Routes.DirectBSP != int64(len(all)) || m.Routes.Program+m.Routes.Concurrent != 0 {
 		t.Errorf("%d distinct points, completed by route %+v", len(all), m.Routes)
 	}
 }

@@ -93,8 +93,9 @@ func watchSweepDraws(t *testing.T, most int) *[]*platform.TurnDraws {
 // xeon-cluster renders the lines its points render one at a time, and
 // computes each of its 128 × 14 draws once (7 stages, two draws a send: its
 // overhead and its flight): the other 63 points reuse them. A procs sweep's
-// larger P extends the rows of the smaller. A noise-free machine, an upload
-// or the session route makes no memo, and one bounded below a sweep's draws
+// larger P extends the rows of the smaller. A program's scale sweep reads
+// through a memo too. A noise-free machine, an upload or engine "concurrent"
+// makes no memo, and one bounded below a sweep's draws
 // stores no more than its bound, allocates no more than it (TotalAlloc) and
 // changes no line.
 func TestSweepDrawsEachValueOnce(t *testing.T) {
@@ -138,17 +139,35 @@ func TestSweepDrawsEachValueOnce(t *testing.T) {
 		t.Errorf("procs sweep draws %+v, want %d computed and %d reused", m, perPoint, 64*12)
 	}
 
-	// No memo: a noise-free machine, an upload, the session route.
+	// A program on its compiled evaluator takes turns like any other point.
+	ring := make([][]OpSpec, 16)
+	for i := range ring {
+		ring[i] = []OpSpec{{Op: "compute", Seconds: 1e-6}, {Op: "isend", To: (i + 1) % 16, Bytes: 64},
+			{Op: "irecv", From: (i + 15) % 16}, {Op: "wait"}, {Op: "wait", Req: 1}}
+	}
+	program := allreduce
+	program.Workload = WorkloadSpec{Kind: "program", Ranks: ring}
+	program.Procs = 16
+	program.Sweep = &SweepSpec{Scale: scales[:3]}
+	s = New(Config{})
+	if got, want := serve(t, s, mustBody(t, &program)), pointByPoint(t, program); !bytes.Equal(got, want) {
+		t.Fatalf("the program sweep's lines differ from its points one at a time:\n%s\n%s", got, want)
+	}
+	if m := s.Metrics().SweepDraws; m.Computed == 0 || m.Reused != 2*m.Computed {
+		t.Errorf("program sweep draws %+v, want its first point's draws reused by the other two", m)
+	}
+
+	// No memo: a noise-free machine, an upload, engine "concurrent".
 	flat := allreduce
 	flat.Profile = ProfileSpec{Preset: "flat-cluster"}
 	flat.Sweep = &SweepSpec{Bytes: []int{64, 256}}
 	upload := PredictRequest{Profile: ProfileSpec{Matrices: asymmetricUpload(t, 9)}, Workload: WorkloadSpec{Kind: "allreduce"},
 		Procs: 9, Sweep: &SweepSpec{Bytes: []int{64, 256}}}
-	session := flat
-	session.Profile = allreduce.Profile
-	session.Procs = 16
-	session.Options.Engine = "concurrent"
-	for _, req := range []PredictRequest{flat, upload, session} {
+	concurrent := flat
+	concurrent.Profile = allreduce.Profile
+	concurrent.Procs = 16
+	concurrent.Options.Engine = "concurrent"
+	for _, req := range []PredictRequest{flat, upload, concurrent} {
 		before := len(*made)
 		s = New(Config{})
 		serve(t, s, mustBody(t, &req))

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -11,6 +10,9 @@ import (
 	"hbsp"
 	"hbsp/fault"
 	"hbsp/internal/bsp"
+	"hbsp/internal/mpi"
+	"hbsp/internal/sched"
+	"hbsp/internal/simnet"
 	"hbsp/sim"
 	"hbsp/trace"
 )
@@ -160,13 +162,12 @@ func pointKey(profileFP string, plan *fault.Plan, w *WorkloadSpec, pt point, see
 // a single point.
 func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, deadline time.Time, admit func(context.Context) (func(), error), draws *sweepDraws) ([]byte, string, error) {
 	w := req.Workload // copy: normalization and byte overrides are per-point
+	k := kindOf(w.Kind)
 	if pt.bytes != 0 {
-		switch w.Kind {
-		case "broadcast", "reduce", "allreduce", "allgather", "totalexchange":
-			w.Bytes = pt.bytes
-		default:
+		if k == nil || k.fields&fieldBytes == 0 {
 			return nil, "", badRequestf("sweep.bytes applies to the data collectives, not %q", w.Kind)
 		}
+		w.Bytes = pt.bytes
 	}
 	if err := normalizeWorkload(&w, pt.procs); err != nil {
 		return nil, "", err
@@ -184,12 +185,20 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 	if rp.cluster == nil && req.Seed != nil {
 		return nil, "", badRequestf("seed applies to profile-backed machines; uploaded matrices carry no noise model")
 	}
-
 	key := pointKey(rp.fingerprint, req.Faults, &w, pt, seed, &req.Options)
 	s.m.points.Add(1)
 	if body, ok := s.results.Get(key); ok {
 		s.m.cacheHits.Add(1)
 		return body.([]byte), "hit", nil
+	}
+	// What the machine cannot run is refused before the flight, in one
+	// wording for every route: a fault plan it cannot host (compiled as the
+	// run would compile it), then a static row on an upload.
+	if _, err := simnet.CompileFaults(req.Faults, rp.machine); err != nil {
+		return nil, "", fmt.Errorf("hbsp: %w", err)
+	}
+	if rp.cluster == nil && k.static != nil {
+		return nil, "", fmt.Errorf("%w: the %s workload needs a kernel-rate model, which uploaded matrices do not carry", hbsp.ErrInvalidMachine, w.Kind)
 	}
 
 	body, shared, err := s.flights.Do(key, func() ([]byte, error) {
@@ -203,7 +212,7 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 		}
 		defer release()
 		start := time.Now()
-		body, err := s.evaluate(ctx, req, draws.of(&req.Options, &w, rp, seed), &w, pt, seed, deadline)
+		body, err := s.evaluate(ctx, req, draws.of(&req.Options, rp, seed), &w, pt, seed, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -229,30 +238,29 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 type route int
 
 const (
-	routeSwept     route = iota // a sched.SweepEvaluator per point, no rank goroutines
-	routeDirectBSP              // bsp.RunStatic, no goroutines
-	routeSession                // an hbsp.Session
+	routeSwept      route = iota // a schedule row: a sched.SweepEvaluator per point, no rank goroutines
+	routeDirectBSP               // a static row: bsp.RunStatic, no goroutines
+	routeProgram                 // the program row: sched.RunProgram's compiled evaluator
+	routeConcurrent              // engine "concurrent": any row on rank goroutines
 	numRoutes
 )
 
-// routeOf is the route decision, in precedence order. What the direct
-// evaluator can price from a static description alone it prices — the
-// collectives as one execution of their schedule, the sync workload and the
-// stencil as supersteps around their count exchange (bsp.Static) — traced or
-// not, with or without faults. The session keeps engine "concurrent", which
-// asks for the message-by-message walk; the program workload, which it hands
-// to sched.RunProgram without spawning a rank; and sync and stencil on an
-// uploaded machine, which it refuses (no kernel-rate model).
-func routeOf(o *OptionsSpec, w *WorkloadSpec, rp *resolvedProfile) route {
+// routeOf is the route decision. Engine "concurrent" asks for the
+// message-by-message walk on rank goroutines, whatever the kind; otherwise a
+// point takes its kind's shape: a schedule row is priced as one execution of
+// its schedule, a static row as supersteps around their count exchange
+// (bsp.Static), the program row compiled — traced or not, with or without
+// faults.
+func routeOf(o *OptionsSpec, k *kind) route {
 	switch {
-	case o.Engine != "auto":
-		return routeSession
-	case scheduleKind(w.Kind):
+	case o.Engine == "concurrent":
+		return routeConcurrent
+	case k.comm != nil:
 		return routeSwept
-	case (w.Kind == "sync" || w.Kind == "stencil") && rp.cluster != nil:
+	case k.static != nil:
 		return routeDirectBSP
 	}
-	return routeSession
+	return routeProgram
 }
 
 // evaluate runs one cache-missed point on the route routeOf picks and renders
@@ -271,25 +279,60 @@ func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolved
 			body, err = nil, fmt.Errorf("server: evaluation panicked: %v", r)
 		}
 	}()
-	var res *sim.Result
-	var rec *trace.Recorder
-	r := routeOf(&req.Options, w, rp)
-	switch r {
-	case routeSwept:
-		res, rec, err = s.evaluateSwept(ctx, req, rp, w, pt, seed, deadline)
-	case routeDirectBSP:
-		res, rec, err = s.evaluateSync(ctx, req, rp, w, pt, seed, deadline)
-	default:
-		res, rec, err = s.evaluateSession(ctx, req, rp, w, pt, seed, deadline)
-	}
+	res, rec, err := s.run(ctx, req, rp, w, pt, seed, deadline)
 	if err != nil {
 		return nil, err
 	}
 	if body, err = s.renderPoint(req, rp, w, pt, seed, res, rec); err != nil {
 		return nil, err
 	}
-	s.m.routes[r].Add(1)
+	s.m.routes[routeOf(&req.Options, kindOf(w.Kind))].Add(1)
 	return body, nil
+}
+
+// run evaluates one normalized point by calling the library directly and
+// returns the run result and, for a traced point, the recorder holding its
+// trace. The shape's input is built first — a schedule is verified before
+// the budget left is read, so verification counts against it — then the one
+// set of run options (runOptions), which every body reads.
+func (s *Server) run(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, *trace.Recorder, error) {
+	k := kindOf(w.Kind)
+	var (
+		sch  sched.Schedule
+		sync bsp.Synchronizer
+		sp   *bsp.Static
+		err  error
+	)
+	switch {
+	case k.comm != nil:
+		sch, err = s.schedule(w, pt.procs)
+	case k.static != nil:
+		if sync, err = s.synchronizer(k, w, pt.procs); err == nil {
+			sp, err = k.static(w, pt.procs)
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	o, err := runOptions(req, w, pt, deadline)
+	if err != nil {
+		return nil, nil, err
+	}
+	concurrent := o.Engine == sim.EngineConcurrent
+	var res *sim.Result
+	switch {
+	case k.comm != nil && concurrent:
+		res, err = mpi.RunContext(ctx, rp.seeded(seed), func(c *mpi.Comm) error { return k.comm(c, sch, w.Root) }, o)
+	case k.comm != nil:
+		res, err = runSwept(ctx, rp.seeded(seed), sch, o)
+	case k.static != nil && concurrent:
+		res, err = bsp.RunContext(ctx, rp.seededCluster(seed), bsp.RunConfig{Sync: sync, Options: &o}, sp.Program())
+	case k.static != nil:
+		res, err = bsp.RunStatic(ctx, rp.seededCluster(seed), sync, sp, o)
+	default:
+		res, err = sched.RunProgram(ctx, rp.seeded(seed), buildProgram(w.Ranks), o)
+	}
+	return res, o.Recorder, err
 }
 
 // budgetLeft converts a request deadline into the wall-clock bound of the
@@ -306,108 +349,61 @@ func budgetLeft(deadline time.Time) (time.Duration, error) {
 	return left, nil
 }
 
-// newRecorder returns the labelled recorder of a traced point, nil (the
-// disabled recorder) for any other.
-func newRecorder(req *PredictRequest, w *WorkloadSpec, pt point) *trace.Recorder {
-	if !req.Options.Trace {
-		return nil
+// runSwept runs one execution of a verified schedule as one point on a
+// sched.SweepEvaluator of its own: the fault plan compiled against the
+// point's machine, the arena taken from and returned to sched's evaluator
+// pool, the deadline and recorder fixed at construction. Nothing is kept
+// between points, so points never wait on each other and no finished
+// request's trace or machine stays reachable.
+func runSwept(ctx context.Context, m sim.Machine, sch sched.Schedule, o sim.Options) (*sim.Result, error) {
+	sw, err := sched.NewSweepEvaluator(m, sched.SweepOptions{
+		AckSends:         o.AckSends,
+		SymmetryCollapse: o.SymmetryCollapse,
+		Faults:           o.Faults,
+		// The gate-inline collective paths this replaces bill nothing on
+		// stages where a rank has no edges, and tag stage s as the flood does,
+		// so a traced point records the events a run on ranks would.
+		ComputeEmpty: false,
+		TagBase:      mpi.FloodTagBase,
+		Recorder:     o.Recorder,
+		Deadline:     o.Deadline,
+	})
+	if err != nil {
+		return nil, err
 	}
-	rec := trace.NewRecorder()
-	rec.SetLabel(fmt.Sprintf("%s, P=%d", w.Kind, pt.procs))
-	return rec
+	defer sw.Release()
+	return sw.Run(ctx, nil, sch, 1)
 }
 
-// evaluateSession runs one point through the full session machinery — the
-// path every workload kind supports, and the reference the direct routes are
-// held to.
-func (s *Server) evaluateSession(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, *trace.Recorder, error) {
-	opts := []hbsp.Option{}
-	if rp.cluster != nil {
-		opts = append(opts, hbsp.WithSeed(seed))
-	}
-	if req.Options.AckSends != nil {
-		opts = append(opts, hbsp.WithAckSends(*req.Options.AckSends))
-	}
-	if req.Options.Engine == "concurrent" {
-		opts = append(opts, hbsp.WithConcurrentEngine())
-	}
-	if req.Options.Collapse == "off" {
-		opts = append(opts, hbsp.WithSymmetryCollapse(false))
-	}
-	if req.Faults != nil && !req.Faults.Empty() {
-		opts = append(opts, hbsp.WithFaults(req.Faults))
-	}
+// runOptions translates the request options — acks, engine, collapse mode,
+// fault plan — and the point's deadline and recorder (labelled, for a traced
+// point) into the simulator options of one evaluation.
+func runOptions(req *PredictRequest, w *WorkloadSpec, pt point, deadline time.Time) (sim.Options, error) {
+	o := sim.DefaultOptions()
 	left, err := budgetLeft(deadline)
 	if err != nil {
-		return nil, nil, err
+		return o, err
 	}
 	if left > 0 {
-		opts = append(opts, hbsp.WithDeadline(left))
+		o.Deadline = left
 	}
-	rec := newRecorder(req, w, pt)
-	if rec != nil {
-		opts = append(opts, hbsp.WithRecorder(rec))
-	}
-	sync, err := s.synchronizer(w, pt.procs)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts = append(opts, hbsp.WithSynchronizer(sync))
-
-	sess, err := hbsp.New(rp.machine, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := s.runWorkload(ctx, sess, w, pt.procs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, rec, nil
-}
-
-// runOptions translates the request options a direct route honours — acks,
-// collapse mode, fault plan — into simulator options; the deadline and the
-// recorder belong to one evaluation and are set by it.
-func runOptions(req *PredictRequest) sim.Options {
-	o := sim.DefaultOptions()
 	if req.Options.AckSends != nil {
 		o.AckSends = *req.Options.AckSends
+	}
+	if req.Options.Engine == "concurrent" {
+		o.Engine = sim.EngineConcurrent
 	}
 	if req.Options.Collapse == "off" {
 		o.SymmetryCollapse = sim.CollapseOff
 	}
-	if req.Faults != nil && !req.Faults.Empty() {
+	if !req.Faults.Empty() {
 		o.Faults = req.Faults
 	}
-	return o
-}
-
-// evaluateSync prices one sync or stencil point from its static description
-// (staticWorkload) on the direct engine: no session, no rank goroutines, no
-// grid, memory linear in procs.
-func (s *Server) evaluateSync(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, *trace.Recorder, error) {
-	o := runOptions(req)
-	left, err := budgetLeft(deadline)
-	if err != nil {
-		return nil, nil, err
+	if req.Options.Trace {
+		o.Recorder = trace.NewRecorder()
+		o.Recorder.SetLabel(fmt.Sprintf("%s, P=%d", w.Kind, pt.procs))
 	}
-	o.Deadline = left // 0: the evaluator's default
-	rec := newRecorder(req, w, pt)
-	o.Recorder = rec
-	sync, err := s.synchronizer(w, pt.procs)
-	if err != nil {
-		return nil, nil, err
-	}
-	sp, err := staticWorkload(w, pt.procs)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := bsp.RunStatic(ctx, rp.seededCluster(seed), sync, sp, o)
-	if errors.Is(err, hbsp.ErrInvalidFault) {
-		// A plan the machine rejects, worded as hbsp.WithFaults words it.
-		err = fmt.Errorf("hbsp: %w", err)
-	}
-	return res, rec, err
+	return o, nil
 }
 
 // renderPoint renders an evaluated point to its NDJSON line (JSON object
@@ -432,7 +428,7 @@ func (s *Server) renderPoint(req *PredictRequest, rp *resolvedProfile, w *Worklo
 			Reason:  res.Collapse.Reason,
 		},
 	}
-	if w.Kind == "stencil" {
+	if kindOf(w.Kind).fields&fieldGrid != 0 {
 		p.PerIteration = res.MakeSpan / float64(w.Iterations)
 	}
 	if !pt.scale.identity() {

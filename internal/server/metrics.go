@@ -86,12 +86,13 @@ type MetricsSnapshot struct {
 	PartitionsReused int64 `json:"partitionsReused"`
 
 	// Routes counts completed evaluations by the body that ran them (routeOf):
-	// a sweep evaluator, the direct BSP walk, or a session. They sum to
-	// evalNs.count.
+	// a sweep evaluator, the direct BSP walk, the compiled program, or rank
+	// goroutines under engine "concurrent". They sum to evalNs.count.
 	Routes struct {
-		Swept     int64 `json:"swept"`
-		DirectBSP int64 `json:"directBsp"`
-		Session   int64 `json:"session"`
+		Swept      int64 `json:"swept"`
+		DirectBSP  int64 `json:"directBsp"`
+		Program    int64 `json:"program"`
+		Concurrent int64 `json:"concurrent"`
 	} `json:"routes"`
 
 	// SweepDraws counts the noise draws of the memo a sweep of several points
@@ -134,7 +135,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Queued = m.queued.Load()
 	s.Routes.Swept = m.routes[routeSwept].Load()
 	s.Routes.DirectBSP = m.routes[routeDirectBSP].Load()
-	s.Routes.Session = m.routes[routeSession].Load()
+	s.Routes.Program = m.routes[routeProgram].Load()
+	s.Routes.Concurrent = m.routes[routeConcurrent].Load()
 	s.SweepDraws.Computed = m.drawsComputed.Load()
 	s.SweepDraws.Reused = m.drawsReused.Load()
 	s.Errors.InvalidRequest = m.errInvalidRequest.Load()

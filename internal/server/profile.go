@@ -64,21 +64,22 @@ var newSweepDraws = func(seed int64, ranks int) *platform.TurnDraws {
 // sweep runs under the request's one seed, and a rank's stream does not
 // depend on P, link scaling or payload, so a 64-point sweep would otherwise
 // draw each (rank, seq) 64 times. The memo is made at the first point the
-// request evaluates on the direct routes on a noisy profile-backed machine —
-// a sweep answered from the cache, on a noise-free or uploaded machine, or on
-// the session, makes none — is read through by that point and every later
-// one, and is dropped with the request; its counts reach /metrics once, when
-// the request ends. The request's goroutine alone calls of, its points
-// running one at a time: they take turns (platform.TurnDraws).
+// request evaluates on a noisy profile-backed machine — a sweep answered from
+// the cache, on a noise-free or uploaded machine, or under engine
+// "concurrent" (whose rank goroutines cannot take turns) makes none — is
+// read through by that point and every later one, and is dropped with the
+// request; its counts reach /metrics once, when the request ends. The
+// request's goroutine alone calls of, its points running one at a time: they
+// take turns (platform.TurnDraws).
 type sweepDraws struct {
 	ranks int // the sweep's largest procs
 	d     *platform.TurnDraws
 }
 
-// of returns rp as the point of workload w under options o and seed
-// evaluates on: rp itself, or a copy carrying the request's memo.
-func (sd *sweepDraws) of(o *OptionsSpec, w *WorkloadSpec, rp *resolvedProfile, seed int64) *resolvedProfile {
-	if sd == nil || rp.cluster == nil || rp.cluster.Profile().NoiseRel <= 0 || routeOf(o, w, rp) == routeSession {
+// of returns rp as a point under options o and seed evaluates on: rp itself,
+// or a copy carrying the request's memo.
+func (sd *sweepDraws) of(o *OptionsSpec, rp *resolvedProfile, seed int64) *resolvedProfile {
+	if sd == nil || rp.cluster == nil || rp.cluster.Profile().NoiseRel <= 0 || o.Engine == "concurrent" {
 		return rp
 	}
 	if sd.d == nil {
@@ -187,7 +188,7 @@ func presetNames() []string {
 
 // buildCustomProfile turns an uploaded CustomProfile into a validated
 // cluster.Profile. Validation errors wrap hbsp.ErrInvalidMachine — the same
-// sentinel a broken preset would surface at hbsp.New.
+// sentinel a broken preset surfaces.
 func buildCustomProfile(c *CustomProfile) (*cluster.Profile, error) {
 	name := c.Name
 	if name == "" {

@@ -214,7 +214,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The request budget maps onto both teardown paths: the context (so
-	// running evaluations abort) and the per-point session deadline (so the
+	// running evaluations abort) and the per-point run deadline (so the
 	// overrun is reported as ErrDeadline → 408 rather than a bare abort).
 	// The context gets a grace margin so the deadline classification wins.
 	ctx := r.Context()

@@ -157,15 +157,14 @@ func TestEnginesAgree(t *testing.T) {
 // HTTP status.
 func TestErrorShapes(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name   string
-		body   string
-		code   string
-		status int
-		// message, when set, is the exact error text: the sweep path must
-		// word a rejected plan as the session path (hbsp.WithFaults) does.
+	type errorCase struct {
+		name, body, code string
+		status           int
+		// message, when set, is the exact error text: every route words a
+		// refusal alike.
 		message string
-	}{
+	}
+	cases := []errorCase{
 		{
 			name:   "unknown preset",
 			body:   `{"profile":{"preset":"nope"},"workload":{"kind":"barrier"},"procs":8}`,
@@ -262,6 +261,29 @@ func TestErrorShapes(t *testing.T) {
 			code:   "invalid_request",
 			status: 400,
 		},
+	}
+	// What an uploaded machine cannot run is refused in one wording on
+	// either engine, naming no Go type.
+	const upload = `{"matrices":{"latency":[[0,1e-6],[1e-6,0]],"beta":[[0,1e-9],[1e-9,0]],"selfOverhead":1e-7}}`
+	for _, engine := range []string{"auto", "concurrent"} {
+		options := `"options":{"engine":"` + engine + `"}`
+		cases = append(cases, errorCase{
+			name: "class-matched link rule on an upload, engine " + engine,
+			body: `{"profile":` + upload + `,"workload":{"kind":"barrier"},"procs":2,` + options +
+				`,"faults":{"Links":[{"Src":-1,"Dst":-1,"Class":2,"LatencyFactor":3,"BetaFactor":2}]}}`,
+			code:    "invalid_fault",
+			status:  400,
+			message: "hbsp: invalid fault plan: link rule matches distance class 2 but the machine does not expose pair classes",
+		})
+		for _, kind := range []string{"sync", "stencil"} {
+			cases = append(cases, errorCase{
+				name:    kind + " on an upload, engine " + engine,
+				body:    `{"profile":` + upload + `,"workload":{"kind":"` + kind + `"},"procs":2,` + options + `}`,
+				code:    "invalid_machine",
+				status:  400,
+				message: "hbsp: invalid machine: the " + kind + " workload needs a kernel-rate model, which uploaded matrices do not carry",
+			})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -45,9 +45,9 @@ func TestSweepStopsAtFirstFailingPoint(t *testing.T) {
 // TestSweptMatchesSession pins the bit-identity contract of the swept route
 // at the server layer: for every eligible point — including fault plans,
 // non-default seeds, per-rank vectors and scaled profiles — the rendered
-// NDJSON bytes of evaluateSwept equal those of the session evaluation it
-// replaced, twice over, so the second evaluator runs on an arena the first
-// gave back.
+// NDJSON bytes of the swept body equal those of the public session
+// (sessionRun), twice over, so the second evaluator runs on an arena the
+// first gave back.
 func TestSweptMatchesSession(t *testing.T) {
 	s := New(Config{})
 	seed5 := int64(5)
@@ -116,11 +116,11 @@ func TestSweptMatchesSession(t *testing.T) {
 				if req.Seed != nil {
 					seed = *req.Seed
 				}
-				if routeOf(&req.Options, &w, rp) != routeSwept {
+				if routeOf(&req.Options, kindOf(w.Kind)) != routeSwept {
 					t.Fatalf("point unexpectedly not routed to the sweep path")
 				}
 
-				sres, rec, err := s.evaluateSession(ctx, &req, rp, &w, pt, seed, time.Time{})
+				sres, rec, err := sessionRun(s, &req, rp, &w, pt, seed)
 				if err != nil {
 					t.Fatalf("session evaluation: %v", err)
 				}
@@ -131,7 +131,7 @@ func TestSweptMatchesSession(t *testing.T) {
 
 				// Both swept evaluations must render to the session bytes.
 				for _, pass := range []string{"first", "second"} {
-					res, _, err := s.evaluateSwept(ctx, &req, rp, &w, pt, seed, time.Time{})
+					res, _, err := s.run(ctx, &req, rp, &w, pt, seed, time.Time{})
 					if err != nil {
 						t.Fatalf("%s swept evaluation: %v", pass, err)
 					}
@@ -150,7 +150,7 @@ func TestSweptMatchesSession(t *testing.T) {
 
 // TestUploadSweptMatchesSession is TestSweptMatchesSession for an uploaded
 // machine — asymmetric, ranks sharing NICs: every collective kind × acks on
-// and off × with and without a fault plan renders, through evaluateSwept
+// and off × with and without a fault plan renders, through the swept body
 // (twice, then once more after a point on a different upload), the bytes the
 // session renders. Over HTTP the route changes nothing a client or /metrics
 // can see: a miss, then a hit, one evaluation, byte-identical bodies.
@@ -188,11 +188,11 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if routeOf(&req.Options, &w, rp) != routeSwept {
+				if routeOf(&req.Options, kindOf(w.Kind)) != routeSwept {
 					t.Fatalf("%s: not routed to the sweep path", name)
 				}
 				pt := point{procs: p}
-				sres, rec, err := s.evaluateSession(ctx, &req, rp, &w, pt, 1, time.Time{})
+				sres, rec, err := sessionRun(s, &req, rp, &w, pt, 1)
 				if err != nil {
 					t.Fatalf("%s: session evaluation: %v", name, err)
 				}
@@ -206,11 +206,11 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, _, err := s.evaluateSwept(ctx, &req, orp, &w, pt, 1, time.Time{}); err != nil {
+						if _, _, err := s.run(ctx, &req, orp, &w, pt, 1, time.Time{}); err != nil {
 							t.Fatal(err)
 						}
 					}
-					res, _, err := s.evaluateSwept(ctx, &req, rp, &w, pt, 1, time.Time{})
+					res, _, err := s.run(ctx, &req, rp, &w, pt, 1, time.Time{})
 					if err != nil {
 						t.Fatalf("%s: %s swept evaluation: %v", name, pass, err)
 					}

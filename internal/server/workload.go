@@ -1,10 +1,9 @@
 package server
 
 import (
-	"context"
 	"fmt"
+	"strings"
 
-	"hbsp"
 	"hbsp/collective"
 	"hbsp/internal/barrier"
 	"hbsp/internal/bsp"
@@ -23,44 +22,182 @@ const (
 	defaultIterations     = 2
 )
 
+// field is a group of WorkloadSpec fields a kind fills defaults for and
+// checks; fields a kind does not name are neither filled nor checked.
+type field uint8
+
+const (
+	// fieldBytes: bytes, default 8, >= 0; the only field sweep.bytes
+	// overrides. A kind with bytes but without fieldRoot refuses a root.
+	fieldBytes field = 1 << iota
+	// fieldRoot: root in [0, procs).
+	fieldRoot
+	// fieldSupersteps: supersteps (default 3, >= 1) and computeSeconds
+	// (default 5e-6, >= 0), on at least 2 ranks.
+	fieldSupersteps
+	// fieldGrid: grid (default 128, >= 3) and iterations (default 2, >= 1),
+	// decomposable over procs; the reply carries perIteration.
+	fieldGrid
+	// fieldRanks: one valid op-stream per rank.
+	fieldRanks
+)
+
+// variant is one variant of a workload kind. A variant with a generator names
+// the schedule the server builds for it and the semantics that schedule is
+// verified against.
+type variant struct {
+	name string
+	gen  func(procs, root, bytes int) (sched.Schedule, error) // nil: no schedule
+	sem  collective.Semantics
+}
+
+// kind is one row of the workload-kind table, everything the server decides
+// per kind. A row has exactly one shape:
+//   - a schedule row (comm set) is one execution of its variant's verified
+//     schedule: priced on a sweep evaluator, or under engine "concurrent"
+//     comm called on every rank;
+//   - a static row (static set) is supersteps from one bsp.Static
+//     description, which needs a kernel-rate model (a profile-backed machine);
+//   - the program row (neither) is an op-stream per rank.
+type kind struct {
+	name     string
+	variants []variant // the default first; one unnamed entry for a kind without variants
+	fields   field
+	comm     func(c *mpi.Comm, sch sched.Schedule, root int) error
+	static   func(w *WorkloadSpec, procs int) (*bsp.Static, error)
+}
+
+// kinds is the workload-kind table, in the order WorkloadSpec documents.
+var kinds = []kind{
+	{name: "barrier", variants: []variant{
+		{"dissemination", dissemination, collective.SemBarrier},
+		{"tree", func(p, _, _ int) (sched.Schedule, error) { return collective.Tree(p) }, collective.SemBarrier},
+		{"linear", func(p, _, _ int) (sched.Schedule, error) { return collective.Linear(p, 0) }, collective.SemBarrier},
+	}, comm: func(c *mpi.Comm, sch sched.Schedule, _ int) error {
+		return c.BarrierSchedule(sch)
+	}},
+	{name: "broadcast", variants: []variant{{"", collective.StreamBroadcast, collective.SemBroadcast}},
+		fields: fieldBytes | fieldRoot, comm: func(c *mpi.Comm, sch sched.Schedule, root int) error {
+			_, err := c.BcastSchedule(sch, root, float64(c.Rank()))
+			return err
+		}},
+	{name: "reduce", variants: []variant{{"", collective.StreamReduce, collective.SemReduce}},
+		fields: fieldBytes | fieldRoot, comm: func(c *mpi.Comm, sch sched.Schedule, root int) error {
+			_, err := c.ReduceSchedule(sch, root, float64(c.Rank()), mpi.OpSum)
+			return err
+		}},
+	{name: "allreduce", variants: []variant{{"", rootless(collective.StreamAllReduce), collective.SemAllReduce}},
+		fields: fieldBytes, comm: func(c *mpi.Comm, sch sched.Schedule, _ int) error {
+			_, err := c.AllreduceSchedule(sch, float64(c.Rank()), mpi.OpSum)
+			return err
+		}},
+	{name: "allgather", variants: []variant{{"", rootless(collective.StreamAllGather), collective.SemAllGather}},
+		fields: fieldBytes, comm: func(c *mpi.Comm, sch sched.Schedule, _ int) error {
+			_, err := c.AllgatherSchedule(sch, float64(c.Rank()))
+			return err
+		}},
+	{name: "totalexchange", variants: []variant{{"", rootless(collective.StreamTotalExchange), collective.SemTotalExchange}},
+		fields: fieldBytes, comm: func(c *mpi.Comm, sch sched.Schedule, _ int) error {
+			blocks := make([]any, c.Size())
+			for i := range blocks {
+				blocks[i] = float64(c.Rank()*len(blocks) + i)
+			}
+			_, err := c.TotalExchangeSchedule(sch, blocks)
+			return err
+		}},
+	{name: "sync", variants: []variant{
+		{name: "dissemination"},
+		{"schedule", dissemination, collective.SemBarrier},
+	}, fields: fieldSupersteps, static: syncStatic},
+	{name: "stencil", variants: []variant{{}}, fields: fieldGrid, static: func(w *WorkloadSpec, procs int) (*bsp.Static, error) {
+		return stencil.Static(procs, stencil.Config{N: w.Grid, Iterations: w.Iterations, C: 0.25, Synthetic: true}, 1)
+	}},
+	{name: "program", variants: []variant{{}}, fields: fieldRanks},
+}
+
+// dissemination is the streamed dissemination schedule as a generator.
+func dissemination(p, _, _ int) (sched.Schedule, error) { return collective.StreamDissemination(p) }
+
+// rootless adapts a generator of an unrooted collective.
+func rootless(gen func(p, bytes int) (sched.Schedule, error)) func(p, root, bytes int) (sched.Schedule, error) {
+	return func(p, _, bytes int) (sched.Schedule, error) { return gen(p, bytes) }
+}
+
+// syncStatic is the reference BSP workload: per superstep, placement-skewed
+// compute (four classes) and one put around a ring whose stride grows by one
+// each superstep.
+func syncStatic(w *WorkloadSpec, _ int) (*bsp.Static, error) {
+	base, steps := w.ComputeSeconds, w.Supersteps
+	return &bsp.Static{
+		Supersteps: steps,
+		Step: func(step, pid, p int, ops sched.Ops) {
+			if step < steps {
+				ops.Compute(sched.Work{Seconds: base * float64(1+(pid+step)%4)})
+				ops.Put((pid+1+step)%p, 1)
+			}
+		},
+	}, nil
+}
+
+// kindOf returns the table row of a workload kind, nil for an unknown one.
+func kindOf(name string) *kind {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i]
+		}
+	}
+	return nil
+}
+
+// variant returns the row's variant of that name, nil for an unknown one.
+func (k *kind) variant(name string) *variant {
+	for i := range k.variants {
+		if k.variants[i].name == name {
+			return &k.variants[i]
+		}
+	}
+	return nil
+}
+
 // normalizeWorkload validates a WorkloadSpec against the point's rank count
 // and fills the defaults in place (the filled spec is what cache keys are
-// computed from, so "bytes omitted" and "bytes: 8" share an entry).
+// computed from, so "bytes omitted" and "bytes: 8" share an entry), reading
+// the kind's row: its variants, then its fields.
 func normalizeWorkload(w *WorkloadSpec, procs int) error {
-	switch w.Kind {
-	case "barrier":
-		switch w.Variant {
-		case "":
-			w.Variant = "dissemination"
-		case "dissemination", "tree", "linear":
-		default:
-			return badRequestf("unknown barrier variant %q (dissemination, tree, linear)", w.Variant)
-		}
-	case "broadcast", "reduce", "allreduce", "allgather", "totalexchange":
+	k := kindOf(w.Kind)
+	switch {
+	case w.Kind == "":
+		return badRequestf("workload.kind is required")
+	case k == nil:
+		return badRequestf("unknown workload kind %q", w.Kind)
+	case k.variants[0].name == "":
 		if w.Variant != "" {
 			return badRequestf("workload %q has no variants", w.Kind)
 		}
+	case w.Variant == "":
+		w.Variant = k.variants[0].name
+	case k.variant(w.Variant) == nil:
+		names := make([]string, len(k.variants))
+		for i, v := range k.variants {
+			names[i] = v.name
+		}
+		return badRequestf("unknown %s variant %q (%s)", w.Kind, w.Variant, strings.Join(names, ", "))
+	}
+	if k.fields&fieldBytes != 0 {
 		if w.Bytes == 0 {
 			w.Bytes = defaultBytes
 		}
 		if w.Bytes < 0 {
 			return badRequestf("bytes must be >= 0, got %d", w.Bytes)
 		}
-		if w.Kind == "broadcast" || w.Kind == "reduce" {
-			if w.Root < 0 || w.Root >= procs {
-				return badRequestf("root %d out of range [0,%d)", w.Root, procs)
-			}
-		} else if w.Root != 0 {
+		if k.fields&fieldRoot == 0 && w.Root != 0 {
 			return badRequestf("workload %q has no root", w.Kind)
 		}
-	case "sync":
-		switch w.Variant {
-		case "":
-			w.Variant = "dissemination"
-		case "dissemination", "schedule":
-		default:
-			return badRequestf("unknown sync variant %q (dissemination, schedule)", w.Variant)
-		}
+	}
+	if k.fields&fieldRoot != 0 && (w.Root < 0 || w.Root >= procs) {
+		return badRequestf("root %d out of range [0,%d)", w.Root, procs)
+	}
+	if k.fields&fieldSupersteps != 0 {
 		if w.Supersteps == 0 {
 			w.Supersteps = defaultSupersteps
 		}
@@ -76,10 +213,8 @@ func normalizeWorkload(w *WorkloadSpec, procs int) error {
 		if procs < 2 {
 			return badRequestf("the sync workload needs at least 2 ranks")
 		}
-	case "stencil":
-		if w.Variant != "" {
-			return badRequestf("workload %q has no variants", w.Kind)
-		}
+	}
+	if k.fields&fieldGrid != 0 {
 		if w.Grid == 0 {
 			w.Grid = defaultGrid
 		}
@@ -95,23 +230,15 @@ func normalizeWorkload(w *WorkloadSpec, procs int) error {
 		if _, err := stencil.Decompose(w.Grid, procs); err != nil {
 			return badRequestf("%v", err)
 		}
-	case "program":
-		if w.Variant != "" {
-			return badRequestf("workload %q has no variants", w.Kind)
-		}
+	}
+	if k.fields&fieldRanks != 0 {
 		if len(w.Ranks) == 0 {
 			return badRequestf("program workload needs ranks")
 		}
 		if len(w.Ranks) != procs {
 			return badRequestf("program has %d rank streams, point has procs=%d", len(w.Ranks), procs)
 		}
-		if err := validateOps(w.Ranks); err != nil {
-			return err
-		}
-	case "":
-		return badRequestf("workload.kind is required")
-	default:
-		return badRequestf("unknown workload kind %q", w.Kind)
+		return validateOps(w.Ranks)
 	}
 	return nil
 }
@@ -187,83 +314,11 @@ func buildProgram(ranks [][]OpSpec) *sim.Program {
 	return pr
 }
 
-// runWorkload executes one normalized workload on a session. In production
-// the collective, sync and stencil cases are reached only under engine
-// "concurrent" or, for sync and stencil, on a machine the session refuses
-// (routeOf); the cross-route test reaches them for every point.
-func (s *Server) runWorkload(ctx context.Context, sess *hbsp.Session, w *WorkloadSpec, procs int) (*sim.Result, error) {
-	switch w.Kind {
-	case "barrier", "broadcast", "reduce", "allreduce", "allgather", "totalexchange":
-		pat, err := s.schedule(w, procs)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sess.RunMPI(ctx, func(c *mpi.Comm) error {
-			switch w.Kind {
-			case "barrier":
-				return c.BarrierSchedule(pat)
-			case "broadcast":
-				_, err := c.BcastSchedule(pat, w.Root, float64(c.Rank()))
-				return err
-			case "reduce":
-				_, err := c.ReduceSchedule(pat, w.Root, float64(c.Rank()), mpi.OpSum)
-				return err
-			case "allreduce":
-				_, err := c.AllreduceSchedule(pat, float64(c.Rank()), mpi.OpSum)
-				return err
-			case "allgather":
-				_, err := c.AllgatherSchedule(pat, float64(c.Rank()))
-				return err
-			default: // totalexchange
-				blocks := make([]any, procs)
-				for i := range blocks {
-					blocks[i] = float64(c.Rank()*procs + i)
-				}
-				_, err := c.TotalExchangeSchedule(pat, blocks)
-				return err
-			}
-		})
-		return res, err
-
-	case "sync", "stencil":
-		sp, err := staticWorkload(w, procs)
-		if err != nil {
-			return nil, err
-		}
-		return sess.RunBSP(ctx, sp.Program())
-
-	case "program":
-		return sess.RunProgram(ctx, buildProgram(w.Ranks))
-	}
-	return nil, fmt.Errorf("server: unreachable workload kind %q", w.Kind)
-}
-
-// staticWorkload is a sync or stencil point as the one description both ways
-// of running it read: the session replays it, evaluateSync prices it.
-func staticWorkload(w *WorkloadSpec, procs int) (*bsp.Static, error) {
-	if w.Kind == "stencil" {
-		return stencil.Static(procs, stencil.Config{N: w.Grid, Iterations: w.Iterations, C: 0.25, Synthetic: true}, 1)
-	}
-	// The reference BSP workload: per superstep, placement-skewed compute
-	// (four classes) and one put around a ring whose stride grows by one each
-	// superstep.
-	base := w.ComputeSeconds
-	return &bsp.Static{
-		Supersteps: w.Supersteps,
-		Step: func(step, pid, p int, ops sched.Ops) {
-			if step < w.Supersteps {
-				ops.Compute(sched.Work{Seconds: base * float64(1+(pid+step)%4)})
-				ops.Put((pid+1+step)%p, 1)
-			}
-		},
-	}, nil
-}
-
-// synchronizer returns the synchronizer ending a BSP workload's supersteps:
-// the default dissemination exchange, or for the sync workload's "schedule"
-// variant the cached dissemination schedule wrapped as one.
-func (s *Server) synchronizer(w *WorkloadSpec, procs int) (bsp.Synchronizer, error) {
-	if w.Variant != "schedule" {
+// synchronizer returns the synchronizer ending a static row's supersteps: the
+// default dissemination exchange, or for a variant with a schedule (the sync
+// workload's "schedule") that cached schedule wrapped as one.
+func (s *Server) synchronizer(k *kind, w *WorkloadSpec, procs int) (bsp.Synchronizer, error) {
+	if k.variant(w.Variant).gen == nil {
 		return bsp.DefaultSynchronizer(), nil
 	}
 	sch, err := s.schedule(w, procs)
@@ -278,9 +333,10 @@ func (s *Server) synchronizer(w *WorkloadSpec, procs int) (bsp.Synchronizer, err
 }
 
 // schedule returns a point's verified schedule from the server's one schedule
-// cache, which every route reads: streamed generator schedules — a total
-// exchange at P=1024 is 16 KB where its stage matrices would be 9.7 GB — and,
-// for the tree and linear barriers, their O(P·stages) edge lists.
+// cache, which every route reads: the variant's generator schedule — a
+// streamed one for the data collectives and the dissemination exchange (a
+// total exchange at P=1024 is 16 KB where its stage matrices would be
+// 9.7 GB), O(P·stages) edge lists for the tree and linear barriers.
 // Verification reads stage structure only, so the cache also holds a marker
 // per verified (kind, variant, procs, root). Cached values are immutable and
 // shared between runs.
@@ -290,41 +346,16 @@ func (s *Server) schedule(w *WorkloadSpec, procs int) (sched.Schedule, error) {
 	if sch, ok := s.schedules.Get(key); ok {
 		return sch.(sched.Schedule), nil
 	}
-	var (
-		sch sched.Schedule
-		err error
-		sem = collective.SemBarrier
-	)
-	switch w.Kind + ":" + w.Variant {
-	case "broadcast:":
-		sem = collective.SemBroadcast
-		sch, err = collective.StreamBroadcast(procs, w.Root, w.Bytes)
-	case "reduce:":
-		sem = collective.SemReduce
-		sch, err = collective.StreamReduce(procs, w.Root, w.Bytes)
-	case "allreduce:":
-		sem = collective.SemAllReduce
-		sch, err = collective.StreamAllReduce(procs, w.Bytes)
-	case "allgather:":
-		sem = collective.SemAllGather
-		sch, err = collective.StreamAllGather(procs, w.Bytes)
-	case "totalexchange:":
-		sem = collective.SemTotalExchange
-		sch, err = collective.StreamTotalExchange(procs, w.Bytes)
-	case "barrier:dissemination", "sync:schedule":
-		sch, err = collective.StreamDissemination(procs)
-	case "barrier:tree":
-		sch, err = collective.Tree(procs)
-	case "barrier:linear":
-		sch, err = collective.Linear(procs, 0)
-	default:
+	v := kindOf(w.Kind).variant(w.Variant)
+	if v == nil || v.gen == nil {
 		return nil, fmt.Errorf("server: no schedule for workload %s:%s", w.Kind, w.Variant)
 	}
+	sch, err := v.gen(procs, w.Root, w.Bytes)
 	if err != nil {
 		return nil, badRequestf("%s:%s with P=%d: %v", w.Kind, w.Variant, procs, err)
 	}
 	if _, ok := s.schedules.Get("verified/" + structure); !ok {
-		if err := barrier.VerifySchedule(sch, sem, w.Root); err != nil {
+		if err := barrier.VerifySchedule(sch, v.sem, w.Root); err != nil {
 			return nil, fmt.Errorf("server: %s:%s P=%d failed verification: %v", w.Kind, w.Variant, procs, err)
 		}
 		s.schedules.Put("verified/"+structure, true)
