@@ -315,7 +315,11 @@ func TestCrossRouteEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("request %s: %v", sent, err)
 						}
-						body, how, err := s.evalPoint(ctx, &req, pt, time.Time{}, admitted, nil)
+						r, how, err := s.evalPoint(ctx, &req, pt, time.Time{}, admitted, nil)
+						var body []byte
+						if err == nil {
+							body = r.body
+						}
 						got := replyOf(body, err)
 						want, sessionRec := sessionReply(s, &req, rp, &w, pt, seed)
 						if err != nil {

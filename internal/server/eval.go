@@ -156,11 +156,12 @@ func pointKey(profileFP string, plan *fault.Plan, w *WorkloadSpec, pt point, see
 
 // evalPoint evaluates one point to its rendered NDJSON line (JSON object plus
 // trailing newline), going through the result cache and the singleflight
-// group. admit is invoked before an actual evaluation runs (the handler
-// passes the limiter for single-point requests and a no-op for sweeps, which
-// are admitted once as a whole). draws is a sweep's noise-draw memo, nil for
-// a single point.
-func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, deadline time.Time, admit func(context.Context) (func(), error), draws *sweepDraws) ([]byte, string, error) {
+// group; the entry it returns is the one the cache holds, so a gzip encoding
+// made for any of its readers serves them all. admit is invoked before an
+// actual evaluation runs (the handler passes the limiter for single-point
+// requests and a no-op for sweeps, which are admitted once as a whole).
+// draws is a sweep's noise-draw memo, nil for a single point.
+func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, deadline time.Time, admit func(context.Context) (func(), error), draws *sweepDraws) (*rendered, string, error) {
 	w := req.Workload // copy: normalization and byte overrides are per-point
 	k := kindOf(w.Kind)
 	if pt.bytes != 0 {
@@ -187,9 +188,9 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 	}
 	key := pointKey(rp.fingerprint, req.Faults, &w, pt, seed, &req.Options)
 	s.m.points.Add(1)
-	if body, ok := s.results.Get(key); ok {
+	if r, ok := s.results.Get(key); ok {
 		s.m.cacheHits.Add(1)
-		return body.([]byte), "hit", nil
+		return r.(*rendered), "hit", nil
 	}
 	// What the machine cannot run is refused before the flight, in one
 	// wording for every route: a fault plan it cannot host (compiled as the
@@ -201,10 +202,10 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 		return nil, "", fmt.Errorf("%w: the %s workload needs a kernel-rate model, which uploaded matrices do not carry", hbsp.ErrInvalidMachine, w.Kind)
 	}
 
-	body, shared, err := s.flights.Do(key, func() ([]byte, error) {
+	r, shared, err := s.flights.Do(key, func() (*rendered, error) {
 		// A flight that ended since the miss above left its result behind.
-		if body, ok := s.results.Get(key); ok {
-			return body.([]byte), nil
+		if r, ok := s.results.Get(key); ok {
+			return r.(*rendered), nil
 		}
 		release, err := admit(ctx)
 		if err != nil {
@@ -217,8 +218,9 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 			return nil, err
 		}
 		s.m.observeEval(time.Since(start).Nanoseconds())
-		s.results.Put(key, body)
-		return body, nil
+		r := &rendered{body: body}
+		s.results.Put(key, r)
+		return r, nil
 	})
 	if err != nil {
 		return nil, "", err
@@ -230,7 +232,7 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 	} else {
 		s.m.cacheMisses.Add(1)
 	}
-	return body, how, nil
+	return r, how, nil
 }
 
 // route names the body a cache-missed point is evaluated on; /metrics counts

@@ -88,7 +88,8 @@ func FuzzMatrixScan(f *testing.F) {
 // FuzzPredictRequest sends any body through the handler: the reply is 200 or
 // a 4xx in the documented error shape — never a 500, never a panic — and the
 // handler's decode of the body is the plain encoding/json decode of it, to
-// the error text.
+// the error text. A 200 is asked for again with gzip, now from the cache, and
+// must inflate to the plain reply byte for byte.
 func FuzzPredictRequest(f *testing.F) {
 	s := New(Config{})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -104,13 +105,33 @@ func FuzzPredictRequest(f *testing.F) {
 
 		// A body may ask for hours of evaluation; the client gives up after a
 		// second, which the server answers with 499.
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)).WithContext(ctx)
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, req)
+		send := func(gz bool) *httptest.ResponseRecorder {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)).WithContext(ctx)
+			if gz {
+				req.Header.Set("Accept-Encoding", "gzip")
+			}
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, req)
+			return w
+		}
+		w := send(false)
 		switch w.Code {
 		case 200:
+			zw := send(true)
+			got := zw.Body.Bytes()
+			if zw.Header().Get("Content-Encoding") == "gzip" {
+				got = gunzip(t, got)
+			}
+			// A sweep whose point ran out of time ends in an error line; the
+			// second try may get further.
+			if outOfTime(w.Body.Bytes()) || outOfTime(got) {
+				break
+			}
+			if zw.Code != 200 || !bytes.Equal(got, w.Body.Bytes()) {
+				t.Fatalf("gzip request: status %d, inflated reply\n%s\ndiffers from the plain reply\n%s", zw.Code, got, w.Body.Bytes())
+			}
 		case 400, 408, 429, 499:
 			var e apiError
 			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Err.Code == "" || e.Err.Status != w.Code || e.Err.Message == "" {
@@ -120,4 +141,12 @@ func FuzzPredictRequest(f *testing.F) {
 			t.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
 		}
 	})
+}
+
+// outOfTime reports whether a reply ends in an error line whose outcome
+// depends on the clock: an expired budget or a client that gave up.
+func outOfTime(reply []byte) bool {
+	lines := bytes.Split(bytes.TrimSpace(reply), []byte("\n"))
+	var e apiError
+	return json.Unmarshal(lines[len(lines)-1], &e) == nil && (e.Err.Code == "deadline" || e.Err.Code == "aborted")
 }

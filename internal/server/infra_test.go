@@ -54,15 +54,15 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	const n = 8
 	var wg sync.WaitGroup
 	shared := make([]bool, n)
-	vals := make([][]byte, n)
+	vals := make([]*rendered, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, sh, err := g.Do("k", func() ([]byte, error) {
+			v, sh, err := g.Do("k", func() (*rendered, error) {
 				calls.Add(1)
 				<-gate
-				return []byte("result"), nil
+				return &rendered{body: []byte("result")}, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -80,8 +80,8 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	}
 	leaders := 0
 	for i := range shared {
-		if string(vals[i]) != "result" {
-			t.Fatalf("caller %d got %q", i, vals[i])
+		if vals[i] != vals[0] || string(vals[i].body) != "result" {
+			t.Fatalf("caller %d got %q, not the leader's entry", i, vals[i].body)
 		}
 		if !shared[i] {
 			leaders++
@@ -95,12 +95,12 @@ func TestFlightGroupCoalesces(t *testing.T) {
 func TestFlightGroupRetriesAfterFailure(t *testing.T) {
 	g := newFlightGroup()
 	boom := errors.New("boom")
-	if _, _, err := g.Do("k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := g.Do("k", func() (*rendered, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err %v, want boom", err)
 	}
-	v, _, err := g.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || string(v) != "ok" {
-		t.Fatalf("failure was cached: v=%q err=%v", v, err)
+	v, _, err := g.Do("k", func() (*rendered, error) { return &rendered{body: []byte("ok")}, nil })
+	if err != nil || string(v.body) != "ok" {
+		t.Fatalf("failure was cached: v=%v err=%v", v, err)
 	}
 }
 

@@ -34,6 +34,9 @@ type metrics struct {
 	drawsComputed atomic.Int64 // noise draws sweep memos computed
 	drawsReused   atomic.Int64 // noise draws sweep memos answered from a stored draw
 
+	gzipComputed atomic.Int64 // cached replies compressed for a gzip request
+	gzipReused   atomic.Int64 // gzip replies written from a stored encoding
+
 	errInvalidRequest atomic.Int64
 	errInvalidMachine atomic.Int64
 	errInvalidFault   atomic.Int64
@@ -103,6 +106,15 @@ type MetricsSnapshot struct {
 		Reused   int64 `json:"reused"`
 	} `json:"sweepDraws"`
 
+	// Gzip counts the compressed single-point replies: encodings a cache
+	// entry computed (one at most per entry, at its first gzip request), and
+	// replies that wrote a stored one. Sweeps compress as they stream and
+	// count in neither.
+	Gzip struct {
+		Computed int64 `json:"computed"`
+		Reused   int64 `json:"reused"`
+	} `json:"gzip"`
+
 	Errors struct {
 		InvalidRequest int64 `json:"invalidRequest"`
 		InvalidMachine int64 `json:"invalidMachine"`
@@ -139,6 +151,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Routes.Concurrent = m.routes[routeConcurrent].Load()
 	s.SweepDraws.Computed = m.drawsComputed.Load()
 	s.SweepDraws.Reused = m.drawsReused.Load()
+	s.Gzip.Computed = m.gzipComputed.Load()
+	s.Gzip.Reused = m.gzipReused.Load()
 	s.Errors.InvalidRequest = m.errInvalidRequest.Load()
 	s.Errors.InvalidMachine = m.errInvalidMachine.Load()
 	s.Errors.InvalidFault = m.errInvalidFault.Load()

@@ -57,7 +57,9 @@ func gunzip(t *testing.T, data []byte) []byte {
 // TestGzipHitTakesItsWriterFromThePool bounds what a compressed cache hit
 // allocates. A gzip.Writer is ≈800 KiB of tables; built per reply it was
 // nearly all of a hit's garbage, and with the daemon's heap no longer padded
-// by dense patterns that garbage set the collection rate. The bound is on the
+// by dense patterns that garbage set the collection rate. A hit now writes
+// its entry's stored encoding, and the one compression before it takes its
+// writer from the pool (TestCachedGzipCompressesOnce). The bound is on the
 // cheapest of the measured hits: sync.Pool may give a writer up at any
 // collection (and drops one Put in four under the race detector), so a mean
 // would measure the pool's eviction, while a hit that builds its own
@@ -69,7 +71,7 @@ func TestGzipHitTakesItsWriterFromThePool(t *testing.T) {
 	if plain.Code != 200 || plain.Body.Len() < gzipMinBytes {
 		t.Fatalf("status %d, %d bytes: want a 200 of at least %d bytes", plain.Code, plain.Body.Len(), gzipMinBytes)
 	}
-	warm := serveInProcess(s, body, true) // the pool's first writer is built here
+	warm := serveInProcess(s, body, true) // the entry's one compression
 	if warm.Header().Get("Content-Encoding") != "gzip" || warm.Header().Get("X-Hbspd-Cache") != "hit" {
 		t.Fatalf("warm-up: encoding %q, cache %q", warm.Header().Get("Content-Encoding"), warm.Header().Get("X-Hbspd-Cache"))
 	}

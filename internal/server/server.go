@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,8 @@ type Config struct {
 	// shed with 429 (default 2×MaxConcurrent).
 	MaxQueue int
 	// CacheEntries bounds the result cache (default 4096; negative disables).
+	// An entry holds one point's rendered reply plus at most one gzip copy
+	// of it, made when a client that accepts gzip first asks for the point.
 	CacheEntries int
 	// MachineEntries bounds the machine cache (default 32; negative
 	// disables). A preset or custom machine is O(P) — its placement; pairs
@@ -76,7 +79,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg       Config
 	m         *metrics
-	results   *lruCache // pointKey -> rendered response bytes
+	results   *lruCache // pointKey -> *rendered
 	machines  *lruCache // (profile fingerprint, procs) -> *resolvedProfile
 	schedules *lruCache // (kind, variant, procs, root, bytes) -> verified sched.Schedule
 	flights   *flightGroup
@@ -243,29 +246,85 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // compression: tiny JSON bodies gain nothing and the header overhead loses.
 const gzipMinBytes = 1 << 10
 
-// acceptsGzip reports whether the request allows a gzip-encoded response.
+// acceptsGzip reports whether the request's Accept-Encoding (RFC 9110
+// §12.5.3) allows a gzip-encoded response. Codings and parameter names are
+// case-insensitive, x-gzip is gzip (§8.4.1.3), a weight of zero in any
+// spelling refuses, and a coding named explicitly outranks the wildcard. A
+// weight that does not parse refuses too: identity is always safe.
 func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, q, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if (enc == "gzip" || enc == "*") && strings.TrimSpace(q) != "q=0" {
-			return true
+	named, wild := false, false
+	for _, member := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
+		coding, params, _ := strings.Cut(member, ";")
+		coding = strings.TrimSpace(coding)
+		ok := true
+		for _, param := range strings.Split(params, ";") {
+			name, value, _ := strings.Cut(param, "=")
+			if strings.EqualFold(strings.TrimSpace(name), "q") {
+				q, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+				ok = err == nil && q > 0
+			}
+		}
+		switch {
+		case strings.EqualFold(coding, "gzip"), strings.EqualFold(coding, "x-gzip"):
+			if !ok {
+				return false
+			}
+			named = true
+		case coding == "*":
+			wild = ok
 		}
 	}
-	return false
+	return named || wild
 }
 
-// gzipResponse wraps a ResponseWriter with on-the-fly gzip encoding; the
-// result cache keeps rendered bytes uncompressed, so one cached entry serves
-// every Accept-Encoding. Flush forwards through both layers, keeping the
-// per-line streaming of sweep responses.
+// gzipResponse wraps a ResponseWriter with on-the-fly gzip encoding, for
+// sweeps: a single point's reply writes its cached encoding (Server.gzipped)
+// instead. Flush forwards through both layers, keeping the per-line streaming
+// of sweep responses.
 type gzipResponse struct {
 	http.ResponseWriter
 	gz *gzip.Writer
 }
 
 // gzipWriters recycles compressors across responses: a gzip.Writer is ≈0.8 MB
-// of tables, far more than everything else a compressed cache hit allocates.
+// of tables, far more than everything else a compressed reply allocates.
 var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
+// rendered is one point's result-cache value: its rendered NDJSON line and,
+// once a request that accepts gzip has asked for it, the line's gzip
+// encoding. A point answered plain only never pays for compression.
+type rendered struct {
+	body   []byte
+	gzOnce sync.Once
+	gz     []byte
+}
+
+// compress returns the gzip encoding of body at the default level, byte for
+// byte what a gzipResponse writes for it. It is a variable so that a test can
+// count compressions.
+var compress = func(body []byte) []byte {
+	var buf bytes.Buffer
+	gz := gzipWriters.Get().(*gzip.Writer)
+	gz.Reset(&buf)
+	gz.Write(body) // a bytes.Buffer does not fail
+	gz.Close()
+	gzipWriters.Put(gz)
+	return bytes.Clone(buf.Bytes()) // the cache keeps no slack
+}
+
+// gzipped returns r's gzip encoding, compressing its body on the first call:
+// hits, coalesced followers and the miss that filled the entry all share the
+// one encoding. /metrics counts which of the two each call did.
+func (s *Server) gzipped(r *rendered) []byte {
+	computed := false
+	r.gzOnce.Do(func() { r.gz, computed = compress(r.body), true })
+	if computed {
+		s.m.gzipComputed.Add(1)
+	} else {
+		s.m.gzipReused.Add(1)
+	}
+	return r.gz
+}
 
 func newGzipResponse(w http.ResponseWriter) *gzipResponse {
 	w.Header().Set("Content-Encoding", "gzip")
@@ -296,7 +355,7 @@ func (g *gzipResponse) Close() error {
 // servePoint answers a single-point request with one JSON object. Cache hits
 // bypass the limiter entirely — the hot path of repeated queries.
 func (s *Server) servePoint(w http.ResponseWriter, ctx context.Context, req *PredictRequest, pt point, deadline time.Time, zip bool) {
-	body, how, err := s.evalPoint(ctx, req, pt, deadline, func(ctx context.Context) (func(), error) {
+	r, how, err := s.evalPoint(ctx, req, pt, deadline, func(ctx context.Context) (func(), error) {
 		if err := s.limit.acquire(ctx); err != nil {
 			return nil, err
 		}
@@ -308,13 +367,12 @@ func (s *Server) servePoint(w http.ResponseWriter, ctx context.Context, req *Pre
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Hbspd-Cache", how)
-	if zip && len(body) >= gzipMinBytes {
-		gw := newGzipResponse(w)
-		gw.Write(body)
-		gw.Close()
+	if zip && len(r.body) >= gzipMinBytes {
+		w.Header().Set("Content-Encoding", "gzip")
+		w.Write(s.gzipped(r))
 		return
 	}
-	w.Write(body)
+	w.Write(r.body)
 }
 
 // serveSweep streams a sweep as NDJSON, one PredictPoint per line in
@@ -357,7 +415,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *Pre
 		}()
 	}
 	for _, pt := range pts {
-		body, _, err := s.evalPoint(ctx, req, pt, deadline, admitted, draws)
+		r, _, err := s.evalPoint(ctx, req, pt, deadline, admitted, draws)
 		if err != nil {
 			// A stream answers 200 whatever its points do; the error rides
 			// as the final line.
@@ -367,7 +425,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *Pre
 			out.Write(append(line, '\n'))
 			return
 		}
-		out.Write(body)
+		out.Write(r.body)
 		flush()
 	}
 }

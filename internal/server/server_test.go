@@ -637,9 +637,9 @@ func TestTraceRollupHugeMessages(t *testing.T) {
 
 // TestGzipResponses covers response compression: a client that accepts gzip
 // gets compressed point and sweep payloads whose decompressed bytes are
-// byte-identical to the uncompressed rendering (the cache stores rendered
-// bytes uncompressed, so one entry serves both encodings), while tiny
-// payloads and clients without the header stay identity-encoded.
+// byte-identical to the uncompressed rendering (one cache entry holds the
+// rendered bytes and their encoding, so it serves both), while tiny payloads
+// and clients without the header stay identity-encoded.
 func TestGzipResponses(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// Per-rank + trace at P=64 clears the compression size floor.
@@ -679,7 +679,7 @@ func TestGzipResponses(t *testing.T) {
 		t.Fatalf("gzip request not compressed (encoding %q)", resp2.Header.Get("Content-Encoding"))
 	}
 	if got := resp2.Header.Get("X-Hbspd-Cache"); got != "hit" {
-		t.Fatalf("gzip request missed the cache (X-Hbspd-Cache = %q) — entries must be stored uncompressed", got)
+		t.Fatalf("gzip request missed the cache (X-Hbspd-Cache = %q) — one entry serves both encodings", got)
 	}
 	zr, err := gzip.NewReader(resp2.Body)
 	if err != nil {

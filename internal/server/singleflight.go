@@ -4,10 +4,10 @@ import "sync"
 
 // flightGroup coalesces concurrent evaluations of the same canonical point
 // key: the first caller computes, every concurrent duplicate blocks on the
-// leader's result and shares it. Results are the rendered response bytes, so
-// shared answers are byte-identical by construction. This is a minimal
-// singleflight (no external dependency); unlike the x/sync version it never
-// forgets a key early — the leader removes it when done, so a failed
+// leader's result and shares it. Results are the rendered entries the cache
+// holds, so shared answers are byte-identical by construction. This is a
+// minimal singleflight (no external dependency); unlike the x/sync version it
+// never forgets a key early — the leader removes it when done, so a failed
 // evaluation is retried by the next request rather than cached.
 type flightGroup struct {
 	mu     sync.Mutex
@@ -16,7 +16,7 @@ type flightGroup struct {
 
 type flightCall struct {
 	done chan struct{}
-	val  []byte
+	val  *rendered
 	err  error
 }
 
@@ -26,7 +26,7 @@ func newFlightGroup() *flightGroup {
 
 // Do runs fn once per key among concurrent callers. The boolean reports
 // whether this caller shared another caller's evaluation.
-func (g *flightGroup) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
+func (g *flightGroup) Do(key string, fn func() (*rendered, error)) (val *rendered, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.flight[key]; ok {
 		g.mu.Unlock()

@@ -52,6 +52,20 @@ print(json.dumps(stable, indent=2, sort_keys=True))
 
 diff cmd/hbspd/testdata/server_smoke.golden "$OUT"
 
+# Compression, outside the diffed block (it would move the /metrics counts):
+# every reply above is under the 1 KiB floor, this per-rank one is not. Sent
+# plain and then with gzip, the second must come back compressed and inflate
+# to the first.
+req cmd/hbspd/testdata/req_perrank.json > "$OUT.plain"
+curl -s -X POST -H 'Accept-Encoding: gzip' -D "$OUT.headers" \
+  "http://$ADDR/v1/predict" -d @cmd/hbspd/testdata/req_perrank.json > "$OUT.gz"
+if ! grep -qi '^content-encoding: gzip' "$OUT.headers"; then
+  echo "a gzip request over the floor came back without Content-Encoding: gzip" >&2
+  exit 1
+fi
+gunzip -c < "$OUT.gz" | cmp - "$OUT.plain"
+rm -f "$OUT.plain" "$OUT.headers" "$OUT.gz"
+
 # Graceful drain: SIGTERM must flip /healthz to 503 and then exit cleanly.
 kill -TERM "$PID"
 for _ in $(seq 100); do
