@@ -8,6 +8,8 @@
 // Programs are normally started through an hbsp.Session (hbsp.New +
 // Session.RunBSP), which adds functional options, machine validation and
 // context cancellation; RunContext is the lower-level entry point it uses.
+// A recorded run (hbsp.WithRecorder) marks every Sync on every process as a
+// trace.KindSuperstep event at the process' virtual time.
 package bsp
 
 import (
@@ -40,10 +42,6 @@ type Synchronizer = ibsp.Synchronizer
 // answer identical arguments with the identical schedule for the duration of a
 // run.
 type ScheduleSource = ibsp.ScheduleSource
-
-// SyncObserver is notified at the end of every Sync; hbsp.WithTrace installs
-// one.
-type SyncObserver = ibsp.SyncObserver
 
 // RunConfig bundles everything a BSP run can be configured with.
 type RunConfig = ibsp.RunConfig

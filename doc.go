@@ -60,8 +60,9 @@
 //	trace.WriteReport(os.Stdout, tr, trace.ReportOptions{})
 //	trace.WriteChrome(f, tr)           // load f in chrome://tracing or Perfetto
 //
-// The lighter-weight WithTrace option delivers run.start/superstep/run.end
-// callbacks instead (for both BSP Syncs and MPI Barriers); the two compose.
+// The recorder is the one way to watch a run: every BSP Sync and every MPI
+// Barrier leaves a trace.KindSuperstep mark per rank at its virtual time,
+// which the breakdown, h-relation and rollup passes read after the run.
 // See cmd/hbsptrace for a ready-made front-end and examples/tracing for a
 // runnable walkthrough.
 //

@@ -1,8 +1,8 @@
 // Session: the public-SDK tour. A user program outside internal/ builds a
 // machine from a platform preset, wraps it in an hbsp.Session with
 // functional options, runs a BSP program with the schedule-driven user
-// collectives, demonstrates context cancellation with the facade's typed
-// errors, and swaps the superstep synchronizer for a verified collective
+// collectives, counts its supersteps from a recording, demonstrates context
+// cancellation with the facade's typed errors, and swaps the superstep synchronizer for a verified collective
 // schedule.
 package main
 
@@ -17,6 +17,7 @@ import (
 	"hbsp/bsp"
 	"hbsp/cluster"
 	"hbsp/collective"
+	"hbsp/trace"
 )
 
 func main() {
@@ -30,15 +31,11 @@ func main() {
 	}
 
 	// A session: functional options instead of option structs.
-	var supersteps int
+	rec := trace.NewRecorder()
 	sess, err := hbsp.New(machine,
 		hbsp.WithSeed(42),
 		hbsp.WithDeadline(time.Minute),
-		hbsp.WithTrace(func(ev hbsp.TraceEvent) {
-			if ev.Kind == "superstep" && ev.Rank == 0 {
-				supersteps++
-			}
-		}),
+		hbsp.WithRecorder(rec),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -69,6 +66,17 @@ func main() {
 	})
 	if err != nil {
 		log.Fatal(err)
+	}
+	// Every Sync leaves a superstep mark on each rank's lane; count rank 0's.
+	tr, err := rec.Trace()
+	if err != nil {
+		log.Fatal(err)
+	}
+	supersteps := 0
+	for _, ev := range tr.LaneEvents(0) {
+		if ev.Kind == trace.KindSuperstep {
+			supersteps++
+		}
 	}
 	fmt.Printf("virtual makespan: %.3es over %d supersteps (%d messages)\n",
 		res.MakeSpan, supersteps, res.Messages)

@@ -99,9 +99,6 @@ type Ctx struct {
 	// schedules supplies the verified schedules the user-facing collectives
 	// (Broadcast, Reduce, AllReduce, AllGather, TotalExchange) execute.
 	schedules ScheduleSource
-	// observer, when non-nil, is called at the end of every Sync with the
-	// completed superstep index and the process' virtual time.
-	observer SyncObserver
 
 	// Registered memory areas, keyed by registration name.
 	regs        map[string][]float64

@@ -7,12 +7,6 @@ import (
 	"hbsp/internal/simnet"
 )
 
-// SyncObserver is called by every process at the end of each Sync with the
-// index of the superstep just completed and the process' virtual time in
-// seconds. Observers are invoked from the per-rank simulation goroutines and
-// must be safe for concurrent use.
-type SyncObserver func(pid, step int, vtime float64)
-
 // RunConfig bundles everything a BSP run can be configured with. The zero
 // value runs with the dissemination synchronizer, generator-built collective
 // schedules and the default simulator options.
@@ -24,8 +18,6 @@ type RunConfig struct {
 	// execute; nil selects the default generator-backed source. A source may be
 	// shared by concurrent runs (see ScheduleSource).
 	Schedules ScheduleSource
-	// Observer, when non-nil, is notified at the end of every Sync.
-	Observer SyncObserver
 	// Options are the simulator options; nil selects simnet.DefaultOptions.
 	Options *simnet.Options
 }
@@ -55,7 +47,6 @@ func RunContext(ctx context.Context, m Machine, cfg RunConfig, program Program) 
 		c := newCtx(p, m)
 		c.sync = sync
 		c.schedules = schedules
-		c.observer = cfg.Observer
 		return program(c)
 	}, o)
 }

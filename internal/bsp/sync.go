@@ -91,9 +91,6 @@ func (c *Ctx) Sync() error {
 	c.pendingGets = c.pendingGets[:0]
 	c.currentStep++
 	c.proc.TraceSuperstep(c.currentStep - 1)
-	if c.observer != nil {
-		c.observer(c.Pid(), c.currentStep-1, c.proc.Now())
-	}
 	return nil
 }
 

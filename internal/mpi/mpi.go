@@ -20,18 +20,10 @@ import (
 // simulated process and adds MPI-style helpers.
 type Comm struct {
 	proc *simnet.Proc
-	// observer, when non-nil, is notified after every completed Barrier —
-	// the MPI analogue of a superstep boundary. barrierStep counts them.
-	observer    BarrierObserver
+	// barrierStep counts completed Barriers, the MPI analogue of superstep
+	// boundaries; each one's trace mark carries its index.
 	barrierStep int
 }
-
-// BarrierObserver is called by every rank after each completed Barrier with
-// the barrier's index (counting from 0) and the rank's virtual time.
-// Observers are invoked from the per-rank simulation goroutines and must be
-// safe for concurrent use. hbsp.Session installs one so WithTrace callbacks
-// see MPI "supersteps" just like BSP ones.
-type BarrierObserver func(rank, step int, vtime float64)
 
 // Run executes body once per rank of the machine under the default simulator
 // options.
@@ -45,14 +37,8 @@ func Run(m simnet.Machine, body func(c *Comm) error, opts ...simnet.Options) (*s
 // context: cancelling the context aborts the run through the simulator's
 // teardown path with an error wrapping simnet.ErrAborted.
 func RunContext(ctx context.Context, m simnet.Machine, body func(c *Comm) error, o simnet.Options) (*simnet.Result, error) {
-	return RunObserved(ctx, m, body, o, nil)
-}
-
-// RunObserved is RunContext with a barrier observer: obs (when non-nil) is
-// called on every rank after each completed Barrier.
-func RunObserved(ctx context.Context, m simnet.Machine, body func(c *Comm) error, o simnet.Options, obs BarrierObserver) (*simnet.Result, error) {
 	return simnet.RunContext(ctx, m, func(p *simnet.Proc) error {
-		return body(&Comm{proc: p, observer: obs})
+		return body(&Comm{proc: p})
 	}, o)
 }
 
@@ -180,14 +166,11 @@ const (
 )
 
 // Barrier synchronizes all ranks with a dissemination pattern. A completed
-// barrier is the MPI analogue of a superstep boundary: traced runs record a
-// superstep mark, and a BarrierObserver (if installed) is notified.
+// barrier is the MPI analogue of a superstep boundary: a recorded run marks
+// the n-th (from 0) on every rank as superstep n, as a BSP Sync is marked.
 func (c *Comm) Barrier() {
 	c.dissemination(tagBarrier, nil, nil)
 	c.proc.TraceSuperstep(c.barrierStep)
-	if c.observer != nil {
-		c.observer(c.Rank(), c.barrierStep, c.proc.Now())
-	}
 	c.barrierStep++
 }
 

@@ -105,28 +105,33 @@ func TestTurnDrawsMatchUncached(t *testing.T) {
 
 // TestTurnDrawsStayUnderBound fills a memo far past its bound and holds what
 // it allocated, from its construction on, to the bound's draws, its row
-// headers and the memo itself.
+// headers and the memo itself. TotalAlloc counts every goroutine's
+// allocations, so the test fills several fresh memos and bounds the least.
 func TestTurnDrawsStayUnderBound(t *testing.T) {
-	const ranks, most, perRow = 64, 4096, 2000
+	const ranks, most, perRow, fills = 64, 4096, 2000, 5
 	m := noisyMachine(t, ranks)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	d := NewTurnDraws(m.RunSeed(), ranks, most)
-	c := m.WithTurnDraws(d)
-	for rank := 0; rank < ranks; rank++ {
-		for seq := uint64(0); seq < perRow; seq++ {
-			c.Noise(rank, seq)
+	least := ^uint64(0)
+	for i := 0; i < fills; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		d := NewTurnDraws(m.RunSeed(), ranks, most)
+		c := m.WithTurnDraws(d)
+		for rank := 0; rank < ranks; rank++ {
+			for seq := uint64(0); seq < perRow; seq++ {
+				c.Noise(rank, seq)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		s := d.Stats()
+		if s.Stored > most || s.Stored+s.Direct != ranks*perRow {
+			t.Errorf("stats %+v: want at most %d stored and %d computed", s, most, ranks*perRow)
 		}
 	}
-	runtime.ReadMemStats(&after)
-	s := d.Stats()
-	if s.Stored > most || s.Stored+s.Direct != ranks*perRow {
-		t.Errorf("stats %+v: want at most %d stored and %d computed", s, most, ranks*perRow)
-	}
 	const limit = 8*most + 32*ranks + 1024 // draws, row headers, the memo and the machine copy
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-		t.Errorf("filling the memo allocated %d bytes, want at most %d", got, limit)
+	if least > limit {
+		t.Errorf("the cheapest of %d fills of the memo allocated %d bytes, want at most %d", fills, least, limit)
 	}
 }
 

@@ -149,7 +149,7 @@ type WorkloadSpec struct {
 	Kind    string `json:"kind"`
 	Variant string `json:"variant,omitempty"`
 	// Bytes is the per-contribution payload of the data collectives
-	// (default 8).
+	// (default 8, at most MaxInt64/(2·P²), so the traffic fits in int64).
 	Bytes int `json:"bytes,omitempty"`
 	// Root is the root rank of broadcast/reduce (default 0).
 	Root int `json:"root,omitempty"`
@@ -191,8 +191,9 @@ type OptionsSpec struct {
 	Engine string `json:"engine,omitempty"`
 	// Collapse is "auto" (default) or "off".
 	Collapse string `json:"collapse,omitempty"`
-	// BudgetMs bounds the evaluation wall time of the request; exceeding it
-	// returns the deadline error shape with HTTP 408.
+	// BudgetMs bounds the evaluation wall time of the request (at most one
+	// day, 86,400,000); exceeding it returns the deadline error shape with
+	// HTTP 408.
 	BudgetMs int `json:"budgetMs,omitempty"`
 	// PerRank includes the full per-rank time vector in each point.
 	PerRank bool `json:"perRank,omitempty"`

@@ -35,6 +35,9 @@ const (
 	// maxSweepPoints bounds the cross product of a sweep's axes; every point
 	// gets a result slot and a line of the reply.
 	maxSweepPoints = 4096
+	// maxBudgetMs bounds budgetMs at one day, which keeps the budget plus the
+	// context's grace margin inside a time.Duration.
+	maxBudgetMs = 24 * 60 * 60 * 1000
 )
 
 // checkProcs validates one rank count; what names where it came from.
@@ -115,8 +118,8 @@ func normalizeOptions(o *OptionsSpec) error {
 	default:
 		return badRequestf("unknown collapse mode %q (auto, off)", o.Collapse)
 	}
-	if o.BudgetMs < 0 {
-		return badRequestf("budgetMs must be >= 0, got %d", o.BudgetMs)
+	if o.BudgetMs < 0 || o.BudgetMs > maxBudgetMs {
+		return badRequestf("budgetMs must be in [0,%d], got %d", maxBudgetMs, o.BudgetMs)
 	}
 	switch o.TraceView {
 	case "":
@@ -284,6 +287,16 @@ func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolved
 	res, rec, err := s.run(ctx, req, rp, w, pt, seed, deadline)
 	if err != nil {
 		return nil, err
+	}
+	// Operands that are each well formed can still drive a clock past
+	// float64, which a reply cannot carry. The makespan plus every rank's
+	// time bounds every time it renders (the mean, the trace's totals).
+	sum := res.MakeSpan
+	for _, t := range res.Times {
+		sum += t
+	}
+	if math.IsInf(sum, 0) || math.IsNaN(sum) {
+		return nil, badRequestf("%s at P=%d: virtual time overflows float64 (makespan %g); use smaller operands", w.Kind, pt.procs, res.MakeSpan)
 	}
 	if body, err = s.renderPoint(req, rp, w, pt, seed, res, rec); err != nil {
 		return nil, err

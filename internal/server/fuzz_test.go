@@ -88,8 +88,9 @@ func FuzzMatrixScan(f *testing.F) {
 // FuzzPredictRequest sends any body through the handler: the reply is 200 or
 // a 4xx in the documented error shape — never a 500, never a panic — and the
 // handler's decode of the body is the plain encoding/json decode of it, to
-// the error text. A 200 is asked for again with gzip, now from the cache, and
-// must inflate to the plain reply byte for byte.
+// the error text. Every point of a 200 moved a non-negative byte count (a
+// wrapped one is an overflow). A 200 is asked for again with gzip, now from
+// the cache, and must inflate to the plain reply byte for byte.
 func FuzzPredictRequest(f *testing.F) {
 	s := New(Config{})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -119,6 +120,12 @@ func FuzzPredictRequest(f *testing.F) {
 		w := send(false)
 		switch w.Code {
 		case 200:
+			for _, line := range bytes.Split(bytes.TrimSpace(w.Body.Bytes()), []byte("\n")) {
+				var p struct{ BytesMoved int64 }
+				if json.Unmarshal(line, &p) == nil && p.BytesMoved < 0 {
+					t.Fatalf("bytesMoved %d: %s", p.BytesMoved, line)
+				}
+			}
 			zw := send(true)
 			got := zw.Body.Bytes()
 			if zw.Header().Get("Content-Encoding") == "gzip" {

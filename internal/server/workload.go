@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"hbsp/collective"
@@ -27,16 +28,18 @@ const (
 type field uint8
 
 const (
-	// fieldBytes: bytes, default 8, >= 0; the only field sweep.bytes
-	// overrides. A kind with bytes but without fieldRoot refuses a root.
+	// fieldBytes: bytes, default 8, in [0, MaxInt64/(2·P²)]; the only field
+	// sweep.bytes overrides. A kind with bytes but without fieldRoot refuses
+	// a root.
 	fieldBytes field = 1 << iota
 	// fieldRoot: root in [0, procs).
 	fieldRoot
 	// fieldSupersteps: supersteps (default 3, >= 1) and computeSeconds
 	// (default 5e-6, >= 0), on at least 2 ranks.
 	fieldSupersteps
-	// fieldGrid: grid (default 128, >= 3) and iterations (default 2, >= 1),
-	// decomposable over procs; the reply carries perIteration.
+	// fieldGrid: grid (default 128, in [3, stencilGridLimit]) and iterations
+	// (default 2, >= 1), decomposable over procs; the reply carries
+	// perIteration.
 	fieldGrid
 	// fieldRanks: one valid op-stream per rank.
 	fieldRanks
@@ -190,6 +193,11 @@ func normalizeWorkload(w *WorkloadSpec, procs int) error {
 		if w.Bytes < 0 {
 			return badRequestf("bytes must be >= 0, got %d", w.Bytes)
 		}
+		// Every data collective moves fewer than 2·P² blocks in all, so its
+		// largest message and its whole-run traffic fit in int64.
+		if limit := math.MaxInt64 / (2 * procs * procs); w.Bytes > limit {
+			return badRequestf("%s at P=%d: bytes must be <= %d, got %d (the traffic would overflow int64)", w.Kind, procs, limit, w.Bytes)
+		}
 		if k.fields&fieldRoot == 0 && w.Root != 0 {
 			return badRequestf("workload %q has no root", w.Kind)
 		}
@@ -227,6 +235,9 @@ func normalizeWorkload(w *WorkloadSpec, procs int) error {
 		if w.Iterations < 1 {
 			return badRequestf("iterations must be >= 1, got %d", w.Iterations)
 		}
+		if limit := stencilGridLimit(procs, w.Iterations); w.Grid > limit {
+			return badRequestf("stencil at P=%d over %d iterations: grid must be <= %d, got %d (the traffic or the cell count would overflow int64)", procs, w.Iterations, limit, w.Grid)
+		}
 		if _, err := stencil.Decompose(w.Grid, procs); err != nil {
 			return badRequestf("%v", err)
 		}
@@ -243,11 +254,25 @@ func normalizeWorkload(w *WorkloadSpec, procs int) error {
 	return nil
 }
 
+// stencilGridLimit is the largest grid whose stencil counts fit in int64:
+// its cells, grid², and its traffic over the iterations — each iteration a
+// rank puts at most four halos of grid values, each 8·grid+24 bytes on the
+// wire, so iterations·4·P·(8·grid+24) bytes. Below 3 when no grid fits. The
+// traffic bound is divided down step by step, so no product overflows.
+func stencilGridLimit(procs, iterations int) int {
+	q := math.MaxInt64 / (4 * procs) / iterations
+	return min((q-24)/8, maxGrid)
+}
+
+// maxGrid is the largest grid whose cell count, grid², fits in int64.
+const maxGrid = 3037000499
+
 // validateOps checks a program workload's op-streams: known ops, peers in
 // range, request slots produced in isend/irecv order and consumed by "wait"
-// exactly once.
+// exactly once, and message sizes whose sum fits in int64.
 func validateOps(ranks [][]OpSpec) error {
 	p := len(ranks)
+	traffic := 0 // the bytes of every isend and post so far, kept inside int64
 	for rank, ops := range ranks {
 		next := 0
 		waited := map[int]bool{}
@@ -264,6 +289,10 @@ func validateOps(ranks [][]OpSpec) error {
 				if op.Bytes < 0 {
 					return badRequestf("rank %d op %d: bytes must be >= 0", rank, i)
 				}
+				if op.Bytes > math.MaxInt64-traffic {
+					return badRequestf("rank %d op %d: the program's traffic would overflow int64", rank, i)
+				}
+				traffic += op.Bytes
 				if op.Op == "isend" {
 					next++
 				}

@@ -12,6 +12,8 @@
 // Programs are normally started through an hbsp.Session (hbsp.New +
 // Session.RunMPI), which adds functional options, machine validation and
 // context cancellation; RunContext is the lower-level entry point it uses.
+// A recorded run (hbsp.WithRecorder) marks every Barrier on every rank as a
+// trace.KindSuperstep event at the rank's virtual time, as a BSP Sync is.
 package mpi
 
 import (
@@ -51,18 +53,8 @@ var (
 // ErrInvalidRoot is returned by collectives validating a root rank.
 var ErrInvalidRoot = impi.ErrInvalidRoot
 
-// BarrierObserver is notified on every rank after each completed Barrier —
-// the MPI analogue of a superstep boundary; hbsp.WithTrace installs one.
-type BarrierObserver = impi.BarrierObserver
-
 // RunContext executes body once per rank of the machine with explicit
 // simulator options and a cancellable context.
 func RunContext(ctx context.Context, m sim.Machine, body func(c *Comm) error, o sim.Options) (*sim.Result, error) {
 	return impi.RunContext(ctx, m, body, o)
-}
-
-// RunObserved is RunContext with a barrier observer called on every rank
-// after each completed Barrier.
-func RunObserved(ctx context.Context, m sim.Machine, body func(c *Comm) error, o sim.Options, obs BarrierObserver) (*sim.Result, error) {
-	return impi.RunObserved(ctx, m, body, o, obs)
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hbsp/bench"
@@ -39,27 +37,6 @@ var (
 	ErrInvalidFault = fault.ErrInvalid
 )
 
-// TraceEvent is one observation delivered to a WithTrace callback.
-type TraceEvent struct {
-	// Kind is "run.start", "superstep" or "run.end".
-	Kind string
-	// Rank is the reporting process, or -1 for run-level events.
-	Rank int
-	// Step is the completed superstep index ("superstep" events only). BSP
-	// runs emit one per completed Sync, MPI runs one per completed Barrier
-	// (the MPI analogue of a superstep boundary).
-	Step int
-	// Time is the virtual time in seconds: the reporting process' clock for
-	// "superstep", the makespan for "run.end", zero for "run.start".
-	Time float64
-	// Err carries the run outcome on "run.end" events.
-	Err error
-}
-
-// TraceFunc receives trace events. The Session serializes invocations, so
-// implementations need no locking of their own.
-type TraceFunc func(TraceEvent)
-
 // Session is the facade's handle on one configured simulated machine: it
 // owns the validated machine, the simulator options, the superstep
 // synchronizer and the collective-schedule source, and runs raw simulator,
@@ -72,8 +49,6 @@ type Session struct {
 	options   sim.Options
 	sync      bsp.Synchronizer
 	schedules bsp.ScheduleSource // nil: the BSP run-time's default source
-	trace     TraceFunc
-	traceMu   sync.Mutex
 }
 
 // Option configures a Session; the With... constructors in this package
@@ -279,23 +254,6 @@ func WithCollectiveSchedules(src bsp.ScheduleSource) Option {
 	}
 }
 
-// WithTrace installs a callback observing run starts and ends and every
-// completed superstep (a Sync for BSP runs, a Barrier for MPI runs). Events
-// from concurrent simulated processes are serialized before delivery.
-//
-// WithTrace is the lightweight callback hook; for full per-event recording
-// with analysis and export, attach a recorder with WithRecorder instead (the
-// two compose).
-func WithTrace(f TraceFunc) Option {
-	return func(s *Session) error {
-		if f == nil {
-			return fmt.Errorf("%w: nil trace func", ErrOption)
-		}
-		s.trace = f
-		return nil
-	}
-}
-
 // WithRecorder attaches a trace.Recorder to every run of the session: the
 // simulator records message injections, receive completions, compute
 // intervals and superstep/stage boundaries into per-rank lock-free lanes,
@@ -329,63 +287,12 @@ func (s *Session) Procs() int { return s.machine.Procs() }
 // Synchronizer returns the configured superstep synchronizer.
 func (s *Session) Synchronizer() bsp.Synchronizer { return s.sync }
 
-// emit delivers a trace event, serializing concurrent emitters.
-func (s *Session) emit(ev TraceEvent) {
-	if s.trace == nil {
-		return
-	}
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	s.trace(ev)
-}
-
-// superstepObserver builds the per-rank superstep callback shared by RunBSP
-// (Sync boundaries) and RunMPI (Barrier boundaries), or nil without a trace
-// func. The runEnded flag is read under the trace mutex — the same critical
-// section endRun raises it in — so a rank leaked by an aborted run (stuck in
-// uninterruptible compute past the teardown grace period) can never deliver
-// a superstep event after this run's run.end.
-func (s *Session) superstepObserver(runEnded *atomic.Bool) func(rank, step int, vtime float64) {
-	if s.trace == nil {
-		return nil
-	}
-	return func(rank, step int, vtime float64) {
-		s.traceMu.Lock()
-		defer s.traceMu.Unlock()
-		if runEnded.Load() {
-			return
-		}
-		s.trace(TraceEvent{Kind: "superstep", Rank: rank, Step: step, Time: vtime})
-	}
-}
-
-// endRun marks the run ended and emits run.end atomically with respect to
-// the superstep observer, then passes the run result through.
-func (s *Session) endRun(runEnded *atomic.Bool, res *sim.Result, err error) (*sim.Result, error) {
-	ev := TraceEvent{Kind: "run.end", Rank: -1, Err: err}
-	if res != nil {
-		ev.Time = res.MakeSpan
-	}
-	if s.trace == nil {
-		runEnded.Store(true)
-		return res, err
-	}
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	runEnded.Store(true)
-	s.trace(ev)
-	return res, err
-}
-
 // Run executes body once per rank of the machine as a raw simulator program
 // and returns the per-rank virtual finishing times. Cancelling the context
 // aborts the run (every rank blocked in a receive unwinds before Run
 // returns) with an error wrapping ErrAborted.
 func (s *Session) Run(ctx context.Context, body func(p *sim.Proc) error) (*sim.Result, error) {
-	var runEnded atomic.Bool
-	s.emit(TraceEvent{Kind: "run.start", Rank: -1})
-	res, err := sim.Run(ctx, s.machine, body, s.options)
-	return s.endRun(&runEnded, res, err)
+	return sim.Run(ctx, s.machine, body, s.options)
 }
 
 // RunBSP executes the SPMD program under the BSP run-time with the session's
@@ -396,16 +303,12 @@ func (s *Session) RunBSP(ctx context.Context, program bsp.Program) (*sim.Result,
 	if !ok {
 		return nil, fmt.Errorf("%w: BSP programs need per-rank kernel timing (bsp.Machine), got %T", ErrInvalidMachine, s.machine)
 	}
-	var runEnded atomic.Bool
-	s.emit(TraceEvent{Kind: "run.start", Rank: -1})
 	opts := s.options
-	res, err := bsp.RunContext(ctx, m, bsp.RunConfig{
+	return bsp.RunContext(ctx, m, bsp.RunConfig{
 		Sync:      s.sync,
 		Schedules: s.schedules,
-		Observer:  s.superstepObserver(&runEnded),
 		Options:   &opts,
 	}, program)
-	return s.endRun(&runEnded, res, err)
 }
 
 // RunProgram evaluates a sim.Program op-stream — the timing skeleton of a
@@ -422,18 +325,12 @@ func (s *Session) RunProgram(ctx context.Context, pr *sim.Program) (*sim.Result,
 	if pr.Procs() != s.machine.Procs() {
 		return nil, fmt.Errorf("%w: program built for %d ranks, machine has %d", ErrOption, pr.Procs(), s.machine.Procs())
 	}
-	var runEnded atomic.Bool
-	s.emit(TraceEvent{Kind: "run.start", Rank: -1})
-	res, err := sched.RunProgram(ctx, s.machine, pr, s.options)
-	return s.endRun(&runEnded, res, err)
+	return sched.RunProgram(ctx, s.machine, pr, s.options)
 }
 
-// RunMPI executes body once per rank under the MPI-flavoured layer. With
-// WithTrace installed, every completed Barrier is reported as a "superstep"
-// event, mirroring the BSP instrumentation.
+// RunMPI executes body once per rank under the MPI-flavoured layer. A
+// recorded run (WithRecorder) marks every completed Barrier as a superstep
+// boundary, the same trace.KindSuperstep mark a BSP Sync leaves.
 func (s *Session) RunMPI(ctx context.Context, body func(c *mpi.Comm) error) (*sim.Result, error) {
-	var runEnded atomic.Bool
-	s.emit(TraceEvent{Kind: "run.start", Rank: -1})
-	res, err := mpi.RunObserved(ctx, s.machine, body, s.options, s.superstepObserver(&runEnded))
-	return s.endRun(&runEnded, res, err)
+	return mpi.RunContext(ctx, s.machine, body, s.options)
 }

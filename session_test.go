@@ -53,13 +53,12 @@ func TestNewOptionMatrix(t *testing.T) {
 		{"acks off", []hbsp.Option{hbsp.WithAckSends(false)}, nil},
 		{"collapse off", []hbsp.Option{hbsp.WithSymmetryCollapse(false)}, nil},
 		{"collapse auto", []hbsp.Option{hbsp.WithSymmetryCollapse(true)}, nil},
-		{"trace", []hbsp.Option{hbsp.WithTrace(func(hbsp.TraceEvent) {})}, nil},
 		{"synchronizer", []hbsp.Option{hbsp.WithSynchronizer(bsp.DefaultSynchronizer())}, nil},
 		{"schedule synchronizer", []hbsp.Option{hbsp.WithScheduleSynchronizer(diss)}, nil},
 		{"collective schedules", []hbsp.Option{hbsp.WithCollectiveSchedules(bsp.NewScheduleCache())}, nil},
 		{"everything", []hbsp.Option{
 			hbsp.WithSeed(42), hbsp.WithDeadline(30 * time.Second), hbsp.WithAckSends(true),
-			hbsp.WithScheduleSynchronizer(diss), hbsp.WithTrace(func(hbsp.TraceEvent) {}),
+			hbsp.WithScheduleSynchronizer(diss), hbsp.WithRecorder(trace.NewRecorder()),
 		}, nil},
 		{"recorder", []hbsp.Option{hbsp.WithRecorder(trace.NewRecorder())}, nil},
 		{"nil recorder", []hbsp.Option{hbsp.WithRecorder(nil)}, hbsp.ErrOption},
@@ -67,7 +66,6 @@ func TestNewOptionMatrix(t *testing.T) {
 		{"zero deadline", []hbsp.Option{hbsp.WithDeadline(0)}, hbsp.ErrOption},
 		{"negative deadline", []hbsp.Option{hbsp.WithDeadline(-time.Second)}, hbsp.ErrOption},
 		{"nil synchronizer", []hbsp.Option{hbsp.WithSynchronizer(nil)}, hbsp.ErrOption},
-		{"nil trace", []hbsp.Option{hbsp.WithTrace(nil)}, hbsp.ErrOption},
 		{"nil schedule source", []hbsp.Option{hbsp.WithCollectiveSchedules(nil)}, hbsp.ErrOption},
 		{"rooted sync schedule", []hbsp.Option{hbsp.WithScheduleSynchronizer(bcast)}, hbsp.ErrOption},
 	}
@@ -253,96 +251,67 @@ func TestRunMPIAndRawRun(t *testing.T) {
 	}
 }
 
-// TestTraceObservesSupersteps checks the WithTrace event stream of a BSP
-// run: one run.start, one superstep event per process per Sync, one run.end
-// carrying the makespan.
-func TestTraceObservesSupersteps(t *testing.T) {
+// TestRecorderMarksSupersteps checks the superstep marks of a recorded run,
+// for BSP Syncs and for MPI Barriers alike: every rank marks steps 0…n−1
+// once each, in order, at virtual times no later than the makespan.
+func TestRecorderMarksSupersteps(t *testing.T) {
 	const procs, steps = 4, 3
-	var events []hbsp.TraceEvent
-	sess, err := hbsp.New(testMachine(t, procs), hbsp.WithTrace(func(ev hbsp.TraceEvent) {
-		events = append(events, ev)
-	}))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		run  func(*hbsp.Session) (*sim.Result, error)
+	}{
+		{"bsp", func(s *hbsp.Session) (*sim.Result, error) {
+			return s.RunBSP(context.Background(), func(c *bsp.Ctx) error {
+				for i := 0; i < steps; i++ {
+					if err := c.Sync(); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}},
+		{"mpi", func(s *hbsp.Session) (*sim.Result, error) {
+			return s.RunMPI(context.Background(), func(c *mpi.Comm) error {
+				for i := 0; i < steps; i++ {
+					c.Compute(1e-6)
+					c.Barrier()
+				}
+				return nil
+			})
+		}},
 	}
-	res, err := sess.RunBSP(context.Background(), func(c *bsp.Ctx) error {
-		for i := 0; i < steps; i++ {
-			if err := c.Sync(); err != nil {
-				return err
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := trace.NewRecorder()
+			sess, err := hbsp.New(testMachine(t, procs), hbsp.WithRecorder(rec))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2+procs*steps {
-		t.Fatalf("got %d events, want %d", len(events), 2+procs*steps)
-	}
-	if events[0].Kind != "run.start" {
-		t.Errorf("first event = %q, want run.start", events[0].Kind)
-	}
-	last := events[len(events)-1]
-	if last.Kind != "run.end" || last.Err != nil || last.Time != res.MakeSpan {
-		t.Errorf("last event = %+v, want run.end with makespan %g", last, res.MakeSpan)
-	}
-	perStep := map[int]int{}
-	for _, ev := range events[1 : len(events)-1] {
-		if ev.Kind != "superstep" {
-			t.Fatalf("middle event = %+v, want superstep", ev)
-		}
-		perStep[ev.Step]++
-	}
-	for s := 0; s < steps; s++ {
-		if perStep[s] != procs {
-			t.Errorf("superstep %d reported by %d processes, want %d", s, perStep[s], procs)
-		}
-	}
-}
-
-// TestTraceObservesMPIBarriers checks that MPI runs emit superstep events
-// too — one per process per completed Barrier — so WithTrace instruments
-// both run-times symmetrically.
-func TestTraceObservesMPIBarriers(t *testing.T) {
-	const procs, barriers = 4, 3
-	var events []hbsp.TraceEvent
-	sess, err := hbsp.New(testMachine(t, procs), hbsp.WithTrace(func(ev hbsp.TraceEvent) {
-		events = append(events, ev)
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.RunMPI(context.Background(), func(c *mpi.Comm) error {
-		for i := 0; i < barriers; i++ {
-			c.Compute(1e-6)
-			c.Barrier()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2+procs*barriers {
-		t.Fatalf("got %d events, want %d (start + %d×%d supersteps + end)", len(events), 2+procs*barriers, procs, barriers)
-	}
-	if events[0].Kind != "run.start" {
-		t.Errorf("first event = %q, want run.start", events[0].Kind)
-	}
-	last := events[len(events)-1]
-	if last.Kind != "run.end" || last.Time != res.MakeSpan {
-		t.Errorf("last event = %+v, want run.end with makespan %g", last, res.MakeSpan)
-	}
-	perStep := map[int]int{}
-	for _, ev := range events[1 : len(events)-1] {
-		if ev.Kind != "superstep" {
-			t.Fatalf("middle event = %+v, want superstep", ev)
-		}
-		perStep[ev.Step]++
-	}
-	for s := 0; s < barriers; s++ {
-		if perStep[s] != procs {
-			t.Errorf("barrier %d reported by %d processes, want %d", s, perStep[s], procs)
-		}
+			res, err := tc.run(sess)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := rec.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank := 0; rank < procs; rank++ {
+				next := 0
+				for _, ev := range tr.LaneEvents(rank) {
+					if ev.Kind != trace.KindSuperstep {
+						continue
+					}
+					if int(ev.Step) != next || ev.T1 > res.MakeSpan {
+						t.Fatalf("rank %d: mark %d = step %d at %g, want step %d at or before makespan %g",
+							rank, next, ev.Step, ev.T1, next, res.MakeSpan)
+					}
+					next++
+				}
+				if next != steps {
+					t.Errorf("rank %d marked %d supersteps, want %d", rank, next, steps)
+				}
+			}
+		})
 	}
 }
 
