@@ -37,12 +37,6 @@ type Ctx = ibsp.Ctx
 // DefaultSynchronizer, NewScheduleSynchronizer or NewAdaptedSynchronizer.
 type Synchronizer = ibsp.Synchronizer
 
-// ScheduleSource supplies the verified schedules (sched.Schedule values) the
-// Ctx collectives execute. A source may be shared by concurrent runs; it must
-// answer identical arguments with the identical schedule for the duration of a
-// run.
-type ScheduleSource = ibsp.ScheduleSource
-
 // RunConfig bundles everything a BSP run can be configured with.
 type RunConfig = ibsp.RunConfig
 
@@ -81,11 +75,6 @@ func NewScheduleSynchronizer(s sched.Schedule) (Synchronizer, error) {
 func NewAdaptedSynchronizer(params collective.Params, opts collective.CostOptions) (Synchronizer, *collective.AdaptResult, error) {
 	return ibsp.NewAdaptedSynchronizer(params, opts)
 }
-
-// NewScheduleCache returns the default generator-backed schedule source used
-// by the Ctx collectives: streamed schedules, verified once per stage
-// structure.
-func NewScheduleCache() ScheduleSource { return ibsp.NewScheduleCache() }
 
 // ExchangeSchedule returns the default dissemination count-exchange schedule
 // for p ranks — the exact op-stream Sync evaluates per superstep, with every

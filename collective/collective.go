@@ -37,9 +37,6 @@ import (
 // streamed form alike. The thesis' P×P stage matrices are not held anywhere.
 type Pattern = barrier.Pattern
 
-// StageAdj is the edge-list form of one stage.
-type StageAdj = barrier.StageAdj
-
 // Semantics names the collective postcondition a schedule must establish.
 type Semantics = barrier.Semantics
 

@@ -208,16 +208,14 @@
 // The public packages layer as follows: cluster (platform profiles,
 // topologies, machines) feeds sim (the virtual-time simulator), on which bsp
 // (the BSPlib run-time with user collectives and the pluggable superstep
-// synchronizer) and mpi (point-to-point, persistent requests,
-// schedule-driven collectives) are built; collective holds the
-// schedule engine (edge-list patterns and streamed generators — one schedule
-// type, which verification, the cost model, the pattern simulator and the
-// schedule synchronizer all take — and the model-driven adaptation), bench
-// the measurement procedures, kernels and matrix the
-// modeling vocabulary, stencil Case Study II, trace the recording and
-// analysis subsystem, fault the deterministic fault/straggler injection
-// plans, server the prediction service, and experiments the evaluation
-// driver. See README.md
-// for the package map and a migration table from the pre-facade internal
-// API.
+// synchronizer) and mpi (point-to-point and schedule-driven collectives) are
+// built; collective holds the schedule engine (edge-list patterns and
+// streamed generators — one schedule type, which verification, the cost
+// model, the pattern simulator, the schedule synchronizer and every
+// collective of bsp and mpi take — and the model-driven adaptation), bench
+// the measurement procedures, kernels and matrix the modeling vocabulary,
+// stencil Case Study II, trace the recording and analysis subsystem, fault
+// the deterministic fault/straggler injection plans, server the prediction
+// service, and experiments the evaluation driver. See README.md for the
+// package map and a migration table from the pre-facade internal API.
 package hbsp

@@ -73,7 +73,7 @@ func (pat *Pattern) Validate() error {
 
 // Adjacency returns the stages' edge lists: the pattern's own Stages. Kept for
 // callers written when the stages were matrices.
-func (pat *Pattern) Adjacency() []StageAdj { return pat.Stages }
+func (pat *Pattern) Adjacency() []sched.Stage { return pat.Stages }
 
 // ScheduleView returns the pattern itself: a *Pattern is a sched.Schedule.
 // Kept for callers written when the two were different types.

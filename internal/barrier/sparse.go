@@ -7,15 +7,6 @@ import (
 	"hbsp/internal/sched"
 )
 
-// StageAdj is the edge-list form of one stage: Out[i] lists the destinations
-// process i signals, In[j] the sources signalling j, and OutBytes[i][k] the
-// payload size of the edge i→Out[i][k] (nil for pure signals). It is what
-// Verify, Predict and Execute read a schedule through, so all run in
-// O(signals) per stage instead of the O(P³) dense matrix products of the
-// literal Eq. 5.1/5.2 formulation. It is an alias for the discrete-event
-// evaluator's stage type.
-type StageAdj = sched.Stage
-
 // checkSchedule refuses what no consumer can walk: a missing schedule (a nil
 // pointer handed over as one included), one without ranks or stages, and an
 // edge-list literal that breaks the sched.Stage contract (Validate) — a rank

@@ -43,14 +43,9 @@ func TestReachSetsBasics(t *testing.T) {
 		t.Fatalf("after 0→69: 69 knows 0 = %t, 0 knows 69 = %t, counts %d/%d",
 			r.Has(69, 0), r.Has(0, 69), r.Count(69), r.Count(0))
 	}
-	var origins []int
-	r.ForEach(69, func(o int) { origins = append(origins, o) })
-	if len(origins) != 2 || origins[0] != 0 || origins[1] != 69 {
-		t.Fatalf("ForEach(69) = %v, want [0 69]", origins)
-	}
 
 	// A circulant schedule steps one row for all ranks. After every stage it
-	// must answer Has, Count and ForEach (ascending) for every rank as the
+	// must answer Has and Count for every rank as the
 	// P-row recursion over the same stages, materialized, does.
 	for _, p := range []int{1, 2, 3, 7, 63, 64, 65, 128, 130} {
 		for name, gen := range map[string]func(int, int) (sched.Schedule, error){
@@ -69,12 +64,9 @@ func TestReachSetsBasics(t *testing.T) {
 				vr.Load(k)
 				full.Step(&vr)
 				for rank := 0; rank < p; rank++ {
-					var got, want []int
-					row.ForEach(rank, func(o int) { got = append(got, o) })
-					full.ForEach(rank, func(o int) { want = append(want, o) })
-					if !slices.Equal(got, want) || row.Count(rank) != len(want) {
-						t.Fatalf("%s p=%d stage %d rank %d: one row says %v (count %d), P rows say %v",
-							name, p, k, rank, got, row.Count(rank), want)
+					if row.Count(rank) != full.Count(rank) {
+						t.Fatalf("%s p=%d stage %d rank %d: one row counts %d, P rows %d",
+							name, p, k, rank, row.Count(rank), full.Count(rank))
 					}
 					for o := 0; o < p; o++ {
 						if row.Has(rank, o) != full.Has(rank, o) {

@@ -96,9 +96,6 @@ type Ctx struct {
 	machine Machine
 	// sync performs the count total exchange that ends every superstep.
 	sync Synchronizer
-	// schedules supplies the verified schedules the user-facing collectives
-	// (Broadcast, Reduce, AllReduce, AllGather, TotalExchange) execute.
-	schedules ScheduleSource
 
 	// Registered memory areas, keyed by registration name.
 	regs        map[string][]float64

@@ -2,130 +2,11 @@ package bsp
 
 import (
 	"fmt"
-	"sync"
 
 	"hbsp/internal/barrier"
 	"hbsp/internal/mpi"
 	"hbsp/internal/sched"
 )
-
-// ScheduleSource supplies the verified collective schedules the user-facing
-// Ctx collectives execute. The default source builds the streamed generator
-// schedules of internal/barrier; alternative sources can substitute
-// model-selected patterns (e.g. the adapted hybrid schedules of
-// internal/adapt — a *barrier.Pattern is a sched.Schedule) for the non-rooted
-// collectives.
-//
-// A source must be safe for concurrent use (every simulated process of a run,
-// and every run sharing it, queries it) and, for the duration of a run, must
-// answer identical arguments with the identical schedule — the same stages
-// and sizes. It need not be the same value each time: a run remembers what it
-// was handed (runSchedules), so the ranks of one collective call execute one
-// value whatever the source, or another run sharing it, does in between.
-type ScheduleSource interface {
-	// Schedule returns a verified schedule establishing the semantics for p
-	// processes, the given root (ignored by non-rooted semantics) and
-	// per-contribution payload of msgBytes.
-	Schedule(sem barrier.Semantics, p, root, msgBytes int) (sched.Schedule, error)
-}
-
-// scheduleCache is the default ScheduleSource: the streamed generator
-// schedules, O(stages) values that cost next to nothing to build, so none is
-// kept. What is kept is their verification: the knowledge recursion only
-// inspects stage structure, which is identical across payload sizes, so it is
-// memoized per (semantics, procs, root).
-type scheduleCache struct {
-	mu       sync.Mutex
-	verified map[scheduleKey]bool // keyed with bytes = 0
-}
-
-type scheduleKey struct {
-	sem            barrier.Semantics
-	p, root, bytes int
-}
-
-// NewScheduleCache returns the default generator-backed schedule source.
-func NewScheduleCache() ScheduleSource {
-	return &scheduleCache{verified: map[scheduleKey]bool{}}
-}
-
-// defaultSchedules serves the Ctx collectives of runs started without an
-// explicit source, so they share one verification memo.
-var defaultSchedules = NewScheduleCache()
-
-func (sc *scheduleCache) Schedule(sem barrier.Semantics, p, root, msgBytes int) (sched.Schedule, error) {
-	var (
-		s   sched.Schedule
-		err error
-	)
-	switch sem {
-	case barrier.SemBroadcast:
-		s, err = barrier.StreamBroadcast(p, root, msgBytes)
-	case barrier.SemReduce:
-		s, err = barrier.StreamReduce(p, root, msgBytes)
-	case barrier.SemAllReduce:
-		s, err = barrier.StreamAllReduce(p, msgBytes)
-	case barrier.SemAllGather:
-		s, err = barrier.StreamAllGather(p, msgBytes)
-	case barrier.SemTotalExchange:
-		s, err = barrier.StreamTotalExchange(p, msgBytes)
-	default:
-		return nil, fmt.Errorf("bsp: no schedule generator for %s", sem)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sk := scheduleKey{sem: sem, p: p, root: root}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if !sc.verified[sk] {
-		if err := barrier.VerifySchedule(s, sem, root); err != nil {
-			return nil, err
-		}
-		sc.verified[sk] = true
-	}
-	return s, nil
-}
-
-// runSchedules is one run's view of its schedule source: what the source
-// returned for a key, remembered so that every rank asking for the key is
-// handed that value — a flood's gate leader checks that the ranks agree on the
-// schedule by identity. The memo is bounded by dropping everything, which is
-// safe per run: every rank has looked up collective n before any rank is
-// released from it to ask for n+1. (Under the concurrent engine ranks do run
-// ahead, and there identity is not checked.)
-type runSchedules struct {
-	src  ScheduleSource
-	mu   sync.Mutex
-	memo map[scheduleKey]*runSchedule
-}
-
-// runSchedule is one memo entry: the first rank to want it asks the source,
-// outside the memo's lock, and the others wait for that answer.
-type runSchedule struct {
-	once sync.Once
-	s    sched.Schedule
-	err  error
-}
-
-// maxRunSchedules bounds a run's schedule memo.
-const maxRunSchedules = 64
-
-func (rs *runSchedules) Schedule(sem barrier.Semantics, p, root, msgBytes int) (sched.Schedule, error) {
-	key := scheduleKey{sem: sem, p: p, root: root, bytes: msgBytes}
-	rs.mu.Lock()
-	e := rs.memo[key]
-	if e == nil {
-		if rs.memo == nil || len(rs.memo) >= maxRunSchedules {
-			rs.memo = map[scheduleKey]*runSchedule{}
-		}
-		e = &runSchedule{}
-		rs.memo[key] = e
-	}
-	rs.mu.Unlock()
-	e.once.Do(func() { e.s, e.err = rs.src.Schedule(sem, p, root, msgBytes) })
-	return e.s, e.err
-}
 
 // ReduceOp combines two reduction operands; it must be associative and
 // commutative for the result to be meaningful, and is always applied in rank
@@ -143,18 +24,45 @@ var (
 // process must call them collectively (same operation, compatible sizes, in
 // the same order), and they communicate independently of the superstep
 // machinery — buffered Put/Get/Send traffic stays pending until the next
-// Sync. Each call executes a schedule verified against the collective's
-// semantics by the knowledge recursion, billed at the schedule's per-edge
-// payload sizes, so the virtual times match what barrier.Predict prices.
+// Sync. Each call executes the collective's streamed generator schedule
+// (barrier's tests verify every generator against its semantics by the
+// knowledge recursion), billed at the schedule's per-edge payload sizes, so
+// the virtual times match what barrier.Predict prices.
 
-// flood executes the schedule with this context's process; the collectives
-// read the typed payloads they need through the returned view.
+// flood executes the collective's generator schedule with this context's
+// process; the collectives read the typed payloads they need through the
+// returned view. The run keeps one schedule value per key (simnet.Proc.Memo).
 func (c *Ctx) flood(sem barrier.Semantics, root, msgBytes int, own any) (mpi.Flood, error) {
-	s, err := c.schedules.Schedule(sem, c.NProcs(), root, msgBytes)
+	s, err := c.proc.Memo(scheduleKey{sem, root, msgBytes}, func() (any, error) {
+		return generator(sem, c.NProcs(), root, msgBytes)
+	})
 	if err != nil {
 		return mpi.Flood{}, err
 	}
-	return mpi.CommOn(c.proc).FloodSchedule(s, own)
+	return mpi.CommOn(c.proc).FloodSchedule(s.(sched.Schedule), own)
+}
+
+// scheduleKey names a Ctx collective's schedule in the run's memo.
+type scheduleKey struct {
+	sem            barrier.Semantics
+	root, msgBytes int
+}
+
+// generator builds the streamed generator schedule of the semantics.
+func generator(sem barrier.Semantics, p, root, msgBytes int) (sched.Schedule, error) {
+	switch sem {
+	case barrier.SemBroadcast:
+		return barrier.StreamBroadcast(p, root, msgBytes)
+	case barrier.SemReduce:
+		return barrier.StreamReduce(p, root, msgBytes)
+	case barrier.SemAllReduce:
+		return barrier.StreamAllReduce(p, msgBytes)
+	case barrier.SemAllGather:
+		return barrier.StreamAllGather(p, msgBytes)
+	case barrier.SemTotalExchange:
+		return barrier.StreamTotalExchange(p, msgBytes)
+	}
+	return nil, fmt.Errorf("bsp: no schedule generator for %s", sem)
 }
 
 // Broadcast distributes the root's data to every process by executing a

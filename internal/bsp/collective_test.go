@@ -1,12 +1,10 @@
 package bsp
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"testing"
 
-	"hbsp/internal/barrier"
 	"hbsp/internal/platform"
 )
 
@@ -143,90 +141,42 @@ func TestCollectiveValidation(t *testing.T) {
 	}
 }
 
-// TestScheduleCacheSharesVerifiedPatterns checks the two layers of the default
-// source: the source verifies once per stage structure, and a run's view of
-// it hands every rank one value per key.
-func TestScheduleCacheSharesVerifiedPatterns(t *testing.T) {
-	src := NewScheduleCache()
-	run := &runSchedules{src: src}
-	a, err := run.Schedule(barrier.SemAllReduce, 8, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := run.Schedule(barrier.SemAllReduce, 8, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("same key returned distinct schedules within one run")
-	}
-	c, err := run.Schedule(barrier.SemAllReduce, 8, 0, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == c {
-		t.Error("different payload sizes must yield distinct schedules")
-	}
-	if n := len(src.(*scheduleCache).verified); n != 1 {
-		t.Errorf("two sizes of one structure left %d verification entries, want 1", n)
-	}
-	if _, err := src.Schedule(barrier.Semantics(99), 8, 0, 0); err == nil {
-		t.Error("unknown semantics should fail")
-	}
-}
-
-// sharedScheduleProgram is the body of the shared-source tests: calls AllReduce
-// calls whose vector lengths are pairwise distinct across the four runs that
-// execute it (run k uses lengths ≡ k mod 4), so every call of every run asks
-// the shared source for a schedule it has not built yet.
-func sharedScheduleProgram(run, calls int) Program {
-	return func(c *Ctx) error {
-		for i := 0; i < calls; i++ {
-			v := make([]float64, 1+run+4*i)
-			for k := range v {
-				v[k] = float64(c.Pid())
-			}
-			sum, err := c.AllReduce(v, OpSum)
-			if err != nil {
-				return err
-			}
-			if p := c.NProcs(); sum[0] != float64(p*(p-1)/2) {
-				return fmt.Errorf("run %d call %d: AllReduce = %v", run, i, sum[0])
-			}
-		}
-		return nil
-	}
-}
-
-// TestSharedScheduleSourceAcrossConcurrentRuns runs four programs at once on
-// one schedule source — an explicit shared one, and the package default that
-// Run uses. The gate leader of a flood checks that the ranks agree on the
-// schedule by identity, so nothing another run does to the source may change
-// which value two ranks of one collective call are handed (a source-side
-// cache turning over under concurrent inserts fails this with "ranks disagree
-// on the flooded schedule").
-func TestSharedScheduleSourceAcrossConcurrentRuns(t *testing.T) {
+// TestSharedRunMemoAcrossConcurrentRuns runs four programs at once, each
+// making 200 AllReduce calls of lengths no other call uses (run k uses
+// lengths ≡ k mod 4), so every call asks its run's memo for a schedule it
+// has not built yet and the memo turns over every 64 calls. The gate leader
+// of a flood checks that the ranks agree on the schedule by identity, so
+// nothing may change which value two ranks of one call are handed (a cache
+// shared by the runs and reset under them failed this with "ranks disagree on
+// the flooded schedule").
+func TestSharedRunMemoAcrossConcurrentRuns(t *testing.T) {
 	const procs, runs, calls = 16, 4, 200
 	m := collectiveMachine(t, procs)
-	shared := NewScheduleCache()
-	for name, start := range map[string]func(Program) error{
-		"explicit": func(prog Program) error {
-			_, err := RunContext(context.Background(), m, RunConfig{Schedules: shared}, prog)
-			return err
-		},
-		"default": func(prog Program) error {
-			_, err := Run(m, prog)
-			return err
-		},
-	} {
-		errs := make(chan error, runs)
-		for run := 0; run < runs; run++ {
-			go func() { errs <- start(sharedScheduleProgram(run, calls)) }()
-		}
-		for run := 0; run < runs; run++ {
-			if err := <-errs; err != nil {
-				t.Errorf("%s source: %v", name, err)
-			}
+	errs := make(chan error, runs)
+	for run := 0; run < runs; run++ {
+		go func() {
+			_, err := Run(m, func(c *Ctx) error {
+				for i := 0; i < calls; i++ {
+					v := make([]float64, 1+run+runs*i)
+					for k := range v {
+						v[k] = float64(c.Pid())
+					}
+					sum, err := c.AllReduce(v, OpSum)
+					if err != nil {
+						return err
+					}
+					if sum[0] != procs*(procs-1)/2 {
+						return fmt.Errorf("run %d call %d: AllReduce = %v", run, i, sum[0])
+					}
+				}
+				return nil
+			})
+			errs <- err
+		}()
+	}
+	for run := 0; run < runs; run++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }

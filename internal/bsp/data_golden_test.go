@@ -18,15 +18,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// treeSource hands every collective the binary combining tree: a
-// non-circulant edge-list *Pattern whose flood reaches every rank from every
-// rank, so it implements each semantics.
-type treeSource struct{}
-
-func (treeSource) Schedule(_ barrier.Semantics, p, _, _ int) (sched.Schedule, error) {
-	return barrier.Tree(p)
-}
-
 // leftFold is a reduction operator whose result depends on the order its
 // operands are combined in, so the golden pins rank-order combination.
 func leftFold(a, b float64) float64 { return a*0.5 + b }
@@ -38,8 +29,10 @@ var dataCollectives = []string{
 }
 
 // collectiveData runs every mpi.Comm schedule collective and every bsp.Ctx
-// collective (and a two-put superstep) on one engine over one schedule form
-// and returns, per collective, what each rank got back, rendered.
+// collective (and a two-put superstep) on one engine and returns, per
+// collective, what each rank got back, rendered. The schedule form is that of
+// the mpi collectives and of the superstep's synchronizer; the bsp.Ctx
+// collectives always run their generator schedules.
 func collectiveData(t *testing.T, engine simnet.Engine, form string, p int) map[string][]string {
 	t.Helper()
 	root := 2 % p
@@ -64,7 +57,7 @@ func collectiveData(t *testing.T, engine simnet.Engine, form string, p int) map[
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Sync, cfg.Schedules = sync, treeSource{}
+		cfg.Sync = sync
 	} else {
 		bc, rd = must(barrier.StreamBroadcast(p, root, 8)), must(barrier.StreamReduce(p, root, 8))
 		ar, ag = must(barrier.StreamAllReduce(p, 8)), must(barrier.StreamAllGather(p, 8))
@@ -178,9 +171,9 @@ func collectiveData(t *testing.T, engine simnet.Engine, form string, p int) map[
 
 // TestCollectiveDataGolden pins what every schedule collective of both layers
 // hands back on every rank, on both engines, over the streamed generator
-// schedules and over the binary tree pattern, against a recording: one
-// digest of the per-rank renderings per collective. Values tell ranks apart,
-// and the reductions use an order-sensitive operator.
+// schedules and over the binary tree pattern (see collectiveData), against a
+// recording: one digest of the per-rank renderings per collective. Values
+// tell ranks apart, and the reductions use an order-sensitive operator.
 func TestCollectiveDataGolden(t *testing.T) {
 	var out strings.Builder
 	for _, engine := range []simnet.Engine{simnet.EngineAuto, simnet.EngineConcurrent} {

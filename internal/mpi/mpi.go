@@ -1,10 +1,10 @@
 // Package mpi layers a small, MPI-flavoured message-passing interface over
 // the virtual-time simulator. It provides the subset the thesis' software
-// stack relies on: non-blocking point-to-point communication, persistent
-// requests with MPI_Startall/MPI_Waitall semantics (the general barrier
-// simulator of Fig. 5.5 is written directly against these), and a few
-// collectives (barrier, allreduce, allgather) built from point-to-point
-// messages.
+// stack relies on: blocking and non-blocking point-to-point communication,
+// and collectives that execute a schedule of communication stages
+// (schedule.go). The built-in collectives (Barrier, Allreduce, Allgather,
+// Bcast) are those schedule collectives over the dissemination, ring and
+// binomial generator schedules.
 package mpi
 
 import (
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 )
 
@@ -88,117 +89,13 @@ func (c *Comm) Wait(r *simnet.Request) any { return c.proc.Wait(r) }
 // WaitAll waits for all requests in order.
 func (c *Comm) WaitAll(reqs []*simnet.Request) []any { return c.proc.WaitAll(reqs) }
 
-// reqKind discriminates persistent request types.
-type reqKind int
-
-const (
-	sendKind reqKind = iota
-	recvKind
-)
-
-// PersistentRequest is the analogue of an MPI persistent communication
-// request created with MPI_Send_init / MPI_Recv_init: a reusable description
-// of one transfer that Startall activates.
-type PersistentRequest struct {
-	kind    reqKind
-	peer    int
-	tag     int
-	size    int
-	payload any
-
-	active *simnet.Request
-}
-
-// SendInit creates a persistent send request of size bytes to rank dst.
-func (c *Comm) SendInit(dst, tag, size int, payload any) *PersistentRequest {
-	if dst < 0 || dst >= c.Size() {
-		panic(fmt.Sprintf("mpi: SendInit to invalid rank %d", dst))
-	}
-	return &PersistentRequest{kind: sendKind, peer: dst, tag: tag, size: size, payload: payload}
-}
-
-// RecvInit creates a persistent receive request from rank src.
-func (c *Comm) RecvInit(src, tag int) *PersistentRequest {
-	if src < 0 || src >= c.Size() {
-		panic(fmt.Sprintf("mpi: RecvInit from invalid rank %d", src))
-	}
-	return &PersistentRequest{kind: recvKind, peer: src, tag: tag}
-}
-
-// Startall activates all persistent requests, mirroring MPI_Startall: the
-// receives are posted first so matching sends find them pre-posted, then the
-// sends are injected back to back.
-func (c *Comm) Startall(reqs []*PersistentRequest) {
-	for _, r := range reqs {
-		if r.kind == recvKind {
-			r.active = c.proc.Irecv(r.peer, r.tag)
-		}
-	}
-	for _, r := range reqs {
-		if r.kind == sendKind {
-			r.active = c.proc.Isend(r.peer, r.tag, r.size, r.payload)
-		}
-	}
-}
-
-// WaitAllPersistent waits for every active persistent request and deactivates
-// it, mirroring MPI_Waitall. It returns the payloads received (nil entries for
-// sends).
-func (c *Comm) WaitAllPersistent(reqs []*PersistentRequest) []any {
-	out := make([]any, len(reqs))
-	for i, r := range reqs {
-		if r.active == nil {
-			continue
-		}
-		out[i] = c.proc.Wait(r.active)
-		r.active = nil
-	}
-	return out
-}
-
-// Tags used by the built-in collectives; user code should avoid the highest
-// tag values.
-const (
-	tagBarrier   = 1 << 28
-	tagAllreduce = 1<<28 + 1
-	tagAllgather = 1<<28 + 2
-	tagBcast     = 1<<28 + 3
-)
-
-// Barrier synchronizes all ranks with a dissemination pattern. A completed
+// Barrier synchronizes all ranks with the dissemination barrier. A completed
 // barrier is the MPI analogue of a superstep boundary: a recorded run marks
 // the n-th (from 0) on every rank as superstep n, as a BSP Sync is marked.
 func (c *Comm) Barrier() {
-	c.dissemination(tagBarrier, nil, nil)
+	check(c.BarrierSchedule(c.generated(dissemination, 0)))
 	c.proc.TraceSuperstep(c.barrierStep)
 	c.barrierStep++
-}
-
-// dissemination runs the log2(P) dissemination exchange. If payload/combine
-// are non-nil, each round exchanges the running value and combines it, which
-// is how Allreduce is built.
-func (c *Comm) dissemination(tag int, value any, combine func(a, b any) any) any {
-	p := c.Size()
-	rank := c.Rank()
-	acc := value
-	round := 0
-	for dist := 1; dist < p; dist *= 2 {
-		dst := (rank + dist) % p
-		src := (rank - dist + p) % p
-		size := 0
-		if acc != nil {
-			size = 8
-		}
-		rreq := c.proc.Irecv(src, tag+round<<8)
-		sreq := c.proc.Isend(dst, tag+round<<8, size, acc)
-		got := c.proc.Wait(rreq)
-		c.proc.Wait(sreq)
-		if combine != nil {
-			acc = combine(acc, got)
-		}
-		round++
-	}
-	return acc
 }
 
 // Op is a reduction operator for Allreduce.
@@ -211,80 +108,78 @@ var (
 	OpMin Op = func(a, b float64) float64 { return math.Min(a, b) }
 )
 
-// Allreduce combines one float64 per rank with the given operator and returns
-// the result on every rank. It gathers all contributions with a ring
-// allgather and reduces locally, which is correct for any operator and any
-// process count (a recursive-doubling exchange would double-count
-// non-idempotent operators when P is not a power of two).
+// Allreduce combines one float64 per rank with the given operator over the
+// ring allgather and returns the result on every rank. Contributions are
+// combined in rank order, so the result is identical on every rank and
+// correct for any operator and any process count.
 func (c *Comm) Allreduce(value float64, op Op) float64 {
-	all := c.allgatherTagged(value, tagAllreduce)
-	acc, ok := all[0].(float64)
-	if !ok {
-		acc = 0
-	}
-	for _, v := range all[1:] {
-		fv, _ := v.(float64)
-		acc = op(acc, fv)
-	}
-	return acc
+	return must(c.AllreduceSchedule(c.generated(ring, 0), value, op))
 }
 
-// Allgather collects one value from every rank and returns the slice indexed
-// by rank, identical on all ranks. It is implemented as a ring exchange so
-// every rank forwards what it has learned so far.
+// Allgather collects one value from every rank over the ring allgather and
+// returns the slice indexed by rank, identical on all ranks.
 func (c *Comm) Allgather(value any) []any {
-	return c.allgatherTagged(value, tagAllgather)
+	return must(c.AllgatherSchedule(c.generated(ring, 0), value))
 }
 
-func (c *Comm) allgatherTagged(value any, tag int) []any {
-	p := c.Size()
-	out := make([]any, p)
-	out[c.Rank()] = value
-	next := (c.Rank() + 1) % p
-	prev := (c.Rank() - 1 + p) % p
-	// Ring: in step s, send the value originally owned by (rank-s) and
-	// receive the one owned by (rank-s-1).
-	for s := 0; s < p-1; s++ {
-		sendIdx := (c.Rank() - s + p) % p
-		recvIdx := (c.Rank() - s - 1 + p) % p
-		rreq := c.proc.Irecv(prev, tag+s<<8)
-		sreq := c.proc.Isend(next, tag+s<<8, 8, out[sendIdx])
-		out[recvIdx] = c.proc.Wait(rreq)
-		c.proc.Wait(sreq)
-	}
-	return out
-}
-
-// Bcast distributes the root's value to every rank with a binomial tree and
-// returns it.
+// Bcast distributes the root's value to every rank over the binomial tree
+// and returns it. A root outside the communicator is refused before anything
+// is sent: the rank panics with an error wrapping ErrInvalidRoot.
 func (c *Comm) Bcast(value any, root int) any {
-	p := c.Size()
-	rank := c.Rank()
-	// Relative rank so any root works.
-	rel := (rank - root + p) % p
-	acc := value
-	if rel != 0 {
-		// Find the sender: clear the highest set bit of rel.
-		mask := 1
-		for mask*2 <= rel {
-			mask *= 2
+	check(c.checkRoot(root))
+	return must(c.BcastSchedule(c.generated(binomial, root), root, value))
+}
+
+// The generator shapes of the built-in collectives, whose payload is one
+// 8-byte value per edge (none for the barrier).
+const (
+	dissemination = iota
+	ring
+	binomial
+)
+
+// generatedKey names a built-in collective's schedule in the run's memo.
+type generatedKey struct{ shape, root int }
+
+// generated returns the run's one value of the shape's schedule (see
+// simnet.Proc.Memo), built by the first rank to ask.
+func (c *Comm) generated(shape, root int) Schedule {
+	s, err := c.proc.Memo(generatedKey{shape, root}, func() (any, error) {
+		p := c.Size()
+		switch shape {
+		case dissemination:
+			return sched.Dissemination(p, nil)
+		case ring:
+			return sched.Ring(p, 8)
+		default:
+			return sched.NewBinomial(p, root, 8, false)
 		}
-		src := ((rel - mask) + root) % p
-		acc = c.proc.Recv(src, tagBcast)
+	})
+	return must(s, err).(Schedule)
+}
+
+// check panics with a built-in collective's error. The built-ins have no
+// error to return, so one that fails (a violated collective contract, an
+// invalid root) panics, as barrier.Execute does; the run reports the panic as
+// the rank's error, wrapping this one.
+func check(err error) {
+	if err != nil {
+		panic(err)
 	}
-	// Forward to children.
-	mask := 1
-	for mask <= rel {
-		mask *= 2
+}
+
+// must is check for a built-in collective with a result.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+// checkRoot refuses a root rank outside the communicator.
+func (c *Comm) checkRoot(root int) error {
+	if root < 0 || root >= c.Size() {
+		return fmt.Errorf("%w: %d", ErrInvalidRoot, root)
 	}
-	for ; mask < p; mask *= 2 {
-		dstRel := rel + mask
-		if dstRel < p {
-			dst := (dstRel + root) % p
-			c.proc.Send(dst, tagBcast, 8, acc)
-		}
-	}
-	return acc
+	return nil
 }
 
 // ErrInvalidRoot is returned by collective helpers validating a root rank.

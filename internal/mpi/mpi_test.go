@@ -1,8 +1,12 @@
 package mpi
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"hbsp/internal/platform"
 	"hbsp/internal/simnet"
@@ -71,47 +75,6 @@ func TestSendRecvAndNonBlocking(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPersistentRequests(t *testing.T) {
-	m := testMachine(t, 2)
-	const reps = 3
-	_, err := Run(m, func(c *Comm) error {
-		other := 1 - c.Rank()
-		reqs := []*PersistentRequest{
-			c.RecvInit(other, 5),
-			c.SendInit(other, 5, 4, c.Rank()),
-		}
-		for rep := 0; rep < reps; rep++ {
-			c.Startall(reqs)
-			got := c.WaitAllPersistent(reqs)
-			if got[0] != other {
-				t.Errorf("rep %d: received %v, want %d", rep, got[0], other)
-			}
-			if got[1] != nil {
-				t.Errorf("send slot should be nil, got %v", got[1])
-			}
-		}
-		// Waiting again without Startall is a no-op.
-		res := c.WaitAllPersistent(reqs)
-		if res[0] != nil {
-			t.Error("inactive request should yield nil")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPersistentInitValidation(t *testing.T) {
-	m := testMachine(t, 2)
-	if _, err := Run(m, func(c *Comm) error { c.SendInit(9, 0, 0, nil); return nil }); err == nil {
-		t.Fatal("SendInit to invalid rank should error")
-	}
-	if _, err := Run(m, func(c *Comm) error { c.RecvInit(-1, 0); return nil }); err == nil {
-		t.Fatal("RecvInit from invalid rank should error")
 	}
 }
 
@@ -230,5 +193,49 @@ func TestCollectiveCostGrowsWithDistance(t *testing.T) {
 	intra := run(local)
 	if intra >= remote {
 		t.Fatalf("intra-node barrier (%g) should be cheaper than cross-node (%g)", intra, remote)
+	}
+}
+
+// TestBcastRefusesInvalidRoot runs Bcast from a root outside the
+// communicator on both engines: every rank refuses it before sending
+// anything, so the run fails at once with ErrInvalidRoot — within the 2 s
+// deadline, and for root P too, which wraps around to a valid rank.
+func TestBcastRefusesInvalidRoot(t *testing.T) {
+	const procs = 4
+	m, err := platform.FlatClusterMachine(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []simnet.Engine{simnet.EngineAuto, simnet.EngineConcurrent} {
+		for _, root := range []int{-1, procs, procs + 1} {
+			o := simnet.DefaultOptions()
+			o.Engine, o.Deadline = engine, 2*time.Second
+			res, err := RunContext(context.Background(), m, func(c *Comm) error {
+				c.Bcast(c.Rank(), root)
+				return nil
+			}, o)
+			if res != nil || !errors.Is(err, ErrInvalidRoot) {
+				t.Errorf("engine %v root %d: Bcast = (%v, %v), want ErrInvalidRoot", engine, root, res, err)
+			}
+		}
+	}
+}
+
+// TestBuiltinsReuseOneSchedule checks that the run memo hands the built-ins
+// one schedule value per shape: after 1,000 Barriers every rank still gets
+// the value it got before the first.
+func TestBuiltinsReuseOneSchedule(t *testing.T) {
+	_, err := Run(testMachine(t, 8), func(c *Comm) error {
+		first := c.generated(dissemination, 0)
+		for range 1000 {
+			c.Barrier()
+		}
+		if c.generated(dissemination, 0) != first {
+			return fmt.Errorf("rank %d: the barrier schedule was rebuilt", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

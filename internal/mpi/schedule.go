@@ -187,8 +187,8 @@ func SameSchedule(a, b Schedule) bool {
 // schedule (typically a verified broadcast pattern) and returns it on every
 // rank.
 func (c *Comm) BcastSchedule(s Schedule, root int, value any) (any, error) {
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("%w: %d", ErrInvalidRoot, root)
+	if err := c.checkRoot(root); err != nil {
+		return nil, err
 	}
 	var own any
 	if c.Rank() == root {
@@ -210,8 +210,8 @@ func (c *Comm) BcastSchedule(s Schedule, root int, value any) (any, error) {
 // the result on the root; other ranks receive zero. Contributions are
 // combined in rank order, so the result is deterministic for any operator.
 func (c *Comm) ReduceSchedule(s Schedule, root int, value float64, op Op) (float64, error) {
-	if root < 0 || root >= c.Size() {
-		return 0, fmt.Errorf("%w: %d", ErrInvalidRoot, root)
+	if err := c.checkRoot(root); err != nil {
+		return 0, err
 	}
 	f, err := c.FloodSchedule(s, value)
 	if err != nil {

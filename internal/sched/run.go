@@ -349,20 +349,3 @@ func (r *ReachSet) Count(rank int) int {
 	}
 	return n
 }
-
-// ForEach calls fn for every origin reaching rank, in ascending order: the
-// bits from P−up on name the lowest origins, so they go first.
-func (r *ReachSet) ForEach(rank int, fn func(origin int)) {
-	row, up := r.row(rank)
-	for _, span := range [2][3]int{{r.p - up, r.p, up - r.p}, {0, r.p - up, up}} { // from bit, before bit, bit → origin
-		for w := span[0] / 64; w*64 < span[1]; w++ {
-			word := row[w]
-			if w == span[0]/64 {
-				word &= ^uint64(0) << (uint(span[0]) % 64)
-			}
-			for ; word != 0 && w*64+bits.TrailingZeros64(word) < span[1]; word &= word - 1 {
-				fn(w*64 + bits.TrailingZeros64(word) + span[2])
-			}
-		}
-	}
-}

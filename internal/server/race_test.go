@@ -17,7 +17,7 @@ import (
 // -race (the CI test job runs the full suite with -race) this pins the
 // concurrent safety of every piece of shared state on the request path: the
 // server's schedule cache and the immutable schedules it shares between runs,
-// the default bsp schedule source, the sched evaluator pool and its per-evaluator partition caches, the machine
+// the sched evaluator pool and its per-evaluator partition caches, the machine
 // and result LRUs, the singleflight group and the limiter. Responses must
 // also stay deterministic: every occurrence of the same request body across
 // all goroutines must produce byte-identical payloads.

@@ -48,3 +48,41 @@ func (b *Board) Shared(derive func() any) any {
 	b.once.Do(func() { b.shared = derive() })
 	return b.shared
 }
+
+// maxMemo bounds a run's memo (Proc.Memo).
+const maxMemo = 64
+
+// memoEntry is one memo value: the first rank to want it builds it, outside
+// the memo's lock, and the others wait for that build.
+type memoEntry struct {
+	once sync.Once
+	v    any
+	err  error
+}
+
+// Memo returns the run's value for key, built by the first rank to ask for
+// it: every rank asking for key is handed that one value, or build's error.
+// Collectives keep their schedules here, so the ranks of one call execute
+// one schedule value — a gate leader checks that they agree by identity. Each
+// layer keys it with a type of its own, so keys of two layers never collide.
+// The memo is bounded by dropping every key once a new one would make
+// maxMemo+1. That is safe for a collective's schedule on the default
+// engine: every rank has looked up call n before any rank is released from
+// it to ask for n+1. (Under the concurrent engine ranks do run ahead, and
+// there identity is not checked.) A run that asks for nothing allocates no
+// memo.
+func (p *Proc) Memo(key any, build func() (any, error)) (any, error) {
+	w := p.w
+	w.memoMu.Lock()
+	e := w.memo[key]
+	if e == nil {
+		if w.memo == nil || len(w.memo) >= maxMemo {
+			w.memo = map[any]*memoEntry{}
+		}
+		e = &memoEntry{}
+		w.memo[key] = e
+	}
+	w.memoMu.Unlock()
+	e.once.Do(func() { e.v, e.err = build() })
+	return e.v, e.err
+}

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -73,4 +74,44 @@ func TestSharedFloodBoardRegistry(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRunMemo holds Proc.Memo to its contract on one rank: two calls with
+// one key get one value and build once, a build's error is handed back, and
+// the key after maxMemo of them empties the memo, so an old key builds anew.
+func TestRunMemo(t *testing.T) {
+	_, err := Run(defaultFake(1), func(pr *Proc) error {
+		builds := 0
+		build := func(v any) func() (any, error) {
+			return func() (any, error) { builds++; return v, nil }
+		}
+		a, _ := pr.Memo("a", build(new(int)))
+		b, _ := pr.Memo("a", build(new(int)))
+		if a != b || builds != 1 {
+			return fmt.Errorf("two calls of one key got %p and %p after %d builds, want one value and one build", a, b, builds)
+		}
+		if _, err := pr.Memo("bad", func() (any, error) { return nil, errors.New("no") }); err == nil {
+			return errors.New("a failed build returned no error")
+		}
+		for k := 2; k < maxMemo; k++ {
+			pr.Memo(k, build(k))
+		}
+		if n := len(pr.w.memo); n != maxMemo {
+			return fmt.Errorf("memo holds %d keys, want %d", n, maxMemo)
+		}
+		if c, _ := pr.Memo("a", build(new(int))); c != a {
+			return errors.New("a held key was built again")
+		}
+		pr.Memo(maxMemo, build(maxMemo))
+		if n := len(pr.w.memo); n != 1 {
+			return fmt.Errorf("key %d left %d keys in the memo, want 1", maxMemo+1, n)
+		}
+		if c, _ := pr.Memo("a", build(new(int))); c == a {
+			return errors.New("a dropped key kept its value")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

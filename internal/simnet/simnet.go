@@ -467,6 +467,8 @@ type world struct {
 	gate      *Gate
 	boardMu   sync.Mutex
 	boards    map[uint64]*Board // by call number (Proc.Board)
+	memoMu    sync.Mutex
+	memo      map[any]*memoEntry // nil until a rank asks (Proc.Memo)
 	cancelled atomic.Bool
 	messages  atomic.Int64
 	bytes     atomic.Int64
@@ -844,7 +846,11 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 						errs[rank] = ErrDeadline
 						return
 					}
-					errs[rank] = fmt.Errorf("simnet: rank %d panicked: %v", rank, rec)
+					err, ok := rec.(error)
+					if !ok {
+						err = fmt.Errorf("%v", rec)
+					}
+					errs[rank] = fmt.Errorf("simnet: rank %d panicked: %w", rank, err)
 				}
 			}()
 			errs[rank] = body(p)

@@ -1,13 +1,13 @@
 // Package mpi is the public surface of the MPI-flavoured message-passing
-// layer: blocking and non-blocking point-to-point communication, persistent
-// requests with Startall/WaitAll semantics, the built-in point-to-point
-// collectives (Barrier, Bcast, Allreduce, Allgather), and the
+// layer: blocking and non-blocking point-to-point communication and the
 // schedule-driven collectives (BcastSchedule, AllreduceSchedule, ...) that
-// execute verified collective schedules (sched.Schedule) with user data. A
-// schedule collective's messages are signals billed at the schedule's sizes;
-// its data is one board per call that each rank writes its contribution
-// into, read through the schedule's reach set (Comm.FloodSchedule returns
-// that view, a Flood).
+// execute verified collective schedules (sched.Schedule) with user data. The
+// built-in collectives (Barrier, Bcast, Allreduce, Allgather) are those
+// schedule collectives over the dissemination, binomial and ring generator
+// schedules. A schedule collective's messages are signals billed at the
+// schedule's sizes; its data is one board per call that each rank writes its
+// contribution into, read through the schedule's reach set
+// (Comm.FloodSchedule returns that view, a Flood).
 //
 // Programs are normally started through an hbsp.Session (hbsp.New +
 // Session.RunMPI), which adds functional options, machine validation and
@@ -26,10 +26,6 @@ import (
 
 // Comm is the communicator handle each simulated rank receives.
 type Comm = impi.Comm
-
-// PersistentRequest is a reusable description of one transfer, activated by
-// Startall and completed by WaitAllPersistent.
-type PersistentRequest = impi.PersistentRequest
 
 // Op is a reduction operator for Allreduce.
 type Op = impi.Op

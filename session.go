@@ -38,17 +38,15 @@ var (
 )
 
 // Session is the facade's handle on one configured simulated machine: it
-// owns the validated machine, the simulator options, the superstep
-// synchronizer and the collective-schedule source, and runs raw simulator,
-// BSP and MPI programs against them. A Session is immutable after New and
+// owns the validated machine, the simulator options and the superstep
+// synchronizer, and runs raw simulator, BSP and MPI programs against them. A Session is immutable after New and
 // safe for concurrent runs — with one exception: a session built with
 // WithRecorder must not run concurrently, because its recorder holds exactly
 // one run at a time (see WithRecorder).
 type Session struct {
-	machine   sim.Machine
-	options   sim.Options
-	sync      bsp.Synchronizer
-	schedules bsp.ScheduleSource // nil: the BSP run-time's default source
+	machine sim.Machine
+	options sim.Options
+	sync    bsp.Synchronizer
 }
 
 // Option configures a Session; the With... constructors in this package
@@ -241,19 +239,6 @@ func WithAdaptedSynchronizer(reps int) Option {
 	}
 }
 
-// WithCollectiveSchedules installs the source of the verified schedules the
-// BSP user collectives (Ctx.Broadcast, Ctx.AllReduce, ...) execute; the
-// default source builds the generator schedules of package collective.
-func WithCollectiveSchedules(src bsp.ScheduleSource) Option {
-	return func(s *Session) error {
-		if src == nil {
-			return fmt.Errorf("%w: nil schedule source", ErrOption)
-		}
-		s.schedules = src
-		return nil
-	}
-}
-
 // WithRecorder attaches a trace.Recorder to every run of the session: the
 // simulator records message injections, receive completions, compute
 // intervals and superstep/stage boundaries into per-rank lock-free lanes,
@@ -296,19 +281,14 @@ func (s *Session) Run(ctx context.Context, body func(p *sim.Proc) error) (*sim.R
 }
 
 // RunBSP executes the SPMD program under the BSP run-time with the session's
-// synchronizer ending every superstep and the session's schedule source
-// backing the user collectives.
+// synchronizer ending every superstep.
 func (s *Session) RunBSP(ctx context.Context, program bsp.Program) (*sim.Result, error) {
 	m, ok := s.machine.(bsp.Machine)
 	if !ok {
 		return nil, fmt.Errorf("%w: BSP programs need per-rank kernel timing (bsp.Machine), got %T", ErrInvalidMachine, s.machine)
 	}
 	opts := s.options
-	return bsp.RunContext(ctx, m, bsp.RunConfig{
-		Sync:      s.sync,
-		Schedules: s.schedules,
-		Options:   &opts,
-	}, program)
+	return bsp.RunContext(ctx, m, bsp.RunConfig{Sync: s.sync, Options: &opts}, program)
 }
 
 // RunProgram evaluates a sim.Program op-stream — the timing skeleton of a

@@ -55,7 +55,6 @@ func TestNewOptionMatrix(t *testing.T) {
 		{"collapse auto", []hbsp.Option{hbsp.WithSymmetryCollapse(true)}, nil},
 		{"synchronizer", []hbsp.Option{hbsp.WithSynchronizer(bsp.DefaultSynchronizer())}, nil},
 		{"schedule synchronizer", []hbsp.Option{hbsp.WithScheduleSynchronizer(diss)}, nil},
-		{"collective schedules", []hbsp.Option{hbsp.WithCollectiveSchedules(bsp.NewScheduleCache())}, nil},
 		{"everything", []hbsp.Option{
 			hbsp.WithSeed(42), hbsp.WithDeadline(30 * time.Second), hbsp.WithAckSends(true),
 			hbsp.WithScheduleSynchronizer(diss), hbsp.WithRecorder(trace.NewRecorder()),
@@ -66,7 +65,6 @@ func TestNewOptionMatrix(t *testing.T) {
 		{"zero deadline", []hbsp.Option{hbsp.WithDeadline(0)}, hbsp.ErrOption},
 		{"negative deadline", []hbsp.Option{hbsp.WithDeadline(-time.Second)}, hbsp.ErrOption},
 		{"nil synchronizer", []hbsp.Option{hbsp.WithSynchronizer(nil)}, hbsp.ErrOption},
-		{"nil schedule source", []hbsp.Option{hbsp.WithCollectiveSchedules(nil)}, hbsp.ErrOption},
 		{"rooted sync schedule", []hbsp.Option{hbsp.WithScheduleSynchronizer(bcast)}, hbsp.ErrOption},
 	}
 	for _, tc := range cases {
@@ -160,11 +158,11 @@ func TestRunBSPWithCollectives(t *testing.T) {
 }
 
 // TestSharedScheduleSessionAcrossConcurrentRuns holds the Session to its
-// "safe for concurrent runs" for the schedule source it owns: four runs at
+// "safe for concurrent runs" for the collectives' schedules: four runs at
 // once, each asking for 200 allreduce schedules no other call asked for. The
 // ranks of one collective call must be handed one schedule value whatever the
-// other runs do to the shared source (on a source-side cache that reset under
-// them this failed with "ranks disagree on the flooded schedule").
+// other runs do (on a schedule cache the runs shared, which reset under them,
+// this failed with "ranks disagree on the flooded schedule").
 func TestSharedScheduleSessionAcrossConcurrentRuns(t *testing.T) {
 	const procs, runs, calls = 16, 4, 200
 	sess, err := hbsp.New(testMachine(t, procs))
