@@ -13,11 +13,11 @@ import (
 // h-relation statistics. Each pass is a streaming consumer of the Source
 // interface — it reads one lane at a time, a chunk at a time, names the
 // columns it reads and never materializes a merged event slice — so the same
-// code analyzes an in-RAM Trace and a spill file of a P=65536 run. All passes are pure functions of the run, so
-// on a deterministic trace they are deterministic themselves; they visit
-// lanes in rank-major order, which also pins the floating-point accumulation
-// order, so a streaming pass is bit-identical to the materialized pass it
-// replaced.
+// code analyzes an in-RAM Trace and a spill file of a P=65536 run. All passes
+// are pure functions of the run, so on a deterministic trace they are
+// deterministic themselves; they visit lanes in rank-major order, which also
+// pins the floating-point accumulation order, so a streaming pass is
+// bit-identical to the materialized pass it replaced.
 
 // Category buckets blocked and busy time for the breakdowns.
 type Category uint8
@@ -205,7 +205,7 @@ func BreakdownOf(src Source) (*Breakdown, error) {
 		}
 		rb.ByCategory[CatSkew] = sum.MakeSpan - rb.Finish
 	}
-	err := eachLane(src, colsBreakdown, func(rank int, c *Cols) {
+	err := src.eachLane(colsBreakdown, func(rank int, c *Cols) {
 		rb := &b.PerRank[rank]
 		for i, n := 0, c.Len(); i < n; i++ {
 			if c.Kind[i] == KindSuperstep {
@@ -283,11 +283,11 @@ func (t *Trace) CriticalPath() *CriticalPath {
 const colsCriticalPath = colFlags | colPeer | colTag | colSize | colSendSeq | colT0 | colT1 | colSendEnd
 
 // CriticalPathOf runs the backward walk over any source. The walk reads one
-// window of one lane at a time — the chunk its current event sits in, the
-// whole lane for an in-RAM trace — stepping to the previous chunk when it
-// crosses the window's base and to the sender's chunk on a hop (the SendEnd
-// stamp makes receive waits self-contained), so a spill-backed walk decodes
-// the chunks it lands in and no others.
+// window of one lane at a time — the chunk its current event sits in —
+// stepping to the previous chunk when it crosses the window's base and to
+// the sender's chunk on a hop (the SendEnd stamp makes receive waits
+// self-contained), so a spill-backed walk decodes the chunks it lands in and
+// no others.
 func CriticalPathOf(src Source) (*CriticalPath, error) {
 	sum := src.RunSummary()
 	cp := &CriticalPath{Rank: -1, Slack: make([]float64, src.NumLanes())}
@@ -301,10 +301,9 @@ func CriticalPathOf(src Source) (*CriticalPath, error) {
 		return cp, nil
 	}
 
-	window := windowOf(src)
 	cur := cp.Rank
 	i := src.LaneLen(cur) - 1 // index in cur's lane; c holds it at i-base
-	c, base, err := window(cur, i, colsCriticalPath)
+	c, base, err := src.laneWindow(cur, i, colsCriticalPath)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +318,7 @@ func CriticalPathOf(src Source) (*CriticalPath, error) {
 			return nil, fmt.Errorf("%w: send links form a cycle (critical-path walk at rank %d, event %d)", ErrCorruptSpill, cur, i)
 		}
 		if i < base {
-			if c, base, err = window(cur, i, colsCriticalPath); err != nil {
+			if c, base, err = src.laneWindow(cur, i, colsCriticalPath); err != nil {
 				return nil, err
 			}
 		}
@@ -340,7 +339,7 @@ func CriticalPathOf(src Source) (*CriticalPath, error) {
 			cp.InFlight += hop.InFlight
 			rev = append(rev, hop)
 			cur, i = int(c.Peer[k]), int(c.SendSeq[k])
-			if c, base, err = window(cur, i, colsCriticalPath); err != nil {
+			if c, base, err = src.laneWindow(cur, i, colsCriticalPath); err != nil {
 				return nil, err
 			}
 			hop = PathHop{Rank: cur, To: c.T1[i-base], ViaPeer: -1, ViaTag: -1}
@@ -417,7 +416,7 @@ func HRelationsOf(src Source) ([]HRelation, error) {
 		outM[s] = make([]int, nl)
 		inM[s] = make([]int, nl)
 	}
-	err := eachLane(src, colsHRelations, func(rank int, c *Cols) {
+	err := src.eachLane(colsHRelations, func(rank int, c *Cols) {
 		for i, n := 0, c.Len(); i < n; i++ {
 			if c.Kind[i] != KindSend {
 				continue

@@ -27,7 +27,7 @@ func WriteChrome(w io.Writer, src Source) error {
 	for rank := 0; rank < nl; rank++ {
 		cw.threadName(rank, fmt.Sprintf("rank %d", rank))
 	}
-	if err := eachLane(src, colsChrome, func(rank int, c *Cols) { cw.chunk(src, rank, c, nil) }); err != nil {
+	if err := src.eachLane(colsChrome, func(rank int, c *Cols) { cw.chunk(src, rank, c, nil) }); err != nil {
 		return err
 	}
 	return cw.finish()

@@ -24,8 +24,15 @@ func (s *Spill) EachChunk(rank int, want colSet, fn func(*Cols)) error {
 
 // EachLane streams every lane in rank-then-chunk order, decoded under want.
 func (s *Spill) EachLane(want colSet, fn func(rank int, c *Cols)) error {
-	return eachLane(s, want, fn)
+	return s.eachLane(want, fn)
 }
+
+// SetRAMChunk sets the chunk size of the runs r records in RAM; 0 restores
+// chunkFor's.
+func (r *Recorder) SetRAMChunk(events int) { r.ramChunk = events }
+
+// NumChunks returns the number of chunks of rank's lane.
+func (t *Trace) NumChunks(rank int) int { return len(t.lanes[rank]) }
 
 // Clone copies the columns out of a decode slot.
 func (c *Cols) Clone() Cols {

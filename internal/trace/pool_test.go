@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 var poolTimes = []float64{1, 2, 3, 4}
 
@@ -16,20 +19,27 @@ func fillRun(r *Recorder, procs, events int) {
 }
 
 // TestRecorderLaneReuse pins the lane pool: while no Trace view has been
-// exported, BeginRun truncates and reuses the previous run's column blocks
+// exported, BeginRun has the lanes refill the previous run's chunks
 // (steady-state recording allocates nothing), and once Trace has shared the
-// lanes, the next run gets fresh storage pre-sized from the previous event
-// counts — without corrupting the exported view.
+// chunk lists, the next run gets fresh storage — without corrupting the
+// exported view. A 3-event chunk puts each lane's 64 events in 22 chunks.
 func TestRecorderLaneReuse(t *testing.T) {
 	rec := NewRecorder()
+	rec.SetRAMChunk(3)
 	fillRun(rec, 2, 64)
+	if n := len(rec.LaneOf(0).chunks); n != 22 {
+		t.Fatalf("lane 0 holds %d chunks, want 22", n)
+	}
 
-	// Unexported lanes are reused: same column backing arrays, truncated.
-	before := &rec.LaneOf(0).c.T0[:1][0]
+	// Unexported chunks are reused: same column backing arrays, refilled.
+	arrays := func() [2]*float64 {
+		chunks := rec.LaneOf(0).chunks
+		return [2]*float64{&chunks[0].T0[0], &chunks[len(chunks)-1].T0[0]}
+	}
+	before := arrays()
 	fillRun(rec, 2, 64)
-	after := &rec.LaneOf(0).c.T0[:1][0]
-	if before != after {
-		t.Error("unexported lanes were reallocated instead of reused")
+	if after := arrays(); before != after {
+		t.Error("unexported chunks were reallocated instead of reused")
 	}
 
 	// Steady-state recording on warmed lanes does not grow lane storage:
@@ -45,18 +55,18 @@ func TestRecorderLaneReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLen := tr.LaneLen(0)
-	wantT1 := tr.lanes[0].T1[0]
+	want := tr.LaneEvents(0)
 	fillRun(rec, 2, 8)
-	if tr.LaneLen(0) != wantLen || tr.lanes[0].T1[0] != wantT1 {
+	if tr.LaneLen(0) != wantLen || !slices.Equal(tr.LaneEvents(0), want) {
 		t.Error("exported trace was mutated by a later run")
 	}
-	// And the post-export run produced its own, correct lanes.
+	// And the post-export run produced its own, correct chunks.
 	tr2, err := rec.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.LaneLen(0) != 8 {
-		t.Errorf("post-export run recorded %d events, want 8", tr2.LaneLen(0))
+	if tr2.LaneLen(0) != 8 || len(tr2.lanes[0]) != 3 || tr2.LaneEvents(0)[7].T1 != 8 {
+		t.Errorf("post-export run recorded %d events in %d chunks, want 8 in 3", tr2.LaneLen(0), len(tr2.lanes[0]))
 	}
 
 	// A different rank count abandons the pool cleanly.
@@ -65,7 +75,7 @@ func TestRecorderLaneReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr3.NumLanes() != 3 || tr3.LaneLen(2) != 4 {
+	if tr3.NumLanes() != 3 || tr3.LaneLen(2) != 4 || len(tr3.lanes[2]) != 2 {
 		t.Errorf("resized run recorded %d lanes / %d events", tr3.NumLanes(), tr3.LaneLen(2))
 	}
 }

@@ -93,7 +93,7 @@ func RollupOf(src Source, opts RollupOptions) (*Rollup, error) {
 		}
 		return &r.Stages[stage]
 	}
-	err := eachLane(src, colsRollup, func(rank int, c *Cols) {
+	err := src.eachLane(colsRollup, func(rank int, c *Cols) {
 		for i, n := 0, c.Len(); i < n; i++ {
 			if c.Kind[i] == KindSuperstep {
 				sb := &r.Steps[c.Step[i]]

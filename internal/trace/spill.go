@@ -61,11 +61,12 @@ func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
 // the columns it reads (colSet) and the decoder steps over the others — a raw
 // float block is a pointer bump, a varint column a scan for terminator bytes
 // — so a lane is never concatenated and resident memory is a chunk, not a
-// lane. Lane streams (laneChunks) decode into a slot of their own, readAhead
-// a few chunks ahead of the whole-run passes on a second goroutine; the
-// critical-path walk reads through laneWindow, which keeps the last few
-// decoded chunks in a small cache keyed by (rank, chunk index). Whatever is
-// wrong with a file surfaces as an error wrapping ErrCorruptSpill.
+// lane. Of the Source's chunk access, lane streams (laneChunks) decode into
+// a slot of their own, the whole-run pass (eachLane) a few chunks ahead of
+// its consumer on a second goroutine, and the critical-path walk's window
+// (laneWindow) through a small cache of the last few decoded chunks, keyed
+// by (rank, chunk index). Whatever is wrong with a file surfaces as an error
+// wrapping ErrCorruptSpill.
 
 const (
 	spillMagic    = "HBSPTRC\x01"
@@ -299,7 +300,6 @@ type spillSink struct {
 	off     int64
 	err     error
 	lanes   []spillLaneIdx
-	maxStep int32
 	nchunks int
 	nevents int64
 	buf     []byte
@@ -353,11 +353,6 @@ func (s *spillSink) writeChunk(rank int32, c *Cols) {
 	l.chunks = append(l.chunks, spillChunkIdx{off: off, size: int32(size), count: int32(c.Len())})
 	s.nchunks++
 	s.nevents += int64(c.Len())
-	for _, st := range c.Step {
-		if st > s.maxStep {
-			s.maxStep = st
-		}
-	}
 }
 
 // spillQueueEvents bounds the events queued for the encoder: chunkFor's
@@ -400,10 +395,10 @@ type spillQueued struct {
 }
 
 // handOff queues a lane's columns for the encoder and returns empty ones for
-// the lane to fill next: written ones if the encoder has some, else fresh
-// ones of c's length if refill is set. Once stop has begun it refuses c,
-// without blocking, and returns it emptied.
-func (s *spillSink) handOff(rank int32, c Cols, refill bool) Cols {
+// the lane to fill next: written ones if the encoder has some, else none.
+// Once stop has begun it refuses c, without blocking, and returns it
+// emptied.
+func (s *spillSink) handOff(rank int32, c Cols) Cols {
 	select {
 	case <-s.quit: // refuse outright, so that a stopped encoder drains a bounded queue
 		c.truncate()
@@ -416,15 +411,12 @@ func (s *spillSink) handOff(rank int32, c Cols, refill bool) Cols {
 		c.truncate()
 		return c
 	}
-	var next Cols
 	select {
-	case next = <-s.spare:
+	case next := <-s.spare:
+		return next
 	default:
-		if refill {
-			next.grow(c.Len())
-		}
+		return Cols{}
 	}
-	return next
 }
 
 // stop refuses later hand-offs and waits for the encoder to write what is
@@ -437,13 +429,6 @@ func (s *spillSink) stop(fail error) {
 	}
 	close(s.quit)
 	<-s.done
-}
-
-// steps returns the superstep bucket count of everything flushed so far.
-func (s *spillSink) steps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.maxStep) + 1
 }
 
 // stats reports chunks, events and bytes written.
@@ -485,7 +470,7 @@ func WriteSpill(w io.Writer, src Source) error {
 			part.truncate()
 		}
 	}
-	err = eachLane(src, colsAll, func(rank int, c *Cols) {
+	err = src.eachLane(colsAll, func(rank int, c *Cols) {
 		if int32(rank) != cur {
 			flush()
 			cur = int32(rank)
@@ -1095,9 +1080,8 @@ func int32sWithin(col []int32, lo, hi int) bool {
 	return int(slices.Min(col)) >= lo && int(slices.Max(col)) < hi
 }
 
-// laneChunks streams rank's lane (chunkPullOf), decoding one chunk at a
-// time into a slot of its own, so a k-way merge over all lanes holds one
-// chunk per lane.
+// laneChunks implements Source: it decodes one chunk at a time into a slot
+// of its own, so a k-way merge over all lanes holds one chunk per lane.
 func (s *Spill) laneChunks(rank int, want colSet) chunkPull {
 	chunks := s.lanes[rank].chunks
 	i := 0
@@ -1115,15 +1099,15 @@ func (s *Spill) laneChunks(rank int, want colSet) chunkPull {
 	}
 }
 
-// readAheadChunks is the number of decode slots of readAhead (handing them
+// readAheadChunks is the number of decode slots of eachLane (handing them
 // over in batches of 8 measured no faster on BenchmarkRollupSpill).
 const readAheadChunks = 8
 
-// readAhead implements eachLane for a spill: one goroutine decodes every
+// eachLane implements Source with a read-ahead: one goroutine decodes every
 // chunk in rank-then-chunk order into slots of its own while fn consumes
 // them in the same order. It stops at the first read error, and is joined
-// before readAhead returns, whether fn saw every chunk or not.
-func (s *Spill) readAhead(want colSet, fn func(rank int, c *Cols)) error {
+// before eachLane returns, whether fn saw every chunk or not.
+func (s *Spill) eachLane(want colSet, fn func(rank int, c *Cols)) error {
 	type decoded struct {
 		rank int
 		slot *chunkSlot
@@ -1168,9 +1152,7 @@ func (s *Spill) readAhead(want colSet, fn func(rank int, c *Cols)) error {
 	return nil
 }
 
-// laneWindow is windowOf for a spill: the decoded chunk that holds event i
-// of rank's lane and the lane index of its first event, through the chunk
-// cache. The columns are valid until the next laneWindow call.
+// laneWindow implements Source through the chunk cache.
 func (s *Spill) laneWindow(rank, i int, want colSet) (*Cols, int, error) {
 	chunks := s.lanes[rank].chunks
 	idx, base := 0, 0
@@ -1202,43 +1184,4 @@ func (s *Spill) laneWindow(rank, i int, want colSet) (*Cols, int, error) {
 	copy(s.cache[1:], s.cache)
 	s.cache[0] = spillCacheChunk{rank: rank, idx: idx, have: want, slot: slot}
 	return &slot.cols, base, nil
-}
-
-// LaneCols implements Source: the lane's chunks decoded back to back into
-// fresh columns the caller owns. Nothing in this package reads a spill this
-// way but Trace — the analyses stream chunks and never hold a lane.
-func (s *Spill) LaneCols(rank int) (*Cols, error) {
-	var slot chunkSlot
-	slot.cols.grow(s.lanes[rank].total)
-	for _, ch := range s.lanes[rank].chunks {
-		if err := s.readChunk(rank, ch, colsAll, &slot); err != nil {
-			return nil, err
-		}
-	}
-	cols := slot.cols // not &slot.cols: that would keep the record bytes alive
-	return &cols, nil
-}
-
-// Trace materializes the whole spill as an in-RAM Trace (small runs and
-// tests; defeats the purpose at high P).
-func (s *Spill) Trace() (*Trace, error) {
-	t := &Trace{
-		Meta:     s.meta,
-		Times:    append([]float64(nil), s.sum.Times...),
-		MakeSpan: s.sum.MakeSpan,
-		Messages: s.sum.Messages,
-		Bytes:    s.sum.Bytes,
-		lanes:    make([]Cols, len(s.lanes)),
-	}
-	if s.sum.ErrMsg != "" {
-		t.Err = fmt.Errorf("%s", s.sum.ErrMsg)
-	}
-	for rank := range s.lanes {
-		c, err := s.LaneCols(rank)
-		if err != nil {
-			return nil, err
-		}
-		t.lanes[rank] = *c
-	}
-	return t, nil
 }

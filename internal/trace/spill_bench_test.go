@@ -57,15 +57,19 @@ func reportEvents(b *testing.B, events int64) {
 // BenchmarkSpillRecord records a run into a temp file at the default
 // chunking, the span trace.spill_write_ms.p1024 times end to end: the
 // P=1024 total exchange above, where every lane stages 16-event blocks, and a
-// P=65536 dissemination barrier, where the staging depth is 1.
+// P=65536 dissemination barrier, where the staging depth is 1. The ram/p1024
+// leg records the total exchange into the lanes' own chunk lists instead,
+// so the two sinks report side by side.
 func BenchmarkSpillRecord(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		procs int
 		build func(procs int) (sched.Schedule, error)
+		ram   bool
 	}{
-		{"p1024", 1024, func(p int) (sched.Schedule, error) { return barrier.StreamTotalExchange(p, 64) }},
-		{"p65536", 65536, barrier.StreamDissemination},
+		{"p1024", 1024, func(p int) (sched.Schedule, error) { return barrier.StreamTotalExchange(p, 64) }, false},
+		{"p65536", 65536, barrier.StreamDissemination, false},
+		{"ram/p1024", 1024, func(p int) (sched.Schedule, error) { return barrier.StreamTotalExchange(p, 64) }, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, err := bc.build(bc.procs)
@@ -85,16 +89,26 @@ func BenchmarkSpillRecord(b *testing.B) {
 			var events int64
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				if err := f.Truncate(0); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := f.Seek(0, io.SeekStart); err != nil {
-					b.Fatal(err)
-				}
 				o.Recorder = trace.NewRecorder()
-				o.Recorder.SpillTo(f, trace.SpillOptions{})
+				if !bc.ram {
+					if err := f.Truncate(0); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := f.Seek(0, io.SeekStart); err != nil {
+						b.Fatal(err)
+					}
+					o.Recorder.SpillTo(f, trace.SpillOptions{})
+				}
 				if _, err := sched.RunSchedule(context.Background(), m.WithRunSeed(5), s, 1, o); err != nil {
 					b.Fatal(err)
+				}
+				if bc.ram {
+					tr, err := o.Recorder.Trace()
+					if err != nil {
+						b.Fatal(err)
+					}
+					events = int64(tr.NumEvents())
+					continue
 				}
 				if err := o.Recorder.SpillErr(); err != nil {
 					b.Fatal(err)

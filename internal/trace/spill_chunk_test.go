@@ -1,8 +1,9 @@
 package trace_test
 
-// The chunk layer of the spill reader: every analysis off a spill, at every
-// chunking, equals the in-RAM trace, and the critical-path walk decodes the
-// chunks it lands in rather than the lanes.
+// The chunk layer: every analysis off a spill, and off an in-RAM trace, at
+// every chunking, equals the in-RAM trace recorded in one chunk per lane,
+// and the critical-path walk decodes the chunks it lands in rather than the
+// lanes.
 
 import (
 	"bytes"
@@ -88,15 +89,11 @@ func runTotalExchange(t testing.TB, procs int, failStop bool, rec *trace.Recorde
 	return run(o)
 }
 
-// runDisseminationConcurrent is runDissemination on the concurrent engine:
-// one goroutine per rank, so lanes fill, and chunks reach the sink, in the
-// order the scheduler runs the ranks.
-func runDisseminationConcurrent(t testing.TB, procs int, seed int64, execs int, rec *trace.Recorder) *simnet.Result {
+// runConcurrent runs execs times schedule s at P ranks on the concurrent
+// engine: one goroutine per rank, so lanes fill, and chunks reach the sink,
+// in the order the scheduler runs the ranks.
+func runConcurrent(t testing.TB, s sched.Schedule, procs int, seed int64, execs int, rec *trace.Recorder) *simnet.Result {
 	t.Helper()
-	s, err := barrier.StreamDissemination(procs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m, err := platform.XeonClusterMachine(procs)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +118,11 @@ var chunkWorkloads = []chunkWorkload{
 		return runDissemination(t, procs, 11, 2, rec)
 	}},
 	{name: "dissemination-concurrent", run: func(t testing.TB, procs int, rec *trace.Recorder) *simnet.Result {
-		return runDisseminationConcurrent(t, procs, 11, 2, rec)
+		s, err := barrier.StreamDissemination(procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runConcurrent(t, s, procs, 11, 2, rec)
 	}},
 	{name: "totalexchange-failstop", reordered: true, run: func(t testing.TB, procs int, rec *trace.Recorder) *simnet.Result {
 		return runTotalExchange(t, procs, true, rec)
@@ -230,5 +231,84 @@ func TestCriticalPathDecodesChunksNotLanes(t *testing.T) {
 	}
 	if limit := int64(len(cp.Hops) + perLane); decoded > limit {
 		t.Fatalf("walk of %d hops decoded %d chunks, want at most %d", len(cp.Hops), decoded, limit)
+	}
+}
+
+// TestInRAMLanesSpanChunks records runs in RAM at chunk sizes that split the
+// lanes — one event per chunk puts a boundary under every step of the
+// critical-path walk and between the two slots of the merged iterator's
+// reorder window, 7 one inside every 16-event staging block, 64 one after
+// every fourth block — on the direct walker and on the concurrent engine, and requires every analysis and rendering, and the canonical
+// spill bytes, to equal the same run recorded in one chunk per lane.
+func TestInRAMLanesSpanChunks(t *testing.T) {
+	const procs = 16
+	dissemination, err := barrier.StreamDissemination(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchange, err := barrier.StreamTotalExchange(procs, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Six barriers and two exchanges put 79 and 109 events in lane 0.
+	direct := func(s sched.Schedule, execs int, rec *trace.Recorder) {
+		m, err := platform.XeonClusterMachine(procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := simnet.DefaultOptions()
+		o.Recorder = rec
+		if _, err := sched.RunSchedule(context.Background(), m.WithRunSeed(7), s, execs, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []struct {
+		name string
+		run  func(rec *trace.Recorder)
+	}{
+		{"dissemination-sync/direct", func(rec *trace.Recorder) { direct(dissemination, 6, rec) }},
+		{"dissemination-sync/concurrent", func(rec *trace.Recorder) { runConcurrent(t, dissemination, procs, 7, 6, rec) }},
+		{"totalexchange/direct", func(rec *trace.Recorder) { direct(exchange, 2, rec) }},
+		{"totalexchange/concurrent", func(rec *trace.Recorder) { runConcurrent(t, exchange, procs, 7, 2, rec) }},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			record := func(chunkEvents int) (*trace.Trace, []byte) {
+				rec := trace.NewRecorder()
+				rec.SetRAMChunk(chunkEvents)
+				w.run(rec)
+				tr, err := rec.Trace()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var raw bytes.Buffer
+				if err := trace.WriteSpill(&raw, tr); err != nil {
+					t.Fatal(err)
+				}
+				return tr, raw.Bytes()
+			}
+			one, wantSpill := record(0)
+			for rank := 0; rank < procs; rank++ {
+				if n := one.NumChunks(rank); n != 1 {
+					t.Fatalf("default chunking: lane %d of %d events in %d chunks, want 1", rank, one.LaneLen(rank), n)
+				}
+			}
+			want := analysesOf(t, one, true)
+			for _, chunkEvents := range []int{1, 7, 64} {
+				tr, spill := record(chunkEvents)
+				for rank := 0; rank < procs; rank++ {
+					if n, events := tr.NumChunks(rank), tr.LaneLen(rank); n != (events+chunkEvents-1)/chunkEvents {
+						t.Fatalf("chunk %d: lane %d of %d events in %d chunks", chunkEvents, rank, events, n)
+					}
+				}
+				if tr.NumChunks(0) < 2 {
+					t.Fatalf("chunk %d: lane 0 fits one chunk", chunkEvents)
+				}
+				assertAgree(t, want, analysesOf(t, tr, true))
+				if !bytes.Equal(spill, wantSpill) {
+					t.Fatalf("chunk %d: the canonical spill bytes differ from the one-chunk recording's", chunkEvents)
+				}
+			}
+			t.Logf("%d events, %d in lane 0", one.NumEvents(), one.LaneLen(0))
+		})
 	}
 }

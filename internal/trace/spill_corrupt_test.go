@@ -69,8 +69,6 @@ func readSpill(data []byte) error {
 		err = it.Err()
 	}
 	errs = append(errs, err)
-	_, err = sp.Trace()
-	errs = append(errs, err)
 	return errors.Join(errs...)
 }
 

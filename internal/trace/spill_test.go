@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -303,6 +304,44 @@ func TestSpillBackedP65536(t *testing.T) {
 	// stage mark per rank per stage.
 	if ru.Events <= 0 || int64(ru.Events) >= events || len(ru.TopSlack) != 8 {
 		t.Fatalf("rollup covers %d of %d events with %d slack ranks", ru.Events, events, len(ru.TopSlack))
+	}
+}
+
+// TestSpilledRunPaysForItsEvents bounds what a spilled run allocates by the
+// events it records: a P = 256 allreduce records about 30 events a lane,
+// and its lanes grow their first chunk with them rather than reserving the
+// whole 4,096-event chunk each up front, 62 MB together.
+func TestSpilledRunPaysForItsEvents(t *testing.T) {
+	const procs = 256
+	s, err := barrier.StreamAllReduce(procs, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := platform.XeonClusterMachine(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := simnet.DefaultOptions()
+	run := func() {
+		o.Recorder = trace.NewRecorder()
+		o.Recorder.SpillTo(io.Discard, trace.SpillOptions{})
+		if _, err := sched.RunSchedule(context.Background(), m.WithRunSeed(5), s, 1, o); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Recorder.SpillErr(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // the machine's and schedule's memos
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	_, events, _ := o.Recorder.SpillStats()
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("%d events: %.2f MB allocated", events, mb)
+	if mb > 4 {
+		t.Fatalf("a spilled P=%d allreduce of %d events allocated %.1f MB, want at most 4", procs, events, mb)
 	}
 }
 

@@ -21,65 +21,15 @@ import "container/heap"
 // until the next pull.
 type chunkPull func() (*Cols, error)
 
-// oneChunk is the stream of a lane held whole.
-func oneChunk(lane func() (*Cols, error)) chunkPull {
-	done := false
-	return func() (*Cols, error) {
-		if done {
-			return nil, nil
-		}
-		done = true
-		return lane()
-	}
-}
-
-// chunkPullOf streams rank's lane: a spill's chunk by chunk, decoding the
-// columns in want; any other source's through LaneCols, as one chunk.
-func chunkPullOf(src Source, rank int, want colSet) chunkPull {
-	if sp, ok := src.(*Spill); ok {
-		return sp.laneChunks(rank, want)
-	}
-	return oneChunk(func() (*Cols, error) { return src.LaneCols(rank) })
-}
-
 // eachChunk streams rank's lane through fn, chunk by chunk.
 func eachChunk(src Source, rank int, want colSet, fn func(c *Cols)) error {
-	pull := chunkPullOf(src, rank, want)
+	pull := src.laneChunks(rank, want)
 	for {
 		c, err := pull()
 		if c == nil || err != nil {
 			return err
 		}
 		fn(c)
-	}
-}
-
-// eachLane streams every lane of src through fn in rank-then-chunk order,
-// the whole-run passes' accumulation order, and returns the first read error
-// in that order; a spill decodes ahead of fn on a goroutine (readAhead).
-func eachLane(src Source, want colSet, fn func(rank int, c *Cols)) error {
-	if sp, ok := src.(*Spill); ok {
-		return sp.readAhead(want, fn)
-	}
-	for rank := 0; rank < src.NumLanes(); rank++ {
-		if err := eachChunk(src, rank, want, func(c *Cols) { fn(rank, c) }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// windowOf returns the random read of the critical-path walk: the chunk
-// holding event i of rank's lane, with at least the columns in want, and the
-// lane index of its first event — through a spill's chunk cache, or the
-// whole lane through LaneCols.
-func windowOf(src Source) func(rank, i int, want colSet) (*Cols, int, error) {
-	if sp, ok := src.(*Spill); ok {
-		return sp.laneWindow
-	}
-	return func(rank, _ int, _ colSet) (*Cols, int, error) {
-		c, err := src.LaneCols(rank)
-		return c, 0, err
 	}
 }
 
@@ -185,7 +135,7 @@ type Iter struct {
 func NewIter(src Source) (*Iter, error) {
 	it := &Iter{}
 	for rank := 0; rank < src.NumLanes(); rank++ {
-		lc := &laneCursor{rank: int32(rank), pull: chunkPullOf(src, rank, colsAll)}
+		lc := &laneCursor{rank: int32(rank), pull: src.laneChunks(rank, colsAll)}
 		if err := lc.refill(); err != nil {
 			return nil, err
 		}

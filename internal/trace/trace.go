@@ -17,20 +17,23 @@
 // two runs with the same machine seed produce byte-identical traces
 // regardless of goroutine scheduling.
 //
-// Large runs do not have to hold their lanes in RAM: SpillTo arranges for
-// full column chunks to be encoded on a goroutine of the run's own and
-// streamed to a writer (see spill.go for the format), bounding resident
-// recorder memory at about 2 × Procs × ChunkEvents events; the analyses then
-// run directly off the spill file through the same Source interface the
-// in-RAM Trace implements. They read a spill the way it was written, by the
-// chunk: each pass names the columns it needs, the reader decodes those and
-// steps over the rest — the whole-run passes a few chunks ahead of
-// themselves on a second goroutine — and the critical-path walk decodes only
-// the chunks it lands in, so analysing a spilled run holds a chunk per open
-// lane stream, never a lane. A spill file is outside input: OpenSpill checks
-// the header, summary and index against the file, the chunk reader checks
-// every chunk it decodes against them, and a file that fails either is
-// reported with ErrCorruptSpill, not a panic.
+// Every lane is stored the same way, as a list of column chunks of
+// chunkFor(P) events: the Append that fills a chunk hands it to the run's
+// sink. The sink is the lane's own chunk list unless SpillTo armed the spill
+// encoder, which encodes the chunks on a goroutine of the run's own and
+// streams them to a writer (see spill.go for the format), bounding resident
+// recorder memory at about 2 × Procs × ChunkEvents events. Either way the
+// analyses read the run through one path, the chunk access of the Source
+// interface that the in-RAM Trace and the spill-backed Spill implement: a
+// lane stream, the critical-path walk's window onto the chunk it stands in,
+// and the whole-run pass in rank-then-chunk order. Each pass names the
+// columns it needs; a spill decodes those and steps over the rest — the
+// whole-run passes a few chunks ahead of themselves on a second goroutine —
+// so analysing a spilled run holds a chunk per open lane stream, never a
+// lane. A spill file is outside input: OpenSpill checks the header, summary
+// and index against the file, the chunk reader checks every chunk it decodes
+// against them, and a file that fails either is reported with
+// ErrCorruptSpill, not a panic.
 //
 // A nil *Recorder (the exported Disabled) is valid and records nothing; the
 // simulator's per-event cost in that mode is a single pointer test against a
@@ -40,7 +43,6 @@ package trace
 import (
 	"errors"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -286,10 +288,14 @@ func (c *Cols) Event(i int, rank int32) Event {
 // truncate empties every column, keeping the backing arrays for reuse.
 func (c *Cols) truncate() { *c = c.slice(0, 0) }
 
-// grow pre-sizes empty columns for n events.
+// grow moves the columns to arrays of room for n events, keeping the events
+// stored.
 func (c *Cols) grow(n int) {
-	c.extend(n)
-	c.truncate()
+	var g Cols
+	g.extend(n)
+	g.truncate()
+	g.appendCols(c)
+	*c = g
 }
 
 // slice returns a view of events [i, j) as a Cols header sharing c's
@@ -329,26 +335,29 @@ func (c *Cols) appendCols(src *Cols) {
 	copy(c.SendEnd[i:], src.SendEnd)
 }
 
-// Lane is one rank's append-only event stream, stored columnar. A lane is
-// written by exactly one goroutine (the rank's) and must not be read until
-// the run has ended. Append stores the event whole into a staging block of
-// stageDepth events and drains a full block onto the columns one column at
-// a time: a stage sweep visits every lane in turn, and twelve stores per
-// event scattered over P lanes' columns miss the cache where the blocks do
-// not. On spill-backed runs a block is cut at the chunk boundary, so a chunk
-// is handed off at the Append that fills it, as without staging.
+// Lane is one rank's append-only event stream, stored columnar as a list of
+// chunks of the run's chunk size. A lane is written by exactly one goroutine
+// (the rank's) and must not be read until the run has ended. Append stores
+// the event whole into a staging block of stageDepth events and drains a
+// full block onto the chunk being filled one column at a time: a stage sweep
+// visits every lane in turn, and twelve stores per event scattered over P
+// lanes' columns miss the cache where the blocks do not. A block is cut at
+// the chunk boundary, so a chunk is handed to the run's sink at the Append
+// that fills it, as without staging.
 type Lane struct {
-	c     Cols
-	stage []Event    // the staging block, nil at depth 1
-	lim   int32      // staged events that drain: the depth, cut at the chunk boundary
-	rank  int32      // the recording rank
-	chunk int32      // spill chunk size in events, MaxInt32 when not spilling
-	base  int32      // events already flushed to the spill sink
-	sink  *spillSink // shared chunk writer, nil when not spilling
+	c       Cols       // the chunk being filled
+	stage   []Event    // the staging block, nil at depth 1
+	lim     int32      // staged events that drain: the depth, cut at the chunk boundary
+	rank    int32      // the recording rank
+	chunk   int32      // chunk size in events
+	base    int32      // events in the chunks handed to the sink
+	maxStep int32      // the highest Step of those chunks
+	sink    *spillSink // the spill encoder, nil when the run records in RAM
+	chunks  []Cols     // the in-RAM sink: the lane's chunks, in lane order
 	// Pad the struct to a multiple of 64 bytes so neighbouring lanes in the
 	// recorder's lane array do not false-share a cache line while their
 	// ranks append concurrently.
-	_ [48]byte
+	_ [16]byte
 }
 
 // Append records one event.
@@ -364,13 +373,25 @@ func (l *Lane) Append(ev Event) {
 }
 
 // Len returns the number of events recorded so far (including staged and
-// spilled ones); the simulator uses it to link a message to the send event
-// about to be appended.
+// handed-off ones); the simulator uses it to link a message to the send
+// event about to be appended.
 func (l *Lane) Len() int { return int(l.base) + l.c.Len() + len(l.stage) }
 
-// drain copies a block of staged events onto the columns, flushes a full
-// chunk to the spill sink, and re-arms the staging block.
+// drain copies a block of staged events onto the chunk being filled, hands
+// a full chunk to the sink, and re-arms the staging block. The lane's first
+// chunk grows ×4 up to the chunk size — it takes the smallest of chunk,
+// chunk/4, chunk/16, … that holds its events and two 16-event staging
+// blocks — so a lane past its first 32 events reserves at most four times
+// the events it records, and a long one discards a third of a chunk on the
+// way; the chunks after it are allocated whole.
 func (l *Lane) drain(evs []Event) {
+	if n := l.c.Len() + len(evs); n > cap(l.c.Kind) {
+		size := int(l.chunk)
+		for l.base == 0 && size/4 >= max(n, 32) {
+			size /= 4
+		}
+		l.c.grow(size)
+	}
 	l.c.appendEvents(evs)
 	if int32(l.c.Len()) == l.chunk {
 		l.flush()
@@ -379,14 +400,34 @@ func (l *Lane) drain(evs []Event) {
 	l.lim = min(int32(cap(l.stage)), l.chunk-int32(l.c.Len()))
 }
 
-// flush hands the lane's resident columns to the spill sink's encoder and
-// takes back empty ones, chunk-sized unless this is the run's last flush.
+// flush hands the chunk being filled to the sink — the spill encoder, or
+// the lane's chunk list — and takes storage for the next one: columns the
+// encoder has written, or the chunk list's entry past its end, kept from an
+// earlier unexported run; else none, and drain allocates.
 func (l *Lane) flush() {
 	if l.c.Len() == 0 {
 		return
 	}
+	l.maxStep = max(l.maxStep, slices.Max(l.c.Step))
 	l.base += int32(l.c.Len())
-	l.c = l.sink.handOff(l.rank, l.c, l.c.Len() == int(l.chunk))
+	if l.sink != nil {
+		l.c = l.sink.handOff(l.rank, l.c)
+		return
+	}
+	l.chunks = append(l.chunks, l.c)
+	l.c = l.spare()
+}
+
+// spare returns the chunk list's entry past its end, emptied: columns an
+// earlier run filled at this position.
+func (l *Lane) spare() Cols {
+	n := len(l.chunks)
+	if n == cap(l.chunks) {
+		return Cols{}
+	}
+	c := l.chunks[:n+1][n]
+	c.truncate()
+	return c
 }
 
 // stageBudget bounds a recorder's staging blocks, whatever P: 1 MiB, half of
@@ -429,12 +470,16 @@ type Recorder struct {
 	label    string
 	meta     Meta
 	lanes    []Lane
-	prevLens []int
+	chunk    int // the run's chunk size in events
+	steps    int // the sealed run's superstep bucket count
 	times    []float64
 	makespan float64
 	messages int64
 	bytes    int64
 	runErr   error
+	// ramChunk is the chunk size of runs recorded in RAM, 0 for chunkFor's;
+	// only the package's tests set it.
+	ramChunk int
 
 	// Spill state: armedW/armedOpts hold a SpillTo target until the next
 	// BeginRun consumes it (one run per SpillTo call); sink is the live
@@ -468,15 +513,15 @@ func (r *Recorder) Enabled() bool { return r != nil }
 
 // SpillTo arranges for the NEXT recorded run to stream its lanes to w in the
 // binary spill format instead of holding them in RAM: the Append that fills
-// a lane's ChunkEvents-sized columns hands them to the run's encoder
-// goroutine and takes back emptied ones, so recorder memory is Procs ×
-// ChunkEvents events in the lanes, at most as many again (and at most 1 Mi)
-// queued for the encoder, and 1 MiB of staging blocks. EndRun joins the
-// goroutine and writes the summary, the chunk index and the footer; check
-// SpillErr afterwards and open the result with OpenSpillFile/OpenSpill.
-// After a spilled run, Trace returns ErrSpilled. The arrangement is
-// one-shot: the run after the spilled one records in RAM again unless
-// SpillTo is called again.
+// a lane's ChunkEvents-sized chunk hands it to the run's encoder goroutine,
+// not to the lane's chunk list, and takes back emptied columns, so recorder
+// memory is Procs × ChunkEvents events in the lanes, at most as many again
+// (and at most 1 Mi) queued for the encoder, and 1 MiB of staging blocks.
+// EndRun joins the goroutine and writes the summary, the chunk index and
+// the footer; check SpillErr afterwards and open the result with
+// OpenSpillFile/OpenSpill. After a spilled run, Trace returns ErrSpilled.
+// The arrangement is one-shot: the run after the spilled one records in RAM
+// again unless SpillTo is called again.
 func (r *Recorder) SpillTo(w io.Writer, opts SpillOptions) {
 	if r == nil {
 		return
@@ -517,15 +562,12 @@ func (r *Recorder) SpillStats() (chunks int, events, bytes int64) {
 // BeginRun resets the recorder for a run with the given metadata and sizes
 // one lane per rank. The simulator calls it; user code does not.
 //
-// Lane storage is pooled: when the previous run's lanes were never exported
-// through Trace (the benchmark and sweep pattern — run, read the Result,
-// run again), their column blocks are truncated and reused, so a recorder in
-// steady state appends into already-sized lanes and allocates nothing. Once
-// Trace has been called, the lanes are shared with the returned view and the
-// next run allocates fresh ones — pre-sized from the previous run's per-rank
-// event counts, so even the exporting pattern pays one right-sized
-// allocation series per lane instead of a growth series. Spilled lanes are
-// sized to the chunk.
+// Lane storage is pooled: when the previous run's chunk lists were never
+// exported through Trace (the benchmark and sweep pattern — run, read the
+// Result, run again), the lanes refill the chunks they hold, so a recorder
+// in steady state appends into already-sized chunks and allocates nothing.
+// Once Trace has been called, the chunks are shared with the returned view
+// and the next run allocates fresh lanes.
 func (r *Recorder) BeginRun(meta Meta) {
 	if r == nil {
 		return
@@ -545,29 +587,19 @@ func (r *Recorder) BeginRun(meta Meta) {
 
 	r.sink = nil
 	r.spilled = false
+	opts := SpillOptions{ChunkEvents: r.ramChunk}
 	if r.armedW != nil {
 		r.sink, r.spillErr = newSpillSink(r.armedW, r.meta)
 		r.spilled = true
 		r.armedW = nil
+		opts = r.armedOpts
 	}
-	chunk := int32(math.MaxInt32)
+	r.chunk = opts.chunkFor(meta.Procs)
 	if r.sink != nil {
-		chunk = int32(r.armedOpts.chunkFor(meta.Procs))
-		r.sink.startEncoder(meta.Procs, int(chunk))
+		r.sink.startEncoder(meta.Procs, r.chunk)
 	}
 
-	if len(r.lanes) == meta.Procs {
-		// Remember the finished run's event counts: they are the size
-		// estimate the next allocation (if any) is seeded with.
-		if r.prevLens == nil || len(r.prevLens) != meta.Procs {
-			r.prevLens = make([]int, meta.Procs)
-		}
-		for i := range r.lanes {
-			r.prevLens[i] = r.lanes[i].Len()
-		}
-	}
-	reuse := !r.exported && len(r.lanes) == meta.Procs
-	if !reuse {
+	if r.exported || len(r.lanes) != meta.Procs {
 		r.exported = false
 		r.lanes = make([]Lane, meta.Procs)
 		if depth := stageDepth(meta.Procs); depth > 1 {
@@ -579,16 +611,13 @@ func (r *Recorder) BeginRun(meta Meta) {
 	}
 	for i := range r.lanes {
 		l := &r.lanes[i]
-		l.c.truncate()
-		l.rank = int32(i)
-		l.base = 0
-		l.sink, l.chunk = r.sink, chunk
-		switch {
-		case r.sink != nil: // a spilled lane fills to the chunk and is flushed in place
-			l.c.grow(int(chunk))
-		case !reuse && len(r.prevLens) == meta.Procs:
-			l.c.grow(r.prevLens[i])
+		l.rank, l.chunk, l.base, l.maxStep = int32(i), int32(r.chunk), 0, 0
+		l.sink = r.sink
+		l.chunks = l.chunks[:0]
+		if r.sink != nil { // a spilled run keeps no earlier run's chunks alive
+			l.chunks = nil
 		}
+		l.c = l.spare()
 		l.drain(nil) // arm the staging block
 	}
 }
@@ -602,10 +631,11 @@ func (r *Recorder) LaneOf(rank int) *Lane {
 // EndRun seals the current run with its result. clean must be false when the
 // teardown could have left rank goroutines running (their lanes may still be
 // written to and are discarded). The simulator calls it; user code does not.
-// A clean EndRun drains every lane's staging block; on spill-backed runs it
-// then flushes the remaining lane chunks, joins the encoder and writes the
-// summary, index and footer, completing the spill file. An unclean one
-// stops the encoder; chunks of ranks still recording are then refused.
+// A clean EndRun drains every lane's staging block, hands the last chunks to
+// the sink and counts the run's superstep buckets; on spill-backed runs it
+// then joins the encoder and writes the summary, index and footer,
+// completing the spill file. An unclean one stops the encoder; chunks of
+// ranks still recording are then refused.
 func (r *Recorder) EndRun(times []float64, makespan float64, messages, bytes int64, runErr error, clean bool) {
 	if r == nil {
 		return
@@ -632,13 +662,14 @@ func (r *Recorder) EndRun(times []float64, makespan float64, messages, bytes int
 	}
 	// Drain and flush the per-lane remainders in rank order (deterministic
 	// tail layout), then seal the file.
+	maxStep := int32(0)
 	for i := range r.lanes {
 		l := &r.lanes[i]
 		l.drain(l.stage)
-		if r.sink != nil {
-			l.flush()
-		}
+		l.flush()
+		maxStep = max(maxStep, l.maxStep)
 	}
+	r.steps = int(maxStep) + 1
 	if r.sink != nil {
 		r.sink.stop(nil)
 		errMsg := ""
@@ -646,17 +677,17 @@ func (r *Recorder) EndRun(times []float64, makespan float64, messages, bytes int
 			errMsg = runErr.Error()
 		}
 		sum := Summary{Times: r.times, MakeSpan: makespan, Messages: messages,
-			Bytes: bytes, Steps: r.sink.steps(), ErrMsg: errMsg}
+			Bytes: bytes, Steps: r.steps, ErrMsg: errMsg}
 		if err := r.sink.finish(sum); err != nil && r.spillErr == nil {
 			r.spillErr = err
 		}
 	}
 }
 
-// Trace merges the recorded lanes into the analyzable, deterministic view of
-// the run. It may be called any number of times; each call builds a fresh
-// Trace from the sealed lanes. On spill-backed runs it returns ErrSpilled:
-// the events live in the spill file.
+// Trace returns the analyzable, deterministic view of the run: the lanes'
+// chunk lists. It may be called any number of times; each call builds a
+// fresh Trace over the sealed chunks. On spill-backed runs it returns
+// ErrSpilled: the events live in the spill file.
 func (r *Recorder) Trace() (*Trace, error) {
 	if r == nil {
 		return nil, ErrNoRun
@@ -672,8 +703,8 @@ func (r *Recorder) Trace() (*Trace, error) {
 	if r.spilled {
 		return nil, ErrSpilled
 	}
-	// The returned view shares the lane storage; the next BeginRun must
-	// allocate fresh lanes instead of truncating these.
+	// The returned view shares the chunks; the next BeginRun must allocate
+	// fresh lanes instead of refilling these.
 	r.exported = true
 	t := &Trace{
 		Meta:     r.meta,
@@ -682,19 +713,23 @@ func (r *Recorder) Trace() (*Trace, error) {
 		Messages: r.messages,
 		Bytes:    r.bytes,
 		Err:      r.runErr,
-		lanes:    make([]Cols, len(r.lanes)),
+		lanes:    make([][]Cols, len(r.lanes)),
+		chunk:    r.chunk,
+		steps:    r.steps,
 	}
 	for i := range r.lanes {
-		t.lanes[i] = r.lanes[i].c
+		t.lanes[i] = slices.Clip(r.lanes[i].chunks)
 	}
 	return t, nil
 }
 
 // Source is the lane-level view of one recorded run that every analysis,
-// exporter and rollup consumes: run metadata, the run summary, and ordered
-// per-lane column access. Both the in-RAM *Trace and the spill-backed
-// *Spill implement it, so a P=65536 run analyzed off disk flows through the
-// same single-pass consumers as a P=16 run held in memory.
+// exporter and rollup consumes: run metadata, the run summary, lane lengths
+// and the chunk access, through which every pass reads the events. Both the
+// in-RAM *Trace and the spill-backed *Spill implement it, so a P=65536 run
+// analyzed off disk flows through the same single-pass consumers as a P=16
+// run held in memory. Its chunk access is unexported: only this package's
+// two layouts implement it.
 type Source interface {
 	// RunMeta returns the run's metadata.
 	RunMeta() Meta
@@ -705,12 +740,19 @@ type Source interface {
 	// LaneLen returns the number of events in rank's lane without decoding
 	// it.
 	LaneLen(rank int) int
-	// LaneCols returns rank's whole lane, every column, in lane (clock)
-	// order; treat it as read-only. An in-RAM trace returns a view of its
-	// own storage; a spill decodes the lane's chunks into fresh columns on
-	// every call, so over a spill prefer the analyses, which stream chunks
-	// and never hold a lane.
-	LaneCols(rank int) (*Cols, error)
+
+	// laneChunks streams rank's lane chunk by chunk, with at least the
+	// columns in want.
+	laneChunks(rank int, want colSet) chunkPull
+	// laneWindow returns the critical-path walk's random read: the chunk
+	// holding event i of rank's lane, with at least the columns in want,
+	// and the lane index of its first event. The columns are valid until
+	// the next laneWindow call.
+	laneWindow(rank, i int, want colSet) (*Cols, int, error)
+	// eachLane streams every lane through fn in rank-then-chunk order, the
+	// whole-run passes' accumulation order, and returns the first read
+	// error in that order.
+	eachLane(want colSet, fn func(rank int, c *Cols)) error
 }
 
 // Trace is the merged, immutable view of one recorded run.
@@ -728,9 +770,12 @@ type Trace struct {
 	// Err is the run's error, if any.
 	Err error
 
-	// lanes holds each rank's columns in that rank's own clock order. The
-	// arrays are shared with the recorder; treat them as read-only.
-	lanes []Cols
+	// lanes holds each rank's chunks in that rank's own clock order, chunk
+	// events each but the last. The arrays are shared with the recorder;
+	// treat them as read-only.
+	lanes [][]Cols
+	chunk int
+	steps int
 
 	// cp memoizes CriticalPath: the trace is immutable, every consumer
 	// (report, CLI assert, experiment series) wants the same chain, and the
@@ -750,25 +795,58 @@ func (t *Trace) RunSummary() Summary {
 		errMsg = t.Err.Error()
 	}
 	return Summary{Times: t.Times, MakeSpan: t.MakeSpan, Messages: t.Messages,
-		Bytes: t.Bytes, Steps: t.Steps(), ErrMsg: errMsg}
+		Bytes: t.Bytes, Steps: t.steps, ErrMsg: errMsg}
 }
 
 // NumLanes returns the lane (rank) count.
 func (t *Trace) NumLanes() int { return len(t.lanes) }
 
 // LaneLen returns the number of events in rank's lane.
-func (t *Trace) LaneLen(rank int) int { return t.lanes[rank].Len() }
+func (t *Trace) LaneLen(rank int) int {
+	chunks := t.lanes[rank]
+	if len(chunks) == 0 {
+		return 0
+	}
+	return (len(chunks)-1)*t.chunk + chunks[len(chunks)-1].Len()
+}
 
-// LaneCols returns rank's columns; for an in-RAM trace the view stays valid
-// for the trace's lifetime.
-func (t *Trace) LaneCols(rank int) (*Cols, error) { return &t.lanes[rank], nil }
+// laneChunks implements Source: the lane's chunks in order, every column.
+func (t *Trace) laneChunks(rank int, _ colSet) chunkPull {
+	chunks := t.lanes[rank]
+	return func() (*Cols, error) {
+		if len(chunks) == 0 {
+			return nil, nil
+		}
+		c := &chunks[0]
+		chunks = chunks[1:]
+		return c, nil
+	}
+}
+
+// laneWindow implements Source; the chunk stays valid for the trace's
+// lifetime.
+func (t *Trace) laneWindow(rank, i int, _ colSet) (*Cols, int, error) {
+	k := i / t.chunk
+	return &t.lanes[rank][k], k * t.chunk, nil
+}
+
+// eachLane implements Source; it cannot fail.
+func (t *Trace) eachLane(_ colSet, fn func(rank int, c *Cols)) error {
+	for rank, chunks := range t.lanes {
+		for k := range chunks {
+			fn(rank, &chunks[k])
+		}
+	}
+	return nil
+}
 
 // LaneEvents materializes rank's lane as an event slice, in lane order.
 func (t *Trace) LaneEvents(rank int) []Event {
-	c := &t.lanes[rank]
-	out := make([]Event, c.Len())
-	for i := range out {
-		out[i] = c.Event(i, int32(rank))
+	out := make([]Event, 0, t.LaneLen(rank))
+	for _, c := range t.lanes[rank] {
+		for i := range c.Len() {
+			out = append(out, c.Event(i, int32(rank)))
+		}
 	}
 	return out
 }
@@ -791,18 +869,9 @@ func (t *Trace) NumEvents() int { return NumEventsOf(t) }
 
 // Steps returns the number of superstep buckets the trace covers: one more
 // than the highest Step stamped on any event, so events recorded after the
-// final boundary mark still land in a bucket of their own.
-func (t *Trace) Steps() int {
-	max := int32(0)
-	for i := range t.lanes {
-		for _, s := range t.lanes[i].Step {
-			if s > max {
-				max = s
-			}
-		}
-	}
-	return int(max) + 1
-}
+// final boundary mark still land in a bucket of their own. EndRun counts
+// them once.
+func (t *Trace) Steps() int { return t.steps }
 
 // NumEventsOf totals the lane lengths of any source.
 func NumEventsOf(src Source) int {

@@ -23,11 +23,14 @@
 // (trace.Disabled) is the no-op fast path: its per-event cost is one pointer
 // test, benchmarked by BenchmarkTraceOverhead at the repository root.
 //
-// Large runs do not need to hold their events in RAM. Recorder.SpillTo
-// streams full column chunks to a writer during the run in a compact binary
-// format, bounding resident recorder memory; OpenSpillFile reopens the file
-// and every analysis and exporter accepts it through the same Source
-// interface the in-RAM Trace satisfies:
+// Every run is recorded the same way, as per-rank lists of column chunks;
+// only where a full chunk goes differs. By default it stays in the lane's
+// chunk list, which Recorder.Trace returns. Large runs do not need to hold
+// their events in RAM: Recorder.SpillTo has the chunks encoded to a writer
+// during the run in a compact binary format, bounding resident recorder
+// memory; OpenSpillFile reopens the file and every analysis and exporter
+// reads its chunks through the same Source interface the in-RAM Trace
+// satisfies:
 //
 //	rec.SpillTo(f, trace.SpillOptions{})
 //	s.RunBSP(ctx, program)            // lanes stream to f as they fill
@@ -63,17 +66,19 @@ type Recorder = itrace.Recorder
 type Trace = itrace.Trace
 
 // Source is the read interface shared by the in-RAM Trace and the
-// spill-backed Spill: run metadata, a run summary, and per-rank column
-// blocks. Every analysis and exporter in this package accepts a Source, so
-// code paths need not care whether the trace lives in memory or on disk.
+// spill-backed Spill: run metadata, a run summary, lane lengths, and the
+// per-rank column chunks every analysis reads through. Every analysis and
+// exporter in this package accepts a Source, so code paths need not care
+// whether the trace lives in memory or on disk. Only Trace and Spill
+// implement it.
 type Source = itrace.Source
 
 // Summary is the run-level outcome a Source reports: per-rank finish times,
 // makespan, traffic counters, superstep count and the run error, if any.
 type Summary = itrace.Summary
 
-// Cols is one rank's events in columnar (struct-of-arrays) layout — one
-// parallel array per event field.
+// Cols is a chunk of one rank's events in columnar (struct-of-arrays)
+// layout — one parallel array per event field.
 type Cols = itrace.Cols
 
 // Event is one recorded observation; Kind classifies it.
@@ -169,8 +174,8 @@ type (
 	// resident events; the default targets ~64 MB total across lanes).
 	SpillOptions = itrace.SpillOptions
 	// Spill is a reopened spill file; it satisfies Source, so every
-	// analysis and exporter works on it directly, and its Trace method
-	// materializes an in-RAM Trace when the run is small enough.
+	// analysis and exporter works on it directly, decoding a chunk at a
+	// time.
 	Spill = itrace.Spill
 	// SpillReadStats is what Spill.ReadStats reports: chunks decoded, bytes
 	// read and chunk-cache hits since the file was opened.
