@@ -126,7 +126,7 @@
 // classes — a pairwise-uniform machine (cluster.FlatCluster, or any
 // homogeneous profile) plus a rank-symmetric schedule (the circulant
 // generators, the dissemination count exchange) — and evaluates one
-// representative rank per class, replicating the class results at assembly.
+// representative rank per class, each rank's time read off its class.
 // Times, makespan and traffic counters stay bit-identical to per-rank
 // evaluation. Where the collapse does not apply the evaluator falls back to
 // per-rank evaluation and reports the decision in Result.Collapse: whether

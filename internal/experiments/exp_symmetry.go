@@ -31,9 +31,10 @@ type CollapsePoint struct {
 // the README's P=4096 → P=1M table. Every point runs through
 // sched.RunSchedule under the default CollapseAuto mode: the machine is
 // pairwise uniform and the exchange schedule is circulant, so the evaluator
-// collapses all ranks into one equivalence class and each point costs O(P)
-// memory and O(stages) evaluation work, which is what makes the
-// P=1,048,576 point feasible at all.
+// collapses all ranks into one equivalence class: each point walks one class
+// state over O(stages) work, and its O(P) memory is the machine, the
+// partition RunSchedule derives (the class count is read off its diagnostic)
+// and the result times — which is what makes the P=1,048,576 point cheap.
 func CollapseScalingSeries(procsList []int) ([]CollapsePoint, error) {
 	return ParallelSeries(procsList, func(p int) ([]CollapsePoint, error) {
 		if p < 2 {
@@ -47,17 +48,13 @@ func CollapseScalingSeries(procsList []int) ([]CollapsePoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		classes := 0
-		if part := sched.CollapseClasses(m, s); part != nil {
-			classes = part.NumClasses()
-		}
 		res, err := sched.RunSchedule(context.Background(), m, s, 1, simnet.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
 		return []CollapsePoint{{
 			Procs:    p,
-			Classes:  classes,
+			Classes:  res.Collapse.Classes,
 			Stages:   s.NumStages(),
 			MakeSpan: res.MakeSpan,
 			Messages: res.Messages,

@@ -7,11 +7,16 @@ import (
 	"hbsp/internal/simnet"
 )
 
-// Collapsed execution: execCollapsed evaluates one representative rank state
-// per equivalence class per stage instead of all P ranks. Member states are
-// untouched until replicateClasses copies the representative's clock, port
-// and noise-stream state across each class — so a run of consecutive
-// executions pays O(classes·stages) evaluation plus one O(P) assembly.
+// Collapsed execution: execCollapsed evaluates one kernel state per
+// equivalence class per stage instead of all P ranks, in class-indexed arrays
+// (classStates, classEntry, classIn) of O(classes) size, passing the kernel
+// each class's representative rank so the noise and fault streams are the
+// representative's. A collapsed whole run (execRuns) starts from zeroed class
+// states and never sizes a per-rank state: its O(P) parts are the machine, the
+// partition and the result times Times reads through Partition.ClassOf. One
+// inline evaluation at a gate (ExecScheduleAuto) gathers the representatives'
+// live states into the class array, walks, and copies the advanced clocks
+// back to every member.
 //
 // The arithmetic is the kernel's, as in the per-rank sweep; only the
 // iteration domain shrinks. Collapse preconditions (checked by the callers):
@@ -64,8 +69,14 @@ func (e *Evaluator) ExecScheduleAuto(s Schedule, tagBase int, computeEmpty bool)
 		e.ExecSchedule(s, tagBase, computeEmpty)
 		return
 	}
+	cls := e.sizeClasses(part.NumClasses())
+	for c, rep := range part.Reps {
+		cls[c] = e.states[rep]
+	}
 	e.execCollapsed(s, part, tagBase, computeEmpty, nil)
-	e.replicateClasses(part)
+	for r := range e.states {
+		copyClock(&e.states[r], &cls[part.ClassOf[r]])
+	}
 }
 
 // partitionFor returns the cached rank-equivalence partition of the schedule
@@ -118,18 +129,20 @@ func (e *Evaluator) classesAligned(part *Partition) bool {
 	return true
 }
 
-// replicateClasses copies each representative's state across its class —
-// the O(P) result-assembly step after any number of collapsed executions.
-func (e *Evaluator) replicateClasses(part *Partition) {
-	for r := range e.states {
-		if rep := part.Reps[part.ClassOf[r]]; int32(r) != rep {
-			copyClock(&e.states[r], &e.states[rep])
-		}
+// sizeClasses sizes the class-indexed state arrays for nc classes and
+// returns the states; the caller sets them.
+func (e *Evaluator) sizeClasses(nc int) []loggp.State {
+	if cap(e.classStates) < nc {
+		e.classStates = make([]loggp.State, nc)
+		e.classEntry = make([]float64, nc)
+		e.classIn = make([][]loggp.Edge, nc)
 	}
+	e.classStates, e.classEntry = e.classStates[:nc], e.classEntry[:nc]
+	return e.classStates
 }
 
-// execCollapsed evaluates one execution of the schedule over class
-// representatives only (see the collapse preconditions above), with an
+// execCollapsed evaluates one execution of the schedule on the class states
+// (sized by sizeClasses; see the collapse preconditions above), with an
 // optional per-stage cancellation checker (one P=1M execution is no longer
 // negligible wall time). Traffic counters account for the whole class: every
 // member performs the representative's sends. A one-class partition over a
@@ -138,10 +151,7 @@ func (e *Evaluator) replicateClasses(part *Partition) {
 // adjacency is materialized.
 func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, computeEmpty bool, chk *stageChecker) error {
 	nc := part.NumClasses()
-	if cap(e.classIn) < nc {
-		e.classIn = make([][]loggp.Edge, nc)
-	}
-	classIn := e.classIn[:nc]
+	classIn, entry := e.classIn[:nc], e.classEntry
 	v := ViewOf(s)
 	env := &e.env
 	for sg := 0; sg < s.NumStages(); sg++ {
@@ -156,7 +166,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 		// in-edge records parked per class by out-edge position.
 		for c := 0; c < nc; c++ {
 			r := int(part.Reps[c])
-			rs := &e.states[r]
+			rs := &e.classStates[c]
 			outs := v.Outs(r)
 			if len(outs) == 0 && len(v.Ins(r)) == 0 {
 				if computeEmpty {
@@ -164,7 +174,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 				}
 				continue
 			}
-			e.entry[r] = rs.Now
+			entry[c] = rs.Now
 			if len(outs) > 0 {
 				ci := classIn[c][:0]
 				var repBytes int64
@@ -194,10 +204,10 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 		sent := 0
 		for c := 0; c < nc; c++ {
 			r := int(part.Reps[c])
-			rs := &e.states[r]
+			rs := &e.classStates[c]
 			for _, src := range v.Ins(r) {
 				k := outPosition(v.Outs(src), r)
-				completeAt, _ := rs.RecvComplete(e.entry[r], &classIn[part.ClassOf[src]][k])
+				completeAt, _ := rs.RecvComplete(entry[c], &classIn[part.ClassOf[src]][k])
 				rs.AdvanceTo(env, r, completeAt)
 			}
 			for range v.Outs(r) {

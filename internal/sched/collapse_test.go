@@ -439,3 +439,63 @@ func TestRunScheduleSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCollapsedRunFootprint bounds what a collapsed RunSchedule allocates
+// from a fresh arena — the pool emptied by two collections, the machine and
+// schedule built beforehand: the walk holds one state per class, so what
+// remains per rank is the derived partition's class index (4 B) and the
+// result's time (8 B). A run that sizes rank states (56 B) fails here.
+func TestCollapsedRunFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are counted too")
+	}
+	const p = 1 << 18
+	m, err := platform.FlatClusterMachine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := bsp.ExchangeSchedule(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := sched.RunSchedule(context.Background(), m, s, 1, simnet.DefaultOptions())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Collapse.Applied {
+		t.Fatalf("collapse %+v, want applied", res.Collapse)
+	}
+	perRank := float64(after.TotalAlloc-before.TotalAlloc) / p
+	t.Logf("a collapsed run at P=%d allocated %.1f B per rank", p, perRank)
+	if perRank > 16 {
+		t.Errorf("a collapsed run at P=%d allocated %.1f B per rank, want at most 16", p, perRank)
+	}
+}
+
+// BenchmarkCollapsedRun times a collapsed RunSchedule of the count exchange at
+// P=2^20 on the flat cluster, the run CollapseScalingSeries makes at its
+// largest point: the walk is one class over its stages, so ns/op and B/op are
+// what the run's O(P) parts — partition and result times — cost.
+func BenchmarkCollapsedRun(b *testing.B) {
+	const p = 1 << 20
+	m, err := platform.FlatClusterMachine(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := bsp.ExchangeSchedule(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, o := context.Background(), simnet.DefaultOptions()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.RunSchedule(ctx, m, s, 1, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -282,6 +282,7 @@ func (c *Code) Run(ctx context.Context, m simnet.Machine, o simnet.Options) (*si
 // stages 16 ranks wide: one poll every stageCheckBudget/16 = 8,192
 // instructions.
 func (c *Code) walk(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
+	e.perRank()
 	env := &e.env
 	p := c.procs
 	st := newRunState(c)

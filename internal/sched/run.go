@@ -47,6 +47,7 @@ func run(ctx context.Context, m simnet.Machine, procs int, o *simnet.Options, sw
 	rec := o.Recorder
 	simnet.BeginRecording(rec, m, e.env.Ack, e.env.Faults)
 	if rec.Enabled() {
+		e.perRank()
 		for r := range e.states {
 			e.states[r].Attach(rec.LaneOf(r))
 		}
@@ -104,10 +105,12 @@ func checkMachine(m simnet.Machine) error {
 // stays off the hot path at small P and responsive at large P).
 //
 // When the machine and schedule admit it (see CollapseClasses) and no
-// recorder is attached, executions are symmetry-collapsed: one
-// representative rank per equivalence class is evaluated and the class
-// states assembled at the end, bit-identical to the per-rank sweep. Set
-// o.SymmetryCollapse = simnet.CollapseOff to force per-rank evaluation.
+// recorder is attached, executions are symmetry-collapsed: one kernel state
+// per equivalence class is evaluated, for the class's representative rank,
+// and the per-rank times are read off the class states — bit-identical to the
+// per-rank sweep. Such a run holds O(classes) state; its O(P) parts are the
+// machine, the partition and the result times. Set o.SymmetryCollapse =
+// simnet.CollapseOff to force per-rank evaluation.
 //
 // RunSchedule is a sweep of one point: the arena goes back to the pool
 // afterwards and the partition is derived rather than memoized; the body is
@@ -128,7 +131,7 @@ func arenaFor(m simnet.Machine, o *simnet.Options) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := NewEvaluator(m, o.AckSends)
+	e := newArena(m, o.AckSends)
 	e.collapseOff = o.SymmetryCollapse == simnet.CollapseOff
 	e.env.Faults = ft
 	return e, nil
@@ -146,19 +149,24 @@ func checkSchedule(s Schedule, execs int) error {
 }
 
 // execRuns is the body RunSchedule and SweepEvaluator.Run hand the run frame:
-// execs executions of s from the arena's zeroed states, stage s's messages
-// tagged tagBase+s, and empty stages paying a Compute(0) when computeEmpty
+// execs executions of s from zeroed states, stage s's messages tagged
+// tagBase+s, and empty stages paying a Compute(0) when computeEmpty
 // (barrier.Execute's convention). partition supplies the machine and schedule
 // rows of the collapse decision (decideCollapse) — derived by RunSchedule,
-// memoized by a SweepEvaluator; rec is the run's recorder.
+// memoized by a SweepEvaluator; rec is the run's recorder. A collapsed run
+// walks the class states alone and leaves the partition for Times; any other
+// sizes the arena's per-rank states and walks them.
 func (e *Evaluator) execRuns(s Schedule, execs, tagBase int, computeEmpty bool, rec *trace.Recorder, chk *stageChecker, partition func() (*Partition, simnet.Collapse)) (simnet.Collapse, error) {
 	// Decide once per run: fresh states are class-aligned (all zero) and
 	// collapsed executions preserve alignment, so eligibility never changes
 	// mid-run.
 	part, collapse := e.decideCollapse(partition, rec.Enabled, func(*Partition) bool { return true })
 	if part != nil {
+		clear(e.sizeClasses(part.NumClasses()))
+		e.rankClass = part
 		chk.pace(part.NumClasses())
 	} else {
+		e.perRank()
 		chk.pace(len(e.states))
 	}
 	for x := 0; x < execs; x++ {
@@ -171,9 +179,6 @@ func (e *Evaluator) execRuns(s Schedule, execs, tagBase int, computeEmpty bool, 
 		if err != nil {
 			return collapse, err
 		}
-	}
-	if part != nil {
-		e.replicateClasses(part)
 	}
 	return collapse, nil
 }

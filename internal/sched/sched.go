@@ -31,7 +31,8 @@
 //     by message through the point-to-point stepper (PostPriced / Recv / Now).
 //
 // The evaluator has no clock arithmetic of its own. It holds one loggp.State
-// per rank and calls the LogGP kernel (internal/loggp) for every operation —
+// per rank (per equivalence class under symmetry collapse) and calls the LogGP
+// kernel (internal/loggp) for every operation —
 // the same Send, RecvComplete, WaitRecv, WaitSend and Compute the concurrent
 // engine's simnet.Proc calls — so what an operation costs exists once, and
 // what this package adds is the order of the operations and the matching of
@@ -150,7 +151,8 @@ func (s *StaticStages) Validate() error {
 	return nil
 }
 
-// Evaluator evaluates schedules against a set of per-rank LogGP states. Its
+// Evaluator evaluates schedules against a set of per-rank LogGP states, or
+// one state per rank-equivalence class when a run collapses. Its
 // per-stage scratch is reused across executions, so steady-state evaluation
 // allocates nothing. An Evaluator is not safe for concurrent use; inline
 // callers park one in their run's Gate.Scratch, the run frame takes one from
@@ -172,13 +174,16 @@ type Evaluator struct {
 	// (ExecScheduleAuto); runs surface it as Result.Collapse.
 	lastCollapse simnet.Collapse
 
+	// states holds one kernel state per rank, sized by perRank for the bodies
+	// that walk ranks; a collapsed whole run leaves it empty.
 	states []loggp.State
 
-	// Per-stage scratch of the stage walker: entry clocks (the post time of a
-	// rank's receives); the inbox and send-completion times of r's k-th
-	// out-edge at outBase(r)+k, outBase the prefix sum of the out-degrees; on a
-	// generic stage the inbox slot of r's q-th in-edge at slot[inBase(r)+q],
-	// handed out by the cursors inNext in sender scan order (In[r]'s order).
+	// Per-stage scratch of the stage walker, sized with states: entry clocks
+	// (the post time of a rank's receives); the inbox and send-completion
+	// times of r's k-th out-edge at outBase(r)+k, outBase the prefix sum of
+	// the out-degrees; on a generic stage the inbox slot of r's q-th in-edge
+	// at slot[inBase(r)+q], handed out by the cursors inNext in sender scan
+	// order (In[r]'s order).
 	entry    []float64
 	inNext   []int32
 	inbox    []loggp.Edge
@@ -186,13 +191,17 @@ type Evaluator struct {
 	slot     []int32
 	walk     stageWalk // what the workers of the running execStages call share
 
-	// Collapsed-evaluation scratch: per class, the in-edge records of the
-	// representative's sends by out-edge position; and the cached
-	// rank-equivalence partitions of schedules evaluated inline (a nil
-	// partition = ineligible, cached with its reason so the refinement never
-	// reruns).
-	classIn   [][]loggp.Edge
-	partCache map[Schedule]partEntry
+	// Collapsed-evaluation state, indexed by class: the representative's
+	// kernel state and entry clock, and the in-edge records of its sends by
+	// out-edge position; the cached rank-equivalence partitions of schedules
+	// evaluated inline (a nil partition = ineligible, cached with its reason
+	// so the refinement never reruns); and, after a collapsed whole run, its
+	// partition — rank r's state is then classStates[ClassOf[r]].
+	classStates []loggp.State
+	classEntry  []float64
+	classIn     [][]loggp.Edge
+	partCache   map[Schedule]partEntry
+	rankClass   *Partition
 
 	// chk is the run frame's poller, armed per whole run (see run).
 	chk stageChecker
@@ -213,7 +222,15 @@ var evalPool sync.Pool
 // all rank states zeroed. Evaluators come from a shared pool; Release
 // returns one when the caller is done.
 func NewEvaluator(m simnet.Machine, ack bool) *Evaluator {
-	p := m.Procs()
+	e := newArena(m, ack)
+	e.perRank()
+	return e
+}
+
+// newArena takes an evaluator from the pool for runs on m with no rank state
+// sized: a body that walks ranks sizes them (perRank), a collapsed one never
+// does.
+func newArena(m simnet.Machine, ack bool) *Evaluator {
 	e, _ := evalPool.Get().(*Evaluator)
 	if e == nil {
 		e = &Evaluator{}
@@ -222,8 +239,27 @@ func NewEvaluator(m simnet.Machine, ack bool) *Evaluator {
 	e.env.Ack, e.env.Faults = ack, nil
 	e.collapseOff = false
 	e.lastCollapse = simnet.Collapse{}
-	e.messages, e.bytes = 0, 0
 	e.partCache = nil
+	e.clearRun()
+	return e
+}
+
+// clearRun readies the arena for a fresh run: no rank state sized, no
+// traffic counted.
+func (e *Evaluator) clearRun() {
+	e.states, e.rankClass = e.states[:0], nil
+	e.messages, e.bytes = 0, 0
+}
+
+// perRank sizes the per-rank arrays — states, entry clocks, inbox cursors —
+// with every state zeroed, for the bodies that walk ranks: the stage walker,
+// a traced run (its lanes attach before the body runs), Code.walk and
+// Supersteps.walk. Once sized for the run it does nothing.
+func (e *Evaluator) perRank() {
+	p := e.m.Procs()
+	if len(e.states) == p {
+		return
+	}
 	if cap(e.states) < p {
 		e.states = make([]loggp.State, p)
 		e.entry = make([]float64, p)
@@ -234,7 +270,6 @@ func NewEvaluator(m simnet.Machine, ack bool) *Evaluator {
 		e.entry = e.entry[:p]
 		e.inNext = e.inNext[:p]
 	}
-	return e
 }
 
 // setMachine points the evaluator at a machine and resolves its pricing call.
@@ -264,7 +299,7 @@ func (e *Evaluator) Release() {
 	clear(e.states)
 	e.m, e.pricer = nil, nil
 	e.env = loggp.Env{}
-	e.partCache = nil
+	e.partCache, e.rankClass = nil, nil
 	evalPool.Put(e)
 }
 
@@ -274,8 +309,17 @@ func (e *Evaluator) Release() {
 func (e *Evaluator) CollapseInfo() simnet.Collapse { return e.lastCollapse }
 
 // Times copies the per-rank clocks into dst (allocating when nil) and
-// returns it.
+// returns it. After a collapsed whole run a rank's clock is its class's.
 func (e *Evaluator) Times(dst []float64) []float64 {
+	if pt := e.rankClass; pt != nil {
+		if dst == nil {
+			dst = make([]float64, len(pt.ClassOf))
+		}
+		for r, c := range pt.ClassOf {
+			dst[r] = e.classStates[c].Now
+		}
+		return dst
+	}
 	if dst == nil {
 		dst = make([]float64, len(e.states))
 	}

@@ -122,6 +122,7 @@ func RunSupersteps(ctx context.Context, m simnet.Machine, sp *Supersteps, o simn
 
 // walk is RunSupersteps' body.
 func (sp *Supersteps) walk(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
+	e.perRank()
 	p := len(e.states)
 	ops := &stepOps{sp: sp, e: e}
 	var order []int32 // indices into ops.msgs, grouped by receiver

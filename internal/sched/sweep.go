@@ -162,8 +162,8 @@ func (sw *SweepEvaluator) Run(ctx context.Context, m simnet.Machine, s Schedule,
 	})
 }
 
-// arena is the run frame's arena for a point on m: the kept one with its
-// states and counters zeroed in place and pointed at m. A machine outside the
+// arena is the run frame's arena for a point on m: the kept one, cleared for
+// a fresh run (clearRun) and pointed at m. A machine outside the
 // base's family — a different profile family, placement or rank count — first
 // rebases the evaluator onto a fresh arena with the fault plan recompiled
 // against m, and no memoized decision kept. A plan that no longer compiles
@@ -181,8 +181,7 @@ func (sw *SweepEvaluator) arena(m simnet.Machine) (*Evaluator, error) {
 		sw.base, sw.e, sw.parts = m, e, nil
 	}
 	e := sw.e
-	clear(e.states)
-	e.messages, e.bytes = 0, 0
+	e.clearRun()
 	e.setMachine(m)
 	return e, nil
 }

@@ -389,3 +389,61 @@ func TestSweepArenaReuse(t *testing.T) {
 		})
 	}
 }
+
+// TestSweepMixedCollapse alternates, on one kept evaluator and one flat
+// machine, points that collapse (circulant schedules: one class state) and
+// points that walk every rank (a rooted broadcast), so each point starts on
+// an arena the other kind left behind — class states after per-rank states
+// and back. Every point must match an independent RunSchedule bit for bit,
+// with the collapse on and with it off, and the two modes must agree.
+func TestSweepMixedCollapse(t *testing.T) {
+	const p = 256
+	m, err := platform.FlatClusterMachine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(s sched.Schedule, err error) sched.Schedule {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	points := []sched.Schedule{
+		must(barrier.StreamDissemination(p)),
+		must(barrier.StreamBroadcast(p, 3, 64)),
+		must(sched.NewCirculant(p, []int{1, 2, 4, 8, 16, 32, 64, 128}, nil)),
+		must(barrier.StreamBroadcast(p, 0, 4096)),
+		must(barrier.StreamDissemination(p)),
+	}
+	ctx := context.Background()
+	var times [2][][]float64
+	for mode, collapse := range []simnet.CollapseMode{simnet.CollapseAuto, simnet.CollapseOff} {
+		o := simnet.DefaultOptions()
+		o.SymmetryCollapse = collapse
+		sw, err := sched.NewSweepEvaluator(m, sweepOptionsFor(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range points {
+			tag := fmt.Sprintf("mode %d point %d", collapse, i)
+			diffSweepPoint(t, tag, sw, m, s, 2, o)
+			res, err := sw.Run(ctx, m, s, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, circulant := s.(sched.CirculantSchedule); res.Collapse.Applied != (circulant && collapse == simnet.CollapseAuto) {
+				t.Errorf("%s: collapse %+v", tag, res.Collapse)
+			}
+			times[mode] = append(times[mode], res.Times)
+		}
+		sw.Release()
+	}
+	for i := range points {
+		for r, at := range times[0][i] {
+			if at != times[1][i][r] {
+				t.Fatalf("point %d rank %d: %v collapsed, %v per rank", i, r, at, times[1][i][r])
+			}
+		}
+	}
+}

@@ -14,8 +14,9 @@ import (
 // recurrence then computes the same numbers P times over. The collapse
 // detects rank-equivalence classes — from a generator-emitted Symmetry hint
 // or from a structural fingerprint of the stage graph — and evaluates one
-// representative rank state per class per stage, replicating clocks, noise
-// positions and traffic across the class only at result-assembly time.
+// kernel state per class per stage, for the class's representative rank,
+// counting traffic for the whole class; each rank's time is read off its
+// class's state when the result is assembled.
 // Virtual times, makespan and traffic counters are bit-identical to per-rank
 // evaluation (pinned by the cross-engine golden tests); where heterogeneity,
 // noise, trace recording or a rank-targeted fault plan breaks the argument,

@@ -109,8 +109,8 @@ const (
 
 // CollapseMode selects whether the direct evaluator may collapse
 // rank-equivalence classes (see sched.CollapseClasses): evaluate one
-// representative rank per class and replicate the class states at result
-// assembly, bit-identical to per-rank evaluation wherever it applies.
+// representative rank per class and read each rank's time off its class,
+// bit-identical to per-rank evaluation wherever it applies.
 type CollapseMode int
 
 const (

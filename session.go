@@ -146,8 +146,8 @@ func WithConcurrentEngine() Option {
 // enabled=true — the default, so the option exists to spell the default out
 // — the direct evaluator detects rank-equivalence classes (homogeneous
 // machine, symmetric schedule, no trace recorder) and evaluates one
-// representative rank per class, replicating the class states at result
-// assembly; virtual times, makespan and traffic counters are bit-identical
+// representative rank per class and reads each rank's time off its class;
+// virtual times, makespan and traffic counters are bit-identical
 // to per-rank evaluation wherever the collapse applies, and evaluation falls
 // back silently where it does not. enabled=false forces per-rank evaluation
 // everywhere (the escape hatch, and the engine-diffing control).
