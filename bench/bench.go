@@ -68,8 +68,3 @@ func DefaultKernelBenchConfig() KernelBenchConfig { return bench.DefaultKernelBe
 func KernelRate(m *cluster.Machine, rank int, k kernels.Kernel, problemSize int, cfg KernelBenchConfig) (*KernelBenchResult, error) {
 	return bench.KernelRate(m, rank, k, problemSize, cfg)
 }
-
-// RateProfile measures the rates of a kernel set on one rank.
-func RateProfile(m *cluster.Machine, rank int, ks []kernels.Kernel, problemSize int, cfg KernelBenchConfig) (map[string]*KernelBenchResult, error) {
-	return bench.RateProfile(m, rank, ks, problemSize, cfg)
-}

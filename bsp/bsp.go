@@ -44,12 +44,8 @@ type RunConfig = ibsp.RunConfig
 // order.
 type ReduceOp = ibsp.ReduceOp
 
-// Standard reduction operators.
-var (
-	OpSum = ibsp.OpSum
-	OpMax = ibsp.OpMax
-	OpMin = ibsp.OpMin
-)
+// OpSum is the summing reduction operator.
+var OpSum = ibsp.OpSum
 
 // ErrNotRegistered is returned when a one-sided operation names an unknown
 // registration.

@@ -64,11 +64,6 @@ type (
 	Level     = memmodel.Level
 )
 
-// NewTopology builds a validated topology.
-func NewTopology(nodes, socketsPerNode, coresPerSocket int) (Topology, error) {
-	return topology.New(nodes, socketsPerNode, coresPerSocket)
-}
-
 // Xeon8x2x4 is the synthetic stand-in for the thesis' 8-node dual quad-core
 // Xeon gigabit cluster (64 cores).
 func Xeon8x2x4() *Profile { return platform.Xeon8x2x4() }
@@ -79,14 +74,6 @@ func XeonCluster(nodes int) *Profile { return platform.XeonCluster(nodes) }
 // XeonClusterMachine instantiates a noise-free machine with the requested
 // rank count on the scaled Xeon cluster.
 func XeonClusterMachine(procs int) (*Machine, error) { return platform.XeonClusterMachine(procs) }
-
-// XeonClusterHomogeneousMachine is XeonClusterMachine with the per-pair
-// heterogeneity spread and the noise model switched off: every pair at the
-// same topological distance gets identical parameters, which is what lets the
-// direct evaluator collapse rank-equivalence classes.
-func XeonClusterHomogeneousMachine(procs int) (*Machine, error) {
-	return platform.XeonClusterHomogeneousMachine(procs)
-}
 
 // FlatCluster is a one-core-per-node profile with N identical nodes: every
 // pair of distinct ranks sits at network distance with identical parameters,
@@ -121,10 +108,6 @@ func Opteron10x2x6() *Profile { return platform.Opteron10x2x6() }
 
 // AthlonX2 is the single dual-core node used for the L1 BLAS measurements.
 func AthlonX2() *Profile { return platform.AthlonX2() }
-
-// HeteroDemo is a small cluster mixing two core designs, for exercising the
-// heterogeneous-computation paths.
-func HeteroDemo() *Profile { return platform.HeteroDemo() }
 
 // Presets returns every built-in profile, keyed by name.
 func Presets() map[string]*Profile { return platform.Presets() }

@@ -23,7 +23,6 @@ import (
 	"hbsp/internal/adapt"
 	"hbsp/internal/barrier"
 
-	"hbsp/matrix"
 	"hbsp/mpi"
 	"hbsp/sched"
 	"hbsp/sim"
@@ -194,39 +193,13 @@ type Candidate = adapt.Candidate
 // is the model-selected winner.
 type AdaptResult = adapt.Result
 
-// SubPattern selects the intra- or inter-cluster pattern family of a hybrid.
-type SubPattern = adapt.SubPattern
-
 // ErrBadInput is returned by the adaptation pipeline on invalid inputs.
 var ErrBadInput = adapt.ErrBadInput
-
-// AutoThreshold derives a latency threshold separating intra- from
-// inter-cluster pairs.
-func AutoThreshold(latency *matrix.Dense) (float64, error) { return adapt.AutoThreshold(latency) }
-
-// ClusterByLatency groups processes whose pairwise latency stays below the
-// threshold.
-func ClusterByLatency(latency *matrix.Dense, threshold float64) (*Clustering, error) {
-	return adapt.ClusterByLatency(latency, threshold)
-}
-
-// ClusterAuto clusters with an automatically derived threshold.
-func ClusterAuto(latency *matrix.Dense) (*Clustering, error) { return adapt.ClusterAuto(latency) }
-
-// BuildHybrid assembles a hierarchical hybrid barrier from a clustering.
-func BuildHybrid(cl *Clustering, intra, inter SubPattern) (*Pattern, error) {
-	return adapt.BuildHybrid(cl, intra, inter)
-}
 
 // Greedy runs the model-driven construction of Chapter 7: cluster, build the
 // candidate hybrids, cost every candidate, return the ranking.
 func Greedy(params Params, opts CostOptions) (*AdaptResult, error) {
 	return adapt.Greedy(params, opts)
-}
-
-// GreedyWithClustering is Greedy with an explicit clustering.
-func GreedyWithClustering(params Params, opts CostOptions, cl *Clustering) (*AdaptResult, error) {
-	return adapt.GreedyWithClustering(params, opts, cl)
 }
 
 // GreedySync is Greedy with every candidate costed carrying the BSP

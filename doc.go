@@ -92,7 +92,7 @@
 // record, and both engines call it. The engines differ in who orders the
 // operations and how a receive finds its message — which is what the
 // cross-engine tests pin — never in what an operation costs. A message is
-// billed through one pricing call per ordered pair (sim.PairPricer's Pair:
+// billed through one pricing call per ordered pair (the machine's Pair:
 // latency, gap, inverse bandwidth, overhead, the return latency of the ack
 // leg and NIC sharing, classified and hashed once), resolved once per run;
 // the sender's gap term travels with the message, so receive completions
@@ -143,10 +143,10 @@
 // partitions alive across points. Each point runs through the direct
 // engine's one run frame with the body sched.RunSchedule hands it, every pair
 // priced live by the machine, so it is bit-identical to an independent
-// sched.RunSchedule call. The experiments
-// sweep series (experiments.BytesSweepSeries, experiments.ScaleSweepSeries)
-// and the server's NDJSON sweep path run on it; SweepEvaluator.Stats reports
-// what was reused.
+// sched.RunSchedule call. The experiments' sweep series
+// (experiments.BytesSweepSeries and the report's LogGP-scaling sweep) and the
+// server's NDJSON sweep path run on it; SweepEvaluator.Stats reports what was
+// reused.
 //
 // # Fault injection
 //

@@ -1,7 +1,7 @@
 // Package experiments is the public surface of the evaluation driver: one
 // function per table and figure of the thesis' evaluation, each running its
 // simulation points on the parallel sweep engine, plus the report that
-// cmd/experiments prints (RunAll, or RunSections chapter by chapter). Sweep
+// cmd/experiments prints chapter by chapter (RunSections). Sweep
 // sizes are configured with Quick (CI, seconds) or Full (complete sweeps,
 // minutes).
 package experiments
@@ -50,9 +50,6 @@ func Quick() Options { return iexp.Quick() }
 
 // Full returns the complete sweep sizes of the evaluation.
 func Full() Options { return iexp.Full() }
-
-// RunAll regenerates every table and figure and writes the report to w.
-func RunAll(w io.Writer, opts Options) error { return iexp.RunAll(w, opts) }
 
 // RunSections writes the named sections of the report — its chapters, such
 // as "barriers" or "stencil" — in thesis order, whatever the order of names;
@@ -131,14 +128,6 @@ type SweepSeriesPoint = iexp.SweepSeriesPoint
 // of independent runs it replaces.
 func BytesSweepSeries(prof *cluster.Profile, procs int, payloads []int) ([]SweepSeriesPoint, error) {
 	return iexp.BytesSweepSeries(prof, procs, payloads)
-}
-
-// ScaleSweepSeries sweeps a uniform LogGP scaling of the profile over the
-// total-exchange at a fixed rank count and payload, with the same reuse as
-// BytesSweepSeries (scaled profiles stay term-compatible, so a worker's
-// evaluator is never rebased between points).
-func ScaleSweepSeries(prof *cluster.Profile, procs, payload int, scales []float64) ([]SweepSeriesPoint, error) {
-	return iexp.ScaleSweepSeries(prof, procs, payload, scales)
 }
 
 // SweepSeriesTable renders sweep points.

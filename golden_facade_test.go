@@ -9,13 +9,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"hbsp/internal/barrier"
 	ibsp "hbsp/internal/bsp"
 	impi "hbsp/internal/mpi"
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 
+	"hbsp/bench"
 	"hbsp/bsp"
 	"hbsp/collective"
 	"hbsp/mpi"
@@ -300,4 +304,81 @@ func TestGoldenEnginesMPI(t *testing.T) {
 			return nil
 		})
 	})
+}
+
+// TestGoldenFacadeGenerators holds the thesis' generators that only the
+// facade exports to their internal counterparts: each builds, verifies under
+// its semantics, and yields the internal generator's stages one for one.
+func TestGoldenFacadeGenerators(t *testing.T) {
+	const p, block = 12, 64
+	pat := func(pat *collective.Pattern, err error) sched.Schedule {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pat
+	}
+	stream := func(s sched.Schedule, err error) sched.Schedule {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name          string
+		sem           barrier.Semantics
+		got, internal sched.Schedule
+	}{
+		{"ring", barrier.SemBarrier, pat(collective.Ring(p)), pat(barrier.Ring(p))},
+		{"fully-connected", barrier.SemBarrier, pat(collective.FullyConnected(p)), pat(barrier.FullyConnected(p))},
+		{"3-ary tree", barrier.SemBarrier, pat(collective.KAryTree(p, 3)), pat(barrier.KAryTree(p, 3))},
+		{"allgather ring", barrier.SemAllGather, pat(collective.AllGatherRing(p, block)), pat(barrier.AllGatherRing(p, block))},
+		{"streamed allgather ring", barrier.SemAllGather,
+			stream(collective.StreamAllGatherRing(p, block)), stream(barrier.StreamAllGatherRing(p, block))},
+	} {
+		got, want := c.got, c.internal
+		if err := barrier.VerifySchedule(got, c.sem, 0); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got.NumStages() != want.NumStages() {
+			t.Fatalf("%s: %d stages, internal generator %d", c.name, got.NumStages(), want.NumStages())
+		}
+		for sg := 0; sg < got.NumStages(); sg++ {
+			if g, w := got.StageAt(sg), want.StageAt(sg); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s stage %d: %+v, internal generator %+v", c.name, sg, g, w)
+			}
+		}
+	}
+}
+
+// TestAdaptedSynchronizerIsItsExplicitForm holds WithAdaptedSynchronizer to
+// the synchronizer bsp.NewAdaptedSynchronizer builds from the same benchmark.
+func TestAdaptedSynchronizerIsItsExplicitForm(t *testing.T) {
+	const procs, reps = 8, 2
+	m := goldenMachine(t, procs)
+	params, err := bench.ModelParams(m, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync, _, err := bsp.NewAdaptedSynchronizer(params, collective.DefaultCostOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	program := bsp.Program(func(c *bsp.Ctx) error {
+		if err := c.Send((c.Pid()+1)%c.NProcs(), 3, []float64{1}); err != nil {
+			return err
+		}
+		return c.Sync()
+	})
+	run := func(opt Option) *sim.Result {
+		s, err := New(m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunBSP(context.Background(), program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	requireIdenticalTimes(t, "adapted synchronizer", run(WithAdaptedSynchronizer(reps)), run(WithSynchronizer(sync)))
 }

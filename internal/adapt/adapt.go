@@ -155,15 +155,6 @@ func (cl *Clustering) Sizes() []int {
 	return out
 }
 
-// Representatives returns the representative (lowest) rank of each cluster.
-func (cl *Clustering) Representatives() []int {
-	out := make([]int, len(cl.Groups))
-	for i, g := range cl.Groups {
-		out[i] = g[0]
-	}
-	return out
-}
-
 // Validate checks that the clustering is a partition of 0..P-1.
 func (cl *Clustering) Validate() error {
 	seen := map[int]bool{}

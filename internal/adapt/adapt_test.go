@@ -68,9 +68,8 @@ func TestClusterByLatencyGroupsNodes(t *testing.T) {
 			t.Fatalf("expected clusters of 4 ranks, got %v", cl.Sizes())
 		}
 	}
-	reps := cl.Representatives()
-	if len(reps) != 8 || reps[0] != 0 || reps[1] != 1 {
-		t.Fatalf("representatives = %v", reps)
+	if cl.Groups[0][0] != 0 || cl.Groups[1][0] != 1 {
+		t.Fatalf("clusters do not start at ranks 0 and 1: %v", cl.Groups)
 	}
 	if !strings.Contains(cl.String(), "8 subsets") {
 		t.Fatalf("String() = %q", cl.String())
@@ -205,11 +204,11 @@ func TestGreedyPrefersHierarchyAwarePattern(t *testing.T) {
 
 func TestGreedyWithClusteringValidation(t *testing.T) {
 	params := xeonParams(t, 8)
-	if _, err := GreedyWithClustering(params, barrier.DefaultCostOptions(), nil); err == nil {
+	if _, err := greedyWithClustering(params, barrier.DefaultCostOptions(), nil, 0); err == nil {
 		t.Error("nil clustering should fail")
 	}
 	tooSmall := &Clustering{Groups: [][]int{{0, 1}}}
-	if _, err := GreedyWithClustering(params, barrier.DefaultCostOptions(), tooSmall); err == nil {
+	if _, err := greedyWithClustering(params, barrier.DefaultCostOptions(), tooSmall, 0); err == nil {
 		t.Error("clustering/params size mismatch should fail")
 	}
 	if _, err := Greedy(barrier.Params{}, barrier.DefaultCostOptions()); err == nil {

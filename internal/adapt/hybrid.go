@@ -181,11 +181,6 @@ func Greedy(params barrier.Params, opts barrier.CostOptions) (*Result, error) {
 	return greedyAuto(params, opts, 0)
 }
 
-// GreedyWithClustering is Greedy with an externally supplied clustering.
-func GreedyWithClustering(params barrier.Params, opts barrier.CostOptions, cl *Clustering) (*Result, error) {
-	return greedyWithClustering(params, opts, cl, 0)
-}
-
 // GreedySync performs the same model-driven construction for the BSP
 // count-exchange schedule: every candidate is costed carrying the message
 // counts it would transport at run time (barrier.KnowledgeSized, one row of

@@ -12,26 +12,26 @@ import (
 // thesis' P×P stage matrices and the literal matrix products of Eqs. 5.1/5.2,
 // and every generator's edge rule as the thesis states it.
 
-// stageMatrix returns the thesis' incidence matrix of one stage: (i, j) is
-// set when i signals j.
-func stageMatrix(st sched.Stage, p int) *matrix.Bool {
-	m := matrix.NewBool(p, p)
+// stageMatrix returns the thesis' 0/1 incidence matrix of one stage: (i, j)
+// is 1 when i signals j.
+func stageMatrix(st sched.Stage, p int) *matrix.Dense {
+	m := matrix.NewDense(p, p)
 	for i, outs := range st.Out {
 		for _, j := range outs {
-			m.Set(i, j, true)
+			m.Set(i, j, 1)
 		}
 	}
 	return m
 }
 
 // sameMatrices fails unless the pattern's stages are the given literals.
-func sameMatrices(t *testing.T, pat *Pattern, want ...*matrix.Bool) {
+func sameMatrices(t *testing.T, pat *Pattern, want ...*matrix.Dense) {
 	t.Helper()
 	if pat.NumStages() != len(want) {
 		t.Fatalf("%s: %d stages, want %d", pat.Name, pat.NumStages(), len(want))
 	}
 	for s, w := range want {
-		if got := stageMatrix(pat.Stages[s], pat.Procs); !got.Equal(w) {
+		if got := stageMatrix(pat.Stages[s], pat.Procs); !got.Equal(w, 0) {
 			t.Fatalf("%s stage %d:\n%v\nwant\n%v", pat.Name, s, got, w)
 		}
 	}
@@ -53,7 +53,7 @@ func verifyDense(s sched.Schedule, sem Semantics, root int) error {
 	// i's arrival. Knowledge starts as the identity.
 	k := matrix.Identity(p)
 	for sg := 0; sg < s.NumStages(); sg++ {
-		spread, err := k.Mul(stageMatrix(s.StageAt(sg), p).ToDense())
+		spread, err := k.Mul(stageMatrix(s.StageAt(sg), p))
 		if err != nil {
 			return err
 		}
@@ -135,13 +135,18 @@ func ruleSchedule(p int, rule edgeRule) *sched.StaticStages {
 	}
 	out.Stages = nil
 	for s := 0; s < rule.stages(p); s++ {
-		m, sizes := matrix.NewBool(p, p), map[[2]int]int{}
-		rule.edges(p, s, func(from, to, size int) { m.Set(from, to, true); sizes[[2]int{from, to}] = size })
+		m, sizes := matrix.NewDense(p, p), map[[2]int]int{}
+		rule.edges(p, s, func(from, to, size int) { m.Set(from, to, 1); sizes[[2]int{from, to}] = size })
 		st := sched.Stage{Out: make([][]int, p), In: make([][]int, p), OutBytes: make([][]int, p)}
 		for i := 0; i < p; i++ {
-			st.Out[i], st.In[i] = m.RowTrue(i), m.ColTrue(i)
-			for _, j := range st.Out[i] {
-				st.OutBytes[i] = append(st.OutBytes[i], sizes[[2]int{i, j}])
+			for j := 0; j < p; j++ {
+				if m.At(i, j) != 0 {
+					st.Out[i] = append(st.Out[i], j)
+					st.OutBytes[i] = append(st.OutBytes[i], sizes[[2]int{i, j}])
+				}
+				if m.At(j, i) != 0 {
+					st.In[i] = append(st.In[i], j)
+				}
 			}
 		}
 		out.Stages = append(out.Stages, st)

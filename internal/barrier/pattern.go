@@ -79,17 +79,6 @@ func (pat *Pattern) Adjacency() []sched.Stage { return pat.Stages }
 // Kept for callers written when the two were different types.
 func (pat *Pattern) ScheduleView() sched.Schedule { return pat }
 
-// Signals returns the total number of signals across all stages.
-func (pat *Pattern) Signals() int {
-	n := 0
-	for _, st := range pat.Stages {
-		for _, outs := range st.Out {
-			n += len(outs)
-		}
-	}
-	return n
-}
-
 // Verify checks the pattern's structure (Validate) and then its semantics by
 // the knowledge recursion, both inside VerifySchedule: the thesis' debug aid
 // for automatically generated patterns, in O(signals·P/64) per stage.

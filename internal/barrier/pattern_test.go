@@ -18,13 +18,13 @@ func TestLinearMatchesFigure5_2(t *testing.T) {
 	if pat.NumStages() != 2 {
 		t.Fatalf("stages = %d", pat.NumStages())
 	}
-	wantS0 := matrix.MustBool([][]int{
+	wantS0 := matrix.MustDense([][]float64{
 		{0, 0, 0, 0},
 		{1, 0, 0, 0},
 		{1, 0, 0, 0},
 		{1, 0, 0, 0},
 	})
-	wantS1 := matrix.MustBool([][]int{
+	wantS1 := matrix.MustDense([][]float64{
 		{0, 1, 1, 1},
 		{0, 0, 0, 0},
 		{0, 0, 0, 0},
@@ -41,13 +41,13 @@ func TestDisseminationMatchesFigure5_3(t *testing.T) {
 	if pat.NumStages() != 2 {
 		t.Fatalf("stages = %d", pat.NumStages())
 	}
-	wantS0 := matrix.MustBool([][]int{
+	wantS0 := matrix.MustDense([][]float64{
 		{0, 1, 0, 0},
 		{0, 0, 1, 0},
 		{0, 0, 0, 1},
 		{1, 0, 0, 0},
 	})
-	wantS1 := matrix.MustBool([][]int{
+	wantS1 := matrix.MustDense([][]float64{
 		{0, 0, 1, 0},
 		{0, 0, 0, 1},
 		{1, 0, 0, 0},
@@ -64,13 +64,13 @@ func TestTreeMatchesFigure5_4(t *testing.T) {
 	if pat.NumStages() != 4 {
 		t.Fatalf("stages = %d", pat.NumStages())
 	}
-	wantS0 := matrix.MustBool([][]int{
+	wantS0 := matrix.MustDense([][]float64{
 		{0, 0, 0, 0},
 		{1, 0, 0, 0},
 		{0, 0, 0, 0},
 		{0, 0, 1, 0},
 	})
-	wantS1 := matrix.MustBool([][]int{
+	wantS1 := matrix.MustDense([][]float64{
 		{0, 0, 0, 0},
 		{0, 0, 0, 0},
 		{1, 0, 0, 0},
@@ -241,11 +241,11 @@ func TestMalformedEdgeListsRefused(t *testing.T) {
 
 func TestSignalsCount(t *testing.T) {
 	pat, _ := Linear(5, 0)
-	if got := pat.Signals(); got != 8 {
+	if got := signals(pat); got != 8 {
 		t.Fatalf("Linear(5) signals = %d, want 8", got)
 	}
 	diss, _ := Dissemination(8)
-	if got := diss.Signals(); got != 24 {
+	if got := signals(diss); got != 24 {
 		t.Fatalf("Dissemination(8) signals = %d, want 24", got)
 	}
 }
@@ -265,8 +265,8 @@ func TestWithSyncPayload(t *testing.T) {
 		t.Fatalf("stage 2 payload = %d", got)
 	}
 	// Payload never exceeds the full P×P map.
-	if len(sizes) != diss.Signals() {
-		t.Fatalf("%d sized edges for %d signals", len(sizes), diss.Signals())
+	if got, want := len(sizes), signals(diss); got != want {
+		t.Fatalf("%d sized edges for %d signals", got, want)
 	}
 	for e, size := range sizes {
 		if size > 8*8*4 {
@@ -296,7 +296,11 @@ func TestDisseminationShapeProperty(t *testing.T) {
 			return false
 		}
 		for _, st := range pat.Stages {
-			if stageMatrix(st, p).CountTrue() != p {
+			n := 0.0
+			for _, row := range stageMatrix(st, p).RowSums() {
+				n += row
+			}
+			if n != float64(p) {
 				return false
 			}
 		}

@@ -135,7 +135,7 @@ func TestKernelRateMatchesGroundTruth(t *testing.T) {
 		t.Fatal("non-positive per-element cost")
 	}
 	// Extrapolation is monotone in the number of applications.
-	if res.PredictApplications(1000) <= res.PredictApplications(10) {
+	if res.Fit.Predict(1000) <= res.Fit.Predict(10) {
 		t.Fatal("prediction not increasing with application count")
 	}
 }
@@ -146,13 +146,14 @@ func TestKernelRateDistinguishesKernels(t *testing.T) {
 	m := quietMachine(t, 1)
 	cfg := DefaultKernelBenchConfig()
 	cfg.Samples = 6
-	profiles, err := RateProfile(m, 0, []kernels.Kernel{kernels.DAXPY, kernels.Dot, kernels.Asum}, 1024, cfg)
-	if err != nil {
-		t.Fatal(err)
+	cost := func(k kernels.Kernel) float64 {
+		r, err := KernelRate(m, 0, k, 1024, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.SecondsPerApplication
 	}
-	daxpy := profiles["daxpy"].SecondsPerApplication
-	dot := profiles["dot"].SecondsPerApplication
-	asum := profiles["asum"].SecondsPerApplication
+	daxpy, dot, asum := cost(kernels.DAXPY), cost(kernels.Dot), cost(kernels.Asum)
 	if daxpy <= 0 || dot <= 0 || asum <= 0 {
 		t.Fatal("non-positive kernel costs")
 	}

@@ -60,12 +60,6 @@ func (r *KernelBenchResult) SecondsPerElement() float64 {
 	return r.SecondsPerApplication / float64(r.ProblemSize)
 }
 
-// PredictApplications returns the predicted time for the given number of
-// kernel applications, the extrapolation evaluated in Figs. 4.3/4.4.
-func (r *KernelBenchResult) PredictApplications(n int) float64 {
-	return r.Fit.Predict(float64(n))
-}
-
 // KernelRate benchmarks one kernel at a fixed problem size on one rank of the
 // machine, following Section 4.1: for growing iteration counts it collects
 // timing samples, filters outliers against a Student-t interval, and fits the
@@ -143,19 +137,4 @@ func KernelRate(m *platform.Machine, rank int, k kernels.Kernel, problemSize int
 	}
 	res.Mflops = k.Flops(problemSize) / fit.Gradient / 1e6
 	return res, nil
-}
-
-// RateProfile benchmarks a set of kernels at a common problem size on one
-// rank and returns per-kernel results keyed by kernel name. It is the
-// building block for the framework's per-platform computation cost matrices.
-func RateProfile(m *platform.Machine, rank int, ks []kernels.Kernel, problemSize int, cfg KernelBenchConfig) (map[string]*KernelBenchResult, error) {
-	out := map[string]*KernelBenchResult{}
-	for _, k := range ks {
-		r, err := KernelRate(m, rank, k, problemSize, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[k.Name] = r
-	}
-	return out, nil
 }

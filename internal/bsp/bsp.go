@@ -180,6 +180,10 @@ func (c *Ctx) Registered(name string) bool {
 // registration.
 var ErrNotRegistered = errors.New("bsp: target area not registered")
 
+// errRange is wrapped by the error of a one-sided operation whose range does
+// not lie inside the registered area.
+var errRange = errors.New("exceeds area")
+
 // Put copies values into the registered area of the destination process at
 // the given element offset (bsp_put). The transfer is buffered at the source
 // and injected immediately; its effect becomes visible at the destination
@@ -198,13 +202,6 @@ func (c *Ctx) Put(dst int, name string, offset int, values []float64) error {
 	return nil
 }
 
-// HpPut is the high-performance put; the simulated run-time treats it exactly
-// like Put (the semantic difference is buffering freedom, which has no
-// observable effect here).
-func (c *Ctx) HpPut(dst int, name string, offset int, values []float64) error {
-	return c.Put(dst, name, offset, values)
-}
-
 // Get requests n elements starting at the given offset from the registered
 // area of the source process (bsp_get); the values are written into dest
 // after the next Sync, reflecting the source's state at synchronization time.
@@ -215,6 +212,9 @@ func (c *Ctx) Get(src int, name string, offset, n int, dest []float64) error {
 	if n == 0 {
 		return nil
 	}
+	if n < 0 {
+		return fmt.Errorf("bsp: get of [%d,%d) %w %q", offset, offset+n, errRange, name)
+	}
 	if len(dest) < n {
 		return fmt.Errorf("bsp: get destination holds %d elements, need %d", len(dest), n)
 	}
@@ -223,11 +223,6 @@ func (c *Ctx) Get(src int, name string, offset, n int, dest []float64) error {
 	c.sent = append(c.sent, int32(src))
 	c.pendingGets = append(c.pendingGets, pendingGet{src: src, dest: dest[:n]})
 	return nil
-}
-
-// HpGet is the high-performance get, treated like Get.
-func (c *Ctx) HpGet(src int, name string, offset, n int, dest []float64) error {
-	return c.Get(src, name, offset, n, dest)
 }
 
 // Send queues a bulk-synchronous message for the destination process

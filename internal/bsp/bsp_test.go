@@ -206,6 +206,41 @@ func TestOutOfRangePutFails(t *testing.T) {
 	}
 }
 
+// TestOneSidedRangeErrors: a negative count and offsets whose end overflows
+// an int are refused with the range error, not a slice panic.
+func TestOneSidedRangeErrors(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		op   func(ctx *Ctx) error
+	}{
+		{"get of a negative count", func(ctx *Ctx) error {
+			return ctx.Get(1, "a", 0, -1, make([]float64, 2))
+		}},
+		{"get at the largest offset", func(ctx *Ctx) error {
+			return ctx.Get(1, "a", math.MaxInt, 4, make([]float64, 4))
+		}},
+		{"put at the largest offset", func(ctx *Ctx) error {
+			return ctx.Put(1, "a", math.MaxInt, []float64{1, 2, 3, 4})
+		}},
+	} {
+		_, err := Run(testMachine(t, 2), func(ctx *Ctx) error {
+			ctx.PushReg("a", make([]float64, 4))
+			if err := ctx.Sync(); err != nil {
+				return err
+			}
+			if ctx.Pid() == 0 {
+				if err := c.op(ctx); err != nil {
+					return err
+				}
+			}
+			return ctx.Sync()
+		})
+		if !errors.Is(err, errRange) {
+			t.Errorf("%s: err = %v, want the range error", c.name, err)
+		}
+	}
+}
+
 func TestArgumentValidation(t *testing.T) {
 	m := testMachine(t, 2)
 	_, err := Run(m, func(ctx *Ctx) error {

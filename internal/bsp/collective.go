@@ -17,7 +17,6 @@ type ReduceOp func(a, b float64) float64
 var (
 	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
 	OpMax ReduceOp = ReduceOp(mpi.OpMax)
-	OpMin ReduceOp = ReduceOp(mpi.OpMin)
 )
 
 // The Ctx collectives below are synchronizing subroutine collectives: every

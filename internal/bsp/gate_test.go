@@ -21,27 +21,30 @@ func gateMachine(t *testing.T, procs int) *platform.Machine {
 	return m
 }
 
-// TestSyncGateUnwindsOnRankError pins the teardown of the direct-engine
-// rendezvous: when one rank errors out before Sync, the remaining ranks are
-// parked at the run's gate and can only be released by the deadline teardown
-// — exactly like ranks blocked in receives on the concurrent engine. The run
-// must return ErrDeadline promptly, with every rank goroutine unwound.
+// TestSyncGateUnwindsOnRankError pins the teardown when one rank aborts
+// before Sync: the remaining ranks are parked at the run's gate (the default
+// engine) or blocked in the count exchange's receives (the concurrent one),
+// and the failing rank tears the run down at once. The run returns the
+// abort, not ErrDeadline, long before the deadline.
 func TestSyncGateUnwindsOnRankError(t *testing.T) {
-	m := gateMachine(t, 8)
-	o := simnet.DefaultOptions()
-	o.Deadline = 200 * time.Millisecond
-	start := time.Now()
-	_, err := RunContext(context.Background(), m, RunConfig{Options: &o}, func(c *Ctx) error {
-		if c.Pid() == 0 {
-			return fmt.Errorf("rank 0 gives up before the superstep ends")
+	for _, engine := range []simnet.Engine{simnet.EngineAuto, simnet.EngineConcurrent} {
+		o := simnet.DefaultOptions()
+		o.Engine, o.Deadline = engine, 3*time.Second
+		var abort error
+		start := time.Now()
+		_, err := RunContext(context.Background(), gateMachine(t, 8), RunConfig{Options: &o}, func(c *Ctx) error {
+			if c.Pid() == 0 {
+				abort = c.Abort("rank 0 gives up before the superstep ends")
+				return abort
+			}
+			return c.Sync()
+		})
+		if !errors.Is(err, abort) || errors.Is(err, simnet.ErrDeadline) {
+			t.Fatalf("engine %v: want the abort alone, got %v", engine, err)
 		}
-		return c.Sync()
-	})
-	if !errors.Is(err, simnet.ErrDeadline) {
-		t.Fatalf("want ErrDeadline, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("teardown took %v; gate waiters were not woken", elapsed)
+		if elapsed := time.Since(start); elapsed >= time.Second {
+			t.Fatalf("engine %v: teardown took %v; the peers waited on the failed rank", engine, elapsed)
+		}
 	}
 }
 

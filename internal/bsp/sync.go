@@ -152,9 +152,9 @@ func (c *Ctx) serveGet(req *getReq) error {
 	if !ok {
 		return fmt.Errorf("%w: %q on process %d", ErrNotRegistered, req.Name, c.Pid())
 	}
-	if req.Offset < 0 || req.Offset+req.N > len(buf) {
-		return fmt.Errorf("bsp: get of [%d,%d) exceeds area %q of length %d on process %d",
-			req.Offset, req.Offset+req.N, req.Name, len(buf), c.Pid())
+	if req.Offset < 0 || req.N > len(buf)-req.Offset {
+		return fmt.Errorf("bsp: get of [%d,%d) %w %q of length %d on process %d",
+			req.Offset, req.Offset+req.N, errRange, req.Name, len(buf), c.Pid())
 	}
 	data := append([]float64(nil), buf[req.Offset:req.Offset+req.N]...)
 	c.proc.Post(req.Requester, tagGetReply, headerBytes+8*len(data), data)
@@ -167,9 +167,9 @@ func (c *Ctx) applyPut(put *putMsg) error {
 	if !ok {
 		return fmt.Errorf("%w: %q on process %d", ErrNotRegistered, put.Name, c.Pid())
 	}
-	if put.Offset < 0 || put.Offset+len(put.Data) > len(buf) {
-		return fmt.Errorf("bsp: put of [%d,%d) exceeds area %q of length %d on process %d",
-			put.Offset, put.Offset+len(put.Data), put.Name, len(buf), c.Pid())
+	if put.Offset < 0 || len(put.Data) > len(buf)-put.Offset {
+		return fmt.Errorf("bsp: put of [%d,%d) %w %q of length %d on process %d",
+			put.Offset, put.Offset+len(put.Data), errRange, put.Name, len(buf), c.Pid())
 	}
 	copy(buf[put.Offset:], put.Data)
 	return nil

@@ -44,25 +44,8 @@ func (cp ClassicParams) Validate() error {
 	return nil
 }
 
-// CompFlops returns the flop-equivalent cost of a computation superstep with
-// w flops of work per Eq. 3.3: w + l.
-func (cp ClassicParams) CompFlops(w float64) float64 { return w + cp.L }
-
-// CommFlops returns the flop-equivalent cost of a communication superstep
-// realizing an h-relation per Eq. 3.2: h·g + l.
-func (cp ClassicParams) CommFlops(h float64) float64 { return h*cp.G + cp.L }
-
 // Seconds converts a flop-equivalent cost into seconds using the rate r.
 func (cp ClassicParams) Seconds(flops float64) float64 { return flops / cp.R }
-
-// HRelation returns the h parameter of Eq. 3.1: the maximum of the words sent
-// and the words received by any process.
-func HRelation(sent, received float64) float64 {
-	if sent > received {
-		return sent
-	}
-	return received
-}
 
 // InnerProductCost returns the classic BSP estimate, in seconds, of the
 // bspinprod program of Section 3.1 (Eq. 3.7): two computation supersteps and

@@ -82,12 +82,6 @@ func (pr Program) Predict() (*ProgramPrediction, error) {
 	return out, nil
 }
 
-// Iterative builds a program consisting of a single superstep repeated the
-// given number of times.
-func Iterative(name string, step Superstep, iterations int) Program {
-	return Program{Name: name, Steps: []Superstep{step}, Repetitions: []int{iterations}}
-}
-
 // Speedup returns the predicted speedup of this prediction relative to a
 // baseline prediction (baseline / this), e.g. an overlapped variant against a
 // postponed-communication variant.

@@ -35,7 +35,7 @@ func TestProgramPredictSumsSteps(t *testing.T) {
 func TestProgramRepetitions(t *testing.T) {
 	step := balancedSuperstep(2, 1e-3, 1e-4)
 	step.SyncCost = 1e-5
-	prog := Iterative("iterative", step, 10)
+	prog := Program{Name: "iterative", Steps: []Superstep{step}, Repetitions: []int{10}}
 	pred, err := prog.Predict()
 	if err != nil {
 		t.Fatal(err)
@@ -82,11 +82,11 @@ func TestProgramOverlapSpeedup(t *testing.T) {
 	overlapped.MaskableComp = 1
 	postponed := balancedSuperstep(4, 1e-3, 8e-4)
 
-	fast, err := Iterative("overlapped", overlapped, 100).Predict()
+	fast, err := Program{Name: "overlapped", Steps: []Superstep{overlapped}, Repetitions: []int{100}}.Predict()
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Iterative("postponed", postponed, 100).Predict()
+	slow, err := Program{Name: "postponed", Steps: []Superstep{postponed}, Repetitions: []int{100}}.Predict()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,18 +177,6 @@ func (s Superstep) Predict() (*Prediction, error) {
 	return pred, nil
 }
 
-// OverlapFromMeasurement evaluates Eq. 3.16 in its validation direction: from
-// separately modeled computation and communication times and a measured total
-// (excluding synchronization), it estimates how much work was actually
-// carried out in the background.
-func OverlapFromMeasurement(compTime, commTime, measuredTotal float64) float64 {
-	overlap := compTime + commTime - measuredTotal
-	if overlap < 0 {
-		return 0
-	}
-	return overlap
-}
-
 // UniformRequirement builds a p×k requirement matrix in which every process
 // applies every kernel to the same amount of work; it is the common case for
 // SPMD programs with block-balanced decompositions.

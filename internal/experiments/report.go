@@ -12,7 +12,7 @@ import (
 
 // sections is the evaluation report in thesis order, one entry per chapter.
 // Each table of the evaluation is rendered here and nowhere else:
-// cmd/experiments prints the sections it is asked for, RunAll all of them.
+// cmd/experiments prints the sections it is asked for, all of them by default.
 var sections = []struct {
 	name string
 	run  func(w io.Writer, opts Options) error
@@ -26,10 +26,6 @@ var sections = []struct {
 	{"faults", faultsSection},
 	{"stencil", stencilSection},
 }
-
-// RunAll regenerates every table and figure in thesis order and writes the
-// resulting text tables to w.
-func RunAll(w io.Writer, opts Options) error { return RunSections(w, opts) }
 
 // RunSections writes the named sections of the report to w, in thesis order
 // whatever the order of names; no name selects every section. A name that is

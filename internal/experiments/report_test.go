@@ -30,7 +30,7 @@ func reportOptions() Options {
 func TestReportGolden(t *testing.T) {
 	opts := reportOptions()
 	var all bytes.Buffer
-	if err := RunAll(&all, opts); err != nil {
+	if err := RunSections(&all, opts); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "report.golden")
@@ -65,7 +65,7 @@ func TestReportGolden(t *testing.T) {
 		joined.WriteString(buf.String())
 	}
 	if joined.String() != all.String() {
-		t.Fatalf("the sections one by one do not concatenate to RunAll's report\n%s", firstDifference(all.String(), joined.String()))
+		t.Fatalf("the sections one by one do not concatenate to the whole report\n%s", firstDifference(all.String(), joined.String()))
 	}
 
 	var swapped bytes.Buffer

@@ -82,21 +82,6 @@ func BLAS1() []Kernel {
 	return []Kernel{Swap, Scal, Copy, Axpy, Dot, Nrm2, Asum, Iamax}
 }
 
-// All returns every kernel in the catalogue.
-func All() []Kernel {
-	return append([]Kernel{DAXPY, Stencil5}, BLAS1()...)
-}
-
-// ByName looks a kernel up by its name.
-func ByName(name string) (Kernel, error) {
-	for _, k := range All() {
-		if k.Name == name {
-			return k, nil
-		}
-	}
-	return Kernel{}, fmt.Errorf("kernels: unknown kernel %q", name)
-}
-
 // ErrLength is returned when operand lengths do not match.
 var ErrLength = errors.New("kernels: operand length mismatch")
 
@@ -111,33 +96,6 @@ func RunDAXPY(a float64, x, y []float64) error {
 	return nil
 }
 
-// RunScal executes x = a*x in place.
-func RunScal(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// RunCopy copies x into y.
-func RunCopy(x, y []float64) error {
-	if len(x) != len(y) {
-		return ErrLength
-	}
-	copy(y, x)
-	return nil
-}
-
-// RunSwap exchanges the contents of x and y.
-func RunSwap(x, y []float64) error {
-	if len(x) != len(y) {
-		return ErrLength
-	}
-	for i := range x {
-		x[i], y[i] = y[i], x[i]
-	}
-	return nil
-}
-
 // RunDot returns the inner product of x and y.
 func RunDot(x, y []float64) (float64, error) {
 	if len(x) != len(y) {
@@ -148,39 +106,6 @@ func RunDot(x, y []float64) (float64, error) {
 		sum += x[i] * y[i]
 	}
 	return sum, nil
-}
-
-// RunNrm2 returns the Euclidean norm of x.
-func RunNrm2(x []float64) float64 {
-	sum := 0.0
-	for _, v := range x {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
-// RunAsum returns the sum of absolute values of x.
-func RunAsum(x []float64) float64 {
-	sum := 0.0
-	for _, v := range x {
-		sum += math.Abs(v)
-	}
-	return sum
-}
-
-// RunIamax returns the index of the element of x with the largest absolute
-// value, or -1 for an empty vector.
-func RunIamax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, idx := math.Abs(x[0]), 0
-	for i, v := range x[1:] {
-		if a := math.Abs(v); a > best {
-			best, idx = a, i+1
-		}
-	}
-	return idx
 }
 
 // RunStencil5 applies one Jacobi sweep of the 5-point Laplacian stencil to

@@ -4,11 +4,9 @@
 // The framework of Meyer's thesis replaces the scalar BSP parameters with
 // matrices: per-process/per-kernel requirement and cost matrices for
 // computation, and P×P pairwise latency, overhead and inverse-bandwidth
-// matrices for communication. Barrier communication patterns are encoded as
-// sequences of P×P boolean incidence matrices. This package implements the
-// float64 and boolean matrix types and the handful of operations the model
-// needs: element-wise (Hadamard) products, ordinary matrix products, row
-// sums, and transposes.
+// matrices for communication. This package implements the float64 matrix
+// type and the handful of operations the model needs: element-wise
+// (Hadamard) products, ordinary matrix products, row sums, and transposes.
 package matrix
 
 import (
@@ -87,28 +85,6 @@ func (m *Dense) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("matrix: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
 	}
-}
-
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("matrix: row %d out of range %d", i, m.rows))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("matrix: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
 }
 
 // Clone returns a deep copy.
@@ -205,22 +181,6 @@ func (m *Dense) Mul(other *Dense) (*Dense, error) {
 	return out, nil
 }
 
-// MulVec returns the matrix-vector product m·v.
-func (m *Dense) MulVec(v []float64) ([]float64, error) {
-	if m.cols != len(v) {
-		return nil, fmt.Errorf("%w: %dx%d · vector(%d)", ErrShape, m.rows, m.cols, len(v))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		sum := 0.0
-		for j := 0; j < m.cols; j++ {
-			sum += m.data[i*m.cols+j] * v[j]
-		}
-		out[i] = sum
-	}
-	return out, nil
-}
-
 // RowSums returns the vector of per-row sums, i.e. m·s where s is the vector
 // of all ones. The thesis uses this to collapse the per-kernel columns of the
 // combined requirement⊗cost matrix into per-process superstep times.
@@ -301,13 +261,4 @@ func Identity(n int) *Dense {
 		m.Set(i, i, 1)
 	}
 	return m
-}
-
-// Ones returns a vector of n ones (the "s" vector of the thesis notation).
-func Ones(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
 }

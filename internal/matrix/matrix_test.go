@@ -44,16 +44,8 @@ func TestOutOfRangePanics(t *testing.T) {
 	NewDense(2, 2).At(2, 0)
 }
 
-func TestRowColClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	m := MustDense([][]float64{{1, 2, 3}, {4, 5, 6}})
-	row := m.Row(1)
-	if len(row) != 3 || row[0] != 4 || row[2] != 6 {
-		t.Fatalf("Row(1) = %v", row)
-	}
-	col := m.Col(2)
-	if len(col) != 2 || col[0] != 3 || col[1] != 6 {
-		t.Fatalf("Col(2) = %v", col)
-	}
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -110,9 +102,6 @@ func TestShapeMismatchErrors(t *testing.T) {
 	if _, err := a.Mul(NewDense(3, 3)); err == nil {
 		t.Fatal("Mul should fail on inner dimension mismatch")
 	}
-	if _, err := a.MulVec([]float64{1, 2, 3}); err == nil {
-		t.Fatal("MulVec should fail on length mismatch")
-	}
 }
 
 func TestMul(t *testing.T) {
@@ -125,23 +114,6 @@ func TestMul(t *testing.T) {
 	want := MustDense([][]float64{{19, 22}, {43, 50}})
 	if !prod.Equal(want, 1e-12) {
 		t.Fatalf("Mul = %v, want %v", prod, want)
-	}
-}
-
-func TestMulVecAndRowSums(t *testing.T) {
-	a := MustDense([][]float64{{1, 2, 3}, {4, 5, 6}})
-	v, err := a.MulVec([]float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := a.RowSums()
-	for i := range v {
-		if v[i] != sums[i] {
-			t.Fatalf("MulVec with ones %v != RowSums %v", v, sums)
-		}
-	}
-	if sums[0] != 6 || sums[1] != 15 {
-		t.Fatalf("RowSums = %v", sums)
 	}
 }
 
@@ -168,18 +140,6 @@ func TestMaxMinScaleFill(t *testing.T) {
 	a.Fill(7)
 	if a.At(0, 1) != 7 {
 		t.Fatalf("Fill wrong: %v", a)
-	}
-}
-
-func TestOnes(t *testing.T) {
-	v := Ones(4)
-	if len(v) != 4 {
-		t.Fatalf("len = %d", len(v))
-	}
-	for _, x := range v {
-		if x != 1 {
-			t.Fatalf("Ones contains %v", x)
-		}
 	}
 }
 
@@ -218,8 +178,28 @@ func TestHadamardCommutativityProperty(t *testing.T) {
 	}
 }
 
-// Property: row sums equal multiplication by the all-ones vector.
+// A matrix-vector product is Mul by a one-column matrix; with the
+// all-ones column it gives the row sums.
+func TestMulVecAndRowSums(t *testing.T) {
+	a := MustDense([][]float64{{1, 2, 3}, {4, 5, 6}})
+	v, err := a.Mul(MustDense([][]float64{{1}, {1}, {1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := a.RowSums()
+	for i := range sums {
+		if v.At(i, 0) != sums[i] {
+			t.Fatalf("Mul by ones %v != RowSums %v", v, sums)
+		}
+	}
+	if sums[0] != 6 || sums[1] != 15 {
+		t.Fatalf("RowSums = %v", sums)
+	}
+}
+
+// Property: row sums equal multiplication by the all-ones column.
 func TestRowSumsEqualsOnesVectorProperty(t *testing.T) {
+	ones := MustDense([][]float64{{1}, {1}, {1}})
 	f := func(vals [9]float64) bool {
 		for i, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -227,13 +207,13 @@ func TestRowSumsEqualsOnesVectorProperty(t *testing.T) {
 			}
 		}
 		a := MustDense([][]float64{vals[:3], vals[3:6], vals[6:]})
-		v, err := a.MulVec(Ones(3))
+		v, err := a.Mul(ones)
 		if err != nil {
 			return false
 		}
 		s := a.RowSums()
-		for i := range v {
-			if v[i] != s[i] {
+		for i := range s {
+			if v.At(i, 0) != s[i] {
 				return false
 			}
 		}

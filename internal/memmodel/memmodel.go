@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Level is one level of the memory hierarchy.
@@ -66,29 +65,6 @@ func (h Hierarchy) Bandwidth(footprintBytes float64) float64 {
 	return h.Levels[len(h.Levels)-1].BandwidthBytesPerSec
 }
 
-// LevelFor returns the name of the level that serves the given footprint.
-func (h Hierarchy) LevelFor(footprintBytes float64) string {
-	for _, l := range h.Levels {
-		if footprintBytes <= l.CapacityBytes {
-			return l.Name
-		}
-	}
-	return h.Levels[len(h.Levels)-1].Name
-}
-
-// Breakpoints returns the finite level capacities in increasing order; these
-// are the discontinuities the piecewise-linear cost model must respect.
-func (h Hierarchy) Breakpoints() []float64 {
-	var out []float64
-	for _, l := range h.Levels {
-		if !math.IsInf(l.CapacityBytes, 1) {
-			out = append(out, l.CapacityBytes)
-		}
-	}
-	sort.Float64s(out)
-	return out
-}
-
 // Core couples a floating-point peak with a memory hierarchy; it is the
 // processing-element description the platform profiles use.
 type Core struct {
@@ -123,31 +99,4 @@ func (c Core) Rate(intensityFlopsPerByte, footprintBytes float64) float64 {
 		return peak
 	}
 	return r
-}
-
-// TimeFor returns the time, in seconds, to execute the given number of flops
-// at the sustainable rate for the supplied intensity and footprint.
-func (c Core) TimeFor(flops, intensityFlopsPerByte, footprintBytes float64) float64 {
-	rate := c.Rate(intensityFlopsPerByte, footprintBytes)
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return flops / rate
-}
-
-// SecondsPerByte returns the cost-matrix entry the framework uses for a
-// kernel on this core: seconds per byte of working set traversed, at the
-// given intensity and footprint. It is the reciprocal of the byte-processing
-// rate and is the unit in which the thesis' p×k cost matrices are expressed
-// ("seconds per memory unit", Section 3.3).
-func (c Core) SecondsPerByte(intensityFlopsPerByte, footprintBytes float64) float64 {
-	rate := c.Rate(intensityFlopsPerByte, footprintBytes)
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	// rate is flop/s; bytes/s = rate / intensity.
-	if intensityFlopsPerByte <= 0 {
-		return 0
-	}
-	return intensityFlopsPerByte / rate
 }

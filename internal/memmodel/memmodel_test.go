@@ -46,16 +46,6 @@ func TestBandwidthSelection(t *testing.T) {
 	if bw := h.Bandwidth(100 * 1024 * 1024); bw != 5e9 {
 		t.Fatalf("large footprint bandwidth %g", bw)
 	}
-	if h.LevelFor(1024) != "L1" || h.LevelFor(1e9) != "DRAM" {
-		t.Fatal("LevelFor wrong")
-	}
-}
-
-func TestBreakpoints(t *testing.T) {
-	bp := testHierarchy().Breakpoints()
-	if len(bp) != 2 || bp[0] != 64*1024 || bp[1] != 1024*1024 {
-		t.Fatalf("Breakpoints = %v", bp)
-	}
 }
 
 func testCore() Core {
@@ -87,22 +77,6 @@ func TestRateRoofline(t *testing.T) {
 	// Zero intensity degenerates to peak (no memory traffic).
 	if got := c.Rate(0, 1024); got != c.PeakFlops() {
 		t.Fatalf("zero-intensity rate = %g", got)
-	}
-}
-
-func TestTimeForAndSecondsPerByte(t *testing.T) {
-	c := testCore()
-	tm := c.TimeFor(1e9, 1000, 1024)
-	if math.Abs(tm-0.1) > 1e-9 {
-		t.Fatalf("TimeFor = %g, want 0.1", tm)
-	}
-	spb := c.SecondsPerByte(0.25, 1024)
-	// Memory bound: bytes/s = 40e9, so 2.5e-11 s/byte.
-	if math.Abs(spb-1/40e9) > 1e-15 {
-		t.Fatalf("SecondsPerByte = %g", spb)
-	}
-	if got := c.SecondsPerByte(0, 1024); got != 0 {
-		t.Fatalf("zero intensity SecondsPerByte = %g", got)
 	}
 }
 

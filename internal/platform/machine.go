@@ -286,11 +286,6 @@ func (m *Machine) KernelTime(rank int, k kernels.Kernel, n int) float64 {
 	return m.profile.KernelTime(m.placement.NodeOf(rank), k, n)
 }
 
-// KernelRate returns the ground-truth rate of a kernel for rank r.
-func (m *Machine) KernelRate(rank int, k kernels.Kernel, n int) float64 {
-	return m.profile.KernelRate(m.placement.NodeOf(rank), k, n)
-}
-
 // String describes the machine.
 func (m *Machine) String() string {
 	return fmt.Sprintf("%s, %d ranks (%s placement)", m.profile, m.Procs(), m.placement.Policy)

@@ -96,12 +96,13 @@ func TestPairClassesAtScale(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := c.prof.MachineFor(pl)
-			if n := pl.NodesUsed(); n < 2 {
-				t.Fatalf("%s %v: %d ranks on %d node", c.prof.Name, policy, c.p, n)
-			}
-			seen := map[int]bool{}
+			nodes, seen := map[int]bool{}, map[int]bool{}
 			for a := 0; a < c.p; a++ {
+				nodes[pl.NodeOf(a)] = true
 				seen[pl.Topology.GroupOf(pl.NodeOf(a))] = true
+			}
+			if len(nodes) < 2 {
+				t.Fatalf("%s %v: %d ranks on %d node", c.prof.Name, policy, c.p, len(nodes))
 			}
 			if len(seen) != c.groups {
 				t.Fatalf("%s %v: ranks span %d switch groups, want %d", c.prof.Name, policy, len(seen), c.groups)

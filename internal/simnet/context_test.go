@@ -89,3 +89,26 @@ func TestRunContextCompletesNormally(t *testing.T) {
 		}
 	}
 }
+
+// TestFailingRankEndsTheRun: a rank that returns an error tears the run
+// down at once, so its peer blocked in a receive from it unwinds and the run
+// reports the rank's error instead of waiting out the deadline.
+func TestFailingRankEndsTheRun(t *testing.T) {
+	boom := errors.New("boom")
+	for _, engine := range []Engine{EngineAuto, EngineConcurrent} {
+		start := time.Now()
+		res, err := RunContext(context.Background(), defaultFake(2), func(p *Proc) error {
+			if p.Rank() == 0 {
+				return boom
+			}
+			p.Recv(0, 1) // never sent
+			return nil
+		}, Options{AckSends: true, Engine: engine, Deadline: 3 * time.Second})
+		if res != nil || !errors.Is(err, boom) || errors.Is(err, ErrDeadline) {
+			t.Fatalf("engine %v: RunContext = (%v, %v), want the rank's error alone", engine, res, err)
+		}
+		if elapsed := time.Since(start); elapsed >= time.Second {
+			t.Fatalf("engine %v: the failed run took %v to return", engine, elapsed)
+		}
+	}
+}

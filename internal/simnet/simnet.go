@@ -609,12 +609,6 @@ type Request struct {
 	completeAt float64
 }
 
-// IsSend reports whether the request is a send request.
-func (r *Request) IsSend() bool { return r.isSend }
-
-// Peer returns the remote rank of the request.
-func (r *Request) Peer() int { return r.peer }
-
 // sendCore is the shared body of Isend and Post (which skips the Request): it
 // prices the pair, has the kernel bill the send into a pooled envelope,
 // delivers the envelope and returns the virtual time the send request
@@ -761,7 +755,10 @@ func EndRecording(rec *trace.Recorder, res *Result, messages, bytes int64, err e
 
 // Run executes body once per rank of the machine, each in its own goroutine,
 // and returns the per-rank finishing times. An error returned by any rank, a
-// panic in any rank, or exceeding the wall-clock deadline aborts the run.
+// panic in any rank, or exceeding the wall-clock deadline aborts the run. A
+// failing rank tears the run down at once, through the same cancellation as
+// the deadline: the peers waiting on it unwind, and Run returns the failing
+// ranks' errors rather than ErrDeadline.
 //
 // When the deadline fires, the run is cancelled: every rank blocked in (or
 // subsequently entering) a receive unwinds, the watchdog timer is stopped, and
@@ -830,6 +827,12 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 	procs := make([]*Proc, m.Procs())
 	w.procs = procs
 	errs := make([]error, m.Procs())
+	// failed is closed by the first rank to end with an error, and firstErr
+	// is that error: the run is torn down at once instead of leaving the
+	// peers waiting on the failed rank until the deadline.
+	failed := make(chan struct{})
+	var failOnce sync.Once
+	var firstErr error
 	var wg sync.WaitGroup
 	for rank := 0; rank < m.Procs(); rank++ {
 		p := &Proc{w: w, rank: rank}
@@ -843,14 +846,19 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 			defer func() {
 				if rec := recover(); rec != nil {
 					if _, ok := rec.(cancelPanic); ok {
-						errs[rank] = ErrDeadline
-						return
+						return // torn down: the run reports the cause
 					}
 					err, ok := rec.(error)
 					if !ok {
 						err = fmt.Errorf("%v", rec)
 					}
 					errs[rank] = fmt.Errorf("simnet: rank %d panicked: %w", rank, err)
+				}
+				if errs[rank] != nil {
+					failOnce.Do(func() {
+						firstErr = fmt.Errorf("rank %d: %w", rank, errs[rank])
+						close(failed)
+					})
 				}
 			}()
 			errs[rank] = body(p)
@@ -912,6 +920,11 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 		if !completed() {
 			return finish(nil, fmt.Errorf("%w: %w", ErrAborted, context.Cause(ctx)), teardown())
 		}
+	case <-failed:
+		if !completed() && !teardown() {
+			// A rank still running cannot be read; report the first failure.
+			return finish(nil, firstErr, false)
+		}
 	}
 
 	var errList []error
@@ -932,21 +945,6 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 		}
 	}
 	return finish(res, nil, true)
-}
-
-// MaxTime returns the largest of the supplied times; it is a small helper for
-// computing collective completion times from per-rank clocks.
-func MaxTime(times []float64) float64 {
-	if len(times) == 0 {
-		return 0
-	}
-	max := times[0]
-	for _, t := range times[1:] {
-		if t > max {
-			max = t
-		}
-	}
-	return max
 }
 
 // SortedCopy returns a sorted copy of times; reporting code uses it for

@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -69,7 +70,7 @@ func TestPingTimings(t *testing.T) {
 	if res.Messages != 1 || res.Bytes != 100 {
 		t.Fatalf("counters: %d msgs, %d bytes", res.Messages, res.Bytes)
 	}
-	if res.MakeSpan != MaxTime(res.Times) {
+	if res.MakeSpan != slices.Max(res.Times) {
 		t.Fatal("MakeSpan != max of Times")
 	}
 }
@@ -323,12 +324,6 @@ func TestInvalidRankPanicsAreReported(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if MaxTime(nil) != 0 {
-		t.Fatal("MaxTime(nil) should be 0")
-	}
-	if MaxTime([]float64{1, 3, 2}) != 3 {
-		t.Fatal("MaxTime wrong")
-	}
 	s := SortedCopy([]float64{3, 1, 2})
 	if s[0] != 1 || s[2] != 3 {
 		t.Fatal("SortedCopy wrong")

@@ -1,6 +1,6 @@
 // Package stats implements the sample statistics the thesis' benchmarking
 // procedures rely on: medians, means and standard deviations, least-squares
-// linear regression, Student-t confidence intervals computed by numerical
+// linear regression, Student-t prediction intervals computed by numerical
 // integration of the t density (the thesis uses the trapezoid method with the
 // C tgamma function), and the 95 % outlier re-sampling filter used to
 // stabilise computation-rate benchmarks.
@@ -83,85 +83,6 @@ func MedianInPlace(xs []float64) (float64, error) {
 		mid = hi
 	}
 	return mid, nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	if len(tmp) == 1 {
-		return tmp[0], nil
-	}
-	pos := q * float64(len(tmp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return tmp[lo], nil
-	}
-	frac := pos - float64(lo)
-	return tmp[lo]*(1-frac) + tmp[hi]*frac, nil
-}
-
-// Max returns the maximum of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Min returns the minimum of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Summary bundles the descriptive statistics the benchmark reports carry.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mean, _ := Mean(xs)
-	med, _ := Median(xs)
-	sd := 0.0
-	if len(xs) > 1 {
-		sd, _ = StdDev(xs)
-	}
-	min, _ := Min(xs)
-	max, _ := Max(xs)
-	return Summary{N: len(xs), Mean: mean, Median: med, StdDev: sd, Min: min, Max: max}, nil
 }
 
 // Regression is a least-squares fit y = Intercept + Gradient·x. The thesis

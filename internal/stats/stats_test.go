@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -51,21 +52,6 @@ func TestEmptyAndInsufficientErrors(t *testing.T) {
 	if _, err := LinearFit([]float64{1}, []float64{1}); err != ErrInsufficient {
 		t.Fatalf("LinearFit single err = %v", err)
 	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Fatalf("Max(nil) err = %v", err)
-	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Fatalf("Min(nil) err = %v", err)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Fatalf("Summarize(nil) err = %v", err)
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Fatalf("Quantile(nil) err = %v", err)
-	}
-	if _, err := Quantile([]float64{1}, 1.5); err == nil {
-		t.Fatal("Quantile out of range should fail")
-	}
 }
 
 func TestVarianceStdDev(t *testing.T) {
@@ -80,47 +66,6 @@ func TestVarianceStdDev(t *testing.T) {
 	sd, _ := StdDev(xs)
 	if math.Abs(sd-math.Sqrt(v)) > 1e-12 {
 		t.Fatalf("StdDev = %v", sd)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	q, err := Quantile(xs, 0.5)
-	if err != nil || q != 3 {
-		t.Fatalf("Quantile(0.5) = %v, %v", q, err)
-	}
-	q, _ = Quantile(xs, 0)
-	if q != 1 {
-		t.Fatalf("Quantile(0) = %v", q)
-	}
-	q, _ = Quantile(xs, 1)
-	if q != 5 {
-		t.Fatalf("Quantile(1) = %v", q)
-	}
-	q, _ = Quantile(xs, 0.25)
-	if q != 2 {
-		t.Fatalf("Quantile(0.25) = %v", q)
-	}
-	q, _ = Quantile([]float64{7}, 0.9)
-	if q != 7 {
-		t.Fatalf("Quantile single = %v", q)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 4 || s.Mean != 2.5 || s.Median != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	single, err := Summarize([]float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.StdDev != 0 || single.Mean != 5 {
-		t.Fatalf("single Summary = %+v", single)
 	}
 }
 
@@ -198,9 +143,7 @@ func TestMedianBoundedProperty(t *testing.T) {
 			return true
 		}
 		med, _ := Median(xs)
-		lo, _ := Min(xs)
-		hi, _ := Max(xs)
-		return med >= lo && med <= hi
+		return med >= slices.Min(xs) && med <= slices.Max(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

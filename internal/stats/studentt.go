@@ -125,23 +125,6 @@ func tCriticalSearch(nu, confidence float64) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
-// ConfidenceInterval returns the half-width of the two-sided Student-t
-// confidence interval for the mean of xs at the given confidence level.
-func ConfidenceInterval(xs []float64, confidence float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrInsufficient
-	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		return 0, err
-	}
-	tcrit, err := TCritical(float64(len(xs)-1), confidence)
-	if err != nil {
-		return 0, err
-	}
-	return tcrit * sd / math.Sqrt(float64(len(xs))), nil
-}
-
 // PredictionInterval returns the half-width of the two-sided Student-t
 // prediction interval for a single new observation drawn from the same
 // population as xs. This is the acceptance band the outlier filter applies to
@@ -172,11 +155,6 @@ type OutlierFilter struct {
 	// cannot loop forever; the thesis notes that experiments consistently
 	// needing two or more re-runs indicate an unrepresentative setup.
 	MaxRounds int
-}
-
-// DefaultOutlierFilter is the 95 % filter the thesis uses with 30 samples.
-func DefaultOutlierFilter() OutlierFilter {
-	return OutlierFilter{Confidence: 0.95, MaxRounds: 16}
 }
 
 // FilterResult reports the outcome of a Collect run.

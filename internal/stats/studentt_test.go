@@ -62,12 +62,18 @@ func TestTCriticalErrors(t *testing.T) {
 	}
 }
 
+// thesisFilter is the 95 % filter the thesis uses with 30 samples.
+var thesisFilter = OutlierFilter{Confidence: 0.95, MaxRounds: 16}
+
 func TestConfidenceAndPredictionIntervals(t *testing.T) {
 	xs := []float64{10, 11, 9, 10.5, 9.5, 10.2, 9.8, 10.1}
-	ci, err := ConfidenceInterval(xs, 0.95)
+	// The half-width of the mean's confidence interval, t·s/√n.
+	sd, _ := StdDev(xs)
+	tcrit, err := TCritical(float64(len(xs)-1), 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ci := tcrit * sd / math.Sqrt(float64(len(xs)))
 	pi, err := PredictionInterval(xs, 0.95)
 	if err != nil {
 		t.Fatal(err)
@@ -78,15 +84,15 @@ func TestConfidenceAndPredictionIntervals(t *testing.T) {
 	if pi <= ci {
 		t.Fatalf("prediction interval (%v) must exceed mean CI (%v)", pi, ci)
 	}
-	if _, err := ConfidenceInterval([]float64{1}, 0.95); err != ErrInsufficient {
-		t.Fatalf("single-sample CI err = %v", err)
+	if _, err := PredictionInterval([]float64{1}, 0.95); err != ErrInsufficient {
+		t.Fatalf("single-sample PI err = %v", err)
 	}
 }
 
 func TestOutlierFilterCleanData(t *testing.T) {
 	i := 0
 	vals := []float64{10, 10.1, 9.9, 10.05, 9.95, 10.02}
-	res, err := DefaultOutlierFilter().Collect(len(vals), func() float64 {
+	res, err := thesisFilter.Collect(len(vals), func() float64 {
 		v := vals[i%len(vals)]
 		i++
 		return v
@@ -114,7 +120,7 @@ func TestOutlierFilterReplacesSpike(t *testing.T) {
 		}
 		return 10 + 0.01*float64(i%7)
 	}
-	res, err := DefaultOutlierFilter().Collect(n, sample)
+	res, err := thesisFilter.Collect(n, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +135,7 @@ func TestOutlierFilterReplacesSpike(t *testing.T) {
 }
 
 func TestOutlierFilterInsufficient(t *testing.T) {
-	if _, err := DefaultOutlierFilter().Collect(1, func() float64 { return 1 }); err != ErrInsufficient {
+	if _, err := thesisFilter.Collect(1, func() float64 { return 1 }); err != ErrInsufficient {
 		t.Fatalf("err = %v", err)
 	}
 }

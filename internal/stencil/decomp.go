@@ -118,17 +118,6 @@ func (d Decomposition) Neighbors(rank int) [4]int {
 	}
 }
 
-// Validate checks a decomposition for consistency.
-func (d Decomposition) Validate() error {
-	if d.N < 3 || d.Px < 1 || d.Py < 1 {
-		return fmt.Errorf("stencil: invalid decomposition %+v", d)
-	}
-	if d.Px > d.N || d.Py > d.N {
-		return errors.New("stencil: more processes along an axis than grid points")
-	}
-	return nil
-}
-
 // Config describes one stencil experiment.
 type Config struct {
 	// N is the global grid dimension.

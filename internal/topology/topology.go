@@ -245,30 +245,5 @@ func (pl *Placement) Distance(a, b int) Distance {
 	}
 }
 
-// SameNode reports whether two ranks share a node.
-func (pl *Placement) SameNode(a, b int) bool {
-	return pl.seats[a].node == pl.seats[b].node
-}
-
 // NodeOf returns the node index hosting a rank.
 func (pl *Placement) NodeOf(rank int) int { return int(pl.seats[rank].node) }
-
-// RanksOnNode returns the ranks placed on the given node, in rank order.
-func (pl *Placement) RanksOnNode(node int) []int {
-	var out []int
-	for rank, s := range pl.seats {
-		if int(s.node) == node {
-			out = append(out, rank)
-		}
-	}
-	return out
-}
-
-// NodesUsed returns the number of distinct nodes that host at least one rank.
-func (pl *Placement) NodesUsed() int {
-	seen := make(map[int32]bool)
-	for _, s := range pl.seats {
-		seen[s.node] = true
-	}
-	return len(seen)
-}

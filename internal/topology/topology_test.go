@@ -124,9 +124,6 @@ func TestPlacementRoundRobin(t *testing.T) {
 	if pl.Distance(0, 4) != DistanceSocket {
 		t.Fatalf("ranks 0,4 distance %v, want socket", pl.Distance(0, 4))
 	}
-	if !pl.SameNode(0, 4) || pl.SameNode(0, 1) {
-		t.Fatal("SameNode wrong")
-	}
 }
 
 // TestPlacementCostsRanksNotNodes: placing a few ranks on a machine of
@@ -161,22 +158,6 @@ func TestPlacementErrors(t *testing.T) {
 	}
 	if _, err := Place(top, 2, PlacementPolicy(42)); err == nil {
 		t.Fatal("unknown policy should fail")
-	}
-}
-
-func TestRanksOnNodeAndNodesUsed(t *testing.T) {
-	top, _ := New(3, 1, 2)
-	pl, _ := Place(top, 5, RoundRobin)
-	if got := pl.NodesUsed(); got != 3 {
-		t.Fatalf("NodesUsed = %d", got)
-	}
-	on0 := pl.RanksOnNode(0)
-	if len(on0) != 2 || on0[0] != 0 || on0[1] != 3 {
-		t.Fatalf("RanksOnNode(0) = %v", on0)
-	}
-	blk, _ := Place(top, 2, Block)
-	if blk.NodesUsed() != 1 {
-		t.Fatalf("block NodesUsed = %d", blk.NodesUsed())
 	}
 }
 

@@ -132,17 +132,6 @@ type RankBreakdown struct {
 	ByCategory [numCategories]float64
 }
 
-// Total returns the sum over all categories except finish-skew.
-func (b *RankBreakdown) Total() float64 {
-	total := 0.0
-	for c, v := range b.ByCategory {
-		if Category(c) != CatSkew {
-			total += v
-		}
-	}
-	return total
-}
-
 // StepBreakdown aggregates one superstep bucket across all ranks.
 type StepBreakdown struct {
 	Step int

@@ -55,9 +55,6 @@ type Rollup struct {
 	TopSlack []Straggler
 }
 
-// TotalByCategory returns the run-wide total of one category.
-func (r *Rollup) TotalByCategory(c Category) float64 { return r.ByCategory[c] }
-
 // RollupOptions tune RollupOf.
 type RollupOptions struct {
 	// TopK bounds the straggler list; 0 means 8.

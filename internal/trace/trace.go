@@ -152,9 +152,6 @@ type Event struct {
 	SendEnd float64
 }
 
-// Duration returns T1 - T0.
-func (e *Event) Duration() float64 { return e.T1 - e.T0 }
-
 // Meta labels a recorded run with everything needed to reproduce it.
 type Meta struct {
 	// Procs is the rank count of the run.
@@ -866,12 +863,6 @@ func (t *Trace) Events() []Event {
 
 // NumEvents returns the total event count across all lanes.
 func (t *Trace) NumEvents() int { return NumEventsOf(t) }
-
-// Steps returns the number of superstep buckets the trace covers: one more
-// than the highest Step stamped on any event, so events recorded after the
-// final boundary mark still land in a bucket of their own. EndRun counts
-// them once.
-func (t *Trace) Steps() int { return t.steps }
 
 // NumEventsOf totals the lane lengths of any source.
 func NumEventsOf(src Source) int {

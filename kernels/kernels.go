@@ -9,18 +9,12 @@ import "hbsp/internal/kernels"
 // Kernel describes one computational kernel.
 type Kernel = kernels.Kernel
 
-// The built-in kernels.
+// The built-in kernels programs name directly; BLAS1 returns the whole L1
+// set.
 var (
-	DAXPY    = kernels.DAXPY
-	Stencil5 = kernels.Stencil5
-	Swap     = kernels.Swap
-	Scal     = kernels.Scal
-	Copy     = kernels.Copy
-	Axpy     = kernels.Axpy
-	Dot      = kernels.Dot
-	Nrm2     = kernels.Nrm2
-	Asum     = kernels.Asum
-	Iamax    = kernels.Iamax
+	DAXPY = kernels.DAXPY
+	Dot   = kernels.Dot
+	Asum  = kernels.Asum
 )
 
 // ErrLength is returned by reference implementations on operand length
@@ -30,20 +24,5 @@ var ErrLength = kernels.ErrLength
 // BLAS1 returns the L1 BLAS kernel set of the rate experiments.
 func BLAS1() []Kernel { return kernels.BLAS1() }
 
-// All returns every built-in kernel.
-func All() []Kernel { return kernels.All() }
-
-// ByName looks a kernel up by name.
-func ByName(name string) (Kernel, error) { return kernels.ByName(name) }
-
-// Reference implementations, for simulated programs that compute real
-// values.
-func RunDAXPY(a float64, x, y []float64) error { return kernels.RunDAXPY(a, x, y) }
-
 // RunDot computes the inner product of x and y.
 func RunDot(x, y []float64) (float64, error) { return kernels.RunDot(x, y) }
-
-// RunStencil5 applies the 5-point stencil to a rows×cols grid.
-func RunStencil5(in, out []float64, rows, cols int, c float64) error {
-	return kernels.RunStencil5(in, out, rows, cols, c)
-}

@@ -4,8 +4,8 @@
 // pairwise message and data matrices priced by latency and inverse-bandwidth
 // matrices (CommModel), a synchronization term, and maskable overlap
 // factors. A Superstep combines the three and Predict returns per-process
-// and total time; Program chains supersteps. The classic scalar model
-// (ClassicParams) is kept for the Chapter 3 comparison.
+// and total time. The classic scalar model (ClassicParams) is kept for the
+// Chapter 3 comparison.
 package model
 
 import (
@@ -29,13 +29,6 @@ type Superstep = core.Superstep
 // Prediction holds the predicted per-process and total superstep times.
 type Prediction = core.Prediction
 
-// Program is a sequence of supersteps; ProgramPrediction sums their
-// predictions.
-type (
-	Program           = core.Program
-	ProgramPrediction = core.ProgramPrediction
-)
-
 // ClassicParams are the scalar bspbench parameters of the classic BSP cost
 // model.
 type ClassicParams = core.ClassicParams
@@ -43,23 +36,8 @@ type ClassicParams = core.ClassicParams
 // Imbalance returns the relative load imbalance of per-process times.
 func Imbalance(times []float64) float64 { return core.Imbalance(times) }
 
-// OverlapFromMeasurement infers the achieved overlap factor from measured
-// compute, communication and total times.
-func OverlapFromMeasurement(compTime, commTime, measuredTotal float64) float64 {
-	return core.OverlapFromMeasurement(compTime, commTime, measuredTotal)
-}
-
 // UniformRequirement builds the P×K requirement matrix assigning the same
 // per-kernel element counts to every process.
 func UniformRequirement(p int, perKernel []float64) *matrix.Dense {
 	return core.UniformRequirement(p, perKernel)
-}
-
-// HRelation returns the h-relation of a process sending and receiving the
-// given word counts.
-func HRelation(sent, received float64) float64 { return core.HRelation(sent, received) }
-
-// Iterative builds a program repeating one superstep.
-func Iterative(name string, step Superstep, iterations int) Program {
-	return core.Iterative(name, step, iterations)
 }

@@ -39,12 +39,8 @@ type Schedule = impi.Schedule
 // (Has, Get, Len) of the contributions whose flood reached it.
 type Flood = impi.Flood
 
-// Standard reduction operators.
-var (
-	OpSum = impi.OpSum
-	OpMax = impi.OpMax
-	OpMin = impi.OpMin
-)
+// OpSum is the summing reduction operator.
+var OpSum = impi.OpSum
 
 // ErrInvalidRoot is returned by collectives validating a root rank.
 var ErrInvalidRoot = impi.ErrInvalidRoot

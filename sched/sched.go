@@ -26,7 +26,7 @@ type Stage = sched.Stage
 
 // Schedule is the stage graph the evaluator executes — the one schedule type
 // of the module: a *collective.Pattern is one, the streamed generators
-// (collective.Stream*, Circulant) return others, and mpi.Schedule is this
+// (collective.Stream*) return others, and mpi.Schedule is this
 // type. Implementations may generate stages on the fly (see Stage for the
 // ordering contract).
 type Schedule = sched.Schedule
@@ -47,24 +47,6 @@ const (
 	// pairs are uniform, all ranks collapse into one equivalence class.
 	SymCirculant = sched.SymCirculant
 )
-
-// Circulant is a streaming circulant schedule — one offset and payload size
-// per stage, generated into O(1) reused buffers. It is the representation
-// that takes symmetry-collapsed sweeps to P=1M.
-type Circulant = sched.Circulant
-
-// NewCirculant returns the circulant schedule with the given per-stage
-// offsets (taken mod p) and payload sizes (nil for signal-only stages).
-func NewCirculant(p int, offsets, sizes []int) (*Circulant, error) {
-	return sched.NewCirculant(p, offsets, sizes)
-}
-
-// Code is a compiled sim.Program, reusable across evaluations.
-type Code = sched.Code
-
-// Compile lowers a program into flat per-rank instruction arrays with all
-// message matching resolved; evaluate it with Code.Run.
-func Compile(pr *sim.Program) (*Code, error) { return sched.Compile(pr) }
 
 // RunProgram executes the program on the engine the options select: the
 // direct discrete-event evaluator by default, the concurrent engine under

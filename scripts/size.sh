@@ -3,7 +3,8 @@
 # they can be re-derived from any commit — Go lines (wc -l, comments and blank
 # lines included) outside benchmark/, non-test and test, for the repository,
 # per internal/* package and for the collective facade; then every
-# command-line flag declared under cmd/.
+# command-line flag declared under cmd/, and the number of entries of the
+# public surface (testdata/api.golden, one line per name).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,3 +24,6 @@ echo
 echo 'flags under cmd/'
 grep -rhoE --include='*.go' --exclude='*_test.go' 'flag\.[A-Z][A-Za-z0-9]*\("[^"]+"' cmd |
   sed -E 's/.*\("([^"]+)"/-\1/' | sort | paste -sd' ' -
+
+echo
+printf 'public surface entries (testdata/api.golden): %d\n' "$(wc -l < testdata/api.golden)"

@@ -262,15 +262,8 @@ func WithRecorder(rec *trace.Recorder) Option {
 	}
 }
 
-// Machine returns the machine the session runs on (reseeded if WithSeed was
-// used).
-func (s *Session) Machine() sim.Machine { return s.machine }
-
 // Procs returns the machine's rank count.
 func (s *Session) Procs() int { return s.machine.Procs() }
-
-// Synchronizer returns the configured superstep synchronizer.
-func (s *Session) Synchronizer() bsp.Synchronizer { return s.sync }
 
 // Run executes body once per rank of the machine as a raw simulator program
 // and returns the per-rank virtual finishing times. Cancelling the context

@@ -20,12 +20,6 @@ import (
 // is implemented by cluster.Machine.
 type Machine = simnet.Machine
 
-// PairPricer is the optional Machine capability both engines price every
-// message through: one Pair call per ordered pair instead of one accessor
-// call per parameter. cluster.Machine implements it; machines that do not
-// are adapted from their accessors.
-type PairPricer = simnet.PairPricer
-
 // Options configure a simulation run.
 type Options = simnet.Options
 
@@ -131,18 +125,6 @@ func DefaultOptions() Options { return simnet.DefaultOptions() }
 func Run(ctx context.Context, m Machine, body func(p *Proc) error, o Options) (*Result, error) {
 	return simnet.RunContext(ctx, m, body, o)
 }
-
-// RunProgram executes a Program op-stream on the concurrent engine: one
-// goroutine per rank replays its instructions through the mailbox machinery.
-// The goroutine-free evaluation of the same program is sched.RunProgram;
-// both produce bit-identical virtual times (hbsp.Session.RunProgram routes
-// between them by Options.Engine).
-func RunProgram(ctx context.Context, m Machine, pr *Program, o Options) (*Result, error) {
-	return simnet.RunProgram(ctx, m, pr, o)
-}
-
-// MaxTime returns the largest of the supplied times.
-func MaxTime(times []float64) float64 { return simnet.MaxTime(times) }
 
 // SortedCopy returns a sorted copy of times.
 func SortedCopy(times []float64) []float64 { return simnet.SortedCopy(times) }

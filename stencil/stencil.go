@@ -17,14 +17,8 @@ import (
 // Config describes one stencil problem (grid size, iterations, coefficient).
 type Config = istencil.Config
 
-// Decomposition is the 2-D processor-grid decomposition of the domain.
-type Decomposition = istencil.Decomposition
-
 // RunResult summarizes one simulated stencil run.
 type RunResult = istencil.RunResult
-
-// ModelSetup carries the superstep model built for a stencil configuration.
-type ModelSetup = istencil.ModelSetup
 
 // OverlapPoint is one (fraction, predicted time) sample of the overlap
 // sweep.
@@ -33,9 +27,6 @@ type OverlapPoint = istencil.OverlapPoint
 // Prediction is a superstep-model prediction (per-process compute times,
 // communication and synchronization terms, total).
 type Prediction = model.Prediction
-
-// Decompose splits an n×n domain over p processes.
-func Decompose(n, p int) (Decomposition, error) { return istencil.Decompose(n, p) }
 
 // RunBSP executes the overlapping BSP variant.
 func RunBSP(m *cluster.Machine, cfg Config, overlapFraction float64) (*RunResult, error) {
@@ -51,11 +42,6 @@ func BSPProgram(procs int, cfg Config, overlapFraction float64, checksums []floa
 	return istencil.BSPProgram(procs, cfg, overlapFraction, checksums)
 }
 
-// MeasureBSP executes the BSP variant reps times and reports the median.
-func MeasureBSP(m *cluster.Machine, cfg Config, overlapFraction float64, reps int) (*RunResult, error) {
-	return istencil.MeasureBSP(m, cfg, overlapFraction, reps)
-}
-
 // RunMPI executes the straightforward MPI variant.
 func RunMPI(m *cluster.Machine, cfg Config) (*RunResult, error) { return istencil.RunMPI(m, cfg) }
 
@@ -67,11 +53,6 @@ func RunMPIRestructured(m *cluster.Machine, cfg Config) (*RunResult, error) {
 // RunHybrid executes the hybrid (threads within a node) variant.
 func RunHybrid(prof *cluster.Profile, nodes int, cfg Config, threadEfficiency float64) (*RunResult, error) {
 	return istencil.RunHybrid(prof, nodes, cfg, threadEfficiency)
-}
-
-// BuildModel assembles the superstep model of one stencil iteration.
-func BuildModel(prof *cluster.Profile, params collective.Params, procs int, cfg Config, overlapFraction float64) (*ModelSetup, error) {
-	return istencil.BuildModel(prof, params, procs, cfg, overlapFraction)
 }
 
 // PredictIteration predicts the time of one stencil iteration.

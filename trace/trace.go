@@ -38,7 +38,7 @@
 //	trace.WriteReport(os.Stdout, sp, trace.ReportOptions{})
 //
 // For very large traces the aggregated views — RollupOf (per-superstep and
-// per-stage time/traffic tables), TopSlack (worst finish-slack ranks) and
+// per-stage time/traffic tables and the worst finish-slack ranks) and
 // WriteChromeAuto (lane-sampled Chrome export under an event budget) — keep
 // output sizes bounded while the full event stream stays on disk.
 //
@@ -76,10 +76,6 @@ type Source = itrace.Source
 // Summary is the run-level outcome a Source reports: per-rank finish times,
 // makespan, traffic counters, superstep count and the run error, if any.
 type Summary = itrace.Summary
-
-// Cols is a chunk of one rank's events in columnar (struct-of-arrays)
-// layout — one parallel array per event field.
-type Cols = itrace.Cols
 
 // Event is one recorded observation; Kind classifies it.
 type (
@@ -233,13 +229,6 @@ func OpenSpill(r io.ReaderAt, size int64) (*Spill, error) { return itrace.OpenSp
 // WriteSpill. Close the returned Spill when done.
 func OpenSpillFile(path string) (*Spill, error) { return itrace.OpenSpillFile(path) }
 
-// Iter iterates a Source's events in the deterministic merged order (a
-// k-way merge over lanes) without materializing the merged slice.
-type Iter = itrace.Iter
-
-// NewIter returns an iterator over src's events in merged order.
-func NewIter(src Source) (*Iter, error) { return itrace.NewIter(src) }
-
 // NumEventsOf returns the total event count of a Source.
 func NumEventsOf(src Source) int { return itrace.NumEventsOf(src) }
 
@@ -250,15 +239,6 @@ func RollupOf(src Source, opts RollupOptions) (*Rollup, error) { return itrace.R
 // WriteRollup renders a rollup as a deterministic text table.
 func WriteRollup(w io.Writer, r *Rollup) error { return itrace.WriteRollup(w, r) }
 
-// TopSlack returns the k ranks with the largest end-of-run slack, worst
-// first, without sorting all P ranks.
-func TopSlack(src Source, k int) []Straggler { return itrace.TopSlack(src, k) }
-
-// Streaming analysis entry points: each runs in a single pass over a Source
-// and matches the corresponding Trace method bit for bit.
-var (
-	BreakdownOf    = itrace.BreakdownOf
-	CriticalPathOf = itrace.CriticalPathOf
-	HRelationsOf   = itrace.HRelationsOf
-	StragglersOf   = itrace.StragglersOf
-)
+// CriticalPathOf extracts the critical path in a single pass over a Source;
+// it matches Trace.CriticalPath bit for bit.
+var CriticalPathOf = itrace.CriticalPathOf
