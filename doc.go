@@ -105,8 +105,10 @@
 // By default the two cooperate: runs execute concurrently, and every
 // schedule-expressible collective — a collective.Execute pattern execution,
 // the count exchange ending a bsp Sync, an mpi schedule flood (which backs
-// the bsp.Ctx and mpi.Comm collectives) — brings all ranks to a rendezvous
-// where the last arriver evaluates the whole collective at once and resumes
+// the bsp.Ctx and mpi.Comm collectives) — goes through one entry that brings
+// all ranks to a rendezvous, where the last arriver checks that they all
+// brought the same schedule, evaluates the whole collective at once
+// (collapsed onto rank classes where the machine allows) and resumes
 // everyone. The pairwise benchmark (bench.MeasurePairwise, behind
 // bench.ModelParams) is evaluated there too: a strict ping-pong gives
 // goroutines nothing to overlap, so the last arriver steps every pair's

@@ -62,8 +62,8 @@ func engineMachine(t *testing.T, p int, noisy bool) *platform.Machine {
 // measureEngine runs warm-up plus two executions of the pattern under the
 // given engine, traced, returning the run's result and the merged event
 // stream. computeEmpty true is Execute; false is the same pure-signal walk
-// under the collectives' convention of skipping a stage the rank is idle in —
-// each engine's walker called directly, as Execute calls them.
+// under the collectives' convention of skipping a stage the rank is idle in,
+// through the entry Execute calls (mpi.ExecSchedule).
 func measureEngine(t *testing.T, m simnet.Machine, pat *Pattern, engine simnet.Engine, ack, computeEmpty bool) (*simnet.Result, string) {
 	t.Helper()
 	rec := trace.NewRecorder()
@@ -73,20 +73,8 @@ func measureEngine(t *testing.T, m simnet.Machine, pat *Pattern, engine simnet.E
 	o.Recorder = rec
 	res, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
 		for g := 0; g < 3; g++ {
-			switch gate := c.Proc().SharedGate(); {
-			case computeEmpty:
-				Execute(c, pat)
-			case gate == nil:
-				if err := mpi.WalkSchedule(c.Proc(), pat, baseTag, false); err != nil {
-					return err
-				}
-			default:
-				if err := gate.Arrive(c.Proc(), pat, func([]any) error {
-					sched.AtGate(gate, c.Proc(), func(ev *sched.Evaluator) { ev.ExecSchedule(pat, baseTag, false) })
-					return nil
-				}); err != nil {
-					return err
-				}
+			if err := mpi.ExecSchedule(c.Proc(), pat, baseTag, computeEmpty); err != nil {
+				return err
 			}
 		}
 		return nil

@@ -6,7 +6,8 @@
 // collectives, the knowledge recursion that checks any schedule's correctness
 // per collective semantics (VerifySchedule, generalizing Eqs. 5.1/5.2), a
 // general pattern simulator with MPI_Startall/MPI_Waitall semantics (Fig.
-// 5.5), and the latency-driven cost model with its critical-path search and
+// 5.5; Execute, which is mpi.ExecSchedule in the pattern simulator's tag
+// space), and the latency-driven cost model with its critical-path search and
 // the payload extension of Chapter 6.
 //
 // One type crosses package boundaries to be verified, priced, sized, cached

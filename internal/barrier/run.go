@@ -12,7 +12,7 @@ import (
 )
 
 // baseTag is the tag space of the pattern simulator: stage s carries
-// baseTag+s (see mpi.WalkSchedule on reusing it across executions).
+// baseTag+s (see mpi.ExecSchedule's walk on reusing it across executions).
 const baseTag = 1 << 20
 
 // Execute runs one execution of the schedule on the calling rank, mirroring
@@ -22,23 +22,18 @@ const baseTag = 1 << 20
 // stage still pays the invocation overhead of the empty pair.
 //
 // Execute is a collective call: every rank of the run must execute the same
-// schedule value. On runs with the direct engine enabled (the default), the
-// ranks rendezvous at the run's gate and the whole execution is evaluated
-// sequentially by the goroutine-free discrete-event evaluator, with
-// bit-identical virtual times and trace events; WithConcurrentEngine (or
-// simnet.EngineConcurrent) restores the concurrent per-message walk
-// (mpi.WalkSchedule, pure signals). A schedule built for another rank count,
-// or — on the direct engine — ranks arriving with different schedules, has
-// violated the collective contract; Execute has no error to return, so it
-// panics.
+// schedule value. It is mpi.ExecSchedule under the pattern simulator's tag
+// space: on the default engine the whole execution is evaluated once at the
+// run's gate by the goroutine-free discrete-event evaluator (collapsed onto
+// rank classes where the machine and the schedule allow, reported in
+// Result.Collapse), with bit-identical virtual times and trace events;
+// WithConcurrentEngine (or simnet.EngineConcurrent) restores the concurrent
+// per-message walk (pure signals). A schedule built for
+// another rank count, or — on the default engine — ranks arriving with
+// different schedules, has violated the collective contract; Execute has no
+// error to return, so it panics.
 func Execute(c *mpi.Comm, s sched.Schedule) {
-	var err error
-	if g := c.Proc().SharedGate(); g != nil {
-		err = executeDirect(g, c.Proc(), s)
-	} else {
-		err = mpi.WalkSchedule(c.Proc(), s, baseTag, true)
-	}
-	if err != nil {
+	if err := mpi.ExecSchedule(c.Proc(), s, baseTag, true); err != nil {
 		panic(err)
 	}
 }
@@ -49,25 +44,6 @@ func checkProcs(s sched.Schedule, procs int) error {
 		return fmt.Errorf("barrier: pattern for %d processes on a %d-rank machine", s.NumProcs(), procs)
 	}
 	return nil
-}
-
-// executeDirect evaluates one execution at the run's gate: the last rank to
-// arrive performs the execution's operations sequentially on every rank's
-// LogGP state (sched.AtGate). Ranks arriving with different schedules are an
-// error (the concurrent engine would deadlock or cross-match instead).
-func executeDirect(g *simnet.Gate, p *simnet.Proc, s sched.Schedule) error {
-	if err := checkProcs(s, p.Size()); err != nil {
-		return err
-	}
-	return g.Arrive(p, s, func(tickets []any) error {
-		for r, t := range tickets {
-			if other, ok := t.(sched.Schedule); !ok || !mpi.SameSchedule(other, s) {
-				return fmt.Errorf("barrier: rank %d executes a different pattern (Execute is collective)", r)
-			}
-		}
-		sched.AtGate(g, p, func(ev *sched.Evaluator) { ev.ExecSchedule(s, baseTag, true) })
-		return nil
-	})
 }
 
 // Measurement holds the result of measuring a schedule on a simulated

@@ -51,15 +51,6 @@ type KernelBenchResult struct {
 	Resampled int
 }
 
-// SecondsPerElement returns the calibrated per-element cost, the unit of the
-// framework's computation cost matrices.
-func (r *KernelBenchResult) SecondsPerElement() float64 {
-	if r.ProblemSize == 0 {
-		return 0
-	}
-	return r.SecondsPerApplication / float64(r.ProblemSize)
-}
-
 // KernelRate benchmarks one kernel at a fixed problem size on one rank of the
 // machine, following Section 4.1: for growing iteration counts it collects
 // timing samples, filters outliers against a Student-t interval, and fits the

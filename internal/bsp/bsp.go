@@ -5,7 +5,9 @@
 // computation), and the synchronization that ends the superstep doubles as a
 // fixed-size total exchange of per-pair message counts, which tells every
 // process how many outstanding one-sided operations it must drain before the
-// next superstep may begin.
+// next superstep may begin. The exchange runs over the synchronizer's schedule,
+// which a run builds once and keeps in its memo (simnet.Proc.Memo), and is
+// executed like every other schedule on rank goroutines, by mpi.ExecSchedule.
 //
 // The programming primitives mirror Table 6.1: registration of remotely
 // accessible memory (PushReg/PopReg), buffered one-sided writes and reads

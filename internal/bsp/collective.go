@@ -13,11 +13,8 @@ import (
 // order, so the result is deterministic.
 type ReduceOp func(a, b float64) float64
 
-// Standard reduction operators.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = ReduceOp(mpi.OpMax)
-)
+// OpSum is the summing reduction operator.
+var OpSum ReduceOp = func(a, b float64) float64 { return a + b }
 
 // The Ctx collectives below are synchronizing subroutine collectives: every
 // process must call them collectively (same operation, compatible sizes, in
@@ -70,7 +67,7 @@ func generator(sem barrier.Semantics, p, root, msgBytes int) (sched.Schedule, er
 // and data is returned.
 func (c *Ctx) Broadcast(root int, data []float64) ([]float64, error) {
 	if root < 0 || root >= c.NProcs() {
-		return nil, fmt.Errorf("bsp: broadcast from invalid root %d", root)
+		return nil, fmt.Errorf("bsp: broadcast: %w: %d", mpi.ErrInvalidRoot, root)
 	}
 	var own any
 	if c.Pid() == root {
@@ -103,7 +100,7 @@ func (c *Ctx) Broadcast(root int, data []float64) ([]float64, error) {
 // (contributions applied in rank order); every other process returns nil.
 func (c *Ctx) Reduce(root int, values []float64, op ReduceOp) ([]float64, error) {
 	if root < 0 || root >= c.NProcs() {
-		return nil, fmt.Errorf("bsp: reduce to invalid root %d", root)
+		return nil, fmt.Errorf("bsp: reduce: %w: %d", mpi.ErrInvalidRoot, root)
 	}
 	f, err := c.flood(barrier.SemReduce, root, 8*len(values), append([]float64(nil), values...))
 	if err != nil {

@@ -1,10 +1,12 @@
 package bsp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 
+	"hbsp/internal/mpi"
 	"hbsp/internal/platform"
 )
 
@@ -56,7 +58,7 @@ func TestCollectivesComputeCorrectValues(t *testing.T) {
 			}
 
 			// AllReduce: max of ranks everywhere.
-			ar, err := c.AllReduce([]float64{me}, OpMax)
+			ar, err := c.AllReduce([]float64{me}, func(a, b float64) float64 { return max(a, b) })
 			if err != nil {
 				return err
 			}
@@ -125,11 +127,13 @@ func TestCollectivesAdvanceClocks(t *testing.T) {
 func TestCollectiveValidation(t *testing.T) {
 	m := collectiveMachine(t, 4)
 	_, err := Run(m, func(c *Ctx) error {
-		if _, err := c.Broadcast(-1, []float64{1}); err == nil {
-			t.Error("Broadcast with invalid root should fail")
-		}
-		if _, err := c.Reduce(99, []float64{1}, OpSum); err == nil {
-			t.Error("Reduce with invalid root should fail")
+		for _, root := range []int{-1, c.NProcs()} {
+			if _, err := c.Broadcast(root, []float64{1}); !errors.Is(err, mpi.ErrInvalidRoot) {
+				t.Errorf("Broadcast from root %d: %v, want mpi.ErrInvalidRoot", root, err)
+			}
+			if _, err := c.Reduce(root, []float64{1}, OpSum); !errors.Is(err, mpi.ErrInvalidRoot) {
+				t.Errorf("Reduce to root %d: %v, want mpi.ErrInvalidRoot", root, err)
+			}
 		}
 		if _, err := c.TotalExchange(make([][]float64, 2)); err == nil {
 			t.Error("TotalExchange with wrong block count should fail")

@@ -1,7 +1,6 @@
 package bsp
 
 import (
-	"errors"
 	"fmt"
 
 	"hbsp/internal/mpi"
@@ -94,43 +93,27 @@ func (c *Ctx) Sync() error {
 	return nil
 }
 
-// runExchange performs the count total exchange on the engine the run
-// selected and returns the sources of this process' incoming one-sided
-// messages, in source order and with multiplicity. The timing is the
-// synchronizer's exchange schedule: by default evaluated at the run's gate by
-// the goroutine-free discrete-event evaluator, under WithConcurrentEngine
-// walked by every rank as signals (mpi.WalkSchedule), with bit-identical
-// virtual times. The data is the call's board, which every rank writes the
-// destinations of its one-sided messages into before the exchange. Every
-// synchronizer's schedule reaches every rank from every rank, so after it any
-// rank may read every slot: the first to get there builds all P in-lists,
-// O(P + messages), and each rank takes its own. The lists are read inside
-// Shared only, so a rank's own is free for reuse once Shared returns.
+// runExchange performs the count total exchange and returns the sources of
+// this process' incoming one-sided messages, in source order and with
+// multiplicity. The timing is the synchronizer's exchange schedule, kept once
+// per run in the run's memo and executed by mpi.ExecSchedule: on the default
+// engine evaluated at the run's gate by the goroutine-free discrete-event
+// evaluator, under WithConcurrentEngine walked by every rank as signals, with
+// bit-identical virtual times. The data is the call's board, which every rank
+// writes the destinations of its one-sided messages into before the exchange.
+// Every synchronizer's schedule reaches every rank from every rank, so after
+// it any rank may read every slot: the first to get there builds all P
+// in-lists, O(P + messages), and each rank takes its own. The lists are read
+// inside Shared only, so a rank's own is free for reuse once Shared returns.
 func (c *Ctx) runExchange() ([]int32, error) {
 	p := c.NProcs()
 	board := c.proc.Board()
 	board.Set(c.Pid(), c.sent)
-	var err error
-	if g := c.proc.SharedGate(); g != nil {
-		err = g.Arrive(c.proc, c.sync, func(tickets []any) error {
-			for _, t := range tickets {
-				if t != any(c.sync) {
-					return errors.New("bsp: ranks disagree on the superstep synchronizer (Sync is collective)")
-				}
-			}
-			sch, err := c.sync.exchangeSchedule(p)
-			if err == nil {
-				sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(sch, tagCountBase, false) })
-			}
-			return err
-		})
-	} else {
-		var sch sched.Schedule
-		if sch, err = c.sync.exchangeSchedule(p); err == nil {
-			err = mpi.WalkSchedule(c.proc, sch, tagCountBase, false)
-		}
-	}
+	sch, err := c.proc.Memo(exchangeKey{c.sync}, func() (any, error) { return c.sync.exchangeSchedule(p) })
 	if err != nil {
+		return nil, err
+	}
+	if err := mpi.ExecSchedule(c.proc, sch.(sched.Schedule), tagCountBase, false); err != nil {
 		return nil, err
 	}
 	from := board.Shared(func() any {
@@ -144,6 +127,9 @@ func (c *Ctx) runExchange() ([]int32, error) {
 	}).([][]int32)
 	return from[c.Pid()], nil
 }
+
+// exchangeKey names a synchronizer's count exchange in the run's memo.
+type exchangeKey struct{ Synchronizer }
 
 // serveGet reads the requested slice of a registered area and sends it back
 // to the requester.

@@ -3,7 +3,6 @@ package bsp
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"hbsp/internal/adapt"
 	"hbsp/internal/barrier"
@@ -22,53 +21,23 @@ import (
 type Synchronizer interface {
 	// exchangeSchedule returns the exchange's exact op-stream for p ranks,
 	// every payload size resolved up front (the count rows a rank forwards at
-	// a stage are knowledge-determined, never data-determined) — the same
-	// value for every superstep of a run, which keys the partition cache.
+	// a stage are knowledge-determined, never data-determined). A run asks
+	// once and keeps the value in its memo (simnet.Proc.Memo), so every
+	// superstep of the run executes the same value, which keys the evaluator's
+	// partition cache.
 	exchangeSchedule(p int) (sched.Schedule, error)
 }
 
 // disseminationSync is the default synchronizer: the ⌈log2 P⌉-stage
-// dissemination exchange with doubling payloads of Section 6.5. The exchange
-// of each process count is one immutable streamed circulant — O(log P) state
-// at any P — cached so that every run and every superstep hands the evaluator
-// the same value (its partition cache is keyed by it). The cache is bounded
-// by dropping everything: a run in flight that loses its entry derives an
-// equal circulant again, which costs it one partition-cache miss.
-type disseminationSync struct {
-	mu  sync.Mutex
-	byP map[int]*sched.Circulant
-}
-
-// maxExchangeSchedules bounds the default synchronizer's schedule cache.
-const maxExchangeSchedules = 64
+// dissemination exchange with doubling payloads of Section 6.5, one immutable
+// streamed circulant — O(log P) state at any P.
+type disseminationSync struct{}
 
 // exchangeSchedule returns the dissemination exchange for p ranks: stage
-// offsets 2^s, payload sizes the header plus the min(2^s, p) count rows the
-// sender holds entering the stage.
-func (d *disseminationSync) exchangeSchedule(p int) (sched.Schedule, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if s, ok := d.byP[p]; ok {
-		return s, nil
-	}
-	var offs, sizes []int
-	known := 1 // rows held entering the stage: min(2^s, p)
-	for dist := 1; dist < p; dist *= 2 {
-		offs = append(offs, dist)
-		sizes = append(sizes, headerBytes+known*p*countEntryBytes)
-		if known *= 2; known > p {
-			known = p
-		}
-	}
-	s, err := sched.NewCirculant(p, offs, sizes)
-	if err != nil {
-		return nil, err
-	}
-	if d.byP == nil || len(d.byP) >= maxExchangeSchedules {
-		d.byP = map[int]*sched.Circulant{}
-	}
-	d.byP[p] = s
-	return s, nil
+// offsets 2^s, payload sizes the header plus the 2^s count rows the sender
+// holds entering the stage.
+func (disseminationSync) exchangeSchedule(p int) (sched.Schedule, error) {
+	return sched.Dissemination(p, func(dist int) int { return headerBytes + dist*p*countEntryBytes })
 }
 
 // ExchangeSchedule returns the default dissemination count-exchange schedule
@@ -80,16 +49,12 @@ func ExchangeSchedule(p int) (sched.Schedule, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("bsp: count exchange with p=%d", p)
 	}
-	return defaultSync.exchangeSchedule(p)
+	return disseminationSync{}.exchangeSchedule(p)
 }
-
-// defaultSync is the shared default synchronizer instance; sharing it lets
-// every run reuse the cached exchange schedules.
-var defaultSync = &disseminationSync{}
 
 // DefaultSynchronizer returns the dissemination synchronizer the runtime uses
 // when none is configured.
-func DefaultSynchronizer() Synchronizer { return defaultSync }
+func DefaultSynchronizer() Synchronizer { return disseminationSync{} }
 
 // scheduleSync exchanges the counts over an arbitrary schedule that passes
 // the all-pairs knowledge recursion, so the count map is complete on every
@@ -112,12 +77,10 @@ func NewScheduleSynchronizer(s sched.Schedule) (Synchronizer, error) {
 	return &scheduleSync{sized: barrier.KnowledgeSized(s, headerBytes, s.NumProcs()*countEntryBytes)}, nil
 }
 
-func (s *scheduleSync) exchangeSchedule(p int) (sched.Schedule, error) {
-	if s.sized.NumProcs() != p {
-		return nil, fmt.Errorf("bsp: schedule for %d processes on a %d-process run", s.sized.NumProcs(), p)
-	}
-	return s.sized, nil
-}
+// exchangeSchedule returns the sized schedule whatever p is: the runs refuse
+// one built for another rank count (mpi.ExecSchedule on rank goroutines,
+// sched.RunSupersteps for RunStatic).
+func (s *scheduleSync) exchangeSchedule(int) (sched.Schedule, error) { return s.sized, nil }
 
 // NewAdaptedSynchronizer runs the model-driven construction of Chapter 7 on
 // the supplied parameter matrices, costs every candidate with the count

@@ -257,14 +257,11 @@ func TestRunWithNilSynchronizerUsesDefault(t *testing.T) {
 	}
 }
 
-// TestDefaultExchangeScheduleCacheIsBounded: the default synchronizer's
-// per-P schedule cache used to keep one entry per distinct rank count for the
-// life of the process (every hbspd sync request reaches it). A thousand
-// distinct P must leave it at or under its bound, and runs in flight while
-// the cache turns over — they may lose their entry between two supersteps and
-// derive an equal schedule again — must still produce the quiet run's times
-// on both engines.
-func TestDefaultExchangeScheduleCacheIsBounded(t *testing.T) {
+// TestSharedExchangeScheduleChurnLeavesRunsUnchanged: runs on both engines
+// produce the quiet run's times while another goroutine builds the default
+// exchange schedule for a thousand distinct P. Nothing process-wide stands
+// between them: a run keeps its exchange in its own memo.
+func TestSharedExchangeScheduleChurnLeavesRunsUnchanged(t *testing.T) {
 	m := testMachine(t, 16).WithRunSeed(5)
 	want, err := Run(m, exchangeProgram(t))
 	if err != nil {
@@ -297,15 +294,9 @@ func TestDefaultExchangeScheduleCacheIsBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got.Times, want.Times) {
-				t.Fatalf("engine %d under cache churn: times %v, quiet run %v", engine, got.Times, want.Times)
+				t.Fatalf("engine %d under schedule churn: times %v, quiet run %v", engine, got.Times, want.Times)
 			}
 		}
-	}
-	defaultSync.mu.Lock()
-	n := len(defaultSync.byP)
-	defaultSync.mu.Unlock()
-	if n > maxExchangeSchedules {
-		t.Errorf("default exchange-schedule cache holds %d entries after 1000 distinct P, bound is %d", n, maxExchangeSchedules)
 	}
 }
 

@@ -44,9 +44,6 @@ func (cp ClassicParams) Validate() error {
 	return nil
 }
 
-// Seconds converts a flop-equivalent cost into seconds using the rate r.
-func (cp ClassicParams) Seconds(flops float64) float64 { return flops / cp.R }
-
 // InnerProductCost returns the classic BSP estimate, in seconds, of the
 // bspinprod program of Section 3.1 (Eq. 3.7): two computation supersteps and
 // one 1-relation communication superstep for an N-element inner product on P

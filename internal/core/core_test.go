@@ -26,13 +26,6 @@ func TestClassicParamsValidate(t *testing.T) {
 	}
 }
 
-func TestClassicCostFunctions(t *testing.T) {
-	cp := ClassicParams{P: 4, R: 1e9, G: 10, L: 1000}
-	if got := cp.Seconds(2e9); got != 2 {
-		t.Fatalf("Seconds = %g", got)
-	}
-}
-
 func TestInnerProductCost(t *testing.T) {
 	cp := ClassicParams{P: 8, R: 1e9, G: 100, L: 30000}
 	cost, err := cp.InnerProductCost(1e6)

@@ -4,13 +4,12 @@
 // selection of Figs. 4.5/4.6 (swap, scal, copy, axpy, dot, nrm2, asum,
 // iamax). Each kernel carries the operation and traffic counts the modeling
 // framework needs (flops per element, bytes per element, and the derived
-// arithmetic intensity), together with a reference implementation so that
-// example programs compute real values.
+// arithmetic intensity); RunDot is the reference inner product example
+// programs compute real values with.
 package kernels
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -85,17 +84,6 @@ func BLAS1() []Kernel {
 // ErrLength is returned when operand lengths do not match.
 var ErrLength = errors.New("kernels: operand length mismatch")
 
-// RunDAXPY executes y = y + a*x in place.
-func RunDAXPY(a float64, x, y []float64) error {
-	if len(x) != len(y) {
-		return ErrLength
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
-	return nil
-}
-
 // RunDot returns the inner product of x and y.
 func RunDot(x, y []float64) (float64, error) {
 	if len(x) != len(y) {
@@ -106,30 +94,4 @@ func RunDot(x, y []float64) (float64, error) {
 		sum += x[i] * y[i]
 	}
 	return sum, nil
-}
-
-// RunStencil5 applies one Jacobi sweep of the 5-point Laplacian stencil to
-// the interior of the rows×cols grid in, writing the result into out. Both
-// grids are stored row-major and must have rows*cols elements; boundary
-// values are copied unchanged. The update is
-//
-//	out[i][j] = in[i][j] + c · (in[i−1][j] + in[i+1][j] + in[i][j−1] + in[i][j+1] − 4·in[i][j])
-//
-// which is the explicit heat-equation step of Case Study II.
-func RunStencil5(in, out []float64, rows, cols int, c float64) error {
-	if rows < 1 || cols < 1 {
-		return fmt.Errorf("kernels: invalid grid %dx%d", rows, cols)
-	}
-	if len(in) != rows*cols || len(out) != rows*cols {
-		return ErrLength
-	}
-	copy(out, in)
-	for i := 1; i < rows-1; i++ {
-		base := i * cols
-		for j := 1; j < cols-1; j++ {
-			idx := base + j
-			out[idx] = in[idx] + c*(in[idx-cols]+in[idx+cols]+in[idx-1]+in[idx+1]-4*in[idx])
-		}
-	}
-	return nil
 }

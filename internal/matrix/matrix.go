@@ -101,14 +101,6 @@ func (m *Dense) Fill(v float64) {
 	}
 }
 
-// Scale multiplies every element by v in place and returns the receiver.
-func (m *Dense) Scale(v float64) *Dense {
-	for i := range m.data {
-		m.data[i] *= v
-	}
-	return m
-}
-
 // Transpose returns a new matrix that is the transpose of m.
 func (m *Dense) Transpose() *Dense {
 	t := NewDense(m.cols, m.rows)
@@ -131,18 +123,6 @@ func (m *Dense) AddTo(other *Dense) (*Dense, error) {
 	out := m.Clone()
 	for i := range out.data {
 		out.data[i] += other.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m - other as a new matrix.
-func (m *Dense) Sub(other *Dense) (*Dense, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrShape, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= other.data[i]
 	}
 	return out, nil
 }
@@ -208,20 +188,6 @@ func (m *Dense) Max() float64 {
 		}
 	}
 	return max
-}
-
-// Min returns the minimum element; it returns 0 for an empty matrix.
-func (m *Dense) Min() float64 {
-	if len(m.data) == 0 {
-		return 0
-	}
-	min := m.data[0]
-	for _, v := range m.data[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
 }
 
 // Equal reports whether m and other have the same shape and all elements are

@@ -4,7 +4,10 @@
 // and collectives that execute a schedule of communication stages
 // (schedule.go). The built-in collectives (Barrier, Allreduce, Allgather,
 // Bcast) are those schedule collectives over the dissemination, ring and
-// binomial generator schedules.
+// binomial generator schedules. ExecSchedule is the one entry through which
+// any schedule executed on rank goroutines is timed — these collectives,
+// barrier.Execute and the BSP superstep's count exchange: at the run's gate on
+// the default engine, as a per-rank walk on the concurrent one.
 package mpi
 
 import (

@@ -16,7 +16,7 @@ import (
 type Schedule = sched.Schedule
 
 // FloodTagBase is the base tag of the schedule-executing collectives (stage s
-// carries FloodTagBase+s; see WalkSchedule on reusing it across calls).
+// carries FloodTagBase+s; see walkSchedule on reusing it across calls).
 const FloodTagBase = 1 << 29
 
 // FloodSchedule executes the schedule with knowledge-flooding data semantics:
@@ -29,10 +29,8 @@ const FloodTagBase = 1 << 29
 // collectives below, and layered run-times implementing their own payload
 // types.
 //
-// No contribution travels in a message. The timing is a signal walk: under
-// the default engine the ranks rendezvous at the run's gate and the leader
-// evaluates it, under the concurrent engine every rank walks its own edges
-// (WalkSchedule). The data is one board per call (simnet.Board), which every
+// No contribution travels in a message. The timing is a signal walk
+// (ExecSchedule). The data is one board per call (simnet.Board), which every
 // rank writes its contribution into before its first send, and the
 // schedule's reach set (sched.ReachOf), computed once per call: a rank holds
 // origin o's contribution when the reach set says o's flood reaches it, and
@@ -45,35 +43,14 @@ const FloodTagBase = 1 << 29
 // for the rest of the run, and must not mutate received values; the typed BSP
 // collectives copy on both sides for exactly this reason.
 func (c *Comm) FloodSchedule(s Schedule, own any) (Flood, error) {
-	if err := scheduleFits(s, c.proc); err != nil {
-		return Flood{}, err
-	}
 	board := c.proc.Board()
 	board.Set(c.Rank(), own)
-	var err error
-	if g := c.proc.SharedGate(); g != nil {
-		err = g.Arrive(c.proc, floodTicket{s}, func(tickets []any) error {
-			for _, t := range tickets {
-				if ft, ok := t.(floodTicket); !ok || !SameSchedule(ft.s, s) {
-					return errors.New("mpi: ranks disagree on the flooded schedule (schedule collectives are collective)")
-				}
-			}
-			sched.AtGate(g, c.proc, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(s, FloodTagBase, false) })
-			return nil
-		})
-	} else {
-		err = WalkSchedule(c.proc, s, FloodTagBase, false)
-	}
-	if err != nil {
+	if err := ExecSchedule(c.proc, s, FloodTagBase, false); err != nil {
 		return Flood{}, err
 	}
 	reach := board.Shared(func() any { return sched.ReachOf(s) }).(*sched.ReachSet)
 	return Flood{board: board, reach: reach, rank: c.Rank(), procs: c.Size()}, nil
 }
-
-// floodTicket is the gate ticket of a rank entering a schedule flood: the
-// schedule, which the leader checks the ranks agree on.
-type floodTicket struct{ s Schedule }
 
 // Flood is what a schedule flood delivered to one rank: a read-only view of
 // the call's board through the rank's row of the schedule's reach set.
@@ -112,7 +89,60 @@ func scheduleFits(s Schedule, p *simnet.Proc) error {
 	return nil
 }
 
-// WalkSchedule is the concurrent engine's schedule walker, the per-rank twin
+// ExecSchedule executes the schedule once on the calling rank: the one
+// entry through which every schedule executed on rank goroutines — a
+// barrier.Execute, a schedule flood, a BSP superstep's count exchange — is
+// timed. A missing schedule or one built for another rank count is refused
+// before anything is sent. On a run with a gate (the default engine) the
+// ranks rendezvous there, the leader checks by identity that every rank
+// entered with the same schedule value, tag base and empty-stage convention,
+// and evaluates the execution for all of them (sched.AtGate, collapsed when
+// sched.Evaluator.ExecScheduleAuto allows); without a gate (the concurrent
+// engine) the rank walks its own edges (walkSchedule). The virtual times are
+// bit-identical either way.
+//
+// It is a collective call. Ranks that disagree end the call with an error on
+// the default engine; on the concurrent engine they deadlock or cross-match,
+// which the run's deadline ends.
+func ExecSchedule(p *simnet.Proc, s Schedule, tagBase int, computeEmpty bool) error {
+	if err := scheduleFits(s, p); err != nil {
+		return err
+	}
+	g := p.SharedGate()
+	if g == nil {
+		walkSchedule(p, s, tagBase, computeEmpty)
+		return nil
+	}
+	mine := execTicket{s, tagBase, computeEmpty}
+	return g.Arrive(p, mine, func(tickets []any) error {
+		for r, t := range tickets {
+			if other, ok := t.(execTicket); !ok || !other.matches(mine) {
+				return fmt.Errorf("mpi: rank %d executes a different schedule (schedule execution is collective)", r)
+			}
+		}
+		sched.AtGate(g, p, func(ev *sched.Evaluator) { ev.ExecScheduleAuto(s, tagBase, computeEmpty) })
+		return nil
+	})
+}
+
+// execTicket is what a rank brings to the gate in ExecSchedule.
+type execTicket struct {
+	s            Schedule
+	tagBase      int
+	computeEmpty bool
+}
+
+// matches reports whether two ranks entered ExecSchedule with the same
+// schedule value — identity, not structure: the leader evaluates one value for
+// everyone; values of a type Go cannot compare are taken on trust — and the
+// same arguments.
+func (t execTicket) matches(o execTicket) bool {
+	typ := reflect.TypeOf(t.s)
+	return typ == reflect.TypeOf(o.s) && (!typ.Comparable() || t.s == o.s) &&
+		t.tagBase == o.tagBase && t.computeEmpty == o.computeEmpty
+}
+
+// walkSchedule is the concurrent engine's schedule walker, the per-rank twin
 // of sched.Evaluator.ExecSchedule and the general simulation function of
 // Fig. 5.5: the calling rank executes its own part of the schedule, per stage
 // starting the prescribed receives and sends together and waiting for them
@@ -127,15 +157,12 @@ func scheduleFits(s Schedule, p *simnet.Proc) error {
 // StageAt, which a streamed schedule answers by materializing an O(P)
 // adjacency (P ranks × P−1 stages of that would make a total exchange O(P³)).
 //
-// It is a collective call: every rank walks the same schedule with the same
-// tagBase. Walks may reuse a tag base because mailbox matching is FIFO per
-// (source, tag): a rank completes all stage-sg receives of one walk before
-// posting those of the next, and senders inject in program order, so streams
-// cannot cross-match.
-func WalkSchedule(p *simnet.Proc, s Schedule, tagBase int, computeEmpty bool) error {
-	if err := scheduleFits(s, p); err != nil {
-		return err
-	}
+// Every rank walks the same schedule, which ExecSchedule has checked fits,
+// with the same tagBase. Walks may reuse a tag base because mailbox matching
+// is FIFO per (source, tag): a rank completes all stage-sg receives of one
+// walk before posting those of the next, and senders inject in program order,
+// so streams cannot cross-match.
+func walkSchedule(p *simnet.Proc, s Schedule, tagBase int, computeEmpty bool) {
 	rank := p.Rank()
 	view := sched.ViewOf(s)
 	// On traced runs, bracket every stage for per-stage attribution (checked
@@ -172,15 +199,6 @@ func WalkSchedule(p *simnet.Proc, s Schedule, tagBase int, computeEmpty bool) er
 			p.Wait(req)
 		}
 	}
-	return nil
-}
-
-// SameSchedule reports whether two ranks entered a collective with the same
-// schedule value — identity, not structure: the leader evaluates one value for
-// everyone. Values of a type Go cannot compare are taken on trust.
-func SameSchedule(a, b Schedule) bool {
-	t := reflect.TypeOf(a)
-	return t == reflect.TypeOf(b) && (!t.Comparable() || a == b)
 }
 
 // BcastSchedule distributes the root's value to every rank by executing the

@@ -59,9 +59,9 @@ func (e *Evaluator) decideCollapse(partition func() (*Partition, simnet.Collapse
 // symmetric stages onto class representatives when decideCollapse allows it
 // for the current entry states, and falling back to the per-rank ExecSchedule
 // sweep otherwise. Results — clocks, port states, noise positions, traffic
-// counters — are bit-identical either way; the inline gate paths (the BSP
-// count exchange, the mpi schedule flood) call this. The decision (and, on
-// fallback, its reason) is retained for CollapseInfo.
+// counters — are bit-identical either way; the inline gate path
+// (mpi.ExecSchedule) calls this. The decision (and, on fallback, its reason)
+// is retained for CollapseInfo.
 func (e *Evaluator) ExecScheduleAuto(s Schedule, tagBase int, computeEmpty bool) {
 	part, info := e.decideCollapse(func() (*Partition, simnet.Collapse) { return e.partitionFor(s) }, e.tracing, e.classesAligned)
 	e.lastCollapse = info

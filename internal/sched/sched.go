@@ -22,13 +22,14 @@
 //   - Inline evaluation (AtGate): inside a concurrent run, all ranks
 //     rendezvous at the run's simnet.Gate, and the last arriver evaluates the
 //     collective sequentially on copies of the live per-rank kernel states,
-//     stores the advanced clocks back and resumes everyone. This is how
-//     barrier.Execute, the BSP count exchange, the mpi schedule flood and the
-//     pairwise benchmark (bench.MeasurePairwise) route through the evaluator
-//     while arbitrary closures around them still run on the concurrent
-//     engine. The first three are stage graphs (ExecSchedule); the pairwise
-//     benchmark is P(P−1) ping-pong episodes, which its leader walks message
-//     by message through the point-to-point stepper (PostPriced / Recv / Now).
+//     stores the advanced clocks back and resumes everyone. It has two
+//     callers, while arbitrary closures around them still run on the
+//     concurrent engine. mpi.ExecSchedule is the one entry for a stage graph
+//     executed on rank goroutines — barrier.Execute, the mpi schedule flood
+//     and the BSP count exchange all call it — and evaluates it with
+//     ExecScheduleAuto. The pairwise benchmark (bench.MeasurePairwise) is
+//     P(P−1) ping-pong episodes, which its leader walks message by message
+//     through the point-to-point stepper (PostPriced / Recv / Now).
 //
 // The evaluator has no clock arithmetic of its own. It holds one loggp.State
 // per rank (per equivalence class under symmetry collapse) and calls the LogGP
@@ -403,11 +404,11 @@ func (e *Evaluator) Now(rank int) float64 { return e.states[rank].Now }
 // ExecSchedule evaluates one execution of the schedule: per stage, every rank
 // posts its receives, injects its sends and then waits — receives first, then
 // sends, in edge order — exactly as the concurrent engine's walker
-// (mpi.WalkSchedule, which takes the same three arguments) does rank by rank.
-// Stage s's messages carry tag tagBase+s in recorded events. computeEmpty
-// selects barrier.Execute's convention of paying an empty Startall/Waitall
-// (Compute(0), one noise draw) on stages where a rank has no edges; the
-// collectives skip such stages outright.
+// (mpi.ExecSchedule without a gate, which takes the same three arguments)
+// does rank by rank. Stage s's messages carry tag tagBase+s in recorded
+// events. computeEmpty selects barrier.Execute's convention of paying an empty
+// Startall/Waitall (Compute(0), one noise draw) on stages where a rank has no
+// edges; the collectives skip such stages outright.
 //
 // The two-phase sweep per stage is the conservative-PDES evaluation order:
 // within a stage every arrival depends only on pre-stage sender state, and

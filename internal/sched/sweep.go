@@ -34,7 +34,7 @@ type SweepOptions struct {
 	SymmetryCollapse simnet.CollapseMode
 	// ComputeEmpty pays an empty Compute(0) (one noise draw) on stages where
 	// a rank has no edges, barrier.Execute's convention; RunSchedule uses
-	// true, the inline gate paths use false.
+	// true, the schedule floods and the BSP count exchange use false.
 	ComputeEmpty bool
 	// TagBase labels stage s's messages with tag TagBase+s in recorded
 	// events; 0 means ScheduleTagBase (RunSchedule's space).

@@ -11,9 +11,6 @@ func TestGroupedTopology(t *testing.T) {
 	if err := top.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if top.Groups() != 2 {
-		t.Fatalf("Groups() = %d, want 2", top.Groups())
-	}
 	for node, want := range []int{0, 0, 0, 0, 1, 1, 1, 1} {
 		if got := top.GroupOf(node); got != want {
 			t.Errorf("GroupOf(%d) = %d, want %d", node, got, want)
@@ -23,16 +20,16 @@ func TestGroupedTopology(t *testing.T) {
 		t.Errorf("String() = %q", top.String())
 	}
 
-	// Uneven group sizes round up.
+	// Uneven groups: the last one holds the remainder.
 	top.NodesPerGroup = 3
-	if top.Groups() != 3 {
-		t.Errorf("ceil(8/3) groups = %d, want 3", top.Groups())
+	if got := top.GroupOf(7); got != 2 {
+		t.Errorf("GroupOf(7) with 3 nodes per group = %d, want 2", got)
 	}
 
 	// Flat topologies have one implicit group.
 	flat, _ := New(8, 1, 1)
-	if flat.Groups() != 1 || flat.GroupOf(7) != 0 {
-		t.Errorf("flat topology: Groups()=%d GroupOf(7)=%d", flat.Groups(), flat.GroupOf(7))
+	if flat.GroupOf(7) != 0 {
+		t.Errorf("flat topology: GroupOf(7)=%d", flat.GroupOf(7))
 	}
 	if flat.String() != "8x1x1" {
 		t.Errorf("flat String() = %q", flat.String())

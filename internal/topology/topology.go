@@ -52,14 +52,6 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// Groups returns the number of switch groups (1 when the network is flat).
-func (t Topology) Groups() int {
-	if t.NodesPerGroup <= 0 {
-		return 1
-	}
-	return (t.Nodes + t.NodesPerGroup - 1) / t.NodesPerGroup
-}
-
 // GroupOf returns the switch group of a node (0 when the network is flat).
 func (t Topology) GroupOf(node int) int {
 	if t.NodesPerGroup <= 0 {

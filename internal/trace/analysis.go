@@ -457,12 +457,9 @@ type Straggler struct {
 	Slack float64
 }
 
-// Stragglers returns the ranks ordered by increasing slack (the critical
-// rank first), ties broken by rank.
-func (t *Trace) Stragglers() []Straggler { return StragglersOf(t) }
-
-// StragglersOf ranks any source's lanes by slack; it reads only the run
-// summary, never the lanes.
+// StragglersOf returns the source's ranks ordered by increasing slack (the
+// critical rank first), ties broken by rank; it reads only the run summary,
+// never the lanes.
 func StragglersOf(src Source) []Straggler {
 	sum := src.RunSummary()
 	out := make([]Straggler, src.NumLanes())

@@ -246,7 +246,7 @@ func TestHRelations(t *testing.T) {
 
 func TestStragglersOrdering(t *testing.T) {
 	tr, _ := recordBSP(t, 8, 2)
-	st := tr.Stragglers()
+	st := trace.StragglersOf(tr)
 	if len(st) != 8 {
 		t.Fatalf("stragglers has %d entries, want 8", len(st))
 	}
