@@ -22,8 +22,11 @@
 // (matrices, clocks, counters and trace lanes bit for bit, pairwise_engine_test.go).
 // Both are the same text, measurePair, written against a port that either acts
 // for one rank or for all of them. The leader's port prices each direction of
-// an episode once; medians sort the holder's own sample scratch, so an
-// episode allocates nothing.
+// an episode once and hands the stepper that price by pointer for every
+// message (PostPriced), so the 48-byte loggp.Pair is never copied per
+// message; the ranks' noise draws come from windows of the series' memo held
+// in their kernel states (loggp.Resolve). Medians sort the holder's own sample
+// scratch, so an episode allocates nothing.
 package bench
 
 import (
@@ -220,7 +223,8 @@ func (pp procPort) now(int) float64            { return pp.p.Now() }
 // evaluator and keeps the messages in flight between a pair itself, one FIFO
 // per direction (low→high rank, high→low). A pair's tags never interleave
 // within a direction, so arrival order is matching order, as in the mailbox.
-// A direction is priced once per episode, a pure function of the pair.
+// A direction is priced once per episode, a pure function of the pair, and
+// its messages are posted at that price in place.
 type evalPort struct {
 	ev       *sched.Evaluator
 	inFlight [2]edgeFIFO
@@ -252,7 +256,7 @@ func (pt *evalPort) episode(i, j int) {
 
 func (pt *evalPort) post(src, dst, tag, size int) {
 	q := pt.fifo(src, dst)
-	pt.ev.PostPriced(src, dst, tag, size, q.price, &q.buf[q.tail])
+	pt.ev.PostPriced(src, dst, tag, size, &q.price, &q.buf[q.tail])
 	q.tail++
 }
 

@@ -52,9 +52,9 @@ const headerBytes = 6 * 4
 // model prices payloads the runtime never sends.
 const countEntryBytes = 4
 
-// putBytes is the wire size of a put of n elements: the control header and
+// PutBytes is the wire size of a put of n elements: the control header and
 // the values.
-func putBytes(n int) int { return headerBytes + 8*n }
+func PutBytes(n int) int { return headerBytes + 8*n }
 
 // Run executes the SPMD program on every rank of the machine and returns the
 // simulation result (per-rank virtual completion times).
@@ -199,7 +199,7 @@ func (c *Ctx) Put(dst int, name string, offset int, values []float64) error {
 	}
 	data := append([]float64(nil), values...)
 	msg := &oneSided{Put: &putMsg{Name: name, Offset: offset, Data: data}}
-	c.proc.Post(dst, tagOneSided, putBytes(len(data)), msg)
+	c.proc.Post(dst, tagOneSided, PutBytes(len(data)), msg)
 	c.sent = append(c.sent, int32(dst))
 	return nil
 }

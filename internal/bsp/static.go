@@ -99,7 +99,7 @@ func RunStatic(ctx context.Context, m Machine, sync Synchronizer, sp *Static, o 
 			}
 		},
 		KernelTime:  m.KernelTime,
-		PutBytes:    putBytes,
+		PutBytes:    PutBytes,
 		PutTag:      tagOneSided,
 		Exchange:    exchange,
 		ExchangeTag: tagCountBase,

@@ -26,6 +26,15 @@
 // A fault plan multiplies into the noise draws (slowdowns), into latency and
 // bandwidth at the injection clock (link degradation), and into every clock
 // advance that crosses a rank's fail time (fail-stop with restart).
+//
+// The noise draws are the kernel's hottest call, so a run resolves its noise
+// source once, into the Env its ranks share (Resolve): a source that states
+// its scale and stream (Resolver, which platform.Machine is) is never called
+// again; a noise-free one is not called at all. A stream backed by a memo
+// hands a rank a window of stored draws, which the rank's State keeps — an
+// array pointer and the seq of its first draw — and reads inline until its
+// stream leaves the window. This package is the only caller of Noise: CI
+// fails on a Noise call anywhere else.
 package loggp
 
 import (
@@ -43,20 +52,69 @@ type NoiseSource interface {
 	Noise(rank int, seq uint64) float64
 }
 
-// Env is what the ranks of one run share: the noise source, the compiled
-// fault plan (nil on fault-free runs, one pointer test per event) and whether
-// send requests wait for an acknowledgement.
+// WindowLen is the number of stored draws a window holds. Windows are aligned:
+// the one holding seq starts at seq &^ (WindowLen-1).
+const WindowLen = 64
+
+// Stream is a run's noise as half-normal excesses: Noise(rank, seq) = 1 +
+// rel·z, rel the source's scale (Resolver). Draw returns z for (rank, seq)
+// and, when a memo stores it, the aligned window of stored draws holding it,
+// which the rank then reads with no call until its stream leaves the window;
+// nil when no memo stores it. Draw must be safe for concurrent calls, and a
+// window's draws must never change.
+type Stream interface {
+	Draw(rank int, seq uint64) (z float64, w *[WindowLen]float64)
+}
+
+// Resolver is the capability of a noise source that states its stream once
+// per run: the scale rel of its draws (0 for a noise-free source, which is
+// then never called) and the Stream that computes or looks them up.
+// platform.Machine implements it; a source without it is called for every
+// draw.
+type Resolver interface {
+	NoiseStream() (rel float64, s Stream)
+}
+
+// Env is what the ranks of one run share: the resolved noise stream, the
+// compiled fault plan (nil on fault-free runs, one pointer test per event)
+// and whether send requests wait for an acknowledgement. The zero Env is
+// noise-free.
 type Env struct {
-	Noise  NoiseSource
+	Noise  Noise
 	Faults *fault.Runtime
 	Ack    bool
 }
 
+// Noise is a run's noise source resolved once (Resolve). The zero Noise is
+// noise-free.
+type Noise struct {
+	rel    float64     // the scale of stream's draws
+	stream Stream      // a Resolver's stream; nil when noise-free
+	src    NoiseSource // a source without Resolver, called for every draw
+}
+
+// Resolve resolves a run's noise source: a Resolver's scale and stream are
+// kept, so a draw costs no call while the rank's window holds it, and a
+// noise-free one is never called; any other source is called for every draw.
+func Resolve(src NoiseSource) Noise {
+	r, ok := src.(Resolver)
+	if !ok {
+		return Noise{src: src}
+	}
+	if rel, s := r.NoiseStream(); rel > 0 && s != nil {
+		return Noise{rel: rel, stream: s}
+	}
+	return Noise{}
+}
+
 // State is one rank's evolution state: its clock, the free times of its
-// injection and extraction ports, its position in the noise stream, and — on
-// traced runs — its trace lane with the superstep and stage labels recorded
-// events carry. Fail-stop state is derived from the clock (fault.Runtime.Cross),
-// so a State copied between the engines at a gate rendezvous is complete.
+// injection and extraction ports, its position in the noise stream and the
+// window of stored draws it reads it through, and — on traced runs — its trace
+// lane with the superstep and stage labels recorded events carry. Fail-stop
+// state is derived from the clock (fault.Runtime.Cross), so a State copied
+// between the engines at a gate rendezvous is complete. It is comparable and
+// 64 bytes: the window is a pointer and the seq of its first draw, valid for
+// the Env whose Stream handed it out.
 type State struct {
 	Now      float64
 	TxFree   float64
@@ -65,6 +123,9 @@ type State struct {
 	Lane     *trace.Lane
 	Step     int32
 	Stage    int32
+
+	win    *[WindowLen]float64
+	winSeq uint64
 }
 
 // Pair is one ordered pair priced once (simnet.PairPricer.Pair): latency,
@@ -111,29 +172,61 @@ func (st *State) interval(kind trace.Kind, t0, t1 float64) {
 		Step: st.Step, Stage: st.Stage, T0: t0, T1: t1})
 }
 
-// noise draws the rank's next jitter factor. An active fault-plan slowdown
-// multiplies into the draw — the injection point of straggler scenarios.
+// noise draws the rank's next jitter factor: from the rank's window when it
+// holds the draw, else through the run's stream, keeping the window it hands
+// out. An active fault-plan slowdown multiplies into the draw — the injection
+// point of straggler scenarios. The kernel's methods try stored first, which
+// the compiler inlines, and call noise when it fails.
 func (st *State) noise(env *Env, rank int) float64 {
-	f := env.Noise.Noise(rank, st.NoiseSeq)
+	seq, n := st.NoiseSeq, &env.Noise
+	f := 1.0
+	if i := seq - st.winSeq; i < WindowLen && st.win != nil {
+		f = 1 + n.rel*st.win[i]
+	} else if n.stream != nil {
+		z, w := n.stream.Draw(rank, seq)
+		if w != nil {
+			st.win, st.winSeq = w, seq&^(WindowLen-1)
+		}
+		f = 1 + n.rel*z
+	} else if n.src != nil {
+		f = n.src.Noise(rank, seq)
+	}
 	if env.Faults != nil {
-		f *= env.Faults.Slow(rank, st.NoiseSeq, st.Now)
+		f *= env.Faults.Slow(rank, seq, st.Now)
 	}
 	st.NoiseSeq++
 	return f
 }
 
+// stored is noise on a fault-free run whose window holds the rank's next
+// draw: that draw and true; else false, with nothing drawn.
+func (st *State) stored(env *Env) (float64, bool) {
+	if i := st.NoiseSeq - st.winSeq; i < WindowLen && st.win != nil && env.Faults == nil {
+		st.NoiseSeq++
+		return 1 + env.Noise.rel*st.win[i], true
+	}
+	return 0, false
+}
+
 // setNow moves the clock forward to t. An advance across the rank's fail
 // time pays the crash penalty (restart + recompute from the last checkpoint)
-// immediately, recorded as a KindFault interval on traced runs.
+// immediately, recorded as a KindFault interval on traced runs (cross).
 func (st *State) setNow(env *Env, rank int, t float64) {
 	if env.Faults != nil {
-		if adj, pen := env.Faults.Cross(rank, st.Now, t); pen > 0 {
-			if st.Lane != nil {
-				st.interval(trace.KindFault, t, adj)
-			}
-			st.Now = adj
-			return
+		st.cross(env, rank, t)
+		return
+	}
+	st.Now = t
+}
+
+// cross is setNow under a fault plan.
+func (st *State) cross(env *Env, rank int, t float64) {
+	if adj, pen := env.Faults.Cross(rank, st.Now, t); pen > 0 {
+		if st.Lane != nil {
+			st.interval(trace.KindFault, t, adj)
 		}
+		st.Now = adj
+		return
 	}
 	st.Now = t
 }
@@ -145,7 +238,11 @@ func (st *State) Compute(env *Env, rank int, seconds float64) {
 	if seconds < 0 {
 		seconds = 0
 	}
-	st.ComputeExact(env, rank, seconds*st.noise(env, rank))
+	f, ok := st.stored(env)
+	if !ok {
+		f = st.noise(env, rank)
+	}
+	st.ComputeExact(env, rank, seconds*f)
 }
 
 // ComputeExact advances the clock by the given seconds without noise.
@@ -183,7 +280,11 @@ func (st *State) Send(env *Env, rank, dst, tag, size int, pc *Pair, in *Edge) (c
 	if env.Faults != nil && env.Faults.HasLinks() {
 		latMul, betaMul = env.Faults.Link(rank, dst, t0)
 	}
-	st.setNow(env, rank, st.Now+pc.Ovh*st.noise(env, rank))
+	f, ok := st.stored(env)
+	if !ok {
+		f = st.noise(env, rank)
+	}
+	st.setNow(env, rank, st.Now+pc.Ovh*f)
 
 	transfer := float64(size) * pc.Beta * betaMul
 	txStart := st.Now
@@ -193,7 +294,10 @@ func (st *State) Send(env *Env, rank, dst, tag, size int, pc *Pair, in *Edge) (c
 		}
 		st.TxFree = txStart + pc.Gap + transfer
 	}
-	arrival := txStart + (pc.Lat*latMul+transfer)*st.noise(env, rank)
+	if f, ok = st.stored(env); !ok {
+		f = st.noise(env, rank)
+	}
+	arrival := txStart + (pc.Lat*latMul+transfer)*f
 
 	*in = Edge{Arrival: arrival, Gap: pc.Gap, Size: recSize(size), SendEv: -1, SameNIC: pc.SameNIC}
 	if st.Lane != nil {

@@ -3,6 +3,7 @@ package loggp
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"hbsp/internal/fault"
 	"hbsp/internal/trace"
@@ -107,7 +108,7 @@ func TestSendAgainstTheModel(t *testing.T) {
 			wantNow: 102, wantTx: 108, wantArrival: 134, wantC: 144},
 	}
 	for _, c := range cases {
-		env := &Env{Noise: flat{}, Faults: c.faults, Ack: c.ack}
+		env := &Env{Faults: c.faults, Ack: c.ack}
 		st := State{Now: c.now, TxFree: c.txFree, RxFree: 7}
 		var in Edge
 		got := st.Send(env, c.src, c.dst, 9, c.size, pairOf(c.src, c.dst), &in)
@@ -133,7 +134,7 @@ func TestSendNoiseOrder(t *testing.T) {
 	// o = 1·1.25·2 = 2.5: now 102.5. transfer 2, txFree = 102.5 + 2 + 2.
 	// arrival = 102.5 + 12·1.375·2 = 135.5.
 	noise := &seqNoise{}
-	env := &Env{Noise: noise, Faults: compile(t, &fault.Plan{Slowdowns: []fault.Slowdown{{Rank: 0, Factor: 2}}})}
+	env := &Env{Noise: Resolve(noise), Faults: compile(t, &fault.Plan{Slowdowns: []fault.Slowdown{{Rank: 0, Factor: 2}}})}
 	st := State{Now: 100, NoiseSeq: 2}
 	var in Edge
 	got := st.Send(env, 0, 2, 9, 4, pairOf(0, 2), &in)
@@ -193,7 +194,7 @@ func laneEvents(t *testing.T, fn func(lane *trace.Lane)) []trace.Event {
 // costs 5 + (110 mod 40) = 35, paid the moment the advance crosses, recorded
 // as a fault interval after the wait, and never paid twice.
 func TestWaitCrossesFailStop(t *testing.T) {
-	env := &Env{Noise: flat{}, Faults: compile(t, &fault.Plan{FailStops: []fault.FailStop{
+	env := &Env{Faults: compile(t, &fault.Plan{FailStops: []fault.FailStop{
 		{Rank: 1, FailAt: 110, Restart: 5, Checkpoint: 40}}})}
 	in := Edge{Arrival: 113, Gap: 2, Size: 64, SendEv: 4, SendEnd: 101}
 	var st State
@@ -234,7 +235,7 @@ func TestWaitCrossesFailStop(t *testing.T) {
 // rank's noise stream, and ComputeExact and AdvanceTo none.
 func TestComputeDrawsOnce(t *testing.T) {
 	noise := &seqNoise{}
-	env := &Env{Noise: noise}
+	env := &Env{Noise: Resolve(noise)}
 	st := State{Now: 10, NoiseSeq: 4}
 	st.Compute(env, 0, 0)
 	if st.Now != 10 || st.NoiseSeq != 5 || noise.draws != 1 {
@@ -259,7 +260,7 @@ func TestComputeDrawsOnce(t *testing.T) {
 // wrapped.
 func TestRecordedSizeSaturates(t *testing.T) {
 	const big = 3 << 30
-	env := &Env{Noise: flat{}}
+	env := &Env{}
 	var in Edge
 	events := laneEvents(t, func(lane *trace.Lane) {
 		st := State{Lane: lane}
@@ -288,7 +289,7 @@ func TestRecordedSizeSaturates(t *testing.T) {
 // events after it, a negative stage ends attribution without an event, and
 // untraced states ignore marks altogether.
 func TestMarksLabelEvents(t *testing.T) {
-	env := &Env{Noise: flat{}}
+	env := &Env{}
 	events := laneEvents(t, func(lane *trace.Lane) {
 		st := State{Now: 1}
 		st.Attach(lane)         // superstep 0, outside any stage
@@ -323,25 +324,126 @@ func TestMarksLabelEvents(t *testing.T) {
 
 // TestUntracedMessageAllocatesNothing pins the hot path: an untraced send,
 // its receive completion and both waits allocate nothing, with and without a
-// fault plan.
+// fault plan, on a noise-free run, a source called for every draw and a
+// resolved stream read through windows; and the sender's state is the same
+// value (==) on a run whose noise is a flat source as on a noise-free one.
 func TestUntracedMessageAllocatesNothing(t *testing.T) {
 	plan := compile(t, &fault.Plan{
 		Slowdowns: []fault.Slowdown{{Rank: 0, Factor: 2}},
 		Links:     []fault.LinkRule{{Src: -1, Dst: -1, Class: -1, LatencyFactor: 2, BetaFactor: 2}},
 		FailStops: []fault.FailStop{{Rank: 2, FailAt: 50, Restart: 1}},
 	})
-	for _, env := range []*Env{{Noise: flat{}, Ack: true}, {Noise: flat{}, Faults: plan, Ack: true}} {
-		var src, dst State
-		var in Edge
-		pc := pairOf(0, 2)
-		allocs := testing.AllocsPerRun(100, func() {
-			done := src.Send(env, 0, 2, 9, 4096, pc, &in)
-			c, gated := dst.RecvComplete(dst.Now, &in)
-			dst.WaitRecv(env, 2, c, 0, 9, &in, gated)
-			src.WaitSend(env, 0, done, 2, 9, 4096)
-		})
-		if allocs != 0 {
-			t.Errorf("faults=%v: %v allocs per message, want 0", env.Faults != nil, allocs)
+	for _, faults := range []*fault.Runtime{nil, plan} {
+		var states [3]State
+		for n, noise := range []NoiseSource{nil, flat{}, resolved{rel: 0.5, s: &windowStream{}}} {
+			env := &Env{Noise: Resolve(noise), Faults: faults, Ack: true}
+			var src, dst State
+			var in Edge
+			pc := pairOf(0, 2)
+			allocs := testing.AllocsPerRun(100, func() {
+				done := src.Send(env, 0, 2, 9, 4096, pc, &in)
+				c, gated := dst.RecvComplete(dst.Now, &in)
+				dst.WaitRecv(env, 2, c, 0, 9, &in, gated)
+				src.WaitSend(env, 0, done, 2, 9, 4096)
+			})
+			if allocs != 0 {
+				t.Errorf("faults=%v noise %d: %v allocs per message, want 0", faults != nil, n, allocs)
+			}
+			states[n] = src
 		}
+		if states[0] != states[1] {
+			t.Errorf("faults=%v: a flat source gives %+v, no noise %+v", faults != nil, states[1], states[0])
+		}
+	}
+}
+
+// TestStateIsSmall pins the size of a rank's state: one cache line.
+func TestStateIsSmall(t *testing.T) {
+	if n := unsafe.Sizeof(State{}); n > 64 {
+		t.Errorf("a State is %d bytes, want at most 64", n)
+	}
+}
+
+// windowStream is a memo-like stream: z(rank, seq) = rank + seq/1024, its
+// seqs below 1024 stored and handed out in aligned windows. It counts its
+// calls.
+type windowStream struct {
+	rows  [3][1024]float64
+	calls int
+}
+
+func (s *windowStream) Draw(rank int, seq uint64) (float64, *[WindowLen]float64) {
+	s.calls++
+	z := float64(rank) + float64(seq)/1024
+	if seq >= 1024 {
+		return z, nil
+	}
+	row := &s.rows[rank]
+	for k := range row {
+		row[k] = float64(rank) + float64(k)/1024
+	}
+	lo := seq &^ (WindowLen - 1)
+	return z, (*[WindowLen]float64)(row[lo : lo+WindowLen])
+}
+
+// resolved is a source that resolves to its scale and stream and must not be
+// called itself.
+type resolved struct {
+	rel float64
+	s   Stream
+}
+
+func (resolved) Noise(int, uint64) float64 { panic("a resolved source was called") }
+
+func (r resolved) NoiseStream() (float64, Stream) { return r.rel, r.s }
+
+// TestNoiseReadsWindows pins the resolved path: every draw is 1 + rel·z of
+// the stream's z; the stream is called once a window and for each draw it
+// stores none of; a state copied in the middle of a window reads on without a
+// call, and one moved to another seq fetches the window there; a noise-free
+// resolver is never called.
+func TestNoiseReadsWindows(t *testing.T) {
+	s := &windowStream{}
+	env := &Env{Noise: Resolve(resolved{rel: 0.5, s: s})}
+	want := func(rank int, seq uint64) float64 { return 1 + 0.5*(float64(rank)+float64(seq)/1024) }
+	var st State
+	for seq := uint64(0); seq < 1100; seq++ {
+		if got := st.noise(env, 1); got != want(1, seq) {
+			t.Fatalf("draw %d = %v, want %v", seq, got, want(1, seq))
+		}
+	}
+	if wantCalls := 1024/WindowLen + 1100 - 1024; s.calls != wantCalls {
+		t.Errorf("%d calls for 1100 draws, want one a window and one a draw past the store: %d", s.calls, wantCalls)
+	}
+
+	s.calls = 0
+	st = State{}
+	for range 10 {
+		st.noise(env, 2)
+	}
+	copied := st
+	for seq := uint64(10); seq < WindowLen; seq++ {
+		if got := copied.noise(env, 2); got != want(2, seq) {
+			t.Fatalf("copied state: draw %d = %v, want %v", seq, got, want(2, seq))
+		}
+	}
+	if s.calls != 1 {
+		t.Errorf("a state copied in its window made %d more calls", s.calls-1)
+	}
+	st.NoiseSeq = 3*WindowLen + 5
+	if got := st.noise(env, 2); got != want(2, 3*WindowLen+5) || s.calls != 2 {
+		t.Errorf("moved state: %v after %d calls, want %v after 2", got, s.calls, want(2, 3*WindowLen+5))
+	}
+
+	off := &windowStream{}
+	env.Noise = Resolve(resolved{rel: 0, s: off})
+	st = State{}
+	for range 100 {
+		if got := st.noise(env, 0); got != 1 {
+			t.Fatalf("noise-free draw %v", got)
+		}
+	}
+	if off.calls != 0 {
+		t.Errorf("a noise-free stream was called %d times", off.calls)
 	}
 }

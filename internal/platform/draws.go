@@ -3,6 +3,8 @@ package platform
 import (
 	"sync"
 	"sync/atomic"
+
+	"hbsp/internal/loggp"
 )
 
 // MaxDraws is the most draws a memo, a Draws or a TurnDraws, stores (32 MiB).
@@ -18,7 +20,9 @@ const (
 	// third of what the memo saves (sweep workers write the same rows), so a
 	// hit counts only at a seq that is a multiple of it and Stats scales back;
 	// streams being contiguous, that is off by less than the stride a stream.
-	drawHitSample = 64
+	// It is a window's length, so a stream counts a hit where it fetches a
+	// window.
+	drawHitSample = loggp.WindowLen
 )
 
 // Draws memoizes the noise draws of one run seed: z(seed, rank, seq), the
@@ -30,7 +34,10 @@ const (
 // filled, so a hit takes no lock; a miss fills a block under the row's
 // TryLock, and a reader that loses that race computes its one draw instead of
 // waiting. A block is filled ahead of the reader that misses it, so a memo
-// pays off for streams many runs read far past their first block.
+// pays off for streams many runs read far past their first block. A run's
+// kernel reads it through windows (Draw): aligned 64-draw views of a
+// published block, which a rank reads with no call until its stream leaves
+// them.
 type Draws struct {
 	seed   int64
 	rows   []drawRow
@@ -64,22 +71,32 @@ func (d *Draws) Stats() DrawStats {
 	return s
 }
 
-// z returns drawZ(d.seed, rank, seq), from the rank's row when it can.
-func (d *Draws) z(rank int, seq uint64) float64 {
+// Draw returns drawZ(d.seed, rank, seq), from the rank's row when it can,
+// and then the aligned window of the stored block that holds it
+// (loggp.Stream): the reader takes the window's other draws from it without a
+// call. A lookup at a multiple of drawHitSample that a stored block answers
+// counts a hit; windows being drawHitSample long and read in order, a stream
+// fetches its window at every such seq, so the count is the same as when every
+// lookup was a call.
+func (d *Draws) Draw(rank int, seq uint64) (z float64, w *[loggp.WindowLen]float64) {
 	if uint(rank) < uint(len(d.rows)) && seq < drawRowBlocks*drawBlock {
 		row := &d.rows[rank]
-		if b := row.blocks[seq/drawBlock].Load(); b != nil {
+		b := row.blocks[seq/drawBlock].Load()
+		if b != nil {
 			if seq%drawHitSample == 0 {
 				row.hits.Add(1)
 			}
-			return b[seq%drawBlock]
+		} else {
+			b = d.fillBlock(row, rank, seq/drawBlock)
 		}
-		if b := d.fillBlock(row, rank, seq/drawBlock); b != nil {
-			return b[seq%drawBlock]
+		if b != nil {
+			k := seq % drawBlock
+			lo := k &^ (loggp.WindowLen - 1)
+			return b[k], (*[loggp.WindowLen]float64)(b[lo : lo+loggp.WindowLen])
 		}
 	}
 	d.direct.Add(1)
-	return drawZ(d.seed, rank, seq)
+	return drawZ(d.seed, rank, seq), nil
 }
 
 // fillBlock computes and publishes block bi of the rank's row, or returns nil

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"hbsp/internal/kernels"
+	"hbsp/internal/loggp"
 	"hbsp/internal/topology"
 )
 
@@ -73,9 +74,10 @@ func (m *Machine) WithRunSeed(seed int64) *Machine {
 // that share its seed and drops it with their results; nothing here keeps
 // one. A Draws serves runs that overlap: a series sweeping P makes one for the
 // profile's seed and hands it to every machine of the sweep, which its
-// workers run at once. A nil d, a d of another seed than the machine's, or a
-// noise-free machine gives a copy that computes every draw. The copy drops a
-// TurnDraws m reads through.
+// workers run at once; their ranks read its stored draws through windows
+// (NoiseStream, Draws.Draw). A nil d, a d of another seed than the machine's,
+// or a noise-free machine gives a copy that computes every draw. The copy
+// drops a TurnDraws m reads through.
 func (m *Machine) WithDraws(d *Draws) *Machine {
 	c := *m
 	c.draws, c.turn = nil, nil
@@ -254,19 +256,40 @@ func (m *Machine) TermCompatible(o any) bool {
 // reproducible regardless of goroutine scheduling. The factor follows a
 // half-normal-like shape: most events see almost no jitter, a few see spikes
 // of a few NoiseRel. A machine handed a memo (WithDraws, WithTurnDraws) looks
-// the same value up.
+// the same value up. Runs do not call it: they resolve the stream once
+// (NoiseStream).
 func (m *Machine) Noise(i int, seq uint64) float64 {
-	rel := m.profile.NoiseRel
-	if rel <= 0 {
+	rel, s := m.NoiseStream()
+	if s == nil {
 		return 1
 	}
-	if m.turn != nil {
-		return 1 + rel*m.turn.z(i, seq)
+	z, _ := s.Draw(i, seq)
+	return 1 + rel*z
+}
+
+// NoiseStream resolves the machine's noise for a run's kernel
+// (loggp.Resolve): the scale NoiseRel of its draws and the stream that
+// looks them up in the memo the machine was handed (WithDraws,
+// WithTurnDraws) or computes them; 0 and nil on a noise-free machine.
+// Noise(i, seq) is 1 + rel·z for the stream's z of (i, seq), bit for bit.
+func (m *Machine) NoiseStream() (rel float64, s loggp.Stream) {
+	switch rel = m.profile.NoiseRel; {
+	case rel <= 0:
+		return 0, nil
+	case m.turn != nil:
+		return rel, m.turn
+	case m.draws != nil:
+		return rel, m.draws
 	}
-	if m.draws != nil {
-		return 1 + rel*m.draws.z(i, seq)
-	}
-	return 1 + rel*drawZ(m.runSeed, i, seq)
+	return rel, (*seedStream)(&m.runSeed)
+}
+
+// seedStream is the stream of a machine that reads no memo: every draw
+// computed from the run seed it points at.
+type seedStream int64
+
+func (s *seedStream) Draw(rank int, seq uint64) (float64, *[loggp.WindowLen]float64) {
+	return drawZ(int64(*s), rank, seq), nil
 }
 
 // drawZ is the one text of a noise draw: the half-normal excess z >= 0 of a

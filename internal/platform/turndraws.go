@@ -3,6 +3,8 @@ package platform
 import (
 	"math/bits"
 	"sync/atomic"
+
+	"hbsp/internal/loggp"
 )
 
 // Rows of a TurnDraws: a head carved from the memo's one slab, then levels,
@@ -32,7 +34,8 @@ const (
 // Draws is the memo of runs that overlap. TurnDraws is a type of its own
 // because its rows are read without an atomic load and counted exactly: a
 // row shared by overlapping runs needs a published fill, which costs a P-sweep
-// series more per hit than its blocks do.
+// series more per hit than its blocks do. Being exact, it hands a run's
+// kernel no window of draws (Draw), so every lookup is a call.
 type TurnDraws struct {
 	seed int64
 	slab []float64 // the heads of the rows, row after row
@@ -74,6 +77,13 @@ func (d *TurnDraws) Stats() DrawStats {
 		s.Direct += r.direct
 	}
 	return s
+}
+
+// Draw returns drawZ(d.seed, rank, seq) (loggp.Stream), never a window: a
+// reader of a window would read its draws uncounted, and these counts are
+// exact.
+func (d *TurnDraws) Draw(rank int, seq uint64) (z float64, w *[loggp.WindowLen]float64) {
+	return d.z(rank, seq), nil
 }
 
 // z returns drawZ(d.seed, rank, seq): from the rank's row when it holds it,

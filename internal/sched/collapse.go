@@ -181,7 +181,8 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 				for k, dst := range outs {
 					size := v.OutSize(r, k)
 					ci = append(ci, loggp.Edge{})
-					done = append(done, e.send(&e.traffic, rs, r, dst, tag, size, e.Price(r, dst), &ci[k]))
+					pc := e.Price(r, dst)
+					done = append(done, e.send(&e.traffic, rs, r, dst, tag, size, &pc, &ci[k]))
 					repBytes += int64(size)
 				}
 				classIn[c] = ci

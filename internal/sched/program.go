@@ -314,7 +314,8 @@ func (c *Code) walk(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
 			case iComputeExact:
 				rs.ComputeExact(env, int(r), in.sec)
 			case iSend, iPost:
-				completeAt := e.send(&e.traffic, rs, int(r), int(in.peer), int(in.tag), in.size, e.Price(int(r), int(in.peer)), &slots[in.slot])
+				pc := e.Price(int(r), int(in.peer))
+				completeAt := e.send(&e.traffic, rs, int(r), int(in.peer), int(in.tag), in.size, &pc, &slots[in.slot])
 				if in.kind == iSend {
 					reqTime[r][in.req] = completeAt
 				}

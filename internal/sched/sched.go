@@ -43,9 +43,10 @@
 // (program walker) or the caller's own FIFO (point-to-point stepper). Every
 // message is priced by one call for its ordered pair (simnet.PairPricer,
 // resolved once per evaluator; a stepper caller may Price a pair once and
-// PostPriced many messages) and the kernel writes the in-edge record its
+// PostPriced many messages at it) and the kernel writes the in-edge record its
 // receiver needs in place, so the receive side never goes back to the
-// machine. The cross-engine tests pin that the two orderings and matchings
+// machine. The machine's noise is resolved once per evaluator too
+// (loggp.Resolve), so a draw a memo stores is read from the rank's window. The cross-engine tests pin that the two orderings and matchings
 // agree.
 package sched
 
@@ -162,8 +163,8 @@ type Evaluator struct {
 	m      simnet.Machine
 	pricer simnet.PairPricer // m's pricing call, resolved once per machine
 
-	// env is the kernel's view of the run: m's noise stream, the ack mode and
-	// the compiled fault plan (nil when fault-free), wired from Options.Faults
+	// env is the kernel's view of the run: m's noise stream, resolved by
+	// setMachine, the ack mode and the compiled fault plan (nil when fault-free), wired from Options.Faults
 	// (whole-run evaluation) or Proc.Faults (gate rendezvous).
 	env loggp.Env
 
@@ -273,18 +274,19 @@ func (e *Evaluator) perRank() {
 	}
 }
 
-// setMachine points the evaluator at a machine and resolves its pricing call.
+// setMachine points the evaluator at a machine and resolves its pricing call
+// and its noise stream.
 func (e *Evaluator) setMachine(m simnet.Machine) {
-	e.m, e.pricer, e.env.Noise = m, simnet.PricerOf(m), m
+	e.m, e.pricer, e.env.Noise = m, simnet.PricerOf(m), loggp.Resolve(m)
 }
 
 // send is the evaluator's half of a send: count the message in t and have
 // the kernel bill it at the pair's price pc (Price) on the sender's state and
 // write the receiver's in-edge record into in.
-func (e *Evaluator) send(t *traffic, st *loggp.State, rank, dst, tag, size int, pc loggp.Pair, in *loggp.Edge) (completeAt float64) {
+func (e *Evaluator) send(t *traffic, st *loggp.State, rank, dst, tag, size int, pc *loggp.Pair, in *loggp.Edge) (completeAt float64) {
 	t.messages++
 	t.bytes += int64(size)
-	return st.Send(&e.env, rank, dst, tag, size, &pc, in)
+	return st.Send(&e.env, rank, dst, tag, size, pc, in)
 }
 
 // Price prices the ordered pair (src, dst) through the machine's resolved
@@ -382,11 +384,14 @@ type InEdge = loggp.Edge
 // completion time dropped — and the message as its receiver needs it is
 // written into in. It is Price, then PostPriced.
 func (e *Evaluator) Post(src, dst, tag, size int, in *InEdge) {
-	e.PostPriced(src, dst, tag, size, e.Price(src, dst), in)
+	pc := e.Price(src, dst)
+	e.PostPriced(src, dst, tag, size, &pc, in)
 }
 
-// PostPriced is Post with the pair's price given: pc must be Price(src, dst).
-func (e *Evaluator) PostPriced(src, dst, tag, size int, pc loggp.Pair, in *InEdge) {
+// PostPriced is Post with the pair's price given: *pc must be Price(src,
+// dst). The price is read, not kept, so a caller posting many messages at one
+// price hands the same one.
+func (e *Evaluator) PostPriced(src, dst, tag, size int, pc *loggp.Pair, in *InEdge) {
 	e.send(&e.traffic, &e.states[src], src, dst, tag, size, pc, in)
 }
 
@@ -606,7 +611,8 @@ func (w *stageWalk) sends(v *StageView, b walkBlock, t *traffic) {
 		}
 		e.entry[r] = rs.Now
 		for k, dst := range outs {
-			e.sendDone[out] = e.send(t, rs, r, dst, tag, v.OutSize(r, k), e.Price(r, dst), &e.inbox[out])
+			pc := e.Price(r, dst)
+			e.sendDone[out] = e.send(t, rs, r, dst, tag, v.OutSize(r, k), &pc, &e.inbox[out])
 			out++
 		}
 	}

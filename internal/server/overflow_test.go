@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"strings"
 	"testing"
+	"time"
 )
 
 // overflowProbes are well-formed requests whose operands overflow a number
@@ -54,6 +55,9 @@ var overflowProbes = []struct{ name, body, message string }{
 	{"stencil traffic past int64",
 		`{"profile":{"preset":"flat-cluster"},"workload":{"kind":"stencil","grid":262141,"iterations":1048576},"procs":1048576}`,
 		"stencil at P=1048576 over 1048576 iterations: grid must be <= 262140, got 262141"},
+	{"sync traffic past int64",
+		`{"profile":{"preset":"flat-cluster"},"workload":{"kind":"sync"},"procs":1048576}`,
+		"sync at P=1048576 over 3 supersteps: the traffic would overflow int64"},
 	{"program traffic past int64",
 		`{"profile":{"preset":"flat-cluster"},"workload":{"kind":"program","ranks":[[{"op":"isend","to":1,"bytes":9223372036854775807},{"op":"wait"}],[{"op":"post","to":0,"bytes":1}]]},"procs":2}`,
 		"rank 1 op 0: the program's traffic would overflow int64"},
@@ -170,5 +174,52 @@ func TestLargestOperandsAreAccepted(t *testing.T) {
 				t.Errorf("%s=%d (one past the largest): status %d: %s", r.field, r.limit+1, code, data)
 			}
 		})
+	}
+}
+
+// TestSyncTraffic holds the sync workload's traffic bound to its definition
+// in exact arithmetic — per superstep, and once before the first, the
+// dissemination count exchange, header plus dist·P count entries from every
+// rank at every stage; per superstep a one-value put from every rank — and to
+// the bytesMoved a run replies under either synchronizer; and it refuses the
+// P = 2^20 sync, which used to walk for seconds and reply a wrapped count,
+// before any rank is sized.
+func TestSyncTraffic(t *testing.T) {
+	exact := func(procs, supersteps int) *big.Int {
+		exchange := new(big.Int)
+		for dist := 1; dist < procs; dist *= 2 {
+			size := big.NewInt(int64(24 + dist*procs*4))
+			exchange.Add(exchange, size.Mul(size, big.NewInt(int64(procs))))
+		}
+		total := exchange.Mul(exchange, big.NewInt(int64(supersteps)+1))
+		return total.Add(total, big.NewInt(int64(supersteps)*int64(procs)*32))
+	}
+	maxInt64 := big.NewInt(math.MaxInt64)
+	for _, c := range []struct{ procs, supersteps int }{{2, 1}, {64, 3}, {1000, 7}, {1 << 19, 3}, {1 << 19, 15}, {1 << 19, 16}, {1 << 20, 1}, {2, math.MaxInt64 / 1000}} {
+		got, ok := syncTraffic(c.procs, c.supersteps)
+		want := exact(c.procs, c.supersteps)
+		if fits := want.Cmp(maxInt64) <= 0; ok != fits || ok && got != want.Int64() {
+			t.Errorf("P=%d over %d supersteps: %d, %t; want %v (fits: %t)", c.procs, c.supersteps, got, ok, want, fits)
+		}
+	}
+
+	_, ts := newTestServer(t, Config{})
+	for _, procs := range []int{2, 64, 1000} {
+		for _, variant := range []string{"dissemination", "schedule"} {
+			resp, data := predict(t, ts, fmt.Sprintf(`{"profile":{"preset":"xeon-cluster"},"workload":{"kind":"sync","variant":%q},"procs":%d}`, variant, procs))
+			var p PredictPoint
+			if resp.StatusCode != 200 || json.Unmarshal(data, &p) != nil {
+				t.Fatalf("P=%d %s: status %d: %s", procs, variant, resp.StatusCode, data)
+			}
+			if want, _ := syncTraffic(procs, defaultSupersteps); p.BytesMoved != want {
+				t.Errorf("P=%d %s: bytesMoved %d, the bound counts %d", procs, variant, p.BytesMoved, want)
+			}
+		}
+	}
+
+	start := time.Now()
+	resp, data := predict(t, ts, `{"profile":{"preset":"flat-cluster"},"workload":{"kind":"sync"},"procs":1048576}`)
+	if took := time.Since(start); resp.StatusCode != 400 || took > 100*time.Millisecond {
+		t.Errorf("sync at P=2^20: status %d after %v, want 400 within 100 ms: %s", resp.StatusCode, took, data)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"hbsp/collective"
@@ -35,7 +36,8 @@ const (
 	// fieldRoot: root in [0, procs).
 	fieldRoot
 	// fieldSupersteps: supersteps (default 3, >= 1) and computeSeconds
-	// (default 5e-6, >= 0), on at least 2 ranks.
+	// (default 5e-6, >= 0), on at least 2 ranks, with a traffic that fits in
+	// int64 (syncTraffic).
 	fieldSupersteps
 	// fieldGrid: grid (default 128, in [3, stencilGridLimit]) and iterations
 	// (default 2, >= 1), decomposable over procs; the reply carries
@@ -142,6 +144,44 @@ func syncStatic(w *WorkloadSpec, _ int) (*bsp.Static, error) {
 	}, nil
 }
 
+// syncTraffic is the bytes a sync run moves (syncStatic under either
+// synchronizer, whose stages are sized alike), and false when that overflows
+// int64: one count exchange per superstep and one before the first, each
+// stage of it a message of its size from every rank; and one put of one value
+// per rank and superstep. The exchange's sizes are read off its O(log P)
+// stages, so nothing is sized from P.
+func syncTraffic(procs, supersteps int) (int64, bool) {
+	ex, err := bsp.ExchangeSchedule(procs)
+	if err != nil {
+		return 0, false
+	}
+	c, ok := ex.(sched.CirculantSchedule)
+	if !ok {
+		return 0, false
+	}
+	exchange := int64(0)
+	for k := range c.NumStages() {
+		if off, size := c.CirculantStage(k); off != 0 {
+			if exchange, ok = mulAdd(exchange, size, procs); !ok {
+				return 0, false
+			}
+		}
+	}
+	total, ok := mulAdd(0, int(exchange), supersteps+1)
+	if !ok {
+		return 0, false
+	}
+	return mulAdd(total, supersteps, procs*bsp.PutBytes(1))
+}
+
+// mulAdd returns acc + a·b for non-negative operands, and false when that
+// exceeds MaxInt64.
+func mulAdd(acc int64, a, b int) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	sum, carry := bits.Add64(lo, uint64(acc), 0)
+	return int64(sum), hi == 0 && carry == 0 && sum <= math.MaxInt64
+}
+
 // kindOf returns the table row of a workload kind, nil for an unknown one.
 func kindOf(name string) *kind {
 	for i := range kinds {
@@ -220,6 +260,9 @@ func normalizeWorkload(w *WorkloadSpec, procs int) error {
 		}
 		if procs < 2 {
 			return badRequestf("the sync workload needs at least 2 ranks")
+		}
+		if _, ok := syncTraffic(procs, w.Supersteps); !ok {
+			return badRequestf("sync at P=%d over %d supersteps: the traffic would overflow int64", procs, w.Supersteps)
 		}
 	}
 	if k.fields&fieldGrid != 0 {

@@ -794,7 +794,7 @@ func RunContext(ctx context.Context, m Machine, body func(p *Proc) error, o Opti
 	if err != nil {
 		return nil, err
 	}
-	w := &world{machine: m, pricer: PricerOf(m), env: loggp.Env{Noise: m, Faults: ft, Ack: o.AckSends},
+	w := &world{machine: m, pricer: PricerOf(m), env: loggp.Env{Noise: loggp.Resolve(m), Faults: ft, Ack: o.AckSends},
 		opts: o, mailboxes: make([]*mailbox, m.Procs()), boards: map[uint64]*Board{}}
 	for i := range w.mailboxes {
 		w.mailboxes[i] = newMailbox(&w.cancelled)
