@@ -299,7 +299,10 @@ func (st *State) Send(env *Env, rank, dst, tag, size int, pc *Pair, in *Edge) (c
 	}
 	arrival := txStart + (pc.Lat*latMul+transfer)*f
 
-	*in = Edge{Arrival: arrival, Gap: pc.Gap, Size: recSize(size), SendEv: -1, SameNIC: pc.SameNIC}
+	// Field by field: a literal is built on the stack and copied with loads
+	// wider than its stores, which stall store forwarding on every message.
+	in.Arrival, in.Gap, in.SendEnd = arrival, pc.Gap, 0
+	in.Size, in.SendEv, in.SameNIC = recSize(size), -1, pc.SameNIC
 	if st.Lane != nil {
 		in.SendEv = int32(st.Lane.Len())
 		in.SendEnd = st.Now
