@@ -112,7 +112,7 @@
 // everyone. The pairwise benchmark (bench.MeasurePairwise, behind
 // bench.ModelParams) is evaluated there too: a strict ping-pong gives
 // goroutines nothing to overlap, so the last arriver steps every pair's
-// messages through the evaluator one at a time. Arbitrary closures around
+// messages one at a time on the two ranks' kernel states. Arbitrary closures around
 // the collectives still run concurrently, so the fast path is invisible
 // except in wall-clock time. On either engine a collective's messages are
 // signals; its data is one board per call, which each rank writes its

@@ -12,21 +12,22 @@
 // Which engine runs the pairwise benchmark is the run's own choice
 // (simnet.Options.Engine), like every collective's. On the default engine the
 // ranks record their diagonal overhead and rendezvous at the run's gate, and
-// the last arriver evaluates all P(P−1) pair episodes on the discrete-event
-// evaluator's point-to-point stepper (sched.Evaluator.PostPriced / Recv): a
-// strict ping-pong gives goroutines nothing to overlap, so on the concurrent
-// engine every one of its messages is a goroutine handoff through a mailbox —
-// some 370 of 470 ns of transport the virtual-time result never sees. Under
-// simnet.EngineConcurrent each rank walks its own messages instead; that walk
-// stays because it is the reference the gate evaluation is diffed against
-// (matrices, clocks, counters and trace lanes bit for bit, pairwise_engine_test.go).
-// Both are the same text, measurePair, written against a port that either acts
-// for one rank or for all of them. The leader's port prices each direction of
-// an episode once and hands the stepper that price by pointer for every
-// message (PostPriced), so the 48-byte loggp.Pair is never copied per
-// message; the ranks' noise draws come from windows of the series' memo held
-// in their kernel states (loggp.Resolve). Medians sort the holder's own sample
-// scratch, so an episode allocates nothing.
+// the last arriver evaluates all P(P−1) pair episodes itself: a strict
+// ping-pong gives goroutines nothing to overlap, so on the concurrent engine
+// every one of its messages is a goroutine handoff through a mailbox — some
+// 370 of 470 ns of transport the virtual-time result never sees. An episode
+// takes the two ranks' LogGP kernel states from the evaluator
+// (sched.Evaluator.Kernel), prices each direction once, and calls the
+// kernel's Send, RecvComplete and WaitRecv on them in each rank's program
+// order; the ranks' noise draws come from windows of the series' memo held in
+// those states (loggp.Resolve), and the run's traffic is credited once, in
+// closed form. Under simnet.EngineConcurrent each rank walks its own messages
+// on its *simnet.Proc instead; that walk stays because it is the reference the
+// episode is diffed against (matrices, clocks, counters and trace lanes bit
+// for bit, pairwise_engine_test.go). The two texts share the pair order, the
+// medians and the fit, and hold no LogGP arithmetic. Medians sort the holder's
+// own sample scratch, and the burst's in-edges live in one scratch slice, so
+// an episode allocates nothing.
 package bench
 
 import (
@@ -159,7 +160,8 @@ func pairwiseOnRank(proc *simnet.Proc, opts PairwiseOptions, res *PairwiseResult
 	}
 	// Every rank executes the same deterministic schedule of pair experiments
 	// and participates in the ones that involve it.
-	return newPairRun(procPort{proc}, opts, res).walk(proc)
+	pr := newPairRun(opts, res)
+	return pr.walk(proc, me, func(i, j int) error { return pr.measurePair(proc, i, j) })
 }
 
 // cancelPollPairs is the number of pair episodes a holder walks between polls
@@ -171,9 +173,9 @@ const cancelPollPairs = 256
 // rank to arrive imports every rank's LogGP state, runs all P(P−1) pair
 // episodes sequentially in the (i, j) order the ranks walk them — so each
 // rank's operations, and with them its noise draws, keep their program order
-// — and exports the advanced clocks. Ranks that arrive with different options
-// have violated the collective contract and all get the leader's error (the
-// concurrent walk would deadlock instead).
+// — credits the run's traffic and exports the advanced clocks. Ranks that
+// arrive with different options have violated the collective contract and
+// all get the leader's error (the concurrent walk would deadlock instead).
 func pairwiseAtGate(g *simnet.Gate, proc *simnet.Proc, opts PairwiseOptions, res *PairwiseResult) error {
 	return g.Arrive(proc, opts, func(tickets []any) error {
 		for r, t := range tickets {
@@ -182,15 +184,28 @@ func pairwiseAtGate(g *simnet.Gate, proc *simnet.Proc, opts PairwiseOptions, res
 			}
 		}
 		var err error
-		sched.AtGate(g, proc, func(ev *sched.Evaluator) {
-			port := &evalPort{ev: ev}
-			for d := range port.inFlight {
-				port.inFlight[d].buf = make([]sched.InEdge, opts.Samples*opts.OverheadBatch)
-			}
-			err = newPairRun(port, opts, res).walk(proc)
-		})
+		sched.AtGate(g, proc, func(ev *sched.Evaluator) { err = gateWalk(ev, proc, opts, res) })
 		return err
 	})
+}
+
+// gateWalk is the gate leader's part: every pair episode on the evaluator's
+// kernel states, then the run's traffic, credited once. Every episode sends
+// the same messages — the warm-up round trip, the overhead burst, and a round
+// trip per sample and size — so the count is a closed form of the options.
+func gateWalk(ev *sched.Evaluator, proc *simnet.Proc, opts PairwiseOptions, res *PairwiseResult) error {
+	pr := newPairRun(opts, res)
+	pr.burst = make([]loggp.Edge, opts.Samples*opts.OverheadBatch)
+	if err := pr.walk(proc, -1, func(i, j int) error { return pr.episode(ev, i, j) }); err != nil {
+		return err
+	}
+	var sizes int64
+	for _, size := range opts.Sizes {
+		sizes += int64(size)
+	}
+	s, pairs := int64(opts.Samples), int64(proc.Size()*(proc.Size()-1))
+	proc.AddTraffic(pairs*(2+s*int64(opts.OverheadBatch)+2*s*int64(len(opts.Sizes))), pairs*2*s*sizes)
+	return nil
 }
 
 // equal reports whether two ranks' options describe the same benchmark.
@@ -198,111 +213,40 @@ func (o PairwiseOptions) equal(b PairwiseOptions) bool {
 	return o.Samples == b.Samples && o.OverheadBatch == b.OverheadBatch && slices.Equal(o.Sizes, b.Sizes)
 }
 
-// pairPort is what the pair procedure needs of an engine: whether the holder
-// performs rank r's operations at all, the start of a pair's episode, inject
-// a message, complete a blocking receive, read a clock.
-type pairPort interface {
-	acts(r int) bool
-	episode(i, j int)
-	post(src, dst, tag, size int)
-	recv(dst, src, tag int)
-	now(r int) float64
-}
-
-// procPort is a rank's own port in a concurrent run: it acts for that rank
-// only, through the goroutine engine's mailboxes, which price every message.
-type procPort struct{ p *simnet.Proc }
-
-func (pp procPort) acts(r int) bool            { return r == pp.p.Rank() }
-func (procPort) episode(int, int)              {}
-func (pp procPort) post(_, dst, tag, size int) { pp.p.Post(dst, tag, size, nil) }
-func (pp procPort) recv(_, src, tag int)       { pp.p.Recv(src, tag) }
-func (pp procPort) now(int) float64            { return pp.p.Now() }
-
-// evalPort is the gate leader's port: it acts for every rank on the run's
-// evaluator and keeps the messages in flight between a pair itself, one FIFO
-// per direction (low→high rank, high→low). A pair's tags never interleave
-// within a direction, so arrival order is matching order, as in the mailbox.
-// A direction is priced once per episode, a pure function of the pair, and
-// its messages are posted at that price in place.
-type evalPort struct {
-	ev       *sched.Evaluator
-	inFlight [2]edgeFIFO
-}
-
-// edgeFIFO holds one direction's in-flight messages. The procedure drains
-// every burst it posts before the next, so the queue is a slice that rewinds
-// when it empties; its depth never exceeds the overhead burst,
-// Samples·OverheadBatch (a deeper post would index past buf and panic).
-type edgeFIFO struct {
-	price      loggp.Pair // the direction's price in the current episode
-	buf        []sched.InEdge
-	head, tail int
-}
-
-func (pt *evalPort) fifo(src, dst int) *edgeFIFO {
-	if src < dst {
-		return &pt.inFlight[0]
-	}
-	return &pt.inFlight[1]
-}
-
-func (pt *evalPort) acts(int) bool { return true }
-
-func (pt *evalPort) episode(i, j int) {
-	pt.fifo(i, j).price = pt.ev.Price(i, j)
-	pt.fifo(j, i).price = pt.ev.Price(j, i)
-}
-
-func (pt *evalPort) post(src, dst, tag, size int) {
-	q := pt.fifo(src, dst)
-	pt.ev.PostPriced(src, dst, tag, size, &q.price, &q.buf[q.tail])
-	q.tail++
-}
-
-func (pt *evalPort) recv(dst, src, tag int) {
-	q := pt.fifo(src, dst)
-	pt.ev.Recv(dst, src, tag, &q.buf[q.head])
-	if q.head++; q.head == q.tail {
-		q.head, q.tail = 0, 0
-	}
-}
-
-func (pt *evalPort) now(r int) float64 { return pt.ev.Now(r) }
-
-// pairRun is one holder's walk over pair episodes: its port, the benchmark
-// being run, and sample scratch reused from pair to pair (sized once: Samples
-// values per median, one regression point per size).
+// pairRun is one holder's walk over pair episodes: the benchmark being run,
+// and scratch reused from pair to pair, sized once — Samples values per
+// median, one regression point per size and, for the gate leader, the
+// in-edges of an overhead burst.
 type pairRun struct {
-	port            pairPort
 	opts            PairwiseOptions
 	res             *PairwiseResult
 	samples, xs, ys []float64
+	burst           []loggp.Edge
 }
 
-func newPairRun(port pairPort, opts PairwiseOptions, res *PairwiseResult) *pairRun {
-	return &pairRun{port: port, opts: opts, res: res,
+func newPairRun(opts PairwiseOptions, res *PairwiseResult) *pairRun {
+	return &pairRun{opts: opts, res: res,
 		samples: make([]float64, 0, opts.Samples),
 		xs:      make([]float64, 0, len(opts.Sizes)),
 		ys:      make([]float64, 0, len(opts.Sizes))}
 }
 
-// walk runs the pair episodes the holder's port has a part in, in the (i, j)
-// order every holder uses. proc is the holder's own rank: the walk polls the
-// run's cancel flag through it, which is what unwinds a gate leader — nothing
-// a leader does blocks, so teardown cannot wake it as it wakes a rank waiting
-// in a receive.
-func (pr *pairRun) walk(proc *simnet.Proc) error {
+// walk runs pair on the ordered pairs (i, j) that rank me has a part in — all
+// of them when me is negative — in the (i, j) order every holder uses. proc is
+// the holder's own rank: the walk polls the run's cancel flag through it,
+// which is what unwinds a gate leader — nothing a leader does blocks, so
+// teardown cannot wake it as it wakes a rank waiting in a receive.
+func (pr *pairRun) walk(proc *simnet.Proc, me int, pair func(i, j int) error) error {
 	p, pairs := proc.Size(), 0
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
-			if i == j || !(pr.port.acts(i) || pr.port.acts(j)) {
+			if i == j || me >= 0 && i != me && j != me {
 				continue
 			}
 			if pairs++; pairs%cancelPollPairs == 0 {
 				proc.CheckCancelled()
 			}
-			if err := pr.measurePair(i, j); err != nil {
+			if err := pair(i, j); err != nil {
 				return err
 			}
 		}
@@ -310,16 +254,21 @@ func (pr *pairRun) walk(proc *simnet.Proc) error {
 	return nil
 }
 
-// measurePair runs the micro-benchmarks for the ordered pair (i, j); rank i
-// is the active sender, rank j echoes. It is the only text of the procedure:
-// a rank's port performs the operations of that rank and skips the peer's, the
-// leader's performs both, and either way each rank's operations happen in the
-// same order. Results are written at (i, j) only by the holder acting for
-// rank i, so there are no concurrent writers.
-func (pr *pairRun) measurePair(i, j int) error {
-	pt, opts := pr.port, pr.opts
-	active, echo := pt.acts(i), pt.acts(j)
-	pt.episode(i, j)
+// The pair procedure has two texts on one kernel. measurePair is a rank's
+// own part on its *simnet.Proc, whose mailboxes price every message; episode
+// is both ranks' parts at once on their kernel states. Rank i is the active
+// sender, rank j echoes, and each rank's operations happen in the same order
+// in both. Results are written at (i, j) only by the holder acting for rank
+// i, so there are no concurrent writers. One text behind a port both engines
+// implement left the gate leader an interface call, a FIFO and a traffic count
+// per message; the episode pays for none of them. TestMeasurePairwiseEnginesAgree
+// holds the two texts equal bit for bit.
+
+// measurePair runs rank proc's part of the micro-benchmarks for the ordered
+// pair (i, j).
+func (pr *pairRun) measurePair(proc *simnet.Proc, i, j int) error {
+	opts := pr.opts
+	active, echo := proc.Rank() == i, proc.Rank() == j
 
 	// Untimed warm-up round trip. Its only purpose is clock alignment: the
 	// active rank cannot observe the echo before the echoing rank produced
@@ -327,14 +276,12 @@ func (pr *pairRun) measurePair(i, j int) error {
 	// timed samples below are not distorted by the idle time accumulated
 	// while other pairs were being measured.
 	if active {
-		pt.post(i, j, tagPing, 0)
+		proc.Post(j, tagPing, 0, nil)
+		proc.Recv(j, tagPong)
 	}
 	if echo {
-		pt.recv(j, i, tagPing)
-		pt.post(j, i, tagPong, 0)
-	}
-	if active {
-		pt.recv(i, j, tagPong)
+		proc.Recv(i, tagPing)
+		proc.Post(i, tagPong, 0, nil)
 	}
 
 	// Per-request overhead: rank i starts a batch of fire-and-forget
@@ -343,57 +290,130 @@ func (pr *pairRun) measurePair(i, j int) error {
 	if active {
 		samples := pr.samples[:0]
 		for s := 0; s < opts.Samples; s++ {
-			start := pt.now(i)
+			start := proc.Now()
 			for k := 0; k < opts.OverheadBatch; k++ {
-				pt.post(i, j, tagPing, 0)
+				proc.Post(j, tagPing, 0, nil)
 			}
-			samples = append(samples, (pt.now(i)-start)/float64(opts.OverheadBatch))
+			samples = append(samples, (proc.Now()-start)/float64(opts.OverheadBatch))
 		}
-		med, err := stats.MedianInPlace(samples)
-		if err != nil {
+		if err := pr.overhead(i, j, samples); err != nil {
 			return err
 		}
-		pr.res.Overhead.Set(i, j, med)
 	}
 	if echo {
 		for n := opts.Samples * opts.OverheadBatch; n > 0; n-- {
-			pt.recv(j, i, tagPing)
+			proc.Recv(i, tagPing)
 		}
 	}
 
 	// Latency and inverse bandwidth: ping-pong round trips over growing
 	// message sizes; half the round trip regressed against the size.
-	xs, ys := pr.xs[:0], pr.ys[:0]
+	pr.xs, pr.ys = pr.xs[:0], pr.ys[:0]
 	for _, size := range opts.Sizes {
 		samples := pr.samples[:0]
 		for s := 0; s < opts.Samples; s++ {
-			var start float64
 			if active {
-				start = pt.now(i)
-				pt.post(i, j, tagPing, size)
-			}
-			if echo {
-				pt.recv(j, i, tagPing)
-				pt.post(j, i, tagPong, size)
-			}
-			if active {
-				pt.recv(i, j, tagPong)
-				samples = append(samples, (pt.now(i)-start)/2)
+				start := proc.Now()
+				proc.Post(j, tagPing, size, nil)
+				proc.Recv(j, tagPong)
+				samples = append(samples, (proc.Now()-start)/2)
+			} else {
+				proc.Recv(i, tagPing)
+				proc.Post(i, tagPong, size, nil)
 			}
 		}
 		if active {
-			med, err := stats.MedianInPlace(samples)
-			if err != nil {
+			if err := pr.point(size, samples); err != nil {
 				return err
 			}
-			xs = append(xs, float64(size))
-			ys = append(ys, med)
 		}
 	}
 	if !active {
 		return nil
 	}
-	fit, err := stats.LinearFit(xs, ys)
+	return pr.fit(i, j)
+}
+
+// episode runs both ranks' parts of measurePair for the ordered pair (i, j)
+// on their kernel states: each direction priced once, the messages in flight
+// held in place (a lone ping or pong is consumed before the next is sent;
+// the burst is drained after it is posted).
+func (pr *pairRun) episode(ev *sched.Evaluator, i, j int) error {
+	opts := pr.opts
+	si, env := ev.Kernel(i)
+	sj, _ := ev.Kernel(j)
+	pij, pji := ev.Price(i, j), ev.Price(j, i)
+	var ping, pong loggp.Edge
+
+	si.Send(env, i, j, tagPing, 0, &pij, &ping)
+	recvOn(env, sj, j, i, tagPing, &ping)
+	sj.Send(env, j, i, tagPong, 0, &pji, &pong)
+	recvOn(env, si, i, j, tagPong, &pong)
+
+	samples, burst := pr.samples[:0], pr.burst
+	for s := 0; s < opts.Samples; s++ {
+		start := si.Now
+		for k := 0; k < opts.OverheadBatch; k++ {
+			si.Send(env, i, j, tagPing, 0, &pij, &burst[s*opts.OverheadBatch+k])
+		}
+		samples = append(samples, (si.Now-start)/float64(opts.OverheadBatch))
+	}
+	if err := pr.overhead(i, j, samples); err != nil {
+		return err
+	}
+	for k := range burst {
+		recvOn(env, sj, j, i, tagPing, &burst[k])
+	}
+
+	pr.xs, pr.ys = pr.xs[:0], pr.ys[:0]
+	for _, size := range opts.Sizes {
+		samples := pr.samples[:0]
+		for s := 0; s < opts.Samples; s++ {
+			start := si.Now
+			si.Send(env, i, j, tagPing, size, &pij, &ping)
+			recvOn(env, sj, j, i, tagPing, &ping)
+			sj.Send(env, j, i, tagPong, size, &pji, &pong)
+			recvOn(env, si, i, j, tagPong, &pong)
+			samples = append(samples, (si.Now-start)/2)
+		}
+		if err := pr.point(size, samples); err != nil {
+			return err
+		}
+	}
+	return pr.fit(i, j)
+}
+
+// recvOn is a blocking receive on rank's kernel state of the message in,
+// which src sent with tag: posted at the rank's clock, waited for at once.
+func recvOn(env *loggp.Env, st *loggp.State, rank, src, tag int, in *loggp.Edge) {
+	completeAt, gated := st.RecvComplete(st.Now, in)
+	st.WaitRecv(env, rank, completeAt, src, tag, in, gated)
+}
+
+// overhead records (i, j)'s per-request overhead: the median burst sample.
+func (pr *pairRun) overhead(i, j int, samples []float64) error {
+	med, err := stats.MedianInPlace(samples)
+	if err != nil {
+		return err
+	}
+	pr.res.Overhead.Set(i, j, med)
+	return nil
+}
+
+// point adds one size's regression point: the median half round trip.
+func (pr *pairRun) point(size int, samples []float64) error {
+	med, err := stats.MedianInPlace(samples)
+	if err != nil {
+		return err
+	}
+	pr.xs, pr.ys = append(pr.xs, float64(size)), append(pr.ys, med)
+	return nil
+}
+
+// fit records (i, j)'s latency and inverse bandwidth, the intercept (less the
+// overhead) and the gradient of the regression points.
+func (pr *pairRun) fit(i, j int) error {
+	fit, err := stats.LinearFit(pr.xs, pr.ys)
 	if err != nil {
 		return fmt.Errorf("bench: pair (%d,%d): %w", i, j, err)
 	}

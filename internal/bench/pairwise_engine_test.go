@@ -15,6 +15,7 @@ import (
 	"hbsp/internal/fault"
 	"hbsp/internal/matrix"
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 	"hbsp/internal/trace"
 )
@@ -57,14 +58,24 @@ func sameBits(t *testing.T, name string, got, want *matrix.Dense) {
 // TestMeasurePairwiseEnginesAgree diffs the gate evaluation of the pairwise
 // benchmark against the concurrent walk it replaces: matrices bit for bit,
 // clocks, traffic counters and — on traced runs — every lane event for event.
+// The memo row is the machine a series hands the benchmark (a noise-draw memo
+// read through the ranks' windows), traced and under the straggler plan.
 func TestMeasurePairwiseEnginesAgree(t *testing.T) {
 	machines := []struct {
 		name string
 		make func(p int) (*platform.Machine, error)
+		memo bool
 	}{
-		{"xeon", func(p int) (*platform.Machine, error) { return platform.Xeon8x2x4().Machine(p) }},
-		{"opteron", func(p int) (*platform.Machine, error) { return platform.Opteron12x2x6().Machine(p) }},
-		{"flat", platform.FlatClusterMachine},
+		{"xeon", func(p int) (*platform.Machine, error) { return platform.Xeon8x2x4().Machine(p) }, false},
+		{"opteron", func(p int) (*platform.Machine, error) { return platform.Opteron12x2x6().Machine(p) }, false},
+		{"flat", platform.FlatClusterMachine, false},
+		{"opteron+memo", func(p int) (*platform.Machine, error) {
+			m, err := platform.Opteron12x2x6().Machine(p)
+			if err != nil {
+				return nil, err
+			}
+			return m.WithDraws(platform.NewDraws(m.RunSeed(), p)), nil
+		}, true},
 	}
 	opts := engineTestOptions()
 	for _, p := range []int{1, 2, 3, 7, 24, 64} {
@@ -78,7 +89,7 @@ func TestMeasurePairwiseEnginesAgree(t *testing.T) {
 					// Untraced runs take the nil-lane branches; a few sizes of
 					// them suffice beside the traced table.
 					for _, traced := range []bool{true, false} {
-						if !traced && p != 3 && p != 24 {
+						if !traced && p != 3 && p != 24 || mc.memo && (!traced || plan == nil) {
 							continue
 						}
 						name := fmt.Sprintf("p%d/%s/ack=%t/faults=%t/traced=%t", p, mc.name, ack, plan != nil, traced)
@@ -228,20 +239,26 @@ func TestMeasurePairwiseLeaderCancellable(t *testing.T) {
 
 // BenchmarkMeasurePairwise times the benchmark at ModelParams' reduced sample
 // count (the experiment sweeps' setting, 66 messages per pair) on the noisy
-// Opteron profile, on both engines.
+// Opteron profile, on both engines. The plain rows compute every noise draw
+// (Box–Muller dominates them); the memo row reads them from a noise-draw memo
+// filled by the run before it, as a series' later points do.
 func BenchmarkMeasurePairwise(b *testing.B) {
 	opts := DefaultPairwiseOptions()
 	opts.Samples = 4
 	engines := []struct {
 		name   string
 		engine simnet.Engine
-	}{{"auto", simnet.EngineAuto}, {"concurrent", simnet.EngineConcurrent}}
+		memo   bool
+	}{{"auto", simnet.EngineAuto, false}, {"concurrent", simnet.EngineConcurrent, false}, {"auto/memo", simnet.EngineAuto, true}}
 	for _, e := range engines {
 		for _, p := range []int{64, 144} {
 			b.Run(fmt.Sprintf("engine=%s/P=%d", e.name, p), func(b *testing.B) {
 				m, err := platform.Opteron12x2x6().Machine(p)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if e.memo {
+					m = m.WithDraws(platform.NewDraws(m.RunSeed(), p))
 				}
 				o := simnet.DefaultOptions()
 				o.Engine = e.engine
@@ -258,4 +275,49 @@ func BenchmarkMeasurePairwise(b *testing.B) {
 			})
 		}
 	}
+}
+
+// TestPairwiseEpisodeSteadyStateAllocs holds the gate leader's walk to the
+// allocations of its scratch, sized by the options: they do not grow with
+// the number of pairs, so an episode allocates nothing. The walk is counted
+// inside the gate, where every other rank is parked, and the least of three
+// walks is kept.
+func TestPairwiseEpisodeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations make the counts meaningless")
+	}
+	walkAllocs := func(p int) uint64 {
+		m, err := platform.Opteron12x2x6().Machine(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := engineTestOptions()
+		res := &PairwiseResult{Latency: matrix.NewDense(p, p), Overhead: matrix.NewDense(p, p), Beta: matrix.NewDense(p, p)}
+		least := uint64(math.MaxUint64)
+		_, err = simnet.RunContext(context.Background(), m, func(proc *simnet.Proc) error {
+			g := proc.SharedGate()
+			return g.Arrive(proc, nil, func([]any) error {
+				var err error
+				sched.AtGate(g, proc, func(ev *sched.Evaluator) {
+					for range 3 {
+						var before, after runtime.MemStats
+						runtime.ReadMemStats(&before)
+						err = errors.Join(err, gateWalk(ev, proc, opts, res))
+						runtime.ReadMemStats(&after)
+						least = min(least, after.Mallocs-before.Mallocs)
+					}
+				})
+				return err
+			})
+		}, simnet.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return least
+	}
+	small, large := walkAllocs(16), walkAllocs(32)
+	if large > small {
+		t.Errorf("the gate walk allocated %d times at P=32 and %d at P=16: an episode allocates", large, small)
+	}
+	t.Logf("gate walk: %d allocations at P=16, %d at P=32", small, large)
 }

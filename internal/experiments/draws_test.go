@@ -20,7 +20,7 @@ var wiredSeries = []struct {
 	top     bool
 	reseeds int
 }{
-	{"Fig5_6Series", func(p *platform.Profile, o Options) (any, error) { return Fig5_6Series(p, o.MaxProcsXeon, o) }, true, 0},
+	{"Fig5_6Series", func(p *platform.Profile, o Options) (any, error) { return Fig5_6Series(p, o.MaxProcsXeon, o) }, true, 2},
 	{"Fig6_3Series", func(p *platform.Profile, o Options) (any, error) { return Fig6_3Series(p, o.MaxProcsXeon, o) }, true, 0},
 	{"Fig7_4Series", func(p *platform.Profile, o Options) (any, error) { return Fig7_4Series(p, o.MaxProcsXeon, o) }, true, 4},
 	{"CollectiveSeries", func(p *platform.Profile, o Options) (any, error) { return CollectiveSeries(p, o.MaxProcsXeon, o) }, true, 2},

@@ -108,7 +108,7 @@ func Fig5_6Series(prof *platform.Profile, maxProcs int, opts Options) ([]Barrier
 		if err != nil {
 			return nil, err
 		}
-		meas, err := barrier.MeasureAlgorithms(m.WithRunSeed(int64(100+p)), opts.Reps)
+		meas, err := barrier.MeasureAlgorithms(reseeded(m, int64(100+p)), opts.Reps)
 		if err != nil {
 			return nil, err
 		}

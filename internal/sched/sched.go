@@ -29,7 +29,7 @@
 //     and the BSP count exchange all call it — and evaluates it with
 //     ExecScheduleAuto. The pairwise benchmark (bench.MeasurePairwise) is
 //     P(P−1) ping-pong episodes, which its leader walks message by message
-//     through the point-to-point stepper (PostPriced / Recv / Now).
+//     on the two ranks' kernel states (Kernel).
 //
 // The evaluator has no clock arithmetic of its own. It holds one loggp.State
 // per rank (per equivalence class under symmetry collapse) and calls the LogGP
@@ -40,14 +40,14 @@
 // a receive to its message: a flat per-stage inbox laid out by prefix sums
 // over the degrees (per-rank walker), a per-class queue indexed by
 // out-edge position (collapsed walker), statically matched send slots
-// (program walker) or the caller's own FIFO (point-to-point stepper). Every
-// message is priced by one call for its ordered pair (simnet.PairPricer,
-// resolved once per evaluator; a stepper caller may Price a pair once and
-// PostPriced many messages at it) and the kernel writes the in-edge record its
-// receiver needs in place, so the receive side never goes back to the
-// machine. The machine's noise is resolved once per evaluator too
-// (loggp.Resolve), so a draw a memo stores is read from the rank's window. The cross-engine tests pin that the two orderings and matchings
-// agree.
+// (program walker) or the caller's own records (point-to-point stepper, and a
+// caller of Kernel). Every message is priced by one call for its ordered pair
+// (simnet.PairPricer, resolved once per evaluator; a Kernel caller may Price
+// a pair once and send many messages at it) and the kernel writes the in-edge
+// record its receiver needs in place, so the receive side never goes back to
+// the machine. The machine's noise is resolved once per evaluator too
+// (loggp.Resolve), so a draw a memo stores is read from the rank's window.
+// The cross-engine tests pin that the two orderings and matchings agree.
 package sched
 
 import (
@@ -370,29 +370,23 @@ func copyClock(dst, src *loggp.State) {
 // Post that wrote it and the Recv that consumes it.
 type InEdge = loggp.Edge
 
-// The point-to-point stepper: Post (or Price, then PostPriced), Recv and Now
-// let a gate leader (or any holder of the evaluator) walk a workload that is
-// not a stage graph — a ping-pong, a drained burst — one message at a time,
-// in each rank's program order, with the caller keeping the in-flight records
-// (and prices, if it likes). Lanes, the fault plan, ack mode and the per-rank
+// The point-to-point stepper: Post and Recv let a holder of the evaluator
+// walk a workload that is not a stage graph — the count exchange's puts, one
+// message at a time — in each rank's program order, with the caller keeping
+// the in-flight records. Lanes, the fault plan, ack mode and the per-rank
 // noise order are the kernel's business, as in the stage walker. The caller
 // must Post a message before it Recvs it; virtual time does not depend on how
-// the ranks' steps interleave beyond that.
+// the ranks' steps interleave beyond that. A caller that walks a whole
+// episode on the kernel itself (the pairwise benchmark) takes the states
+// through Kernel instead, and counts its own traffic.
 
 // Post is simnet.Proc.Post on the evaluator: rank src injects one size-byte
 // message to dst at its current clock — a fire-and-forget eager send, the
 // completion time dropped — and the message as its receiver needs it is
-// written into in. It is Price, then PostPriced.
+// written into in.
 func (e *Evaluator) Post(src, dst, tag, size int, in *InEdge) {
 	pc := e.Price(src, dst)
-	e.PostPriced(src, dst, tag, size, &pc, in)
-}
-
-// PostPriced is Post with the pair's price given: *pc must be Price(src,
-// dst). The price is read, not kept, so a caller posting many messages at one
-// price hands the same one.
-func (e *Evaluator) PostPriced(src, dst, tag, size int, pc *loggp.Pair, in *InEdge) {
-	e.send(&e.traffic, &e.states[src], src, dst, tag, size, pc, in)
+	e.send(&e.traffic, &e.states[src], src, dst, tag, size, &pc, in)
 }
 
 // Recv is simnet.Proc.Recv for a message already injected: rank dst posts the
@@ -403,8 +397,10 @@ func (e *Evaluator) Recv(dst, src, tag int, in *InEdge) {
 	st.WaitRecv(&e.env, dst, completeAt, src, tag, in, gated)
 }
 
-// Now returns rank's clock.
-func (e *Evaluator) Now(rank int) float64 { return e.states[rank].Now }
+// Kernel returns rank r's kernel state and the run's environment, for a gate
+// leader that calls the LogGP kernel on them directly. What it sends is not
+// counted: the caller credits its traffic to the run (simnet.Proc.AddTraffic).
+func (e *Evaluator) Kernel(r int) (*loggp.State, *loggp.Env) { return &e.states[r], &e.env }
 
 // ExecSchedule evaluates one execution of the schedule: per stage, every rank
 // posts its receives, injects its sends and then waits — receives first, then
