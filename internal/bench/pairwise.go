@@ -161,7 +161,7 @@ func pairwiseOnRank(proc *simnet.Proc, opts PairwiseOptions, res *PairwiseResult
 	// Every rank executes the same deterministic schedule of pair experiments
 	// and participates in the ones that involve it.
 	pr := newPairRun(opts, res)
-	return pr.walk(proc, me, func(i, j int) error { return pr.measurePair(proc, i, j) })
+	return walkPairs(proc, me, func(i, j int) error { return pr.measurePair(proc, i, j) })
 }
 
 // cancelPollPairs is the number of pair episodes a holder walks between polls
@@ -196,7 +196,7 @@ func pairwiseAtGate(g *simnet.Gate, proc *simnet.Proc, opts PairwiseOptions, res
 func gateWalk(ev *sched.Evaluator, proc *simnet.Proc, opts PairwiseOptions, res *PairwiseResult) error {
 	pr := newPairRun(opts, res)
 	pr.burst = make([]loggp.Edge, opts.Samples*opts.OverheadBatch)
-	if err := pr.walk(proc, -1, func(i, j int) error { return pr.episode(ev, i, j) }); err != nil {
+	if err := walkPairs(proc, -1, func(i, j int) error { return pr.episode(ev, i, j) }); err != nil {
 		return err
 	}
 	var sizes int64
@@ -213,10 +213,10 @@ func (o PairwiseOptions) equal(b PairwiseOptions) bool {
 	return o.Samples == b.Samples && o.OverheadBatch == b.OverheadBatch && slices.Equal(o.Sizes, b.Sizes)
 }
 
-// pairRun is one holder's walk over pair episodes: the benchmark being run,
-// and scratch reused from pair to pair, sized once — Samples values per
-// median, one regression point per size and, for the gate leader, the
-// in-edges of an overhead burst.
+// pairRun is what one holder keeps across its pair episodes: the benchmark
+// being run, and scratch reused from pair to pair, sized once — Samples
+// values per median, one regression point per size and, for the gate leader,
+// the in-edges of an overhead burst.
 type pairRun struct {
 	opts            PairwiseOptions
 	res             *PairwiseResult
@@ -231,12 +231,12 @@ func newPairRun(opts PairwiseOptions, res *PairwiseResult) *pairRun {
 		ys:      make([]float64, 0, len(opts.Sizes))}
 }
 
-// walk runs pair on the ordered pairs (i, j) that rank me has a part in — all
-// of them when me is negative — in the (i, j) order every holder uses. proc is
-// the holder's own rank: the walk polls the run's cancel flag through it,
-// which is what unwinds a gate leader — nothing a leader does blocks, so
+// walkPairs runs pair on the ordered pairs (i, j) that rank me has a part in —
+// all of them when me is negative — in the (i, j) order every holder uses.
+// proc is the holder's own rank: the walk polls the run's cancel flag through
+// it, which is what unwinds a gate leader — nothing a leader does blocks, so
 // teardown cannot wake it as it wakes a rank waiting in a receive.
-func (pr *pairRun) walk(proc *simnet.Proc, me int, pair func(i, j int) error) error {
+func walkPairs(proc *simnet.Proc, me int, pair func(i, j int) error) error {
 	p, pairs := proc.Size(), 0
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
