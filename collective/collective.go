@@ -1,22 +1,24 @@
 // Package collective is the public surface of the collective-schedule
-// engine: schedules as named, semantics-tagged stage edge lists (Pattern) and
-// in streamed O(stages) form (Stream*), generators for barriers and
-// payload-carrying collectives, the knowledge-recursion verifier, the matrix
-// cost model with its critical-path search (Predict), the pattern simulator
-// (Measure/Execute) — all three over either form — and the model-driven
-// adaptation that selects hierarchical hybrid schedules from benchmarked
-// parameter matrices (Greedy/GreedySync).
+// engine: schedules as named, semantics-tagged wrappers around one streamed
+// schedule each (Pattern), generators for barriers and payload-carrying
+// collectives, the knowledge-recursion verifier, the matrix cost model with
+// its critical-path search (Predict), the pattern simulator
+// (Measure/Execute) and the model-driven adaptation that selects
+// hierarchical hybrid schedules from benchmarked parameter matrices
+// (Greedy/GreedySync).
 //
-// There is one schedule type: a *Pattern is a sched.Schedule, as the streamed
-// generators' values are, and mpi.Schedule is the same type. So any of them is
-// directly executable with user data — mpi.Comm's schedule collectives
-// (BcastSchedule, AllreduceSchedule, ...) run them, sched.RunSchedule
-// evaluates them, and the bsp.Ctx collectives execute the streamed ones
-// behind the scenes. Each collective has one construction, its Stream*
-// generator; the Pattern generator of the same name is that stream
-// materialized as edge lists, O(P) per stage. Prefer the streamed form for
-// anything large: a total exchange's edge lists are P−1 stages of P edges,
-// its circulant stream one offset per stage.
+// There is one schedule type: a *Pattern is a sched.Schedule, and
+// mpi.Schedule is the same type. So any pattern is directly executable with
+// user data — mpi.Comm's schedule collectives (BcastSchedule,
+// AllreduceSchedule, ...) run them, sched.RunSchedule evaluates them, and
+// the bsp.Ctx collectives execute the same generators behind the scenes.
+// Each collective has one generator, which wraps the streamed schedule of its
+// shape: a circulant (dissemination, allreduce, allgather, ring allgather,
+// total exchange) is one offset and size per stage, a binomial tree
+// (broadcast, reduce) builds a stage's edge lists on request. Verify,
+// Predict and the evaluator see through the wrapper, so a P=16384 allreduce
+// builds and verifies in microseconds. The linear, tree, k-ary tree, ring and
+// all-to-all barriers wrap the edge lists they emit.
 package collective
 
 import (
@@ -28,12 +30,11 @@ import (
 	"hbsp/sim"
 )
 
-// Pattern is a named collective schedule: its stages as edge lists (Procs,
-// Sym and Stages promoted from sched.StaticStages; Stages[s].Out[i] lists the
-// ranks i signals in stage s, OutBytes their payload sizes), a Semantics tag
-// and, for rooted collectives, a Root. A *Pattern is a sched.Schedule, and
-// the cost model, the simulator and the schedule synchronizer take it and the
-// streamed form alike. The thesis' P×P stage matrices are not held anywhere.
+// Pattern is a named collective schedule: an embedded sched.Schedule (its
+// NumProcs, NumStages and StageAt promoted) with a Semantics tag and, for
+// rooted collectives, a Root. A *Pattern is a sched.Schedule, and the cost
+// model, the simulator and the schedule synchronizer take it and any other
+// schedule alike. The thesis' P×P stage matrices are not held anywhere.
 type Pattern = barrier.Pattern
 
 // Semantics names the collective postcondition a schedule must establish.
@@ -98,34 +99,15 @@ func AllGatherRing(p, blockBytes int) (*Pattern, error) {
 	return barrier.AllGatherRing(p, blockBytes)
 }
 
-// StreamTotalExchange returns the linear-shift total-exchange schedule in
-// streaming form — the stages TotalExchange materializes, described by one
-// offset and size per stage. Evaluate it with sched.RunSchedule; it is the
-// representation that makes P=4096 collective sweeps feasible.
+// StreamTotalExchange is TotalExchange as a sched.Schedule.
+//
+// Deprecated: call TotalExchange; a *Pattern is a sched.Schedule.
 func StreamTotalExchange(p, blockBytes int) (sched.Schedule, error) {
-	return barrier.StreamTotalExchange(p, blockBytes)
-}
-
-// The remaining streaming generators are likewise what their Pattern
-// counterparts materialize: O(P) (circulants: O(1)) state per stage. All of
-// them declare their rank symmetry, so on homogeneous machines
-// sched.RunSchedule evaluates one representative rank per equivalence class —
-// the combination that takes dissemination sweeps to P=1M.
-func StreamDissemination(p int) (sched.Schedule, error) { return barrier.StreamDissemination(p) }
-func StreamAllReduce(p, msgBytes int) (sched.Schedule, error) {
-	return barrier.StreamAllReduce(p, msgBytes)
-}
-func StreamAllGather(p, blockBytes int) (sched.Schedule, error) {
-	return barrier.StreamAllGather(p, blockBytes)
-}
-func StreamAllGatherRing(p, blockBytes int) (sched.Schedule, error) {
-	return barrier.StreamAllGatherRing(p, blockBytes)
-}
-func StreamBroadcast(p, root, msgBytes int) (sched.Schedule, error) {
-	return barrier.StreamBroadcast(p, root, msgBytes)
-}
-func StreamReduce(p, root, msgBytes int) (sched.Schedule, error) {
-	return barrier.StreamReduce(p, root, msgBytes)
+	pat, err := barrier.TotalExchange(p, blockBytes)
+	if err != nil {
+		return nil, err // not a nil *Pattern inside a non-nil interface
+	}
+	return pat, nil
 }
 
 // Collectives returns one verified schedule per collective at the given
@@ -151,7 +133,7 @@ func DefaultCostOptions() CostOptions { return barrier.DefaultCostOptions() }
 // CostOptionsFor returns the cost options matching a collective's data flow.
 func CostOptionsFor(sem Semantics) CostOptions { return barrier.CostOptionsFor(sem) }
 
-// Predict evaluates the cost model on a schedule, materialized or streamed:
+// Predict evaluates the cost model on any schedule, a Pattern included:
 // per-stage, per-process costs combined by a critical-path search.
 func Predict(s sched.Schedule, params Params, opts CostOptions) (*Prediction, error) {
 	return barrier.Predict(s, params, opts)

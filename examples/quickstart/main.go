@@ -51,7 +51,7 @@ func main() {
 	// 3. Predict the synchronization cost of a superstep: the dissemination
 	// schedule carrying the count-exchange payload, priced by the cost model
 	// on the benchmarked matrices.
-	diss, err := collective.StreamDissemination(procs)
+	diss, err := collective.Dissemination(procs)
 	if err != nil {
 		log.Fatal(err)
 	}

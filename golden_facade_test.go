@@ -333,7 +333,7 @@ func TestGoldenFacadeGenerators(t *testing.T) {
 		{"3-ary tree", barrier.SemBarrier, pat(collective.KAryTree(p, 3)), pat(barrier.KAryTree(p, 3))},
 		{"allgather ring", barrier.SemAllGather, pat(collective.AllGatherRing(p, block)), pat(barrier.AllGatherRing(p, block))},
 		{"streamed allgather ring", barrier.SemAllGather,
-			stream(collective.StreamAllGatherRing(p, block)), stream(barrier.StreamAllGatherRing(p, block))},
+			stream(collective.AllGatherRing(p, block)), stream(sched.Ring(p, block))},
 	} {
 		got, want := c.got, c.internal
 		if err := barrier.VerifySchedule(got, c.sem, 0); err != nil {

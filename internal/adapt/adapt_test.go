@@ -115,8 +115,8 @@ func TestBuildHybridVerifies(t *testing.T) {
 			if err := pat.Verify(); err != nil {
 				t.Errorf("hybrid %v/%v does not verify: %v", intra, inter, err)
 			}
-			if pat.Procs != 24 {
-				t.Errorf("hybrid %v/%v has %d procs", intra, inter, pat.Procs)
+			if pat.NumProcs() != 24 {
+				t.Errorf("hybrid %v/%v has %d procs", intra, inter, pat.NumProcs())
 			}
 		}
 	}
@@ -327,7 +327,7 @@ func TestBuildHybridAllocatesPerStage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildHybrid(%v, %v): %v", intra, inter, err)
 			}
-			alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(512*pat.Procs*pat.NumStages())
+			alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(512*pat.NumProcs()*pat.NumStages())
 			t.Logf("%s: %d stages, %d KiB allocated (bound %d KiB)", pat.Name, pat.NumStages(), alloc>>10, bound>>10)
 			if alloc > bound {
 				t.Errorf("%s allocated %d KiB over %d stages, want at most 512 B per rank and stage (%d KiB)",

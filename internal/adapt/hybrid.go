@@ -39,16 +39,22 @@ func (sp SubPattern) String() string {
 	}
 }
 
-// flat returns the flat barrier of the sub-pattern over k ranks.
-func flat(kind SubPattern, k int) (*barrier.Pattern, error) {
+// flat returns the stages of the sub-pattern's flat barrier over k ranks.
+func flat(kind SubPattern, k int) ([]sched.Stage, error) {
+	var pat *barrier.Pattern
+	var err error
 	switch kind {
 	case SubLinear:
-		return barrier.Linear(k, 0)
+		pat, err = barrier.Linear(k, 0)
 	case SubTree:
-		return barrier.Tree(k)
+		pat, err = barrier.Tree(k)
 	default:
-		return barrier.Dissemination(k)
+		pat, err = barrier.Dissemination(k)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return pat.Adjacency(), nil
 }
 
 // overlay places local stage lists side by side in global stages over procs
@@ -124,8 +130,8 @@ func BuildHybrid(cl *Clustering, intra, inter SubPattern) (*barrier.Pattern, err
 		if err != nil {
 			return nil, err
 		}
-		half := len(local.Stages) / 2
-		gathers[c], releases[c] = local.Stages[:half], local.Stages[half:]
+		half := len(local) / 2
+		gathers[c], releases[c] = local[:half], local[half:]
 	}
 	slices.Sort(reps)
 
@@ -135,15 +141,15 @@ func BuildHybrid(cl *Clustering, intra, inter SubPattern) (*barrier.Pattern, err
 		if err != nil {
 			return nil, err
 		}
-		stages = append(stages, overlay([][]sched.Stage{top.Stages}, [][]int{reps}, procs, false)...)
+		stages = append(stages, overlay([][]sched.Stage{top}, [][]int{reps}, procs, false)...)
 	}
 	stages = append(stages, overlay(releases, members, procs, false)...)
 	if len(stages) == 0 {
 		stages = []sched.Stage{{Out: make([][]int, procs), In: make([][]int, procs)}}
 	}
 	pat := &barrier.Pattern{
-		Name:         fmt.Sprintf("hybrid(%s/%s)", intra, inter),
-		StaticStages: sched.StaticStages{Procs: procs, Stages: stages},
+		Name:     fmt.Sprintf("hybrid(%s/%s)", intra, inter),
+		Schedule: &sched.StaticStages{Procs: procs, Stages: stages},
 	}
 	if err := pat.Verify(); err != nil {
 		return nil, fmt.Errorf("adapt: constructed hybrid barrier is incorrect: %w", err)

@@ -259,9 +259,10 @@ func TestStageCostsShape(t *testing.T) {
 }
 
 // TestPredictStreamedEqualsDense: the cost model reads a schedule through its
-// stage view, so a streamed generator and the materialized edge lists of the
-// same stages — circulant or binomial tree, signals or payload — must come out
-// bit-equal in every figure under both acknowledgement factors.
+// stage view, so a generator's pattern (its streamed schedule wrapped) and the
+// edge-rule literal of the same stages — circulant or binomial tree, signals
+// or payload — must come out bit-equal in every figure under both
+// acknowledgement factors.
 func TestPredictStreamedEqualsDense(t *testing.T) {
 	prof := platform.Xeon8x2x4()
 	for p := 1; p <= 33; p++ {
@@ -271,16 +272,13 @@ func TestPredictStreamedEqualsDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, err := g.stream()
-			if err != nil {
-				t.Fatal(err)
-			}
+			literal := ruleSchedule(p, g.rule)
 			for _, sem := range []Semantics{SemBarrier, SemReduce} {
-				want, err := Predict(pat, params, CostOptionsFor(sem))
+				want, err := Predict(literal, params, CostOptionsFor(sem))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Predict(stream, params, CostOptionsFor(sem))
+				got, err := Predict(pat, params, CostOptionsFor(sem))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -188,7 +188,7 @@ func TestMeasureEnginesAgree(t *testing.T) {
 func measureConcurrent(m simnet.Machine, pat *Pattern, reps int) (*Measurement, error) {
 	durations := make([][]float64, reps)
 	for r := range durations {
-		durations[r] = make([]float64, pat.Procs)
+		durations[r] = make([]float64, pat.NumProcs())
 	}
 	o := simnet.DefaultOptions()
 	o.Engine = simnet.EngineConcurrent
@@ -204,7 +204,7 @@ func measureConcurrent(m simnet.Machine, pat *Pattern, reps int) (*Measurement, 
 	if err != nil {
 		return nil, err
 	}
-	meas := &Measurement{Procs: pat.Procs, Reps: reps}
+	meas := &Measurement{Procs: pat.NumProcs(), Reps: reps}
 	meas.WorstPerRep = make([]float64, reps)
 	for rep := 0; rep < reps; rep++ {
 		worst := 0.0
@@ -284,51 +284,50 @@ func streamOf(t *testing.T, rec *trace.Recorder) string {
 	return buf.String()
 }
 
-// TestStreamTotalExchangeMatchesPattern pins the streaming total-exchange
-// generator against the materialized pattern: identical stage structure and,
-// through the evaluator, identical virtual times.
+// TestStreamTotalExchangeMatchesPattern pins the total-exchange pattern (its
+// linear-shift stream wrapped) against its edge-rule literal, with and
+// without the SymCirculant hint: identical stage structure and, through the
+// evaluator, identical virtual times.
 func TestStreamTotalExchangeMatchesPattern(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8, 13} {
 		pat, err := TotalExchange(p, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, err := StreamTotalExchange(p, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adj := pat.Adjacency()
-		if stream.NumStages() != len(adj) {
-			t.Fatalf("p=%d: stream has %d stages, pattern %d", p, stream.NumStages(), len(adj))
-		}
-		for s := range adj {
-			st := stream.StageAt(s)
-			for i := 0; i < p; i++ {
-				if fmt.Sprint(st.Out[i]) != fmt.Sprint(adj[s].Out[i]) || fmt.Sprint(st.In[i]) != fmt.Sprint(adj[s].In[i]) {
-					t.Fatalf("p=%d stage %d rank %d: stream %v/%v, pattern %v/%v",
-						p, s, i, st.Out[i], st.In[i], adj[s].Out[i], adj[s].In[i])
+		for form, literal := range generators(p, 0)["total-exchange"].literals(p) {
+			adj := literal.Stages
+			if pat.NumStages() != len(adj) {
+				t.Fatalf("p=%d: pattern has %d stages, %s %d", p, pat.NumStages(), form, len(adj))
+			}
+			for s := range adj {
+				st := pat.StageAt(s)
+				for i := 0; i < p; i++ {
+					if fmt.Sprint(st.Out[i]) != fmt.Sprint(adj[s].Out[i]) || fmt.Sprint(st.In[i]) != fmt.Sprint(adj[s].In[i]) {
+						t.Fatalf("p=%d stage %d rank %d: pattern %v/%v, %s %v/%v",
+							p, s, i, st.Out[i], st.In[i], form, adj[s].Out[i], adj[s].In[i])
+					}
 				}
 			}
-		}
-		m := engineMachine(t, p, true)
-		resPat, err := sched.RunSchedule(context.Background(), m, pat.ScheduleView(), 2, simnet.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		resStream, err := sched.RunSchedule(context.Background(), m, stream, 2, simnet.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range resPat.Times {
-			if resPat.Times[r] != resStream.Times[r] {
-				t.Errorf("p=%d rank %d: pattern %v, stream %v", p, r, resPat.Times[r], resStream.Times[r])
+			m := engineMachine(t, p, true)
+			resPat, err := sched.RunSchedule(context.Background(), m, pat, 2, simnet.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			resLit, err := sched.RunSchedule(context.Background(), m, literal, 2, simnet.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range resPat.Times {
+				if resPat.Times[r] != resLit.Times[r] {
+					t.Errorf("p=%d rank %d: pattern %v, %s %v", p, r, resPat.Times[r], form, resLit.Times[r])
+				}
 			}
 		}
 	}
 }
 
 // TestConcurrentAllReduceAllocScalesWithMessages holds the concurrent engine
-// to O(P + messages): a StreamAllReduce at 4× the ranks sends 5× the
+// to O(P + messages): an AllReduce at 4× the ranks sends 5× the
 // messages and must allocate at most 6× as much. A mailbox index sized by P
 // on every rank reads about 10×.
 func TestConcurrentAllReduceAllocScalesWithMessages(t *testing.T) {
@@ -339,7 +338,7 @@ func TestConcurrentAllReduceAllocScalesWithMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := StreamAllReduce(p, 96)
+		s, err := AllReduce(p, 96)
 		if err != nil {
 			t.Fatal(err)
 		}

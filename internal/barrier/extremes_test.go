@@ -81,7 +81,7 @@ func TestExtremePatternsMeasureAndPredict(t *testing.T) {
 // signals counts the pattern's edges over all stages.
 func signals(pat *Pattern) int {
 	n := 0
-	for _, st := range pat.Stages {
+	for _, st := range pat.Adjacency() {
 		for _, outs := range st.Out {
 			n += len(outs)
 		}

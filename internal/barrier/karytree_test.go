@@ -111,7 +111,7 @@ func TestKAryTreeProperty(t *testing.T) {
 		}
 		// In every stage, each process receives from at most k-1 others
 		// (its group's children or its parent group).
-		for _, st := range pat.Stages {
+		for _, st := range pat.Adjacency() {
 			for _, ins := range st.In {
 				if len(ins) > k-1 {
 					return false

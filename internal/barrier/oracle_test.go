@@ -31,7 +31,7 @@ func sameMatrices(t *testing.T, pat *Pattern, want ...*matrix.Dense) {
 		t.Fatalf("%s: %d stages, want %d", pat.Name, pat.NumStages(), len(want))
 	}
 	for s, w := range want {
-		if got := stageMatrix(pat.Stages[s], pat.Procs); !got.Equal(w, 0) {
+		if got := stageMatrix(pat.StageAt(s), pat.NumProcs()); !got.Equal(w, 0) {
 			t.Fatalf("%s stage %d:\n%v\nwant\n%v", pat.Name, s, got, w)
 		}
 	}

@@ -11,14 +11,17 @@
 // the payload extension of Chapter 6.
 //
 // One type crosses package boundaries to be verified, priced, sized, cached
-// or executed: sched.Schedule. The collectives are generated once, in
-// streamed O(stages) form (Stream*); a Pattern is a named, semantics-tagged
-// set of stage edge lists — such a stream materialized through StageAt, or a
-// barrier that emits its edges directly — and VerifySchedule, Predict,
-// KnowledgeSized and Measure / Execute take either. The thesis writes a stage
-// as a P×P boolean matrix; nothing here holds one, and the literal matrix
-// products of the recursion live in the tests as the oracle the one
-// recursion is checked against.
+// or executed: sched.Schedule. A Pattern is a named wrapper around one: every
+// collective generator returns its streamed schedule (a sched.Circulant, or
+// a sched.Binomial tree) wrapped with its name, semantics and root, and the
+// linear, tree, k-ary tree, ring and all-to-all barriers wrap the edge lists
+// they emit (a sched.StaticStages). Shape decisions see through the wrapper
+// (sched.AsCirculant, sched.ViewOf), so a wrapped circulant verifies, prices
+// and collapses in O(stages). VerifySchedule, Predict, KnowledgeSized and
+// Measure / Execute take a Pattern or any other schedule alike. The thesis
+// writes a stage as a P×P boolean matrix; nothing here holds one, and the
+// literal matrix products of the recursion live in the tests as the oracle
+// the one recursion is checked against.
 package barrier
 
 import (
@@ -28,18 +31,14 @@ import (
 	"hbsp/internal/sched"
 )
 
-// Pattern is a named collective schedule: the stage edge lists of an embedded
-// sched.StaticStages — Procs, Sym and Stages are promoted; Stages[s].Out[i]
-// lists the ranks i signals in stage s and Stages[s].OutBytes[i] the payload
-// of each of those edges in bytes (nil: pure signals) — tagged with the
-// Semantics Verify checks and, for rooted collectives, the Root.
-//
-// A stage costs O(P + edges), where the thesis' matrix costs P², so a Pattern
-// is affordable wherever its edges are; the Stream* generators describe the
-// circulant collectives in O(stages) and the binomial trees in O(1), which is
-// what to hand the evaluator for the largest runs. A *Pattern is a
-// sched.Schedule and is immutable once built: concurrent Verify, Predict and
-// Execute calls share it.
+// Pattern is a named collective schedule: an embedded sched.Schedule —
+// NumProcs, NumStages and StageAt are promoted — tagged with the Semantics
+// Verify checks and, for rooted collectives, the
+// Root. The schedule is the collective's streamed generator schedule
+// (O(stages) for the circulants, O(1) for the binomial trees) or a barrier's
+// stage edge lists, O(P + edges) per stage where the thesis' matrix costs P².
+// A *Pattern is a sched.Schedule and is immutable once built: concurrent
+// Verify, Predict and Execute calls share it.
 type Pattern struct {
 	// Name identifies the algorithm ("linear", "dissemination", ...).
 	Name string
@@ -49,62 +48,67 @@ type Pattern struct {
 	// Root is the root process of rooted collectives (broadcast, reduce);
 	// barrier-like semantics ignore it.
 	Root int
-	// StaticStages holds the stages. Its Sym hint (sched.SymCirculant for the
-	// circulant generators) is the direct evaluator's O(1) eligibility test
-	// for symmetry-collapsed evaluation; SymNone merely falls back to the
-	// structural fingerprint, so leaving it unset is always safe — setting it
-	// on a non-circulant pattern is not.
-	sched.StaticStages
+	// Schedule is the wrapped schedule, whose type carries the shape the
+	// evaluator reads: a sched.Circulant's is the direct evaluator's O(1)
+	// eligibility test for symmetry-collapsed evaluation.
+	sched.Schedule
 }
 
 // ErrInvalidPattern is returned for structurally broken patterns.
 var ErrInvalidPattern = errors.New("barrier: invalid pattern")
 
-// Validate checks the stages against the sched.Stage contract
-// (sched.StaticStages.Validate) and a rooted pattern's root.
+// Validate checks the wrapped schedule (checkSchedule: present, with ranks
+// and stages, an edge-list literal against the sched.Stage contract) and a
+// rooted pattern's root.
 func (pat *Pattern) Validate() error {
-	if err := pat.StaticStages.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidPattern, err)
+	if pat == nil || pat.Schedule == nil {
+		return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
 	}
-	if (pat.Semantics == SemBroadcast || pat.Semantics == SemReduce) && (pat.Root < 0 || pat.Root >= pat.Procs) {
-		return fmt.Errorf("%w: root %d out of range for %d processes", ErrInvalidPattern, pat.Root, pat.Procs)
+	if err := checkSchedule(pat.Schedule); err != nil {
+		return err
+	}
+	if (pat.Semantics == SemBroadcast || pat.Semantics == SemReduce) && (pat.Root < 0 || pat.Root >= pat.NumProcs()) {
+		return fmt.Errorf("%w: root %d out of range for %d processes", ErrInvalidPattern, pat.Root, pat.NumProcs())
 	}
 	return nil
 }
 
-// Adjacency returns the stages' edge lists: the pattern's own Stages. Kept for
-// callers written when the stages were matrices.
-func (pat *Pattern) Adjacency() []sched.Stage { return pat.Stages }
+// Adjacency returns the stages as edge lists, each read once through
+// StageAt.
+func (pat *Pattern) Adjacency() []sched.Stage {
+	stages := make([]sched.Stage, pat.NumStages())
+	for k := range stages {
+		stages[k] = pat.StageAt(k)
+	}
+	return stages
+}
 
-// ScheduleView returns the pattern itself: a *Pattern is a sched.Schedule.
-// Kept for callers written when the two were different types.
-func (pat *Pattern) ScheduleView() sched.Schedule { return pat }
+// ScheduleView returns the wrapped schedule (nil for a nil pattern): the
+// schedule whose type internal/sched reads a Pattern's shape from.
+func (pat *Pattern) ScheduleView() sched.Schedule {
+	if pat == nil {
+		return nil
+	}
+	return pat.Schedule
+}
 
 // Verify checks the pattern's structure (Validate) and then its semantics by
 // the knowledge recursion, both inside VerifySchedule: the thesis' debug aid
-// for automatically generated patterns, in O(signals·P/64) per stage.
+// for automatically generated patterns, in O(signals·P/64) per stage — for a
+// wrapped circulant O(stages·P/64), one reach row proving all P.
 func (pat *Pattern) Verify() error {
+	if pat == nil {
+		return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
+	}
 	return VerifySchedule(pat, pat.Semantics, pat.Root)
 }
 
-// named returns the materializer of a streamed generator's schedule: every
-// stage read once through StageAt, the symmetry hint carried over, under the
-// given name, semantics and root.
-func named(name string, sem Semantics, root int) func(sched.Schedule, error) (*Pattern, error) {
-	return func(s sched.Schedule, err error) (*Pattern, error) {
-		if err != nil {
-			return nil, err
-		}
-		pat := &Pattern{Name: name, Semantics: sem, Root: root,
-			StaticStages: sched.StaticStages{Procs: s.NumProcs(), Stages: make([]sched.Stage, s.NumStages())}}
-		for k := range pat.Stages {
-			pat.Stages[k] = s.StageAt(k)
-		}
-		if ss, ok := s.(sched.SymmetricSchedule); ok {
-			pat.Sym = ss.Symmetry()
-		}
-		return pat, nil
+// wrap names a generator's schedule, or passes its error on.
+func wrap(name string, sem Semantics, root int, s sched.Schedule, err error) (*Pattern, error) {
+	if err != nil {
+		return nil, err
 	}
+	return &Pattern{Name: name, Semantics: sem, Root: root, Schedule: s}, nil
 }
 
 // emptyStage returns a stage over p ranks with no edges.
@@ -118,7 +122,7 @@ func barrierOf(name string, p int, stages []sched.Stage) *Pattern {
 	if len(stages) == 0 {
 		stages = []sched.Stage{emptyStage(p)}
 	}
-	return &Pattern{Name: name, StaticStages: sched.StaticStages{Procs: p, Stages: stages}}
+	return &Pattern{Name: name, Schedule: &sched.StaticStages{Procs: p, Stages: stages}}
 }
 
 // Linear returns the 2-stage linear (central counter) barrier: every process
@@ -145,7 +149,11 @@ func Linear(p, root int) (*Pattern, error) {
 // Dissemination returns the ⌈log2 P⌉-stage dissemination barrier: in stage s,
 // process i signals process (i + 2^s) mod P (Fig. 5.3).
 func Dissemination(p int) (*Pattern, error) {
-	return named("dissemination", SemBarrier, 0)(StreamDissemination(p))
+	if p < 1 {
+		return nil, fmt.Errorf("%w: dissemination barrier with p=%d", ErrInvalidPattern, p)
+	}
+	s, err := sched.Dissemination(p, nil)
+	return wrap("dissemination", SemBarrier, 0, s, err)
 }
 
 // Tree returns the binary combining-tree barrier of Fig. 5.4: in arrival

@@ -146,7 +146,7 @@ func TestVerifyRejectsIncompletePattern(t *testing.T) {
 	// correct 3-process barrier.
 	st := emptyStage(3)
 	st.Out[1], st.In[0] = []int{0}, []int{1}
-	pat := &Pattern{Name: "broken", StaticStages: sched.StaticStages{Procs: 3, Stages: []sched.Stage{st}}}
+	pat := &Pattern{Name: "broken", Schedule: &sched.StaticStages{Procs: 3, Stages: []sched.Stage{st}}}
 	if err := pat.Verify(); err == nil {
 		t.Fatal("incomplete pattern passed verification")
 	}
@@ -167,7 +167,7 @@ func edgeList(p int, out [][]int) sched.Stage {
 
 func TestValidateRejectsBadShapes(t *testing.T) {
 	literal := func(p int, stages ...sched.Stage) *Pattern {
-		return &Pattern{Name: "x", StaticStages: sched.StaticStages{Procs: p, Stages: stages}}
+		return &Pattern{Name: "x", Schedule: &sched.StaticStages{Procs: p, Stages: stages}}
 	}
 	if err := literal(0).Validate(); err == nil {
 		t.Error("zero procs should fail")
@@ -216,7 +216,7 @@ func TestMalformedEdgeListsRefused(t *testing.T) {
 	for name, st := range cases {
 		for _, s := range []sched.Schedule{
 			&sched.StaticStages{Procs: p, Stages: []sched.Stage{edgeList(p, nil), st}},
-			&Pattern{Name: name, StaticStages: sched.StaticStages{Procs: p, Stages: []sched.Stage{st}}},
+			&Pattern{Name: name, Schedule: &sched.StaticStages{Procs: p, Stages: []sched.Stage{st}}},
 		} {
 			what := fmt.Sprintf("%s as %T", name, s)
 			func() {
@@ -295,7 +295,7 @@ func TestDisseminationShapeProperty(t *testing.T) {
 		if pat.NumStages() != wantStages {
 			return false
 		}
-		for _, st := range pat.Stages {
+		for _, st := range pat.Adjacency() {
 			n := 0.0
 			for _, row := range stageMatrix(st, p).RowSums() {
 				n += row

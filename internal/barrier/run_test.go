@@ -1,10 +1,14 @@
 package barrier
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"hbsp/internal/matrix"
 	"hbsp/internal/platform"
 	"hbsp/internal/sched"
+	"hbsp/internal/simnet"
 )
 
 func xeonMachine(t *testing.T, ranks int, noise float64) *platform.Machine {
@@ -48,8 +52,26 @@ func TestMeasureValidation(t *testing.T) {
 	if _, err := Measure(m, ok, 0); err != ErrNoReps {
 		t.Fatal("zero reps should fail")
 	}
-	if _, err := Measure(m, &Pattern{Name: "bad", StaticStages: sched.StaticStages{Procs: 8}}, 1); err == nil {
+	if _, err := Measure(m, &Pattern{Name: "bad", Schedule: &sched.StaticStages{Procs: 8}}, 1); err == nil {
 		t.Fatal("invalid pattern should fail")
+	}
+	// A wrapper of no schedule, and no pattern at all, are refused as invalid
+	// patterns by every entry that takes one, never by a nil dereference.
+	params := Params{Latency: matrix.NewDense(8, 8), Overhead: matrix.NewDense(8, 8)}
+	for _, empty := range []*Pattern{{Name: "empty"}, nil} {
+		for name, call := range map[string]func() error{
+			"Verify":         empty.Verify,
+			"VerifySchedule": func() error { return VerifySchedule(empty, SemBarrier, 0) },
+			"Predict":        func() error { _, err := Predict(empty, params, DefaultCostOptions()); return err },
+			"Measure":        func() error { _, err := Measure(m, empty, 1); return err },
+		} {
+			if err := call(); !errors.Is(err, ErrInvalidPattern) {
+				t.Errorf("%s of %#v: %v, want ErrInvalidPattern", name, empty, err)
+			}
+		}
+		if _, err := sched.RunSchedule(context.Background(), m, empty, 1, simnet.DefaultOptions()); err == nil {
+			t.Errorf("RunSchedule of %#v accepted", empty)
+		}
 	}
 }
 

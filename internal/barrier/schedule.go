@@ -1,6 +1,10 @@
 package barrier
 
-import "fmt"
+import (
+	"fmt"
+
+	"hbsp/internal/sched"
+)
 
 // Semantics names the collective postcondition a schedule must establish.
 // The stage representation is the same for every collective; only the final
@@ -44,22 +48,35 @@ func (s Semantics) String() string {
 	}
 }
 
-// The collectives below are their Stream* generators materialized once: the
-// same stages and payload sizes as edge lists, named and tagged with the
-// semantics Verify checks.
+// The collectives below each check their arguments and wrap the streamed
+// schedule internal/sched builds for their shape, named and tagged with the
+// semantics Verify checks: the circulants (dissemination, ring, linear shift)
+// describe a stage by one (offset, size) pair, O(stages) state, and carry the
+// SymCirculant hint by construction, so on a homogeneous one-rank-per-node
+// machine the direct evaluator collapses them to one equivalence class; the
+// binomial trees build a stage's O(P) edge lists on request, or answer for
+// one rank.
 
 // Broadcast returns the binomial-tree broadcast schedule: the root's message
 // of msgBytes fans out over ⌈log2 P⌉ stages, every signal carrying the full
 // message.
 func Broadcast(p, root, msgBytes int) (*Pattern, error) {
-	return named("broadcast", SemBroadcast, root)(StreamBroadcast(p, root, msgBytes))
+	if p < 1 || root < 0 || root >= p {
+		return nil, fmt.Errorf("%w: broadcast with p=%d root=%d", ErrInvalidPattern, p, root)
+	}
+	s, err := sched.NewBinomial(p, root, msgBytes, false)
+	return wrap("broadcast", SemBroadcast, root, s, err)
 }
 
 // Reduce returns the binomial-tree reduction schedule: the mirror image of
 // Broadcast, with the stages transposed and reversed so every operand of
 // msgBytes (partial reductions stay the same size) flows towards the root.
 func Reduce(p, root, msgBytes int) (*Pattern, error) {
-	return named("reduce", SemReduce, root)(StreamReduce(p, root, msgBytes))
+	if p < 1 || root < 0 || root >= p {
+		return nil, fmt.Errorf("%w: reduce with p=%d root=%d", ErrInvalidPattern, p, root)
+	}
+	s, err := sched.NewBinomial(p, root, msgBytes, true)
+	return wrap("reduce", SemReduce, root, s, err)
 }
 
 // AllReduce returns the circulant (dissemination-structured) allreduce
@@ -69,7 +86,11 @@ func Reduce(p, root, msgBytes int) (*Pattern, error) {
 // delivers every operand everywhere, which is the property Verify checks (the
 // cost model prices messages, not reduction algebra).
 func AllReduce(p, msgBytes int) (*Pattern, error) {
-	return named("allreduce", SemAllReduce, 0)(StreamAllReduce(p, msgBytes))
+	if p < 1 {
+		return nil, fmt.Errorf("%w: allreduce with p=%d", ErrInvalidPattern, p)
+	}
+	s, err := sched.Dissemination(p, func(int) int { return msgBytes })
+	return wrap("allreduce", SemAllReduce, 0, s, err)
 }
 
 // AllGather returns the dissemination (Bruck-style) allgather schedule: every
@@ -77,7 +98,12 @@ func AllReduce(p, msgBytes int) (*Pattern, error) {
 // forwards all blocks gathered so far to the process 2^s positions ahead, so
 // the payload doubles until everyone holds all P blocks.
 func AllGather(p, blockBytes int) (*Pattern, error) {
-	return named("allgather", SemAllGather, 0)(StreamAllGather(p, blockBytes))
+	if p < 1 {
+		return nil, fmt.Errorf("%w: allgather with p=%d", ErrInvalidPattern, p)
+	}
+	// Before the stage with offset 2^s, each rank holds min(2^s, p) blocks.
+	s, err := sched.Dissemination(p, func(dist int) int { return min(dist, p) * blockBytes })
+	return wrap("allgather", SemAllGather, 0, s, err)
 }
 
 // TotalExchange returns the linear-shift total exchange (all-to-all
@@ -85,7 +111,11 @@ func AllGather(p, blockBytes int) (*Pattern, error) {
 // blockBytes destined for the process k+1 positions ahead, so each pair
 // communicates directly and the schedule needs P−1 uniform stages.
 func TotalExchange(p, blockBytes int) (*Pattern, error) {
-	return named("total-exchange", SemTotalExchange, 0)(StreamTotalExchange(p, blockBytes))
+	if p < 1 {
+		return nil, fmt.Errorf("%w: total exchange with p=%d", ErrInvalidPattern, p)
+	}
+	s, err := sched.Shift(p, blockBytes)
+	return wrap("total-exchange", SemTotalExchange, 0, s, err)
 }
 
 // AllGatherRing returns the ring allgather schedule: P−1 stages in which
@@ -94,7 +124,11 @@ func TotalExchange(p, blockBytes int) (*Pattern, error) {
 // allgather (always one block) at the cost of P−1 instead of ⌈log2 P⌉
 // stages — the classic bandwidth/latency trade.
 func AllGatherRing(p, blockBytes int) (*Pattern, error) {
-	return named("allgather-ring", SemAllGather, 0)(StreamAllGatherRing(p, blockBytes))
+	if p < 1 {
+		return nil, fmt.Errorf("%w: ring allgather with p=%d", ErrInvalidPattern, p)
+	}
+	s, err := sched.Ring(p, blockBytes)
+	return wrap("allgather-ring", SemAllGather, 0, s, err)
 }
 
 // Collectives returns one verified schedule per collective at the given

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -94,7 +95,7 @@ func TestBroadcastReachabilityProperty(t *testing.T) {
 		}
 		// Truncating the last stage must leave some rank without the message.
 		truncated := &Pattern{Name: "truncated", Semantics: SemBroadcast, Root: root,
-			StaticStages: sched.StaticStages{Procs: p, Stages: pat.Stages[:len(pat.Stages)-1]}}
+			Schedule: &sched.StaticStages{Procs: p, Stages: pat.Adjacency()[:pat.NumStages()-1]}}
 		return truncated.Verify() != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -141,7 +142,7 @@ func TestSemanticsDistinguishSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asBarrier := &Pattern{Name: "bcast-as-barrier", StaticStages: bc.StaticStages}
+	asBarrier := &Pattern{Name: "bcast-as-barrier", Schedule: bc.Schedule}
 	if err := asBarrier.Verify(); err == nil {
 		t.Error("broadcast stages should not verify as a barrier")
 	}
@@ -153,21 +154,21 @@ func TestSemanticsDistinguishSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asBcast := &Pattern{Name: "reduce-as-broadcast", Semantics: SemBroadcast, Root: 3, StaticStages: rd.StaticStages}
+	asBcast := &Pattern{Name: "reduce-as-broadcast", Semantics: SemBroadcast, Root: 3, Schedule: rd.Schedule}
 	if err := asBcast.Verify(); err == nil {
 		t.Error("reduce stages should not verify as a broadcast")
 	}
 	// A barrier pattern satisfies every flooding semantics.
 	diss, _ := Dissemination(8)
 	for _, sem := range []Semantics{SemAllReduce, SemAllGather, SemTotalExchange} {
-		pat := &Pattern{Name: "diss", Semantics: sem, StaticStages: diss.StaticStages}
+		pat := &Pattern{Name: "diss", Semantics: sem, Schedule: diss.Schedule}
 		if err := pat.Verify(); err != nil {
 			t.Errorf("dissemination should verify as %s: %v", sem, err)
 		}
 	}
 	// Rooted semantics demand a valid root.
 	bad := &Pattern{Name: "bad-root", Semantics: SemReduce, Root: 9,
-		StaticStages: sched.StaticStages{Procs: 8, Stages: diss.Stages[:1]}}
+		Schedule: &sched.StaticStages{Procs: 8, Stages: diss.Adjacency()[:1]}}
 	if err := bad.Validate(); err == nil {
 		t.Error("out-of-range root should fail validation")
 	}
@@ -190,20 +191,17 @@ func TestSemanticsString(t *testing.T) {
 }
 
 // The count payload has one text: sizing the dissemination pattern's edge
-// lists (per-rank knowledge counts, materialized stages) and its streamed twin
-// (one count per stage, a circulant) must give the same edges at the same
-// sizes.
+// lists, hinted as a circulant (per-rank knowledge counts, materialized
+// stages), and the pattern itself (one count per stage, a circulant) must give
+// the same edges at the same sizes.
 func TestWithCountPayloadMatchesSyncPayloadOnDissemination(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8, 16, 31} {
 		diss, err := Dissemination(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, err := StreamDissemination(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense, streamed := KnowledgeSized(diss, 16, p*4), KnowledgeSized(stream, 16, p*4)
+		literal := &sched.StaticStages{Procs: p, Stages: diss.Adjacency(), Sym: sched.SymCirculant}
+		dense, streamed := KnowledgeSized(literal, 16, p*4), KnowledgeSized(diss, 16, p*4)
 		if _, ok := streamed.(sched.CirculantSchedule); !ok {
 			t.Fatalf("p=%d: a sized circulant came back as %T", p, streamed)
 		}
@@ -223,12 +221,12 @@ func TestWithSyncPayloadDoesNotAliasStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages, sizes := fmt.Sprint(diss.Stages), edgeSizes(diss)
+	stages, sizes := fmt.Sprint(diss.Adjacency()), edgeSizes(diss)
 	sized := KnowledgeSized(diss, 0, 8*4)
 	if got := edgeSizes(sized)[edge{1, 0, 2}]; got != 2*8*4 {
 		t.Fatalf("stage 1 of the sized schedule carries %d bytes, want two count rows", got)
 	}
-	if fmt.Sprint(diss.Stages) != stages || !maps.Equal(edgeSizes(diss), sizes) {
+	if fmt.Sprint(diss.Adjacency()) != stages || !maps.Equal(edgeSizes(diss), sizes) {
 		t.Fatal("KnowledgeSized changed the pattern it was given")
 	}
 }
@@ -258,7 +256,7 @@ func TestTotalExchangeIsDirect(t *testing.T) {
 	}
 	// Across all stages every ordered pair communicates exactly once.
 	seen := map[[2]int]bool{}
-	for _, st := range pat.Stages {
+	for _, st := range pat.Adjacency() {
 		for i, outs := range st.Out {
 			for _, j := range outs {
 				if seen[[2]int{i, j}] {
@@ -313,7 +311,7 @@ func TestCollectivePredictionsTrackSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	te, err := StreamTotalExchange(1024, 1024)
+	te, err := TotalExchange(1024, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +369,7 @@ func randomFloodPattern(rng *rand.Rand, p int) *Pattern {
 		}
 		stages[s] = edgeList(p, out)
 	}
-	return &Pattern{Name: "random", StaticStages: sched.StaticStages{Procs: p, Stages: stages}}
+	return &Pattern{Name: "random", Schedule: &sched.StaticStages{Procs: p, Stages: stages}}
 }
 
 func TestSparseDenseAgreeOnRandomPatterns(t *testing.T) {
@@ -382,7 +380,33 @@ func TestSparseDenseAgreeOnRandomPatterns(t *testing.T) {
 		sparse := pat.Verify()
 		dense := verifyDense(pat, SemBarrier, 0)
 		if (sparse == nil) != (dense == nil) {
-			t.Fatalf("trial %d: sparse %v, dense %v for pattern\n%v", trial, sparse, dense, pat.Stages)
+			t.Fatalf("trial %d: sparse %v, dense %v for pattern\n%v", trial, sparse, dense, pat.Adjacency())
 		}
+	}
+}
+
+// TestCirculantPatternVerifyFootprint holds a wrapped circulant's build and
+// verification to O(stages + P/64) words: AllReduce then Verify at 4× the
+// ranks may allocate at most 4.5× the bytes. Materialized stages checked
+// through P reach rows grew about 10× over the same step.
+func TestCirculantPatternVerifyFootprint(t *testing.T) {
+	footprint := func(p int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pat, err := AllReduce(p, 8)
+		if err == nil {
+			err = pat.Verify()
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := footprint(4096), footprint(16384)
+	ratio := float64(large) / float64(small)
+	t.Logf("AllReduce then Verify: P=4096 allocates %d B, P=16384 %d B: ratio %.2f", small, large, ratio)
+	if ratio > 4.5 {
+		t.Fatalf("build plus verify grows %.2f× over 4× the ranks, want at most 4.5×", ratio)
 	}
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // checkSchedule refuses what no consumer can walk: a missing schedule (a nil
-// pointer handed over as one included), one without ranks or stages, and an
+// pointer handed over as one, and a Pattern wrapping none, included), one
+// without ranks or stages, a rooted Pattern's root out of range, and an
 // edge-list literal that breaks the sched.Stage contract (Validate) — a rank
 // out of range, a self-signal, a size row that does not match its edges, or
 // In rows that are not the row-major scan of Out.
@@ -17,10 +18,7 @@ func checkSchedule(s sched.Schedule) error {
 	case nil:
 		return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
 	case *Pattern:
-		if v == nil {
-			return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
-		}
-		return v.Validate()
+		return v.Validate() // the wrapped schedule, checked by this function
 	case *sched.StaticStages:
 		if v == nil {
 			return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
@@ -47,8 +45,9 @@ func checkSchedule(s sched.Schedule) error {
 // flooding semantics) the final K must contain no zero element; a broadcast
 // only requires the root's row to be full, a reduction only the root's
 // column. The recursion is sched.ReachSet's — the sets the direct flood hands
-// out as data — so a Pattern and a streamed schedule of the same stages are
-// checked by the same code. Non-rooted semantics ignore root.
+// out as data — so a Pattern, the schedule it wraps and an edge-list literal
+// of the same stages are checked by the same code. Non-rooted semantics
+// ignore root.
 func VerifySchedule(s sched.Schedule, sem Semantics, root int) error {
 	if err := checkSchedule(s); err != nil {
 		return err
@@ -61,7 +60,7 @@ func VerifySchedule(s sched.Schedule, sem Semantics, root int) error {
 	// Every rank of a circulant schedule knows what rank 0 knows, moved by its
 	// own index: a full set there is a full set everywhere, and a gap there
 	// is a gap in every row and every column, which checkReach then names.
-	if _, ok := s.(sched.CirculantSchedule); ok && reach.Count(0) == p {
+	if _, ok := sched.AsCirculant(s); ok && reach.Count(0) == p {
 		return nil
 	}
 	return checkReach(p, sem, root, reach.Has)
@@ -74,12 +73,13 @@ func VerifySchedule(s sched.Schedule, sem Semantics, root int) error {
 // accumulated — which is the BSP count exchange of Section 6.5 (one P-entry
 // count row per origin) and the dissemination allgather (one block per
 // origin). The input is only read. A circulant schedule's counts are the same
-// on every rank, so it comes back a circulant; anything else comes back as
-// materialized stages sharing the input's edge lists, with its symmetry hint.
+// on every rank, so it (wrapped or not) comes back a circulant; anything else
+// comes back as materialized stages sharing the input's edge lists, with the
+// input's symmetry hint.
 func KnowledgeSized(s sched.Schedule, headerBytes, bytesPerOrigin int) sched.Schedule {
 	p, n := s.NumProcs(), s.NumStages()
 	known, v := sched.NewReachSet(s), sched.ViewOf(s)
-	if cs, ok := s.(sched.CirculantSchedule); ok {
+	if cs, ok := sched.AsCirculant(s); ok {
 		offsets, sizes := make([]int, n), make([]int, n)
 		for k := range offsets {
 			offsets[k], _ = cs.CirculantStage(k)
@@ -93,10 +93,7 @@ func KnowledgeSized(s sched.Schedule, headerBytes, bytesPerOrigin int) sched.Sch
 		}
 		return c
 	}
-	out := &sched.StaticStages{Procs: p, Stages: make([]sched.Stage, n)}
-	if ss, ok := s.(sched.SymmetricSchedule); ok {
-		out.Sym = ss.Symmetry()
-	}
+	out := &sched.StaticStages{Procs: p, Stages: make([]sched.Stage, n), Sym: sched.SymmetryOf(s)}
 	for k := range out.Stages {
 		st := s.StageAt(k)
 		outBytes := make([][]int, p)

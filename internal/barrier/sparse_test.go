@@ -9,15 +9,16 @@ import (
 	"hbsp/internal/sched"
 )
 
-// TestAdjacencyMatchesStageMatrices: Adjacency hands out the pattern's own
-// edge lists, and they are Fig. 5.4's stage matrices read off row by row.
+// TestAdjacencyMatchesStageMatrices: Adjacency hands out the pattern's stages
+// as read through StageAt, and they are Fig. 5.4's stage matrices read off
+// row by row.
 func TestAdjacencyMatchesStageMatrices(t *testing.T) {
 	pat, err := Tree(13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adj := pat.Adjacency()
-	if len(adj) != pat.NumStages() || &adj[0] != &pat.Stages[0] {
+	if len(adj) != pat.NumStages() || fmt.Sprint(adj[0]) != fmt.Sprint(pat.StageAt(0)) {
 		t.Fatalf("adjacency is not the pattern's %d stages", pat.NumStages())
 	}
 	sameEdges(t, "Tree(13)", ruleSchedule(13, treeRule), &sched.StaticStages{Procs: 13, Stages: adj})
@@ -48,8 +49,8 @@ func TestReachSetsBasics(t *testing.T) {
 	// must answer Has and Count for every rank as the
 	// P-row recursion over the same stages, materialized, does.
 	for _, p := range []int{1, 2, 3, 7, 63, 64, 65, 128, 130} {
-		for name, gen := range map[string]func(int, int) (sched.Schedule, error){
-			"allreduce": StreamAllReduce, "ring": StreamAllGatherRing, "total-exchange": StreamTotalExchange,
+		for name, gen := range map[string]func(int, int) (*Pattern, error){
+			"allreduce": AllReduce, "ring": AllGatherRing, "total-exchange": TotalExchange,
 		} {
 			stream, err := gen(p, 8)
 			if err != nil {
@@ -109,8 +110,8 @@ func removeEdge(st *sched.Stage, from, to int) {
 }
 
 // TestVerifyScheduleAgreesWithVerifyDense checks the one recursion against
-// the literal matrix products on every collective, streamed and materialized
-// — and that the two reject the same mutants: a dropped stage, a stage with
+// the literal matrix products on every collective's pattern and its edge-rule
+// literal — and that the two reject the same mutants: a dropped stage, a stage with
 // one edge removed, circulants with a stage dropped or an offset changed, and
 // a rooted schedule checked under all-to-all semantics. (The linear-shift
 // total exchange is the one generator the first two do not break: under the
@@ -135,11 +136,7 @@ func TestVerifyScheduleAgreesWithVerifyDense(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				stream, err := g.stream()
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				if !agree(t, what, stream, sem, root) || !agree(t, what+" materialized", pat, sem, root) {
+				if !agree(t, what, pat, sem, root) || !agree(t, what+" literal", ruleSchedule(p, g.rule), sem, root) {
 					t.Fatalf("%s: generator schedule rejected", what)
 				}
 				if err := pat.Verify(); err != nil { // its own semantics and root
@@ -150,14 +147,14 @@ func TestVerifyScheduleAgreesWithVerifyDense(t *testing.T) {
 				}
 
 				// A dropped stage (the last one).
-				mut := materialize(stream)
+				mut := materialize(pat)
 				mut.Stages = mut.Stages[:len(mut.Stages)-1]
 				if agree(t, what+" minus last stage", mut, sem, root) && sem != SemTotalExchange {
 					t.Errorf("%s: accepted with its last stage dropped", what)
 				}
 
 				// One edge removed from the first stage that has one.
-				mut = materialize(stream)
+				mut = materialize(pat)
 				for k := range mut.Stages {
 					from := slices.IndexFunc(mut.Stages[k].Out, func(outs []int) bool { return len(outs) > 0 })
 					if from >= 0 {
@@ -171,7 +168,7 @@ func TestVerifyScheduleAgreesWithVerifyDense(t *testing.T) {
 
 				// Mutants that stay circulant, which the one-row recursion has
 				// to reject by itself: a dropped stage, a changed offset.
-				if cs, ok := stream.(sched.CirculantSchedule); ok {
+				if cs, ok := sched.AsCirculant(pat); ok {
 					offs := make([]int, cs.NumStages())
 					for k := range offs {
 						offs[k], _ = cs.CirculantStage(k)
@@ -182,7 +179,7 @@ func TestVerifyScheduleAgreesWithVerifyDense(t *testing.T) {
 				}
 
 				// A rooted schedule under all-to-all semantics.
-				if (sem == SemBroadcast || sem == SemReduce) && agree(t, what+" as allgather", stream, SemAllGather, root) {
+				if (sem == SemBroadcast || sem == SemReduce) && agree(t, what+" as allgather", pat, SemAllGather, root) {
 					t.Errorf("%s: a rooted schedule passed as an allgather", what)
 				}
 			}
@@ -256,7 +253,7 @@ func BenchmarkVerifyDenseP1024(b *testing.B) {
 
 func BenchmarkPredictSparseP1024(b *testing.B) {
 	pat := benchPattern(b, 1024)
-	p := pat.Procs
+	p := pat.NumProcs()
 	lat := matrix.NewDense(p, p)
 	ovh := matrix.NewDense(p, p)
 	lat.Fill(28e-6)

@@ -6,17 +6,18 @@ import (
 	"maps"
 	"testing"
 
+	"hbsp/internal/platform"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 )
 
-// generator is one collective: its semantics, its edge rule, its Pattern
-// generator and its streamed twin.
+// generator is one collective: its semantics, its edge rule, whether that
+// rule is a circulant, and its generator.
 type generator struct {
-	sem     Semantics
-	rule    edgeRule
-	pattern func() (*Pattern, error)
-	stream  func() (sched.Schedule, error)
+	sem       Semantics
+	rule      edgeRule
+	circulant bool
+	pattern   func() (*Pattern, error)
 }
 
 // generators enumerates every streamed collective at one process count, the
@@ -25,28 +26,33 @@ func generators(p, root int) map[string]generator {
 	size := func(n int) func(int) int { return func(int) int { return n } }
 	doubling := func(s int) int { return 1 << s }
 	return map[string]generator{
-		"dissemination": {SemBarrier, circulantRule(doublings, doubling, size(0)),
-			func() (*Pattern, error) { return Dissemination(p) },
-			func() (sched.Schedule, error) { return StreamDissemination(p) }},
-		"allreduce": {SemAllReduce, circulantRule(doublings, doubling, size(96)),
-			func() (*Pattern, error) { return AllReduce(p, 96) },
-			func() (sched.Schedule, error) { return StreamAllReduce(p, 96) }},
-		"allgather": {SemAllGather, circulantRule(doublings, doubling, func(s int) int { return 96 << s }),
-			func() (*Pattern, error) { return AllGather(p, 96) },
-			func() (sched.Schedule, error) { return StreamAllGather(p, 96) }},
-		"allgather-ring": {SemAllGather, circulantRule(func(p int) int { return p - 1 }, size(1), size(64)),
-			func() (*Pattern, error) { return AllGatherRing(p, 64) },
-			func() (sched.Schedule, error) { return StreamAllGatherRing(p, 64) }},
-		"broadcast": {SemBroadcast, binomialRule(root, 96, false),
-			func() (*Pattern, error) { return Broadcast(p, root, 96) },
-			func() (sched.Schedule, error) { return StreamBroadcast(p, root, 96) }},
-		"reduce": {SemReduce, binomialRule(root, 96, true),
-			func() (*Pattern, error) { return Reduce(p, root, 96) },
-			func() (sched.Schedule, error) { return StreamReduce(p, root, 96) }},
-		"total-exchange": {SemTotalExchange, circulantRule(func(p int) int { return p - 1 }, func(s int) int { return s + 1 }, size(64)),
-			func() (*Pattern, error) { return TotalExchange(p, 64) },
-			func() (sched.Schedule, error) { return StreamTotalExchange(p, 64) }},
+		"dissemination": {SemBarrier, circulantRule(doublings, doubling, size(0)), true,
+			func() (*Pattern, error) { return Dissemination(p) }},
+		"allreduce": {SemAllReduce, circulantRule(doublings, doubling, size(96)), true,
+			func() (*Pattern, error) { return AllReduce(p, 96) }},
+		"allgather": {SemAllGather, circulantRule(doublings, doubling, func(s int) int { return 96 << s }), true,
+			func() (*Pattern, error) { return AllGather(p, 96) }},
+		"allgather-ring": {SemAllGather, circulantRule(func(p int) int { return p - 1 }, size(1), size(64)), true,
+			func() (*Pattern, error) { return AllGatherRing(p, 64) }},
+		"broadcast": {SemBroadcast, binomialRule(root, 96, false), false,
+			func() (*Pattern, error) { return Broadcast(p, root, 96) }},
+		"reduce": {SemReduce, binomialRule(root, 96, true), false,
+			func() (*Pattern, error) { return Reduce(p, root, 96) }},
+		"total-exchange": {SemTotalExchange, circulantRule(func(p int) int { return p - 1 }, func(s int) int { return s + 1 }, size(64)), true,
+			func() (*Pattern, error) { return TotalExchange(p, 64) }},
 	}
+}
+
+// literals returns the generator's edge-rule literal over p ranks, and for a
+// circulant rule the same literal with the SymCirculant hint, keyed by a name.
+func (g generator) literals(p int) map[string]*sched.StaticStages {
+	out := map[string]*sched.StaticStages{"literal": ruleSchedule(p, g.rule)}
+	if g.circulant {
+		hinted := ruleSchedule(p, g.rule)
+		hinted.Sym = sched.SymCirculant
+		out["hinted literal"] = hinted
+	}
+	return out
 }
 
 // edge names one signal of a schedule; edgeSizes reads every signal's size
@@ -87,42 +93,60 @@ func sameEdges(t *testing.T, what string, ref, s sched.Schedule) {
 	}
 }
 
-// TestStreamGeneratorsMatchPatterns holds every collective's Pattern and its
-// streamed twin to the collective's edge rule — stage structure, edge order
-// and payload sizes — and, through the evaluator, to bit-identical virtual
-// times, across odd, power-of-two and non-power-of-two process counts.
+// TestStreamGeneratorsMatchPatterns holds every collective's Pattern — its
+// streamed schedule wrapped — to the collective's edge-rule literal, with and
+// (for the circulants) without the SymCirculant hint: stage structure, edge
+// order and payload sizes, the knowledge-sized edge sizes and the Predict
+// total, and through the evaluator bit-identical virtual times and traffic on
+// a noisy and a noise-free machine, across odd, power-of-two and
+// non-power-of-two process counts. The wrapper's circulant and binomial views
+// are so diffed against the edge-list walker.
 func TestStreamGeneratorsMatchPatterns(t *testing.T) {
+	prof := platform.Xeon8x2x4()
 	for _, p := range []int{1, 2, 3, 5, 8, 12, 13, 16} {
-		m := engineMachine(t, p, true)
+		params := platformParams(t, prof, p)
+		machines := []*platform.Machine{engineMachine(t, p, true), engineMachine(t, p, false)}
 		for name, g := range generators(p, p/2) {
 			pat, err := g.pattern()
 			if err != nil {
 				t.Fatalf("p=%d %s pattern: %v", p, name, err)
 			}
-			stream, err := g.stream()
-			if err != nil {
-				t.Fatalf("p=%d %s stream: %v", p, name, err)
-			}
-			ref := ruleSchedule(p, g.rule)
-			sameEdges(t, fmt.Sprintf("p=%d %s pattern", p, name), ref, pat)
-			sameEdges(t, fmt.Sprintf("p=%d %s stream", p, name), ref, stream)
-
-			resPat, err := sched.RunSchedule(context.Background(), m, pat, 2, simnet.DefaultOptions())
-			if err != nil {
-				t.Fatalf("p=%d %s pattern run: %v", p, name, err)
-			}
-			resStream, err := sched.RunSchedule(context.Background(), m, stream, 2, simnet.DefaultOptions())
-			if err != nil {
-				t.Fatalf("p=%d %s stream run: %v", p, name, err)
-			}
-			for r := range resPat.Times {
-				if resPat.Times[r] != resStream.Times[r] {
-					t.Errorf("p=%d %s rank %d: pattern %v, stream %v", p, name, r, resPat.Times[r], resStream.Times[r])
+			for form, ref := range g.literals(p) {
+				what := fmt.Sprintf("p=%d %s against its %s", p, name, form)
+				sameEdges(t, what, ref, pat)
+				if got, want := edgeSizes(KnowledgeSized(pat, 16, 4*p)), edgeSizes(KnowledgeSized(ref, 16, 4*p)); !maps.Equal(got, want) {
+					t.Errorf("%s: knowledge-sized edges %v, want %v", what, got, want)
 				}
-			}
-			if resPat.Messages != resStream.Messages || resPat.Bytes != resStream.Bytes {
-				t.Errorf("p=%d %s traffic: pattern %d/%d, stream %d/%d",
-					p, name, resPat.Messages, resPat.Bytes, resStream.Messages, resStream.Bytes)
+				predPat, err := Predict(pat, params, CostOptionsFor(g.sem))
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				predRef, err := Predict(ref, params, CostOptionsFor(g.sem))
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if predPat.Total != predRef.Total {
+					t.Errorf("%s: predicted %v, literal %v", what, predPat.Total, predRef.Total)
+				}
+				for _, m := range machines {
+					resPat, err := sched.RunSchedule(context.Background(), m, pat, 2, simnet.DefaultOptions())
+					if err != nil {
+						t.Fatalf("%s run: %v", what, err)
+					}
+					resRef, err := sched.RunSchedule(context.Background(), m, ref, 2, simnet.DefaultOptions())
+					if err != nil {
+						t.Fatalf("%s literal run: %v", what, err)
+					}
+					for r := range resPat.Times {
+						if resPat.Times[r] != resRef.Times[r] {
+							t.Errorf("%s rank %d: pattern %v, literal %v", what, r, resPat.Times[r], resRef.Times[r])
+						}
+					}
+					if resPat.Messages != resRef.Messages || resPat.Bytes != resRef.Bytes {
+						t.Errorf("%s traffic: pattern %d/%d, literal %d/%d",
+							what, resPat.Messages, resPat.Bytes, resRef.Messages, resRef.Bytes)
+					}
+				}
 			}
 		}
 	}
@@ -139,8 +163,8 @@ func TestAllGatherRingVerifies(t *testing.T) {
 		if err := pat.Verify(); err != nil {
 			t.Errorf("p=%d: ring allgather failed verification: %v", p, err)
 		}
-		if pat.Sym != sched.SymCirculant {
-			t.Errorf("p=%d: ring allgather lost its circulant hint", p)
+		if _, ok := sched.AsCirculant(pat); !ok {
+			t.Errorf("p=%d: ring allgather lost its circulant shape", p)
 		}
 	}
 }

@@ -44,19 +44,20 @@ type scheduleKey struct {
 	root, msgBytes int
 }
 
-// generator builds the streamed generator schedule of the semantics.
-func generator(sem barrier.Semantics, p, root, msgBytes int) (sched.Schedule, error) {
+// generator builds the collective's generator schedule: the pattern of the
+// semantics, wrapping its streamed schedule.
+func generator(sem barrier.Semantics, p, root, msgBytes int) (*barrier.Pattern, error) {
 	switch sem {
 	case barrier.SemBroadcast:
-		return barrier.StreamBroadcast(p, root, msgBytes)
+		return barrier.Broadcast(p, root, msgBytes)
 	case barrier.SemReduce:
-		return barrier.StreamReduce(p, root, msgBytes)
+		return barrier.Reduce(p, root, msgBytes)
 	case barrier.SemAllReduce:
-		return barrier.StreamAllReduce(p, msgBytes)
+		return barrier.AllReduce(p, msgBytes)
 	case barrier.SemAllGather:
-		return barrier.StreamAllGather(p, msgBytes)
+		return barrier.AllGather(p, msgBytes)
 	case barrier.SemTotalExchange:
-		return barrier.StreamTotalExchange(p, msgBytes)
+		return barrier.TotalExchange(p, msgBytes)
 	}
 	return nil, fmt.Errorf("bsp: no schedule generator for %s", sem)
 }

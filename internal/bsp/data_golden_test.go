@@ -59,9 +59,9 @@ func collectiveData(t *testing.T, engine simnet.Engine, form string, p int) map[
 		}
 		cfg.Sync = sync
 	} else {
-		bc, rd = must(barrier.StreamBroadcast(p, root, 8)), must(barrier.StreamReduce(p, root, 8))
-		ar, ag = must(barrier.StreamAllReduce(p, 8)), must(barrier.StreamAllGather(p, 8))
-		te, ba = must(barrier.StreamTotalExchange(p, 8)), must(barrier.StreamDissemination(p))
+		bc, rd = must(barrier.Broadcast(p, root, 8)), must(barrier.Reduce(p, root, 8))
+		ar, ag = must(barrier.AllReduce(p, 8)), must(barrier.AllGather(p, 8))
+		te, ba = must(barrier.TotalExchange(p, 8)), must(barrier.Dissemination(p))
 	}
 	m := collectiveMachine(t, p)
 	o := simnet.DefaultOptions()

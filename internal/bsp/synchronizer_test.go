@@ -209,7 +209,7 @@ func TestScheduleSynchronizerRejectsUnsuitableSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewScheduleSynchronizer(&sched.StaticStages{Procs: 8, Stages: linear.Stages[:1]}); err == nil {
+	if _, err := NewScheduleSynchronizer(&sched.StaticStages{Procs: 8, Stages: []sched.Stage{linear.StageAt(0)}}); err == nil {
 		t.Error("truncated schedule should fail verification")
 	}
 }
@@ -323,7 +323,7 @@ func sizedEdges(s sched.Schedule) [][4]int {
 // replaced it.
 func TestKnowledgeSizedMatchesClosedForms(t *testing.T) {
 	for p := 1; p <= 130; p++ {
-		diss, err := barrier.StreamDissemination(p)
+		diss, err := barrier.Dissemination(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestKnowledgeSizedMatchesClosedForms(t *testing.T) {
 		if got, want := sizedEdges(barrier.KnowledgeSized(diss, headerBytes, p*countEntryBytes)), sizedEdges(exchange); !slices.Equal(got, want) {
 			t.Fatalf("p=%d: sized dissemination %v, count exchange %v", p, got, want)
 		}
-		gather, err := barrier.StreamAllGather(p, 96)
+		gather, err := barrier.AllGather(p, 96)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -166,7 +166,7 @@ func Fig6_3Series(prof *platform.Profile, maxProcs int, opts Options) ([]SyncPoi
 		if err != nil {
 			return nil, err
 		}
-		diss, err := barrier.StreamDissemination(p)
+		diss, err := barrier.Dissemination(p)
 		if err != nil {
 			return nil, err
 		}

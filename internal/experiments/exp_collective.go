@@ -6,7 +6,6 @@ import (
 	"hbsp/internal/barrier"
 	"hbsp/internal/bsp"
 	"hbsp/internal/platform"
-	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 )
 
@@ -33,7 +32,10 @@ type CollectivePoint struct {
 // process counts on the given platform preset. It is the collective
 // generalization of the Chapter 5 barrier figures: the same cost model that
 // prices barrier stages prices the payload-carrying stages of the
-// collectives, and the same simulator provides the measurement.
+// collectives, and the same simulator provides the measurement. Each point
+// takes the collective's one generator — a Pattern wrapping its streamed
+// schedule — verifies it, and reads its name and semantics (the cost options)
+// off the pattern.
 func CollectiveSeries(prof *platform.Profile, maxProcs int, opts Options) ([]CollectivePoint, error) {
 	opts = opts.normalize()
 	draws := newDraws(prof.Seed, maxProcs)
@@ -47,8 +49,7 @@ func CollectiveSeries(prof *platform.Profile, maxProcs int, opts Options) ([]Col
 		if err != nil {
 			return nil, err
 		}
-		// The streamed generators: the patterns they materialize price and
-		// run the same, bit for bit, and need not be built.
+		// The five generators' patterns, each wrapping its streamed schedule.
 		const b = CollectiveBlockBytes
 		// The five run on one re-seeded copy, the first four reading and
 		// extending its memo. The total exchange runs last, and its stream is
@@ -56,41 +57,37 @@ func CollectiveSeries(prof *platform.Profile, maxProcs int, opts Options) ([]Col
 		// than its prefix saves, so it runs on the copy without the memo.
 		rm := reseeded(m, int64(400+p))
 		var out []CollectivePoint
-		for _, c := range []struct {
-			name string
-			sem  barrier.Semantics
-			gen  func() (sched.Schedule, error)
-		}{
-			{"broadcast", barrier.SemBroadcast, func() (sched.Schedule, error) { return barrier.StreamBroadcast(p, 0, b) }},
-			{"reduce", barrier.SemReduce, func() (sched.Schedule, error) { return barrier.StreamReduce(p, 0, b) }},
-			{"allreduce", barrier.SemAllReduce, func() (sched.Schedule, error) { return barrier.StreamAllReduce(p, b) }},
-			{"allgather", barrier.SemAllGather, func() (sched.Schedule, error) { return barrier.StreamAllGather(p, b) }},
-			{"total-exchange", barrier.SemTotalExchange, func() (sched.Schedule, error) { return barrier.StreamTotalExchange(p, b) }},
+		for _, gen := range []func() (*barrier.Pattern, error){
+			func() (*barrier.Pattern, error) { return barrier.Broadcast(p, 0, b) },
+			func() (*barrier.Pattern, error) { return barrier.Reduce(p, 0, b) },
+			func() (*barrier.Pattern, error) { return barrier.AllReduce(p, b) },
+			func() (*barrier.Pattern, error) { return barrier.AllGather(p, b) },
+			func() (*barrier.Pattern, error) { return barrier.TotalExchange(p, b) },
 		} {
-			s, err := c.gen()
+			pat, err := gen()
 			if err != nil {
 				return nil, err
 			}
-			if err := barrier.VerifySchedule(s, c.sem, 0); err != nil {
+			if err := pat.Verify(); err != nil {
 				return nil, err
 			}
 			run := rm
-			if c.sem == barrier.SemTotalExchange {
+			if pat.Semantics == barrier.SemTotalExchange {
 				run = rm.WithTurnDraws(nil)
 			}
-			meas, err := barrier.Measure(run, s, opts.Reps)
+			meas, err := barrier.Measure(run, pat, opts.Reps)
 			if err != nil {
 				return nil, err
 			}
-			pred, err := barrier.Predict(s, params, barrier.CostOptionsFor(c.sem))
+			pred, err := barrier.Predict(pat, params, barrier.CostOptionsFor(pat.Semantics))
 			if err != nil {
 				return nil, err
 			}
 			pt := CollectivePoint{
 				Platform:   prof.Name,
-				Collective: c.name,
+				Collective: pat.Name,
 				Procs:      p,
-				Stages:     s.NumStages(),
+				Stages:     pat.NumStages(),
 				Measured:   meas.MeanWorst,
 				Predicted:  pred.Total,
 			}

@@ -73,7 +73,7 @@ func BytesSweepSeries(prof *platform.Profile, procs int, payloads []int) ([]Swee
 	}
 	return sweepSeries(func() (*platform.Machine, error) { return m, nil }, len(payloads),
 		func(sw *sched.SweepEvaluator, i int) (SweepSeriesPoint, error) {
-			s, err := barrier.StreamTotalExchange(procs, payloads[i])
+			s, err := barrier.TotalExchange(procs, payloads[i])
 			if err != nil {
 				return SweepSeriesPoint{}, err
 			}
@@ -102,7 +102,7 @@ func ScaleSweepSeries(prof *platform.Profile, procs, payload int, scales []float
 	if procs < 2 {
 		return nil, fmt.Errorf("experiments: scale sweep needs procs >= 2, got %d", procs)
 	}
-	s, err := barrier.StreamTotalExchange(procs, payload)
+	s, err := barrier.TotalExchange(procs, payload)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func TestSharedBytesSweepSeriesMatchesIndependentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, b := range payloads {
-		s, err := barrier.StreamTotalExchange(procs, b)
+		s, err := barrier.TotalExchange(procs, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestSharedScaleSweepSeriesMatchesIndependentRuns(t *testing.T) {
 	if len(pts) != len(scales) {
 		t.Fatalf("got %d points, want %d", len(pts), len(scales))
 	}
-	s, err := barrier.StreamTotalExchange(procs, payload)
+	s, err := barrier.TotalExchange(procs, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

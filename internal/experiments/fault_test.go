@@ -110,7 +110,7 @@ func TestFaultTraceGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		m = m.WithRunSeed(21)
-		s, err := barrier.StreamDissemination(16)
+		s, err := barrier.Dissemination(16)
 		if err != nil {
 			t.Fatal(err)
 		}

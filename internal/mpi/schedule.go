@@ -78,13 +78,13 @@ func (f Flood) Len() int { return f.reach.Count(f.rank) }
 
 // scheduleFits refuses a missing schedule and one built for another rank
 // count: too small indexes past its stage rows, too large waits for ranks
-// that do not exist.
+// that do not exist. A wrapper of no schedule counts no ranks.
 func scheduleFits(s Schedule, p *simnet.Proc) error {
 	if s == nil {
 		return errors.New("mpi: nil schedule")
 	}
-	if s.NumProcs() != p.Size() {
-		return fmt.Errorf("mpi: schedule for %d processes on a %d-process run", s.NumProcs(), p.Size())
+	if n := sched.ProcsOf(s); n != p.Size() {
+		return fmt.Errorf("mpi: schedule for %d processes on a %d-process run", n, p.Size())
 	}
 	return nil
 }

@@ -156,6 +156,20 @@ func TestScheduleCollectiveValidation(t *testing.T) {
 			if _, err := c.TotalExchangeSchedule(pat, make([]any, 2)); err == nil {
 				t.Errorf("%s: TotalExchangeSchedule with wrong block count should fail", tc.name)
 			}
+			// A wrapper of no schedule, and no pattern at all, count no ranks:
+			// refused before anything is sent, never by a nil dereference.
+			for _, empty := range []*barrier.Pattern{{Name: "empty"}, nil} {
+				const want = "mpi: schedule for 0 processes on a 4-process run"
+				if _, err := c.AllreduceSchedule(empty, 0, mpi.OpSum); err == nil || err.Error() != want {
+					t.Errorf("%s: AllreduceSchedule of %#v: %v, want %q", tc.name, empty, err, want)
+				}
+				if err := c.BarrierSchedule(empty); err == nil || err.Error() != want {
+					t.Errorf("%s: BarrierSchedule of %#v: %v, want %q", tc.name, empty, err, want)
+				}
+				if err := mpi.ExecSchedule(c.Proc(), empty, 0, false); err == nil || err.Error() != want {
+					t.Errorf("%s: ExecSchedule of %#v: %v, want %q", tc.name, empty, err, want)
+				}
+			}
 			return nil
 		}, o)
 		if err != nil {
@@ -177,20 +191,42 @@ func must[S mpi.Schedule](t *testing.T) func(S, error) mpi.Schedule {
 	}
 }
 
+// literalOf copies the pattern's stages into an edge-list literal, with the
+// SymCirculant hint when the pattern wraps a circulant: the dense form of a
+// generator, walked through the edge lists where the pattern is walked
+// through its circulant or binomial view.
+func literalOf(t *testing.T, pat *barrier.Pattern) *sched.StaticStages {
+	t.Helper()
+	lit := &sched.StaticStages{Procs: pat.NumProcs(), Stages: pat.Adjacency()}
+	if _, ok := sched.AsCirculant(pat); ok {
+		lit.Sym = sched.SymCirculant
+	}
+	if err := lit.Validate(); err != nil {
+		t.Fatalf("%s: %v", pat.Name, err)
+	}
+	return lit
+}
+
 // TestStreamedAndDenseSchedulesAgreeOnBothEngines runs every typed schedule
-// collective four ways — on the materialized *Pattern and on the streamed
-// schedule of the same name, each evaluated at the gate (EngineAuto) and
-// walked rank by rank through the stage view (EngineConcurrent) — on a noisy
-// heterogeneous machine, with and without acknowledged sends: per-rank times,
-// traffic, every returned value and, traced, the recording byte for byte must
-// be the same on all four. The run ends with a barrier flooded over the
-// binomial tree (edge lists in both forms; it has no streamed generator),
-// whose ranks sit idle in some stages at every P here but the powers of two —
-// P = 6 is in the list for it.
+// collective four ways — on the generator's pattern (its streamed schedule
+// wrapped) and on an edge-list literal of the same stages (literalOf), each
+// evaluated at the gate (EngineAuto) and walked rank by rank through the
+// stage view (EngineConcurrent) — on a noisy heterogeneous machine, with and
+// without acknowledged sends: per-rank times, traffic, every returned value
+// and, traced, the recording byte for byte must be the same on all four. The
+// run ends with a barrier flooded over the binomial tree (a wrapped edge list
+// against its literal), whose ranks sit idle in some stages at every P here
+// but the powers of two — P = 6 is in the list for it.
 func TestStreamedAndDenseSchedulesAgreeOnBothEngines(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 6, 8, 13, 16} {
 		root := 2 % p
-		dense, stream := must[*barrier.Pattern](t), must[mpi.Schedule](t)
+		stream := must[*barrier.Pattern](t)
+		dense := func(pat *barrier.Pattern, err error) mpi.Schedule {
+			if err != nil {
+				t.Fatal(err)
+			}
+			return literalOf(t, pat)
+		}
 		forms := map[string]collectiveSchedules{
 			"dense": {
 				bc: dense(barrier.Broadcast(p, root, 96)), rd: dense(barrier.Reduce(p, root, 8)),
@@ -199,10 +235,10 @@ func TestStreamedAndDenseSchedulesAgreeOnBothEngines(t *testing.T) {
 				tr: dense(barrier.Tree(p)),
 			},
 			"streamed": {
-				bc: stream(barrier.StreamBroadcast(p, root, 96)), rd: stream(barrier.StreamReduce(p, root, 8)),
-				ar: stream(barrier.StreamAllReduce(p, 8)), ag: stream(barrier.StreamAllGather(p, 24)),
-				te: stream(barrier.StreamTotalExchange(p, 40)), ba: stream(barrier.StreamDissemination(p)),
-				tr: dense(barrier.Tree(p)),
+				bc: stream(barrier.Broadcast(p, root, 96)), rd: stream(barrier.Reduce(p, root, 8)),
+				ar: stream(barrier.AllReduce(p, 8)), ag: stream(barrier.AllGather(p, 24)),
+				te: stream(barrier.TotalExchange(p, 40)), ba: stream(barrier.Dissemination(p)),
+				tr: stream(barrier.Tree(p)),
 			},
 		}
 		m, err := platform.Xeon8x2x4().Machine(p) // heterogeneity spread and run-to-run noise
@@ -298,7 +334,7 @@ func TestStreamedAndDenseSchedulesAgreeOnBothEngines(t *testing.T) {
 }
 
 // TestFloodAllocScalesWithEdges holds a schedule collective's data plane to
-// O(P + edges) on both engines: an allreduce over StreamAllReduce at 4× the
+// O(P + edges) on both engines: an allreduce over AllReduce at 4× the
 // ranks must allocate at most 6× as much. A map of every contribution per
 // rank reads about 16×.
 func TestFloodAllocScalesWithEdges(t *testing.T) {
@@ -313,7 +349,7 @@ func TestFloodAllocScalesWithEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := barrier.StreamAllReduce(p, 8)
+			s, err := barrier.AllReduce(p, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,11 +381,11 @@ func TestFloodAllocScalesWithEdges(t *testing.T) {
 // once in one process. Every rank must read each call's own values.
 func TestSharedFloodBoardRunsAhead(t *testing.T) {
 	const p, calls = 13, 40
-	bc, err := barrier.StreamBroadcast(p, 0, 8)
+	bc, err := barrier.Broadcast(p, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := barrier.StreamAllReduce(p, 8)
+	ar, err := barrier.AllReduce(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +431,7 @@ func TestSharedFloodBoardRunsAhead(t *testing.T) {
 // lack some.
 func TestFloodViewFollowsReach(t *testing.T) {
 	const p = 13
-	s, err := barrier.StreamReduce(p, 0, 8)
+	s, err := barrier.Reduce(p, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

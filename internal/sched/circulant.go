@@ -17,6 +17,36 @@ type CirculantSchedule interface {
 	CirculantStage(k int) (offset, sizeBytes int)
 }
 
+// AsCirculant returns the schedule's circulant view, seeing through a
+// wrapper (barrier.Pattern): how code outside this package asks a schedule's
+// shape.
+func AsCirculant(s Schedule) (CirculantSchedule, bool) {
+	cs, ok := unwrap(s).(CirculantSchedule)
+	return cs, ok
+}
+
+// ProcsOf returns the schedule's rank count, seeing through a wrapper; 0 for
+// a nil schedule or a wrapper of none, which every rank-count check refuses.
+func ProcsOf(s Schedule) int {
+	if s = unwrap(s); s == nil {
+		return 0
+	}
+	return s.NumProcs()
+}
+
+// unwrap returns the schedule whose type decides s's shape: s itself, or the
+// schedule a wrapper's ScheduleView holds (barrier.Pattern), unwrapped again;
+// nil for a wrapper of none. Every shape decision here reads it.
+func unwrap(s Schedule) Schedule {
+	for {
+		w, ok := s.(interface{ ScheduleView() Schedule })
+		if !ok {
+			return s
+		}
+		s = w.ScheduleView()
+	}
+}
+
 // Circulant is a streaming circulant schedule: stage k prescribes the single
 // uniform edge i→(i+offsets[k]) mod P for every rank i, with the uniform
 // payload sizes[k]. It is the shape of the dissemination, linear-shift
@@ -133,8 +163,10 @@ type StageView struct {
 	sz   [1]int
 }
 
-// ViewOf returns a view of the schedule, pointed at no stage yet.
+// ViewOf returns a view of the schedule, pointed at no stage yet; a wrapper
+// is read through the schedule it wraps.
 func ViewOf(s Schedule) StageView {
+	s = unwrap(s)
 	cs, _ := s.(CirculantSchedule)
 	return StageView{s: s, cs: cs, p: s.NumProcs()}
 }

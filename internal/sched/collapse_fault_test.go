@@ -69,7 +69,7 @@ func TestCollapseUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diss, err := barrier.StreamDissemination(p)
+	diss, err := barrier.Dissemination(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCollapseReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diss, err := barrier.StreamDissemination(p)
+	diss, err := barrier.Dissemination(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,22 +28,23 @@ func collapseSchedules(t *testing.T, p int) map[string]sched.Schedule {
 		}
 		out[name] = s
 	}
-	s, err := barrier.StreamDissemination(p)
+	var s sched.Schedule
+	s, err := barrier.Dissemination(p)
 	add("dissemination", s, err)
-	s, err = barrier.StreamAllReduce(p, 96)
+	s, err = barrier.AllReduce(p, 96)
 	add("allreduce", s, err)
-	s, err = barrier.StreamAllGather(p, 96)
+	s, err = barrier.AllGather(p, 96)
 	add("allgather", s, err)
 	s, err = bsp.ExchangeSchedule(p)
 	add("count-exchange", s, err)
 	if p <= 1024 {
-		s, err = barrier.StreamTotalExchange(p, 64)
+		s, err = barrier.TotalExchange(p, 64)
 		add("total-exchange", s, err)
-		s, err = barrier.StreamAllGatherRing(p, 64)
+		s, err = barrier.AllGatherRing(p, 64)
 		add("allgather-ring", s, err)
-		s, err = barrier.StreamBroadcast(p, 0, 96)
+		s, err = barrier.Broadcast(p, 0, 96)
 		add("broadcast", s, err)
-		s, err = barrier.StreamReduce(p, 0, 96)
+		s, err = barrier.Reduce(p, 0, 96)
 		add("reduce", s, err)
 	}
 	return out
@@ -172,7 +173,7 @@ func TestCollapsePermutationProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := barrier.StreamDissemination(p)
+		s, err := barrier.Dissemination(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func TestCollapseFallbackHeterogeneous(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, m := range map[string]*platform.Machine{"hetero": hetero, "noisy": noisy.WithRunSeed(11)} {
-		s, err := barrier.StreamDissemination(p)
+		s, err := barrier.Dissemination(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +321,7 @@ func TestRunScheduleSteadyStateAllocs(t *testing.T) {
 	// payloads on one machine, the scale axis two link scalings of one
 	// profile under one schedule.
 	const sweepP = 64
-	payloads := []sched.Schedule{must(barrier.StreamTotalExchange(sweepP, 64)), must(barrier.StreamTotalExchange(sweepP, 4096))}
+	payloads := []sched.Schedule{must(barrier.TotalExchange(sweepP, 64)), must(barrier.TotalExchange(sweepP, 4096))}
 	prof := platform.XeonCluster(sweepP / 8)
 	prof.NoiseRel = 0
 	scaled := []simnet.Machine{machine(prof.Machine(sweepP)), machine(prof.Scaled(2, 2, 2, 2).Machine(sweepP))}
@@ -373,15 +374,15 @@ func TestRunScheduleSteadyStateAllocs(t *testing.T) {
 		want float64
 		run  func()
 	}{
-		{"per-rank total exchange P=16, two executions", 3, runSchedule(xeon(16), must(barrier.StreamTotalExchange(16, 64)), 2)},
-		{"per-rank total exchange P=64, two executions", 3, runSchedule(xeon(64), must(barrier.StreamTotalExchange(64, 64)), 2)},
+		{"per-rank total exchange P=16, two executions", 3, runSchedule(xeon(16), must(barrier.TotalExchange(16, 64)), 2)},
+		{"per-rank total exchange P=64, two executions", 3, runSchedule(xeon(64), must(barrier.TotalExchange(64, 64)), 2)},
 		{"sweep point, bytes axis P=64", 3, sweepRun(
 			func(int) simnet.Machine { return nil }, func(i int) sched.Schedule { return payloads[i%2] })},
 		{"sweep point, scale axis P=64", 3, sweepRun(
 			func(i int) simnet.Machine { return scaled[i%2] }, func(int) sched.Schedule { return payloads[0] })},
-		{"collapsed dissemination P=1024", 7, runSchedule(flat(1024), must(barrier.StreamDissemination(1024)), 1)},
+		{"collapsed dissemination P=1024", 7, runSchedule(flat(1024), must(barrier.Dissemination(1024)), 1)},
 		{"collapsed count exchange P=65536", 7, runSchedule(flat(big), must(bsp.ExchangeSchedule(big)), 1)},
-		{"collapsed total exchange P=65536", 7, runSchedule(flat(big), must(barrier.StreamTotalExchange(big, 64)), 1)},
+		{"collapsed total exchange P=65536", 7, runSchedule(flat(big), must(barrier.TotalExchange(big, 64)), 1)},
 		{"supersteps P=64, four ring posts", 14, func() {
 			if _, err := sched.RunSupersteps(ctx, stepMachine, steps, o); err != nil {
 				t.Fatal(err)
@@ -417,7 +418,7 @@ func TestRunScheduleSteadyStateAllocs(t *testing.T) {
 	for i := range offsets {
 		offsets[i] = 3*i + 1
 	}
-	for _, s := range []sched.Schedule{must(barrier.StreamDissemination(1024)), must(sched.NewCirculant(1024, offsets, nil))} {
+	for _, s := range []sched.Schedule{must(barrier.Dissemination(1024)), must(sched.NewCirculant(1024, offsets, nil))} {
 		run := func() {
 			if _, err := wide.Run(ctx, nil, s, 1); err != nil {
 				t.Fatal(err)

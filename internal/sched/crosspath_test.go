@@ -82,9 +82,9 @@ func randomSchedule(t *testing.T, rng *rand.Rand, p int) (string, sched.Schedule
 		}
 		return "circulant", s
 	case 1:
-		mk := barrier.StreamBroadcast
+		mk := barrier.Broadcast
 		if rng.Intn(2) == 0 {
-			mk = barrier.StreamReduce
+			mk = barrier.Reduce
 		}
 		s, err := mk(p, rng.Intn(p), rng.Intn(4096))
 		if err != nil {
@@ -110,14 +110,14 @@ func randomSchedule(t *testing.T, rng *rand.Rand, p int) (string, sched.Schedule
 // edge lists, with its symmetry hint: the form every materialized generator
 // has, one more input to every path.
 func edgeListPattern(s sched.Schedule) *barrier.Pattern {
-	pat := &barrier.Pattern{Name: "literal", StaticStages: sched.StaticStages{Procs: s.NumProcs()}}
+	st := &sched.StaticStages{Procs: s.NumProcs()}
 	if ss, ok := s.(sched.SymmetricSchedule); ok {
-		pat.Sym = ss.Symmetry()
+		st.Sym = ss.Symmetry()
 	}
 	for k := 0; k < s.NumStages(); k++ {
-		pat.Stages = append(pat.Stages, s.StageAt(k))
+		st.Stages = append(st.Stages, s.StageAt(k))
 	}
-	return pat
+	return &barrier.Pattern{Name: "literal", Schedule: st}
 }
 
 // programOf lowers execs executions of a schedule to the op-stream the
@@ -214,7 +214,7 @@ func crossPaths(t *testing.T, tag string, m simnet.Machine, s sched.Schedule, ex
 	check("RunSchedule/collapse-off", res, err)
 
 	other := machines(t, m.Procs()+3, 11, false)
-	unrelated, err := barrier.StreamDissemination(other.Procs())
+	unrelated, err := barrier.Dissemination(other.Procs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestGeneratedCrossPathAgreement(t *testing.T) {
 func TestAccessorOnlyMachineMatches(t *testing.T) {
 	const p = 13
 	m := machines(t, p, 7, true)
-	s, err := barrier.StreamAllGatherRing(p, 512)
+	s, err := barrier.AllGatherRing(p, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@ import "fmt"
 
 // The generator shapes of the collectives, in streaming form: the circulant
 // dissemination, ring and linear-shift schedules, and the binomial trees.
-// internal/barrier's Stream* generators and mpi.Comm's built-in collectives
-// both build their schedules here. Every shape follows the generators' p == 1
+// internal/barrier's collective generators (which wrap them in a Pattern)
+// and mpi.Comm's built-in collectives both build their schedules here. Every shape follows the generators' p == 1
 // convention: a single empty stage.
 
 // generated is NewCirculant with the p == 1 convention.

@@ -137,9 +137,10 @@ func arenaFor(m simnet.Machine, o *simnet.Options) (*Evaluator, error) {
 	return e, nil
 }
 
-// checkSchedule refuses a nil schedule or fewer than one execution.
+// checkSchedule refuses a nil schedule (a wrapper of none included) or fewer
+// than one execution.
 func checkSchedule(s Schedule, execs int) error {
-	if s == nil {
+	if unwrap(s) == nil {
 		return errors.New("sched: nil schedule")
 	}
 	if execs < 1 {
@@ -259,7 +260,7 @@ type ReachSet struct {
 // holds its own contribution only (K = I).
 func NewReachSet(s Schedule) *ReachSet {
 	p := s.NumProcs()
-	_, rotated := s.(CirculantSchedule)
+	_, rotated := AsCirculant(s)
 	rows, words := p, (p+63)/64
 	if rotated {
 		rows = 1

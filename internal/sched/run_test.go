@@ -25,7 +25,7 @@ func TestRunFrameRejects(t *testing.T) {
 	const p = 8
 	m := machines(t, p, 1, false)
 	schedule := func(t *testing.T, ranks int) sched.Schedule {
-		s, err := barrier.StreamDissemination(ranks)
+		s, err := barrier.Dissemination(ranks)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -199,15 +199,15 @@ func (sw *SweepEvaluator) sameFamily(m simnet.Machine) bool {
 // circulant schedules by their offset sequence (per-stage-uniform payload
 // sizes cannot split rank classes, so the partition and its diagnostic are
 // invariants of the offsets), everything else by the schedule value itself
-// (sizes included). Machines within one compatibility family share distance
+// (sizes included), a wrapper by the schedule it wraps. Machines within one compatibility family share distance
 // classes and homogeneity, so the decision carries across points.
 func (sw *SweepEvaluator) partitionFor(m simnet.Machine, s Schedule) (*Partition, simnet.Collapse) {
-	var key any = s
+	var key any = unwrap(s)
 	var offs []int32
-	if cs, ok := s.(CirculantSchedule); ok {
+	if cs, ok := key.(CirculantSchedule); ok {
 		key, offs = circStructure(cs, sw.offsScratch[:0])
 		sw.offsScratch = offs[:0]
-	} else if !reflect.TypeOf(s).Comparable() {
+	} else if !reflect.TypeOf(key).Comparable() {
 		return collapseClassesWith(m, s, sw.e.env.Faults)
 	}
 	if pm, ok := sw.parts[key]; ok && slices.Equal(pm.offs, offs) {

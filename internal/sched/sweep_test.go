@@ -95,7 +95,7 @@ func TestSweepGoldenBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				diss, err := barrier.StreamDissemination(p)
+				diss, err := barrier.Dissemination(p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,19 +104,19 @@ func TestSweepGoldenBitIdentical(t *testing.T) {
 					bytesAxis = []int{64, 1024}
 				}
 				for _, b := range bytesAxis {
-					ar, err := barrier.StreamAllReduce(p, b)
+					ar, err := barrier.AllReduce(p, b)
 					if err != nil {
 						t.Fatal(err)
 					}
 					tag := mname + "/allreduce"
 					diffSweepPoint(t, tag, sw, m, ar, 2, o)
 					if p <= 256 {
-						te, err := barrier.StreamTotalExchange(p, b)
+						te, err := barrier.TotalExchange(p, b)
 						if err != nil {
 							t.Fatal(err)
 						}
 						diffSweepPoint(t, mname+"/total-exchange", sw, m, te, 2, o)
-						bc, err := barrier.StreamBroadcast(p, 0, b)
+						bc, err := barrier.Broadcast(p, 0, b)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -154,7 +154,7 @@ func TestSweepGoldenScaleAxis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		te, err := barrier.StreamTotalExchange(p, 64)
+		te, err := barrier.TotalExchange(p, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,13 +203,13 @@ func TestSweepGoldenFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, b := range []int{0, 64, 256} {
-				te, err := barrier.StreamTotalExchange(p, b)
+				te, err := barrier.TotalExchange(p, b)
 				if err != nil {
 					t.Fatal(err)
 				}
 				diffSweepPoint(t, mname+"/"+pname+"/te", sw, m, te, 2, o)
 			}
-			diss, err := barrier.StreamDissemination(p)
+			diss, err := barrier.Dissemination(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +235,7 @@ func TestSweepGoldenNoisy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sw.Release()
-	te, err := barrier.StreamTotalExchange(p, 64)
+	te, err := barrier.TotalExchange(p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestSweepGoldenTraced(t *testing.T) {
 		oRef.Recorder = recRef
 
 		for _, b := range []int{0, 64, 64} {
-			te, err := barrier.StreamTotalExchange(p, b)
+			te, err := barrier.TotalExchange(p, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,7 +305,7 @@ func TestSweepCollapseOff(t *testing.T) {
 	}
 	defer sw.Release()
 	for _, b := range []int{0, 64, 1024} {
-		te, err := barrier.StreamTotalExchange(p, b)
+		te, err := barrier.TotalExchange(p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,8 +349,8 @@ func TestSweepArenaReuse(t *testing.T) {
 	tail := append([]int(nil), sizes...)
 	tail[len(tail)-1] = 4096
 
-	te := mustSchedule(barrier.StreamTotalExchange(p, 64))
-	ring := mustSchedule(barrier.StreamAllGatherRing(p, 64))
+	te := mustSchedule(barrier.TotalExchange(p, 64))
+	ring := mustSchedule(barrier.AllGatherRing(p, 64))
 	type point struct {
 		s     sched.Schedule
 		execs int
@@ -410,11 +410,11 @@ func TestSweepMixedCollapse(t *testing.T) {
 		return s
 	}
 	points := []sched.Schedule{
-		must(barrier.StreamDissemination(p)),
-		must(barrier.StreamBroadcast(p, 3, 64)),
+		must(barrier.Dissemination(p)),
+		must(barrier.Broadcast(p, 3, 64)),
 		must(sched.NewCirculant(p, []int{1, 2, 4, 8, 16, 32, 64, 128}, nil)),
-		must(barrier.StreamBroadcast(p, 0, 4096)),
-		must(barrier.StreamDissemination(p)),
+		must(barrier.Broadcast(p, 0, 4096)),
+		must(barrier.Dissemination(p)),
 	}
 	ctx := context.Background()
 	var times [2][][]float64
@@ -432,7 +432,7 @@ func TestSweepMixedCollapse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, circulant := s.(sched.CirculantSchedule); res.Collapse.Applied != (circulant && collapse == simnet.CollapseAuto) {
+			if _, circulant := sched.AsCirculant(s); res.Collapse.Applied != (circulant && collapse == simnet.CollapseAuto) {
 				t.Errorf("%s: collapse %+v", tag, res.Collapse)
 			}
 			times[mode] = append(times[mode], res.Times)

@@ -47,6 +47,16 @@ type SymmetricSchedule interface {
 	Symmetry() Symmetry
 }
 
+// SymmetryOf returns the rank symmetry the schedule declares, seeing through
+// a wrapper (barrier.Pattern) as AsCirculant does; SymNone when it declares
+// none.
+func SymmetryOf(s Schedule) Symmetry {
+	if ss, ok := unwrap(s).(SymmetricSchedule); ok {
+		return ss.Symmetry()
+	}
+	return SymNone
+}
+
 // SymmetricMachine is the optional capability a machine implements to expose
 // the homogeneity structure of its pair parameters (platform.Machine
 // implements it from its profile and placement).
@@ -138,7 +148,7 @@ func collapseClassesWith(m simnet.Machine, s Schedule, rt *fault.Runtime) (*Part
 		return nil, simnet.Collapse{Reason: reason}
 	}
 	uniformFaults := rt == nil || rt.Uniform()
-	if ss, ok := s.(SymmetricSchedule); ok && ss.Symmetry() == SymCirculant && sm.UniformPairs() && uniformFaults {
+	if SymmetryOf(s) == SymCirculant && sm.UniformPairs() && uniformFaults {
 		return uniformPartition(p), simnet.Collapse{Applied: true, Classes: 1}
 	}
 	part := refineClasses(sm, s, rt)

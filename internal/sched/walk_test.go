@@ -89,7 +89,7 @@ func TestSharedPerRankWalk(t *testing.T) {
 
 	const p = 1024
 	m, must := xeonMachine(t, p), musts(t)
-	allreduce := must(barrier.StreamAllReduce(p, 256))
+	allreduce := must(barrier.AllReduce(p, 256))
 	base, err := sched.RunSchedule(ctx, m, allreduce, 1, o)
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +111,12 @@ func TestSharedPerRankWalk(t *testing.T) {
 		heavy bool
 		run   func(t *testing.T) []*simnet.Result
 	}{
-		{"total exchange P=1024", true, runs(m, must(barrier.StreamTotalExchange(p, 64)), 1, o)},
-		{"total exchange P=1031", true, runs(xeonMachine(t, 1031), must(barrier.StreamTotalExchange(1031, 64)), 1, o)},
+		{"total exchange P=1024", true, runs(m, must(barrier.TotalExchange(p, 64)), 1, o)},
+		{"total exchange P=1031", true, runs(xeonMachine(t, 1031), must(barrier.TotalExchange(1031, 64)), 1, o)},
 		{"dissemination P=1024, acks on and off, two executions", false,
-			runs(m, must(barrier.StreamDissemination(p)), 2, o, noAck)},
+			runs(m, must(barrier.Dissemination(p)), 2, o, noAck)},
 		{"dissemination P=1031, acks on and off, two executions", false,
-			runs(xeonMachine(t, 1031), must(barrier.StreamDissemination(1031)), 2, o, noAck)},
+			runs(xeonMachine(t, 1031), must(barrier.Dissemination(1031)), 2, o, noAck)},
 		{"linear barrier P=2048", false, runs(xeonMachine(t, 2048), must(barrier.Linear(2048, 5)), 1, o, noAck)},
 		{"4-ary tree P=2048", false, runs(xeonMachine(t, 2048), must(barrier.KAryTree(2048, 4)), 2, o)},
 		{"allreduce P=1024 under jittered slowdowns, a windowed wildcard link rule, fail-stops", false,
@@ -129,7 +129,7 @@ func TestSharedPerRankWalk(t *testing.T) {
 			defer sw.Release()
 			var out []*simnet.Result
 			for _, bytes := range []int{64, 4096, 1 << 20} {
-				res, err := sw.Run(ctx, nil, must(barrier.StreamAllGather(p, bytes)), 1)
+				res, err := sw.Run(ctx, nil, must(barrier.AllGather(p, bytes)), 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,7 +206,7 @@ func (m panicPricer) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC b
 func TestSharedWalkPanics(t *testing.T) {
 	const p = 1024
 	m, must := panicPricer{xeonMachine(t, p)}, musts(t)
-	s := must(barrier.StreamDissemination(p))
+	s := must(barrier.Dissemination(p))
 	for _, procs := range []int{1, 2} {
 		base := runtime.NumGoroutine()
 		var got any
@@ -256,7 +256,7 @@ func BenchmarkPerRankWalk(b *testing.B) {
 	ctx := context.Background()
 	bench := func(b *testing.B, p int, parallel bool) {
 		m, must := xeonMachine(b, p), musts(b)
-		s := must(barrier.StreamTotalExchange(p, 64))
+		s := must(barrier.TotalExchange(p, 64))
 		o := simnet.DefaultOptions()
 		walk := func() {
 			if _, err := sched.RunSchedule(ctx, m, s, 1, o); err != nil {

@@ -102,7 +102,7 @@ func sessionRun(s *Server, req *PredictRequest, rp *resolvedProfile, w *Workload
 		opts = append(opts, hbsp.WithRecorder(rec))
 	}
 	if w.Kind == "sync" && w.Variant == "schedule" {
-		sch, err := collective.StreamDissemination(pt.procs)
+		sch, err := collective.Dissemination(pt.procs)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -184,7 +184,7 @@ func TestTotalExchangeP1024(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := collective.StreamTotalExchange(procs, blockBytes)
+	sch, err := collective.TotalExchange(procs, blockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"hbsp/collective"
-	"hbsp/internal/barrier"
 	"hbsp/internal/bsp"
 	"hbsp/internal/mpi"
 	"hbsp/internal/sched"
@@ -48,12 +47,11 @@ const (
 )
 
 // variant is one variant of a workload kind. A variant with a generator names
-// the schedule the server builds for it and the semantics that schedule is
-// verified against.
+// the schedule the server builds for it: a pattern, verified against the
+// semantics it carries.
 type variant struct {
 	name string
-	gen  func(procs, root, bytes int) (sched.Schedule, error) // nil: no schedule
-	sem  collective.Semantics
+	gen  func(procs, root, bytes int) (*collective.Pattern, error) // nil: no schedule
 }
 
 // kind is one row of the workload-kind table, everything the server decides
@@ -75,33 +73,33 @@ type kind struct {
 // kinds is the workload-kind table, in the order WorkloadSpec documents.
 var kinds = []kind{
 	{name: "barrier", variants: []variant{
-		{"dissemination", dissemination, collective.SemBarrier},
-		{"tree", func(p, _, _ int) (sched.Schedule, error) { return collective.Tree(p) }, collective.SemBarrier},
-		{"linear", func(p, _, _ int) (sched.Schedule, error) { return collective.Linear(p, 0) }, collective.SemBarrier},
+		{"dissemination", dissemination},
+		{"tree", func(p, _, _ int) (*collective.Pattern, error) { return collective.Tree(p) }},
+		{"linear", func(p, _, _ int) (*collective.Pattern, error) { return collective.Linear(p, 0) }},
 	}, comm: func(c *mpi.Comm, sch sched.Schedule, _ int) error {
 		return c.BarrierSchedule(sch)
 	}},
-	{name: "broadcast", variants: []variant{{"", collective.StreamBroadcast, collective.SemBroadcast}},
+	{name: "broadcast", variants: []variant{{"", collective.Broadcast}},
 		fields: fieldBytes | fieldRoot, comm: func(c *mpi.Comm, sch sched.Schedule, root int) error {
 			_, err := c.BcastSchedule(sch, root, float64(c.Rank()))
 			return err
 		}},
-	{name: "reduce", variants: []variant{{"", collective.StreamReduce, collective.SemReduce}},
+	{name: "reduce", variants: []variant{{"", collective.Reduce}},
 		fields: fieldBytes | fieldRoot, comm: func(c *mpi.Comm, sch sched.Schedule, root int) error {
 			_, err := c.ReduceSchedule(sch, root, float64(c.Rank()), mpi.OpSum)
 			return err
 		}},
-	{name: "allreduce", variants: []variant{{"", rootless(collective.StreamAllReduce), collective.SemAllReduce}},
+	{name: "allreduce", variants: []variant{{"", rootless(collective.AllReduce)}},
 		fields: fieldBytes, comm: func(c *mpi.Comm, sch sched.Schedule, _ int) error {
 			_, err := c.AllreduceSchedule(sch, float64(c.Rank()), mpi.OpSum)
 			return err
 		}},
-	{name: "allgather", variants: []variant{{"", rootless(collective.StreamAllGather), collective.SemAllGather}},
+	{name: "allgather", variants: []variant{{"", rootless(collective.AllGather)}},
 		fields: fieldBytes, comm: func(c *mpi.Comm, sch sched.Schedule, _ int) error {
 			_, err := c.AllgatherSchedule(sch, float64(c.Rank()))
 			return err
 		}},
-	{name: "totalexchange", variants: []variant{{"", rootless(collective.StreamTotalExchange), collective.SemTotalExchange}},
+	{name: "totalexchange", variants: []variant{{"", rootless(collective.TotalExchange)}},
 		fields: fieldBytes, comm: func(c *mpi.Comm, sch sched.Schedule, _ int) error {
 			blocks := make([]any, c.Size())
 			for i := range blocks {
@@ -112,7 +110,7 @@ var kinds = []kind{
 		}},
 	{name: "sync", variants: []variant{
 		{name: "dissemination"},
-		{"schedule", dissemination, collective.SemBarrier},
+		{"schedule", dissemination},
 	}, fields: fieldSupersteps, static: syncStatic},
 	{name: "stencil", variants: []variant{{}}, fields: fieldGrid, static: func(w *WorkloadSpec, procs int) (*bsp.Static, error) {
 		return stencil.Static(procs, stencil.Config{N: w.Grid, Iterations: w.Iterations, C: 0.25, Synthetic: true}, 1)
@@ -120,12 +118,12 @@ var kinds = []kind{
 	{name: "program", variants: []variant{{}}, fields: fieldRanks},
 }
 
-// dissemination is the streamed dissemination schedule as a generator.
-func dissemination(p, _, _ int) (sched.Schedule, error) { return collective.StreamDissemination(p) }
+// dissemination adapts the dissemination barrier's generator.
+func dissemination(p, _, _ int) (*collective.Pattern, error) { return collective.Dissemination(p) }
 
 // rootless adapts a generator of an unrooted collective.
-func rootless(gen func(p, bytes int) (sched.Schedule, error)) func(p, root, bytes int) (sched.Schedule, error) {
-	return func(p, _, bytes int) (sched.Schedule, error) { return gen(p, bytes) }
+func rootless(gen func(p, bytes int) (*collective.Pattern, error)) func(p, root, bytes int) (*collective.Pattern, error) {
+	return func(p, _, bytes int) (*collective.Pattern, error) { return gen(p, bytes) }
 }
 
 // syncStatic is the reference BSP workload: per superstep, placement-skewed
@@ -155,7 +153,7 @@ func syncTraffic(procs, supersteps int) (int64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	c, ok := ex.(sched.CirculantSchedule)
+	c, ok := sched.AsCirculant(ex)
 	if !ok {
 		return 0, false
 	}
@@ -405,9 +403,9 @@ func (s *Server) synchronizer(k *kind, w *WorkloadSpec, procs int) (bsp.Synchron
 }
 
 // schedule returns a point's verified schedule from the server's one schedule
-// cache, which every route reads: the variant's generator schedule — a
-// streamed one for the data collectives and the dissemination exchange (a
-// total exchange at P=1024 is 16 KB where its stage matrices would be
+// cache, which every route reads: the variant generator's pattern — wrapping
+// a streamed schedule for the data collectives and the dissemination exchange
+// (a total exchange at P=1024 is 16 KB where its stage matrices would be
 // 9.7 GB), O(P·stages) edge lists for the tree and linear barriers.
 // Verification reads stage structure only, so the cache also holds a marker
 // per verified (kind, variant, procs, root). Cached values are immutable and
@@ -422,16 +420,16 @@ func (s *Server) schedule(w *WorkloadSpec, procs int) (sched.Schedule, error) {
 	if v == nil || v.gen == nil {
 		return nil, fmt.Errorf("server: no schedule for workload %s:%s", w.Kind, w.Variant)
 	}
-	sch, err := v.gen(procs, w.Root, w.Bytes)
+	pat, err := v.gen(procs, w.Root, w.Bytes)
 	if err != nil {
 		return nil, badRequestf("%s:%s with P=%d: %v", w.Kind, w.Variant, procs, err)
 	}
 	if _, ok := s.schedules.Get("verified/" + structure); !ok {
-		if err := barrier.VerifySchedule(sch, v.sem, w.Root); err != nil {
+		if err := pat.Verify(); err != nil {
 			return nil, fmt.Errorf("server: %s:%s P=%d failed verification: %v", w.Kind, w.Variant, procs, err)
 		}
 		s.schedules.Put("verified/"+structure, true)
 	}
-	s.schedules.Put(key, sch)
-	return sch, nil
+	s.schedules.Put(key, pat)
+	return pat, nil
 }

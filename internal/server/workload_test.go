@@ -5,8 +5,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"hbsp/internal/barrier"
 )
 
 // TestKindTableIsTotal walks the workload-kind table: the kinds in the order
@@ -49,7 +47,7 @@ func TestKindTableIsTotal(t *testing.T) {
 				for _, root := range roots {
 					sch, err := v.gen(p, root, 64)
 					if err == nil {
-						err = barrier.VerifySchedule(sch, v.sem, root)
+						err = sch.Verify()
 					}
 					if err != nil {
 						t.Errorf("%s:%s P=%d root %d: %v", k.name, v.name, p, root, err)

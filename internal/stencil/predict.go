@@ -80,7 +80,7 @@ func BuildModel(prof *platform.Profile, params barrier.Params, procs int, cfg Co
 
 	// Synchronization cost: the dissemination count exchange with its
 	// doubling payload (Section 6.5).
-	diss, err := barrier.StreamDissemination(procs)
+	diss, err := barrier.Dissemination(procs)
 	if err != nil {
 		return nil, err
 	}

@@ -67,9 +67,9 @@ func BenchmarkSpillRecord(b *testing.B) {
 		build func(procs int) (sched.Schedule, error)
 		ram   bool
 	}{
-		{"p1024", 1024, func(p int) (sched.Schedule, error) { return barrier.StreamTotalExchange(p, 64) }, false},
-		{"p65536", 65536, barrier.StreamDissemination, false},
-		{"ram/p1024", 1024, func(p int) (sched.Schedule, error) { return barrier.StreamTotalExchange(p, 64) }, true},
+		{"p1024", 1024, func(p int) (sched.Schedule, error) { return barrier.TotalExchange(p, 64) }, false},
+		{"p65536", 65536, func(p int) (sched.Schedule, error) { return barrier.Dissemination(p) }, false},
+		{"ram/p1024", 1024, func(p int) (sched.Schedule, error) { return barrier.TotalExchange(p, 64) }, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, err := bc.build(bc.procs)

@@ -53,7 +53,7 @@ func hasAdjacentInversion(tr *trace.Trace) bool {
 // window repairs.
 func runTotalExchange(t testing.TB, procs int, failStop bool, rec *trace.Recorder) *simnet.Result {
 	t.Helper()
-	s, err := barrier.StreamTotalExchange(procs, 64)
+	s, err := barrier.TotalExchange(procs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ var chunkWorkloads = []chunkWorkload{
 		return runDissemination(t, procs, 11, 2, rec)
 	}},
 	{name: "dissemination-concurrent", run: func(t testing.TB, procs int, rec *trace.Recorder) *simnet.Result {
-		s, err := barrier.StreamDissemination(procs)
+		s, err := barrier.Dissemination(procs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,11 +242,11 @@ func TestCriticalPathDecodesChunksNotLanes(t *testing.T) {
 // spill bytes, to equal the same run recorded in one chunk per lane.
 func TestInRAMLanesSpanChunks(t *testing.T) {
 	const procs = 16
-	dissemination, err := barrier.StreamDissemination(procs)
+	dissemination, err := barrier.Dissemination(procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exchange, err := barrier.StreamTotalExchange(procs, 64)
+	exchange, err := barrier.TotalExchange(procs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

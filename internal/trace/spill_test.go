@@ -29,7 +29,7 @@ import (
 // cluster profile accommodates any rank count (8 cores per node).
 func runDissemination(t testing.TB, procs int, seed int64, execs int, rec *trace.Recorder) *simnet.Result {
 	t.Helper()
-	s, err := barrier.StreamDissemination(procs)
+	s, err := barrier.Dissemination(procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestSpillBackedP65536(t *testing.T) {
 // whole 4,096-event chunk each up front, 62 MB together.
 func TestSpilledRunPaysForItsEvents(t *testing.T) {
 	const procs = 256
-	s, err := barrier.StreamAllReduce(procs, 64)
+	s, err := barrier.AllReduce(procs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

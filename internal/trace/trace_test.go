@@ -190,8 +190,8 @@ func TestCriticalPathOnMPIBarrier(t *testing.T) {
 			}
 		}
 	}
-	if len(stages) != len(pat.Stages) {
-		t.Fatalf("stage marks cover %d stages, pattern has %d", len(stages), len(pat.Stages))
+	if len(stages) != pat.NumStages() {
+		t.Fatalf("stage marks cover %d stages, pattern has %d", len(stages), pat.NumStages())
 	}
 }
 

@@ -31,8 +31,8 @@ type Comm = impi.Comm
 type Op = impi.Op
 
 // Schedule is what the Comm schedule collectives execute: sched.Schedule, the
-// one schedule type — a verified *collective.Pattern or a streamed
-// collective.Stream* schedule alike.
+// one schedule type — a verified *collective.Pattern or any other schedule
+// alike.
 type Schedule = impi.Schedule
 
 // Flood is what Comm.FloodSchedule delivered to one rank: a read-only view

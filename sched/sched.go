@@ -25,10 +25,10 @@ import (
 type Stage = sched.Stage
 
 // Schedule is the stage graph the evaluator executes — the one schedule type
-// of the module: a *collective.Pattern is one, the streamed generators
-// (collective.Stream*) return others, and mpi.Schedule is this
-// type. Implementations may generate stages on the fly (see Stage for the
-// ordering contract).
+// of the module: a *collective.Pattern is one (a named wrapper around
+// another, whose shape the evaluator reads through it), StaticStages is
+// one, and mpi.Schedule is this type. Implementations may generate stages
+// on the fly (see Stage for the ordering contract).
 type Schedule = sched.Schedule
 
 // StaticStages wraps a materialized stage slice as a Schedule.
