@@ -104,6 +104,23 @@ func (p *Plan) Empty() bool {
 // summarized as a single bitmask during symmetry-collapse refinement.
 const maxLinkRules = 64
 
+// maxMagnitude bounds a plan's factors, jitter and fail-stop times. They
+// multiply into and add onto a run's virtual times — a slowdown and a link
+// factor multiply one message — so unbounded, two finite numbers of a valid
+// plan carried a run to +Inf. At 1e12 the largest jittered slowdown times
+// the largest link factor stays below 1e37.
+const maxMagnitude = 1e12
+
+// atMost reports whether every v is at most maxMagnitude.
+func atMost(vs ...float64) bool {
+	for _, v := range vs {
+		if v > maxMagnitude {
+			return false
+		}
+	}
+	return true
+}
+
 func invalidf(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrInvalid, fmt.Sprintf(format, args...))
 }
@@ -132,6 +149,9 @@ func (p *Plan) Validate(procs int) error {
 		}
 		if s.End != 0 && s.End <= s.Start {
 			return invalidf("slowdown %d: window [%v,%v) is empty", i, s.Start, s.End)
+		}
+		if !atMost(s.Factor, s.Jitter) {
+			return invalidf("slowdown %d: factor %v and jitter %v must be at most %g", i, s.Factor, s.Jitter, maxMagnitude)
 		}
 		perRank[s.Rank] = append(perRank[s.Rank], s)
 	}
@@ -169,6 +189,9 @@ func (p *Plan) Validate(procs int) error {
 		if l.End != 0 && l.End <= l.Start {
 			return invalidf("link rule %d: window [%v,%v) is empty", i, l.Start, l.End)
 		}
+		if !atMost(l.LatencyFactor, l.BetaFactor) {
+			return invalidf("link rule %d: latency factor %v and beta factor %v must be at most %g", i, l.LatencyFactor, l.BetaFactor, maxMagnitude)
+		}
 	}
 	failed := make(map[int]bool)
 	for i, f := range p.FailStops {
@@ -187,6 +210,9 @@ func (p *Plan) Validate(procs int) error {
 		}
 		if f.Checkpoint < 0 || math.IsInf(f.Checkpoint, 0) || math.IsNaN(f.Checkpoint) {
 			return invalidf("fail-stop %d: checkpoint interval %v must be >= 0 and finite", i, f.Checkpoint)
+		}
+		if !atMost(f.FailAt, f.Restart, f.Checkpoint) {
+			return invalidf("fail-stop %d: fail time %v, restart penalty %v and checkpoint interval %v must be at most %g", i, f.FailAt, f.Restart, f.Checkpoint, maxMagnitude)
 		}
 	}
 	return nil

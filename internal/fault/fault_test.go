@@ -41,6 +41,13 @@ func TestValidateErrors(t *testing.T) {
 		{"fail-stop negative restart", &Plan{FailStops: []FailStop{{Rank: 0, FailAt: 1, Restart: -1}}}, 4},
 		{"fail-stop negative checkpoint", &Plan{FailStops: []FailStop{{Rank: 0, FailAt: 1, Checkpoint: -1}}}, 4},
 		{"fail-stop duplicate rank", &Plan{FailStops: []FailStop{{Rank: 0, FailAt: 1}, {Rank: 0, FailAt: 2}}}, 4},
+		{"slowdown factor past the bound", &Plan{Slowdowns: []Slowdown{{Rank: 0, Factor: 1.000001e12}}}, 4},
+		{"slowdown jitter past the bound", &Plan{Slowdowns: []Slowdown{{Rank: 0, Factor: 2, Jitter: 1e300}}}, 4},
+		{"link latency factor past the bound", &Plan{Links: []LinkRule{{Src: -1, Dst: -1, Class: -1, LatencyFactor: 1e13, BetaFactor: 2}}}, 4},
+		{"link beta factor past the bound", &Plan{Links: []LinkRule{{Src: -1, Dst: -1, Class: -1, LatencyFactor: 2, BetaFactor: math.MaxFloat64}}}, 4},
+		{"fail-stop time past the bound", &Plan{FailStops: []FailStop{{Rank: 0, FailAt: 1e13}}}, 4},
+		{"fail-stop restart past the bound", &Plan{FailStops: []FailStop{{Rank: 0, FailAt: 1, Restart: math.MaxFloat64}}}, 4},
+		{"fail-stop checkpoint past the bound", &Plan{FailStops: []FailStop{{Rank: 0, FailAt: 1, Checkpoint: 2e12}}}, 4},
 	}
 	for _, tc := range cases {
 		if err := tc.plan.Validate(tc.procs); !errors.Is(err, ErrInvalid) {
@@ -63,6 +70,14 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := ok.Validate(4); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
+	}
+	atBound := &Plan{
+		Slowdowns: []Slowdown{{Rank: 0, Factor: maxMagnitude, Jitter: maxMagnitude}},
+		Links:     []LinkRule{{Src: -1, Dst: -1, Class: -1, LatencyFactor: maxMagnitude, BetaFactor: maxMagnitude}},
+		FailStops: []FailStop{{Rank: 1, FailAt: maxMagnitude, Restart: maxMagnitude, Checkpoint: maxMagnitude}},
+	}
+	if err := atBound.Validate(4); err != nil {
+		t.Errorf("plan at the bound rejected: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -88,9 +89,11 @@ func FuzzMatrixScan(f *testing.F) {
 // FuzzPredictRequest sends any body through the handler: the reply is 200 or
 // a 4xx in the documented error shape — never a 500, never a panic — and the
 // handler's decode of the body is the plain encoding/json decode of it, to
-// the error text. Every point of a 200 moved a non-negative byte count and
-// message count (a wrapped one is an overflow). A 200 is asked for again with gzip, now from
-// the cache, and must inflate to the plain reply byte for byte.
+// the error text. Every line of a 200 holds finite numbers only, and every
+// point line moved a non-negative byte count and message count (a wrapped one
+// is an overflow) and orders its times 0 ≤ min ≤ p50 ≤ p95 ≤ max = makespan
+// (checkReplyLine). A 200 is asked for again with gzip, now from the cache,
+// and must inflate to the plain reply byte for byte.
 func FuzzPredictRequest(f *testing.F) {
 	s := New(Config{})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -121,10 +124,7 @@ func FuzzPredictRequest(f *testing.F) {
 		switch w.Code {
 		case 200:
 			for _, line := range bytes.Split(bytes.TrimSpace(w.Body.Bytes()), []byte("\n")) {
-				var p struct{ BytesMoved, Messages int64 }
-				if json.Unmarshal(line, &p) == nil && (p.BytesMoved < 0 || p.Messages < 0) {
-					t.Fatalf("bytesMoved %d, messages %d: %s", p.BytesMoved, p.Messages, line)
-				}
+				checkReplyLine(t, line)
 			}
 			zw := send(true)
 			got := zw.Body.Bytes()
@@ -148,6 +148,50 @@ func FuzzPredictRequest(f *testing.F) {
 			t.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
 		}
 	})
+}
+
+// checkReplyLine holds one line of a 200 to the reply's postcondition: it
+// is JSON whose every number is finite, and unless it is a sweep's error line
+// its counters are ≥ 0 and 0 ≤ min ≤ p50 ≤ p95 ≤ max = makespan.
+func checkReplyLine(t *testing.T, line []byte) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatalf("a line of a 200 is not JSON (%v): %s", err, line)
+	}
+	var walk func(v any)
+	walk = func(v any) {
+		switch v := v.(type) {
+		case json.Number:
+			if f, err := strconv.ParseFloat(string(v), 64); err != nil || math.IsInf(f, 0) || math.IsNaN(f) {
+				t.Fatalf("number %s is not finite: %s", v, line)
+			}
+		case []any:
+			for _, e := range v {
+				walk(e)
+			}
+		case map[string]any:
+			for _, e := range v {
+				walk(e)
+			}
+		}
+	}
+	walk(v)
+	if obj, ok := v.(map[string]any); !ok || obj["error"] != nil {
+		return
+	}
+	var p PredictPoint
+	if err := json.Unmarshal(line, &p); err != nil {
+		t.Fatalf("a point line does not decode (%v): %s", err, line)
+	}
+	if p.BytesMoved < 0 || p.Messages < 0 {
+		t.Fatalf("bytesMoved %d, messages %d: %s", p.BytesMoved, p.Messages, line)
+	}
+	if tm := p.Times; !(0 <= tm.Min && tm.Min <= tm.P50 && tm.P50 <= tm.P95 && tm.P95 <= tm.Max && tm.Max == p.MakeSpan) {
+		t.Fatalf("times %+v, makespan %v: want 0 ≤ min ≤ p50 ≤ p95 ≤ max = makespan: %s", tm, p.MakeSpan, line)
+	}
 }
 
 // outOfTime reports whether a reply ends in an error line whose outcome

@@ -34,6 +34,9 @@ type metrics struct {
 	drawsComputed atomic.Int64 // noise draws sweep memos computed
 	drawsReused   atomic.Int64 // noise draws sweep memos answered from a stored draw
 
+	sweepLines   atomic.Int64 // NDJSON lines sweeps wrote
+	sweepFlushes atomic.Int64 // flushes sweeps issued, after a line or by the timer
+
 	gzipComputed atomic.Int64 // cached replies compressed for a gzip request
 	gzipReused   atomic.Int64 // gzip replies written from a stored encoding
 
@@ -106,6 +109,14 @@ type MetricsSnapshot struct {
 		Reused   int64 `json:"reused"`
 	} `json:"sweepDraws"`
 
+	// SweepStream counts the NDJSON lines sweeps wrote and the flushes they
+	// issued: one after a stream's first line, then one per timer firing
+	// (at most one a millisecond); a stream's end is no flush of its own.
+	SweepStream struct {
+		Lines   int64 `json:"lines"`
+		Flushes int64 `json:"flushes"`
+	} `json:"sweepStream"`
+
 	// Gzip counts the compressed single-point replies: encodings a cache
 	// entry computed (one at most per entry, at its first gzip request), and
 	// replies that wrote a stored one. Sweeps compress as they stream and
@@ -151,6 +162,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Routes.Concurrent = m.routes[routeConcurrent].Load()
 	s.SweepDraws.Computed = m.drawsComputed.Load()
 	s.SweepDraws.Reused = m.drawsReused.Load()
+	s.SweepStream.Lines = m.sweepLines.Load()
+	s.SweepStream.Flushes = m.sweepFlushes.Load()
 	s.Gzip.Computed = m.gzipComputed.Load()
 	s.Gzip.Reused = m.gzipReused.Load()
 	s.Errors.InvalidRequest = m.errInvalidRequest.Load()

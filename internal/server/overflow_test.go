@@ -13,7 +13,8 @@ import (
 // overflowProbes are well-formed requests whose operands overflow a number
 // the evaluation or the reply holds: a virtual clock past the largest
 // float64, a budget past time.Duration, a wire size past int64. Each is
-// refused with a typed 400 before it can render +Inf (a 500), expire at once,
+// refused with a typed 400 (a fault plan's factor past the plan's bound, as
+// an invalid plan) before it can render +Inf (a 500), expire at once,
 // or answer 200 with a wrapped traffic count.
 var overflowProbes = []struct{ name, body, message string }{
 	{"sync compute past float64",
@@ -22,9 +23,9 @@ var overflowProbes = []struct{ name, body, message string }{
 	{"program compute past float64",
 		`{"profile":{"preset":"flat-cluster"},"workload":{"kind":"program","ranks":[[{"op":"compute","seconds":1e308},{"op":"compute","seconds":1e308}],[]]},"procs":2}`,
 		"program at P=2: virtual time overflows float64"},
-	{"allreduce beta factor past float64",
+	{"allreduce beta factor past float64", // refused with the plan, before it runs
 		`{"profile":{"preset":"flat-cluster"},"workload":{"kind":"allreduce","bytes":1000000000000000},"procs":16,"faults":{"Links":[{"Src":-1,"Dst":-1,"Class":-1,"LatencyFactor":1,"BetaFactor":1e308}]}}`,
-		"allreduce at P=16: virtual time overflows float64"},
+		"hbsp: invalid fault plan: link rule 0: latency factor 1 and beta factor 1e+308 must be at most 1e+12"},
 	{"budget one past a Duration of milliseconds",
 		`{"profile":{"preset":"xeon-8x2x4"},"workload":{"kind":"barrier"},"procs":8,"options":{"budgetMs":9223372036854}}`,
 		"budgetMs must be in [0,86400000], got 9223372036854"},
@@ -75,16 +76,20 @@ func TestOverflowsAreRefused(t *testing.T) {
 			if err := json.Unmarshal([]byte(lines[len(lines)-1]), &e); err != nil {
 				t.Fatalf("status %d, last line outside the error shape (%v): %s", resp.StatusCode, err, data)
 			}
-			if e.Err.Code != "invalid_request" || e.Err.Status != 400 || !strings.Contains(e.Err.Message, tc.message) {
-				t.Fatalf("status %d, error %+v; want invalid_request 400 containing %q", resp.StatusCode, e.Err, tc.message)
+			code := "invalid_request"
+			if strings.HasPrefix(tc.message, "hbsp: invalid fault plan") {
+				code = "invalid_fault"
+			}
+			if e.Err.Code != code || e.Err.Status != 400 || !strings.Contains(e.Err.Message, tc.message) {
+				t.Fatalf("status %d, error %+v; want %s 400 containing %q", resp.StatusCode, e.Err, code, tc.message)
 			}
 			if strings.Contains(tc.body, `"sweep"`) != (resp.StatusCode == 200) {
 				t.Fatalf("status %d: a point is refused with 400, a sweep ends its 200 stream with the error", resp.StatusCode)
 			}
 		})
 	}
-	if got := s.Metrics().Errors; got.InvalidRequest != int64(len(overflowProbes)) || got.Internal != 0 {
-		t.Errorf("/metrics errors %+v, want %d invalid requests", got, len(overflowProbes))
+	if got := s.Metrics().Errors; got.InvalidRequest+got.InvalidFault != int64(len(overflowProbes)) || got.InvalidFault != 1 || got.Internal != 0 {
+		t.Errorf("/metrics errors %+v, want %d invalid requests and 1 invalid fault plan", got, len(overflowProbes)-1)
 	}
 }
 

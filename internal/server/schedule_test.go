@@ -89,8 +89,9 @@ func TestGzipHitTakesItsWriterFromThePool(t *testing.T) {
 	}
 }
 
-// flushLog is a ResponseWriter that records where in the compressed stream
-// every Flush fell.
+// flushLog is a ResponseWriter that records where in the stream every Flush
+// fell. A sweep's lineStream writes and flushes it under one lock, from the
+// handler's goroutine and its flush timer's.
 type flushLog struct {
 	header http.Header
 	buf    bytes.Buffer
@@ -102,10 +103,59 @@ func (f *flushLog) WriteHeader(int)             {}
 func (f *flushLog) Write(b []byte) (int, error) { return f.buf.Write(b) }
 func (f *flushLog) Flush()                      { f.marks = append(f.marks, f.buf.Len()) }
 
+// checkFlushes holds a finished sweep stream to the flush contract: the
+// first flush holds exactly line 1 of want (the uncompressed reply), every
+// later flush ends at a line end with more lines than the one before it (no
+// flush of an empty buffer), and the whole stream is want (inflated, when gz).
+// It returns how many lines each flush had delivered.
+func checkFlushes(t *testing.T, tag string, lg *flushLog, gz bool, want []byte) []int {
+	t.Helper()
+	lines := bytes.SplitAfter(want, []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty tail after the last newline
+	var delivered []int
+	for k, mark := range lg.marks {
+		got := lg.buf.Bytes()[:mark]
+		if gz {
+			zr, err := gzip.NewReader(bytes.NewReader(got))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = io.ReadAll(zr) // the stream is cut at a flush: unexpected EOF after the data
+			if err != io.ErrUnexpectedEOF {
+				t.Fatalf("%s flush %d: read error %v, want a cut stream", tag, k, err)
+			}
+		}
+		n, end := 0, 0
+		for n < len(lines) && end < len(got) {
+			end += len(lines[n])
+			n++
+		}
+		if !bytes.Equal(got, want[:end]) {
+			t.Fatalf("%s: flush %d delivers %d bytes, not a run of whole lines", tag, k, len(got))
+		}
+		if k == 0 && n != 1 || k > 0 && n <= delivered[k-1] {
+			t.Fatalf("%s: flush %d delivers lines 1…%d after flushes %v", tag, k, n, delivered)
+		}
+		delivered = append(delivered, n)
+	}
+	if len(delivered) == 0 {
+		t.Fatalf("%s: no flush; the first line goes out on its own", tag)
+	}
+	got := lg.buf.Bytes()
+	if gz {
+		got = gunzip(t, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: the finished stream differs from the uncompressed reply", tag)
+	}
+	return delivered
+}
+
 // TestInterleavedGzipSweepsStreamLineByLine runs two gzip sweeps at once, on
-// compressors out of the one pool: each must still flush a decodable stream
-// after every point — what has been flushed after line k inflates to exactly
-// lines 1…k of the uncompressed reply.
+// compressors out of the one pool: each must still stream a decodable reply
+// a line at a time — the first flush inflates to exactly line 1, every later
+// one to more whole lines of the uncompressed reply (the cadence decides how
+// many), and the finished stream to all of it.
 func TestInterleavedGzipSweepsStreamLineByLine(t *testing.T) {
 	s := New(Config{})
 	sweeps := []string{
@@ -128,28 +178,7 @@ func TestInterleavedGzipSweepsStreamLineByLine(t *testing.T) {
 		wg.Wait()
 		for i, body := range sweeps {
 			want := serveInProcess(s, body, false).Body.Bytes()
-			lines := bytes.SplitAfter(want, []byte("\n"))
-			lines = lines[:len(lines)-1] // the empty tail after the last newline
-			lg := logs[i]
-			if len(lg.marks) != len(lines) {
-				t.Fatalf("round %d sweep %d: %d flushes for %d lines", round, i, len(lg.marks), len(lines))
-			}
-			for k, mark := range lg.marks {
-				zr, err := gzip.NewReader(bytes.NewReader(lg.buf.Bytes()[:mark]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := io.ReadAll(zr) // the stream is cut at a flush: unexpected EOF after the data
-				if err != io.ErrUnexpectedEOF {
-					t.Fatalf("round %d sweep %d flush %d: read error %v, want a cut stream", round, i, k, err)
-				}
-				if !bytes.Equal(got, bytes.Join(lines[:k+1], nil)) {
-					t.Fatalf("round %d sweep %d: flush %d does not inflate to the first %d lines", round, i, k, k+1)
-				}
-			}
-			if got := gunzip(t, lg.buf.Bytes()); !bytes.Equal(got, want) {
-				t.Fatalf("round %d sweep %d: decompressed stream differs from the uncompressed reply", round, i)
-			}
+			checkFlushes(t, fmt.Sprintf("round %d sweep %d", round, i), logs[i], true, want)
 		}
 	}
 }

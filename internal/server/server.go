@@ -12,8 +12,11 @@
 //   - a global concurrency limiter with queue-depth load shedding (429 +
 //     Retry-After) and per-request evaluation budgets (408 on expiry);
 //   - a sweep is one unit of load: admitted once, its points evaluated in
-//     order on the request's goroutine, each line flushed as it is done and
-//     the stream ended by the first error line;
+//     order on the request's goroutine and the stream ended by the first
+//     error line; the first line is flushed as soon as it is done, every
+//     later one at most 1 ms after it is written (a timer flushes while the
+//     next point evaluates), so a fast sweep pays for a flush per
+//     millisecond instead of one per line;
 //   - graceful drain: Shutdown stops admitting (/healthz turns 503) and
 //     lets in-flight evaluations finish.
 package server
@@ -279,8 +282,8 @@ func acceptsGzip(r *http.Request) bool {
 
 // gzipResponse wraps a ResponseWriter with on-the-fly gzip encoding, for
 // sweeps: a single point's reply writes its cached encoding (Server.gzipped)
-// instead. Flush forwards through both layers, keeping the per-line streaming
-// of sweep responses.
+// instead. Flush forwards through both layers; a sweep's lineStream decides
+// when.
 type gzipResponse struct {
 	http.ResponseWriter
 	gz *gzip.Writer
@@ -375,13 +378,90 @@ func (s *Server) servePoint(w http.ResponseWriter, ctx context.Context, req *Pre
 	w.Write(r.body)
 }
 
+// sweepFlushAfter bounds how long a written sweep line waits for its flush.
+// A flush is a deflate sync block on gzip streams and a chunk write plus a
+// client wake-up on every stream, ≈15–25 µs, against points that evaluate in
+// 50–300 µs: one flush per millisecond keeps it near 2 % of a stream's time.
+const sweepFlushAfter = time.Millisecond
+
+// stopper is what a sweep stream keeps of its armed flush timer.
+type stopper interface{ Stop() bool }
+
+// afterFunc arms a sweep stream's flush timer: f runs on a goroutine of its
+// own once d has passed, unless Stop comes first. It is a variable so that a
+// test can fire the timer by hand.
+var afterFunc = func(d time.Duration, f func()) stopper { return time.AfterFunc(d, f) }
+
+// lineStream writes a sweep's NDJSON lines to its reply (the ResponseWriter,
+// or a gzipResponse over it) on the sweep cadence: the first line is flushed
+// as soon as it is written; a later line arms a timer, unless one is armed
+// already, that flushes it within sweepFlushAfter — while the next point is
+// still evaluating; whatever the stream ends with goes out with its end.
+// Writes and flushes hold mu, so every flush ends at a line end and none
+// flushes an empty buffer. close stops the timer and waits out a callback
+// that already started, so nothing touches the reply after the handler
+// returns.
+type lineStream struct {
+	out   io.Writer
+	flush func()
+
+	mu             sync.Mutex
+	armed          bool // a timer will flush what was written since the last flush
+	lines, flushes int64
+
+	timer stopper        // the last timer armed; the handler's goroutine only
+	fires sync.WaitGroup // armed timers whose callback has not returned
+}
+
+func (l *lineStream) writeLine(line []byte) {
+	l.mu.Lock()
+	l.out.Write(line)
+	l.lines++
+	arm := false
+	if l.lines == 1 {
+		l.flushLocked()
+	} else if !l.armed {
+		l.armed, arm = true, true
+	}
+	l.mu.Unlock()
+	if arm {
+		l.fires.Add(1)
+		l.timer = afterFunc(sweepFlushAfter, l.onTimer)
+	}
+}
+
+func (l *lineStream) onTimer() {
+	defer l.fires.Done()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.armed = false
+	l.flushLocked()
+}
+
+func (l *lineStream) flushLocked() {
+	l.flush()
+	l.flushes++
+}
+
+// close ends the cadence and adds the stream's counts to m. It runs on the
+// handler's goroutine after the last writeLine.
+func (l *lineStream) close(m *metrics) {
+	if l.timer != nil && l.timer.Stop() {
+		l.fires.Done()
+	}
+	l.fires.Wait()
+	m.sweepLines.Add(l.lines)
+	m.sweepFlushes.Add(l.flushes)
+}
+
 // serveSweep streams a sweep as NDJSON, one PredictPoint per line in
 // row-major axis order. The whole sweep is admitted as one unit of load, and
-// its points are evaluated in that order on the request's goroutine, each
-// line flushed as soon as its point is done; a sweep of several points reads
-// its noise draws through one memo (sweepDraws). A point error ends the stream
-// with a final error line carrying the documented error shape; no point after
-// it is evaluated.
+// its points are evaluated in that order on the request's goroutine; the
+// first line is flushed as soon as its point is done and every later one at
+// most sweepFlushAfter after it is written (lineStream). A sweep of several
+// points reads its noise draws through one memo (sweepDraws). A point error
+// ends the stream with a final error line carrying the documented error
+// shape; no point after it is evaluated.
 func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *PredictRequest, pts []point, deadline time.Time, zip bool) {
 	if err := s.limit.acquire(ctx); err != nil {
 		s.fail(w, err)
@@ -401,6 +481,8 @@ func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *Pre
 		defer gw.Close()
 		out, flush = gw, gw.Flush
 	}
+	stream := &lineStream{out: out, flush: flush}
+	defer stream.close(s.m) // before gw.Close: no flush after the trailer
 	admitted := func(context.Context) (func(), error) { return func() {}, nil }
 	var draws *sweepDraws
 	if len(pts) > 1 {
@@ -422,11 +504,10 @@ func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *Pre
 			line, _ := renderError(err)
 			code, _ := classify(err)
 			s.m.countError(code)
-			out.Write(append(line, '\n'))
+			stream.writeLine(append(line, '\n'))
 			return
 		}
-		out.Write(r.body)
-		flush()
+		stream.writeLine(r.body)
 	}
 }
 

@@ -709,7 +709,7 @@ func TestGzipResponses(t *testing.T) {
 		t.Fatal("tiny payload was compressed")
 	}
 
-	// Sweep streams compress too, line-flushed through the gzip layer.
+	// Sweep streams compress too, flushed through the gzip layer at line ends.
 	sweep := `{"profile":{"preset":"flat-cluster"},"workload":{"kind":"sync"},"options":{"perRank":true},"sweep":{"procs":[16,32]}}`
 	req4, _ := http.NewRequest("POST", ts.URL+"/v1/predict", strings.NewReader(sweep))
 	req4.Header.Set("Content-Type", "application/json")
