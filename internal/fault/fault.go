@@ -144,10 +144,10 @@ func (p *Plan) Validate(procs int) error {
 		if s.Jitter < 0 || math.IsInf(s.Jitter, 0) || math.IsNaN(s.Jitter) {
 			return invalidf("slowdown %d: jitter %v must be >= 0 and finite", i, s.Jitter)
 		}
-		if s.Start < 0 || math.IsNaN(s.Start) {
-			return invalidf("slowdown %d: start %v must be >= 0", i, s.Start)
+		if !(s.Start >= 0) || math.IsInf(s.Start, 1) {
+			return invalidf("slowdown %d: start %v must be >= 0 and finite", i, s.Start)
 		}
-		if s.End != 0 && s.End <= s.Start {
+		if math.IsNaN(s.End) || s.End != 0 && s.End <= s.Start {
 			return invalidf("slowdown %d: window [%v,%v) is empty", i, s.Start, s.End)
 		}
 		if !atMost(s.Factor, s.Jitter) {
@@ -183,10 +183,10 @@ func (p *Plan) Validate(procs int) error {
 		if !(l.BetaFactor > 0) || math.IsInf(l.BetaFactor, 0) {
 			return invalidf("link rule %d: beta factor %v must be positive and finite", i, l.BetaFactor)
 		}
-		if l.Start < 0 || math.IsNaN(l.Start) {
-			return invalidf("link rule %d: start %v must be >= 0", i, l.Start)
+		if !(l.Start >= 0) || math.IsInf(l.Start, 1) {
+			return invalidf("link rule %d: start %v must be >= 0 and finite", i, l.Start)
 		}
-		if l.End != 0 && l.End <= l.Start {
+		if math.IsNaN(l.End) || l.End != 0 && l.End <= l.Start {
 			return invalidf("link rule %d: window [%v,%v) is empty", i, l.Start, l.End)
 		}
 		if !atMost(l.LatencyFactor, l.BetaFactor) {

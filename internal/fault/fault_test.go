@@ -22,6 +22,8 @@ func TestValidateErrors(t *testing.T) {
 		{"slowdown NaN factor", &Plan{Slowdowns: []Slowdown{{Rank: 0, Factor: math.NaN()}}}, 4},
 		{"slowdown negative jitter", &Plan{Slowdowns: []Slowdown{{Rank: 0, Factor: 2, Jitter: -1}}}, 4},
 		{"slowdown empty window", &Plan{Slowdowns: []Slowdown{{Rank: 0, Factor: 2, Start: 5, End: 5}}}, 4},
+		{"slowdown NaN end", &Plan{Slowdowns: []Slowdown{{Rank: 0, Factor: 2, Start: 1, End: math.NaN()}}}, 4},
+		{"slowdown infinite start", &Plan{Slowdowns: []Slowdown{{Rank: 0, Factor: 2, Start: math.Inf(1)}}}, 4},
 		{"slowdown overlapping windows", &Plan{Slowdowns: []Slowdown{
 			{Rank: 0, Factor: 2, Start: 0, End: 3},
 			{Rank: 0, Factor: 3, Start: 2, End: 5},
@@ -36,6 +38,8 @@ func TestValidateErrors(t *testing.T) {
 		{"link zero latency factor", &Plan{Links: []LinkRule{{Src: -1, Dst: -1, Class: -1, BetaFactor: 2}}}, 4},
 		{"link zero beta factor", &Plan{Links: []LinkRule{{Src: -1, Dst: -1, Class: -1, LatencyFactor: 2}}}, 4},
 		{"link empty window", &Plan{Links: []LinkRule{{Src: -1, Dst: -1, Class: -1, LatencyFactor: 2, BetaFactor: 2, Start: 3, End: 1}}}, 4},
+		{"link NaN end", &Plan{Links: []LinkRule{{Src: -1, Dst: -1, Class: -1, LatencyFactor: 2, BetaFactor: 2, End: math.NaN()}}}, 4},
+		{"link infinite start", &Plan{Links: []LinkRule{{Src: -1, Dst: -1, Class: -1, LatencyFactor: 2, BetaFactor: 2, Start: math.Inf(1)}}}, 4},
 		{"fail-stop rank out of range", &Plan{FailStops: []FailStop{{Rank: 9, FailAt: 1}}}, 4},
 		{"fail-stop zero time", &Plan{FailStops: []FailStop{{Rank: 0}}}, 4},
 		{"fail-stop negative restart", &Plan{FailStops: []FailStop{{Rank: 0, FailAt: 1, Restart: -1}}}, 4},

@@ -89,13 +89,15 @@ type Env struct {
 // noise-free.
 type Noise struct {
 	rel    float64     // the scale of stream's draws
-	stream Stream      // a Resolver's stream; nil when noise-free
+	stream Stream      // a Resolver's stream, or noDraws when noise-free
 	src    NoiseSource // a source without Resolver, called for every draw
 }
 
 // Resolve resolves a run's noise source: a Resolver's scale and stream are
 // kept, so a draw costs no call while the rank's window holds it, and a
-// noise-free one is never called; any other source is called for every draw.
+// noise-free one is never called: it resolves to a static window of zero
+// draws at scale 0 (1 + 0·0 is exactly 1), which a rank reads inline like
+// stored draws; any other source is called for every draw.
 func Resolve(src NoiseSource) Noise {
 	r, ok := src.(Resolver)
 	if !ok {
@@ -104,8 +106,16 @@ func Resolve(src NoiseSource) Noise {
 	if rel, s := r.NoiseStream(); rel > 0 && s != nil {
 		return Noise{rel: rel, stream: s}
 	}
-	return Noise{}
+	return Noise{stream: noDraws{}}
 }
+
+// zeroDraws is the window of every noise-free rank; it is never written.
+var zeroDraws [WindowLen]float64
+
+// noDraws is the stream of a noise-free run: every draw 0, from zeroDraws.
+type noDraws struct{}
+
+func (noDraws) Draw(int, uint64) (float64, *[WindowLen]float64) { return 0, &zeroDraws }
 
 // State is one rank's evolution state: its clock, the free times of its
 // injection and extraction ports, its position in the noise stream and the

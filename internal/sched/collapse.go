@@ -154,6 +154,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 	classIn, entry := e.classIn[:nc], e.classEntry
 	v := ViewOf(s)
 	env := &e.env
+	var pc loggp.Pair
 	for sg := 0; sg < s.NumStages(); sg++ {
 		if err := chk.tick(); err != nil {
 			return err
@@ -181,7 +182,7 @@ func (e *Evaluator) execCollapsed(s Schedule, part *Partition, tagBase int, comp
 				for k, dst := range outs {
 					size := v.OutSize(r, k)
 					ci = append(ci, loggp.Edge{})
-					pc := e.Price(r, dst)
+					e.priceInto(&pc, r, dst)
 					done = append(done, e.send(&e.traffic, rs, r, dst, tag, size, &pc, &ci[k]))
 					repBytes += int64(size)
 				}

@@ -292,6 +292,7 @@ func (c *Code) walk(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
 	slots := st.slots
 	parked := st.parked // rank+1 parked on this slot
 	heap := &st.heap
+	var price loggp.Pair
 	for r := p - 1; r >= 0; r-- {
 		heap.push(int32(r), 0)
 	}
@@ -314,8 +315,8 @@ func (c *Code) walk(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
 			case iComputeExact:
 				rs.ComputeExact(env, int(r), in.sec)
 			case iSend, iPost:
-				pc := e.Price(int(r), int(in.peer))
-				completeAt := e.send(&e.traffic, rs, int(r), int(in.peer), int(in.tag), in.size, &pc, &slots[in.slot])
+				e.priceInto(&price, int(r), int(in.peer))
+				completeAt := e.send(&e.traffic, rs, int(r), int(in.peer), int(in.tag), in.size, &price, &slots[in.slot])
 				if in.kind == iSend {
 					reqTime[r][in.req] = completeAt
 				}

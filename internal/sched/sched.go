@@ -292,8 +292,15 @@ func (e *Evaluator) send(t *traffic, st *loggp.State, rank, dst, tag, size int, 
 // Price prices the ordered pair (src, dst) through the machine's resolved
 // pricing call: the price of every message from src to dst.
 func (e *Evaluator) Price(src, dst int) (pc loggp.Pair) {
-	pc.Lat, pc.Gap, pc.Beta, pc.Ovh, pc.Ret, pc.SameNIC = e.pricer.Pair(src, dst)
+	e.priceInto(&pc, src, dst)
 	return pc
+}
+
+// priceInto is Price into a Pair the caller keeps across its messages: a
+// Pair returned by value is copied with 16-byte loads over the 8-byte stores
+// that just filled it, a store-forwarding stall on every message.
+func (e *Evaluator) priceInto(pc *loggp.Pair, src, dst int) {
+	pc.Lat, pc.Gap, pc.Beta, pc.Ovh, pc.Ret, pc.SameNIC = e.pricer.Pair(src, dst)
 }
 
 // Release returns the evaluator to the shared pool. The caller must not use
@@ -385,7 +392,8 @@ type InEdge = loggp.Edge
 // completion time dropped — and the message as its receiver needs it is
 // written into in.
 func (e *Evaluator) Post(src, dst, tag, size int, in *InEdge) {
-	pc := e.Price(src, dst)
+	var pc loggp.Pair
+	e.priceInto(&pc, src, dst)
 	e.send(&e.traffic, &e.states[src], src, dst, tag, size, &pc, in)
 }
 
@@ -595,6 +603,7 @@ func (w *stageWalk) next() {
 func (w *stageWalk) sends(v *StageView, b walkBlock, t *traffic) {
 	e, env := w.e, &w.e.env
 	stage, tag, out := int32(w.sg), w.tagBase+w.sg, b.outBase
+	var pc loggp.Pair
 	for r := b.lo; r < b.hi; r++ {
 		rs := &e.states[r]
 		rs.StageMark(stage)
@@ -607,7 +616,7 @@ func (w *stageWalk) sends(v *StageView, b walkBlock, t *traffic) {
 		}
 		e.entry[r] = rs.Now
 		for k, dst := range outs {
-			pc := e.Price(r, dst)
+			e.priceInto(&pc, r, dst)
 			e.sendDone[out] = e.send(t, rs, r, dst, tag, v.OutSize(r, k), &pc, &e.inbox[out])
 			out++
 		}

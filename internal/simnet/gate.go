@@ -95,6 +95,13 @@ func (g *Gate) Arrive(p *Proc, ticket any, leader func(tickets []any) error) err
 	case <-round.release:
 		return round.err
 	case <-g.cancel:
+		// A leader's error tears the run down as it releases the round, so
+		// both may be ready: the verdict wins, or this rank's error is lost.
+		select {
+		case <-round.release:
+			return round.err
+		default:
+		}
 		panic(cancelPanic{})
 	}
 }

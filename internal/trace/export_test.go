@@ -17,6 +17,16 @@ var StageDepth = stageDepth
 // NumChunks returns the number of chunk records of rank's lane.
 func (s *Spill) NumChunks(rank int) int { return len(s.lanes[rank].chunks) }
 
+// ChunkOffsets returns the file offsets of rank's chunk records, in lane
+// order.
+func (s *Spill) ChunkOffsets(rank int) []int64 {
+	var offs []int64
+	for _, ch := range s.lanes[rank].chunks {
+		offs = append(offs, ch.off)
+	}
+	return offs
+}
+
 // EachChunk streams rank's lane chunk by chunk, decoded under want.
 func (s *Spill) EachChunk(rank int, want colSet, fn func(*Cols)) error {
 	return eachChunk(s, rank, want, fn)

@@ -63,10 +63,10 @@ func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
 // — so a lane is never concatenated and resident memory is a chunk, not a
 // lane. Of the Source's chunk access, lane streams (laneChunks) decode into
 // a slot of their own, the whole-run pass (eachLane) a few chunks ahead of
-// its consumer on a second goroutine, and the critical-path walk's window
-// (laneWindow) through a small cache of the last few decoded chunks, keyed
-// by (rank, chunk index). Whatever is wrong with a file surfaces as an error
-// wrapping ErrCorruptSpill.
+// its consumer on two goroutines that take alternate chunks, and the
+// critical-path walk's window (laneWindow) through a small cache of the
+// last few decoded chunks, keyed by (rank, chunk index). Whatever is wrong
+// with a file surfaces as an error wrapping ErrCorruptSpill.
 
 const (
 	spillMagic    = "HBSPTRC\x01"
@@ -84,28 +84,32 @@ const (
 // SpillOptions tune Recorder.SpillTo.
 type SpillOptions struct {
 	// ChunkEvents caps the events a lane holds in RAM before its columns
-	// are encoded and flushed. 0 derives a value from the rank count
-	// targeting ~64 MB resident across all lanes, clamped to [64, 8192].
+	// are encoded and flushed. 0 derives a value from the rank count: the
+	// lanes' half of the run's 16 MiB spill budget (spillBudget) over Procs
+	// lanes, clamped to [64, 8192] — 512 events at P = 256, 128 at
+	// P = 1,024, the 64-event floor from P = 2,048 on.
 	ChunkEvents int
 }
 
-// chunkFor resolves the chunk size for a run with the given rank count.
-func (o SpillOptions) chunkFor(procs int) int {
-	c := o.ChunkEvents
-	if c <= 0 {
-		if procs < 1 {
-			procs = 1
-		}
-		// ~64 B of column storage per resident event.
-		c = (64 << 20) / (64 * procs)
-		if c < 64 {
-			c = 64
-		}
-		if c > 8192 {
-			c = 8192
-		}
+// spillBudget is what a spilling run's columns take, whatever P: half for
+// the chunks the lanes fill, half for the chunks queued for the encoder
+// (spillQueueEvents).
+const spillBudget = 16 << 20
+
+// ramLaneBytes is the lanes' column target of a run recorded in RAM, whose
+// chunks stay resident anyway: larger chunks mean fewer of them.
+const ramLaneBytes = 64 << 20
+
+// eventBytes is about the column storage of one event (58 bytes).
+const eventBytes = 64
+
+// chunkFor resolves the chunk size for a run with the given rank count whose
+// lanes' chunks together target laneBytes.
+func (o SpillOptions) chunkFor(procs, laneBytes int) int {
+	if o.ChunkEvents > 0 {
+		return o.ChunkEvents
 	}
-	return c
+	return min(max(laneBytes/(eventBytes*max(procs, 1)), 64), 8192)
 }
 
 // canonicalChunkEvents is the fixed chunk size of WriteSpill, independent of
@@ -293,16 +297,17 @@ func appendFooter(b []byte, sumOff, idxOff int64) []byte {
 // spillSink is the shared chunk writer of a spilling run: it encodes chunks
 // and appends them to the output, tracking the index — those a recording
 // run's lanes hand its encoder goroutine, or WriteSpill's. The writer state
-// is behind mu; the underlying writer sees exactly one Write per record.
+// is behind mu. Records collect in buf and reach the writer in one Write per
+// spillWriteBatch bytes, the last with the summary, index and footer.
 type spillSink struct {
 	mu      sync.Mutex
 	w       io.Writer
-	off     int64
+	off     int64 // the file's length so far, buf included
 	err     error
 	lanes   []spillLaneIdx
 	nchunks int
 	nevents int64
-	buf     []byte
+	buf     []byte // records not yet written
 
 	// A recording run's encoder (startEncoder): lanes send on queue until
 	// stop closes quit; done closes when the encoder has exited.
@@ -312,27 +317,25 @@ type spillSink struct {
 	done  chan struct{}
 }
 
-func newSpillSink(w io.Writer, meta Meta) (*spillSink, error) {
+// spillWriteBatch is the least the sink hands its writer at once, so that a
+// run of small chunks costs a Write per 256 KiB, not one per chunk.
+const spillWriteBatch = 256 << 10
+
+func newSpillSink(w io.Writer, meta Meta) *spillSink {
 	s := &spillSink{w: w, lanes: make([]spillLaneIdx, meta.Procs)}
 	s.buf = append(s.buf, spillMagic...)
 	s.buf = appendUvarint(s.buf, spillVersion)
 	s.buf = appendMeta(s.buf, meta)
-	err := s.emit()
-	return s, err
+	s.off = int64(len(s.buf))
+	return s
 }
 
-// emit writes and clears the staging buffer, advancing the offset.
-func (s *spillSink) emit() error {
-	if s.err != nil {
-		return s.err
-	}
-	n, err := s.w.Write(s.buf)
-	s.off += int64(n)
-	s.buf = s.buf[:0]
-	if err != nil {
+// emit writes and clears the buffered records.
+func (s *spillSink) emit() {
+	if _, err := s.w.Write(s.buf); err != nil {
 		s.err = fmt.Errorf("trace: spill write: %w", err)
 	}
-	return s.err
+	s.buf = s.buf[:0]
 }
 
 // writeChunk encodes and appends one lane chunk, none after an error.
@@ -342,23 +345,25 @@ func (s *spillSink) writeChunk(rank int32, c *Cols) {
 	if s.err != nil {
 		return
 	}
-	off := s.off
-	s.buf = appendChunk(s.buf[:0], rank, c)
-	size := len(s.buf)
-	if s.emit() != nil {
-		return
-	}
+	at := len(s.buf)
+	s.buf = appendChunk(s.buf, rank, c)
+	size := len(s.buf) - at
 	l := &s.lanes[rank]
 	l.total += c.Len()
-	l.chunks = append(l.chunks, spillChunkIdx{off: off, size: int32(size), count: int32(c.Len())})
+	l.chunks = append(l.chunks, spillChunkIdx{off: s.off, size: int32(size), count: int32(c.Len())})
+	s.off += int64(size)
 	s.nchunks++
 	s.nevents += int64(c.Len())
+	if len(s.buf) >= spillWriteBatch {
+		s.emit()
+	}
 }
 
-// spillQueueEvents bounds the events queued for the encoder: chunkFor's
-// 64 MB target again. Lanes in step fill their chunks in one stage sweep, so
-// the queue holds a chunk per lane and takes the burst without waiting.
-const spillQueueEvents = 1 << 20
+// spillQueueEvents bounds the events queued for the encoder: the queue's
+// 8 MiB half of spillBudget, as many events as the lanes' half holds. Lanes
+// in step fill their chunks in one stage sweep, so the queue holds a chunk
+// per lane and takes the burst without waiting.
+const spillQueueEvents = spillBudget / 2 / eventBytes
 
 // startEncoder starts the goroutine that writes, in hand-off order, the
 // chunks of procs lanes of chunk events each, and after stop what is still
@@ -445,12 +450,14 @@ func (s *spillSink) finish(sum Summary) error {
 	if s.err != nil {
 		return s.err
 	}
-	sumOff := s.off
-	s.buf = appendSummary(s.buf[:0], sum)
-	idxOff := sumOff + int64(len(s.buf))
+	at, sumOff := len(s.buf), s.off
+	s.buf = appendSummary(s.buf, sum)
+	idxOff := sumOff + int64(len(s.buf)-at)
 	s.buf = appendIndex(s.buf, s.lanes)
 	s.buf = appendFooter(s.buf, sumOff, idxOff)
-	return s.emit()
+	s.off += int64(len(s.buf) - at)
+	s.emit()
+	return s.err
 }
 
 // WriteSpill serializes any source canonically: lanes in rank order, fixed
@@ -458,10 +465,7 @@ func (s *spillSink) finish(sum Summary) error {
 // run's content, so golden tests diff them directly and a streamed spill
 // re-serialized through WriteSpill matches the same run recorded in RAM.
 func WriteSpill(w io.Writer, src Source) error {
-	sink, err := newSpillSink(w, src.RunMeta())
-	if err != nil {
-		return err
-	}
+	sink := newSpillSink(w, src.RunMeta())
 	var part Cols
 	cur := int32(0)
 	flush := func() {
@@ -470,7 +474,7 @@ func WriteSpill(w io.Writer, src Source) error {
 			part.truncate()
 		}
 	}
-	err = src.eachLane(colsAll, func(rank int, c *Cols) {
+	err := src.eachLane(colsAll, func(rank int, c *Cols) {
 		if int32(rank) != cur {
 			flush()
 			cur = int32(rank)
@@ -863,9 +867,10 @@ type spillCacheChunk struct {
 // when the path comes back to a rank within the same chunk, which the
 // collectives measured so far almost never do, so the cache is mostly the
 // walk's pool of decode slots. Measured on the 827 hops of a P=1024 total
-// exchange (BenchmarkCriticalPathSpill): 5 hits, none of them on the most
-// recent entry — with one slot CacheHits reads 0 and the walk decodes 830
-// chunks instead of 825 in the same 29 ms.
+// exchange in 1,024-event chunks (BenchmarkCriticalPathSpill): 5 hits, none
+// of them on the most recent entry — with one slot CacheHits reads 0 and
+// the walk decodes 830 chunks instead of 825 in the same 29 ms. In the
+// spill's 128-event chunks the walk decodes 841.
 const spillCacheChunks = 4
 
 // OpenSpill parses a spill image from a random-access reader of the given
@@ -1099,57 +1104,82 @@ func (s *Spill) laneChunks(rank int, want colSet) chunkPull {
 	}
 }
 
-// readAheadChunks is the number of decode slots of eachLane (handing them
-// over in batches of 8 measured no faster on BenchmarkRollupSpill).
-const readAheadChunks = 8
+// spillDecoders is the number of goroutines eachLane decodes on, and
+// readAheadChunks the decode slots of each: 16 chunks in flight, 128 KiB of
+// columns at a spilled P = 1,024's 128-event chunks and 8 MiB at
+// WriteSpill's 8,192-event ones. Decoding sets the pace of a whole-run pass
+// over small chunks: on BenchmarkRollupSpill (P = 1,024, two cores) one
+// decoder took ≈415 ms, two ≈310–335 ms, and two with 16 slots each
+// ≈295 ms.
+const (
+	spillDecoders   = 2
+	readAheadChunks = 8
+)
 
-// eachLane implements Source with a read-ahead: one goroutine decodes every
-// chunk in rank-then-chunk order into slots of its own while fn consumes
-// them in the same order. It stops at the first read error, and is joined
-// before eachLane returns, whether fn saw every chunk or not.
+// eachLane implements Source with a read-ahead: spillDecoders goroutines
+// take the chunks of the rank-then-chunk order in turn — the k-th falls to
+// decoder k mod spillDecoders — and decode them into slots of their own,
+// while fn consumes them in that order, taking the decoders' outputs in the
+// same turn. A read error reaches the caller in its chunk's place, after fn
+// has seen every earlier chunk. A decoder stops at its first error, and
+// both are joined before eachLane returns, whether fn saw every chunk or
+// not.
 func (s *Spill) eachLane(want colSet, fn func(rank int, c *Cols)) error {
 	type decoded struct {
 		rank int
 		slot *chunkSlot
 		err  error
 	}
-	full, free := make(chan decoded, readAheadChunks), make(chan *chunkSlot, readAheadChunks)
-	for range readAheadChunks {
-		free <- &chunkSlot{}
-	}
+	var full [spillDecoders]chan decoded
+	var free [spillDecoders]chan *chunkSlot
 	quit := make(chan struct{})
-	go func() {
-		defer close(full)
-		for rank := range s.lanes {
-			for _, ch := range s.lanes[rank].chunks {
-				var slot *chunkSlot
-				select {
-				case slot = <-free:
-				case <-quit:
-					return
+	for d := range spillDecoders {
+		full[d], free[d] = make(chan decoded, readAheadChunks), make(chan *chunkSlot, readAheadChunks)
+		for range readAheadChunks {
+			free[d] <- &chunkSlot{}
+		}
+		go func(full chan<- decoded, free <-chan *chunkSlot) {
+			defer close(full)
+			k := 0
+			for rank := range s.lanes {
+				for _, ch := range s.lanes[rank].chunks {
+					if k++; (k-1)%spillDecoders != d {
+						continue
+					}
+					var slot *chunkSlot
+					select {
+					case slot = <-free:
+					case <-quit:
+						return
+					}
+					slot.cols.truncate()
+					err := s.readChunk(rank, ch, want, slot)
+					full <- decoded{rank, slot, err} // a slot's place: never blocks
+					if err != nil {
+						return
+					}
 				}
-				slot.cols.truncate()
-				err := s.readChunk(rank, ch, want, slot)
-				full <- decoded{rank, slot, err} // a slot's place: never blocks
-				if err != nil {
-					return
-				}
+			}
+		}(full[d], free[d])
+	}
+	defer func() {
+		close(quit)
+		for _, c := range full { // until every decoder has exited
+			for range c {
 			}
 		}
 	}()
-	defer func() {
-		close(quit)
-		for range full { // until the decoder has exited
+	for k := 0; ; k = (k + 1) % spillDecoders {
+		d, ok := <-full[k]
+		if !ok { // decoder k is past the last chunk
+			return nil
 		}
-	}()
-	for d := range full {
 		if d.err != nil {
 			return d.err
 		}
 		fn(d.rank, &d.slot.cols)
-		free <- d.slot
+		free[k] <- d.slot
 	}
-	return nil
 }
 
 // laneWindow implements Source through the chunk cache.

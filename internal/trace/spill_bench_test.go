@@ -2,7 +2,7 @@ package trace_test
 
 // Benchmarks of the spill layer by itself, over the trace the committed
 // benchmark's scale_direct workload records: one 64-byte total exchange at
-// P=1024, 4.09 million events in about a thousand-event chunks.
+// P=1024, 4.09 million events in 128-event chunks.
 
 import (
 	"bytes"

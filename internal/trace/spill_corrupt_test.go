@@ -10,36 +10,46 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hbsp/internal/trace"
 )
 
-// recordWrites keeps the offset every Write started at: the spill sink hands
-// its writer exactly one Write per record (the last carries summary, index
-// and footer together), so these are the file's record boundaries.
-type recordWrites struct {
-	bytes.Buffer
-	starts []int
-}
-
-func (w *recordWrites) Write(p []byte) (int, error) {
-	w.starts = append(w.starts, w.Len())
-	return w.Buffer.Write(p)
-}
-
 // smallSpill is the probe file: a dissemination barrier at P=16 in 8-event
 // chunks, a few kilobytes with several chunks per lane.
-func smallSpill(t testing.TB) *recordWrites {
+func smallSpill(t testing.TB) []byte {
 	t.Helper()
-	var raw recordWrites
+	var raw bytes.Buffer
 	rec := trace.NewRecorder()
 	rec.SpillTo(&raw, trace.SpillOptions{ChunkEvents: 8})
 	runDissemination(t, 16, 7, 1, rec)
 	if err := rec.SpillErr(); err != nil {
 		t.Fatal(err)
 	}
-	return &raw
+	return raw.Bytes()
+}
+
+// recordStarts lists the offsets the records of a spill start at, in file
+// order: the header's, every chunk's (from the index) and the summary's
+// (from the footer). The summary, index and footer are written as one.
+func recordStarts(t testing.TB, data []byte) []int {
+	t.Helper()
+	sp, err := trace.OpenSpill(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := []int{0}
+	for rank := range sp.NumLanes() {
+		for _, off := range sp.ChunkOffsets(rank) {
+			if data[off] != 'C' {
+				t.Fatalf("the index puts a chunk at offset %d, which holds %q", off, data[off])
+			}
+			starts = append(starts, int(off))
+		}
+	}
+	slices.Sort(starts)
+	return append(starts, int(binary.LittleEndian.Uint64(data[len(data)-24:])))
 }
 
 // readSpill drives every reader over data the way a caller would: open, the
@@ -85,7 +95,7 @@ func flipBits(rng *rand.Rand, data []byte) []byte {
 // to three flipped bits each from a fixed seed: each yields a result or an
 // error that wraps ErrCorruptSpill.
 func TestBitFlippedSpillsNeverPanic(t *testing.T) {
-	data := smallSpill(t).Bytes()
+	data := smallSpill(t)
 	if err := readSpill(data); err != nil {
 		t.Fatalf("the unmutated file: %v", err)
 	}
@@ -122,11 +132,11 @@ func TestBitFlippedSpillsNeverPanic(t *testing.T) {
 // TestTruncatedSpillIsRejected cuts the probe file at every record boundary
 // and inside the footer: OpenSpill refuses each cut with ErrCorruptSpill.
 func TestTruncatedSpillIsRejected(t *testing.T) {
-	raw := smallSpill(t)
-	for _, cut := range truncations(raw) {
-		_, err := trace.OpenSpill(bytes.NewReader(raw.Bytes()[:cut]), int64(cut))
+	data := smallSpill(t)
+	for _, cut := range truncations(t, data) {
+		_, err := trace.OpenSpill(bytes.NewReader(data[:cut]), int64(cut))
 		if !errors.Is(err, trace.ErrCorruptSpill) {
-			t.Errorf("file cut at %d of %d bytes: %v, want ErrCorruptSpill", cut, raw.Len(), err)
+			t.Errorf("file cut at %d of %d bytes: %v, want ErrCorruptSpill", cut, len(data), err)
 		}
 	}
 }
@@ -134,9 +144,8 @@ func TestTruncatedSpillIsRejected(t *testing.T) {
 // truncations lists the cuts of the seed corpus: every record boundary (the
 // header's end, each chunk's, the summary and the index, read from the
 // footer) and the footer's start and middle.
-func truncations(raw *recordWrites) []int {
-	data := raw.Bytes()
-	cuts := append([]int(nil), raw.starts...)
+func truncations(t testing.TB, data []byte) []int {
+	cuts := recordStarts(t, data)
 	foot := data[len(data)-24:]
 	idxOff := int(binary.LittleEndian.Uint64(foot[8:16]))
 	return append(cuts, idxOff, len(data)-24, len(data)-12)
@@ -158,10 +167,10 @@ const (
 // the footer, and (under testdata/fuzz) mutants that made the readers before
 // the chunk-level checks panic.
 func FuzzOpenSpill(f *testing.F) {
-	raw := smallSpill(f)
-	f.Add(raw.Bytes())
-	for _, cut := range truncations(raw) {
-		f.Add(raw.Bytes()[:cut])
+	data := smallSpill(f)
+	f.Add(data)
+	for _, cut := range truncations(f, data) {
+		f.Add(data[:cut])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

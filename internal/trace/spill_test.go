@@ -310,14 +310,40 @@ func TestSpillBackedP65536(t *testing.T) {
 // TestSpilledRunPaysForItsEvents bounds what a spilled run allocates by the
 // events it records: a P = 256 allreduce records about 30 events a lane,
 // and its lanes grow their first chunk with them rather than reserving the
-// whole 4,096-event chunk each up front, 62 MB together.
+// whole 512-event chunk each up front, 8 MB together.
 func TestSpilledRunPaysForItsEvents(t *testing.T) {
-	const procs = 256
-	s, err := barrier.AllReduce(procs, 64)
+	s, err := barrier.AllReduce(256, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := platform.XeonClusterMachine(procs)
+	if mb, events := spilledRunMB(t, s); mb > 4 {
+		t.Fatalf("a spilled P=256 allreduce of %d events allocated %.1f MB, want at most 4", events, mb)
+	}
+}
+
+// TestSpilledRunFootprint bounds what a spilled run allocates by the spill
+// budget, whatever its events: a P = 1,024 total exchange records 4.1
+// million events, which the lanes fill into 128-event chunks and the
+// encoder drains behind them, 16 MiB of columns at most.
+func TestSpilledRunFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	s, err := barrier.TotalExchange(1024, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mb, events := spilledRunMB(t, s); mb > 24 {
+		t.Fatalf("a spilled P=1024 total exchange of %d events allocated %.1f MB, want at most 24", events, mb)
+	}
+}
+
+// spilledRunMB spills a run of s on the Xeon cluster at the default
+// chunking, twice so the machine's and schedule's memos are warm, and
+// returns the megabytes the second run allocated and the events it spilled.
+func spilledRunMB(t *testing.T, s sched.Schedule) (float64, int64) {
+	t.Helper()
+	m, err := platform.XeonClusterMachine(s.NumProcs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,17 +358,15 @@ func TestSpilledRunPaysForItsEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // the machine's and schedule's memos
+	run()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
 	_, events, _ := o.Recorder.SpillStats()
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-	t.Logf("%d events: %.2f MB allocated", events, mb)
-	if mb > 4 {
-		t.Fatalf("a spilled P=%d allreduce of %d events allocated %.1f MB, want at most 4", procs, events, mb)
-	}
+	t.Logf("P=%d: %d events, %.2f MB allocated", s.NumProcs(), events, mb)
+	return mb, events
 }
 
 // TestStreamedSpillBytesPinned pins the bytes of spills streamed during a
@@ -353,7 +377,7 @@ func TestSpilledRunPaysForItsEvents(t *testing.T) {
 // here.
 func TestStreamedSpillBytesPinned(t *testing.T) {
 	for chunkEvents, want := range map[int]string{
-		0:  "2922f3557671ca11decb431935530ff53f8fcc4d9a4dca69baaa73ad2faec16e",
+		0:  "cf56b50b5d46b0125ea5b5300a25f89258efb91143f8aea18d9915f7f3111fd6",
 		17: "d98eae4eaa619d742e9e6c59148d035219d4f6aeb28b0e99f1664e992696dc63",
 	} {
 		h := sha256.New()
@@ -445,16 +469,15 @@ func TestAppendAfterUncleanEndRun(t *testing.T) {
 }
 
 // TestEachLaneStopsAtCorruptChunk damages one chunk in the middle of the
-// probe file: the whole-run passes, which read ahead on a goroutine, return
-// ErrCorruptSpill, and so does a consumer that panics leave no goroutine
-// behind.
+// probe file: the whole-run passes, which read ahead on two goroutines,
+// return ErrCorruptSpill, and so does a consumer that panics leave no
+// goroutine behind.
 func TestEachLaneStopsAtCorruptChunk(t *testing.T) {
 	base := runtime.NumGoroutine()
-	raw := smallSpill(t)
-	data := append([]byte(nil), raw.Bytes()...)
+	data := smallSpill(t)
 	const lane = 9
 	damaged := false
-	for _, at := range raw.starts {
+	for _, at := range recordStarts(t, data) {
 		// A chunk record: 'C', uvarint rank, uvarint count, then the raw
 		// Kind column; rank and count fit a byte each here.
 		if data[at] == 'C' && data[at+1] == lane {
@@ -485,6 +508,54 @@ func TestEachLaneStopsAtCorruptChunk(t *testing.T) {
 		defer func() { recover() }()
 		sp.EachLane(trace.Projections["all"], func(int, *trace.Cols) { panic("consumer gave up") })
 	}()
+	assertGoroutines(t, base)
+}
+
+// TestEachLaneErrorOnSecondDecoder damages the chunk at place 9 of the
+// rank-then-chunk order, one the second decoder reads while the consumer
+// still holds place 0: the consumer gets places 0 to 8, in order and
+// intact, then ErrCorruptSpill, and both decoders exit.
+func TestEachLaneErrorOnSecondDecoder(t *testing.T) {
+	base := runtime.NumGoroutine()
+	data := smallSpill(t)
+	sp, err := trace.OpenSpill(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type chunk struct {
+		rank int
+		cols trace.Cols
+	}
+	var want []chunk
+	if err := sp.EachLane(trace.Projections["all"], func(rank int, c *trace.Cols) {
+		want = append(want, chunk{rank, c.Clone()})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const place = 9
+	rank, i := want[place].rank, 0
+	for k := place; k > 0 && want[k-1].rank == rank; k-- {
+		i++
+	}
+	mut := append([]byte(nil), data...)
+	mut[sp.ChunkOffsets(rank)[i]+3] = 0xff // the first Kind byte, as above
+	bad, err := trace.OpenSpill(bytes.NewReader(mut), int64(len(mut)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []chunk
+	err = bad.EachLane(trace.Projections["all"], func(rank int, c *trace.Cols) {
+		if len(got) == 0 {
+			time.Sleep(10 * time.Millisecond) // let both decoders run ahead
+		}
+		got = append(got, chunk{rank, c.Clone()})
+	})
+	if !errors.Is(err, trace.ErrCorruptSpill) {
+		t.Fatalf("EachLane = %v, want ErrCorruptSpill", err)
+	}
+	if !reflect.DeepEqual(got, want[:place]) {
+		t.Fatalf("the consumer got %d chunks before the error, want the %d before place %d as read from the intact file", len(got), place, place)
+	}
 	assertGoroutines(t, base)
 }
 

@@ -21,19 +21,20 @@
 // chunkFor(P) events: the Append that fills a chunk hands it to the run's
 // sink. The sink is the lane's own chunk list unless SpillTo armed the spill
 // encoder, which encodes the chunks on a goroutine of the run's own and
-// streams them to a writer (see spill.go for the format), bounding resident
-// recorder memory at about 2 × Procs × ChunkEvents events. Either way the
-// analyses read the run through one path, the chunk access of the Source
-// interface that the in-RAM Trace and the spill-backed Spill implement: a
-// lane stream, the critical-path walk's window onto the chunk it stands in,
-// and the whole-run pass in rank-then-chunk order. Each pass names the
-// columns it needs; a spill decodes those and steps over the rest — the
-// whole-run passes a few chunks ahead of themselves on a second goroutine —
-// so analysing a spilled run holds a chunk per open lane stream, never a
-// lane. A spill file is outside input: OpenSpill checks the header, summary
-// and index against the file, the chunk reader checks every chunk it decodes
-// against them, and a file that fails either is reported with
-// ErrCorruptSpill, not a panic.
+// streams them to a writer (see spill.go for the format). A run in RAM
+// sizes its chunks for 64 MB of columns over all lanes; a spilling run holds
+// a fixed 16 MiB of columns whatever P, half in the lanes' chunks and half
+// queued for the encoder. Either way the analyses read the run through one
+// path, the chunk access of the Source interface that the in-RAM Trace and
+// the spill-backed Spill implement: a lane stream, the critical-path walk's
+// window onto the chunk it stands in, and the whole-run pass in
+// rank-then-chunk order. Each pass names the columns it needs; a spill
+// decodes those and steps over the rest — the whole-run passes a few chunks
+// ahead of themselves on two decoder goroutines — so analysing a spilled
+// run holds a chunk per open lane stream, never a lane. A spill file is
+// outside input: OpenSpill checks the header, summary and index against the
+// file, the chunk reader checks every chunk it decodes against them, and a
+// file that fails either is reported with ErrCorruptSpill, not a panic.
 //
 // A nil *Recorder (the exported Disabled) is valid and records nothing; the
 // simulator's per-event cost in that mode is a single pointer test against a
@@ -511,9 +512,11 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // SpillTo arranges for the NEXT recorded run to stream its lanes to w in the
 // binary spill format instead of holding them in RAM: the Append that fills
 // a lane's ChunkEvents-sized chunk hands it to the run's encoder goroutine,
-// not to the lane's chunk list, and takes back emptied columns, so recorder
-// memory is Procs × ChunkEvents events in the lanes, at most as many again
-// (and at most 1 Mi) queued for the encoder, and 1 MiB of staging blocks.
+// not to the lane's chunk list, and takes back emptied columns. At the
+// default ChunkEvents recorder memory is a fixed 16 MiB of columns — 8 MiB
+// in the lanes' chunks, at most 8 MiB queued for the encoder — and 1 MiB of
+// staging blocks; an explicit ChunkEvents holds Procs × ChunkEvents events
+// in the lanes and at most as many again, and at most 128 Ki, queued.
 // EndRun joins the goroutine and writes the summary, the chunk index and
 // the footer; check SpillErr afterwards and open the result with
 // OpenSpillFile/OpenSpill. After a spilled run, Trace returns ErrSpilled.
@@ -542,8 +545,9 @@ func (r *Recorder) SpillErr() error {
 }
 
 // SpillStats reports what the last spilled run wrote: encoded chunks, events
-// and the file's size in bytes — header, chunk records and, once EndRun has
-// sealed it, summary, index and footer (0s when the run did not spill).
+// and the file's size in bytes — header, chunk records (those still batched
+// for the next Write included) and, once EndRun has sealed it, summary,
+// index and footer (0s when the run did not spill).
 func (r *Recorder) SpillStats() (chunks int, events, bytes int64) {
 	if r == nil {
 		return 0, 0, 0
@@ -584,14 +588,14 @@ func (r *Recorder) BeginRun(meta Meta) {
 
 	r.sink = nil
 	r.spilled = false
-	opts := SpillOptions{ChunkEvents: r.ramChunk}
+	opts, laneBytes := SpillOptions{ChunkEvents: r.ramChunk}, ramLaneBytes
 	if r.armedW != nil {
-		r.sink, r.spillErr = newSpillSink(r.armedW, r.meta)
+		r.sink = newSpillSink(r.armedW, r.meta)
 		r.spilled = true
 		r.armedW = nil
-		opts = r.armedOpts
+		opts, laneBytes = r.armedOpts, spillBudget/2
 	}
-	r.chunk = opts.chunkFor(meta.Procs)
+	r.chunk = opts.chunkFor(meta.Procs, laneBytes)
 	if r.sink != nil {
 		r.sink.startEncoder(meta.Procs, r.chunk)
 	}

@@ -27,8 +27,8 @@
 // only where a full chunk goes differs. By default it stays in the lane's
 // chunk list, which Recorder.Trace returns. Large runs do not need to hold
 // their events in RAM: Recorder.SpillTo has the chunks encoded to a writer
-// during the run in a compact binary format, bounding resident recorder
-// memory; OpenSpillFile reopens the file and every analysis and exporter
+// during the run in a compact binary format, holding a fixed 16 MiB of
+// recorder columns whatever the rank count; OpenSpillFile reopens the file and every analysis and exporter
 // reads its chunks through the same Source interface the in-RAM Trace
 // satisfies:
 //
@@ -167,7 +167,8 @@ var (
 // versioned binary format; OpenSpill/OpenSpillFile reopen it as a Source.
 type (
 	// SpillOptions tune Recorder.SpillTo (ChunkEvents bounds per-lane
-	// resident events; the default targets ~64 MB total across lanes).
+	// resident events; the default holds 8 MiB of columns across lanes and
+	// as much again queued for the encoder).
 	SpillOptions = itrace.SpillOptions
 	// Spill is a reopened spill file; it satisfies Source, so every
 	// analysis and exporter works on it directly, decoding a chunk at a
