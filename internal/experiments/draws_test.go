@@ -109,14 +109,11 @@ func TestSharedSeriesDrawsAreHandedIn(t *testing.T) {
 			t.Errorf("%s: memo stats %+v: want hits at least half of all %d draws", s.name, st, all)
 		}
 		if s.top {
-			// The reference runs on one worker. Its two points at once could
-			// each read a row while the other fills another block of it, and
-			// a block whose readers all lose fillBlock's TryLock is computed
-			// directly and never stored, so the count came out low.
+			// Every block a reader misses is stored, whichever of the
+			// readers filling it at once publishes it, so the reference may
+			// run its points on several workers.
 			o.ProcStep = o.MaxProcsXeon
-			procs := runtime.GOMAXPROCS(1)
 			_, top, _ := run(o, true)
-			runtime.GOMAXPROCS(procs)
 			if st.Stored > top.Stored {
 				t.Errorf("%s: the sweep stored %d draws, its largest P alone %d (%d computed directly)", s.name, st.Stored, top.Stored, top.Direct)
 			}

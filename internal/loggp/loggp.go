@@ -32,9 +32,9 @@
 // its scale and stream (Resolver, which platform.Machine is) is never called
 // again; a noise-free one is not called at all. A stream backed by a memo
 // hands a rank a window of stored draws, which the rank's State keeps — an
-// array pointer and the seq of its first draw — and reads inline until its
-// stream leaves the window. This package is the only caller of Noise: CI
-// fails on a Noise call anywhere else.
+// array pointer and the exclusive end of its stored draws — and reads inline
+// until its stream reaches that end. This package is the only caller of
+// Noise: CI fails on a Noise call anywhere else.
 package loggp
 
 import (
@@ -52,18 +52,23 @@ type NoiseSource interface {
 	Noise(rank int, seq uint64) float64
 }
 
-// WindowLen is the number of stored draws a window holds. Windows are aligned:
-// the one holding seq starts at seq &^ (WindowLen-1).
+// WindowLen is the most stored draws a window holds. Windows are aligned: the
+// one holding seq starts at seq &^ (WindowLen-1), and seq's draw is its
+// element seq % WindowLen.
 const WindowLen = 64
 
 // Stream is a run's noise as half-normal excesses: Noise(rank, seq) = 1 +
 // rel·z, rel the source's scale (Resolver). Draw returns z for (rank, seq)
-// and, when a memo stores it, the aligned window of stored draws holding it,
-// which the rank then reads with no call until its stream leaves the window;
-// nil when no memo stores it. Draw must be safe for concurrent calls, and a
-// window's draws must never change.
+// and, when a memo stores it, the aligned window holding it with the
+// exclusive end of the draws stored there: the rank then reads the window's
+// draws of seqs below end with no call, and calls again at end. A window
+// stores seq itself and at most up to its own last element (seq < end <=
+// (seq &^ (WindowLen-1)) + WindowLen), except the all-zero window of a
+// noise-free run, which never ends. w is nil when no memo stores the draw.
+// Draw must be safe for concurrent calls, and a window's stored draws must
+// never change.
 type Stream interface {
-	Draw(rank int, seq uint64) (z float64, w *[WindowLen]float64)
+	Draw(rank int, seq uint64) (z float64, w *[WindowLen]float64, end uint64)
 }
 
 // Resolver is the capability of a noise source that states its stream once
@@ -112,10 +117,13 @@ func Resolve(src NoiseSource) Noise {
 // zeroDraws is the window of every noise-free rank; it is never written.
 var zeroDraws [WindowLen]float64
 
-// noDraws is the stream of a noise-free run: every draw 0, from zeroDraws.
+// noDraws is the stream of a noise-free run: every draw 0, from zeroDraws,
+// whose end is never reached.
 type noDraws struct{}
 
-func (noDraws) Draw(int, uint64) (float64, *[WindowLen]float64) { return 0, &zeroDraws }
+func (noDraws) Draw(int, uint64) (float64, *[WindowLen]float64, uint64) {
+	return 0, &zeroDraws, math.MaxUint64
+}
 
 // State is one rank's evolution state: its clock, the free times of its
 // injection and extraction ports, its position in the noise stream and the
@@ -123,8 +131,9 @@ func (noDraws) Draw(int, uint64) (float64, *[WindowLen]float64) { return 0, &zer
 // lane with the superstep and stage labels recorded events carry. Fail-stop
 // state is derived from the clock (fault.Runtime.Cross), so a State copied
 // between the engines at a gate rendezvous is complete. It is comparable and
-// 64 bytes: the window is a pointer and the seq of its first draw, valid for
-// the Env whose Stream handed it out.
+// 64 bytes: the window is a pointer and the exclusive end of the draws it
+// stores, valid for the Env whose Stream handed it out. A rank's seq only
+// grows while it keeps a window; a state reused for another run is zeroed.
 type State struct {
 	Now      float64
 	TxFree   float64
@@ -135,7 +144,7 @@ type State struct {
 	Stage    int32
 
 	win    *[WindowLen]float64
-	winSeq uint64
+	winEnd uint64
 }
 
 // Pair is one ordered pair priced once (simnet.PairPricer.Pair): latency,
@@ -190,12 +199,12 @@ func (st *State) interval(kind trace.Kind, t0, t1 float64) {
 func (st *State) noise(env *Env, rank int) float64 {
 	seq, n := st.NoiseSeq, &env.Noise
 	f := 1.0
-	if i := seq - st.winSeq; i < WindowLen && st.win != nil {
-		f = 1 + n.rel*st.win[i]
+	if seq < st.winEnd && st.win != nil {
+		f = 1 + n.rel*st.win[seq%WindowLen]
 	} else if n.stream != nil {
-		z, w := n.stream.Draw(rank, seq)
+		z, w, end := n.stream.Draw(rank, seq)
 		if w != nil {
-			st.win, st.winSeq = w, seq&^(WindowLen-1)
+			st.win, st.winEnd = w, end
 		}
 		f = 1 + n.rel*z
 	} else if n.src != nil {
@@ -211,9 +220,9 @@ func (st *State) noise(env *Env, rank int) float64 {
 // stored is noise on a fault-free run whose window holds the rank's next
 // draw: that draw and true; else false, with nothing drawn.
 func (st *State) stored(env *Env) (float64, bool) {
-	if i := st.NoiseSeq - st.winSeq; i < WindowLen && st.win != nil && env.Faults == nil {
+	if seq := st.NoiseSeq; seq < st.winEnd && st.win != nil && env.Faults == nil {
 		st.NoiseSeq++
-		return 1 + env.Noise.rel*st.win[i], true
+		return 1 + env.Noise.rel*st.win[seq%WindowLen], true
 	}
 	return 0, false
 }

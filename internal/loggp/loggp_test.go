@@ -335,7 +335,7 @@ func TestUntracedMessageAllocatesNothing(t *testing.T) {
 	})
 	for _, faults := range []*fault.Runtime{nil, plan} {
 		var states [3]State
-		for n, noise := range []NoiseSource{nil, flat{}, resolved{rel: 0.5, s: &windowStream{}}} {
+		for n, noise := range []NoiseSource{nil, flat{}, resolved{rel: 0.5, s: &windowStream{stored: 1024}}} {
 			env := &Env{Noise: Resolve(noise), Faults: faults, Ack: true}
 			var src, dst State
 			var in Edge
@@ -365,25 +365,28 @@ func TestStateIsSmall(t *testing.T) {
 }
 
 // windowStream is a memo-like stream: z(rank, seq) = rank + seq/1024, its
-// seqs below 1024 stored and handed out in aligned windows. It counts its
-// calls.
+// seqs below stored (at most 1024) stored and handed out in aligned windows
+// that end at stored when it falls inside them, as a memo row's stored prefix
+// does. It counts its calls and keeps the seq of the last.
 type windowStream struct {
-	rows  [3][1024]float64
-	calls int
+	rows   [3][1024]float64
+	stored uint64
+	calls  int
+	last   uint64
 }
 
-func (s *windowStream) Draw(rank int, seq uint64) (float64, *[WindowLen]float64) {
-	s.calls++
+func (s *windowStream) Draw(rank int, seq uint64) (float64, *[WindowLen]float64, uint64) {
+	s.calls, s.last = s.calls+1, seq
 	z := float64(rank) + float64(seq)/1024
-	if seq >= 1024 {
-		return z, nil
+	if seq >= s.stored {
+		return z, nil, 0
 	}
 	row := &s.rows[rank]
 	for k := range row {
 		row[k] = float64(rank) + float64(k)/1024
 	}
 	lo := seq &^ (WindowLen - 1)
-	return z, (*[WindowLen]float64)(row[lo : lo+WindowLen])
+	return z, (*[WindowLen]float64)(row[lo : lo+WindowLen]), min(s.stored, lo+WindowLen)
 }
 
 // resolved is a source that resolves to its scale and stream and must not be
@@ -399,11 +402,13 @@ func (r resolved) NoiseStream() (float64, Stream) { return r.rel, r.s }
 
 // TestNoiseReadsWindows pins the resolved path: every draw is 1 + rel·z of
 // the stream's z; the stream is called once a window and for each draw it
-// stores none of; a state copied in the middle of a window reads on without a
+// stores none of; a window read up to the end it came with, whether its
+// block's or before it, is read inline up to end − 1 and the stream is
+// called at end; a state copied in the middle of a window reads on without a
 // call, and one moved to another seq fetches the window there; a noise-free
-// resolver is never called.
+// resolver is never called, and its window never ends.
 func TestNoiseReadsWindows(t *testing.T) {
-	s := &windowStream{}
+	s := &windowStream{stored: 1000}
 	env := &Env{Noise: Resolve(resolved{rel: 0.5, s: s})}
 	want := func(rank int, seq uint64) float64 { return 1 + 0.5*(float64(rank)+float64(seq)/1024) }
 	var st State
@@ -412,11 +417,30 @@ func TestNoiseReadsWindows(t *testing.T) {
 			t.Fatalf("draw %d = %v, want %v", seq, got, want(1, seq))
 		}
 	}
-	if wantCalls := 1024/WindowLen + 1100 - 1024; s.calls != wantCalls {
+	if wantCalls := (1000+WindowLen-1)/WindowLen + 1100 - 1000; s.calls != wantCalls {
 		t.Errorf("%d calls for 1100 draws, want one a window and one a draw past the store: %d", s.calls, wantCalls)
 	}
 
-	s.calls = 0
+	// Windows that end before their block does: 40 draws stored, then 70.
+	for _, stored := range []uint64{40, 70} {
+		short := &windowStream{stored: stored}
+		env := &Env{Noise: Resolve(resolved{rel: 0.5, s: short})}
+		st := State{}
+		for seq := uint64(0); seq <= stored; seq++ {
+			if got := st.noise(env, 2); got != want(2, seq) {
+				t.Fatalf("stored %d: draw %d = %v, want %v", stored, seq, got, want(2, seq))
+			}
+			if wantCalls := 1 + int(seq/WindowLen); seq < stored && short.calls != wantCalls {
+				t.Fatalf("stored %d: %d calls after draw %d, want %d", stored, short.calls, seq, wantCalls)
+			}
+		}
+		if wantCalls := 2 + int((stored-1)/WindowLen); short.calls != wantCalls || short.last != stored {
+			t.Errorf("stored %d: %d calls, the last at %d; want %d, the last at the window's end", stored, short.calls, short.last, wantCalls)
+		}
+	}
+
+	s = &windowStream{stored: 1024}
+	env.Noise = Resolve(resolved{rel: 0.5, s: s})
 	st = State{}
 	for range 10 {
 		st.noise(env, 2)
@@ -435,7 +459,7 @@ func TestNoiseReadsWindows(t *testing.T) {
 		t.Errorf("moved state: %v after %d calls, want %v after 2", got, s.calls, want(2, 3*WindowLen+5))
 	}
 
-	off := &windowStream{}
+	off := &windowStream{stored: 1024}
 	env.Noise = Resolve(resolved{rel: 0, s: off})
 	st = State{}
 	for range 100 {
@@ -445,5 +469,9 @@ func TestNoiseReadsWindows(t *testing.T) {
 	}
 	if off.calls != 0 {
 		t.Errorf("a noise-free stream was called %d times", off.calls)
+	}
+	st.NoiseSeq = math.MaxUint64 - 1
+	if f, ok := st.stored(env); !ok || f != 1 {
+		t.Errorf("a noise-free window read %v, %v at seq %d, want 1 inline", f, ok, uint64(math.MaxUint64-1))
 	}
 }

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"hbsp/internal/loggp"
@@ -31,35 +30,36 @@ const (
 // sweeping P. Machine.WithDraws states who owns one; TurnDraws is the memo of
 // runs that take turns. It is safe for concurrent readers: a rank's row is
 // append-only in fixed blocks, each published through an atomic pointer once
-// filled, so a hit takes no lock; a miss fills a block under the row's
-// TryLock, and a reader that loses that race computes its one draw instead of
-// waiting. A block is filled ahead of the reader that misses it, so a memo
-// pays off for streams many runs read far past their first block. A run's
-// kernel reads it through windows (Draw): aligned 64-draw views of a
-// published block, which a rank reads with no call until its stream leaves
-// them.
+// filled, so a hit takes no lock; a reader that misses fills a block of its
+// own and publishes it by compare-and-swap, and a reader that loses that race
+// reads the winner's block, so a fill duplicates at most one block per reader
+// and no reader computes draws one at a time while another fills. A block is
+// filled ahead of the reader that misses it, so a memo pays off for streams
+// many runs read far past their first block. A run's kernel reads it through
+// windows (Draw): aligned 64-draw views of a published block, which a rank
+// reads with no call until its stream leaves them.
 type Draws struct {
 	seed   int64
 	rows   []drawRow
-	blocks atomic.Int64 // blocks stored
+	blocks atomic.Int64 // blocks stored, or reserved by a fill under way
 	direct atomic.Int64
 }
 
 type drawRow struct {
-	fill   sync.Mutex
 	hits   atomic.Int64 // sampled, see drawHitSample
 	blocks [drawRowBlocks]atomic.Pointer[[drawBlock]float64]
 }
 
 // NewDraws returns an empty memo of the seed's noise streams of ranks [0, ranks)
-// — of no more ranks than it can store a block for (a row is 528 bytes).
+// — of no more ranks than it can store a block for (a row is 520 bytes).
 func NewDraws(seed int64, ranks int) *Draws {
 	return &Draws{seed: seed, rows: make([]drawRow, max(0, min(ranks, maxDrawBlocks)))}
 }
 
-// DrawStats counts what a memo did: draws stored (whole blocks), lookups
-// answered by a block already there (estimated, see drawHitSample), and draws
-// computed and not stored (past a bound, or while another reader filled).
+// DrawStats counts what a memo did: draws stored, lookups answered by stored
+// draws, and draws computed and not stored (past a bound). A Draws stores
+// whole blocks and estimates its hits (drawHitSample); a TurnDraws counts the
+// draws each window it hands out holds (TurnDraws.Draw).
 type DrawStats struct{ Stored, Hits, Direct int64 }
 
 // Stats returns the memo's counters.
@@ -72,43 +72,42 @@ func (d *Draws) Stats() DrawStats {
 }
 
 // Draw returns drawZ(d.seed, rank, seq), from the rank's row when it can,
-// and then the aligned window of the stored block that holds it
-// (loggp.Stream): the reader takes the window's other draws from it without a
-// call. A lookup at a multiple of drawHitSample that a stored block answers
-// counts a hit; windows being drawHitSample long and read in order, a stream
-// fetches its window at every such seq, so the count is the same as when every
-// lookup was a call.
-func (d *Draws) Draw(rank int, seq uint64) (z float64, w *[loggp.WindowLen]float64) {
+// and then the aligned window of the stored block that holds it, all 64 of
+// its draws stored (loggp.Stream): the reader takes the window's other draws
+// from it without a call. A lookup at a multiple of drawHitSample that a
+// stored block answers counts a hit; windows being drawHitSample long and
+// read in order, a stream fetches its window at every such seq, so the count
+// is the same as when every lookup was a call.
+func (d *Draws) Draw(rank int, seq uint64) (z float64, w *[loggp.WindowLen]float64, end uint64) {
 	if uint(rank) < uint(len(d.rows)) && seq < drawRowBlocks*drawBlock {
 		row := &d.rows[rank]
-		b := row.blocks[seq/drawBlock].Load()
+		slot := &row.blocks[seq/drawBlock]
+		b := slot.Load()
 		if b != nil {
 			if seq%drawHitSample == 0 {
 				row.hits.Add(1)
 			}
 		} else {
-			b = d.fillBlock(row, rank, seq/drawBlock)
+			b = d.fillBlock(slot, rank, seq/drawBlock)
 		}
 		if b != nil {
 			k := seq % drawBlock
 			lo := k &^ (loggp.WindowLen - 1)
-			return b[k], (*[loggp.WindowLen]float64)(b[lo : lo+loggp.WindowLen])
+			return b[k], (*[loggp.WindowLen]float64)(b[lo : lo+loggp.WindowLen]), seq&^(loggp.WindowLen-1) + loggp.WindowLen
 		}
 	}
 	d.direct.Add(1)
-	return drawZ(d.seed, rank, seq), nil
+	return drawZ(d.seed, rank, seq), nil, 0
 }
 
-// fillBlock computes and publishes block bi of the rank's row, or returns nil
-// when another reader holds the row or the memo is full.
-func (d *Draws) fillBlock(row *drawRow, rank int, bi uint64) *[drawBlock]float64 {
-	if !row.fill.TryLock() {
-		return nil
-	}
-	defer row.fill.Unlock()
-	if b := row.blocks[bi].Load(); b != nil {
-		return b
-	}
+// fillHook, when set, runs in fillBlock between computing a block and
+// publishing it; a test holds a fill there.
+var fillHook func()
+
+// fillBlock computes block bi of the rank's row and publishes it in slot,
+// unless another reader published one first, and returns the published block;
+// nil when the memo is full.
+func (d *Draws) fillBlock(slot *atomic.Pointer[[drawBlock]float64], rank int, bi uint64) *[drawBlock]float64 {
 	if d.blocks.Add(1) > maxDrawBlocks {
 		d.blocks.Add(-1)
 		return nil
@@ -117,6 +116,12 @@ func (d *Draws) fillBlock(row *drawRow, rank int, bi uint64) *[drawBlock]float64
 	for k := range b {
 		b[k] = drawZ(d.seed, rank, bi*drawBlock+uint64(k))
 	}
-	row.blocks[bi].Store(b)
-	return b
+	if fillHook != nil {
+		fillHook()
+	}
+	if slot.CompareAndSwap(nil, b) {
+		return b
+	}
+	d.blocks.Add(-1)
+	return slot.Load()
 }

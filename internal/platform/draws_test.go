@@ -4,7 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"hbsp/internal/loggp"
 )
 
 // noisyMachine is a preset machine with run-to-run jitter, the kind a memo
@@ -101,7 +104,10 @@ func TestDrawsMatchUncached(t *testing.T) {
 // TestSharedDrawsFill has 8 goroutines walk overlapping rows of one memo
 // from the start, as the workers of a sweep do, and holds every value to the
 // computed one. Under -race it is the check that a block is published only
-// after it is filled.
+// after it is filled. It then holds one fill between computing its block and
+// publishing it (fillHook): a second reader of the block gets a window of a
+// block it filled itself, not a draw computed alone, and the held reader
+// reads the block the second published.
 func TestSharedDrawsFill(t *testing.T) {
 	const ranks, readers, perRow = 6, 8, 3*drawBlock + 17
 	m := noisyMachine(t, ranks)
@@ -124,9 +130,43 @@ func TestSharedDrawsFill(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// Which lookups lose a fill race and compute directly is scheduling's
-	// choice; that no block is stored twice is not.
-	if s, most := d.Stats(), int64(ranks*4*drawBlock); s.Stored == 0 || s.Stored > most {
-		t.Errorf("stats %+v: want at most %d draws stored (4 blocks for each of %d rows)", s, most, ranks)
+	// Which reader publishes a block is scheduling's choice; that no block
+	// is stored twice, and that no draw is computed outside one, is not.
+	if s, want := d.Stats(), int64(ranks*4*drawBlock); s.Stored != want || s.Direct != 0 {
+		t.Errorf("stats %+v: want %d draws stored (4 blocks for each of %d rows), none direct", s, want, ranks)
+	}
+
+	held := NewDraws(m.RunSeed(), ranks)
+	started, release := make(chan struct{}), make(chan struct{})
+	var fills atomic.Int32
+	fillHook = func() {
+		if fills.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+	}
+	defer func() { fillHook = nil }()
+	type read struct {
+		z   float64
+		w   *[loggp.WindowLen]float64
+		end uint64
+	}
+	first := make(chan read)
+	go func() {
+		z, w, end := held.Draw(1, 5)
+		first <- read{z, w, end}
+	}()
+	<-started
+	z, w, end := held.Draw(1, 7)
+	close(release)
+	a := <-first
+	if w == nil || end != loggp.WindowLen || z != drawZ(m.RunSeed(), 1, 7) {
+		t.Errorf("while another reader filled the block, Draw(1, 7) = %v with window %p ending at %d; want the draw, a window ending at %d", z, w, end, loggp.WindowLen)
+	}
+	if a.w != w || a.end != end || a.z != drawZ(m.RunSeed(), 1, 5) {
+		t.Errorf("the held reader read window %p ending at %d, want the published %p", a.w, a.end, w)
+	}
+	if s := held.Stats(); s.Stored != drawBlock || s.Direct != 0 {
+		t.Errorf("stats %+v after one contended fill: want one block stored, none direct", s)
 	}
 }

@@ -263,7 +263,7 @@ func (m *Machine) Noise(i int, seq uint64) float64 {
 	if s == nil {
 		return 1
 	}
-	z, _ := s.Draw(i, seq)
+	z, _, _ := s.Draw(i, seq)
 	return 1 + rel*z
 }
 
@@ -288,8 +288,8 @@ func (m *Machine) NoiseStream() (rel float64, s loggp.Stream) {
 // computed from the run seed it points at.
 type seedStream int64
 
-func (s *seedStream) Draw(rank int, seq uint64) (float64, *[loggp.WindowLen]float64) {
-	return drawZ(int64(*s), rank, seq), nil
+func (s *seedStream) Draw(rank int, seq uint64) (float64, *[loggp.WindowLen]float64, uint64) {
+	return drawZ(int64(*s), rank, seq), nil, 0
 }
 
 // drawZ is the one text of a noise draw: the half-normal excess z >= 0 of a

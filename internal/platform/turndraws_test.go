@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"hbsp/internal/loggp"
 )
 
 // sameDraw fails unless c reads Noise(rank, seq) as m computes it, bit for bit.
@@ -16,12 +18,24 @@ func sameDraw(t *testing.T, c, m *Machine, rank int, seq uint64) {
 	}
 }
 
+// handedOut is the draws the windows of a row storing n draws hand out when
+// each of its seqs is looked up on its own, as Machine.Noise looks them up:
+// from the seq to the end of its window.
+func handedOut(n uint64) int64 {
+	var h int64
+	for seq := uint64(0); seq < n; seq++ {
+		h += int64(min(n, seq&^(loggp.WindowLen-1)+loggp.WindowLen) - seq)
+	}
+	return h
+}
+
 // TestTurnDrawsMatchUncached holds a machine reading through a TurnDraws to
 // the same machine computing every draw, bit for bit: along whole rows read
 // in order twice (so across the head and every level boundary, stored and
 // then hit), past a row's end, for a rank the memo has no row for, on
 // generated triples read out of order, and once the memo is at its bound.
-// The counts are exact; a memo of another seed, or on a noise-free machine,
+// Stored and Direct are exact, and Hits the draws of the windows each lookup
+// fetched (handedOut); a memo of another seed, or on a noise-free machine,
 // is not used, and WithRunSeed and WithDraws drop it.
 func TestTurnDrawsMatchUncached(t *testing.T) {
 	const ranks, rowCap = 8, turnHead << turnLevels
@@ -39,7 +53,7 @@ func TestTurnDrawsMatchUncached(t *testing.T) {
 		}
 	}
 	rows := int64(ranks - 1)
-	if s, want := d.Stats(), (DrawStats{Stored: rows * rowCap, Hits: rows * rowCap, Direct: rows * 2 * 2}); s != want {
+	if s, want := d.Stats(), (DrawStats{Stored: rows * rowCap, Hits: rows * handedOut(rowCap), Direct: rows * 2 * 2}); s != want {
 		t.Fatalf("stats %+v after two passes over whole rows, want %+v", s, want)
 	}
 	rng := rand.New(rand.NewSource(33))
@@ -70,7 +84,7 @@ func TestTurnDrawsMatchUncached(t *testing.T) {
 			}
 		}
 	}
-	if s, want := tight.Stats(), (DrawStats{Stored: 3 * turnHead, Hits: 3 * turnHead, Direct: 2*(2*turnHead) + 2*(3*turnHead)}); s != want {
+	if s, want := tight.Stats(), (DrawStats{Stored: 3 * turnHead, Hits: handedOut(2*turnHead) + handedOut(turnHead), Direct: 2*(2*turnHead) + 2*(3*turnHead)}); s != want {
 		t.Errorf("stats %+v at the bound, want %+v", s, want)
 	}
 	if wide := NewTurnDraws(1, 1<<30, 64*turnHead); len(wide.rows) != 64 {
@@ -163,7 +177,99 @@ func TestSharedTurnDrawsRows(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	if s, want := d.Stats(), (DrawStats{Stored: ranks * perRow, Hits: ranks * perRow}); s != want {
+	if s, want := d.Stats(), (DrawStats{Stored: ranks * perRow, Hits: ranks * handedOut(perRow)}); s != want {
 		t.Errorf("stats %+v, want %+v", s, want)
+	}
+}
+
+// countedStream is a machine's noise stream with its Draw calls counted per
+// rank. As a loggp.Resolver it resolves to the machine's scale and to itself,
+// so a run's kernel reads the machine's draws through it.
+type countedStream struct {
+	rel   float64
+	s     loggp.Stream
+	calls []int
+}
+
+func newCountedStream(m *Machine) *countedStream {
+	rel, s := m.NoiseStream()
+	return &countedStream{rel: rel, s: s, calls: make([]int, m.Procs())}
+}
+
+func (c *countedStream) Draw(rank int, seq uint64) (float64, *[loggp.WindowLen]float64, uint64) {
+	c.calls[rank]++
+	return c.s.Draw(rank, seq)
+}
+
+func (c *countedStream) NoiseStream() (float64, loggp.Stream) { return c.rel, c }
+
+func (c *countedStream) Noise(int, uint64) float64 { panic("a resolved stream was called per draw") }
+
+// readRuns reads draws draws of every rank as a run's kernel does, each
+// rank's through its own loggp.State (zeroed first), and returns the factor
+// of each (rank, seq), rank after rank.
+func readRuns(env *loggp.Env, states []loggp.State, draws int, f []float64) {
+	clear(states)
+	for rank := range states {
+		st := &states[rank]
+		for k := 0; k < draws; k++ {
+			st.Now = 0
+			st.Compute(env, rank, 1) // the clock moves by the factor drawn
+			f[rank*draws+k] = st.Now
+		}
+	}
+}
+
+// TestTurnDrawsHandOutWindows reads a TurnDraws as a run's kernel reads it,
+// through the ranks' states, with the stream's calls counted: the first run
+// calls the stream once a draw and stores each; a second identical run reads
+// the same values through the windows of the stored rows, calling the stream
+// ⌈draws/64⌉ times a rank, and the hits are the draws it read. Every value is
+// Machine.Noise's, bit for bit.
+func TestTurnDrawsHandOutWindows(t *testing.T) {
+	const ranks, draws = 8, 3*turnHead + 22
+	m := noisyMachine(t, ranks)
+	d := NewTurnDraws(m.RunSeed(), ranks, MaxDraws)
+	cs := newCountedStream(m.WithTurnDraws(d))
+	env := loggp.Env{Noise: loggp.Resolve(cs)}
+	states, f := make([]loggp.State, ranks), make([]float64, ranks*draws)
+	for run, wantCalls := range []int{draws, (draws + loggp.WindowLen - 1) / loggp.WindowLen} {
+		clear(cs.calls)
+		readRuns(&env, states, draws, f)
+		for rank := range states {
+			for seq := uint64(0); seq < draws; seq++ {
+				if got, want := f[rank*draws+int(seq)], m.Noise(rank, seq); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("run %d: rank %d draw %d = %v, Machine.Noise %v", run, rank, seq, got, want)
+				}
+			}
+			if cs.calls[rank] != wantCalls {
+				t.Errorf("run %d: rank %d called the stream %d times for %d draws, want %d", run, rank, cs.calls[rank], draws, wantCalls)
+			}
+		}
+	}
+	if s, want := d.Stats(), (DrawStats{Stored: ranks * draws, Hits: ranks * draws}); s != want {
+		t.Errorf("stats %+v, want %+v: the second run's windows hand out what it read", s, want)
+	}
+}
+
+// TestTurnDrawsSteadyStateAllocs holds a run through a TurnDraws that reads
+// what an earlier identical run stored — past the head, across two levels —
+// to no allocation: it reads the rows through windows and grows none.
+// Skipped under the race detector.
+func TestTurnDrawsSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const ranks, draws = 16, 5*turnHead + 3
+	m := noisyMachine(t, ranks)
+	d := NewTurnDraws(m.RunSeed(), ranks, MaxDraws)
+	env := loggp.Env{Noise: loggp.Resolve(m.WithTurnDraws(d))}
+	states, f := make([]loggp.State, ranks), make([]float64, ranks*draws)
+	readRuns(&env, states, draws, f)
+	if allocs := testing.AllocsPerRun(20, func() { readRuns(&env, states, draws, f) }); allocs != 0 {
+		t.Errorf("a later identical run allocated %v times, want 0", allocs)
+	}
+	if s := d.Stats(); s.Stored != ranks*draws || s.Direct != 0 {
+		t.Errorf("stats %+v, want %d stored and none direct", s, ranks*draws)
 	}
 }

@@ -88,6 +88,13 @@ func watchSweepDraws(t *testing.T, most int) *[]*platform.TurnDraws {
 	return made
 }
 
+// sweepBytes and sweepScales are the axes of a 64-point bytes × scale sweep.
+var (
+	sweepBytes  = []int{64, 256, 1024, 4096, 16384, 65536, 262144, 1 << 20}
+	sweepScales = []ScaleSpec{{}, {Latency: 1.25}, {Latency: 1.5}, {Latency: 2}, {Beta: 0.75},
+		{Beta: 0.5}, {Latency: 3, Gap: 3}, {Overhead: 1.1}}
+)
+
 // TestSweepDrawsEachValueOnce holds the sweep memo to the reply bytes and to
 // its counts. A fresh 64-point bytes × scale sweep of allreduce at P = 128 on
 // xeon-cluster renders the lines its points render one at a time, and
@@ -100,14 +107,12 @@ func watchSweepDraws(t *testing.T, most int) *[]*platform.TurnDraws {
 // changes no line.
 func TestSweepDrawsEachValueOnce(t *testing.T) {
 	seed := int64(7)
-	scales := []ScaleSpec{{}, {Latency: 1.25}, {Latency: 1.5}, {Latency: 2}, {Beta: 0.75},
-		{Beta: 0.5}, {Latency: 3, Gap: 3}, {Overhead: 1.1}}
 	allreduce := PredictRequest{
 		Profile:  ProfileSpec{Preset: "xeon-cluster"},
 		Workload: WorkloadSpec{Kind: "allreduce"},
 		Procs:    128,
 		Seed:     &seed,
-		Sweep:    &SweepSpec{Bytes: []int{64, 256, 1024, 4096, 16384, 65536, 262144, 1 << 20}, Scale: scales},
+		Sweep:    &SweepSpec{Bytes: sweepBytes, Scale: sweepScales},
 	}
 	made := watchSweepDraws(t, sweepDrawBound)
 	s := New(Config{})
@@ -148,7 +153,7 @@ func TestSweepDrawsEachValueOnce(t *testing.T) {
 	program := allreduce
 	program.Workload = WorkloadSpec{Kind: "program", Ranks: ring}
 	program.Procs = 16
-	program.Sweep = &SweepSpec{Scale: scales[:3]}
+	program.Sweep = &SweepSpec{Scale: sweepScales[:3]}
 	s = New(Config{})
 	if got, want := serve(t, s, mustBody(t, &program)), pointByPoint(t, program); !bytes.Equal(got, want) {
 		t.Fatalf("the program sweep's lines differ from its points one at a time:\n%s\n%s", got, want)
@@ -274,4 +279,32 @@ func TestSharedSweepDraws(t *testing.T) {
 	if m.SweepDraws.Computed < 128*14 {
 		t.Errorf("two sweeps at once computed %d draws, want at least one point's %d", m.SweepDraws.Computed, 128*14)
 	}
+}
+
+// BenchmarkSweepTotalExchange times a fresh 64-point bytes × scale sweep of
+// totalexchange at P = 64 on xeon-cluster, the longest noise streams of the
+// sweeps a daemon serves (≈130 draws a rank), under a new seed each iteration
+// so that every point is evaluated and the later ones read the draws the
+// first stored. It reports ns per point.
+func BenchmarkSweepTotalExchange(b *testing.B) {
+	s := New(Config{})
+	for i := 0; i < b.N; i++ {
+		seed := int64(i + 1)
+		body, err := json.Marshal(&PredictRequest{
+			Profile:  ProfileSpec{Preset: "xeon-cluster"},
+			Workload: WorkloadSpec{Kind: "totalexchange"},
+			Procs:    64,
+			Seed:     &seed,
+			Sweep:    &SweepSpec{Bytes: sweepBytes, Scale: sweepScales},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
+		if rec.Code != 200 || bytes.Count(rec.Body.Bytes(), []byte("\n")) != len(sweepBytes)*len(sweepScales) {
+			b.Fatalf("status %d, %d lines: %s", rec.Code, bytes.Count(rec.Body.Bytes(), []byte("\n")), rec.Body.Bytes())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sweepBytes)*len(sweepScales)), "ns/point")
 }

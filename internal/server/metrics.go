@@ -32,7 +32,7 @@ type metrics struct {
 	routes [numRoutes]atomic.Int64 // completed evaluations by the route that ran them
 
 	drawsComputed atomic.Int64 // noise draws sweep memos computed
-	drawsReused   atomic.Int64 // noise draws sweep memos answered from a stored draw
+	drawsReused   atomic.Int64 // stored noise draws sweep memos handed out in windows
 
 	sweepLines   atomic.Int64 // NDJSON lines sweeps wrote
 	sweepFlushes atomic.Int64 // flushes sweeps issued, after a line or by the timer
@@ -103,7 +103,11 @@ type MetricsSnapshot struct {
 
 	// SweepDraws counts the noise draws of the memo a sweep of several points
 	// on a noisy profile-backed machine reads through: draws its rows
-	// computed, and lookups a stored draw answered.
+	// computed, and stored draws it handed out. A later point reads a rank's
+	// stored draws through windows, and each window counts the draws it holds
+	// from the one looked up to the end of the row's stored prefix or of the
+	// window: the draws read when later points read at least what the first
+	// stored (the same workload at another payload or scale), more otherwise.
 	SweepDraws struct {
 		Computed int64 `json:"computed"`
 		Reused   int64 `json:"reused"`
