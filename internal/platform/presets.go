@@ -136,7 +136,8 @@ func FlatCluster(nodes int) *Profile {
 }
 
 // FlatClusterMachine instantiates the flat cluster with one rank per node.
-// Machines are O(P) at every size, so P=1M stays within memory budgets.
+// What the machine holds per rank is its placement's 12-byte seat, so P = 2^20
+// takes ≈12.6 MB.
 func FlatClusterMachine(procs int) (*Machine, error) {
 	nodes := procs
 	if nodes < 1 {

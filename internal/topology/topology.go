@@ -158,14 +158,17 @@ type Placement struct {
 	seats    []seat
 }
 
-// seat is one rank's place as Place computes it once: node, the node's switch
-// group, socket and core. No index of a placed rank exceeds the rank, so int32
-// holds them in 16 bytes (CoreID takes 24).
-type seat struct{ node, group, socket, core int32 }
+// seat is one rank's place as far as Distance reads it: node, the node's
+// switch group and socket, 12 bytes a rank. No index of a placed rank exceeds
+// the rank, so int32 holds them. The core index is not kept: Core computes it
+// with at, which Place fills the seats from.
+type seat struct{ node, group, socket int32 }
 
 // Place computes the placement of p ranks onto the topology under the given
 // policy. Placement is one-to-one (no oversubscription), matching the thesis'
-// restriction to one process per physical core.
+// restriction to one process per physical core. Both policies are arithmetic
+// (see at), so the placement holds one 12-byte seat per rank and nothing
+// sized by the nodes.
 func Place(t Topology, p int, policy PlacementPolicy) (*Placement, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -176,44 +179,39 @@ func Place(t Topology, p int, policy PlacementPolicy) (*Placement, error) {
 	if cores := min(t.TotalCores(), math.MaxInt32); p > cores { // a seat's int32 fields cap the usable cores
 		return nil, fmt.Errorf("%w: %d ranks on %d cores", ErrTooManyRanks, p, cores)
 	}
-	seats := make([]seat, p)
-	at := func(rank, node, within int) {
-		seats[rank] = seat{node: int32(node), group: int32(t.GroupOf(node)),
-			socket: int32(within / t.CoresPerSocket), core: int32(within % t.CoresPerSocket)}
-	}
-	switch policy {
-	case Block:
-		for rank := 0; rank < p; rank++ {
-			at(rank, rank/t.CoresPerNode(), rank%t.CoresPerNode())
-		}
-	case RoundRobin:
-		// Ranks are dealt to nodes round-robin; the n-th rank landing on a
-		// node occupies core index n within that node (sorted-rank affinity).
-		// Only the first min(p, Nodes) nodes receive a rank, so the counters
-		// are sized by the ranks placed, not by the machine.
-		perNodeCount := make([]int, min(p, t.Nodes))
-		for rank := 0; rank < p; rank++ {
-			node := rank % t.Nodes
-			within := perNodeCount[node]
-			perNodeCount[node]++
-			if within >= t.CoresPerNode() {
-				return nil, fmt.Errorf("%w: node %d oversubscribed", ErrTooManyRanks, node)
-			}
-			at(rank, node, within)
-		}
-	default:
+	if policy != RoundRobin && policy != Block {
 		return nil, fmt.Errorf("topology: unknown placement policy %v", policy)
 	}
-	return &Placement{Topology: t, Policy: policy, seats: seats}, nil
+	pl := &Placement{Topology: t, Policy: policy, seats: make([]seat, p)}
+	for rank := range pl.seats {
+		node, within := pl.at(rank)
+		pl.seats[rank] = seat{node: int32(node), group: int32(t.GroupOf(node)), socket: int32(within / t.CoresPerSocket)}
+	}
+	return pl, nil
+}
+
+// at returns the node a rank is placed on and its core index within that
+// node. Block fills node r / CPN at core r % CPN. RoundRobin deals rank r to
+// node r % Nodes, and the n-th rank dealt to a node (rank node + n·Nodes)
+// takes core index n within it (sorted-rank affinity). Place has checked
+// that p fits the cores, so neither policy oversubscribes a node.
+func (pl *Placement) at(rank int) (node, within int) {
+	t := pl.Topology
+	if pl.Policy == Block {
+		return rank / t.CoresPerNode(), rank % t.CoresPerNode()
+	}
+	return rank % t.Nodes, rank / t.Nodes
 }
 
 // Ranks returns the number of placed ranks.
 func (pl *Placement) Ranks() int { return len(pl.seats) }
 
-// Core returns the core a rank is pinned to.
+// Core returns the core a rank is pinned to. It panics on a rank outside
+// the placement.
 func (pl *Placement) Core(rank int) CoreID {
 	s := &pl.seats[rank]
-	return CoreID{Node: int(s.node), Socket: int(s.socket), Core: int(s.core)}
+	_, within := pl.at(rank)
+	return CoreID{Node: int(s.node), Socket: int(s.socket), Core: within % pl.Topology.CoresPerSocket}
 }
 
 // Distance returns the distance class between two ranks: self, same socket,

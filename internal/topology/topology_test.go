@@ -128,7 +128,7 @@ func TestPlacementRoundRobin(t *testing.T) {
 
 // TestPlacementCostsRanksNotNodes: placing a few ranks on a machine of
 // billions of nodes (hbspd takes profile.nodes from the request) allocates
-// for the ranks; sized by the nodes, the counters would be 24 GB here.
+// for the ranks and nothing per node; a counter per node would be 24 GB here.
 func TestPlacementCostsRanksNotNodes(t *testing.T) {
 	top, err := New(3_000_000_000, 1, 1)
 	if err != nil {
@@ -223,5 +223,103 @@ func TestPlacementInjectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dealt places p ranks the way the policies are defined, one rank at a time:
+// Block fills the cores of node 0, then node 1, and so on; RoundRobin deals
+// consecutive ranks to consecutive nodes, and the ranks a node receives take
+// its core indices in arrival order. It is the oracle for Place's arithmetic.
+func dealt(t Topology, p int, policy PlacementPolicy) []CoreID {
+	cores := make([]CoreID, p)
+	taken := make([]int, t.Nodes)
+	node := 0
+	for rank := range cores {
+		if policy == Block && taken[node] == t.CoresPerNode() {
+			node++
+		}
+		within := taken[node]
+		taken[node]++
+		cores[rank] = CoreID{Node: node, Socket: within / t.CoresPerSocket, Core: within % t.CoresPerSocket}
+		if policy == RoundRobin {
+			node = (node + 1) % t.Nodes
+		}
+	}
+	return cores
+}
+
+// TestPlacementMatchesDealing holds Core, NodeOf and Distance of both
+// policies to dealt and the core-level distance rule (promoted across
+// switch groups) on flat, grouped, one-core-per-node and multi-socket
+// topologies, at every P from 1 up to the core count.
+func TestPlacementMatchesDealing(t *testing.T) {
+	grouped := func(nodes, sockets, cores, perGroup int) Topology {
+		return Topology{Nodes: nodes, SocketsPerNode: sockets, CoresPerSocket: cores, NodesPerGroup: perGroup}
+	}
+	for _, top := range []Topology{
+		grouped(4, 1, 3, 0), // flat, one socket a node
+		grouped(7, 1, 1, 0), // one core per node
+		grouped(8, 1, 1, 3), // grouped, uneven last group
+		grouped(6, 2, 2, 4), // grouped, multi-socket
+		grouped(3, 3, 2, 0), // multi-socket
+		grouped(4, 2, 4, 0), // the Xeon node design
+	} {
+		for _, policy := range []PlacementPolicy{Block, RoundRobin} {
+			for p := 1; p <= top.TotalCores(); p++ {
+				pl, err := Place(top, p, policy)
+				if err != nil {
+					t.Fatalf("%v %v P=%d: %v", top, policy, p, err)
+				}
+				want := dealt(top, p, policy)
+				for r, c := range want {
+					if got := pl.Core(r); got != c {
+						t.Fatalf("%v %v P=%d: Core(%d) = %+v, want %+v", top, policy, p, r, got, c)
+					}
+					if got := pl.NodeOf(r); got != c.Node {
+						t.Fatalf("%v %v P=%d: NodeOf(%d) = %d, want %d", top, policy, p, r, got, c.Node)
+					}
+				}
+				for a := range want {
+					for b := range want {
+						d := DistanceBetween(want[a], want[b])
+						if d == DistanceNetwork && top.GroupOf(want[a].Node) != top.GroupOf(want[b].Node) {
+							d = DistanceGroup
+						}
+						if got := pl.Distance(a, b); got != d {
+							t.Fatalf("%v %v P=%d: Distance(%d, %d) = %v, want %v", top, policy, p, a, b, got, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDistance times Distance over the pairs of a P = 1,024 linear-shift
+// total exchange (rank r sends to r + k for k = 1 … P−1) on the scaled Xeon
+// cluster's round-robin 128×2×4 placement: every priced message on a profile
+// machine classifies its pair this way.
+func BenchmarkDistance(b *testing.B) {
+	const p = 1024
+	top, err := New(p/8, 2, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := Place(top, p, RoundRobin)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var classes [DistanceGroup + 1]int
+	b.ResetTimer()
+	for range b.N {
+		for k := 1; k < p; k++ {
+			for r := range p {
+				classes[pl.Distance(r, (r+k)%p)]++
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p*(p-1)), "ns/pair")
+	if classes[DistanceSelf] != 0 {
+		b.Fatalf("a shift classified %d pairs as self", classes[DistanceSelf])
 	}
 }
