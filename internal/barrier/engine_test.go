@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"hbsp/internal/fault"
 	"hbsp/internal/mpi"
 	"hbsp/internal/platform"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
+	"hbsp/internal/stats"
 	"hbsp/internal/trace"
 )
 
@@ -155,48 +159,82 @@ func TestExecuteRefusesWrongSizedPattern(t *testing.T) {
 }
 
 // TestMeasureEnginesAgree pins Measure itself (the entry every experiment
-// series and benchmark drives) across engines, including the measured
-// per-repetition worst cases.
+// series and benchmark drives) three ways: the goroutine-free default
+// (sched.RunEach), the gate-evaluated run it replaced (measureAtGate) and the
+// concurrent engine's per-message walk — every repetition's worst case, the
+// mean and the median bit for bit and, traced, the spill bytes — across rank
+// counts, every pattern shape, a machine with a noise-draw memo, ack modes
+// and a fault plan with a rule of every kind.
 func TestMeasureEnginesAgree(t *testing.T) {
-	for _, p := range []int{5, 16} {
-		m := engineMachine(t, p, true)
-		for name, pat := range enginePatterns(t, p) {
-			// Measure mutates no engine state; run the concurrent reference
-			// through an explicitly concurrent run of the same body.
-			direct, err := Measure(m, pat, 3)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			concurrent, err := measureConcurrent(m, pat, 3)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for rep := range direct.WorstPerRep {
-				if direct.WorstPerRep[rep] != concurrent.WorstPerRep[rep] {
-					t.Errorf("%s p=%d rep %d: direct %v, concurrent %v",
-						name, p, rep, direct.WorstPerRep[rep], concurrent.WorstPerRep[rep])
+	const reps = 3
+	plan := &fault.Plan{Seed: 5,
+		Slowdowns: []fault.Slowdown{{Rank: 0, Factor: 1.5, Jitter: 0.2}},
+		Links:     []fault.LinkRule{{Src: -1, Dst: 0, Class: -1, LatencyFactor: 2, BetaFactor: 2}},
+		FailStops: []fault.FailStop{{Rank: 0, FailAt: 3e-5, Restart: 1e-4, Checkpoint: 1e-5}}}
+	type measured struct {
+		meas  *Measurement
+		spill []byte
+	}
+	for _, p := range []int{1, 5, 16, 33} {
+		noisy := engineMachine(t, p, true)
+		memo := noisy.WithDraws(platform.NewDraws(noisy.RunSeed(), p))
+		for mi, m := range []*platform.Machine{noisy, memo} {
+			for name, pat := range enginePatterns(t, p) {
+				for _, ack := range []bool{true, false} {
+					for _, faults := range []*fault.Plan{nil, plan} {
+						for _, traced := range []bool{false, true} {
+							leg := fmt.Sprintf("%s p=%d memo=%t ack=%t faults=%t traced=%t", name, p, mi == 1, ack, faults != nil, traced)
+							measure := func(engine simnet.Engine, body func(simnet.Machine, sched.Schedule, int, simnet.Options) (*Measurement, error)) measured {
+								o := simnet.DefaultOptions()
+								o.AckSends, o.Faults, o.Engine = ack, faults, engine
+								if traced {
+									o.Recorder = trace.NewRecorder()
+								}
+								meas, err := body(m, pat, reps, o)
+								if err != nil {
+									t.Fatalf("%s engine %d: %v", leg, engine, err)
+								}
+								if !traced {
+									return measured{meas: meas}
+								}
+								return measured{meas, spillOf(t, o.Recorder)}
+							}
+							direct := measure(simnet.EngineAuto, MeasureWith)
+							for _, ref := range []struct {
+								name string
+								measured
+							}{
+								{"gate", measure(simnet.EngineAuto, measureAtGate)},
+								{"concurrent", measure(simnet.EngineConcurrent, MeasureWith)},
+							} {
+								if !sameMeasurement(direct.meas, ref.meas) {
+									t.Errorf("%s: direct %+v, %s %+v", leg, *direct.meas, ref.name, *ref.meas)
+								}
+								if !bytes.Equal(direct.spill, ref.spill) {
+									t.Errorf("%s: spill bytes differ from the %s run's", leg, ref.name)
+								}
+							}
+						}
+					}
 				}
-			}
-			if direct.MeanWorst != concurrent.MeanWorst {
-				t.Errorf("%s p=%d mean: direct %v, concurrent %v", name, p, direct.MeanWorst, concurrent.MeanWorst)
 			}
 		}
 	}
 }
 
-// measureConcurrent is Measure with the concurrent engine forced.
-func measureConcurrent(m simnet.Machine, pat *Pattern, reps int) (*Measurement, error) {
+// measureAtGate is MeasureWith's body before it ran on one evaluator: every
+// rank executes the schedule under mpi.RunContext, on the default engine each
+// execution evaluated at the run's gate.
+func measureAtGate(m simnet.Machine, s sched.Schedule, reps int, o simnet.Options) (*Measurement, error) {
 	durations := make([][]float64, reps)
 	for r := range durations {
-		durations[r] = make([]float64, pat.NumProcs())
+		durations[r] = make([]float64, s.NumProcs())
 	}
-	o := simnet.DefaultOptions()
-	o.Engine = simnet.EngineConcurrent
 	_, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
-		Execute(c, pat)
+		Execute(c, s)
 		for rep := 0; rep < reps; rep++ {
 			start := c.Wtime()
-			Execute(c, pat)
+			Execute(c, s)
 			durations[rep][c.Rank()] = c.Wtime() - start
 		}
 		return nil
@@ -204,7 +242,7 @@ func measureConcurrent(m simnet.Machine, pat *Pattern, reps int) (*Measurement, 
 	if err != nil {
 		return nil, err
 	}
-	meas := &Measurement{Procs: pat.NumProcs(), Reps: reps}
+	meas := &Measurement{Procs: s.NumProcs(), Reps: reps}
 	meas.WorstPerRep = make([]float64, reps)
 	for rep := 0; rep < reps; rep++ {
 		worst := 0.0
@@ -215,12 +253,32 @@ func measureConcurrent(m simnet.Machine, pat *Pattern, reps int) (*Measurement, 
 		}
 		meas.WorstPerRep[rep] = worst
 	}
-	sum := 0.0
-	for _, w := range meas.WorstPerRep {
-		sum += w
-	}
-	meas.MeanWorst = sum / float64(reps)
+	meas.MeanWorst, _ = stats.Mean(meas.WorstPerRep)
+	meas.MedianWorst, _ = stats.Median(meas.WorstPerRep)
 	return meas, nil
+}
+
+// sameMeasurement reports whether two measurements agree bit for bit.
+func sameMeasurement(a, b *Measurement) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if a.Procs != b.Procs || a.Reps != b.Reps || !eq(a.MeanWorst, b.MeanWorst) || !eq(a.MedianWorst, b.MedianWorst) {
+		return false
+	}
+	return slices.EqualFunc(a.WorstPerRep, b.WorstPerRep, eq)
+}
+
+// spillOf returns the spill file bytes of a finished recording.
+func spillOf(t *testing.T, rec *trace.Recorder) []byte {
+	t.Helper()
+	tr, err := rec.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteSpill(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestRunScheduleMatchesConcurrentRun pins the zero-goroutine whole-run

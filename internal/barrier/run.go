@@ -75,9 +75,12 @@ func Measure(m simnet.Machine, s sched.Schedule, reps int) (*Measurement, error)
 }
 
 // MeasureWith is Measure under explicit simulator options — most usefully
-// the engine selection: the default options route every execution through
-// the direct discrete-event evaluator, simnet.EngineConcurrent forces the
-// per-message concurrent walk (the two agree bit for bit; the benchmark's
+// the engine selection. On the default engine no rank goroutine runs: one
+// evaluator runs the reps + 1 executions (sched.RunEach), each as the run's
+// gate evaluates an Execute, and a repetition's duration on a rank is its
+// clock after the execution less its clock before. simnet.EngineConcurrent
+// keeps the per-message walk of every rank under mpi.RunContext, the oracle
+// the default agrees with bit for bit (the benchmark's
 // simnet.te_concurrent_ms.p256 is this call on the concurrent engine).
 func MeasureWith(m simnet.Machine, s sched.Schedule, reps int, o simnet.Options) (*Measurement, error) {
 	if reps < 1 {
@@ -90,39 +93,61 @@ func MeasureWith(m simnet.Machine, s sched.Schedule, reps int, o simnet.Options)
 		return nil, err
 	}
 
-	durations := make([][]float64, reps)
-	for r := range durations {
-		durations[r] = make([]float64, m.Procs())
+	meas := &Measurement{Procs: m.Procs(), Reps: reps, WorstPerRep: make([]float64, reps)}
+	var err error
+	if o.Engine == simnet.EngineConcurrent {
+		err = measureConcurrent(m, s, meas.WorstPerRep, o)
+	} else {
+		start, durations := make([]float64, m.Procs()), make([]float64, m.Procs())
+		_, err = sched.RunEach(context.Background(), m, s, reps+1, o, func(x int, end []float64) {
+			if x > 0 { // execution 0 is the warm-up
+				for r := range end {
+					durations[r] = end[r] - start[r]
+				}
+				meas.WorstPerRep[x-1] = slowest(durations)
+			}
+			copy(start, end)
+		})
 	}
-
-	_, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
-		// Warm-up execution to bring all ranks to a common point.
-		Execute(c, s)
-		for rep := 0; rep < reps; rep++ {
-			start := c.Wtime()
-			Execute(c, s)
-			durations[rep][c.Rank()] = c.Wtime() - start
-		}
-		return nil
-	}, o)
 	if err != nil {
 		return nil, err
-	}
-
-	meas := &Measurement{Procs: m.Procs(), Reps: reps}
-	meas.WorstPerRep = make([]float64, reps)
-	for rep := 0; rep < reps; rep++ {
-		worst := 0.0
-		for _, d := range durations[rep] {
-			if d > worst {
-				worst = d
-			}
-		}
-		meas.WorstPerRep[rep] = worst
 	}
 	meas.MeanWorst, _ = stats.Mean(meas.WorstPerRep)
 	meas.MedianWorst, _ = stats.Median(meas.WorstPerRep)
 	return meas, nil
+}
+
+// measureConcurrent fills worst with the slowest rank's duration of each
+// repetition, every rank walking its own executions on the concurrent engine:
+// a warm-up execution to bring the ranks to a common point, then one per
+// repetition, timed by the rank's clock.
+func measureConcurrent(m simnet.Machine, s sched.Schedule, worst []float64, o simnet.Options) error {
+	p := m.Procs()
+	durations := make([]float64, len(worst)*p)
+	_, err := mpi.RunContext(context.Background(), m, func(c *mpi.Comm) error {
+		Execute(c, s)
+		for rep := range worst {
+			start := c.Wtime()
+			Execute(c, s)
+			durations[rep*p+c.Rank()] = c.Wtime() - start
+		}
+		return nil
+	}, o)
+	for rep := range worst {
+		worst[rep] = slowest(durations[rep*p : (rep+1)*p])
+	}
+	return err
+}
+
+// slowest returns the largest of the ranks' durations, at least 0.
+func slowest(durations []float64) float64 {
+	worst := 0.0
+	for _, d := range durations {
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
 }
 
 // MeasureAlgorithms measures the three reference barriers on the machine and

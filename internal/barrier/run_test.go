@@ -203,3 +203,33 @@ func TestMeasurementDeterministicForFixedSeed(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMeasure times one Fig. 5.10 point: the dissemination barrier
+// measured at P = 144 on the Opteron profile, on one evaluator (auto) and on
+// a goroutine per rank (concurrent).
+func BenchmarkMeasure(b *testing.B) {
+	const p, reps = 144, 10
+	m, err := platform.Opteron12x2x6().Machine(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pat, err := Dissemination(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, engine := range []struct {
+		name string
+		e    simnet.Engine
+	}{{"auto", simnet.EngineAuto}, {"concurrent", simnet.EngineConcurrent}} {
+		b.Run(engine.name, func(b *testing.B) {
+			o := simnet.DefaultOptions()
+			o.Engine = engine.e
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := MeasureWith(m, pat, reps, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -214,11 +214,19 @@ func TestBSPBenchProducesTableRow(t *testing.T) {
 	}
 }
 
+// noRanks is a machine that reports no ranks.
+type noRanks struct{ *platform.Machine }
+
+func (noRanks) Procs() int { return 0 }
+
 func TestBSPBenchValidation(t *testing.T) {
 	if _, err := BSPBench(nil, DefaultBSPBenchConfig()); err == nil {
 		t.Error("nil machine should fail")
 	}
 	m := quietMachine(t, 2)
+	if _, err := BSPBench(noRanks{m}, DefaultBSPBenchConfig()); err == nil {
+		t.Error("a machine without ranks should fail")
+	}
 	if _, err := BSPBench(m, BSPBenchConfig{}); err != nil {
 		t.Errorf("zero config should fall back to defaults: %v", err)
 	}

@@ -1,12 +1,15 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"hbsp/internal/bsp"
 	"hbsp/internal/core"
 	"hbsp/internal/kernels"
+	"hbsp/internal/sched"
+	"hbsp/internal/simnet"
 	"hbsp/internal/stats"
 )
 
@@ -67,6 +70,17 @@ func (r *BSPBenchResult) String() string {
 // against operation count over growing vector sizes, and g and l are the
 // gradient and intercept of superstep time against h for growing h-relations,
 // converted to flop units with r.
+//
+// The procedure is one superstep description (bsp.Supersteps) evaluated by
+// sched.RunSupersteps, with no goroutine per process. Superstep 0 times the
+// DAXPY sweep and ends with the registration exchange; each (h, repetition)
+// after it is one superstep in which every process puts h single words,
+// spread cyclically over the others, and synchronizes. A process' clock at
+// the start of one superstep ends the previous one, so the description reads
+// it once per superstep (sched.Ops.Now) and issues nothing that depends on
+// it. Every field of the result is bit-identical to the goroutine-per-process
+// program the description replaces (bspbench_test.go keeps it as the oracle),
+// and no put allocates.
 func BSPBench(m bsp.Machine, cfg BSPBenchConfig) (*BSPBenchResult, error) {
 	if m == nil {
 		return nil, errors.New("bench: nil machine")
@@ -82,92 +96,75 @@ func BSPBench(m bsp.Machine, cfg BSPBenchConfig) (*BSPBenchResult, error) {
 		cfg.Repetitions = 1
 	}
 	p := m.Procs()
+	var sizes []int
+	for n := 4; n <= cfg.MaxVectorSize; n *= 2 {
+		sizes = append(sizes, n)
+	}
+	hs := cfg.MaxH/cfg.HStep + 1 // h = 0, HStep, …, ≤ MaxH
+	reps := cfg.Repetitions
+	steps := 1 + hs*reps
 
-	// Per-rank measurements gathered from inside the simulation.
-	rateByRank := make([][]RatePoint, p)
-	hTimes := make([][]float64, p)
-
-	_, err := bsp.Run(m, func(ctx *bsp.Ctx) error {
-		rank := ctx.Pid()
-
-		// Computation rate: time growing DAXPY vectors.
-		var sweep []RatePoint
-		for n := 4; n <= cfg.MaxVectorSize; n *= 2 {
-			const reps = 8
-			start := ctx.Time()
-			ctx.ComputeKernel(kernels.DAXPY, n, reps)
-			elapsed := ctx.Time() - start
-			if elapsed <= 0 {
-				return fmt.Errorf("bench: non-positive DAXPY time on rank %d", rank)
+	// What the description records, per rank: each DAXPY's elapsed time, and
+	// the clock at the start of supersteps 1..steps (the last one: the
+	// closing step), each the end of the superstep before it.
+	daxpy := make([]float64, p*len(sizes))
+	marks := make([]float64, p*steps)
+	sp, err := bsp.Supersteps(m, nil, steps, func(step, rank int, ops sched.Ops) {
+		if step == 0 {
+			for i, n := range sizes {
+				start := ops.Now()
+				ops.Compute(sched.Work{Seconds: m.KernelTime(rank, kernels.DAXPY, n) * daxpyReps})
+				daxpy[rank*len(sizes)+i] = ops.Now() - start
 			}
-			mflops := kernels.DAXPY.Flops(n) * reps / elapsed / 1e6
-			sweep = append(sweep, RatePoint{VectorSize: n, Mflops: mflops})
+			return
 		}
-		rateByRank[rank] = sweep
-
-		// h-relation sweep: everyone puts h words, distributed cyclically
-		// over the other processes, then synchronizes.
-		area := make([]float64, cfg.MaxH+p)
-		ctx.PushReg("bspbench", area)
-		if err := ctx.Sync(); err != nil {
-			return err
+		marks[rank*steps+step-1] = ops.Now()
+		if step == steps || p == 1 {
+			return
 		}
-		var times []float64
-		for h := 0; h <= cfg.MaxH; h += cfg.HStep {
-			var perRep []float64
-			for rep := 0; rep < cfg.Repetitions; rep++ {
-				start := ctx.Time()
-				if p > 1 && h > 0 {
-					perDest := h / (p - 1)
-					extra := h % (p - 1)
-					word := []float64{float64(rank)}
-					d := 0
-					for dst := 0; dst < p; dst++ {
-						if dst == rank {
-							continue
-						}
-						count := perDest
-						if d < extra {
-							count++
-						}
-						d++
-						for w := 0; w < count; w++ {
-							if err := ctx.Put(dst, "bspbench", w, word); err != nil {
-								return err
-							}
-						}
-					}
-				}
-				if err := ctx.Sync(); err != nil {
-					return err
-				}
-				perRep = append(perRep, ctx.Time()-start)
+		h := (step - 1) / reps * cfg.HStep
+		perDest, extra := h/(p-1), h%(p-1)
+		d := 0
+		for dst := 0; dst < p; dst++ {
+			if dst == rank {
+				continue
 			}
-			med, err := stats.Median(perRep)
-			if err != nil {
-				return err
+			count := perDest
+			if d < extra {
+				count++
 			}
-			times = append(times, med)
+			d++
+			for range count {
+				ops.Put(dst, 1)
+			}
 		}
-		hTimes[rank] = times
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	if _, err := sched.RunSupersteps(context.Background(), m, sp, simnet.DefaultOptions()); err != nil {
+		return nil, err
+	}
 
-	// Aggregate the computation rate across ranks (bspbench averages over
-	// the homogeneous process set) and fit the h sweep with the worst rank
-	// per h value, as the barrier semantics make the slowest process
-	// decisive.
-	res := &BSPBenchResult{P: p}
-	res.RateSweep = rateByRank[0]
-	var rates []float64
-	for _, sweep := range rateByRank {
-		if len(sweep) == 0 {
-			continue
+	// The computation rate averages the largest vector's rate over the
+	// homogeneous process set, as bspbench does; the sweep reported is rank
+	// 0's.
+	res := &BSPBenchResult{P: p, RateSweep: make([]RatePoint, len(sizes))}
+	rates := make([]float64, p)
+	for rank := range p {
+		for i, n := range sizes {
+			elapsed := daxpy[rank*len(sizes)+i]
+			if elapsed <= 0 {
+				return nil, fmt.Errorf("bench: non-positive DAXPY time on rank %d", rank)
+			}
+			mflops := kernels.DAXPY.Flops(n) * daxpyReps / elapsed / 1e6
+			if rank == 0 {
+				res.RateSweep[i] = RatePoint{VectorSize: n, Mflops: mflops}
+			}
+			if i == len(sizes)-1 {
+				rates[rank] = mflops * 1e6
+			}
 		}
-		rates = append(rates, sweep[len(sweep)-1].Mflops*1e6)
 	}
 	r, err := stats.Mean(rates)
 	if err != nil {
@@ -175,20 +172,28 @@ func BSPBench(m bsp.Machine, cfg BSPBenchConfig) (*BSPBenchResult, error) {
 	}
 	res.R = r
 
-	var hs, ts []float64
-	idx := 0
-	for h := 0; h <= cfg.MaxH; h += cfg.HStep {
+	// Fit the h sweep with the worst process' median per h value, as the
+	// barrier semantics make the slowest process decisive.
+	xs, ts := make([]float64, hs), make([]float64, hs)
+	perRep := make([]float64, reps)
+	for hi := range hs {
 		worst := 0.0
-		for rank := 0; rank < p; rank++ {
-			if idx < len(hTimes[rank]) && hTimes[rank][idx] > worst {
-				worst = hTimes[rank][idx]
+		for rank := range p {
+			at := marks[rank*steps+hi*reps:]
+			for rep := range perRep {
+				perRep[rep] = at[rep+1] - at[rep]
+			}
+			med, err := stats.MedianInPlace(perRep)
+			if err != nil {
+				return nil, err
+			}
+			if med > worst {
+				worst = med
 			}
 		}
-		hs = append(hs, float64(h))
-		ts = append(ts, worst)
-		idx++
+		xs[hi], ts[hi] = float64(hi*cfg.HStep), worst
 	}
-	fit, err := stats.LinearFit(hs, ts)
+	fit, err := stats.LinearFit(xs, ts)
 	if err != nil {
 		return nil, err
 	}
@@ -204,3 +209,7 @@ func BSPBench(m bsp.Machine, cfg BSPBenchConfig) (*BSPBenchResult, error) {
 	res.L = l
 	return res, nil
 }
+
+// daxpyReps is how many times each DAXPY of the rate sweep is applied in one
+// timed interval.
+const daxpyReps = 8

@@ -9,6 +9,12 @@
 // slightly from the ground-truth matrices — exactly the relationship between
 // benchmark and reality the thesis relies on.
 //
+// bspbench starts no goroutine per process: it is one superstep description
+// (bsp.Supersteps) that sched.RunSupersteps prices, reading each rank's clock
+// through sched.Ops.Now to time the DAXPY sweep and every h-relation. A put
+// is a record in the walker's reused message slice, so the procedure's
+// allocations do not grow with h (TestBSPBenchFootprint).
+//
 // Which engine runs the pairwise benchmark is the run's own choice
 // (simnet.Options.Engine), like every collective's. On the default engine the
 // ranks record their diagonal overhead and rendezvous at the run's gate, and

@@ -59,6 +59,8 @@ func (o *replayOps) Compute(w sched.Work) {
 	}
 }
 
+func (o *replayOps) Now() float64 { return o.c.Time() }
+
 func (o *replayOps) Put(dst, n int) {
 	if o.closing || n < 0 {
 		o.err = fmt.Errorf("bsp: static program puts %d elements after its last superstep or a negative size", n)
@@ -83,25 +85,43 @@ func RunStatic(ctx context.Context, m Machine, sync Synchronizer, sp *Static, o 
 	if m == nil {
 		return nil, errors.New("bsp: nil machine")
 	}
-	if sync == nil {
-		sync = DefaultSynchronizer()
-	}
 	p := m.Procs()
-	exchange, err := sync.exchangeSchedule(p)
+	steps, err := Supersteps(m, sync, sp.Supersteps+1, func(step, rank int, ops sched.Ops) {
+		if step > 0 { // superstep 0 registers: no compute, no puts
+			sp.Step(step-1, rank, p, ops)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	return sched.RunSupersteps(ctx, m, &sched.Supersteps{
-		Steps: sp.Supersteps + 1,
-		Step: func(step, rank int, ops sched.Ops) {
-			if step > 0 { // superstep 0 registers: no compute, no puts
-				sp.Step(step-1, rank, p, ops)
-			}
-		},
+	return sched.RunSupersteps(ctx, m, steps, o)
+}
+
+// Supersteps returns a superstep program for sched.RunSupersteps priced as a
+// BSP run on m prices it: kernels at m's KernelTime, a put of n elements at
+// PutBytes(n) under the one-sided tag, and every superstep ended by sync's
+// count exchange (nil: the default synchronizer) in the exchange's tag space.
+// steps and step are the program's (sched.Supersteps.Steps and Step). A
+// description that needs more than Static's shape — bspbench computes and
+// reads its clock in the registration superstep — builds on it directly.
+func Supersteps(m Machine, sync Synchronizer, steps int, step func(step, rank int, ops sched.Ops)) (*sched.Supersteps, error) {
+	if m == nil {
+		return nil, errors.New("bsp: nil machine")
+	}
+	if sync == nil {
+		sync = DefaultSynchronizer()
+	}
+	exchange, err := sync.exchangeSchedule(m.Procs())
+	if err != nil {
+		return nil, err
+	}
+	return &sched.Supersteps{
+		Steps:       steps,
+		Step:        step,
 		KernelTime:  m.KernelTime,
 		PutBytes:    PutBytes,
 		PutTag:      tagOneSided,
 		Exchange:    exchange,
 		ExchangeTag: tagCountBase,
-	}, o)
+	}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"hbsp/internal/barrier"
@@ -57,10 +59,35 @@ func scatterStatic(steps int, salt uint64) *Static {
 	}
 }
 
+// clockLog holds, per process, the clock a description reads (sched.Ops.Now)
+// on entering each superstep and after each operation it issues.
+type clockLog [][]float64
+
+// wrap returns the description with every process recording its clocks into
+// the log.
+func (l clockLog) wrap(sp *Static) *Static {
+	return &Static{Supersteps: sp.Supersteps, Step: func(step, pid, p int, ops sched.Ops) {
+		o := &clockOps{Ops: ops, log: &l[pid]}
+		o.mark()
+		sp.Step(step, pid, p, o)
+	}}
+}
+
+// clockOps passes every operation on and then records the clock.
+type clockOps struct {
+	sched.Ops
+	log *[]float64
+}
+
+func (o *clockOps) mark()                { *o.log = append(*o.log, o.Now()) }
+func (o *clockOps) Compute(w sched.Work) { o.Ops.Compute(w); o.mark() }
+func (o *clockOps) Put(dst, n int)       { o.Ops.Put(dst, n); o.mark() }
+
 // TestRunStaticMatchesReplay holds the direct evaluation of a static program
 // to replaying it on a Ctx per process, on the gate-evaluated default engine
-// and on the concurrent one: per-rank times, makespan, traffic, the collapse
-// diagnostic (the gate's) and, traced, the recording event for event — across
+// and on the concurrent one: per-rank times, makespan, traffic, the clocks
+// the description reads after every operation, the collapse diagnostic (the
+// gate's) and, traced, the recording event for event — across
 // rank counts, machines, synchronizers, ack modes and a fault plan of every
 // rule kind.
 func TestRunStaticMatchesReplay(t *testing.T) {
@@ -113,19 +140,26 @@ func TestRunStaticMatchesReplay(t *testing.T) {
 								return o, o.Recorder
 							}
 							o, rec := options(simnet.EngineAuto)
-							got, err := RunStatic(ctx, m, sync, sp, o)
+							clocks := make(clockLog, p)
+							got, err := RunStatic(ctx, m, sync, clocks.wrap(sp), o)
 							if err != nil {
 								t.Fatalf("%s: RunStatic: %v", tag, err)
 							}
 							for _, engine := range []simnet.Engine{simnet.EngineAuto, simnet.EngineConcurrent} {
 								o, wantRec := options(engine)
-								want, err := RunContext(ctx, m, RunConfig{Sync: sync, Options: &o}, sp.Program())
+								wantClocks := make(clockLog, p)
+								want, err := RunContext(ctx, m, RunConfig{Sync: sync, Options: &o}, wantClocks.wrap(sp).Program())
 								if err != nil {
 									t.Fatalf("%s engine %d: replay: %v", tag, engine, err)
 								}
 								for r := range want.Times {
 									if got.Times[r] != want.Times[r] {
 										t.Fatalf("%s engine %d rank %d: direct %v, replay %v", tag, engine, r, got.Times[r], want.Times[r])
+									}
+								}
+								for r := range wantClocks {
+									if !slices.EqualFunc(clocks[r], wantClocks[r], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+										t.Fatalf("%s engine %d rank %d: clocks read by the description: direct %v, replay %v", tag, engine, r, clocks[r], wantClocks[r])
 									}
 								}
 								if got.MakeSpan != want.MakeSpan || got.Messages != want.Messages || got.Bytes != want.Bytes {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hbsp/internal/bench"
@@ -8,6 +9,8 @@ import (
 	"hbsp/internal/core"
 	"hbsp/internal/kernels"
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
+	"hbsp/internal/simnet"
 )
 
 // BSPBenchRow is one row of Table 3.1.
@@ -94,34 +97,35 @@ func Fig3_2(prof *platform.Profile, paramRows []BSPBenchRow, n int, opts Options
 }
 
 // measureInnerProduct times the bspinprod program (two computation supersteps
-// and one communication superstep) on the simulated machine.
+// and one communication superstep) on the simulated machine: the registration
+// superstep, the local sums of products and a one-word put of the partial sum
+// to every process, itself included, then the accumulation of the P partial
+// sums. It is one bsp.Static description priced by bsp.RunStatic, with no
+// goroutine per process; the makespan is bit-identical to the program's run
+// on a Ctx per process (TestInnerProductMatchesProgram).
 func measureInnerProduct(m *platform.Machine, n int) (float64, error) {
-	res, err := bsp.Run(m, func(ctx *bsp.Ctx) error {
-		p := ctx.NProcs()
-		local := n / p
-		partials := make([]float64, p)
-		ctx.PushReg("partials", partials)
-		if err := ctx.Sync(); err != nil {
-			return err
-		}
-		// Local sums of products.
-		ctx.ComputeKernel(kernels.Dot, local, 1)
-		for d := 0; d < p; d++ {
-			if err := ctx.Put(d, "partials", ctx.Pid(), []float64{1}); err != nil {
-				return err
-			}
-		}
-		if err := ctx.Sync(); err != nil {
-			return err
-		}
-		// Accumulation of the partial sums.
-		ctx.ComputeKernel(kernels.Asum, p, 1)
-		return nil
-	})
+	res, err := bsp.RunStatic(context.Background(), m, nil, innerProduct(n), simnet.DefaultOptions())
 	if err != nil {
 		return 0, err
 	}
 	return res.MakeSpan, nil
+}
+
+// innerProduct is bspinprod over n elements as a static BSP description.
+func innerProduct(n int) *bsp.Static {
+	return &bsp.Static{
+		Supersteps: 1,
+		Step: func(step, _, p int, ops sched.Ops) {
+			if step == 1 { // accumulation of the partial sums
+				ops.Compute(sched.Work{Kernel: &kernels.Asum, Cells: p})
+				return
+			}
+			ops.Compute(sched.Work{Kernel: &kernels.Dot, Cells: n / p}) // local sums of products
+			for d := 0; d < p; d++ {
+				ops.Put(d, 1)
+			}
+		},
+	}
 }
 
 // RatePoint is one point of Fig. 4.2 (bspbench computation rate vs. vector

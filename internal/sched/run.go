@@ -12,14 +12,15 @@ import (
 )
 
 // run is the run frame of the direct engine: the one preamble and close of
-// its four whole-run entries — RunSchedule, SweepEvaluator.Run, RunSupersteps
-// and Code.Run — which differ only in body, the walk over the arena's rank
-// states. The frame refuses a machine without ranks or of other than procs
-// ranks; takes the arena (sw's kept one, or one from the pool for the run);
-// attaches the recorder's lanes; polls the context and o.Deadline once before
-// body runs and hands body the arena's poller for the rest; and, once body
-// returns, assembles the result — per-rank times, makespan, traffic counters
-// and body's collapse diagnostic — and seals the recording with the outcome.
+// its five whole-run entries — RunSchedule, RunEach, SweepEvaluator.Run,
+// RunSupersteps and Code.Run — which differ only in body, the walk over the
+// arena's rank states. The frame refuses a machine without ranks or of other
+// than procs ranks; takes the arena (sw's kept one, or one from the pool for
+// the run); attaches the recorder's lanes; polls the context and o.Deadline
+// once before body runs and hands body the arena's poller for the rest; and,
+// once body returns, assembles the result — per-rank times, makespan, traffic
+// counters and body's collapse diagnostic — and seals the recording with the
+// outcome.
 func run(ctx context.Context, m simnet.Machine, procs int, o *simnet.Options, sw *SweepEvaluator, body func(e *Evaluator, chk *stageChecker) (simnet.Collapse, error)) (*simnet.Result, error) {
 	if err := checkMachine(m); err != nil {
 		return nil, err
@@ -121,6 +122,34 @@ func RunSchedule(ctx context.Context, m simnet.Machine, s Schedule, execs int, o
 	}
 	return run(ctx, m, s.NumProcs(), &o, nil, func(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
 		return e.execRuns(s, execs, ScheduleTagBase, true, o.Recorder, chk, func() (*Partition, simnet.Collapse) { return collapseClassesWith(m, s, e.env.Faults) })
+	})
+}
+
+// RunEach evaluates execs consecutive executions of the schedule as execs
+// barrier.Execute calls of every rank do on the default engine — one
+// evaluator, each execution evaluated by ExecScheduleAuto as the run's gate
+// evaluates it, from states that nothing else advances between executions —
+// and after each hands each the per-rank clocks. The slice is the run's, the
+// same one every call: each must copy what it keeps. Virtual times, traffic
+// counters, recorded events and the collapse diagnostic (the last
+// execution's) are those of that run; cancellation and o.Deadline are polled
+// before every execution. barrier.MeasureWith times its repetitions with it,
+// o.Engine aside.
+func RunEach(ctx context.Context, m simnet.Machine, s Schedule, execs int, o simnet.Options, each func(exec int, times []float64)) (*simnet.Result, error) {
+	if err := checkSchedule(s, execs); err != nil {
+		return nil, err
+	}
+	return run(ctx, m, s.NumProcs(), &o, nil, func(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
+		e.perRank()
+		times := make([]float64, len(e.states))
+		for x := 0; x < execs; x++ {
+			if err := chk.check(); err != nil {
+				return simnet.Collapse{}, err
+			}
+			e.ExecScheduleAuto(s, ScheduleTagBase, true)
+			each(x, e.Times(times))
+		}
+		return e.lastCollapse, nil
 	})
 }
 

@@ -16,7 +16,7 @@ type noRanks struct{ simnet.Machine }
 
 func (noRanks) Procs() int { return 0 }
 
-// TestRunFrameRejects drives the four whole-run entries through the run
+// TestRunFrameRejects drives the five whole-run entries through the run
 // frame's refusals: a machine without ranks and an input sized for another
 // rank count are refused, and a context cancelled before the run returns
 // ErrAborted wrapping its cause before the body walks anything, with a traced
@@ -38,6 +38,10 @@ func TestRunFrameRejects(t *testing.T) {
 	}{
 		{"RunSchedule", func(t *testing.T, ctx context.Context, on simnet.Machine, ranks int, o simnet.Options) error {
 			_, err := sched.RunSchedule(ctx, on, schedule(t, ranks), 1, o)
+			return err
+		}},
+		{"RunEach", func(t *testing.T, ctx context.Context, on simnet.Machine, ranks int, o simnet.Options) error {
+			_, err := sched.RunEach(ctx, on, schedule(t, ranks), 2, o, func(int, []float64) {})
 			return err
 		}},
 		{"SweepEvaluator.Run", func(t *testing.T, ctx context.Context, on simnet.Machine, ranks int, o simnet.Options) error {

@@ -11,10 +11,11 @@
 //
 // Two evaluation modes exist:
 //
-//   - Whole-run evaluation (RunSchedule, RunProgram, RunSupersteps): the
-//     entire workload — executions of one schedule, an op-stream, or BSP
-//     supersteps around their count exchange — is evaluated while the calling
-//     goroutine waits (see execStages for the workers). This is what the
+//   - Whole-run evaluation (RunSchedule, RunEach, RunProgram, RunSupersteps):
+//     the entire workload — executions of one schedule (RunEach: timed one by
+//     one, the barrier measurement), an op-stream, or BSP supersteps around
+//     their count exchange — is evaluated while the calling goroutine waits
+//     (see execStages for the workers). This is what the
 //     benchmark's sched.perrank_* and sched.collapsed_* metrics measure and
 //     what unlocks P=4096 and beyond, where the concurrent engine's
 //     per-message costs are prohibitive.

@@ -54,6 +54,10 @@ type Ops interface {
 	Compute(w Work)
 	// Put posts an eager one-sided message of n elements to rank dst.
 	Put(dst, n int)
+	// Now is the rank's clock after the operations issued so far — Ctx.Time
+	// on the replay — for a description that times its own supersteps (the
+	// bspbench procedure). What a description issues must not depend on it.
+	Now() float64
 }
 
 // posted is one eager message between the Post that priced it and the Recv
@@ -85,6 +89,8 @@ func (o *stepOps) Compute(w Work) {
 	}
 	o.e.states[o.rank].Compute(&o.e.env, o.rank, seconds)
 }
+
+func (o *stepOps) Now() float64 { return o.e.states[o.rank].Now }
 
 func (o *stepOps) Put(dst, n int) {
 	if o.closing || dst < 0 || dst >= len(o.e.states) || n < 0 {
