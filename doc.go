@@ -109,20 +109,20 @@
 // all ranks to a rendezvous, where the last arriver checks that they all
 // brought the same schedule, evaluates the whole collective at once
 // (collapsed onto rank classes where the machine allows) and resumes
-// everyone. The pairwise benchmark (bench.MeasurePairwise, behind
-// bench.ModelParams) is evaluated there too: a strict ping-pong gives
-// goroutines nothing to overlap, so the last arriver steps every pair's
-// messages one at a time on the two ranks' kernel states. Arbitrary closures around
-// the collectives still run concurrently, so the fast path is invisible
-// except in wall-clock time. On either engine a collective's messages are
-// signals; its data is one board per call, which each rank writes its
-// contribution into and reads through the schedule's reach set, O(P +
-// edges) per call.
+// everyone. Arbitrary closures around the collectives still run
+// concurrently, so the fast path is invisible except in wall-clock time. On
+// either engine a collective's messages are signals; its data is one board
+// per call, which each rank writes its contribution into and reads through
+// the schedule's reach set, O(P + edges) per call.
 // WithConcurrentEngine (or sim.EngineConcurrent) opts a session out, forcing
 // every message through the mailboxes — useful for engine diffing and for
 // programs that break the collective-call contract the rendezvous relies on.
 // Whole workloads can also be evaluated without a goroutine per rank via
-// sched.RunSchedule and sched.RunProgram.
+// sched.RunSchedule and sched.RunProgram. The measurement procedures run that
+// way — bspbench, barrier measurement, and the pairwise benchmark
+// (bench.MeasurePairwise, behind bench.ModelParams), which steps every pair's
+// messages one at a time on the two ranks' kernel states, since a strict
+// ping-pong gives goroutines nothing to overlap.
 //
 // On top of the direct evaluator, symmetry collapse detects rank-equivalence
 // classes — a pairwise-uniform machine (cluster.FlatCluster, or any

@@ -160,7 +160,7 @@ func TestExecuteRefusesWrongSizedPattern(t *testing.T) {
 
 // TestMeasureEnginesAgree pins Measure itself (the entry every experiment
 // series and benchmark drives) three ways: the goroutine-free default
-// (sched.RunEach), the gate-evaluated run it replaced (measureAtGate) and the
+// (sched.Run), the gate-evaluated run it replaced (measureAtGate) and the
 // concurrent engine's per-message walk — every repetition's worst case, the
 // mean and the median bit for bit and, traced, the spill bytes — across rank
 // counts, every pattern shape, a machine with a noise-draw memo, ack modes

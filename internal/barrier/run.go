@@ -76,12 +76,13 @@ func Measure(m simnet.Machine, s sched.Schedule, reps int) (*Measurement, error)
 
 // MeasureWith is Measure under explicit simulator options — most usefully
 // the engine selection. On the default engine no rank goroutine runs: one
-// evaluator runs the reps + 1 executions (sched.RunEach), each as the run's
-// gate evaluates an Execute, and a repetition's duration on a rank is its
-// clock after the execution less its clock before. simnet.EngineConcurrent
-// keeps the per-message walk of every rank under mpi.RunContext, the oracle
-// the default agrees with bit for bit (the benchmark's
-// simnet.te_concurrent_ms.p256 is this call on the concurrent engine).
+// evaluator (sched.Run) runs the reps + 1 executions, each as the run's gate
+// evaluates an Execute and polled for cancellation and o.Deadline before it,
+// and a repetition's duration on a rank is its clock after the execution less
+// its clock before. simnet.EngineConcurrent keeps the per-message walk of
+// every rank under mpi.RunContext, the oracle the default agrees with bit for
+// bit (the benchmark's simnet.te_concurrent_ms.p256 is this call on the
+// concurrent engine).
 func MeasureWith(m simnet.Machine, s sched.Schedule, reps int, o simnet.Options) (*Measurement, error) {
 	if reps < 1 {
 		return nil, ErrNoReps
@@ -98,15 +99,24 @@ func MeasureWith(m simnet.Machine, s sched.Schedule, reps int, o simnet.Options)
 	if o.Engine == simnet.EngineConcurrent {
 		err = measureConcurrent(m, s, meas.WorstPerRep, o)
 	} else {
-		start, durations := make([]float64, m.Procs()), make([]float64, m.Procs())
-		_, err = sched.RunEach(context.Background(), m, s, reps+1, o, func(x int, end []float64) {
-			if x > 0 { // execution 0 is the warm-up
-				for r := range end {
-					durations[r] = end[r] - start[r]
+		p := m.Procs()
+		start, end, durations := make([]float64, p), make([]float64, p), make([]float64, p)
+		_, err = sched.Run(context.Background(), m, o, func(ev *sched.Evaluator, poll func() error) error {
+			for x := 0; x <= reps; x++ { // execution 0 is the warm-up
+				if err := poll(); err != nil {
+					return err
 				}
-				meas.WorstPerRep[x-1] = slowest(durations)
+				ev.ExecScheduleAuto(s, sched.ScheduleTagBase, true)
+				ev.Times(end)
+				if x > 0 {
+					for r := range end {
+						durations[r] = end[r] - start[r]
+					}
+					meas.WorstPerRep[x-1] = slowest(durations)
+				}
+				start, end = end, start
 			}
-			copy(start, end)
+			return nil
 		})
 	}
 	if err != nil {

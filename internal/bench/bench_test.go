@@ -80,10 +80,12 @@ func TestMeasurePairwiseValidation(t *testing.T) {
 	if _, err := MeasurePairwise(m, bad); err == nil {
 		t.Error("zero samples should fail")
 	}
-	bad = DefaultPairwiseOptions()
-	bad.Sizes = []int{8}
-	if _, err := MeasurePairwise(m, bad); err == nil {
-		t.Error("single size should fail")
+	for _, sizes := range [][]int{{8}, {-8, 1024}, {0, 0}, nil} {
+		bad = DefaultPairwiseOptions()
+		bad.Sizes = sizes
+		if _, err := MeasurePairwise(m, bad); err == nil {
+			t.Errorf("sizes %v should fail", sizes)
+		}
 	}
 }
 

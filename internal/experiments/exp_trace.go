@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hbsp/internal/barrier"
-	"hbsp/internal/mpi"
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
 	"hbsp/internal/trace"
 )
@@ -59,10 +60,7 @@ func TraceBreakdownSeries(prof *platform.Profile, procsList []int, opts Options)
 		rec.SetLabel(fmt.Sprintf("dissemination barrier, P=%d", p))
 		o := simnet.DefaultOptions()
 		o.Recorder = rec
-		res, err := mpi.Run(seeded, func(c *mpi.Comm) error {
-			barrier.Execute(c, pat)
-			return nil
-		}, o)
+		res, err := sched.RunSchedule(context.Background(), seeded, pat, 1, o)
 		if err != nil {
 			return nil, err
 		}

@@ -20,7 +20,7 @@ import (
 // single multiplication the profile formulas perform — computed on demand in
 // O(P) memory. Pair prices an ordered pair with one classification (a field
 // comparison of two placement records) and one hash; the engines call it once
-// per message, the pairwise benchmark's gate once per episode direction. The
+// per message, the pairwise benchmark once per episode direction. The
 // four single accessors answer the same way for callers that want one parameter.
 type Machine struct {
 	profile   *Profile

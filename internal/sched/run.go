@@ -12,7 +12,7 @@ import (
 )
 
 // run is the run frame of the direct engine: the one preamble and close of
-// its five whole-run entries — RunSchedule, RunEach, SweepEvaluator.Run,
+// its five whole-run entries — RunSchedule, Run, SweepEvaluator.Run,
 // RunSupersteps and Code.Run — which differ only in body, the walk over the
 // arena's rank states. The frame refuses a machine without ranks or of other
 // than procs ranks; takes the arena (sw's kept one, or one from the pool for
@@ -125,31 +125,24 @@ func RunSchedule(ctx context.Context, m simnet.Machine, s Schedule, execs int, o
 	})
 }
 
-// RunEach evaluates execs consecutive executions of the schedule as execs
-// barrier.Execute calls of every rank do on the default engine — one
-// evaluator, each execution evaluated by ExecScheduleAuto as the run's gate
-// evaluates it, from states that nothing else advances between executions —
-// and after each hands each the per-rank clocks. The slice is the run's, the
-// same one every call: each must copy what it keeps. Virtual times, traffic
-// counters, recorded events and the collapse diagnostic (the last
-// execution's) are those of that run; cancellation and o.Deadline are polled
-// before every execution. barrier.MeasureWith times its repetitions with it,
-// o.Engine aside.
-func RunEach(ctx context.Context, m simnet.Machine, s Schedule, execs int, o simnet.Options, each func(exec int, times []float64)) (*simnet.Result, error) {
-	if err := checkSchedule(s, execs); err != nil {
+// Run hands body an evaluator with one zeroed kernel state per rank of m, for
+// a caller that walks its workload on the states itself — ExecScheduleAuto
+// executions timed one by one (barrier.MeasureWith), or LogGP kernel calls
+// on the states of Kernel (the pairwise benchmark), whose traffic the caller
+// credits with AddTraffic. The frame attaches the recorder's lanes, ack mode,
+// the fault plan and the deadline as for every other entry, and assembles the
+// result from the states, the traffic counters and the last collapse decision
+// of an ExecScheduleAuto. body polls cancellation and o.Deadline through poll,
+// which returns the error the run then ends with; o.Engine is ignored, as by
+// RunSchedule.
+func Run(ctx context.Context, m simnet.Machine, o simnet.Options, body func(ev *Evaluator, poll func() error) error) (*simnet.Result, error) {
+	if err := checkMachine(m); err != nil {
 		return nil, err
 	}
-	return run(ctx, m, s.NumProcs(), &o, nil, func(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
+	return run(ctx, m, m.Procs(), &o, nil, func(e *Evaluator, chk *stageChecker) (simnet.Collapse, error) {
 		e.perRank()
-		times := make([]float64, len(e.states))
-		for x := 0; x < execs; x++ {
-			if err := chk.check(); err != nil {
-				return simnet.Collapse{}, err
-			}
-			e.ExecScheduleAuto(s, ScheduleTagBase, true)
-			each(x, e.Times(times))
-		}
-		return e.lastCollapse, nil
+		err := body(e, chk.check)
+		return e.lastCollapse, err
 	})
 }
 

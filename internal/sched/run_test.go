@@ -3,6 +3,7 @@ package sched_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"hbsp/internal/barrier"
@@ -40,8 +41,22 @@ func TestRunFrameRejects(t *testing.T) {
 			_, err := sched.RunSchedule(ctx, on, schedule(t, ranks), 1, o)
 			return err
 		}},
-		{"RunEach", func(t *testing.T, ctx context.Context, on simnet.Machine, ranks int, o simnet.Options) error {
-			_, err := sched.RunEach(ctx, on, schedule(t, ranks), 2, o, func(int, []float64) {})
+		{"Run", func(t *testing.T, ctx context.Context, on simnet.Machine, ranks int, o simnet.Options) error {
+			s := schedule(t, ranks)
+			_, err := sched.Run(ctx, on, o, func(ev *sched.Evaluator, poll func() error) error {
+				// The frame sizes the states from the machine alone, so a body
+				// refuses its own input for another P; its error is the run's.
+				if n := len(ev.Times(nil)); s.NumProcs() != n {
+					return fmt.Errorf("a schedule for %d ranks on %d", s.NumProcs(), n)
+				}
+				for range 2 {
+					if err := poll(); err != nil {
+						return err
+					}
+					ev.ExecScheduleAuto(s, sched.ScheduleTagBase, true)
+				}
+				return nil
+			})
 			return err
 		}},
 		{"SweepEvaluator.Run", func(t *testing.T, ctx context.Context, on simnet.Machine, ranks int, o simnet.Options) error {

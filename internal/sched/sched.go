@@ -11,11 +11,13 @@
 //
 // Two evaluation modes exist:
 //
-//   - Whole-run evaluation (RunSchedule, RunEach, RunProgram, RunSupersteps):
-//     the entire workload — executions of one schedule (RunEach: timed one by
-//     one, the barrier measurement), an op-stream, or BSP supersteps around
-//     their count exchange — is evaluated while the calling goroutine waits
-//     (see execStages for the workers). This is what the
+//   - Whole-run evaluation (RunSchedule, RunProgram, RunSupersteps, Run):
+//     the entire workload — executions of one schedule, an op-stream, BSP
+//     supersteps around their count exchange, or a walk the caller drives
+//     itself on the evaluator (Run: the barrier measurement's timed
+//     executions, the pairwise benchmark's ping-pong episodes on the ranks'
+//     kernel states through Kernel) — is evaluated while the calling
+//     goroutine waits (see execStages for the workers). This is what the
 //     benchmark's sched.perrank_* and sched.collapsed_* metrics measure and
 //     what unlocks P=4096 and beyond, where the concurrent engine's
 //     per-message costs are prohibitive.
@@ -23,14 +25,11 @@
 //   - Inline evaluation (AtGate): inside a concurrent run, all ranks
 //     rendezvous at the run's simnet.Gate, and the last arriver evaluates the
 //     collective sequentially on copies of the live per-rank kernel states,
-//     stores the advanced clocks back and resumes everyone. It has two
-//     callers, while arbitrary closures around them still run on the
-//     concurrent engine. mpi.ExecSchedule is the one entry for a stage graph
-//     executed on rank goroutines — barrier.Execute, the mpi schedule flood
-//     and the BSP count exchange all call it — and evaluates it with
-//     ExecScheduleAuto. The pairwise benchmark (bench.MeasurePairwise) is
-//     P(P−1) ping-pong episodes, which its leader walks message by message
-//     on the two ranks' kernel states (Kernel).
+//     stores the advanced clocks back and resumes everyone, while arbitrary
+//     closures around it still run on the concurrent engine. Its one caller
+//     is mpi.ExecSchedule, the entry for a stage graph executed on rank
+//     goroutines — barrier.Execute, the mpi schedule flood and the BSP count
+//     exchange all call it — which evaluates it with ExecScheduleAuto.
 //
 // The evaluator has no clock arithmetic of its own. It holds one loggp.State
 // per rank (per equivalence class under symmetry collapse) and calls the LogGP
@@ -374,42 +373,44 @@ func copyClock(dst, src *loggp.State) {
 	dst.Now, dst.TxFree, dst.RxFree, dst.NoiseSeq = src.Now, src.TxFree, src.RxFree, src.NoiseSeq
 }
 
-// InEdge is one injected message held by a point-to-point caller between the
-// Post that wrote it and the Recv that consumes it.
-type InEdge = loggp.Edge
+// The point-to-point stepper: post and recv let RunSupersteps walk a workload
+// that is not a stage graph — the supersteps' puts, one message at a time —
+// in each rank's program order, keeping the in-flight records itself. Lanes,
+// the fault plan, ack mode and the per-rank noise order are the kernel's
+// business, as in the stage walker. A message must be posted before it is
+// received; virtual time does not depend on how the ranks' steps interleave
+// beyond that.
 
-// The point-to-point stepper: Post and Recv let a holder of the evaluator
-// walk a workload that is not a stage graph — the count exchange's puts, one
-// message at a time — in each rank's program order, with the caller keeping
-// the in-flight records. Lanes, the fault plan, ack mode and the per-rank
-// noise order are the kernel's business, as in the stage walker. The caller
-// must Post a message before it Recvs it; virtual time does not depend on how
-// the ranks' steps interleave beyond that. A caller that walks a whole
-// episode on the kernel itself (the pairwise benchmark) takes the states
-// through Kernel instead, and counts its own traffic.
-
-// Post is simnet.Proc.Post on the evaluator: rank src injects one size-byte
+// post is simnet.Proc.Post on the evaluator: rank src injects one size-byte
 // message to dst at its current clock — a fire-and-forget eager send, the
 // completion time dropped — and the message as its receiver needs it is
 // written into in.
-func (e *Evaluator) Post(src, dst, tag, size int, in *InEdge) {
+func (e *Evaluator) post(src, dst, tag, size int, in *loggp.Edge) {
 	var pc loggp.Pair
 	e.priceInto(&pc, src, dst)
 	e.send(&e.traffic, &e.states[src], src, dst, tag, size, &pc, in)
 }
 
-// Recv is simnet.Proc.Recv for a message already injected: rank dst posts the
+// recv is simnet.Proc.Recv for a message already injected: rank dst posts the
 // receive at its current clock and waits for in, which src posted with tag.
-func (e *Evaluator) Recv(dst, src, tag int, in *InEdge) {
+func (e *Evaluator) recv(dst, src, tag int, in *loggp.Edge) {
 	st := &e.states[dst]
 	completeAt, gated := st.RecvComplete(st.Now, in)
 	st.WaitRecv(&e.env, dst, completeAt, src, tag, in, gated)
 }
 
-// Kernel returns rank r's kernel state and the run's environment, for a gate
-// leader that calls the LogGP kernel on them directly. What it sends is not
-// counted: the caller credits its traffic to the run (simnet.Proc.AddTraffic).
+// Kernel returns rank r's kernel state and the run's environment, for a
+// caller of Run that calls the LogGP kernel on them directly (the pairwise
+// benchmark's episodes). What it sends is not counted: the caller credits
+// its traffic with AddTraffic.
 func (e *Evaluator) Kernel(r int) (*loggp.State, *loggp.Env) { return &e.states[r], &e.env }
+
+// AddTraffic credits messages and bytes to the evaluator's traffic counters,
+// which the run's result (or, at a gate, the run's counters) reports.
+func (e *Evaluator) AddTraffic(messages, bytes int64) {
+	e.messages += messages
+	e.bytes += bytes
+}
 
 // ExecSchedule evaluates one execution of the schedule: per stage, every rank
 // posts its receives, injects its sends and then waits — receives first, then

@@ -98,7 +98,7 @@ func (o *stepOps) Put(dst, n int) {
 		return
 	}
 	o.msgs = append(o.msgs, posted{src: int32(o.rank), dst: int32(dst)})
-	o.e.Post(o.rank, dst, o.sp.PutTag, o.sp.PutBytes(n), &o.msgs[len(o.msgs)-1].in)
+	o.e.post(o.rank, dst, o.sp.PutTag, o.sp.PutBytes(n), &o.msgs[len(o.msgs)-1].in)
 }
 
 // RunSupersteps evaluates the program for the calling goroutine — a body of
@@ -180,7 +180,7 @@ func (sp *Supersteps) walk(e *Evaluator, chk *stageChecker) (simnet.Collapse, er
 			rs.StageMark(-1)
 			for ; at < int(starts[r]); at++ {
 				msg := &msgs[order[at]]
-				e.Recv(r, int(msg.src), sp.PutTag, &msg.in)
+				e.recv(r, int(msg.src), sp.PutTag, &msg.in)
 			}
 			rs.SuperstepMark(int32(step))
 		}

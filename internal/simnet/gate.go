@@ -8,10 +8,13 @@ import (
 // Gate is the all-ranks rendezvous of the direct-evaluation fast path. When a
 // run executes with EngineAuto, every schedule-expressible collective moment
 // (a barrier/collective pattern execution, a superstep count exchange, a
-// schedule flood) brings all ranks to the run's gate; the last rank to arrive
-// becomes the leader and evaluates the whole collective sequentially with the
-// discrete-event evaluator (internal/sched) while the other rank goroutines
-// are parked, then everyone is released with the leader's verdict.
+// schedule flood) brings all ranks to the run's gate through its one entry,
+// mpi.ExecSchedule; the last rank to arrive becomes the leader and evaluates
+// the whole collective sequentially with the discrete-event evaluator
+// (sched.AtGate) while the other rank goroutines are parked, then everyone is
+// released with the leader's verdict. Workloads that need no rank goroutine
+// at all run on the evaluator alone (the sched whole-run entries) and never
+// meet a gate.
 //
 // The gate is integrated with the run's teardown: a cancelled run (wall-clock
 // deadline or context cancellation) wakes every parked rank, which unwinds
@@ -32,9 +35,9 @@ type Gate struct {
 	round   *gateRound
 	cancel  chan struct{}
 
-	// Scratch is a leader-owned cache slot: layers that evaluate at the gate
-	// park their reusable evaluator state here between rounds. Only the
-	// leader callback may touch it (it runs under the gate mutex).
+	// Scratch is a leader-owned cache slot: sched.AtGate parks its reusable
+	// evaluator here between rounds. Only the leader callback may touch it
+	// (it runs under the gate mutex).
 	Scratch any
 }
 

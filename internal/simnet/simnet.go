@@ -64,7 +64,7 @@ type Machine interface {
 // PricerOf adapts any other Machine. Like the Machine methods, Pair must be
 // safe for concurrent calls — several goroutines of one run price pairs at
 // once — and a pure function of (i, j), so a caller may bill many messages
-// one price (the pairwise benchmark's gate does, per episode direction).
+// one price (the pairwise benchmark does, per episode direction).
 type PairPricer interface {
 	// Pair prices a message from i to j once: its latency, gap, inverse
 	// bandwidth and sender overhead, the return latency Latency(j, i) an
@@ -569,9 +569,9 @@ func (p *Proc) SharedGate() *Gate { return p.w.gate }
 
 // CheckCancelled unwinds the calling rank through the run's cancellation path
 // (exactly as a receive entered after teardown began does) when the run has
-// been cancelled by its deadline or context. A gate leader polls it during a
-// long evaluation: teardown cannot wake a leader the way it wakes a parked or
-// receiving rank, because nothing the leader does blocks.
+// been cancelled by its deadline or context. A rank in a long evaluation that
+// never blocks — a gate leader, say — may poll it: teardown cannot wake such
+// a rank the way it wakes a parked or receiving one.
 func (p *Proc) CheckCancelled() {
 	if p.w.cancelled.Load() {
 		panic(cancelPanic{})
