@@ -10,11 +10,12 @@ import (
 // sees a byte of it (once to validate, once to find the value's end), which
 // for an uploaded machine — 850 KB of numbers at P=128 — costs several times
 // what scanning the numbers does. So the handler lifts the four matrices out
-// of the body itself: it walks the few keys around them, hands each matrix to
-// the scanner where it lies (Matrix.scan, the code behind
-// Matrix.UnmarshalJSON), and gives encoding/json the rest — the request with
-// each matrix replaced by null, a few hundred bytes — under the same
-// DisallowUnknownFields as ever.
+// of the body itself: it walks the few keys around them, hands each matrix
+// where it lies to the server's upload table (uploads.go), which gives back
+// a matrix it holds for the same bytes or else scans it (Matrix.scan, the
+// code behind Matrix.UnmarshalJSON), and gives encoding/json the rest — the
+// request with each matrix replaced by null, a few hundred bytes — under the
+// same DisallowUnknownFields as ever.
 //
 // The lift is an optimisation of the plain decode, never a second opinion:
 // it only recognises the spelling a client would write (the keys "profile",
@@ -24,9 +25,10 @@ import (
 // again the plain way, which reaches the same scanner through UnmarshalJSON
 // and is the authority on every error.
 
-// decodeRequest decodes a request body into req.
-func decodeRequest(body *bytes.Buffer, req *PredictRequest) error {
-	if bytes.Contains(body.Bytes(), []byte(`"matrices"`)) && liftMatrices(body.Bytes(), req) {
+// decodeRequest decodes a request body into req, looking the lifted matrices
+// up in uploads (nil: scan every one).
+func decodeRequest(body *bytes.Buffer, req *PredictRequest, uploads *uploadTable) error {
+	if bytes.Contains(body.Bytes(), []byte(`"matrices"`)) && liftMatrices(body.Bytes(), req, uploads) {
 		return nil
 	}
 	*req = PredictRequest{}
@@ -52,19 +54,20 @@ var matrixKeys = [...]string{"latency", "gap", "beta", "overhead"}
 // every lifted matrix replaced by null; body[:last] is the part already
 // copied (or replaced).
 type lifter struct {
-	b    []byte
-	i    int
-	env  []byte
-	last int
-	mats [len(matrixKeys)]Matrix
-	seen [len(matrixKeys)]bool
+	b       []byte
+	i       int
+	env     []byte
+	last    int
+	mats    [len(matrixKeys)]Matrix
+	seen    [len(matrixKeys)]bool
+	uploads *uploadTable
 }
 
-// liftMatrices decodes body into req with the matrices scanned in place. It
-// reports false, with req in an unspecified state, when the body is not
-// spelled the way it knows or holds any error at all.
-func liftMatrices(body []byte, req *PredictRequest) bool {
-	l := lifter{b: body, env: make([]byte, 0, 1024)}
+// liftMatrices decodes body into req with the matrices scanned in place, or
+// found in uploads. It reports false, with req in an unspecified state, when
+// the body is not spelled the way it knows or holds any error at all.
+func liftMatrices(body []byte, req *PredictRequest, uploads *uploadTable) bool {
+	l := lifter{b: body, env: make([]byte, 0, 1024), uploads: uploads}
 	if !l.object(0) {
 		return false
 	}
@@ -160,7 +163,7 @@ func (l *lifter) member(key []byte) bool {
 		if string(key) != name || l.seen[k] {
 			return false
 		}
-		end, err := l.mats[k].scan(l.b, l.i)
+		end, err := l.uploads.scan(&l.mats[k], l.b, l.i)
 		if err != nil {
 			return false
 		}

@@ -48,18 +48,19 @@ func FuzzMatrixScan(f *testing.F) {
 			if refValid {
 				t.Fatalf("scanner: defect %q; the reference accepts", m.defect)
 			}
-			if m.v != nil {
+			if m.cells != nil {
 				t.Fatalf("a matrix with a defect kept its storage")
 			}
 		default:
-			if !refValid || (rows == nil) != (m.v == nil) || len(rows) != m.n || len(m.v) != m.n*m.n {
-				t.Fatalf("scanner accepts %d×%d (absent %t); reference: valid %t, %d rows, err %v", m.n, m.n, m.v == nil, refValid, len(rows), refErr)
+			v := m.elems()
+			if !refValid || (rows == nil) != (v == nil) || len(rows) != m.n || len(v) != m.n*m.n {
+				t.Fatalf("scanner accepts %d×%d (absent %t); reference: valid %t, %d rows, err %v", m.n, m.n, v == nil, refValid, len(rows), refErr)
 			}
 			zero := 0
 			for i, row := range rows {
 				for j, v := range row {
-					if math.Float64bits(v) != math.Float64bits(m.v[i*m.n+j]) {
-						t.Fatalf("[%d][%d]: scanner %v, reference %v", i, j, m.v[i*m.n+j], v)
+					if math.Float64bits(v) != math.Float64bits(m.cells.v[i*m.n+j]) {
+						t.Fatalf("[%d][%d]: scanner %v, reference %v", i, j, m.cells.v[i*m.n+j], v)
 					}
 					if v == 0 && i != j && zero == 0 {
 						zero = i*m.n + j + 1
@@ -88,8 +89,8 @@ func FuzzMatrixScan(f *testing.F) {
 
 // FuzzPredictRequest sends any body through the handler: the reply is 200 or
 // a 4xx in the documented error shape — never a 500, never a panic — and the
-// handler's decode of the body is the plain encoding/json decode of it, to
-// the error text. Every line of a 200 holds finite numbers only, and every
+// handler's decode of the body, first and repeated on the server's upload
+// table, is the plain encoding/json decode of it, to the error text. Every line of a 200 holds finite numbers only, and every
 // point line moved a non-negative byte count and message count (a wrapped one
 // is an overflow) and orders its times 0 ≤ min ≤ p50 ≤ p95 ≤ max = makespan
 // (checkReplyLine). A 200 is asked for again with gzip, now from the cache,
@@ -97,14 +98,19 @@ func FuzzMatrixScan(f *testing.F) {
 func FuzzPredictRequest(f *testing.F) {
 	s := New(Config{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var lifted, plain PredictRequest
-		errLifted := decodeRequest(bytes.NewBuffer(bytes.Clone(body)), &lifted)
+		var plain PredictRequest
 		errPlain := decodeStrict(bytes.NewReader(body), &plain)
-		if (errLifted == nil) != (errPlain == nil) || errLifted != nil && errLifted.Error() != errPlain.Error() {
-			t.Fatalf("handler decode: %v\nplain decode:   %v", errLifted, errPlain)
-		}
-		if errLifted == nil && !reflect.DeepEqual(lifted, plain) {
-			t.Fatalf("handler decode %+v\nplain decode   %+v", lifted, plain)
+		// Twice on the server's upload table: the second decode may be
+		// handed the first one's matrices.
+		for decode := range 2 {
+			var lifted PredictRequest
+			errLifted := decodeRequest(bytes.NewBuffer(bytes.Clone(body)), &lifted, s.uploads)
+			if (errLifted == nil) != (errPlain == nil) || errLifted != nil && errLifted.Error() != errPlain.Error() {
+				t.Fatalf("handler decode %d: %v\nplain decode:     %v", decode, errLifted, errPlain)
+			}
+			if errLifted == nil && !reflect.DeepEqual(lifted, plain) {
+				t.Fatalf("handler decode %d: %+v\nplain decode      %+v", decode, lifted, plain)
+			}
 		}
 
 		// A body may ask for hours of evaluation; the client gives up after a

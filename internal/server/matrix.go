@@ -13,14 +13,16 @@ import (
 // scanner below: the elements are converted, checked and stored in the one
 // pass that reads them, so code handed a Matrix never walks its elements
 // again to validate them. A Matrix owns its storage — nothing in it points
-// into the bytes it was scanned from. The zero value is an absent matrix and
-// is omitted when marshalled under `omitzero`.
+// into the bytes it was scanned from — and never writes it again, so Matrix
+// values and machines may share one (see the upload table, uploads.go). The
+// zero value is an absent matrix and is omitted when marshalled under
+// `omitzero`.
 type Matrix struct {
-	// n is the dimension (the length of the first row) and v the n×n
-	// elements, v[i*n+j]; v is nil for an absent matrix (key omitted, or
-	// null) and for one that carries a defect.
-	n int
-	v []float64
+	// n is the dimension (the length of the first row) and cells the n×n
+	// elements; cells is nil for an absent matrix (key omitted, or null) and
+	// for one that carries a defect.
+	n     int
+	cells *matrixCells
 	// zero is 1 + the flat index of the first zero off the diagonal, 0 if
 	// there is none; only the latency matrix is asked.
 	zero int
@@ -30,6 +32,20 @@ type Matrix struct {
 	// minus the leading matrix name, which the scanner does not know:
 	// resolveMatrices reports it as invalid_machine. Scanning stops there.
 	defect string
+}
+
+// matrixCells holds a scanned matrix's elements, v[i*n+j]. It is the heap
+// object that owns them: the upload table points at it weakly, and every
+// Matrix and machine that reads the elements holds it, so a table entry lives
+// exactly as long as one of them does.
+type matrixCells struct{ v []float64 }
+
+// elems returns the elements, nil for an absent matrix or a defect.
+func (m *Matrix) elems() []float64 {
+	if m.cells == nil {
+		return nil
+	}
+	return m.cells.v
 }
 
 // errMatrixDefect is scan's signal that it stopped at a defect it recorded
@@ -58,21 +74,22 @@ func (m *Matrix) UnmarshalJSON(data []byte) error {
 
 // MarshalJSON writes the rows back, null for an absent matrix.
 func (m Matrix) MarshalJSON() ([]byte, error) {
-	if m.v == nil {
+	v := m.elems()
+	if v == nil {
 		return []byte("null"), nil
 	}
-	out := make([]byte, 0, 2+len(m.v)*12)
+	out := make([]byte, 0, 2+len(v)*12)
 	out = append(out, '[')
 	for i := 0; i < m.n; i++ {
 		if i > 0 {
 			out = append(out, ',')
 		}
 		out = append(out, '[')
-		for j, v := range m.v[i*m.n : (i+1)*m.n] {
+		for j, f := range v[i*m.n : (i+1)*m.n] {
 			if j > 0 {
 				out = append(out, ',')
 			}
-			out = strconv.AppendFloat(out, v, 'g', -1, 64)
+			out = strconv.AppendFloat(out, f, 'g', -1, 64)
 		}
 		out = append(out, ']')
 	}
@@ -141,7 +158,7 @@ func (m *Matrix) scan(b []byte, i int) (int, error) {
 	if rows != n || v == nil {
 		return m.fail(" matrix row 0 has %d entries, want %d", n, rows)
 	}
-	m.n, m.v, m.zero = n, v, zero
+	m.n, m.cells, m.zero = n, &matrixCells{v}, zero
 	return i + 1, nil
 }
 

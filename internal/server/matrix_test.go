@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -184,13 +185,13 @@ func refOutcome(body []byte) outcome {
 }
 
 // scanOutcome runs a body through the server's own decode and resolve. lift
-// selects the road: the handler's (decodeRequest, which lifts when it can) or
-// the plain one every other caller of json takes.
-func scanOutcome(body []byte, lift bool) outcome {
+// selects the road: the handler's (decodeRequest on uploads, which lifts when
+// it can) or the plain one every other caller of json takes.
+func scanOutcome(body []byte, lift bool, uploads *uploadTable) outcome {
 	var req PredictRequest
 	var err error
 	if lift {
-		err = decodeRequest(bytes.NewBuffer(bytes.Clone(body)), &req)
+		err = decodeRequest(bytes.NewBuffer(bytes.Clone(body)), &req, uploads)
 	} else {
 		err = decodeStrict(bytes.NewReader(body), &req)
 	}
@@ -214,21 +215,27 @@ func scanOutcome(body []byte, lift bool) outcome {
 	return out
 }
 
-// agree fails the test unless the scanner, on both roads, comes to what the
+// agree fails the test unless the scanner, on every road, comes to what the
 // reference comes to: the same accept or reject, the same error code, and on
-// accept the same element bits and fingerprint. sameMessage also holds the
-// error texts equal.
+// accept the same element bits and fingerprint. The roads are the handler's,
+// on an empty upload table and again on the same table (where the matrices
+// may be found), and the plain one. sameMessage also holds the error texts
+// equal.
 func agree(t *testing.T, body []byte, sameMessage bool) outcome {
 	t.Helper()
 	want := refOutcome(body)
-	for _, lift := range []bool{true, false} {
-		got := scanOutcome(body, lift)
+	uploads := newUploadTable()
+	for _, road := range []struct {
+		name string
+		lift bool
+	}{{"lift", true}, {"lift again", true}, {"plain", false}} {
+		got := scanOutcome(body, road.lift, uploads)
 		if got.code != want.code || got.fingerprint != want.fingerprint || fmt.Sprint(got.elems) != fmt.Sprint(want.elems) {
-			t.Fatalf("lift=%t: scanner and reference disagree\nbody: %s\nscanner:   %q %q %s\nreference: %q %q %s",
-				lift, clip(body), got.code, got.message, got.fingerprint, want.code, want.message, want.fingerprint)
+			t.Fatalf("%s: scanner and reference disagree\nbody: %s\nscanner:   %q %q %s\nreference: %q %q %s",
+				road.name, clip(body), got.code, got.message, got.fingerprint, want.code, want.message, want.fingerprint)
 		}
 		if sameMessage && got.message != want.message {
-			t.Fatalf("lift=%t: message %q, reference %q\nbody: %s", lift, got.message, want.message, clip(body))
+			t.Fatalf("%s: message %q, reference %q\nbody: %s", road.name, got.message, want.message, clip(body))
 		}
 	}
 	return want
@@ -352,7 +359,7 @@ func TestMatrixScanMatchesReference(t *testing.T) {
 			// Spelled the plain way, a body that decodes is lifted; one that
 			// does not decode is declined and left to the plain road.
 			var req PredictRequest
-			if lifted := liftMatrices(tc.body, &req); lifted != (tc.code == "") && tc.code != "invalid_machine" {
+			if lifted := liftMatrices(tc.body, &req, nil); lifted != (tc.code == "") && tc.code != "invalid_machine" {
 				t.Fatalf("liftMatrices = %t on a body that comes to %q", lifted, tc.code)
 			}
 		})
@@ -360,7 +367,7 @@ func TestMatrixScanMatchesReference(t *testing.T) {
 	for _, tc := range offRoadCases {
 		t.Run(tc.name, func(t *testing.T) {
 			var req PredictRequest
-			if liftMatrices(tc.body, &req) {
+			if liftMatrices(tc.body, &req, nil) {
 				t.Fatalf("the handler lifted a body it must leave to UnmarshalJSON")
 			}
 			if got := agree(t, tc.body, true); got.code != tc.code {
@@ -579,8 +586,8 @@ func TestMatrixJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(back) != fmt.Sprint(*spec) {
-		t.Errorf("round trip changed the profile\n got %v\nwant %v", back, *spec)
+	if !reflect.DeepEqual(back, *spec) {
+		t.Errorf("round trip changed the profile\n got %+v\nwant %+v", back, *spec)
 	}
 	var m Matrix
 	if err := m.UnmarshalJSON([]byte(" [[1]] x")); err == nil {
@@ -621,12 +628,15 @@ func uploadBody(p int) []byte {
 
 // TestDecodeUploadAllocs pins what decoding an upload allocates, at two
 // dimensions: lifting the four matrices out of the body — the walk, the four
-// scans, the envelope — is a handful of allocations (the four flat matrices,
-// the envelope, the lifter; decoding into [][]float64 took 5,783 at P=128),
-// and the whole handler-side decode, encoding/json's pass over the envelope
-// included, is the same small count whatever the dimension.
+// scans, the envelope — is a handful of allocations (the four flat matrices
+// and their cells, the envelope, the lifter; decoding into [][]float64 took
+// 5,783 at P=128), and the whole handler-side decode, encoding/json's pass
+// over the envelope included, is the same small count whatever the
+// dimension — without an upload table, and on an empty one that stores the
+// four matrices (a few allocations more for each entry and its weak pointer
+// and cleanup).
 func TestDecodeUploadAllocs(t *testing.T) {
-	var lift, whole []float64
+	var lift, whole, stored []float64
 	for _, p := range []int{16, 128} {
 		body := uploadBody(p)
 		if got := agree(t, body, true); got.code != "" {
@@ -639,14 +649,18 @@ func TestDecodeUploadAllocs(t *testing.T) {
 			}
 		}))
 		buf := new(bytes.Buffer)
-		whole = append(whole, testing.AllocsPerRun(5, func() {
-			var req PredictRequest
-			buf.Reset()
-			buf.Write(body)
-			if err := decodeRequest(buf, &req); err != nil || req.Profile.Matrices.Latency.n != p {
-				t.Fatalf("decode: %v", err)
-			}
-		}))
+		decode := func(uploads func() *uploadTable) float64 {
+			return testing.AllocsPerRun(5, func() {
+				var req PredictRequest
+				buf.Reset()
+				buf.Write(body)
+				if err := decodeRequest(buf, &req, uploads()); err != nil || req.Profile.Matrices.Latency.n != p {
+					t.Fatalf("decode: %v", err)
+				}
+			})
+		}
+		whole = append(whole, decode(func() *uploadTable { return nil }))
+		stored = append(stored, decode(newUploadTable))
 	}
 	if lift[0] != lift[1] || lift[1] > 16 {
 		t.Errorf("lifting the four matrices allocates %v times at P=16, 128; want one count, at most 16", lift)
@@ -654,41 +668,67 @@ func TestDecodeUploadAllocs(t *testing.T) {
 	if whole[0] != whole[1] || whole[1] > 32 {
 		t.Errorf("decoding an upload allocates %v times at P=16, 128; want one count, at most 32", whole)
 	}
+	if stored[0] != stored[1] || stored[1] > 64 {
+		t.Errorf("decoding an upload on an empty table allocates %v times at P=16, 128; want one count, at most 64", stored)
+	}
 }
 
 // BenchmarkDecodeMatrixRequest times the handler-side decode of a P=128
-// upload — the lift, the four matrix scans and the envelope — and, in the
-// same run, encoding/json decoding the same bytes into [][]float64 (the
-// reference above): x_vs_encoding_json is how many times faster the scan is.
+// upload — the lift, the four matrices and the envelope — and, in the same
+// run, encoding/json decoding the same bytes into [][]float64 (the reference
+// above): x_vs_encoding_json is how many times faster the decode is. The
+// rows are the upload table's three cases: none (every matrix scanned, as
+// before the table), empty (an upload never seen: each iteration starts
+// from a new table, so the lookups miss and the matrices are stored) and
+// repeat (the same upload again, on a table where it is confirmed).
 func BenchmarkDecodeMatrixRequest(b *testing.B) {
 	body := uploadBody(128)
-	// The reference is timed on both sides of the measured loop, so a machine
-	// that speeds up or slows down during the run tilts the ratio less.
-	const refRuns = 2
-	var refTime time.Duration
-	timeRef := func() {
-		start := time.Now()
-		for k := 0; k < refRuns; k++ {
-			var req refRequest
-			if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
-				b.Fatal(err)
-			}
-		}
-		refTime += time.Since(start)
-	}
-
-	timeRef()
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
+	decode := func(b *testing.B, uploads *uploadTable) {
 		var req PredictRequest
-		if err := decodeRequest(bytes.NewBuffer(body), &req); err != nil {
+		if err := decodeRequest(bytes.NewBuffer(body), &req, uploads); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	timeRef()
-	perRef := float64(refTime.Nanoseconds()) / (2 * refRuns)
-	b.ReportMetric(perRef/(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "x_vs_encoding_json")
+	warm := newUploadTable()
+	for range 2 { // the first stores the matrices, the second confirms them
+		decode(b, warm)
+	}
+	for _, row := range []struct {
+		name    string
+		uploads func() *uploadTable
+	}{
+		{"none", func() *uploadTable { return nil }},
+		{"empty", newUploadTable},
+		{"repeat", func() *uploadTable { return warm }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			// The reference is timed on both sides of the measured loop, so
+			// a machine that speeds up or slows down during the run tilts the
+			// ratio less.
+			const refRuns = 2
+			var refTime time.Duration
+			timeRef := func() {
+				start := time.Now()
+				for k := 0; k < refRuns; k++ {
+					var req refRequest
+					if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+						b.Fatal(err)
+					}
+				}
+				refTime += time.Since(start)
+			}
+
+			timeRef()
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				decode(b, row.uploads())
+			}
+			b.StopTimer()
+			timeRef()
+			perRef := float64(refTime.Nanoseconds()) / (2 * refRuns)
+			b.ReportMetric(perRef/(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "x_vs_encoding_json")
+		})
+	}
 }

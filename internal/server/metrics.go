@@ -130,6 +130,16 @@ type MetricsSnapshot struct {
 		Reused   int64 `json:"reused"`
 	} `json:"gzip"`
 
+	// Uploads counts the upload table's matrices (uploads.go): those a
+	// lookup scanned, those it handed back from the table instead, and the
+	// entries whose matrix a cached machine or a request in flight still
+	// holds. Bodies the handler leaves to encoding/json count in neither.
+	Uploads struct {
+		Scanned int64 `json:"scanned"`
+		Reused  int64 `json:"reused"`
+		Live    int64 `json:"live"`
+	} `json:"uploads"`
+
 	Errors struct {
 		InvalidRequest int64 `json:"invalidRequest"`
 		InvalidMachine int64 `json:"invalidMachine"`

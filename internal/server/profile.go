@@ -298,6 +298,10 @@ type matrixMachine struct {
 	lat, gap, beta, ovh []float64
 	selfOverhead        float64
 	nic                 []int
+	// cells are the uploaded matrices' storage (nil for an absent optional
+	// one): holding them keeps their upload table entries alive while the
+	// machine is cached, so a later upload of the same bytes shares them.
+	cells [len(matrixKeys)]*matrixCells
 }
 
 func (m *matrixMachine) Procs() int                 { return m.p }
@@ -340,14 +344,14 @@ func (s *Server) resolveMatrices(spec *MatrixProfile, procs int) (*resolvedProfi
 		switch {
 		case m.defect != "":
 			return nil, invalid("%s%s", name, m.defect)
-		case m.v == nil && required:
+		case m.cells == nil && required:
 			return nil, invalid("%s matrix is required", name)
-		case m.v == nil:
+		case m.cells == nil:
 			return make([]float64, p*p), nil
 		case m.n != p:
 			return nil, invalid("%s matrix has %d rows, want %d", name, m.n, p)
 		}
-		return m.v, nil
+		return m.cells.v, nil
 	}
 	beta, err := flat("beta", &spec.Beta, true)
 	if err != nil {
@@ -378,7 +382,8 @@ func (s *Server) resolveMatrices(spec *MatrixProfile, procs int) (*resolvedProfi
 		return nil, invalid("nic map has %d entries, want %d", len(nic), p)
 	}
 
-	m := &matrixMachine{p: p, lat: lat.v, gap: gap, beta: beta, ovh: ovh, selfOverhead: spec.SelfOverhead, nic: nic}
+	m := &matrixMachine{p: p, lat: lat.cells.v, gap: gap, beta: beta, ovh: ovh, selfOverhead: spec.SelfOverhead, nic: nic,
+		cells: [...]*matrixCells{lat.cells, spec.Gap.cells, spec.Beta.cells, spec.Overhead.cells}}
 	fp := m.fingerprint()
 	key := fmt.Sprintf("machine/%s/p%d", fp, procs)
 	if cached, ok := s.machines.Get(key); ok {

@@ -52,6 +52,9 @@ type Config struct {
 	// disables). A preset or custom machine is O(P) — its placement; pairs
 	// are priced on demand — but an uploaded one holds its four P×P matrices
 	// (0.5 MB at P=128), so this knob is much smaller than CacheEntries.
+	// Cached uploads share every matrix they were sent alike (the upload
+	// table), so an upload costs only the matrices no other cached machine
+	// holds: 131 KB at P=128 for one that varies a single matrix.
 	MachineEntries int
 	// RetryAfter is the Retry-After value sent with shed responses, in
 	// seconds (default 1).
@@ -84,6 +87,7 @@ type Server struct {
 	m         *metrics
 	results   *lruCache // pointKey -> *rendered
 	machines  *lruCache // (profile fingerprint, procs) -> *resolvedProfile
+	uploads   *uploadTable
 	schedules *lruCache // (kind, variant, procs, root, bytes) -> verified sched.Schedule
 	flights   *flightGroup
 	limit     *limiter
@@ -100,6 +104,7 @@ func New(cfg Config) *Server {
 		m:         m,
 		results:   newLRU(cfg.CacheEntries),
 		machines:  newLRU(cfg.MachineEntries),
+		uploads:   newUploadTable(),
 		schedules: newLRU(256),
 		flights:   newFlightGroup(),
 		limit:     newLimiter(cfg.MaxConcurrent, cfg.MaxQueue, m),
@@ -123,7 +128,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Drain() { s.draining.Store(true) }
 
 // Metrics returns a point-in-time counter snapshot.
-func (s *Server) Metrics() MetricsSnapshot { return s.m.snapshot() }
+func (s *Server) Metrics() MetricsSnapshot {
+	snap := s.m.snapshot()
+	snap.Uploads.Scanned = s.uploads.scanned.Load()
+	snap.Uploads.Reused = s.uploads.reused.Load()
+	snap.Uploads.Live = s.uploads.live()
+	return snap
+}
 
 // handleHealthz reports liveness — 200 while serving, 503 while draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -141,7 +152,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.m.snapshot())
+	enc.Encode(s.Metrics())
 }
 
 // handlePresets lists the profile presets.
@@ -202,7 +213,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req PredictRequest
 	body, err := readBody(w, r)
 	if err == nil {
-		err = decodeRequest(body, &req)
+		err = decodeRequest(body, &req, s.uploads)
 	}
 	releaseBody(body)
 	if err != nil {

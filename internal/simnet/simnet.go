@@ -567,17 +567,6 @@ func (p *Proc) AddTraffic(messages, bytes int64) {
 // means "walk the collective concurrently".
 func (p *Proc) SharedGate() *Gate { return p.w.gate }
 
-// CheckCancelled unwinds the calling rank through the run's cancellation path
-// (exactly as a receive entered after teardown began does) when the run has
-// been cancelled by its deadline or context. A rank in a long evaluation that
-// never blocks — a gate leader, say — may poll it: teardown cannot wake such
-// a rank the way it wakes a parked or receiving one.
-func (p *Proc) CheckCancelled() {
-	if p.w.cancelled.Load() {
-		panic(cancelPanic{})
-	}
-}
-
 // RunProcs returns all ranks' process handles, indexed by rank. Only the
 // gate leader may touch peers' handles (see Gate).
 func (p *Proc) RunProcs() []*Proc { return p.w.procs }

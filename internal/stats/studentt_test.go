@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -171,5 +173,68 @@ func TestTCriticalMemoMatchesSearch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// tPDFLoop is the density as TCDF's loop evaluated it before the constant
+// factor was hoisted: both Gamma calls at every point.
+func tPDFLoop(x, nu float64) float64 {
+	return math.Gamma((nu+1)/2) / (math.Sqrt(nu*math.Pi) * math.Gamma(nu/2)) *
+		math.Pow(1+x*x/nu, -(nu+1)/2)
+}
+
+// tCriticalLoop is the search as it was before tGrid: a bisection that
+// integrates TCDF from 0 at every probe. It is the oracle the tabulated
+// search is held to.
+func tCriticalLoop(nu, confidence float64) float64 {
+	target := 0.5 + confidence/2
+	lo, hi := 0.0, 1.0
+	for TCDF(hi, nu) < target {
+		hi *= 2
+	}
+	for i := 0; i < 80; i++ {
+		mid := (lo + hi) / 2
+		if TCDF(mid, nu) < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+		if hi-lo < 1e-7 {
+			break
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestTabulatedSearchMatchesLoop holds the one-pass search to the loop it
+// replaced, by bits: the hoisted density to the density written in one
+// expression, the grid's CDF to TCDF at random points, and the critical
+// values for nu 1…40 at the confidence the kernel-rate benchmark uses.
+func TestTabulatedSearchMatchesLoop(t *testing.T) {
+	for nu := 1.0; nu <= 40; nu++ {
+		t.Run(fmt.Sprint("nu=", nu), func(t *testing.T) {
+			t.Parallel() // the loop integrates from 0 at every probe: ≈0.1 s a nu
+			r := rand.New(rand.NewSource(int64(nu)))
+			d, g := newTDensity(nu), newTGrid(nu)
+			for k := 0; k < 200; k++ {
+				x := 6 * r.Float64()
+				if got, want := d.at(x), tPDFLoop(x, nu); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("density(%v) = %v, the one expression %v", x, got, want)
+				}
+				if x == 0 || k%25 != 0 { // TCDF integrates from 0: a few points a nu
+					continue
+				}
+				if got, want := g.cdf(x), TCDF(x, nu); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("grid CDF(%v) = %v, TCDF %v", x, got, want)
+				}
+			}
+			got, err := tCriticalSearch(nu, 0.95)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tCriticalLoop(nu, 0.95); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("TCritical(%v, 0.95) = %.17g, the loop %.17g", nu, got, want)
+			}
+		})
 	}
 }
