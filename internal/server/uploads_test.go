@@ -234,10 +234,17 @@ func TestUploadTableHoldsNothing(t *testing.T) {
 // stores nothing), the machine and the reply in their caches, so it takes at
 // most a quarter of what the first upload took. Skipped under -race, whose
 // shadow allocations make the counts meaningless.
+//
+// The uploads run on one P, as testing.AllocsPerRun runs its function: the
+// body buffer comes back from a sync.Pool, whose private slot is seen only
+// from the P that filled it, so a goroutine moved to another P between two
+// uploads reads the 850 KB body into a new buffer and the count measures
+// the scheduler.
 func TestRepeatedUploadFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	body := string(uploadBody(128))
 	s := New(Config{})
 	var sizes [3]uint64
