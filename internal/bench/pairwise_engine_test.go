@@ -59,8 +59,8 @@ func sameBits(t *testing.T, name string, got, want *matrix.Dense) {
 // for bit, clocks, traffic counters and — on traced runs — every lane event
 // for event. The memo row is the machine a series hands the benchmark (a
 // noise-draw memo read through the ranks' windows), traced and under the
-// straggler plan. Fault-free rows run up to P = 64, rows under the plan up to
-// P = 24.
+// straggler plan. Fault-free rows run up to P = 64 (up to 24 under -race),
+// rows under the plan up to P = 24.
 func TestMeasurePairwiseEnginesAgree(t *testing.T) {
 	machines := []struct {
 		name string
@@ -88,12 +88,12 @@ func TestMeasurePairwiseEnginesAgree(t *testing.T) {
 			for _, ack := range []bool{true, false} {
 				for _, plan := range []*fault.Plan{nil, stragglerPlan()} {
 					// Untraced runs take the nil-lane branches; a few sizes of
-					// them suffice beside the traced table. Traced runs under
-					// the fault plan stop at P = 24: at P = 64 they were most
-					// of the package's time under -race, and every branch they
-					// take is taken at 24 already.
+					// them suffice beside the traced table. Traced runs stop at
+					// P = 24 under the fault plan, and under -race fault-free
+					// too: at P = 64 they were most of the package's time under
+					// -race, and every branch they take is taken at 24 already.
 					for _, traced := range []bool{true, false} {
-						if !traced && p != 3 && p != 24 || mc.memo && (!traced || plan == nil) || traced && plan != nil && p > 24 {
+						if !traced && p != 3 && p != 24 || mc.memo && (!traced || plan == nil) || traced && p > 24 && (plan != nil || raceEnabled) {
 							continue
 						}
 						name := fmt.Sprintf("p%d/%s/ack=%t/faults=%t/traced=%t", p, mc.name, ack, plan != nil, traced)

@@ -8,6 +8,13 @@ import (
 	"sort"
 )
 
+// planTag opens every plan's hashed bytes.
+const planTag = "hbsp/fault.Plan/v1"
+
+// noFaultsFingerprint is the fingerprint of a nil or empty plan: the SHA-256
+// of planTag alone, which every fault-free prediction's cache key carries.
+const noFaultsFingerprint = "ec4caa759fd8e4bbe8eb26f0c6ad145fdefa1e7031b4c983438ac7574903a27a"
+
 // Fingerprint returns a stable content hash of the plan. Rules are hashed in
 // a canonical sort order — slowdowns by (rank, start), link rules by (src,
 // dst, class, start), fail-stops by rank — so two plans describing the same
@@ -17,6 +24,9 @@ import (
 // (or nil) plan hashes to a fixed "no faults" value, and any rule change
 // changes the hash.
 func (p *Plan) Fingerprint() string {
+	if p.Empty() {
+		return noFaultsFingerprint
+	}
 	h := sha256.New()
 	var buf [8]byte
 	u64 := func(v uint64) {
@@ -25,10 +35,7 @@ func (p *Plan) Fingerprint() string {
 	}
 	f64 := func(v float64) { u64(math.Float64bits(v)) }
 
-	h.Write([]byte("hbsp/fault.Plan/v1"))
-	if p.Empty() {
-		return hex.EncodeToString(h.Sum(nil))
-	}
+	h.Write([]byte(planTag))
 	u64(uint64(p.Seed))
 
 	slow := append([]Slowdown(nil), p.Slowdowns...)

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -48,6 +50,21 @@ func TestPlanFingerprintStability(t *testing.T) {
 	}
 	if nilPlan.Fingerprint() == fp {
 		t.Fatal("empty plan collides with a populated plan")
+	}
+}
+
+// TestNoFaultsFingerprintIsTheHashedTag holds the precomputed fingerprint of
+// an empty plan to the hash it stands for, the SHA-256 of the plan tag alone,
+// and every spelling of an empty plan to it.
+func TestNoFaultsFingerprintIsTheHashedTag(t *testing.T) {
+	sum := sha256.Sum256([]byte(planTag))
+	if want := hex.EncodeToString(sum[:]); noFaultsFingerprint != want {
+		t.Fatalf("noFaultsFingerprint = %s, the hashed tag is %s", noFaultsFingerprint, want)
+	}
+	for _, p := range []*Plan{nil, {}, {Seed: 42}} {
+		if got := p.Fingerprint(); got != noFaultsFingerprint {
+			t.Errorf("%+v: fingerprint %s, want %s", p, got, noFaultsFingerprint)
+		}
 	}
 }
 

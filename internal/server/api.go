@@ -405,12 +405,13 @@ type apiErrorBody struct {
 	Message string `json:"message"`
 }
 
-// canonical workload key: every field that selects a distinct prediction.
-func (w *WorkloadSpec) cacheKey() string {
+// keyFields is the workload's part of the canonical point key after kind,
+// variant and bytes (resolver.pointKey): every other field that selects a
+// distinct prediction, the op-streams by a hash.
+func (w *WorkloadSpec) keyFields() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s/b%d/r%d/s%d/c%x/g%d/i%d",
-		w.Kind, w.Variant, w.Bytes, w.Root, w.Supersteps,
-		math.Float64bits(w.ComputeSeconds), w.Grid, w.Iterations)
+	fmt.Fprintf(&b, "/r%d/s%d/c%x/g%d/i%d",
+		w.Root, w.Supersteps, math.Float64bits(w.ComputeSeconds), w.Grid, w.Iterations)
 	if len(w.Ranks) > 0 {
 		h := sha256.New()
 		var buf [8]byte

@@ -26,7 +26,8 @@ import (
 // route code — only its cached schedules and the kinds' static descriptions,
 // which the library's own tests hold to the collectives and the real bodies.
 
-// prepare resolves a single-point request as evalPoint does, up to the cache.
+// prepare resolves a single-point request as resolver.eval does, up to the
+// cache.
 func prepare(s *Server, req *PredictRequest) (rp *resolvedProfile, w WorkloadSpec, pt point, seed int64, err error) {
 	if err = normalizeOptions(&req.Options); err != nil {
 		return
@@ -167,7 +168,7 @@ func sessionReply(s *Server, req *PredictRequest, rp *resolvedProfile, w *Worklo
 	if err != nil {
 		return replyOf(nil, err), nil
 	}
-	return replyOf(s.renderPoint(req, rp, w, pt, seed, res, rec)), rec
+	return replyOf(s.newResolver(req, []point{pt}, time.Time{}).render(rp, w, pt, res, rec)), rec
 }
 
 // spill is a recording as spill bytes: run metadata, summary and every lane,
@@ -185,7 +186,7 @@ func spill(t *testing.T, rec *trace.Recorder) []byte {
 	return buf.Bytes()
 }
 
-// admitted is evalPoint's admission for a point evaluated outside the
+// admitted is resolver.eval's admission for a point evaluated outside the
 // handler: no limiter.
 func admitted(context.Context) (func(), error) { return func() {}, nil }
 
@@ -315,7 +316,8 @@ func TestCrossRouteEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("request %s: %v", sent, err)
 						}
-						r, how, err := s.evalPoint(ctx, &req, pt, time.Time{}, admitted, nil)
+						rs := s.newResolver(&req, []point{pt}, time.Time{})
+						r, how, err := rs.eval(ctx, pt, admitted)
 						var body []byte
 						if err == nil {
 							body = r.body
@@ -347,7 +349,7 @@ func TestCrossRouteEquivalence(t *testing.T) {
 						}
 						// A traced point's recording, which evaluate keeps to
 						// itself: run the route's body once more for it.
-						_, rec, err := s.run(ctx, &req, rp, &w, pt, seed, time.Time{})
+						_, rec, err := rs.run(ctx, &machineAt{rp: rp}, &w, pt)
 						if err != nil {
 							t.Fatalf("request %s: %v", sent, err)
 						}

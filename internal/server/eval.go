@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"time"
 
 	"hbsp"
-	"hbsp/fault"
+	"hbsp/cluster"
 	"hbsp/internal/bsp"
 	"hbsp/internal/mpi"
 	"hbsp/internal/sched"
@@ -143,28 +145,174 @@ func normalizeOptions(o *OptionsSpec) error {
 	return nil
 }
 
-// pointKey is the canonical cache key of one point: everything a prediction
-// depends on. The profile enters through its content fingerprint (so two
-// spellings of the same machine share an entry), the fault plan through its
-// fingerprint, the workload through its normalized field key.
-func pointKey(profileFP string, plan *fault.Plan, w *WorkloadSpec, pt point, seed int64, o *OptionsSpec) string {
+// resolver is what one predict request resolves once for all of its points.
+// A point's machine, schedule and cache key are pure functions of the
+// request and of the fields a sweep varies — procs, bytes, scale — so the
+// resolver computes each the first time a point asks for it and hands it to
+// every later point that asks again: the resolved profile per (scale,
+// procs), the machine the points run on per resolved profile, the verified
+// schedule per (bytes, procs), the fault plan's fingerprint and the key's
+// fixed fields once. An error is not kept: a later point that asks again
+// fails again, in the same words. A single point is a request of one point.
+// The resolver belongs to the request's goroutine and is dropped with the
+// request; nothing a cache keeps points into it.
+type resolver struct {
+	s        *Server
+	req      *PredictRequest
+	seed     int64
+	deadline time.Time
+	draws    *sweepDraws // the sweep's noise-draw memo; nil for a single point
+
+	planFP string // the fault plan's fingerprint
+	// The point key's fixed fields (pointKey): the workload's after its
+	// bytes, set by the first point that normalizes, and those after procs.
+	keyFields, keyTail string
+
+	machines  map[profileAt]*machineAt
+	schedules map[scheduleAt]sched.Schedule
+	sorted    []float64 // the times summary's sort scratch
+}
+
+// profileAt and scheduleAt are the point fields a resolved profile and a
+// schedule depend on within one request.
+type (
+	profileAt struct {
+		scale ScaleSpec
+		procs int
+	}
+	scheduleAt struct{ bytes, procs int }
+)
+
+// machineAt is a resolved profile as the request's points run on it.
+type machineAt struct {
+	rp *resolvedProfile // the machine cache's entry
+	// Set by the first point that evaluates on rp (seedMachine): machine is
+	// rp's machine under the request's seed reading the sweep's draws,
+	// cluster the same as a profile machine (nil for an upload).
+	machine sim.Machine
+	cluster *cluster.Machine
+}
+
+// newResolver starts resolving a request whose points are pts; the points
+// evaluate before deadline (zero: no budget). A request of several points
+// keeps what its points resolve and reads its noise draws through one memo
+// (sweepDraws), whose counts close reports.
+func (s *Server) newResolver(req *PredictRequest, pts []point, deadline time.Time) *resolver {
+	r := &resolver{s: s, req: req, seed: 1, deadline: deadline, planFP: req.Faults.Fingerprint()}
+	if req.Seed != nil {
+		r.seed = *req.Seed
+	}
+	if len(pts) > 1 { // a single point asks for each thing once: nothing to keep
+		r.draws = &sweepDraws{}
+		for _, pt := range pts {
+			r.draws.ranks = max(r.draws.ranks, pt.procs)
+		}
+		r.machines = make(map[profileAt]*machineAt)
+		r.schedules = make(map[scheduleAt]sched.Schedule)
+	}
+	o := &req.Options
 	ack := true
 	if o.AckSends != nil {
 		ack = *o.AckSends
 	}
-	return fmt.Sprintf("point/%s/%s/%s/p%d/seed%d/ack%t/%s/%s/pr%t/tr%t/tv%s/tk%d",
-		profileFP, plan.Fingerprint(), w.cacheKey(), pt.procs, seed, ack,
-		o.Engine, o.Collapse, o.PerRank, o.Trace, o.TraceView, o.TraceTopK)
+	r.keyTail = fmt.Sprintf("/seed%d/ack%t/%s/%s/pr%t/tr%t/tv%s/tk%d",
+		r.seed, ack, o.Engine, o.Collapse, o.PerRank, o.Trace, o.TraceView, o.TraceTopK)
+	return r
 }
 
-// evalPoint evaluates one point to its rendered NDJSON line (JSON object plus
+// close ends the request: its sweep memo's counts reach /metrics.
+func (r *resolver) close() {
+	if r.draws != nil && r.draws.d != nil {
+		r.s.m.observeDraws(r.draws.d.Stats())
+	}
+}
+
+// machine returns the request's machine at the point's scale and procs,
+// resolving it (resolveProfile) the first time it is asked for.
+func (r *resolver) machine(scale ScaleSpec, procs int) (*machineAt, error) {
+	at := profileAt{scale, procs}
+	if m, ok := r.machines[at]; ok {
+		return m, nil
+	}
+	rp, err := r.s.resolveProfile(&r.req.Profile, scale, procs)
+	if err != nil {
+		return nil, err
+	}
+	m := &machineAt{rp: rp}
+	if r.machines != nil {
+		r.machines[at] = m
+	}
+	return m, nil
+}
+
+// seedMachine fills in m's seeded machines, once: the profile machine
+// carrying the run seed and reading its draws through the sweep's memo, if
+// any, or the uploaded machine as it is.
+func (r *resolver) seedMachine(m *machineAt) {
+	if m.machine != nil {
+		return
+	}
+	m.machine = m.rp.machine
+	if m.rp.cluster != nil {
+		m.cluster = m.rp.cluster.WithRunSeed(r.seed).WithTurnDraws(r.draws.of(&r.req.Options, m.rp, r.seed))
+		m.machine = m.cluster
+	}
+}
+
+// schedule returns the point's verified schedule from the server's schedule
+// cache (Server.schedule), once per (bytes, procs): the kind, variant and
+// root are the request's.
+func (r *resolver) schedule(w *WorkloadSpec, procs int) (sched.Schedule, error) {
+	at := scheduleAt{w.Bytes, procs}
+	if sch, ok := r.schedules[at]; ok {
+		return sch, nil
+	}
+	sch, err := r.s.schedule(w, procs)
+	if err != nil {
+		return nil, err
+	}
+	if r.schedules != nil {
+		r.schedules[at] = sch
+	}
+	return sch, nil
+}
+
+// pointKey is the canonical cache key of one point: everything a prediction
+// depends on. The profile enters through its content fingerprint (so two
+// spellings of the same machine share an entry), the fault plan through its
+// fingerprint, the workload through its normalized fields (w, which the
+// request fixes but for its bytes), then the point's procs and the request's
+// seed and options:
+//
+//	point/<profile>/<plan>/<kind>/<variant>/b<bytes>/<workload fields>/p<procs>/seed…/tk<topK>
+//
+// Only the profile fingerprint, the bytes and procs vary between a request's
+// points; the rest is appended from the pieces the request fixed.
+func (r *resolver) pointKey(profileFP string, w *WorkloadSpec, procs int) string {
+	if r.keyFields == "" {
+		r.keyFields = w.keyFields()
+	}
+	var buf [512]byte // a key without op-streams is ≈300 bytes
+	b := append(buf[:0], "point/"...)
+	b = append(b, profileFP...)
+	b = append(append(b, '/'), r.planFP...)
+	b = append(append(b, '/'), w.Kind...)
+	b = append(append(b, '/'), w.Variant...)
+	b = strconv.AppendInt(append(b, "/b"...), int64(w.Bytes), 10)
+	b = append(b, r.keyFields...)
+	b = strconv.AppendInt(append(b, "/p"...), int64(procs), 10)
+	b = append(b, r.keyTail...)
+	return string(b)
+}
+
+// eval evaluates one point to its rendered NDJSON line (JSON object plus
 // trailing newline), going through the result cache and the singleflight
 // group; the entry it returns is the one the cache holds, so a gzip encoding
 // made for any of its readers serves them all. admit is invoked before an
 // actual evaluation runs (the handler passes the limiter for single-point
 // requests and a no-op for sweeps, which are admitted once as a whole).
-// draws is a sweep's noise-draw memo, nil for a single point.
-func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, deadline time.Time, admit func(context.Context) (func(), error), draws *sweepDraws) (*rendered, string, error) {
+func (r *resolver) eval(ctx context.Context, pt point, admit func(context.Context) (func(), error)) (*rendered, string, error) {
+	s, req := r.s, r.req
 	w := req.Workload // copy: normalization and byte overrides are per-point
 	k := kindOf(w.Kind)
 	if pt.bytes != 0 {
@@ -177,38 +325,33 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 		return nil, "", err
 	}
 
-	rp, err := s.resolveProfile(&req.Profile, pt.scale, pt.procs)
+	m, err := r.machine(pt.scale, pt.procs)
 	if err != nil {
 		return nil, "", err
 	}
-
-	seed := int64(1)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	if rp.cluster == nil && req.Seed != nil {
+	if m.rp.cluster == nil && req.Seed != nil {
 		return nil, "", badRequestf("seed applies to profile-backed machines; uploaded matrices carry no noise model")
 	}
-	key := pointKey(rp.fingerprint, req.Faults, &w, pt, seed, &req.Options)
+	key := r.pointKey(m.rp.fingerprint, &w, pt.procs)
 	s.m.points.Add(1)
-	if r, ok := s.results.Get(key); ok {
+	if hit, ok := s.results.Get(key); ok {
 		s.m.cacheHits.Add(1)
-		return r.(*rendered), "hit", nil
+		return hit.(*rendered), "hit", nil
 	}
 	// What the machine cannot run is refused before the flight, in one
 	// wording for every route: a fault plan it cannot host (compiled as the
 	// run would compile it), then a static row on an upload.
-	if _, err := simnet.CompileFaults(req.Faults, rp.machine); err != nil {
+	if _, err := simnet.CompileFaults(req.Faults, m.rp.machine); err != nil {
 		return nil, "", fmt.Errorf("hbsp: %w", err)
 	}
-	if rp.cluster == nil && k.static != nil {
+	if m.rp.cluster == nil && k.static != nil {
 		return nil, "", fmt.Errorf("%w: the %s workload needs a kernel-rate model, which uploaded matrices do not carry", hbsp.ErrInvalidMachine, w.Kind)
 	}
 
-	r, shared, err := s.flights.Do(key, func() (*rendered, error) {
+	res, shared, err := s.flights.Do(key, func() (*rendered, error) {
 		// A flight that ended since the miss above left its result behind.
-		if r, ok := s.results.Get(key); ok {
-			return r.(*rendered), nil
+		if hit, ok := s.results.Get(key); ok {
+			return hit.(*rendered), nil
 		}
 		release, err := admit(ctx)
 		if err != nil {
@@ -216,14 +359,14 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 		}
 		defer release()
 		start := time.Now()
-		body, err := s.evaluate(ctx, req, draws.of(&req.Options, rp, seed), &w, pt, seed, deadline)
+		body, err := r.evaluate(ctx, m, &w, pt)
 		if err != nil {
 			return nil, err
 		}
 		s.m.observeEval(time.Since(start).Nanoseconds())
-		r := &rendered{body: body}
-		s.results.Put(key, r)
-		return r, nil
+		res := &rendered{body: body}
+		s.results.Put(key, res)
+		return res, nil
 	})
 	if err != nil {
 		return nil, "", err
@@ -235,7 +378,7 @@ func (s *Server) evalPoint(ctx context.Context, req *PredictRequest, pt point, d
 	} else {
 		s.m.cacheMisses.Add(1)
 	}
-	return r, how, nil
+	return res, how, nil
 }
 
 // route names the body a cache-missed point is evaluated on; /metrics counts
@@ -278,13 +421,13 @@ func routeOf(o *OptionsSpec, k *kind) route {
 // it must cost one request and nothing else: it is returned as an error the
 // handler classifies as internal (500), where net/http's own recover would
 // drop the connection (or, mid-sweep, the lines already streamed).
-func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (body []byte, err error) {
+func (r *resolver) evaluate(ctx context.Context, m *machineAt, w *WorkloadSpec, pt point) (body []byte, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			body, err = nil, fmt.Errorf("server: evaluation panicked: %v", r)
+		if p := recover(); p != nil {
+			body, err = nil, fmt.Errorf("server: evaluation panicked: %v", p)
 		}
 	}()
-	res, rec, err := s.run(ctx, req, rp, w, pt, seed, deadline)
+	res, rec, err := r.run(ctx, m, w, pt)
 	if err != nil {
 		return nil, err
 	}
@@ -298,10 +441,10 @@ func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolved
 	if math.IsInf(sum, 0) || math.IsNaN(sum) {
 		return nil, badRequestf("%s at P=%d: virtual time overflows float64 (makespan %g); use smaller operands", w.Kind, pt.procs, res.MakeSpan)
 	}
-	if body, err = s.renderPoint(req, rp, w, pt, seed, res, rec); err != nil {
+	if body, err = r.render(m.rp, w, pt, res, rec); err != nil {
 		return nil, err
 	}
-	s.m.routes[routeOf(&req.Options, kindOf(w.Kind))].Add(1)
+	r.s.m.routes[routeOf(&r.req.Options, kindOf(w.Kind))].Add(1)
 	return body, nil
 }
 
@@ -309,8 +452,9 @@ func (s *Server) evaluate(ctx context.Context, req *PredictRequest, rp *resolved
 // returns the run result and, for a traced point, the recorder holding its
 // trace. The shape's input is built first — a schedule is verified before
 // the budget left is read, so verification counts against it — then the one
-// set of run options (runOptions), which every body reads.
-func (s *Server) run(ctx context.Context, req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, deadline time.Time) (*sim.Result, *trace.Recorder, error) {
+// set of run options (runOptions), which every body reads. The points run on
+// m's seeded machines (seedMachine).
+func (r *resolver) run(ctx context.Context, m *machineAt, w *WorkloadSpec, pt point) (*sim.Result, *trace.Recorder, error) {
 	k := kindOf(w.Kind)
 	var (
 		sch  sched.Schedule
@@ -320,32 +464,33 @@ func (s *Server) run(ctx context.Context, req *PredictRequest, rp *resolvedProfi
 	)
 	switch {
 	case k.comm != nil:
-		sch, err = s.schedule(w, pt.procs)
+		sch, err = r.schedule(w, pt.procs)
 	case k.static != nil:
-		if sync, err = s.synchronizer(k, w, pt.procs); err == nil {
+		if sync, err = r.synchronizer(k, w, pt.procs); err == nil {
 			sp, err = k.static(w, pt.procs)
 		}
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	o, err := runOptions(req, w, pt, deadline)
+	o, err := runOptions(r.req, w, pt, r.deadline)
 	if err != nil {
 		return nil, nil, err
 	}
+	r.seedMachine(m)
 	concurrent := o.Engine == sim.EngineConcurrent
 	var res *sim.Result
 	switch {
 	case k.comm != nil && concurrent:
-		res, err = mpi.RunContext(ctx, rp.seeded(seed), func(c *mpi.Comm) error { return k.comm(c, sch, w.Root) }, o)
+		res, err = mpi.RunContext(ctx, m.machine, func(c *mpi.Comm) error { return k.comm(c, sch, w.Root) }, o)
 	case k.comm != nil:
-		res, err = runSwept(ctx, rp.seeded(seed), sch, o)
+		res, err = runSwept(ctx, m.machine, sch, o)
 	case k.static != nil && concurrent:
-		res, err = bsp.RunContext(ctx, rp.seededCluster(seed), bsp.RunConfig{Sync: sync, Options: &o}, sp.Program())
+		res, err = bsp.RunContext(ctx, m.cluster, bsp.RunConfig{Sync: sync, Options: &o}, sp.Program())
 	case k.static != nil:
-		res, err = bsp.RunStatic(ctx, rp.seededCluster(seed), sync, sp, o)
+		res, err = bsp.RunStatic(ctx, m.cluster, sync, sp, o)
 	default:
-		res, err = sched.RunProgram(ctx, rp.seeded(seed), buildProgram(w.Ranks), o)
+		res, err = sched.RunProgram(ctx, m.machine, buildProgram(w.Ranks), o)
 	}
 	return res, o.Recorder, err
 }
@@ -421,20 +566,19 @@ func runOptions(req *PredictRequest, w *WorkloadSpec, pt point, deadline time.Ti
 	return o, nil
 }
 
-// renderPoint renders an evaluated point to its NDJSON line (JSON object
+// render renders an evaluated point on rp to its NDJSON line (JSON object
 // plus trailing newline), the shared tail of every route.
-func (s *Server) renderPoint(req *PredictRequest, rp *resolvedProfile, w *WorkloadSpec, pt point, seed int64, res *sim.Result, rec *trace.Recorder) ([]byte, error) {
+func (r *resolver) render(rp *resolvedProfile, w *WorkloadSpec, pt point, res *sim.Result, rec *trace.Recorder) ([]byte, error) {
+	req := r.req
 	p := &PredictPoint{
 		Workload:           w.Kind,
 		Variant:            w.Variant,
 		Procs:              pt.procs,
 		Bytes:              w.Bytes,
-		Seed:               seed,
+		Seed:               r.seed,
 		Engine:             req.Options.Engine,
 		ProfileFingerprint: rp.fingerprint,
-		FaultFingerprint:   faultFP(req.Faults),
 		MakeSpan:           res.MakeSpan,
-		Times:              summarizeTimes(res.Times),
 		Messages:           res.Messages,
 		BytesMoved:         res.Bytes,
 		Collapse: CollapseInfo{
@@ -443,6 +587,12 @@ func (s *Server) renderPoint(req *PredictRequest, rp *resolvedProfile, w *Worklo
 			Reason:  res.Collapse.Reason,
 		},
 	}
+	// The fingerprint is rendered for non-empty plans only, so the field
+	// stays absent from fault-free responses.
+	if !req.Faults.Empty() {
+		p.FaultFingerprint = r.planFP
+	}
+	p.Times, r.sorted = summarizeTimes(res.Times, r.sorted)
 	if kindOf(w.Kind).fields&fieldGrid != 0 {
 		p.PerIteration = res.MakeSpan / float64(w.Iterations)
 	}
@@ -475,22 +625,15 @@ func (s *Server) renderPoint(req *PredictRequest, rp *resolvedProfile, w *Worklo
 	return append(body, '\n'), nil
 }
 
-// faultFP returns the plan fingerprint for non-empty plans only, so the
-// field stays absent from fault-free responses.
-func faultFP(p *fault.Plan) string {
-	if p.Empty() {
-		return ""
-	}
-	return p.Fingerprint()
-}
-
 // summarizeTimes computes the deterministic order statistics of the per-rank
-// times (nearest-rank quantiles over the sorted copy).
-func summarizeTimes(times []float64) TimesSummary {
+// times (nearest-rank quantiles over the sorted copy). The copy is sorted in
+// scratch's storage, which it returns for the next point to reuse.
+func summarizeTimes(times, scratch []float64) (TimesSummary, []float64) {
 	if len(times) == 0 {
-		return TimesSummary{}
+		return TimesSummary{}, scratch
 	}
-	sorted := sim.SortedCopy(times)
+	sorted := append(scratch[:0], times...)
+	slices.Sort(sorted)
 	sum := 0.0
 	for _, t := range sorted {
 		sum += t
@@ -508,7 +651,7 @@ func summarizeTimes(times []float64) TimesSummary {
 		P50:  q(0.50),
 		P95:  q(0.95),
 		Max:  sorted[len(sorted)-1],
-	}
+	}, sorted
 }
 
 // renderPath converts a trace's critical path to the wire shape.

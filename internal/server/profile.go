@@ -29,26 +29,11 @@ type resolvedProfile struct {
 	// need a kernel-rate model and the run seed (an upload has no noise
 	// stream to seed).
 	cluster *cluster.Machine
-	// draws is a sweep request's noise-draw memo. Only the copy of a cached
-	// entry that one of the request's points evaluates on carries it
-	// (sweepDraws.of); the cached entry never does.
-	draws *platform.TurnDraws
 }
 
-// seeded returns the machine a run with the given seed evaluates on: the
-// profile machine seededCluster returns, or the uploaded machine as it is.
-func (rp *resolvedProfile) seeded(seed int64) sim.Machine {
-	if rp.cluster == nil {
-		return rp.machine
-	}
-	return rp.seededCluster(seed)
-}
-
-// seededCluster returns the profile machine carrying the run seed and reading
-// its draws through the sweep's memo, if any. rp must be profile-backed.
-func (rp *resolvedProfile) seededCluster(seed int64) *cluster.Machine {
-	return rp.cluster.WithRunSeed(seed).WithTurnDraws(rp.draws)
-}
+// fingerprint returns the content fingerprint of a profile or an uploaded
+// machine. It is a variable so that a test can count fingerprints.
+var fingerprint = func(m interface{ Fingerprint() string }) string { return m.Fingerprint() }
 
 // sweepDrawBound is the most draws one sweep request's memo stores: 8 MiB,
 // so the four sweeps the limiter admits at once by default hold 32 MiB.
@@ -68,30 +53,30 @@ var newSweepDraws = func(seed int64, ranks int) *platform.TurnDraws {
 // the cache, on a noise-free or uploaded machine, or under engine
 // "concurrent" (whose rank goroutines cannot take turns) makes none — is
 // read through by that point and every later one, and is dropped with the
-// request; its counts reach /metrics once, when the request ends. The
-// request's goroutine alone calls of, its points running one at a time: they
-// take turns (platform.TurnDraws).
+// request (its resolver); its counts reach /metrics once, when the request
+// ends. The request's goroutine alone calls of, its points running one at a
+// time: they take turns (platform.TurnDraws).
 type sweepDraws struct {
 	ranks int // the sweep's largest procs
 	d     *platform.TurnDraws
 }
 
-// of returns rp as a point under options o and seed evaluates on: rp itself,
-// or a copy carrying the request's memo.
-func (sd *sweepDraws) of(o *OptionsSpec, rp *resolvedProfile, seed int64) *resolvedProfile {
+// of returns the memo a point under options o and seed reads rp's draws
+// through: the request's, made at the first call that needs it, or nil.
+func (sd *sweepDraws) of(o *OptionsSpec, rp *resolvedProfile, seed int64) *platform.TurnDraws {
 	if sd == nil || rp.cluster == nil || rp.cluster.Profile().NoiseRel <= 0 || o.Engine == "concurrent" {
-		return rp
+		return nil
 	}
 	if sd.d == nil {
 		sd.d = newSweepDraws(seed, sd.ranks)
 	}
-	c := *rp
-	c.draws = sd.d
-	return &c
+	return sd.d
 }
 
 // resolveProfile builds (or fetches) the machine for one point. scale is the
-// point's LogGP scaling (identity allowed); procs the point's rank count.
+// point's LogGP scaling (identity allowed); procs the point's rank count. A
+// request's points ask through their resolver, which asks here once per
+// (scale, procs).
 func (s *Server) resolveProfile(spec *ProfileSpec, scale ScaleSpec, procs int) (*resolvedProfile, error) {
 	set := 0
 	if spec.Preset != "" {
@@ -124,7 +109,7 @@ func (s *Server) resolveProfile(spec *ProfileSpec, scale ScaleSpec, procs int) (
 	if !scale.identity() {
 		prof = scaleProfile(prof, scale.normalized())
 	}
-	fp := prof.Fingerprint()
+	fp := fingerprint(prof)
 	key := fmt.Sprintf("machine/%s/p%d", fp, procs)
 	if cached, ok := s.machines.Get(key); ok {
 		return cached.(*resolvedProfile), nil
@@ -384,7 +369,7 @@ func (s *Server) resolveMatrices(spec *MatrixProfile, procs int) (*resolvedProfi
 
 	m := &matrixMachine{p: p, lat: lat.cells.v, gap: gap, beta: beta, ovh: ovh, selfOverhead: spec.SelfOverhead, nic: nic,
 		cells: [...]*matrixCells{lat.cells, spec.Gap.cells, spec.Beta.cells, spec.Overhead.cells}}
-	fp := m.fingerprint()
+	fp := fingerprint(m)
 	key := fmt.Sprintf("machine/%s/p%d", fp, procs)
 	if cached, ok := s.machines.Get(key); ok {
 		return cached.(*resolvedProfile), nil
@@ -394,12 +379,12 @@ func (s *Server) resolveMatrices(spec *MatrixProfile, procs int) (*resolvedProfi
 	return rp, nil
 }
 
-// fingerprint hashes an uploaded machine the same way profile fingerprints
+// Fingerprint hashes an uploaded machine the same way profile fingerprints
 // work: a SHA-256 over a canonical byte serialization — a version tag, P, the
 // four matrices' float bits row by row, selfOverhead, the nic map, every
 // number as eight little-endian bytes. The bytes reach the hash in blocks,
 // not one Write per number.
-func (m *matrixMachine) fingerprint() string {
+func (m *matrixMachine) Fingerprint() string {
 	h := sha256.New()
 	var blk [32 << 10]byte
 	n := 0

@@ -149,7 +149,7 @@ func TestUploadsDoNotAliasTheBody(t *testing.T) {
 		t.Fatalf("the first upload's machine is not cached")
 	}
 	m := cached.(*resolvedProfile).machine.(*matrixMachine)
-	if got := m.fingerprint(); got != first {
+	if got := m.Fingerprint(); got != first {
 		t.Errorf("the cached machine now hashes to %s, was uploaded as %s", got, first)
 	}
 	if lat, _, _, _, ret, _ := m.Pair(2, 5); lat != float64(1000+2*p+5)*1e-9 || ret != float64(1000+5*p+2)*1e-9 {

@@ -249,11 +249,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// outcome so shared caches key on the request encoding.
 	w.Header().Set("Vary", "Accept-Encoding")
 	zip := acceptsGzip(r)
+	rs := s.newResolver(&req, pts, deadline)
+	defer rs.close()
 	if req.Sweep == nil {
-		s.servePoint(w, ctx, &req, pts[0], deadline, zip)
+		s.servePoint(w, ctx, rs, pts[0], zip)
 		return
 	}
-	s.serveSweep(w, ctx, &req, pts, deadline, zip)
+	s.serveSweep(w, ctx, rs, pts, zip)
 }
 
 // gzipMinBytes is the payload size below which single-point responses skip
@@ -368,13 +370,13 @@ func (g *gzipResponse) Close() error {
 
 // servePoint answers a single-point request with one JSON object. Cache hits
 // bypass the limiter entirely — the hot path of repeated queries.
-func (s *Server) servePoint(w http.ResponseWriter, ctx context.Context, req *PredictRequest, pt point, deadline time.Time, zip bool) {
-	r, how, err := s.evalPoint(ctx, req, pt, deadline, func(ctx context.Context) (func(), error) {
+func (s *Server) servePoint(w http.ResponseWriter, ctx context.Context, rs *resolver, pt point, zip bool) {
+	r, how, err := rs.eval(ctx, pt, func(ctx context.Context) (func(), error) {
 		if err := s.limit.acquire(ctx); err != nil {
 			return nil, err
 		}
 		return s.limit.release, nil
-	}, nil)
+	})
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -469,11 +471,12 @@ func (l *lineStream) close(m *metrics) {
 // row-major axis order. The whole sweep is admitted as one unit of load, and
 // its points are evaluated in that order on the request's goroutine; the
 // first line is flushed as soon as its point is done and every later one at
-// most sweepFlushAfter after it is written (lineStream). A sweep of several
-// points reads its noise draws through one memo (sweepDraws). A point error
-// ends the stream with a final error line carrying the documented error
-// shape; no point after it is evaluated.
-func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *PredictRequest, pts []point, deadline time.Time, zip bool) {
+// most sweepFlushAfter after it is written (lineStream). The points share
+// what their request resolves once (resolver), a sweep of several points its
+// noise-draw memo (sweepDraws) too. A point error ends the stream with a
+// final error line carrying the documented error shape; no point after it is
+// evaluated.
+func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, rs *resolver, pts []point, zip bool) {
 	if err := s.limit.acquire(ctx); err != nil {
 		s.fail(w, err)
 		return
@@ -495,20 +498,8 @@ func (s *Server) serveSweep(w http.ResponseWriter, ctx context.Context, req *Pre
 	stream := &lineStream{out: out, flush: flush}
 	defer stream.close(s.m) // before gw.Close: no flush after the trailer
 	admitted := func(context.Context) (func(), error) { return func() {}, nil }
-	var draws *sweepDraws
-	if len(pts) > 1 {
-		draws = &sweepDraws{}
-		for _, pt := range pts {
-			draws.ranks = max(draws.ranks, pt.procs)
-		}
-		defer func() {
-			if draws.d != nil {
-				s.m.observeDraws(draws.d.Stats())
-			}
-		}()
-	}
 	for _, pt := range pts {
-		r, _, err := s.evalPoint(ctx, req, pt, deadline, admitted, draws)
+		r, _, err := rs.eval(ctx, pt, admitted)
 		if err != nil {
 			// A stream answers 200 whatever its points do; the error rides
 			// as the final line.

@@ -124,18 +124,19 @@ func TestSweptMatchesSession(t *testing.T) {
 				if err != nil {
 					t.Fatalf("session evaluation: %v", err)
 				}
-				want, err := s.renderPoint(&req, rp, &w, pt, seed, sres, rec)
+				rs := s.newResolver(&req, []point{pt}, time.Time{})
+				want, err := rs.render(rp, &w, pt, sres, rec)
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				// Both swept evaluations must render to the session bytes.
 				for _, pass := range []string{"first", "second"} {
-					res, _, err := s.run(ctx, &req, rp, &w, pt, seed, time.Time{})
+					res, _, err := rs.run(ctx, &machineAt{rp: rp}, &w, pt)
 					if err != nil {
 						t.Fatalf("%s swept evaluation: %v", pass, err)
 					}
-					got, err := s.renderPoint(&req, rp, &w, pt, seed, res, nil)
+					got, err := rs.render(rp, &w, pt, res, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -196,7 +197,8 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: session evaluation: %v", name, err)
 				}
-				want, err := s.renderPoint(&req, rp, &w, pt, 1, sres, rec)
+				rs := s.newResolver(&req, []point{pt}, time.Time{})
+				want, err := rs.render(rp, &w, pt, sres, rec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,15 +208,15 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, _, err := s.run(ctx, &req, orp, &w, pt, 1, time.Time{}); err != nil {
+						if _, _, err := rs.run(ctx, &machineAt{rp: orp}, &w, pt); err != nil {
 							t.Fatal(err)
 						}
 					}
-					res, _, err := s.run(ctx, &req, rp, &w, pt, 1, time.Time{})
+					res, _, err := rs.run(ctx, &machineAt{rp: rp}, &w, pt)
 					if err != nil {
 						t.Fatalf("%s: %s swept evaluation: %v", name, pass, err)
 					}
-					got, err := s.renderPoint(&req, rp, &w, pt, 1, res, nil)
+					got, err := rs.render(rp, &w, pt, res, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -91,7 +91,8 @@ func TestKindTableIsTotal(t *testing.T) {
 				if err := normalizeOptions(&req.Options); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := s.evalPoint(context.Background(), &req, point{procs: p}, time.Time{}, admitted, nil); err != nil {
+				pt := point{procs: p}
+				if _, _, err := s.newResolver(&req, []point{pt}, time.Time{}).eval(context.Background(), pt, admitted); err != nil {
 					t.Errorf("%s:%s on engine %s: %v", k.name, v.name, engine, err)
 					continue
 				}
