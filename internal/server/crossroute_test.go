@@ -349,7 +349,7 @@ func TestCrossRouteEquivalence(t *testing.T) {
 						}
 						// A traced point's recording, which evaluate keeps to
 						// itself: run the route's body once more for it.
-						_, rec, err := rs.run(ctx, &machineAt{rp: rp}, &w, pt)
+						_, rec, err := rs.run(ctx, rp, &w, pt)
 						if err != nil {
 							t.Fatalf("request %s: %v", sent, err)
 						}

@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"time"
 
 	"hbsp"
-	"hbsp/cluster"
 	"hbsp/internal/bsp"
 	"hbsp/internal/mpi"
 	"hbsp/internal/sched"
@@ -146,14 +144,22 @@ func normalizeOptions(o *OptionsSpec) error {
 }
 
 // resolver is what one predict request resolves once for all of its points.
-// A point's machine, schedule and cache key are pure functions of the
-// request and of the fields a sweep varies — procs, bytes, scale — so the
-// resolver computes each the first time a point asks for it and hands it to
-// every later point that asks again: the resolved profile per (scale,
-// procs), the machine the points run on per resolved profile, the verified
-// schedule per (bytes, procs), the fault plan's fingerprint and the key's
-// fixed fields once. An error is not kept: a later point that asks again
-// fails again, in the same words. A single point is a request of one point.
+// A point's machine and cache key are pure functions of the request and of
+// the fields a sweep varies — procs, bytes, scale — so the resolver resolves
+// a machine the first time a point asks for its (scale, procs) and hands
+// every later point that asks again what a cache hit needs of it: the
+// fingerprint and whether it is an upload. The fault plan's fingerprint and
+// the key's fixed fields are computed once. An error is not kept: a later
+// point that asks again fails again, in the same words. A single point is a
+// request of one point.
+//
+// The machines themselves — an O(P) placement, or an upload's four P×P
+// matrices — stay in the machine cache, whose bound is what keeps them
+// live: the resolver holds the one its latest point resolved or ran on
+// (cur), and a point that misses the result cache on another fetches its
+// machine from the machine cache by key, or resolves it again if the cache
+// has let it go. What it keeps per (scale, procs) is a fingerprint, under
+// 200 bytes, so a sweep of maxSweepPoints distinct scales keeps under a MB.
 // The resolver belongs to the request's goroutine and is dropped with the
 // request; nothing a cache keeps points into it.
 type resolver struct {
@@ -168,29 +174,23 @@ type resolver struct {
 	// bytes, set by the first point that normalizes, and those after procs.
 	keyFields, keyTail string
 
-	machines  map[profileAt]*machineAt
-	schedules map[scheduleAt]sched.Schedule
-	sorted    []float64 // the times summary's sort scratch
+	machines map[profileAt]machineRef // nil for a single point
+	cur      *resolvedProfile         // the machine at curAt
+	curAt    profileAt
 }
 
-// profileAt and scheduleAt are the point fields a resolved profile and a
-// schedule depend on within one request.
-type (
-	profileAt struct {
-		scale ScaleSpec
-		procs int
-	}
-	scheduleAt struct{ bytes, procs int }
-)
+// profileAt is the point fields a resolved profile depends on within one
+// request.
+type profileAt struct {
+	scale ScaleSpec
+	procs int
+}
 
-// machineAt is a resolved profile as the request's points run on it.
-type machineAt struct {
-	rp *resolvedProfile // the machine cache's entry
-	// Set by the first point that evaluates on rp (seedMachine): machine is
-	// rp's machine under the request's seed reading the sweep's draws,
-	// cluster the same as a profile machine (nil for an upload).
-	machine sim.Machine
-	cluster *cluster.Machine
+// machineRef is what a point answered from the result cache needs of its
+// machine.
+type machineRef struct {
+	fingerprint string
+	upload      bool // matrices: no noise model to seed
 }
 
 // newResolver starts resolving a request whose points are pts; the points
@@ -202,13 +202,12 @@ func (s *Server) newResolver(req *PredictRequest, pts []point, deadline time.Tim
 	if req.Seed != nil {
 		r.seed = *req.Seed
 	}
-	if len(pts) > 1 { // a single point asks for each thing once: nothing to keep
+	if len(pts) > 1 { // a single point asks for its machine once: nothing to keep
 		r.draws = &sweepDraws{}
 		for _, pt := range pts {
 			r.draws.ranks = max(r.draws.ranks, pt.procs)
 		}
-		r.machines = make(map[profileAt]*machineAt)
-		r.schedules = make(map[scheduleAt]sched.Schedule)
+		r.machines = make(map[profileAt]machineRef)
 	}
 	o := &req.Options
 	ack := true
@@ -227,54 +226,46 @@ func (r *resolver) close() {
 	}
 }
 
-// machine returns the request's machine at the point's scale and procs,
-// resolving it (resolveProfile) the first time it is asked for.
-func (r *resolver) machine(scale ScaleSpec, procs int) (*machineAt, error) {
+// machine returns what a point at scale and procs needs of its machine to be
+// looked up, resolving the machine (resolveProfile) the first time it is
+// asked for; that machine becomes cur.
+func (r *resolver) machine(scale ScaleSpec, procs int) (machineRef, error) {
 	at := profileAt{scale, procs}
-	if m, ok := r.machines[at]; ok {
-		return m, nil
+	if ref, ok := r.machines[at]; ok {
+		return ref, nil
 	}
 	rp, err := r.s.resolveProfile(&r.req.Profile, scale, procs)
 	if err != nil {
-		return nil, err
+		return machineRef{}, err
 	}
-	m := &machineAt{rp: rp}
+	r.cur, r.curAt = rp, at
+	ref := machineRef{fingerprint: rp.fingerprint, upload: rp.cluster == nil}
 	if r.machines != nil {
-		r.machines[at] = m
+		r.machines[at] = ref
 	}
-	return m, nil
+	return ref, nil
 }
 
-// seedMachine fills in m's seeded machines, once: the profile machine
-// carrying the run seed and reading its draws through the sweep's memo, if
-// any, or the uploaded machine as it is.
-func (r *resolver) seedMachine(m *machineAt) {
-	if m.machine != nil {
-		return
+// resolved returns the machine a point at scale and procs runs on, ref
+// being what machine returned for it: cur, if that is the one, or else the
+// machine cache's entry under ref's fingerprint, or the machine resolved
+// again; it becomes cur.
+func (r *resolver) resolved(scale ScaleSpec, procs int, ref machineRef) (*resolvedProfile, error) {
+	at := profileAt{scale, procs}
+	if r.cur != nil && r.curAt == at {
+		return r.cur, nil
 	}
-	m.machine = m.rp.machine
-	if m.rp.cluster != nil {
-		m.cluster = m.rp.cluster.WithRunSeed(r.seed).WithTurnDraws(r.draws.of(&r.req.Options, m.rp, r.seed))
-		m.machine = m.cluster
+	var rp *resolvedProfile
+	if cached, ok := r.s.machines.Get(machineKey(ref.fingerprint, procs)); ok {
+		rp = cached.(*resolvedProfile)
+	} else {
+		var err error
+		if rp, err = r.s.resolveProfile(&r.req.Profile, scale, procs); err != nil {
+			return nil, err
+		}
 	}
-}
-
-// schedule returns the point's verified schedule from the server's schedule
-// cache (Server.schedule), once per (bytes, procs): the kind, variant and
-// root are the request's.
-func (r *resolver) schedule(w *WorkloadSpec, procs int) (sched.Schedule, error) {
-	at := scheduleAt{w.Bytes, procs}
-	if sch, ok := r.schedules[at]; ok {
-		return sch, nil
-	}
-	sch, err := r.s.schedule(w, procs)
-	if err != nil {
-		return nil, err
-	}
-	if r.schedules != nil {
-		r.schedules[at] = sch
-	}
-	return sch, nil
+	r.cur, r.curAt = rp, at
+	return rp, nil
 }
 
 // pointKey is the canonical cache key of one point: everything a prediction
@@ -325,26 +316,30 @@ func (r *resolver) eval(ctx context.Context, pt point, admit func(context.Contex
 		return nil, "", err
 	}
 
-	m, err := r.machine(pt.scale, pt.procs)
+	ref, err := r.machine(pt.scale, pt.procs)
 	if err != nil {
 		return nil, "", err
 	}
-	if m.rp.cluster == nil && req.Seed != nil {
+	if ref.upload && req.Seed != nil {
 		return nil, "", badRequestf("seed applies to profile-backed machines; uploaded matrices carry no noise model")
 	}
-	key := r.pointKey(m.rp.fingerprint, &w, pt.procs)
+	key := r.pointKey(ref.fingerprint, &w, pt.procs)
 	s.m.points.Add(1)
 	if hit, ok := s.results.Get(key); ok {
 		s.m.cacheHits.Add(1)
 		return hit.(*rendered), "hit", nil
 	}
+	rp, err := r.resolved(pt.scale, pt.procs, ref)
+	if err != nil {
+		return nil, "", err
+	}
 	// What the machine cannot run is refused before the flight, in one
 	// wording for every route: a fault plan it cannot host (compiled as the
 	// run would compile it), then a static row on an upload.
-	if _, err := simnet.CompileFaults(req.Faults, m.rp.machine); err != nil {
+	if _, err := simnet.CompileFaults(req.Faults, rp.machine); err != nil {
 		return nil, "", fmt.Errorf("hbsp: %w", err)
 	}
-	if m.rp.cluster == nil && k.static != nil {
+	if rp.cluster == nil && k.static != nil {
 		return nil, "", fmt.Errorf("%w: the %s workload needs a kernel-rate model, which uploaded matrices do not carry", hbsp.ErrInvalidMachine, w.Kind)
 	}
 
@@ -359,7 +354,7 @@ func (r *resolver) eval(ctx context.Context, pt point, admit func(context.Contex
 		}
 		defer release()
 		start := time.Now()
-		body, err := r.evaluate(ctx, m, &w, pt)
+		body, err := r.evaluate(ctx, rp, &w, pt)
 		if err != nil {
 			return nil, err
 		}
@@ -421,13 +416,13 @@ func routeOf(o *OptionsSpec, k *kind) route {
 // it must cost one request and nothing else: it is returned as an error the
 // handler classifies as internal (500), where net/http's own recover would
 // drop the connection (or, mid-sweep, the lines already streamed).
-func (r *resolver) evaluate(ctx context.Context, m *machineAt, w *WorkloadSpec, pt point) (body []byte, err error) {
+func (r *resolver) evaluate(ctx context.Context, rp *resolvedProfile, w *WorkloadSpec, pt point) (body []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			body, err = nil, fmt.Errorf("server: evaluation panicked: %v", p)
 		}
 	}()
-	res, rec, err := r.run(ctx, m, w, pt)
+	res, rec, err := r.run(ctx, rp, w, pt)
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +436,7 @@ func (r *resolver) evaluate(ctx context.Context, m *machineAt, w *WorkloadSpec, 
 	if math.IsInf(sum, 0) || math.IsNaN(sum) {
 		return nil, badRequestf("%s at P=%d: virtual time overflows float64 (makespan %g); use smaller operands", w.Kind, pt.procs, res.MakeSpan)
 	}
-	if body, err = r.render(m.rp, w, pt, res, rec); err != nil {
+	if body, err = r.render(rp, w, pt, res, rec); err != nil {
 		return nil, err
 	}
 	r.s.m.routes[routeOf(&r.req.Options, kindOf(w.Kind))].Add(1)
@@ -452,9 +447,8 @@ func (r *resolver) evaluate(ctx context.Context, m *machineAt, w *WorkloadSpec, 
 // returns the run result and, for a traced point, the recorder holding its
 // trace. The shape's input is built first — a schedule is verified before
 // the budget left is read, so verification counts against it — then the one
-// set of run options (runOptions), which every body reads. The points run on
-// m's seeded machines (seedMachine).
-func (r *resolver) run(ctx context.Context, m *machineAt, w *WorkloadSpec, pt point) (*sim.Result, *trace.Recorder, error) {
+// set of run options (runOptions), which every body reads.
+func (r *resolver) run(ctx context.Context, rp *resolvedProfile, w *WorkloadSpec, pt point) (*sim.Result, *trace.Recorder, error) {
 	k := kindOf(w.Kind)
 	var (
 		sch  sched.Schedule
@@ -464,9 +458,9 @@ func (r *resolver) run(ctx context.Context, m *machineAt, w *WorkloadSpec, pt po
 	)
 	switch {
 	case k.comm != nil:
-		sch, err = r.schedule(w, pt.procs)
+		sch, err = r.s.schedule(w, pt.procs)
 	case k.static != nil:
-		if sync, err = r.synchronizer(k, w, pt.procs); err == nil {
+		if sync, err = r.s.synchronizer(k, w, pt.procs); err == nil {
 			sp, err = k.static(w, pt.procs)
 		}
 	}
@@ -477,20 +471,26 @@ func (r *resolver) run(ctx context.Context, m *machineAt, w *WorkloadSpec, pt po
 	if err != nil {
 		return nil, nil, err
 	}
-	r.seedMachine(m)
+	// A profile machine runs carrying the request's seed and reading its
+	// draws through the sweep's memo, if any; an upload runs as it is.
+	m, c := rp.machine, rp.cluster
+	if c != nil {
+		c = c.WithRunSeed(r.seed).WithTurnDraws(r.draws.of(&r.req.Options, rp, r.seed))
+		m = c
+	}
 	concurrent := o.Engine == sim.EngineConcurrent
 	var res *sim.Result
 	switch {
 	case k.comm != nil && concurrent:
-		res, err = mpi.RunContext(ctx, m.machine, func(c *mpi.Comm) error { return k.comm(c, sch, w.Root) }, o)
+		res, err = mpi.RunContext(ctx, m, func(c *mpi.Comm) error { return k.comm(c, sch, w.Root) }, o)
 	case k.comm != nil:
-		res, err = runSwept(ctx, m.machine, sch, o)
+		res, err = runSwept(ctx, m, sch, o)
 	case k.static != nil && concurrent:
-		res, err = bsp.RunContext(ctx, m.cluster, bsp.RunConfig{Sync: sync, Options: &o}, sp.Program())
+		res, err = bsp.RunContext(ctx, c, bsp.RunConfig{Sync: sync, Options: &o}, sp.Program())
 	case k.static != nil:
-		res, err = bsp.RunStatic(ctx, m.cluster, sync, sp, o)
+		res, err = bsp.RunStatic(ctx, c, sync, sp, o)
 	default:
-		res, err = sched.RunProgram(ctx, m.machine, buildProgram(w.Ranks), o)
+		res, err = sched.RunProgram(ctx, m, buildProgram(w.Ranks), o)
 	}
 	return res, o.Recorder, err
 }
@@ -579,6 +579,7 @@ func (r *resolver) render(rp *resolvedProfile, w *WorkloadSpec, pt point, res *s
 		Engine:             req.Options.Engine,
 		ProfileFingerprint: rp.fingerprint,
 		MakeSpan:           res.MakeSpan,
+		Times:              summarizeTimes(res.Times),
 		Messages:           res.Messages,
 		BytesMoved:         res.Bytes,
 		Collapse: CollapseInfo{
@@ -592,7 +593,6 @@ func (r *resolver) render(rp *resolvedProfile, w *WorkloadSpec, pt point, res *s
 	if !req.Faults.Empty() {
 		p.FaultFingerprint = r.planFP
 	}
-	p.Times, r.sorted = summarizeTimes(res.Times, r.sorted)
 	if kindOf(w.Kind).fields&fieldGrid != 0 {
 		p.PerIteration = res.MakeSpan / float64(w.Iterations)
 	}
@@ -626,14 +626,12 @@ func (r *resolver) render(rp *resolvedProfile, w *WorkloadSpec, pt point, res *s
 }
 
 // summarizeTimes computes the deterministic order statistics of the per-rank
-// times (nearest-rank quantiles over the sorted copy). The copy is sorted in
-// scratch's storage, which it returns for the next point to reuse.
-func summarizeTimes(times, scratch []float64) (TimesSummary, []float64) {
+// times (nearest-rank quantiles over the sorted copy).
+func summarizeTimes(times []float64) TimesSummary {
 	if len(times) == 0 {
-		return TimesSummary{}, scratch
+		return TimesSummary{}
 	}
-	sorted := append(scratch[:0], times...)
-	slices.Sort(sorted)
+	sorted := sim.SortedCopy(times)
 	sum := 0.0
 	for _, t := range sorted {
 		sum += t
@@ -651,7 +649,7 @@ func summarizeTimes(times, scratch []float64) (TimesSummary, []float64) {
 		P50:  q(0.50),
 		P95:  q(0.95),
 		Max:  sorted[len(sorted)-1],
-	}, sorted
+	}
 }
 
 // renderPath converts a trace's critical path to the wire shape.

@@ -35,6 +35,10 @@ type resolvedProfile struct {
 // machine. It is a variable so that a test can count fingerprints.
 var fingerprint = func(m interface{ Fingerprint() string }) string { return m.Fingerprint() }
 
+// machineKey is the machine cache's key of a machine with fingerprint fp at
+// procs ranks.
+func machineKey(fp string, procs int) string { return fmt.Sprintf("machine/%s/p%d", fp, procs) }
+
 // sweepDrawBound is the most draws one sweep request's memo stores: 8 MiB,
 // so the four sweeps the limiter admits at once by default hold 32 MiB.
 const sweepDrawBound = 1 << 20
@@ -76,7 +80,7 @@ func (sd *sweepDraws) of(o *OptionsSpec, rp *resolvedProfile, seed int64) *platf
 // resolveProfile builds (or fetches) the machine for one point. scale is the
 // point's LogGP scaling (identity allowed); procs the point's rank count. A
 // request's points ask through their resolver, which asks here once per
-// (scale, procs).
+// (scale, procs) and fetches the machine again by its key (machineKey).
 func (s *Server) resolveProfile(spec *ProfileSpec, scale ScaleSpec, procs int) (*resolvedProfile, error) {
 	set := 0
 	if spec.Preset != "" {
@@ -110,7 +114,7 @@ func (s *Server) resolveProfile(spec *ProfileSpec, scale ScaleSpec, procs int) (
 		prof = scaleProfile(prof, scale.normalized())
 	}
 	fp := fingerprint(prof)
-	key := fmt.Sprintf("machine/%s/p%d", fp, procs)
+	key := machineKey(fp, procs)
 	if cached, ok := s.machines.Get(key); ok {
 		return cached.(*resolvedProfile), nil
 	}
@@ -370,7 +374,7 @@ func (s *Server) resolveMatrices(spec *MatrixProfile, procs int) (*resolvedProfi
 	m := &matrixMachine{p: p, lat: lat.cells.v, gap: gap, beta: beta, ovh: ovh, selfOverhead: spec.SelfOverhead, nic: nic,
 		cells: [...]*matrixCells{lat.cells, spec.Gap.cells, spec.Beta.cells, spec.Overhead.cells}}
 	fp := fingerprint(m)
-	key := fmt.Sprintf("machine/%s/p%d", fp, procs)
+	key := machineKey(fp, procs)
 	if cached, ok := s.machines.Get(key); ok {
 		return cached.(*resolvedProfile), nil
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -96,12 +97,12 @@ func TestPointKeyMatchesOneFormat(t *testing.T) {
 			if err := normalizeWorkload(&w, pt.procs); err != nil {
 				t.Fatal(err)
 			}
-			m, err := rs.machine(pt.scale, pt.procs)
+			ref, err := rs.machine(pt.scale, pt.procs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := refPointKey(m.rp.fingerprint, req.Faults, &w, pt.procs, rs.seed, &req.Options)
-			if got := rs.pointKey(m.rp.fingerprint, &w, pt.procs); got != want {
+			want := refPointKey(ref.fingerprint, req.Faults, &w, pt.procs, rs.seed, &req.Options)
+			if got := rs.pointKey(ref.fingerprint, &w, pt.procs); got != want {
 				t.Errorf("%s: point %+v\nkey  %s\nwant %s", body, pt, got, want)
 			}
 			if _, ok := s.results.Get(want); !ok {
@@ -167,6 +168,54 @@ func TestSweepResolvesEachMachineOnce(t *testing.T) {
 	}
 }
 
+// TestSweepRetainsNoMoreMachinesThanTheCache serves a 32-scale sweep at
+// P = 4096, twice — fresh, then from the result cache — on one resolver,
+// with the machine cache bounded to 4 entries and then disabled. Each
+// machine is an O(P) placement, so however many scales a sweep has, what its
+// request keeps live must stay within the machine cache's bound: the
+// resolver may hold the one machine its latest point used beyond it, and
+// remembers the others by fingerprint only.
+func TestSweepRetainsNoMoreMachinesThanTheCache(t *testing.T) {
+	scales := make([]ScaleSpec, 32)
+	for i := range scales {
+		scales[i] = ScaleSpec{Latency: 1 + float64(i)/8}
+	}
+	req := PredictRequest{Profile: ProfileSpec{Preset: "xeon-cluster"}, Workload: WorkloadSpec{Kind: "barrier"},
+		Procs: 4096, Sweep: &SweepSpec{Scale: scales}}
+	if err := normalizeOptions(&req.Options); err != nil {
+		t.Fatal(err)
+	}
+	pts, err := expandPoints(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entries := range []int{4, -1} {
+		s := New(Config{MachineEntries: entries})
+		rs := s.newResolver(&req, pts, time.Time{})
+		used := map[weak.Pointer[resolvedProfile]]bool{} // equal for the same machine
+		for _, pass := range []string{"fresh", "cached"} {
+			for _, pt := range pts {
+				if _, how, err := rs.eval(context.Background(), pt, admitted); err != nil || (how == "hit") != (pass == "cached") {
+					t.Fatalf("%s point %+v: %s, %v", pass, pt, how, err)
+				}
+				used[weak.Make(rs.cur)] = true
+			}
+		}
+		runtime.GC()
+		live := 0
+		for p := range used {
+			if p.Value() != nil {
+				live++
+			}
+		}
+		runtime.KeepAlive(rs)
+		if bound := max(entries, 0) + 1; live > bound || len(used) < len(scales) {
+			t.Errorf("machine cache of %d: %d of the %d machines the sweep used are live, want at most %d",
+				entries, live, len(used), bound)
+		}
+	}
+}
+
 // cachedSweep is a 64-point bytes × scale allreduce sweep at P = 64.
 func cachedSweep(tb testing.TB) []byte {
 	seed := int64(7)
@@ -214,7 +263,7 @@ func TestCachedSweepSteadyStateAllocs(t *testing.T) {
 // resolver: every reply is byte for byte its reply served alone, the shared
 // points are evaluated once between them, and once the requests have
 // returned nothing they resolved survives — no sweep memo stays reachable
-// (the resolver and its seeded machines hold it) and no goroutine is left.
+// (the resolver and the seeded machines its points ran on hold it) and no goroutine is left.
 func TestSharedSweepResolution(t *testing.T) {
 	seed := int64(11)
 	sweep := func(b []int) PredictRequest {

@@ -132,7 +132,7 @@ func TestSweptMatchesSession(t *testing.T) {
 
 				// Both swept evaluations must render to the session bytes.
 				for _, pass := range []string{"first", "second"} {
-					res, _, err := rs.run(ctx, &machineAt{rp: rp}, &w, pt)
+					res, _, err := rs.run(ctx, rp, &w, pt)
 					if err != nil {
 						t.Fatalf("%s swept evaluation: %v", pass, err)
 					}
@@ -208,11 +208,11 @@ func TestUploadSweptMatchesSession(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, _, err := rs.run(ctx, &machineAt{rp: orp}, &w, pt); err != nil {
+						if _, _, err := rs.run(ctx, orp, &w, pt); err != nil {
 							t.Fatal(err)
 						}
 					}
-					res, _, err := rs.run(ctx, &machineAt{rp: rp}, &w, pt)
+					res, _, err := rs.run(ctx, rp, &w, pt)
 					if err != nil {
 						t.Fatalf("%s: %s swept evaluation: %v", name, pass, err)
 					}

@@ -386,12 +386,12 @@ func buildProgram(ranks [][]OpSpec) *sim.Program {
 
 // synchronizer returns the synchronizer ending a static row's supersteps: the
 // default dissemination exchange, or for a variant with a schedule (the sync
-// workload's "schedule") the request's schedule wrapped as one.
-func (r *resolver) synchronizer(k *kind, w *WorkloadSpec, procs int) (bsp.Synchronizer, error) {
+// workload's "schedule") that cached schedule wrapped as one.
+func (s *Server) synchronizer(k *kind, w *WorkloadSpec, procs int) (bsp.Synchronizer, error) {
 	if k.variant(w.Variant).gen == nil {
 		return bsp.DefaultSynchronizer(), nil
 	}
-	sch, err := r.schedule(w, procs)
+	sch, err := s.schedule(w, procs)
 	if err != nil {
 		return nil, err
 	}
