@@ -142,9 +142,11 @@
 // For parameter sweeps — many points varying payload size, LogGP link
 // scaling or seed over one schedule family — sched.NewSweepEvaluator keeps
 // the evaluator arena, the compiled fault plan and the memoized collapse
-// partitions alive across points. Each point runs through the direct
-// engine's one run frame with the body sched.RunSchedule hands it, every pair
-// priced live by the machine, so it is bit-identical to an independent
+// partitions alive across points, and from a family's second point on the
+// pair terms of circulant stages (at most 1 MiB), priced under each point's
+// own link columns. Each point runs through the direct engine's one run
+// frame with the body sched.RunSchedule hands it, every other pair priced
+// live by the machine, so it is bit-identical to an independent
 // sched.RunSchedule call. The experiments' sweep series
 // (experiments.BytesSweepSeries and the report's LogGP-scaling sweep) and the
 // server's NDJSON sweep path run on it; SweepEvaluator.Stats reports what was

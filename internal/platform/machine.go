@@ -125,9 +125,17 @@ func (m *Machine) Procs() int { return m.placement.Ranks() }
 // whether the two ranks share a NIC (same node: every class below the
 // network).
 func (m *Machine) Pair(i, j int) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
-	f, c := m.PairTerm(i, j)
-	lat = m.lat[c] * f
-	return lat, m.gap[c] * f, m.beta[c] * f, m.ovh[c] * f, lat, c < uint8(topology.DistanceNetwork)
+	return m.PriceTerm(m.PairTerm(i, j))
+}
+
+// PriceTerm is Pair's tail: the price of a message from a pair whose PairTerm
+// is (factor, class), under this machine's link columns. A caller that keeps
+// a pair's term across the machines TermCompatible accepts prices the pair on
+// each of them without classifying or hashing it again, bit for bit what Pair
+// returns there.
+func (m *Machine) PriceTerm(factor float64, class uint8) (lat, gap, beta, ovh, ret float64, sameNIC bool) {
+	lat = m.lat[class] * factor
+	return lat, m.gap[class] * factor, m.beta[class] * factor, m.ovh[class] * factor, lat, class < uint8(topology.DistanceNetwork)
 }
 
 // Latency returns the ground-truth latency from rank i to rank j.

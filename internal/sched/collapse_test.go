@@ -374,21 +374,21 @@ func TestRunScheduleSteadyStateAllocs(t *testing.T) {
 		want float64
 		run  func()
 	}{
-		{"per-rank total exchange P=16, two executions", 3, runSchedule(xeon(16), must(barrier.TotalExchange(16, 64)), 2)},
-		{"per-rank total exchange P=64, two executions", 3, runSchedule(xeon(64), must(barrier.TotalExchange(64, 64)), 2)},
+		{"per-rank total exchange P=16, two executions", 2, runSchedule(xeon(16), must(barrier.TotalExchange(16, 64)), 2)},
+		{"per-rank total exchange P=64, two executions", 2, runSchedule(xeon(64), must(barrier.TotalExchange(64, 64)), 2)},
 		{"sweep point, bytes axis P=64", 3, sweepRun(
 			func(int) simnet.Machine { return nil }, func(i int) sched.Schedule { return payloads[i%2] })},
 		{"sweep point, scale axis P=64", 3, sweepRun(
 			func(i int) simnet.Machine { return scaled[i%2] }, func(int) sched.Schedule { return payloads[0] })},
-		{"collapsed dissemination P=1024", 7, runSchedule(flat(1024), must(barrier.Dissemination(1024)), 1)},
-		{"collapsed count exchange P=65536", 7, runSchedule(flat(big), must(bsp.ExchangeSchedule(big)), 1)},
-		{"collapsed total exchange P=65536", 7, runSchedule(flat(big), must(barrier.TotalExchange(big, 64)), 1)},
-		{"supersteps P=64, four ring posts", 14, func() {
+		{"collapsed dissemination P=1024", 6, runSchedule(flat(1024), must(barrier.Dissemination(1024)), 1)},
+		{"collapsed count exchange P=65536", 6, runSchedule(flat(big), must(bsp.ExchangeSchedule(big)), 1)},
+		{"collapsed total exchange P=65536", 6, runSchedule(flat(big), must(barrier.TotalExchange(big, 64)), 1)},
+		{"supersteps P=64, four ring posts", 13, func() {
 			if _, err := sched.RunSupersteps(ctx, stepMachine, steps, o); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"program P=64, compute + ring post + receive", 3, func() {
+		{"program P=64, compute + ring post + receive", 2, func() {
 			if _, err := code.Run(ctx, stepMachine, o); err != nil {
 				t.Fatal(err)
 			}

@@ -191,6 +191,9 @@ func (e *Evaluator) execRuns(s Schedule, execs, tagBase int, computeEmpty bool, 
 	} else {
 		e.perRank()
 		chk.pace(len(e.states))
+		if e.terms != nil && !e.terms.admit(s, len(e.states)) {
+			e.terms = nil
+		}
 	}
 	for x := 0; x < execs; x++ {
 		var err error

@@ -208,6 +208,11 @@ type Evaluator struct {
 	// chk is the run frame's poller, armed per whole run (see run).
 	chk stageChecker
 
+	// terms are the term rows of the sweep evaluator running the arena's
+	// point, when it prices from them (SweepEvaluator.arena); nil prices
+	// every message live.
+	terms *termRows
+
 	traffic
 }
 
@@ -249,7 +254,7 @@ func newArena(m simnet.Machine, ack bool) *Evaluator {
 // clearRun readies the arena for a fresh run: no rank state sized, no
 // traffic counted.
 func (e *Evaluator) clearRun() {
-	e.states, e.rankClass = e.states[:0], nil
+	e.states, e.rankClass, e.terms = e.states[:0], nil, nil
 	e.messages, e.bytes = 0, 0
 }
 
@@ -303,13 +308,19 @@ func (e *Evaluator) priceInto(pc *loggp.Pair, src, dst int) {
 	pc.Lat, pc.Gap, pc.Beta, pc.Ovh, pc.Ret, pc.SameNIC = e.pricer.Pair(src, dst)
 }
 
+// priceTerm is priceInto for a pair whose term t a row keeps: m's PriceTerm
+// of it, what m's Pair returns for the pair.
+func priceTerm(pc *loggp.Pair, m termMachine, t *pairTerm) {
+	pc.Lat, pc.Gap, pc.Beta, pc.Ovh, pc.Ret, pc.SameNIC = m.PriceTerm(t.factor, t.class)
+}
+
 // Release returns the evaluator to the shared pool. The caller must not use
 // it afterwards; lane attachments and cached partitions are dropped.
 func (e *Evaluator) Release() {
 	clear(e.states)
 	e.m, e.pricer = nil, nil
 	e.env = loggp.Env{}
-	e.partCache, e.rankClass = nil, nil
+	e.partCache, e.rankClass, e.terms = nil, nil, nil
 	evalPool.Put(e)
 }
 
@@ -473,7 +484,7 @@ func (e *Evaluator) execStages(s Schedule, tagBase int, computeEmpty bool, chk *
 	w := &e.walk
 	*w = stageWalk{e: e, s: s, chk: chk, tagBase: tagBase, computeEmpty: computeEmpty,
 		workers: n, sg: -1, v: ViewOf(s), blocks: slices.Grow(w.blocks[:0], int(n))[:n]}
-	defer func() { w.s, w.v, w.panicked = nil, StageView{}, nil }() // the arena outlives the walk
+	defer func() { w.s, w.v, w.panicked, w.row = nil, StageView{}, nil, nil }() // the arena outlives the walk
 	if n == 1 {
 		w.work(0)
 		return w.err
@@ -506,9 +517,10 @@ type stageWalk struct {
 	tagBase      int
 	computeEmpty bool
 	workers      int32
-	sg           int       // the stage being walked
-	v            StageView // stage sg; each worker walks a copy
-	active       int       // workers the stage engages
+	sg           int        // the stage being walked
+	v            StageView  // stage sg; each worker walks a copy
+	row          []pairTerm // stage sg's term row, if it is priced from one
+	active       int        // workers the stage engages
 	blocks       []walkBlock
 	err          error // the checker's: the walk ends
 	arrived      atomic.Int32
@@ -568,6 +580,10 @@ func (w *stageWalk) next() {
 	}
 	e, v, p := w.e, &w.v, len(w.e.states)
 	v.Load(w.sg)
+	w.row = nil
+	if e.terms != nil && v.cs != nil && v.off != 0 {
+		w.row = e.terms.row(v.off, p)
+	}
 	edges := 0
 	if v.cs == nil {
 		for r := 0; r < p; r++ {
@@ -606,6 +622,10 @@ func (w *stageWalk) sends(v *StageView, b walkBlock, t *traffic) {
 	e, env := w.e, &w.e.env
 	stage, tag, out := int32(w.sg), w.tagBase+w.sg, b.outBase
 	var pc loggp.Pair
+	var tm termMachine
+	if w.row != nil {
+		tm = e.terms.m
+	}
 	for r := b.lo; r < b.hi; r++ {
 		rs := &e.states[r]
 		rs.StageMark(stage)
@@ -618,7 +638,11 @@ func (w *stageWalk) sends(v *StageView, b walkBlock, t *traffic) {
 		}
 		e.entry[r] = rs.Now
 		for k, dst := range outs {
-			e.priceInto(&pc, r, dst)
+			if tm != nil { // a circulant stage: r's one edge is its row's entry
+				priceTerm(&pc, tm, &w.row[r])
+			} else {
+				e.priceInto(&pc, r, dst)
+			}
 			e.sendDone[out] = e.send(t, rs, r, dst, tag, v.OutSize(r, k), &pc, &e.inbox[out])
 			out++
 		}

@@ -10,6 +10,7 @@ import (
 	"hbsp/internal/platform"
 	"hbsp/internal/sched"
 	"hbsp/internal/simnet"
+	"hbsp/internal/topology"
 	"hbsp/internal/trace"
 )
 
@@ -26,18 +27,25 @@ func sweepOptionsFor(o simnet.Options) sched.SweepOptions {
 	}
 }
 
-// diffSweepPoint evaluates one point through the sweep evaluator and through
-// an independent RunSchedule call and requires bit-identical everything:
-// per-rank times, makespan, traffic counters and the collapse diagnostic.
+// diffSweepPoint evaluates one point through the sweep evaluator, under o's
+// recorder and deadline (RunPoint), and through an independent RunSchedule
+// call and requires bit-identical everything: per-rank times, makespan,
+// traffic counters, the collapse diagnostic and, for a traced point, the
+// recorded event stream (the independent call records into a recorder of its
+// own).
 func diffSweepPoint(t *testing.T, tag string, sw *sched.SweepEvaluator, m *platform.Machine, s sched.Schedule, execs int, o simnet.Options) {
 	t.Helper()
-	want, err := sched.RunSchedule(context.Background(), m, s, execs, o)
+	ref := o
+	if o.Recorder != nil {
+		ref.Recorder = trace.NewRecorder()
+	}
+	want, err := sched.RunSchedule(context.Background(), m, s, execs, ref)
 	if err != nil {
 		t.Fatalf("%s: RunSchedule: %v", tag, err)
 	}
-	got, err := sw.Run(context.Background(), m, s, execs)
+	got, err := sw.RunPoint(context.Background(), m, s, execs, o.Recorder, o.Deadline)
 	if err != nil {
-		t.Fatalf("%s: SweepEvaluator.Run: %v", tag, err)
+		t.Fatalf("%s: SweepEvaluator.RunPoint: %v", tag, err)
 	}
 	if len(got.Times) != len(want.Times) {
 		t.Fatalf("%s: %d times, want %d", tag, len(got.Times), len(want.Times))
@@ -56,6 +64,9 @@ func diffSweepPoint(t *testing.T, tag string, sw *sched.SweepEvaluator, m *platf
 	}
 	if got.Collapse != want.Collapse {
 		t.Errorf("%s collapse: sweep %+v, independent %+v", tag, got.Collapse, want.Collapse)
+	}
+	if o.Recorder != nil && eventStream(t, o.Recorder) != eventStream(t, ref.Recorder) {
+		t.Errorf("%s: traced point's event stream differs from the independent run's", tag)
 	}
 }
 
@@ -316,8 +327,15 @@ func TestSweepCollapseOff(t *testing.T) {
 // TestSweepArenaReuse runs point sequences chosen to leave stale state behind
 // on a kept evaluator — whatever a point writes that the next one fails to
 // reset or overwrite (rank states, inbox and send-completion scratch, traffic
-// counters) or wrongly inherits (a memoized partition) shows up as a diff
-// against an independent RunSchedule call of that next point.
+// counters) or wrongly inherits (a memoized partition, a term row built on
+// another family's placement or for another offset) shows up as a diff
+// against an independent RunSchedule call of that next point. The term rows
+// are read from a family's second point on: over scaled machines of the Xeon
+// cluster and of a heterogeneous custom profile, across a rebase onto another
+// placement and back, under a class link-rule fault plan with acks on and
+// off and a traced point among the untraced, and beside schedules whose rows
+// pass the bound (priced live) or fit only once the kept rows are dropped.
+// Each sequence ends holding the rows it is expected to.
 func TestSweepArenaReuse(t *testing.T) {
 	const p = 64
 	hetero, err := platform.XeonClusterMachine(p)
@@ -328,6 +346,13 @@ func TestSweepArenaReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	machine := func(m *platform.Machine, err error) *platform.Machine {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 	mustSchedule := func(s sched.Schedule, err error) sched.Schedule {
 		t.Helper()
 		if err != nil {
@@ -335,13 +360,14 @@ func TestSweepArenaReuse(t *testing.T) {
 		}
 		return s
 	}
-	circ := func(size int, offs ...int) sched.Schedule {
+	circOver := func(p, size int, offs ...int) sched.Schedule {
 		sizes := make([]int, len(offs))
 		for k := range sizes {
 			sizes[k] = size
 		}
 		return mustSchedule(sched.NewCirculant(p, offs, sizes))
 	}
+	circ := func(size int, offs ...int) sched.Schedule { return circOver(p, size, offs...) }
 	offs, sizes := make([]int, p-1), make([]int, p-1)
 	for k := 1; k < p; k++ {
 		offs[k-1], sizes[k-1] = k, 64
@@ -351,40 +377,114 @@ func TestSweepArenaReuse(t *testing.T) {
 
 	te := mustSchedule(barrier.TotalExchange(p, 64))
 	ring := mustSchedule(barrier.AllGatherRing(p, 64))
+	ar := mustSchedule(barrier.AllReduce(p, 1024))
+
+	// Scaled machines of one family each: the noisy Xeon cluster, and a
+	// custom grouped profile, block-placed, with a wide spread.
+	xeonProf := platform.XeonCluster(p / 8)
+	xeon := func(lat, gap, beta, ovh float64) *platform.Machine {
+		return machine(xeonProf.Scaled(lat, gap, beta, ovh).Machine(p))
+	}
+	custom := platform.XeonCluster(16)
+	custom.Name = "custom"
+	custom.Topology = topology.Topology{Nodes: 16, SocketsPerNode: 2, CoresPerSocket: 2, NodesPerGroup: 4}
+	custom.Links[topology.DistanceGroup] = platform.Link{Latency: 55e-6, Gap: 13e-6, Beta: 1 / 85.0e6, Overhead: 1.2e-6}
+	custom.Policy, custom.HeteroSpread, custom.NoiseRel, custom.Seed = topology.Block, 0.3, 0.05, 99
+	cust := func(lat, gap, beta, ovh float64) *platform.Machine {
+		return machine(custom.Scaled(lat, gap, beta, ovh).Machine(p))
+	}
+	// The Xeon cluster's placement dealt by block instead of round robin:
+	// another family, whose pairs classify otherwise.
+	blockPl, err := xeonProf.PlaceWith(p, topology.Block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := xeonProf.MachineFor(blockPl)
+	x1, x2, x3 := xeon(1, 1, 1, 1), xeon(2, 1, 1, 1), xeon(1, 1.5, 0.5, 3)
+
+	// Past the bound at P = 512: the total exchange's 511 rows are priced
+	// live beside the dissemination's 9; 100 rows fit beside those, and 100
+	// others only once they are dropped.
+	const big = 512
+	wide := machine(platform.XeonClusterMachine(big))
+	diss := mustSchedule(barrier.Dissemination(big))
+	teBig := mustSchedule(barrier.TotalExchange(big, 64))
+	lowOffs, highOffs := make([]int, 100), make([]int, 100)
+	for k := range lowOffs {
+		lowOffs[k], highOffs[k] = k+1, k+101
+	}
+
+	classPlan := &fault.Plan{Links: []fault.LinkRule{{Src: -1, Dst: -1, Class: int(topology.DistanceNetwork), LatencyFactor: 2, BetaFactor: 1.5}}}
 	type point struct {
-		s     sched.Schedule
-		execs int
+		s      sched.Schedule
+		execs  int
+		m      *platform.Machine // nil: the sequence's
+		traced bool
 	}
 	for _, seq := range []struct {
 		name   string
 		m      *platform.Machine
+		faults *fault.Plan
 		points []point
+		rows   int // term rows held at the end
 	}{
 		// Two structures with different stage counts and in-degrees, back and
 		// forth: each point inherits the other's scratch.
-		{"alternating-structures", hetero, []point{{te, 2}, {ring, 2}, {te, 2}, {ring, 2}, {te, 2}, {ring, 2}}},
+		{"alternating-structures", hetero, nil, []point{{te, 2, nil, false}, {ring, 2, nil, false}, {te, 2, nil, false},
+			{ring, 2, nil, false}, {te, 2, nil, false}, {ring, 2, nil, false}}, p - 1},
 		// Same offsets (one memo key), only the last stage's payload differs:
 		// the second point must not answer with the first point's tail.
-		{"tail-change", hetero, []point{
-			{mustSchedule(sched.NewCirculant(p, offs, sizes)), 1},
-			{mustSchedule(sched.NewCirculant(p, offs, tail)), 1},
-		}},
+		{"tail-change", hetero, nil, []point{
+			{mustSchedule(sched.NewCirculant(p, offs, sizes)), 1, nil, false},
+			{mustSchedule(sched.NewCirculant(p, offs, tail)), 1, nil, false},
+		}, p - 1},
 		// On the homogeneous multi-core machine the partition depends on the
 		// offsets (4, 1 and 32 classes here): a point must get the partition of
-		// its own offset sequence, shared only across payload sizes.
-		{"partition-per-offsets", homog, []point{
-			{circ(64, 8), 1}, {circ(64, 1), 1}, {circ(1024, 8), 1}, {circ(64, 1, 2, 4, 8, 16, 32), 2}, {circ(0, 8), 1},
-		}},
+		// its own offset sequence, shared only across payload sizes. Collapsed
+		// points read no rows.
+		{"partition-per-offsets", homog, nil, []point{
+			{circ(64, 8), 1, nil, false}, {circ(64, 1), 1, nil, false}, {circ(1024, 8), 1, nil, false},
+			{circ(64, 1, 2, 4, 8, 16, 32), 2, nil, false}, {circ(0, 8), 1, nil, false},
+		}, 0},
+		{"scaled-xeon", x1, nil, []point{{te, 1, x1, false}, {te, 1, x2, false}, {ar, 2, x3, false},
+			{te, 1, x3, false}, {ar, 1, x1, false}}, p - 1},
+		{"scaled-custom", cust(1, 1, 1, 1), nil, []point{{te, 1, nil, false}, {te, 1, cust(3, 1, 1, 1), false},
+			{ar, 1, cust(1, 2, 0.25, 1), false}, {te, 2, cust(1, 1, 1, 0.5), false}}, p - 1},
+		// Rows built on the round-robin placement must not price the block
+		// one's second point, nor the block rows the round-robin's after it.
+		{"rebase-and-back", x1, nil, []point{{te, 1, x1, false}, {te, 1, x2, false}, {te, 1, block, false},
+			{te, 1, block, false}, {ar, 1, block, false}, {te, 1, x3, false}, {te, 1, x1, false}, {ar, 1, x2, false}}, p - 1},
+		{"class-faults", x1, classPlan, []point{{te, 1, x1, false}, {te, 1, x2, false}, {te, 1, x3, true},
+			{ar, 1, x1, false}, {te, 2, x2, false}}, p - 1},
+		{"past-the-bound", wide, nil, []point{{diss, 1, nil, false}, {diss, 1, nil, false}, {teBig, 1, nil, false},
+			{diss, 1, nil, false}, {circOver(big, 64, lowOffs...), 1, nil, false}, {circOver(big, 64, highOffs...), 1, nil, false},
+			{diss, 1, nil, false}}, 108},
 	} {
 		t.Run(seq.name, func(t *testing.T) {
-			o := simnet.DefaultOptions()
-			sw, err := sched.NewSweepEvaluator(seq.m, sweepOptionsFor(o))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sw.Release()
-			for i, pt := range seq.points {
-				diffSweepPoint(t, fmt.Sprintf("%s/point%d", seq.name, i), sw, seq.m, pt.s, pt.execs, o)
+			for _, ack := range []bool{true, false} {
+				if !ack && seq.faults == nil {
+					continue
+				}
+				o := simnet.DefaultOptions()
+				o.AckSends, o.Faults = ack, seq.faults
+				sw, err := sched.NewSweepEvaluator(seq.m, sweepOptionsFor(o))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, pt := range seq.points {
+					m, po := seq.m, o
+					if pt.m != nil {
+						m = pt.m
+					}
+					if pt.traced {
+						po.Recorder = trace.NewRecorder()
+					}
+					diffSweepPoint(t, fmt.Sprintf("%s/ack=%v/point%d", seq.name, ack, i), sw, m, pt.s, pt.execs, po)
+				}
+				if got, want := sw.Stats().MemoBytes, int64(seq.rows*seq.m.Procs()*16); got != want {
+					t.Errorf("%s/ack=%v: %d bytes of term rows held, want %d", seq.name, ack, got, want)
+				}
+				sw.Release()
 			}
 		})
 	}

@@ -160,8 +160,11 @@ func normalizeOptions(o *OptionsSpec) error {
 // machine from the machine cache by key, or resolves it again if the cache
 // has let it go. What it keeps per (scale, procs) is a fingerprint, under
 // 200 bytes, so a sweep of maxSweepPoints distinct scales keeps under a MB.
-// The resolver belongs to the request's goroutine and is dropped with the
-// request; nothing a cache keeps points into it.
+// Its schedule points run on one sched.SweepEvaluator (sw), made at the
+// first that misses the result cache and released by close; it holds no
+// machine but its latest point's. The resolver belongs to the request's
+// goroutine and is dropped with the request; nothing a cache keeps points
+// into it.
 type resolver struct {
 	s        *Server
 	req      *PredictRequest
@@ -177,6 +180,8 @@ type resolver struct {
 	machines map[profileAt]machineRef // nil for a single point
 	cur      *resolvedProfile         // the machine at curAt
 	curAt    profileAt
+
+	sw *sched.SweepEvaluator // the request's schedule points' evaluator; nil until one misses
 }
 
 // profileAt is the point fields a resolved profile depends on within one
@@ -219,10 +224,15 @@ func (s *Server) newResolver(req *PredictRequest, pts []point, deadline time.Tim
 	return r
 }
 
-// close ends the request: its sweep memo's counts reach /metrics.
+// close ends the request: its sweep memo's counts reach /metrics and its
+// evaluator goes back.
 func (r *resolver) close() {
 	if r.draws != nil && r.draws.d != nil {
 		r.s.m.observeDraws(r.draws.d.Stats())
+	}
+	if r.sw != nil {
+		r.sw.Release()
+		r.sw = nil
 	}
 }
 
@@ -381,7 +391,7 @@ func (r *resolver) eval(ctx context.Context, pt point, admit func(context.Contex
 type route int
 
 const (
-	routeSwept      route = iota // a schedule row: a sched.SweepEvaluator per point, no rank goroutines
+	routeSwept      route = iota // a schedule row: the request's sched.SweepEvaluator, no rank goroutines
 	routeDirectBSP               // a static row: bsp.RunStatic, no goroutines
 	routeProgram                 // the program row: sched.RunProgram's compiled evaluator
 	routeConcurrent              // engine "concurrent": any row on rank goroutines
@@ -419,6 +429,9 @@ func routeOf(o *OptionsSpec, k *kind) route {
 func (r *resolver) evaluate(ctx context.Context, rp *resolvedProfile, w *WorkloadSpec, pt point) (body []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			// The evaluator may have stopped mid-walk: the request's next
+			// schedule point makes a new one, and this one is left to the GC.
+			r.sw = nil
 			body, err = nil, fmt.Errorf("server: evaluation panicked: %v", p)
 		}
 	}()
@@ -484,7 +497,7 @@ func (r *resolver) run(ctx context.Context, rp *resolvedProfile, w *WorkloadSpec
 	case k.comm != nil && concurrent:
 		res, err = mpi.RunContext(ctx, m, func(c *mpi.Comm) error { return k.comm(c, sch, w.Root) }, o)
 	case k.comm != nil:
-		res, err = runSwept(ctx, m, sch, o)
+		res, err = r.runSwept(ctx, m, sch, o)
 	case k.static != nil && concurrent:
 		res, err = bsp.RunContext(ctx, c, bsp.RunConfig{Sync: sync, Options: &o}, sp.Program())
 	case k.static != nil:
@@ -509,30 +522,42 @@ func budgetLeft(deadline time.Time) (time.Duration, error) {
 	return left, nil
 }
 
-// runSwept runs one execution of a verified schedule as one point on a
-// sched.SweepEvaluator of its own: the fault plan compiled against the
-// point's machine, the arena taken from and returned to sched's evaluator
-// pool, the deadline and recorder fixed at construction. Nothing is kept
-// between points, so points never wait on each other and no finished
-// request's trace or machine stays reachable.
-func runSwept(ctx context.Context, m sim.Machine, sch sched.Schedule, o sim.Options) (*sim.Result, error) {
-	sw, err := sched.NewSweepEvaluator(m, sched.SweepOptions{
-		AckSends:         o.AckSends,
-		SymmetryCollapse: o.SymmetryCollapse,
-		Faults:           o.Faults,
-		// The gate-inline collective paths this replaces bill nothing on
-		// stages where a rank has no edges, and tag stage s as the flood does,
-		// so a traced point records the events a run on ranks would.
-		ComputeEmpty: false,
-		TagBase:      mpi.FloodTagBase,
-		Recorder:     o.Recorder,
-		Deadline:     o.Deadline,
-	})
-	if err != nil {
-		return nil, err
+// newSweepEvaluator makes a request's evaluator. It is a variable so that a
+// test can count the evaluators and see them go.
+var newSweepEvaluator = sched.NewSweepEvaluator
+
+// runSwept runs one execution of a verified schedule as one point on the
+// request's sched.SweepEvaluator, made by the first point that gets here: the
+// fault plan compiled once, the arena kept from point to point and returned
+// to sched's evaluator pool by close. Each point hands in its own recorder and
+// the budget it has left. From the second point on a machine family (the
+// points of a bytes or scale sweep), the evaluator prices circulant edges
+// from the term rows it keeps, under 1 MiB; a schedule whose rows would not
+// fit is priced live. /metrics counts the points that ran on an evaluator
+// the request already held and the collapse decisions they reused.
+func (r *resolver) runSwept(ctx context.Context, m sim.Machine, sch sched.Schedule, o sim.Options) (*sim.Result, error) {
+	if r.sw == nil {
+		sw, err := newSweepEvaluator(m, sched.SweepOptions{
+			AckSends:         o.AckSends,
+			SymmetryCollapse: o.SymmetryCollapse,
+			Faults:           o.Faults,
+			// The gate-inline collective paths this replaces bill nothing on
+			// stages where a rank has no edges, and tag stage s as the flood does,
+			// so a traced point records the events a run on ranks would.
+			ComputeEmpty: false,
+			TagBase:      mpi.FloodTagBase,
+		})
+		if err != nil {
+			return nil, err
+		}
+		r.sw = sw
+	} else {
+		r.s.m.sweepPointsReused.Add(1)
 	}
-	defer sw.Release()
-	return sw.Run(ctx, nil, sch, 1)
+	before := r.sw.Stats().PartitionsReused
+	res, err := r.sw.RunPoint(ctx, m, sch, 1, o.Recorder, o.Deadline)
+	r.s.m.partitionsReused.Add(r.sw.Stats().PartitionsReused - before)
+	return res, err
 }
 
 // runOptions translates the request options — acks, engine, collapse mode,

@@ -31,6 +31,9 @@ type metrics struct {
 
 	routes [numRoutes]atomic.Int64 // completed evaluations by the route that ran them
 
+	sweepPointsReused atomic.Int64 // schedule points run on the evaluator their request already held
+	partitionsReused  atomic.Int64 // collapse decisions those evaluators reused
+
 	drawsComputed atomic.Int64 // noise draws sweep memos computed
 	drawsReused   atomic.Int64 // stored noise draws sweep memos handed out in windows
 
@@ -83,13 +86,12 @@ type MetricsSnapshot struct {
 	InFlight    int64 `json:"inFlight"`
 	Queued      int64 `json:"queued"`
 
-	// Deprecated: always zero — no evaluator outlives its point, so none is
-	// reused. Kept while benchmark/serve.go:223 reads it into
-	// server.sweep_points_reused.
+	// SweepPointsReused counts the schedule points that ran on the sweep
+	// evaluator their request already held (a request makes one at its
+	// first such point), and PartitionsReused the points whose collapse
+	// decision that evaluator had memoized.
 	SweepPointsReused int64 `json:"sweepPointsReused"`
-	// Deprecated: always zero — no partition is memoized across points. Kept
-	// while benchmark/serve.go:224 reads it into server.partitions_reused.
-	PartitionsReused int64 `json:"partitionsReused"`
+	PartitionsReused  int64 `json:"partitionsReused"`
 
 	// Routes counts completed evaluations by the body that ran them (routeOf):
 	// a sweep evaluator, the direct BSP walk, the compiled program, or rank
@@ -170,6 +172,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Shed = m.shed.Load()
 	s.InFlight = m.inFlight.Load()
 	s.Queued = m.queued.Load()
+	s.SweepPointsReused = m.sweepPointsReused.Load()
+	s.PartitionsReused = m.partitionsReused.Load()
 	s.Routes.Swept = m.routes[routeSwept].Load()
 	s.Routes.DirectBSP = m.routes[routeDirectBSP].Load()
 	s.Routes.Program = m.routes[routeProgram].Load()

@@ -18,6 +18,8 @@ import (
 
 	"hbsp/fault"
 	"hbsp/internal/platform"
+	"hbsp/internal/sched"
+	"hbsp/sim"
 )
 
 // refPointKey writes a point's cache key with one format string over the
@@ -258,12 +260,38 @@ func TestCachedSweepSteadyStateAllocs(t *testing.T) {
 	t.Logf("a cached 64-point sweep allocates %.0f times", allocs)
 }
 
+// watchSweepEvaluators replaces newSweepEvaluator for the test: a weak
+// pointer to every evaluator it makes is appended to the returned list.
+func watchSweepEvaluators(t *testing.T) func() []weak.Pointer[sched.SweepEvaluator] {
+	t.Helper()
+	orig := newSweepEvaluator
+	t.Cleanup(func() { newSweepEvaluator = orig })
+	var mu sync.Mutex
+	var made []weak.Pointer[sched.SweepEvaluator]
+	newSweepEvaluator = func(m sim.Machine, o sched.SweepOptions) (*sched.SweepEvaluator, error) {
+		sw, err := orig(m, o)
+		if err == nil {
+			mu.Lock()
+			made = append(made, weak.Make(sw))
+			mu.Unlock()
+		}
+		return sw, err
+	}
+	return func() []weak.Pointer[sched.SweepEvaluator] {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]weak.Pointer[sched.SweepEvaluator](nil), made...)
+	}
+}
+
 // TestSharedSweepResolution serves two overlapping sweeps and a single point
 // that one of them contains at once, on one server, each with its own
 // resolver: every reply is byte for byte its reply served alone, the shared
 // points are evaluated once between them, and once the requests have
 // returned nothing they resolved survives — no sweep memo stays reachable
-// (the resolver and the seeded machines its points ran on hold it) and no goroutine is left.
+// (the resolver and the seeded machines its points ran on hold it), no sweep
+// evaluator either (a request makes one at most, its resolver holds it) and
+// no goroutine is left.
 func TestSharedSweepResolution(t *testing.T) {
 	seed := int64(11)
 	sweep := func(b []int) PredictRequest {
@@ -289,6 +317,7 @@ func TestSharedSweepResolution(t *testing.T) {
 		mu.Unlock()
 		return d
 	}
+	evaluators := watchSweepEvaluators(t)
 	base := runtime.NumGoroutine()
 	s := New(Config{})
 	got := make([][]byte, len(reqs))
@@ -327,6 +356,15 @@ func TestSharedSweepResolution(t *testing.T) {
 			t.Errorf("sweep memo %d of %d is still reachable after its request", i, len(memos))
 		}
 	}
+	made := evaluators()
+	if len(made) == 0 || len(made) > len(reqs) {
+		t.Errorf("%d requests made %d sweep evaluators, want one at most each and at least one", len(reqs), len(made))
+	}
+	for i, p := range made {
+		if p.Value() != nil {
+			t.Errorf("sweep evaluator %d of %d is still reachable after its request", i, len(made))
+		}
+	}
 	for start := time.Now(); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 		if time.Since(start) > 5*time.Second {
 			t.Fatalf("%d goroutines after the requests, %d before", runtime.NumGoroutine(), base)
@@ -347,4 +385,112 @@ func BenchmarkCachedSweep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sweepBytes)*len(sweepScales)), "ns/point")
+}
+
+// freshSweepShapes are the five sweep shapes of the daemon's benchmarked
+// traffic: allreduce and allgather at P = 64 and 128, total exchange at 64.
+var freshSweepShapes = []struct {
+	kind  string
+	procs int
+}{{"allreduce", 64}, {"allreduce", 128}, {"allgather", 64}, {"allgather", 128}, {"totalexchange", 64}}
+
+// freshSweep is a bytes (× scale) sweep of kind at procs on xeon-cluster
+// under seed, which a caller varies so that every point misses the cache.
+func freshSweep(tb testing.TB, kind string, procs int, seed int64, bytesAxis []int, scales []ScaleSpec) []byte {
+	body, err := json.Marshal(&PredictRequest{
+		Profile:  ProfileSpec{Preset: "xeon-cluster"},
+		Workload: WorkloadSpec{Kind: kind},
+		Procs:    procs,
+		Seed:     &seed,
+		Sweep:    &SweepSpec{Bytes: bytesAxis, Scale: scales},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// TestFreshSweepSteadyStateAllocs bounds what a fresh 16-point bytes sweep
+// (allreduce, P = 64, a new seed each run, so every point is evaluated)
+// allocates, socket aside. The points share one evaluator, whose term rows
+// the second point builds and the later ones read. A new evaluator per point
+// took 547 allocations; ≈420 now. Skipped under -race, which changes what
+// allocates; CI's allocation-gates step runs it.
+func TestFreshSweepSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	bytesAxis := make([]int, 16)
+	for k := range bytesAxis {
+		bytesAxis[k] = 64 << k
+	}
+	s := New(Config{})
+	seed := int64(0)
+	run := func() {
+		seed++
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(freshSweep(t, "allreduce", 64, seed, bytesAxis, nil))))
+		if rec.Code != 200 {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(20, run)
+	if m := s.Metrics(); m.CacheHits != 0 || m.CacheMisses != 22*16 {
+		t.Fatalf("misses %d, hits %d: want every point evaluated", m.CacheMisses, m.CacheHits)
+	}
+	if allocs > 440 {
+		t.Errorf("a fresh 16-point sweep allocates %.0f times, want at most 440", allocs)
+	}
+	t.Logf("a fresh 16-point sweep allocates %.0f times", allocs)
+}
+
+// TestSweepReuseCounters holds /metrics' reuse counters to what the points of
+// a request share. A fresh 64-point bytes × scale sweep runs its first point
+// on the evaluator it makes and the other 63 on it, and all 64 points'
+// schedules are one circulant structure: its collapse decision (refused on
+// a heterogeneous machine) is derived once and reused 63 times. A single
+// point reuses nothing, and a sweep answered from the cache runs nothing.
+// Each request that evaluates a schedule point makes one evaluator.
+func TestSweepReuseCounters(t *testing.T) {
+	evaluators := watchSweepEvaluators(t)
+	s := New(Config{})
+	single := PredictRequest{Profile: ProfileSpec{Preset: "xeon-cluster"}, Workload: WorkloadSpec{Kind: "allreduce", Bytes: 4096}, Procs: 64}
+	serve(t, s, mustBody(t, &single))
+	if m := s.Metrics(); m.SweepPointsReused != 0 || m.PartitionsReused != 0 || m.Routes.Swept != 1 {
+		t.Fatalf("a single point: sweepPointsReused %d, partitionsReused %d, swept %d; want 0, 0, 1",
+			m.SweepPointsReused, m.PartitionsReused, m.Routes.Swept)
+	}
+	body := freshSweep(t, "allreduce", 64, 3, sweepBytes, sweepScales)
+	for range 2 { // fresh, then from the cache
+		serve(t, s, body)
+		if m := s.Metrics(); m.SweepPointsReused != 63 || m.PartitionsReused != 63 || m.Routes.Swept != 65 {
+			t.Errorf("a fresh 64-point sweep: sweepPointsReused %d, partitionsReused %d, swept %d; want 63, 63, 65",
+				m.SweepPointsReused, m.PartitionsReused, m.Routes.Swept)
+		}
+		if n := len(evaluators()); n != 2 {
+			t.Errorf("a single point and a sweep made %d sweep evaluators, want 2", n)
+		}
+	}
+}
+
+// BenchmarkFreshSweep times fresh 64-point bytes × scale sweeps of the five
+// shapes (freshSweepShapes) on xeon-cluster, a new seed each iteration so
+// that every point is evaluated, and reports ns per point: the evaluation
+// layer of the daemon's sweep traffic. Build the parent's test binary and
+// alternate; the machine's neighbours swing single runs.
+func BenchmarkFreshSweep(b *testing.B) {
+	s := New(Config{})
+	points := len(sweepBytes) * len(sweepScales)
+	for i := 0; i < b.N; i++ {
+		for _, sh := range freshSweepShapes {
+			rec := httptest.NewRecorder()
+			body := freshSweep(b, sh.kind, sh.procs, int64(i+1), sweepBytes, sweepScales)
+			s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)))
+			if rec.Code != 200 || bytes.Count(rec.Body.Bytes(), []byte("\n")) != points {
+				b.Fatalf("status %d, %d lines: %s", rec.Code, bytes.Count(rec.Body.Bytes(), []byte("\n")), rec.Body.Bytes())
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(freshSweepShapes)*points), "ns/point")
 }

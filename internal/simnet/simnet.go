@@ -698,8 +698,12 @@ func (p *Proc) Recv(src, tag int) any {
 
 // CompileFaults compiles a run's fault plan against the machine, resolving
 // distance classes through the machine's PairClass when it has one. A nil or
-// empty plan compiles to a nil runtime (the fault-free hot path).
+// empty plan compiles to a nil runtime (the fault-free hot path) before the
+// class function is taken: a method value allocates.
 func CompileFaults(p *fault.Plan, m Machine) (*fault.Runtime, error) {
+	if p.Empty() {
+		return fault.Compile(p, m.Procs(), nil)
+	}
 	var pc func(i, j int) uint8
 	if cm, ok := m.(interface{ PairClass(i, j int) uint8 }); ok {
 		pc = cm.PairClass

@@ -69,14 +69,17 @@ func RunSchedule(ctx context.Context, m sim.Machine, s Schedule, execs int, o si
 // over bytes, LogGP scalings or run seeds — on one kept evaluator arena, with
 // the fault plan compiled once and the symmetry-partition decisions
 // memoized. Every point runs through the run frame with the body RunSchedule
-// hands it, every pair priced live by the machine, so a point is
-// bit-identical to an independent RunSchedule call with the same options. Not safe for concurrent use —
-// parallel sweeps give each worker its own evaluator.
+// hands it; from a machine family's second point on, circulant edges are
+// priced from kept pair terms under the point's own link columns, every
+// other pair live by the machine, so a point is bit-identical to an
+// independent RunSchedule call with the same options. RunPoint hands a point
+// its own recorder and deadline. Not safe for concurrent use — parallel
+// sweeps give each worker its own evaluator.
 type SweepEvaluator = sched.SweepEvaluator
 
 // SweepOptions configures a SweepEvaluator: everything it fixes for the
-// points it evaluates — acks, collapse mode, fault plan, recorder and the
-// per-point deadline.
+// points it evaluates — acks, collapse mode, fault plan, and the recorder
+// and per-point deadline Run uses.
 type SweepOptions = sched.SweepOptions
 
 // SweepStats reports what a SweepEvaluator reused across its points.
