@@ -343,42 +343,40 @@ func streamOf(t *testing.T, rec *trace.Recorder) string {
 }
 
 // TestStreamTotalExchangeMatchesPattern pins the total-exchange pattern (its
-// linear-shift stream wrapped) against its edge-rule literal, with and
-// without the SymCirculant hint: identical stage structure and, through the
-// evaluator, identical virtual times.
+// linear-shift stream wrapped) against its edge-rule literal: identical stage
+// structure and, through the evaluator, identical virtual times.
 func TestStreamTotalExchangeMatchesPattern(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8, 13} {
 		pat, err := TotalExchange(p, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for form, literal := range generators(p, 0)["total-exchange"].literals(p) {
-			adj := literal.Stages
-			if pat.NumStages() != len(adj) {
-				t.Fatalf("p=%d: pattern has %d stages, %s %d", p, pat.NumStages(), form, len(adj))
-			}
-			for s := range adj {
-				st := pat.StageAt(s)
-				for i := 0; i < p; i++ {
-					if fmt.Sprint(st.Out[i]) != fmt.Sprint(adj[s].Out[i]) || fmt.Sprint(st.In[i]) != fmt.Sprint(adj[s].In[i]) {
-						t.Fatalf("p=%d stage %d rank %d: pattern %v/%v, %s %v/%v",
-							p, s, i, st.Out[i], st.In[i], form, adj[s].Out[i], adj[s].In[i])
-					}
+		literal := ruleSchedule(p, generators(p, 0)["total-exchange"].rule)
+		adj := literal.Stages
+		if pat.NumStages() != len(adj) {
+			t.Fatalf("p=%d: pattern has %d stages, literal %d", p, pat.NumStages(), len(adj))
+		}
+		for s := range adj {
+			st := pat.StageAt(s)
+			for i := 0; i < p; i++ {
+				if fmt.Sprint(st.Out[i]) != fmt.Sprint(adj[s].Out[i]) || fmt.Sprint(st.In[i]) != fmt.Sprint(adj[s].In[i]) {
+					t.Fatalf("p=%d stage %d rank %d: pattern %v/%v, literal %v/%v",
+						p, s, i, st.Out[i], st.In[i], adj[s].Out[i], adj[s].In[i])
 				}
 			}
-			m := engineMachine(t, p, true)
-			resPat, err := sched.RunSchedule(context.Background(), m, pat, 2, simnet.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			resLit, err := sched.RunSchedule(context.Background(), m, literal, 2, simnet.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := range resPat.Times {
-				if resPat.Times[r] != resLit.Times[r] {
-					t.Errorf("p=%d rank %d: pattern %v, %s %v", p, r, resPat.Times[r], form, resLit.Times[r])
-				}
+		}
+		m := engineMachine(t, p, true)
+		resPat, err := sched.RunSchedule(context.Background(), m, pat, 2, simnet.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resLit, err := sched.RunSchedule(context.Background(), m, literal, 2, simnet.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range resPat.Times {
+			if resPat.Times[r] != resLit.Times[r] {
+				t.Errorf("p=%d rank %d: pattern %v, literal %v", p, r, resPat.Times[r], resLit.Times[r])
 			}
 		}
 	}

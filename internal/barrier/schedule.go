@@ -51,9 +51,9 @@ func (s Semantics) String() string {
 // The collectives below each check their arguments and wrap the streamed
 // schedule internal/sched builds for their shape, named and tagged with the
 // semantics Verify checks: the circulants (dissemination, ring, linear shift)
-// describe a stage by one (offset, size) pair, O(stages) state, and carry the
-// SymCirculant hint by construction, so on a homogeneous one-rank-per-node
-// machine the direct evaluator collapses them to one equivalence class; the
+// describe a stage by one (offset, size) pair, O(stages) state, and are
+// sched.Circulant values, so on a homogeneous one-rank-per-node machine the
+// direct evaluator collapses them to one equivalence class; the
 // binomial trees build a stage's O(P) edge lists on request, or answer for
 // one rank.
 

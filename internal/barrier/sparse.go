@@ -7,29 +7,19 @@ import (
 	"hbsp/internal/sched"
 )
 
-// checkSchedule refuses what no consumer can walk: a missing schedule (a nil
-// pointer handed over as one, and a Pattern wrapping none, included), one
-// without ranks or stages, a rooted Pattern's root out of range, and an
-// edge-list literal that breaks the sched.Stage contract (Validate) — a rank
-// out of range, a self-signal, a size row that does not match its edges, or
-// In rows that are not the row-major scan of Out.
+// checkSchedule refuses what no consumer can walk, as ErrInvalidPattern: a
+// Pattern that fails Validate (a rooted one's root out of range included),
+// and whatever sched.Check refuses — a missing schedule (a nil pointer
+// handed over as one, and a Pattern wrapping none, included), one without
+// ranks or stages, and an edge-list literal that breaks the sched.Stage
+// contract (a rank out of range, a self-signal, a size row that does not
+// match its edges, or In rows that are not the row-major scan of Out).
 func checkSchedule(s sched.Schedule) error {
-	switch v := s.(type) {
-	case nil:
-		return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
-	case *Pattern:
-		return v.Validate() // the wrapped schedule, checked by this function
-	case *sched.StaticStages:
-		if v == nil {
-			return fmt.Errorf("%w: nil schedule", ErrInvalidPattern)
-		}
-		if err := v.Validate(); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidPattern, err)
-		}
-		return nil
+	if pat, ok := s.(*Pattern); ok {
+		return pat.Validate() // the wrapped schedule, checked by this function
 	}
-	if s.NumProcs() < 1 || s.NumStages() == 0 {
-		return fmt.Errorf("%w: %d processes, %d stages", ErrInvalidPattern, s.NumProcs(), s.NumStages())
+	if err := sched.Check(s); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidPattern, err)
 	}
 	return nil
 }
@@ -74,8 +64,7 @@ func VerifySchedule(s sched.Schedule, sem Semantics, root int) error {
 // count row per origin) and the dissemination allgather (one block per
 // origin). The input is only read. A circulant schedule's counts are the same
 // on every rank, so it (wrapped or not) comes back a circulant; anything else
-// comes back as materialized stages sharing the input's edge lists, with the
-// input's symmetry hint.
+// comes back as materialized stages sharing the input's edge lists.
 func KnowledgeSized(s sched.Schedule, headerBytes, bytesPerOrigin int) sched.Schedule {
 	p, n := s.NumProcs(), s.NumStages()
 	known, v := sched.NewReachSet(s), sched.ViewOf(s)
@@ -93,7 +82,7 @@ func KnowledgeSized(s sched.Schedule, headerBytes, bytesPerOrigin int) sched.Sch
 		}
 		return c
 	}
-	out := &sched.StaticStages{Procs: p, Stages: make([]sched.Stage, n), Sym: sched.SymmetryOf(s)}
+	out := &sched.StaticStages{Procs: p, Stages: make([]sched.Stage, n)}
 	for k := range out.Stages {
 		st := s.StageAt(k)
 		outBytes := make([][]int, p)

@@ -43,18 +43,6 @@ func generators(p, root int) map[string]generator {
 	}
 }
 
-// literals returns the generator's edge-rule literal over p ranks, and for a
-// circulant rule the same literal with the SymCirculant hint, keyed by a name.
-func (g generator) literals(p int) map[string]*sched.StaticStages {
-	out := map[string]*sched.StaticStages{"literal": ruleSchedule(p, g.rule)}
-	if g.circulant {
-		hinted := ruleSchedule(p, g.rule)
-		hinted.Sym = sched.SymCirculant
-		out["hinted literal"] = hinted
-	}
-	return out
-}
-
 // edge names one signal of a schedule; edgeSizes reads every signal's size
 // through a StageView, as every walker does.
 type edge struct{ stage, from, to int }
@@ -94,10 +82,10 @@ func sameEdges(t *testing.T, what string, ref, s sched.Schedule) {
 }
 
 // TestStreamGeneratorsMatchPatterns holds every collective's Pattern — its
-// streamed schedule wrapped — to the collective's edge-rule literal, with and
-// (for the circulants) without the SymCirculant hint: stage structure, edge
-// order and payload sizes, the knowledge-sized edge sizes and the Predict
-// total, and through the evaluator bit-identical virtual times and traffic on
+// streamed schedule wrapped, a circulant exactly for the circulant rules — to
+// the collective's edge-rule literal: stage structure, edge order and payload
+// sizes, the knowledge-sized edge sizes and the Predict total, and through
+// the evaluator bit-identical virtual times and traffic on
 // a noisy and a noise-free machine, across odd, power-of-two and
 // non-power-of-two process counts. The wrapper's circulant and binomial views
 // are so diffed against the edge-list walker.
@@ -111,41 +99,43 @@ func TestStreamGeneratorsMatchPatterns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("p=%d %s pattern: %v", p, name, err)
 			}
-			for form, ref := range g.literals(p) {
-				what := fmt.Sprintf("p=%d %s against its %s", p, name, form)
-				sameEdges(t, what, ref, pat)
-				if got, want := edgeSizes(KnowledgeSized(pat, 16, 4*p)), edgeSizes(KnowledgeSized(ref, 16, 4*p)); !maps.Equal(got, want) {
-					t.Errorf("%s: knowledge-sized edges %v, want %v", what, got, want)
-				}
-				predPat, err := Predict(pat, params, CostOptionsFor(g.sem))
+			if _, ok := sched.AsCirculant(pat); ok != g.circulant {
+				t.Errorf("p=%d %s: the pattern is a circulant: %v, want %v", p, name, ok, g.circulant)
+			}
+			ref := ruleSchedule(p, g.rule)
+			what := fmt.Sprintf("p=%d %s against its literal", p, name)
+			sameEdges(t, what, ref, pat)
+			if got, want := edgeSizes(KnowledgeSized(pat, 16, 4*p)), edgeSizes(KnowledgeSized(ref, 16, 4*p)); !maps.Equal(got, want) {
+				t.Errorf("%s: knowledge-sized edges %v, want %v", what, got, want)
+			}
+			predPat, err := Predict(pat, params, CostOptionsFor(g.sem))
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			predRef, err := Predict(ref, params, CostOptionsFor(g.sem))
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if predPat.Total != predRef.Total {
+				t.Errorf("%s: predicted %v, literal %v", what, predPat.Total, predRef.Total)
+			}
+			for _, m := range machines {
+				resPat, err := sched.RunSchedule(context.Background(), m, pat, 2, simnet.DefaultOptions())
 				if err != nil {
-					t.Fatalf("%s: %v", what, err)
+					t.Fatalf("%s run: %v", what, err)
 				}
-				predRef, err := Predict(ref, params, CostOptionsFor(g.sem))
+				resRef, err := sched.RunSchedule(context.Background(), m, ref, 2, simnet.DefaultOptions())
 				if err != nil {
-					t.Fatalf("%s: %v", what, err)
+					t.Fatalf("%s literal run: %v", what, err)
 				}
-				if predPat.Total != predRef.Total {
-					t.Errorf("%s: predicted %v, literal %v", what, predPat.Total, predRef.Total)
+				for r := range resPat.Times {
+					if resPat.Times[r] != resRef.Times[r] {
+						t.Errorf("%s rank %d: pattern %v, literal %v", what, r, resPat.Times[r], resRef.Times[r])
+					}
 				}
-				for _, m := range machines {
-					resPat, err := sched.RunSchedule(context.Background(), m, pat, 2, simnet.DefaultOptions())
-					if err != nil {
-						t.Fatalf("%s run: %v", what, err)
-					}
-					resRef, err := sched.RunSchedule(context.Background(), m, ref, 2, simnet.DefaultOptions())
-					if err != nil {
-						t.Fatalf("%s literal run: %v", what, err)
-					}
-					for r := range resPat.Times {
-						if resPat.Times[r] != resRef.Times[r] {
-							t.Errorf("%s rank %d: pattern %v, literal %v", what, r, resPat.Times[r], resRef.Times[r])
-						}
-					}
-					if resPat.Messages != resRef.Messages || resPat.Bytes != resRef.Bytes {
-						t.Errorf("%s traffic: pattern %d/%d, literal %d/%d",
-							what, resPat.Messages, resPat.Bytes, resRef.Messages, resRef.Bytes)
-					}
+				if resPat.Messages != resRef.Messages || resPat.Bytes != resRef.Bytes {
+					t.Errorf("%s traffic: pattern %d/%d, literal %d/%d",
+						what, resPat.Messages, resPat.Bytes, resRef.Messages, resRef.Bytes)
 				}
 			}
 		}

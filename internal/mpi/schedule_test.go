@@ -191,16 +191,12 @@ func must[S mpi.Schedule](t *testing.T) func(S, error) mpi.Schedule {
 	}
 }
 
-// literalOf copies the pattern's stages into an edge-list literal, with the
-// SymCirculant hint when the pattern wraps a circulant: the dense form of a
-// generator, walked through the edge lists where the pattern is walked
-// through its circulant or binomial view.
+// literalOf copies the pattern's stages into an edge-list literal: the dense
+// form of a generator, walked through the edge lists where the pattern is
+// walked through its circulant or binomial view.
 func literalOf(t *testing.T, pat *barrier.Pattern) *sched.StaticStages {
 	t.Helper()
 	lit := &sched.StaticStages{Procs: pat.NumProcs(), Stages: pat.Adjacency()}
-	if _, ok := sched.AsCirculant(pat); ok {
-		lit.Sym = sched.SymCirculant
-	}
 	if err := lit.Validate(); err != nil {
 		t.Fatalf("%s: %v", pat.Name, err)
 	}

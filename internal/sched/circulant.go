@@ -5,24 +5,13 @@ import (
 	"fmt"
 )
 
-// CirculantSchedule is the O(1)-per-stage view of a circulant schedule: the
-// collapsed evaluator reads stages through it without materializing any
-// per-rank adjacency, which is what keeps a P=1M evaluation at O(stages)
-// work and O(P) memory (the rank states themselves).
-type CirculantSchedule interface {
-	Schedule
-	// CirculantStage returns stage k's uniform offset (every rank i signals
-	// (i+offset) mod P; offset 0 mod P means an empty stage) and the uniform
-	// payload size in bytes of every edge.
-	CirculantStage(k int) (offset, sizeBytes int)
-}
-
-// AsCirculant returns the schedule's circulant view, seeing through a
-// wrapper (barrier.Pattern): how code outside this package asks a schedule's
-// shape.
-func AsCirculant(s Schedule) (CirculantSchedule, bool) {
-	cs, ok := unwrap(s).(CirculantSchedule)
-	return cs, ok
+// AsCirculant returns the schedule as a *Circulant, seeing through a wrapper
+// (barrier.Pattern): how code outside this package asks a schedule's shape.
+// The type is the only statement of the shape — an edge-list literal of the
+// same stages is not a circulant here.
+func AsCirculant(s Schedule) (*Circulant, bool) {
+	c, ok := unwrap(s).(*Circulant)
+	return c, ok
 }
 
 // ProcsOf returns the schedule's rank count, seeing through a wrapper; 0 for
@@ -50,11 +39,12 @@ func unwrap(s Schedule) Schedule {
 // Circulant is a streaming circulant schedule: stage k prescribes the single
 // uniform edge i→(i+offsets[k]) mod P for every rank i, with the uniform
 // payload sizes[k]. It is the shape of the dissemination, linear-shift
-// total-exchange and ring collectives, and it carries the SymCirculant hint
-// by construction. A Circulant is immutable after construction — O(stages)
-// state, shareable by any number of concurrent evaluations: the evaluator
-// derives each rank's peers from CirculantStage (StageView) and never
-// materializes an adjacency.
+// total-exchange and ring collectives, and its type is what the symmetry
+// collapse and the one-row reach set ask for (AsCirculant). A Circulant is
+// immutable after construction — O(stages) state, shareable by any number of
+// concurrent evaluations: the evaluator derives each rank's peers from
+// CirculantStage (StageView) and never materializes an adjacency, which is
+// what keeps a P=1M evaluation at O(stages) work.
 type Circulant struct {
 	p       int
 	offsets []int // normalized to [0, p); 0 = empty stage
@@ -94,10 +84,9 @@ func (c *Circulant) NumProcs() int { return c.p }
 // NumStages returns the number of stages.
 func (c *Circulant) NumStages() int { return len(c.offsets) }
 
-// Symmetry declares the circulant hint.
-func (c *Circulant) Symmetry() Symmetry { return SymCirculant }
-
-// CirculantStage returns stage k's uniform offset and payload size.
+// CirculantStage returns stage k's uniform offset, in [0, P) (every rank i
+// signals (i+offset) mod P; 0 is an empty stage), and the uniform payload
+// size in bytes of every edge.
 func (c *Circulant) CirculantStage(k int) (offset, sizeBytes int) {
 	offset = c.offsets[k]
 	if c.sizes != nil {
@@ -131,17 +120,6 @@ func (c *Circulant) StageAt(k int) Stage {
 	return st
 }
 
-// RankSchedule is the optional O(1)-per-rank view of a streamed schedule in
-// which a rank has at most one edge per side per stage (the binomial trees of
-// internal/barrier), for StageView.RankEdges: without it every rank goroutine
-// of a concurrent-engine walk would build StageAt's O(P) adjacency for itself.
-type RankSchedule interface {
-	Schedule
-	// RankEdges returns the rank r signals in stage k and the rank signalling
-	// r (−1 for none), and the payload size of r's out-edge.
-	RankEdges(k, r int) (dst, src, sizeBytes int)
-}
-
 // StageView reads one stage of a schedule edge by edge, the schedule value
 // only ever being read: generic schedules through StageAt (once per Load),
 // circulant ones by deriving each rank's single out- and in-peer (r±off) mod P
@@ -153,7 +131,7 @@ type RankSchedule interface {
 // the next call of the same method.
 type StageView struct {
 	s    Schedule
-	cs   CirculantSchedule // non-nil: stages are read through CirculantStage
+	cs   *Circulant // non-nil: stages are read through CirculantStage
 	p    int
 	st   Stage // generic stage
 	off  int   // circulant stage offset, 0 = empty
@@ -167,15 +145,14 @@ type StageView struct {
 // is read through the schedule it wraps.
 func ViewOf(s Schedule) StageView {
 	s = unwrap(s)
-	cs, _ := s.(CirculantSchedule)
+	cs, _ := s.(*Circulant)
 	return StageView{s: s, cs: cs, p: s.NumProcs()}
 }
 
 // Load points the view at stage sg.
 func (v *StageView) Load(sg int) {
 	if v.cs != nil {
-		off, size := v.cs.CirculantStage(sg)
-		v.off, v.size = ((off%v.p)+v.p)%v.p, size
+		v.off, v.size = v.cs.CirculantStage(sg)
 		return
 	}
 	v.st = v.s.StageAt(sg)
@@ -222,11 +199,12 @@ func (v *StageView) OutSize(r, k int) int {
 
 // RankEdges reads one rank's edges in stage sg, for a walker that follows a
 // single rank: the ranks signalling r, the ranks it signals, and the payload
-// size of each out-edge (nil: pure signals). A RankSchedule is asked for them;
-// anything else loads the stage.
+// size of each out-edge (nil: pure signals). A binomial tree is asked for
+// them, so a rank goroutine of a concurrent-engine walk never builds
+// StageAt's O(P) adjacency for itself; anything else loads the stage.
 func (v *StageView) RankEdges(sg, r int) (ins, outs, outBytes []int) {
-	if rs, ok := v.s.(RankSchedule); ok {
-		if v.dst[0], v.src[0], v.sz[0] = rs.RankEdges(sg, r); v.src[0] >= 0 {
+	if bt, ok := v.s.(*Binomial); ok {
+		if v.dst[0], v.src[0], v.sz[0] = bt.RankEdges(sg, r); v.src[0] >= 0 {
 			ins = v.src[:]
 		}
 		if v.dst[0] >= 0 {

@@ -15,7 +15,7 @@ import (
 )
 
 // pairExchangeSchedule is a single-stage neighbor exchange materialized as
-// StaticStages with no symmetry hint: rank 2i and rank 2i+1 swap size bytes.
+// StaticStages, not a circulant: rank 2i and rank 2i+1 swap size bytes.
 // Fault-free it refines to a single class; a fault on one rank splits off
 // exactly that rank and its partner.
 func pairExchangeSchedule(p, size int) *sched.StaticStages {

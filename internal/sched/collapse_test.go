@@ -3,6 +3,7 @@ package sched_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -87,7 +88,10 @@ func runCollapseDiff(t *testing.T, name string, m *platform.Machine, s sched.Sch
 // per-rank evaluator's virtual times bit for bit, together with makespan and
 // the message/byte counters. The circulant shapes must actually take the
 // collapsed path (a single equivalence class), so the diff is never
-// trivially comparing the fallback against itself.
+// trivially comparing the fallback against itself. A last row, above the
+// structural refinement's bound, pins that a schedule's type decides: the
+// dissemination's edge lists at P = 8192 run per rank and reproduce the
+// collapsed circulant's bits.
 func TestCollapseGoldensBitIdentical(t *testing.T) {
 	for _, p := range []int{16, 64, 256, 1024, 4096} {
 		m, err := platform.FlatClusterMachine(p)
@@ -106,6 +110,33 @@ func TestCollapseGoldensBitIdentical(t *testing.T) {
 				runCollapseDiff(t, name, m, s, ack)
 			}
 		}
+	}
+
+	const p = 8192
+	m, err := platform.FlatClusterMachine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diss, err := barrier.Dissemination(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal := &sched.StaticStages{Procs: p, Stages: diss.Adjacency()}
+	for _, ack := range []bool{true, false} {
+		o := simnet.DefaultOptions()
+		o.AckSends = ack
+		circ, err := sched.RunSchedule(context.Background(), m, diss, 2, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, err := sched.RunSchedule(context.Background(), m, literal, 2, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !circ.Collapse.Applied || circ.Collapse.Classes != 1 || lit.Collapse.Applied {
+			t.Fatalf("p=%d ack=%v: circulant collapse %+v, edge lists %+v; want one class and per rank", p, ack, circ.Collapse, lit.Collapse)
+		}
+		diffResults(t, fmt.Sprintf("p=%d ack=%v circulant vs edge lists", p, ack), circ, lit)
 	}
 }
 
@@ -133,7 +164,7 @@ func TestCollapseMultiClassHomogeneous(t *testing.T) {
 
 // permuteSchedule returns the schedule with every rank relabeled by perm:
 // edge i→j becomes perm[i]→perm[j], payload sizes carried over. The result
-// is materialized as StaticStages with no symmetry hint.
+// is materialized as StaticStages, not a circulant.
 func permuteSchedule(t *testing.T, s sched.Schedule, perm []int) sched.Schedule {
 	t.Helper()
 	p := s.NumProcs()

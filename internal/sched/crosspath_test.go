@@ -65,8 +65,8 @@ type accessorsOnly struct{ simnet.Machine }
 
 // randomSchedule draws one of the three schedule shapes: a circulant with
 // random offsets and sizes (empty stages included), a binomial tree, or an
-// irregular stage graph (random fan-out, self-sends, empty ranks) whose
-// In rows follow the row-major scan order the Stage contract requires.
+// irregular stage graph (random fan-out, empty ranks) that keeps the Stage
+// contract: no self-signals, In rows in the row-major scan order of Out.
 func randomSchedule(t *testing.T, rng *rand.Rand, p int) (string, sched.Schedule) {
 	t.Helper()
 	stages := 1 + rng.Intn(5)
@@ -97,8 +97,12 @@ func randomSchedule(t *testing.T, rng *rand.Rand, p int) (string, sched.Schedule
 		st[k] = sched.Stage{Out: make([][]int, p), In: make([][]int, p), OutBytes: make([][]int, p)}
 		for i := 0; i < p; i++ {
 			for _, j := range rng.Perm(p)[:rng.Intn(min(p, 4))] {
+				size := rng.Intn(4096)
+				if j == i {
+					continue // the Stage contract has no self-signals
+				}
 				st[k].Out[i] = append(st[k].Out[i], j)
-				st[k].OutBytes[i] = append(st[k].OutBytes[i], rng.Intn(4096))
+				st[k].OutBytes[i] = append(st[k].OutBytes[i], size)
 				st[k].In[j] = append(st[k].In[j], i)
 			}
 		}
@@ -107,13 +111,10 @@ func randomSchedule(t *testing.T, rng *rand.Rand, p int) (string, sched.Schedule
 }
 
 // edgeListPattern is the schedule's stages read once into a barrier.Pattern's
-// edge lists, with its symmetry hint: the form every materialized generator
-// has, one more input to every path.
+// edge lists: the form every materialized generator has, one more input to
+// every path.
 func edgeListPattern(s sched.Schedule) *barrier.Pattern {
 	st := &sched.StaticStages{Procs: s.NumProcs()}
-	if ss, ok := s.(sched.SymmetricSchedule); ok {
-		st.Sym = ss.Symmetry()
-	}
 	for k := 0; k < s.NumStages(); k++ {
 		st.Stages = append(st.Stages, s.StageAt(k))
 	}

@@ -58,7 +58,8 @@ func linear(p, blockBytes int, ring bool) (*Circulant, error) {
 // broadcast has the ≤2^s edges (root+r) → (root+r+2^s) mod p for r < 2^s;
 // the reduce runs the transposed stages in reverse order. The value is O(1)
 // and immutable: StageAt builds fresh O(P) edge lists per call, and a walker
-// following one rank asks for that rank's edges (RankSchedule).
+// following one rank asks for that rank's edges (RankEdges, through
+// StageView.RankEdges).
 type Binomial struct {
 	p, root, msgBytes int
 	reduce            bool // transposed stages in reverse order

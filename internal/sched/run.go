@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"time"
 
 	"hbsp/internal/simnet"
@@ -159,16 +160,29 @@ func arenaFor(m simnet.Machine, o *simnet.Options) (*Evaluator, error) {
 	return e, nil
 }
 
-// checkSchedule refuses a nil schedule (a wrapper of none included) or fewer
-// than one execution.
-func checkSchedule(s Schedule, execs int) error {
-	if unwrap(s) == nil {
+// Check refuses, seeing through a wrapper, a schedule no walker can read:
+// none (nil, a nil pointer, a wrapper of none), one without ranks or stages,
+// and an edge-list literal that fails StaticStages.Validate (O(P + edges)).
+func Check(s Schedule) error {
+	s = unwrap(s)
+	if v := reflect.ValueOf(s); !v.IsValid() || v.Kind() == reflect.Pointer && v.IsNil() {
 		return errors.New("sched: nil schedule")
 	}
+	if st, ok := s.(*StaticStages); ok {
+		return st.Validate()
+	}
+	if p, n := s.NumProcs(), s.NumStages(); p < 1 || n == 0 {
+		return fmt.Errorf("sched: %d ranks, %d stages", p, n)
+	}
+	return nil
+}
+
+// checkSchedule refuses fewer than one execution, or what Check refuses.
+func checkSchedule(s Schedule, execs int) error {
 	if execs < 1 {
 		return fmt.Errorf("sched: %d executions requested", execs)
 	}
-	return nil
+	return Check(s)
 }
 
 // execRuns is the body RunSchedule and SweepEvaluator.Run hand the run frame:
@@ -272,7 +286,7 @@ const ScheduleTagBase = 1 << 20
 // schedule collectives of both engines (mpi.FloodSchedule) read a call's
 // board of contributions through it, no payload ever moving.
 //
-// A CirculantSchedule gets one P-bit row instead of P: every stage moves every
+// A *Circulant gets one P-bit row instead of P: every stage moves every
 // rank's knowledge by the same offset, so rank r's set is rank 0's with each
 // origin moved up by r, and one row proves all P.
 type ReachSet struct {

@@ -118,3 +118,40 @@ func TestRunFrameRejects(t *testing.T) {
 		})
 	}
 }
+
+// TestScheduleEntriesRefuseMalformed hands RunSchedule and
+// SweepEvaluator.RunPoint schedules no walker can read — edge-list literals
+// that break the Stage contract, bare or wrapped, and nil pointers — and
+// requires an error from both, not a panic and not a result: an edge-list
+// literal is checked where it enters.
+func TestScheduleEntriesRefuseMalformed(t *testing.T) {
+	const p = 4
+	m := machines(t, p, 1, false)
+	stage := func(out, in [][]int) []sched.Stage { return []sched.Stage{{Out: out, In: in}} }
+	outOfRange := &sched.StaticStages{Procs: p, Stages: stage([][]int{{7}, nil, nil, nil}, [][]int{nil, nil, nil, nil})}
+	for _, tc := range []struct {
+		name string
+		s    sched.Schedule
+	}{
+		{"rank 7 of 4", outOfRange},
+		{"short rows", &sched.StaticStages{Procs: p, Stages: stage([][]int{{1}}, [][]int{nil, {0}})}},
+		{"In not the scan of Out", &sched.StaticStages{Procs: p, Stages: stage([][]int{{1}, nil, nil, nil}, [][]int{nil, nil, {0}, nil})}},
+		{"no stages", &sched.StaticStages{Procs: p}},
+		{"wrapped rank 7 of 4", &barrier.Pattern{Name: "literal", Schedule: outOfRange}},
+		{"nil literal", (*sched.StaticStages)(nil)},
+		{"nil circulant", (*sched.Circulant)(nil)},
+		{"wrapper of none", &barrier.Pattern{Name: "empty"}},
+	} {
+		if res, err := sched.RunSchedule(context.Background(), m, tc.s, 1, simnet.DefaultOptions()); err == nil {
+			t.Errorf("%s: RunSchedule returned %+v, want an error", tc.name, res)
+		}
+		sw, err := sched.NewSweepEvaluator(m, sched.SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := sw.RunPoint(context.Background(), m, tc.s, 1, nil, 0); err == nil {
+			t.Errorf("%s: RunPoint returned %+v, want an error", tc.name, res)
+		}
+		sw.Release()
+	}
+}

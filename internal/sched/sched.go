@@ -93,10 +93,6 @@ type Schedule interface {
 type StaticStages struct {
 	Procs  int
 	Stages []Stage
-	// Sym optionally declares the stage graph's rank symmetry (the
-	// symmetry-collapse eligibility hint; see Symmetry). Only set it for
-	// stage graphs that actually have the declared shape.
-	Sym Symmetry
 }
 
 // NumProcs returns the number of participating ranks.
@@ -107,9 +103,6 @@ func (s *StaticStages) NumStages() int { return len(s.Stages) }
 
 // StageAt returns stage i.
 func (s *StaticStages) StageAt(i int) Stage { return s.Stages[i] }
-
-// Symmetry returns the declared rank symmetry.
-func (s *StaticStages) Symmetry() Symmetry { return s.Sym }
 
 // Validate checks the stages against the Stage contract: at least one rank
 // and one stage, P rows per side, every rank named in range, no self-signals,

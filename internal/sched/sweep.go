@@ -96,8 +96,7 @@ type SweepEvaluator struct {
 	// schedules under the hash of their offset sequence (uint64 keys),
 	// everything else under the schedule value itself. Entries are O(P), so
 	// the memo is bounded by count (sweepMaxParts).
-	parts       map[any]sweepPart
-	offsScratch []int32
+	parts map[any]sweepPart
 
 	// family counts the points run on the base's family since the
 	// evaluator last (re)based; terms are its term rows, read from the
@@ -108,10 +107,11 @@ type SweepEvaluator struct {
 }
 
 // sweepPart is one memoized collapse decision. offs pins the offset sequence
-// a circulant entry was derived for (its key is only the hash); the rank
-// count is the evaluator's, fixed between rebases.
+// a circulant entry was derived for (its key is only the hash; the slice is
+// the immutable circulant's own); the rank count is the evaluator's, fixed
+// between rebases.
 type sweepPart struct {
-	offs []int32
+	offs []int
 	part *Partition
 	info simnet.Collapse
 }
@@ -163,9 +163,9 @@ func (t *termRows) admit(s Schedule, p int) bool {
 		return false
 	}
 	t.offs = t.offs[:0]
-	for k, n := 0, cs.NumStages(); k < n; k++ {
-		if off, _ := cs.CirculantStage(k); off%p != 0 {
-			t.offs = append(t.offs, ((off%p)+p)%p)
+	for _, off := range cs.offsets {
+		if off != 0 {
+			t.offs = append(t.offs, off)
 		}
 	}
 	slices.Sort(t.offs)
@@ -339,10 +339,9 @@ func (sw *SweepEvaluator) sameFamily(m simnet.Machine) (same, terms bool) {
 // classes and homogeneity, so the decision carries across points.
 func (sw *SweepEvaluator) partitionFor(m simnet.Machine, s Schedule) (*Partition, simnet.Collapse) {
 	var key any = unwrap(s)
-	var offs []int32
-	if cs, ok := key.(CirculantSchedule); ok {
-		key, offs = circStructure(cs, sw.offsScratch[:0])
-		sw.offsScratch = offs[:0]
+	var offs []int
+	if c, ok := key.(*Circulant); ok {
+		key, offs = offsetsHash(c.offsets), c.offsets
 	} else if !reflect.TypeOf(key).Comparable() {
 		return collapseClassesWith(m, s, sw.e.env.Faults)
 	}
@@ -361,23 +360,16 @@ func (sw *SweepEvaluator) partitionFor(m simnet.Machine, s Schedule) (*Partition
 			break
 		}
 	}
-	sw.parts[key] = sweepPart{offs: slices.Clone(offs), part: part, info: info}
+	sw.parts[key] = sweepPart{offs: offs, part: part, info: info}
 	return part, info
 }
 
-// circStructure hashes a circulant schedule's offset sequence (FNV-1a) and
-// returns the offsets; scratch is reused across calls.
-func circStructure(cs CirculantSchedule, scratch []int32) (uint64, []int32) {
-	offs := scratch
+// offsetsHash hashes a circulant's offset sequence (FNV-1a).
+func offsetsHash(offs []int) uint64 {
 	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h ^= v
+	for _, off := range offs {
+		h ^= uint64(off) + 0x9e3779b9
 		h *= 1099511628211
 	}
-	for k, n := 0, cs.NumStages(); k < n; k++ {
-		off, _ := cs.CirculantStage(k)
-		offs = append(offs, int32(off))
-		mix(uint64(off) + 0x9e3779b9)
-	}
-	return h, offs
+	return h
 }

@@ -12,7 +12,7 @@ import (
 // the same stage-local neighborhood to every rank, and on a machine whose
 // pair parameters are a pure function of the distance class the LogGP
 // recurrence then computes the same numbers P times over. The collapse
-// detects rank-equivalence classes — from a generator-emitted Symmetry hint
+// detects rank-equivalence classes — from the schedule's type (a *Circulant)
 // or from a structural fingerprint of the stage graph — and evaluates one
 // kernel state per class per stage, for the class's representative rank,
 // counting traffic for the whole class; each rank's time is read off its
@@ -22,40 +22,6 @@ import (
 // noise, trace recording or a rank-targeted fault plan breaks the argument,
 // evaluation falls back to the per-rank sweep and reports why in
 // simnet.Result.Collapse.
-
-// Symmetry is a schedule's declared rank symmetry, the hint streaming
-// generators emit for free.
-type Symmetry uint8
-
-const (
-	// SymNone declares nothing; eligibility falls back to the structural
-	// fingerprint of CollapseClasses.
-	SymNone Symmetry = iota
-	// SymCirculant declares that every stage prescribes a single uniform
-	// offset edge i→(i+d) mod P with one uniform payload size — the
-	// dissemination, linear-shift total-exchange and ring-allgather shape.
-	// On a machine with uniform off-diagonal pairs all ranks then form one
-	// equivalence class. The hint is trusted: only emit it for schedules
-	// that actually have this shape (the generators in internal/barrier and
-	// the Circulant type emit it by construction).
-	SymCirculant
-)
-
-// SymmetricSchedule is the optional capability a Schedule implements to
-// declare its rank symmetry.
-type SymmetricSchedule interface {
-	Symmetry() Symmetry
-}
-
-// SymmetryOf returns the rank symmetry the schedule declares, seeing through
-// a wrapper (barrier.Pattern) as AsCirculant does; SymNone when it declares
-// none.
-func SymmetryOf(s Schedule) Symmetry {
-	if ss, ok := unwrap(s).(SymmetricSchedule); ok {
-		return ss.Symmetry()
-	}
-	return SymNone
-}
 
 // SymmetricMachine is the optional capability a machine implements to expose
 // the homogeneity structure of its pair parameters (platform.Machine
@@ -102,9 +68,10 @@ const (
 // the machine, or returns nil when collapsed evaluation does not apply (the
 // caller then evaluates per rank). Two tiers exist:
 //
-//   - Hint: a SymCirculant schedule on a machine with uniform off-diagonal
-//     pairs collapses to a single class in O(1) — the path that carries
-//     P=1M evaluations.
+//   - Circulant: a *Circulant (wrapped or not) on a machine with uniform
+//     off-diagonal pairs collapses to a single class in O(1) — the path that
+//     carries P=1M evaluations. The type is the only statement of the shape:
+//     an edge-list literal of the same stages takes the structural tier.
 //   - Structural: otherwise the stage graph is fingerprinted rank by rank
 //     (out-edges as ordered (pair class, destination class, size) tuples,
 //     in-edges as ordered (source class, position in the source's out-row,
@@ -123,7 +90,7 @@ func CollapseClasses(m simnet.Machine, s Schedule) *Partition {
 // collapseClassesWith is CollapseClasses under a compiled fault plan, and
 // additionally reports the decision as a simnet.Collapse diagnostic. A
 // rank-uniform plan (class- or wildcard-matched link degradations only)
-// preserves the hint tier; any rank-targeted treatment — stragglers,
+// preserves the circulant tier; any rank-targeted treatment — stragglers,
 // fail-stops, per-rank link rules — seeds the structural refinement with
 // per-rank fault fingerprints and folds per-edge degradation masks into the
 // edge signatures, so degraded ranks split into their own (often singleton)
@@ -148,8 +115,9 @@ func collapseClassesWith(m simnet.Machine, s Schedule, rt *fault.Runtime) (*Part
 		return nil, simnet.Collapse{Reason: reason}
 	}
 	uniformFaults := rt == nil || rt.Uniform()
-	if SymmetryOf(s) == SymCirculant && sm.UniformPairs() && uniformFaults {
-		return uniformPartition(p), simnet.Collapse{Applied: true, Classes: 1}
+	if _, ok := AsCirculant(s); ok && sm.UniformPairs() && uniformFaults {
+		one := &Partition{ClassOf: make([]int32, p), Reps: []int32{0}, Size: []int64{int64(p)}}
+		return one, simnet.Collapse{Applied: true, Classes: 1}
 	}
 	part := refineClasses(sm, s, rt)
 	if part == nil {
@@ -160,15 +128,6 @@ func collapseClassesWith(m simnet.Machine, s Schedule, rt *fault.Runtime) (*Part
 		return nil, simnet.Collapse{Reason: reason}
 	}
 	return part, simnet.Collapse{Applied: true, Classes: part.NumClasses()}
-}
-
-// uniformPartition is the single-class partition of the hint tier.
-func uniformPartition(p int) *Partition {
-	return &Partition{
-		ClassOf: make([]int32, p),
-		Reps:    []int32{0},
-		Size:    []int64{int64(p)},
-	}
 }
 
 // refineClasses runs the structural fixpoint refinement. Starting from one

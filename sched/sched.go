@@ -12,6 +12,14 @@
 // a goroutine per rank — collective sweeps at rank counts the concurrent engine
 // cannot reach (the benchmark's scale_direct workload runs this way, per-rank
 // at P=2048 and collapsed at P=2^20), or a sim.Program built by hand.
+//
+// A schedule's type is the only statement of its shape. The collective
+// generators build circulant schedules (dissemination, the count exchange,
+// total exchange, the ring allgather), which collapse to one equivalence
+// class on a machine with uniform pairs at any P. A StaticStages literal is
+// checked against the Stage contract where it enters RunSchedule or a
+// SweepEvaluator, and its classes are found by structural refinement, up to
+// 4,096 ranks; above that it runs per rank, with the same bits.
 package sched
 
 import (
@@ -31,22 +39,10 @@ type Stage = sched.Stage
 // on the fly (see Stage for the ordering contract).
 type Schedule = sched.Schedule
 
-// StaticStages wraps a materialized stage slice as a Schedule.
+// StaticStages wraps a materialized stage slice as a Schedule: an edge-list
+// literal, checked by its Validate method, and by RunSchedule and
+// SweepEvaluator.RunPoint before they walk it.
 type StaticStages = sched.StaticStages
-
-// Symmetry is the rank-symmetry hint a schedule may declare; see SymNone and
-// SymCirculant.
-type Symmetry = sched.Symmetry
-
-const (
-	// SymNone declares nothing; the evaluator falls back to structural
-	// equivalence-class refinement (or per-rank evaluation).
-	SymNone = sched.SymNone
-	// SymCirculant asserts every stage is a circulant: each rank sends to
-	// rank+offset (mod P) with a rank-invariant payload. On machines whose
-	// pairs are uniform, all ranks collapse into one equivalence class.
-	SymCirculant = sched.SymCirculant
-)
 
 // RunProgram executes the program on the engine the options select: the
 // direct discrete-event evaluator by default, the concurrent engine under
